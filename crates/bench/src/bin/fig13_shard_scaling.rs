@@ -31,12 +31,12 @@
 //! `--fields`/`--vsize` (record shape), `--out results`.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 use jnvm_bench::{write_csv, Args, Table};
-use jnvm_kvstore::{commit_writes, GridConfig, Record, ShardedKv, WriteOp};
-use jnvm_pmem::{thread_charged_ns, LatencyProfile, Pmem, PmemConfig, StatsSnapshot};
+use jnvm_kvstore::{commit_writes, Record, WriteOp};
+use jnvm_pmem::{thread_charged_ns, LatencyProfile, PmemConfig, StatsSnapshot};
+use jnvm_server::Cluster;
 
 struct Point {
     shards: usize,
@@ -51,23 +51,11 @@ struct Point {
 fn run_point(shards: usize, total_ops: usize, batch: usize, fields: usize, vsize: usize) -> Point {
     // One pool's worth of media split over however many pools this row
     // uses, so total capacity is constant across rows.
-    let pmems: Vec<Arc<Pmem>> = (0..shards)
-        .map(|_| {
-            let mut cfg = PmemConfig::crash_sim((512 << 20) / shards as u64);
-            cfg.latency = LatencyProfile::optane_like();
-            Pmem::new(cfg)
-        })
-        .collect();
-    let kv = ShardedKv::create(
-        &pmems,
-        32,
-        true,
-        GridConfig {
-            cache_capacity: 0,
-            ..GridConfig::default()
-        },
-    )
-    .expect("pool creation");
+    let mut device = PmemConfig::crash_sim((512 << 20) / shards as u64);
+    device.latency = LatencyProfile::optane_like();
+    let cluster = Cluster::create(shards, 1, 32, device, true).expect("pool creation");
+    let kv = cluster.kv(0);
+    let pmems = || cluster.pmems().iter().flatten();
 
     // The identical write stream every row sees, routed by key hash.
     let mut per_shard: Vec<Vec<WriteOp>> = vec![Vec::new(); shards];
@@ -79,7 +67,7 @@ fn run_point(shards: usize, total_ops: usize, batch: usize, fields: usize, vsize
         per_shard[kv.route(&key)].push(WriteOp::Set(Record::ycsb(&key, &values)));
     }
 
-    let before: Vec<StatsSnapshot> = pmems.iter().map(|p| p.stats()).collect();
+    let before: Vec<StatsSnapshot> = pmems().map(|p| p.stats()).collect();
     let start = Instant::now();
     let mut acked = 0u64;
     let charged: Vec<u64> = std::thread::scope(|s| {
@@ -108,12 +96,10 @@ fn run_point(shards: usize, total_ops: usize, batch: usize, fields: usize, vsize
             .collect()
     });
     let elapsed = start.elapsed();
-    let deltas: Vec<StatsSnapshot> = pmems
-        .iter()
+    let deltas: Vec<StatsSnapshot> = pmems()
         .zip(&before)
         .map(|(p, b)| p.stats().delta(b))
         .collect();
-    drop(kv);
 
     assert_eq!(acked, total_ops as u64, "every modeled write must commit");
     let total_fences: u64 = deltas.iter().map(|d| d.ordering_points()).sum();

@@ -32,12 +32,12 @@
 //! default 64), `--fields`/`--vsize` (record shape), `--out results`.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 use jnvm_bench::{write_csv, Args, Table};
-use jnvm_kvstore::{commit_writes, GridConfig, Record, ReplLag, ShardedKv, WriteOp};
-use jnvm_pmem::{thread_charged_ns, LatencyProfile, Pmem, PmemConfig, StatsSnapshot};
+use jnvm_kvstore::{commit_writes, Record, ReplLag, WriteOp};
+use jnvm_pmem::{thread_charged_ns, LatencyProfile, PmemConfig};
+use jnvm_server::Cluster;
 
 struct Point {
     name: &'static str,
@@ -63,32 +63,9 @@ fn run_point(
     vsize: usize,
 ) -> Point {
     // Constant total media per replica role across rows, as in fig13.
-    let pmems: Vec<Vec<Arc<Pmem>>> = (0..replicas)
-        .map(|_| {
-            (0..shards)
-                .map(|_| {
-                    let mut cfg = PmemConfig::crash_sim((512 << 20) / shards as u64);
-                    cfg.latency = LatencyProfile::optane_like();
-                    Pmem::new(cfg)
-                })
-                .collect()
-        })
-        .collect();
-    let kvs: Vec<ShardedKv> = pmems
-        .iter()
-        .map(|ps| {
-            ShardedKv::create(
-                ps,
-                32,
-                true,
-                GridConfig {
-                    cache_capacity: 0,
-                    ..GridConfig::default()
-                },
-            )
-            .expect("pool creation")
-        })
-        .collect();
+    let mut device = PmemConfig::crash_sim((512 << 20) / shards as u64);
+    device.latency = LatencyProfile::optane_like();
+    let cluster = Cluster::create(shards, replicas, 32, device, true).expect("pool creation");
 
     // The identical write stream every row sees, routed by key hash
     // (identical shard counts on both replicas ⇒ identical routing).
@@ -98,24 +75,23 @@ fn run_point(
         let values: Vec<Vec<u8>> = (0..fields)
             .map(|f| vec![b'a' + (f as u8 % 26); vsize])
             .collect();
-        per_shard[kvs[0].route(&key)].push(WriteOp::Set(Record::ycsb(&key, &values)));
+        per_shard[cluster.kv(0).route(&key)].push(WriteOp::Set(Record::ycsb(&key, &values)));
     }
 
     let lags: Vec<ReplLag> = (0..shards).map(|_| ReplLag::new()).collect();
-    let before: Vec<StatsSnapshot> = pmems.iter().flatten().map(|p| p.stats()).collect();
+    let before = cluster.device_stats();
     let start = Instant::now();
     let mut acked = 0u64;
     // Per shard: (ok, serial charged ns, overlapped charged ns).
     let timings: Vec<(u64, u64, u64)> = std::thread::scope(|s| {
-        let kvs = &kvs;
-        let lags = &lags;
+        let (cluster, lags) = (&cluster, &lags);
         let handles: Vec<_> = per_shard
             .iter()
             .enumerate()
             .map(|(si, ops)| {
                 s.spawn(move || {
-                    let primary = &kvs[0].shards()[si];
-                    let backup = kvs.get(1).map(|kv| &kv.shards()[si]);
+                    let primary = cluster.kv(0).shard(si);
+                    let backup = (replicas > 1).then(|| cluster.kv(1).shard(si));
                     let (mut ok, mut serial, mut overlap) = (0u64, 0u64, 0u64);
                     for chunk in ops.chunks(batch.max(1)) {
                         let t0 = thread_charged_ns();
@@ -141,19 +117,12 @@ fn run_point(
             .collect()
     });
     let elapsed = start.elapsed();
-    let deltas: Vec<StatsSnapshot> = pmems
-        .iter()
-        .flatten()
-        .zip(&before)
-        .map(|(p, b)| p.stats().delta(b))
-        .collect();
-    drop(kvs);
+    let total_fences = cluster.device_stats().delta(&before).ordering_points();
 
     for (ok, _, _) in &timings {
         acked += ok;
     }
     assert_eq!(acked, total_ops as u64, "every modeled write must commit");
-    let total_fences: u64 = deltas.iter().map(|d| d.ordering_points()).sum();
     let crit_serial = timings.iter().map(|t| t.1).max().unwrap_or(0).max(1);
     let crit_overlap = timings.iter().map(|t| t.2).max().unwrap_or(0).max(1);
     Point {

@@ -11,14 +11,10 @@
 //! connection, default 500), `--pipeline` (default 16), `--out results`.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use jnvm::JnvmBuilder;
 use jnvm_bench::{write_csv, Args, Table};
-use jnvm_heap::HeapConfig;
-use jnvm_kvstore::{register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend};
-use jnvm_pmem::{Pmem, PmemConfig};
-use jnvm_server::{run_loadgen, LoadgenConfig, Server, ServerConfig};
+use jnvm_pmem::PmemConfig;
+use jnvm_server::{run_loadgen, Cluster, LoadgenConfig, ServerConfig};
 
 struct Point {
     conns: usize,
@@ -31,26 +27,10 @@ struct Point {
 }
 
 fn run_point(conns: usize, ops: usize, pipeline: usize) -> Point {
-    let pmem = Pmem::new(PmemConfig::crash_sim(512 << 20));
-    let rt = register_kvstore(JnvmBuilder::new())
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .expect("pool creation");
-    let be = Arc::new(JnvmBackend::create(&rt, 32, true).expect("backend"));
-    let grid = Arc::new(DataGrid::new(
-        Arc::clone(&be) as Arc<dyn Backend>,
-        GridConfig {
-            cache_capacity: 0,
-            ..GridConfig::default()
-        },
-    ));
-    let server = Server::start(
-        Arc::clone(&grid),
-        Arc::clone(&be),
-        Arc::clone(&pmem),
-        ServerConfig::default(),
-    )
-    .expect("bind server");
-    let before = pmem.stats();
+    let cluster =
+        Cluster::create(1, 1, 32, PmemConfig::crash_sim(512 << 20), true).expect("pool creation");
+    let server = cluster.start(ServerConfig::default()).expect("bind server");
+    let before = cluster.device_stats();
     let load = run_loadgen(
         server.addr(),
         &LoadgenConfig {
@@ -62,11 +42,8 @@ fn run_point(conns: usize, ops: usize, pipeline: usize) -> Point {
     );
     let stats = server.stats();
     server.shutdown();
-    let d = pmem.stats().delta(&before);
+    let d = cluster.device_stats().delta(&before);
     let replied: usize = load.per_conn.iter().map(|c| c.replied()).sum();
-    drop(grid);
-    drop(be);
-    drop(rt);
     Point {
         conns,
         rate: replied as f64 / load.elapsed.as_secs_f64().max(1e-9),

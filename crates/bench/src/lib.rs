@@ -23,11 +23,10 @@
 //! `benches/`.
 
 pub mod adapter;
-pub mod args;
 pub mod output;
 pub mod setup;
 
 pub use adapter::GridClient;
-pub use args::Args;
+pub use jnvm_server::Args;
 pub use output::{write_csv, Table};
 pub use setup::{make_grid, BackendKind, GridSetup};

@@ -37,107 +37,59 @@
 
 use std::sync::Arc;
 
-use jnvm::{Jnvm, JnvmBuilder};
-use jnvm_heap::HeapConfig;
-use jnvm_kvstore::{register_kvstore, DataGrid, GridConfig, JnvmBackend, Record};
-use jnvm_pmem::{
-    catch_crash, silence_crash_panics, FaultMode, FaultPlan, LatencyProfile, Pmem, PmemConfig,
-    SimMode,
-};
+use jnvm::JnvmBuilder;
+use jnvm_faultsim::{torture_point, TortureOutcome};
+use jnvm_kvstore::{register_kvstore, DataGrid, Record};
+use jnvm_pmem::{silence_crash_panics, FaultPlan, LatencyProfile, Pmem, PmemConfig};
+use jnvm_server::{Args, Cluster};
+
+/// What a run hands its post-crash check: the devices and the outcome.
+type Verify<'a> = &'a dyn Fn(&[Vec<Arc<Pmem>>], &TortureOutcome);
 
 struct TimelineOpts {
     threads: usize,
-    point: Option<u64>,
     rounds: usize,
     keys: usize,
     pool_mb: u64,
     max_spans: usize,
 }
 
-fn opt<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The one pool's grid.
+fn grid(pool: &Cluster) -> &DataGrid {
+    &pool.kv(0).shard(0).grid
 }
 
-struct Ctx {
-    /// Keeps the runtime (and its heap/pools) alive for the workload's lifetime.
-    _rt: Jnvm,
-    grid: DataGrid,
-}
-
-fn setup(opts: &TimelineOpts) -> (Arc<Pmem>, Ctx) {
+fn setup(opts: &TimelineOpts) -> (Vec<Vec<Arc<Pmem>>>, Cluster) {
     // CrashSim fidelity *with* the Optane latency profile: the injected
     // spin both charges the modeled clock (span timestamps) and spreads
     // the threads' op streams out so the timeline shows real overlap.
-    let pmem = Pmem::new(PmemConfig {
-        size: opts.pool_mb << 20,
-        mode: SimMode::CrashSim,
-        latency: LatencyProfile::optane_like(),
-        ..PmemConfig::crash_sim(0)
-    });
-    let rt = register_kvstore(JnvmBuilder::new())
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .expect("create pool");
-    let be = JnvmBackend::create(&rt, 2, true).expect("backend");
-    let grid = DataGrid::new(
-        Arc::new(be),
-        GridConfig {
-            cache_capacity: 0,
-            ..GridConfig::default()
-        },
-    );
+    let mut device = PmemConfig::crash_sim(opts.pool_mb << 20);
+    device.latency = LatencyProfile::optane_like();
+    let pool = Cluster::create(1, 1, 2, device, true).expect("create pool");
     for t in 0..opts.threads {
         for k in 0..opts.keys {
             let v = format!("t{t}k{k}-init").into_bytes();
-            assert!(grid.insert(&Record::ycsb(&format!("t{t}k{k}"), &[v.clone(), v])));
+            assert!(grid(&pool).insert(&Record::ycsb(&format!("t{t}k{k}"), &[v.clone(), v])));
         }
     }
-    pmem.psync();
-    (pmem, Ctx { _rt: rt, grid })
+    pool.pmems()[0][0].psync();
+    (pool.pmems().to_vec(), pool)
 }
 
 /// Per-thread churn: RMW / remove / re-insert over the thread's own keys,
 /// contending on the shared heap, redo-log pool and map shards.
-fn workload(t: usize, ctx: &Ctx, opts: &TimelineOpts) {
+fn workload(t: usize, pool: &Cluster, opts: &TimelineOpts) {
     for i in 0..opts.rounds {
         for k in 0..opts.keys {
             let key = format!("t{t}k{k}");
             let val = format!("t{t}k{k}-{i:04}").into_bytes();
             match i % 3 {
-                0 => drop(ctx.grid.rmw(&key, 0, &val)),
-                1 => drop(ctx.grid.remove(&key)),
-                _ => drop(ctx.grid.insert(&Record::ycsb(&key, &[val.clone(), val]))),
+                0 => drop(grid(pool).rmw(&key, 0, &val)),
+                1 => drop(grid(pool).remove(&key)),
+                _ => drop(grid(pool).insert(&Record::ycsb(&key, &[val.clone(), val]))),
             }
         }
     }
-}
-
-fn run_workers(pmem: &Arc<Pmem>, ctx: Ctx, opts: &TimelineOpts) -> usize {
-    let crashed = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for t in 0..opts.threads {
-            let ctx = &ctx;
-            let crashed = &crashed;
-            std::thread::Builder::new()
-                .name(format!("worker-{t}"))
-                .spawn_scoped(s, move || {
-                    if catch_crash(|| workload(t, ctx, opts)).is_err() {
-                        crashed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    }
-                })
-                .expect("spawn worker");
-        }
-    });
-    let injected = pmem.faults_frozen();
-    drop(ctx); // unwind destructors must not repair the crash image
-    pmem.disarm_faults();
-    if injected {
-        pmem.resync_cache();
-    }
-    crashed.load(std::sync::atomic::Ordering::SeqCst)
 }
 
 fn render_timeline(max_spans: usize) {
@@ -171,82 +123,87 @@ fn render_timeline(max_spans: usize) {
     println!("---\nspans {}", summary.join(" "));
 }
 
-fn timeline(args: &[String]) {
+fn timeline(args: &Args) {
     let opts = TimelineOpts {
-        threads: opt(args, "--threads", 3),
-        point: args
-            .iter()
-            .position(|a| a == "--point")
-            .and_then(|i| args.get(i + 1))
-            .map(|v| v.parse().expect("--point takes an op index")),
-        rounds: opt(args, "--rounds", 4),
-        keys: opt(args, "--keys", 4),
-        pool_mb: opt(args, "--pool-mb", 16),
-        max_spans: opt(args, "--max-spans", 48),
+        threads: args.get_or("threads", 3),
+        rounds: args.get_or("rounds", 4),
+        keys: args.get_or("keys", 4),
+        pool_mb: args.get_or("pool-mb", 16),
+        max_spans: args.get_or("max-spans", 48),
     };
     silence_crash_panics();
+    // One pool, `threads` workers, fresh devices per run.
+    let run = |point: u64, verify: Verify<'_>| {
+        torture_point(
+            point,
+            FaultPlan::count(),
+            (0, 0),
+            opts.threads,
+            || setup(&opts),
+            |t, pool| workload(t, pool, &opts),
+            verify,
+        )
+    };
 
     // Count pass: learn the interleaved op total so the default crash
     // point lands mid-stream. Tracing stays off here so the rendered
     // timeline holds only the crash run and its recovery.
     jnvm_obs::set_mode(jnvm_obs::ObsMode::Off);
-    let (pmem, ctx) = setup(&opts);
-    pmem.arm_faults(FaultPlan::count());
-    run_workers(&pmem, ctx, &opts);
-    let total = pmem.disarm_faults();
-    let point = opts.point.unwrap_or(total / 2);
+    let total = run(u64::MAX, &|_, _| {}).ops_counted;
+    let point: u64 = args.get_or("point", total / 2);
     println!("op space ~{total}; arming power failure at op {point}\n");
     jnvm_obs::set_mode(jnvm_obs::ObsMode::Log);
 
-    // Crash run on a fresh device, then recovery — both traced.
-    let (pmem, ctx) = setup(&opts);
-    pmem.arm_faults(FaultPlan {
-        mode: FaultMode::CrashAt(point),
-        ..FaultPlan::count()
+    // Crash run, then recovery — both traced.
+    run(point, &|pmems, out| {
+        println!(
+            "crash {}: {}/{} workers unwound; recovering...\n",
+            if out.injected {
+                "fired"
+            } else {
+                "did not fire (point past stream end)"
+            },
+            out.crashed_workers,
+            opts.threads
+        );
+        let (_rt, report) = register_kvstore(JnvmBuilder::new())
+            .open(Arc::clone(&pmems[0][0]))
+            .expect("recovery");
+        println!(
+            "recovered: {} live blocks, {} logs replayed\n",
+            report.live_blocks, report.replayed_logs
+        );
+        render_timeline(opts.max_spans);
     });
-    let crashed = run_workers(&pmem, ctx, &opts);
-    println!(
-        "crash {}: {crashed}/{} workers unwound; recovering...\n",
-        if crashed > 0 { "fired" } else { "did not fire (point past stream end)" },
-        opts.threads
-    );
-    let (_rt, report) = register_kvstore(JnvmBuilder::new())
-        .open(Arc::clone(&pmem))
-        .expect("recovery");
-    println!(
-        "recovered: {} live blocks, {} logs replayed\n",
-        report.live_blocks, report.replayed_logs
-    );
-    render_timeline(opts.max_spans);
 }
 
 /// Sweep strided crash points through kill-during-traffic and hold every
 /// run to durable linearizability. Exits 1 on the first violation, with
 /// the checker's minimized witness on stderr.
-fn lincheck(args: &[String]) {
+fn lincheck(args: &Args) {
     use jnvm_server::{
         kill_during_traffic, traffic_op_count, LoadgenConfig, ServerConfig, TortureConfig,
     };
     let cfg = TortureConfig {
         load: LoadgenConfig {
-            conns: opt(args, "--conns", 4),
-            ops_per_conn: opt(args, "--ops", 120),
-            pipeline: opt(args, "--pipeline", 16),
-            fields: opt(args, "--fields", 4),
-            value_size: opt(args, "--value-size", 32),
-            seed: opt(args, "--seed", 0),
+            conns: args.get_or("conns", 4),
+            ops_per_conn: args.get_or("ops", 120),
+            pipeline: args.get_or("pipeline", 16),
+            fields: args.get_or("fields", 4),
+            value_size: args.get_or("value-size", 32),
+            seed: args.get_or("seed", 0),
         },
-        shards: opt(args, "--map-shards", 16),
-        pool_shards: opt(args, "--shards", 2),
-        replicas: opt(args, "--replicas", 1),
-        crash_shard: opt(args, "--crash-shard", 0),
-        crash_replica: usize::from(args.iter().any(|a| a == "--crash-backup")),
-        pool_bytes: opt(args, "--pool-mb", 64u64) << 20,
-        recovery_threads: opt(args, "--recovery-threads", 2),
+        shards: args.get_or("map-shards", 16),
+        pool_shards: args.get_or("shards", 2),
+        replicas: args.get_or("replicas", 1),
+        crash_shard: args.get_or("crash-shard", 0),
+        crash_replica: usize::from(args.has("crash-backup")),
+        pool_bytes: args.get_or("pool-mb", 64u64) << 20,
+        recovery_threads: args.get_or("recovery-threads", 2),
         server: ServerConfig::default(),
     };
-    let points = opt(args, "--points", 12u64);
-    let total = traffic_op_count(&cfg);
+    let points = args.get_or("points", 12u64);
+    let total = traffic_op_count(&cfg).unwrap_or_else(|e| Args::usage_error(&e));
     println!(
         "lincheck sweep: {} shard(s) x {} replica(s), seed {}, op space ~{total}, {points} points",
         cfg.pool_shards, cfg.replicas, cfg.load.seed
@@ -280,10 +237,12 @@ fn lincheck(args: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("timeline") => timeline(&args[1..]),
-        Some("lincheck") => lincheck(&args[1..]),
+    let mut argv = std::env::args().skip(1);
+    let subcommand = argv.next();
+    let args = Args::from_args(argv);
+    match subcommand.as_deref() {
+        Some("timeline") => timeline(&args),
+        Some("lincheck") => lincheck(&args),
         _ => {
             eprintln!(
                 "usage: jnvm-faultsim timeline [--threads N] [--point N] [--rounds N] \

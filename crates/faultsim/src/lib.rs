@@ -27,14 +27,18 @@
 //! ## Concurrent torture ([`torture_point`] / [`torture_sweep`])
 //!
 //! The single-threaded sweep can only falsify sequential durability bugs.
-//! The torture variants run `nthreads` workers over one shared context
-//! with crash injection armed: the interleaving of the workers' op
-//! streams decides which thread hits the trigger, every *other* thread's
-//! next device op unwinds with a secondary [`CrashInjected`], and the
-//! driver joins all workers (the quiesce protocol), drops the context
-//! while the device is still frozen, thaws it, resynchronizes the cache
-//! ([`Pmem::resync_cache`] — workers mid-store at the moment of the crash
-//! may have scribbled on the rebuilt cache), and only then verifies.
+//! [`torture_point`] runs concurrent workers over one shared context with
+//! crash injection armed on **one device of a topology**
+//! (`pmems[shard][replica]`). One pool hammered by `n` threads, N
+//! isolated shards and N shards × R replicas are the same experiment with
+//! different arguments: whichever worker's op lands on the trigger takes
+//! the power failure, every *other* worker that touches the frozen device
+//! unwinds with a secondary [`CrashInjected`], and workers that never
+//! touch it run to completion. The driver joins all workers (the quiesce
+//! protocol), drops the context while the device is still frozen, thaws
+//! it, resynchronizes the cache ([`Pmem::resync_cache`] — workers
+//! mid-store at the moment of the crash may have scribbled on the rebuilt
+//! cache), and only then verifies.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -70,11 +74,7 @@ pub fn count_ops<Ctx>(
     setup: impl FnOnce() -> (Arc<Pmem>, Ctx),
     workload: impl FnOnce(&Ctx),
 ) -> u64 {
-    let (pmem, ctx) = setup();
-    pmem.arm_faults(FaultPlan::count());
-    workload(&ctx);
-    drop(ctx);
-    pmem.disarm_faults()
+    trace_ops(setup, workload).0
 }
 
 /// Like [`count_ops`], additionally returning the ordered trace of
@@ -103,15 +103,25 @@ pub fn trace_ops<Ctx>(
 ///    test);
 /// 2. the device is armed with `CrashAt(i)` (under `plan`'s crash policy);
 /// 3. `workload(&ctx)` runs inside [`catch_crash`]; the injected power
-///    failure unwinds it at op `i`;
+///    failure unwinds it at op `i`. A workload that is **internally
+///    multi-threaded** (a parallel recovery pass spawning its own
+///    replay/mark/sweep workers) must re-throw a worker's
+///    [`CrashInjected`] from the spawning thread (see
+///    `jnvm_heap::par::run_workers`) so the primary crash reaches this
+///    `catch_crash`;
 /// 4. the context is dropped **while the device is still frozen**, then the
 ///    device is disarmed (thawed);
-/// 5. on a crash, `verify(&pmem, &report)` checks recovery invariants
-///    (typically: reopen the pool, assert the workload's atomicity /
-///    durability contract, check for leaked blocks). If the workload
-///    instead ran to completion, the point was past the end of the op
-///    stream; it is tallied in [`SweepSummary::points_completed`] and
-///    `verify` is not called.
+/// 5. on a crash, the device cache is resynchronized from media
+///    ([`Pmem::resync_cache`]) — workers of an internally threaded
+///    workload that were mid-store at the moment of the crash may have
+///    scribbled on the rebuilt cache; after a single-threaded crash
+///    [`Pmem::crash`] has already rebuilt it and this changes nothing —
+///    and `verify(&pmem, &report)` checks recovery invariants (typically:
+///    reopen the pool, assert the workload's atomicity / durability
+///    contract, check for leaked blocks). If the workload instead ran to
+///    completion, the point was past the end of the op stream; it is
+///    tallied in [`SweepSummary::points_completed`] and `verify` is not
+///    called.
 ///
 /// Panics from `workload` that are not injected crashes propagate (they are
 /// real bugs); panics from `verify` propagate (they are failed invariants).
@@ -136,6 +146,7 @@ pub fn sweep<Ctx>(
         pmem.disarm_faults();
         match outcome {
             Err(crash) => {
+                pmem.resync_cache();
                 summary.points_crashed += 1;
                 verify(&pmem, &CrashReport { point, crash });
             }
@@ -167,65 +178,29 @@ pub fn sweep_all<Ctx>(
     summary
 }
 
-/// Like [`sweep`], for workloads that are **internally multi-threaded** —
-/// the canonical case being a parallel recovery pass, where the workload
-/// under test spawns its own replay/mark/sweep workers. Two differences
-/// from the single-threaded sweep:
-///
-/// * after an injected crash the device cache is resynchronized from media
-///   ([`Pmem::resync_cache`]) before `verify` runs — workers that were
-///   mid-store at the moment of the crash may have scribbled on the
-///   rebuilt cache;
-/// * the workload is expected to re-throw a worker's [`CrashInjected`]
-///   from the spawning thread (see `jnvm_heap::par::run_workers`), so the
-///   primary crash still reaches this driver's [`catch_crash`].
-pub fn sweep_resync<Ctx>(
-    points: impl IntoIterator<Item = u64>,
-    plan: FaultPlan,
-    mut setup: impl FnMut() -> (Arc<Pmem>, Ctx),
-    mut workload: impl FnMut(&Ctx),
-    mut verify: impl FnMut(&Arc<Pmem>, &CrashReport),
-) -> SweepSummary {
-    let mut summary = SweepSummary::default();
-    for point in points {
-        let (pmem, ctx) = setup();
-        pmem.arm_faults(FaultPlan {
-            mode: FaultMode::CrashAt(point),
-            ..plan
-        });
-        let outcome = catch_crash(|| workload(&ctx));
-        drop(ctx);
-        pmem.disarm_faults();
-        match outcome {
-            Err(crash) => {
-                pmem.resync_cache();
-                summary.points_crashed += 1;
-                verify(&pmem, &CrashReport { point, crash });
-            }
-            Ok(()) => summary.points_completed += 1,
-        }
-    }
-    summary
-}
-
-/// What happened at one crash point of a concurrent torture run.
-#[derive(Debug, Clone, Copy)]
+/// What happened in one [`torture_point`] experiment.
+#[derive(Debug, Clone)]
 pub struct TortureOutcome {
-    /// The 0-based op index that was replaced by a power failure (ops are
-    /// counted across *all* threads in interleaving order).
+    /// The armed crash point (ops counted on the crash device, across all
+    /// workers in interleaving order).
     pub point: u64,
+    /// Which shard's replica set took the crash.
+    pub crash_shard: usize,
+    /// Which replica of that shard crashed (0 = primary).
+    pub crash_replica: usize,
+    /// The crash device's identity ([`Pmem::label`]), for reports.
+    pub crash_label: String,
+    /// Whether the point fired before the crash device's op stream ended.
+    pub injected: bool,
+    /// Persistence-relevant ops counted on the crash device while armed.
+    pub ops_counted: u64,
     /// Workers unwound by the crash: the trigger thread plus every worker
-    /// whose next device op hit the frozen device.
-    pub crashed_threads: usize,
+    /// whose next op hit the frozen device. Workers sharing the crash
+    /// device all unwind; with one worker per disjoint device at most one
+    /// does — that *is* the isolation property.
+    pub crashed_workers: usize,
     /// Workers that ran their workload to completion.
-    pub completed_threads: usize,
-}
-
-impl TortureOutcome {
-    /// True when the armed point fired before the workload drained.
-    pub fn injected(&self) -> bool {
-        self.crashed_threads > 0
-    }
+    pub completed_workers: usize,
 }
 
 /// Aggregate result of [`torture_sweep`].
@@ -238,45 +213,32 @@ pub struct TortureSummary {
     pub points_completed: usize,
 }
 
-/// Count the persistence-relevant ops of a concurrent workload: `setup`
-/// builds the shared context, then `nthreads` workers each run
-/// `workload(t, &ctx)`. The total is exact (every op is counted once)
-/// but how the ops interleave — and therefore what op index a given
-/// thread's Nth op gets — varies run to run.
-pub fn torture_count<Ctx: Sync>(
-    nthreads: usize,
-    setup: impl FnOnce() -> (Arc<Pmem>, Ctx),
-    workload: impl Fn(usize, &Ctx) + Sync,
-) -> u64 {
-    let (pmem, ctx) = setup();
-    pmem.arm_faults(FaultPlan::count());
-    std::thread::scope(|s| {
-        for t in 0..nthreads {
-            let ctx = &ctx;
-            let workload = &workload;
-            s.spawn(move || workload(t, ctx));
-        }
-    });
-    drop(ctx);
-    pmem.disarm_faults()
-}
-
-/// Run one concurrent crash-point experiment.
+/// Run one concurrent crash experiment over a topology of devices.
 ///
-/// 1. `setup()` builds a fresh device and shared context;
-/// 2. the device is armed with `CrashAt(point)` under `plan`'s policy;
-/// 3. `nthreads` workers run `workload(t, &ctx)`, each inside
-///    [`catch_crash`]. Whichever thread's op lands on `point` triggers
-///    the power failure; every other worker's next device op unwinds
-///    with a secondary [`CrashInjected`];
+/// 1. `setup()` builds fresh devices (`pmems[shard][replica]`, replica 0
+///    the primary, pairwise disjoint) and the shared context;
+/// 2. the `(shard, replica)` device named by `target` — and only it — is
+///    armed with `CrashAt(point)` under `plan`'s policy;
+/// 3. `workers` threads run `workload(w, &ctx)`, each inside
+///    [`catch_crash`]. The three shapes in use: **one pool, n threads**
+///    (`[[dev]]`, every worker's next op on the frozen device unwinds with
+///    a secondary [`CrashInjected`] — a power failure stops every CPU);
+///    **N isolated shards**, one worker per shard (only the crash shard's
+///    worker unwinds — the device-level model of the sharded server's
+///    failure isolation); **N shards × R replicas**, one worker per shard
+///    driving all of its shard's replicas (the committer model: stream to
+///    the backup, commit on the primary — the caller's failover logic
+///    decides whether the worker unwinds at all);
 /// 4. the scope join is the quiesce barrier. The context is dropped while
-///    the device is still frozen (unwind destructors must not repair the
-///    crash image), the device is thawed, and — if a crash fired — the
-///    cache is resynchronized from media to discard stores that were
-///    in flight when power was lost;
-/// 5. `verify(&pmem, &outcome)` checks recovery invariants. It is called
-///    for completed (past-the-end) points too: a fully-applied image must
-///    satisfy the same invariants.
+///    the crash device is still frozen (unwind destructors must not
+///    repair the crash image), the device is thawed, and — if the crash
+///    fired — its cache is resynchronized from media to discard stores
+///    that were in flight when power was lost;
+/// 5. `verify(&pmems, &outcome)` checks recovery invariants — typically
+///    re-opening the surviving image(s) and asserting that every acked
+///    write is readable and untorn. It is called for completed
+///    (past-the-end) points too: a fully-applied image must satisfy the
+///    same invariants.
 ///
 /// Panics from workers that are not injected crashes propagate out of the
 /// scope join (they are real bugs); panics from `verify` are failed
@@ -284,46 +246,118 @@ pub fn torture_count<Ctx: Sync>(
 pub fn torture_point<Ctx: Sync>(
     point: u64,
     plan: FaultPlan,
-    nthreads: usize,
-    setup: impl FnOnce() -> (Arc<Pmem>, Ctx),
+    target: (usize, usize),
+    workers: usize,
+    setup: impl FnOnce() -> (Vec<Vec<Arc<Pmem>>>, Ctx),
     workload: impl Fn(usize, &Ctx) + Sync,
-    verify: impl FnOnce(&Arc<Pmem>, &TortureOutcome),
+    verify: impl FnOnce(&[Vec<Arc<Pmem>>], &TortureOutcome),
 ) -> TortureOutcome {
-    let (pmem, ctx) = setup();
-    pmem.arm_faults(FaultPlan {
+    let (crash_shard, crash_replica) = target;
+    let (pmems, ctx) = setup();
+    assert!(
+        crash_shard < pmems.len(),
+        "crash shard {crash_shard} out of range ({} shards)",
+        pmems.len()
+    );
+    assert!(
+        crash_replica < pmems[crash_shard].len(),
+        "crash replica {crash_replica} out of range ({} replicas on shard {crash_shard})",
+        pmems[crash_shard].len()
+    );
+    let flat: Vec<&Arc<Pmem>> = pmems.iter().flatten().collect();
+    for (i, a) in flat.iter().enumerate() {
+        assert!(
+            flat[i + 1..].iter().all(|b| !Arc::ptr_eq(a, b)),
+            "two replicas share one device — replication claims need disjoint devices"
+        );
+    }
+    let crash_dev = &pmems[crash_shard][crash_replica];
+    crash_dev.arm_faults(FaultPlan {
         mode: FaultMode::CrashAt(point),
         ..plan
     });
     let crashed = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for t in 0..nthreads {
-            let ctx = &ctx;
-            let workload = &workload;
-            let crashed = &crashed;
-            s.spawn(move || {
-                if catch_crash(|| workload(t, ctx)).is_err() {
-                    crashed.fetch_add(1, Ordering::SeqCst);
-                }
-            });
+        for w in 0..workers {
+            let (ctx, workload, crashed) = (&ctx, &workload, &crashed);
+            // Named so span rings and panic messages identify the worker.
+            std::thread::Builder::new()
+                .name(format!("worker-{w}"))
+                .spawn_scoped(s, move || {
+                    if catch_crash(|| workload(w, ctx)).is_err() {
+                        crashed.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+                .expect("spawn torture worker");
         }
     });
-    let injected = pmem.faults_frozen();
+    let injected = crash_dev.faults_frozen();
     drop(ctx);
-    pmem.disarm_faults();
+    let ops_counted = crash_dev.disarm_faults();
     if injected {
-        pmem.resync_cache();
+        crash_dev.resync_cache();
     }
-    let crashed_threads = crashed.load(Ordering::SeqCst);
+    let crashed_workers = crashed.load(Ordering::SeqCst);
     let outcome = TortureOutcome {
         point,
-        crashed_threads,
-        completed_threads: nthreads - crashed_threads,
+        crash_shard,
+        crash_replica,
+        crash_label: crash_dev.label().to_string(),
+        injected,
+        ops_counted,
+        crashed_workers,
+        completed_workers: workers - crashed_workers,
     };
-    verify(&pmem, &outcome);
+    verify(&pmems, &outcome);
     outcome
 }
 
-/// Sweep the given crash points of a concurrent workload with
+/// The one-pool shape of [`torture_point`]: `nthreads` workers share the
+/// single device `setup` returns, which is also the crash target.
+fn solo_point<Ctx: Sync>(
+    point: u64,
+    plan: FaultPlan,
+    nthreads: usize,
+    setup: impl FnOnce() -> (Arc<Pmem>, Ctx),
+    workload: impl Fn(usize, &Ctx) + Sync,
+    verify: impl FnOnce(&Arc<Pmem>, &TortureOutcome),
+) -> TortureOutcome {
+    torture_point(
+        point,
+        plan,
+        (0, 0),
+        nthreads,
+        || {
+            let (pmem, ctx) = setup();
+            (vec![vec![pmem]], ctx)
+        },
+        workload,
+        |pmems, outcome| verify(&pmems[0][0], outcome),
+    )
+}
+
+/// Count the persistence-relevant ops of a concurrent one-pool workload:
+/// [`torture_point`] armed past the end of any op stream, so nothing
+/// fires. The total is exact (every op is counted once) but how the ops
+/// interleave — and therefore what op index a given thread's Nth op gets —
+/// varies run to run.
+pub fn torture_count<Ctx: Sync>(
+    nthreads: usize,
+    setup: impl FnOnce() -> (Arc<Pmem>, Ctx),
+    workload: impl Fn(usize, &Ctx) + Sync,
+) -> u64 {
+    solo_point(
+        u64::MAX,
+        FaultPlan::count(),
+        nthreads,
+        setup,
+        workload,
+        |_, _| {},
+    )
+    .ops_counted
+}
+
+/// Sweep the given crash points of a concurrent one-pool workload with
 /// [`torture_point`]. Because the interleaving differs between runs, the
 /// same point index may fall on a different op each time — that is the
 /// point: sweeping plus repetition explores the interleaving space.
@@ -337,204 +371,14 @@ pub fn torture_sweep<Ctx: Sync>(
 ) -> TortureSummary {
     let mut summary = TortureSummary::default();
     for point in points {
-        let outcome = torture_point(point, plan, nthreads, &mut setup, &workload, &mut verify);
-        if outcome.injected() {
+        let outcome = solo_point(point, plan, nthreads, &mut setup, &workload, &mut verify);
+        if outcome.injected {
             summary.points_injected += 1;
         } else {
             summary.points_completed += 1;
         }
     }
     summary
-}
-
-/// What happened in one sharded crash experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedTortureOutcome {
-    /// The armed crash point (ops counted on the crash shard's device).
-    pub point: u64,
-    /// Which device the crash was armed on.
-    pub crash_shard: usize,
-    /// Whether the point fired before the crash shard's op stream ended.
-    pub injected: bool,
-    /// Workers unwound by the crash. With one worker per disjoint device
-    /// this is at most 1 — workers never touch the frozen device, so no
-    /// secondary unwinds occur; that *is* the isolation property.
-    pub crashed_workers: usize,
-    /// Workers that ran to completion.
-    pub completed_workers: usize,
-}
-
-/// Run one **shard-aware** crash experiment over N disjoint devices: the
-/// crash is armed on `crash_shard`'s device only, one worker per shard
-/// runs `workload(shard, &ctx)`, and only workers that touch the frozen
-/// device unwind — the rest must complete. This is the device-level model
-/// of the sharded server's failure-isolation contract (one committer per
-/// pool; a power failure on one pool leaves the others committing).
-///
-/// Sequence per the single-device drivers: workers join (quiesce), the
-/// context is dropped while the crash device is still frozen, the device
-/// is thawed, its cache resynchronized from media if the crash fired, and
-/// only then does `verify(&pmems, &outcome)` run.
-pub fn sharded_torture_point<Ctx: Sync>(
-    point: u64,
-    plan: FaultPlan,
-    crash_shard: usize,
-    setup: impl FnOnce() -> (Vec<Arc<Pmem>>, Ctx),
-    workload: impl Fn(usize, &Ctx) + Sync,
-    verify: impl FnOnce(&[Arc<Pmem>], &ShardedTortureOutcome),
-) -> ShardedTortureOutcome {
-    let (pmems, ctx) = setup();
-    assert!(
-        crash_shard < pmems.len(),
-        "crash shard {crash_shard} out of range ({} devices)",
-        pmems.len()
-    );
-    for i in 0..pmems.len() {
-        for j in i + 1..pmems.len() {
-            assert!(
-                !Arc::ptr_eq(&pmems[i], &pmems[j]),
-                "shards {i} and {j} share one device — isolation claims need disjoint devices"
-            );
-        }
-    }
-    pmems[crash_shard].arm_faults(FaultPlan {
-        mode: FaultMode::CrashAt(point),
-        ..plan
-    });
-    let crashed = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for shard in 0..pmems.len() {
-            let ctx = &ctx;
-            let workload = &workload;
-            let crashed = &crashed;
-            s.spawn(move || {
-                if catch_crash(|| workload(shard, ctx)).is_err() {
-                    crashed.fetch_add(1, Ordering::SeqCst);
-                }
-            });
-        }
-    });
-    let injected = pmems[crash_shard].faults_frozen();
-    drop(ctx);
-    pmems[crash_shard].disarm_faults();
-    if injected {
-        pmems[crash_shard].resync_cache();
-    }
-    let crashed_workers = crashed.load(Ordering::SeqCst);
-    let outcome = ShardedTortureOutcome {
-        point,
-        crash_shard,
-        injected,
-        crashed_workers,
-        completed_workers: pmems.len() - crashed_workers,
-    };
-    verify(&pmems, &outcome);
-    outcome
-}
-
-/// What happened in one replicated crash experiment.
-#[derive(Debug, Clone)]
-pub struct ReplicatedTortureOutcome {
-    /// The armed crash point (ops counted on the crash device).
-    pub point: u64,
-    /// Which shard's replica set took the crash.
-    pub crash_shard: usize,
-    /// Which replica of that shard crashed (0 = primary).
-    pub crash_replica: usize,
-    /// The crash device's identity ([`Pmem::label`]), for reports.
-    pub crash_label: String,
-    /// Whether the point fired before the crash device's op stream ended.
-    pub injected: bool,
-    /// Workers unwound by the crash (at most 1 with one worker per shard).
-    pub crashed_workers: usize,
-    /// Workers that ran to completion.
-    pub completed_workers: usize,
-}
-
-/// Run one **replicated** crash experiment: N shards, each owning a
-/// replica set of disjoint devices (`pmems[shard][replica]`; replica 0 is
-/// the primary). The crash is armed on exactly one replica's device; one
-/// worker per shard runs `workload(shard, &ctx)` and drives *all* of its
-/// shard's replicas (the committer model: stream to the backup, commit on
-/// the primary). Only the worker that touches the frozen device unwinds —
-/// across shards that is the isolation contract of
-/// [`sharded_torture_point`]; within a shard it is the caller's failover
-/// logic (promote on a primary crash, degrade on a backup crash) that
-/// decides whether the worker unwinds at all.
-///
-/// Sequence as in the other drivers: workers join (quiesce), the context
-/// is dropped while the crash device is still frozen, the device is
-/// thawed, its cache resynchronized from media if the crash fired, and
-/// only then does `verify(&pmems, &outcome)` run — typically re-opening
-/// the *surviving* replica of the crash shard and asserting that every
-/// acked write is readable and untorn there (acked ⇒ durable on a
-/// survivor), then auditing the crashed image for divergence.
-pub fn replicated_torture_point<Ctx: Sync>(
-    point: u64,
-    plan: FaultPlan,
-    crash_shard: usize,
-    crash_replica: usize,
-    setup: impl FnOnce() -> (Vec<Vec<Arc<Pmem>>>, Ctx),
-    workload: impl Fn(usize, &Ctx) + Sync,
-    verify: impl FnOnce(&[Vec<Arc<Pmem>>], &ReplicatedTortureOutcome),
-) -> ReplicatedTortureOutcome {
-    let (pmems, ctx) = setup();
-    assert!(
-        crash_shard < pmems.len(),
-        "crash shard {crash_shard} out of range ({} shards)",
-        pmems.len()
-    );
-    assert!(
-        crash_replica < pmems[crash_shard].len(),
-        "crash replica {crash_replica} out of range ({} replicas on shard {crash_shard})",
-        pmems[crash_shard].len()
-    );
-    let flat: Vec<&Arc<Pmem>> = pmems.iter().flatten().collect();
-    for i in 0..flat.len() {
-        for j in i + 1..flat.len() {
-            assert!(
-                !Arc::ptr_eq(flat[i], flat[j]),
-                "two replicas share one device — replication claims need disjoint devices"
-            );
-        }
-    }
-    let crash_dev = &pmems[crash_shard][crash_replica];
-    let crash_label = crash_dev.label().to_string();
-    crash_dev.arm_faults(FaultPlan {
-        mode: FaultMode::CrashAt(point),
-        ..plan
-    });
-    let crashed = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for shard in 0..pmems.len() {
-            let ctx = &ctx;
-            let workload = &workload;
-            let crashed = &crashed;
-            s.spawn(move || {
-                if catch_crash(|| workload(shard, ctx)).is_err() {
-                    crashed.fetch_add(1, Ordering::SeqCst);
-                }
-            });
-        }
-    });
-    let injected = crash_dev.faults_frozen();
-    drop(ctx);
-    crash_dev.disarm_faults();
-    if injected {
-        crash_dev.resync_cache();
-    }
-    let crashed_workers = crashed.load(Ordering::SeqCst);
-    let outcome = ReplicatedTortureOutcome {
-        point,
-        crash_shard,
-        crash_replica,
-        crash_label,
-        injected,
-        crashed_workers,
-        completed_workers: pmems.len() - crashed_workers,
-    };
-    verify(&pmems, &outcome);
-    outcome
 }
 
 /// Evenly strided sample of `0..total` with at most `max_points` elements,
@@ -646,37 +490,58 @@ mod tests {
         assert_eq!(total, TORTURE_THREADS as u64 * TORTURE_OPS_PER_THREAD);
     }
 
+    type Devices = Vec<Vec<Arc<Pmem>>>;
+
+    /// `shards` × `replicas` fresh labelled devices; the context is the
+    /// same grid, so workers index it as `devs[shard][replica]`.
+    fn topology(shards: usize, replicas: usize) -> (Devices, Devices) {
+        let pmems: Devices = (0..shards)
+            .map(|s| {
+                (0..replicas)
+                    .map(|r| {
+                        let role = if r == 0 { "primary" } else { "backup" };
+                        Pmem::new(
+                            PmemConfig::crash_sim(64 * 1024).with_label(&format!("s{s}/{role}")),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        (pmems.clone(), pmems)
+    }
+
+    /// Shape 1 — one pool, n threads. Crash very early: every worker
+    /// still has ops ahead of it, so every worker must unwind — the
+    /// trigger thread via the primary CrashInjected, the rest via
+    /// secondary unwinds. (Before the secondary-unwind protocol,
+    /// non-trigger workers silently completed against the frozen device.)
     #[test]
     fn injected_crash_stops_every_thread() {
         silence_crash_panics();
-        // Crash very early: every worker still has ops ahead of it, so
-        // every worker must unwind — the trigger thread via the primary
-        // CrashInjected, the rest via secondary unwinds. (Before the
-        // secondary-unwind protocol, non-trigger workers silently
-        // completed against the frozen device.)
         let outcome = torture_point(
             2,
             FaultPlan::count(),
+            (0, 0),
             TORTURE_THREADS,
-            torture_setup,
-            torture_workload,
-            |pmem, outcome| {
-                assert!(outcome.injected());
+            || topology(1, 1),
+            |t, devs| torture_workload(t, &devs[0][0]),
+            |pmems, outcome| {
+                assert!(outcome.injected);
                 // No thread fenced more than its prefix: each surviving
                 // value must be one the owner actually wrote.
                 for t in 0..TORTURE_THREADS as u64 {
                     for i in 0..16u64 {
-                        let v = pmem.read_u64(t * 8192 + i * 64);
+                        let v = pmems[0][0].read_u64(t * 8192 + i * 64);
                         assert!(v == 0 || v == i + 1, "torn value {v} at thread {t} slot {i}");
                     }
                 }
             },
         );
         assert_eq!(
-            outcome.crashed_threads, TORTURE_THREADS,
+            outcome.crashed_workers, TORTURE_THREADS,
             "a power failure must stop every thread, not just the trigger"
         );
-        assert_eq!(outcome.completed_threads, 0);
+        assert_eq!(outcome.completed_workers, 0);
     }
 
     #[test]
@@ -690,7 +555,7 @@ mod tests {
             torture_setup,
             torture_workload,
             |pmem, outcome| {
-                if !outcome.injected() {
+                if !outcome.injected {
                     // Completed run: every fenced write is durable.
                     for t in 0..TORTURE_THREADS as u64 {
                         for i in 0..16u64 {
@@ -706,8 +571,8 @@ mod tests {
 
     /// A workload that spawns its own workers (as parallel recovery does):
     /// each worker is wrapped in [`catch_crash`] and the spawning thread
-    /// re-throws the primary crash, which [`sweep_resync`] must catch,
-    /// resync and hand to `verify`.
+    /// re-throws the primary crash, which [`sweep`] must catch, resync and
+    /// hand to `verify`.
     fn threaded_workload(pmem: &Arc<Pmem>) {
         let crash = std::thread::scope(|s| {
             let handles: Vec<_> = (0..2u64)
@@ -741,18 +606,14 @@ mod tests {
     }
 
     #[test]
-    fn sweep_resync_handles_internally_threaded_workloads() {
+    fn sweep_resynchronizes_internally_threaded_workloads() {
         silence_crash_panics();
-        let setup = || {
-            let pmem = Pmem::new(PmemConfig::crash_sim(64 * 1024));
-            (Arc::clone(&pmem), pmem)
-        };
-        let total = count_ops(setup, threaded_workload);
+        let total = count_ops(torture_setup, threaded_workload);
         assert!(total > 0);
-        let summary = sweep_resync(
+        let summary = sweep(
             strided_points(total, 8),
             FaultPlan::count(),
-            setup,
+            torture_setup,
             threaded_workload,
             |pmem, _report| {
                 // Post-resync reads must see media: each slot holds a value
@@ -768,29 +629,24 @@ mod tests {
         assert!(summary.points_crashed > 0, "sweep must exercise crash points");
     }
 
+    /// Shape 2 — N isolated shards, one worker per shard writing 8 fenced
+    /// lines to its own device only.
     #[test]
     fn sharded_crash_stops_only_the_crash_shards_worker() {
         silence_crash_panics();
-        let setup = || {
-            let pmems: Vec<Arc<Pmem>> = (0..3)
-                .map(|_| Pmem::new(PmemConfig::crash_sim(4096)))
-                .collect();
-            let ctx = pmems.clone();
-            (pmems, ctx)
-        };
-        // Worker s writes 8 fenced lines to device s only.
-        let workload = |s: usize, devs: &Vec<Arc<Pmem>>| {
+        let workload = |s: usize, devs: &Devices| {
             for i in 0..8u64 {
-                devs[s].write_u64(i * 64, i + 1);
-                devs[s].pwb(i * 64);
-                devs[s].pfence();
+                devs[s][0].write_u64(i * 64, i + 1);
+                devs[s][0].pwb(i * 64);
+                devs[s][0].pfence();
             }
         };
-        let outcome = sharded_torture_point(
+        let outcome = torture_point(
             2,
             FaultPlan::count(),
-            1,
-            setup,
+            (1, 0),
+            3,
+            || topology(3, 1),
             workload,
             |pmems, outcome| {
                 assert!(outcome.injected);
@@ -798,7 +654,7 @@ mod tests {
                 for s in [0usize, 2] {
                     for i in 0..8u64 {
                         assert_eq!(
-                            pmems[s].read_u64(i * 64),
+                            pmems[s][0].read_u64(i * 64),
                             i + 1,
                             "shard {s} lost a fenced write to another shard's crash"
                         );
@@ -806,7 +662,7 @@ mod tests {
                 }
                 // Crash shard: only its written prefix may be there.
                 for i in 0..8u64 {
-                    let v = pmems[1].read_u64(i * 64);
+                    let v = pmems[1][0].read_u64(i * 64);
                     assert!(v == 0 || v == i + 1, "torn value {v} on crash shard");
                 }
             },
@@ -818,28 +674,13 @@ mod tests {
         assert_eq!(outcome.completed_workers, 2);
     }
 
+    /// Shape 3 — N shards × R replicas. Each shard's worker is a
+    /// miniature replicated committer: per line, write + fence the backup
+    /// first, then the primary.
     #[test]
     fn replicated_crash_leaves_backup_ahead_of_primary() {
         silence_crash_panics();
-        let setup = || {
-            let pmems: Vec<Vec<Arc<Pmem>>> = (0..2)
-                .map(|s| {
-                    (0..2)
-                        .map(|r| {
-                            let role = if r == 0 { "primary" } else { "backup" };
-                            Pmem::new(
-                                PmemConfig::crash_sim(4096).with_label(&format!("s{s}/{role}")),
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            let ctx = pmems.clone();
-            (pmems, ctx)
-        };
-        // Each shard's worker is a miniature replicated committer: per
-        // line, write + fence the backup first, then the primary.
-        let workload = |s: usize, devs: &Vec<Vec<Arc<Pmem>>>| {
+        let workload = |s: usize, devs: &Devices| {
             for i in 0..8u64 {
                 for dev in [&devs[s][1], &devs[s][0]] {
                     dev.write_u64(i * 64, i + 1);
@@ -849,12 +690,12 @@ mod tests {
             }
         };
         // Arm the crash on shard 1's PRIMARY, mid-stream.
-        let outcome = replicated_torture_point(
+        let outcome = torture_point(
             7,
             FaultPlan::count(),
-            1,
-            0,
-            setup,
+            (1, 0),
+            2,
+            || topology(2, 2),
             workload,
             |pmems, outcome| {
                 assert!(outcome.injected);
@@ -881,6 +722,42 @@ mod tests {
         );
         assert_eq!(outcome.crashed_workers, 1);
         assert_eq!(outcome.completed_workers, 1);
+    }
+
+    /// Arm point 0 on `target` over `setup`'s devices with an idle worker:
+    /// only the driver's own checks can fire.
+    fn idle_point(target: (usize, usize), setup: impl FnOnce() -> (Devices, Devices)) {
+        torture_point(
+            0,
+            FaultPlan::count(),
+            target,
+            1,
+            setup,
+            |_, _| {},
+            |_, _| {},
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "crash shard 2 out of range (2 shards)")]
+    fn crash_shard_out_of_range_panics() {
+        idle_point((2, 0), || topology(2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "crash replica 1 out of range (1 replicas on shard 0)")]
+    fn crash_replica_out_of_range_panics() {
+        idle_point((0, 1), || topology(2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "two replicas share one device")]
+    fn aliased_replicas_panic() {
+        idle_point((0, 0), || {
+            let dev = Pmem::new(PmemConfig::crash_sim(4096));
+            let aliased = vec![vec![Arc::clone(&dev), dev]];
+            (aliased.clone(), aliased)
+        });
     }
 
     #[test]

@@ -18,7 +18,6 @@ use jnvm_pmem::Pmem;
 use crate::backend::Backend;
 use crate::codec::Record;
 use crate::grid::{DataGrid, GridConfig};
-use crate::group::WriteOp;
 use crate::jnvm_backend::{register_kvstore, JnvmBackend};
 
 /// Route `key` to one of `nshards` pool shards (FNV-1a, the workspace's
@@ -139,22 +138,12 @@ impl ShardedKv {
     pub fn records(&self) -> usize {
         self.shards.iter().map(|s| s.grid.len()).sum()
     }
-
-    /// Debug-check that every op in `ops` routes to shard `shard` — the
-    /// invariant a per-shard committer's batches must satisfy before
-    /// handing them to [`crate::commit_writes`].
-    pub fn assert_routed(&self, shard: usize, ops: &[WriteOp]) {
-        debug_assert!(
-            ops.iter().all(|op| self.route(op.key()) == shard),
-            "op routed to the wrong shard's committer"
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::commit_writes;
+    use crate::group::{commit_writes, WriteOp};
     use jnvm_pmem::PmemConfig;
 
     fn devices(n: usize) -> Vec<Arc<Pmem>> {
@@ -235,7 +224,6 @@ mod tests {
                 .push(WriteOp::Set(Record::ycsb(k, &[k.as_bytes().to_vec()])));
         }
         for (s, ops) in per_shard.iter().enumerate() {
-            kv.assert_routed(s, ops);
             let shard = kv.shard(s);
             let out = commit_writes(&shard.grid, &shard.be, ops);
             assert!(out.results.iter().all(|&r| r));

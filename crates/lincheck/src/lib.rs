@@ -302,6 +302,26 @@ impl History {
         });
     }
 
+    /// Close the history over a recovered image and check durable
+    /// linearizability: mark the crash barrier, append one post-recovery
+    /// observation per touched key (`read(key)` returns the recovered
+    /// store's field values for it), then run the per-key Wing–Gong
+    /// search. An acked-but-lost write, a dirty read of a never-durable
+    /// value, or any ordering inversion comes back as the minimized
+    /// witness.
+    pub fn check_recovered(
+        &mut self,
+        mut read: impl FnMut(&str) -> Option<FieldVals>,
+    ) -> Result<CheckReport, Box<Violation>> {
+        self.mark_crash();
+        let keys: Vec<String> = self.keys().iter().map(|k| k.to_string()).collect();
+        for key in keys {
+            let state = read(&key);
+            self.observe(&key, state);
+        }
+        check(self)
+    }
+
     /// The distinct keys the history touches, sorted.
     pub fn keys(&self) -> Vec<&str> {
         let mut keys: Vec<&str> = self.events.iter().map(|e| e.key.as_str()).collect();

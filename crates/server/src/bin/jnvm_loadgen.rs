@@ -26,14 +26,11 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
 
-use jnvm_kvstore::{GridConfig, ShardedKv};
-use jnvm_pmem::{Pmem, PmemConfig};
+use jnvm_pmem::PmemConfig;
 use jnvm_server::{
     encode_request, handshake, kill_during_traffic, parse_reply, run_loadgen, traffic_op_count,
-    Args, LoadReport, LoadgenConfig, Reply, Request, Server, ServerConfig, ShardHandle,
-    TortureConfig,
+    Args, Cluster, LoadReport, LoadgenConfig, Reply, Request, ServerConfig, TortureConfig,
 };
 
 fn load_cfg(args: &Args) -> LoadgenConfig {
@@ -131,50 +128,35 @@ fn main() {
         jnvm_obs::set_mode(jnvm_obs::ObsMode::Log);
     }
 
-    if let Some(point) = args.get("kill-at") {
-        let point: u64 = point.parse().expect("--kill-at takes an op index");
-        match kill_during_traffic(point, &torture_cfg(&args)) {
-            Ok(r) => println!(
-                "point {point}: ok (injected={} acked={} acked_after_first_error={} \
-                 promotions={} acked_after_promotion={} degraded={} divergent={} \
-                 keys_checked={} ops_counted={})",
-                r.injected,
-                r.acked_writes,
-                r.acked_after_first_error,
-                r.promotions,
-                r.acked_after_promotion,
-                r.degraded_shards,
-                r.divergent_keys,
-                r.keys_checked,
-                r.ops_counted
-            ),
-            Err(e) => {
-                eprintln!("point {point}: FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if args.get("kill-sweep").is_some() {
-        let points: u64 = args.get_or("kill-sweep", 25);
+    // One kill experiment (`--kill-at P`) is a sweep over the single
+    // point P; `--kill-sweep N` strides N points over the counted op space.
+    let kill_at = args.get("kill-at").is_some();
+    if kill_at || args.get("kill-sweep").is_some() {
         let tcfg = torture_cfg(&args);
-        let total = traffic_op_count(&tcfg);
-        println!("op space ~{total}; sweeping {points} strided points");
+        let points: Vec<u64> = if kill_at {
+            vec![args.get_or("kill-at", 0)]
+        } else {
+            let n: u64 = args.get_or("kill-sweep", 25);
+            let total = traffic_op_count(&tcfg).unwrap_or_else(|e| Args::usage_error(&e));
+            println!("op space ~{total}; sweeping {n} strided points");
+            (0..n).map(|k| 1 + k * total.max(1) / n.max(1)).collect()
+        };
         let mut failures = 0u32;
-        for k in 0..points {
-            let point = 1 + k * total.max(1) / points.max(1);
+        for point in points {
             match kill_during_traffic(point, &tcfg) {
                 Ok(r) => println!(
-                    "point {point}: ok (injected={} acked={} after_first_err={} \
-                     promotions={} after_promotion={} divergent={} keys={})",
+                    "point {point}: ok (injected={} acked={} acked_after_first_error={} \
+                     promotions={} acked_after_promotion={} degraded={} divergent={} \
+                     keys_checked={} ops_counted={})",
                     r.injected,
                     r.acked_writes,
                     r.acked_after_first_error,
                     r.promotions,
                     r.acked_after_promotion,
+                    r.degraded_shards,
                     r.divergent_keys,
-                    r.keys_checked
+                    r.keys_checked,
+                    r.ops_counted
                 ),
                 Err(e) => {
                     eprintln!("point {point}: FAILED: {e}");
@@ -190,59 +172,27 @@ fn main() {
     }
 
     if args.has("self-host") {
-        let pool_mb: u64 = args.get_or("pool-mb", 256);
-        let pool_shards: usize = args.get_or("shards", 1).max(1);
-        let replicas: usize = args.get_or("replicas", 1).clamp(1, 2);
-        let map_shards: usize = args.get_or("map-shards", 16);
         let scfg = ServerConfig {
             batch_max: args.get_or("batch-max", 64),
             queue_cap: args.get_or("queue-cap", 256),
         };
-        let grid_cfg = GridConfig {
-            cache_capacity: 0,
-            ..GridConfig::default()
-        };
-        // One full pool set per replica position; replica 0 is the primary.
-        let mut kvs = Vec::with_capacity(replicas);
-        let mut pmems: Vec<Arc<Pmem>> = Vec::new();
-        for r in 0..replicas {
-            let role = if r == 0 { "primary" } else { "backup" };
-            let set: Vec<Arc<Pmem>> = (0..pool_shards)
-                .map(|s| {
-                    Pmem::new(
-                        PmemConfig::crash_sim(pool_mb << 20).with_label(&format!("s{s}/{role}")),
-                    )
-                })
-                .collect();
-            kvs.push(ShardedKv::create(&set, map_shards, true, grid_cfg).expect("create pools"));
-            pmems.extend(set);
-        }
-        let shard_sets: Vec<Vec<ShardHandle>> = (0..pool_shards)
-            .map(|s| {
-                kvs.iter()
-                    .map(|kv| {
-                        let shard = &kv.shards()[s];
-                        ShardHandle {
-                            grid: Arc::clone(&shard.grid),
-                            be: Arc::clone(&shard.be),
-                            pmem: Arc::clone(&shard.pmem),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let before: Vec<_> = pmems.iter().map(|p| p.stats()).collect();
-        let server = Server::start_replicated(shard_sets, scfg).expect("bind server");
+        let cluster = Cluster::create(
+            args.get_or("shards", 1),
+            args.get_or("replicas", 1),
+            args.get_or("map-shards", 16),
+            PmemConfig::crash_sim(args.get_or::<u64>("pool-mb", 256) << 20),
+            true,
+        )
+        .unwrap_or_else(|e| Args::usage_error(&e));
+        let before = cluster.device_stats();
+        let server = cluster.start(scfg).expect("bind server");
         let report = run_loadgen(server.addr(), &cfg);
         let stats = server.stats();
         if trace {
             dump_obs(server.addr());
         }
         server.shutdown();
-        let mut d = jnvm_pmem::StatsSnapshot::default();
-        for (p, b) in pmems.iter().zip(&before) {
-            d.absorb(&p.stats().delta(b));
-        }
+        let d = cluster.device_stats().delta(&before);
         print_report(&report);
         println!(
             "shards={} groups={} batches={} ordering_points={} per_acked_write={:.4}",

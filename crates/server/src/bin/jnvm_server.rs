@@ -32,20 +32,18 @@
 //! served heaps are *recovered* heaps. With replicas the drill runs on
 //! every replica's pools — a restarted server recovers both sides.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use jnvm::RecoveryOptions;
-use jnvm_kvstore::{GridConfig, ShardedKv};
-use jnvm_pmem::{CrashPolicy, Pmem, PmemConfig, StatsSnapshot};
-use jnvm_server::{Args, Server, ServerConfig, ShardHandle};
+use jnvm_pmem::PmemConfig;
+use jnvm_server::{Args, Cluster, ServerConfig};
 
 fn main() {
     let args = Args::parse();
     let pool_mb: u64 = args.get_or("pool-mb", 256);
-    let pool_shards: usize = args.get_or::<usize>("shards", 1).max(1);
+    let pool_shards: usize = args.get_or("shards", 1);
     let map_shards: usize = args.get_or("map-shards", 16);
-    let replicas: usize = args.get_or::<usize>("replicas", 1).clamp(1, 2);
+    let replicas: usize = args.get_or("replicas", 1);
     let fa = !args.has("no-fa");
     let cfg = ServerConfig {
         batch_max: args.get_or("batch-max", 64),
@@ -53,84 +51,38 @@ fn main() {
     };
     let recovery_threads: usize = args.get_or("recovery-threads", 1);
 
-    // No volatile cache: the J-NVM backends gain nothing from one (§5.3.1).
-    let grid_cfg = GridConfig {
-        cache_capacity: 0,
-        ..GridConfig::default()
-    };
+    let device = PmemConfig::crash_sim(pool_mb << 20);
+    let mut cluster = Cluster::create(pool_shards, replicas, map_shards, device, fa)
+        .unwrap_or_else(|e| Args::usage_error(&e));
 
-    // One full pool stack per replica; identical shard counts on every
-    // replica mean identical key routing, which is what lets a backup
-    // replay its primary's op stream.
-    let mut kvs: Vec<ShardedKv> = Vec::with_capacity(replicas);
-    let mut by_replica: Vec<Vec<Arc<Pmem>>> = Vec::with_capacity(replicas);
-    for r in 0..replicas {
-        let role = if r == 0 { "primary" } else { "backup" };
-        let pmems: Vec<Arc<Pmem>> = (0..pool_shards)
-            .map(|s| {
-                Pmem::new(PmemConfig::crash_sim(pool_mb << 20).with_label(&format!("s{s}/{role}")))
-            })
-            .collect();
-        let mut kv = ShardedKv::create(&pmems, map_shards, fa, grid_cfg).expect("create pools");
-
-        if args.has("restart-drill") {
-            // Crash every fresh pool and serve the *recovered* heaps: the
-            // same reopen path a real restart takes — each shard recovered
-            // concurrently, each with the configured thread count.
-            for s in kv.shards() {
-                s.rt.psync();
-            }
-            drop(kv);
-            for p in &pmems {
-                p.crash(&CrashPolicy::strict()).expect("simulated power failure");
-            }
-            let (kv2, reports) = ShardedKv::open(
-                &pmems,
-                fa,
-                grid_cfg,
-                RecoveryOptions::parallel(recovery_threads),
-            )
-            .expect("recovery");
-            for (i, report) in reports.iter().enumerate() {
-                println!(
-                    "restart drill replica {r} shard {i}: threads={} replayed={} \
-                     live_objects={} live_blocks={} freed_blocks={} gc={:.3}ms (modeled {:.3}ms)",
-                    report.threads,
-                    report.replayed_logs,
-                    report.live_objects,
-                    report.live_blocks,
-                    report.freed_blocks,
-                    report.gc_time.as_secs_f64() * 1e3,
-                    report.modeled_gc_time().as_secs_f64() * 1e3,
-                );
-            }
-            kv = kv2;
+    if args.has("restart-drill") {
+        // Crash every fresh pool and serve the *recovered* heaps: the
+        // same reopen path a real restart takes — each shard recovered
+        // concurrently, each with the configured thread count.
+        for p in cluster.pmems().iter().flatten() {
+            p.psync();
         }
-
-        by_replica.push(pmems);
-        kvs.push(kv);
+        let reports = cluster
+            .crash_and_reopen(RecoveryOptions::parallel(recovery_threads))
+            .expect("recovery");
+        for (i, report) in reports.iter().enumerate() {
+            println!(
+                "restart drill replica {} shard {}: threads={} replayed={} \
+                 live_objects={} live_blocks={} freed_blocks={} gc={:.3}ms (modeled {:.3}ms)",
+                i / pool_shards,
+                i % pool_shards,
+                report.threads,
+                report.replayed_logs,
+                report.live_objects,
+                report.live_blocks,
+                report.freed_blocks,
+                report.gc_time.as_secs_f64() * 1e3,
+                report.modeled_gc_time().as_secs_f64() * 1e3,
+            );
+        }
     }
 
-    let shard_sets: Vec<Vec<ShardHandle>> = (0..pool_shards)
-        .map(|s| {
-            kvs.iter()
-                .map(|kv| {
-                    let shard = &kv.shards()[s];
-                    ShardHandle {
-                        grid: Arc::clone(&shard.grid),
-                        be: Arc::clone(&shard.be),
-                        pmem: Arc::clone(&shard.pmem),
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    // The kv stacks (notably each shard's runtime) must outlive the
-    // server: dropping a runtime tears down the heap its backend's
-    // proxies point into.
-    let _keepalive = &kvs;
-
-    let server = Server::start_replicated(shard_sets, cfg).expect("bind server");
+    let server = cluster.start(cfg).expect("bind server");
     println!("listening on {}", server.addr());
     println!(
         "pools={}x{} MiB replicas={} map_shards={} fa={} batch_max={} queue_cap={} \
@@ -144,12 +96,7 @@ fn main() {
     }
     let stats = server.stats();
     server.shutdown();
-    let mut d = StatsSnapshot::default();
-    for pmems in &by_replica {
-        for p in pmems {
-            d.absorb(&p.stats());
-        }
-    }
+    let d = cluster.device_stats();
     println!(
         "acked_writes={} nacked={} failed={} groups={} batches={} conns={} shards={} dead_shards={}",
         stats.acked_writes,

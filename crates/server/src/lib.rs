@@ -37,6 +37,7 @@
 //! [`torture`] libraries the tests and CI drive.
 
 pub mod args;
+pub mod cluster;
 pub mod loadgen;
 pub mod proto;
 pub mod repl;
@@ -44,6 +45,7 @@ pub mod server;
 pub mod torture;
 
 pub use args::Args;
+pub use cluster::Cluster;
 pub use loadgen::{key_for, op_for, run_loadgen, value_for, ConnReport, LoadReport, LoadgenConfig};
 pub use proto::{
     encode_reply, encode_request, handshake, handshake_proto_error, parse_frame, parse_reply,

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use jnvm_kvstore::Record;
 use jnvm_lincheck::{ClientRecorder, Clock, History, OpKind, Outcome};
-use jnvm_ycsb::Histogram;
+use jnvm_obs::Histogram;
 
 use crate::proto::{encode_request, parse_reply, ProtoError, Reply, Request};
 

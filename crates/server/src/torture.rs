@@ -61,12 +61,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use jnvm::RecoveryOptions;
-use jnvm_kvstore::{shard_for_key, GridConfig, Record, ShardedKv};
+use jnvm_kvstore::{shard_for_key, Record, ShardedKv};
 use jnvm_pmem::{silence_crash_panics, FaultPlan, Pmem, PmemConfig};
 
+use crate::cluster::{grid_cfg, Cluster};
 use crate::loadgen::{key_for, run_loadgen, value_for, LoadReport, LoadgenConfig, OpOutcome};
 use crate::proto::{encode_request, handshake, Reply, Request};
-use crate::server::{Server, ServerConfig, ServerStats, ShardHandle};
+use crate::server::{Server, ServerConfig, ServerStats};
 
 /// Experiment shape.
 #[derive(Debug, Clone, Copy)]
@@ -146,77 +147,76 @@ pub struct KillReport {
     pub server: ServerStats,
 }
 
-struct Ctx {
-    /// `pmems[shard][replica]`; replica 0 is the primary.
+/// What one armed run leaves behind: the devices (stacks already torn
+/// down), what the clients saw, and whether the crash fired.
+struct ArmedRun<T> {
+    /// `pmems[shard][replica]`, thawed and resynchronized.
     pmems: Vec<Vec<Arc<Pmem>>>,
-    /// One `ShardedKv` per replica position (so `kvs[r]` owns shard `s`'s
-    /// replica `r` at `kvs[r].shards()[s]`).
-    kvs: Vec<ShardedKv>,
-    server: Server,
+    load: LoadReport,
+    /// Server counters after the load drained, before shutdown.
+    stats: ServerStats,
+    injected: bool,
+    /// Persistence-relevant ops counted on the crash device while armed.
+    ops_counted: u64,
+    /// What `probe` returned.
+    probed: T,
 }
 
-fn grid_cfg() -> GridConfig {
-    // No volatile cache: the J-NVM backends gain nothing from one (§5.3.1)
-    // and the verifier wants to read the persistent image, not a cache.
-    GridConfig {
-        cache_capacity: 0,
-        ..GridConfig::default()
+/// The kill-experiment protocol, written once: build a fresh cluster and
+/// start its server (pool format and server startup are not part of the
+/// crash-point space), arm a crash at `point` on the configured replica's
+/// device, run the load, let `probe` talk to the **still-running** server,
+/// shut down, tear the stacks down while the crash device is still frozen
+/// (unwind destructors must not repair the crash image — same sequence as
+/// `jnvm_faultsim::torture_point`), then thaw and resynchronize. The
+/// topology and the crash target are validated here, by [`Cluster`]: an
+/// unservable configuration is an `Err` before anything runs.
+fn run_armed<T>(
+    point: u64,
+    cfg: &TortureConfig,
+    probe: impl FnOnce(&Server, &ServerStats, bool) -> Result<T, String>,
+) -> Result<ArmedRun<T>, String> {
+    silence_crash_panics();
+    let cluster = Cluster::create(
+        cfg.pool_shards,
+        cfg.replicas,
+        cfg.shards,
+        PmemConfig::crash_sim(cfg.pool_bytes),
+        true,
+    )?;
+    let crash_dev = Arc::clone(cluster.device(cfg.crash_shard, cfg.crash_replica)?);
+    let server = cluster
+        .start(cfg.server)
+        .map_err(|e| format!("bind server: {e}"))?;
+    crash_dev.arm_faults(FaultPlan::crash_at(point));
+    let load = run_loadgen(server.addr(), &cfg.load);
+    let stats = server.stats();
+    let probed = probe(&server, &stats, crash_dev.faults_frozen());
+    server.shutdown();
+    let injected = crash_dev.faults_frozen();
+    let pmems = cluster.into_pmems();
+    let ops_counted = crash_dev.disarm_faults();
+    if injected {
+        crash_dev.resync_cache();
     }
+    Ok(ArmedRun {
+        pmems,
+        load,
+        stats,
+        injected,
+        ops_counted,
+        probed: probed?,
+    })
 }
 
-fn build(cfg: &TortureConfig) -> Ctx {
-    let pool_shards = cfg.pool_shards.max(1);
-    let replicas = cfg.replicas.clamp(1, 2);
-    let mut kvs: Vec<ShardedKv> = Vec::with_capacity(replicas);
-    let mut by_replica: Vec<Vec<Arc<Pmem>>> = Vec::with_capacity(replicas);
-    for r in 0..replicas {
-        let role = if r == 0 { "primary" } else { "backup" };
-        let pmems: Vec<Arc<Pmem>> = (0..pool_shards)
-            .map(|s| {
-                Pmem::new(PmemConfig::crash_sim(cfg.pool_bytes).with_label(&format!("s{s}/{role}")))
-            })
-            .collect();
-        // Identical shard count on every replica ⇒ identical key routing,
-        // which is what lets the backup replay the primary's op stream.
-        let kv =
-            ShardedKv::create(&pmems, cfg.shards.max(1), true, grid_cfg()).expect("create pools");
-        by_replica.push(pmems);
-        kvs.push(kv);
-    }
-    let shard_sets: Vec<Vec<ShardHandle>> = (0..pool_shards)
-        .map(|s| {
-            kvs.iter()
-                .map(|kv| {
-                    let shard = &kv.shards()[s];
-                    ShardHandle {
-                        grid: Arc::clone(&shard.grid),
-                        be: Arc::clone(&shard.be),
-                        pmem: Arc::clone(&shard.pmem),
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let server = Server::start_replicated(shard_sets, cfg.server).expect("bind server");
-    let pmems: Vec<Vec<Arc<Pmem>>> = (0..pool_shards)
-        .map(|s| by_replica.iter().map(|r| Arc::clone(&r[s])).collect())
-        .collect();
-    Ctx { pmems, kvs, server }
-}
-
-/// Count pass: run the full traffic with the crash replica's device
-/// counting (never crashing) and return how many persistence-relevant ops
-/// it performs — the size of that device's crash-point space. The
-/// interleaving varies run to run; sweeps over this total are
-/// representative, not exact.
-pub fn traffic_op_count(cfg: &TortureConfig) -> u64 {
-    let ctx = build(cfg);
-    let crash_dev = Arc::clone(&ctx.pmems[cfg.crash_shard][cfg.crash_replica.min(cfg.replicas.max(1) - 1)]);
-    crash_dev.arm_faults(FaultPlan::count());
-    let _ = run_loadgen(ctx.server.addr(), &cfg.load);
-    ctx.server.shutdown();
-    drop(ctx.kvs);
-    crash_dev.disarm_faults()
+/// Count pass: run the full traffic with the crash point past the end of
+/// any op stream and return how many persistence-relevant ops the crash
+/// replica's device performs — the size of that device's crash-point
+/// space. The interleaving varies run to run; sweeps over this total are
+/// representative, not exact. `Err` on an unservable topology or an
+/// out-of-range crash target.
+pub fn traffic_op_count(cfg: &TortureConfig) -> Result<u64, String> {
+    Ok(run_armed(u64::MAX, cfg, |_, _, _| Ok(()))?.ops_counted)
 }
 
 /// One kill-during-traffic experiment: build fresh pools + server, arm a
@@ -225,34 +225,32 @@ pub fn traffic_op_count(cfg: &TortureConfig) -> u64 {
 /// the allowed-states window for every key — including keys on shards
 /// that never crashed. After a primary kill the crashed image is also
 /// audited for divergence against the survivor. Returns `Err` with a
-/// description on any violated invariant.
+/// description on any violated invariant, and on an unservable topology
+/// or out-of-range crash target.
 pub fn kill_during_traffic(point: u64, cfg: &TortureConfig) -> Result<KillReport, String> {
-    silence_crash_panics();
-    let replicas = cfg.replicas.clamp(1, 2);
-    let crash_replica = cfg.crash_replica.min(replicas - 1);
-    let ctx = build(cfg);
-    let crash_dev = Arc::clone(&ctx.pmems[cfg.crash_shard][crash_replica]);
-    // Armed only now: pool format and server startup are not part of the
-    // crash-point space under test.
-    crash_dev.arm_faults(FaultPlan::crash_at(point));
-    let mut load = run_loadgen(ctx.server.addr(), &cfg.load);
-    let stats = ctx.server.stats();
-    ctx.server.shutdown();
-    let injected = crash_dev.faults_frozen();
-    let Ctx { pmems, kvs, .. } = ctx;
-    // Dropped while the crash device is still frozen: unwind destructors
-    // must not repair the crash image (same sequence as faultsim's
-    // torture_point).
-    drop(kvs);
-    let ops_counted = crash_dev.disarm_faults();
-    if injected {
-        crash_dev.resync_cache();
-    }
+    let ArmedRun {
+        pmems,
+        mut load,
+        stats,
+        injected,
+        ops_counted,
+        ..
+    } = run_armed(point, cfg, |_, _, _| Ok(()))?;
+    let reopen = |devs: &[Arc<Pmem>], what: &str| {
+        ShardedKv::open(
+            devs,
+            true,
+            grid_cfg(),
+            RecoveryOptions::parallel(cfg.recovery_threads.max(1)),
+        )
+        .map(|(kv, _reports)| kv)
+        .map_err(|e| format!("reopen {what} after crash at point {point}: {e}"))
+    };
 
     // The survivor view: after a primary kill the crash shard's backup is
     // what promotion left serving; every other shard (and every shard on
     // a backup kill) survives on its primary.
-    let promoted = injected && replicas > 1 && crash_replica == 0;
+    let promoted = injected && cfg.replicas > 1 && cfg.crash_replica == 0;
     let survivors: Vec<Arc<Pmem>> = pmems
         .iter()
         .enumerate()
@@ -261,32 +259,24 @@ pub fn kill_during_traffic(point: u64, cfg: &TortureConfig) -> Result<KillReport
             Arc::clone(&reps[r])
         })
         .collect();
-    let (kv2, _reports) = ShardedKv::open(
-        &survivors,
-        true,
-        grid_cfg(),
-        RecoveryOptions::parallel(cfg.recovery_threads.max(1)),
-    )
-    .map_err(|e| format!("reopen survivors after crash at point {point}: {e}"))?;
+    let kv2 = reopen(&survivors, "survivors")?;
 
     let (keys_checked, crash_shard_keys) = verify_allowed_states(&load, cfg, &kv2)
         .map_err(|e| format!("point {point}: {e}"))?;
-    let lincheck = lincheck_history(&mut load, &kv2)
-        .map_err(|e| format!("point {point}: {e}"))?;
+    let lincheck = load
+        .history
+        .check_recovered(|key| {
+            kv2.read(key)
+                .map(|rec| rec.fields.into_iter().map(|(_, v)| v).collect())
+        })
+        .map_err(|v| format!("point {point}: durable-linearizability violation: {v}"))?;
     drop(kv2);
 
     // Divergence audit of the crashed primary against the survivor it
     // handed over to.
     let mut divergent = 0u64;
     if promoted {
-        let crashed = vec![Arc::clone(&pmems[cfg.crash_shard][0])];
-        let (pkv, _r) = ShardedKv::open(
-            &crashed,
-            true,
-            grid_cfg(),
-            RecoveryOptions::parallel(cfg.recovery_threads.max(1)),
-        )
-        .map_err(|e| format!("reopen crashed primary after point {point}: {e}"))?;
+        let pkv = reopen(&pmems[cfg.crash_shard][..1], "crashed primary")?;
         for k in &crash_shard_keys {
             let p_state = pkv.read(&k.key);
             let candidates: Vec<Option<Record>> = (0..=k.ops.len())
@@ -334,28 +324,6 @@ pub fn kill_during_traffic(point: u64, cfg: &TortureConfig) -> Result<KillReport
     })
 }
 
-/// Close the captured history over the recovered image and check durable
-/// linearizability: mark the crash barrier, append one post-recovery
-/// observation per touched key (read from the reopened survivors), then
-/// run the per-key Wing–Gong search. An acked-but-lost write, a dirty
-/// read of a never-durable value, or any ordering inversion comes back as
-/// an `Err` carrying the minimized witness.
-fn lincheck_history(
-    load: &mut LoadReport,
-    kv2: &ShardedKv,
-) -> Result<jnvm_lincheck::CheckReport, String> {
-    load.history.mark_crash();
-    let keys: Vec<String> = load.history.keys().iter().map(|k| k.to_string()).collect();
-    for key in keys {
-        let state = kv2
-            .read(&key)
-            .map(|rec| rec.fields.into_iter().map(|(_, v)| v).collect());
-        load.history.observe(&key, state);
-    }
-    jnvm_lincheck::check(&load.history)
-        .map_err(|v| format!("durable-linearizability violation: {v}"))
-}
-
 /// Report of one read-your-writes probe across a primary failover.
 #[derive(Debug, Clone, Copy)]
 pub struct ProbeReport {
@@ -379,82 +347,78 @@ pub struct ProbeReport {
 /// must observe the *last* acked SET; anything else is a stale read on
 /// the survivor. Errors describe the violated expectation.
 pub fn promotion_read_probe(point: u64, cfg: &TortureConfig) -> Result<ProbeReport, String> {
-    silence_crash_panics();
-    if cfg.replicas.clamp(1, 2) < 2 || cfg.crash_replica != 0 {
+    if cfg.replicas != 2 || cfg.crash_replica != 0 {
         return Err("the probe needs replicas=2 and a primary kill".into());
     }
-    let ctx = build(cfg);
-    let crash_dev = Arc::clone(&ctx.pmems[cfg.crash_shard][0]);
-    crash_dev.arm_faults(FaultPlan::crash_at(point));
-    let _load = run_loadgen(ctx.server.addr(), &cfg.load);
-    let injected = crash_dev.faults_frozen();
-    let stats = ctx.server.stats();
-    let mut report = ProbeReport {
-        injected,
-        promotions: stats.promotions,
-        acked_after_promotion: stats.acked_after_promotion,
-        probe_shard: cfg.crash_shard,
-        probe_sets_acked: 0,
-    };
-    if injected && stats.promotions > 0 {
-        let pool_shards = cfg.pool_shards.max(1);
-        let key = (0u32..)
-            .map(|n| format!("promo-probe-{n:04}"))
-            .find(|k| shard_for_key(k, pool_shards) == cfg.crash_shard)
-            .expect("some probe key routes to the crash shard");
-        let vals = |tag: u8| vec![vec![tag; 8]];
-        let mut stream =
-            TcpStream::connect(ctx.server.addr()).map_err(|e| format!("probe connect: {e}"))?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-        handshake(&mut stream).map_err(|e| format!("probe handshake: {e}"))?;
-        let mut rbuf: Vec<u8> = Vec::new();
-        let mut roundtrip = |stream: &mut TcpStream, req: &Request| -> Result<Reply, String> {
-            stream
-                .write_all(&encode_request(req))
-                .map_err(|e| format!("probe send: {e}"))?;
-            match crate::loadgen::read_reply(stream, &mut rbuf) {
-                Ok(Some(reply)) => Ok(reply),
-                Ok(None) => Err("probe: promoted shard went silent".into()),
-                Err(e) => Err(format!("probe reply stream: {e}")),
-            }
-        };
-        for tag in [1u8, 2u8] {
-            match roundtrip(&mut stream, &Request::Set(Record::ycsb(&key, &vals(tag))))? {
-                Reply::Ok => report.probe_sets_acked += 1,
-                other => {
-                    return Err(format!(
-                        "probe SET #{tag} on promoted shard {} answered {other:?}",
-                        cfg.crash_shard
-                    ))
-                }
-            }
+    let run = run_armed(point, cfg, |server, stats, injected| {
+        if injected && stats.promotions > 0 {
+            probe_promoted_shard(server, cfg)
+        } else {
+            Ok(0)
         }
-        let expected = Record::ycsb(&key, &vals(2));
-        match roundtrip(&mut stream, &Request::Get(key.clone()))? {
-            Reply::Value(payload) => {
-                if jnvm_kvstore::decode_record(&payload).as_ref() != Some(&expected) {
-                    return Err(format!(
-                        "probe GET on {key}: read-your-writes broken across promotion \
-                         (did not observe the last acked SET)"
-                    ));
-                }
-            }
+    })?;
+    Ok(ProbeReport {
+        injected: run.injected,
+        promotions: run.stats.promotions,
+        acked_after_promotion: run.stats.acked_after_promotion,
+        probe_shard: cfg.crash_shard,
+        probe_sets_acked: run.probed,
+    })
+}
+
+/// SET a key routed to the promoted crash shard twice, GET it back, and
+/// hold the reply to the last acked SET. Returns the SETs acked.
+fn probe_promoted_shard(server: &Server, cfg: &TortureConfig) -> Result<u64, String> {
+    let key = (0u32..)
+        .map(|n| format!("promo-probe-{n:04}"))
+        .find(|k| shard_for_key(k, cfg.pool_shards) == cfg.crash_shard)
+        .expect("some probe key routes to the crash shard");
+    let vals = |tag: u8| vec![vec![tag; 8]];
+    let mut stream =
+        TcpStream::connect(server.addr()).map_err(|e| format!("probe connect: {e}"))?;
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    handshake(&mut stream).map_err(|e| format!("probe handshake: {e}"))?;
+    let mut rbuf: Vec<u8> = Vec::new();
+    let mut roundtrip = |stream: &mut TcpStream, req: &Request| -> Result<Reply, String> {
+        stream
+            .write_all(&encode_request(req))
+            .map_err(|e| format!("probe send: {e}"))?;
+        match crate::loadgen::read_reply(stream, &mut rbuf) {
+            Ok(Some(reply)) => Ok(reply),
+            Ok(None) => Err("probe: promoted shard went silent".into()),
+            Err(e) => Err(format!("probe reply stream: {e}")),
+        }
+    };
+    let mut sets_acked = 0u64;
+    for tag in [1u8, 2u8] {
+        match roundtrip(&mut stream, &Request::Set(Record::ycsb(&key, &vals(tag))))? {
+            Reply::Ok => sets_acked += 1,
             other => {
                 return Err(format!(
-                    "probe GET on {key} answered {other:?} after two acked SETs"
+                    "probe SET #{tag} on promoted shard {} answered {other:?}",
+                    cfg.crash_shard
                 ))
             }
         }
     }
-    ctx.server.shutdown();
-    let Ctx { kvs, .. } = ctx;
-    drop(kvs);
-    crash_dev.disarm_faults();
-    if injected {
-        crash_dev.resync_cache();
+    let expected = Record::ycsb(&key, &vals(2));
+    match roundtrip(&mut stream, &Request::Get(key.clone()))? {
+        Reply::Value(payload) => {
+            if jnvm_kvstore::decode_record(&payload).as_ref() != Some(&expected) {
+                return Err(format!(
+                    "probe GET on {key}: read-your-writes broken across promotion \
+                     (did not observe the last acked SET)"
+                ));
+            }
+        }
+        other => {
+            return Err(format!(
+                "probe GET on {key} answered {other:?} after two acked SETs"
+            ))
+        }
     }
-    Ok(report)
+    Ok(sets_acked)
 }
 
 /// `Ok` outcomes after each connection's first `Err`, summed. With one

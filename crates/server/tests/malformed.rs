@@ -5,34 +5,19 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Duration;
 
-use jnvm::JnvmBuilder;
-use jnvm_heap::HeapConfig;
-use jnvm_kvstore::{register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend, Record};
-use jnvm_pmem::{Pmem, PmemConfig};
+use jnvm_kvstore::Record;
+use jnvm_pmem::PmemConfig;
 use jnvm_server::{
-    encode_reply, encode_request, parse_reply, Reply, Request, Server, ServerConfig,
+    encode_reply, encode_request, parse_reply, Cluster, Reply, Request, Server, ServerConfig,
 };
 
-fn start_server() -> (Server, Arc<Pmem>) {
-    let pmem = Pmem::new(PmemConfig::crash_sim(64 << 20));
-    let rt = register_kvstore(JnvmBuilder::new())
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .unwrap();
-    let be = Arc::new(JnvmBackend::create(&rt, 8, true).unwrap());
-    let grid = Arc::new(DataGrid::new(
-        Arc::clone(&be) as Arc<dyn Backend>,
-        GridConfig {
-            cache_capacity: 0,
-            ..GridConfig::default()
-        },
-    ));
-    let server = Server::start(grid, be, Arc::clone(&pmem), ServerConfig::default()).unwrap();
-    // Keep the runtime alive for the server's lifetime.
-    std::mem::forget(rt);
-    (server, pmem)
+/// A one-pool server; the cluster is returned so the stacks outlive it.
+fn start_server() -> (Server, Cluster) {
+    let cluster = Cluster::create(1, 1, 8, PmemConfig::crash_sim(64 << 20), true).unwrap();
+    let server = cluster.start(ServerConfig::default()).unwrap();
+    (server, cluster)
 }
 
 fn connect(server: &Server) -> TcpStream {
@@ -85,7 +70,7 @@ fn grid_len(stream: &mut TcpStream, buf: &mut Vec<u8>) -> u64 {
 
 #[test]
 fn garbage_magic_closes_connection_without_damage() {
-    let (server, _pmem) = start_server();
+    let (server, _cluster) = start_server();
     {
         let mut s = connect(&server);
         let mut buf = Vec::new();
@@ -105,7 +90,7 @@ fn garbage_magic_closes_connection_without_damage() {
 
 #[test]
 fn version_mismatch_at_hello_closes_before_any_service() {
-    let (server, _pmem) = start_server();
+    let (server, _cluster) = start_server();
     {
         // A well-meaning v1 client: right magic, older protocol version.
         let mut s = TcpStream::connect(server.addr()).unwrap();
@@ -148,7 +133,7 @@ fn version_mismatch_at_hello_closes_before_any_service() {
 
 #[test]
 fn truncated_frame_then_disconnect_leaves_grid_consistent() {
-    let (server, _pmem) = start_server();
+    let (server, _cluster) = start_server();
     {
         let mut s = connect(&server);
         let mut buf = Vec::new();
@@ -173,7 +158,7 @@ fn truncated_frame_then_disconnect_leaves_grid_consistent() {
 
 #[test]
 fn oversized_value_is_rejected_but_connection_survives() {
-    let (server, _pmem) = start_server();
+    let (server, _cluster) = start_server();
     let mut s = connect(&server);
     let mut buf = Vec::new();
     // Body-level violation (value over MAX_VALUE): Err reply, stream
@@ -195,7 +180,7 @@ fn oversized_value_is_rejected_but_connection_survives() {
 
 #[test]
 fn mid_pipeline_drop_does_not_leak_staged_entries() {
-    let (server, _pmem) = start_server();
+    let (server, _cluster) = start_server();
     {
         let mut s = connect(&server);
         // Fire a burst of pipelined SETs and slam the connection shut

@@ -11,16 +11,14 @@
 
 use std::sync::{Arc, Mutex};
 
-use jnvm_repro::faultsim::{sharded_torture_point, strided_points};
+use jnvm_repro::faultsim::{strided_points, torture_point};
 use jnvm_repro::jnvm::RecoveryOptions;
 use jnvm_repro::kvstore::{
     commit_writes, shard_for_key, GridConfig, Record, ShardedKv, WriteOp,
 };
-use jnvm_repro::lincheck::{self, ClientRecorder, Clock, History, OpKind, Outcome};
+use jnvm_repro::lincheck::{ClientRecorder, Clock, History, OpKind, Outcome};
 use jnvm_repro::pmem::{catch_crash, silence_crash_panics, FaultPlan, Pmem, PmemConfig};
-use jnvm_repro::server::{
-    run_loadgen, LoadgenConfig, Server, ServerConfig, ShardHandle,
-};
+use jnvm_repro::server::{run_loadgen, Cluster, LoadgenConfig, ServerConfig};
 
 const POOL_SHARDS: usize = 2;
 const CRASH_SHARD: usize = 0;
@@ -84,23 +82,24 @@ fn new_log() -> Arc<Log> {
 }
 
 struct Ctx {
-    kv: ShardedKv,
+    cluster: Cluster,
     log: Arc<Log>,
 }
 
-fn setup(log: &Arc<Log>) -> (Vec<Arc<Pmem>>, Ctx) {
-    let pmems: Vec<Arc<Pmem>> = (0..POOL_SHARDS)
-        .map(|s| Pmem::new(PmemConfig::crash_sim(24 << 20).with_label(&format!("shard{s}"))))
-        .collect();
-    let kv = ShardedKv::create(&pmems, 4, true, grid_cfg()).expect("create pools");
-    (pmems, Ctx { kv, log: Arc::clone(log) })
+/// `POOL_SHARDS` singleton replica sets.
+fn setup(log: &Arc<Log>) -> (Vec<Vec<Arc<Pmem>>>, Ctx) {
+    let cluster = Cluster::create(POOL_SHARDS, 1, 4, PmemConfig::crash_sim(24 << 20), true)
+        .expect("create pools");
+    let pmems = cluster.pmems().to_vec();
+    let log = Arc::clone(log);
+    (pmems, Ctx { cluster, log })
 }
 
 /// Per-shard worker: commit every chunk on this shard's stack, recording
 /// invocation/response events. A crash leaves the in-flight chunk
 /// Indeterminate and kills the worker (the shard is dead).
 fn drive(shard: usize, ctx: &Ctx) {
-    let sh = &ctx.kv.shards()[shard];
+    let sh = ctx.cluster.kv(0).shard(shard);
     for c in 0..CHUNKS {
         let ops = chunk(shard, c);
         let toks: Vec<_> = {
@@ -126,27 +125,32 @@ fn drive(shard: usize, ctx: &Ctx) {
 
 /// Count pass: size of the crash shard's op space under this workload.
 fn op_space(log: &Arc<Log>) -> u64 {
-    let (pmems, ctx) = setup(log);
-    let dev = Arc::clone(&pmems[CRASH_SHARD]);
-    dev.arm_faults(FaultPlan::count());
-    for s in 0..POOL_SHARDS {
-        drive(s, &ctx);
-    }
-    drop(ctx);
-    dev.disarm_faults()
+    let target = (CRASH_SHARD, 0);
+    torture_point(
+        u64::MAX,
+        FaultPlan::count(),
+        target,
+        POOL_SHARDS,
+        || setup(log),
+        drive,
+        |_, _| {},
+    )
+    .ops_counted
 }
 
 fn run_point(point: u64) {
     let log = new_log();
     let slog = Arc::clone(&log);
     let vlog = Arc::clone(&log);
-    sharded_torture_point(
+    torture_point(
         point,
         FaultPlan::count(),
-        CRASH_SHARD,
+        (CRASH_SHARD, 0),
+        POOL_SHARDS,
         move || setup(&slog),
         drive,
         move |pmems, out| {
+            let pmems: Vec<Arc<Pmem>> = pmems.iter().map(|reps| Arc::clone(&reps[0])).collect();
             let mut hist = {
                 let recs: Vec<ClientRecorder> = vlog
                     .recorders
@@ -161,22 +165,13 @@ fn run_point(point: u64) {
                     .collect();
                 History::collect(vlog.clock.clone(), recs)
             };
-            hist.mark_crash();
-            let (kv2, _reports) = ShardedKv::open(
-                pmems,
-                true,
-                grid_cfg(),
-                RecoveryOptions::parallel(2),
-            )
-            .unwrap_or_else(|e| panic!("point {}: reopen failed: {e}", out.point));
-            let keys: Vec<String> = hist.keys().iter().map(|k| k.to_string()).collect();
-            for key in keys {
-                let state = kv2
-                    .read(&key)
-                    .map(|rec| rec.fields.into_iter().map(|(_, v)| v).collect());
-                hist.observe(&key, state);
-            }
-            if let Err(v) = lincheck::check(&hist) {
+            let (kv2, _reports) =
+                ShardedKv::open(&pmems, true, grid_cfg(), RecoveryOptions::parallel(2))
+                    .unwrap_or_else(|e| panic!("point {}: reopen failed: {e}", out.point));
+            if let Err(v) = hist.check_recovered(|key| {
+                kv2.read(key)
+                    .map(|rec| rec.fields.into_iter().map(|(_, v)| v).collect())
+            }) {
                 panic!("point {}: durable-linearizability violation: {v}", out.point);
             }
         },
@@ -211,18 +206,9 @@ fn sharded_lincheck_wide_sweep() {
 /// Spin a fresh single-shard server, run the seeded load, return the
 /// history's invocation digest.
 fn digest_for(seed: u64) -> Vec<u8> {
-    let pmem = Pmem::new(PmemConfig::crash_sim(32 << 20));
-    let kv = ShardedKv::create(&[Arc::clone(&pmem)], 4, true, grid_cfg()).expect("create pool");
-    let shard = &kv.shards()[0];
-    let server = Server::start_replicated(
-        vec![vec![ShardHandle {
-            grid: Arc::clone(&shard.grid),
-            be: Arc::clone(&shard.be),
-            pmem: Arc::clone(&shard.pmem),
-        }]],
-        ServerConfig::default(),
-    )
-    .expect("bind server");
+    let cluster =
+        Cluster::create(1, 1, 4, PmemConfig::crash_sim(32 << 20), true).expect("create pool");
+    let server = cluster.start(ServerConfig::default()).expect("bind server");
     let cfg = LoadgenConfig {
         conns: 3,
         ops_per_conn: 50,

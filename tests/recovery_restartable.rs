@@ -9,7 +9,7 @@
 //! would have produced, no matter which worker was mid-write.
 //!
 //! Mechanically: a concurrent torture run produces a mid-flight crash
-//! image; [`jnvm_faultsim::sweep_resync`] then sweeps crash points *inside*
+//! image; [`jnvm_faultsim::sweep`] then sweeps crash points *inside*
 //! a parallel (`threads = 4`) recovery of that image — the injected crash
 //! unwinds one recovery worker, `run_workers` re-throws it from the
 //! spawning thread, and the harness resynchronizes the device cache from
@@ -31,7 +31,7 @@
 use std::sync::Arc;
 
 use jnvm_repro::faultsim::{
-    count_ops, strided_points, sweep_resync, torture_count, torture_sweep, SweepSummary,
+    count_ops, strided_points, sweep, torture_count, torture_sweep, SweepSummary,
 };
 use jnvm_repro::heap::HeapConfig;
 use jnvm_repro::jnvm::{
@@ -206,7 +206,7 @@ fn restartable_sweep(
         .expect("oracle fixpoint recovery");
     drop(oracle_rt2);
 
-    sweep_resync(
+    sweep(
         points,
         plan,
         || {

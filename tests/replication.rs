@@ -22,17 +22,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use jnvm_repro::faultsim::{replicated_torture_point, strided_points};
-use jnvm_repro::heap::HeapConfig;
+use jnvm_repro::faultsim::{strided_points, torture_point};
 use jnvm_repro::jnvm::{divergent_keys, JnvmBuilder, ReplicaSet};
 use jnvm_repro::kvstore::{
     commit_writes_replicated, register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend,
     Record, ReplLag, ReplicaStack, WriteOp,
 };
-use jnvm_repro::lincheck::{self, ClientRecorder, Clock, History, OpKind, Outcome};
-use jnvm_repro::pmem::{
-    catch_crash, silence_crash_panics, FaultPlan, Pmem, PmemConfig,
-};
+use jnvm_repro::lincheck::{ClientRecorder, Clock, History, OpKind, Outcome};
+use jnvm_repro::pmem::{catch_crash, silence_crash_panics, FaultPlan, Pmem, PmemConfig};
+use jnvm_repro::server::{Cluster, ShardHandle};
 
 const SHARDS: usize = 2;
 const CRASH_SHARD: usize = 0;
@@ -88,29 +86,6 @@ fn expect_chunk(grid: &DataGrid, shard: usize, c: usize) {
 
 // ----------------------------------------------------------------- stacks
 
-struct Cell {
-    pmem: Arc<Pmem>,
-    _rt: jnvm_repro::jnvm::Jnvm,
-    be: Arc<JnvmBackend>,
-    grid: DataGrid,
-}
-
-fn cell(label: &str) -> Cell {
-    let pmem = Pmem::new(PmemConfig::crash_sim(24 << 20).with_label(label));
-    let rt = register_kvstore(JnvmBuilder::new())
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .expect("pool");
-    let be = Arc::new(JnvmBackend::create(&rt, 4, true).expect("backend"));
-    let grid = DataGrid::new(
-        Arc::clone(&be) as Arc<dyn Backend>,
-        GridConfig {
-            cache_capacity: 0,
-            ..GridConfig::default()
-        },
-    );
-    Cell { pmem, _rt: rt, be, grid }
-}
-
 /// Reopen one replica's pool and return a readable stack.
 fn reopen(pmem: &Arc<Pmem>) -> (jnvm_repro::jnvm::Jnvm, Arc<JnvmBackend>, DataGrid) {
     let (rt, _) = register_kvstore(JnvmBuilder::new())
@@ -144,26 +119,23 @@ struct Log {
 }
 
 struct Ctx {
-    sets: Vec<ReplicaSet<Cell>>,
+    sets: Vec<ReplicaSet<ShardHandle>>,
     lags: Vec<ReplLag>,
     log: Arc<Log>,
+    /// Owns the runtimes under `sets`; declared (so dropped) after them.
+    _cluster: Cluster,
 }
 
 fn setup(log: &Arc<Log>) -> (Vec<Vec<Arc<Pmem>>>, Ctx) {
-    let mut sets = Vec::new();
-    let mut pmems = Vec::new();
-    for s in 0..SHARDS {
-        let primary = cell(&format!("s{s}/primary"));
-        let backup = cell(&format!("s{s}/backup"));
-        pmems.push(vec![Arc::clone(&primary.pmem), Arc::clone(&backup.pmem)]);
-        sets.push(ReplicaSet::new(vec![primary, backup]));
-    }
+    let cluster =
+        Cluster::create(SHARDS, 2, 4, PmemConfig::crash_sim(24 << 20), true).expect("pools");
     let ctx = Ctx {
-        sets,
+        sets: cluster.handles().into_iter().map(ReplicaSet::new).collect(),
         lags: (0..SHARDS).map(|_| ReplLag::new()).collect(),
         log: Arc::clone(log),
+        _cluster: cluster,
     };
-    (pmems, ctx)
+    (ctx._cluster.pmems().to_vec(), ctx)
 }
 
 /// Per-shard worker: commit every chunk through the replica set, failing
@@ -250,14 +222,17 @@ fn drive(shard: usize, ctx: &Ctx) {
 /// the identical deterministic workload.
 fn op_space(crash_replica: usize) -> u64 {
     let log = Arc::new(new_log());
-    let (pmems, ctx) = setup(&log);
-    let dev = Arc::clone(&pmems[CRASH_SHARD][crash_replica]);
-    dev.arm_faults(FaultPlan::count());
-    for s in 0..SHARDS {
-        drive(s, &ctx);
-    }
-    drop(ctx);
-    dev.disarm_faults()
+    let target = (CRASH_SHARD, crash_replica);
+    torture_point(
+        u64::MAX,
+        FaultPlan::count(),
+        target,
+        SHARDS,
+        || setup(&log),
+        drive,
+        |_, _| {},
+    )
+    .ops_counted
 }
 
 fn new_log() -> Log {
@@ -279,19 +254,19 @@ fn run_point(point: u64, crash_replica: usize) -> Arc<Log> {
     let log = Arc::new(new_log());
     let vlog = Arc::clone(&log);
     let slog = Arc::clone(&log);
-    replicated_torture_point(
+    torture_point(
         point,
         FaultPlan::count(),
-        CRASH_SHARD,
-        crash_replica,
+        (CRASH_SHARD, crash_replica),
+        SHARDS,
         move || setup(&slog),
         drive,
         move |pmems, out| {
             let promoted = out.injected
                 && out.crash_replica == 0
                 && vlog.promotions.load(Ordering::Relaxed) > 0;
-            // Assemble the captured history; the crash barrier precedes
-            // every post-recovery observation appended below.
+            // Assemble the captured history; it is closed over the
+            // survivors' recovered images once every shard is reopened.
             let mut hist = {
                 let recs: Vec<ClientRecorder> = vlog
                     .recorders
@@ -306,30 +281,14 @@ fn run_point(point: u64, crash_replica: usize) -> Arc<Log> {
                     .collect();
                 History::collect(vlog.clock.clone(), recs)
             };
-            hist.mark_crash();
-            let touched: std::collections::HashSet<String> =
-                hist.keys().iter().map(|k| k.to_string()).collect();
+            let mut survivors = Vec::with_capacity(SHARDS);
             for (s, shard_pmems) in pmems.iter().enumerate().take(SHARDS) {
                 let survivor = usize::from(s == out.crash_shard && promoted);
-                let (_rt, _be, grid) = reopen(&shard_pmems[survivor]);
+                let (rt, be, grid) = reopen(&shard_pmems[survivor]);
                 let pre = vlog.acked_pre[s].lock().expect("log lock").clone();
                 let post = vlog.acked_post[s].lock().expect("log lock").clone();
                 for &c in pre.iter().chain(&post) {
                     expect_chunk(&grid, s, c);
-                }
-                // The survivor's recovered state, fed to the checker as
-                // post-recovery reads of every key this shard's worker
-                // touched.
-                for c in 0..CHUNKS {
-                    for i in 0..4 {
-                        let k = key(s, c, i);
-                        if touched.contains(&k) {
-                            let state = grid
-                                .read(&k)
-                                .map(|r| r.fields.into_iter().map(|(_, v)| v).collect());
-                            hist.observe(&k, state);
-                        }
-                    }
                 }
                 if s != out.crash_shard {
                     assert_eq!(
@@ -342,7 +301,7 @@ fn run_point(point: u64, crash_replica: usize) -> Arc<Log> {
                 // promoted backup, per key.
                 if s == out.crash_shard && promoted {
                     let (_prt, pbe, _pgrid) = reopen(&shard_pmems[0]);
-                    let sbe = Arc::clone(&_be);
+                    let sbe = Arc::clone(&be);
                     let keys: Vec<String> = (0..CHUNKS)
                         .flat_map(|c| (0..4).map(move |i| key(s, c, i)))
                         .collect();
@@ -370,11 +329,20 @@ fn run_point(point: u64, crash_replica: usize) -> Arc<Log> {
                         }
                     }
                 }
+                survivors.push((rt, be, grid));
             }
             // The whole run — acked chunks, the crashing chunk's
-            // indeterminate ops, and the recovered images — must be one
-            // durably linearizable history.
-            if let Err(v) = lincheck::check(&hist) {
+            // indeterminate ops, and the survivors' recovered state (read
+            // back for every key a worker touched) — must be one durably
+            // linearizable history.
+            if let Err(v) = hist.check_recovered(|k| {
+                let s = (0..SHARDS)
+                    .find(|s| k.starts_with(&format!("s{s}-")))
+                    .expect("every key names its shard");
+                let (_rt, _be, grid) = &survivors[s];
+                grid.read(k)
+                    .map(|r| r.fields.into_iter().map(|(_, v)| v).collect())
+            }) {
                 panic!("point {point}: durable-linearizability violation: {v}");
             }
         },

@@ -15,20 +15,14 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Duration;
 
 use jnvm_repro::faultsim::strided_points;
-use jnvm_repro::heap::HeapConfig;
-use jnvm_repro::jnvm::JnvmBuilder;
-use jnvm_repro::kvstore::{
-    register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend, Record,
-};
-use jnvm_repro::pmem::{Pmem, PmemConfig};
+use jnvm_repro::kvstore::Record;
+use jnvm_repro::pmem::PmemConfig;
 use jnvm_repro::server::{
-    encode_request, handshake, kill_during_traffic, parse_reply, promotion_read_probe,
-    run_loadgen, traffic_op_count, LoadgenConfig, Reply, Request, Server, ServerConfig,
-    TortureConfig,
+    encode_request, handshake, kill_during_traffic, parse_reply, promotion_read_probe, run_loadgen,
+    traffic_op_count, Cluster, LoadgenConfig, Reply, Request, ServerConfig, TortureConfig,
 };
 
 /// Pool shards for the shared sweeps: `JNVM_SHARDS` or 1.
@@ -71,26 +65,10 @@ fn small_torture() -> TortureConfig {
 /// fenced every write individually pays ≥ 3× more and fails this.
 #[test]
 fn group_commit_amortizes_fences_under_pipelined_load() {
-    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 20));
-    let rt = register_kvstore(JnvmBuilder::new())
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .unwrap();
-    let be = Arc::new(JnvmBackend::create(&rt, 16, true).unwrap());
-    let grid = Arc::new(DataGrid::new(
-        Arc::clone(&be) as Arc<dyn Backend>,
-        GridConfig {
-            cache_capacity: 0,
-            ..GridConfig::default()
-        },
-    ));
-    let server = Server::start(
-        Arc::clone(&grid),
-        Arc::clone(&be),
-        Arc::clone(&pmem),
-        ServerConfig::default(),
-    )
-    .unwrap();
-    let before = pmem.stats();
+    let cluster =
+        Cluster::create(1, 1, 16, PmemConfig::crash_sim(256 << 20), true).expect("create pool");
+    let server = cluster.start(ServerConfig::default()).unwrap();
+    let before = cluster.device_stats();
     let load = run_loadgen(
         server.addr(),
         &LoadgenConfig {
@@ -102,7 +80,7 @@ fn group_commit_amortizes_fences_under_pipelined_load() {
     );
     let stats = server.stats();
     server.shutdown();
-    let d = pmem.stats().delta(&before);
+    let d = cluster.device_stats().delta(&before);
 
     assert_eq!(load.errors, 0, "crash-free traffic must not error");
     assert!(
@@ -121,7 +99,6 @@ fn group_commit_amortizes_fences_under_pipelined_load() {
         stats.groups,
         stats.batches
     );
-    drop(rt);
 }
 
 /// A crash point past the end of the op stream: traffic completes, nothing
@@ -144,7 +121,7 @@ fn uninjected_run_reopens_with_every_acked_write() {
 #[test]
 fn kill_during_traffic_strided_sweep() {
     let cfg = small_torture();
-    let total = traffic_op_count(&cfg);
+    let total = traffic_op_count(&cfg).expect("valid topology");
     assert!(total > 1000, "traffic too small to be interesting: {total}");
     let mut injected = 0;
     for point in strided_points(total, 5) {
@@ -167,7 +144,7 @@ fn kill_during_traffic_recovers_in_parallel() {
         recovery_threads: 4,
         ..small_torture()
     };
-    let total = traffic_op_count(&cfg);
+    let total = traffic_op_count(&cfg).expect("valid topology");
     let mut injected = 0;
     for point in strided_points(total, 3) {
         let report = kill_during_traffic(point, &cfg).unwrap_or_else(|e| panic!("{e}"));
@@ -195,7 +172,7 @@ fn sharded_kill_isolates_the_crashed_shard() {
         recovery_threads: 2,
         ..small_torture()
     };
-    let total = traffic_op_count(&cfg);
+    let total = traffic_op_count(&cfg).expect("valid topology");
     assert!(total > 200, "crash shard's op stream too small: {total}");
     // Early point: most of the traffic still ahead when the shard dies.
     let report = kill_during_traffic(total / 10, &cfg).unwrap_or_else(|e| panic!("{e}"));
@@ -253,7 +230,7 @@ fn failover_promotes_backup_and_keeps_acking() {
         recovery_threads: 2,
         ..small_torture()
     };
-    let total = traffic_op_count(&cfg);
+    let total = traffic_op_count(&cfg).expect("valid topology");
     assert!(total > 200, "primary's op stream too small: {total}");
     let report = kill_during_traffic(total / 10, &cfg).unwrap_or_else(|e| panic!("{e}"));
     assert!(report.injected, "point {} of {total} must fire", total / 10);
@@ -289,7 +266,7 @@ fn get_after_promotion_observes_last_acked_set() {
         recovery_threads: 2,
         ..small_torture()
     };
-    let total = traffic_op_count(&cfg);
+    let total = traffic_op_count(&cfg).expect("valid topology");
     let report = promotion_read_probe(total / 10, &cfg).unwrap_or_else(|e| panic!("{e}"));
     assert!(report.injected, "point {} of {total} must fire", total / 10);
     assert!(report.promotions >= 1, "the crash shard must fail over");
@@ -318,7 +295,7 @@ fn backup_crash_degrades_shard_to_solo() {
         recovery_threads: 2,
         ..small_torture()
     };
-    let total = traffic_op_count(&cfg);
+    let total = traffic_op_count(&cfg).expect("valid topology");
     assert!(total > 100, "backup's op stream too small: {total}");
     let report = kill_during_traffic(total / 4, &cfg).unwrap_or_else(|e| panic!("{e}"));
     assert!(report.injected, "point {} of {total} must fire", total / 4);
@@ -338,7 +315,7 @@ fn replicated_kill_strided_sweep() {
         replicas: 2,
         ..small_torture()
     };
-    let total = traffic_op_count(&cfg);
+    let total = traffic_op_count(&cfg).expect("valid topology");
     let mut injected = 0;
     for point in strided_points(total, 4) {
         let report = kill_during_traffic(point, &cfg).unwrap_or_else(|e| panic!("{e}"));
@@ -357,28 +334,14 @@ fn replicated_kill_strided_sweep() {
 #[test]
 fn graceful_shutdown_drains_every_queued_ticket() {
     const BURST: usize = 200;
-    let pmem = Pmem::new(PmemConfig::crash_sim(128 << 20));
-    let rt = register_kvstore(JnvmBuilder::new())
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .unwrap();
-    let be = Arc::new(JnvmBackend::create(&rt, 8, true).unwrap());
-    let grid = Arc::new(DataGrid::new(
-        Arc::clone(&be) as Arc<dyn Backend>,
-        GridConfig {
-            cache_capacity: 0,
-            ..GridConfig::default()
-        },
-    ));
-    let server = Server::start(
-        grid,
-        be,
-        Arc::clone(&pmem),
-        ServerConfig {
+    let cluster =
+        Cluster::create(1, 1, 8, PmemConfig::crash_sim(128 << 20), true).expect("create pool");
+    let server = cluster
+        .start(ServerConfig {
             batch_max: 16,
             queue_cap: 256,
-        },
-    )
-    .unwrap();
+        })
+        .unwrap();
 
     let mut a = TcpStream::connect(server.addr()).unwrap();
     a.set_nodelay(true).unwrap();
@@ -434,7 +397,38 @@ fn graceful_shutdown_drains_every_queued_ticket() {
         "every ticket must resolve exactly once"
     );
     assert_eq!(stats.acked_writes, BURST as u64, "crash-free burst must ack");
-    drop(rt);
+}
+
+/// A topology the server cannot serve, or a crash target outside it, is
+/// a descriptive `Err` from every entry point — not an index panic, and
+/// not a silently clamped experiment on some other topology.
+#[test]
+fn unservable_topology_is_an_error_not_a_panic() {
+    let off_the_end = TortureConfig {
+        pool_shards: 2,
+        crash_shard: 5,
+        ..small_torture()
+    };
+    let three_replicas = TortureConfig {
+        replicas: 3,
+        ..small_torture()
+    };
+    let backup_of_a_solo_shard = TortureConfig {
+        replicas: 1,
+        crash_replica: 1,
+        ..small_torture()
+    };
+    for (cfg, needle) in [
+        (off_the_end, "shard 5"),
+        (three_replicas, "got 3"),
+        (backup_of_a_solo_shard, "replica 1"),
+    ] {
+        let e = traffic_op_count(&cfg).expect_err("count pass must refuse");
+        assert!(e.contains("topology") && e.contains(needle), "{e}");
+        let e = kill_during_traffic(10, &cfg).expect_err("kill must refuse");
+        assert!(e.contains("topology") && e.contains(needle), "{e}");
+        assert!(promotion_read_probe(10, &cfg).is_err(), "probe must refuse");
+    }
 }
 
 /// The wide sweep for the scheduled torture job
@@ -456,7 +450,7 @@ fn kill_during_traffic_wide_sweep() {
         recovery_threads: 4,
         ..TortureConfig::default()
     };
-    let total = traffic_op_count(&cfg);
+    let total = traffic_op_count(&cfg).expect("valid topology");
     for point in strided_points(total, 40) {
         if let Err(e) = kill_during_traffic(point, &cfg) {
             panic!("{e}");
@@ -484,7 +478,7 @@ fn replicated_kill_wide_sweep() {
         recovery_threads: 4,
         ..TortureConfig::default()
     };
-    let total = traffic_op_count(&cfg);
+    let total = traffic_op_count(&cfg).expect("valid topology");
     for point in strided_points(total, 25) {
         if let Err(e) = kill_during_traffic(point, &cfg) {
             panic!("primary kill at {point}: {e}");
@@ -494,7 +488,7 @@ fn replicated_kill_wide_sweep() {
         crash_replica: 1,
         ..cfg
     };
-    let total_b = traffic_op_count(&backup_cfg);
+    let total_b = traffic_op_count(&backup_cfg).expect("valid topology");
     for point in strided_points(total_b, 10) {
         if let Err(e) = kill_during_traffic(point, &backup_cfg) {
             panic!("backup kill at {point}: {e}");
