@@ -3,7 +3,7 @@
 //! every pool-shard count.
 //!
 //! The claim under test: the single-pool server serializes every write
-//! behind ONE committer's 3-fence commit passes, so commit throughput is
+//! behind ONE committer's 4-fence commit passes, so commit throughput is
 //! bounded by one device's fence latency. With N pools the same K writes
 //! split into N disjoint streams whose fence passes run concurrently —
 //! the *critical path* (the busiest committer's device) shrinks toward

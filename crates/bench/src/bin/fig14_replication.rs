@@ -5,7 +5,7 @@
 //! The claim under test: replicating at **group granularity** keeps the
 //! acked ⇒ durable-on-both-replicas guarantee close to free in *latency*
 //! even though it doubles total fence work. Each commit group runs one
-//! §4.2 3-fence pass per device; the server streams the group to the
+//! §4.2 4-fence pass per device; the server streams the group to the
 //! backup *before* committing the primary, so the two passes overlap and
 //! a client waits for `max(backup, primary)` — not their sum. Sharding
 //! then divides the replicated critical path exactly as in fig13.

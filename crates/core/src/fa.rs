@@ -4,13 +4,24 @@
 //! During a failure-atomic block every modification — allocation, payload
 //! write, free — is recorded in a per-thread persistent log, leaving
 //! original data intact. Payload writes are redirected to **in-flight block
-//! copies**; reads observe them. Commit:
+//! copies**; reads observe them. Commit, over a group of one or more
+//! blocks' logs:
 //!
 //! 1. `pwb` all in-flight blocks and log entries (already queued), `pfence`,
-//! 2. set the log's committed flag + entry count, `pwb`, `pfence`,
-//! 3. apply: validate allocations, perform frees, copy in-flight payloads
-//!    onto the originals (no fence needed — a crash replays the log),
-//! 4. clear the committed flag, `pwb`, `pfence` (so the log is reusable).
+//! 2. set each log's committed flag + entry count, `pwb`, `pfence` — the
+//!    durability point,
+//! 3. apply: validate allocations, invalidate frees, copy in-flight
+//!    payloads onto the originals, `pwb`, `pfence` — the applies must be
+//!    durable *before* step 4, or a crash could persist the cleared flag
+//!    while losing an applied line, and nothing would replay the torn block,
+//! 4. clear each committed flag, `pwb`, `pfence` (so the logs are reusable
+//!    and the blocks the group released may be recycled).
+//!
+//! That is 4 fences per group whatever its size. The protocol is written
+//! once: [`JnvmRuntime::fa_stage`] queues step 1's write-backs,
+//! [`JnvmRuntime::fa_commit_group`] runs the fences, a solo
+//! [`JnvmRuntime::fa`] is a group of one, and steps 3–4 (`apply_and_retire`)
+//! are also what recovery runs over each log it finds committed.
 //!
 //! Updates to *invalid* objects — typically objects allocated inside the
 //! same block — are applied in place: if the block aborts, recovery deletes
@@ -21,7 +32,7 @@
 //! blocks and invalid allocations.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
@@ -178,24 +189,13 @@ impl FaManager {
             infos.push(LogInfo { slot, chain, committed, count });
         }
 
-        // Replay one committed log: apply, then persistently retire the
-        // committed flag. Both steps are idempotent, so a crash anywhere in
-        // here re-replays on the next recovery and converges — but only if
-        // the applies are durable before the retire: under partial line
-        // eviction a crash could otherwise persist the flag-clear while
-        // losing applied data, and the next recovery would skip the torn
-        // log. Hence the fence between the two steps.
-        let replay_one =
-            |info: &LogInfo, mut fp: Option<&mut Vec<(u64, u64)>>| -> Result<(), JnvmError> {
-                apply_entries(rt, &info.chain, info.count, false, fp.as_deref_mut())?;
-                pmem.pfence();
-                pmem.write_u64(info.chain.phys(LOG_COMMITTED), 0);
-                pmem.pwb(info.chain.phys(LOG_COMMITTED));
-                if let Some(fp) = fp {
-                    fp.push((info.chain.phys(LOG_COMMITTED), 8));
-                }
-                Ok(())
-            };
+        // Replay one committed log: steps 3–4 of the commit protocol. Both
+        // are idempotent, so a crash anywhere in here re-replays on the
+        // next recovery and converges.
+        let replay_one = |info: &LogInfo, retired_fp: &mut Vec<(u64, u64)>| {
+            let log = std::iter::once((&info.chain, info.count));
+            apply_and_retire(rt, log, false, retired_fp).map(drop)
+        };
 
         let committed_idx: Vec<usize> = infos
             .iter()
@@ -203,7 +203,6 @@ impl FaManager {
             .filter(|(_, i)| i.committed)
             .map(|(i, _)| i)
             .collect();
-        let collect = pmem.sanitizer_active();
         let mut thread_times: Vec<Duration> = Vec::new();
         let mut device_times: Vec<Duration> = Vec::new();
         // Retire footprint of the inline replay path, validated behind the
@@ -213,7 +212,7 @@ impl FaManager {
             let t = Instant::now();
             let before = jnvm_pmem::thread_charged_ns();
             for &li in &committed_idx {
-                replay_one(&infos[li], if collect { Some(&mut inline_fp) } else { None })?;
+                replay_one(&infos[li], &mut inline_fp)?;
             }
             device_times.push(Duration::from_nanos(jnvm_pmem::thread_charged_ns() - before));
             thread_times.push(t.elapsed());
@@ -277,14 +276,14 @@ impl FaManager {
                     let mut wfp: Vec<(u64, u64)> = Vec::new();
                     for ui in bucket {
                         for &li in &units[ui].0 {
-                            replay_one(&infos[li], if collect { Some(&mut wfp) } else { None })?;
+                            replay_one(&infos[li], &mut wfp)?;
                             n += 1;
                         }
                     }
                     // Drain this worker's retire write-backs (a persistence
                     // domain drains only its owner's queue).
                     pmem.pfence();
-                    // Everything this worker replayed is durable in its own
+                    // Every flag this worker cleared is durable in its own
                     // domain behind its own fence.
                     pmem.ordering_point("recovery-retire", &wfp);
                     Ok((n, t.elapsed()))
@@ -306,8 +305,8 @@ impl FaManager {
         }
         pmem.pfence();
         if !inline_fp.is_empty() {
-            // The inline replay's applied ranges and cleared flags are
-            // durable behind the closing fence.
+            // The inline replay's cleared flags are durable behind the
+            // closing fence.
             pmem.ordering_point("recovery-retire", &inline_fp);
         }
         Ok((replayed, abandoned, thread_times, device_times))
@@ -360,10 +359,12 @@ struct TxState {
     rt: Jnvm,
     log: LogHandle,
     count: u64,
-    /// orig block byte address -> in-flight block byte address.
-    redirects: HashMap<u64, u64>,
+    /// orig block byte address -> in-flight block byte address. Ordered
+    /// (as is `allocated`) so the flush phase issues its write-backs in
+    /// address order: crash point `i` names the same op on every run.
+    redirects: BTreeMap<u64, u64>,
     /// Master addresses allocated inside this block (written in place).
-    allocated: HashSet<u64>,
+    allocated: BTreeSet<u64>,
 }
 
 thread_local! {
@@ -525,14 +526,14 @@ fn append_entry(rt: &Jnvm, tx: &mut TxState, kind: u64, a: u64, b: u64) {
     bytes[0..8].copy_from_slice(&kind.to_le_bytes());
     bytes[8..16].copy_from_slice(&a.to_le_bytes());
     bytes[16..24].copy_from_slice(&b.to_le_bytes());
-    crate::registry::write_chain_bytes(c, pmem, logical, &bytes);
+    c.write_bytes(pmem, logical, &bytes);
     c.segments(logical, ENTRY_BYTES, |addr, len| pmem.pwb_range(addr, len));
     tx.count += 1;
 }
 
 fn read_entry(rt: &JnvmRuntime, chain: &RawChain, i: u64) -> (u64, u64, u64) {
     let mut bytes = [0u8; 24];
-    crate::registry::read_chain_bytes(chain, rt.pmem(), LOG_ENTRIES + i * ENTRY_BYTES, &mut bytes);
+    chain.read_bytes(rt.pmem(), LOG_ENTRIES + i * ENTRY_BYTES, &mut bytes);
     (
         u64::from_le_bytes(bytes[0..8].try_into().expect("slice of 8")),
         u64::from_le_bytes(bytes[8..16].try_into().expect("slice of 8")),
@@ -540,8 +541,12 @@ fn read_entry(rt: &JnvmRuntime, chain: &RawChain, i: u64) -> (u64, u64, u64) {
     )
 }
 
-/// Blocks a commit may hand back to the shared allocator only once its log
-/// is durably retired (see `apply_entries`).
+/// Blocks a live commit may hand back to the shared allocator only once
+/// its log is durably retired. Releasing them earlier is a race: another
+/// thread can pop such a block from the volatile free queue and scribble
+/// on it while the log is still committed on media — a crash in that
+/// window replays the log and copies the scribbles (or re-invalidates the
+/// other thread's allocation) onto committed state.
 #[derive(Default)]
 struct DeferredReclaim {
     /// Master addresses the block freed (`KIND_FREE`).
@@ -550,61 +555,83 @@ struct DeferredReclaim {
     inflight: Vec<u64>,
 }
 
-/// Apply the first `count` entries of a log. `runtime_commit` is true when
-/// called from a live commit; false during post-crash replay (the recovery
-/// GC reclaims in-flight copies and freed masters there).
+/// Steps 3–4 of the commit protocol over durably committed `logs`
+/// (`(chain, entry count)` each): apply every log's entries, fence, and
+/// only then clear each committed flag and queue its write-back. The
+/// caller owns the closing fence and declares `retired_fp` (the cleared
+/// flags, collected only while the sanitizer is on) behind it.
+/// `runtime_commit` is true on a live commit, which then releases the
+/// returned blocks; false during post-crash replay, where the recovery GC
+/// reclaims in-flight copies and freed masters.
 ///
-/// On a live commit the in-flight copies and the freed masters are **not**
-/// released here but returned for the caller to release *after* the log's
-/// committed flag is durably cleared. Releasing them earlier is a race:
-/// another thread can pop such a block from the volatile free queue and
-/// scribble on it while the log is still committed on media — a crash in
-/// that window replays the log and copies the scribbles (or re-invalidates
-/// the other thread's allocation) onto committed state.
-fn apply_entries(
+/// The applies must be durable before the flag clears: under partial line
+/// eviction a crash could otherwise persist a flag-clear while losing
+/// applied data, and — the log no longer being committed — nothing would
+/// ever replay the torn block. Hence the fence between the two steps,
+/// convicted by the ordering point right behind it.
+fn apply_and_retire<'a>(
     rt: &Jnvm,
-    chain: &RawChain,
-    count: u64,
+    logs: impl Iterator<Item = (&'a RawChain, u64)> + Clone,
     runtime_commit: bool,
-    mut footprint: Option<&mut Vec<(u64, u64)>>,
+    retired_fp: &mut Vec<(u64, u64)>,
 ) -> Result<DeferredReclaim, JnvmError> {
     let pmem = rt.pmem();
     let heap = rt.heap();
-    let psize = heap.payload_size() as usize;
-    let mut buf = vec![0u8; psize];
+    let collect = pmem.sanitizer_active();
+    let mut applied_fp: Vec<(u64, u64)> = Vec::new();
+    let mut applied = |addr, len| {
+        if collect {
+            applied_fp.push((addr, len));
+        }
+    };
     let mut deferred = DeferredReclaim::default();
-    for i in 0..count {
-        let (kind, a, b) = read_entry(rt, chain, i);
-        match kind {
-            KIND_ALLOC => {
-                rt.set_valid_addr(a, true);
-                if let Some(fp) = footprint.as_deref_mut() {
-                    fp.push((a, 8));
+    let psize = heap.payload_size();
+    let mut buf = vec![0u8; psize as usize];
+    for (chain, count) in logs.clone() {
+        for i in 0..count {
+            let (kind, a, b) = read_entry(rt, chain, i);
+            match kind {
+                KIND_ALLOC => {
+                    rt.set_valid_addr(a, true);
+                    applied(a, 8);
                 }
+                KIND_FREE => deferred.frees.push(a),
+                KIND_WRITE => {
+                    pmem.read_bytes(b + 8, &mut buf);
+                    pmem.write_bytes(a + 8, &buf);
+                    pmem.pwb_range(a + 8, psize);
+                    if runtime_commit {
+                        deferred.inflight.push(heap.block_of_addr(b));
+                    }
+                    applied(a + 8, psize);
+                }
+                other => return Err(JnvmError::CorruptLog { kind: other }),
             }
-            KIND_FREE => deferred.frees.push(a),
-            KIND_WRITE => {
-                pmem.read_bytes(b + 8, &mut buf);
-                pmem.write_bytes(a + 8, &buf);
-                pmem.pwb_range(a + 8, psize as u64);
-                if runtime_commit {
-                    deferred.inflight.push(heap.block_of_addr(b));
-                }
-                if let Some(fp) = footprint.as_deref_mut() {
-                    fp.push((a + 8, psize as u64));
-                }
+        }
+        if !runtime_commit {
+            // During replay only invalidate persistently; the GC rebuilds
+            // the free queue afterwards.
+            for a in deferred.frees.drain(..) {
+                rt.set_valid_addr(a, false);
+                applied(a, 8);
             }
-            other => return Err(JnvmError::CorruptLog { kind: other }),
         }
     }
-    if !runtime_commit {
-        // During replay only invalidate persistently; the GC rebuilds the
-        // free queue afterwards.
-        for a in deferred.frees.drain(..) {
-            rt.set_valid_addr(a, false);
-            if let Some(fp) = footprint.as_deref_mut() {
-                fp.push((a, 8));
-            }
+    pmem.pfence();
+    let label = if runtime_commit {
+        "fa-retire"
+    } else {
+        "recovery-retire"
+    };
+    pmem.ordering_point(label, &applied_fp);
+    if runtime_commit {
+        set_phase(CommitPhase::Retire);
+    }
+    for (chain, _) in logs {
+        pmem.write_u64(chain.phys(LOG_COMMITTED), 0);
+        pmem.pwb(chain.phys(LOG_COMMITTED));
+        if collect {
+            retired_fp.push((chain.phys(LOG_COMMITTED), 8));
         }
     }
     Ok(deferred)
@@ -621,28 +648,8 @@ impl JnvmRuntime {
     /// Panics if a block from *another* runtime is active on this thread,
     /// or on persistent-heap exhaustion.
     pub fn fa<R>(self: &Arc<Self>, f: impl FnOnce() -> R) -> R {
-        let outermost = depth() == 0;
-        // A solo block is a stage plus a group-of-one commit: span its
-        // mutate phase as `fa_stage` and its commit as `fa_commit_group`
-        // so staged and direct commits render alike on a timeline.
-        let obs_begin = if outermost {
-            jnvm_obs::span_begin()
-        } else {
-            jnvm_obs::NOT_TRACING
-        };
-        if outermost {
-            set_phase(CommitPhase::Mutate);
-            let log = self.fa_manager().acquire_log(self);
-            TX.with(|tx| {
-                *tx.borrow_mut() = Some(TxState {
-                    rt: Arc::clone(self),
-                    log,
-                    count: 0,
-                    redirects: HashMap::new(),
-                    allocated: HashSet::new(),
-                });
-            });
-        } else {
+        if depth() > 0 {
+            // Nested: `f` runs in place, the outermost block commits it.
             TX.with(|tx| {
                 let tx = tx.borrow();
                 let tx = tx.as_ref().expect("depth > 0 implies an active transaction");
@@ -651,36 +658,11 @@ impl JnvmRuntime {
                     "failure-atomic block active on a different runtime"
                 );
             });
+            return f();
         }
-        TX_DEPTH.with(|d| d.set(d.get() + 1));
-        // Abort on unwind.
-        struct Guard<'a> {
-            rt: &'a Arc<JnvmRuntime>,
-            outermost: bool,
-            committed: bool,
-        }
-        impl Drop for Guard<'_> {
-            fn drop(&mut self) {
-                TX_DEPTH.with(|d| d.set(d.get() - 1));
-                if self.outermost && !self.committed {
-                    abort_tx(self.rt);
-                }
-            }
-        }
-        let mut guard = Guard {
-            rt: self,
-            outermost,
-            committed: false,
-        };
-        let r = f();
-        if guard.outermost {
-            jnvm_obs::span_end(jnvm_obs::SpanKind::FaStage, obs_begin);
-            let obs_commit = jnvm_obs::span_begin();
-            commit_tx(self);
-            jnvm_obs::span_end(jnvm_obs::SpanKind::FaCommitGroup, obs_commit);
-            guard.committed = true;
-        }
-        drop(guard);
+        // A solo block is a commit group of one.
+        let (tx, r) = self.fa_stage(f);
+        self.fa_commit_group(vec![tx]);
         r
     }
 
@@ -697,7 +679,7 @@ impl JnvmRuntime {
     /// queued for write-back, but no fence is issued and the log is not
     /// committed. The returned [`StagedTx`] must be handed to
     /// [`JnvmRuntime::fa_commit_group`] (with any number of siblings) to
-    /// make the block durable behind a *shared* pair of fences — the group
+    /// make the block durable behind a *shared* pass of fences — the group
     /// commit of the server write path. Dropping the handle aborts the
     /// block as if `f` had panicked.
     ///
@@ -724,24 +706,26 @@ impl JnvmRuntime {
                 rt: Arc::clone(self),
                 log,
                 count: 0,
-                redirects: HashMap::new(),
-                allocated: HashSet::new(),
+                redirects: BTreeMap::new(),
+                allocated: BTreeSet::new(),
             });
         });
         TX_DEPTH.with(|d| d.set(1));
-        struct Guard<'a> {
-            rt: &'a Arc<JnvmRuntime>,
+        struct Guard {
             done: bool,
         }
-        impl Drop for Guard<'_> {
+        impl Drop for Guard {
             fn drop(&mut self) {
                 TX_DEPTH.with(|d| d.set(0));
                 if !self.done {
-                    abort_tx(self.rt);
+                    // `f` unwound: abort the block it was building.
+                    if let Some(state) = TX.with(|tx| tx.borrow_mut().take()) {
+                        abort_state(state);
+                    }
                 }
             }
         }
-        let mut guard = Guard { rt: self, done: false };
+        let mut guard = Guard { done: false };
         let r = f();
         guard.done = true;
         drop(guard);
@@ -751,7 +735,7 @@ impl JnvmRuntime {
         // staging thread, so the group's single step-1 fence covers them
         // (per-thread persistence domains drain only the caller's queue).
         set_phase(CommitPhase::FlushInflight);
-        flush_staged(self, &state);
+        staged_ranges(self, &state, |addr, len| self.pmem().pwb_range(addr, len));
         jnvm_obs::span_end(jnvm_obs::SpanKind::FaStage, obs_begin);
         (
             StagedTx {
@@ -767,9 +751,10 @@ impl JnvmRuntime {
     /// step-1 fence covers every block's in-flight payloads, a single
     /// commit-point fence makes the whole group durable (this is the
     /// group's *durability point* — an acknowledgement released after this
-    /// call covers every block in the group), the blocks are applied, and
-    /// a single retire fence closes the pass. `K` independent commits thus
-    /// cost 3 fences instead of `3K`.
+    /// call covers every block in the group), the blocks are applied
+    /// behind a single apply fence (the applies must be durable before any
+    /// committed flag clears), and a single retire fence closes the pass.
+    /// `K` independent commits thus cost 4 fences instead of `4K`.
     ///
     /// Blocks that staged no mutations are released for free. The order of
     /// `group` is the apply order; footprints must be pairwise disjoint
@@ -842,44 +827,22 @@ impl JnvmRuntime {
             }
         }
         pmem.ordering_point("fa-commit", &commit_fp);
-        // 3. Apply every block (fence-free: a crash replays the logs).
+        // 3–4. Apply every block, fence, clear every flag; then retire all
+        // logs behind one closing fence.
         set_phase(CommitPhase::Apply);
-        let mut retire_fp: Vec<(u64, u64)> = Vec::new();
-        let deferred: Vec<DeferredReclaim> = states
-            .iter()
-            .map(|st| {
-                apply_entries(
-                    self,
-                    &st.log.chain,
-                    st.count,
-                    true,
-                    if collect { Some(&mut retire_fp) } else { None },
-                )
-                .expect("entries written by this commit are well-formed")
-            })
-            .collect();
-        // 4. Retire all logs behind one fence.
-        set_phase(CommitPhase::Retire);
-        for st in &states {
-            pmem.write_u64(st.log.chain.phys(LOG_COMMITTED), 0);
-            pmem.pwb(st.log.chain.phys(LOG_COMMITTED));
-            if collect {
-                retire_fp.push((st.log.chain.phys(LOG_COMMITTED), 8));
-            }
-        }
+        let logs = states.iter().map(|st| (&st.log.chain, st.count));
+        let mut retired_fp: Vec<(u64, u64)> = Vec::new();
+        let deferred = apply_and_retire(self, logs, true, &mut retired_fp)
+            .expect("entries written by this commit are well-formed");
         pmem.pfence();
-        // Every applied range and cleared flag is durable behind the one
-        // retire fence.
-        pmem.ordering_point("fa-retire", &retire_fp);
-        // Only now — no log can replay again — may released blocks re-enter
-        // the shared allocator (same rule as the single-block commit).
-        for d in deferred {
-            for a in d.frees {
-                self.free_addr_now(a);
-            }
-            for b in d.inflight {
-                heap.push_free(b);
-            }
+        pmem.ordering_point("fa-retire", &retired_fp);
+        // Only now — the retire is durable, no log can replay again — may
+        // the blocks this group released re-enter the shared allocator.
+        for a in deferred.frees {
+            self.free_addr_now(a);
+        }
+        for b in deferred.inflight {
+            heap.push_free(b);
         }
         for st in states {
             self.fa_manager().release_log(st.log);
@@ -921,10 +884,11 @@ impl std::fmt::Debug for StagedTx {
     }
 }
 
-/// Step 1 of the commit protocol without its fence: queue the write-back
-/// of the block's in-flight copies and fresh allocations.
-fn flush_staged(rt: &Jnvm, state: &TxState) {
-    let pmem = rt.pmem();
+/// What step 1 of the commit protocol must persist for a staged block, as
+/// `(address, length)` ranges in address order: its in-flight copies and
+/// the objects it allocated (written in place with their own flushes
+/// suppressed by the mediation — the commit owns their write-back).
+fn staged_ranges(rt: &Jnvm, state: &TxState, mut f: impl FnMut(u64, u64)) {
     let heap = rt.heap();
     for inflight in state.redirects.values() {
         // Invariant: the in-flight header was zeroed by `redirect_write`
@@ -932,128 +896,35 @@ fn flush_staged(rt: &Jnvm, state: &TxState) {
         // — recovery identifies in-flight copies as reclaimable precisely
         // by their zero header — and that must hold even if the header
         // ever stops sharing a cache line with the payload's first bytes,
-        // so flush it explicitly rather than relying on the range below.
-        pmem.pwb(*inflight);
-        pmem.pwb_range(inflight + 8, heap.payload_size());
+        // so it is a range of its own rather than riding the payload's.
+        f(*inflight, 8);
+        f(inflight + 8, heap.payload_size());
     }
     for master in &state.allocated {
         if rt.pools().is_pooled_addr(*master) {
-            pmem.pwb_range(*master, 8 + rt.pools().slot_payload(*master));
+            f(*master, 8 + rt.pools().slot_payload(*master));
         } else {
             for b in heap.chain_blocks(heap.block_of_addr(*master)) {
-                pmem.pwb_range(heap.block_addr(b), heap.block_size());
+                f(heap.block_addr(b), heap.block_size());
             }
         }
     }
 }
 
 /// The durable footprint a staged block's commit point is responsible
-/// for, declared to the persist-ordering sanitizer: in-flight copies,
-/// fresh allocations, the log entries and the committed-flag/count words.
-/// Only built when the sanitizer is on (see [`jnvm_pmem::Pmem::sanitizer_active`]).
+/// for, declared to the persist-ordering sanitizer: what step 1 flushed,
+/// the log entries and the committed-flag/count words. Only built when the
+/// sanitizer is on (see [`jnvm_pmem::Pmem::sanitizer_active`]).
 fn staged_footprint(rt: &Jnvm, state: &TxState, fp: &mut Vec<(u64, u64)>) {
-    let heap = rt.heap();
-    for inflight in state.redirects.values() {
-        fp.push((*inflight, 8));
-        fp.push((inflight + 8, heap.payload_size()));
-    }
-    for master in &state.allocated {
-        if rt.pools().is_pooled_addr(*master) {
-            fp.push((*master, 8 + rt.pools().slot_payload(*master)));
-        } else {
-            for b in heap.chain_blocks(heap.block_of_addr(*master)) {
-                fp.push((heap.block_addr(b), heap.block_size()));
-            }
-        }
-    }
+    staged_ranges(rt, state, |addr, len| fp.push((addr, len)));
     let c = &state.log.chain;
     c.segments(LOG_ENTRIES, state.count * ENTRY_BYTES, |addr, len| fp.push((addr, len)));
     fp.push((c.phys(LOG_COMMITTED), 8));
     fp.push((c.phys(LOG_COUNT), 8));
 }
 
-fn commit_tx(rt: &Jnvm) {
-    let state = TX.with(|tx| tx.borrow_mut().take().expect("commit without transaction"));
-    let pmem = rt.pmem();
-    let heap = rt.heap();
-    if state.count == 0 {
-        rt.fa_manager().release_log(state.log);
-        set_phase(CommitPhase::Idle);
-        return;
-    }
-    set_phase(CommitPhase::FlushInflight);
-    // 1. In-flight payloads reach the write-pending queue (entries already
-    //    have). Objects *allocated* in this block were written in place
-    //    with their explicit flushes suppressed by the mediation — the
-    //    commit owns their write-back ("all the persistent stores of a
-    //    block are propagated to NVMM at the end of the block", §3.2.2).
-    //    Then everything is fenced.
-    flush_staged(rt, &state);
-    pmem.pfence();
-    // 2. Commit point.
-    set_phase(CommitPhase::CommitPoint);
-    pmem.write_u64(state.log.chain.phys(LOG_COUNT), state.count);
-    pmem.write_u64(state.log.chain.phys(LOG_COMMITTED), 1);
-    pmem.pwb(state.log.chain.phys(LOG_COMMITTED));
-    pmem.pwb(state.log.chain.phys(LOG_COUNT));
-    pmem.pfence();
-    // The block is durably committed: everything it staged, its log
-    // entries and the committed flag must all be persisted here.
-    let collect = pmem.sanitizer_active();
-    let mut commit_fp: Vec<(u64, u64)> = Vec::new();
-    if collect {
-        staged_footprint(rt, &state, &mut commit_fp);
-    }
-    pmem.ordering_point("fa-commit", &commit_fp);
-    // 3. Apply (fence-free: a crash replays the committed log).
-    set_phase(CommitPhase::Apply);
-    let mut retire_fp: Vec<(u64, u64)> = Vec::new();
-    let deferred = apply_entries(
-        rt,
-        &state.log.chain,
-        state.count,
-        true,
-        if collect { Some(&mut retire_fp) } else { None },
-    )
-    .expect("entries written by this commit are well-formed");
-    // 4. Retire the log before reuse.
-    set_phase(CommitPhase::Retire);
-    pmem.write_u64(state.log.chain.phys(LOG_COMMITTED), 0);
-    pmem.pwb(state.log.chain.phys(LOG_COMMITTED));
-    pmem.pfence();
-    // The retire is durable: the applied state and the cleared flag must
-    // be persisted before any released block re-enters the allocator.
-    if collect {
-        retire_fp.push((state.log.chain.phys(LOG_COMMITTED), 8));
-    }
-    pmem.ordering_point("fa-retire", &retire_fp);
-    // Only now — the retire is durable, the log can never replay again —
-    // may the blocks this commit released re-enter the shared allocator.
-    for a in deferred.frees {
-        rt.free_addr_now(a);
-    }
-    for b in deferred.inflight {
-        heap.push_free(b);
-    }
-    rt.fa_manager().release_log(state.log);
-    set_phase(CommitPhase::Idle);
-}
-
-fn abort_tx(rt: &Jnvm) {
-    // `commit_tx` takes the state before its first step, so an unwind out
-    // of the commit sequence itself (e.g. an injected crash between two
-    // `pwb`s) reaches the guard with no transaction left. There is nothing
-    // to abort then: depending on where the crash hit, either recovery
-    // abandons the uncommitted log or replays the committed one.
-    let Some(state) = TX.with(|tx| tx.borrow_mut().take()) else {
-        return;
-    };
-    debug_assert!(Arc::ptr_eq(&state.rt, rt));
-    abort_state(state);
-}
-
-/// Abort a block from its captured state (shared by the in-TLS abort path
-/// and [`StagedTx`]'s drop).
+/// Abort a block from its captured state (shared by a stage whose closure
+/// unwound and [`StagedTx`]'s drop).
 fn abort_state(state: TxState) {
     let TxState { rt, log, redirects, allocated, .. } = state;
     let heap = rt.heap();
@@ -1084,7 +955,7 @@ mod tests {
             .count() as u64
     }
 
-    /// Regression: `commit_tx` used to hand in-flight copies and freed
+    /// Regression: the commit used to hand in-flight copies and freed
     /// masters back to the volatile allocator during apply, *before* the
     /// log's committed flag was durably cleared. Another thread could then
     /// allocate such a block and scribble on it; a crash in that window
@@ -1194,8 +1065,9 @@ mod tests {
         (pmem, rt, objs)
     }
 
-    /// A group of K staged blocks commits behind 3 fences total, not 3K,
-    /// and every block's effect lands.
+    /// A group of K staged blocks commits behind 4 fences total, not 4K
+    /// (flush, commit point, apply — durable before any flag clears —,
+    /// retire), and every block's effect lands.
     #[test]
     fn group_commit_amortizes_fences() {
         let (pmem, rt, objs) = stage_setup();
@@ -1215,7 +1087,7 @@ mod tests {
         }
         rt.fa_commit_group(group);
         let d = pmem.stats().delta(&before);
-        assert_eq!(d.pfences, 3, "K staged blocks share one 3-fence pass");
+        assert_eq!(d.pfences, 4, "K staged blocks share one 4-fence pass");
         for (i, obj) in objs.iter().enumerate() {
             assert_eq!(obj.read_u64(0), 100 + i as u64);
         }

@@ -181,7 +181,7 @@ impl ClassRegistry {
             // Entries are 64-byte aligned within the payload and never
             // straddle a block (payload 248 is not a multiple of 64, so use
             // segment-safe reads).
-            read_chain_bytes(&chain, pmem, base + 8, &mut name);
+            chain.read_bytes(pmem, base + 8, &mut name);
             let name = String::from_utf8_lossy(&name).into_owned();
             persisted.insert(name, id);
         }
@@ -232,7 +232,7 @@ impl ClassRegistry {
         let base = 16 + count * ENTRY_BYTES;
         pmem.write_u16(chain.phys(base), id);
         pmem.write_u16(chain.phys(base + 2), ops.name.len() as u16);
-        write_chain_bytes(&chain, pmem, base + 8, ops.name.as_bytes());
+        chain.write_bytes(pmem, base + 8, ops.name.as_bytes());
         chain.segments(base, ENTRY_BYTES, |addr, len| pmem.pwb_range(addr, len));
         // Entry persists before the count that publishes it.
         pmem.pfence();
@@ -250,34 +250,6 @@ impl std::fmt::Debug for ClassRegistry {
             .field("classes", &self.by_name)
             .finish()
     }
-}
-
-/// Read bytes from a chain at a logical offset (segment-safe).
-pub(crate) fn read_chain_bytes(
-    chain: &RawChain,
-    pmem: &jnvm_pmem::Pmem,
-    logical: u64,
-    out: &mut [u8],
-) {
-    let mut done = 0usize;
-    chain.segments(logical, out.len() as u64, |addr, len| {
-        pmem.read_bytes(addr, &mut out[done..done + len as usize]);
-        done += len as usize;
-    });
-}
-
-/// Write bytes to a chain at a logical offset (segment-safe, no flush).
-pub(crate) fn write_chain_bytes(
-    chain: &RawChain,
-    pmem: &jnvm_pmem::Pmem,
-    logical: u64,
-    data: &[u8],
-) {
-    let mut done = 0usize;
-    chain.segments(logical, data.len() as u64, |addr, len| {
-        pmem.write_bytes(addr, &data[done..done + len as usize]);
-        done += len as usize;
-    });
 }
 
 /// Read the class id of the object at `addr` (pooled or block).

@@ -47,7 +47,7 @@ fn entry_key(rt: &JnvmRuntime, entry_addr: u64) -> String {
     let pmem = rt.pmem();
     let len = pmem.read_u64(chain.phys(8)) as usize;
     let mut buf = vec![0u8; len.min(KEY_MAX)];
-    crate::registry::read_chain_bytes(&chain, pmem, 16, &mut buf);
+    chain.read_bytes(pmem, 16, &mut buf);
     String::from_utf8_lossy(&buf).into_owned()
 }
 

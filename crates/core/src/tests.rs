@@ -294,15 +294,32 @@ fn fa_abort_on_panic_rolls_back() {
     rt.pfence();
     let rt2 = Arc::clone(&rt);
     let s2 = s.clone();
+    // Allocatable blocks, up to a constant: the free queue plus everything
+    // past the bump index.
+    let avail = || {
+        let st = rt.heap().stats();
+        st.free_queue_len as i64 - st.bump as i64
+    };
+    rt.fa(|| s.set_x(1)); // warm-up: this thread's redo log now exists
+    let avail_before = avail();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         rt2.fa(|| {
             s2.set_x(99);
+            Simple::alloc_uninit(&rt2);
             panic!("boom");
         })
     }));
     assert!(result.is_err());
     assert_eq!(s.x(), 1, "aborted block leaves state untouched");
     assert_eq!(crate::fa_depth(), 0, "depth restored after abort");
+    assert_eq!(
+        avail(),
+        avail_before,
+        "abort releases the in-flight copy and the fresh allocation"
+    );
+    // The aborted block left nothing behind: the next one commits normally.
+    rt.fa(|| s.set_x(2));
+    assert_eq!(s.x(), 2);
 }
 
 #[test]
@@ -369,6 +386,24 @@ fn fa_nested_blocks_fold() {
     });
     assert_eq!(s.x(), 3);
     assert_eq!(crate::fa_depth(), 0);
+    // Same inside a staged block: the nested `fa` neither commits nor
+    // ends the stage.
+    let (tx, ()) = rt.fa_stage(|| {
+        rt.fa(|| s.set_x(4));
+        assert_eq!(crate::fa_depth(), 1);
+        s.set_x(5);
+    });
+    assert_eq!(tx.op_count(), 1, "both writes redirect the one block once");
+    drop(tx);
+    assert_eq!(s.x(), 3, "the nested write was staged, not committed");
+}
+
+#[test]
+#[should_panic(expected = "failure-atomic block active on a different runtime")]
+fn fa_on_a_second_runtime_inside_a_block_panics() {
+    let (_p1, rt1) = fresh(1 << 20);
+    let (_p2, rt2) = fresh(1 << 20);
+    rt1.fa(|| rt2.fa(|| ()));
 }
 
 #[test]

@@ -70,11 +70,7 @@ impl VolatileBackend {
     }
 
     fn shard(&self, key: &str) -> &RwLock<HashMap<String, Record>> {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in key.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-        &self.map[(h as usize) % self.map.len()]
+        &self.map[(crate::fnv1a(key) as usize) % self.map.len()]
     }
 }
 

@@ -75,11 +75,7 @@ impl DataGrid {
     /// Exposed so the group committer can detect same-stripe conflicts and
     /// hold the same locks the direct-call paths take.
     pub(crate) fn stripe_index(&self, key: &str) -> usize {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in key.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-        (h as usize) % self.locks.len()
+        (crate::fnv1a(key) as usize) % self.locks.len()
     }
 
     /// The stripe lock at `idx` (from [`DataGrid::stripe_index`]).

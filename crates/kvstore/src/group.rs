@@ -1,7 +1,9 @@
 //! Group commit over the J-PFA redo log: stage many independent
 //! failure-atomic writes on one thread, then make them durable behind a
-//! *shared* pair of fences instead of three fences each (the amortization
-//! argument of persistent software combining, applied to the §4.2 log).
+//! *shared* pass of four fences instead of four fences each (the
+//! amortization argument of persistent software combining, applied to the
+//! §4.2 log; the fourth fence makes the applies durable before the logs
+//! retire).
 //!
 //! ## Exclusive-writer contract
 //!
@@ -66,7 +68,8 @@ impl WriteOp {
 pub struct BatchOutcome {
     /// Per-op success, parallel to the input slice.
     pub results: Vec<bool>,
-    /// Commit groups issued (each costs 3 ordering fences on the FA path).
+    /// Commit groups issued (each costs 4 ordering fences on the FA path:
+    /// flush, commit point, apply — durable before retire —, retire).
     pub groups: usize,
 }
 
@@ -75,7 +78,7 @@ pub struct BatchOutcome {
 /// `be` must be the backend `grid` was built over. On the J-PFA flavour
 /// each op is staged as its own failure-atomic block and whole groups are
 /// committed behind shared fences; when every op in the batch lands in one
-/// group, the batch costs 3 fences total instead of 3 per op. Ops that
+/// group, the batch costs 4 fences total instead of 4 per op. Ops that
 /// conflict (same lock stripe, or two structural ops on one shard) are
 /// deferred to a later group of the same call, preserving per-key order.
 ///
@@ -148,7 +151,8 @@ pub fn commit_writes(grid: &DataGrid, be: &JnvmBackend, ops: &[WriteOp]) -> Batc
             staged.push(tx);
         }
 
-        // The group's durability point: 3 fences for `committed` ops.
+        // The group's durability point: 4 fences for `committed` ops
+        // (the applies are durable before the logs retire).
         // `fa_commit_group` declares the log/object footprints itself
         // ("fa-commit"/"fa-retire"); this label only marks the ack point.
         rt.fa_commit_group(staged);
@@ -206,9 +210,10 @@ mod tests {
         let d = pmem.stats().delta(&before);
         assert!(out.results.iter().all(|&r| r));
         // Ops spread over 8 shards ⇒ more than one group, but far fewer
-        // than one per op; each group costs 3 fences.
+        // than one per op; each group costs 4 fences (the applies are
+        // durable before the logs retire).
         assert!(out.groups < ops.len(), "no grouping happened: {out:?}");
-        assert_eq!(d.pfences, 3 * out.groups as u64);
+        assert_eq!(d.pfences, 4 * out.groups as u64);
         for i in 0..16 {
             assert_eq!(grid.read(&format!("k{i:02}")).unwrap().fields[0].1, b"v");
         }

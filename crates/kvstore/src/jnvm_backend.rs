@@ -203,15 +203,19 @@ impl JnvmBackend {
     }
 
     pub(crate) fn shard_index(&self, key: &str) -> usize {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in key.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-        (h as usize) % self.shards.len()
+        (crate::fnv1a(key) as usize) % self.shards.len()
     }
 
     fn shard(&self, key: &str) -> &PStringHashMap {
         &self.shards[self.shard_index(key)]
+    }
+
+    /// The persistent record stored under `key`, if any (block or pooled).
+    fn lookup(&self, key: &str) -> Option<PRecord> {
+        Some(match self.shard(key).get_value(&key.to_string())? {
+            PValue::Block(proxy) => PRecord::from_proxy(proxy),
+            PValue::Pooled(addr) => PRecord::resurrect(&self.rt, addr),
+        })
     }
 
     fn with_fa<R>(&self, f: impl FnOnce() -> R) -> R {
@@ -251,14 +255,8 @@ impl JnvmBackend {
 
     /// Field-update body; same caller contract as [`JnvmBackend::do_put`].
     fn do_set_field(&self, key: &str, field: usize, value: &[u8]) -> bool {
-        let Some(pv) = self.shard(key).get_value(&key.to_string()) else {
-            return false;
-        };
-        let prec = match pv {
-            PValue::Block(proxy) => PRecord::from_proxy(proxy),
-            PValue::Pooled(addr) => PRecord::resurrect(&self.rt, addr),
-        };
-        prec.set_field(field as u64, value).unwrap_or(false)
+        self.lookup(key)
+            .is_some_and(|prec| prec.set_field(field as u64, value).unwrap_or(false))
     }
 
     /// Removal body; same caller contract as [`JnvmBackend::do_put`].
@@ -307,24 +305,15 @@ impl Backend for JnvmBackend {
     }
 
     fn read(&self, key: &str) -> Option<Record> {
-        let value = self.shard(key).get_value(&key.to_string())?;
-        let prec = match value {
-            PValue::Block(proxy) => PRecord::from_proxy(proxy),
-            PValue::Pooled(addr) => PRecord::resurrect(&self.rt, addr),
-        };
-        Some(prec.to_record(key))
+        Some(self.lookup(key)?.to_record(key))
     }
 
     fn read_touch(&self, key: &str) -> bool {
         // The client holds the persistent record: touch every field
         // through its proxy (read the blob length words) without copying
         // the contents out of NVMM.
-        let Some(pv) = self.shard(key).get_value(&key.to_string()) else {
+        let Some(prec) = self.lookup(key) else {
             return false;
-        };
-        let prec = match pv {
-            PValue::Block(proxy) => PRecord::from_proxy(proxy),
-            PValue::Pooled(addr) => PRecord::resurrect(&self.rt, addr),
         };
         let n = prec.nfields();
         let mut checksum = 0u64;

@@ -45,6 +45,18 @@ pub use repl::{commit_writes_replicated, ReplLag, ReplicaStack};
 pub use sharded::{shard_for_key, KvShard, ShardedKv};
 pub use simfs::{FsBackend, SimFs, TmpfsBackend};
 
+/// 64-bit FNV-1a over the key bytes: the one key hash behind pool routing
+/// ([`shard_for_key`]), map-shard choice and lock striping. Its reductions
+/// are **on-media layout** (a reopened image routes by it), so it must
+/// never change — `shard_for_key_golden_values_are_pinned` holds it.
+fn fnv1a(key: &str) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for b in key.bytes() {
+        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
 /// Simulated software costs (nanoseconds) of the non-J-NVM access paths.
 ///
 /// Calibrated to the per-operation costs the paper reports or cites: a DAX

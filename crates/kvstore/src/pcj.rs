@@ -48,11 +48,7 @@ impl PcjBackend {
     }
 
     fn shard(&self, key: &str) -> &PStringHashMap {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in key.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-        &self.shards[(h as usize) % self.shards.len()]
+        &self.shards[(crate::fnv1a(key) as usize) % self.shards.len()]
     }
 
     fn jni(&self) {

@@ -3,7 +3,8 @@
 //!
 //! The replication unit is the commit group (PR 3): one group = one
 //! §4.2 fence pass per device, so replicating at group granularity pays
-//! the backup's 3 fences once per batch, not per write — the Persistent
+//! the backup's 4 fences (the applies are durable before the logs
+//! retire) once per batch, not per write — the Persistent
 //! Software Combining argument applied across devices.
 //!
 //! [`commit_writes_replicated`] is the in-process form used by the

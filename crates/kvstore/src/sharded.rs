@@ -24,11 +24,7 @@ use crate::jnvm_backend::{register_kvstore, JnvmBackend};
 /// standard key hash). Stable across runs and processes: the reopen path
 /// must route every key to the shard that stored it.
 pub fn shard_for_key(key: &str, nshards: usize) -> usize {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in key.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    (h as usize) % nshards.max(1)
+    (crate::fnv1a(key) as usize) % nshards.max(1)
 }
 
 /// One pool shard's full stack.
@@ -173,8 +169,8 @@ mod tests {
     /// reduced mod the shard count — and it is **on-media layout**. A
     /// multi-pool image reopened after a silent hash change would scatter
     /// every key to the wrong shard's recovery pass. These values were
-    /// computed independently from the FNV-1a reference parameters
-    /// (offset 0xcbf29ce484222325, prime 0x100000001b3); they must never
+    /// computed independently from the 64-bit FNV-1a reference parameters
+    /// (the offset basis and prime in `crate::fnv1a`); they must never
     /// change.
     #[test]
     fn shard_for_key_golden_values_are_pinned() {

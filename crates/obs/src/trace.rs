@@ -37,7 +37,8 @@ pub const NOT_TRACING: u64 = u64::MAX;
 pub enum SpanKind {
     /// One failure-atomic stage call (redo-log build, no fences).
     FaStage = 0,
-    /// One group commit: 3 fences amortized over the whole group.
+    /// One group commit: 4 fences amortized over the whole group (the
+    /// applies are durable before the logs retire).
     FaCommitGroup = 1,
     /// Streaming a write group to the backup replica.
     ReplSend = 2,

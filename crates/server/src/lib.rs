@@ -22,7 +22,8 @@
 //! in [`torture`] sweeps for.
 //!
 //! Group commit is the amortization story: `k` pipelined writes cost
-//! 3 fences per *group*, not 3 per op, so ordering points per acked write
+//! 4 fences per *group* (the applies are durable before the logs retire),
+//! not 4 per op, so ordering points per acked write
 //! drop well below one under load (asserted via `jnvm-pmem` stats).
 //! Sharding is the concurrency story on top: keys route to `N`
 //! independent pools ([`jnvm_kvstore::shard_for_key`]), so `K` writes

@@ -12,7 +12,8 @@
 //! and hold a *ticket* per op. Each shard's committer drains up to
 //! `batch_max` ops from its own queue, runs
 //! [`jnvm_kvstore::commit_writes`] against its own backend (group commit:
-//! 3 fences per group, not per op) and resolves the batch's tickets only
+//! 4 fences per group, not per op — the applies are durable before the
+//! logs retire) and resolves the batch's tickets only
 //! after that call returns — i.e. after the group durability point *and*
 //! the apply phase, so a subsequent GET on the same connection reads its
 //! own writes. K writes spread over N shards pay N *concurrent* fence
@@ -141,7 +142,8 @@ pub struct ServerStats {
     pub queued_writes: u64,
     /// Writes refused at enqueue (dead shard, or server shutting down).
     pub rejected_writes: u64,
-    /// Commit groups issued (3 ordering fences each on the FA path).
+    /// Commit groups issued (4 ordering fences each on the FA path: the
+    /// applies are durable before the logs retire).
     pub groups: u64,
     /// Batches drained across all committers.
     pub batches: u64,

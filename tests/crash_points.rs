@@ -27,7 +27,8 @@ use jnvm_repro::kvstore::{
     register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend, Record,
 };
 use jnvm_repro::pmem::{
-    catch_crash, CrashPolicy, FaultPlan, Pmem, PmemConfig, SanitizeMode,
+    catch_crash, silence_crash_panics, CrashPolicy, FaultOp, FaultPlan, Pmem, PmemConfig,
+    SanitizeMode,
 };
 
 use proptest::prelude::*;
@@ -517,6 +518,189 @@ fn skiplist_publish_paths_survive_every_crash_point() {
         |pmem, report| sk_verify(&baselines, pmem, report.point),
     );
     assert!(summary.points_crashed > 0);
+}
+
+// ---------------------------------------------------------------------------
+// Workload 5: multi-object blocks under adversarial line eviction. Every
+// sweep above crashes with `CrashPolicy::strict()` — nothing unfenced
+// survives — which cannot see a fence missing *between* two steps of the
+// commit: that takes a crash that persists a later line (the cleared
+// committed flag) and loses an earlier one (an applied payload). The
+// commit used to retire its log without fencing the applies; a block over
+// several objects then tore, and no log was left to replay it.
+// ---------------------------------------------------------------------------
+
+const CELLS: usize = 4;
+
+struct CellsCtx {
+    rt: Jnvm,
+    cells: Vec<Pair>,
+}
+
+/// The cells each failure-atomic block of the workload writes: all four in
+/// one solo block, or two per block of a staged group.
+fn cell_blocks(grouped: bool) -> impl Iterator<Item = std::ops::Range<usize>> {
+    let per_block = if grouped { 2 } else { CELLS };
+    (0..CELLS).step_by(per_block).map(move |b| b..b + per_block)
+}
+
+/// Set every cell's `left` to `base + i`: as one solo `fa()` block, or as a
+/// staged group (see [`cell_blocks`]).
+fn write_cells(ctx: &CellsCtx, grouped: bool, base: i64) {
+    let write = |cells: std::ops::Range<usize>| {
+        for i in cells {
+            ctx.cells[i].set_left(base + i as i64);
+        }
+    };
+    if grouped {
+        let group = cell_blocks(true).map(|cells| ctx.rt.fa_stage(|| write(cells)).0);
+        ctx.rt.fa_commit_group(group.collect());
+    } else {
+        ctx.rt.fa(|| write(0..CELLS));
+    }
+}
+
+/// Small fresh pool with four rooted one-block objects holding `left == i`.
+/// The warm-up pass has the shape of the workload, so the log pool and the
+/// in-flight blocks are in steady state and the workload's op stream is
+/// the commit protocol alone.
+fn cells_setup(grouped: bool) -> (Arc<Pmem>, CellsCtx) {
+    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
+    let rt = register_jpdt(JnvmBuilder::new())
+        .register::<Pair>()
+        .create(Arc::clone(&pmem), HeapConfig::default())
+        .expect("pool");
+    let cells = (0..CELLS)
+        .map(|i| {
+            rt.fa(|| {
+                let p = Pair::alloc_uninit(&rt);
+                p.set_left(-1);
+                p.set_right(0);
+                rt.root_put(&format!("cell{i}"), &p).expect("root");
+                p
+            })
+        })
+        .collect();
+    let ctx = CellsCtx { rt, cells };
+    write_cells(&ctx, grouped, 0);
+    pmem.psync();
+    (pmem, ctx)
+}
+
+/// Crash `write_cells(.., 100)` at every point (or only from the
+/// commit-point fence on) under `seeds` adversarial eviction seeds, reopen,
+/// and require every *block* to be all-or-nothing — and entirely new once
+/// the commit-point fence has executed. A group may split between blocks
+/// when the crash replaces that fence itself (each flag line faces its own
+/// coin; nothing was acked); the strict-policy sweep in `fa.rs` keeps the
+/// group all-or-nothing. Returns the number of crashing runs.
+fn cells_adversarial_sweep(grouped: bool, seeds: u64, every_point: bool) -> u64 {
+    silence_crash_panics();
+    let setup = || cells_setup(grouped);
+    let workload = |ctx: &CellsCtx| write_cells(ctx, grouped, 100);
+    let (total, trace) = faultsim::trace_ops(setup, workload);
+    // The workload's first fence covers step 1's write-backs, its second
+    // is the commit point.
+    let commit_fence = trace
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| r.op == FaultOp::Pfence)
+        .nth(1)
+        .expect("a commit has a commit-point fence")
+        .0 as u64;
+    let mut runs = 0;
+    let mut torn = Vec::new();
+    for seed in 0..seeds {
+        let plan = FaultPlan::count().with_policy(CrashPolicy::adversarial(seed));
+        let points = if every_point { 0 } else { commit_fence }..total;
+        let summary = faultsim::sweep(points, plan, setup, workload, |pmem, report| {
+            let (rt, _) = reopen_pair(pmem);
+            let left: Vec<i64> = (0..CELLS)
+                .map(|i| {
+                    let cell = rt.root_get_as::<Pair>(&format!("cell{i}"));
+                    cell.expect("typed").expect("cell survived").left()
+                })
+                .collect();
+            for block in cell_blocks(grouped) {
+                let new = block.clone().all(|i| left[i] == 100 + i as i64);
+                let old = block.clone().all(|i| left[i] == i as i64);
+                if !(new || old && report.point <= commit_fence) {
+                    torn.push((seed, report.point, left.clone()));
+                }
+            }
+        });
+        assert_eq!(
+            summary.points_completed, 0,
+            "op stream differs between setups"
+        );
+        runs += summary.points_crashed as u64;
+    }
+    assert!(
+        torn.is_empty(),
+        "{} torn or lost blocks in {runs} crashing runs of {total} points (commit-point \
+         fence at {commit_fence}); first (seed, point, lefts): {:?}",
+        torn.len(),
+        torn[0]
+    );
+    runs
+}
+
+/// Regression (fails on the 3-fence commit): from the commit-point fence to
+/// the end of the commit, 16 eviction seeds, the solo and the staged form.
+#[test]
+fn multi_object_blocks_survive_adversarial_eviction_after_commit_point() {
+    assert!(cells_adversarial_sweep(false, 16, false) > 0);
+    assert!(cells_adversarial_sweep(true, 16, false) > 0);
+}
+
+/// Exhaustive form: every crash point × 64 eviction seeds (~30 s in the
+/// debug profile, ~3 s with `--release`, which is how CI's torture job
+/// runs it).
+#[test]
+#[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
+fn adversarial_exhaustive_multi_object_blocks_survive_every_crash_point() {
+    for grouped in [false, true] {
+        let runs = cells_adversarial_sweep(grouped, 64, true);
+        println!("grouped={grouped}: {runs} crashing runs, 0 torn blocks");
+    }
+}
+
+/// `fa(body)` is `fa_stage(body)` + `fa_commit_group(vec![tx])`: on
+/// identical fresh pools both issue the same device ops at the same
+/// addresses in the same order (which also pins that the flush phase walks
+/// its redirects and allocations in address order, not hash order).
+#[test]
+fn solo_fa_and_group_of_one_issue_identical_device_ops() {
+    let trace = |staged: bool| {
+        let setup = || {
+            let (pmem, ctx) = cells_setup(false);
+            let spare = ctx.rt.fa(|| Pair::alloc_uninit(&ctx.rt));
+            pmem.psync();
+            (pmem, (ctx, spare))
+        };
+        // 4 redirected writes (`write_cells`' own `fa` nests in place),
+        // 1 allocation, 1 free.
+        let body = |ctx: &CellsCtx, spare: &Pair| {
+            write_cells(ctx, false, 100);
+            Pair::alloc_uninit(&ctx.rt).set_left(7);
+            ctx.rt.free_addr(spare.addr());
+        };
+        let (_, trace) = faultsim::trace_ops(setup, |(ctx, spare)| {
+            if staged {
+                let (tx, ()) = ctx.rt.fa_stage(|| body(ctx, spare));
+                ctx.rt.fa_commit_group(vec![tx]);
+            } else {
+                ctx.rt.fa(|| body(ctx, spare));
+            }
+        });
+        trace
+            .into_iter()
+            .map(|r| (r.op, r.addr))
+            .collect::<Vec<_>>()
+    };
+    let solo = trace(false);
+    assert!(solo.len() > 50, "the block performed no work");
+    assert_eq!(solo, trace(true));
 }
 
 // ---------------------------------------------------------------------------

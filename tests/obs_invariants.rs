@@ -481,12 +481,13 @@ fn log_mode_sites_per_op_are_pinned() {
     let spans = obs::span_totals().iter().sum::<u64>() - spans_before;
     // Ordering points record a point span *and* claim pending counts;
     // count them apart from plain begin/end spans. One rmw is one FA
-    // block: the `fa-commit` and `fa-retire` ordering points, the stage
-    // and commit spans, 3 fences. Write-backs are not a whole number per
-    // op, so the run's total is pinned.
+    // block: the `fa-commit` ordering point and the two `fa-retire` ones
+    // (applies durable, then flags cleared), the stage and commit spans,
+    // 4 fences — the applies are fenced before the log retires. Write-backs
+    // are not a whole number per op, so the run's total is pinned.
     let points = d.ordering_points();
-    assert_eq!(points, 2 * OPS, "ordering points per rmw");
+    assert_eq!(points, 3 * OPS, "ordering points per rmw");
     assert_eq!(spans - points, 2 * OPS, "begin/end spans per rmw");
-    assert_eq!(d.pfences + d.psyncs, 3 * OPS, "fence hooks per rmw");
+    assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fence hooks per rmw");
     assert_eq!(d.pwbs, 83_852, "pwb hooks over {OPS} rmws");
 }
