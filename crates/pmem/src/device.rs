@@ -1,7 +1,13 @@
 //! The simulated NVMM device.
+//!
+//! The one model of what is durable lives here, in [`Persistence`]: a
+//! state byte per cache line plus the per-thread persistence domains. The
+//! store, `pwb` and fence paths below advance it, once each;
+//! [`Pmem::crash`] reads it to pick the lines that face the eviction
+//! coin, and the sanitizer (`sanitize.rs`) reads it to judge footprints.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::ThreadId;
 
@@ -14,7 +20,7 @@ use crate::config::{CrashPolicy, LatencyProfile, PmemConfig, SimMode};
 use crate::error::PmemError;
 use crate::inject::{FaultOp, Injector};
 use crate::latency::spin_ns;
-use crate::sanitize::{SanViolation, SanitizeMode, Sanitizer};
+use crate::sanitize::{san_thread_id, SanViolation, SanitizeMode, Sanitizer};
 use crate::stats::{PmemStats, StatsSnapshot};
 
 /// Size of a simulated CPU cache line in bytes.
@@ -22,43 +28,61 @@ pub const CACHE_LINE: u64 = 64;
 
 const WORDS_PER_LINE: usize = (CACHE_LINE / 8) as usize;
 
-/// Per-line persistence state (CrashSim mode).
-const LINE_CLEAN: u8 = 0;
-const LINE_DIRTY: u8 = 1;
-const LINE_PENDING: u8 = 2;
+/// Per-line persistence state: a store makes a line dirty, a `pwb` moves
+/// it into the flushing thread's domain (pending), that thread's fence
+/// makes it clean — durable — again.
+pub(crate) const LINE_CLEAN: u8 = 0;
+pub(crate) const LINE_DIRTY: u8 = 1;
+pub(crate) const LINE_PENDING: u8 = 2;
 
-/// State owned only by [`SimMode::CrashSim`] devices.
-struct CrashSim {
-    /// The persistent media: survives [`Pmem::crash`].
-    media: Box<[AtomicU64]>,
-    /// Per-line state: clean / dirty / pending (in some thread's domain).
-    line_state: Box<[AtomicU8]>,
+/// One thread's persistence domain.
+#[derive(Default)]
+struct Domain {
+    /// The write-pending queue: lines `pwb`ed since this thread's last fence.
+    wpq: SegQueue<u64>,
+    /// Sanitizer modes only: this thread has fenced and issued no `pwb`
+    /// since, so its next fence orders nothing new (back-to-back fences).
+    /// False in a fresh entry: a thread's first fence is never redundant.
+    fenced_idle: AtomicBool,
+}
+
+/// Line states and domains (see the module doc). Allocated for
+/// [`SimMode::CrashSim`] pools and for every pool with a sanitizer mode on.
+struct Persistence {
+    /// One state byte per line (the benchmark's 448 MiB pools have 7.3 M).
+    lines: Box<[AtomicU8]>,
+    /// Sanitizer modes only: per line, the compact id of the thread whose
+    /// store or `pwb` last advanced it, stamped with the state it left.
+    touchers: Option<Box<[AtomicU32]>>,
     /// Per-thread persistence domains: each thread's `pwb`s queue into its
     /// own write-pending queue, and only that thread's `pfence`/`psync`
     /// drains it — an `sfence` on real hardware orders only the issuing
     /// CPU's `clwb`s. Lines left in *other* threads' domains at a crash
     /// are as vulnerable as dirty lines.
-    domains: Mutex<HashMap<ThreadId, Arc<SegQueue<u64>>>>,
-    /// Serializes crash/drain against each other.
+    domains: Mutex<HashMap<ThreadId, Arc<Domain>>>,
+    /// Serializes fence drains, crash, drain and resync against each other.
     crash_lock: Mutex<()>,
 }
 
-impl CrashSim {
-    /// The calling thread's write-pending queue, created on first use.
-    fn my_domain(&self) -> Arc<SegQueue<u64>> {
+impl Persistence {
+    /// The calling thread's domain, created on first use.
+    fn my_domain(&self) -> Arc<Domain> {
         let mut map = self.domains.lock();
         Arc::clone(map.entry(std::thread::current().id()).or_default())
     }
 
-    /// The calling thread's queue, if it ever issued a `pwb`.
-    fn my_domain_if_any(&self) -> Option<Arc<SegQueue<u64>>> {
-        self.domains.lock().get(&std::thread::current().id()).cloned()
-    }
-
-    /// Empty every thread's queue (crash / orderly shutdown).
-    fn clear_domains(&self) {
-        for q in self.domains.lock().values() {
-            while q.pop().is_some() {}
+    /// Record the calling thread as the one that just moved lines
+    /// `first..=last` to `state`. Written after every change of the state
+    /// byte, and read back only while the stamp still matches the byte: a
+    /// reader racing two threads on one line sees "unknown", never the
+    /// wrong thread.
+    #[inline]
+    fn touch(&self, first: u64, last: u64, state: u8) {
+        if let Some(touchers) = &self.touchers {
+            let cell = (san_thread_id() << 2) | state as u32;
+            for line in first..=last {
+                touchers[line as usize].store(cell, Ordering::Release);
+            }
         }
     }
 }
@@ -73,20 +97,22 @@ pub struct Pmem {
     size: u64,
     label: String,
     words: Box<[AtomicU64]>,
-    sim: Option<CrashSim>,
+    /// The persistent media (`CrashSim` only): survives [`Pmem::crash`].
+    media: Option<Box<[AtomicU64]>>,
+    /// `None` on a `Performance` pool with the sanitizer off, so the hot
+    /// path pays one never-taken branch per store.
+    persist: Option<Persistence>,
     latency: LatencyProfile,
     latency_on: bool,
-    stats: PmemStats,
+    pub(crate) stats: PmemStats,
     injector: Injector,
-    /// Persist-ordering sanitizer; `None` in `Off` mode, so the hot path
-    /// pays one never-taken branch per store.
-    san: Option<Sanitizer>,
+    /// Persist-ordering sanitizer; `None` in `Off` mode.
+    pub(crate) san: Option<Sanitizer>,
 }
 
-fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
-    let mut v = Vec::with_capacity(n);
-    v.resize_with(n, || AtomicU64::new(0));
-    v.into_boxed_slice()
+/// `n` zeroed atomics (a zero line state is [`LINE_CLEAN`]).
+fn zeroed<T: Default>(n: usize) -> Box<[T]> {
+    (0..n).map(|_| T::default()).collect()
 }
 
 impl Pmem {
@@ -100,28 +126,20 @@ impl Pmem {
         let size = cfg.size.div_ceil(CACHE_LINE) * CACHE_LINE;
         let nwords = (size / 8) as usize;
         let nlines = (size / CACHE_LINE) as usize;
-        let sim = match cfg.mode {
-            SimMode::Performance => None,
-            SimMode::CrashSim => {
-                let mut states = Vec::with_capacity(nlines);
-                states.resize_with(nlines, || AtomicU8::new(LINE_CLEAN));
-                Some(CrashSim {
-                    media: zeroed_words(nwords),
-                    line_state: states.into_boxed_slice(),
-                    domains: Mutex::new(HashMap::new()),
-                    crash_lock: Mutex::new(()),
-                })
-            }
-        };
-        let san = match cfg.sanitize {
-            SanitizeMode::Off => None,
-            mode => Some(Sanitizer::new(mode, size)),
-        };
+        let crash_sim = cfg.mode == SimMode::CrashSim;
+        let san = Sanitizer::new(cfg.sanitize);
+        let persist = (crash_sim || san.is_some()).then(|| Persistence {
+            lines: zeroed(nlines),
+            touchers: san.as_ref().map(|_| zeroed(nlines)),
+            domains: Mutex::new(HashMap::new()),
+            crash_lock: Mutex::new(()),
+        });
         Arc::new(Pmem {
             size,
             label: cfg.label,
-            words: zeroed_words(nwords),
-            sim,
+            words: zeroed(nwords),
+            media: crash_sim.then(|| zeroed(nwords)),
+            persist,
             latency_on: !cfg.latency.is_off(),
             latency: cfg.latency,
             stats: PmemStats::default(),
@@ -149,7 +167,7 @@ impl Pmem {
 
     /// Whether crash simulation is available.
     pub fn crash_sim_enabled(&self) -> bool {
-        self.sim.is_some()
+        self.media.is_some()
     }
 
     /// The device operation counters.
@@ -178,7 +196,7 @@ impl Pmem {
     }
 
     #[inline]
-    fn check(&self, addr: u64, len: u64) {
+    pub(crate) fn check(&self, addr: u64, len: u64) {
         if addr.checked_add(len).is_none_or(|end| end > self.size) {
             panic!(
                 "pmem access out of bounds: addr={addr:#x} len={len} size={}",
@@ -211,22 +229,19 @@ impl Pmem {
         }
     }
 
-    /// Mark every line overlapping `[addr, addr+len)` dirty (CrashSim
-    /// line state and, when enabled, the sanitizer's state machine).
+    /// Mark every line overlapping `[addr, addr+len)` dirty.
     #[inline]
     fn mark_dirty(&self, addr: u64, len: u64) {
         if len == 0 {
             return;
         }
-        if let Some(san) = &self.san {
-            san.note_write(addr, len);
-        }
-        if let Some(sim) = &self.sim {
+        if let Some(p) = &self.persist {
             let first = addr / CACHE_LINE;
             let last = (addr + len - 1) / CACHE_LINE;
             for line in first..=last {
-                sim.line_state[line as usize].store(LINE_DIRTY, Ordering::Release);
+                p.lines[line as usize].store(LINE_DIRTY, Ordering::Release);
             }
+            p.touch(first, last, LINE_DIRTY);
         }
     }
 
@@ -561,26 +576,36 @@ impl Pmem {
         if self.latency_on {
             spin_ns(self.latency.pwb_ns);
         }
-        if let Some(san) = &self.san {
-            san.note_pwb(addr, &self.stats);
-        }
-        if let Some(sim) = &self.sim {
+        if let Some(p) = &self.persist {
             let line = addr / CACHE_LINE;
-            let st = &sim.line_state[line as usize];
+            let st = &p.lines[line as usize];
             // Queue dirty lines; a line another thread already has pending
             // joins this thread's domain too (like `clwb`, flushing it
             // again is legal, and *this* thread's fence must then make it
             // durable even if the original flusher never fences).
-            let claimed = st
+            let joined = st
                 .compare_exchange(
                     LINE_DIRTY,
                     LINE_PENDING,
                     Ordering::AcqRel,
                     Ordering::Acquire,
                 )
-                .is_ok();
-            if claimed || st.load(Ordering::Acquire) == LINE_PENDING {
-                sim.my_domain().push(line);
+                .is_ok()
+                || st.load(Ordering::Acquire) == LINE_PENDING;
+            let san = self.san.is_some();
+            if joined || san {
+                let dom = p.my_domain();
+                if joined {
+                    dom.wpq.push(line);
+                    p.touch(line, line, LINE_PENDING);
+                } else {
+                    // Flushing a clean line is legal but wasted work —
+                    // exactly the redundancy NVTraverse reports as endemic.
+                    self.stats.redundant_pwbs.add(1);
+                }
+                if san {
+                    dom.fenced_idle.store(false, Ordering::Relaxed);
+                }
             }
         }
     }
@@ -598,52 +623,55 @@ impl Pmem {
         }
     }
 
-    fn persist_line(&self, sim: &CrashSim, line: u64) {
-        let base = line as usize * WORDS_PER_LINE;
-        for w in 0..WORDS_PER_LINE {
-            sim.media[base + w].store(self.words[base + w].load(Ordering::Acquire), Ordering::Release);
+    /// Copy a line's cache content to media (nothing to do without media).
+    fn persist_line(&self, line: u64) {
+        if let Some(media) = &self.media {
+            let base = line as usize * WORDS_PER_LINE;
+            for w in base..base + WORDS_PER_LINE {
+                media[w].store(self.words[w].load(Ordering::Acquire), Ordering::Release);
+            }
         }
     }
 
-    fn drain_wpq(&self, sim: &CrashSim) {
-        // Drain only the calling thread's domain: a fence persists the
-        // fencing thread's own pending flushes, nobody else's.
-        let Some(q) = sim.my_domain_if_any() else {
-            return;
-        };
-        let _g = sim.crash_lock.lock();
-        while let Some(line) = q.pop() {
-            self.persist_line(sim, line);
+    /// The one fence body. Under the ADR model the paper assumes, a fenced
+    /// `pwb` is durable, so the calling thread's write-pending queue drains
+    /// to media here — and only the caller's: a fence persists the fencing
+    /// thread's own pending flushes, nobody else's.
+    fn fence(&self, latency_ns: u64) {
+        if self.latency_on {
+            spin_ns(latency_ns);
+        }
+        let Some(p) = &self.persist else { return };
+        let dom = p.my_domain();
+        if self.san.is_some() && dom.fenced_idle.swap(true, Ordering::Relaxed) {
+            self.stats.redundant_fences.add(1);
+        }
+        let _g = p.crash_lock.lock();
+        while let Some(line) = dom.wpq.pop() {
+            self.persist_line(line);
             // If the line was rewritten after its pwb it is DIRTY again; the
             // current content was persisted (an allowed eviction) but the
             // line stays dirty so a later crash may still lose newer writes.
-            let _ = sim.line_state[line as usize].compare_exchange(
+            let settled = p.lines[line as usize].compare_exchange(
                 LINE_PENDING,
                 LINE_CLEAN,
                 Ordering::AcqRel,
                 Ordering::Acquire,
             );
+            if settled.is_ok() {
+                p.touch(line, line, LINE_CLEAN);
+            }
         }
     }
 
-    /// `pfence`: order preceding `pwb`s before succeeding ones. Under the
-    /// ADR model the paper assumes, a fenced `pwb` is durable; the simulator
-    /// therefore drains the calling thread's write-pending queue to media
-    /// here. Lines pending in *other* threads' queues stay pending.
+    /// `pfence`: order preceding `pwb`s before succeeding ones, making the
+    /// calling thread's fenced `pwb`s durable. Lines pending in *other*
+    /// threads' queues stay pending.
     pub fn pfence(&self) {
-        if self.fault_point(FaultOp::Pfence, 0) {
-            return;
-        }
-        self.stats.pfences.add(1);
-        jnvm_obs::note_fence();
-        if self.latency_on {
-            spin_ns(self.latency.pfence_ns);
-        }
-        if let Some(san) = &self.san {
-            san.note_fence(&self.stats);
-        }
-        if let Some(sim) = &self.sim {
-            self.drain_wpq(sim);
+        if !self.fault_point(FaultOp::Pfence, 0) {
+            self.stats.pfences.add(1);
+            jnvm_obs::note_fence();
+            self.fence(self.latency.pfence_ns);
         }
     }
 
@@ -651,19 +679,10 @@ impl Pmem {
     /// queue to reach media. Identical to `pfence` in the simulator (the
     /// paper implements both with `sfence` on its Intel testbed).
     pub fn psync(&self) {
-        if self.fault_point(FaultOp::Psync, 0) {
-            return;
-        }
-        self.stats.psyncs.add(1);
-        jnvm_obs::note_psync();
-        if self.latency_on {
-            spin_ns(self.latency.psync_ns);
-        }
-        if let Some(san) = &self.san {
-            san.note_fence(&self.stats);
-        }
-        if let Some(sim) = &self.sim {
-            self.drain_wpq(sim);
+        if !self.fault_point(FaultOp::Psync, 0) {
+            self.stats.psyncs.add(1);
+            jnvm_obs::note_psync();
+            self.fence(self.latency.psync_ns);
         }
     }
 
@@ -673,7 +692,7 @@ impl Pmem {
 
     /// The pool's sanitizer mode.
     pub fn sanitize_mode(&self) -> SanitizeMode {
-        self.san.as_ref().map_or(SanitizeMode::Off, |s| s.mode())
+        self.san.as_ref().map_or(SanitizeMode::Off, |s| s.mode)
     }
 
     /// True when line tracking is on (`Log` or `Strict`). Callers with
@@ -707,12 +726,7 @@ impl Pmem {
         // Claims the thread's pending pwb/fence counts for this label and
         // records an instant span (one never-taken branch while obs is off).
         jnvm_obs::note_ordering_point(label);
-        if let Some(san) = &self.san {
-            for &(addr, len) in footprint {
-                self.check(addr, len);
-            }
-            san.check_footprint(label, footprint, false, &self.stats);
-        }
+        self.check_footprint(label, footprint, false);
     }
 
     /// Declare a labeled **publish point**: a durable pointer is about to
@@ -727,18 +741,16 @@ impl Pmem {
         if self.faults_frozen() {
             return;
         }
-        if let Some(san) = &self.san {
-            for &(addr, len) in footprint {
-                self.check(addr, len);
-            }
-            san.check_footprint(label, footprint, true, &self.stats);
-        }
+        self.check_footprint(label, footprint, true);
     }
 
     /// Violations recorded by the `Log`-mode sanitizer (empty in `Off`;
     /// `Strict` panics at the first violation instead of recording).
     pub fn san_violations(&self) -> Vec<SanViolation> {
-        self.san.as_ref().map_or_else(Vec::new, |s| s.violations())
+        match &self.san {
+            Some(san) => san.violations.lock().clone(),
+            None => Vec::new(),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -759,59 +771,59 @@ impl Pmem {
     /// Callers must quiesce writer threads first, as with a real power
     /// failure there is no meaningful "result" for racing in-flight writes.
     pub fn crash(&self, policy: &CrashPolicy) -> Result<(), PmemError> {
-        let sim = self.sim.as_ref().ok_or(PmemError::CrashSimRequired)?;
-        let _g = sim.crash_lock.lock();
+        if self.media.is_none() {
+            return Err(PmemError::CrashSimRequired);
+        }
         self.stats.crashes.add(1);
         let mut rng = StdRng::seed_from_u64(policy.seed);
-        let nlines = sim.line_state.len();
-        for line in 0..nlines {
-            let st = sim.line_state[line].load(Ordering::Acquire);
-            if st != LINE_CLEAN {
-                // Dirty lines may be evicted; pending lines sit in the
-                // write-pending queue, which may or may not drain before
-                // power loss. Both face the same coin.
-                let survive = policy.evict_probability > 0.0
-                    && (policy.evict_probability >= 1.0
-                        || rng.random::<f64>() < policy.evict_probability);
-                if survive {
-                    self.persist_line(sim, line as u64);
-                }
-                sim.line_state[line].store(LINE_CLEAN, Ordering::Release);
-            }
-        }
-        // Rebuild the cache view from what survived on media.
-        for w in 0..self.words.len() {
-            self.words[w].store(sim.media[w].load(Ordering::Acquire), Ordering::Release);
-        }
-        sim.clear_domains();
-        if let Some(san) = &self.san {
-            san.reset();
-        }
+        // Dirty lines may be evicted; pending lines sit in a write-pending
+        // queue, which may or may not drain before power loss. Both face
+        // the same coin.
+        self.settle_all(true, || {
+            policy.evict_probability > 0.0
+                && (policy.evict_probability >= 1.0
+                    || rng.random::<f64>() < policy.evict_probability)
+        });
         Ok(())
     }
 
-    /// Persist every dirty line (an orderly shutdown / eADR-style flush),
-    /// regardless of which thread's domain it was pending in.
-    /// No-op on `Performance` pools.
-    pub fn drain_all(&self) {
-        if let Some(sim) = &self.sim {
-            let _g = sim.crash_lock.lock();
-            for line in 0..sim.line_state.len() {
-                if sim.line_state[line].load(Ordering::Acquire) != LINE_CLEAN {
-                    self.persist_line(sim, line as u64);
-                    sim.line_state[line].store(LINE_CLEAN, Ordering::Release);
+    /// Every line clean, every domain empty: the shared body of crash,
+    /// orderly drain and cache resync. A non-clean line's cache content
+    /// reaches media first iff `survives`; with `reload` the cache view is
+    /// then rebuilt from media.
+    fn settle_all(&self, reload: bool, mut survives: impl FnMut() -> bool) {
+        let Some(p) = &self.persist else { return };
+        let _g = p.crash_lock.lock();
+        for (line, st) in p.lines.iter().enumerate() {
+            if st.load(Ordering::Acquire) != LINE_CLEAN {
+                if survives() {
+                    self.persist_line(line as u64);
                 }
+                st.store(LINE_CLEAN, Ordering::Release);
+                p.touch(line as u64, line as u64, LINE_CLEAN);
             }
-            sim.clear_domains();
         }
-        if let Some(san) = &self.san {
-            san.reset();
+        // Drop the entries rather than empty them: threads look their
+        // domain up on every op, and a fresh entry is a reset one — no
+        // pending lines, no fence history.
+        p.domains.lock().clear();
+        if let (true, Some(media)) = (reload, &self.media) {
+            for (word, persisted) in self.words.iter().zip(media) {
+                word.store(persisted.load(Ordering::Acquire), Ordering::Release);
+            }
         }
     }
 
+    /// Persist every dirty line (an orderly shutdown / eADR-style flush),
+    /// regardless of which thread's domain it was pending in. Without
+    /// media (`Performance` pools) only the line state is reset.
+    pub fn drain_all(&self) {
+        self.settle_all(false, || true);
+    }
+
     /// Rebuild the volatile cache from media, marking every line clean and
-    /// emptying every thread's persistence domain. No-op on `Performance`
-    /// pools.
+    /// emptying every thread's persistence domain. Without media
+    /// (`Performance` pools) only the line state is reset.
     ///
     /// Torture harnesses call this after an injected crash once every
     /// worker thread has quiesced: a worker that entered a store just
@@ -820,19 +832,7 @@ impl Pmem {
     /// power loss — and those ghost writes must not be visible to
     /// recovery. The media (the crash image) is not touched.
     pub fn resync_cache(&self) {
-        if let Some(sim) = &self.sim {
-            let _g = sim.crash_lock.lock();
-            for line in 0..sim.line_state.len() {
-                sim.line_state[line].store(LINE_CLEAN, Ordering::Release);
-            }
-            for w in 0..self.words.len() {
-                self.words[w].store(sim.media[w].load(Ordering::Acquire), Ordering::Release);
-            }
-            sim.clear_domains();
-        }
-        if let Some(san) = &self.san {
-            san.reset();
-        }
+        self.settle_all(true, || false);
     }
 
     /// Direct read of the *media* (post-crash) content of a word, bypassing
@@ -841,23 +841,17 @@ impl Pmem {
     pub fn media_read_u64(&self, addr: u64) -> u64 {
         assert!(addr.is_multiple_of(8), "media_read_u64 requires 8-byte alignment");
         self.check(addr, 8);
-        match &self.sim {
-            Some(sim) => sim.media[(addr / 8) as usize].load(Ordering::Acquire),
-            None => self.load_word((addr / 8) as usize),
-        }
+        self.persistent_word((addr / 8) as usize)
     }
 
     pub(crate) fn persistent_word(&self, widx: usize) -> u64 {
-        match &self.sim {
-            Some(sim) => sim.media[widx].load(Ordering::Acquire),
-            None => self.words[widx].load(Ordering::Acquire),
-        }
+        self.media.as_ref().unwrap_or(&self.words)[widx].load(Ordering::Acquire)
     }
 
     pub(crate) fn restore_word(&self, widx: usize, v: u64) {
         self.words[widx].store(v, Ordering::Release);
-        if let Some(sim) = &self.sim {
-            sim.media[widx].store(v, Ordering::Release);
+        if let Some(media) = &self.media {
+            media[widx].store(v, Ordering::Release);
         }
     }
 
@@ -866,11 +860,35 @@ impl Pmem {
     }
 
     pub(crate) fn mode(&self) -> SimMode {
-        if self.sim.is_some() {
+        if self.media.is_some() {
             SimMode::CrashSim
         } else {
             SimMode::Performance
         }
+    }
+
+    /// The sanitizer's read access to the model: a line's state and the
+    /// compact id of the thread that brought it there (0 when a racing
+    /// store or `pwb` by another thread leaves that undecided).
+    pub(crate) fn line_state(&self, line: u64) -> (u8, u32) {
+        let p = self.persist.as_ref().expect("the sanitizer's line model");
+        let state = p.lines[line as usize].load(Ordering::Acquire);
+        let stamp = match &p.touchers {
+            Some(touchers) => touchers[line as usize].load(Ordering::Acquire),
+            None => 0,
+        };
+        let decided = stamp & 0b11 == state as u32;
+        (state, if decided { stamp >> 2 } else { 0 })
+    }
+
+    /// Whether every word overlapping `[lo, hi)` holds the same value in
+    /// the cache view and on media — a crash right now would keep those
+    /// bytes. `false` on a `Performance` pool: no media to consult.
+    pub(crate) fn range_on_media(&self, lo: u64, hi: u64) -> bool {
+        self.media.as_ref().is_some_and(|media| {
+            ((lo / 8) as usize..=((hi - 1) / 8) as usize)
+                .all(|w| media[w].load(Ordering::Acquire) == self.words[w].load(Ordering::Acquire))
+        })
     }
 }
 

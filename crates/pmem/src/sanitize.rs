@@ -1,39 +1,45 @@
-//! Persist-ordering sanitizer: a per-cache-line state machine layered
-//! under the device's `pwb`/`pfence`/`psync` paths that audits the
-//! flush-then-fence discipline *constructively* on every run, where the
-//! crash-point sweeps check it destructively one interleaving at a time.
+//! Persist-ordering sanitizer: audits the flush-then-fence discipline
+//! *constructively* on every run, where the crash-point sweeps check it
+//! destructively one interleaving at a time.
 //!
-//! Every line moves through `clean → dirty → write-backed → clean`
-//! (a fence on the write-backing thread is what makes a write-backed line
-//! clean again — per-thread persistence domains, exactly as `device.rs`
-//! models them). Annotated code declares *ordering points*: labeled
-//! program points whose declared footprint must be fully persisted when
-//! execution passes them (FA commit, log retire, allocator publish,
-//! recovery apply). The sanitizer flags:
+//! The sanitizer keeps no model of its own: the per-line state machine
+//! `clean → dirty → pending → clean` and the per-thread persistence
+//! domains live in `device.rs`, advanced once by each store, `pwb` and
+//! fence — the same state [`crate::Pmem::crash`] rolls back from. Here
+//! live the mode, the violation log and the judgement of a footprint.
+//! Annotated code declares *ordering points*: labeled program points
+//! whose declared footprint must be fully persisted when execution passes
+//! them (FA commit, log retire, allocator publish, recovery apply). The
+//! sanitizer reads the device's line state there and flags:
 //!
 //! * **missing pwb** — a footprint line still dirty at an ordering point,
-//! * **missing fence** — a footprint line write-backed by the *calling*
-//!   thread but not yet fenced,
-//! * **cross-thread fence** — a footprint line write-backed by *another*
-//!   thread, whose fence the calling thread has no control over (the
-//!   per-thread-domain rule, previously enforced only by torture),
+//! * **missing fence** — a footprint line pending in the *calling*
+//!   thread's domain, written back but not yet fenced,
+//! * **cross-thread fence** — a footprint line pending in *another*
+//!   thread's domain, whose fence the calling thread has no control over,
 //! * **redundant flushes** — a `pwb` of an already-clean line and
-//!   back-to-back fences with no intervening `pwb`, reported through
-//!   [`crate::StatsSnapshot`] rather than flagged as violations.
+//!   back-to-back fences with no intervening `pwb`, counted by the device
+//!   into [`crate::StatsSnapshot`] rather than flagged as violations.
+//!
+//! A non-clean line the observer itself last touched is judged by its
+//! state alone. One last touched by **another** thread may merely share
+//! the line with the footprint (two threads' pooled slots), so there the
+//! footprint's own words decide: equal in cache and on media, they are
+//! durable and nothing is flagged. The word test is not applied to the
+//! observer's own lines because the simulator's fence persists whatever
+//! the cache holds: store, `pwb`, store again, fence leaves the newer
+//! value on media although the discipline was broken.
 //!
 //! Modes: `Off` (no state, no cost), `Log` (count and record violations),
 //! `Strict` (panic at the first violation — CI runs tier-1 this way).
 //! Selected per-pool via [`crate::PmemConfig::sanitize`], whose default
 //! comes from the `JNVM_SANITIZE` environment variable.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::ThreadId;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::stats::PmemStats;
+use crate::device::{Pmem, LINE_CLEAN, LINE_DIRTY};
 use crate::CACHE_LINE;
 
 /// Sanitizer mode, per pool.
@@ -129,154 +135,32 @@ impl std::fmt::Display for SanViolation {
 /// Cap on recorded violations — a broken loop must not balloon memory.
 const MAX_RECORDED: usize = 4096;
 
-/// Per-line packed state: bits 0-1 the state, bits 2+ the owner thread.
-const ST_CLEAN: u64 = 0;
-const ST_DIRTY: u64 = 1;
-const ST_WB: u64 = 2;
-
-#[inline]
-fn pack(state: u64, owner: u32) -> u64 {
-    state | ((owner as u64) << 2)
-}
-
-#[inline]
-fn unpack(word: u64) -> (u64, u32) {
-    (word & 0b11, (word >> 2) as u32)
-}
-
-/// Process-wide compact thread id (the sanitizer's "persistence domain"
-/// label; `ThreadId` itself is not packable into line words).
-fn san_thread_id() -> u32 {
-    static NEXT: AtomicUsize = AtomicUsize::new(1);
+/// Process-wide compact thread id, starting at 1: what the device stamps
+/// on a line as its last toucher (`ThreadId` itself is not packable), and
+/// the observer id of a violation.
+pub(crate) fn san_thread_id() -> u32 {
+    static NEXT: AtomicU32 = AtomicU32::new(1);
     thread_local! {
-        static ID: u32 = NEXT.fetch_add(1, Ordering::Relaxed) as u32;
+        static ID: u32 = NEXT.fetch_add(1, Ordering::Relaxed);
     }
     ID.with(|i| *i)
 }
 
-/// Per-thread sanitizer state, mirroring the device's per-thread
-/// write-pending queues.
-#[derive(Default)]
-struct ThreadSan {
-    /// Lines this thread write-backed since its last fence.
-    wb: Mutex<Vec<u64>>,
-    /// `pwb`s issued since this thread's last fence (0 at a fence means
-    /// the fence ordered nothing new: back-to-back fences).
-    pwbs_since_fence: AtomicU64,
-    /// Whether this thread has fenced at least once (the first fence is
-    /// never "back-to-back").
-    fenced_once: AtomicBool,
-}
-
 /// The per-pool sanitizer. Allocated only when the mode is not `Off`.
 pub(crate) struct Sanitizer {
-    mode: SanitizeMode,
-    /// One packed word per cache line of the pool.
-    lines: Box<[AtomicU64]>,
-    /// Per-thread write-back queues.
-    threads: Mutex<HashMap<ThreadId, Arc<ThreadSan>>>,
+    pub(crate) mode: SanitizeMode,
     /// Violations recorded in `Log` mode.
-    violations: Mutex<Vec<SanViolation>>,
+    pub(crate) violations: Mutex<Vec<SanViolation>>,
 }
 
 impl Sanitizer {
-    pub(crate) fn new(mode: SanitizeMode, pool_size: u64) -> Sanitizer {
-        debug_assert_ne!(mode, SanitizeMode::Off);
-        let nlines = (pool_size / CACHE_LINE) as usize;
-        let mut lines = Vec::with_capacity(nlines);
-        lines.resize_with(nlines, AtomicU64::default);
-        Sanitizer {
-            mode,
-            lines: lines.into_boxed_slice(),
-            threads: Mutex::new(HashMap::new()),
-            violations: Mutex::new(Vec::new()),
-        }
+    /// The sanitizer for `mode`: none when `Off`.
+    pub(crate) fn new(mode: SanitizeMode) -> Option<Sanitizer> {
+        let violations = Mutex::default();
+        (mode != SanitizeMode::Off).then_some(Sanitizer { mode, violations })
     }
 
-    pub(crate) fn mode(&self) -> SanitizeMode {
-        self.mode
-    }
-
-    fn my_state(&self) -> Arc<ThreadSan> {
-        let mut map = self.threads.lock();
-        Arc::clone(map.entry(std::thread::current().id()).or_default())
-    }
-
-    /// A store touched `[addr, addr + len)`: every overlapping line is
-    /// dirty and owned by the writing thread.
-    pub(crate) fn note_write(&self, addr: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let me = san_thread_id();
-        let first = addr / CACHE_LINE;
-        let last = (addr + len - 1) / CACHE_LINE;
-        for line in first..=last {
-            self.lines[line as usize].store(pack(ST_DIRTY, me), Ordering::Release);
-        }
-    }
-
-    /// A `pwb` of the line containing `addr`.
-    pub(crate) fn note_pwb(&self, addr: u64, stats: &PmemStats) {
-        let me = san_thread_id();
-        let line = addr / CACHE_LINE;
-        let slot = &self.lines[line as usize];
-        let (state, _) = unpack(slot.load(Ordering::Acquire));
-        if state == ST_CLEAN {
-            // Flushing a clean line is legal but wasted work — exactly the
-            // redundancy NVTraverse reports as endemic.
-            stats.redundant_pwbs.add(1);
-        } else {
-            // Dirty or already write-backed: the line now sits in this
-            // thread's domain (re-flushing a pending line adopts it, like
-            // `clwb`), and this thread's next fence settles it.
-            slot.store(pack(ST_WB, me), Ordering::Release);
-            self.my_state().wb.lock().push(line);
-        }
-        self.my_state().pwbs_since_fence.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A `pfence`/`psync` by the calling thread: its write-backed lines
-    /// become clean (lines rewritten after their `pwb` stay dirty).
-    pub(crate) fn note_fence(&self, stats: &PmemStats) {
-        let st = self.my_state();
-        if st.pwbs_since_fence.swap(0, Ordering::Relaxed) == 0
-            && st.fenced_once.swap(true, Ordering::Relaxed)
-        {
-            stats.redundant_fences.add(1);
-        } else {
-            st.fenced_once.store(true, Ordering::Relaxed);
-        }
-        let mut wb = st.wb.lock();
-        for line in wb.drain(..) {
-            let slot = &self.lines[line as usize];
-            let word = slot.load(Ordering::Acquire);
-            if unpack(word).0 == ST_WB {
-                let _ = slot.compare_exchange(
-                    word,
-                    pack(ST_CLEAN, 0),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                );
-            }
-        }
-    }
-
-    /// Crash / orderly drain / cache resync: every line is clean and no
-    /// thread has outstanding obligations.
-    pub(crate) fn reset(&self) {
-        for slot in self.lines.iter() {
-            slot.store(pack(ST_CLEAN, 0), Ordering::Release);
-        }
-        for st in self.threads.lock().values() {
-            st.wb.lock().clear();
-            st.pwbs_since_fence.store(0, Ordering::Relaxed);
-            st.fenced_once.store(false, Ordering::Relaxed);
-        }
-    }
-
-    fn flag(&self, kind: SanViolationKind, label: &str, line: u64, owner: u32, stats: &PmemStats) {
-        stats.san_violations.add(1);
+    fn flag(&self, kind: SanViolationKind, label: &str, line: u64, owner: u32) {
         let v = SanViolation {
             kind,
             label: label.to_string(),
@@ -294,48 +178,45 @@ impl Sanitizer {
             }
         }
     }
+}
 
-    /// Check one footprint line at an ordering point (`publish` relaxes
-    /// the rule: a line this thread already write-backed is acceptable,
-    /// because the publishing thread's own later fence covers it).
-    fn check_line(&self, label: &str, line: u64, publish: bool, stats: &PmemStats) {
+impl Pmem {
+    /// Validate a declared footprint at an ordering or publish point
+    /// against the device's line state (nothing to do with the sanitizer
+    /// off). `publish` relaxes the rule: a line pending in the calling
+    /// thread's own domain is acceptable, because the publishing thread's
+    /// own later fence covers it.
+    pub(crate) fn check_footprint(&self, label: &str, footprint: &[(u64, u64)], publish: bool) {
+        let Some(san) = &self.san else { return };
         let me = san_thread_id();
-        let (state, owner) = unpack(self.lines[line as usize].load(Ordering::Acquire));
-        match state {
-            ST_DIRTY => self.flag(SanViolationKind::MissingPwb, label, line, owner, stats),
-            ST_WB if owner != me => {
-                self.flag(SanViolationKind::CrossThreadFence, label, line, owner, stats)
-            }
-            ST_WB if !publish => {
-                self.flag(SanViolationKind::MissingFence, label, line, owner, stats)
-            }
-            _ => {}
-        }
-    }
-
-    /// Validate a declared footprint at an ordering or publish point.
-    pub(crate) fn check_footprint(
-        &self,
-        label: &str,
-        footprint: &[(u64, u64)],
-        publish: bool,
-        stats: &PmemStats,
-    ) {
         for &(addr, len) in footprint {
+            self.check(addr, len);
             if len == 0 {
                 continue;
             }
-            let first = addr / CACHE_LINE;
-            let last = (addr + len - 1) / CACHE_LINE;
-            for line in first..=last {
-                self.check_line(label, line, publish, stats);
+            for line in addr / CACHE_LINE..=(addr + len - 1) / CACHE_LINE {
+                let (state, toucher) = self.line_state(line);
+                if state == LINE_CLEAN {
+                    continue;
+                }
+                // Another thread last touched the line: it may only be a
+                // neighbour sharing it. The footprint's own words decide.
+                let start = line * CACHE_LINE;
+                if toucher != me
+                    && self.range_on_media(addr.max(start), (addr + len).min(start + CACHE_LINE))
+                {
+                    continue;
+                }
+                let kind = match state {
+                    LINE_DIRTY => SanViolationKind::MissingPwb,
+                    _ if toucher != me => SanViolationKind::CrossThreadFence,
+                    _ if publish => continue,
+                    _ => SanViolationKind::MissingFence,
+                };
+                self.stats.san_violations.add(1);
+                san.flag(kind, label, line, toucher);
             }
         }
-    }
-
-    /// Violations recorded so far (`Log` mode).
-    pub(crate) fn violations(&self) -> Vec<SanViolation> {
-        self.violations.lock().clone()
     }
 }
 
@@ -563,6 +444,59 @@ mod tests {
         let v = p.san_violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].kind, SanViolationKind::MissingPwb);
+    }
+
+    // ------------------------------------------------------------------
+    // Two threads' words on one line: a neighbour's unfenced store is not
+    // the footprint's problem, the footprint's own unfenced word is.
+    // ------------------------------------------------------------------
+
+    /// This thread persists word 0 of line 0; another thread then stores
+    /// and `pwb`s word 1 of the same line and never fences.
+    fn line_shared_with_an_unfenced_neighbour(cfg: PmemConfig) -> Arc<Pmem> {
+        let p = Pmem::new(cfg);
+        p.write_u64(0, 1);
+        p.pwb(0);
+        p.pfence();
+        let pb = Arc::clone(&p);
+        std::thread::spawn(move || {
+            pb.write_u64(8, 2);
+            pb.pwb(8);
+        })
+        .join()
+        .unwrap();
+        p
+    }
+
+    #[test]
+    fn strict_passes_own_durable_word_beside_a_foreign_pending_one() {
+        let cfg = PmemConfig::crash_sim(4096).with_sanitize(SanitizeMode::Strict);
+        let p = line_shared_with_an_unfenced_neighbour(cfg);
+        p.ordering_point("commit", &[(0, 8)]);
+        assert_eq!(p.stats().san_violations, 0);
+        // The verdict is about media: a strict crash keeps word 0 only.
+        p.crash(&CrashPolicy::strict()).unwrap();
+        assert_eq!((p.read_u64(0), p.read_u64(8)), (1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "cross-thread-fence")]
+    fn strict_catches_foreign_pending_word_on_a_shared_line() {
+        let cfg = PmemConfig::crash_sim(4096).with_sanitize(SanitizeMode::Strict);
+        let p = line_shared_with_an_unfenced_neighbour(cfg);
+        p.ordering_point("commit", &[(8, 8)]);
+    }
+
+    #[test]
+    fn shared_line_without_media_is_judged_by_state_alone() {
+        // A Performance pool has no media to consult: both words flag.
+        let cfg = PmemConfig::perf(4096).with_sanitize(SanitizeMode::Log);
+        let p = line_shared_with_an_unfenced_neighbour(cfg);
+        p.ordering_point("commit", &[(0, 8)]);
+        p.ordering_point("commit", &[(8, 8)]);
+        let v = p.san_violations();
+        let kinds: Vec<_> = v.iter().map(|v| v.kind).collect();
+        assert_eq!(kinds, [SanViolationKind::CrossThreadFence; 2]);
     }
 
     #[test]

@@ -59,7 +59,10 @@
 //! `rejected` when enqueue refuses (dead shard / shutdown). After a full
 //! shutdown every queued ticket is drained and resolved, so
 //! `queued == acked + nacked + failed` — the graceful-shutdown
-//! regression pins this.
+//! regression pins this. A dying shard is marked dead under its queue
+//! lock before the crash path drains the queue, so the identity also
+//! holds whenever the load has drained after a crash
+//! (`kill_during_traffic` checks it at every crash point).
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -196,9 +199,10 @@ impl Ticket {
     }
 
     /// Block until resolved. The shard's committer resolves every ticket
-    /// it ever dequeues (including on the crash path), so the timeout
-    /// loop is only a backstop against the shard dying between enqueue
-    /// and dequeue.
+    /// it ever dequeues, and its crash path marks the shard dead under the
+    /// queue lock before draining, so no ticket is left behind; the
+    /// timeout loop is only a backstop for the handler-panic path, which
+    /// marks every shard dead without draining.
     fn wait(&self, shard: &ShardState) -> TicketState {
         let mut st = self.state.lock().expect("ticket lock");
         loop {
@@ -531,7 +535,12 @@ fn acceptor_loop(
                 }
             }
         });
-        handlers.lock().expect("handlers lock").push(h);
+        // Reap the connections that already ended: a long-lived server
+        // must not keep one handle per connection ever made. Whatever is
+        // left is joined by `Server::shutdown`.
+        let mut live = handlers.lock().expect("handlers lock");
+        live.retain(|h| !h.is_finished());
+        live.push(h);
     }
 }
 
@@ -574,12 +583,23 @@ fn resolve_failed(shared: &Shared, p: &Pending) {
 
 /// Fail the in-flight batch and everything queued behind it — the crash
 /// path's "nothing here was acked" sweep. Every ticket is resolved; none
-/// is silently dropped.
-fn fail_batch_and_queue(shared: &Shared, shard: &ShardState, batch: &[Pending]) {
+/// is silently dropped. With `last_replica` the shard dies here, under
+/// the queue lock `enqueue` checks `dead` under: every producer is either
+/// refused at enqueue or failed by this drain, never ticketed on a shard
+/// whose committer is gone.
+fn fail_batch_and_queue(
+    shared: &Shared,
+    shard: &ShardState,
+    batch: &[Pending],
+    last_replica: bool,
+) {
     for p in batch {
         resolve_failed(shared, p);
     }
     let mut q = shard.queue.lock().expect("queue lock");
+    if last_replica {
+        shard.dead.store(true, Ordering::Release);
+    }
     for p in q.drain(..) {
         resolve_failed(shared, &p);
     }
@@ -725,8 +745,9 @@ fn committer_loop(shared: &Arc<Shared>, si: usize) {
                 // Power failed mid-batch on the active device: nothing
                 // here reached its durability point as a group — refuse
                 // to ack any of it.
-                fail_batch_and_queue(shared, shard, &batch);
-                if shard.set.backup().is_some() {
+                let failover = shard.set.backup().is_some();
+                fail_batch_and_queue(shared, shard, &batch, !failover);
+                if failover {
                     // Failover: quiesce the link (the endpoint finishes
                     // applying everything streamed, then exits; the join
                     // makes this committer the backup's only writer),
@@ -736,10 +757,9 @@ fn committer_loop(shared: &Arc<Shared>, si: usize) {
                     shard.set.promote();
                     continue;
                 }
-                // No redundancy left: take only this shard down. The
-                // other shards' committers never touch this device and
-                // keep committing.
-                shard.dead.store(true, Ordering::Release);
+                // No redundancy left: only this shard went down (marked
+                // dead by the drain above). The other shards' committers
+                // never touch this device and keep committing.
                 quiesce_link(shard);
                 return;
             }
@@ -1069,4 +1089,42 @@ fn stats_text(shared: &Shared) -> String {
         d.san_violations,
         lat.display_us(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::Cluster;
+    use jnvm_pmem::PmemConfig;
+
+    /// The acceptor reaps finished handler threads as new connections
+    /// arrive: 200 connections opened and closed must not leave 200 join
+    /// handles behind, and shutdown still joins whatever is left.
+    #[test]
+    fn acceptor_reaps_finished_handlers() {
+        let cluster = Cluster::create(1, 1, 4, PmemConfig::crash_sim(8 << 20), true).unwrap();
+        let server = cluster.start(ServerConfig::default()).unwrap();
+        let open_and_close = || {
+            let mut s = TcpStream::connect(server.addr()).unwrap();
+            crate::proto::handshake(&mut s).expect("hello");
+        };
+        for _ in 0..200 {
+            open_and_close();
+        }
+        // Handlers exit asynchronously after their client hangs up; each
+        // further connection gives the acceptor one more reaping pass.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            open_and_close();
+            let live = server.handlers.lock().unwrap().len();
+            if live <= 4 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{live} handles never reaped");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let connections = server.stats().connections;
+        assert!(connections > 200, "connections counter: {connections}");
+        server.shutdown();
+    }
 }

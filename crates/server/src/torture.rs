@@ -236,6 +236,15 @@ pub fn kill_during_traffic(point: u64, cfg: &TortureConfig) -> Result<KillReport
         ops_counted,
         ..
     } = run_armed(point, cfg, |_, _, _| Ok(()))?;
+    // The load has drained, so every ticket ever issued was resolved by a
+    // committer: a write ticketed on a dying shard and answered only by
+    // the handler's liveness poll would be queued but never counted.
+    if stats.queued_writes != stats.acked_writes + stats.nacked_writes + stats.failed_writes {
+        return Err(format!(
+            "point {point}: write accounting broken: queued {} != acked {} + nacked {} + failed {}",
+            stats.queued_writes, stats.acked_writes, stats.nacked_writes, stats.failed_writes
+        ));
+    }
     let reopen = |devs: &[Arc<Pmem>], what: &str| {
         ShardedKv::open(
             devs,
