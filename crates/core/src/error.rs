@@ -40,13 +40,17 @@ pub enum JnvmError {
     /// A failure-atomic block was started on a different runtime than the
     /// one already active on this thread.
     ForeignTransaction,
-    /// A redo-log entry with an unknown kind was found during replay — the
-    /// log (or the directory pointing at it) is damaged. Reported instead
-    /// of aborting so a server re-open on a damaged pool can surface the
-    /// failure to its operator.
+    /// A committed redo log failed validation during replay (unknown
+    /// entry kind, a length running past the log, an address outside its
+    /// block's payload) — the log (or the directory pointing at it) is
+    /// damaged. Reported instead of aborting so a server re-open on a
+    /// damaged pool can surface the failure to its operator.
     CorruptLog {
-        /// The unrecognized entry-kind word.
-        kind: u64,
+        /// The offending entry's head word (the committed length itself
+        /// when that is what overruns the log).
+        entry: u64,
+        /// What was wrong with it.
+        reason: &'static str,
     },
 }
 
@@ -71,8 +75,8 @@ impl fmt::Display for JnvmError {
             JnvmError::ForeignTransaction => {
                 write!(f, "failure-atomic block already active on another runtime")
             }
-            JnvmError::CorruptLog { kind } => {
-                write!(f, "corrupt redo log: entry kind {kind}")
+            JnvmError::CorruptLog { entry, reason } => {
+                write!(f, "corrupt redo log: {reason} (entry word {entry:#x})")
             }
         }
     }

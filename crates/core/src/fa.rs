@@ -2,18 +2,29 @@
 //! by Romulus and adapted to the block heap.
 //!
 //! During a failure-atomic block every modification — allocation, payload
-//! write, free — is recorded in a per-thread persistent log, leaving
-//! original data intact. Payload writes are redirected to **in-flight block
-//! copies**; reads observe them. Commit, over a group of one or more
-//! blocks' logs:
+//! write, free — is recorded, leaving original data intact. A payload write
+//! to a valid object lands in a **volatile overlay** (one new value per
+//! written word; mediated reads consult it first). When the block's closure
+//! returns, each maximal run of written words becomes one self-contained
+//! redo entry in the persistent log — the log carries the words, never the
+//! enclosing block. (The paper redirects writes to in-flight NVMM block
+//! copies instead; DESIGN.md §3 says why this departs from it.)
 //!
-//! 1. `pwb` all in-flight blocks and log entries (already queued), `pfence`,
-//! 2. set each log's committed flag + entry count, `pwb`, `pfence` — the
+//! A log's payload is `[committed flag][length in words][entries…]`, an
+//! entry `[kind | n << 8][address][n payload words]`: `n` is 0 for an
+//! allocation or a free, and a write entry carries the `n` words to store
+//! at `address`, all inside one block's payload.
+//!
+//! Commit, over a group of one or more blocks' logs:
+//!
+//! 1. `pwb` all log entries and fresh allocations (already queued), `pfence`,
+//! 2. set each log's committed flag + length, `pwb`, `pfence` — the
 //!    durability point,
-//! 3. apply: validate allocations, invalidate frees, copy in-flight
-//!    payloads onto the originals, `pwb`, `pfence` — the applies must be
-//!    durable *before* step 4, or a crash could persist the cleared flag
-//!    while losing an applied line, and nothing would replay the torn block,
+//! 3. apply: validate allocations, invalidate frees, copy each write
+//!    entry's words from the log onto the original, `pwb`, `pfence` — the
+//!    applies must be durable *before* step 4, or a crash could persist the
+//!    cleared flag while losing an applied line, and nothing would replay
+//!    the torn block,
 //! 4. clear each committed flag, `pwb`, `pfence` (so the logs are reusable
 //!    and the blocks the group released may be recycled).
 //!
@@ -28,16 +39,19 @@
 //! them anyway.
 //!
 //! After a failure, committed logs are replayed and uncommitted ones
-//! abandoned **before** the recovery GC runs; the GC then reaps in-flight
-//! blocks and invalid allocations.
+//! abandoned **before** the recovery GC runs; the GC then reaps invalid
+//! allocations.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use crossbeam::queue::SegQueue;
+use jnvm_heap::HEADER_BYTES;
+use jnvm_pmem::CACHE_LINE;
 use parking_lot::Mutex;
 
 use crate::error::JnvmError;
@@ -50,22 +64,22 @@ use crate::runtime::{Jnvm, JnvmRuntime};
 /// failure-atomic blocks over the pool's lifetime.
 const DIR_CAPACITY: u64 = 64;
 
-/// Initial log capacity in entries; logs grow on demand.
-const LOG_INIT_ENTRIES: u64 = 256;
-
-/// Entry size: kind, a, b.
-const ENTRY_BYTES: u64 = 24;
+/// Initial log capacity in entry words; logs grow on demand.
+const LOG_INIT_WORDS: u64 = 768;
 
 /// Logical offset of the committed flag within a log's payload.
 const LOG_COMMITTED: u64 = 0;
-/// Logical offset of the committed entry count.
-const LOG_COUNT: u64 = 8;
+/// Logical offset of the committed length, in words of entries.
+const LOG_LEN: u64 = 8;
 /// Logical offset of the first entry.
 const LOG_ENTRIES: u64 = 16;
 
 const KIND_ALLOC: u64 = 1;
 const KIND_FREE: u64 = 2;
 const KIND_WRITE: u64 = 3;
+/// An entry's head word holds its kind in the low byte and the number of
+/// payload words that follow its address word above it.
+const KIND_BITS: u32 = 8;
 
 /// A handle on one persistent redo log.
 pub(crate) struct LogHandle {
@@ -75,6 +89,21 @@ pub(crate) struct LogHandle {
 impl LogHandle {
     fn addr(&self) -> u64 {
         self.chain.blocks[0]
+    }
+
+    /// Grow the log's chain until it holds `words` words of entries.
+    fn reserve(&mut self, rt: &Jnvm, words: u64) {
+        let heap = rt.heap();
+        let have = self.chain.blocks.len() as u64;
+        let need = heap.blocks_for(LOG_ENTRIES + words * 8);
+        if need > have {
+            let added = heap
+                .extend_chain(heap.block_of_addr(self.addr()), need - have)
+                .expect("heap exhausted growing redo log");
+            self.chain
+                .blocks
+                .extend(added.into_iter().map(|b| heap.block_addr(b)));
+        }
     }
 }
 
@@ -109,10 +138,9 @@ impl FaManager {
             return log;
         }
         // Create a new log and publish it in the directory.
-        let payload = LOG_ENTRIES + LOG_INIT_ENTRIES * ENTRY_BYTES;
-        let log = Proxy::alloc(rt, CLASS_ID_FALOG, payload);
+        let log = Proxy::alloc(rt, CLASS_ID_FALOG, LOG_ENTRIES + LOG_INIT_WORDS * 8);
         log.write_u64(LOG_COMMITTED, 0);
-        log.write_u64(LOG_COUNT, 0);
+        log.write_u64(LOG_LEN, 0);
         log.pwb();
         log.validate();
         rt.pmem().pfence();
@@ -129,7 +157,7 @@ impl FaManager {
         *cursor += 1;
         let chain = RawChain::open(rt, log.addr());
         // The directory now durably references the log; its initialized
-        // committed-flag/count words must be persisted with it, or recovery
+        // committed-flag/length words must be persisted with it, or recovery
         // could chase the slot into an uninitialized log.
         rt.pmem()
             .ordering_point("log-publish", &[(chain.phys(LOG_COMMITTED), 16)]);
@@ -142,7 +170,7 @@ impl FaManager {
 
     /// After restart: replay committed logs, abandon uncommitted ones, and
     /// repopulate the volatile log pool. Returns `(replayed, abandoned)`.
-    /// Must run before the recovery GC. A damaged log (unknown entry kind)
+    /// Must run before the recovery GC. A damaged log (see `read_log`)
     /// surfaces as [`JnvmError::CorruptLog`] rather than aborting, so a
     /// server re-open on a damaged pool can report the failure.
     ///
@@ -175,7 +203,7 @@ impl FaManager {
             slot: u64,
             chain: RawChain,
             committed: bool,
-            count: u64,
+            len: u64,
         }
         let mut infos: Vec<LogInfo> = Vec::new();
         for slot in 0..cap {
@@ -185,15 +213,20 @@ impl FaManager {
             }
             let chain = RawChain::open(rt, log_addr);
             let committed = pmem.read_u64(chain.phys(LOG_COMMITTED)) == 1;
-            let count = pmem.read_u64(chain.phys(LOG_COUNT));
-            infos.push(LogInfo { slot, chain, committed, count });
+            let len = pmem.read_u64(chain.phys(LOG_LEN));
+            infos.push(LogInfo {
+                slot,
+                chain,
+                committed,
+                len,
+            });
         }
 
         // Replay one committed log: steps 3–4 of the commit protocol. Both
         // are idempotent, so a crash anywhere in here re-replays on the
         // next recovery and converges.
         let replay_one = |info: &LogInfo, retired_fp: &mut Vec<(u64, u64)>| {
-            let log = std::iter::once((&info.chain, info.count));
+            let log = std::iter::once((&info.chain, info.len));
             apply_and_retire(rt, log, false, retired_fp).map(drop)
         };
 
@@ -219,24 +252,18 @@ impl FaManager {
             committed_idx.len() as u64
         } else {
             // Block-index footprint of a committed log: every block an
-            // entry reads or writes during replay.
+            // entry writes during replay. (A damaged log has none here and
+            // surfaces as CorruptLog at replay.)
             let footprint = |info: &LogInfo| -> HashSet<u64> {
-                let mut fp = HashSet::new();
-                for i in 0..info.count {
-                    let (kind, a, b) = read_entry(rt, &info.chain, i);
-                    match kind {
-                        KIND_ALLOC | KIND_FREE => {
-                            fp.insert(heap.block_of_addr(a));
+                let entries = read_log(rt, &info.chain, info.len).map_or(Vec::new(), |(_, e)| e);
+                entries
+                    .iter()
+                    .map(|e| match e {
+                        Entry::Alloc(a) | Entry::Free(a) | Entry::Write { addr: a, .. } => {
+                            heap.block_of_addr(*a)
                         }
-                        KIND_WRITE => {
-                            fp.insert(heap.block_of_addr(a));
-                            fp.insert(heap.block_of_addr(b));
-                        }
-                        // Unknown kinds surface as CorruptLog at replay.
-                        _ => {}
-                    }
-                }
-                fp
+                    })
+                    .collect()
             };
             // Union conflicting logs into replay units (members kept in
             // directory-slot order).
@@ -298,7 +325,7 @@ impl FaManager {
             n
         };
 
-        let abandoned = infos.iter().filter(|i| !i.committed && i.count != 0).count() as u64;
+        let abandoned = infos.iter().filter(|i| !i.committed && i.len != 0).count() as u64;
         for info in infos {
             *cursor = info.slot + 1;
             self.free_logs.push(LogHandle { chain: info.chain });
@@ -357,14 +384,103 @@ pub(crate) fn trace_log_dir(rt: &Jnvm, addr: u64, visit: &mut dyn FnMut(u64)) {
 
 struct TxState {
     rt: Jnvm,
-    log: LogHandle,
-    count: u64,
-    /// orig block byte address -> in-flight block byte address. Ordered
-    /// (as is `allocated`) so the flush phase issues its write-backs in
-    /// address order: crash point `i` names the same op on every run.
-    redirects: BTreeMap<u64, u64>,
-    /// Master addresses allocated inside this block (written in place).
-    allocated: BTreeSet<u64>,
+    /// The block's redo entries as log words: ALLOC and FREE entries in
+    /// program order; `seal` appends the WRITE entries.
+    entries: Vec<u64>,
+    /// Number of entries in `entries`.
+    ops: u64,
+    /// The volatile overlay: word address -> staged value, for every word
+    /// of a valid object the block wrote. Ordered (as is `allocated`) so
+    /// the flush phase emits its entries and write-backs in address order:
+    /// crash point `i` names the same op on every run.
+    overlay: BTreeMap<u64, u64>,
+    /// Objects allocated inside this block (written in place, validated
+    /// and flushed by the commit): master address -> payload bytes.
+    allocated: BTreeMap<u64, u64>,
+    /// The persistent log holding `entries` once the block is sealed.
+    log: Option<LogHandle>,
+}
+
+impl TxState {
+    /// The log of a sealed block that staged at least one entry.
+    fn log(&self) -> &LogHandle {
+        self.log.as_ref().expect("sealed with entries")
+    }
+
+    fn push_entry(&mut self, kind: u64, addr: u64) {
+        self.entries.extend([kind, addr]);
+        self.ops += 1;
+    }
+
+    /// The block's closure has returned: emit each maximal run of overlay
+    /// words as one WRITE entry, write the entries into a log and queue
+    /// step 1's write-backs — on the staging thread, so the group's single
+    /// step-1 fence covers them (per-thread persistence domains drain only
+    /// the caller's queue). A run never leaves its block: consecutive
+    /// payload words of two blocks have a header word between them.
+    fn seal(&mut self) {
+        let mut head = 0;
+        let mut next = None;
+        for (&addr, &v) in &self.overlay {
+            if next != Some(addr) {
+                head = self.entries.len();
+                self.entries.extend([KIND_WRITE, addr]);
+                self.ops += 1;
+            }
+            self.entries.push(v);
+            self.entries[head] += 1 << KIND_BITS;
+            next = Some(addr + 8);
+        }
+        if self.entries.is_empty() {
+            return;
+        }
+        let rt = &self.rt;
+        let mut log = rt.fa_manager().acquire_log(rt);
+        log.reserve(rt, self.entries.len() as u64);
+        let bytes: Vec<u8> = self.entries.iter().flat_map(|w| w.to_le_bytes()).collect();
+        log.chain.write_bytes(rt.pmem(), LOG_ENTRIES, &bytes);
+        self.log = Some(log);
+        // Each line once, in address order: pooled neighbours share lines.
+        let mut lines = Vec::new();
+        self.staged_ranges(|addr, len| {
+            lines.extend(addr / CACHE_LINE..=(addr + len - 1) / CACHE_LINE)
+        });
+        lines.sort_unstable();
+        lines.dedup();
+        for line in lines {
+            rt.pmem().pwb(line * CACHE_LINE);
+        }
+    }
+
+    /// What step 1 of the commit protocol must persist for a sealed block,
+    /// as `(address, length)` ranges: its log entries, and the header and
+    /// payload of every object it allocated (written in place with their
+    /// own flushes suppressed by the mediation — the commit owns their
+    /// write-back). Blocks a fresh chain grew by since are taken whole.
+    fn staged_ranges(&self, mut f: impl FnMut(u64, u64)) {
+        let heap = self.rt.heap();
+        if let Some(log) = &self.log {
+            log.chain
+                .segments(LOG_ENTRIES, self.entries.len() as u64 * 8, &mut f);
+        }
+        for (&master, &payload) in &self.allocated {
+            if self.rt.pools().is_pooled_addr(master) {
+                f(master, HEADER_BYTES + payload);
+                continue;
+            }
+            let mut left = payload.max(1);
+            for b in heap.chain_blocks(heap.block_of_addr(master)) {
+                let used = left.min(heap.payload_size());
+                let len = if used > 0 {
+                    HEADER_BYTES + used
+                } else {
+                    heap.block_size()
+                };
+                f(heap.block_addr(b), len);
+                left -= used;
+            }
+        }
+    }
 }
 
 thread_local! {
@@ -384,13 +500,13 @@ pub enum CommitPhase {
     /// No commit activity since the last completed block.
     #[default]
     Idle,
-    /// Inside the user closure: mutations are being redirected and logged.
+    /// Inside the user closure: mutations are being staged and logged.
     Mutate,
-    /// Step 1: flushing in-flight blocks and fresh allocations.
-    FlushInflight,
+    /// Step 1: flushing log entries and fresh allocations.
+    FlushStaged,
     /// Step 2: writing + flushing the committed flag and entry count.
     CommitPoint,
-    /// Step 3: copying in-flight payloads onto the originals.
+    /// Step 3: copying the logged words onto the originals.
     Apply,
     /// Step 4: clearing the committed flag so the log can be reused.
     Retire,
@@ -402,7 +518,7 @@ impl CommitPhase {
         match self {
             CommitPhase::Idle => "idle",
             CommitPhase::Mutate => "mutate",
-            CommitPhase::FlushInflight => "flush-inflight",
+            CommitPhase::FlushStaged => "flush-staged",
             CommitPhase::CommitPoint => "commit-point",
             CommitPhase::Apply => "apply",
             CommitPhase::Retire => "retire",
@@ -432,137 +548,172 @@ pub fn depth() -> u32 {
     TX_DEPTH.with(|d| d.get())
 }
 
-/// Resolve a block address for a read inside a failure-atomic block.
-#[inline]
-pub(crate) fn redirect_read(block_addr: u64) -> u64 {
+/// Run `f` on the calling thread's active transaction.
+fn with_tx<R>(f: impl FnOnce(&mut TxState) -> R) -> R {
     TX.with(|tx| {
-        let tx = tx.borrow();
-        match tx.as_ref() {
-            Some(tx) => *tx.redirects.get(&block_addr).unwrap_or(&block_addr),
-            None => block_addr,
-        }
+        f(tx.borrow_mut()
+            .as_mut()
+            .expect("depth > 0 implies an active transaction"))
     })
 }
 
-/// Resolve a block address for a write inside a failure-atomic block,
-/// creating the in-flight copy and log entry on first touch.
-pub(crate) fn redirect_write(rt: &Jnvm, master_addr: u64, block_addr: u64) -> u64 {
-    TX.with(|tx| {
-        let mut tx = tx.borrow_mut();
-        let tx = tx.as_mut().expect("depth > 0 implies an active transaction");
+/// The staged value of the word at `addr`, if the active block wrote it.
+#[inline]
+pub(crate) fn overlay_word(addr: u64) -> Option<u64> {
+    with_tx(|tx| tx.overlay.get(&addr).copied())
+}
+
+/// Patch `out`, the device content of `[addr, addr + out.len())`, with the
+/// words the active block staged inside that range.
+pub(crate) fn overlay_patch(addr: u64, out: &mut [u8]) {
+    let end = addr + out.len() as u64;
+    with_tx(|tx| {
+        for (&w, &v) in tx.overlay.range(addr & !7..end) {
+            let (lo, hi) = (w.max(addr), (w + 8).min(end));
+            out[(lo - addr) as usize..(hi - addr) as usize]
+                .copy_from_slice(&v.to_le_bytes()[(lo - w) as usize..(hi - w) as usize]);
+        }
+    });
+}
+
+/// Stage a mediated store of `data` at `addr` into the active block's
+/// overlay; a partly covered word merges with its staged-or-NVMM value.
+/// Returns `false` — nothing staged, the caller stores in place (§4.2) —
+/// when the object at `master_addr` was allocated inside this block.
+pub(crate) fn overlay_write(rt: &Jnvm, master_addr: u64, addr: u64, data: &[u8]) -> bool {
+    let end = addr + data.len() as u64;
+    with_tx(|tx| {
         assert!(
             Arc::ptr_eq(&tx.rt, rt),
             "failure-atomic block active on a different runtime"
         );
-        if tx.allocated.contains(&master_addr) {
-            // Fresh (invalid) object: write in place (§4.2).
-            return block_addr;
+        if tx.allocated.contains_key(&master_addr) {
+            return false;
         }
-        if let Some(inflight) = tx.redirects.get(&block_addr) {
-            return *inflight;
+        for w in (addr & !7..end).step_by(8) {
+            let (lo, hi) = (w.max(addr), (w + 8).min(end));
+            let mut bytes = [0u8; 8];
+            if hi - lo < 8 {
+                let old = tx.overlay.get(&w).copied();
+                bytes = old.unwrap_or_else(|| rt.pmem().read_u64(w)).to_le_bytes();
+            }
+            bytes[(lo - w) as usize..(hi - w) as usize]
+                .copy_from_slice(&data[(lo - addr) as usize..(hi - addr) as usize]);
+            tx.overlay.insert(w, u64::from_le_bytes(bytes));
         }
-        let heap = rt.heap();
-        let inflight_idx = heap.alloc_block().expect("persistent heap exhausted (in-flight block)");
-        let inflight = heap.block_addr(inflight_idx);
-        let pmem = rt.pmem();
-        // Clear any stale header so recovery sees the copy as a free block.
-        pmem.write_u64(inflight, 0);
-        // Copy the original payload.
-        let mut buf = vec![0u8; heap.payload_size() as usize];
-        pmem.read_bytes(block_addr + 8, &mut buf);
-        pmem.write_bytes(inflight + 8, &buf);
-        append_entry(rt, tx, KIND_WRITE, block_addr, inflight);
-        tx.redirects.insert(block_addr, inflight);
-        inflight
+        true
     })
 }
 
-/// Record an allocation performed inside the active failure-atomic block
-/// (no-op outside one). The object will be validated at commit.
-pub(crate) fn note_alloc(rt: &Jnvm, master_addr: u64) {
+/// Record the allocation of an object of `payload` bytes performed inside
+/// the active failure-atomic block (no-op outside one). The commit will
+/// flush and validate it.
+pub(crate) fn note_alloc(master_addr: u64, payload: u64) {
     if depth() == 0 {
         return;
     }
-    TX.with(|tx| {
-        let mut tx = tx.borrow_mut();
-        let tx = tx.as_mut().expect("depth > 0 implies an active transaction");
-        append_entry(rt, tx, KIND_ALLOC, master_addr, 0);
-        tx.allocated.insert(master_addr);
+    with_tx(|tx| {
+        tx.push_entry(KIND_ALLOC, master_addr);
+        tx.allocated.insert(master_addr, payload);
     });
+}
+
+/// Whether the object at `addr` was allocated inside the failure-atomic
+/// block active on this thread (false outside one).
+pub(crate) fn allocated_in_block(addr: u64) -> bool {
+    depth() > 0 && with_tx(|tx| tx.allocated.contains_key(&addr))
 }
 
 /// Record a free inside the active failure-atomic block. Returns `true` if
 /// the free was deferred to commit, `false` if no block is active and the
 /// caller must free immediately.
-pub(crate) fn note_free(rt: &Jnvm, addr: u64) -> bool {
+pub(crate) fn note_free(addr: u64) -> bool {
     if depth() == 0 {
         return false;
     }
-    TX.with(|tx| {
-        let mut tx = tx.borrow_mut();
-        let tx = tx.as_mut().expect("depth > 0 implies an active transaction");
-        append_entry(rt, tx, KIND_FREE, addr, 0);
-    });
+    with_tx(|tx| tx.push_entry(KIND_FREE, addr));
     true
 }
 
-fn append_entry(rt: &Jnvm, tx: &mut TxState, kind: u64, a: u64, b: u64) {
-    let logical = LOG_ENTRIES + tx.count * ENTRY_BYTES;
-    // Grow the log if needed.
-    while logical + ENTRY_BYTES > tx.log.chain.capacity() {
-        let heap = rt.heap();
-        let master_idx = heap.block_of_addr(tx.log.addr());
-        let added = heap.extend_chain(master_idx, 4).expect("heap exhausted growing redo log");
-        tx.log
-            .chain
-            .blocks
-            .extend(added.into_iter().map(|bk| heap.block_addr(bk)));
+/// One decoded redo entry.
+enum Entry {
+    Alloc(u64),
+    Free(u64),
+    /// Store the log bytes `words` (a range into the log's buffer) at `addr`.
+    Write {
+        addr: u64,
+        words: Range<usize>,
+    },
+}
+
+/// Read a committed log of `len` words and decode its entries. Replay
+/// never trusts a length: a log longer than its chain, an entry running
+/// past `len`, an unknown kind, an address outside the heap and a write
+/// range leaving its block's payload are all [`JnvmError::CorruptLog`] —
+/// reported before anything is applied.
+fn read_log(
+    rt: &JnvmRuntime,
+    chain: &RawChain,
+    len: u64,
+) -> Result<(Vec<u8>, Vec<Entry>), JnvmError> {
+    let heap = rt.heap();
+    let corrupt = |entry, reason| Err(JnvmError::CorruptLog { entry, reason });
+    if len > (chain.capacity() - LOG_ENTRIES) / 8 {
+        return corrupt(len, "committed length exceeds the log");
     }
-    let pmem = rt.pmem();
-    let c = &tx.log.chain;
-    // Entries are 24 bytes in a 248-byte payload: a word may straddle
-    // blocks, so use segment-safe writes.
-    let mut bytes = [0u8; 24];
-    bytes[0..8].copy_from_slice(&kind.to_le_bytes());
-    bytes[8..16].copy_from_slice(&a.to_le_bytes());
-    bytes[16..24].copy_from_slice(&b.to_le_bytes());
-    c.write_bytes(pmem, logical, &bytes);
-    c.segments(logical, ENTRY_BYTES, |addr, len| pmem.pwb_range(addr, len));
-    tx.count += 1;
-}
-
-fn read_entry(rt: &JnvmRuntime, chain: &RawChain, i: u64) -> (u64, u64, u64) {
-    let mut bytes = [0u8; 24];
-    chain.read_bytes(rt.pmem(), LOG_ENTRIES + i * ENTRY_BYTES, &mut bytes);
-    (
-        u64::from_le_bytes(bytes[0..8].try_into().expect("slice of 8")),
-        u64::from_le_bytes(bytes[8..16].try_into().expect("slice of 8")),
-        u64::from_le_bytes(bytes[16..24].try_into().expect("slice of 8")),
-    )
-}
-
-/// Blocks a live commit may hand back to the shared allocator only once
-/// its log is durably retired. Releasing them earlier is a race: another
-/// thread can pop such a block from the volatile free queue and scribble
-/// on it while the log is still committed on media — a crash in that
-/// window replays the log and copies the scribbles (or re-invalidates the
-/// other thread's allocation) onto committed state.
-#[derive(Default)]
-struct DeferredReclaim {
-    /// Master addresses the block freed (`KIND_FREE`).
-    frees: Vec<u64>,
-    /// In-flight copy blocks (`KIND_WRITE` sources), by block index.
-    inflight: Vec<u64>,
+    let mut buf = vec![0u8; (len * 8) as usize];
+    chain.read_bytes(rt.pmem(), LOG_ENTRIES, &mut buf);
+    let word = |i: u64| {
+        let at = (i * 8) as usize;
+        u64::from_le_bytes(buf[at..at + 8].try_into().expect("slice of 8"))
+    };
+    let mut entries = Vec::new();
+    let mut i = 0;
+    while i < len {
+        let head = word(i);
+        let (kind, n) = (head & ((1 << KIND_BITS) - 1), head >> KIND_BITS);
+        if len - i < 2 || n > len - i - 2 {
+            return corrupt(head, "entry runs past the committed length");
+        }
+        let addr = word(i + 1);
+        let block = heap.block_of_addr(addr);
+        if block < heap.data_start() || block >= heap.nblocks() || !addr.is_multiple_of(8) {
+            return corrupt(head, "address outside the heap");
+        }
+        entries.push(match (kind, n) {
+            (KIND_ALLOC, 0) => Entry::Alloc(addr),
+            (KIND_FREE, 0) => Entry::Free(addr),
+            (KIND_WRITE, 1..) => {
+                let off = addr - heap.block_addr(block);
+                if off < HEADER_BYTES || n * 8 > heap.block_size() - off {
+                    return corrupt(head, "write range leaves its block's payload");
+                }
+                Entry::Write {
+                    addr,
+                    words: ((i + 2) * 8) as usize..((i + 2 + n) * 8) as usize,
+                }
+            }
+            _ => return corrupt(head, "unknown entry kind"),
+        });
+        i += 2 + n;
+    }
+    Ok((buf, entries))
 }
 
 /// Steps 3–4 of the commit protocol over durably committed `logs`
-/// (`(chain, entry count)` each): apply every log's entries, fence, and
+/// (`(chain, length in words)` each): apply every log's entries, fence, and
 /// only then clear each committed flag and queue its write-back. The
 /// caller owns the closing fence and declares `retired_fp` (the cleared
 /// flags, collected only while the sanitizer is on) behind it.
-/// `runtime_commit` is true on a live commit, which then releases the
-/// returned blocks; false during post-crash replay, where the recovery GC
-/// reclaims in-flight copies and freed masters.
+///
+/// `runtime_commit` is true on a live commit, which gets back the master
+/// addresses the logs freed and may hand them to the shared allocator only
+/// once that closing fence has run. Releasing them earlier is a race:
+/// another thread can take such a block and scribble on it while the log
+/// is still committed on media — a crash in that window replays the log
+/// and re-invalidates the other thread's allocation. During post-crash
+/// replay (false) the frees are invalidated persistently and the recovery
+/// GC rebuilds the free queue.
 ///
 /// The applies must be durable before the flag clears: under partial line
 /// eviction a crash could otherwise persist a flag-clear while losing
@@ -574,9 +725,8 @@ fn apply_and_retire<'a>(
     logs: impl Iterator<Item = (&'a RawChain, u64)> + Clone,
     runtime_commit: bool,
     retired_fp: &mut Vec<(u64, u64)>,
-) -> Result<DeferredReclaim, JnvmError> {
+) -> Result<Vec<u64>, JnvmError> {
     let pmem = rt.pmem();
-    let heap = rt.heap();
     let collect = pmem.sanitizer_active();
     let mut applied_fp: Vec<(u64, u64)> = Vec::new();
     let mut applied = |addr, len| {
@@ -584,36 +734,26 @@ fn apply_and_retire<'a>(
             applied_fp.push((addr, len));
         }
     };
-    let mut deferred = DeferredReclaim::default();
-    let psize = heap.payload_size();
-    let mut buf = vec![0u8; psize as usize];
-    for (chain, count) in logs.clone() {
-        for i in 0..count {
-            let (kind, a, b) = read_entry(rt, chain, i);
-            match kind {
-                KIND_ALLOC => {
+    let mut frees = Vec::new();
+    for (chain, len) in logs.clone() {
+        let (buf, entries) = read_log(rt, chain, len)?;
+        for entry in entries {
+            match entry {
+                Entry::Alloc(a) => {
                     rt.set_valid_addr(a, true);
                     applied(a, 8);
                 }
-                KIND_FREE => deferred.frees.push(a),
-                KIND_WRITE => {
-                    pmem.read_bytes(b + 8, &mut buf);
-                    pmem.write_bytes(a + 8, &buf);
-                    pmem.pwb_range(a + 8, psize);
-                    if runtime_commit {
-                        deferred.inflight.push(heap.block_of_addr(b));
-                    }
-                    applied(a + 8, psize);
+                Entry::Free(a) if runtime_commit => frees.push(a),
+                Entry::Free(a) => {
+                    rt.set_valid_addr(a, false);
+                    applied(a, 8);
                 }
-                other => return Err(JnvmError::CorruptLog { kind: other }),
-            }
-        }
-        if !runtime_commit {
-            // During replay only invalidate persistently; the GC rebuilds
-            // the free queue afterwards.
-            for a in deferred.frees.drain(..) {
-                rt.set_valid_addr(a, false);
-                applied(a, 8);
+                Entry::Write { addr, words } => {
+                    let len = words.len() as u64;
+                    pmem.write_bytes(addr, &buf[words]);
+                    pmem.pwb_range(addr, len);
+                    applied(addr, len);
+                }
             }
         }
     }
@@ -634,7 +774,7 @@ fn apply_and_retire<'a>(
             retired_fp.push((chain.phys(LOG_COMMITTED), 8));
         }
     }
-    Ok(deferred)
+    Ok(frees)
 }
 
 impl JnvmRuntime {
@@ -650,13 +790,11 @@ impl JnvmRuntime {
     pub fn fa<R>(self: &Arc<Self>, f: impl FnOnce() -> R) -> R {
         if depth() > 0 {
             // Nested: `f` runs in place, the outermost block commits it.
-            TX.with(|tx| {
-                let tx = tx.borrow();
-                let tx = tx.as_ref().expect("depth > 0 implies an active transaction");
+            with_tx(|tx| {
                 assert!(
                     Arc::ptr_eq(&tx.rt, self),
                     "failure-atomic block active on a different runtime"
-                );
+                )
             });
             return f();
         }
@@ -674,9 +812,9 @@ impl JnvmRuntime {
     }
 
     /// Execute `f` as a failure-atomic block whose mutations are **staged**
-    /// rather than committed: every modification is logged and redirected
-    /// exactly as in [`JnvmRuntime::fa`], and the in-flight payloads are
-    /// queued for write-back, but no fence is issued and the log is not
+    /// rather than committed: every modification is staged and logged
+    /// exactly as in [`JnvmRuntime::fa`], and the log entries are queued
+    /// for write-back, but no fence is issued and the log is not
     /// committed. The returned [`StagedTx`] must be handed to
     /// [`JnvmRuntime::fa_commit_group`] (with any number of siblings) to
     /// make the block durable behind a *shared* pass of fences — the group
@@ -685,12 +823,12 @@ impl JnvmRuntime {
     ///
     /// # Footprint discipline
     ///
-    /// Staged blocks in one group redirect writes independently: two blocks
-    /// touching the **same master block** each copy the pre-group payload
-    /// and the last apply wins (lost update). The caller must guarantee
-    /// pairwise-disjoint write footprints within a group (the kvstore
-    /// committer derives this from shard/stripe disjointness);
-    /// `fa_commit_group` debug-asserts it.
+    /// Staged blocks in one group stage writes independently: a block never
+    /// reads a sibling's overlay, and of two blocks writing the **same
+    /// word** the last apply wins (lost update). The caller must guarantee
+    /// that no block of a group reads or writes what a sibling writes (the
+    /// kvstore committer derives this from shard/stripe disjointness);
+    /// `fa_commit_group` debug-asserts the write-write half.
     ///
     /// # Panics
     ///
@@ -700,14 +838,14 @@ impl JnvmRuntime {
         assert_eq!(depth(), 0, "fa_stage cannot nest inside an active failure-atomic block");
         let obs_begin = jnvm_obs::span_begin();
         set_phase(CommitPhase::Mutate);
-        let log = self.fa_manager().acquire_log(self);
         TX.with(|tx| {
             *tx.borrow_mut() = Some(TxState {
                 rt: Arc::clone(self),
-                log,
-                count: 0,
-                redirects: BTreeMap::new(),
-                allocated: BTreeSet::new(),
+                entries: Vec::new(),
+                ops: 0,
+                overlay: BTreeMap::new(),
+                allocated: BTreeMap::new(),
+                log: None,
             });
         });
         TX_DEPTH.with(|d| d.set(1));
@@ -730,25 +868,21 @@ impl JnvmRuntime {
         guard.done = true;
         drop(guard);
         let state = TX.with(|tx| tx.borrow_mut().take().expect("stage without transaction"));
-        // Step 1 of the commit protocol, minus its fence: queue the
-        // write-back of in-flight copies and fresh allocations now, on the
-        // staging thread, so the group's single step-1 fence covers them
-        // (per-thread persistence domains drain only the caller's queue).
-        set_phase(CommitPhase::FlushInflight);
-        staged_ranges(self, &state, |addr, len| self.pmem().pwb_range(addr, len));
+        let mut tx = StagedTx {
+            state: Some(state),
+            thread: std::thread::current().id(),
+        };
+        // Step 1 of the commit protocol, minus its fence. (Should sealing
+        // unwind — heap exhausted growing the log — `tx` drops and aborts.)
+        set_phase(CommitPhase::FlushStaged);
+        tx.state.as_mut().expect("just staged").seal();
         jnvm_obs::span_end(jnvm_obs::SpanKind::FaStage, obs_begin);
-        (
-            StagedTx {
-                state: Some(state),
-                thread: std::thread::current().id(),
-            },
-            r,
-        )
+        (tx, r)
     }
 
     /// Commit a group of [staged](JnvmRuntime::fa_stage) failure-atomic
     /// blocks behind **one** shared pass of the §4.2 protocol: a single
-    /// step-1 fence covers every block's in-flight payloads, a single
+    /// step-1 fence covers every block's log entries, a single
     /// commit-point fence makes the whole group durable (this is the
     /// group's *durability point* — an acknowledgement released after this
     /// call covers every block in the group), the blocks are applied
@@ -780,9 +914,8 @@ impl JnvmRuntime {
                 Arc::ptr_eq(&state.rt, self),
                 "staged block belongs to a different runtime"
             );
-            if state.count == 0 {
-                self.fa_manager().release_log(state.log);
-            } else {
+            // A block that staged nothing never took a log.
+            if state.log.is_some() {
                 states.push(state);
             }
         }
@@ -793,66 +926,65 @@ impl JnvmRuntime {
         #[cfg(debug_assertions)]
         {
             let mut seen: HashSet<u64> = HashSet::new();
-            for st in &states {
-                for master in st.redirects.keys() {
-                    assert!(
-                        seen.insert(*master),
-                        "group contains two staged blocks redirecting master block \
-                         {master:#x}: footprints must be pairwise disjoint"
-                    );
-                }
+            for word in states.iter().flat_map(|st| st.overlay.keys()) {
+                assert!(
+                    seen.insert(*word),
+                    "group contains two staged blocks writing word {word:#x}: \
+                     footprints must be pairwise disjoint"
+                );
             }
         }
         let obs_begin = jnvm_obs::span_begin();
         let pmem = self.pmem();
-        let heap = self.heap();
         // 1. One fence covers every staged block's queued write-backs.
-        set_phase(CommitPhase::FlushInflight);
+        set_phase(CommitPhase::FlushStaged);
         pmem.pfence();
         // 2. Commit point of the whole group.
         set_phase(CommitPhase::CommitPoint);
         for st in &states {
-            pmem.write_u64(st.log.chain.phys(LOG_COUNT), st.count);
-            pmem.write_u64(st.log.chain.phys(LOG_COMMITTED), 1);
-            pmem.pwb(st.log.chain.phys(LOG_COMMITTED));
-            pmem.pwb(st.log.chain.phys(LOG_COUNT));
+            let chain = &st.log().chain;
+            pmem.write_u64(chain.phys(LOG_LEN), st.entries.len() as u64);
+            pmem.write_u64(chain.phys(LOG_COMMITTED), 1);
+            // Flag and length are neighbours: one write-back covers both.
+            chain.pwb_range(pmem, LOG_COMMITTED, LOG_ENTRIES);
         }
         pmem.pfence(); // ---- the group's durability point ----
-        // The whole group is durably committed behind the one fence.
-        let collect = pmem.sanitizer_active();
+                       // The whole group is durably committed behind the one fence: what
+                       // step 1 flushed, and each log's flag and length words.
         let mut commit_fp: Vec<(u64, u64)> = Vec::new();
-        if collect {
+        if pmem.sanitizer_active() {
             for st in &states {
-                staged_footprint(self, st, &mut commit_fp);
+                st.staged_ranges(|addr, len| commit_fp.push((addr, len)));
+                commit_fp.push((st.log().chain.phys(LOG_COMMITTED), LOG_ENTRIES));
             }
         }
         pmem.ordering_point("fa-commit", &commit_fp);
         // 3–4. Apply every block, fence, clear every flag; then retire all
         // logs behind one closing fence.
         set_phase(CommitPhase::Apply);
-        let logs = states.iter().map(|st| (&st.log.chain, st.count));
+        let logs = states
+            .iter()
+            .map(|st| (&st.log().chain, st.entries.len() as u64));
         let mut retired_fp: Vec<(u64, u64)> = Vec::new();
-        let deferred = apply_and_retire(self, logs, true, &mut retired_fp)
+        let frees = apply_and_retire(self, logs, true, &mut retired_fp)
             .expect("entries written by this commit are well-formed");
         pmem.pfence();
         pmem.ordering_point("fa-retire", &retired_fp);
         // Only now — the retire is durable, no log can replay again — may
         // the blocks this group released re-enter the shared allocator.
-        for a in deferred.frees {
+        for a in frees {
             self.free_addr_now(a);
         }
-        for b in deferred.inflight {
-            heap.push_free(b);
-        }
         for st in states {
-            self.fa_manager().release_log(st.log);
+            self.fa_manager()
+                .release_log(st.log.expect("sealed with entries"));
         }
         jnvm_obs::span_end(jnvm_obs::SpanKind::FaCommitGroup, obs_begin);
         set_phase(CommitPhase::Idle);
     }
 }
 
-/// A staged failure-atomic block: mutations logged, redirected and queued
+/// A staged failure-atomic block: mutations staged, logged and queued
 /// for write-back, but not yet durable. Produced by
 /// [`JnvmRuntime::fa_stage`]; consumed by [`JnvmRuntime::fa_commit_group`].
 /// Dropping an uncommitted handle aborts the block.
@@ -864,7 +996,7 @@ pub struct StagedTx {
 impl StagedTx {
     /// Number of log entries the block staged (0 = read-only block).
     pub fn op_count(&self) -> u64 {
-        self.state.as_ref().map_or(0, |s| s.count)
+        self.state.as_ref().map_or(0, |s| s.ops)
     }
 }
 
@@ -884,60 +1016,20 @@ impl std::fmt::Debug for StagedTx {
     }
 }
 
-/// What step 1 of the commit protocol must persist for a staged block, as
-/// `(address, length)` ranges in address order: its in-flight copies and
-/// the objects it allocated (written in place with their own flushes
-/// suppressed by the mediation — the commit owns their write-back).
-fn staged_ranges(rt: &Jnvm, state: &TxState, mut f: impl FnMut(u64, u64)) {
-    let heap = rt.heap();
-    for inflight in state.redirects.values() {
-        // Invariant: the in-flight header was zeroed by `redirect_write`
-        // but never flushed there. It must be durable by the commit point
-        // — recovery identifies in-flight copies as reclaimable precisely
-        // by their zero header — and that must hold even if the header
-        // ever stops sharing a cache line with the payload's first bytes,
-        // so it is a range of its own rather than riding the payload's.
-        f(*inflight, 8);
-        f(inflight + 8, heap.payload_size());
-    }
-    for master in &state.allocated {
-        if rt.pools().is_pooled_addr(*master) {
-            f(*master, 8 + rt.pools().slot_payload(*master));
-        } else {
-            for b in heap.chain_blocks(heap.block_of_addr(*master)) {
-                f(heap.block_addr(b), heap.block_size());
-            }
-        }
-    }
-}
-
-/// The durable footprint a staged block's commit point is responsible
-/// for, declared to the persist-ordering sanitizer: what step 1 flushed,
-/// the log entries and the committed-flag/count words. Only built when the
-/// sanitizer is on (see [`jnvm_pmem::Pmem::sanitizer_active`]).
-fn staged_footprint(rt: &Jnvm, state: &TxState, fp: &mut Vec<(u64, u64)>) {
-    staged_ranges(rt, state, |addr, len| fp.push((addr, len)));
-    let c = &state.log.chain;
-    c.segments(LOG_ENTRIES, state.count * ENTRY_BYTES, |addr, len| fp.push((addr, len)));
-    fp.push((c.phys(LOG_COMMITTED), 8));
-    fp.push((c.phys(LOG_COUNT), 8));
-}
-
 /// Abort a block from its captured state (shared by a stage whose closure
 /// unwound and [`StagedTx`]'s drop).
 fn abort_state(state: TxState) {
-    let TxState { rt, log, redirects, allocated, .. } = state;
-    let heap = rt.heap();
-    // Release in-flight copies (contents irrelevant, headers already 0).
-    for inflight in redirects.values() {
-        heap.push_free(heap.block_of_addr(*inflight));
-    }
+    let TxState {
+        rt, log, allocated, ..
+    } = state;
     // Release objects allocated inside the aborted block.
-    for master in &allocated {
+    for master in allocated.keys() {
         rt.free_addr_now(*master);
     }
     // The log was never committed; its entries are dead.
-    rt.fa_manager().release_log(log);
+    if let Some(log) = log {
+        rt.fa_manager().release_log(log);
+    }
 }
 
 #[cfg(test)]
@@ -955,13 +1047,13 @@ mod tests {
             .count() as u64
     }
 
-    /// Regression: the commit used to hand in-flight copies and freed
-    /// masters back to the volatile allocator during apply, *before* the
-    /// log's committed flag was durably cleared. Another thread could then
-    /// allocate such a block and scribble on it; a crash in that window
-    /// replays the still-committed log and copies the scribbles onto
-    /// committed state (observed in the concurrent torture harness as torn
-    /// record fields and off-by-a-few block accounting).
+    /// Regression: the commit used to hand freed masters back to the
+    /// volatile allocator during apply, *before* the log's committed flag
+    /// was durably cleared. Another thread could then allocate such a
+    /// block and scribble on it; a crash in that window replays the
+    /// still-committed log over the other thread's allocation (observed in
+    /// the concurrent torture harness as torn record fields and
+    /// off-by-a-few block accounting).
     ///
     /// Single-threaded, deterministic form of the invariant: at **every**
     /// crash point of a commit, any block referenced by a log that is
@@ -987,7 +1079,7 @@ mod tests {
         };
         let workload = |rt: &Jnvm, x: &Proxy, y: &Proxy| {
             rt.fa(|| {
-                x.write_u64(0, 99); // KIND_WRITE via an in-flight copy
+                x.write_u64(0, 99); // a WRITE entry of one word
                 rt.free_addr(y.addr()); // KIND_FREE, deferred to commit
             });
         };
@@ -1025,17 +1117,10 @@ mod tests {
                 if pmem.read_u64(chain.phys(LOG_COMMITTED)) != 1 {
                     continue;
                 }
-                let count = pmem.read_u64(chain.phys(LOG_COUNT));
-                for i in 0..count {
-                    let (kind, a, b) = read_entry(&rt, &chain, i);
-                    if kind == KIND_WRITE {
-                        assert!(
-                            !allocatable.contains(&heap.block_of_addr(b)),
-                            "crash point {point}: in-flight block recycled \
-                             while its log is still committed on media"
-                        );
-                    }
-                    if kind == KIND_FREE {
+                let len = pmem.read_u64(chain.phys(LOG_LEN));
+                let (_, entries) = read_log(&rt, &chain, len).expect("well-formed log");
+                for entry in entries {
+                    if let Entry::Free(a) = entry {
                         assert!(
                             !allocatable.contains(&heap.block_of_addr(a)),
                             "crash point {point}: freed master recycled \
@@ -1097,7 +1182,7 @@ mod tests {
     }
 
     /// Dropping a staged handle aborts the block: masters untouched,
-    /// in-flight copies and fresh allocations released.
+    /// fresh allocations released.
     #[test]
     fn dropped_stage_aborts() {
         let (_pmem, rt, objs) = stage_setup();
@@ -1112,7 +1197,7 @@ mod tests {
         assert_eq!(objs[0].read_u64(0), 0, "aborted stage must not apply");
         assert!(
             rt.heap().stats().blocks_freed > free_before,
-            "abort releases the in-flight copy and the fresh allocation"
+            "abort releases the fresh allocation"
         );
         // Read-only (empty) stages commit for free.
         let (tx, v) = rt.fa_stage(|| objs[1].read_u64(0));
@@ -1179,6 +1264,85 @@ mod tests {
                 "crash point {point}: group split {news}/{} — the shared \
                  durability point must make the group all-or-nothing",
                 values.len()
+            );
+        }
+    }
+
+    /// A pool image holding one committed, unapplied log — `FREE objs[1]`
+    /// then `WRITE objs[0].word0 = 99`, five words — that `damage` (given
+    /// the device, the log's chain and `objs[2]`'s address) has edited by
+    /// hand; plus the addresses of `objs[0]` and `objs[2]`.
+    fn committed_image(damage: impl FnOnce(&Pmem, &RawChain, u64)) -> (Arc<Pmem>, u64, u64) {
+        let (pmem, rt, objs) = stage_setup();
+        let (mut tx, ()) = rt.fa_stage(|| {
+            objs[0].write_u64(0, 99);
+            rt.free_addr(objs[1].addr());
+        });
+        // Taken out of the handle so that dropping it does not abort.
+        let state = tx.state.take().expect("staged");
+        let chain = state.log().chain.clone();
+        assert_eq!(state.entries.len(), 5);
+        pmem.write_u64(chain.phys(LOG_LEN), 5);
+        pmem.write_u64(chain.phys(LOG_COMMITTED), 1);
+        damage(&pmem, &chain, objs[2].addr());
+        pmem.drain_all();
+        pmem.crash(&CrashPolicy::strict()).unwrap();
+        (pmem, objs[0].addr(), objs[2].addr())
+    }
+
+    /// Replay never trusts a length, an address or a kind word: each
+    /// hand-corrupted committed log is refused with a typed error — no
+    /// panic, nothing written — and the undamaged image replays.
+    #[test]
+    fn replay_refuses_a_damaged_committed_log() {
+        fn entry(i: u64) -> u64 {
+            LOG_ENTRIES + i * 8
+        }
+        let (pmem, target, _) = committed_image(|_, _, _| ());
+        let (rt, report) = JnvmBuilder::new().open(Arc::clone(&pmem)).unwrap();
+        assert_eq!(report.replayed_logs, 1);
+        assert_eq!(Proxy::open(&rt, target).read_u64(0), 99);
+
+        type Damage = fn(&Pmem, &RawChain, u64);
+        let cases: [(&str, Damage); 6] = [
+            ("committed length exceeds the log", |p, c, _| {
+                p.write_u64(c.phys(LOG_LEN), u64::MAX)
+            }),
+            ("entry runs past the committed length", |p, c, _| {
+                p.write_u64(c.phys(LOG_LEN), 6)
+            }),
+            ("entry runs past the committed length", |p, c, _| {
+                p.write_u64(c.phys(entry(2)), KIND_WRITE | 2 << KIND_BITS)
+            }),
+            ("address outside the heap", |p, c, _| {
+                p.write_u64(c.phys(entry(3)), p.len())
+            }),
+            (
+                "write range leaves its block's payload",
+                |p, c, bystander| {
+                    p.write_u64(c.phys(entry(3)), bystander) // a block's header word
+                },
+            ),
+            ("unknown entry kind", |p, c, _| {
+                p.write_u64(c.phys(entry(0)), 9)
+            }),
+        ];
+        for (reason, damage) in cases {
+            let (pmem, target, bystander) = committed_image(damage);
+            let header = pmem.read_u64(bystander);
+            match JnvmBuilder::new().open(Arc::clone(&pmem)) {
+                Err(JnvmError::CorruptLog { reason: r, .. }) => assert_eq!(r, reason),
+                other => panic!("{reason}: expected CorruptLog, got {:?}", other.map(drop)),
+            }
+            assert_eq!(
+                pmem.read_u64(target + 8),
+                0,
+                "{reason}: refused log was applied"
+            );
+            assert_eq!(
+                pmem.read_u64(bystander),
+                header,
+                "{reason}: bystander overwritten"
             );
         }
     }

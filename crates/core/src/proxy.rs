@@ -7,8 +7,8 @@
 //!
 //! Field accessors are *mediated*: each load/store checks the per-thread
 //! failure-atomic nesting counter (§3.2). Inside a failure-atomic block,
-//! writes are redirected to in-flight block copies and reads observe them;
-//! outside, accesses go straight to NVMM.
+//! writes to valid objects are staged in the block's volatile overlay and
+//! reads observe them; outside, accesses go straight to NVMM.
 
 use jnvm_heap::HEADER_BYTES;
 
@@ -80,7 +80,7 @@ impl RawChain {
     }
 
     /// Read bytes at a logical offset, block-segment safe. Unmediated
-    /// (bypasses failure-atomic redirection) — low-level interface only.
+    /// (bypasses the failure-atomic overlay) — low-level interface only.
     pub fn read_bytes(&self, pmem: &jnvm_pmem::Pmem, logical: u64, out: &mut [u8]) {
         let mut done = 0usize;
         self.segments(logical, out.len() as u64, |addr, len| {
@@ -140,7 +140,7 @@ impl Proxy {
         let heap = rt.heap();
         let master_idx = heap.alloc_chain(class_id, payload)?;
         let master_addr = heap.block_addr(master_idx);
-        fa::note_alloc(rt, master_addr);
+        fa::note_alloc(master_addr, payload);
         Ok(Proxy {
             rt: rt.clone(),
             chain: RawChain::open(rt, master_addr),
@@ -210,18 +210,23 @@ impl Proxy {
     #[inline]
     pub fn read_u64(&self, off: u64) -> u64 {
         debug_assert!(off.is_multiple_of(8), "word fields must be 8-byte aligned");
-        let (bi, boff) = self.chain.locate(off);
-        let block = self.resolve_read(self.chain.blocks[bi]);
-        self.rt.pmem().read_u64(block + boff)
+        let addr = self.chain.phys(off);
+        let staged = if fa::depth() > 0 {
+            fa::overlay_word(addr)
+        } else {
+            None
+        };
+        staged.unwrap_or_else(|| self.rt.pmem().read_u64(addr))
     }
 
     /// Write a `u64` field at logical payload offset `off` (8-byte aligned).
     #[inline]
     pub fn write_u64(&self, off: u64, v: u64) {
         debug_assert!(off.is_multiple_of(8), "word fields must be 8-byte aligned");
-        let (bi, boff) = self.chain.locate(off);
-        let block = self.resolve_write(self.chain.blocks[bi]);
-        self.rt.pmem().write_u64(block + boff, v);
+        let addr = self.chain.phys(off);
+        if !self.stage_write(addr, &v.to_le_bytes()) {
+            self.rt.pmem().write_u64(addr, v);
+        }
     }
 
     /// Read an `i64` field.
@@ -274,13 +279,14 @@ impl Proxy {
 
     /// Read raw bytes from the logical payload range starting at `off`.
     pub fn read_bytes(&self, off: u64, out: &mut [u8]) {
+        let in_fa = fa::depth() > 0;
         let mut done = 0usize;
         self.chain.segments(off, out.len() as u64, |addr, len| {
-            let block_base = addr - addr % self.rt.heap().block_size();
-            let resolved = self.resolve_read(block_base);
-            self.rt
-                .pmem()
-                .read_bytes(resolved + (addr - block_base), &mut out[done..done + len as usize]);
+            let seg = &mut out[done..done + len as usize];
+            self.rt.pmem().read_bytes(addr, seg);
+            if in_fa {
+                fa::overlay_patch(addr, seg);
+            }
             done += len as usize;
         });
     }
@@ -289,11 +295,10 @@ impl Proxy {
     pub fn write_bytes(&self, off: u64, data: &[u8]) {
         let mut done = 0usize;
         self.chain.segments(off, data.len() as u64, |addr, len| {
-            let block_base = addr - addr % self.rt.heap().block_size();
-            let resolved = self.resolve_write(block_base);
-            self.rt
-                .pmem()
-                .write_bytes(resolved + (addr - block_base), &data[done..done + len as usize]);
+            let seg = &data[done..done + len as usize];
+            if !self.stage_write(addr, seg) {
+                self.rt.pmem().write_bytes(addr, seg);
+            }
             done += len as usize;
         });
     }
@@ -317,22 +322,12 @@ impl Proxy {
         self.write_u64(off, addr.unwrap_or(0));
     }
 
+    /// Inside a failure-atomic block, stage the store of `data` at `addr`
+    /// in the block's overlay. `false`: the caller stores in place (no
+    /// block is active, or it allocated this object itself).
     #[inline]
-    fn resolve_read(&self, block_addr: u64) -> u64 {
-        if fa::depth() > 0 {
-            fa::redirect_read(block_addr)
-        } else {
-            block_addr
-        }
-    }
-
-    #[inline]
-    fn resolve_write(&self, block_addr: u64) -> u64 {
-        if fa::depth() > 0 {
-            fa::redirect_write(&self.rt, self.addr(), block_addr)
-        } else {
-            block_addr
-        }
+    fn stage_write(&self, addr: u64, data: &[u8]) -> bool {
+        fa::depth() > 0 && fa::overlay_write(&self.rt, self.addr(), addr, data)
     }
 
     // ------------------------------------------------------------------
@@ -392,10 +387,9 @@ impl Proxy {
 
     /// Validate the object: set the header valid bit and enqueue its line.
     /// Deliberately fence-free so several validations can share one fence
-    /// (Figure 5 of the paper).
+    /// (Figure 5 of the paper). See [`JnvmRuntime::set_valid_addr`].
     pub fn validate(&self) {
-        let heap = self.rt.heap();
-        heap.set_valid(heap.block_of_addr(self.addr()), true);
+        self.rt.set_valid_addr(self.addr(), true);
     }
 
     /// Atomic reference update (Figure 6): validate `new`, fence, then

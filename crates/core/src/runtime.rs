@@ -154,7 +154,7 @@ impl JnvmRuntime {
     pub fn alloc_pooled<T: PObject>(self: &Jnvm, payload: u64) -> Result<u64, JnvmError> {
         let id = self.registry().id_of::<T>()?;
         let addr = self.pools.alloc(id, payload)?;
-        fa::note_alloc(self, addr);
+        fa::note_alloc(addr, payload);
         Ok(addr)
     }
 
@@ -176,7 +176,7 @@ impl JnvmRuntime {
 
     /// [`JnvmRuntime::free`] by address.
     pub fn free_addr(self: &Jnvm, addr: u64) {
-        if !fa::note_free(self, addr) {
+        if !fa::note_free(addr) {
             self.free_addr_now(addr);
         }
     }
@@ -195,8 +195,13 @@ impl JnvmRuntime {
     }
 
     /// Set the validity bit of the object at `addr` (pooled or chained) and
-    /// enqueue the header line — fence-free (§3.2.3).
+    /// enqueue the header line — fence-free (§3.2.3). Validating an object
+    /// the active failure-atomic block allocated is a no-op: it becomes
+    /// valid when the block commits (§4.2).
     pub fn set_valid_addr(&self, addr: u64, valid: bool) {
+        if valid && fa::allocated_in_block(addr) {
+            return;
+        }
         if self.pools.is_pooled_addr(addr) {
             self.pools.set_valid(addr, valid);
         } else {

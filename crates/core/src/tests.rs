@@ -270,6 +270,75 @@ fn fa_commit_applies_writes() {
     assert_eq!(s.x(), 2);
 }
 
+/// Inside a block, mediated reads observe the block's own staged writes —
+/// the volatile overlay, NVMM still holding the old bytes — at word and at
+/// byte granularity, and sealing emits one log entry per maximal run of
+/// written words.
+#[test]
+fn fa_reads_observe_the_blocks_own_staged_writes() {
+    let (pmem, rt) = fresh(1 << 20);
+    let id = rt.registry().id_of::<Simple>().unwrap();
+    let p = crate::Proxy::alloc(&rt, id, 600); // 3 blocks, seams at 248 and 496
+    let mut model: Vec<u8> = (0..600u32).map(|i| (i % 251) as u8).collect();
+    p.write_bytes(0, &model);
+    p.pwb();
+    p.validate();
+    pmem.pfence();
+    let read_all = || {
+        let mut out = vec![0u8; 600];
+        p.read_bytes(0, &mut out);
+        out
+    };
+
+    // A word write, then the same word again: the last one wins, in one
+    // entry, and nothing reaches NVMM before the commit.
+    let (tx, ()) = rt.fa_stage(|| {
+        p.write_u64(16, 0xfeed);
+        assert_eq!(p.read_u64(16), 0xfeed);
+        p.write_u64(16, 0xbeef);
+        assert_eq!(p.read_u64(16), 0xbeef);
+        let on_nvmm = pmem.read_u64(p.chain().phys(16));
+        assert_eq!(on_nvmm.to_le_bytes(), model[16..24], "staged, not stored");
+    });
+    assert_eq!(tx.op_count(), 1, "two writes to one word are one entry");
+    rt.fa_commit_group(vec![tx]);
+    model[16..24].copy_from_slice(&0xbeef_u64.to_le_bytes());
+    assert_eq!(read_all(), model);
+
+    // An unaligned byte range across the seam of two blocks: both ends
+    // merge into words the range covers only partly.
+    let (tx, ()) = rt.fa_stage(|| {
+        p.write_bytes(237, &[0xA5; 37]);
+        model[237..274].fill(0xA5);
+        let mut seam = vec![0u8; 60];
+        p.read_bytes(231, &mut seam);
+        assert_eq!(seam, model[231..291], "read_bytes over the seam");
+        assert_eq!(
+            p.read_u64(232).to_le_bytes(),
+            model[232..240],
+            "merged first word"
+        );
+        // A second, overlapping write merges with the staged words.
+        p.write_bytes(270, &[0x5A; 3]);
+        model[270..273].fill(0x5A);
+        assert_eq!(read_all(), model);
+    });
+    assert_eq!(tx.op_count(), 2, "one entry per block of the range");
+    rt.fa_commit_group(vec![tx]);
+    assert_eq!(read_all(), model);
+
+    // A write to an object the same block then frees: both are logged,
+    // the commit applies the write and then invalidates the object.
+    let (tx, ()) = rt.fa_stage(|| {
+        p.write_u64(0, 7);
+        rt.free_addr(p.addr());
+        assert_eq!(p.read_u64(0), 7);
+    });
+    assert_eq!(tx.op_count(), 2);
+    rt.fa_commit_group(vec![tx]);
+    assert!(!rt.is_valid_addr(p.addr()));
+}
+
 #[test]
 fn fa_alloc_validates_at_commit() {
     let (_p, rt) = fresh(1 << 20);
@@ -312,11 +381,7 @@ fn fa_abort_on_panic_rolls_back() {
     assert!(result.is_err());
     assert_eq!(s.x(), 1, "aborted block leaves state untouched");
     assert_eq!(crate::fa_depth(), 0, "depth restored after abort");
-    assert_eq!(
-        avail(),
-        avail_before,
-        "abort releases the in-flight copy and the fresh allocation"
-    );
+    assert_eq!(avail(), avail_before, "abort releases the fresh allocation");
     // The aborted block left nothing behind: the next one commits normally.
     rt.fa(|| s.set_x(2));
     assert_eq!(s.x(), 2);
@@ -393,7 +458,7 @@ fn fa_nested_blocks_fold() {
         assert_eq!(crate::fa_depth(), 1);
         s.set_x(5);
     });
-    assert_eq!(tx.op_count(), 1, "both writes redirect the one block once");
+    assert_eq!(tx.op_count(), 1, "both writes stage the one word once");
     drop(tx);
     assert_eq!(s.x(), 3, "the nested write was staged, not committed");
 }

@@ -510,6 +510,20 @@ mod tests {
     }
 
     #[test]
+    fn open_refuses_an_older_format_version() {
+        let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
+        drop(BlockHeap::format(Arc::clone(&pmem), HeapConfig::default()).unwrap());
+        pmem.write_u32(SB_VERSION, HEAP_VERSION - 1);
+        match BlockHeap::open(pmem) {
+            Err(HeapError::BadSuperblock(msg)) => assert_eq!(msg, "unsupported version 1"),
+            other => panic!(
+                "a version-1 pool must be refused, got {:?}",
+                other.map(drop)
+            ),
+        }
+    }
+
+    #[test]
     fn format_rejects_bad_block_size() {
         let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
         assert!(BlockHeap::format(Arc::clone(&pmem), HeapConfig { block_size: 100 }).is_err());

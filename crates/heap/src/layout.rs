@@ -36,7 +36,11 @@ pub(crate) const SB_ROOT_SLOTS: u64 = 40;
 pub(crate) const ROOT_SLOT_COUNT: u64 = 8;
 
 pub(crate) const HEAP_MAGIC: u64 = 0x4a4e564d48454150; // "JNVMHEAP"
-pub(crate) const HEAP_VERSION: u32 = 1;
+/// Bumped whenever a persistent format under the heap changes: 2 is the
+/// failure-atomic redo log of self-contained range entries (a version-1
+/// pool may hold a committed log of block-copy entries, which must be
+/// refused, not mis-replayed).
+pub(crate) const HEAP_VERSION: u32 = 2;
 
 /// Decoded block header (and pooled-object mini-header — same format).
 ///

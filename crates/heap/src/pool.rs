@@ -2,9 +2,10 @@
 //!
 //! A whole 256-B block per 20-byte string wastes NVMM to internal
 //! fragmentation. Pool allocators pack several *immutable* objects of the
-//! same size class into one block. (Only immutable objects: the
+//! same size class into one block. (Only immutable objects: the paper's
 //! failure-atomic algorithm of §4.2 copies whole blocks, and two mutable
-//! objects sharing a block would make the in-flight replicas diverge.)
+//! objects sharing a block would make the in-flight replicas diverge; the
+//! mediated accessors here likewise stage writes for block objects only.)
 //!
 //! Layout of a pool block:
 //!

@@ -32,8 +32,12 @@ fn blob_alloc<T: PObject>(rt: &Jnvm, data: &[u8]) -> Result<(u64, Repr), JnvmErr
         pmem.write_u64(addr + 8, data.len() as u64);
         pmem.write_bytes(addr + 16, data);
         // Flush the whole object (mini-header included) — fence-free: the
-        // creator batches a fence before publication (§3.2.3).
-        pmem.pwb_range(addr, 8 + payload);
+        // creator batches a fence before publication (§3.2.3). Inside a
+        // failure-atomic block the commit owns the write-back, as it does
+        // for the mediated `Proxy::pwb` of the chained case below.
+        if !rt.in_fa() {
+            pmem.pwb_range(addr, 8 + payload);
+        }
         rt.set_valid_addr(addr, true);
         Ok((addr, Repr::Pooled))
     } else {

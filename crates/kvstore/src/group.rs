@@ -55,9 +55,11 @@ impl WriteOp {
 
     /// True when the op mutates the shard's shared map structure (cell
     /// array, entry chains) rather than just one record's blocks. Two
-    /// structural ops on one shard cannot share a group: each would stage
-    /// its own in-flight copy of the same cells and the last apply would
-    /// win.
+    /// structural ops on one shard cannot share a group: a staged block
+    /// does not see a sibling's staged writes, so both could claim the
+    /// same free cell and the last apply would win. (Conservative since
+    /// the redo log carries words, not blocks: ops on different cells no
+    /// longer conflict — DESIGN.md §3 names relaxing this as a follow-up.)
     fn is_structural(&self) -> bool {
         !matches!(self, WriteOp::SetField { .. })
     }

@@ -142,9 +142,9 @@ pub fn register_kvstore(b: JnvmBuilder) -> JnvmBuilder {
 /// # Concurrency contract
 ///
 /// Failure-atomic blocks provide atomicity, not isolation: writes made
-/// inside a block live in per-thread in-flight copies until commit-apply,
-/// so two blocks mutating the *same* persistent blocks overwrite each
-/// other (last apply wins). Per-**key** operations (`update_field`) touch
+/// inside a block live in that block's volatile overlay until
+/// commit-apply, so two blocks read-modify-writing the *same* persistent
+/// words overwrite each other (last apply wins). Per-**key** operations (`update_field`) touch
 /// only that key's record, and callers such as [`crate::DataGrid`]
 /// serialize them per key. Map-*structure* operations (`store_full`,
 /// `remove`) touch the shard's shared cell array and entry chains, so the
@@ -379,7 +379,7 @@ mod tests {
 
     /// Regression: concurrent failure-atomic puts into the *same* shard
     /// used to lose each other's map-cell updates. Each block mutates the
-    /// shard's cell array through its own in-flight copy; whichever commit
+    /// shard's cell array through its own staged view; whichever commit
     /// applied last overwrote the other's cell, leaving the volatile
     /// mirror claiming a key the persistent array no longer references
     /// (and dangling cells pointing at freed records). Store/remove now

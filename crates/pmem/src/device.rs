@@ -229,13 +229,19 @@ impl Pmem {
         }
     }
 
-    /// Mark every line overlapping `[addr, addr+len)` dirty.
+    /// Mark every line overlapping `[addr, addr+len)` dirty. Every store
+    /// calls this **after** writing its words: marked first, a neighbour
+    /// sharing the line could `pwb` + fence in between and leave the line
+    /// clean with the late store only in cache — the storing thread's own
+    /// `pwb` would then skip the clean line and a crash lose the store.
     #[inline]
     fn mark_dirty(&self, addr: u64, len: u64) {
         if len == 0 {
             return;
         }
         if let Some(p) = &self.persist {
+            #[cfg(test)]
+            tests::mid_store_pause();
             let first = addr / CACHE_LINE;
             let last = (addr + len - 1) / CACHE_LINE;
             for line in first..=last {
@@ -301,14 +307,11 @@ impl Pmem {
             return;
         }
         self.charge_write(addr, len);
-        self.mark_dirty(addr, len);
         let widx = (addr / 8) as usize;
         let shift = (addr % 8) * 8;
         if len == 8 && shift == 0 {
             self.store_word(widx, v);
-            return;
-        }
-        if shift + len * 8 <= 64 {
+        } else if shift + len * 8 <= 64 {
             let mask = if len == 8 {
                 u64::MAX
             } else {
@@ -326,6 +329,7 @@ impl Pmem {
             let old_hi = self.load_word(widx + 1);
             self.store_word(widx + 1, (old_hi & !hi_mask) | ((v >> lo_bits) & hi_mask));
         }
+        self.mark_dirty(addr, len);
     }
 
     // ------------------------------------------------------------------
@@ -452,7 +456,6 @@ impl Pmem {
             return;
         }
         self.charge_write(addr, len);
-        self.mark_dirty(addr, len);
         let mut i = 0usize;
         let mut a = addr;
         while i < data.len() && !a.is_multiple_of(8) {
@@ -478,6 +481,7 @@ impl Pmem {
             b[..rest].copy_from_slice(&data[i..]);
             self.store_word(widx, u64::from_le_bytes(b));
         }
+        self.mark_dirty(addr, len);
     }
 
     /// Zero `len` bytes starting at `addr`.
@@ -487,7 +491,6 @@ impl Pmem {
             return;
         }
         self.charge_write(addr, len);
-        self.mark_dirty(addr, len);
         let mut a = addr;
         let end = addr + len;
         while a < end && !a.is_multiple_of(8) {
@@ -508,6 +511,7 @@ impl Pmem {
             self.store_word(widx, old & !(0xffu64 << shift));
             a += 1;
         }
+        self.mark_dirty(addr, len);
     }
 
     // ------------------------------------------------------------------
@@ -528,8 +532,9 @@ impl Pmem {
             return self.load_word((addr / 8) as usize);
         }
         self.charge_write(addr, 8);
+        let old = self.words[(addr / 8) as usize].fetch_add(delta, Ordering::AcqRel);
         self.mark_dirty(addr, 8);
-        self.words[(addr / 8) as usize].fetch_add(delta, Ordering::AcqRel)
+        old
     }
 
     /// Atomically compare-and-swap the aligned word at `addr`.
@@ -547,13 +552,14 @@ impl Pmem {
             return Err(self.load_word((addr / 8) as usize));
         }
         self.charge_write(addr, 8);
-        self.mark_dirty(addr, 8);
-        self.words[(addr / 8) as usize].compare_exchange(
+        let swapped = self.words[(addr / 8) as usize].compare_exchange(
             current,
             new,
             Ordering::AcqRel,
             Ordering::Acquire,
-        )
+        );
+        self.mark_dirty(addr, 8);
+        swapped
     }
 
     // ------------------------------------------------------------------
@@ -583,25 +589,28 @@ impl Pmem {
             // joins this thread's domain too (like `clwb`, flushing it
             // again is legal, and *this* thread's fence must then make it
             // durable even if the original flusher never fences).
-            let joined = st
+            let was_dirty = st
                 .compare_exchange(
                     LINE_DIRTY,
                     LINE_PENDING,
                     Ordering::AcqRel,
                     Ordering::Acquire,
                 )
-                .is_ok()
-                || st.load(Ordering::Acquire) == LINE_PENDING;
+                .is_ok();
+            let joined = was_dirty || st.load(Ordering::Acquire) == LINE_PENDING;
             let san = self.san.is_some();
             if joined || san {
                 let dom = p.my_domain();
+                // Wasted work — exactly the redundancy NVTraverse reports
+                // as endemic: flushing a clean line (legal), or one this
+                // thread flushed itself and has not fenced since (it is
+                // already in its queue; the toucher stamp says whose).
+                if san && !was_dirty && (!joined || self.line_state(line).1 == san_thread_id()) {
+                    self.stats.redundant_pwbs.add(1);
+                }
                 if joined {
                     dom.wpq.push(line);
                     p.touch(line, line, LINE_PENDING);
-                } else {
-                    // Flushing a clean line is legal but wasted work —
-                    // exactly the redundancy NVTraverse reports as endemic.
-                    self.stats.redundant_pwbs.add(1);
                 }
                 if san {
                     dom.fenced_idle.store(false, Ordering::Relaxed);
@@ -908,6 +917,85 @@ mod tests {
 
     fn dev(size: u64) -> Arc<Pmem> {
         Pmem::new(PmemConfig::crash_sim(size))
+    }
+
+    thread_local! {
+        /// Test hook: what this thread's stores run between writing their
+        /// words and marking their lines dirty.
+        static MID_STORE: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    pub(super) fn mid_store_pause() {
+        MID_STORE.with(|hook| {
+            if let Some(pause) = hook.borrow_mut().as_mut() {
+                pause()
+            }
+        });
+    }
+
+    /// Regression (store, then mark): every store used to mark its lines
+    /// dirty *before* writing its words. A neighbour sharing the line could
+    /// then store, `pwb` and fence in between — persisting the line without
+    /// the late words and leaving it clean — so the storing thread's own
+    /// `pwb` skipped the clean line and a crash lost a store that had been
+    /// flushed and fenced by the book. Thread B is driven step by step over
+    /// a channel, from inside thread A's store.
+    #[test]
+    fn neighbour_flush_mid_store_does_not_lose_the_store() {
+        type Store = fn(&Pmem);
+        let stores: [(&str, Store, u64); 5] = [
+            ("write_uint", |p| p.write_u64(0, 1), 1),
+            (
+                "write_bytes",
+                |p| p.write_bytes(0, &[1; 8]),
+                0x0101_0101_0101_0101,
+            ),
+            ("zero_range", |p| p.zero_range(0, 8), 0),
+            ("cas_u64", |p| assert_eq!(p.cas_u64(0, 7, 9), Ok(7)), 9),
+            (
+                "fetch_add_u64",
+                |p| assert_eq!(p.fetch_add_u64(0, 5), 7),
+                12,
+            ),
+        ];
+        for (name, store, expected) in stores {
+            let p = dev(4096);
+            p.write_u64(0, 7);
+            p.pwb(0);
+            p.pfence();
+            let (to_b, b_steps) = std::sync::mpsc::channel::<()>();
+            let (b_done, done) = std::sync::mpsc::channel::<()>();
+            std::thread::scope(|scope| {
+                let pb = &p;
+                scope.spawn(move || {
+                    // B's step: store its own word of the line, flush, fence.
+                    for () in b_steps {
+                        pb.write_u64(8, 2);
+                        pb.pwb(8);
+                        pb.pfence();
+                        b_done.send(()).unwrap();
+                    }
+                });
+                let pause = move || {
+                    to_b.send(()).unwrap();
+                    done.recv().unwrap();
+                };
+                MID_STORE.with(|hook| *hook.borrow_mut() = Some(Box::new(pause)));
+                store(&p);
+                // Dropping the hook hangs up on B, which then exits.
+                MID_STORE.with(|hook| *hook.borrow_mut() = None);
+                p.pwb(0);
+                p.pfence();
+            });
+            p.crash(&CrashPolicy::strict()).unwrap();
+            assert_eq!(
+                p.read_u64(0),
+                expected,
+                "{name}: flushed and fenced store lost"
+            );
+            assert_eq!(p.read_u64(8), 2, "{name}: the neighbour's own store");
+        }
     }
 
     #[test]

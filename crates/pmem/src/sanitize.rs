@@ -17,9 +17,10 @@
 //!   thread's domain, written back but not yet fenced,
 //! * **cross-thread fence** — a footprint line pending in *another*
 //!   thread's domain, whose fence the calling thread has no control over,
-//! * **redundant flushes** — a `pwb` of an already-clean line and
-//!   back-to-back fences with no intervening `pwb`, counted by the device
-//!   into [`crate::StatsSnapshot`] rather than flagged as violations.
+//! * **redundant flushes** — a `pwb` of an already-clean line or of one
+//!   the caller itself already has pending, and back-to-back fences with
+//!   no intervening `pwb`, counted by the device into
+//!   [`crate::StatsSnapshot`] rather than flagged as violations.
 //!
 //! A non-clean line the observer itself last touched is judged by its
 //! state alone. One last touched by **another** thread may merely share

@@ -151,8 +151,9 @@ pub struct StatsSnapshot {
     /// Persist-ordering violations the sanitizer detected (`Log` mode
     /// records them; `Strict` panics after counting the first).
     pub san_violations: u64,
-    /// `pwb`s of already-clean lines — wasted flushes. Tracked only when
-    /// the sanitizer is on.
+    /// Wasted flushes: `pwb`s of already-clean lines, and of lines the
+    /// caller itself already has pending. Tracked only when the sanitizer
+    /// is on.
     pub redundant_pwbs: u64,
     /// Fences with no intervening `pwb` on the fencing thread — wasted
     /// ordering points. Tracked only when the sanitizer is on.

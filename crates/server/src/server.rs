@@ -199,8 +199,9 @@ impl Ticket {
     }
 
     /// Block until resolved. The shard's committer resolves every ticket
-    /// it ever dequeues, and its crash path marks the shard dead under the
-    /// queue lock before draining, so no ticket is left behind; the
+    /// it ever dequeues, and its crash path drains the queue and marks the
+    /// shard dead under one hold of the queue lock, so no ticket is left
+    /// behind; the
     /// timeout loop is only a backstop for the handler-panic path, which
     /// marks every shard dead without draining.
     fn wait(&self, shard: &ShardState) -> TicketState {
@@ -597,11 +598,14 @@ fn fail_batch_and_queue(
         resolve_failed(shared, p);
     }
     let mut q = shard.queue.lock().expect("queue lock");
-    if last_replica {
-        shard.dead.store(true, Ordering::Release);
-    }
     for p in q.drain(..) {
         resolve_failed(shared, &p);
+    }
+    // Only after the drain: a handler polling a queued ticket must find it
+    // resolved (and counted), never merely orphaned by `dead` — it would
+    // answer its client while `failed_writes` is still short of it.
+    if last_replica {
+        shard.dead.store(true, Ordering::Release);
     }
     shard.space_cv.notify_all();
 }

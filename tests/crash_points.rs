@@ -22,7 +22,7 @@ use jnvm_repro::heap::HeapConfig;
 use jnvm_repro::jnvm::{
     commit_phase, persistent_class, Jnvm, JnvmBuilder, PObject, RecoveryReport,
 };
-use jnvm_repro::jpdt::{register_jpdt, PBytes, PI64SkipMap};
+use jnvm_repro::jpdt::{register_jpdt, PByteArray, PBytes, PI64SkipMap};
 use jnvm_repro::kvstore::{
     register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend, Record,
 };
@@ -57,9 +57,8 @@ fn reopen_pair(pmem: &Arc<Pmem>) -> (Jnvm, RecoveryReport) {
 }
 
 /// Fresh pool with a published pair at (1500, 500). A warm-up transfer has
-/// already run, so the redo log and the in-flight block pool are in steady
-/// state: every sweep instance of the workload performs the identical op
-/// stream and allocation pattern.
+/// already run, so the redo log is in steady state: every sweep instance
+/// of the workload performs the identical op stream and allocation pattern.
 fn fa_setup() -> (Arc<Pmem>, FaCtx) {
     let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
     let rt = register_jpdt(JnvmBuilder::new())
@@ -138,7 +137,7 @@ fn fa_verify(pre: (i64, i64, u64), post: (i64, i64, u64), pmem: &Arc<Pmem>, poin
 
 /// Acceptance sweep: every crash point of the FA pair transfer preserves
 /// the sum, recovers to exactly the old or the new state, and leaks no
-/// in-flight blocks.
+/// blocks.
 #[test]
 fn fa_transfer_survives_every_crash_point() {
     let (pre, post) = fa_baselines();
@@ -561,9 +560,8 @@ fn write_cells(ctx: &CellsCtx, grouped: bool, base: i64) {
 }
 
 /// Small fresh pool with four rooted one-block objects holding `left == i`.
-/// The warm-up pass has the shape of the workload, so the log pool and the
-/// in-flight blocks are in steady state and the workload's op stream is
-/// the commit protocol alone.
+/// The warm-up pass has the shape of the workload, so the log pool is in
+/// steady state and the workload's op stream is the commit protocol alone.
 fn cells_setup(grouped: bool) -> (Arc<Pmem>, CellsCtx) {
     let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
     let rt = register_jpdt(JnvmBuilder::new())
@@ -587,18 +585,23 @@ fn cells_setup(grouped: bool) -> (Arc<Pmem>, CellsCtx) {
     (pmem, ctx)
 }
 
-/// Crash `write_cells(.., 100)` at every point (or only from the
-/// commit-point fence on) under `seeds` adversarial eviction seeds, reopen,
-/// and require every *block* to be all-or-nothing — and entirely new once
+/// Crash `workload` at every point (or only from the commit-point fence
+/// on) under `seeds` adversarial eviction seeds, reopen, and require every
+/// failure-atomic *block* of it — `observe` reports each as `Some(is it
+/// new)`, or `None` when torn — to be all-or-nothing, and entirely new once
 /// the commit-point fence has executed. A group may split between blocks
 /// when the crash replaces that fence itself (each flag line faces its own
 /// coin; nothing was acked); the strict-policy sweep in `fa.rs` keeps the
 /// group all-or-nothing. Returns the number of crashing runs.
-fn cells_adversarial_sweep(grouped: bool, seeds: u64, every_point: bool) -> u64 {
+fn adversarial_sweep<C>(
+    setup: impl Fn() -> (Arc<Pmem>, C),
+    workload: impl Fn(&C),
+    observe: impl Fn(&Jnvm) -> Vec<Option<bool>>,
+    seeds: u64,
+    every_point: bool,
+) -> u64 {
     silence_crash_panics();
-    let setup = || cells_setup(grouped);
-    let workload = |ctx: &CellsCtx| write_cells(ctx, grouped, 100);
-    let (total, trace) = faultsim::trace_ops(setup, workload);
+    let (total, trace) = faultsim::trace_ops(&setup, &workload);
     // The workload's first fence covers step 1's write-backs, its second
     // is the commit point.
     let commit_fence = trace
@@ -613,20 +616,15 @@ fn cells_adversarial_sweep(grouped: bool, seeds: u64, every_point: bool) -> u64 
     for seed in 0..seeds {
         let plan = FaultPlan::count().with_policy(CrashPolicy::adversarial(seed));
         let points = if every_point { 0 } else { commit_fence }..total;
-        let summary = faultsim::sweep(points, plan, setup, workload, |pmem, report| {
+        let summary = faultsim::sweep(points, plan, &setup, &workload, |pmem, report| {
             let (rt, _) = reopen_pair(pmem);
-            let left: Vec<i64> = (0..CELLS)
-                .map(|i| {
-                    let cell = rt.root_get_as::<Pair>(&format!("cell{i}"));
-                    cell.expect("typed").expect("cell survived").left()
-                })
-                .collect();
-            for block in cell_blocks(grouped) {
-                let new = block.clone().all(|i| left[i] == 100 + i as i64);
-                let old = block.clone().all(|i| left[i] == i as i64);
-                if !(new || old && report.point <= commit_fence) {
-                    torn.push((seed, report.point, left.clone()));
-                }
+            let blocks = observe(&rt);
+            let ok = |b: &Option<bool>| match b {
+                Some(new) => *new || report.point <= commit_fence,
+                None => false,
+            };
+            if !blocks.iter().all(ok) {
+                torn.push((seed, report.point, blocks));
             }
         });
         assert_eq!(
@@ -638,19 +636,141 @@ fn cells_adversarial_sweep(grouped: bool, seeds: u64, every_point: bool) -> u64 
     assert!(
         torn.is_empty(),
         "{} torn or lost blocks in {runs} crashing runs of {total} points (commit-point \
-         fence at {commit_fence}); first (seed, point, lefts): {:?}",
+         fence at {commit_fence}); first (seed, point, blocks): {:?}",
         torn.len(),
         torn[0]
     );
     runs
 }
 
+/// [`adversarial_sweep`] over `write_cells(.., 100)`.
+fn cells_adversarial_sweep(grouped: bool, seeds: u64, every_point: bool) -> u64 {
+    let observe = |rt: &Jnvm| {
+        let left: Vec<i64> = (0..CELLS)
+            .map(|i| {
+                let cell = rt.root_get_as::<Pair>(&format!("cell{i}"));
+                cell.expect("typed").expect("cell survived").left()
+            })
+            .collect();
+        let seen = |block: std::ops::Range<usize>| {
+            let new = block.clone().all(|i| left[i] == 100 + i as i64);
+            let old = block.clone().all(|i| left[i] == i as i64);
+            (new || old).then_some(new)
+        };
+        cell_blocks(grouped).map(seen).collect()
+    };
+    adversarial_sweep(
+        || cells_setup(grouped),
+        |ctx| write_cells(ctx, grouped, 100),
+        observe,
+        seeds,
+        every_point,
+    )
+}
+
+// The same sweeps over the other shape of redo entry: not one word per
+// object but one multi-word range, unaligned at both ends and crossing the
+// seam between two blocks of a chain — two entries, the first ending and
+// the second starting on a merged partial word.
+
+/// Bytes per array: a two-block chain (8-byte length + 400 > 248).
+const SPAN_ARRAY: u64 = 400;
+/// The range each block overwrites: array bytes 229..266 are payload bytes
+/// 237..274, across the seam at 248.
+const SPAN: std::ops::Range<u64> = 229..266;
+
+struct SpanCtx {
+    rt: Jnvm,
+    arrays: Vec<PByteArray>,
+}
+
+/// Fill every array's [`SPAN`] with `fill + i`: as one solo `fa()` block
+/// over a single array, or as a staged group of two blocks, one array each.
+fn write_spans(ctx: &SpanCtx, fill: u8) {
+    let write = |i: usize| {
+        ctx.arrays[i].write_at(
+            SPAN.start,
+            &vec![fill + i as u8; (SPAN.end - SPAN.start) as usize],
+        )
+    };
+    if ctx.arrays.len() > 1 {
+        let group = (0..ctx.arrays.len()).map(|i| ctx.rt.fa_stage(|| write(i)).0);
+        ctx.rt.fa_commit_group(group.collect());
+    } else {
+        ctx.rt.fa(|| write(0));
+    }
+}
+
+/// Small fresh pool with `n` rooted two-block byte arrays, every byte
+/// 0xEE outside the span and `0x10 + i` inside it (written by a warm-up
+/// pass of the workload's own shape).
+fn spans_setup(n: usize) -> (Arc<Pmem>, SpanCtx) {
+    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
+    let rt = register_jpdt(JnvmBuilder::new())
+        .register::<Pair>()
+        .create(Arc::clone(&pmem), HeapConfig::default())
+        .expect("pool");
+    let arrays = (0..n)
+        .map(|i| {
+            rt.fa(|| {
+                let a = PByteArray::new(&rt, SPAN_ARRAY).expect("array");
+                a.write_at(0, &[0xEE; SPAN_ARRAY as usize]);
+                rt.root_put(&format!("span{i}"), &a).expect("root");
+                a
+            })
+        })
+        .collect();
+    let ctx = SpanCtx { rt, arrays };
+    write_spans(&ctx, 0x10);
+    pmem.psync();
+    (pmem, ctx)
+}
+
+/// [`adversarial_sweep`] over `write_spans(.., 0x80)` on `n` arrays: a
+/// block is new (old) when its whole span reads `0x80 + i` (`0x10 + i`)
+/// and not a byte around it moved.
+fn spans_adversarial_sweep(n: usize, seeds: u64, every_point: bool) -> u64 {
+    let observe = |rt: &Jnvm| {
+        let seen = |i: usize| {
+            let array = rt.root_get_as::<PByteArray>(&format!("span{i}"));
+            let mut bytes = vec![0u8; SPAN_ARRAY as usize];
+            array
+                .expect("typed")
+                .expect("array survived")
+                .read_at(0, &mut bytes);
+            let image = |fill: u8| {
+                let byte = |at: u64| {
+                    if SPAN.contains(&at) {
+                        fill + i as u8
+                    } else {
+                        0xEE
+                    }
+                };
+                (0..SPAN_ARRAY).map(byte).collect::<Vec<u8>>()
+            };
+            (bytes == image(0x80) || bytes == image(0x10)).then_some(bytes == image(0x80))
+        };
+        (0..n).map(seen).collect()
+    };
+    adversarial_sweep(
+        || spans_setup(n),
+        |ctx| write_spans(ctx, 0x80),
+        observe,
+        seeds,
+        every_point,
+    )
+}
+
 /// Regression (fails on the 3-fence commit): from the commit-point fence to
-/// the end of the commit, 16 eviction seeds, the solo and the staged form.
+/// the end of the commit, 16 eviction seeds, the solo and the staged form —
+/// of one word in each of several objects, and of one unaligned two-block
+/// range.
 #[test]
 fn multi_object_blocks_survive_adversarial_eviction_after_commit_point() {
     assert!(cells_adversarial_sweep(false, 16, false) > 0);
     assert!(cells_adversarial_sweep(true, 16, false) > 0);
+    assert!(spans_adversarial_sweep(1, 16, false) > 0);
+    assert!(spans_adversarial_sweep(2, 16, false) > 0);
 }
 
 /// Exhaustive form: every crash point × 64 eviction seeds (~30 s in the
@@ -665,10 +785,22 @@ fn adversarial_exhaustive_multi_object_blocks_survive_every_crash_point() {
     }
 }
 
+/// The exhaustive form over the range log: every crash point × 64 eviction
+/// seeds of a block writing a multi-word, unaligned, two-block range, solo
+/// and as a staged group of two.
+#[test]
+#[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
+fn adversarial_exhaustive_range_log_blocks_survive_every_crash_point() {
+    for arrays in [1, 2] {
+        let runs = spans_adversarial_sweep(arrays, 64, true);
+        println!("arrays={arrays}: {runs} crashing runs, 0 torn ranges");
+    }
+}
+
 /// `fa(body)` is `fa_stage(body)` + `fa_commit_group(vec![tx])`: on
 /// identical fresh pools both issue the same device ops at the same
 /// addresses in the same order (which also pins that the flush phase walks
-/// its redirects and allocations in address order, not hash order).
+/// its overlay and allocations in address order, not hash order).
 #[test]
 fn solo_fa_and_group_of_one_issue_identical_device_ops() {
     let trace = |staged: bool| {
@@ -678,7 +810,7 @@ fn solo_fa_and_group_of_one_issue_identical_device_ops() {
             pmem.psync();
             (pmem, (ctx, spare))
         };
-        // 4 redirected writes (`write_cells`' own `fa` nests in place),
+        // 4 staged writes (`write_cells`' own `fa` nests in place),
         // 1 allocation, 1 free.
         let body = |ctx: &CellsCtx, spare: &Pair| {
             write_cells(ctx, false, 100);
@@ -699,7 +831,13 @@ fn solo_fa_and_group_of_one_issue_identical_device_ops() {
             .collect::<Vec<_>>()
     };
     let solo = trace(false);
-    assert!(solo.len() > 50, "the block performed no work");
+    // 30 device ops (90 while every redirected write built, flushed and
+    // applied a whole in-flight block copy): the allocation (bump + its
+    // pwb, header, one in-place field), ONE store of the six log entries
+    // and the pwbs of their 3 lines + the fresh object's, fence; length,
+    // flag, 1 pwb, fence; the validation and 4 × (8-byte apply + pwb),
+    // fence; flag clear + pwb, fence; the free's header + pwb.
+    assert_eq!(solo.len(), 30, "device ops of the block");
     assert_eq!(solo, trace(true));
 }
 

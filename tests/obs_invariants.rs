@@ -29,9 +29,9 @@
 use std::sync::{Mutex, MutexGuard};
 
 use jnvm_repro::faultsim::strided_points;
-use jnvm_repro::kvstore::Record;
+use jnvm_repro::kvstore::{commit_writes, Record, WriteOp};
 use jnvm_repro::obs::{self, Histogram, ObsMode};
-use jnvm_repro::pmem::{PmemConfig, StatsSnapshot};
+use jnvm_repro::pmem::{PmemConfig, SanitizeMode, StatsSnapshot};
 use jnvm_repro::server::{
     kill_during_traffic, run_loadgen, traffic_op_count, Cluster, LoadgenConfig, ServerConfig,
     TortureConfig,
@@ -489,5 +489,109 @@ fn log_mode_sites_per_op_are_pinned() {
     assert_eq!(points, 3 * OPS, "ordering points per rmw");
     assert_eq!(spans - points, 2 * OPS, "begin/end spans per rmw");
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fence hooks per rmw");
-    assert_eq!(d.pwbs, 83_852, "pwb hooks over {OPS} rmws");
+    // 8.3 per rmw; 83 852 (21.8 per rmw) while every redirected write
+    // built, flushed and applied a whole in-flight block copy, the fresh
+    // blob was flushed by its constructor *and* by the commit, and the
+    // flag and length words of one line were written back separately.
+    assert_eq!(d.pwbs, 32_012, "pwb hooks over {OPS} rmws");
+}
+
+// ---------------------------------------------------------------------------
+// Device cost of the server's write ops (counts; the benchmark's
+// `nvmm_bytes_per_user_byte` and `pmem.pwbs_per_acked_write` in small).
+// ---------------------------------------------------------------------------
+
+/// A one-pool cluster preloaded, through the committer's own
+/// `commit_writes`, with 32 records of 10 × 100-byte fields.
+fn preloaded_cluster(cfg: PmemConfig) -> Cluster {
+    let pool = Cluster::create(1, 1, 16, cfg, true).expect("pool");
+    let shard = pool.kv(0).shard(0);
+    let load: Vec<WriteOp> = (0..32)
+        .map(|i| {
+            WriteOp::Set(Record::ycsb(
+                &format!("user{i:04}"),
+                &vec![vec![i as u8; 100]; 10],
+            ))
+        })
+        .collect();
+    assert!(commit_writes(&shard.grid, &shard.be, &load)
+        .results
+        .iter()
+        .all(|ok| *ok));
+    pool
+}
+
+fn setf(key: usize, field: usize, fill: u8) -> WriteOp {
+    WriteOp::SetField {
+        key: format!("user{key:04}"),
+        field,
+        value: vec![fill; 100],
+    }
+}
+
+/// What one 100-byte `SETF` moves on the device, exactly: the redo log
+/// carries the 8-byte reference the op changes, not the record's block.
+/// 368 bytes, 9 or 10 `pwb`s (the new blob's pool slot covers 2 or 3
+/// lines), 4 fences — 1 424 bytes and 23 or 24 `pwb`s while the write was
+/// redirected to an in-flight NVMM copy of the whole block. A change that
+/// moves these moves the benchmark's `update_only` figures (3.68 device
+/// bytes per user byte) with them.
+#[test]
+fn setf_device_cost_per_op_is_pinned() {
+    let _g = obs_lock(); // device ops feed the process-global obs counters
+    let pool = preloaded_cluster(PmemConfig::crash_sim(32 << 20));
+    let shard = pool.kv(0).shard(0);
+    // The first field update may carve a pool block for its blob; from
+    // then on each one recycles the slot the previous one freed.
+    assert!(commit_writes(&shard.grid, &shard.be, &[setf(0, 0, 0xA0)]).results[0]);
+    const OPS: u64 = 64;
+    let before = pool.device_stats();
+    for i in 0..OPS as usize {
+        let out = commit_writes(&shard.grid, &shard.be, &[setf(i % 32, i % 10, i as u8)]);
+        assert!(out.results[0] && out.groups == 1);
+    }
+    let d = pool.device_stats().delta(&before);
+    assert_eq!(d.bytes_read, 148 * OPS, "device bytes read per SETF");
+    assert_eq!(d.bytes_written, 220 * OPS, "device bytes written per SETF");
+    assert_eq!(
+        d.pwbs,
+        9 * OPS + 32,
+        "pwbs per SETF (half the blobs span 3 lines)"
+    );
+    assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fences per group of one");
+}
+
+/// No write-back on the commit path is wasted: over commit groups holding
+/// a `SETF`, a `SET` of a new key and a `DEL`, the sanitizer counts no
+/// `pwb` of a clean line and none of a line the committer already had
+/// pending (the commit used to write back the flag and the length word of
+/// one line separately, and fresh objects once in their constructor and
+/// once more itself).
+#[test]
+fn commit_path_issues_no_redundant_pwbs() {
+    let _g = obs_lock(); // device ops feed the process-global obs counters
+    let cfg = PmemConfig::crash_sim(32 << 20).with_sanitize(SanitizeMode::Log);
+    let pool = preloaded_cluster(cfg);
+    let shard = pool.kv(0).shard(0);
+    let before = pool.device_stats();
+    for round in 0..4usize {
+        let batch = [
+            setf(round, 3, 0xB0),
+            WriteOp::Set(Record::ycsb(
+                &format!("fresh{round}"),
+                &vec![vec![7u8; 100]; 10],
+            )),
+            WriteOp::Del(format!("user{:04}", 31 - round)),
+        ];
+        let out = commit_writes(&shard.grid, &shard.be, &batch);
+        assert_eq!(out.results, [true; 3]);
+    }
+    let d = pool.device_stats().delta(&before);
+    assert!(d.pwbs > 0 && d.pfences > 0);
+    assert_eq!(d.redundant_pwbs, 0, "wasted write-backs on the commit path");
+    assert_eq!(
+        d.redundant_fences, 0,
+        "back-to-back fences on the commit path"
+    );
+    assert_eq!(d.san_violations, 0);
 }
