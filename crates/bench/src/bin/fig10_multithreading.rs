@@ -38,10 +38,7 @@ fn crashsim_sanity(records: u64, ops: u64, threads: usize) {
     let be = Arc::new(JnvmBackend::create(&rt, 64, false).expect("backend"));
     let grid = Arc::new(DataGrid::new(
         Arc::clone(&be) as Arc<dyn Backend>,
-        GridConfig {
-            cache_capacity: 0,
-            ..GridConfig::default()
-        },
+        GridConfig { cache_capacity: 0 },
     ));
     let mut spec = Workload::A.spec(records, ops);
     spec.threads = threads;

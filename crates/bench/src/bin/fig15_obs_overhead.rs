@@ -115,10 +115,7 @@ fn run_mode(mode: ObsMode, records: u64, ops: u64, threads: usize, repeat: usize
     let be = Arc::new(JnvmBackend::create(&rt, 64, false).expect("backend"));
     let grid = Arc::new(DataGrid::new(
         Arc::clone(&be) as Arc<dyn Backend>,
-        GridConfig {
-            cache_capacity: 0,
-            ..GridConfig::default()
-        },
+        GridConfig { cache_capacity: 0 },
     ));
     let mut spec = Workload::A.spec(records, ops);
     spec.threads = threads;

@@ -111,10 +111,7 @@ pub fn make_grid(
     optane: bool,
 ) -> GridSetup {
     let cache_capacity = (records as f64 * cache_ratio) as usize;
-    let grid_cfg = GridConfig {
-        cache_capacity,
-        ..GridConfig::default()
-    };
+    let grid_cfg = GridConfig { cache_capacity };
     let lat = |on: bool| {
         if on {
             LatencyProfile::optane_like()

@@ -6,33 +6,37 @@
 //! to a valid object lands in a **volatile overlay** (one new value per
 //! written word; mediated reads consult it first). When the block's closure
 //! returns, each maximal run of written words becomes one self-contained
-//! redo entry in the persistent log — the log carries the words, never the
-//! enclosing block. (The paper redirects writes to in-flight NVMM block
-//! copies instead; DESIGN.md §3 says why this departs from it.)
+//! redo entry, and the commit stores the entries of its whole group in one
+//! persistent log — the log carries the words, never the enclosing block.
+//! (The paper redirects writes to in-flight NVMM block copies instead;
+//! DESIGN.md §3 says why this departs from it.)
 //!
 //! A log's payload is `[committed flag][length in words][entries…]`, an
 //! entry `[kind | n << 8][address][n payload words]`: `n` is 0 for an
 //! allocation or a free, and a write entry carries the `n` words to store
 //! at `address`, all inside one block's payload.
 //!
-//! Commit, over a group of one or more blocks' logs:
+//! Commit, of a group of one or more blocks — the group is the transaction
+//! and has **one** log, the paper's per-thread log of the committing thread:
 //!
-//! 1. `pwb` all log entries and fresh allocations (already queued), `pfence`,
-//! 2. set each log's committed flag + length, `pwb`, `pfence` — the
+//! 1. store the group's entries, in apply order, into one log; `pwb` them
+//!    and the fresh allocations, `pfence`,
+//! 2. set the log's committed flag + length, `pwb`, `pfence` — the
 //!    durability point,
 //! 3. apply: validate allocations, invalidate frees, copy each write
 //!    entry's words from the log onto the original, `pwb`, `pfence` — the
 //!    applies must be durable *before* step 4, or a crash could persist the
 //!    cleared flag while losing an applied line, and nothing would replay
 //!    the torn block,
-//! 4. clear each committed flag, `pwb`, `pfence` (so the logs are reusable
+//! 4. clear the committed flag, `pwb`, `pfence` (so the log is reusable
 //!    and the blocks the group released may be recycled).
 //!
 //! That is 4 fences per group whatever its size. The protocol is written
-//! once: [`JnvmRuntime::fa_stage`] queues step 1's write-backs,
-//! [`JnvmRuntime::fa_commit_group`] runs the fences, a solo
-//! [`JnvmRuntime::fa`] is a group of one, and steps 3–4 (`apply_and_retire`)
-//! are also what recovery runs over each log it finds committed.
+//! once: [`JnvmRuntime::fa_stage`] builds a block's entries in DRAM and
+//! touches no log, [`JnvmRuntime::fa_commit_group`] runs the four steps, a
+//! solo [`JnvmRuntime::fa`] is a group of one, and steps 3–4
+//! (`apply_and_retire`) are also what recovery runs over each log it finds
+//! committed.
 //!
 //! Updates to *invalid* objects — typically objects allocated inside the
 //! same block — are applied in place: if the block aborts, recovery deletes
@@ -169,8 +173,10 @@ impl FaManager {
     }
 
     /// After restart: replay committed logs, abandon uncommitted ones, and
-    /// repopulate the volatile log pool. Returns `(replayed, abandoned)`.
-    /// Must run before the recovery GC. A damaged log (see `read_log`)
+    /// repopulate the volatile log pool. Returns the number replayed (an
+    /// abandoned log is not observable: retire clears the flag and leaves
+    /// the length, exactly what a log cut short before its commit point
+    /// holds). Must run before the recovery GC. A damaged log (see `read_log`)
     /// surfaces as [`JnvmError::CorruptLog`] rather than aborting, so a
     /// server re-open on a damaged pool can report the failure.
     ///
@@ -183,15 +189,15 @@ impl FaManager {
     /// `pfence`s its own persistence domain before exiting. `threads <= 1`
     /// replays inline in slot order (the sequential oracle).
     ///
-    /// The third return component is the busy wall time of each replay
-    /// worker (one entry when the replay ran inline); the fourth is each
+    /// The second return component is the busy wall time of each replay
+    /// worker (one entry when the replay ran inline); the third is each
     /// worker's modeled device time (latency-model nanoseconds charged —
     /// see [`jnvm_heap::par::run_workers_timed`]).
     pub(crate) fn recover_logs(
         &self,
         rt: &Jnvm,
         threads: usize,
-    ) -> Result<(u64, u64, Vec<Duration>, Vec<Duration>), JnvmError> {
+    ) -> Result<(u64, Vec<Duration>, Vec<Duration>), JnvmError> {
         let dir_addr = rt.heap().root_slot(2);
         let dir = RawChain::open(rt, dir_addr);
         let pmem = rt.pmem();
@@ -226,8 +232,7 @@ impl FaManager {
         // are idempotent, so a crash anywhere in here re-replays on the
         // next recovery and converges.
         let replay_one = |info: &LogInfo, retired_fp: &mut Vec<(u64, u64)>| {
-            let log = std::iter::once((&info.chain, info.len));
-            apply_and_retire(rt, log, false, retired_fp).map(drop)
+            apply_and_retire(rt, &info.chain, info.len, false, retired_fp).map(drop)
         };
 
         let committed_idx: Vec<usize> = infos
@@ -325,7 +330,6 @@ impl FaManager {
             n
         };
 
-        let abandoned = infos.iter().filter(|i| !i.committed && i.len != 0).count() as u64;
         for info in infos {
             *cursor = info.slot + 1;
             self.free_logs.push(LogHandle { chain: info.chain });
@@ -336,7 +340,7 @@ impl FaManager {
             // closing fence.
             pmem.ordering_point("recovery-retire", &inline_fp);
         }
-        Ok((replayed, abandoned, thread_times, device_times))
+        Ok((replayed, thread_times, device_times))
     }
 }
 
@@ -397,26 +401,17 @@ struct TxState {
     /// Objects allocated inside this block (written in place, validated
     /// and flushed by the commit): master address -> payload bytes.
     allocated: BTreeMap<u64, u64>,
-    /// The persistent log holding `entries` once the block is sealed.
-    log: Option<LogHandle>,
 }
 
 impl TxState {
-    /// The log of a sealed block that staged at least one entry.
-    fn log(&self) -> &LogHandle {
-        self.log.as_ref().expect("sealed with entries")
-    }
-
     fn push_entry(&mut self, kind: u64, addr: u64) {
         self.entries.extend([kind, addr]);
         self.ops += 1;
     }
 
     /// The block's closure has returned: emit each maximal run of overlay
-    /// words as one WRITE entry, write the entries into a log and queue
-    /// step 1's write-backs — on the staging thread, so the group's single
-    /// step-1 fence covers them (per-thread persistence domains drain only
-    /// the caller's queue). A run never leaves its block: consecutive
+    /// words as one WRITE entry. DRAM only — the commit stores the entries
+    /// in its group's log. A run never leaves its block: consecutive
     /// payload words of two blocks have a header word between them.
     fn seal(&mut self) {
         let mut head = 0;
@@ -431,41 +426,19 @@ impl TxState {
             self.entries[head] += 1 << KIND_BITS;
             next = Some(addr + 8);
         }
-        if self.entries.is_empty() {
-            return;
-        }
-        let rt = &self.rt;
-        let mut log = rt.fa_manager().acquire_log(rt);
-        log.reserve(rt, self.entries.len() as u64);
-        let bytes: Vec<u8> = self.entries.iter().flat_map(|w| w.to_le_bytes()).collect();
-        log.chain.write_bytes(rt.pmem(), LOG_ENTRIES, &bytes);
-        self.log = Some(log);
-        // Each line once, in address order: pooled neighbours share lines.
-        let mut lines = Vec::new();
-        self.staged_ranges(|addr, len| {
-            lines.extend(addr / CACHE_LINE..=(addr + len - 1) / CACHE_LINE)
-        });
-        lines.sort_unstable();
-        lines.dedup();
-        for line in lines {
-            rt.pmem().pwb(line * CACHE_LINE);
-        }
     }
 
-    /// What step 1 of the commit protocol must persist for a sealed block,
-    /// as `(address, length)` ranges: its log entries, and the header and
-    /// payload of every object it allocated (written in place with their
-    /// own flushes suppressed by the mediation — the commit owns their
-    /// write-back). Blocks a fresh chain grew by since are taken whole.
-    fn staged_ranges(&self, mut f: impl FnMut(u64, u64)) {
+    /// What step 1 of the commit protocol must persist for a sealed block
+    /// besides its log entries, as `(address, length)` ranges: the header
+    /// and payload of every object it allocated (written in place with
+    /// their own flushes suppressed by the mediation — the commit owns
+    /// their write-back). Blocks a fresh chain grew by since are taken
+    /// whole.
+    fn allocated_ranges(&self, out: &mut Vec<(u64, u64)>) {
         let heap = self.rt.heap();
-        if let Some(log) = &self.log {
-            log.chain
-                .segments(LOG_ENTRIES, self.entries.len() as u64 * 8, &mut f);
-        }
         for (&master, &payload) in &self.allocated {
             if self.rt.pools().is_pooled_addr(master) {
-                f(master, HEADER_BYTES + payload);
+                out.push((master, HEADER_BYTES + payload));
                 continue;
             }
             let mut left = payload.max(1);
@@ -476,7 +449,7 @@ impl TxState {
                 } else {
                     heap.block_size()
                 };
-                f(heap.block_addr(b), len);
+                out.push((heap.block_addr(b), len));
                 left -= used;
             }
         }
@@ -700,14 +673,14 @@ fn read_log(
     Ok((buf, entries))
 }
 
-/// Steps 3–4 of the commit protocol over durably committed `logs`
-/// (`(chain, length in words)` each): apply every log's entries, fence, and
-/// only then clear each committed flag and queue its write-back. The
-/// caller owns the closing fence and declares `retired_fp` (the cleared
-/// flags, collected only while the sanitizer is on) behind it.
+/// Steps 3–4 of the commit protocol over the durably committed log `chain`
+/// of `len` words: apply its entries, fence, and only then clear the
+/// committed flag and queue its write-back. The caller owns the closing
+/// fence and declares `retired_fp` (the cleared flag, collected only while
+/// the sanitizer is on) behind it.
 ///
 /// `runtime_commit` is true on a live commit, which gets back the master
-/// addresses the logs freed and may hand them to the shared allocator only
+/// addresses the log freed and may hand them to the shared allocator only
 /// once that closing fence has run. Releasing them earlier is a race:
 /// another thread can take such a block and scribble on it while the log
 /// is still committed on media — a crash in that window replays the log
@@ -720,9 +693,10 @@ fn read_log(
 /// applied data, and — the log no longer being committed — nothing would
 /// ever replay the torn block. Hence the fence between the two steps,
 /// convicted by the ordering point right behind it.
-fn apply_and_retire<'a>(
+fn apply_and_retire(
     rt: &Jnvm,
-    logs: impl Iterator<Item = (&'a RawChain, u64)> + Clone,
+    chain: &RawChain,
+    len: u64,
     runtime_commit: bool,
     retired_fp: &mut Vec<(u64, u64)>,
 ) -> Result<Vec<u64>, JnvmError> {
@@ -735,25 +709,23 @@ fn apply_and_retire<'a>(
         }
     };
     let mut frees = Vec::new();
-    for (chain, len) in logs.clone() {
-        let (buf, entries) = read_log(rt, chain, len)?;
-        for entry in entries {
-            match entry {
-                Entry::Alloc(a) => {
-                    rt.set_valid_addr(a, true);
-                    applied(a, 8);
-                }
-                Entry::Free(a) if runtime_commit => frees.push(a),
-                Entry::Free(a) => {
-                    rt.set_valid_addr(a, false);
-                    applied(a, 8);
-                }
-                Entry::Write { addr, words } => {
-                    let len = words.len() as u64;
-                    pmem.write_bytes(addr, &buf[words]);
-                    pmem.pwb_range(addr, len);
-                    applied(addr, len);
-                }
+    let (buf, entries) = read_log(rt, chain, len)?;
+    for entry in entries {
+        match entry {
+            Entry::Alloc(a) => {
+                rt.set_valid_addr(a, true);
+                applied(a, 8);
+            }
+            Entry::Free(a) if runtime_commit => frees.push(a),
+            Entry::Free(a) => {
+                rt.set_valid_addr(a, false);
+                applied(a, 8);
+            }
+            Entry::Write { addr, words } => {
+                let len = words.len() as u64;
+                pmem.write_bytes(addr, &buf[words]);
+                pmem.pwb_range(addr, len);
+                applied(addr, len);
             }
         }
     }
@@ -767,12 +739,10 @@ fn apply_and_retire<'a>(
     if runtime_commit {
         set_phase(CommitPhase::Retire);
     }
-    for (chain, _) in logs {
-        pmem.write_u64(chain.phys(LOG_COMMITTED), 0);
-        pmem.pwb(chain.phys(LOG_COMMITTED));
-        if collect {
-            retired_fp.push((chain.phys(LOG_COMMITTED), 8));
-        }
+    pmem.write_u64(chain.phys(LOG_COMMITTED), 0);
+    pmem.pwb(chain.phys(LOG_COMMITTED));
+    if collect {
+        retired_fp.push((chain.phys(LOG_COMMITTED), 8));
     }
     Ok(frees)
 }
@@ -812,14 +782,15 @@ impl JnvmRuntime {
     }
 
     /// Execute `f` as a failure-atomic block whose mutations are **staged**
-    /// rather than committed: every modification is staged and logged
-    /// exactly as in [`JnvmRuntime::fa`], and the log entries are queued
-    /// for write-back, but no fence is issued and the log is not
-    /// committed. The returned [`StagedTx`] must be handed to
+    /// rather than committed: every modification is staged exactly as in
+    /// [`JnvmRuntime::fa`] and the block's redo entries are built — in
+    /// DRAM: staging touches no log, queues no write-back and issues no
+    /// fence (the objects `f` allocates are the only NVMM it writes). The
+    /// returned [`StagedTx`] must be handed to
     /// [`JnvmRuntime::fa_commit_group`] (with any number of siblings) to
-    /// make the block durable behind a *shared* pass of fences — the group
-    /// commit of the server write path. Dropping the handle aborts the
-    /// block as if `f` had panicked.
+    /// make the block durable as part of *one* transaction behind one pass
+    /// of fences — the group commit of the server write path. Dropping the
+    /// handle aborts the block as if `f` had panicked.
     ///
     /// # Footprint discipline
     ///
@@ -845,7 +816,6 @@ impl JnvmRuntime {
                 ops: 0,
                 overlay: BTreeMap::new(),
                 allocated: BTreeMap::new(),
-                log: None,
             });
         });
         TX_DEPTH.with(|d| d.set(1));
@@ -867,28 +837,27 @@ impl JnvmRuntime {
         let r = f();
         guard.done = true;
         drop(guard);
-        let state = TX.with(|tx| tx.borrow_mut().take().expect("stage without transaction"));
-        let mut tx = StagedTx {
+        let mut state = TX.with(|tx| tx.borrow_mut().take().expect("stage without transaction"));
+        state.seal();
+        let tx = StagedTx {
             state: Some(state),
             thread: std::thread::current().id(),
         };
-        // Step 1 of the commit protocol, minus its fence. (Should sealing
-        // unwind — heap exhausted growing the log — `tx` drops and aborts.)
-        set_phase(CommitPhase::FlushStaged);
-        tx.state.as_mut().expect("just staged").seal();
         jnvm_obs::span_end(jnvm_obs::SpanKind::FaStage, obs_begin);
         (tx, r)
     }
 
     /// Commit a group of [staged](JnvmRuntime::fa_stage) failure-atomic
-    /// blocks behind **one** shared pass of the §4.2 protocol: a single
-    /// step-1 fence covers every block's log entries, a single
-    /// commit-point fence makes the whole group durable (this is the
-    /// group's *durability point* — an acknowledgement released after this
-    /// call covers every block in the group), the blocks are applied
-    /// behind a single apply fence (the applies must be durable before any
-    /// committed flag clears), and a single retire fence closes the pass.
-    /// `K` independent commits thus cost 4 fences instead of `4K`.
+    /// blocks as **one** transaction, in one log, behind one pass of the
+    /// §4.2 protocol: the group's entries are stored in a single log and a
+    /// single step-1 fence covers them, a single commit-point fence makes
+    /// the whole group durable (this is the group's *durability point* — an
+    /// acknowledgement released after this call covers every block in the
+    /// group, and a crash leaves all of the group or none of it), the
+    /// entries are applied behind a single apply fence (the applies must be
+    /// durable before the committed flag clears), and a single retire fence
+    /// closes the pass. `K` independent commits thus cost 4 fences and one
+    /// flag line instead of `4K` and `K`.
     ///
     /// Blocks that staged no mutations are released for free. The order of
     /// `group` is the apply order; footprints must be pairwise disjoint
@@ -896,37 +865,28 @@ impl JnvmRuntime {
     ///
     /// # Panics
     ///
-    /// Panics if a staged block came from another thread (its queued
-    /// write-backs would not be covered by this thread's fences) or from
-    /// another runtime.
+    /// Panics if a staged block came from another thread (the write-backs
+    /// its allocations queued would not be covered by this thread's
+    /// fences) or from another runtime, and on persistent-heap exhaustion
+    /// while growing the log — every block of the group is then aborted.
     pub fn fa_commit_group(self: &Arc<Self>, group: Vec<StagedTx>) {
         let me = std::thread::current().id();
-        let mut states: Vec<TxState> = Vec::new();
-        for mut tx in group {
+        for tx in &group {
             assert_eq!(
                 tx.thread, me,
                 "staged block committed from a different thread than staged it \
-                 (per-thread persistence domains: its write-backs are not in \
-                 this thread's queue)"
+                 (per-thread persistence domains: the write-backs its \
+                 allocations queued are not in this thread's queue)"
             );
-            let state = tx.state.take().expect("staged state present until commit or drop");
             assert!(
-                Arc::ptr_eq(&state.rt, self),
+                Arc::ptr_eq(&tx.state().rt, self),
                 "staged block belongs to a different runtime"
             );
-            // A block that staged nothing never took a log.
-            if state.log.is_some() {
-                states.push(state);
-            }
-        }
-        if states.is_empty() {
-            set_phase(CommitPhase::Idle);
-            return;
         }
         #[cfg(debug_assertions)]
         {
             let mut seen: HashSet<u64> = HashSet::new();
-            for word in states.iter().flat_map(|st| st.overlay.keys()) {
+            for word in group.iter().flat_map(|tx| tx.state().overlay.keys()) {
                 assert!(
                     seen.insert(*word),
                     "group contains two staged blocks writing word {word:#x}: \
@@ -934,51 +894,77 @@ impl JnvmRuntime {
                 );
             }
         }
+        // The group is the transaction: its blocks' entries, in apply
+        // order, are the content of one log.
+        let bytes: Vec<u8> = group
+            .iter()
+            .flat_map(|tx| &tx.state().entries)
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        if bytes.is_empty() {
+            // Nothing staged, nothing to abort when the handles drop.
+            set_phase(CommitPhase::Idle);
+            return;
+        }
+        let words = bytes.len() as u64 / 8;
         let obs_begin = jnvm_obs::span_begin();
         let pmem = self.pmem();
-        // 1. One fence covers every staged block's queued write-backs.
+        // 1. Store the entries; write back each of their lines and of the
+        // fresh allocations' once (sorted: pooled neighbours share lines,
+        // and crash point `i` names the same op on every run); fence.
         set_phase(CommitPhase::FlushStaged);
+        let mut log = self.fa_manager().acquire_log(self);
+        // Heap exhaustion unwinds from here while `group` still owns every
+        // block, so each one aborts. (The log stays out of the pool: its
+        // chain on media may have grown past this handle's view of it.)
+        log.reserve(self, words);
+        let chain = &log.chain;
+        chain.write_bytes(pmem, LOG_ENTRIES, &bytes);
+        let mut staged: Vec<(u64, u64)> = Vec::new();
+        chain.segments(LOG_ENTRIES, words * 8, |addr, len| staged.push((addr, len)));
+        for mut tx in group {
+            let state = tx
+                .state
+                .take()
+                .expect("staged state present until commit or drop");
+            state.allocated_ranges(&mut staged);
+        }
+        let mut lines: Vec<u64> = staged
+            .iter()
+            .flat_map(|&(addr, len)| addr / CACHE_LINE..=(addr + len - 1) / CACHE_LINE)
+            .collect();
+        lines.sort_unstable();
+        lines.dedup();
+        for line in lines {
+            pmem.pwb(line * CACHE_LINE);
+        }
         pmem.pfence();
         // 2. Commit point of the whole group.
         set_phase(CommitPhase::CommitPoint);
-        for st in &states {
-            let chain = &st.log().chain;
-            pmem.write_u64(chain.phys(LOG_LEN), st.entries.len() as u64);
-            pmem.write_u64(chain.phys(LOG_COMMITTED), 1);
-            // Flag and length are neighbours: one write-back covers both.
-            chain.pwb_range(pmem, LOG_COMMITTED, LOG_ENTRIES);
-        }
-        pmem.pfence(); // ---- the group's durability point ----
-                       // The whole group is durably committed behind the one fence: what
-                       // step 1 flushed, and each log's flag and length words.
-        let mut commit_fp: Vec<(u64, u64)> = Vec::new();
-        if pmem.sanitizer_active() {
-            for st in &states {
-                st.staged_ranges(|addr, len| commit_fp.push((addr, len)));
-                commit_fp.push((st.log().chain.phys(LOG_COMMITTED), LOG_ENTRIES));
-            }
-        }
-        pmem.ordering_point("fa-commit", &commit_fp);
-        // 3–4. Apply every block, fence, clear every flag; then retire all
-        // logs behind one closing fence.
+        pmem.write_u64(chain.phys(LOG_LEN), words);
+        pmem.write_u64(chain.phys(LOG_COMMITTED), 1);
+        // Flag and length are neighbours: one write-back covers both.
+        chain.pwb_range(pmem, LOG_COMMITTED, LOG_ENTRIES);
+        // ---- the group's durability point ----
+        pmem.pfence();
+        // The whole group is durably committed behind the one fence: what
+        // step 1 flushed, and the log's flag and length words.
+        staged.push((chain.phys(LOG_COMMITTED), LOG_ENTRIES));
+        pmem.ordering_point("fa-commit", &staged);
+        // 3–4. Apply the entries, fence, clear the flag; then retire the
+        // log behind the closing fence.
         set_phase(CommitPhase::Apply);
-        let logs = states
-            .iter()
-            .map(|st| (&st.log().chain, st.entries.len() as u64));
         let mut retired_fp: Vec<(u64, u64)> = Vec::new();
-        let frees = apply_and_retire(self, logs, true, &mut retired_fp)
+        let frees = apply_and_retire(self, chain, words, true, &mut retired_fp)
             .expect("entries written by this commit are well-formed");
         pmem.pfence();
         pmem.ordering_point("fa-retire", &retired_fp);
-        // Only now — the retire is durable, no log can replay again — may
-        // the blocks this group released re-enter the shared allocator.
+        // Only now — the retire is durable, the log cannot replay again —
+        // may the blocks this group released re-enter the shared allocator.
         for a in frees {
             self.free_addr_now(a);
         }
-        for st in states {
-            self.fa_manager()
-                .release_log(st.log.expect("sealed with entries"));
-        }
+        self.fa_manager().release_log(log);
         jnvm_obs::span_end(jnvm_obs::SpanKind::FaCommitGroup, obs_begin);
         set_phase(CommitPhase::Idle);
     }
@@ -994,9 +980,15 @@ pub struct StagedTx {
 }
 
 impl StagedTx {
+    fn state(&self) -> &TxState {
+        self.state
+            .as_ref()
+            .expect("staged state present until commit or drop")
+    }
+
     /// Number of log entries the block staged (0 = read-only block).
     pub fn op_count(&self) -> u64 {
-        self.state.as_ref().map_or(0, |s| s.ops)
+        self.state().ops
     }
 }
 
@@ -1019,16 +1011,10 @@ impl std::fmt::Debug for StagedTx {
 /// Abort a block from its captured state (shared by a stage whose closure
 /// unwound and [`StagedTx`]'s drop).
 fn abort_state(state: TxState) {
-    let TxState {
-        rt, log, allocated, ..
-    } = state;
-    // Release objects allocated inside the aborted block.
-    for master in allocated.keys() {
-        rt.free_addr_now(*master);
-    }
-    // The log was never committed; its entries are dead.
-    if let Some(log) = log {
-        rt.fa_manager().release_log(log);
+    // Release objects allocated inside the aborted block; its entries
+    // never left DRAM.
+    for master in state.allocated.keys() {
+        state.rt.free_addr_now(*master);
     }
 }
 
@@ -1150,35 +1136,61 @@ mod tests {
         (pmem, rt, objs)
     }
 
-    /// A group of K staged blocks commits behind 4 fences total, not 4K
-    /// (flush, commit point, apply — durable before any flag clears —,
-    /// retire), and every block's effect lands.
+    /// The first log the directory publishes.
+    fn first_log(rt: &Jnvm) -> RawChain {
+        let dir = RawChain::open(rt, rt.heap().root_slot(2));
+        RawChain::open(rt, rt.pmem().read_u64(dir.phys(8)))
+    }
+
+    /// A group of K staged blocks is one transaction in one log: staging
+    /// touches no log, the commit takes exactly one, sets one flag and one
+    /// length, clears one flag, and costs 4 fences total, not 4K (flush,
+    /// commit point, apply — durable before the flag clears —, retire);
+    /// every block's effect lands.
     #[test]
-    fn group_commit_amortizes_fences() {
+    fn group_commits_as_one_transaction_in_one_log() {
+        use jnvm_pmem::{FaultOp, FaultPlan};
         let (pmem, rt, objs) = stage_setup();
-        // Pre-warm the log pool: fresh-log creation pays its own fences,
-        // which would obscure the steady-state count under test.
-        let fam = rt.fa_manager();
-        let warm: Vec<LogHandle> = (0..objs.len()).map(|_| fam.acquire_log(&rt)).collect();
-        for log in warm {
-            fam.release_log(log);
-        }
+        let stage = |base: u64| -> Vec<StagedTx> {
+            let block =
+                |(i, obj): (usize, &Proxy)| rt.fa_stage(|| obj.write_u64(0, base + i as u64)).0;
+            objs.iter().enumerate().map(block).collect()
+        };
+        // The first commit creates the group's log — fresh-log creation
+        // pays fences of its own; the second is the steady state.
         let before = pmem.stats();
-        let mut group = Vec::new();
-        for (i, obj) in objs.iter().enumerate() {
-            let (tx, ()) = rt.fa_stage(|| obj.write_u64(0, 100 + i as u64));
-            assert!(tx.op_count() > 0);
-            group.push(tx);
-        }
+        let group = stage(50);
+        let d = pmem.stats().delta(&before);
+        assert_eq!(
+            (d.writes, d.pwbs, d.pfences, used_slots(&rt)),
+            (0, 0, 0, 0),
+            "fa_stage stores, writes back and fences nothing, and takes no log"
+        );
+        assert!(group.iter().all(|tx| tx.op_count() == 1));
         rt.fa_commit_group(group);
+        assert_eq!(used_slots(&rt), 1, "K staged blocks, one log");
+
+        let group = stage(100);
+        let before = pmem.stats();
+        pmem.arm_faults(FaultPlan::count());
+        rt.fa_commit_group(group);
+        let trace = pmem.fault_trace();
+        pmem.disarm_faults();
         let d = pmem.stats().delta(&before);
         assert_eq!(d.pfences, 4, "K staged blocks share one 4-fence pass");
+        assert_eq!(used_slots(&rt), 1, "the one log is reused");
+        let log = first_log(&rt);
+        let stores = |logical| {
+            let to =
+                |r: &&jnvm_pmem::TraceRecord| r.op == FaultOp::Write && r.addr == log.phys(logical);
+            trace.iter().filter(to).count()
+        };
+        assert_eq!(stores(LOG_COMMITTED), 2, "one flag set, one flag cleared");
+        assert_eq!(stores(LOG_LEN), 1, "one length");
+        assert_eq!(pmem.read_u64(log.phys(LOG_LEN)), 3 * objs.len() as u64);
         for (i, obj) in objs.iter().enumerate() {
             assert_eq!(obj.read_u64(0), 100 + i as u64);
         }
-        // The logs were retired and released: a fresh block reuses them.
-        rt.fa(|| objs[0].write_u64(0, 7));
-        assert_eq!(objs[0].read_u64(0), 7);
     }
 
     /// Dropping a staged handle aborts the block: masters untouched,
@@ -1207,11 +1219,11 @@ mod tests {
     }
 
     /// Crash-point sweep over an entire staged group commit: at every
-    /// injected crash point the group must be all-or-nothing per block —
-    /// after replay each object holds either its old or its new value, and
-    /// once the group's commit point is durable, *all* blocks replay.
+    /// injected crash point the group must be all-or-nothing — after
+    /// replay each object holds either its old or its new value, and all
+    /// of them the same one.
     #[test]
-    fn group_commit_crash_sweep_is_atomic_per_block() {
+    fn group_commit_crash_sweep_is_all_or_nothing() {
         use jnvm_pmem::{catch_crash, silence_crash_panics, FaultPlan};
         silence_crash_panics();
         let workload = |rt: &Jnvm, objs: &[Proxy]| {
@@ -1257,12 +1269,12 @@ mod tests {
                     news += 1;
                 }
             }
-            // The group shares one commit point: after it, every block
-            // replays; before it, none do.
+            // The group is one log with one commit point: after it, every
+            // block replays; before it, none do.
             assert!(
                 news == 0 || news == values.len(),
-                "crash point {point}: group split {news}/{} — the shared \
-                 durability point must make the group all-or-nothing",
+                "crash point {point}: group split {news}/{} — one log \
+                 must make the group all-or-nothing",
                 values.len()
             );
         }
@@ -1274,14 +1286,17 @@ mod tests {
     /// hand; plus the addresses of `objs[0]` and `objs[2]`.
     fn committed_image(damage: impl FnOnce(&Pmem, &RawChain, u64)) -> (Arc<Pmem>, u64, u64) {
         let (pmem, rt, objs) = stage_setup();
-        let (mut tx, ()) = rt.fa_stage(|| {
+        let (tx, ()) = rt.fa_stage(|| {
             objs[0].write_u64(0, 99);
             rt.free_addr(objs[1].addr());
         });
-        // Taken out of the handle so that dropping it does not abort.
-        let state = tx.state.take().expect("staged");
-        let chain = state.log().chain.clone();
-        assert_eq!(state.entries.len(), 5);
+        // The first half of the commit, by hand. (Dropping `tx` aborts a
+        // block that allocated nothing: a no-op.)
+        let entries = &tx.state().entries;
+        assert_eq!(entries.len(), 5);
+        let bytes: Vec<u8> = entries.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let chain = rt.fa_manager().acquire_log(&rt).chain;
+        chain.write_bytes(&pmem, LOG_ENTRIES, &bytes);
         pmem.write_u64(chain.phys(LOG_LEN), 5);
         pmem.write_u64(chain.phys(LOG_COMMITTED), 1);
         damage(&pmem, &chain, objs[2].addr());
@@ -1345,6 +1360,187 @@ mod tests {
                 "{reason}: bystander overwritten"
             );
         }
+    }
+
+    /// Regression: the recovery report counted as "abandoned" every log
+    /// with a clear flag and a non-zero length — which is what retire
+    /// leaves behind (it clears the flag only), so every log ever used was
+    /// reported. Media cannot tell the two apart; the count is gone, and a
+    /// cleanly retired log replays nothing and is pooled again.
+    #[test]
+    fn a_cleanly_retired_log_is_not_reported_abandoned() {
+        let (pmem, rt, objs) = stage_setup();
+        rt.fa(|| objs[0].write_u64(0, 5));
+        rt.fa(|| objs[1].write_u64(0, 6));
+        let log = first_log(&rt);
+        let words = |pmem: &Pmem| [LOG_COMMITTED, LOG_LEN].map(|at| pmem.read_u64(log.phys(at)));
+        assert_eq!(words(&pmem), [0, 3]);
+        drop((objs, rt));
+        pmem.crash(&CrashPolicy::strict()).unwrap();
+        assert_eq!(words(&pmem), [0, 3], "retire is durable");
+        let (rt2, report) = JnvmBuilder::new().open(Arc::clone(&pmem)).unwrap();
+        assert_eq!(report.replayed_logs, 0);
+        assert!(!format!("{report:?}").contains("abandoned"));
+        let fresh = Proxy::alloc(&rt2, CLASS_ID_FALOG, 16);
+        fresh.validate();
+        rt2.fa(|| fresh.write_u64(0, 1));
+        assert_eq!(
+            used_slots(&rt2),
+            1,
+            "the retired log serves the next commit"
+        );
+    }
+
+    /// Bytes per big object: eight whole blocks of payload, so a block
+    /// overwriting one stages 8 × (2 + 31) = 264 words of entries.
+    const BIG: u64 = 8 * 248;
+
+    /// Small pool with four valid, zero-filled [`BIG`] objects and the
+    /// committer's log created, at its initial size.
+    fn big_setup() -> (Arc<Pmem>, Jnvm, Vec<Proxy>) {
+        let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
+        let rt = JnvmBuilder::new()
+            .create(Arc::clone(&pmem), HeapConfig::default())
+            .unwrap();
+        let objs: Vec<Proxy> = (0..4)
+            .map(|_| {
+                let p = Proxy::alloc(&rt, CLASS_ID_FALOG, BIG);
+                p.pwb();
+                p.validate();
+                p
+            })
+            .collect();
+        rt.fa(|| objs[0].write_u64(0, 0));
+        pmem.psync();
+        (pmem, rt, objs)
+    }
+
+    /// Reopen a [`big_setup`] pool. Its objects are valid but unrooted:
+    /// the header scan keeps them, the reachability GC would not.
+    fn big_reopen(pmem: &Arc<Pmem>) -> (Jnvm, crate::RecoveryReport) {
+        let mode = crate::RecoveryMode::HeaderScanOnly;
+        JnvmBuilder::new()
+            .open_with_mode(Arc::clone(pmem), mode)
+            .unwrap()
+    }
+
+    /// One staged block per object, filling it with `fill`.
+    fn stage_fills(rt: &Jnvm, objs: &[Proxy], fill: u8) -> Vec<StagedTx> {
+        let block = |obj: &Proxy| rt.fa_stage(|| obj.write_bytes(0, &[fill; BIG as usize])).0;
+        objs.iter().map(block).collect()
+    }
+
+    fn fills(rt: &Jnvm, addrs: &[u64]) -> Vec<Option<u8>> {
+        let fill = |addr: &u64| {
+            let mut bytes = [0u8; BIG as usize];
+            Proxy::open(rt, *addr).read_bytes(0, &mut bytes);
+            bytes.iter().all(|b| *b == bytes[0]).then_some(bytes[0])
+        };
+        addrs.iter().map(fill).collect()
+    }
+
+    /// A group whose entries outgrow the log's initial chain extends it
+    /// *inside* the commit. Every crash point of that commit (strict
+    /// policy) leaves all of the group or none of it, and the log that
+    /// recovery pools again — grown, half-grown or not — carries the same
+    /// group to completion.
+    #[test]
+    fn group_outgrowing_its_log_is_all_or_nothing_at_every_crash_point() {
+        use jnvm_pmem::{catch_crash, silence_crash_panics, FaultPlan};
+        silence_crash_panics();
+        let workload = |rt: &Jnvm, objs: &[Proxy]| rt.fa_commit_group(stage_fills(rt, objs, 7));
+        let total = {
+            let (pmem, rt, objs) = big_setup();
+            let before = first_log(&rt).capacity();
+            assert_eq!(
+                before,
+                rt.heap().blocks_for(LOG_ENTRIES + LOG_INIT_WORDS * 8) * 248
+            );
+            pmem.arm_faults(FaultPlan::count());
+            workload(&rt, &objs);
+            let total = pmem.disarm_faults();
+            let words = 4 * 8 * (2 + 31);
+            assert_eq!(pmem.read_u64(first_log(&rt).phys(LOG_LEN)), words);
+            assert!(words > LOG_INIT_WORDS && first_log(&rt).capacity() > before);
+            total
+        };
+        let mut outcomes = HashSet::new();
+        for point in 0..total {
+            let (pmem, rt, objs) = big_setup();
+            let addrs: Vec<u64> = objs.iter().map(|o| o.addr()).collect();
+            pmem.arm_faults(FaultPlan::crash_at(point));
+            let outcome = catch_crash(|| workload(&rt, &objs));
+            drop(objs);
+            drop(rt);
+            pmem.disarm_faults();
+            assert!(outcome.is_err(), "crash point {point} not reached");
+            let (rt2, _report) = big_reopen(&pmem);
+            let seen = fills(&rt2, &addrs);
+            assert!(
+                seen == [Some(0); 4] || seen == [Some(7); 4],
+                "crash point {point}: group torn or split: {seen:?}"
+            );
+            outcomes.insert(seen[0]);
+            let objs2: Vec<Proxy> = addrs.iter().map(|a| Proxy::open(&rt2, *a)).collect();
+            rt2.fa_commit_group(stage_fills(&rt2, &objs2, 9));
+            assert_eq!(
+                fills(&rt2, &addrs),
+                [Some(9); 4],
+                "crash point {point}: rerun"
+            );
+        }
+        assert_eq!(
+            outcomes.len(),
+            2,
+            "the sweep saw both sides of the commit point"
+        );
+    }
+
+    /// Growing the group's log can exhaust the heap, mid-commit. Every
+    /// block of the group then aborts — fresh allocations released, no
+    /// original touched — and no flag is set: nothing replays.
+    #[test]
+    fn heap_exhaustion_growing_the_log_aborts_the_whole_group() {
+        let (pmem, rt, objs) = big_setup();
+        let addrs: Vec<u64> = objs.iter().map(|o| o.addr()).collect();
+        // Leave the allocator 3 blocks: one for the group's fresh object,
+        // two of the eleven the log must grow by.
+        let heap = rt.heap();
+        let mut drained = Vec::new();
+        while let Ok(b) = heap.alloc_block() {
+            drained.push(b);
+        }
+        for b in drained.drain(..3) {
+            heap.push_free(b);
+        }
+        let mut group = stage_fills(&rt, &objs, 7);
+        group.push(
+            rt.fa_stage(|| Proxy::alloc(&rt, CLASS_ID_FALOG, 16).write_u64(0, 1))
+                .0,
+        );
+        let freed = heap.stats().blocks_freed;
+        let commit = std::panic::AssertUnwindSafe(|| rt.fa_commit_group(group));
+        jnvm_pmem::silence_crash_panics();
+        let hush = jnvm_pmem::hush_panics();
+        let panic = std::panic::catch_unwind(commit).expect_err("the heap cannot hold the log");
+        drop(hush);
+        let message = panic.downcast_ref::<String>().expect("a message");
+        assert!(
+            message.contains("heap exhausted growing redo log"),
+            "{message}"
+        );
+        assert_eq!(
+            heap.stats().blocks_freed,
+            freed + 1,
+            "the fresh object was released"
+        );
+        assert_eq!(fills(&rt, &addrs), [Some(0); 4], "an aborted block applied");
+        assert_eq!(pmem.read_u64(first_log(&rt).phys(LOG_COMMITTED)), 0);
+        drop((objs, rt));
+        pmem.crash(&CrashPolicy::strict()).unwrap();
+        let (rt2, report) = big_reopen(&pmem);
+        assert_eq!(report.replayed_logs, 0);
+        assert_eq!(fills(&rt2, &addrs), [Some(0); 4]);
     }
 
     #[test]

@@ -100,8 +100,6 @@ pub struct RecoveryReport {
     pub threads: usize,
     /// Committed failure-atomic logs replayed.
     pub replayed_logs: u64,
-    /// Uncommitted logs abandoned.
-    pub abandoned_logs: u64,
     /// Live objects visited (Full mode) or valid masters kept (HeaderScan).
     pub live_objects: u64,
     /// Blocks found live.
@@ -162,11 +160,9 @@ pub(crate) fn run(rt: &Jnvm, opts: RecoveryOptions) -> Result<RecoveryReport, Jn
     // 1. Failure-atomic logs first (§4.2).
     let t0 = Instant::now();
     let obs_replay = jnvm_obs::span_begin();
-    let (replayed, abandoned, replay_times, replay_device) =
-        rt.fa_manager().recover_logs(rt, threads)?;
+    let (replayed, replay_times, replay_device) = rt.fa_manager().recover_logs(rt, threads)?;
     jnvm_obs::span_end(jnvm_obs::SpanKind::RecoveryReplay, obs_replay);
     report.replayed_logs = replayed;
-    report.abandoned_logs = abandoned;
     report.replay_thread_times = replay_times;
     report.modeled_log_time = replay_device.iter().max().copied().unwrap_or_default();
     report.log_time = t0.elapsed();

@@ -10,27 +10,18 @@ use crate::backend::Backend;
 use crate::codec::Record;
 use crate::lru::ShardedLru;
 
+/// Shards of the volatile record cache.
+const CACHE_SHARDS: usize = 64;
+/// Per-key lock stripes.
+const LOCK_STRIPES: usize = 256;
+
 /// Grid configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct GridConfig {
     /// Volatile cache capacity in records (the paper caches ≤ 10 % of the
     /// dataset; J-NVM backends run with 0 — caching brings them nothing,
     /// §5.3.1).
     pub cache_capacity: usize,
-    /// Cache shards.
-    pub cache_shards: usize,
-    /// Per-key lock stripes.
-    pub lock_stripes: usize,
-}
-
-impl Default for GridConfig {
-    fn default() -> Self {
-        GridConfig {
-            cache_capacity: 0,
-            cache_shards: 64,
-            lock_stripes: 256,
-        }
-    }
 }
 
 /// Grid-level counters.
@@ -60,9 +51,9 @@ impl DataGrid {
     pub fn new(backend: Arc<dyn Backend>, cfg: GridConfig) -> DataGrid {
         DataGrid {
             backend,
-            cache: ShardedLru::new(cfg.cache_capacity, cfg.cache_shards.max(1)),
+            cache: ShardedLru::new(cfg.cache_capacity, CACHE_SHARDS),
             cache_enabled: cfg.cache_capacity > 0,
-            locks: (0..cfg.lock_stripes.max(1)).map(|_| Mutex::new(())).collect(),
+            locks: (0..LOCK_STRIPES).map(|_| Mutex::new(())).collect(),
             metrics: GridMetrics::default(),
         }
     }
@@ -75,7 +66,7 @@ impl DataGrid {
     /// Exposed so the group committer can detect same-stripe conflicts and
     /// hold the same locks the direct-call paths take.
     pub(crate) fn stripe_index(&self, key: &str) -> usize {
-        (crate::fnv1a(key) as usize) % self.locks.len()
+        (crate::fnv1a(key) as usize) % LOCK_STRIPES
     }
 
     /// The stripe lock at `idx` (from [`DataGrid::stripe_index`]).
@@ -263,13 +254,7 @@ mod tests {
     use jnvm_pmem::{Pmem, PmemConfig};
 
     fn volatile_grid(cache: usize) -> DataGrid {
-        DataGrid::new(
-            Arc::new(VolatileBackend::new()),
-            GridConfig {
-                cache_capacity: cache,
-                ..GridConfig::default()
-            },
-        )
+        DataGrid::new(Arc::new(VolatileBackend::new()), GridConfig { cache_capacity: cache })
     }
 
     #[test]
@@ -311,13 +296,7 @@ mod tests {
     fn rmw_on_external_backend_marshal_path() {
         let pmem = Pmem::new(PmemConfig::perf(8 << 20));
         let be = Arc::new(FsBackend::new(pmem, 4096, CostModel::free()));
-        let g = DataGrid::new(
-            be,
-            GridConfig {
-                cache_capacity: 4,
-                ..GridConfig::default()
-            },
-        );
+        let g = DataGrid::new(be, GridConfig { cache_capacity: 4 });
         let rec = Record::ycsb("k", &[b"x".to_vec(), b"y".to_vec()]);
         g.insert(&rec);
         assert!(g.update_field("k", 0, b"X"));
@@ -425,10 +404,7 @@ mod tests {
         let be = Arc::new(VersionedBackend::default());
         let g = Arc::new(DataGrid::new(
             Arc::clone(&be) as Arc<dyn Backend>,
-            GridConfig {
-                cache_capacity: 0,
-                ..GridConfig::default()
-            },
+            GridConfig { cache_capacity: 0 },
         ));
         let threads: Vec<_> = (0..4)
             .map(|t| {
@@ -512,10 +488,7 @@ mod tests {
         let be = Arc::new(CounterBackend::default());
         let g = Arc::new(DataGrid::new(
             Arc::clone(&be) as Arc<dyn Backend>,
-            GridConfig {
-                cache_capacity: 0,
-                ..GridConfig::default()
-            },
+            GridConfig { cache_capacity: 0 },
         ));
         const T: usize = 8;
         const K: u64 = 250;

@@ -1,9 +1,9 @@
 //! Group commit over the J-PFA redo log: stage many independent
-//! failure-atomic writes on one thread, then make them durable behind a
-//! *shared* pass of four fences instead of four fences each (the
-//! amortization argument of persistent software combining, applied to the
-//! §4.2 log; the fourth fence makes the applies durable before the logs
-//! retire).
+//! failure-atomic writes on one thread, then make them durable as one
+//! transaction in one log, behind *one* pass of four fences instead of four
+//! fences each (the amortization argument of persistent software combining,
+//! applied to the §4.2 log; the fourth fence makes the applies durable
+//! before the log retires).
 //!
 //! ## Exclusive-writer contract
 //!
@@ -79,8 +79,9 @@ pub struct BatchOutcome {
 ///
 /// `be` must be the backend `grid` was built over. On the J-PFA flavour
 /// each op is staged as its own failure-atomic block and whole groups are
-/// committed behind shared fences; when every op in the batch lands in one
-/// group, the batch costs 4 fences total instead of 4 per op. Ops that
+/// committed as one transaction behind shared fences; when every op in the
+/// batch lands in one group, the batch costs 4 fences total instead of 4
+/// per op, and a crash leaves all of the group or none of it. Ops that
 /// conflict (same lock stripe, or two structural ops on one shard) are
 /// deferred to a later group of the same call, preserving per-key order.
 ///
@@ -154,7 +155,7 @@ pub fn commit_writes(grid: &DataGrid, be: &JnvmBackend, ops: &[WriteOp]) -> Batc
         }
 
         // The group's durability point: 4 fences for `committed` ops
-        // (the applies are durable before the logs retire).
+        // (the applies are durable before the log retires).
         // `fa_commit_group` declares the log/object footprints itself
         // ("fa-commit"/"fa-retire"); this label only marks the ack point.
         rt.fa_commit_group(staged);
@@ -213,7 +214,7 @@ mod tests {
         assert!(out.results.iter().all(|&r| r));
         // Ops spread over 8 shards ⇒ more than one group, but far fewer
         // than one per op; each group costs 4 fences (the applies are
-        // durable before the logs retire).
+        // durable before the log retires).
         assert!(out.groups < ops.len(), "no grouping happened: {out:?}");
         assert_eq!(d.pfences, 4 * out.groups as u64);
         for i in 0..16 {

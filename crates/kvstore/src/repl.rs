@@ -138,10 +138,7 @@ mod tests {
         let be = Arc::new(JnvmBackend::create(&rt, 4, true).expect("backend"));
         let grid = DataGrid::new(
             Arc::clone(&be) as Arc<dyn Backend>,
-            GridConfig {
-                cache_capacity: 0,
-                ..GridConfig::default()
-            },
+            GridConfig { cache_capacity: 0 },
         );
         (pmem, rt, be, grid)
     }

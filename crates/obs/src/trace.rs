@@ -38,7 +38,7 @@ pub enum SpanKind {
     /// One failure-atomic stage call (redo-log build, no fences).
     FaStage = 0,
     /// One group commit: 4 fences amortized over the whole group (the
-    /// applies are durable before the logs retire).
+    /// applies are durable before the log retires).
     FaCommitGroup = 1,
     /// Streaming a write group to the backup replica.
     ReplSend = 2,

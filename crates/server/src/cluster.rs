@@ -23,10 +23,7 @@ use crate::server::{Server, ServerConfig, ShardHandle};
 /// No volatile cache: the J-NVM backends gain nothing from one (§5.3.1),
 /// and crash verifiers want to read the persistent image, not a cache.
 pub(crate) fn grid_cfg() -> GridConfig {
-    GridConfig {
-        cache_capacity: 0,
-        ..GridConfig::default()
-    }
+    GridConfig { cache_capacity: 0 }
 }
 
 /// N shards × R replicas of pool stacks over fresh simulated devices.

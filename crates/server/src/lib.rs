@@ -22,7 +22,7 @@
 //! in [`torture`] sweeps for.
 //!
 //! Group commit is the amortization story: `k` pipelined writes cost
-//! 4 fences per *group* (the applies are durable before the logs retire),
+//! 4 fences per *group* (the applies are durable before the log retires),
 //! not 4 per op, so ordering points per acked write
 //! drop well below one under load (asserted via `jnvm-pmem` stats).
 //! Sharding is the concurrency story on top: keys route to `N`

@@ -6,7 +6,7 @@
 //! carries only `REPL_APPLY` frames downstream and `REPL_ACK` replies
 //! upstream. The endpoint applies each group with its *own*
 //! [`commit_writes`] pass — its own 4 fences (the applies are durable
-//! before the logs retire), on its own thread, against
+//! before the log retires), on its own thread, against
 //! its own device (persistence domains are per thread, so the backup's
 //! durability point belongs to this thread's fences) — and acks the
 //! group's sequence number only after that call returns. An ack therefore

@@ -13,7 +13,7 @@
 //! `batch_max` ops from its own queue, runs
 //! [`jnvm_kvstore::commit_writes`] against its own backend (group commit:
 //! 4 fences per group, not per op — the applies are durable before the
-//! logs retire) and resolves the batch's tickets only
+//! log retires) and resolves the batch's tickets only
 //! after that call returns — i.e. after the group durability point *and*
 //! the apply phase, so a subsequent GET on the same connection reads its
 //! own writes. K writes spread over N shards pay N *concurrent* fence
@@ -146,7 +146,7 @@ pub struct ServerStats {
     /// Writes refused at enqueue (dead shard, or server shutting down).
     pub rejected_writes: u64,
     /// Commit groups issued (4 ordering fences each on the FA path: the
-    /// applies are durable before the logs retire).
+    /// applies are durable before the log retires).
     pub groups: u64,
     /// Batches drained across all committers.
     pub batches: u64,

@@ -51,10 +51,9 @@ fn main() {
         .open(Arc::clone(&pmem))
         .expect("recovery");
     println!(
-        "recovered in {:?} (log replays: {}, aborted: {}, live objects: {})",
+        "recovered in {:?} (log replays: {}, live objects: {})",
         report.gc_time + report.log_time,
         report.replayed_logs,
-        report.abandoned_logs,
         report.live_objects
     );
     let bank2 = JnvmBank::open(&rt2).expect("reopen bank");

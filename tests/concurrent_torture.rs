@@ -229,13 +229,7 @@ fn grid_setup() -> (Arc<Pmem>, GridCtx) {
         .create(Arc::clone(&pmem), HeapConfig::default())
         .expect("pool");
     let be = JnvmBackend::create(&rt, 2, true).expect("backend");
-    let grid = DataGrid::new(
-        Arc::new(be),
-        GridConfig {
-            cache_capacity: 0,
-            ..GridConfig::default()
-        },
-    );
+    let grid = DataGrid::new(Arc::new(be), GridConfig { cache_capacity: 0 });
     for t in 0..NTHREADS {
         for k in 0..KEYS_PER_THREAD {
             let v = grid_val(t, k, "init");
@@ -487,10 +481,7 @@ fn concurrent_insert_remove_conserves_blocks() {
         let be = JnvmBackend::create(&rt, 4, false).expect("backend");
         let grid = Arc::new(DataGrid::new(
             Arc::new(be),
-            GridConfig {
-                cache_capacity: 0,
-                ..GridConfig::default()
-            },
+            GridConfig { cache_capacity: 0 },
         ));
         // Pre-size the map shards so the churn below never grows them:
         // growth order would otherwise differ between the two runs.

@@ -243,13 +243,7 @@ fn grid_setup() -> (Arc<Pmem>, GridCtx) {
         .create(Arc::clone(&pmem), HeapConfig::default())
         .expect("pool");
     let be = JnvmBackend::create(&rt, 1, true).expect("backend");
-    let grid = DataGrid::new(
-        Arc::new(be),
-        GridConfig {
-            cache_capacity: 0,
-            ..GridConfig::default()
-        },
-    );
+    let grid = DataGrid::new(Arc::new(be), GridConfig { cache_capacity: 0 });
     assert!(grid.insert(&Record::ycsb("k1", &[K1_OLD.to_vec(), b"bbbb".to_vec()])));
     pmem.psync();
     (pmem, GridCtx { _rt: rt, grid })
@@ -537,10 +531,14 @@ struct CellsCtx {
 }
 
 /// The cells each failure-atomic block of the workload writes: all four in
-/// one solo block, or two per block of a staged group.
+/// one solo block, or a staged group of three blocks over two, one and one.
 fn cell_blocks(grouped: bool) -> impl Iterator<Item = std::ops::Range<usize>> {
-    let per_block = if grouped { 2 } else { CELLS };
-    (0..CELLS).step_by(per_block).map(move |b| b..b + per_block)
+    let bounds: &[usize] = if grouped {
+        &[0, 2, 3, CELLS]
+    } else {
+        &[0, CELLS]
+    };
+    bounds.windows(2).map(|w| w[0]..w[1])
 }
 
 /// Set every cell's `left` to `base + i`: as one solo `fa()` block, or as a
@@ -585,14 +583,14 @@ fn cells_setup(grouped: bool) -> (Arc<Pmem>, CellsCtx) {
     (pmem, ctx)
 }
 
-/// Crash `workload` at every point (or only from the commit-point fence
-/// on) under `seeds` adversarial eviction seeds, reopen, and require every
-/// failure-atomic *block* of it — `observe` reports each as `Some(is it
-/// new)`, or `None` when torn — to be all-or-nothing, and entirely new once
-/// the commit-point fence has executed. A group may split between blocks
-/// when the crash replaces that fence itself (each flag line faces its own
-/// coin; nothing was acked); the strict-policy sweep in `fa.rs` keeps the
-/// group all-or-nothing. Returns the number of crashing runs.
+/// Crash `workload` — one commit, solo or of a staged group — at every
+/// point (or only from the commit-point fence on) under `seeds` adversarial
+/// eviction seeds, reopen, and require the *commit* to be all-or-nothing:
+/// every failure-atomic block of it — `observe` reports each as `Some(is it
+/// new)`, or `None` when torn — whole, all of them on the same side (a
+/// group is one transaction in one log, with one flag line), and that side
+/// the new one once the commit-point fence has executed. Returns the number
+/// of crashing runs.
 fn adversarial_sweep<C>(
     setup: impl Fn() -> (Arc<Pmem>, C),
     workload: impl Fn(&C),
@@ -619,11 +617,11 @@ fn adversarial_sweep<C>(
         let summary = faultsim::sweep(points, plan, &setup, &workload, |pmem, report| {
             let (rt, _) = reopen_pair(pmem);
             let blocks = observe(&rt);
-            let ok = |b: &Option<bool>| match b {
-                Some(new) => *new || report.point <= commit_fence,
+            let ok = match blocks[0] {
+                Some(new) => new || report.point <= commit_fence,
                 None => false,
             };
-            if !blocks.iter().all(ok) {
+            if !ok || blocks.iter().any(|b| *b != blocks[0]) {
                 torn.push((seed, report.point, blocks));
             }
         });
@@ -635,8 +633,8 @@ fn adversarial_sweep<C>(
     }
     assert!(
         torn.is_empty(),
-        "{} torn or lost blocks in {runs} crashing runs of {total} points (commit-point \
-         fence at {commit_fence}); first (seed, point, blocks): {:?}",
+        "{} torn, split or lost commits in {runs} crashing runs of {total} points \
+         (commit-point fence at {commit_fence}); first (seed, point, blocks): {:?}",
         torn.len(),
         torn[0]
     );
@@ -685,7 +683,7 @@ struct SpanCtx {
 }
 
 /// Fill every array's [`SPAN`] with `fill + i`: as one solo `fa()` block
-/// over a single array, or as a staged group of two blocks, one array each.
+/// over a single array, or as a staged group of one block per array.
 fn write_spans(ctx: &SpanCtx, fill: u8) {
     let write = |i: usize| {
         ctx.arrays[i].write_at(
@@ -762,15 +760,15 @@ fn spans_adversarial_sweep(n: usize, seeds: u64, every_point: bool) -> u64 {
 }
 
 /// Regression (fails on the 3-fence commit): from the commit-point fence to
-/// the end of the commit, 16 eviction seeds, the solo and the staged form —
-/// of one word in each of several objects, and of one unaligned two-block
-/// range.
+/// the end of the commit, 16 eviction seeds, the solo form and a staged
+/// group of three — of one word in each of several objects, and of one
+/// unaligned two-block range per block.
 #[test]
 fn multi_object_blocks_survive_adversarial_eviction_after_commit_point() {
     assert!(cells_adversarial_sweep(false, 16, false) > 0);
     assert!(cells_adversarial_sweep(true, 16, false) > 0);
     assert!(spans_adversarial_sweep(1, 16, false) > 0);
-    assert!(spans_adversarial_sweep(2, 16, false) > 0);
+    assert!(spans_adversarial_sweep(3, 16, false) > 0);
 }
 
 /// Exhaustive form: every crash point × 64 eviction seeds (~30 s in the
@@ -781,17 +779,17 @@ fn multi_object_blocks_survive_adversarial_eviction_after_commit_point() {
 fn adversarial_exhaustive_multi_object_blocks_survive_every_crash_point() {
     for grouped in [false, true] {
         let runs = cells_adversarial_sweep(grouped, 64, true);
-        println!("grouped={grouped}: {runs} crashing runs, 0 torn blocks");
+        println!("grouped={grouped}: {runs} crashing runs, 0 torn or split commits");
     }
 }
 
 /// The exhaustive form over the range log: every crash point × 64 eviction
 /// seeds of a block writing a multi-word, unaligned, two-block range, solo
-/// and as a staged group of two.
+/// and as a staged group of three.
 #[test]
 #[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
 fn adversarial_exhaustive_range_log_blocks_survive_every_crash_point() {
-    for arrays in [1, 2] {
+    for arrays in [1, 3] {
         let runs = spans_adversarial_sweep(arrays, 64, true);
         println!("arrays={arrays}: {runs} crashing runs, 0 torn ranges");
     }

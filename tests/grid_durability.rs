@@ -64,13 +64,7 @@ fn jnvm_grid_survives_crash_with_full_fidelity() {
 fn fs_grid_survives_crash_after_remount() {
     let pmem = Pmem::new(PmemConfig::crash_sim(64 << 20));
     let be = Arc::new(FsBackend::new(Arc::clone(&pmem), 4096, CostModel::free()));
-    let grid = DataGrid::new(
-        be,
-        GridConfig {
-            cache_capacity: 16,
-            ..GridConfig::default()
-        },
-    );
+    let grid = DataGrid::new(be, GridConfig { cache_capacity: 16 });
     for i in 0..100 {
         assert!(grid.insert(&sample_record(i)));
     }

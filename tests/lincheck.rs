@@ -25,10 +25,7 @@ const CRASH_SHARD: usize = 0;
 const CHUNKS: usize = 10;
 
 fn grid_cfg() -> GridConfig {
-    GridConfig {
-        cache_capacity: 0,
-        ..GridConfig::default()
-    }
+    GridConfig { cache_capacity: 0 }
 }
 
 /// Key `i` of chunk `c`, salted until it routes to `shard` — the sharded

@@ -561,6 +561,44 @@ fn setf_device_cost_per_op_is_pinned() {
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fences per group of one");
 }
 
+/// The same, by commit-group size: a batch of `SETF`s on distinct keys is
+/// one group, one transaction, in one log — so the flag line, the length,
+/// the log's first line and the 4 fences are paid once per group, and the
+/// per-op cost falls towards the op's own 3 log words + blob + apply.
+#[test]
+fn setf_device_cost_per_group_size_is_pinned() {
+    let _g = obs_lock(); // device ops feed the process-global obs counters
+    const OPS: usize = 64;
+    // (ops per group, device bytes read, bytes written, pwbs, fences) of
+    // 64 ops: 368 B and 9.5 pwbs per op alone, 356 B and 8.0 in pairs,
+    // 347 B and 6.7 in eights.
+    let pinned = [
+        (1, 148 * 64, 220 * 64, 608, 4 * 64),
+        (2, 148 * 64, 208 * 64, 511, 4 * 32),
+        (8, 148 * 64, 199 * 64, 428, 4 * 8),
+    ];
+    for (batch, bytes_read, bytes_written, pwbs, fences) in pinned {
+        let pool = preloaded_cluster(PmemConfig::crash_sim(32 << 20));
+        let shard = pool.kv(0).shard(0);
+        let ops: Vec<WriteOp> = (0..OPS).map(|i| setf(i % 32, i % 10, i as u8)).collect();
+        // Warm-up, as above: every key's first update may carve a pool block.
+        for group in ops.chunks(batch) {
+            assert_eq!(commit_writes(&shard.grid, &shard.be, group).groups, 1);
+        }
+        let before = pool.device_stats();
+        for group in ops.chunks(batch) {
+            let out = commit_writes(&shard.grid, &shard.be, group);
+            assert!(out.results.iter().all(|ok| *ok) && out.groups == 1);
+        }
+        let d = pool.device_stats().delta(&before);
+        assert_eq!(
+            (d.bytes_read, d.bytes_written, d.pwbs, d.pfences + d.psyncs),
+            (bytes_read, bytes_written, pwbs, fences),
+            "device bytes read, bytes written, pwbs and fences of {OPS} SETFs in groups of {batch}"
+        );
+    }
+}
+
 /// No write-back on the commit path is wasted: over commit groups holding
 /// a `SETF`, a `SET` of a new key and a `DEL`, the sanitizer counts no
 /// `pwb` of a clean line and none of a line the committer already had

@@ -6,7 +6,7 @@
 //! sequential replay + mark + sweep — and every parallel configuration
 //! must match it *bit for bit* on the persistent media, and exactly on
 //! every counter the [`RecoveryReport`] exposes (live objects, live
-//! blocks, freed blocks, nullified refs, replayed/abandoned logs) plus
+//! blocks, freed blocks, nullified refs, replayed logs) plus
 //! the rebuilt volatile state (free-queue length, pool free slots).
 //!
 //! Crash images come from three sources:
@@ -117,7 +117,6 @@ fn assert_thread_equivalence(
         let (p, rt, rep) = open_restored(image, register, mode, threads);
         assert_eq!(rep.threads, threads, "{tag}: report thread count");
         assert_eq!(rep.replayed_logs, oracle.replayed_logs, "{tag}: replayed logs");
-        assert_eq!(rep.abandoned_logs, oracle.abandoned_logs, "{tag}: abandoned logs");
         assert_eq!(rep.live_objects, oracle.live_objects, "{tag}: live objects");
         assert_eq!(rep.live_blocks, oracle.live_blocks, "{tag}: live blocks");
         assert_eq!(rep.freed_blocks, oracle.freed_blocks, "{tag}: freed blocks");
@@ -237,13 +236,7 @@ fn grid_setup() -> (Arc<Pmem>, GridCtx) {
         .create(Arc::clone(&pmem), HeapConfig::default())
         .expect("pool");
     let be = JnvmBackend::create(&rt, 2, true).expect("backend");
-    let grid = DataGrid::new(
-        Arc::new(be),
-        GridConfig {
-            cache_capacity: 0,
-            ..GridConfig::default()
-        },
-    );
+    let grid = DataGrid::new(Arc::new(be), GridConfig { cache_capacity: 0 });
     for t in 0..NTHREADS {
         for k in 0..KEYS_PER_THREAD {
             let v = grid_val(t, k, "init");

@@ -94,10 +94,7 @@ fn reopen(pmem: &Arc<Pmem>) -> (jnvm_repro::jnvm::Jnvm, Arc<JnvmBackend>, DataGr
     let be = Arc::new(JnvmBackend::open(&rt, true).expect("backend reopen"));
     let grid = DataGrid::new(
         Arc::clone(&be) as Arc<dyn Backend>,
-        GridConfig {
-            cache_capacity: 0,
-            ..GridConfig::default()
-        },
+        GridConfig { cache_capacity: 0 },
     );
     (rt, be, grid)
 }

@@ -60,9 +60,12 @@ fn small_torture() -> TortureConfig {
 }
 
 /// Acked ⇒ durable must come *cheap*: under pipelined load the committer
-/// groups staged writes behind shared fences, so ordering points
-/// (pfences + psyncs) stay well below one per acked write. A server that
-/// fenced every write individually pays ≥ 3× more and fails this.
+/// makes each group of staged writes one transaction behind one 4-fence
+/// pass. What is deterministic is pinned — 4 fences per group, plus the 2
+/// that create and publish the committer's one redo log — and what the
+/// scheduler decides (how many writes a group catches) is bounded with
+/// margin: at least 2 writes per group, where runs form 4 to 6. A server
+/// that fenced every write individually forms 720 groups and fails this.
 #[test]
 fn group_commit_amortizes_fences_under_pipelined_load() {
     let cluster =
@@ -90,14 +93,19 @@ fn group_commit_amortizes_fences_under_pipelined_load() {
     );
     assert_eq!(stats.acked_writes, load.acked_writes);
     assert!(stats.groups > 0 && stats.batches > 0);
-    assert!(
-        d.ordering_points() < load.acked_writes,
-        "group commit must amortize fences: {} ordering points for {} acked \
-         writes ({} groups in {} batches)",
-        d.ordering_points(),
-        load.acked_writes,
+    assert_eq!(
+        d.pfences + d.psyncs,
+        4 * stats.groups + 2,
+        "4 fences per commit group + 2 for the one log's creation ({} groups in {} batches)",
         stats.groups,
         stats.batches
+    );
+    assert!(
+        2 * stats.groups <= load.acked_writes,
+        "group commit must amortize fences: {} groups ({} batches) for {} acked writes",
+        stats.groups,
+        stats.batches,
+        load.acked_writes
     );
 }
 

@@ -27,10 +27,7 @@ const SHARDS: usize = 3;
 const POOL_BYTES: u64 = 16 << 20;
 
 fn zero_cache() -> GridConfig {
-    GridConfig {
-        cache_capacity: 0,
-        ..GridConfig::default()
-    }
+    GridConfig { cache_capacity: 0 }
 }
 
 /// Byte-for-byte copy of the device media (post-crash image).

@@ -51,7 +51,6 @@ fn fs_grid(records: u64) -> Arc<DataGrid> {
         be,
         GridConfig {
             cache_capacity: records as usize / 10,
-            ..GridConfig::default()
         },
     ))
 }
