@@ -7,7 +7,8 @@
 //! # against an already-running server
 //! jnvm-loadgen --addr 127.0.0.1:41234 [--conns 4] [--ops 200] ...
 //!
-//! # spin up a server in-process, load it, report fences per acked write
+//! # spin up a server in-process, load it, report acked writes per commit
+//! # group and fences per acked write
 //! jnvm-loadgen --self-host [--shards 1] [--replicas 1] [--conns 4] ...
 //!
 //! # one kill-during-traffic experiment (or a whole sweep)
@@ -195,10 +196,12 @@ fn main() {
         let d = cluster.device_stats().delta(&before);
         print_report(&report);
         println!(
-            "shards={} groups={} batches={} ordering_points={} per_acked_write={:.4}",
+            "shards={} groups={} batches={} ops_per_group={:.2} ordering_points={} \
+             per_acked_write={:.4}",
             stats.shards,
             stats.groups,
             stats.batches,
+            report.acked_writes as f64 / stats.groups.max(1) as f64,
             d.ordering_points(),
             d.ordering_points() as f64 / report.acked_writes.max(1) as f64
         );

@@ -17,6 +17,15 @@
 //! Replies come back strictly in request order, so the set of *replied*
 //! ops is a prefix of the sent ops — an `Ok`-acked write is by protocol
 //! durable, and everything after the first error/silence is unknown.
+//!
+//! The probe leans on the server's per-key guarantee: a `GET` waits for
+//! the connection's earlier writes **to its own key**, acknowledged or
+//! not, and for no other key's (DESIGN.md §8). Op `i-1` is the `SET` of
+//! the probed key, still in flight when the `GET` is sent, so a server
+//! that let the read overtake it answers `NotFound` — counted as a
+//! [`OpOutcome::BadRead`] once that `SET` is known to have been acked.
+//! This stream never reads behind an unacknowledged write to a *different*
+//! key; `tests/lincheck.rs` has the history that does.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -69,7 +78,8 @@ pub enum OpOutcome {
     Ok,
     /// GET/LEN returned a payload that matched expectations.
     Value,
-    /// GET returned a payload that did **not** match the expected record.
+    /// GET returned a payload that did **not** match the expected record,
+    /// or `NotFound` for a key whose `SET` on this connection was acked.
     BadRead,
     /// Target absent.
     NotFound,
@@ -271,6 +281,11 @@ fn run_conn(
         report.hist.record(sent_at.elapsed().as_nanos() as u64);
         let (outcome, observed) = match reply {
             Reply::Ok => (OpOutcome::Ok, Outcome::Ok),
+            // The probe's key was SET by the op just before it: absent
+            // after that SET was acked means the GET overtook the write.
+            Reply::NotFound if i % 10 == 7 && report.outcomes[i - 1] == OpOutcome::Ok => {
+                (OpOutcome::BadRead, Outcome::NotFound)
+            }
             Reply::NotFound => (OpOutcome::NotFound, Outcome::NotFound),
             // An error reply ends the op but leaves its effect unknown:
             // the history keeps it Indeterminate (with a response stamp).

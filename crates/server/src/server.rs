@@ -15,12 +15,16 @@
 //! 4 fences per group, not per op — the applies are durable before the
 //! log retires) and resolves the batch's tickets only
 //! after that call returns — i.e. after the group durability point *and*
-//! the apply phase, so a subsequent GET on the same connection reads its
-//! own writes. K writes spread over N shards pay N *concurrent* fence
-//! passes instead of serializing behind one committer. Handlers release
-//! replies strictly in request order: writes when their ticket resolves,
-//! reads executed inline after every earlier write on the connection has
-//! been acked.
+//! the apply phase, so a GET that waited for the ticket reads the write.
+//! K writes spread over N shards pay N *concurrent* fence passes instead
+//! of serializing behind one committer. Handlers release replies strictly
+//! in request order from a per-connection completion queue
+//! (`Completions`): a write's slot when its ticket resolves, a read's at
+//! once — a GET executes inline after this connection's earlier writes
+//! **to its own key** have resolved, and is concurrent with its
+//! unacknowledged writes to other keys (DESIGN.md §8), so a read neither
+//! waits out a commit it does not depend on nor cuts the connection's
+//! commit group short. Replies are written once per drain, not per reply.
 //!
 //! ## Replication: acked ⇒ durable on a surviving replica
 //!
@@ -180,14 +184,26 @@ enum TicketState {
     Failed,
 }
 
+/// One enqueued write, shared by its shard's queue (the committer resolves
+/// it) and its connection's completion queue (the handler waits on it).
 struct Ticket {
+    /// The key written: a later `GET` of it on the connection waits.
+    key: String,
+    /// Index of the shard whose committer resolves this ticket.
+    shard: usize,
+    /// When the op entered its shard queue — the base of the commit-ack
+    /// latency recorded into the obs registry at resolution.
+    enqueued: Instant,
     state: Mutex<TicketState>,
     cv: Condvar,
 }
 
 impl Ticket {
-    fn new() -> Ticket {
+    fn new(key: String, shard: usize) -> Ticket {
         Ticket {
+            key,
+            shard,
+            enqueued: Instant::now(),
             state: Mutex::new(TicketState::Waiting),
             cv: Condvar::new(),
         }
@@ -198,20 +214,23 @@ impl Ticket {
         self.cv.notify_all();
     }
 
+    fn is_resolved(&self) -> bool {
+        *self.state.lock().expect("ticket lock") != TicketState::Waiting
+    }
+
     /// Block until resolved. The shard's committer resolves every ticket
     /// it ever dequeues, and its crash path drains the queue and marks the
     /// shard dead under one hold of the queue lock, so no ticket is left
-    /// behind; the
-    /// timeout loop is only a backstop for the handler-panic path, which
-    /// marks every shard dead without draining.
-    fn wait(&self, shard: &ShardState) -> TicketState {
+    /// behind; the timeout loop is only a backstop for the handler-panic
+    /// path, which marks every shard dead without draining.
+    fn wait(&self, shared: &Shared) -> TicketState {
         let mut st = self.state.lock().expect("ticket lock");
         loop {
             match *st {
                 TicketState::Waiting => {}
                 resolved => return resolved,
             }
-            if shard.dead.load(Ordering::Acquire) {
+            if shared.shards[self.shard].dead.load(Ordering::Acquire) {
                 return TicketState::Failed;
             }
             let (g, _) = self
@@ -221,14 +240,6 @@ impl Ticket {
             st = g;
         }
     }
-}
-
-struct Pending {
-    op: WriteOp,
-    ticket: Arc<Ticket>,
-    /// When the op entered its shard queue — the base of the commit-ack
-    /// latency recorded into the obs registry at resolution.
-    enqueued: Instant,
 }
 
 /// Per-shard serving state: the replica set plus the committer's queue,
@@ -245,7 +256,7 @@ struct ShardState {
     endpoint: Mutex<Option<JoinHandle<()>>>,
     /// Replication-lag watermark (groups sent vs. backup durability point).
     lag: ReplLag,
-    queue: Mutex<VecDeque<Pending>>,
+    queue: Mutex<VecDeque<(WriteOp, Arc<Ticket>)>>,
     /// The shard's committer waits here for work.
     queue_cv: Condvar,
     /// Producers wait here for queue space.
@@ -561,25 +572,25 @@ fn quiesce_link(shard: &ShardState) {
 /// Resolve a committed ticket and do the write accounting. Counting at
 /// resolution (not at reply flush) keeps the counters exact even when the
 /// client connection died before its replies could be sent.
-fn resolve_done(shared: &Shared, shard: &ShardState, p: &Pending, ok: bool) {
+fn resolve_done(shared: &Shared, shard: &ShardState, ticket: &Ticket, ok: bool) {
     if ok {
         shared.acked_writes.fetch_add(1, Ordering::Relaxed);
         // Exactly one registry sample per acked write, recorded at the
         // same place the counter moves — the obs-invariant suite holds
         // `acked_writes == hist("commit-ack").count` to the digit.
-        jnvm_obs::record_latency("commit-ack", p.enqueued.elapsed().as_nanos() as u64);
+        jnvm_obs::record_latency("commit-ack", ticket.enqueued.elapsed().as_nanos() as u64);
         if shard.set.promotions() > 0 {
             shared.acked_after_promotion.fetch_add(1, Ordering::Relaxed);
         }
     } else {
         shared.nacked_writes.fetch_add(1, Ordering::Relaxed);
     }
-    p.ticket.resolve(TicketState::Done(ok));
+    ticket.resolve(TicketState::Done(ok));
 }
 
-fn resolve_failed(shared: &Shared, p: &Pending) {
+fn resolve_failed(shared: &Shared, ticket: &Ticket) {
     shared.failed_writes.fetch_add(1, Ordering::Relaxed);
-    p.ticket.resolve(TicketState::Failed);
+    ticket.resolve(TicketState::Failed);
 }
 
 /// Fail the in-flight batch and everything queued behind it — the crash
@@ -591,15 +602,15 @@ fn resolve_failed(shared: &Shared, p: &Pending) {
 fn fail_batch_and_queue(
     shared: &Shared,
     shard: &ShardState,
-    batch: &[Pending],
+    batch: &[Arc<Ticket>],
     last_replica: bool,
 ) {
-    for p in batch {
-        resolve_failed(shared, p);
+    for ticket in batch {
+        resolve_failed(shared, ticket);
     }
     let mut q = shard.queue.lock().expect("queue lock");
-    for p in q.drain(..) {
-        resolve_failed(shared, &p);
+    for (_, ticket) in q.drain(..) {
+        resolve_failed(shared, &ticket);
     }
     // Only after the drain: a handler polling a queued ticket must find it
     // resolved (and counted), never merely orphaned by `dead` — it would
@@ -683,7 +694,9 @@ fn degrade_backup(shard: &ShardState) {
 fn committer_loop(shared: &Arc<Shared>, si: usize) {
     let shard = &shared.shards[si];
     loop {
-        let batch: Vec<Pending> = {
+        // Split as drained: the ops move into the slice the backup stream
+        // and the commit borrow, the tickets stay beside them.
+        let (ops, batch): (Vec<WriteOp>, Vec<Arc<Ticket>>) = {
             let mut q = shard.queue.lock().expect("queue lock");
             loop {
                 if !q.is_empty() {
@@ -705,11 +718,10 @@ fn committer_loop(shared: &Arc<Shared>, si: usize) {
                 q = g;
             }
             let n = q.len().min(shared.cfg.batch_max);
-            let batch: Vec<Pending> = q.drain(..n).collect();
+            let batch = q.drain(..n).unzip();
             shard.space_cv.notify_all();
             batch
         };
-        let ops: Vec<WriteOp> = batch.iter().map(|p| p.op.clone()).collect();
         debug_assert!(
             ops.iter().all(|op| shared.route(op.key()) == si),
             "op routed to the wrong shard's committer"
@@ -741,8 +753,8 @@ fn committer_loop(shared: &Arc<Shared>, si: usize) {
                 shard.groups.fetch_add(out.groups as u64, Ordering::Relaxed);
                 shard.batches.fetch_add(1, Ordering::Relaxed);
                 shard.charged_ns.store(thread_charged_ns(), Ordering::Release);
-                for (p, ok) in batch.iter().zip(out.results.iter()) {
-                    resolve_done(shared, shard, p, *ok);
+                for (ticket, ok) in batch.iter().zip(out.results.iter()) {
+                    resolve_done(shared, shard, ticket, *ok);
                 }
             }
             Err(_) => {
@@ -772,10 +784,11 @@ fn committer_loop(shared: &Arc<Shared>, si: usize) {
 }
 
 /// Enqueue a write on its shard, blocking while that shard's queue is
-/// full (backpressure). Returns the ticket and the shard index.
-fn enqueue(shared: &Shared, op: WriteOp) -> Result<(Arc<Ticket>, usize), &'static str> {
+/// full (backpressure). Returns the op's ticket.
+fn enqueue(shared: &Shared, op: WriteOp) -> Result<Arc<Ticket>, &'static str> {
     let si = shared.route(op.key());
     let shard = &shared.shards[si];
+    let key = op.key().to_string();
     let mut q = shard.queue.lock().expect("queue lock");
     loop {
         if shard.dead.load(Ordering::Acquire) {
@@ -793,55 +806,112 @@ fn enqueue(shared: &Shared, op: WriteOp) -> Result<(Arc<Ticket>, usize), &'stati
             .expect("space wait");
         q = g;
     }
-    let ticket = Arc::new(Ticket::new());
-    q.push_back(Pending {
-        op,
-        ticket: Arc::clone(&ticket),
-        enqueued: Instant::now(),
-    });
+    let ticket = Arc::new(Ticket::new(key, si));
+    q.push_back((op, Arc::clone(&ticket)));
     shared.queued_writes.fetch_add(1, Ordering::Relaxed);
     shard.queue_cv.notify_one();
-    Ok((ticket, si))
+    Ok(ticket)
 }
 
-fn send(stream: &mut TcpStream, reply: &Reply) -> bool {
-    stream.write_all(&encode_reply(reply)).is_ok()
+/// Reply bytes a connection may encode before it stops parsing and drains:
+/// a client that pipelines reads faster than it reads replies blocks the
+/// handler on the socket instead of growing the queue.
+const REPLY_BACKLOG_MAX: usize = 64 << 10;
+
+enum Slot {
+    /// A reply that is already known, encoded.
+    Ready(Vec<u8>),
+    /// A write whose reply is its ticket's resolution.
+    Pending(Arc<Ticket>),
 }
 
-/// Release replies for every outstanding write, in request order. A
-/// failed ticket (its shard crashed) answers `Err` but does **not** end
-/// the connection: the other shards are still serving, and per-shard
-/// failure isolation is the point of the sharded engine. Returns `false`
-/// only when the connection itself is done for. Counters are NOT touched
-/// here — the committer counts at ticket resolution, so a dead client
-/// socket cannot skew the accounting.
-fn flush_outstanding(
-    shared: &Shared,
-    outstanding: &mut VecDeque<(Arc<Ticket>, usize, Instant)>,
-    stream: &mut TcpStream,
-    hist: &mut Histogram,
-) -> bool {
-    while let Some((ticket, si, enqueued)) = outstanding.pop_front() {
-        match ticket.wait(&shared.shards[si]) {
-            TicketState::Done(true) => {
-                hist.record(enqueued.elapsed().as_nanos() as u64);
-                if !send(stream, &Reply::Ok) {
-                    return false;
-                }
-            }
-            TicketState::Done(false) => {
-                if !send(stream, &Reply::NotFound) {
-                    return false;
-                }
-            }
-            TicketState::Waiting | TicketState::Failed => {
-                if !send(stream, &Reply::Err("write lost to a crash".into())) {
-                    return false;
-                }
-            }
+/// A connection's in-order completion queue: one slot per unanswered
+/// request, in request order. The handler keeps parsing and enqueueing
+/// behind pending slots; [`Completions::drain`] turns the queue into reply
+/// bytes, so replies leave in request order whatever finished first.
+#[derive(Default)]
+struct Completions {
+    slots: VecDeque<Slot>,
+    /// Encoded replies that precede every slot, not yet written.
+    out: Vec<u8>,
+    /// Reply bytes encoded since the last drain (`out` + `Ready` slots).
+    backlog: usize,
+}
+
+impl Completions {
+    fn push_ready(&mut self, reply: &Reply) {
+        let bytes = encode_reply(reply);
+        self.backlog += bytes.len();
+        if self.slots.is_empty() {
+            self.out.extend_from_slice(&bytes);
+        } else {
+            self.slots.push_back(Slot::Ready(bytes));
         }
     }
-    true
+
+    /// The outstanding writes a request must see resolved before it runs:
+    /// a `GET`'s own key's, or all of them (`None`). A write to another key
+    /// is concurrent with the `GET` — linearizability is per key (DESIGN.md
+    /// §8) — and its stripe lock, held from staging to the durability
+    /// point, already hides a half-committed group from the read.
+    fn wait_set<'a>(&'a self, key: Option<&'a str>) -> impl Iterator<Item = &'a Arc<Ticket>> {
+        self.slots.iter().filter_map(move |slot| match slot {
+            Slot::Pending(t) if key.is_none_or(|k| k == t.key) => Some(t),
+            _ => None,
+        })
+    }
+
+    /// Block until [`Completions::wait_set`] is resolved — after writing,
+    /// as before every wait on an unresolved ticket, the bytes already
+    /// encoded: a reply that is ready never sits behind a later commit.
+    fn wait(&mut self, shared: &Shared, stream: &mut TcpStream, key: Option<&str>) -> bool {
+        if self.wait_set(key).any(|t| !t.is_resolved()) && !self.write_out(stream) {
+            return false;
+        }
+        for ticket in self.wait_set(key) {
+            ticket.wait(shared);
+        }
+        true
+    }
+
+    /// Answer everything queued, in request order, with one socket write
+    /// (plus one before each wait on an unresolved ticket). A failed ticket
+    /// (its shard crashed) answers `Err` but does **not** end the
+    /// connection: the other shards are still serving. Returns `false`
+    /// only when the connection itself is done for. Counters are NOT
+    /// touched here — the committer counts at ticket resolution, so a dead
+    /// client socket cannot skew the accounting.
+    fn drain(&mut self, shared: &Shared, stream: &mut TcpStream, hist: &mut Histogram) -> bool {
+        while let Some(slot) = self.slots.pop_front() {
+            let bytes = match slot {
+                Slot::Ready(bytes) => bytes,
+                Slot::Pending(ticket) => {
+                    if !ticket.is_resolved() && !self.write_out(stream) {
+                        return false;
+                    }
+                    encode_reply(&match ticket.wait(shared) {
+                        TicketState::Done(true) => {
+                            hist.record(ticket.enqueued.elapsed().as_nanos() as u64);
+                            Reply::Ok
+                        }
+                        TicketState::Done(false) => Reply::NotFound,
+                        TicketState::Waiting | TicketState::Failed => {
+                            Reply::Err("write lost to a crash".into())
+                        }
+                    })
+                }
+            };
+            self.out.extend_from_slice(&bytes);
+        }
+        self.backlog = 0;
+        self.write_out(stream)
+    }
+
+    fn write_out(&mut self, stream: &mut TcpStream) -> bool {
+        let ok = self.out.is_empty() || stream.write_all(&self.out).is_ok();
+        self.out.clear();
+        ok
+    }
 }
 
 /// Exchange the connect-time hello: send ours, read the client's two
@@ -878,15 +948,17 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     }
     let mut buf: Vec<u8> = Vec::new();
     let mut tmp = [0u8; 16 * 1024];
-    let mut outstanding: VecDeque<(Arc<Ticket>, usize, Instant)> = VecDeque::new();
+    let mut done = Completions::default();
     let mut hist = Histogram::new();
 
     'conn: loop {
         // Drain every complete frame already buffered (pipelining).
         let mut consumed = 0;
         loop {
-            let outcome = parse_frame(&buf[consumed..]);
-            let (req, n) = match outcome {
+            if done.backlog >= REPLY_BACKLOG_MAX && !done.drain(shared, &mut stream, &mut hist) {
+                break 'conn;
+            }
+            let (req, n) = match parse_frame(&buf[consumed..]) {
                 ParseOutcome::Incomplete => break,
                 // Unparseable stream: cut the connection. Whatever writes
                 // are already queued stay queued — they were never acked,
@@ -895,21 +967,21 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                 ParseOutcome::Frame(req, n) => (req, n),
             };
             consumed += n;
-            let write_op = match req {
-                Request::Set(rec) => Some(WriteOp::Set(rec)),
-                Request::SetField { key, field, value } => {
-                    Some(WriteOp::SetField { key, field, value })
-                }
-                Request::Del(key) => Some(WriteOp::Del(key)),
+            let op = match req {
+                Request::Set(rec) => WriteOp::Set(rec),
+                Request::SetField { key, field, value } => WriteOp::SetField { key, field, value },
+                Request::Del(key) => WriteOp::Del(key),
                 other => {
-                    // Non-write requests ride behind every earlier write on
-                    // this connection: flush first so replies stay in
-                    // request order and reads see the connection's own
-                    // acked writes.
-                    if !flush_outstanding(shared, &mut outstanding, &mut stream, &mut hist) {
+                    // A GET rides behind this connection's earlier writes
+                    // to its own key, so it reads them; every other
+                    // non-write request behind all of them.
+                    let own_key = match &other {
+                        Request::Get(key) => Some(key.as_str()),
+                        _ => None,
+                    };
+                    if !done.wait(shared, &mut stream, own_key) {
                         break 'conn;
                     }
-                    let shutdown = matches!(other, Request::Shutdown);
                     let reply = match other {
                         Request::Get(key) => {
                             let shard = &shared.shards[shared.route(&key)];
@@ -950,7 +1022,12 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                             Reply::Value(jnvm_obs::trace_text(64).into_bytes())
                         }
                         Request::Metrics => Reply::Value(metrics_text(shared).into_bytes()),
-                        Request::Shutdown => Reply::Ok,
+                        Request::Shutdown => {
+                            done.push_ready(&Reply::Ok);
+                            done.drain(shared, &mut stream, &mut hist);
+                            request_shutdown(shared);
+                            break 'conn;
+                        }
                         // Replication frames belong on the committer ↔
                         // endpoint link, never on a client connection.
                         Request::ReplApply { .. } => {
@@ -961,38 +1038,26 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                             unreachable!("writes handled above")
                         }
                     };
-                    if !send(&mut stream, &reply) {
-                        break 'conn;
-                    }
-                    if shutdown {
-                        request_shutdown(shared);
-                        break 'conn;
-                    }
+                    done.push_ready(&reply);
                     continue;
                 }
             };
-            if let Some(op) = write_op {
-                match enqueue(shared, op) {
-                    Ok((ticket, si)) => outstanding.push_back((ticket, si, Instant::now())),
-                    Err(msg) => {
-                        if !flush_outstanding(shared, &mut outstanding, &mut stream, &mut hist) {
-                            break 'conn;
-                        }
-                        // Refused before a ticket existed — rejected, not
-                        // failed (it never entered the queued population).
-                        shared.rejected_writes.fetch_add(1, Ordering::Relaxed);
-                        if !send(&mut stream, &Reply::Err(msg.to_string())) {
-                            break 'conn;
-                        }
-                    }
+            match enqueue(shared, op) {
+                Ok(ticket) => done.slots.push_back(Slot::Pending(ticket)),
+                Err(msg) => {
+                    // Refused before a ticket existed — rejected, not
+                    // failed (it never entered the queued population).
+                    shared.rejected_writes.fetch_add(1, Ordering::Relaxed);
+                    done.push_ready(&Reply::Err(msg.to_string()));
                 }
             }
         }
         buf.drain(..consumed);
 
-        // Everything parsed is enqueued; release the acks before blocking
-        // on the socket again so single-window clients make progress.
-        if !flush_outstanding(shared, &mut outstanding, &mut stream, &mut hist) {
+        // Everything parsed is enqueued; release the replies before
+        // blocking on the socket again so single-window clients make
+        // progress.
+        if !done.drain(shared, &mut stream, &mut hist) {
             break 'conn;
         }
 
@@ -1100,6 +1165,30 @@ mod tests {
     use super::*;
     use crate::cluster::Cluster;
     use jnvm_pmem::PmemConfig;
+
+    /// A read no longer waits for another key's commit — shown on the
+    /// queue itself, with tickets no committer will ever resolve: `GET b`
+    /// has nothing to wait for, `GET a` exactly the write to `a`, a
+    /// barrier (`LEN`, `STATS`, ...) every outstanding write.
+    #[test]
+    fn a_get_waits_only_for_writes_to_its_own_key() {
+        let mut done = Completions::default();
+        done.push_ready(&Reply::Ok);
+        for key in ["a", "c"] {
+            let ticket = Arc::new(Ticket::new(key.into(), 0));
+            assert!(!ticket.is_resolved());
+            done.slots.push_back(Slot::Pending(ticket));
+            done.push_ready(&Reply::NotFound);
+        }
+        let waits = |key| -> Vec<&str> { done.wait_set(key).map(|t| t.key.as_str()).collect() };
+        assert_eq!(waits(Some("b")), [""; 0]);
+        assert_eq!(waits(Some("a")), ["a"]);
+        assert_eq!(waits(None), ["a", "c"]);
+        // The reply ahead of every ticket is already in the write buffer;
+        // the two behind them wait their turn in the queue.
+        assert_eq!(done.out, encode_reply(&Reply::Ok));
+        assert_eq!(done.slots.len(), 4);
+    }
 
     /// The acceptor reaps finished handler threads as new connections
     /// arrive: 200 connections opened and closed must not leave 200 join

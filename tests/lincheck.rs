@@ -9,6 +9,8 @@
 //! wiring — real commits, real crash injection, real recovery — plus the
 //! loadgen determinism contract the torture verifiers depend on.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 
 use jnvm_repro::faultsim::{strided_points, torture_point};
@@ -16,9 +18,12 @@ use jnvm_repro::jnvm::RecoveryOptions;
 use jnvm_repro::kvstore::{
     commit_writes, shard_for_key, GridConfig, Record, ShardedKv, WriteOp,
 };
-use jnvm_repro::lincheck::{ClientRecorder, Clock, History, OpKind, Outcome};
+use jnvm_repro::lincheck::{check, ClientRecorder, Clock, History, OpKind, Outcome};
 use jnvm_repro::pmem::{catch_crash, silence_crash_panics, FaultPlan, Pmem, PmemConfig};
-use jnvm_repro::server::{run_loadgen, Cluster, LoadgenConfig, ServerConfig};
+use jnvm_repro::server::{
+    encode_request, handshake, parse_reply, run_loadgen, Cluster, LoadgenConfig, Reply, Request,
+    ServerConfig,
+};
 
 const POOL_SHARDS: usize = 2;
 const CRASH_SHARD: usize = 0;
@@ -233,4 +238,155 @@ fn same_seed_records_byte_identical_invocations() {
     assert_eq!(a, b, "same seed, different invocation stream");
     let c = digest_for(8);
     assert_ne!(a, c, "distinct seeds must produce distinct op streams");
+}
+
+// ------------------------------------------- reads behind unacked writes
+
+const MIXED_KEYS: usize = 8;
+const MIXED_WINDOW: usize = 16;
+const MIXED_WINDOWS: usize = 12;
+
+struct MixedClient {
+    stream: TcpStream,
+    rbuf: Vec<u8>,
+    rec: ClientRecorder,
+}
+
+impl MixedClient {
+    fn connect(addr: SocketAddr, clock: &Clock, client: usize) -> MixedClient {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("read timeout");
+        handshake(&mut stream).expect("hello");
+        MixedClient {
+            stream,
+            rbuf: Vec::new(),
+            rec: ClientRecorder::new(clock, client),
+        }
+    }
+
+    /// One pipeline window: invoke every request, send them all in one
+    /// `write` — so the server parses each while the ones before it are
+    /// still unacknowledged — then take one reply per request.
+    fn window(&mut self, reqs: &[Request]) {
+        let mut frames = Vec::new();
+        let mut toks = Vec::new();
+        for req in reqs {
+            let (key, kind) = match req {
+                Request::Get(key) => (key, OpKind::Get),
+                Request::Set(rec) => (
+                    &rec.key,
+                    OpKind::Set(rec.fields.iter().map(|(_, v)| v.clone()).collect()),
+                ),
+                Request::SetField { key, field, value } => {
+                    (key, OpKind::SetField(*field, value.clone()))
+                }
+                other => panic!("not part of the mixed workload: {other:?}"),
+            };
+            toks.push(self.rec.invoke(key, kind));
+            frames.extend_from_slice(&encode_request(req));
+        }
+        self.stream.write_all(&frames).expect("send window");
+        for tok in toks {
+            let reply = loop {
+                if let Some((reply, n)) = parse_reply(&self.rbuf).expect("framed reply") {
+                    self.rbuf.drain(..n);
+                    break reply;
+                }
+                let mut tmp = [0u8; 4096];
+                let n = self
+                    .stream
+                    .read(&mut tmp)
+                    .expect("reply before the timeout");
+                assert!(n > 0, "server closed mid-window");
+                self.rbuf.extend_from_slice(&tmp[..n]);
+            };
+            let outcome = match reply {
+                Reply::Ok => Outcome::Ok,
+                Reply::NotFound => Outcome::NotFound,
+                Reply::Value(payload) => Outcome::Value(
+                    jnvm_repro::kvstore::decode_record(&payload)
+                        .expect("decodable record")
+                        .fields
+                        .into_iter()
+                        .map(|(_, v)| v)
+                        .collect(),
+                ),
+                other => panic!("crash-free traffic answered {other:?}"),
+            };
+            self.rec.resolve(tok, outcome);
+        }
+    }
+}
+
+/// `MIXED_WINDOWS` windows of `SETF`/`GET` over the shared keys. `SETF`
+/// values name the op that wrote them, so every served record pins down
+/// which writes it observed.
+fn mixed_traffic(mut client: MixedClient, conn: usize) -> ClientRecorder {
+    let mut x = 0x9e3779b97f4a7c15u64.wrapping_mul(conn as u64 + 1);
+    for w in 0..MIXED_WINDOWS {
+        let reqs: Vec<Request> = (0..MIXED_WINDOW)
+            .map(|i| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let key = format!("mixed-{}", (x >> 33) as usize % MIXED_KEYS);
+                if (x >> 40) & 1 == 0 {
+                    Request::Get(key)
+                } else {
+                    Request::SetField {
+                        key,
+                        field: (x >> 41) as usize % 2,
+                        value: format!("c{conn}-w{w}-{i}").into_bytes(),
+                    }
+                }
+            })
+            .collect();
+        client.window(&reqs);
+    }
+    client.rec
+}
+
+/// The relaxed case, checked: a `GET` no longer waits for the connection's
+/// unacknowledged writes to other keys, so the recorded history holds
+/// reads that executed *behind* such writes — the loadgen's stream never
+/// produces one (its only `GET` targets the key it has just `SET`). Two
+/// pipelined connections mix `SETF` and `GET` over 8 shared keys; the
+/// whole history must still linearize.
+#[test]
+fn reads_behind_unacked_writes_to_other_keys_linearize() {
+    let cluster =
+        Cluster::create(1, 1, 4, PmemConfig::crash_sim(32 << 20), true).expect("create pool");
+    let server = cluster.start(ServerConfig::default()).expect("bind server");
+    let addr = server.addr();
+    let clock = Clock::new();
+    let mut preload = MixedClient::connect(addr, &clock, 2);
+    let records: Vec<Request> = (0..MIXED_KEYS)
+        .map(|k| {
+            let fields = [b"init-0".to_vec(), b"init-1".to_vec()];
+            Request::Set(Record::ycsb(&format!("mixed-{k}"), &fields))
+        })
+        .collect();
+    preload.window(&records);
+    let mut recorders: Vec<ClientRecorder> = std::thread::scope(|s| {
+        let conns: Vec<_> = (0..2)
+            .map(|c| {
+                let client = MixedClient::connect(addr, &clock, c);
+                s.spawn(move || mixed_traffic(client, c))
+            })
+            .collect();
+        conns
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    server.shutdown();
+    recorders.push(preload.rec);
+    let history = History::collect(clock, recorders);
+    let report = check(&history).unwrap_or_else(|v| panic!("not linearizable: {v}"));
+    assert_eq!(report.keys, MIXED_KEYS);
+    assert_eq!(report.events, 2 * MIXED_WINDOWS * MIXED_WINDOW + MIXED_KEYS);
+    assert_eq!(report.indeterminate, 0);
 }

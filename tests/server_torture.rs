@@ -407,6 +407,197 @@ fn graceful_shutdown_drains_every_queued_ticket() {
     assert_eq!(stats.acked_writes, BURST as u64, "crash-free burst must ack");
 }
 
+// ------------------------------------------- per-connection reply ordering
+//
+// The handler keeps parsing behind unresolved writes and answers from an
+// in-order completion queue. What a client may assume (DESIGN.md §8):
+// replies in request order, and a GET sees this connection's earlier
+// writes to the same key — acknowledged or not.
+
+/// A crash-free server over the environment's topology plus one client
+/// connection to it.
+fn serve() -> (jnvm_repro::server::Server, Cluster, TcpStream) {
+    let cluster = Cluster::create(
+        pool_shards_from_env(),
+        pool_replicas_from_env(),
+        8,
+        PmemConfig::crash_sim(32 << 20),
+        true,
+    )
+    .expect("create pools");
+    let server = cluster.start(ServerConfig::default()).unwrap();
+    let mut conn = TcpStream::connect(server.addr()).unwrap();
+    conn.set_nodelay(true).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    handshake(&mut conn).expect("hello");
+    (server, cluster, conn)
+}
+
+/// Send every request in **one** `write`, then read one reply per request.
+fn pipeline(conn: &mut TcpStream, reqs: &[Request]) -> Vec<Reply> {
+    let bytes: Vec<u8> = reqs.iter().flat_map(encode_request).collect();
+    conn.write_all(&bytes).unwrap();
+    read_replies(conn, reqs.len())
+}
+
+fn read_replies(conn: &mut TcpStream, n: usize) -> Vec<Reply> {
+    let mut replies = Vec::with_capacity(n);
+    let mut buf = Vec::new();
+    let mut tmp = [0u8; 64 << 10];
+    while replies.len() < n {
+        let mut used = 0;
+        while let Some((reply, len)) = parse_reply(&buf[used..]).expect("framed replies") {
+            replies.push(reply);
+            used += len;
+        }
+        buf.drain(..used);
+        if replies.len() < n {
+            let got = conn.read(&mut tmp).expect("reply before the timeout");
+            assert!(
+                got > 0,
+                "connection closed after {} of {n} replies",
+                replies.len()
+            );
+            buf.extend_from_slice(&tmp[..got]);
+        }
+    }
+    assert!(buf.is_empty(), "more replies than requests");
+    replies
+}
+
+fn served(reply: &Reply) -> Record {
+    match reply {
+        Reply::Value(payload) => {
+            jnvm_repro::kvstore::decode_record(payload).expect("decodable record")
+        }
+        other => panic!("expected a record, got {other:?}"),
+    }
+}
+
+/// Read-your-writes per key, with the write still in flight: every `GET k`
+/// pipelined straight behind a `SETF`/`SET`/`DEL` of `k` — same `write`,
+/// so the handler parses the read while the write's ticket is unresolved —
+/// observes exactly that write.
+#[test]
+fn pipelined_get_observes_the_unacked_write_before_it() {
+    const ROUNDS: usize = 200;
+    let (server, _cluster, mut conn) = serve();
+    let val = |i: usize| format!("value-{i:04}").into_bytes();
+    let rec = |i: usize| Record::ycsb("k", &[val(i), b"tail".to_vec()]);
+
+    let mut reqs = vec![Request::Set(rec(ROUNDS))];
+    for i in 0..ROUNDS {
+        reqs.push(Request::SetField {
+            key: "k".into(),
+            field: 0,
+            value: val(i),
+        });
+        reqs.push(Request::Get("k".into()));
+    }
+    let replies = pipeline(&mut conn, &reqs);
+    for (i, pair) in replies[1..].chunks(2).enumerate() {
+        assert_eq!(pair[0], Reply::Ok, "SETF #{i}");
+        assert_eq!(served(&pair[1]).fields[0].1, val(i), "GET behind SETF #{i}");
+    }
+
+    let reqs: Vec<Request> = (0..ROUNDS)
+        .flat_map(|i| {
+            [
+                Request::Set(rec(i)),
+                Request::Get("k".into()),
+                Request::Del("k".into()),
+                Request::Get("k".into()),
+            ]
+        })
+        .collect();
+    for (i, round) in pipeline(&mut conn, &reqs).chunks(4).enumerate() {
+        assert_eq!(round[0], Reply::Ok, "SET #{i}");
+        assert_eq!(served(&round[1]), rec(i), "GET behind SET #{i}");
+        assert_eq!(round[2], Reply::Ok, "DEL #{i}");
+        assert_eq!(round[3], Reply::NotFound, "GET behind DEL #{i}");
+    }
+    server.shutdown();
+}
+
+/// Reads and writes to different keys, then a barrier, in one `write`:
+/// five replies, in request order, each the right variant — and `LEN`,
+/// which waits for every outstanding write, counts the `SET` before it.
+#[test]
+fn mixed_pipeline_replies_in_request_order() {
+    let (server, _cluster, mut conn) = serve();
+    let rec = |key: &str| Record::ycsb(key, &[key.as_bytes().to_vec(), b"f1".to_vec()]);
+    let preload = pipeline(&mut conn, &[Request::Set(rec("a")), Request::Set(rec("b"))]);
+    assert_eq!(preload, [Reply::Ok, Reply::Ok]);
+
+    let replies = pipeline(
+        &mut conn,
+        &[
+            Request::SetField {
+                key: "a".into(),
+                field: 1,
+                value: b"new".to_vec(),
+            },
+            Request::Get("b".into()),
+            Request::Set(rec("c")),
+            Request::Get("a".into()),
+            Request::Len,
+        ],
+    );
+    assert_eq!(replies[0], Reply::Ok, "SETF a");
+    assert_eq!(served(&replies[1]), rec("b"), "GET b");
+    assert_eq!(replies[2], Reply::Ok, "SET c");
+    assert_eq!(
+        served(&replies[3]).fields[1].1,
+        b"new",
+        "GET a sees the SETF"
+    );
+    assert_eq!(
+        replies[4],
+        Reply::Value(3u64.to_le_bytes().to_vec()),
+        "LEN counts c"
+    );
+    server.shutdown();
+}
+
+/// A client that pipelines reads faster than it reads replies: one thread
+/// sends 20 000 `GET`s of 1 KB records without ever waiting, another reads.
+/// The handler drains whenever 64 KiB of replies are encoded, so it blocks
+/// on the socket instead of queueing 20 MB — and every reply arrives, in
+/// request order.
+#[test]
+fn pipelined_reads_outrunning_the_reader_all_arrive_in_order() {
+    const GETS: usize = 20_000;
+    const KEYS: usize = 16;
+    let (server, _cluster, mut conn) = serve();
+    let key = |i: usize| format!("big-{:02}", i % KEYS);
+    let rec = |i: usize| {
+        let fields: Vec<Vec<u8>> = (0..10)
+            .map(|f| vec![(i % KEYS * 10 + f) as u8; 100])
+            .collect();
+        Record::ycsb(&key(i), &fields)
+    };
+    let preload: Vec<Request> = (0..KEYS).map(|i| Request::Set(rec(i))).collect();
+    assert!(pipeline(&mut conn, &preload)
+        .iter()
+        .all(|r| *r == Reply::Ok));
+
+    let mut tx = conn.try_clone().unwrap();
+    let replies = std::thread::scope(|s| {
+        s.spawn(move || {
+            let burst: Vec<u8> = (0..GETS)
+                .flat_map(|i| encode_request(&Request::Get(key(i))))
+                .collect();
+            tx.write_all(&burst).unwrap();
+        });
+        read_replies(&mut conn, GETS)
+    });
+    for (i, reply) in replies.iter().enumerate() {
+        assert_eq!(served(reply), rec(i), "reply #{i}");
+    }
+    server.shutdown();
+}
+
 /// A topology the server cannot serve, or a crash target outside it, is
 /// a descriptive `Err` from every entry point — not an index panic, and
 /// not a silently clamped experiment on some other topology.
