@@ -10,9 +10,10 @@ pub enum SimMode {
     /// and inject latency. Crash simulation is unavailable. This is the mode
     /// every benchmark harness uses.
     Performance,
-    /// Cache/media split with per-line dirty tracking. [`crate::Pmem::crash`]
-    /// is available. Roughly 2x the memory footprint and slower accesses;
-    /// intended for correctness tests.
+    /// Per-line dirty tracking plus a shadow of the persisted content of
+    /// the lines that are not clean. [`crate::Pmem::crash`] is available.
+    /// One copy of the pool in memory (the shadow is as large as the set of
+    /// unfenced lines) and slower stores; intended for correctness tests.
     ///
     /// Persistence domains are **per thread**, mirroring x86 semantics: a
     /// `pwb` enqueues the line on the calling thread's write-pending queue

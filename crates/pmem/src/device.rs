@@ -1,17 +1,37 @@
 //! The simulated NVMM device.
 //!
-//! The one model of what is durable lives here, in [`Persistence`]: a
-//! state byte per cache line plus the per-thread persistence domains. The
-//! store, `pwb` and fence paths below advance it, once each;
-//! [`Pmem::crash`] reads it to pick the lines that face the eviction
-//! coin, and the sanitizer (`sanitize.rs`) reads it to judge footprints.
+//! `words` is the one copy of the pool: what loads see and, for every
+//! clean line, what is durable. The model of what is durable lives in
+//! [`Persistence`]: a state byte per cache line, the per-thread persistence
+//! domains and — on a `CrashSim` pool — the [`Shadow`], which holds the
+//! persisted content of the lines that are *not* clean and of no others,
+//! so its size follows the unfenced lines, not the pool. The first store
+//! that takes a line out of [`LINE_CLEAN`] saves the line's eight words
+//! there, the fence that returns the line drops the entry, a fence that
+//! finds the line rewritten since its `pwb` refreshes the entry from
+//! `words` (an allowed eviction), and [`Pmem::crash`] writes the entry
+//! back over each non-clean line that loses the eviction coin. The
+//! sanitizer (`sanitize.rs`) reads the same state to judge footprints.
+//!
+//! **The exclusion rule.** A line's state and its shadow entry change
+//! together, under the line's lock bit ([`LINE_LOCK`], in the state byte
+//! itself): whenever the bit is free, a shadow entry exists iff the line is
+//! not clean. The bit is taken by every store, once per line it overlaps
+//! and held across pre-image save, word stores and the mark (a multi-line
+//! `write_bytes` / `zero_range` goes line by line, one bit at a time); by
+//! `pwb` for its dirty → pending step; by a fence for each line it settles;
+//! and by crash, drain and resync for each non-clean line. Loads take
+//! nothing. A store therefore cannot be separated from its mark: a
+//! neighbour sharing the line waits for the bit before its own store or
+//! `pwb`, so it can no longer fence the line clean around words that are
+//! in `words` but not yet marked.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::ThreadId;
 
-use crossbeam::queue::SegQueue;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -28,25 +48,132 @@ pub const CACHE_LINE: u64 = 64;
 
 const WORDS_PER_LINE: usize = (CACHE_LINE / 8) as usize;
 
+/// The content of one cache line.
+type LineWords = [u64; WORDS_PER_LINE];
+
 /// Per-line persistence state: a store makes a line dirty, a `pwb` moves
 /// it into the flushing thread's domain (pending), that thread's fence
 /// makes it clean — durable — again.
 pub(crate) const LINE_CLEAN: u8 = 0;
 pub(crate) const LINE_DIRTY: u8 = 1;
 pub(crate) const LINE_PENDING: u8 = 2;
+/// The line's lock bit (see the module doc), beside the state.
+const LINE_LOCK: u8 = 0x80;
+/// Beside the state too, set by the first store a line ever gets: until
+/// then its words are the zeros the pool was created with, and that store
+/// saves them as its pre-image unread. (A fresh page read before it is
+/// written takes two page faults, the second with a TLB shootdown — which
+/// serialized threads loading fresh memory in different pools.)
+const LINE_WRITTEN: u8 = 0x40;
+const LINE_STATE: u8 = 0x03;
 
 /// One thread's persistence domain.
 #[derive(Default)]
 struct Domain {
     /// The write-pending queue: lines `pwb`ed since this thread's last fence.
-    wpq: SegQueue<u64>,
+    wpq: Mutex<Vec<u64>>,
     /// Sanitizer modes only: this thread has fenced and issued no `pwb`
     /// since, so its next fence orders nothing new (back-to-back fences).
     /// False in a fresh entry: a thread's first fence is never redundant.
     fenced_idle: AtomicBool,
 }
 
-/// Line states and domains (see the module doc). Allocated for
+/// One direct-mapped slot of the [`Shadow`].
+struct Slot {
+    /// `line + 1` of the line whose entry this is; 0 while free.
+    tag: AtomicU64,
+    words: [AtomicU64; WORDS_PER_LINE],
+}
+
+const SHADOW_SLOTS: usize = 4096;
+
+/// The persisted content of the non-clean lines, keyed by line: a table of
+/// slots a line claims with one CAS — no mutex and no allocation while the
+/// non-clean lines are few, as they are between two fences — and a map for
+/// the lines that found their slot taken (a burst of unfenced stores). An
+/// *entry* is read and written under its line's lock bit; tag and mutex
+/// only arbitrate between lines.
+struct Shadow {
+    slots: Box<[Slot]>,
+    overflow: Mutex<HashMap<u64, LineWords>>,
+}
+
+impl Shadow {
+    fn new() -> Shadow {
+        Shadow {
+            slots: zeroed(SHADOW_SLOTS),
+            overflow: Mutex::default(),
+        }
+    }
+
+    /// The slot `line` hashes to, and whether it holds `line`'s entry.
+    #[inline]
+    fn slot(&self, line: u64) -> (&Slot, bool) {
+        let hash = line.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+        let slot = &self.slots[hash as usize % SHADOW_SLOTS];
+        // Acquire pairs with the Release that freed the slot: the previous
+        // tenant is done with `words`.
+        (slot, slot.tag.load(Ordering::Acquire) == line + 1)
+    }
+
+    /// Record what is persisted of `line`: its first entry (`fresh`, the
+    /// line was clean) or a newer one in place of the one it has.
+    #[inline]
+    fn save(&self, line: u64, persisted: LineWords, fresh: bool) {
+        let (slot, mine) = self.slot(line);
+        let claim = || {
+            slot.tag
+                .compare_exchange(0, line + 1, Ordering::Acquire, Ordering::Relaxed)
+        };
+        if mine || (fresh && claim().is_ok()) {
+            for (word, v) in slot.words.iter().zip(persisted) {
+                word.store(v, Ordering::Relaxed);
+            }
+        } else {
+            self.overflow.lock().insert(line, persisted);
+        }
+    }
+
+    /// `line`'s entry, dropped from the shadow with `take`.
+    #[inline]
+    fn entry(&self, line: u64, take: bool) -> Option<LineWords> {
+        let (slot, mine) = self.slot(line);
+        if !mine {
+            let mut overflow = self.overflow.lock();
+            if !take {
+                return overflow.get(&line).copied();
+            }
+            let persisted = overflow.remove(&line);
+            // Drained, the map gives its table back whole (a table a burst
+            // grew is large enough for the allocator to unmap it; smaller
+            // ones, as `shrink_to` would allocate, stay in the heap).
+            if overflow.is_empty() {
+                *overflow = HashMap::new();
+            }
+            return persisted;
+        }
+        let persisted = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
+        if take {
+            slot.tag.store(0, Ordering::Release);
+        }
+        Some(persisted)
+    }
+
+    /// The lines with an entry, ascending (crash draws its coins in this
+    /// order, so it must not be the table's).
+    fn lines(&self) -> Vec<u64> {
+        let tags = self
+            .slots
+            .iter()
+            .map(|slot| slot.tag.load(Ordering::Acquire));
+        let mut lines: Vec<u64> = tags.filter(|tag| *tag != 0).map(|tag| tag - 1).collect();
+        lines.extend(self.overflow.lock().keys());
+        lines.sort_unstable();
+        lines
+    }
+}
+
+/// Line states, domains and shadow (see the module doc). Allocated for
 /// [`SimMode::CrashSim`] pools and for every pool with a sanitizer mode on.
 struct Persistence {
     /// One state byte per line (the benchmark's 448 MiB pools have 7.3 M).
@@ -54,6 +181,8 @@ struct Persistence {
     /// Sanitizer modes only: per line, the compact id of the thread whose
     /// store or `pwb` last advanced it, stamped with the state it left.
     touchers: Option<Box<[AtomicU32]>>,
+    /// `CrashSim` only: without it there is nothing to roll back to.
+    shadow: Option<Shadow>,
     /// Per-thread persistence domains: each thread's `pwb`s queue into its
     /// own write-pending queue, and only that thread's `pfence`/`psync`
     /// drains it — an `sfence` on real hardware orders only the issuing
@@ -62,28 +191,91 @@ struct Persistence {
     domains: Mutex<HashMap<ThreadId, Arc<Domain>>>,
     /// Serializes fence drains, crash, drain and resync against each other.
     crash_lock: Mutex<()>,
+    /// Process-unique, and how often `domains` was reset: what a thread's
+    /// remembered domain is checked against.
+    id: u64,
+    settles: AtomicU64,
 }
 
 impl Persistence {
-    /// The calling thread's domain, created on first use.
+    /// The calling thread's domain, created on first use. Every `pwb` and
+    /// fence asks, so each thread remembers its answer for the pool it
+    /// asked last — until that pool's next settle, which resets domains.
     fn my_domain(&self) -> Arc<Domain> {
-        let mut map = self.domains.lock();
-        Arc::clone(map.entry(std::thread::current().id()).or_default())
+        thread_local! {
+            /// (pool, its settle count, this thread's domain there).
+            static LAST: RefCell<Option<(u64, u64, Arc<Domain>)>> = const { RefCell::new(None) };
+        }
+        LAST.with(|last| {
+            let mut last = last.borrow_mut();
+            let settles = self.settles.load(Ordering::Acquire);
+            match &*last {
+                Some((pool, at, dom)) if (*pool, *at) == (self.id, settles) => Arc::clone(dom),
+                _ => {
+                    let mut map = self.domains.lock();
+                    let dom = Arc::clone(map.entry(std::thread::current().id()).or_default());
+                    *last = Some((self.id, settles, Arc::clone(&dom)));
+                    dom
+                }
+            }
+        })
     }
 
-    /// Record the calling thread as the one that just moved lines
-    /// `first..=last` to `state`. Written after every change of the state
-    /// byte, and read back only while the stamp still matches the byte: a
-    /// reader racing two threads on one line sees "unknown", never the
-    /// wrong thread.
+    /// Take `line`'s lock bit, waiting out another holder (a few word
+    /// stores and at most one shadow update long).
     #[inline]
-    fn touch(&self, first: u64, last: u64, state: u8) {
-        if let Some(touchers) = &self.touchers {
-            let cell = (san_thread_id() << 2) | state as u32;
-            for line in first..=last {
-                touchers[line as usize].store(cell, Ordering::Release);
+    fn lock(&self, line: u64) -> LineGuard<'_> {
+        let byte = &self.lines[line as usize];
+        loop {
+            // Acquire pairs with the Release store of the holder's drop.
+            let found = byte.fetch_or(LINE_LOCK, Ordering::Acquire);
+            if found & LINE_LOCK == 0 {
+                let (state, written) = (found & LINE_STATE, found & LINE_WRITTEN != 0);
+                return LineGuard {
+                    p: self,
+                    line,
+                    state,
+                    written,
+                };
+            }
+            while byte.load(Ordering::Relaxed) & LINE_LOCK != 0 {
+                std::thread::yield_now();
             }
         }
+    }
+}
+
+/// A held line lock: the state the line was found in, changed by
+/// [`LineGuard::set`] and published, with the bit released, on drop.
+struct LineGuard<'a> {
+    p: &'a Persistence,
+    line: u64,
+    state: u8,
+    written: bool,
+}
+
+impl LineGuard<'_> {
+    /// Move the line to `state` and record the calling thread as the one
+    /// that did. The stamp is written under the lock, before the state is
+    /// published; a reader trusts it only while it matches the state byte,
+    /// so one racing this update sees "unknown", never the wrong thread.
+    #[inline]
+    fn set(&mut self, state: u8) {
+        self.state = state;
+        if let Some(touchers) = &self.p.touchers {
+            let cell = (san_thread_id() << 2) | state as u32;
+            touchers[self.line as usize].store(cell, Ordering::Release);
+        }
+    }
+}
+
+impl Drop for LineGuard<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        #[cfg(test)]
+        tests::locked_line_pause();
+        let written = if self.written { LINE_WRITTEN } else { 0 };
+        self.p.lines[self.line as usize].store(self.state | written, Ordering::Release);
     }
 }
 
@@ -97,8 +289,6 @@ pub struct Pmem {
     size: u64,
     label: String,
     words: Box<[AtomicU64]>,
-    /// The persistent media (`CrashSim` only): survives [`Pmem::crash`].
-    media: Option<Box<[AtomicU64]>>,
     /// `None` on a `Performance` pool with the sanitizer off, so the hot
     /// path pays one never-taken branch per store.
     persist: Option<Persistence>,
@@ -110,9 +300,24 @@ pub struct Pmem {
     pub(crate) san: Option<Sanitizer>,
 }
 
-/// `n` zeroed atomics (a zero line state is [`LINE_CLEAN`]).
-fn zeroed<T: Default>(n: usize) -> Box<[T]> {
-    (0..n).map(|_| T::default()).collect()
+/// Atomic integers and structs of them: all-zero bytes are their value 0.
+///
+/// # Safety
+///
+/// Implement only for types of which the all-zero bit pattern is a value.
+unsafe trait ZeroBits {}
+unsafe impl ZeroBits for AtomicU8 {}
+unsafe impl ZeroBits for AtomicU32 {}
+unsafe impl ZeroBits for AtomicU64 {}
+unsafe impl ZeroBits for Slot {}
+
+/// `n` zeroed atomics (a zero line state is [`LINE_CLEAN`]), as the
+/// allocator's zero pages: an array costs DRAM from the first store to
+/// each of its pages on. Collecting `n` defaults does the same only where
+/// the optimizer turns the loop into `calloc` — not in a debug build.
+fn zeroed<T: ZeroBits>(n: usize) -> Box<[T]> {
+    // SAFETY: zeroed memory is an initialized `T` for every `T: ZeroBits`.
+    unsafe { Box::new_zeroed_slice(n).assume_init() }
 }
 
 impl Pmem {
@@ -128,17 +333,20 @@ impl Pmem {
         let nlines = (size / CACHE_LINE) as usize;
         let crash_sim = cfg.mode == SimMode::CrashSim;
         let san = Sanitizer::new(cfg.sanitize);
+        static POOLS: AtomicU64 = AtomicU64::new(0);
         let persist = (crash_sim || san.is_some()).then(|| Persistence {
             lines: zeroed(nlines),
             touchers: san.as_ref().map(|_| zeroed(nlines)),
+            shadow: crash_sim.then(Shadow::new),
             domains: Mutex::new(HashMap::new()),
             crash_lock: Mutex::new(()),
+            id: POOLS.fetch_add(1, Ordering::Relaxed),
+            settles: AtomicU64::new(0),
         });
         Arc::new(Pmem {
             size,
             label: cfg.label,
             words: zeroed(nwords),
-            media: crash_sim.then(|| zeroed(nwords)),
             persist,
             latency_on: !cfg.latency.is_off(),
             latency: cfg.latency,
@@ -167,7 +375,11 @@ impl Pmem {
 
     /// Whether crash simulation is available.
     pub fn crash_sim_enabled(&self) -> bool {
-        self.media.is_some()
+        self.shadow().is_some()
+    }
+
+    fn shadow(&self) -> Option<&Shadow> {
+        self.persist.as_ref()?.shadow.as_ref()
     }
 
     /// The device operation counters.
@@ -229,25 +441,41 @@ impl Pmem {
         }
     }
 
-    /// Mark every line overlapping `[addr, addr+len)` dirty. Every store
-    /// calls this **after** writing its words: marked first, a neighbour
-    /// sharing the line could `pwb` + fence in between and leave the line
-    /// clean with the late store only in cache — the storing thread's own
-    /// `pwb` would then skip the clean line and a crash lose the store.
+    /// Take `line`'s lock for a store into it. On a line found clean the
+    /// pre-image is saved first; the returned guard marks the line dirty
+    /// when the caller drops it, after writing its words.
     #[inline]
-    fn mark_dirty(&self, addr: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        if let Some(p) = &self.persist {
-            #[cfg(test)]
-            tests::mid_store_pause();
-            let first = addr / CACHE_LINE;
-            let last = (addr + len - 1) / CACHE_LINE;
-            for line in first..=last {
-                p.lines[line as usize].store(LINE_DIRTY, Ordering::Release);
+    fn enter_store(&self, line: u64) -> Option<LineGuard<'_>> {
+        let p = self.persist.as_ref()?;
+        let mut held = p.lock(line);
+        if held.state == LINE_CLEAN {
+            if let Some(shadow) = &p.shadow {
+                let pre_image = if held.written {
+                    self.line_words(line)
+                } else {
+                    [0; WORDS_PER_LINE]
+                };
+                shadow.save(line, pre_image, true);
             }
-            p.touch(first, last, LINE_DIRTY);
+        }
+        held.written = true;
+        held.set(LINE_DIRTY);
+        Some(held)
+    }
+
+    /// Run `store(a, n)` over `[addr, addr + len)` one line's piece at a
+    /// time, each under its line's lock (in one piece without line states).
+    #[inline]
+    fn store_by_line(&self, addr: u64, len: u64, mut store: impl FnMut(u64, u64)) {
+        if self.persist.is_none() {
+            return store(addr, len);
+        }
+        let (mut a, end) = (addr, addr + len);
+        while a < end {
+            let n = (CACHE_LINE - a % CACHE_LINE).min(end - a);
+            let _held = self.enter_store(a / CACHE_LINE);
+            store(a, n);
+            a += n;
         }
     }
 
@@ -263,6 +491,12 @@ impl Pmem {
     #[inline]
     fn store_word(&self, widx: usize, v: u64) {
         self.words[widx].store(v, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn line_words(&self, line: u64) -> LineWords {
+        let base = line as usize * WORDS_PER_LINE;
+        std::array::from_fn(|i| self.load_word(base + i))
     }
 
     /// Read an unsigned integer of `LEN` bytes (1, 2, 4 or 8) at any byte
@@ -307,6 +541,14 @@ impl Pmem {
             return;
         }
         self.charge_write(addr, len);
+        if addr % CACHE_LINE + len > CACHE_LINE {
+            // Straddles two lines: bytewise, a line at a time.
+            let bytes = v.to_le_bytes();
+            return self.store_by_line(addr, len, |a, n| {
+                self.copy_in(a, &bytes[(a - addr) as usize..][..n as usize])
+            });
+        }
+        let _held = self.enter_store(addr / CACHE_LINE);
         let widx = (addr / 8) as usize;
         let shift = (addr % 8) * 8;
         if len == 8 && shift == 0 {
@@ -329,7 +571,6 @@ impl Pmem {
             let old_hi = self.load_word(widx + 1);
             self.store_word(widx + 1, (old_hi & !hi_mask) | ((v >> lo_bits) & hi_mask));
         }
-        self.mark_dirty(addr, len);
     }
 
     // ------------------------------------------------------------------
@@ -456,6 +697,13 @@ impl Pmem {
             return;
         }
         self.charge_write(addr, len);
+        self.store_by_line(addr, len, |a, n| {
+            self.copy_in(a, &data[(a - addr) as usize..][..n as usize])
+        });
+    }
+
+    /// The word stores of [`Pmem::write_bytes`].
+    fn copy_in(&self, addr: u64, data: &[u8]) {
         let mut i = 0usize;
         let mut a = addr;
         while i < data.len() && !a.is_multiple_of(8) {
@@ -481,7 +729,6 @@ impl Pmem {
             b[..rest].copy_from_slice(&data[i..]);
             self.store_word(widx, u64::from_le_bytes(b));
         }
-        self.mark_dirty(addr, len);
     }
 
     /// Zero `len` bytes starting at `addr`.
@@ -491,6 +738,11 @@ impl Pmem {
             return;
         }
         self.charge_write(addr, len);
+        self.store_by_line(addr, len, |a, n| self.zero_words(a, n));
+    }
+
+    /// The word stores of [`Pmem::zero_range`].
+    fn zero_words(&self, addr: u64, len: u64) {
         let mut a = addr;
         let end = addr + len;
         while a < end && !a.is_multiple_of(8) {
@@ -511,7 +763,6 @@ impl Pmem {
             self.store_word(widx, old & !(0xffu64 << shift));
             a += 1;
         }
-        self.mark_dirty(addr, len);
     }
 
     // ------------------------------------------------------------------
@@ -525,16 +776,18 @@ impl Pmem {
     ///
     /// Panics if `addr` is not 8-byte aligned or out of bounds.
     pub fn fetch_add_u64(&self, addr: u64, delta: u64) -> u64 {
-        assert!(addr.is_multiple_of(8), "fetch_add_u64 requires 8-byte alignment");
+        assert!(
+            addr.is_multiple_of(8),
+            "fetch_add_u64 requires 8-byte alignment"
+        );
         self.check(addr, 8);
         if self.fault_point(FaultOp::FetchAdd, addr) {
             // Frozen: report the current value without mutating.
             return self.load_word((addr / 8) as usize);
         }
         self.charge_write(addr, 8);
-        let old = self.words[(addr / 8) as usize].fetch_add(delta, Ordering::AcqRel);
-        self.mark_dirty(addr, 8);
-        old
+        let _held = self.enter_store(addr / CACHE_LINE);
+        self.words[(addr / 8) as usize].fetch_add(delta, Ordering::AcqRel)
     }
 
     /// Atomically compare-and-swap the aligned word at `addr`.
@@ -552,14 +805,15 @@ impl Pmem {
             return Err(self.load_word((addr / 8) as usize));
         }
         self.charge_write(addr, 8);
-        let swapped = self.words[(addr / 8) as usize].compare_exchange(
+        // Dirty even when the swap fails, as a failed `lock cmpxchg` still
+        // takes the line exclusive.
+        let _held = self.enter_store(addr / CACHE_LINE);
+        self.words[(addr / 8) as usize].compare_exchange(
             current,
             new,
             Ordering::AcqRel,
             Ordering::Acquire,
-        );
-        self.mark_dirty(addr, 8);
-        swapped
+        )
     }
 
     // ------------------------------------------------------------------
@@ -584,33 +838,29 @@ impl Pmem {
         }
         if let Some(p) = &self.persist {
             let line = addr / CACHE_LINE;
-            let st = &p.lines[line as usize];
+            let san = self.san.is_some();
+            let mut held = p.lock(line);
             // Queue dirty lines; a line another thread already has pending
             // joins this thread's domain too (like `clwb`, flushing it
             // again is legal, and *this* thread's fence must then make it
             // durable even if the original flusher never fences).
-            let was_dirty = st
-                .compare_exchange(
-                    LINE_DIRTY,
-                    LINE_PENDING,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok();
-            let joined = was_dirty || st.load(Ordering::Acquire) == LINE_PENDING;
-            let san = self.san.is_some();
+            let was_dirty = held.state == LINE_DIRTY;
+            let joined = was_dirty || held.state == LINE_PENDING;
+            // Wasted work — exactly the redundancy NVTraverse reports as
+            // endemic: flushing a clean line (legal), or one this thread
+            // flushed itself and has not fenced since (it is already in
+            // its queue; the toucher stamp says whose).
+            if san && !was_dirty && (!joined || self.line_state(line).1 == san_thread_id()) {
+                self.stats.redundant_pwbs.add(1);
+            }
+            if joined {
+                held.set(LINE_PENDING);
+            }
+            drop(held);
             if joined || san {
                 let dom = p.my_domain();
-                // Wasted work — exactly the redundancy NVTraverse reports
-                // as endemic: flushing a clean line (legal), or one this
-                // thread flushed itself and has not fenced since (it is
-                // already in its queue; the toucher stamp says whose).
-                if san && !was_dirty && (!joined || self.line_state(line).1 == san_thread_id()) {
-                    self.stats.redundant_pwbs.add(1);
-                }
                 if joined {
-                    dom.wpq.push(line);
-                    p.touch(line, line, LINE_PENDING);
+                    dom.wpq.lock().push(line);
                 }
                 if san {
                     dom.fenced_idle.store(false, Ordering::Relaxed);
@@ -632,20 +882,10 @@ impl Pmem {
         }
     }
 
-    /// Copy a line's cache content to media (nothing to do without media).
-    fn persist_line(&self, line: u64) {
-        if let Some(media) = &self.media {
-            let base = line as usize * WORDS_PER_LINE;
-            for w in base..base + WORDS_PER_LINE {
-                media[w].store(self.words[w].load(Ordering::Acquire), Ordering::Release);
-            }
-        }
-    }
-
     /// The one fence body. Under the ADR model the paper assumes, a fenced
-    /// `pwb` is durable, so the calling thread's write-pending queue drains
-    /// to media here — and only the caller's: a fence persists the fencing
-    /// thread's own pending flushes, nobody else's.
+    /// `pwb` is durable, so the calling thread's write-pending queue settles
+    /// here — and only the caller's: a fence persists the fencing thread's
+    /// own pending flushes, nobody else's.
     fn fence(&self, latency_ns: u64) {
         if self.latency_on {
             spin_ns(latency_ns);
@@ -656,19 +896,27 @@ impl Pmem {
             self.stats.redundant_fences.add(1);
         }
         let _g = p.crash_lock.lock();
-        while let Some(line) = dom.wpq.pop() {
-            self.persist_line(line);
-            // If the line was rewritten after its pwb it is DIRTY again; the
-            // current content was persisted (an allowed eviction) but the
-            // line stays dirty so a later crash may still lose newer writes.
-            let settled = p.lines[line as usize].compare_exchange(
-                LINE_PENDING,
-                LINE_CLEAN,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            );
-            if settled.is_ok() {
-                p.touch(line, line, LINE_CLEAN);
+        let shadow = p.shadow.as_ref();
+        for line in dom.wpq.lock().drain(..) {
+            let mut held = p.lock(line);
+            match held.state {
+                // Durable as it stands: nothing to roll back to any more.
+                LINE_PENDING => {
+                    if let Some(shadow) = shadow {
+                        shadow.entry(line, true);
+                    }
+                    held.set(LINE_CLEAN);
+                }
+                // Rewritten after its pwb: the current content is persisted
+                // (an allowed eviction) but the line stays dirty, so a later
+                // crash may still lose newer writes.
+                LINE_DIRTY => {
+                    if let Some(shadow) = shadow {
+                        shadow.save(line, self.line_words(line), false);
+                    }
+                }
+                // Already settled by another thread that had it pending too.
+                _ => {}
             }
         }
     }
@@ -772,15 +1020,16 @@ impl Pmem {
     /// independently survives with `policy.evict_probability` (seeded — a
     /// given `(policy, dirty set)` pair always produces the same post-crash
     /// state); a line still pending in another thread's domain faces the
-    /// same coin as a dirty line. The volatile cache is then rebuilt from
-    /// media, so subsequent reads observe exactly the surviving state.
+    /// same coin as a dirty line. A line that loses it is rolled back to
+    /// its persisted content, so subsequent reads observe exactly the
+    /// surviving state.
     ///
     /// Returns [`PmemError::CrashSimRequired`] on a `Performance`-mode pool.
     ///
     /// Callers must quiesce writer threads first, as with a real power
     /// failure there is no meaningful "result" for racing in-flight writes.
     pub fn crash(&self, policy: &CrashPolicy) -> Result<(), PmemError> {
-        if self.media.is_none() {
+        if !self.crash_sim_enabled() {
             return Err(PmemError::CrashSimRequired);
         }
         self.stats.crashes.add(1);
@@ -788,7 +1037,7 @@ impl Pmem {
         // Dirty lines may be evicted; pending lines sit in a write-pending
         // queue, which may or may not drain before power loss. Both face
         // the same coin.
-        self.settle_all(true, || {
+        self.settle_all(|| {
             policy.evict_probability > 0.0
                 && (policy.evict_probability >= 1.0
                     || rng.random::<f64>() < policy.evict_probability)
@@ -797,79 +1046,110 @@ impl Pmem {
     }
 
     /// Every line clean, every domain empty: the shared body of crash,
-    /// orderly drain and cache resync. A non-clean line's cache content
-    /// reaches media first iff `survives`; with `reload` the cache view is
-    /// then rebuilt from media.
-    fn settle_all(&self, reload: bool, mut survives: impl FnMut() -> bool) {
+    /// orderly drain and cache resync. A non-clean line keeps its content
+    /// iff `survives`, asked line by line in ascending order; otherwise it
+    /// is rolled back to its shadow entry. Work is proportional to the
+    /// non-clean lines (without a shadow to name them, to the pool).
+    fn settle_all(&self, mut survives: impl FnMut() -> bool) {
         let Some(p) = &self.persist else { return };
         let _g = p.crash_lock.lock();
-        for (line, st) in p.lines.iter().enumerate() {
-            if st.load(Ordering::Acquire) != LINE_CLEAN {
-                if survives() {
-                    self.persist_line(line as u64);
-                }
-                st.store(LINE_CLEAN, Ordering::Release);
-                p.touch(line as u64, line as u64, LINE_CLEAN);
+        let non_clean = match &p.shadow {
+            Some(shadow) => shadow.lines(),
+            None => (0..p.lines.len() as u64)
+                .filter(|line| {
+                    p.lines[*line as usize].load(Ordering::Acquire) & !LINE_WRITTEN != LINE_CLEAN
+                })
+                .collect(),
+        };
+        for line in non_clean {
+            let mut held = p.lock(line);
+            if held.state == LINE_CLEAN {
+                continue;
             }
+            let persisted = p
+                .shadow
+                .as_ref()
+                .and_then(|shadow| shadow.entry(line, true));
+            if let (false, Some(persisted)) = (survives(), persisted) {
+                let base = line as usize * WORDS_PER_LINE;
+                for (i, word) in persisted.into_iter().enumerate() {
+                    self.store_word(base + i, word);
+                }
+            }
+            held.set(LINE_CLEAN);
         }
         // Drop the entries rather than empty them: threads look their
         // domain up on every op, and a fresh entry is a reset one — no
         // pending lines, no fence history.
         p.domains.lock().clear();
-        if let (true, Some(media)) = (reload, &self.media) {
-            for (word, persisted) in self.words.iter().zip(media) {
-                word.store(persisted.load(Ordering::Acquire), Ordering::Release);
-            }
-        }
+        p.settles.fetch_add(1, Ordering::Release);
     }
 
     /// Persist every dirty line (an orderly shutdown / eADR-style flush),
-    /// regardless of which thread's domain it was pending in. Without
-    /// media (`Performance` pools) only the line state is reset.
+    /// regardless of which thread's domain it was pending in. On a
+    /// `Performance` pool only the line state is reset.
     pub fn drain_all(&self) {
-        self.settle_all(false, || true);
+        self.settle_all(|| true);
     }
 
-    /// Rebuild the volatile cache from media, marking every line clean and
-    /// emptying every thread's persistence domain. Without media
-    /// (`Performance` pools) only the line state is reset.
+    /// Roll every non-clean line back to its persisted content, marking it
+    /// clean, and empty every thread's persistence domain. On a
+    /// `Performance` pool only the line state is reset.
     ///
     /// Torture harnesses call this after an injected crash once every
     /// worker thread has quiesced: a worker that entered a store just
     /// before the trigger fired may complete that store *after*
-    /// [`Pmem::crash`] rebuilt the cache — exactly like a CPU mid-store at
+    /// [`Pmem::crash`] settled the pool — exactly like a CPU mid-store at
     /// power loss — and those ghost writes must not be visible to
-    /// recovery. The media (the crash image) is not touched.
+    /// recovery. The persisted content (the crash image) is not touched.
     pub fn resync_cache(&self) {
-        self.settle_all(true, || false);
+        self.settle_all(|| false);
     }
 
-    /// Direct read of the *media* (post-crash) content of a word, bypassing
-    /// the cache. Test-support API; falls back to the cache view on
-    /// `Performance` pools.
+    /// Direct read of the *persisted* (post-strict-crash) content of a
+    /// word, bypassing the cache view. Test-support API; the cache view
+    /// itself on `Performance` pools.
     pub fn media_read_u64(&self, addr: u64) -> u64 {
-        assert!(addr.is_multiple_of(8), "media_read_u64 requires 8-byte alignment");
+        assert!(
+            addr.is_multiple_of(8),
+            "media_read_u64 requires 8-byte alignment"
+        );
         self.check(addr, 8);
         self.persistent_word((addr / 8) as usize)
     }
 
     pub(crate) fn persistent_word(&self, widx: usize) -> u64 {
-        self.media.as_ref().unwrap_or(&self.words)[widx].load(Ordering::Acquire)
+        self.persistent_line((widx / WORDS_PER_LINE) as u64)[widx % WORDS_PER_LINE]
     }
 
+    /// What a strict crash right now would leave of `line`: its shadow
+    /// entry while it is not clean, its words otherwise.
+    pub(crate) fn persistent_line(&self, line: u64) -> LineWords {
+        let held = self.persist.as_ref().map(|p| p.lock(line));
+        let shadowed = match (&held, self.shadow()) {
+            (Some(held), Some(shadow)) if held.state != LINE_CLEAN => shadow.entry(line, false),
+            _ => None,
+        };
+        shadowed.unwrap_or_else(|| self.line_words(line))
+    }
+
+    /// Set a word of a freshly created pool, persistently: every line is
+    /// clean. A zero is already there — storing it would only map the page.
     pub(crate) fn restore_word(&self, widx: usize, v: u64) {
-        self.words[widx].store(v, Ordering::Release);
-        if let Some(media) = &self.media {
-            media[widx].store(v, Ordering::Release);
+        if v != 0 {
+            self.store_word(widx, v);
+            if let Some(p) = &self.persist {
+                p.lines[widx / WORDS_PER_LINE].store(LINE_WRITTEN, Ordering::Relaxed);
+            }
         }
     }
 
-    pub(crate) fn word_count(&self) -> usize {
-        self.words.len()
+    pub(crate) fn line_count(&self) -> u64 {
+        self.size / CACHE_LINE
     }
 
     pub(crate) fn mode(&self) -> SimMode {
-        if self.media.is_some() {
+        if self.crash_sim_enabled() {
             SimMode::CrashSim
         } else {
             SimMode::Performance
@@ -881,7 +1161,7 @@ impl Pmem {
     /// store or `pwb` by another thread leaves that undecided).
     pub(crate) fn line_state(&self, line: u64) -> (u8, u32) {
         let p = self.persist.as_ref().expect("the sanitizer's line model");
-        let state = p.lines[line as usize].load(Ordering::Acquire);
+        let state = p.lines[line as usize].load(Ordering::Acquire) & LINE_STATE;
         let stamp = match &p.touchers {
             Some(touchers) => touchers[line as usize].load(Ordering::Acquire),
             None => 0,
@@ -890,14 +1170,20 @@ impl Pmem {
         (state, if decided { stamp >> 2 } else { 0 })
     }
 
-    /// Whether every word overlapping `[lo, hi)` holds the same value in
-    /// the cache view and on media — a crash right now would keep those
-    /// bytes. `false` on a `Performance` pool: no media to consult.
-    pub(crate) fn range_on_media(&self, lo: u64, hi: u64) -> bool {
-        self.media.as_ref().is_some_and(|media| {
-            ((lo / 8) as usize..=((hi - 1) / 8) as usize)
-                .all(|w| media[w].load(Ordering::Acquire) == self.words[w].load(Ordering::Acquire))
-        })
+    /// Whether a crash right now would keep the bytes of `[lo, hi)`: every
+    /// overlapped line is clean, or the overlapped words equal their shadow
+    /// words. `false` on a `Performance` pool: nothing to consult.
+    pub(crate) fn range_is_durable(&self, lo: u64, hi: u64) -> bool {
+        self.crash_sim_enabled()
+            && ((lo / 8) as usize..=((hi - 1) / 8) as usize)
+                .all(|w| self.persistent_word(w) == self.load_word(w))
+    }
+
+    /// Shadow entries held right now (tests hold it against the number of
+    /// non-clean lines).
+    #[cfg(test)]
+    pub(crate) fn shadow_entries(&self) -> usize {
+        self.shadow().expect("a CrashSim pool").lines().len()
     }
 }
 
@@ -920,18 +1206,76 @@ mod tests {
     }
 
     thread_local! {
-        /// Test hook: what this thread's stores run between writing their
-        /// words and marking their lines dirty.
-        static MID_STORE: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
+        /// Test hook: what this thread runs each time it is about to
+        /// release a line's lock bit — a store has written its words, a
+        /// fence has dropped or refreshed the shadow entry, and the line's
+        /// new state is not published yet.
+        static LOCKED_LINE_HOOK: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
             const { std::cell::RefCell::new(None) };
     }
 
-    pub(super) fn mid_store_pause() {
-        MID_STORE.with(|hook| {
+    pub(super) fn locked_line_pause() {
+        LOCKED_LINE_HOOK.with(|hook| {
             if let Some(pause) = hook.borrow_mut().as_mut() {
                 pause()
             }
         });
+    }
+
+    /// Run `op` on this thread with `pause` as its locked-line hook.
+    fn with_pause(pause: impl FnMut() + 'static, op: impl FnOnce()) {
+        LOCKED_LINE_HOOK.with(|hook| *hook.borrow_mut() = Some(Box::new(pause)));
+        op();
+        LOCKED_LINE_HOOK.with(|hook| *hook.borrow_mut() = None);
+    }
+
+    /// A neighbour thread B driven step by step over a channel. A step
+    /// handed over from inside a pause needs the line the pausing thread
+    /// holds locked, so it must not end in there: `send_mid_op` gives it
+    /// time to, and `wait` — called after the paused operation — lets it
+    /// end and fails the test if it had not waited.
+    struct Neighbour {
+        steps: std::sync::mpsc::Sender<fn(&Pmem)>,
+        done: std::sync::mpsc::Receiver<()>,
+        overtook: std::cell::Cell<bool>,
+    }
+
+    impl Neighbour {
+        fn spawn<'s>(scope: &'s std::thread::Scope<'s, '_>, p: &'s Pmem) -> Neighbour {
+            let (steps, inbox) = std::sync::mpsc::channel::<fn(&Pmem)>();
+            let (ack, done) = std::sync::mpsc::channel();
+            scope.spawn(move || {
+                for step in inbox {
+                    step(p);
+                    ack.send(()).unwrap();
+                }
+            });
+            Neighbour {
+                steps,
+                done,
+                overtook: false.into(),
+            }
+        }
+
+        fn send_mid_op(&self, step: fn(&Pmem)) {
+            self.steps.send(step).unwrap();
+            let grace = std::time::Duration::from_millis(50);
+            self.overtook.set(self.done.recv_timeout(grace).is_ok());
+        }
+
+        fn wait(&self) {
+            assert!(
+                !self.overtook.get(),
+                "B ran through a line lock another thread held"
+            );
+            self.done.recv().unwrap();
+        }
+    }
+
+    fn non_clean_lines(p: &Pmem) -> usize {
+        (0..p.line_count())
+            .filter(|line| p.line_state(*line).0 != LINE_CLEAN)
+            .count()
     }
 
     /// Regression (store, then mark): every store used to mark its lines
@@ -939,8 +1283,8 @@ mod tests {
     /// then store, `pwb` and fence in between — persisting the line without
     /// the late words and leaving it clean — so the storing thread's own
     /// `pwb` skipped the clean line and a crash lost a store that had been
-    /// flushed and fenced by the book. Thread B is driven step by step over
-    /// a channel, from inside thread A's store.
+    /// flushed and fenced by the book. Thread B is handed its step from
+    /// inside thread A's store, and now waits there for A's line lock.
     #[test]
     fn neighbour_flush_mid_store_does_not_lose_the_store() {
         type Store = fn(&Pmem);
@@ -964,27 +1308,19 @@ mod tests {
             p.write_u64(0, 7);
             p.pwb(0);
             p.pfence();
-            let (to_b, b_steps) = std::sync::mpsc::channel::<()>();
-            let (b_done, done) = std::sync::mpsc::channel::<()>();
             std::thread::scope(|scope| {
-                let pb = &p;
-                scope.spawn(move || {
-                    // B's step: store its own word of the line, flush, fence.
-                    for () in b_steps {
-                        pb.write_u64(8, 2);
-                        pb.pwb(8);
-                        pb.pfence();
-                        b_done.send(()).unwrap();
-                    }
-                });
+                let b = std::rc::Rc::new(Neighbour::spawn(scope, &p));
+                let in_pause = std::rc::Rc::clone(&b);
+                // B's step: store its own word of the line, flush, fence.
                 let pause = move || {
-                    to_b.send(()).unwrap();
-                    done.recv().unwrap();
+                    in_pause.send_mid_op(|p| {
+                        p.write_u64(8, 2);
+                        p.pwb(8);
+                        p.pfence();
+                    })
                 };
-                MID_STORE.with(|hook| *hook.borrow_mut() = Some(Box::new(pause)));
-                store(&p);
-                // Dropping the hook hangs up on B, which then exits.
-                MID_STORE.with(|hook| *hook.borrow_mut() = None);
+                with_pause(pause, || store(&p));
+                b.wait();
                 p.pwb(0);
                 p.pfence();
             });
@@ -996,6 +1332,132 @@ mod tests {
             );
             assert_eq!(p.read_u64(8), 2, "{name}: the neighbour's own store");
         }
+    }
+
+    /// Exclusion rule, store side (1): A's first store to a clean line has
+    /// saved the pre-image and written its word when neighbour B stores to
+    /// the same line, flushes and fences. Without A holding the line's lock
+    /// B's fence drops the entry and marks the line clean, A's late mark
+    /// leaves a dirty line with no entry, and A's *next*, never flushed
+    /// store survives a strict crash.
+    #[test]
+    fn neighbour_cannot_clean_a_line_between_pre_image_save_and_mark() {
+        let p = dev(4096);
+        std::thread::scope(|scope| {
+            let b = std::rc::Rc::new(Neighbour::spawn(scope, &p));
+            let in_pause = std::rc::Rc::clone(&b);
+            let pause = move || {
+                in_pause.send_mid_op(|p| {
+                    p.write_u64(8, 2);
+                    p.pwb(8);
+                    p.pfence();
+                })
+            };
+            with_pause(pause, || p.write_u64(0, 1));
+            b.wait();
+        });
+        // B's fence persisted the whole line, A's word included.
+        assert_eq!((non_clean_lines(&p), p.shadow_entries()), (0, 0));
+        p.write_u64(0, 3);
+        assert_eq!((non_clean_lines(&p), p.shadow_entries()), (1, 1));
+        assert_eq!(p.media_read_u64(0), 1);
+        p.crash(&CrashPolicy::strict()).unwrap();
+        assert_eq!((p.read_u64(0), p.read_u64(8)), (1, 2));
+    }
+
+    /// Exclusion rule, store side (2): two first-storers race the save.
+    /// Without the lock B also finds the line clean while A is mid-store
+    /// and saves a "pre-image" that already holds A's word, which a strict
+    /// crash then restores although nobody flushed it.
+    #[test]
+    fn racing_first_storers_save_one_pre_image() {
+        let p = dev(4096);
+        std::thread::scope(|scope| {
+            let b = std::rc::Rc::new(Neighbour::spawn(scope, &p));
+            let in_pause = std::rc::Rc::clone(&b);
+            with_pause(
+                move || in_pause.send_mid_op(|p| p.write_u64(8, 2)),
+                || p.write_u64(0, 1),
+            );
+            b.wait();
+        });
+        assert_eq!((p.read_u64(0), p.read_u64(8)), (1, 2));
+        assert_eq!((non_clean_lines(&p), p.shadow_entries()), (1, 1));
+        assert_eq!((p.media_read_u64(0), p.media_read_u64(8)), (0, 0));
+        p.crash(&CrashPolicy::strict()).unwrap();
+        assert_eq!((p.read_u64(0), p.read_u64(8)), (0, 0));
+    }
+
+    /// Exclusion rule, fence side: A's fence is settling a pending line —
+    /// entry dropped, clean not yet published — when B stores to it.
+    /// Without the fence holding the line's lock B finds the line pending,
+    /// saves nothing, and the fence then publishes clean over B's mark: a
+    /// clean line holding a store nobody flushed, kept by a strict crash.
+    #[test]
+    fn fence_settling_a_line_excludes_a_new_first_storer() {
+        let p = dev(4096);
+        p.write_u64(0, 1);
+        p.pwb(0);
+        std::thread::scope(|scope| {
+            let b = std::rc::Rc::new(Neighbour::spawn(scope, &p));
+            let in_pause = std::rc::Rc::clone(&b);
+            with_pause(
+                move || in_pause.send_mid_op(|p| p.write_u64(8, 2)),
+                || p.pfence(),
+            );
+            b.wait();
+        });
+        assert_eq!((p.read_u64(0), p.read_u64(8)), (1, 2));
+        assert_eq!((non_clean_lines(&p), p.shadow_entries()), (1, 1));
+        assert_eq!((p.media_read_u64(0), p.media_read_u64(8)), (1, 0));
+        p.crash(&CrashPolicy::strict()).unwrap();
+        assert_eq!((p.read_u64(0), p.read_u64(8)), (1, 0));
+    }
+
+    /// A shadow entry exists iff its line is not clean, at every quiescent
+    /// point of a line's life, and nothing is left after a drain, a crash
+    /// or a resync.
+    #[test]
+    fn shadow_entries_track_the_non_clean_lines() {
+        let p = dev(4096);
+        let check = |entries: usize, what: &str| {
+            assert_eq!(p.shadow_entries(), entries, "{what}");
+            assert_eq!(non_clean_lines(&p), entries, "{what}");
+        };
+        check(0, "fresh pool");
+        p.write_u64(0, 1);
+        p.write_u64(8, 2);
+        p.write_bytes(60, &[9; 70]); // lines 0, 1 and 2
+        check(3, "stores");
+        p.pwb(0);
+        p.pwb(64);
+        check(3, "pwb keeps the entry");
+        p.write_u64(64, 5); // line 1 re-dirtied after its pwb
+        p.pfence();
+        check(
+            2,
+            "fence: line 0 settled, line 1 refreshed, line 2 never flushed",
+        );
+        assert_eq!(p.media_read_u64(64), 5, "the allowed eviction");
+        let pb = Arc::clone(&p);
+        std::thread::spawn(move || {
+            pb.write_u64(256, 7);
+            pb.pwb(256);
+        })
+        .join()
+        .unwrap();
+        p.pfence(); // a foreign fence settles nothing of B's
+        check(3, "foreign fence");
+        p.drain_all();
+        check(0, "drain_all");
+        p.write_u64(0, 3);
+        p.write_u64(512, 4);
+        check(2, "stores");
+        p.crash(&CrashPolicy::adversarial(1)).unwrap();
+        check(0, "crash");
+        p.write_u64(0, 3);
+        p.resync_cache();
+        check(0, "resync_cache");
     }
 
     #[test]
@@ -1230,7 +1692,11 @@ mod tests {
         .unwrap();
         p.pfence(); // B's fence drains B's (empty) domain only
         p.crash(&CrashPolicy::strict()).unwrap();
-        assert_eq!(p.read_u64(0), 0, "another thread's fence persisted A's un-fenced pwb");
+        assert_eq!(
+            p.read_u64(0),
+            0,
+            "another thread's fence persisted A's un-fenced pwb"
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@ const MAGIC: &[u8; 8] = b"JNVMPMEM";
 const VERSION: u32 = 1;
 
 impl Pmem {
-    /// Write the persistent content of the pool (the media in `CrashSim`
-    /// mode, the live array otherwise) to `path`.
+    /// Write the persistent content of the pool (what a strict crash would
+    /// leave in `CrashSim` mode, the live array otherwise) to `path`.
     ///
     /// The image records only size and contents; the simulation mode and
     /// latency profile are chosen again at [`Pmem::load`] time.
@@ -25,8 +25,10 @@ impl Pmem {
         w.write_all(MAGIC)?;
         w.write_all(&VERSION.to_le_bytes())?;
         w.write_all(&self.len().to_le_bytes())?;
-        for widx in 0..self.word_count() {
-            w.write_all(&self.persistent_word(widx).to_le_bytes())?;
+        for line in 0..self.line_count() {
+            for word in self.persistent_line(line) {
+                w.write_all(&word.to_le_bytes())?;
+            }
         }
         w.flush()?;
         Ok(())
@@ -60,7 +62,7 @@ impl Pmem {
         }
         let pool = Pmem::new(PmemConfig { size, ..cfg });
         let mut buf = [0u8; 8];
-        for widx in 0..pool.word_count() {
+        for widx in 0..(pool.len() / 8) as usize {
             r.read_exact(&mut buf)?;
             pool.restore_word(widx, u64::from_le_bytes(buf));
         }
@@ -92,6 +94,10 @@ mod tests {
         assert_eq!(q.read_u64(256), 0xcafe);
         assert_eq!(q.read_u64(512), 0);
         // The restored state is fully persistent.
+        q.crash(&CrashPolicy::strict()).unwrap();
+        assert_eq!(q.read_u64(16), 0xfeed);
+        // ...and is what an unflushed store over it rolls back to.
+        q.write_u64(16, 1);
         q.crash(&CrashPolicy::strict()).unwrap();
         assert_eq!(q.read_u64(16), 0xfeed);
         std::fs::remove_file(&path).ok();

@@ -237,7 +237,7 @@ impl Pmem {
             SEEN_CRASH.with(|c| c.set(inj.crash_token.load(Ordering::Relaxed)));
             let policy = *inj.policy.lock();
             self.record_injected_crash();
-            // On a Performance pool there is no media to roll back; the
+            // On a Performance pool there is nothing to roll back to; the
             // freeze + unwind still model the control-flow cut.
             let _ = self.crash(&policy);
             std::panic::panic_any(CrashInjected {

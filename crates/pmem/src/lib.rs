@@ -17,11 +17,12 @@
 //! * [`SimMode::Performance`] — a single in-memory array; persistence
 //!   primitives only update statistics and inject calibrated latency. Used by
 //!   the benchmark harnesses.
-//! * [`SimMode::CrashSim`] — a cache/media split with per-line dirty state.
-//!   [`Pmem::crash`] simulates a power failure: every line that was not
-//!   explicitly written back *may or may not* have reached the media
-//!   (seeded, configurable eviction probability), after which the volatile
-//!   cache is rebuilt from the media. This is strictly harsher than the
+//! * [`SimMode::CrashSim`] — the same single array plus per-line dirty
+//!   state and a shadow holding the persisted content of the lines that
+//!   are not clean. [`Pmem::crash`] simulates a power failure: every line
+//!   that was not explicitly written back *may or may not* have reached
+//!   the media (seeded, configurable eviction probability); the ones that
+//!   did not are rolled back to their shadow. This is strictly harsher than the
 //!   paper's SIGKILL experiments and is the substrate for all
 //!   crash-consistency tests in the workspace.
 //!

@@ -18,44 +18,48 @@ enum Op {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
+    op_strategy_in(SIZE)
+}
+
+fn op_strategy_in(size: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0..SIZE - 1, any::<u8>()).prop_map(|(a, v)| Op::W8(a, v)),
-        (0..SIZE - 2, any::<u16>()).prop_map(|(a, v)| Op::W16(a, v)),
-        (0..SIZE - 4, any::<u32>()).prop_map(|(a, v)| Op::W32(a, v)),
-        (0..SIZE - 8, any::<u64>()).prop_map(|(a, v)| Op::W64(a, v)),
-        (0..SIZE - 64, proptest::collection::vec(any::<u8>(), 0..64))
+        (0..size - 1, any::<u8>()).prop_map(|(a, v)| Op::W8(a, v)),
+        (0..size - 2, any::<u16>()).prop_map(|(a, v)| Op::W16(a, v)),
+        (0..size - 4, any::<u32>()).prop_map(|(a, v)| Op::W32(a, v)),
+        (0..size - 8, any::<u64>()).prop_map(|(a, v)| Op::W64(a, v)),
+        (0..size - 64, proptest::collection::vec(any::<u8>(), 0..64))
             .prop_map(|(a, v)| Op::WBytes(a, v)),
-        (0..SIZE - 64, 0u64..64).prop_map(|(a, n)| Op::Zero(a, n)),
+        (0..size - 64, 0u64..64).prop_map(|(a, n)| Op::Zero(a, n)),
     ]
 }
 
-fn apply(pmem: &Pmem, model: &mut [u8], op: &Op) {
+/// Where `op` stores, and the bytes it leaves there.
+fn op_bytes(op: &Op) -> (u64, Vec<u8>) {
     match op {
-        Op::W8(a, v) => {
-            pmem.write_u8(*a, *v);
-            model[*a as usize] = *v;
-        }
-        Op::W16(a, v) => {
-            pmem.write_u16(*a, *v);
-            model[*a as usize..*a as usize + 2].copy_from_slice(&v.to_le_bytes());
-        }
-        Op::W32(a, v) => {
-            pmem.write_u32(*a, *v);
-            model[*a as usize..*a as usize + 4].copy_from_slice(&v.to_le_bytes());
-        }
-        Op::W64(a, v) => {
-            pmem.write_u64(*a, *v);
-            model[*a as usize..*a as usize + 8].copy_from_slice(&v.to_le_bytes());
-        }
-        Op::WBytes(a, v) => {
-            pmem.write_bytes(*a, v);
-            model[*a as usize..*a as usize + v.len()].copy_from_slice(v);
-        }
-        Op::Zero(a, n) => {
-            pmem.zero_range(*a, *n);
-            model[*a as usize..(*a + *n) as usize].fill(0);
-        }
+        Op::W8(a, v) => (*a, vec![*v]),
+        Op::W16(a, v) => (*a, v.to_le_bytes().to_vec()),
+        Op::W32(a, v) => (*a, v.to_le_bytes().to_vec()),
+        Op::W64(a, v) => (*a, v.to_le_bytes().to_vec()),
+        Op::WBytes(a, v) => (*a, v.clone()),
+        Op::Zero(a, n) => (*a, vec![0; *n as usize]),
     }
+}
+
+fn issue(pmem: &Pmem, op: &Op) {
+    match op {
+        Op::W8(a, v) => pmem.write_u8(*a, *v),
+        Op::W16(a, v) => pmem.write_u16(*a, *v),
+        Op::W32(a, v) => pmem.write_u32(*a, *v),
+        Op::W64(a, v) => pmem.write_u64(*a, *v),
+        Op::WBytes(a, v) => pmem.write_bytes(*a, v),
+        Op::Zero(a, n) => pmem.zero_range(*a, *n),
+    }
+}
+
+fn apply(pmem: &Pmem, model: &mut [u8], op: &Op) {
+    issue(pmem, op);
+    let (addr, bytes) = op_bytes(op);
+    model[addr as usize..][..bytes.len()].copy_from_slice(&bytes);
 }
 
 /// One step of a persist sequence: a store, a `pwb` (of the n-th earlier
@@ -65,17 +69,6 @@ enum Step {
     Store(Op),
     Pwb(u64),
     Fence,
-}
-
-fn op_addr(op: &Op) -> u64 {
-    match op {
-        Op::W8(a, _)
-        | Op::W16(a, _)
-        | Op::W32(a, _)
-        | Op::W64(a, _)
-        | Op::WBytes(a, _)
-        | Op::Zero(a, _) => *a,
-    }
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -123,6 +116,237 @@ fn sanitizer_accepts(pmem: &Pmem, addr: u64, len: u64) -> bool {
     pmem.stats().san_violations == before
 }
 
+// ----------------------------------------------------------------------
+// The device against the model it replaced.
+// ----------------------------------------------------------------------
+
+/// Pool of the differential property: 16 lines, so threads meet on them.
+const REF_SIZE: u64 = 1024;
+const LINE: usize = CACHE_LINE as usize;
+
+/// The device as it was before the shadow, kept as its oracle: a cache
+/// array, a media array of the same size, a state per line and a
+/// write-pending queue per thread. Sequential — the property drives the
+/// real device's threads one step at a time.
+struct TwoArrays {
+    cache: Vec<u8>,
+    media: Vec<u8>,
+    /// 0 clean, 1 dirty, 2 pending.
+    state: Vec<u8>,
+    queues: [Vec<usize>; 3],
+}
+
+impl TwoArrays {
+    fn new() -> TwoArrays {
+        TwoArrays {
+            cache: vec![0; REF_SIZE as usize],
+            media: vec![0; REF_SIZE as usize],
+            state: vec![0; REF_SIZE as usize / LINE],
+            queues: Default::default(),
+        }
+    }
+
+    fn word(bytes: &[u8], addr: u64) -> u64 {
+        u64::from_le_bytes(bytes[addr as usize..][..8].try_into().unwrap())
+    }
+
+    fn store(&mut self, addr: u64, bytes: &[u8]) {
+        if bytes.is_empty() {
+            return;
+        }
+        let addr = addr as usize;
+        self.cache[addr..][..bytes.len()].copy_from_slice(bytes);
+        for line in addr / LINE..=(addr + bytes.len() - 1) / LINE {
+            self.state[line] = 1;
+        }
+    }
+
+    fn persist(&mut self, line: usize) {
+        let bytes = line * LINE..(line + 1) * LINE;
+        self.media[bytes.clone()].copy_from_slice(&self.cache[bytes]);
+    }
+
+    fn step(&mut self, thread: usize, op: &RefOp) {
+        match op {
+            RefOp::Store(op) => {
+                let (addr, bytes) = op_bytes(op);
+                self.store(addr, &bytes);
+            }
+            // A swap that misses still dirties the line.
+            RefOp::Cas(addr, hit, new) => {
+                let v = if *hit {
+                    *new
+                } else {
+                    Self::word(&self.cache, *addr)
+                };
+                self.store(*addr, &v.to_le_bytes());
+            }
+            RefOp::FetchAdd(addr, delta) => {
+                let v = Self::word(&self.cache, *addr).wrapping_add(*delta);
+                self.store(*addr, &v.to_le_bytes());
+            }
+            RefOp::Pwb(addr) => {
+                let line = *addr as usize / LINE;
+                if self.state[line] == 1 {
+                    self.state[line] = 2;
+                }
+                if self.state[line] == 2 {
+                    self.queues[thread].push(line);
+                }
+            }
+            RefOp::Fence => {
+                for line in std::mem::take(&mut self.queues[thread]) {
+                    self.persist(line);
+                    if self.state[line] == 2 {
+                        self.state[line] = 0;
+                    }
+                }
+            }
+        }
+    }
+
+    fn crash(&mut self, policy: &CrashPolicy) {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(policy.seed);
+        let p = policy.evict_probability;
+        for line in 0..self.state.len() {
+            if self.state[line] != 0 {
+                if p > 0.0 && (p >= 1.0 || rng.random::<f64>() < p) {
+                    self.persist(line);
+                }
+                self.state[line] = 0;
+            }
+        }
+        self.queues = Default::default();
+        self.cache = self.media.clone();
+    }
+}
+
+/// A step of the differential property, run by one of its threads.
+#[derive(Debug, Clone)]
+enum RefOp {
+    Store(Op),
+    /// `cas_u64` at an aligned address, expecting the current value or not.
+    Cas(u64, bool, u64),
+    FetchAdd(u64, u64),
+    Pwb(u64),
+    Fence,
+}
+
+fn ref_step_strategy() -> impl Strategy<Value = (usize, RefOp)> {
+    let word = || (0..REF_SIZE / 8).prop_map(|w| w * 8);
+    let op = prop_oneof![
+        4 => op_strategy_in(REF_SIZE).prop_map(RefOp::Store),
+        1 => (word(), any::<bool>(), any::<u64>()).prop_map(|(a, hit, v)| RefOp::Cas(a, hit, v)),
+        1 => (word(), any::<u64>()).prop_map(|(a, d)| RefOp::FetchAdd(a, d)),
+        4 => (0..REF_SIZE).prop_map(RefOp::Pwb),
+        2 => Just(RefOp::Fence),
+    ];
+    (0usize..3, op)
+}
+
+fn issue_ref_op(pmem: &Pmem, op: &RefOp) {
+    match op {
+        RefOp::Store(op) => issue(pmem, op),
+        RefOp::Cas(addr, hit, new) => {
+            let current = pmem.read_u64(*addr);
+            let expected = if *hit { current } else { !current };
+            assert_eq!(pmem.cas_u64(*addr, expected, *new).is_ok(), *hit);
+        }
+        RefOp::FetchAdd(addr, delta) => {
+            pmem.fetch_add_u64(*addr, *delta);
+        }
+        RefOp::Pwb(addr) => pmem.pwb(*addr),
+        RefOp::Fence => pmem.pfence(),
+    }
+}
+
+/// The shadow device is the two-array device: for any interleaving of
+/// stores, flushes and fences by `threads` threads, what is persisted
+/// agrees word for word before a crash, and the whole pool image after a
+/// strict, a lenient and an adversarial one. The threads are persistent
+/// workers (a persistence domain is a `ThreadId`), each step handed over a
+/// channel and awaited, so the generated order is the executed order.
+fn device_equals_reference(
+    threads: usize,
+    steps: &[(usize, RefOp)],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let policies = [
+        CrashPolicy::strict(),
+        CrashPolicy::lenient(),
+        CrashPolicy::adversarial(seed),
+    ];
+    let pools = policies.map(|_| Pmem::new(PmemConfig::crash_sim(REF_SIZE)));
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let (to_worker, inbox) = std::sync::mpsc::channel::<(&Pmem, &RefOp)>();
+                let (ack, done) = std::sync::mpsc::channel();
+                scope.spawn(move || {
+                    for (pmem, op) in inbox {
+                        issue_ref_op(pmem, op);
+                        ack.send(()).unwrap();
+                    }
+                });
+                (to_worker, done)
+            })
+            .collect();
+        for (pmem, policy) in pools.iter().zip(&policies) {
+            let mut reference = TwoArrays::new();
+            for (thread, op) in steps {
+                let (to_worker, done) = &workers[thread % threads];
+                to_worker.send((pmem, op)).unwrap();
+                done.recv().unwrap();
+                reference.step(thread % threads, op);
+            }
+            for addr in (0..REF_SIZE).step_by(8) {
+                let persisted = TwoArrays::word(&reference.media, addr);
+                prop_assert_eq!(
+                    pmem.media_read_u64(addr),
+                    persisted,
+                    "media word {:#x}",
+                    addr
+                );
+            }
+            pmem.crash(policy).unwrap();
+            reference.crash(policy);
+            let mut image = vec![0u8; REF_SIZE as usize];
+            pmem.read_bytes(0, &mut image);
+            prop_assert_eq!(&image, &reference.cache, "image after {:?}", policy);
+        }
+        Ok(())
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn device_equals_reference_model(
+        threads in 1usize..=3,
+        steps in proptest::collection::vec(ref_step_strategy(), 1..80),
+        seed in 0u64..64,
+    ) {
+        device_equals_reference(threads, &steps, seed)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The same property at torture scale (CI's release torture job).
+    #[test]
+    #[ignore]
+    fn device_equals_reference_model_at_scale(
+        threads in 1usize..=3,
+        steps in proptest::collection::vec(ref_step_strategy(), 1..80),
+        seed in 0u64..64,
+    ) {
+        device_equals_reference(threads, &steps, seed)?;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -141,7 +365,7 @@ proptest! {
             match step {
                 Step::Store(op) => {
                     apply(&pmem, &mut model, op);
-                    stored.push(op_addr(op));
+                    stored.push(op_bytes(op).0);
                 }
                 Step::Pwb(n) if stored.is_empty() => pmem.pwb(*n),
                 Step::Pwb(n) => pmem.pwb(stored[*n as usize % stored.len()]),

@@ -3,9 +3,10 @@
 //! destructively one interleaving at a time.
 //!
 //! The sanitizer keeps no model of its own: the per-line state machine
-//! `clean → dirty → pending → clean` and the per-thread persistence
-//! domains live in `device.rs`, advanced once by each store, `pwb` and
-//! fence — the same state [`crate::Pmem::crash`] rolls back from. Here
+//! `clean → dirty → pending → clean`, the per-thread persistence domains
+//! and the shadow of what is persisted of each non-clean line live in
+//! `device.rs`, advanced once by each store, `pwb` and fence — the same
+//! state [`crate::Pmem::crash`] rolls back from. Here
 //! live the mode, the violation log and the judgement of a footprint.
 //! Annotated code declares *ordering points*: labeled program points
 //! whose declared footprint must be fully persisted when execution passes
@@ -25,11 +26,13 @@
 //! A non-clean line the observer itself last touched is judged by its
 //! state alone. One last touched by **another** thread may merely share
 //! the line with the footprint (two threads' pooled slots), so there the
-//! footprint's own words decide: equal in cache and on media, they are
-//! durable and nothing is flagged. The word test is not applied to the
-//! observer's own lines because the simulator's fence persists whatever
-//! the cache holds: store, `pwb`, store again, fence leaves the newer
-//! value on media although the discipline was broken.
+//! footprint's own words decide: equal to the line's shadow entry — what
+//! a crash would roll the line back to — they are durable and nothing is
+//! flagged (a `Performance` pool has no shadow and keeps the state-only
+//! verdict). The word test is not applied to the observer's own lines
+//! because the simulator's fence persists whatever the line holds: store,
+//! `pwb`, store again, fence refreshes the shadow entry with the newer
+//! value although the discipline was broken.
 //!
 //! Modes: `Off` (no state, no cost), `Log` (count and record violations),
 //! `Strict` (panic at the first violation — CI runs tier-1 this way).
@@ -204,7 +207,7 @@ impl Pmem {
                 // neighbour sharing it. The footprint's own words decide.
                 let start = line * CACHE_LINE;
                 if toucher != me
-                    && self.range_on_media(addr.max(start), (addr + len).min(start + CACHE_LINE))
+                    && self.range_is_durable(addr.max(start), (addr + len).min(start + CACHE_LINE))
                 {
                     continue;
                 }
@@ -475,7 +478,8 @@ mod tests {
         let p = line_shared_with_an_unfenced_neighbour(cfg);
         p.ordering_point("commit", &[(0, 8)]);
         assert_eq!(p.stats().san_violations, 0);
-        // The verdict is about media: a strict crash keeps word 0 only.
+        // The verdict is about what is persisted: a strict crash keeps
+        // word 0 only.
         p.crash(&CrashPolicy::strict()).unwrap();
         assert_eq!((p.read_u64(0), p.read_u64(8)), (1, 0));
     }

@@ -960,10 +960,12 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             }
             let (req, n) = match parse_frame(&buf[consumed..]) {
                 ParseOutcome::Incomplete => break,
-                // Unparseable stream: cut the connection. Whatever writes
-                // are already queued stay queued — they were never acked,
-                // and the committers complete or fail them on their own.
-                ParseOutcome::Malformed(_) => break 'conn,
+                // Unparseable stream: cut the connection — after answering,
+                // in order, every request accepted before the garbage.
+                ParseOutcome::Malformed(_) => {
+                    done.drain(shared, &mut stream, &mut hist);
+                    break 'conn;
+                }
                 ParseOutcome::Frame(req, n) => (req, n),
             };
             consumed += n;

@@ -89,6 +89,41 @@ fn garbage_magic_closes_connection_without_damage() {
 }
 
 #[test]
+fn garbage_behind_accepted_requests_does_not_eat_their_replies() {
+    let (server, _cluster) = start_server();
+    let mut s = connect(&server);
+    let mut buf = Vec::new();
+    set_record(&mut s, &mut buf, "k");
+    // One write: a SETF, a GET of it, then a frame-level violation. The
+    // two requests were accepted, so both are answered before the cut.
+    let mut burst = encode_request(&Request::SetField {
+        key: "k".into(),
+        field: 1,
+        value: b"new".to_vec(),
+    });
+    burst.extend_from_slice(&encode_request(&Request::Get("k".into())));
+    burst.extend_from_slice(&[0xff; 32]);
+    s.write_all(&burst).unwrap();
+    assert_eq!(next_reply(&mut s, &mut buf), Some(Reply::Ok));
+    match next_reply(&mut s, &mut buf) {
+        Some(Reply::Value(payload)) => {
+            let rec = jnvm_kvstore::decode_record(&payload).expect("record");
+            assert_eq!(rec.fields[1].1, b"new".to_vec(), "the GET reads the SETF before it");
+        }
+        other => panic!("GET k returned {other:?}"),
+    }
+    assert_eq!(next_reply(&mut s, &mut buf), None, "then the server closes");
+    assert!(buf.is_empty(), "nothing after the two replies: {buf:?}");
+    let stats = server.stats();
+    assert_eq!(stats.queued_writes, 2);
+    assert_eq!(
+        stats.queued_writes,
+        stats.acked_writes + stats.nacked_writes + stats.failed_writes
+    );
+    server.shutdown();
+}
+
+#[test]
 fn version_mismatch_at_hello_closes_before_any_service() {
     let (server, _cluster) = start_server();
     {
