@@ -52,12 +52,20 @@ fn blob_alloc<T: PObject>(rt: &Jnvm, data: &[u8]) -> Result<(u64, Repr), JnvmErr
     }
 }
 
+/// The blob's length word, bounded by what its storage can hold **before**
+/// any caller sizes a buffer by it: a torn or corrupt word is a catchable
+/// panic, never an allocator abort.
 fn blob_len(rt: &Jnvm, addr: u64, repr: &Repr) -> u64 {
     let pmem = rt.pmem();
-    match repr {
-        Repr::Pooled => pmem.read_u64(addr + 8),
-        Repr::Chain(c) => pmem.read_u64(c.phys(0)),
-    }
+    let (len, cap) = match repr {
+        Repr::Pooled => (pmem.read_u64(addr + 8), rt.pools().max_payload()),
+        Repr::Chain(c) => (pmem.read_u64(c.phys(0)), c.capacity()),
+    };
+    assert!(
+        len <= cap.saturating_sub(8),
+        "blob at {addr:#x}: length word {len} exceeds its storage ({cap} B)"
+    );
+    len
 }
 
 fn blob_read(rt: &Jnvm, addr: u64, repr: &Repr, out: &mut [u8]) {
@@ -66,6 +74,28 @@ fn blob_read(rt: &Jnvm, addr: u64, repr: &Repr, out: &mut [u8]) {
         Repr::Pooled => pmem.read_bytes(addr + 16, out),
         Repr::Chain(c) => c.read_bytes(pmem, 8, out),
     }
+}
+
+/// Length of the blob at `addr`, without a handle (one device read).
+pub fn blob_len_at(rt: &Jnvm, addr: u64) -> u64 {
+    blob_len(rt, addr, &open_repr(rt, addr))
+}
+
+/// Append the content of the blob at `addr` to `out`: one length read, one
+/// content read, no handle, no buffer in between. `header` gets the
+/// (bounded) length first, to write what goes in front of the bytes.
+pub fn blob_append_to(
+    rt: &Jnvm,
+    addr: u64,
+    out: &mut Vec<u8>,
+    header: impl FnOnce(&mut Vec<u8>, usize),
+) {
+    let repr = open_repr(rt, addr);
+    let len = blob_len(rt, addr, &repr) as usize;
+    header(out, len);
+    let at = out.len();
+    out.resize(at + len, 0);
+    blob_read(rt, addr, &repr, &mut out[at..]);
 }
 
 macro_rules! blob_type {
@@ -112,7 +142,8 @@ macro_rules! blob_type {
                 n
             }
 
-            /// Content equality against a byte slice without allocating.
+            /// Content equality against a byte slice (lengths first; equal
+            /// lengths copy the content out to compare).
             pub fn eq_bytes(&self, other: &[u8]) -> bool {
                 if self.len() as usize != other.len() {
                     return false;

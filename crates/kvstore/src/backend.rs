@@ -22,6 +22,14 @@ pub trait Backend: Send + Sync {
     fn store_full(&self, rec: &Record) -> bool;
     /// Materialize a whole record.
     fn read(&self, key: &str) -> Option<Record>;
+    /// Append [`encode_record`]'s bytes for `key` to `out`; `false`, and
+    /// `out` untouched, when absent. Default: materialize, then marshal (the
+    /// external design); J-NVM backends encode straight out of NVMM.
+    fn read_encoded(&self, key: &str, out: &mut Vec<u8>) -> bool {
+        self.read(key)
+            .map(|rec| out.extend_from_slice(&encode_record(&rec)))
+            .is_some()
+    }
     /// Serve a YCSB-style read without forcing materialization: J-NVM
     /// backends hand the client persistent value objects (the paper's
     /// modified client uses "persistent keys and values", §5.2) and touch

@@ -5,6 +5,8 @@
 //! marshalling — not the file system — dominates the cost of the external
 //! design, so the cost here must be genuine CPU work.
 
+use std::borrow::Cow;
+
 /// A volatile key-value record: named fields with byte-string values
 /// (YCSB's data model: 10 fields of 100 B by default).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -15,15 +17,15 @@ pub struct Record {
     pub fields: Vec<(String, Vec<u8>)>,
 }
 
-/// Positional YCSB field name, allocation-light for the common widths.
-pub fn ycsb_field_name(i: usize) -> String {
+/// Positional YCSB field name; the common widths borrow from one table.
+pub fn ycsb_field_name(i: usize) -> Cow<'static, str> {
     const NAMES: [&str; 16] = [
         "field0", "field1", "field2", "field3", "field4", "field5", "field6", "field7",
         "field8", "field9", "field10", "field11", "field12", "field13", "field14", "field15",
     ];
     match NAMES.get(i) {
-        Some(n) => (*n).to_string(),
-        None => format!("field{i}"),
+        Some(n) => Cow::Borrowed(n),
+        None => Cow::Owned(format!("field{i}")),
     }
 }
 
@@ -35,7 +37,7 @@ impl Record {
             fields: values
                 .iter()
                 .enumerate()
-                .map(|(i, v)| (ycsb_field_name(i), v.clone()))
+                .map(|(i, v)| (ycsb_field_name(i).into_owned(), v.clone()))
                 .collect(),
         }
     }
@@ -48,19 +50,29 @@ impl Record {
 
 const MAGIC: u16 = 0x4a52; // "JR"
 
+/// Append a marshalled record's header: magic, field count, key.
+pub fn write_record_header(out: &mut Vec<u8>, key: &str, nfields: usize) {
+    out.extend_from_slice(&MAGIC.to_le_bytes());
+    out.extend_from_slice(&(nfields as u16).to_le_bytes());
+    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(key.as_bytes());
+}
+
+/// Append one field's header; the caller appends its `value_len` bytes next.
+pub fn write_field_header(out: &mut Vec<u8>, name: &str, value_len: usize) {
+    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(value_len as u32).to_le_bytes());
+    out.extend_from_slice(name.as_bytes());
+}
+
 /// Marshal a record to bytes.
 pub fn encode_record(rec: &Record) -> Vec<u8> {
     let mut out = Vec::with_capacity(
         16 + rec.key.len() + rec.fields.iter().map(|(n, v)| 8 + n.len() + v.len()).sum::<usize>(),
     );
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&(rec.fields.len() as u16).to_le_bytes());
-    out.extend_from_slice(&(rec.key.len() as u32).to_le_bytes());
-    out.extend_from_slice(rec.key.as_bytes());
+    write_record_header(&mut out, &rec.key, rec.fields.len());
     for (name, value) in &rec.fields {
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
+        write_field_header(&mut out, name, value.len());
         out.extend_from_slice(value);
     }
     out
@@ -157,7 +169,7 @@ mod proptests {
         let rec = Record {
             key: "max".to_string(),
             fields: (0..u16::MAX as usize)
-                .map(|i| (ycsb_field_name(i), Vec::new()))
+                .map(|i| (ycsb_field_name(i).into_owned(), Vec::new()))
                 .collect(),
         };
         let bytes = encode_record(&rec);

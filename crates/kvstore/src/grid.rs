@@ -7,7 +7,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::backend::Backend;
-use crate::codec::Record;
+use crate::codec::{encode_record, Record};
 use crate::lru::ShardedLru;
 
 /// Shards of the volatile record cache.
@@ -129,6 +129,22 @@ impl DataGrid {
             self.cache.insert(key.to_string(), rec.clone());
         }
         Some(rec)
+    }
+
+    /// [`DataGrid::read`] marshalled ([`encode_record`]'s bytes) onto `out`:
+    /// same stripe lock, same counters, `out` untouched when absent. An
+    /// uncached grid lets the backend encode (J-NVM: straight out of NVMM).
+    pub fn read_encoded(&self, key: &str, out: &mut Vec<u8>) -> bool {
+        if self.cache_enabled {
+            return self
+                .read(key)
+                .map(|rec| out.extend_from_slice(&encode_record(&rec)))
+                .is_some();
+        }
+        let _g = self.stripe(key).lock();
+        self.metrics.reads.fetch_add(1, Ordering::Relaxed);
+        self.metrics.misses.fetch_add(1, Ordering::Relaxed);
+        self.backend.read_encoded(key, out)
     }
 
     /// Serve a read without forcing full materialization when the backend

@@ -11,11 +11,11 @@
 //! consistency (low-level interface).
 
 use jnvm::{Jnvm, JnvmBuilder, JnvmError, PObject, Proxy, RawChain};
-use jnvm_jpdt::{register_jpdt, PBytes, PStringHashMap, PValue};
+use jnvm_jpdt::{blob_append_to, blob_len_at, register_jpdt, PBytes, PStringHashMap, PValue};
 use parking_lot::Mutex;
 
 use crate::backend::Backend;
-use crate::codec::{ycsb_field_name, Record};
+use crate::codec::{write_field_header, write_record_header, ycsb_field_name, Record};
 
 /// A persistent YCSB-style record: `[nfields u64][field blob refs...]`.
 pub struct PRecord {
@@ -46,34 +46,57 @@ impl PRecord {
         self.proxy.read_u64(0)
     }
 
-    /// Raw persistent address of field `i`'s blob.
-    pub fn field_ref(&self, i: u64) -> Option<u64> {
-        if i >= self.nfields() {
-            return None;
-        }
-        self.proxy.read_ref(8 + i * 8)
-    }
-
-    /// Copy field `i`'s bytes out of NVMM.
-    pub fn field(&self, i: u64) -> Option<Vec<u8>> {
-        if i >= self.nfields() {
-            return None;
-        }
-        let addr = self.proxy.read_ref(8 + i * 8)?;
-        let rt = self.proxy.runtime();
-        Some(PBytes::resurrect(rt, addr).to_vec())
+    /// The one walk over a record's persistent layout on the read path:
+    /// the `nfields` word, then the whole reference array (0 = null) in one
+    /// mediated read — inside a failure-atomic block it sees the overlay as
+    /// [`Proxy::read_u64`] does. `nfields` is bounded by what the chain can
+    /// hold before it sizes anything: a torn or corrupt word is a catchable
+    /// panic, never an allocator abort.
+    fn field_refs(&self) -> Vec<u64> {
+        let n = self.nfields();
+        assert!(
+            n <= self.proxy.capacity().saturating_sub(8) / 8,
+            "record at {:#x}: nfields word {n} exceeds its chain",
+            self.proxy.addr()
+        );
+        let mut raw = vec![0u8; n as usize * 8];
+        self.proxy.read_bytes(8, &mut raw);
+        let words = raw.chunks_exact(8);
+        words.map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes"))).collect()
     }
 
     /// Materialize the whole record (positional YCSB field names).
     pub fn to_record(&self, key: &str) -> Record {
-        let n = self.nfields();
-        let mut fields = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            fields.push((ycsb_field_name(i as usize), self.field(i).unwrap_or_default()));
+        let rt = self.proxy.runtime();
+        let refs = self.field_refs();
+        let mut fields = Vec::with_capacity(refs.len());
+        for (i, blob) in refs.into_iter().enumerate() {
+            let mut value = Vec::new();
+            if blob != 0 {
+                blob_append_to(rt, blob, &mut value, |_, _| {});
+            }
+            fields.push((ycsb_field_name(i).into_owned(), value));
         }
         Record {
             key: key.to_string(),
             fields,
+        }
+    }
+
+    /// Append [`crate::encode_record`]'s bytes for this record to `out`,
+    /// field by field straight out of NVMM: the only copy of a value is the
+    /// one into `out`.
+    pub(crate) fn encode_into(&self, key: &str, out: &mut Vec<u8>) {
+        let rt = self.proxy.runtime();
+        let refs = self.field_refs();
+        write_record_header(out, key, refs.len());
+        for (i, blob) in refs.into_iter().enumerate() {
+            let name = ycsb_field_name(i);
+            if blob == 0 {
+                write_field_header(out, &name, 0);
+            } else {
+                blob_append_to(rt, blob, out, |out, len| write_field_header(out, &name, len));
+            }
         }
     }
 
@@ -308,21 +331,18 @@ impl Backend for JnvmBackend {
         Some(self.lookup(key)?.to_record(key))
     }
 
+    fn read_encoded(&self, key: &str, out: &mut Vec<u8>) -> bool {
+        self.lookup(key).map(|prec| prec.encode_into(key, out)).is_some()
+    }
+
     fn read_touch(&self, key: &str) -> bool {
-        // The client holds the persistent record: touch every field
-        // through its proxy (read the blob length words) without copying
-        // the contents out of NVMM.
+        // The client holds the persistent record: touch each field through
+        // its blob's length word, no contents copied out of NVMM.
         let Some(prec) = self.lookup(key) else {
             return false;
         };
-        let n = prec.nfields();
-        let mut checksum = 0u64;
-        for i in 0..n {
-            if let Some(addr) = prec.field_ref(i) {
-                checksum ^= self.rt.pmem().read_u64(addr + 8); // length word
-            }
-        }
-        std::hint::black_box(checksum);
+        let blobs = prec.field_refs().into_iter().filter(|blob| *blob != 0);
+        std::hint::black_box(blobs.fold(0, |sum, blob| sum ^ blob_len_at(&self.rt, blob)));
         true
     }
 
@@ -368,13 +388,10 @@ mod tests {
         let (_p, rt) = rt(8 << 20);
         let rec = PRecord::create(&rt, &[b"one".to_vec(), b"two".to_vec()]).unwrap();
         assert_eq!(rec.nfields(), 2);
-        assert_eq!(rec.field(0).unwrap(), b"one");
-        assert_eq!(rec.field(1).unwrap(), b"two");
-        assert!(rec.field(2).is_none());
+        assert_eq!(rec.to_record("k"), Record::ycsb("k", &[b"one".to_vec(), b"two".to_vec()]));
+        assert!(!rec.set_field(2, b"x").unwrap());
         assert!(rec.set_field(1, b"TWO").unwrap());
-        assert_eq!(rec.field(1).unwrap(), b"TWO");
-        let r = rec.to_record("k");
-        assert_eq!(r.fields[0], ("field0".to_string(), b"one".to_vec()));
+        assert_eq!(rec.to_record("k"), Record::ycsb("k", &[b"one".to_vec(), b"TWO".to_vec()]));
     }
 
     /// Regression: concurrent failure-atomic puts into the *same* shard
@@ -452,6 +469,42 @@ mod tests {
         }
     }
 
+    /// The three sinks of a `GET`, each under `catch_unwind`.
+    fn read_outcomes(be: &JnvmBackend, key: &str) -> [std::thread::Result<bool>; 3] {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        [
+            catch_unwind(AssertUnwindSafe(|| be.read(key).is_some())),
+            catch_unwind(AssertUnwindSafe(|| be.read_touch(key))),
+            catch_unwind(AssertUnwindSafe(|| be.read_encoded(key, &mut Vec::new()))),
+        ]
+    }
+
+    /// A length word read from NVMM never sizes an allocation unchecked: a
+    /// corrupt `nfields` word, or a pooled blob's corrupt length word (a
+    /// `GET` racing a crash instant can see either), is a panic the serving
+    /// path catches — through every sink — not an allocator abort.
+    #[test]
+    fn corrupt_length_words_panic_instead_of_sizing_an_allocation() {
+        let _hush = jnvm_pmem::hush_panics();
+        let (pmem, rt) = rt(8 << 20);
+        let be = JnvmBackend::create(&rt, 1, false).unwrap();
+        for key in ["nfields", "bloblen"] {
+            assert!(be.store_full(&Record::ycsb(key, &[vec![1u8; 100], vec![2u8; 100]])));
+            assert!(read_outcomes(&be, key).iter().all(|r| matches!(r, Ok(true))));
+        }
+        let proxy = |key| be.lookup(key).unwrap().proxy;
+        pmem.write_u64(proxy("nfields").chain().phys(0), u64::MAX);
+        let blob = proxy("bloblen").read_ref(8 + 8).unwrap();
+        assert!(rt.pools().is_pooled_addr(blob));
+        pmem.write_u64(blob + 8, 1 << 40);
+        for key in ["nfields", "bloblen"] {
+            for (sink, outcome) in read_outcomes(&be, key).into_iter().enumerate() {
+                let msg = *outcome.expect_err("a corrupt length was served").downcast::<String>().unwrap();
+                assert!(msg.contains("0x") && msg.contains("exceeds"), "{key}, sink {sink}: {msg}");
+            }
+        }
+    }
+
     #[test]
     fn backend_survives_crash() {
         let (pmem, rt) = rt(32 << 20);
@@ -490,5 +543,82 @@ mod tests {
             after.blocks_freed - before.blocks_freed
         );
         assert_eq!(be.read("k").unwrap(), r2);
+    }
+
+    /// The two sinks agree, byte for byte: whatever the walker finds, the
+    /// in-place encoding is the marshalling of the materialized record.
+    mod sinks {
+        use super::*;
+        use crate::backend::VolatileBackend;
+        use crate::codec::{decode_record, encode_record};
+        use crate::simfs::FsBackend;
+        use crate::CostModel;
+        use proptest::prelude::*;
+
+        /// Pooled, the pool/chain boundary (224 content bytes), block
+        /// payload multiples, multi-block chains.
+        const LENS: [usize; 13] = [0, 1, 7, 8, 100, 223, 224, 225, 232, 248, 249, 497, 2000];
+
+        fn assert_sinks_agree(be: &dyn Backend, want: &Record) {
+            let queued = b"reply bytes already queued";
+            let mut out = queued.to_vec();
+            let mark = out.len();
+            assert!(!be.read_encoded("absent", &mut out));
+            assert_eq!(out, queued, "{}: an absent key leaves `out` alone", be.name());
+            assert!(be.read_encoded(&want.key, &mut out), "{}: present", be.name());
+            assert_eq!(&out[mark..], encode_record(&be.read(&want.key).unwrap()), "{}", be.name());
+            assert_eq!(decode_record(&out[mark..]).as_ref(), Some(want), "{}", be.name());
+            assert!(be.read_touch(&want.key));
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn read_encoded_is_encode_record_of_read(
+                lens in proptest::collection::vec(0usize..LENS.len(), 0..12),
+                null in 0usize..12,
+                fill in any::<u8>(),
+            ) {
+                let values: Vec<Vec<u8>> = lens
+                    .iter()
+                    .enumerate()
+                    .map(|(i, l)| (0..LENS[*l]).map(|b| fill ^ (b as u8) ^ (i as u8)).collect())
+                    .collect();
+                let want = Record::ycsb("user:prop", &values);
+
+                let fs_pool = Pmem::new(PmemConfig::perf(8 << 20));
+                let fs = FsBackend::new(fs_pool, 32 << 10, CostModel::free());
+                for be in [&VolatileBackend::new() as &dyn Backend, &fs] {
+                    assert!(be.store_full(&want));
+                    assert_sinks_agree(be, &want);
+                }
+
+                for fa in [false, true] {
+                    let (_pmem, rt) = rt(8 << 20);
+                    let be = JnvmBackend::create(&rt, 2, fa).unwrap();
+                    let mut want = want.clone();
+                    assert!(be.store_full(&want));
+                    assert_sinks_agree(&be, &want);
+                    if values.is_empty() {
+                        continue;
+                    }
+                    // A null field reference reads as an empty value.
+                    let null = null % values.len();
+                    be.lookup(&want.key).unwrap().proxy.write_ref(8 + null as u64 * 8, None);
+                    want.fields[null].1.clear();
+                    assert_sinks_agree(&be, &want);
+                    // Inside an open failure-atomic block the walker sees a
+                    // staged `set_field` exactly as the proxy accessors do.
+                    let staged = (null + 1) % values.len();
+                    rt.fa(|| {
+                        assert!(be.do_set_field(&want.key, staged, b"staged, not yet committed"));
+                        want.fields[staged].1 = b"staged, not yet committed".to_vec();
+                        assert_sinks_agree(&be, &want);
+                    });
+                    assert_sinks_agree(&be, &want);
+                }
+            }
+        }
     }
 }

@@ -409,24 +409,43 @@ pub enum Reply {
 
 /// Encode a reply frame (server side).
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_reply_into(&mut out, reply);
+    out
+}
+
+/// Append [`encode_reply`]'s bytes to `out`.
+pub fn encode_reply_into(out: &mut Vec<u8>, reply: &Reply) {
+    let seq_bytes;
     let (status, payload): (u8, &[u8]) = match reply {
         Reply::Ok => (ST_OK, &[]),
         Reply::Value(v) => (ST_VALUE, v),
         Reply::NotFound => (ST_NOT_FOUND, &[]),
         Reply::Err(m) => (ST_ERR, m.as_bytes()),
         Reply::ReplAck(seq) => {
-            let mut out = Vec::with_capacity(13);
-            out.push(ST_REPL_ACK);
-            out.extend_from_slice(&8u32.to_le_bytes());
-            out.extend_from_slice(&seq.to_le_bytes());
-            return out;
+            seq_bytes = seq.to_le_bytes();
+            (ST_REPL_ACK, &seq_bytes)
         }
     };
-    let mut out = Vec::with_capacity(5 + payload.len());
+    out.reserve(5 + payload.len());
     out.push(status);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
-    out
+}
+
+/// Open a [`Reply::Value`] frame whose payload the caller appends in place.
+/// Returns the mark [`close_value_reply`] needs (and a failed payload
+/// truncates back to).
+pub fn open_value_reply(out: &mut Vec<u8>) -> usize {
+    let mark = out.len();
+    out.extend_from_slice(&[ST_VALUE, 0, 0, 0, 0]);
+    mark
+}
+
+/// Patch the length word of the frame opened at `mark`: the payload is in.
+pub fn close_value_reply(out: &mut [u8], mark: usize) {
+    let len = (out.len() - mark - 5) as u32;
+    out[mark + 1..mark + 5].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Why a reply stream stopped parsing. A server can feed a client
@@ -688,6 +707,36 @@ mod tests {
             let (back, n) = parse_reply(&bytes).unwrap().unwrap();
             assert_eq!(back, r);
             assert_eq!(n, bytes.len());
+        }
+    }
+
+    /// Wire compatibility of the in-place writers: for every variant
+    /// `encode_reply_into` appends exactly `encode_reply`'s bytes (behind
+    /// whatever the buffer already held), and a `Value` built with the
+    /// open/close pair is the frame `encode_reply` builds from the payload.
+    #[test]
+    fn in_place_writers_match_encode_reply() {
+        let replies = [
+            Reply::Ok,
+            Reply::Value(Vec::new()),
+            Reply::Value(vec![7u8; 1300]),
+            Reply::NotFound,
+            Reply::Err("nope".into()),
+            Reply::ReplAck(0xdead_beef_0042),
+        ];
+        let mut out = b"earlier".to_vec();
+        let mut want = out.clone();
+        for r in &replies {
+            encode_reply_into(&mut out, r);
+            want.extend(encode_reply(r));
+            assert_eq!(out, want, "{r:?}");
+            if let Reply::Value(payload) = r {
+                let mark = open_value_reply(&mut out);
+                out.extend_from_slice(payload);
+                close_value_reply(&mut out, mark);
+                want.extend(encode_reply(r));
+                assert_eq!(out, want, "open/close of {} B", payload.len());
+            }
         }
     }
 

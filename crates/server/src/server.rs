@@ -78,15 +78,14 @@ use std::time::{Duration, Instant};
 
 use jnvm::ReplicaSet;
 use jnvm_kvstore::{
-    commit_writes, encode_record, shard_for_key, Backend, DataGrid, JnvmBackend, KvShard, ReplLag,
-    WriteOp,
+    commit_writes, shard_for_key, Backend, DataGrid, JnvmBackend, KvShard, ReplLag, WriteOp,
 };
 use jnvm_obs::Histogram;
 use jnvm_pmem::{catch_crash, hush_panics, thread_charged_ns, Pmem, StatsSnapshot};
 
 use crate::proto::{
-    check_hello, encode_repl_apply, encode_reply, hello_frame, parse_frame, parse_reply,
-    ParseOutcome, Reply, Request,
+    check_hello, close_value_reply, encode_repl_apply, encode_reply_into, hello_frame,
+    open_value_reply, parse_frame, parse_reply, ParseOutcome, Reply, Request,
 };
 use crate::repl::start_backup_endpoint;
 
@@ -523,6 +522,25 @@ fn read_in_crash_window<R>(f: impl FnOnce() -> R) -> Option<R> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok()
 }
 
+/// Answer a `GET` in place: `read` appends the marshalled record behind an
+/// open `Value` header, or finds nothing (`false`). The active replica can
+/// freeze under it (crash fired, promotion not done yet — the next read
+/// lands on the backup); whatever a failed or unwound read left behind is
+/// cut back to the mark, so `out` only ever gains one whole frame.
+fn encode_get_reply(out: &mut Vec<u8>, read: impl FnOnce(&mut Vec<u8>) -> bool) {
+    let mark = open_value_reply(out);
+    let found = read_in_crash_window(|| read(out));
+    if found == Some(true) {
+        return close_value_reply(out, mark);
+    }
+    out.truncate(mark);
+    let reply = match found {
+        Some(_) => Reply::NotFound,
+        None => Reply::Err("replica crashed; failing over".into()),
+    };
+    encode_reply_into(out, &reply);
+}
+
 fn acceptor_loop(
     listener: TcpListener,
     shared: &Arc<Shared>,
@@ -840,11 +858,20 @@ struct Completions {
 
 impl Completions {
     fn push_ready(&mut self, reply: &Reply) {
-        let bytes = encode_reply(reply);
-        self.backlog += bytes.len();
+        self.push_with(|out| encode_reply_into(out, reply));
+    }
+
+    /// Queue a reply known now, encoded where it will wait: in the write
+    /// buffer itself, or in a slot of its own behind unresolved writes.
+    fn push_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
         if self.slots.is_empty() {
-            self.out.extend_from_slice(&bytes);
+            let before = self.out.len();
+            encode(&mut self.out);
+            self.backlog += self.out.len() - before;
         } else {
+            let mut bytes = Vec::new();
+            encode(&mut bytes);
+            self.backlog += bytes.len();
             self.slots.push_back(Slot::Ready(bytes));
         }
     }
@@ -883,25 +910,27 @@ impl Completions {
     /// client socket cannot skew the accounting.
     fn drain(&mut self, shared: &Shared, stream: &mut TcpStream, hist: &mut Histogram) -> bool {
         while let Some(slot) = self.slots.pop_front() {
-            let bytes = match slot {
-                Slot::Ready(bytes) => bytes,
-                Slot::Pending(ticket) => {
-                    if !ticket.is_resolved() && !self.write_out(stream) {
-                        return false;
-                    }
-                    encode_reply(&match ticket.wait(shared) {
-                        TicketState::Done(true) => {
-                            hist.record(ticket.enqueued.elapsed().as_nanos() as u64);
-                            Reply::Ok
-                        }
-                        TicketState::Done(false) => Reply::NotFound,
-                        TicketState::Waiting | TicketState::Failed => {
-                            Reply::Err("write lost to a crash".into())
-                        }
-                    })
+            let ticket = match slot {
+                Slot::Ready(bytes) => {
+                    self.out.extend_from_slice(&bytes);
+                    continue;
+                }
+                Slot::Pending(ticket) => ticket,
+            };
+            if !ticket.is_resolved() && !self.write_out(stream) {
+                return false;
+            }
+            let reply = match ticket.wait(shared) {
+                TicketState::Done(true) => {
+                    hist.record(ticket.enqueued.elapsed().as_nanos() as u64);
+                    Reply::Ok
+                }
+                TicketState::Done(false) => Reply::NotFound,
+                TicketState::Waiting | TicketState::Failed => {
+                    Reply::Err("write lost to a crash".into())
                 }
             };
-            self.out.extend_from_slice(&bytes);
+            encode_reply_into(&mut self.out, &reply);
         }
         self.backlog = 0;
         self.write_out(stream)
@@ -993,18 +1022,12 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                                 // refuse reads rather than serve it.
                                 Reply::Err("shard crashed".into())
                             } else {
-                                // The active replica can freeze under us
-                                // (crash fired, promotion not done yet):
-                                // catch it here and answer Err — the next
-                                // read after failover lands on the backup.
-                                let unit = shard.active();
-                                match read_in_crash_window(|| unit.grid.read(&key)) {
-                                    Some(Some(rec)) => Reply::Value(encode_record(&rec)),
-                                    Some(None) => Reply::NotFound,
-                                    None => {
-                                        Reply::Err("replica crashed; failing over".into())
-                                    }
-                                }
+                                // One pass from NVMM to the reply bytes.
+                                let grid = &shard.active().grid;
+                                done.push_with(|out| {
+                                    encode_get_reply(out, |out| grid.read_encoded(&key, out))
+                                });
+                                continue;
                             }
                         }
                         Request::Len => {
@@ -1188,8 +1211,47 @@ mod tests {
         assert_eq!(waits(None), ["a", "c"]);
         // The reply ahead of every ticket is already in the write buffer;
         // the two behind them wait their turn in the queue.
-        assert_eq!(done.out, encode_reply(&Reply::Ok));
+        assert_eq!(done.out, crate::proto::encode_reply(&Reply::Ok));
         assert_eq!(done.slots.len(), 4);
+    }
+
+    /// No partial frame on a failed read: a `GET` whose in-place encode
+    /// finds nothing, or unwinds in the crash window, after it has already
+    /// appended payload bytes leaves `out` as it was plus exactly one whole
+    /// `NotFound` / `Err` frame; one that succeeds, one `Value` frame.
+    #[test]
+    fn a_failed_get_leaves_exactly_one_whole_frame() {
+        let earlier = crate::proto::encode_reply(&Reply::Ok);
+        let frame_after = |read: &dyn Fn(&mut Vec<u8>) -> bool| {
+            let mut out = earlier.clone();
+            encode_get_reply(&mut out, read);
+            assert_eq!(out[..earlier.len()], earlier[..], "earlier replies moved");
+            let (reply, n) = parse_reply(&out[earlier.len()..]).unwrap().expect("a whole frame");
+            assert_eq!(earlier.len() + n, out.len(), "bytes behind the frame");
+            reply
+        };
+        let append = |out: &mut Vec<u8>| out.extend_from_slice(&[0xAB; 300]);
+        assert_eq!(
+            frame_after(&|out| {
+                append(out);
+                false
+            }),
+            Reply::NotFound
+        );
+        assert_eq!(
+            frame_after(&|out| {
+                append(out);
+                panic!("replica froze mid-encode")
+            }),
+            Reply::Err("replica crashed; failing over".into())
+        );
+        assert_eq!(
+            frame_after(&|out| {
+                append(out);
+                true
+            }),
+            Reply::Value(vec![0xAB; 300])
+        );
     }
 
     /// The acceptor reaps finished handler threads as new connections

@@ -266,3 +266,40 @@ fn malformed_reply_encoding_is_never_sent() {
         assert_eq!(parsed, reply);
     }
 }
+
+/// A `GET` is encoded in place behind an open `Value` header; one that
+/// finds nothing takes the header back. `GET present; GET absent; GET
+/// present` in one write — and again behind a pending write, where the
+/// replies wait in slots of their own — answers three whole frames with
+/// not a byte between or behind them.
+#[test]
+fn an_absent_get_leaves_no_partial_frame_between_its_neighbours() {
+    let (server, _cluster) = start_server();
+    let mut s = connect(&server);
+    let mut buf = Vec::new();
+    set_record(&mut s, &mut buf, "present");
+    let want = Reply::Value(jnvm_kvstore::encode_record(&Record::ycsb(
+        "present",
+        &[b"v0".to_vec(), b"v1".to_vec()],
+    )));
+    let gets = ["present", "absent", "present"].map(|k| encode_request(&Request::Get(k.into())));
+    for behind_a_write in [false, true] {
+        let mut burst = Vec::new();
+        if behind_a_write {
+            burst = encode_request(&Request::Del("elsewhere".into()));
+        }
+        burst.extend(gets.concat());
+        s.write_all(&burst).unwrap();
+        if behind_a_write {
+            assert_eq!(next_reply(&mut s, &mut buf), Some(Reply::NotFound));
+        }
+        assert_eq!(next_reply(&mut s, &mut buf).as_ref(), Some(&want));
+        assert_eq!(next_reply(&mut s, &mut buf), Some(Reply::NotFound));
+        assert_eq!(next_reply(&mut s, &mut buf).as_ref(), Some(&want));
+        assert!(buf.is_empty(), "{} stray reply bytes", buf.len());
+    }
+    // Nothing more is on its way either: the next reply is LEN's own.
+    assert_eq!(grid_len(&mut s, &mut buf), 1);
+    assert!(buf.is_empty());
+    server.shutdown();
+}

@@ -561,6 +561,51 @@ fn setf_device_cost_per_op_is_pinned() {
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fences per group of one");
 }
 
+/// What one `GET` moves on the device, exactly, whichever sink serves it:
+/// the map lookup's reads, then the record's `nfields` word and its
+/// reference array (2 reads), then a length word and the content per field
+/// (2 each) — 29 reads and 1 224 bytes for 10 × 100 B behind a 7-read
+/// lookup (the benchmark's shape: `ycsb_c`'s 1.224 device bytes per user
+/// byte), 17 reads for 4 × 64 B — and nothing written, flushed or fenced.
+/// It was 48 reads and 1 304 bytes while every field re-read `nfields` and
+/// its own length.
+#[test]
+fn get_device_cost_per_op_is_pinned() {
+    let _g = obs_lock(); // device ops feed the process-global obs counters
+    let pool = preloaded_cluster(PmemConfig::crash_sim(32 << 20));
+    let shard = pool.kv(0).shard(0);
+    let small = Record::ycsb("small", &vec![vec![9u8; 64]; 4]);
+    assert!(commit_writes(&shard.grid, &shard.be, &[WriteOp::Set(small.clone())]).results[0]);
+    let cost = |read: &dyn Fn()| {
+        let before = pool.device_stats();
+        read();
+        let d = pool.device_stats().delta(&before);
+        assert_eq!(
+            (d.writes, d.bytes_written, d.pwbs, d.pfences + d.psyncs),
+            (0, 0, 0, 0),
+            "a GET only reads"
+        );
+        (d.reads, d.bytes_read)
+    };
+    for (key, fields, pinned) in [("user0007", 10, (29, 1224)), ("small", 4, (17, 384))] {
+        // The proxy touch stops at each field's length word: what is left
+        // of it without the 2 + 1 per field is the lookup.
+        let touch = cost(&|| assert!(shard.grid.read_touch(key)));
+        assert_eq!(touch.0 - 2 - fields, 7, "map lookup reads for {key}");
+        assert_eq!(pinned.0, touch.0 + fields, "one more read per field for its content");
+        assert_eq!(
+            cost(&|| assert!(shard.grid.read(key).is_some())),
+            pinned,
+            "device reads and bytes read of grid.read({key})"
+        );
+        assert_eq!(
+            cost(&|| assert!(shard.grid.read_encoded(key, &mut Vec::new()))),
+            pinned,
+            "device reads and bytes read of grid.read_encoded({key})"
+        );
+    }
+}
+
 /// The same, by commit-group size: a batch of `SETF`s on distinct keys is
 /// one group, one transaction, in one log — so the flag line, the length,
 /// the log's first line and the 4 fences are paid once per group, and the

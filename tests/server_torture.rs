@@ -22,7 +22,8 @@ use jnvm_repro::kvstore::Record;
 use jnvm_repro::pmem::PmemConfig;
 use jnvm_repro::server::{
     encode_request, handshake, kill_during_traffic, parse_reply, promotion_read_probe, run_loadgen,
-    traffic_op_count, Cluster, LoadgenConfig, Reply, Request, ServerConfig, TortureConfig,
+    traffic_op_count, value_for, Cluster, LoadgenConfig, Reply, Request, ServerConfig,
+    TortureConfig,
 };
 
 /// Pool shards for the shared sweeps: `JNVM_SHARDS` or 1.
@@ -628,6 +629,202 @@ fn unservable_topology_is_an_error_not_a_panic() {
         assert!(e.contains("topology") && e.contains(needle), "{e}");
         assert!(promotion_read_probe(10, &cfg).is_err(), "probe must refuse");
     }
+}
+
+// ------------------------------------------- crash instants mid-encode
+//
+// A `GET` is encoded in place, straight from NVMM into the connection's
+// reply buffer. The read-mostly kill drives that path while a crash point
+// fires under it: whatever the instant, the client must receive whole
+// frames of real records — never a header without its payload, never a
+// payload cut short with the next reply glued on.
+
+const HOT_KEYS: usize = 32;
+const HOT_FIELDS: usize = 10;
+const HOT_VALUE: usize = 100;
+const HOT_CONNS: usize = 2;
+const HOT_OPS: usize = 200;
+const HOT_WINDOW: usize = 16;
+
+fn hot_key(k: usize) -> String {
+    format!("hot{k:02}")
+}
+
+/// Op `i` of connection `conn`: 90 % `GET` of a 1 KB record, 10 % `SETF`
+/// of one of its fields; both connections work the same 32 keys.
+fn hot_op(conn: usize, i: usize) -> Request {
+    let key = hot_key((i * 7 + conn * 3) % HOT_KEYS);
+    if i % 10 == 3 {
+        let field = (i / 10) % HOT_FIELDS;
+        Request::SetField {
+            key,
+            field,
+            value: value_for(1, conn, i, field, HOT_VALUE),
+        }
+    } else {
+        Request::Get(key)
+    }
+}
+
+/// What one connection sent and everything it received, parsed.
+struct HotConn {
+    sent: usize,
+    replies: Vec<Reply>,
+    /// Received bytes behind the last whole frame.
+    tail: Vec<u8>,
+    proto_errors: usize,
+}
+
+fn drive_hot_conn(addr: std::net::SocketAddr, conn: usize) -> HotConn {
+    let mut log = HotConn {
+        sent: 0,
+        replies: Vec::new(),
+        tail: Vec::new(),
+        proto_errors: 0,
+    };
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    handshake(&mut stream).expect("hello");
+    let mut tmp = [0u8; 16 << 10];
+    let mut idle = 0;
+    while log.replies.len() < HOT_OPS && idle < 20 && log.proto_errors == 0 {
+        while log.sent < HOT_OPS && log.sent - log.replies.len() < HOT_WINDOW {
+            if stream
+                .write_all(&encode_request(&hot_op(conn, log.sent)))
+                .is_err()
+            {
+                return log;
+            }
+            log.sent += 1;
+        }
+        match stream.read(&mut tmp) {
+            Ok(0) => return log,
+            Ok(n) => {
+                idle = 0;
+                log.tail.extend_from_slice(&tmp[..n]);
+            }
+            Err(_) => idle += 1,
+        }
+        loop {
+            match parse_reply(&log.tail) {
+                Ok(Some((reply, n))) => {
+                    log.replies.push(reply);
+                    log.tail.drain(..n);
+                }
+                Ok(None) => break,
+                Err(_) => {
+                    log.proto_errors += 1;
+                    break;
+                }
+            }
+        }
+    }
+    log
+}
+
+/// One read-mostly kill: preload over the wire, arm the crash on shard
+/// 0's primary, run the load, hold every received byte to account.
+/// Returns whether the point fired and the ops counted while armed.
+fn read_mostly_kill(point: u64) -> (bool, u64) {
+    jnvm_repro::pmem::silence_crash_panics();
+    let (server, cluster, mut conn) = serve();
+    let preload: Vec<Request> = (0..HOT_KEYS)
+        .map(|k| {
+            let values: Vec<Vec<u8>> = (0..HOT_FIELDS)
+                .map(|f| value_for(0, k, 0, f, HOT_VALUE))
+                .collect();
+            Request::Set(Record::ycsb(&hot_key(k), &values))
+        })
+        .collect();
+    for chunk in preload.chunks(8) {
+        assert!(pipeline(&mut conn, chunk).iter().all(|r| *r == Reply::Ok));
+    }
+    drop(conn);
+
+    let crash_dev = std::sync::Arc::clone(cluster.device(0, 0).unwrap());
+    crash_dev.arm_faults(jnvm_repro::pmem::FaultPlan::crash_at(point));
+    let addr = server.addr();
+    let logs: Vec<HotConn> = std::thread::scope(|s| {
+        let conns: Vec<_> = (0..HOT_CONNS)
+            .map(|c| s.spawn(move || drive_hot_conn(addr, c)))
+            .collect();
+        conns.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let stats = server.stats();
+    server.shutdown();
+    let injected = crash_dev.faults_frozen();
+    drop(cluster.into_pmems()); // tear the stacks down while still frozen
+    let ops_counted = crash_dev.disarm_faults();
+
+    assert_eq!(
+        stats.queued_writes,
+        stats.acked_writes + stats.nacked_writes + stats.failed_writes,
+        "point {point}: write accounting"
+    );
+    // Every value a field may legitimately hold: the preload's, or one a
+    // SETF of the stream carried — acknowledged or still in flight.
+    let mut carried = std::collections::HashSet::new();
+    for (k, req) in preload.iter().enumerate() {
+        let Request::Set(rec) = req else { unreachable!() };
+        for (f, (_, v)) in rec.fields.iter().enumerate() {
+            carried.insert((hot_key(k), f, v.clone()));
+        }
+    }
+    for (c, log) in logs.iter().enumerate() {
+        for i in 0..log.sent {
+            if let Request::SetField { key, field, value } = hot_op(c, i) {
+                carried.insert((key, field, value));
+            }
+        }
+    }
+    for (c, log) in logs.iter().enumerate() {
+        assert_eq!(log.proto_errors, 0, "point {point}, conn {c}: desynchronized reply stream");
+        // At most one incomplete frame, and only where the stream was cut.
+        assert!(
+            matches!(parse_reply(&log.tail), Ok(None)),
+            "point {point}, conn {c}: {} stray bytes",
+            log.tail.len()
+        );
+        assert!(
+            log.tail.is_empty() || log.replies.len() < log.sent,
+            "point {point}, conn {c}: bytes behind the last reply"
+        );
+        for (i, reply) in log.replies.iter().enumerate() {
+            match (hot_op(c, i), reply) {
+                (_, Reply::Err(_)) => assert!(injected, "point {point}: Err without a crash"),
+                (Request::Get(key), Reply::Value(_)) => {
+                    let rec = served(reply);
+                    assert_eq!((rec.key.as_str(), rec.fields.len()), (key.as_str(), HOT_FIELDS));
+                    for (f, (_, v)) in rec.fields.into_iter().enumerate() {
+                        assert!(
+                            carried.contains(&(key.clone(), f, v)),
+                            "point {point}, conn {c}, op {i}: {key} field {f} holds bytes no write carried"
+                        );
+                    }
+                }
+                (Request::SetField { .. }, Reply::Ok) => {}
+                (req, reply) => panic!("point {point}, conn {c}, op {i}: {req:?} answered {reply:?}"),
+            }
+        }
+    }
+    (injected, ops_counted)
+}
+
+/// Strided read-mostly kill sweep (same shape as the sweeps above; the
+/// topology honours `JNVM_SHARDS` / `JNVM_REPLICAS`).
+#[test]
+fn read_mostly_kill_never_tears_the_reply_stream() {
+    let (injected, total) = read_mostly_kill(u64::MAX);
+    assert!(!injected);
+    assert!(total > 100, "too few device ops on shard 0 to sweep: {total}");
+    let fired = strided_points(total, 5)
+        .into_iter()
+        .filter(|point| read_mostly_kill(*point).0)
+        .count();
+    assert!(fired >= 3, "sweep barely injected: {fired} points");
 }
 
 /// The wide sweep for the scheduled torture job
