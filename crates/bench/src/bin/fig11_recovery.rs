@@ -10,10 +10,11 @@
 //!
 //! The scaling section goes beyond the paper (which recovers on one
 //! thread): it builds a >= 1M-object bank heap under Optane-like latency
-//! and recovers it with 1, 2, 4 and 8 worker threads. Replay, mark and
-//! sweep all parallelize, so the recovery-GC pass is expected to reach
-//! at least 2x at 4 threads; every thread count produces the same
-//! recovered heap (see `tests/recovery_equivalence.rs`).
+//! and recovers it with 1, 2, 4 and 8 worker threads. Mark and sweep
+//! parallelize (log replay is sequential: microseconds of a reopen), so
+//! the recovery-GC pass is expected to reach at least 2x at 4 threads;
+//! every thread count produces the same recovered heap (see
+//! `tests/recovery_equivalence.rs`).
 //!
 //! Flags: `--accounts` (default 100000 = paper 10M / 100), `--threads`,
 //! `--recovery-threads` (restart recovery workers for the timeline,
@@ -160,9 +161,8 @@ fn scaling_section(args: &Args, out: &Path) {
                 .join("/"),
         ]);
         rows.push(format!(
-            "{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.3}",
+            "{},{:.6},{:.6},{:.6},{:.6},{:.3}",
             threads,
-            rep.modeled_log_time.as_secs_f64(),
             rep.modeled_mark_time.as_secs_f64(),
             rep.modeled_sweep_time.as_secs_f64(),
             gc_model,
@@ -175,7 +175,7 @@ fn scaling_section(args: &Args, out: &Path) {
     let path = write_csv(
         out,
         "fig11_recovery_scaling",
-        "threads,replay_model_s,mark_model_s,sweep_model_s,gc_model_s,gc_wall_s,speedup",
+        "threads,mark_model_s,sweep_model_s,gc_model_s,gc_wall_s,speedup",
         &rows,
     );
     println!("wrote {}", path.display());

@@ -124,6 +124,28 @@ fn main() {
             .map(String::from)
             .collect(),
         ),
+        (
+            "ablation_validate",
+            if quick {
+                vec!["--iters", "200"]
+            } else {
+                vec![]
+            }
+            .into_iter()
+            .map(String::from)
+            .collect(),
+        ),
+        (
+            "ablation_map_variants",
+            if quick {
+                vec!["--records", "1000", "--gets", "20000", "--opens", "5"]
+            } else {
+                vec![]
+            }
+            .into_iter()
+            .map(String::from)
+            .collect(),
+        ),
     ];
 
     for (name, extra) in experiments {

@@ -47,14 +47,12 @@
 //! allocations.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 use std::thread::ThreadId;
-use std::time::{Duration, Instant};
 
-use crossbeam::queue::SegQueue;
-use jnvm_heap::HEADER_BYTES;
+use jnvm_heap::{HeapError, HEADER_BYTES};
 use jnvm_pmem::CACHE_LINE;
 use parking_lot::Mutex;
 
@@ -95,25 +93,33 @@ impl LogHandle {
         self.chain.blocks[0]
     }
 
-    /// Grow the log's chain until it holds `words` words of entries.
-    fn reserve(&mut self, rt: &Jnvm, words: u64) {
+    /// Grow the log's chain until it holds `words` words of entries. On
+    /// heap exhaustion the chain may have grown part of the way on media;
+    /// the handle then re-reads it, so it still describes the log whole and
+    /// can go back to the pool.
+    fn reserve(&mut self, rt: &Jnvm, words: u64) -> Result<(), HeapError> {
         let heap = rt.heap();
         let have = self.chain.blocks.len() as u64;
         let need = heap.blocks_for(LOG_ENTRIES + words * 8);
         if need > have {
-            let added = heap
-                .extend_chain(heap.block_of_addr(self.addr()), need - have)
-                .expect("heap exhausted growing redo log");
-            self.chain
-                .blocks
-                .extend(added.into_iter().map(|b| heap.block_addr(b)));
+            match heap.extend_chain(heap.block_of_addr(self.addr()), need - have) {
+                Ok(added) => self
+                    .chain
+                    .blocks
+                    .extend(added.into_iter().map(|b| heap.block_addr(b))),
+                Err(e) => {
+                    self.chain = RawChain::open(rt, self.addr());
+                    return Err(e);
+                }
+            }
         }
+        Ok(())
     }
 }
 
 /// Pool of redo logs plus the persistent log directory.
 pub(crate) struct FaManager {
-    free_logs: SegQueue<LogHandle>,
+    free_logs: Mutex<VecDeque<LogHandle>>,
     /// Guards directory appends; holds the next free directory slot.
     dir_cursor: Mutex<u64>,
 }
@@ -121,7 +127,7 @@ pub(crate) struct FaManager {
 impl FaManager {
     pub(crate) fn new() -> FaManager {
         FaManager {
-            free_logs: SegQueue::new(),
+            free_logs: Mutex::new(VecDeque::new()),
             dir_cursor: Mutex::new(0),
         }
     }
@@ -138,7 +144,8 @@ impl FaManager {
     }
 
     fn acquire_log(&self, rt: &Jnvm) -> LogHandle {
-        if let Some(log) = self.free_logs.pop() {
+        let pooled = self.free_logs.lock().pop_front();
+        if let Some(log) = pooled {
             return log;
         }
         // Create a new log and publish it in the directory.
@@ -169,7 +176,7 @@ impl FaManager {
     }
 
     fn release_log(&self, log: LogHandle) {
-        self.free_logs.push(log);
+        self.free_logs.lock().push_back(log);
     }
 
     /// After restart: replay committed logs, abandon uncommitted ones, and
@@ -180,167 +187,40 @@ impl FaManager {
     /// surfaces as [`JnvmError::CorruptLog`] rather than aborting, so a
     /// server re-open on a damaged pool can report the failure.
     ///
-    /// With `threads > 1` the committed logs are partitioned by **footprint
-    /// disjointness** — the same invariant `fa_commit_group` demands of
-    /// staged siblings — and independent logs replay concurrently. Logs
-    /// whose entry footprints share a block form one replay unit and apply
-    /// sequentially in directory-slot order inside it, so the last-writer
-    /// order of the sequential pass is preserved; every replay worker
-    /// `pfence`s its own persistence domain before exiting. `threads <= 1`
-    /// replays inline in slot order (the sequential oracle).
-    ///
-    /// The second return component is the busy wall time of each replay
-    /// worker (one entry when the replay ran inline); the third is each
-    /// worker's modeled device time (latency-model nanoseconds charged —
-    /// see [`jnvm_heap::par::run_workers_timed`]).
-    pub(crate) fn recover_logs(
-        &self,
-        rt: &Jnvm,
-        threads: usize,
-    ) -> Result<(u64, Vec<Duration>, Vec<Duration>), JnvmError> {
-        let dir_addr = rt.heap().root_slot(2);
-        let dir = RawChain::open(rt, dir_addr);
+    /// Logs replay on the caller in **directory-slot order**, the only
+    /// order there is: a commit group is one log, so a committer leaves at
+    /// most one committed log behind and two logs that touch the same
+    /// block (two committers frozen between commit point and retire) apply
+    /// in the same order on every recovery.
+    pub(crate) fn recover_logs(&self, rt: &Jnvm) -> Result<u64, JnvmError> {
         let pmem = rt.pmem();
-        let heap = rt.heap();
+        let dir = RawChain::open(rt, rt.heap().root_slot(2));
         let cap = pmem.read_u64(dir.phys(0));
         let mut cursor = self.dir_cursor.lock();
-
-        struct LogInfo {
-            slot: u64,
-            chain: RawChain,
-            committed: bool,
-            len: u64,
-        }
-        let mut infos: Vec<LogInfo> = Vec::new();
+        let mut free_logs = self.free_logs.lock();
+        let mut replayed = 0;
+        let mut retired_fp: Vec<(u64, u64)> = Vec::new();
         for slot in 0..cap {
             let log_addr = pmem.read_u64(dir.phys(8 + slot * 8));
             if log_addr == 0 {
                 continue;
             }
             let chain = RawChain::open(rt, log_addr);
-            let committed = pmem.read_u64(chain.phys(LOG_COMMITTED)) == 1;
-            let len = pmem.read_u64(chain.phys(LOG_LEN));
-            infos.push(LogInfo {
-                slot,
-                chain,
-                committed,
-                len,
-            });
-        }
-
-        // Replay one committed log: steps 3–4 of the commit protocol. Both
-        // are idempotent, so a crash anywhere in here re-replays on the
-        // next recovery and converges.
-        let replay_one = |info: &LogInfo, retired_fp: &mut Vec<(u64, u64)>| {
-            apply_and_retire(rt, &info.chain, info.len, false, retired_fp).map(drop)
-        };
-
-        let committed_idx: Vec<usize> = infos
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| i.committed)
-            .map(|(i, _)| i)
-            .collect();
-        let mut thread_times: Vec<Duration> = Vec::new();
-        let mut device_times: Vec<Duration> = Vec::new();
-        // Retire footprint of the inline replay path, validated behind the
-        // closing fence (parallel workers validate their own domains).
-        let mut inline_fp: Vec<(u64, u64)> = Vec::new();
-        let replayed = if threads <= 1 || committed_idx.len() <= 1 {
-            let t = Instant::now();
-            let before = jnvm_pmem::thread_charged_ns();
-            for &li in &committed_idx {
-                replay_one(&infos[li], &mut inline_fp)?;
+            if pmem.read_u64(chain.phys(LOG_COMMITTED)) == 1 {
+                // Steps 3–4 of the commit protocol. Both are idempotent, so
+                // a crash anywhere in here re-replays on the next recovery
+                // and converges.
+                let len = pmem.read_u64(chain.phys(LOG_LEN));
+                apply_and_retire(rt, &chain, len, false, &mut retired_fp)?;
+                replayed += 1;
             }
-            device_times.push(Duration::from_nanos(jnvm_pmem::thread_charged_ns() - before));
-            thread_times.push(t.elapsed());
-            committed_idx.len() as u64
-        } else {
-            // Block-index footprint of a committed log: every block an
-            // entry writes during replay. (A damaged log has none here and
-            // surfaces as CorruptLog at replay.)
-            let footprint = |info: &LogInfo| -> HashSet<u64> {
-                let entries = read_log(rt, &info.chain, info.len).map_or(Vec::new(), |(_, e)| e);
-                entries
-                    .iter()
-                    .map(|e| match e {
-                        Entry::Alloc(a) | Entry::Free(a) | Entry::Write { addr: a, .. } => {
-                            heap.block_of_addr(*a)
-                        }
-                    })
-                    .collect()
-            };
-            // Union conflicting logs into replay units (members kept in
-            // directory-slot order).
-            let mut units: Vec<(Vec<usize>, HashSet<u64>)> = Vec::new();
-            for &li in &committed_idx {
-                let fp = footprint(&infos[li]);
-                let overlapping: Vec<usize> = units
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, (_, ufp))| !ufp.is_disjoint(&fp))
-                    .map(|(ui, _)| ui)
-                    .collect();
-                match overlapping.split_first() {
-                    None => units.push((vec![li], fp)),
-                    Some((&first, rest)) => {
-                        for &ui in rest.iter().rev() {
-                            let (members, ufp) = units.remove(ui);
-                            units[first].0.extend(members);
-                            units[first].1.extend(ufp);
-                        }
-                        units[first].0.push(li);
-                        units[first].1.extend(fp);
-                        units[first].0.sort_unstable();
-                    }
-                }
-            }
-            let nworkers = threads.min(units.len()).max(1);
-            let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); nworkers];
-            for ui in 0..units.len() {
-                buckets[ui % nworkers].push(ui);
-            }
-            type WorkerOut = (Result<(u64, Duration), JnvmError>, Duration);
-            let results: Vec<WorkerOut> =
-                jnvm_heap::par::run_workers_timed(buckets, |bucket| {
-                    let t = Instant::now();
-                    let mut n = 0;
-                    let mut wfp: Vec<(u64, u64)> = Vec::new();
-                    for ui in bucket {
-                        for &li in &units[ui].0 {
-                            replay_one(&infos[li], &mut wfp)?;
-                            n += 1;
-                        }
-                    }
-                    // Drain this worker's retire write-backs (a persistence
-                    // domain drains only its owner's queue).
-                    pmem.pfence();
-                    // Every flag this worker cleared is durable in its own
-                    // domain behind its own fence.
-                    pmem.ordering_point("recovery-retire", &wfp);
-                    Ok((n, t.elapsed()))
-                });
-            let mut n = 0;
-            for (r, dt) in results {
-                let (nr, t) = r?;
-                n += nr;
-                thread_times.push(t);
-                device_times.push(dt);
-            }
-            n
-        };
-
-        for info in infos {
-            *cursor = info.slot + 1;
-            self.free_logs.push(LogHandle { chain: info.chain });
+            *cursor = slot + 1;
+            free_logs.push_back(LogHandle { chain });
         }
         pmem.pfence();
-        if !inline_fp.is_empty() {
-            // The inline replay's cleared flags are durable behind the
-            // closing fence.
-            pmem.ordering_point("recovery-retire", &inline_fp);
-        }
-        Ok((replayed, thread_times, device_times))
+        // Every flag the replay cleared is durable behind the closing fence.
+        pmem.ordering_point("recovery-retire", &retired_fp);
+        Ok(replayed)
     }
 }
 
@@ -885,7 +765,7 @@ impl JnvmRuntime {
         }
         #[cfg(debug_assertions)]
         {
-            let mut seen: HashSet<u64> = HashSet::new();
+            let mut seen = std::collections::HashSet::new();
             for word in group.iter().flat_map(|tx| tx.state().overlay.keys()) {
                 assert!(
                     seen.insert(*word),
@@ -914,10 +794,13 @@ impl JnvmRuntime {
         // and crash point `i` names the same op on every run); fence.
         set_phase(CommitPhase::FlushStaged);
         let mut log = self.fa_manager().acquire_log(self);
-        // Heap exhaustion unwinds from here while `group` still owns every
-        // block, so each one aborts. (The log stays out of the pool: its
-        // chain on media may have grown past this handle's view of it.)
-        log.reserve(self, words);
+        if let Err(e) = log.reserve(self, words) {
+            // The log goes back to the pool first; then heap exhaustion
+            // unwinds from here while `group` still owns every block, so
+            // each one aborts.
+            self.fa_manager().release_log(log);
+            panic!("heap exhausted growing redo log: {e}");
+        }
         let chain = &log.chain;
         chain.write_bytes(pmem, LOG_ENTRIES, &bytes);
         let mut staged: Vec<(u64, u64)> = Vec::new();
@@ -1024,6 +907,7 @@ mod tests {
     use crate::JnvmBuilder;
     use jnvm_heap::HeapConfig;
     use jnvm_pmem::{CrashPolicy, Pmem, PmemConfig};
+    use std::collections::HashSet;
 
     fn used_slots(rt: &Jnvm) -> u64 {
         let dir = RawChain::open(rt, rt.heap().root_slot(2));
@@ -1418,9 +1302,9 @@ mod tests {
     /// Reopen a [`big_setup`] pool. Its objects are valid but unrooted:
     /// the header scan keeps them, the reachability GC would not.
     fn big_reopen(pmem: &Arc<Pmem>) -> (Jnvm, crate::RecoveryReport) {
-        let mode = crate::RecoveryMode::HeaderScanOnly;
+        let opts = crate::RecoveryOptions::with_mode(crate::RecoveryMode::HeaderScanOnly);
         JnvmBuilder::new()
-            .open_with_mode(Arc::clone(pmem), mode)
+            .open_with_options(Arc::clone(pmem), opts)
             .unwrap()
     }
 
@@ -1498,7 +1382,9 @@ mod tests {
 
     /// Growing the group's log can exhaust the heap, mid-commit. Every
     /// block of the group then aborts — fresh allocations released, no
-    /// original touched — and no flag is set: nothing replays.
+    /// original touched — and no flag is set: nothing replays. The log,
+    /// grown part of the way, is back in the pool: once there is space the
+    /// same group commits in it and no second log is created.
     #[test]
     fn heap_exhaustion_growing_the_log_aborts_the_whole_group() {
         let (pmem, rt, objs) = big_setup();
@@ -1535,12 +1421,26 @@ mod tests {
             "the fresh object was released"
         );
         assert_eq!(fills(&rt, &addrs), [Some(0); 4], "an aborted block applied");
-        assert_eq!(pmem.read_u64(first_log(&rt).phys(LOG_COMMITTED)), 0);
+        let flag = first_log(&rt).phys(LOG_COMMITTED);
+        assert_eq!((pmem.read_u64(flag), pmem.media_read_u64(flag)), (0, 0));
+
+        // Free space and commit the same group again.
+        for b in drained {
+            heap.push_free(b);
+        }
+        let cursor = *rt.fa_manager().dir_cursor.lock();
+        rt.fa_commit_group(stage_fills(&rt, &objs, 7));
+        assert_eq!(fills(&rt, &addrs), [Some(7); 4]);
+        assert_eq!(
+            (*rt.fa_manager().dir_cursor.lock(), used_slots(&rt)),
+            (cursor, 1),
+            "the aborted commit leaked its log: a second one was created"
+        );
         drop((objs, rt));
         pmem.crash(&CrashPolicy::strict()).unwrap();
         let (rt2, report) = big_reopen(&pmem);
         assert_eq!(report.replayed_logs, 0);
-        assert_eq!(fills(&rt2, &addrs), [Some(0); 4]);
+        assert_eq!(fills(&rt2, &addrs), [Some(7); 4]);
     }
 
     #[test]

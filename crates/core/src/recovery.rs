@@ -13,15 +13,21 @@
 //!   invalid-but-reachable objects (e.g. every allocation and its
 //!   publication share one failure-atomic block).
 //!
-//! Both modes run on `RecoveryOptions::threads` worker threads and are
-//! **restartable**: every persistent mutation recovery performs (replaying
-//! a committed log, retiring its flag, nullifying a dangling reference,
-//! clearing a dead header or pool slot) is idempotent, so a crash at any
-//! point inside recovery followed by a second recovery converges to the
-//! same heap — with any thread count. The parallel decomposition:
+//! Both modes are **restartable**: every persistent mutation recovery
+//! performs (replaying a committed log, retiring its flag, nullifying a
+//! dangling reference, clearing a dead header or pool slot) is idempotent,
+//! so a crash at any point inside recovery followed by a second recovery
+//! converges to the same heap — with any thread count.
 //!
-//! 1. **Replay** — committed logs partition by footprint disjointness and
-//!    replay concurrently (see `FaManager::recover_logs`).
+//! Recovery has **one execution shape**: every partitioned phase hands its
+//! work items to [`jnvm_heap::par::run_workers_timed`], and the sequential
+//! pass is that engine with `RecoveryOptions::threads == 1` — a single
+//! item, which runs on the calling thread. The phases:
+//!
+//! 1. **Replay** — committed logs replay on the caller, in directory-slot
+//!    order (see `FaManager::recover_logs`). Not partitioned: a commit
+//!    group is one log, so a committer leaves at most one committed log
+//!    behind and replay is microseconds of a reopen (DESIGN.md §3).
 //! 2. **Mark** — a work-stealing traversal: each worker runs DFS on a
 //!    local stack, spilling half its stack to a shared overflow queue when
 //!    it grows and stealing batches when starved. The unit of work is a
@@ -38,8 +44,8 @@
 //! 3. **Sweep** — pool-slot and free-queue rebuilds partition the block
 //!    range per worker (see the `jnvm-heap` crate).
 //!
-//! Every worker ends with a `pfence` of its own persistence domain; the
-//! caller closes recovery with `psync`.
+//! Every worker that writes ends with a `pfence` of its own persistence
+//! domain; the caller closes recovery with `psync`.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -63,13 +69,14 @@ pub enum RecoveryMode {
 }
 
 /// How to run recovery at open: the algorithm and its degree of
-/// parallelism. `threads == 1` (the default) is the sequential pass the
-/// equivalence suite uses as its oracle.
+/// parallelism. `threads == 1` (the default) is the sequential pass — the
+/// same engine with one worker — that the equivalence suite uses as its
+/// oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryOptions {
     /// Which recovery algorithm to run.
     pub mode: RecoveryMode,
-    /// Worker threads for replay, mark and sweep (clamped to >= 1).
+    /// Worker threads for mark and sweep (clamped to >= 1).
     pub threads: usize,
 }
 
@@ -80,7 +87,7 @@ impl Default for RecoveryOptions {
 }
 
 impl RecoveryOptions {
-    /// Sequential recovery in the given mode (what `open_with_mode` uses).
+    /// Sequential recovery in the given mode.
     pub fn with_mode(mode: RecoveryMode) -> RecoveryOptions {
         RecoveryOptions { mode, threads: 1 }
     }
@@ -116,24 +123,18 @@ pub struct RecoveryReport {
     pub mark_time: Duration,
     /// Wall time of the sweep phase (pool + free-queue rebuild) alone.
     pub sweep_time: Duration,
-    /// Busy time of each replay worker (one entry per worker).
-    pub replay_thread_times: Vec<Duration>,
-    /// Busy time of each mark worker (one entry per worker).
-    pub mark_thread_times: Vec<Duration>,
     /// Modeled device time of each mark worker: the latency-model
     /// nanoseconds that worker paid (all-zero on devices without a
     /// latency model).
     pub mark_thread_device_times: Vec<Duration>,
-    /// Modeled critical-path duration of log replay: the slowest replay
-    /// worker's device time.
+    /// Modeled critical-path duration of the mark/traversal phase: the
+    /// slowest mark worker's device time.
     ///
     /// The busy-wait latency model charges each thread on its own core,
     /// so on a host with at least one core per worker these modeled
     /// figures track wall clock; on smaller hosts (a 1-CPU CI container)
     /// the spinning workers time-share and wall clock flattens while the
     /// modeled critical path still reflects how the work divided.
-    pub modeled_log_time: Duration,
-    /// Modeled critical-path duration of the mark/traversal phase.
     pub modeled_mark_time: Duration,
     /// Modeled critical-path duration of the sweep phase (slowest pool
     /// sweeper plus slowest free-queue sweeper; the two sub-passes are
@@ -144,7 +145,7 @@ pub struct RecoveryReport {
 impl RecoveryReport {
     /// Modeled critical-path duration of the whole collection pass
     /// (mark + sweep) — the recovery-GC cost a machine with one core per
-    /// worker would observe. See [`RecoveryReport::modeled_log_time`].
+    /// worker would observe. See [`RecoveryReport::modeled_mark_time`].
     pub fn modeled_gc_time(&self) -> Duration {
         self.modeled_mark_time + self.modeled_sweep_time
     }
@@ -160,11 +161,8 @@ pub(crate) fn run(rt: &Jnvm, opts: RecoveryOptions) -> Result<RecoveryReport, Jn
     // 1. Failure-atomic logs first (§4.2).
     let t0 = Instant::now();
     let obs_replay = jnvm_obs::span_begin();
-    let (replayed, replay_times, replay_device) = rt.fa_manager().recover_logs(rt, threads)?;
+    report.replayed_logs = rt.fa_manager().recover_logs(rt)?;
     jnvm_obs::span_end(jnvm_obs::SpanKind::RecoveryReplay, obs_replay);
-    report.replayed_logs = replayed;
-    report.replay_thread_times = replay_times;
-    report.modeled_log_time = replay_device.iter().max().copied().unwrap_or_default();
     report.log_time = t0.elapsed();
 
     // 2. Collection pass.
@@ -334,8 +332,8 @@ impl MarkShared<'_> {
 
     /// One mark worker: visit its share of the roots, then drain the local
     /// slot stack, steal when starved, and retire when every worker is
-    /// idle and the overflow is empty. Returns this worker's busy time.
-    fn worker(&self, roots: Vec<u64>) -> Result<Duration, JnvmError> {
+    /// idle and the overflow is empty.
+    fn worker(&self, roots: Vec<u64>) -> Result<(), JnvmError> {
         // An injected crash unwinds this worker as a panic, not an `Err` —
         // without raising `aborted` on the way out, workers idling in the
         // spin loop below (which touches no device line and thus never
@@ -349,38 +347,39 @@ impl MarkShared<'_> {
             }
         }
         let _guard = AbortOnUnwind(self);
-        let start = Instant::now();
-        let finish = |t: Instant, nullified: &mut Vec<(u64, u64)>| {
-            // Drain this worker's nullification / recover-hook write-backs
-            // (a persistence domain drains only its owner's queue).
-            self.rt.pmem().pfence();
-            // The slots this worker nullified are durable behind its own
-            // closing fence.
-            self.rt.pmem().ordering_point("recovery-nullify", nullified);
-            t.elapsed()
-        };
         let mut nullified: Vec<(u64, u64)> = Vec::new();
+        let result = self.traverse(roots, &mut nullified);
+        if result.is_err() {
+            self.aborted.store(true, Ordering::Relaxed);
+        }
+        // Drain this worker's nullification / recover-hook write-backs
+        // (a persistence domain drains only its owner's queue).
+        self.rt.pmem().pfence();
+        // The slots this worker nullified are durable behind its own
+        // closing fence.
+        self.rt
+            .pmem()
+            .ordering_point("recovery-nullify", &nullified);
+        result
+    }
+
+    /// The traversal proper of [`MarkShared::worker`]; returns early, with
+    /// `Ok`, once another worker has aborted.
+    fn traverse(&self, roots: Vec<u64>, nullified: &mut Vec<(u64, u64)>) -> Result<(), JnvmError> {
+        let aborted = || self.aborted.load(Ordering::Relaxed);
         let mut local: Vec<u64> = Vec::new();
         for root in roots {
-            if self.aborted.load(Ordering::Relaxed) {
-                return Ok(finish(start, &mut nullified));
+            if aborted() {
+                return Ok(());
             }
-            if let Err(e) = self.visit(root, &mut local) {
-                self.aborted.store(true, Ordering::Relaxed);
-                let _ = finish(start, &mut nullified);
-                return Err(e);
-            }
+            self.visit(root, &mut local)?;
         }
         loop {
             while let Some(slot) = local.pop() {
-                if self.aborted.load(Ordering::Relaxed) {
-                    return Ok(finish(start, &mut nullified));
+                if aborted() {
+                    return Ok(());
                 }
-                if let Err(e) = self.resolve_slot(slot, &mut local, &mut nullified) {
-                    self.aborted.store(true, Ordering::Relaxed);
-                    let _ = finish(start, &mut nullified);
-                    return Err(e);
-                }
+                self.resolve_slot(slot, &mut local, nullified)?;
             }
             if self.steal(&mut local) {
                 continue;
@@ -389,8 +388,8 @@ impl MarkShared<'_> {
             // (no active workers, empty overflow) or stealable work.
             self.active.fetch_sub(1, Ordering::SeqCst);
             loop {
-                if self.aborted.load(Ordering::Relaxed) {
-                    return Ok(finish(start, &mut nullified));
+                if aborted() {
+                    return Ok(());
                 }
                 if !self.overflow.lock().is_empty() {
                     self.active.fetch_add(1, Ordering::SeqCst);
@@ -401,7 +400,7 @@ impl MarkShared<'_> {
                     continue;
                 }
                 if self.active.load(Ordering::SeqCst) == 0 {
-                    return Ok(finish(start, &mut nullified));
+                    return Ok(());
                 }
                 std::thread::yield_now();
             }
@@ -418,44 +417,31 @@ fn full_gc(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) -> Result<(),
     // logs). Root slots are written once at format time; all three exist.
     let roots: Vec<u64> = (0..3).map(|s| heap.root_slot(s)).filter(|a| *a != 0).collect();
 
-    // Workers beyond the root count start with empty stacks and pick up
-    // spilled work from the overflow as the traversal fans out.
-    let nworkers = threads.max(1);
     let shared = MarkShared {
         rt,
         bitmap: &bitmap,
         pool_claims: (0..CLAIM_SHARDS).map(|_| Mutex::new(HashSet::new())).collect(),
         overflow: Mutex::new(Vec::new()),
-        active: AtomicUsize::new(nworkers),
+        active: AtomicUsize::new(threads),
         aborted: AtomicBool::new(false),
         live_objects: AtomicU64::new(0),
         nullified_refs: AtomicU64::new(0),
     };
-    // Deal the roots round-robin among the workers.
-    let mut stacks: Vec<Vec<u64>> = (0..nworkers).map(|_| Vec::new()).collect();
+    // Deal the roots round-robin among the workers. Workers beyond the
+    // root count start with empty stacks and pick up spilled work from the
+    // overflow as the traversal fans out.
+    let mut stacks: Vec<Vec<u64>> = vec![Vec::new(); threads];
     for (i, root) in roots.into_iter().enumerate() {
-        stacks[i % nworkers].push(root);
+        stacks[i % threads].push(root);
     }
-    let (mark_times, mark_device) = if nworkers <= 1 {
-        let before = jnvm_pmem::thread_charged_ns();
-        let busy =
-            stacks.into_iter().next().map_or(Ok(Duration::ZERO), |s| shared.worker(s))?;
-        let dt = Duration::from_nanos(jnvm_pmem::thread_charged_ns() - before);
-        (vec![busy], vec![dt])
-    } else {
-        let results = jnvm_heap::par::run_workers_timed(stacks, |s| shared.worker(s));
-        let mut busy = Vec::with_capacity(results.len());
-        let mut device = Vec::with_capacity(results.len());
-        for (r, dt) in results {
-            busy.push(r?);
-            device.push(dt);
-        }
-        (busy, device)
-    };
+    let mut mark_device = Vec::with_capacity(threads);
+    for (r, dt) in jnvm_heap::par::run_workers_timed(stacks, |s| shared.worker(s)) {
+        r?;
+        mark_device.push(dt);
+    }
     report.live_objects = shared.live_objects.load(Ordering::Relaxed);
     report.nullified_refs = shared.nullified_refs.load(Ordering::Relaxed);
-    report.mark_thread_times = mark_times;
-    report.modeled_mark_time = mark_device.iter().max().copied().unwrap_or_default();
+    report.modeled_mark_time = slowest(&mark_device);
     report.mark_thread_device_times = mark_device;
     report.live_blocks = bitmap.marked_count();
     report.mark_time = t_mark.elapsed();
@@ -465,14 +451,7 @@ fn full_gc(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) -> Result<(),
         .iter()
         .flat_map(|s| s.lock().iter().copied().collect::<Vec<u64>>())
         .collect();
-
-    let t_sweep = Instant::now();
-    let pool_device = rt.pools().rebuild_parallel(&bitmap, &live_slots, threads);
-    let (freed, queue_device) = heap.rebuild_free_queue_parallel(&bitmap, threads);
-    report.freed_blocks = freed;
-    report.modeled_sweep_time = pool_device.iter().max().copied().unwrap_or_default()
-        + queue_device.iter().max().copied().unwrap_or_default();
-    report.sweep_time = t_sweep.elapsed();
+    sweep(rt, &bitmap, &live_slots, threads, report);
     Ok(())
 }
 
@@ -481,9 +460,10 @@ fn header_scan(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) {
     let t_mark = Instant::now();
     let bitmap = heap.new_bitmap();
 
-    // Pass 1 (read-only, partitioned): find live pool slots and valid
-    // masters; mark pool blocks with at least one live slot.
-    let scan_chunk = |lo: u64, hi: u64| -> (HashSet<u64>, Vec<u64>) {
+    // Pass 1 (read-only, partitioned — no pfence needed): find live pool
+    // slots and valid masters; mark pool blocks with at least one live slot.
+    let chunks = jnvm_heap::par::partition_range(heap.data_start(), heap.scan_end(), threads);
+    let scanned = jnvm_heap::par::run_workers_timed(chunks, |(lo, hi)| {
         let mut live_slots: HashSet<u64> = HashSet::new();
         let mut masters: Vec<u64> = Vec::new();
         for idx in lo..hi {
@@ -504,62 +484,55 @@ fn header_scan(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) {
             }
         }
         (live_slots, masters)
-    };
-    let chunks = jnvm_heap::par::partition_range(heap.data_start(), heap.scan_end(), threads);
-    type ScanOut = (Vec<(HashSet<u64>, Vec<u64>)>, Vec<Duration>);
-    let (scanned, scan_device): ScanOut =
-        if chunks.len() <= 1 {
-            let before = jnvm_pmem::thread_charged_ns();
-            let out: Vec<_> = chunks.into_iter().map(|(lo, hi)| scan_chunk(lo, hi)).collect();
-            let dt = Duration::from_nanos(jnvm_pmem::thread_charged_ns() - before);
-            (out, vec![dt])
-        } else {
-            // Read-only workers: no pfence needed.
-            jnvm_heap::par::run_workers_timed(chunks, |(lo, hi)| scan_chunk(lo, hi))
-                .into_iter()
-                .unzip()
-        };
+    });
     let mut live_slots: HashSet<u64> = HashSet::new();
     let mut master_lists: Vec<Vec<u64>> = Vec::new();
-    for (slots, masters) in scanned {
+    let mut scan_device: Vec<Duration> = Vec::new();
+    for ((slots, masters), dt) in scanned {
         report.live_objects += masters.len() as u64;
         live_slots.extend(slots);
-        master_lists.push(masters);
+        if !masters.is_empty() {
+            master_lists.push(masters);
+        }
+        scan_device.push(dt);
     }
 
     // Pass 2 (read-only, partitioned): mark every kept master's chain.
-    let mut chain_device: Vec<Duration> = Vec::new();
-    if master_lists.iter().map(|m| m.len()).sum::<usize>() > 0 {
-        let mark_chunk = |masters: Vec<u64>| {
-            for m in masters {
-                for b in heap.chain_blocks(m) {
-                    bitmap.mark(b);
-                }
+    let chain_device: Vec<Duration> = jnvm_heap::par::run_workers_timed(master_lists, |masters| {
+        for m in masters {
+            for b in heap.chain_blocks(m) {
+                bitmap.mark(b);
             }
-        };
-        if threads <= 1 {
-            let before = jnvm_pmem::thread_charged_ns();
-            master_lists.into_iter().for_each(mark_chunk);
-            chain_device
-                .push(Duration::from_nanos(jnvm_pmem::thread_charged_ns() - before));
-        } else {
-            chain_device = jnvm_heap::par::run_workers_timed(master_lists, mark_chunk)
-                .into_iter()
-                .map(|(_, dt)| dt)
-                .collect();
         }
-    }
-    report.modeled_mark_time = scan_device.iter().max().copied().unwrap_or_default()
-        + chain_device.iter().max().copied().unwrap_or_default();
+    })
+    .into_iter()
+    .map(|((), dt)| dt)
+    .collect();
+    report.modeled_mark_time = slowest(&scan_device) + slowest(&chain_device);
     report.mark_thread_device_times = scan_device;
     report.live_blocks = bitmap.marked_count();
     report.mark_time = t_mark.elapsed();
+    sweep(rt, &bitmap, &live_slots, threads, report);
+}
 
+/// The modeled critical path of a phase: its slowest worker's device time.
+fn slowest(times: &[Duration]) -> Duration {
+    times.iter().max().copied().unwrap_or_default()
+}
+
+/// The sweep both modes end with: rebuild the pool-slot queues and the free
+/// queue from the liveness `bitmap`.
+fn sweep(
+    rt: &Jnvm,
+    bitmap: &LiveBitmap,
+    live_slots: &HashSet<u64>,
+    threads: usize,
+    report: &mut RecoveryReport,
+) {
     let t_sweep = Instant::now();
-    let pool_device = rt.pools().rebuild_parallel(&bitmap, &live_slots, threads);
-    let (freed, queue_device) = heap.rebuild_free_queue_parallel(&bitmap, threads);
+    let pool_device = rt.pools().rebuild(bitmap, live_slots, threads);
+    let (freed, queue_device) = rt.heap().rebuild_free_queue(bitmap, threads);
     report.freed_blocks = freed;
-    report.modeled_sweep_time = pool_device.iter().max().copied().unwrap_or_default()
-        + queue_device.iter().max().copied().unwrap_or_default();
+    report.modeled_sweep_time = slowest(&pool_device) + slowest(&queue_device);
     report.sweep_time = t_sweep.elapsed();
 }

@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 use crate::error::JnvmError;
 use crate::fa::{self, FaManager};
 use crate::object::PObject;
-use crate::recovery::{self, RecoveryMode, RecoveryOptions, RecoveryReport};
+use crate::recovery::{self, RecoveryOptions, RecoveryReport};
 use crate::registry::{ClassOps, ClassRegistry};
 use crate::rootmap::RootState;
 
@@ -55,25 +55,16 @@ impl JnvmBuilder {
     }
 
     /// Open an existing heap: replay failure-atomic logs and run the
-    /// recovery procedure (default [`RecoveryMode::Full`]).
+    /// recovery procedure (sequential [`crate::RecoveryMode::Full`]).
     pub fn open(self, pmem: Arc<Pmem>) -> Result<(Jnvm, RecoveryReport), JnvmError> {
-        self.open_with_mode(pmem, RecoveryMode::Full)
+        self.open_with_options(pmem, RecoveryOptions::default())
     }
 
-    /// Open with an explicit recovery mode (J-PFA-nogc uses
-    /// [`RecoveryMode::HeaderScanOnly`]), recovering sequentially.
-    pub fn open_with_mode(
-        self,
-        pmem: Arc<Pmem>,
-        mode: RecoveryMode,
-    ) -> Result<(Jnvm, RecoveryReport), JnvmError> {
-        self.open_with_options(pmem, RecoveryOptions::with_mode(mode))
-    }
-
-    /// Open with full control over the recovery pass: its mode and the
-    /// number of worker threads for replay, mark and sweep. Any thread
-    /// count yields the same recovered heap (`threads: 1` is the
-    /// sequential oracle the equivalence suite compares against).
+    /// Open with full control over the recovery pass: its mode (J-PFA-nogc
+    /// uses [`crate::RecoveryMode::HeaderScanOnly`]) and the number of worker
+    /// threads for mark and sweep. Any thread count yields the same
+    /// recovered heap (`threads: 1` is the sequential oracle the
+    /// equivalence suite compares against).
     pub fn open_with_options(
         self,
         pmem: Arc<Pmem>,

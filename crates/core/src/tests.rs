@@ -6,7 +6,7 @@ use std::sync::Arc;
 use jnvm_heap::HeapConfig;
 use jnvm_pmem::{CrashPolicy, Pmem, PmemConfig};
 
-use crate::{JnvmBuilder, JnvmError, PObject, RecoveryMode};
+use crate::{JnvmBuilder, JnvmError, PObject, RecoveryMode, RecoveryOptions};
 
 persistent_class! {
     /// Figure 3's `Simple`, minus the PString (tested with `Node` below).
@@ -561,7 +561,10 @@ fn nogc_recovery_keeps_valid_masters() {
     let (rt2, report) = JnvmBuilder::new()
         .register::<Simple>()
         .register::<Node>()
-        .open_with_mode(Arc::clone(&pmem), RecoveryMode::HeaderScanOnly)
+        .open_with_options(
+            Arc::clone(&pmem),
+            RecoveryOptions::with_mode(RecoveryMode::HeaderScanOnly),
+        )
         .unwrap();
     assert!(!report.mode_full);
     assert_eq!(rt2.root_get_as::<Simple>("s").unwrap().unwrap().x(), 9);

@@ -105,9 +105,9 @@ pub fn trace_ops<Ctx>(
 /// 3. `workload(&ctx)` runs inside [`catch_crash`]; the injected power
 ///    failure unwinds it at op `i`. A workload that is **internally
 ///    multi-threaded** (a parallel recovery pass spawning its own
-///    replay/mark/sweep workers) must re-throw a worker's
+///    mark/sweep workers) must re-throw a worker's
 ///    [`CrashInjected`] from the spawning thread (see
-///    `jnvm_heap::par::run_workers`) so the primary crash reaches this
+///    `jnvm_heap::par::run_workers_timed`) so the primary crash reaches this
 ///    `catch_crash`;
 /// 4. the context is dropped **while the device is still frozen**, then the
 ///    device is disarmed (thawed);

@@ -1,12 +1,13 @@
 //! The block heap: format/open, block and chain allocation, free, headers,
 //! root slots and free-queue reconstruction.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::queue::SegQueue;
 use jnvm_pmem::Pmem;
+use parking_lot::Mutex;
 
 use crate::error::HeapError;
 use crate::layout::{
@@ -56,7 +57,7 @@ pub struct BlockHeap {
     block_size: u64,
     nblocks: u64,
     data_start: u64,
-    free: SegQueue<u64>,
+    free: Mutex<VecDeque<u64>>,
     allocated: AtomicU64,
     freed: AtomicU64,
 }
@@ -94,7 +95,7 @@ impl BlockHeap {
             block_size: cfg.block_size,
             nblocks,
             data_start,
-            free: SegQueue::new(),
+            free: Mutex::new(VecDeque::new()),
             allocated: AtomicU64::new(0),
             freed: AtomicU64::new(0),
         }))
@@ -128,7 +129,7 @@ impl BlockHeap {
             block_size,
             nblocks,
             data_start,
-            free: SegQueue::new(),
+            free: Mutex::new(VecDeque::new()),
             allocated: AtomicU64::new(0),
             freed: AtomicU64::new(0),
         }))
@@ -180,7 +181,7 @@ impl BlockHeap {
             blocks_allocated: self.allocated.load(Ordering::Relaxed),
             blocks_freed: self.freed.load(Ordering::Relaxed),
             bump: self.bump(),
-            free_queue_len: self.free.len() as u64,
+            free_queue_len: self.free.lock().len() as u64,
             capacity_blocks: self.nblocks - self.data_start,
         }
     }
@@ -228,7 +229,8 @@ impl BlockHeap {
     /// Allocate one raw block. Tries the volatile free queue first, then the
     /// persistent bump pointer. The block's header is *not* initialized.
     pub fn alloc_block(&self) -> Result<u64, HeapError> {
-        if let Some(idx) = self.free.pop() {
+        let recycled = self.free.lock().pop_front();
+        if let Some(idx) = recycled {
             self.allocated.fetch_add(1, Ordering::Relaxed);
             return Ok(idx);
         }
@@ -258,16 +260,13 @@ impl BlockHeap {
     pub fn alloc_chain(&self, class_id: u16, payload_bytes: u64) -> Result<u64, HeapError> {
         let n = self.blocks_for(payload_bytes);
         let mut blocks = Vec::with_capacity(n as usize);
-        for i in 0..n {
+        for _ in 0..n {
             match self.alloc_block() {
                 Ok(b) => blocks.push(b),
                 Err(e) => {
                     // Return the partial chain to the free queue.
-                    for b in blocks {
-                        self.free.push(b);
-                        self.freed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let _ = i;
+                    self.freed.fetch_add(blocks.len() as u64, Ordering::Relaxed);
+                    self.free.lock().extend(blocks);
                     return Err(e);
                 }
             }
@@ -337,16 +336,14 @@ impl BlockHeap {
         let mut h = self.read_header(master);
         h.valid = false;
         self.write_header_pwb(master, h);
-        for b in blocks {
-            self.free.push(b);
-            self.freed.fetch_add(1, Ordering::Relaxed);
-        }
+        self.freed.fetch_add(blocks.len() as u64, Ordering::Relaxed);
+        self.free.lock().extend(blocks);
     }
 
     /// Push a block onto the volatile free queue without touching NVMM
     /// (recovery path).
     pub fn push_free(&self, idx: u64) {
-        self.free.push(idx);
+        self.free.lock().push_back(idx);
     }
 
     // ------------------------------------------------------------------
@@ -380,30 +377,21 @@ impl BlockHeap {
     /// queued. Also repairs the persistent bump pointer. Ends with `psync`,
     /// as the paper's recovery procedure does.
     ///
-    /// Returns the number of free blocks found.
-    pub fn rebuild_free_queue(&self, live: &LiveBitmap) -> u64 {
-        self.rebuild_free_queue_parallel(live, 1).0
-    }
-
-    /// [`BlockHeap::rebuild_free_queue`] with the block range partitioned
-    /// over `threads` sweep workers. Every header clear is idempotent, so a
-    /// crash mid-sweep followed by a second recovery converges to the same
-    /// heap. With `threads <= 1` the sweep runs inline on the caller (the
-    /// sequential oracle path); workers issue their own `pfence` before
-    /// exiting, since a persistence domain drains only its owner's
+    /// The block range is partitioned over `threads` sweep workers (one
+    /// worker is the calling thread — see [`crate::par::run_workers_timed`]).
+    /// Every header clear is idempotent, so a crash mid-sweep followed by a
+    /// second recovery converges to the same heap; each worker issues its
+    /// own `pfence`, since a persistence domain drains only its owner's
     /// write-backs. Free blocks enter the queue in ascending block order
     /// regardless of the thread count.
     ///
     /// Returns the free-block count plus each sweep worker's modeled
-    /// device time (see [`crate::par::run_workers_timed`]).
-    pub fn rebuild_free_queue_parallel(
-        &self,
-        live: &LiveBitmap,
-        threads: usize,
-    ) -> (u64, Vec<Duration>) {
+    /// device time.
+    pub fn rebuild_free_queue(&self, live: &LiveBitmap, threads: usize) -> (u64, Vec<Duration>) {
         let persisted_bump = self.bump().min(self.nblocks);
         let effective_bump = persisted_bump.max(live.highest_marked().map_or(0, |b| b + 1));
-        let sweep_chunk = |lo: u64, hi: u64| -> Vec<u64> {
+        let chunks = partition_range(self.data_start, effective_bump, threads);
+        let swept = crate::par::run_workers_timed(chunks, |(lo, hi)| {
             let mut freed = Vec::new();
             for idx in lo..hi {
                 if !live.is_marked(idx) {
@@ -413,33 +401,14 @@ impl BlockHeap {
                     freed.push(idx);
                 }
             }
+            // Drain this worker's header-clear write-backs (a persistence
+            // domain drains only its owner's queue).
+            self.pmem.pfence();
             freed
-        };
-        let chunks = partition_range(self.data_start, effective_bump, threads);
-        let (freed_lists, worker_times): (Vec<Vec<u64>>, Vec<Duration>) = if chunks.len() <= 1 {
-            let before = jnvm_pmem::thread_charged_ns();
-            let lists: Vec<Vec<u64>> =
-                chunks.into_iter().map(|(lo, hi)| sweep_chunk(lo, hi)).collect();
-            let dt = Duration::from_nanos(jnvm_pmem::thread_charged_ns() - before);
-            (lists, vec![dt])
-        } else {
-            crate::par::run_workers_timed(chunks, |(lo, hi)| {
-                let freed = sweep_chunk(lo, hi);
-                // Drain this worker's header-clear write-backs (a
-                // persistence domain drains only its owner's queue).
-                self.pmem.pfence();
-                freed
-            })
-            .into_iter()
-            .unzip()
-        };
-        let mut freed = 0;
-        for list in freed_lists {
-            for idx in list {
-                self.free.push(idx);
-                freed += 1;
-            }
-        }
+        });
+        let (freed_lists, worker_times): (Vec<Vec<u64>>, Vec<Duration>) = swept.into_iter().unzip();
+        let freed = freed_lists.iter().map(|l| l.len() as u64).sum();
+        self.free.lock().extend(freed_lists.into_iter().flatten());
         if effective_bump != persisted_bump {
             self.pmem.write_u64(SB_BUMP, effective_bump);
             self.pmem.pwb(SB_BUMP);
@@ -691,7 +660,7 @@ mod tests {
         for b in h.chain_blocks(live) {
             bm.mark(b);
         }
-        let freed = h.rebuild_free_queue(&bm);
+        let (freed, _) = h.rebuild_free_queue(&bm, 1);
         assert_eq!(freed, 1);
         // The dead block's header is persistently cleared.
         assert_eq!(h.read_header(dead), BlockHeader::FREE);
@@ -708,7 +677,7 @@ mod tests {
         pmem.write_u64(super::SB_BUMP, h.data_start());
         let bm = h.new_bitmap();
         bm.mark(a);
-        h.rebuild_free_queue(&bm);
+        h.rebuild_free_queue(&bm, 1);
         // Allocating must not hand out block `a` again.
         let b = h.alloc_block().unwrap();
         assert_ne!(a, b);

@@ -21,11 +21,11 @@
 //! which is never block-aligned — that is how the runtime tells pooled
 //! references and block references apart.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::queue::SegQueue;
+use parking_lot::Mutex;
 
 use crate::alloc::BlockHeap;
 use crate::error::HeapError;
@@ -41,7 +41,7 @@ pub struct PoolManager {
     /// Payload size per active class (classes that fit the block size).
     classes: Vec<u64>,
     /// Volatile free-slot queues, one per class; rebuilt at recovery.
-    queues: Vec<SegQueue<u64>>,
+    queues: Vec<Mutex<VecDeque<u64>>>,
 }
 
 impl PoolManager {
@@ -54,7 +54,7 @@ impl PoolManager {
             .copied()
             .filter(|payload| payload + HEADER_BYTES <= slots_area)
             .collect();
-        let queues = classes.iter().map(|_| SegQueue::new()).collect();
+        let queues = classes.iter().map(|_| Mutex::new(VecDeque::new())).collect();
         PoolManager { heap, classes, queues }
     }
 
@@ -94,7 +94,10 @@ impl PoolManager {
     /// and un-flushed, like any fresh allocation (§4.1.4).
     pub fn alloc(&self, class_id: u16, payload: u64) -> Result<u64, HeapError> {
         let ci = self.class_for(payload)?;
-        if let Some(addr) = self.queues[ci].pop() {
+        // (Popped in a statement of its own: the queue lock is released
+        // before the device store below.)
+        let recycled = self.queues[ci].lock().pop_front();
+        if let Some(addr) = recycled {
             self.write_mini(addr, BlockHeader { id: class_id, valid: false, next: 0 });
             return Ok(addr);
         }
@@ -120,7 +123,7 @@ impl PoolManager {
             // Remaining slots join the free queue with a cleared mini-header.
             let slot = first + i * Self::slot_total(slot_payload);
             pmem.write_u64(slot, 0);
-            self.queues[ci].push(slot);
+            self.queues[ci].lock().push_back(slot);
         }
         self.write_mini(first, BlockHeader { id: class_id, valid: false, next: 0 });
         Ok(first)
@@ -136,7 +139,7 @@ impl PoolManager {
         let mut mh = self.read_mini(addr);
         mh.valid = false;
         self.write_mini_pwb(addr, mh);
-        self.queues[ci].push(addr);
+        self.queues[ci].lock().push_back(addr);
         Ok(())
     }
 
@@ -204,30 +207,28 @@ impl PoolManager {
     /// keep slots in `live_slots`, persistently clear the rest and rebuild
     /// the free-slot queues. Unmarked pool blocks are reclaimed wholesale by
     /// [`BlockHeap::rebuild_free_queue`]. Call this *before* that.
-    pub fn rebuild(&self, bitmap: &LiveBitmap, live_slots: &HashSet<u64>) {
-        let _ = self.rebuild_parallel(bitmap, live_slots, 1);
-    }
-
-    /// [`PoolManager::rebuild`] with the pool-block scan partitioned over
-    /// `threads` sweep workers. Slot clears are idempotent (a crashed sweep
-    /// redone from scratch converges), and each worker `pfence`s its own
-    /// persistence domain before exiting. Free slots enter the queues in
-    /// ascending block order regardless of the thread count, so the queue
-    /// contents match the sequential pass exactly.
     ///
-    /// Returns each sweep worker's modeled device time (see
-    /// [`crate::par::run_workers_timed`]).
-    pub fn rebuild_parallel(
+    /// The pool-block scan is partitioned over `threads` sweep workers (one
+    /// worker is the calling thread — see [`crate::par::run_workers_timed`]).
+    /// Slot clears are idempotent (a crashed sweep redone from scratch
+    /// converges), and each worker `pfence`s its own persistence domain.
+    /// Free slots enter the queues in ascending block order regardless of
+    /// the thread count.
+    ///
+    /// Returns each sweep worker's modeled device time.
+    pub fn rebuild(
         &self,
         bitmap: &LiveBitmap,
         live_slots: &HashSet<u64>,
         threads: usize,
     ) -> Vec<Duration> {
         let pmem = self.heap.pmem();
-        // Sweep `[lo, hi)` of the block range, clearing dead slots in
-        // marked pool blocks; returns (class index, slot addr) pairs to
-        // queue, in block order.
-        let sweep_chunk = |lo: u64, hi: u64| -> Vec<(usize, u64)> {
+        let chunks =
+            crate::par::partition_range(self.heap.data_start(), self.heap.scan_end(), threads);
+        // Each worker sweeps its `[lo, hi)` of the block range, clearing
+        // dead slots in marked pool blocks, and returns the (class index,
+        // slot addr) pairs to queue, in block order.
+        let swept = crate::par::run_workers_timed(chunks, |(lo, hi)| {
             let mut freed = Vec::new();
             for idx in lo..hi {
                 let h = self.heap.read_header(idx);
@@ -252,32 +253,17 @@ impl PoolManager {
                     freed.push((ci, slot));
                 }
             }
+            // Drain this worker's slot-clear write-backs (a persistence
+            // domain drains only its owner's queue).
+            pmem.pfence();
             freed
-        };
-        let chunks =
-            crate::par::partition_range(self.heap.data_start(), self.heap.scan_end(), threads);
-        let (freed_lists, worker_times): (Vec<Vec<(usize, u64)>>, Vec<Duration>) =
-            if chunks.len() <= 1 {
-                let before = jnvm_pmem::thread_charged_ns();
-                let lists: Vec<Vec<(usize, u64)>> =
-                    chunks.into_iter().map(|(lo, hi)| sweep_chunk(lo, hi)).collect();
-                let dt = Duration::from_nanos(jnvm_pmem::thread_charged_ns() - before);
-                (lists, vec![dt])
-            } else {
-                crate::par::run_workers_timed(chunks, |(lo, hi)| {
-                    let freed = sweep_chunk(lo, hi);
-                    // Drain this worker's slot-clear write-backs (a persistence
-                    // domain drains only its owner's queue).
-                    pmem.pfence();
-                    freed
-                })
-                .into_iter()
-                .unzip()
-            };
-        for list in freed_lists {
+        });
+        let mut worker_times = Vec::with_capacity(swept.len());
+        for (list, dt) in swept {
             for (ci, slot) in list {
-                self.queues[ci].push(slot);
+                self.queues[ci].lock().push_back(slot);
             }
+            worker_times.push(dt);
         }
         worker_times
     }
@@ -302,7 +288,7 @@ impl PoolManager {
 
     /// Number of free slots currently queued (all classes).
     pub fn free_slots(&self) -> u64 {
-        self.queues.iter().map(|q| q.len() as u64).sum()
+        self.queues.iter().map(|q| q.lock().len() as u64).sum()
     }
 }
 
@@ -425,7 +411,7 @@ mod tests {
         bm.mark(heap.block_of_addr(live));
         let mut live_slots = HashSet::new();
         live_slots.insert(live);
-        pm2.rebuild(&bm, &live_slots);
+        pm2.rebuild(&bm, &live_slots, 1);
 
         assert!(pm2.read_mini(live).valid);
         assert_eq!(heap.pmem().read_u64(dead), 0, "dead slot cleared");

@@ -129,7 +129,7 @@ proptest! {
                 dead_blocks.extend(chain);
             }
         }
-        let freed = heap.rebuild_free_queue(&bm);
+        let (freed, _) = heap.rebuild_free_queue(&bm, 1);
         prop_assert_eq!(freed, dead_blocks.len() as u64);
         // Drain the queue: exactly the dead blocks, each once.
         let mut drained: HashMap<u64, u32> = HashMap::new();

@@ -48,8 +48,8 @@ pub struct TimelineConfig {
     pub initial_balance: i64,
     /// Load-injector threads.
     pub threads: usize,
-    /// Worker threads of the recovery pass at restart (replay, mark,
-    /// sweep). `1` is the sequential pass.
+    /// Worker threads of the recovery pass at restart (mark, sweep). `1`
+    /// is the sequential pass.
     pub recovery_threads: usize,
     /// Seconds of load before the crash (paper: 60 s).
     pub run_before: Duration,

@@ -5,7 +5,9 @@
 use std::sync::Arc;
 
 use jnvm_repro::heap::HeapConfig;
-use jnvm_repro::jnvm::{persistent_class, Jnvm, JnvmBuilder, PObject, RecoveryMode};
+use jnvm_repro::jnvm::{
+    persistent_class, Jnvm, JnvmBuilder, PObject, RecoveryMode, RecoveryOptions,
+};
 use jnvm_repro::jpdt::{register_jpdt, PBytes, PStringHashMap};
 use jnvm_repro::pmem::{CrashPolicy, Pmem, PmemConfig};
 
@@ -194,12 +196,15 @@ fn nogc_and_full_recovery_agree_on_fa_only_state() {
     let pmem_a = mk();
     let (rt_full, _) = register_jpdt(JnvmBuilder::new())
         .register::<Pair>()
-        .open_with_mode(Arc::clone(&pmem_a), RecoveryMode::Full)
+        .open_with_options(Arc::clone(&pmem_a), RecoveryOptions::with_mode(RecoveryMode::Full))
         .expect("full");
     let pmem_b = mk();
     let (rt_scan, _) = register_jpdt(JnvmBuilder::new())
         .register::<Pair>()
-        .open_with_mode(Arc::clone(&pmem_b), RecoveryMode::HeaderScanOnly)
+        .open_with_options(
+            Arc::clone(&pmem_b),
+            RecoveryOptions::with_mode(RecoveryMode::HeaderScanOnly),
+        )
         .expect("scan");
     assert_eq!(read_all(&rt_full), read_all(&rt_scan));
 }

@@ -2,14 +2,14 @@
 //! sequential pass.
 //!
 //! The contract under test: **any** recovery thread count produces the
-//! same recovered heap. `threads == 1` is the oracle — it is the original
-//! sequential replay + mark + sweep — and every parallel configuration
+//! same recovered heap. `threads == 1` is the oracle — the same engine with
+//! one worker, on the calling thread — and every parallel configuration
 //! must match it *bit for bit* on the persistent media, and exactly on
 //! every counter the [`RecoveryReport`] exposes (live objects, live
 //! blocks, freed blocks, nullified refs, replayed logs) plus
 //! the rebuilt volatile state (free-queue length, pool free slots).
 //!
-//! Crash images come from three sources:
+//! Crash images come from four sources:
 //!
 //! 1. concurrent torture runs (bank transfers, DataGrid churn) killed
 //!    mid-flight by the injection engine — randomized, messy images with
@@ -17,7 +17,9 @@
 //! 2. a deterministic wide graph of dangling references, so the
 //!    work-stealing mark provably nullifies the same set of slots the
 //!    sequential mark does;
-//! 3. completed workloads (for the HeaderScanOnly-vs-Full pin and its
+//! 3. two writers frozen between commit point and retire, so two
+//!    committed logs write the same word and the replay order shows;
+//! 4. completed workloads (for the HeaderScanOnly-vs-Full pin and its
 //!    counterexample).
 //!
 //! Images are captured once (a byte-for-byte copy of the post-crash
@@ -34,7 +36,7 @@ use jnvm_repro::jnvm::{
 };
 use jnvm_repro::kvstore::{register_kvstore, DataGrid, GridConfig, JnvmBackend, Record};
 use jnvm_repro::pmem::{
-    silence_crash_panics, CrashPolicy, FaultPlan, Pmem, PmemConfig,
+    catch_crash, silence_crash_panics, CrashPolicy, FaultOp, FaultPlan, Pmem, PmemConfig,
 };
 use jnvm_repro::tpcb::{register_tpcb, Bank, JnvmBank};
 
@@ -351,6 +353,93 @@ fn dangling_refs_nullified_identically_in_parallel() {
         "every dangling child ref must be nullified exactly once"
     );
     assert!(oracle.freed_blocks > 0, "invalid children must be reclaimed");
+}
+
+// ---------------------------------------------------------------------------
+// Two committed logs over one block: replay order.
+// ---------------------------------------------------------------------------
+
+/// Build a pool holding one rooted `Pair` and, for each entry of `frozen`,
+/// let a writer thread of its own commit `value = v` and lose power at
+/// device op `point` of that commit. The device comes back disarmed, holding
+/// what survived.
+fn pool_with_frozen_commits(frozen: &[(u64, i64)]) -> (Arc<Pmem>, Jnvm, Pair) {
+    let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
+    let rt = JnvmBuilder::new()
+        .register::<Pair>()
+        .create(Arc::clone(&pmem), HeapConfig::default())
+        .expect("pool");
+    let x = Pair::alloc_uninit(&rt);
+    x.pwb();
+    rt.root_put("x", &x).expect("root");
+    rt.psync();
+    for &(point, v) in frozen {
+        pmem.arm_faults(FaultPlan::crash_at(point));
+        let outcome = std::thread::scope(|s| {
+            s.spawn(|| catch_crash(|| rt.fa(|| x.set_value(v))))
+                .join()
+                .expect("writer")
+        });
+        assert!(outcome.is_err(), "crash point {point} not reached");
+        pmem.disarm_faults();
+        pmem.resync_cache();
+    }
+    (pmem, rt, x)
+}
+
+/// The device op right behind the commit point of `value = v` on top of
+/// `frozen`: of a commit's closing four fences (flush, commit point, apply,
+/// retire) the second.
+fn op_behind_commit_point(frozen: &[(u64, i64)], v: i64) -> u64 {
+    let (pmem, rt, x) = pool_with_frozen_commits(frozen);
+    pmem.arm_faults(FaultPlan::count());
+    rt.fa(|| x.set_value(v));
+    pmem.disarm_faults();
+    let fences: Vec<usize> = pmem
+        .fault_trace()
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| r.op == FaultOp::Pfence)
+        .map(|(i, _)| i)
+        .collect();
+    fences[fences.len() - 3] as u64 + 1
+}
+
+/// Two writers frozen between commit point and retire leave two committed
+/// logs that write the same word. A writer that lost power never pooled its
+/// log again, so the second writer's is the later directory slot — and
+/// replay, which has one order (directory-slot order, on the caller), must
+/// end on the second writer's value at every thread count, with identical
+/// media and counts.
+#[test]
+fn overlapping_committed_logs_replay_in_slot_order_at_every_thread_count() {
+    silence_crash_panics();
+    let first = (op_behind_commit_point(&[], 111), 111);
+    let second = (op_behind_commit_point(&[first], 222), 222);
+    let (pmem, rt, x) = pool_with_frozen_commits(&[first, second]);
+    assert_eq!(
+        x.value(),
+        0,
+        "neither commit was applied before the power failure"
+    );
+    drop((x, rt));
+    let image = snapshot(&pmem);
+    let register: fn(JnvmBuilder) -> JnvmBuilder = |b| b.register::<Pair>();
+    let oracle =
+        assert_thread_equivalence(&image, register, RecoveryMode::Full, "overlapping-logs");
+    assert_eq!(oracle.replayed_logs, 2, "both logs were durably committed");
+    for threads in std::iter::once(1).chain(candidate_threads()) {
+        let (_, rt, _) = open_restored(&image, register, RecoveryMode::Full, threads);
+        let x = rt
+            .root_get_as::<Pair>("x")
+            .expect("root")
+            .expect("x survives");
+        assert_eq!(
+            x.value(),
+            222,
+            "threads={threads}: the later slot applies last"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@
 //! Mechanically: a concurrent torture run produces a mid-flight crash
 //! image; [`jnvm_faultsim::sweep`] then sweeps crash points *inside*
 //! a parallel (`threads = 4`) recovery of that image — the injected crash
-//! unwinds one recovery worker, `run_workers` re-throws it from the
+//! unwinds one recovery worker, `run_workers_timed` re-throws it from the
 //! spawning thread, and the harness resynchronizes the device cache from
 //! media (ghost stores of other mid-store workers must not be visible).
 //! Verification reopens sequentially and requires:
