@@ -11,10 +11,12 @@
 //! (The paper redirects writes to in-flight NVMM block copies instead;
 //! DESIGN.md §3 says why this departs from it.)
 //!
-//! A log's payload is `[committed flag][length in words][entries…]`, an
-//! entry `[kind | n << 8][address][n payload words]`: `n` is 0 for an
-//! allocation or a free, and a write entry carries the `n` words to store
-//! at `address`, all inside one block's payload.
+//! A log's payload is `[committed flag][length in words]` on its first
+//! cache line and the entries from its second one on, an entry
+//! `[n << 48 | address | kind][n payload words]`: the kind sits in the three
+//! idle low bits of the 8-aligned address, `n` is 0 for an allocation or a
+//! free, and a write entry carries the `n` words to store at `address`, all
+//! inside one block's payload.
 //!
 //! Commit, of a group of one or more blocks — the group is the transaction
 //! and has **one** log, the paper's per-thread log of the committing thread:
@@ -23,8 +25,9 @@
 //!    and the fresh allocations, `pfence`,
 //! 2. set the log's committed flag + length, `pwb`, `pfence` — the
 //!    durability point,
-//! 3. apply: validate allocations, invalidate frees, copy each write
-//!    entry's words from the log onto the original, `pwb`, `pfence` — the
+//! 3. apply, from the entries still in DRAM (only recovery reads a log
+//!    back): validate allocations, invalidate frees, copy each write
+//!    entry's words onto the original, `pwb`, `pfence` — the
 //!    applies must be durable *before* step 4, or a crash could persist the
 //!    cleared flag while losing an applied line, and nothing would replay
 //!    the torn block,
@@ -73,15 +76,27 @@ const LOG_INIT_WORDS: u64 = 768;
 const LOG_COMMITTED: u64 = 0;
 /// Logical offset of the committed length, in words of entries.
 const LOG_LEN: u64 = 8;
-/// Logical offset of the first entry.
-const LOG_ENTRIES: u64 = 16;
+/// Logical offset of the first entry: the first payload byte of the log's
+/// second cache line. The flag/length line holds no entry words, so its only
+/// write-backs are the commit point's and the retire's.
+const LOG_ENTRIES: u64 = CACHE_LINE - HEADER_BYTES;
 
 const KIND_ALLOC: u64 = 1;
 const KIND_FREE: u64 = 2;
 const KIND_WRITE: u64 = 3;
-/// An entry's head word holds its kind in the low byte and the number of
-/// payload words that follow its address word above it.
-const KIND_BITS: u32 = 8;
+/// An entry's head is one word: the kind in the low 3 bits of the 8-aligned
+/// address it targets, and above [`RUN_SHIFT`] the number of payload words
+/// that follow.
+const KIND_MASK: u64 = 7;
+const RUN_SHIFT: u32 = 48;
+/// The longest run one WRITE entry carries.
+const RUN_MAX: u64 = u64::MAX >> RUN_SHIFT;
+const ADDR_MASK: u64 = !(KIND_MASK | RUN_MAX << RUN_SHIFT);
+
+fn entry_head(kind: u64, addr: u64) -> u64 {
+    debug_assert_eq!(addr & !ADDR_MASK, 0, "{addr:#x}");
+    addr | kind
+}
 
 /// A handle on one persistent redo log.
 pub(crate) struct LogHandle {
@@ -183,9 +198,10 @@ impl FaManager {
     /// repopulate the volatile log pool. Returns the number replayed (an
     /// abandoned log is not observable: retire clears the flag and leaves
     /// the length, exactly what a log cut short before its commit point
-    /// holds). Must run before the recovery GC. A damaged log (see `read_log`)
-    /// surfaces as [`JnvmError::CorruptLog`] rather than aborting, so a
-    /// server re-open on a damaged pool can report the failure.
+    /// holds). Must run before the recovery GC. A damaged log (see
+    /// `decode_log`) surfaces as [`JnvmError::CorruptLog`] rather than
+    /// aborting, so a server re-open on a damaged pool can report the
+    /// failure.
     ///
     /// Logs replay on the caller in **directory-slot order**, the only
     /// order there is: a commit group is one log, so a committer leaves at
@@ -210,8 +226,8 @@ impl FaManager {
                 // Steps 3–4 of the commit protocol. Both are idempotent, so
                 // a crash anywhere in here re-replays on the next recovery
                 // and converges.
-                let len = pmem.read_u64(chain.phys(LOG_LEN));
-                apply_and_retire(rt, &chain, len, false, &mut retired_fp)?;
+                let (len, bytes) = read_log(pmem, &chain);
+                apply_and_retire(rt, &chain, len, &bytes, false, &mut retired_fp)?;
                 replayed += 1;
             }
             *cursor = slot + 1;
@@ -285,7 +301,7 @@ struct TxState {
 
 impl TxState {
     fn push_entry(&mut self, kind: u64, addr: u64) {
-        self.entries.extend([kind, addr]);
+        self.entries.push(entry_head(kind, addr));
         self.ops += 1;
     }
 
@@ -297,13 +313,13 @@ impl TxState {
         let mut head = 0;
         let mut next = None;
         for (&addr, &v) in &self.overlay {
-            if next != Some(addr) {
+            if next != Some(addr) || self.entries[head] >> RUN_SHIFT == RUN_MAX {
                 head = self.entries.len();
-                self.entries.extend([KIND_WRITE, addr]);
+                self.entries.push(entry_head(KIND_WRITE, addr));
                 self.ops += 1;
             }
             self.entries.push(v);
-            self.entries[head] += 1 << KIND_BITS;
+            self.entries[head] += 1 << RUN_SHIFT;
             next = Some(addr + 8);
         }
     }
@@ -489,6 +505,7 @@ pub(crate) fn note_free(addr: u64) -> bool {
 }
 
 /// One decoded redo entry.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 enum Entry {
     Alloc(u64),
     Free(u64),
@@ -499,38 +516,50 @@ enum Entry {
     },
 }
 
-/// Read a committed log of `len` words and decode its entries. Replay
-/// never trusts a length: a log longer than its chain, an entry running
-/// past `len`, an unknown kind, an address outside the heap and a write
-/// range leaving its block's payload are all [`JnvmError::CorruptLog`] —
-/// reported before anything is applied.
-fn read_log(
+/// Read a log back: its length word and the entry bytes it describes.
+/// Recovery's half — a live commit applies the bytes it stored. The length
+/// is not trusted: this reads no further than the chain holds, and
+/// [`decode_log`] refuses the rest.
+fn read_log(pmem: &jnvm_pmem::Pmem, chain: &RawChain) -> (u64, Vec<u8>) {
+    let len = pmem.read_u64(chain.phys(LOG_LEN));
+    let held = len.min((chain.capacity() - LOG_ENTRIES) / 8);
+    let mut bytes = vec![0u8; (held * 8) as usize];
+    chain.read_bytes(pmem, LOG_ENTRIES, &mut bytes);
+    (len, bytes)
+}
+
+/// Decode the entries of `chain`'s log from `bytes`, its first `len` words
+/// of entries — the bytes a live commit has just stored, or what recovery
+/// read back. Nothing is trusted: a length the chain cannot hold, an entry
+/// running past `len`, an unknown kind, an address outside the heap and a
+/// write range leaving its block's payload are all
+/// [`JnvmError::CorruptLog`] — reported before anything is applied.
+fn decode_log(
     rt: &JnvmRuntime,
     chain: &RawChain,
     len: u64,
-) -> Result<(Vec<u8>, Vec<Entry>), JnvmError> {
+    bytes: &[u8],
+) -> Result<Vec<Entry>, JnvmError> {
     let heap = rt.heap();
     let corrupt = |entry, reason| Err(JnvmError::CorruptLog { entry, reason });
     if len > (chain.capacity() - LOG_ENTRIES) / 8 {
         return corrupt(len, "committed length exceeds the log");
     }
-    let mut buf = vec![0u8; (len * 8) as usize];
-    chain.read_bytes(rt.pmem(), LOG_ENTRIES, &mut buf);
+    debug_assert_eq!(bytes.len() as u64, len * 8);
     let word = |i: u64| {
         let at = (i * 8) as usize;
-        u64::from_le_bytes(buf[at..at + 8].try_into().expect("slice of 8"))
+        u64::from_le_bytes(bytes[at..at + 8].try_into().expect("slice of 8"))
     };
     let mut entries = Vec::new();
     let mut i = 0;
     while i < len {
         let head = word(i);
-        let (kind, n) = (head & ((1 << KIND_BITS) - 1), head >> KIND_BITS);
-        if len - i < 2 || n > len - i - 2 {
+        let (kind, n, addr) = (head & KIND_MASK, head >> RUN_SHIFT, head & ADDR_MASK);
+        if n > len - i - 1 {
             return corrupt(head, "entry runs past the committed length");
         }
-        let addr = word(i + 1);
         let block = heap.block_of_addr(addr);
-        if block < heap.data_start() || block >= heap.nblocks() || !addr.is_multiple_of(8) {
+        if block < heap.data_start() || block >= heap.nblocks() {
             return corrupt(head, "address outside the heap");
         }
         entries.push(match (kind, n) {
@@ -543,21 +572,21 @@ fn read_log(
                 }
                 Entry::Write {
                     addr,
-                    words: ((i + 2) * 8) as usize..((i + 2 + n) * 8) as usize,
+                    words: ((i + 1) * 8) as usize..((i + 1 + n) * 8) as usize,
                 }
             }
             _ => return corrupt(head, "unknown entry kind"),
         });
-        i += 2 + n;
+        i += 1 + n;
     }
-    Ok((buf, entries))
+    Ok(entries)
 }
 
 /// Steps 3–4 of the commit protocol over the durably committed log `chain`
-/// of `len` words: apply its entries, fence, and only then clear the
-/// committed flag and queue its write-back. The caller owns the closing
-/// fence and declares `retired_fp` (the cleared flag, collected only while
-/// the sanitizer is on) behind it.
+/// of `len` words, whose entry bytes are `bytes` (see [`decode_log`]): apply
+/// its entries, fence, and only then clear the committed flag and queue its
+/// write-back. The caller owns the closing fence and declares `retired_fp`
+/// (the cleared flag, collected only while the sanitizer is on) behind it.
 ///
 /// `runtime_commit` is true on a live commit, which gets back the master
 /// addresses the log freed and may hand them to the shared allocator only
@@ -577,6 +606,7 @@ fn apply_and_retire(
     rt: &Jnvm,
     chain: &RawChain,
     len: u64,
+    bytes: &[u8],
     runtime_commit: bool,
     retired_fp: &mut Vec<(u64, u64)>,
 ) -> Result<Vec<u64>, JnvmError> {
@@ -589,8 +619,7 @@ fn apply_and_retire(
         }
     };
     let mut frees = Vec::new();
-    let (buf, entries) = read_log(rt, chain, len)?;
-    for entry in entries {
+    for entry in decode_log(rt, chain, len, bytes)? {
         match entry {
             Entry::Alloc(a) => {
                 rt.set_valid_addr(a, true);
@@ -603,7 +632,7 @@ fn apply_and_retire(
             }
             Entry::Write { addr, words } => {
                 let len = words.len() as u64;
-                pmem.write_bytes(addr, &buf[words]);
+                pmem.write_bytes(addr, &bytes[words]);
                 pmem.pwb_range(addr, len);
                 applied(addr, len);
             }
@@ -776,11 +805,7 @@ impl JnvmRuntime {
         }
         // The group is the transaction: its blocks' entries, in apply
         // order, are the content of one log.
-        let bytes: Vec<u8> = group
-            .iter()
-            .flat_map(|tx| &tx.state().entries)
-            .flat_map(|w| w.to_le_bytes())
-            .collect();
+        let bytes = entry_bytes(&group);
         if bytes.is_empty() {
             // Nothing staged, nothing to abort when the handles drop.
             set_phase(CommitPhase::Idle);
@@ -835,11 +860,12 @@ impl JnvmRuntime {
         staged.push((chain.phys(LOG_COMMITTED), LOG_ENTRIES));
         pmem.ordering_point("fa-commit", &staged);
         // 3–4. Apply the entries, fence, clear the flag; then retire the
-        // log behind the closing fence.
+        // log behind the closing fence. The entries are applied from
+        // `bytes`: what step 1 stored is never read back.
         set_phase(CommitPhase::Apply);
         let mut retired_fp: Vec<(u64, u64)> = Vec::new();
-        let frees = apply_and_retire(self, chain, words, true, &mut retired_fp)
-            .expect("entries written by this commit are well-formed");
+        let frees = apply_and_retire(self, chain, words, &bytes, true, &mut retired_fp)
+            .expect("entries staged by this commit are well-formed");
         pmem.pfence();
         pmem.ordering_point("fa-retire", &retired_fp);
         // Only now — the retire is durable, the log cannot replay again —
@@ -891,6 +917,12 @@ impl std::fmt::Debug for StagedTx {
     }
 }
 
+/// The content of a group's log: its blocks' entries, in apply order.
+fn entry_bytes(group: &[StagedTx]) -> Vec<u8> {
+    let words = group.iter().flat_map(|tx| &tx.state().entries);
+    words.flat_map(|w| w.to_le_bytes()).collect()
+}
+
 /// Abort a block from its captured state (shared by a stage whose closure
 /// unwound and [`StagedTx`]'s drop).
 fn abort_state(state: TxState) {
@@ -908,6 +940,14 @@ mod tests {
     use jnvm_heap::HeapConfig;
     use jnvm_pmem::{CrashPolicy, Pmem, PmemConfig};
     use std::collections::HashSet;
+
+    /// The committed log `chain` as recovery reads it back: its entry bytes
+    /// and what they decode to.
+    fn read_back(rt: &Jnvm, chain: &RawChain) -> (Vec<u8>, Vec<Entry>) {
+        let (len, bytes) = read_log(rt.pmem(), chain);
+        let entries = decode_log(rt, chain, len, &bytes).expect("well-formed log");
+        (bytes, entries)
+    }
 
     fn used_slots(rt: &Jnvm) -> u64 {
         let dir = RawChain::open(rt, rt.heap().root_slot(2));
@@ -987,9 +1027,7 @@ mod tests {
                 if pmem.read_u64(chain.phys(LOG_COMMITTED)) != 1 {
                     continue;
                 }
-                let len = pmem.read_u64(chain.phys(LOG_LEN));
-                let (_, entries) = read_log(&rt, &chain, len).expect("well-formed log");
-                for entry in entries {
+                for entry in read_back(&rt, &chain).1 {
                     if let Entry::Free(a) = entry {
                         assert!(
                             !allocatable.contains(&heap.block_of_addr(a)),
@@ -1062,6 +1100,11 @@ mod tests {
         pmem.disarm_faults();
         let d = pmem.stats().delta(&before);
         assert_eq!(d.pfences, 4, "K staged blocks share one 4-fence pass");
+        assert_eq!(
+            (d.reads, d.bytes_read),
+            (0, 0),
+            "a commit of writes applies from DRAM: it reads neither its log nor anything else"
+        );
         assert_eq!(used_slots(&rt), 1, "the one log is reused");
         let log = first_log(&rt);
         let stores = |logical| {
@@ -1071,7 +1114,12 @@ mod tests {
         };
         assert_eq!(stores(LOG_COMMITTED), 2, "one flag set, one flag cleared");
         assert_eq!(stores(LOG_LEN), 1, "one length");
-        assert_eq!(pmem.read_u64(log.phys(LOG_LEN)), 3 * objs.len() as u64);
+        assert_eq!(pmem.read_u64(log.phys(LOG_LEN)), 2 * objs.len() as u64);
+        assert_ne!(
+            log.phys(LOG_ENTRIES) / CACHE_LINE,
+            log.phys(LOG_LEN) / CACHE_LINE,
+            "the flag/length line holds no entry words"
+        );
         for (i, obj) in objs.iter().enumerate() {
             assert_eq!(obj.read_u64(0), 100 + i as u64);
         }
@@ -1165,85 +1213,344 @@ mod tests {
     }
 
     /// A pool image holding one committed, unapplied log — `FREE objs[1]`
-    /// then `WRITE objs[0].word0 = 99`, five words — that `damage` (given
-    /// the device, the log's chain and `objs[2]`'s address) has edited by
-    /// hand; plus the addresses of `objs[0]` and `objs[2]`.
-    fn committed_image(damage: impl FnOnce(&Pmem, &RawChain, u64)) -> (Arc<Pmem>, u64, u64) {
+    /// then `WRITE objs[0].word0 = 99`, three words — that `damage` (given
+    /// the device, the log's chain and the objects' addresses) has edited by
+    /// hand; plus those addresses.
+    fn committed_image(damage: impl FnOnce(&Pmem, &RawChain, &[u64])) -> (Arc<Pmem>, Vec<u64>) {
         let (pmem, rt, objs) = stage_setup();
+        let addrs: Vec<u64> = objs.iter().map(|o| o.addr()).collect();
         let (tx, ()) = rt.fa_stage(|| {
             objs[0].write_u64(0, 99);
             rt.free_addr(objs[1].addr());
         });
         // The first half of the commit, by hand. (Dropping `tx` aborts a
         // block that allocated nothing: a no-op.)
-        let entries = &tx.state().entries;
-        assert_eq!(entries.len(), 5);
-        let bytes: Vec<u8> = entries.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(
+            tx.state().entries,
+            [
+                addrs[1] | KIND_FREE,
+                1 << RUN_SHIFT | (addrs[0] + 8) | KIND_WRITE,
+                99
+            ]
+        );
+        let bytes = entry_bytes(std::slice::from_ref(&tx));
         let chain = rt.fa_manager().acquire_log(&rt).chain;
         chain.write_bytes(&pmem, LOG_ENTRIES, &bytes);
-        pmem.write_u64(chain.phys(LOG_LEN), 5);
+        pmem.write_u64(chain.phys(LOG_LEN), 3);
         pmem.write_u64(chain.phys(LOG_COMMITTED), 1);
-        damage(&pmem, &chain, objs[2].addr());
+        damage(&pmem, &chain, &addrs);
         pmem.drain_all();
         pmem.crash(&CrashPolicy::strict()).unwrap();
-        (pmem, objs[0].addr(), objs[2].addr())
+        (pmem, addrs)
     }
 
-    /// Replay never trusts a length, an address or a kind word: each
-    /// hand-corrupted committed log is refused with a typed error — no
-    /// panic, nothing written — and the undamaged image replays.
+    /// A head's run length is 16 bits: a run of more than `RUN_MAX` words
+    /// — possible only with blocks above 512 KiB — is split into two WRITE
+    /// entries, and the count never carries into the head's address bits.
+    /// The commit decodes both from DRAM and the words land, durably.
+    #[test]
+    fn a_run_longer_than_a_head_can_count_is_split() {
+        let pmem = Pmem::new(PmemConfig::crash_sim(32 << 20));
+        let cfg = HeapConfig {
+            block_size: 1 << 20,
+        };
+        let rt = JnvmBuilder::new().create(Arc::clone(&pmem), cfg).unwrap();
+        let words = RUN_MAX + 3;
+        let obj = Proxy::alloc(&rt, CLASS_ID_FALOG, words * 8);
+        obj.pwb();
+        obj.validate();
+        pmem.psync();
+        let first = obj.addr() + HEADER_BYTES;
+        let (tx, ()) = rt.fa_stage(|| (0..words).for_each(|i| obj.write_u64(i * 8, i + 1)));
+        let entries = &tx.state().entries;
+        assert_eq!(tx.op_count(), 2);
+        assert_eq!(entries.len() as u64, 2 + words);
+        assert_eq!(entries[0], RUN_MAX << RUN_SHIFT | first | KIND_WRITE);
+        assert_eq!(
+            entries[RUN_MAX as usize + 1],
+            3 << RUN_SHIFT | (first + RUN_MAX * 8) | KIND_WRITE
+        );
+        rt.fa_commit_group(vec![tx]);
+        let addr = obj.addr();
+        drop(obj);
+        drop(rt);
+        pmem.crash(&jnvm_pmem::CrashPolicy::strict()).unwrap();
+        let (rt2, report) = JnvmBuilder::new().open(Arc::clone(&pmem)).unwrap();
+        assert_eq!(report.replayed_logs, 0);
+        let obj = Proxy::open(&rt2, addr);
+        assert!((0..words).all(|i| obj.read_u64(i * 8) == i + 1));
+    }
+
+    /// Replay never trusts a length, an address, a run length or a kind:
+    /// each hand-corrupted committed log is refused with a typed error — no
+    /// panic, not a word applied — and the undamaged image replays.
     #[test]
     fn replay_refuses_a_damaged_committed_log() {
         fn entry(i: u64) -> u64 {
             LOG_ENTRIES + i * 8
         }
-        let (pmem, target, _) = committed_image(|_, _, _| ());
+        /// A WRITE head of `n` words at `addr`.
+        fn write(n: u64, addr: u64) -> u64 {
+            n << RUN_SHIFT | addr | KIND_WRITE
+        }
+        let (pmem, addrs) = committed_image(|_, _, _| ());
         let (rt, report) = JnvmBuilder::new().open(Arc::clone(&pmem)).unwrap();
         assert_eq!(report.replayed_logs, 1);
-        assert_eq!(Proxy::open(&rt, target).read_u64(0), 99);
+        assert_eq!(Proxy::open(&rt, addrs[0]).read_u64(0), 99);
+        assert!(!Proxy::open(&rt, addrs[1]).is_valid());
 
-        type Damage = fn(&Pmem, &RawChain, u64);
-        let cases: [(&str, Damage); 6] = [
+        type Damage = fn(&Pmem, &RawChain, &[u64]);
+        let cases: [(&str, Damage); 12] = [
             ("committed length exceeds the log", |p, c, _| {
                 p.write_u64(c.phys(LOG_LEN), u64::MAX)
             }),
+            // The length cuts the WRITE entry's payload off.
             ("entry runs past the committed length", |p, c, _| {
-                p.write_u64(c.phys(LOG_LEN), 6)
+                p.write_u64(c.phys(LOG_LEN), 2)
             }),
-            ("entry runs past the committed length", |p, c, _| {
-                p.write_u64(c.phys(entry(2)), KIND_WRITE | 2 << KIND_BITS)
+            // The run length passes the committed length.
+            ("entry runs past the committed length", |p, c, a| {
+                p.write_u64(c.phys(entry(1)), write(2, a[0] + 8))
+            }),
+            ("entry runs past the committed length", |p, c, a| {
+                p.write_u64(c.phys(entry(1)), write(RUN_MAX, a[0] + 8))
+            }),
+            // Past the end of the pool, and inside the superblock.
+            ("address outside the heap", |p, c, _| {
+                p.write_u64(c.phys(entry(1)), write(1, p.len()))
             }),
             ("address outside the heap", |p, c, _| {
-                p.write_u64(c.phys(entry(3)), p.len())
+                p.write_u64(c.phys(entry(0)), 64 | KIND_FREE)
             }),
-            (
-                "write range leaves its block's payload",
-                |p, c, bystander| {
-                    p.write_u64(c.phys(entry(3)), bystander) // a block's header word
-                },
-            ),
-            ("unknown entry kind", |p, c, _| {
-                p.write_u64(c.phys(entry(0)), 9)
+            // Onto a block's header word.
+            ("write range leaves its block's payload", |p, c, a| {
+                p.write_u64(c.phys(entry(1)), write(1, a[2]))
+            }),
+            // Two words from a block's last one, in a log long enough.
+            ("write range leaves its block's payload", |p, c, a| {
+                p.write_u64(c.phys(entry(1)), write(2, a[2] + 248));
+                p.write_u64(c.phys(LOG_LEN), 4)
+            }),
+            // Kind 0, and the word a retired-and-zeroed log would hold.
+            ("unknown entry kind", |p, c, a| {
+                p.write_u64(c.phys(entry(0)), a[1])
+            }),
+            // Kinds 4-7: a set bit 2 is not part of any address.
+            ("unknown entry kind", |p, c, a| {
+                p.write_u64(c.phys(entry(0)), a[1] | 4 | KIND_FREE)
+            }),
+            // An allocation or a free carries no words; a write carries some.
+            ("unknown entry kind", |p, c, a| {
+                p.write_u64(c.phys(entry(0)), 1 << RUN_SHIFT | a[1] | KIND_FREE)
+            }),
+            ("unknown entry kind", |p, c, a| {
+                p.write_u64(c.phys(entry(1)), write(0, a[0] + 8));
+                p.write_u64(c.phys(LOG_LEN), 2)
             }),
         ];
         for (reason, damage) in cases {
-            let (pmem, target, bystander) = committed_image(damage);
-            let header = pmem.read_u64(bystander);
+            let (pmem, addrs) = committed_image(damage);
+            let words = |pmem: &Pmem| -> Vec<u64> {
+                let object = |a: &u64| [pmem.read_u64(*a), pmem.read_u64(a + 8)];
+                addrs.iter().flat_map(object).collect()
+            };
+            let before = words(&pmem);
             match JnvmBuilder::new().open(Arc::clone(&pmem)) {
                 Err(JnvmError::CorruptLog { reason: r, .. }) => assert_eq!(r, reason),
                 other => panic!("{reason}: expected CorruptLog, got {:?}", other.map(drop)),
             }
-            assert_eq!(
-                pmem.read_u64(target + 8),
-                0,
-                "{reason}: refused log was applied"
-            );
-            assert_eq!(
-                pmem.read_u64(bystander),
-                header,
-                "{reason}: bystander overwritten"
-            );
+            assert_eq!(words(&pmem), before, "{reason}: a refused log was applied");
         }
+        // Every kind the 3 bits can hold besides the three defined.
+        for kind in (0..=KIND_MASK).filter(|k| ![KIND_ALLOC, KIND_FREE, KIND_WRITE].contains(k)) {
+            let (_pmem, rt, objs) = stage_setup();
+            let chain = rt.fa_manager().acquire_log(&rt).chain;
+            let bytes = (objs[0].addr() | kind).to_le_bytes();
+            match decode_log(&rt, &chain, 1, &bytes) {
+                Err(JnvmError::CorruptLog { reason, .. }) => {
+                    assert_eq!(reason, "unknown entry kind")
+                }
+                other => panic!("kind {kind}: {:?}", other.map(drop)),
+            }
+        }
+    }
+
+    /// Four valid objects `[i, ref]` whose second word references a valid
+    /// one-word blob, the committer's log created; plus every address a
+    /// [`mixed_group`] touches or will allocate (the allocator is
+    /// deterministic: the next four fresh blocks).
+    fn mixed_setup() -> (Arc<Pmem>, Jnvm, Vec<Proxy>, Vec<u64>) {
+        let (pmem, rt, objs) = stage_setup();
+        let mut addrs: Vec<u64> = objs.iter().map(|o| o.addr()).collect();
+        for obj in &objs {
+            let blob = Proxy::alloc(&rt, CLASS_ID_FALOG, 8);
+            blob.write_u64(0, 0xB10B);
+            blob.pwb();
+            blob.validate();
+            obj.write_u64(8, blob.addr());
+            obj.pwb();
+            addrs.push(blob.addr());
+        }
+        rt.fa(|| objs[0].write_u64(0, 0));
+        pmem.psync();
+        let heap = rt.heap();
+        addrs.extend((0..4).map(|i| heap.block_addr(heap.stats().bump + i)));
+        (pmem, rt, objs, addrs)
+    }
+
+    /// One group in the three shapes of the server's writes: a field update
+    /// (fresh blob, one reference swapped, old blob freed), an insert (a
+    /// fresh record of two fresh blobs published in two words of a valid
+    /// object) and a delete (a reference cleared, object and blob freed).
+    fn mixed_group(rt: &Jnvm, objs: &[Proxy]) -> Vec<StagedTx> {
+        let blob = |fill: u64| {
+            let blob = Proxy::alloc(rt, CLASS_ID_FALOG, 8);
+            blob.write_u64(0, fill);
+            blob.addr()
+        };
+        let setf = rt.fa_stage(|| {
+            let old = objs[0].read_u64(8);
+            objs[0].write_u64(8, blob(0x5E7F));
+            rt.free_addr(old);
+        });
+        let set = rt.fa_stage(|| {
+            let rec = Proxy::alloc(rt, CLASS_ID_FALOG, 16);
+            rec.write_u64(0, blob(0x5E70));
+            rec.write_u64(8, blob(0x5E71));
+            objs[1].write_u64(0, 101);
+            objs[1].write_u64(8, rec.addr());
+        });
+        let del = rt.fa_stage(|| {
+            rt.free_addr(objs[3].read_u64(8));
+            rt.free_addr(objs[3].addr());
+            objs[2].write_u64(0, 102);
+        });
+        vec![setf.0, set.0, del.0]
+    }
+
+    /// `(valid, word 0, word 1)` of each one-block object at `addrs`, zeroes
+    /// for what is not a valid object.
+    fn mixed_image(rt: &Jnvm, addrs: &[u64]) -> Vec<(bool, u64, u64)> {
+        let heap = rt.heap();
+        let object = |a: &u64| {
+            let valid = heap.read_header(heap.block_of_addr(*a)).is_valid_master();
+            let word = |off| {
+                if valid {
+                    rt.pmem().read_u64(a + off)
+                } else {
+                    0
+                }
+            };
+            (valid, word(8), word(16))
+        };
+        addrs.iter().map(object).collect()
+    }
+
+    /// Differential, live commit against recovery: the live commit applies
+    /// the entries it holds in DRAM and never reads its log, recovery has
+    /// only the log. At every crash point of a mixed group's commit past
+    /// the commit point, the log on media is byte for byte what the commit
+    /// staged and decodes to the same entries, and replaying it converges
+    /// to the image the uninterrupted commit leaves; before the commit
+    /// point, nothing of the group survives. Strict power failures and 8
+    /// adversarial eviction seeds.
+    #[test]
+    fn media_log_replays_to_what_the_live_commit_applied_from_dram() {
+        use jnvm_pmem::{catch_crash, silence_crash_panics, FaultPlan};
+        silence_crash_panics();
+        let staged = RefCell::new(Vec::new());
+        let workload = |rt: &Jnvm, objs: &[Proxy]| {
+            let group = mixed_group(rt, objs);
+            *staged.borrow_mut() = entry_bytes(&group);
+            rt.fa_commit_group(group);
+        };
+        let settled = |run: bool| {
+            let (pmem, rt, objs, addrs) = mixed_setup();
+            pmem.arm_faults(FaultPlan::count());
+            if run {
+                workload(&rt, &objs);
+            }
+            let total = pmem.disarm_faults();
+            // The live commit invalidates what it freed behind its closing
+            // fence, write-back queued; replay does so ahead of its own.
+            pmem.psync();
+            drop((objs, rt));
+            pmem.crash(&CrashPolicy::strict()).unwrap();
+            (mixed_image(&big_reopen(&pmem).0, &addrs), total)
+        };
+        let ((before, _), (after, total)) = (settled(false), settled(true));
+        assert_ne!(before, after);
+        assert!(
+            after[8..].iter().all(|o| o.0),
+            "the fresh objects are valid"
+        );
+        assert!(
+            !after[4].0 && !after[3].0 && !after[7].0,
+            "the freed ones are not"
+        );
+
+        let policies =
+            std::iter::once(CrashPolicy::strict()).chain((0..8).map(CrashPolicy::adversarial));
+        let mut compared = 0;
+        for (p, policy) in policies.enumerate() {
+            for point in 0..total {
+                let (pmem, rt, objs, addrs) = mixed_setup();
+                pmem.arm_faults(FaultPlan::crash_at(point).with_policy(policy));
+                let outcome = catch_crash(|| workload(&rt, &objs));
+                pmem.disarm_faults();
+                assert!(outcome.is_err(), "crash point {point} not reached");
+                let committed = commit_phase().is_committed();
+                let log = first_log(&rt);
+                let on_media = pmem.read_u64(log.phys(LOG_COMMITTED)) == 1;
+                if on_media {
+                    let (bytes, entries) = read_back(&rt, &log);
+                    let dram = staged.borrow();
+                    let applied = decode_log(&rt, &log, dram.len() as u64 / 8, &dram).unwrap();
+                    assert_eq!(
+                        bytes, *dram,
+                        "policy {p}, point {point}: log bytes on media"
+                    );
+                    assert_eq!(
+                        entries, applied,
+                        "policy {p}, point {point}: decoded entries"
+                    );
+                    compared += 1;
+                }
+                drop((objs, rt));
+                let image = mixed_image(&big_reopen(&pmem).0, &addrs);
+                if on_media {
+                    assert_eq!(image, after, "policy {p}, point {point}: replayed image");
+                } else if committed {
+                    // Retired: every apply is durable. The invalidation of
+                    // what the group freed follows the closing fence, and a
+                    // header scan keeps a valid object nothing references.
+                    let kept = |image: &[(bool, u64, u64)]| {
+                        let freed = |i: &usize| [3, 4, 7].contains(i);
+                        let kept = image.iter().enumerate().filter(|(i, _)| !freed(i));
+                        kept.map(|(_, o)| *o).collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        kept(&image),
+                        kept(&after),
+                        "policy {p}, point {point}: retired image"
+                    );
+                } else if p == 0 {
+                    assert_eq!(
+                        image, before,
+                        "point {point}: uncommitted group left a trace"
+                    );
+                } else {
+                    assert!(
+                        image == before || image == after,
+                        "policy {p}, point {point}: torn"
+                    );
+                }
+            }
+        }
+        assert!(
+            compared as u64 > total / 4,
+            "{compared} logs compared over {total} points"
+        );
     }
 
     /// Regression: the recovery report counted as "abandoned" every log
@@ -1258,10 +1565,10 @@ mod tests {
         rt.fa(|| objs[1].write_u64(0, 6));
         let log = first_log(&rt);
         let words = |pmem: &Pmem| [LOG_COMMITTED, LOG_LEN].map(|at| pmem.read_u64(log.phys(at)));
-        assert_eq!(words(&pmem), [0, 3]);
+        assert_eq!(words(&pmem), [0, 2]);
         drop((objs, rt));
         pmem.crash(&CrashPolicy::strict()).unwrap();
-        assert_eq!(words(&pmem), [0, 3], "retire is durable");
+        assert_eq!(words(&pmem), [0, 2], "retire is durable");
         let (rt2, report) = JnvmBuilder::new().open(Arc::clone(&pmem)).unwrap();
         assert_eq!(report.replayed_logs, 0);
         assert!(!format!("{report:?}").contains("abandoned"));
@@ -1276,7 +1583,7 @@ mod tests {
     }
 
     /// Bytes per big object: eight whole blocks of payload, so a block
-    /// overwriting one stages 8 × (2 + 31) = 264 words of entries.
+    /// overwriting one stages 8 × (1 + 31) = 256 words of entries.
     const BIG: u64 = 8 * 248;
 
     /// Small pool with four valid, zero-filled [`BIG`] objects and the
@@ -1343,7 +1650,7 @@ mod tests {
             pmem.arm_faults(FaultPlan::count());
             workload(&rt, &objs);
             let total = pmem.disarm_faults();
-            let words = 4 * 8 * (2 + 31);
+            let words = 4 * 8 * (1 + 31);
             assert_eq!(pmem.read_u64(first_log(&rt).phys(LOG_LEN)), words);
             assert!(words > LOG_INIT_WORDS && first_log(&rt).capacity() > before);
             total
@@ -1390,7 +1697,7 @@ mod tests {
         let (pmem, rt, objs) = big_setup();
         let addrs: Vec<u64> = objs.iter().map(|o| o.addr()).collect();
         // Leave the allocator 3 blocks: one for the group's fresh object,
-        // two of the eleven the log must grow by.
+        // two of the nine the log must grow by.
         let heap = rt.heap();
         let mut drained = Vec::new();
         while let Ok(b) = heap.alloc_block() {

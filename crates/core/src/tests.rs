@@ -570,6 +570,55 @@ fn nogc_recovery_keeps_valid_masters() {
     assert_eq!(rt2.root_get_as::<Simple>("s").unwrap().unwrap().x(), 9);
 }
 
+/// The bump pointer advances a stride at a time, and the thread that
+/// reserves a stride is not the only one that spends it. Thread A reserves
+/// and never fences again; thread B publishes an object that lives in A's
+/// stride. The header-only scan stops at the persisted bump, so B's object
+/// survives a strict crash only if A's reservation was already durable.
+#[test]
+fn nogc_recovery_finds_objects_in_a_stride_another_thread_reserved() {
+    let (pmem, rt) = fresh(1 << 20);
+    let old_end = rt.heap().scan_end();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while rt.heap().scan_end() == old_end {
+                rt.heap().alloc_block().unwrap();
+            }
+        });
+    });
+    let addr = std::thread::scope(|s| {
+        s.spawn(|| {
+            let n = Node::alloc_uninit(&rt);
+            n.set_value(9);
+            n.pwb();
+            rt.root_put("n", &n).unwrap();
+            n.addr()
+        })
+        .join()
+        .unwrap()
+    });
+    assert!(
+        rt.heap().block_of_addr(addr) >= old_end,
+        "the object must live in the stride the other thread reserved"
+    );
+    pmem.crash(&CrashPolicy::strict()).unwrap();
+    let (rt2, _) = JnvmBuilder::new()
+        .register::<Simple>()
+        .register::<Node>()
+        .open_with_options(
+            Arc::clone(&pmem),
+            RecoveryOptions::with_mode(RecoveryMode::HeaderScanOnly),
+        )
+        .unwrap();
+    let n = rt2.root_get_as::<Node>("n").unwrap().unwrap();
+    assert_eq!((n.addr(), n.value()), (addr, 9));
+    // The block that holds it is never handed out again.
+    let home = rt2.heap().block_of_addr(addr);
+    while let Ok(b) = rt2.heap().alloc_block() {
+        assert_ne!(b, home, "a live block was handed out");
+    }
+}
+
 #[test]
 fn class_ids_stable_across_reopen() {
     let (pmem, rt) = fresh(1 << 20);

@@ -2,6 +2,7 @@
 //! root slots and free-queue reconstruction.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,6 +33,15 @@ impl Default for HeapConfig {
     }
 }
 
+/// Fresh blocks the persistent bump pointer advances by at a time. Recovery
+/// sweeps everything below the persisted bump into the free queue, so the
+/// part of a stride a crash leaves unreached is ordinary free space.
+///
+/// Invariant (kept where [`BlockHeap::alloc_block`] writes `SB_BUMP`): a
+/// reservation is fenced before any of its blocks is handed out, so the
+/// *persisted* bump is above every block any thread ever held.
+const BUMP_STRIDE: u64 = 1024;
+
 /// Volatile counters describing heap occupancy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapStats {
@@ -58,6 +68,10 @@ pub struct BlockHeap {
     nblocks: u64,
     data_start: u64,
     free: Mutex<VecDeque<u64>>,
+    /// Never-allocated blocks already reserved from the persistent bump
+    /// pointer: `start` is the next one to hand out, `end` what `SB_BUMP`
+    /// holds. Taken only when the free queue is empty.
+    fresh: Mutex<Range<u64>>,
     allocated: AtomicU64,
     freed: AtomicU64,
 }
@@ -96,6 +110,7 @@ impl BlockHeap {
             nblocks,
             data_start,
             free: Mutex::new(VecDeque::new()),
+            fresh: Mutex::new(data_start..data_start),
             allocated: AtomicU64::new(0),
             freed: AtomicU64::new(0),
         }))
@@ -124,12 +139,16 @@ impl BlockHeap {
             return Err(HeapError::BadSuperblock("block count exceeds pool".into()));
         }
         let data_start = pmem.read_u64(SB_DATA_START);
+        // Whatever an earlier view had reserved and not handed out lies
+        // below the persisted bump: recovery's sweep finds it.
+        let bump = pmem.read_u64(SB_BUMP).min(nblocks);
         Ok(Arc::new(BlockHeap {
             pmem,
             block_size,
             nblocks,
             data_start,
             free: Mutex::new(VecDeque::new()),
+            fresh: Mutex::new(bump..bump),
             allocated: AtomicU64::new(0),
             freed: AtomicU64::new(0),
         }))
@@ -180,7 +199,7 @@ impl BlockHeap {
         HeapStats {
             blocks_allocated: self.allocated.load(Ordering::Relaxed),
             blocks_freed: self.freed.load(Ordering::Relaxed),
-            bump: self.bump(),
+            bump: self.fresh.lock().start,
             free_queue_len: self.free.lock().len() as u64,
             capacity_blocks: self.nblocks - self.data_start,
         }
@@ -222,26 +241,36 @@ impl BlockHeap {
     // Allocation (§4.1.2, §4.1.4).
     // ------------------------------------------------------------------
 
-    fn bump(&self) -> u64 {
-        self.pmem.read_u64(SB_BUMP)
-    }
-
     /// Allocate one raw block. Tries the volatile free queue first, then the
-    /// persistent bump pointer. The block's header is *not* initialized.
+    /// blocks reserved from the persistent bump pointer, which advances a
+    /// stride at a time. The block's header is *not* initialized.
     pub fn alloc_block(&self) -> Result<u64, HeapError> {
         let recycled = self.free.lock().pop_front();
-        if let Some(idx) = recycled {
-            self.allocated.fetch_add(1, Ordering::Relaxed);
-            return Ok(idx);
-        }
-        let idx = self.pmem.fetch_add_u64(SB_BUMP, 1);
-        if idx >= self.nblocks {
-            // Undo is unnecessary: a bump past the end stays past the end.
-            return Err(HeapError::OutOfMemory { requested: 1 });
-        }
-        // Persist the bump lazily (pwb, no fence): recovery recomputes the
-        // effective bump as max(persisted, highest live block + 1).
-        self.pmem.pwb(SB_BUMP);
+        let idx = match recycled {
+            Some(idx) => idx,
+            None => {
+                let mut fresh = self.fresh.lock();
+                if fresh.is_empty() {
+                    // Clamped: the bump never passes the end of the pool.
+                    let stride = BUMP_STRIDE.min(self.nblocks - fresh.end);
+                    if stride == 0 {
+                        return Err(HeapError::OutOfMemory { requested: 1 });
+                    }
+                    // The reservation is durable before any block of the
+                    // stride leaves this lock. A fence drains only its own
+                    // thread's write-backs, so without one here another
+                    // thread could take a block, commit into it and fence
+                    // while SB_BUMP is still pending in this thread's
+                    // domain — and a crash would leave acked data above
+                    // `scan_end`, where no header scan looks.
+                    fresh.end += stride;
+                    self.pmem.write_u64(SB_BUMP, fresh.end);
+                    self.pmem.pwb(SB_BUMP);
+                    self.pmem.pfence();
+                }
+                fresh.next().expect("a stride was just reserved")
+            }
+        };
         self.allocated.fetch_add(1, Ordering::Relaxed);
         Ok(idx)
     }
@@ -388,7 +417,7 @@ impl BlockHeap {
     /// Returns the free-block count plus each sweep worker's modeled
     /// device time.
     pub fn rebuild_free_queue(&self, live: &LiveBitmap, threads: usize) -> (u64, Vec<Duration>) {
-        let persisted_bump = self.bump().min(self.nblocks);
+        let persisted_bump = self.scan_end();
         let effective_bump = persisted_bump.max(live.highest_marked().map_or(0, |b| b + 1));
         let chunks = partition_range(self.data_start, effective_bump, threads);
         let swept = crate::par::run_workers_timed(chunks, |(lo, hi)| {
@@ -409,6 +438,9 @@ impl BlockHeap {
         let (freed_lists, worker_times): (Vec<Vec<u64>>, Vec<Duration>) = swept.into_iter().unzip();
         let freed = freed_lists.iter().map(|l| l.len() as u64).sum();
         self.free.lock().extend(freed_lists.into_iter().flatten());
+        // Every block below the bump is now live or queued: nothing is
+        // left reserved.
+        *self.fresh.lock() = effective_bump..effective_bump;
         if effective_bump != persisted_bump {
             self.pmem.write_u64(SB_BUMP, effective_bump);
             self.pmem.pwb(SB_BUMP);
@@ -422,7 +454,7 @@ impl BlockHeap {
         LiveBitmap::new(self.nblocks)
     }
 
-    /// Iterate over every block header in `[data_start, bump)`, the
+    /// Iterate over every block header in `[data_start, scan_end)`, the
     /// header-inspection pass used by the fast `nogc` recovery variant
     /// (§5.3.3, J-PFA-nogc).
     pub fn for_each_header(&self, mut f: impl FnMut(u64, BlockHeader)) {
@@ -431,11 +463,14 @@ impl BlockHeap {
         }
     }
 
-    /// One past the last block a header scan must visit (`min(bump,
-    /// nblocks)`). Parallel recovery passes partition `[data_start,
-    /// scan_end)` among their workers.
+    /// One past the last block a header scan must visit: the persisted
+    /// bump, clamped to `nblocks`. No header above it was ever written,
+    /// because a stride's reservation is durable before its first block is
+    /// handed out (see `BUMP_STRIDE`) — the pool rebuild and the
+    /// header-only recovery scan both rely on that. Parallel recovery
+    /// passes partition `[data_start, scan_end)` among their workers.
     pub fn scan_end(&self) -> u64 {
-        self.bump().min(self.nblocks)
+        self.pmem.read_u64(SB_BUMP).min(self.nblocks)
     }
 }
 
@@ -480,15 +515,19 @@ mod tests {
 
     #[test]
     fn open_refuses_an_older_format_version() {
-        let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
-        drop(BlockHeap::format(Arc::clone(&pmem), HeapConfig::default()).unwrap());
-        pmem.write_u32(SB_VERSION, HEAP_VERSION - 1);
-        match BlockHeap::open(pmem) {
-            Err(HeapError::BadSuperblock(msg)) => assert_eq!(msg, "unsupported version 1"),
-            other => panic!(
-                "a version-1 pool must be refused, got {:?}",
-                other.map(drop)
-            ),
+        for old in 1..HEAP_VERSION {
+            let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
+            drop(BlockHeap::format(Arc::clone(&pmem), HeapConfig::default()).unwrap());
+            pmem.write_u32(SB_VERSION, old);
+            match BlockHeap::open(pmem) {
+                Err(HeapError::BadSuperblock(msg)) => {
+                    assert_eq!(msg, format!("unsupported version {old}"))
+                }
+                other => panic!(
+                    "a version-{old} pool must be refused, got {:?}",
+                    other.map(drop)
+                ),
+            }
         }
     }
 
@@ -661,7 +700,8 @@ mod tests {
             bm.mark(b);
         }
         let (freed, _) = h.rebuild_free_queue(&bm, 1);
-        assert_eq!(freed, 1);
+        // The dead block and the 1 021 the first stride had not handed out.
+        assert_eq!(freed, BUMP_STRIDE - 2);
         // The dead block's header is persistently cleared.
         assert_eq!(h.read_header(dead), BlockHeader::FREE);
         assert_eq!(h.alloc_block().unwrap(), dead);
@@ -681,6 +721,117 @@ mod tests {
         // Allocating must not hand out block `a` again.
         let b = h.alloc_block().unwrap();
         assert_ne!(a, b);
+    }
+
+    /// The bump pointer is persisted a stride at a time. A crash part of
+    /// the way through a stride loses nothing: recovery's sweep queues the
+    /// unreached tail, so allocating to exhaustion yields every non-live
+    /// block exactly once. The stride that would straddle the end of the
+    /// pool is clamped, and exhaustion leaves `SB_BUMP` where it is.
+    #[test]
+    fn crash_mid_stride_leaks_no_block_and_hands_none_out_twice() {
+        let nblocks = 16 + BUMP_STRIDE + 500;
+        let pmem = Pmem::new(PmemConfig::crash_sim(nblocks * 256));
+        let h = BlockHeap::format(Arc::clone(&pmem), HeapConfig::default()).unwrap();
+        let live: Vec<u64> = (0..10).map(|_| h.alloc_chain(5, 8).unwrap()).collect();
+        for m in &live {
+            h.set_valid(*m, true);
+        }
+        let before = pmem.stats();
+        let more: Vec<u64> = (0..10).map(|_| h.alloc_block().unwrap()).collect();
+        let d = pmem.stats().delta(&before);
+        assert_eq!((d.writes, d.pwbs), (0, 0), "mid-stride blocks cost no NVMM");
+        assert_eq!(
+            more,
+            (h.data_start() + 10..h.data_start() + 20).collect::<Vec<_>>()
+        );
+        assert_eq!(pmem.read_u64(SB_BUMP), h.data_start() + BUMP_STRIDE);
+        assert_eq!(h.stats().bump, h.data_start() + 20);
+        pmem.pfence();
+        pmem.crash(&CrashPolicy::strict()).unwrap();
+        drop(h);
+
+        let h2 = BlockHeap::open(Arc::clone(&pmem)).unwrap();
+        let bm = h2.new_bitmap();
+        for m in &live {
+            bm.mark(*m);
+        }
+        let (freed, _) = h2.rebuild_free_queue(&bm, 1);
+        assert_eq!(freed, BUMP_STRIDE - live.len() as u64);
+        let mut got = std::collections::HashSet::new();
+        while let Ok(b) = h2.alloc_block() {
+            assert!(got.insert(b), "block {b} handed out twice");
+        }
+        let capacity = h2.stats().capacity_blocks;
+        assert_eq!(
+            got.len() as u64,
+            capacity - live.len() as u64,
+            "blocks leaked"
+        );
+        assert!(
+            live.iter().all(|m| !got.contains(m)),
+            "a live block was handed out"
+        );
+        assert_eq!(
+            pmem.read_u64(SB_BUMP),
+            nblocks,
+            "the last stride is clamped"
+        );
+        for _ in 0..3 {
+            assert!(matches!(
+                h2.alloc_block(),
+                Err(HeapError::OutOfMemory { .. })
+            ));
+        }
+        assert_eq!(pmem.read_u64(SB_BUMP), nblocks, "exhaustion moved the bump");
+    }
+
+    /// A stride is reserved by one thread and spent by others, and a fence
+    /// drains only its own thread's write-backs. Thread A reserves and never
+    /// fences again; thread B takes a block of A's stride, validates it and
+    /// fences. After a strict crash B's master is below `scan_end`, so the
+    /// header scan finds it, and fresh allocation restarts above it.
+    #[test]
+    fn another_threads_stride_is_durable_before_its_blocks_are_used() {
+        let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
+        let h = BlockHeap::format(Arc::clone(&pmem), HeapConfig::default()).unwrap();
+        let fences = pmem.stats().pfences;
+        std::thread::scope(|s| {
+            s.spawn(|| h.alloc_block().unwrap()).join().unwrap();
+        });
+        assert_eq!(
+            pmem.stats().pfences - fences,
+            1,
+            "the reservation is fenced by the thread that made it"
+        );
+        let master = std::thread::scope(|s| {
+            s.spawn(|| {
+                let before = pmem.stats();
+                let m = h.alloc_chain(5, 8).unwrap();
+                let d = pmem.stats().delta(&before);
+                assert_eq!(d.pfences + d.psyncs, 0, "mid-stride: no fence");
+                h.set_valid(m, true);
+                pmem.pfence();
+                m
+            })
+            .join()
+            .unwrap()
+        });
+        pmem.crash(&CrashPolicy::strict()).unwrap();
+        drop(h);
+
+        let h2 = BlockHeap::open(Arc::clone(&pmem)).unwrap();
+        assert!(master < h2.scan_end(), "acked master above the scan range");
+        let mut valid = Vec::new();
+        h2.for_each_header(|idx, hd| {
+            if hd.valid {
+                valid.push(idx);
+            }
+        });
+        assert_eq!(valid, [master]);
+        // No recovery sweep ran (the header-only variant runs none): fresh
+        // allocation must still stay clear of everything handed out before.
+        assert!(h2.alloc_block().unwrap() > master);
     }
 
     #[test]

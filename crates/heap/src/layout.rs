@@ -36,11 +36,12 @@ pub(crate) const SB_ROOT_SLOTS: u64 = 40;
 pub(crate) const ROOT_SLOT_COUNT: u64 = 8;
 
 pub(crate) const HEAP_MAGIC: u64 = 0x4a4e564d48454150; // "JNVMHEAP"
-/// Bumped whenever a persistent format under the heap changes: 2 is the
-/// failure-atomic redo log of self-contained range entries (a version-1
-/// pool may hold a committed log of block-copy entries, which must be
+/// Bumped whenever a persistent format under the heap changes: 3 is the
+/// failure-atomic redo log of one-word entry heads, its entries starting on
+/// the log's second cache line (an older pool may hold a committed log of
+/// version-2 two-word heads or version-1 block copies, which must be
 /// refused, not mis-replayed).
-pub(crate) const HEAP_VERSION: u32 = 2;
+pub(crate) const HEAP_VERSION: u32 = 3;
 
 /// Decoded block header (and pooled-object mini-header — same format).
 ///

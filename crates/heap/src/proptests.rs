@@ -129,6 +129,8 @@ proptest! {
                 dead_blocks.extend(chain);
             }
         }
+        // So is what the bump pointer has reserved and not handed out.
+        dead_blocks.extend(heap.stats().bump..heap.scan_end());
         let (freed, _) = heap.rebuild_free_queue(&bm, 1);
         prop_assert_eq!(freed, dead_blocks.len() as u64);
         // Drain the queue: exactly the dead blocks, each once.

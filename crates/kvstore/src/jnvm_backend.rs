@@ -23,13 +23,17 @@ pub struct PRecord {
 }
 
 impl PRecord {
-    /// Allocate a record with the given field values. Flushed but
-    /// **invalid** — publication (map insert) validates it.
-    pub fn create(rt: &Jnvm, values: &[Vec<u8>]) -> Result<PRecord, JnvmError> {
+    /// Allocate a record with the given field values, read where they lie.
+    /// Flushed but **invalid** — publication (map insert) validates it.
+    pub fn create(
+        rt: &Jnvm,
+        values: impl IntoIterator<Item = impl AsRef<[u8]>, IntoIter: ExactSizeIterator>,
+    ) -> Result<PRecord, JnvmError> {
+        let values = values.into_iter();
         let proxy = rt.alloc_proxy::<PRecord>(8 + values.len() as u64 * 8)?;
         proxy.write_u64(0, values.len() as u64);
-        for (i, v) in values.iter().enumerate() {
-            let blob = PBytes::new(rt, v)?;
+        for (i, v) in values.enumerate() {
+            let blob = PBytes::new(rt, v.as_ref())?;
             proxy.write_ref(8 + i as u64 * 8, Some(blob.addr()));
         }
         proxy.pwb();
@@ -46,16 +50,17 @@ impl PRecord {
         self.proxy.read_u64(0)
     }
 
-    /// The one walk over a record's persistent layout on the read path:
-    /// the `nfields` word, then the whole reference array (0 = null) in one
-    /// mediated read — inside a failure-atomic block it sees the overlay as
-    /// [`Proxy::read_u64`] does. `nfields` is bounded by what the chain can
-    /// hold before it sizes anything: a torn or corrupt word is a catchable
-    /// panic, never an allocator abort.
+    /// The one walk over a record's persistent layout, for reads and for
+    /// [`PRecord::free_deep`]: the `nfields` word, then the whole reference
+    /// array (0 = null) in one mediated read — inside a failure-atomic
+    /// block it sees the overlay as [`Proxy::read_u64`] does. `nfields` is
+    /// bounded by what the chain can hold before it sizes anything: a torn
+    /// or corrupt word is a catchable panic, never an allocator abort — nor
+    /// a free of whatever words follow the record.
     fn field_refs(&self) -> Vec<u64> {
         let n = self.nfields();
         assert!(
-            n <= self.proxy.capacity().saturating_sub(8) / 8,
+            n <= max_fields(self.proxy.capacity()),
             "record at {:#x}: nfields word {n} exceeds its chain",
             self.proxy.addr()
         );
@@ -122,15 +127,18 @@ impl PRecord {
 
     /// Free the record and every field blob.
     pub fn free_deep(rt: &Jnvm, addr: u64) {
-        let proxy = Proxy::open(rt, addr);
-        let n = proxy.read_u64(0);
-        for i in 0..n {
-            if let Some(f) = proxy.read_ref(8 + i * 8) {
-                rt.free_addr(f);
-            }
+        let blobs = PRecord::resurrect(rt, addr).field_refs();
+        for blob in blobs.into_iter().filter(|blob| *blob != 0) {
+            rt.free_addr(blob);
         }
         rt.free_addr(addr);
     }
+}
+
+/// The most reference slots a record's chain of `capacity` payload bytes
+/// holds behind its `nfields` word.
+fn max_fields(capacity: u64) -> u64 {
+    capacity.saturating_sub(8) / 8
 }
 
 impl PObject for PRecord {
@@ -147,9 +155,11 @@ impl PObject for PRecord {
     }
 
     fn trace_extra(rt: &Jnvm, addr: u64, visit: &mut dyn FnMut(u64)) {
+        // Recovery's mark must get through a torn or corrupt `nfields`
+        // word: visit only slots the chain holds.
         let chain = RawChain::open(rt, addr);
         let n = rt.pmem().read_u64(chain.phys(0));
-        for i in 0..n {
+        for i in 0..n.min(max_fields(chain.capacity())) {
             visit(chain.phys(8 + i * 8));
         }
     }
@@ -262,11 +272,11 @@ impl JnvmBackend {
     /// Insert/replace body — caller provides atomicity (a failure-atomic
     /// block or staging) and exclusion (the shard lock or group-former
     /// shard disjointness).
-    fn do_put(&self, key: &str, values: &[Vec<u8>]) -> bool {
-        let Ok(prec) = PRecord::create(&self.rt, values) else {
+    fn do_put(&self, rec: &Record) -> bool {
+        let Ok(prec) = PRecord::create(&self.rt, rec.fields.iter().map(|(_, v)| v)) else {
             return false;
         };
-        match self.shard(key).put(key.to_string(), prec.addr()) {
+        match self.shard(&rec.key).put(rec.key.clone(), prec.addr()) {
             Ok(Some(old)) => {
                 PRecord::free_deep(&self.rt, old);
                 true
@@ -299,11 +309,7 @@ impl JnvmBackend {
     pub(crate) fn apply_op(&self, op: &crate::group::WriteOp) -> bool {
         use crate::group::WriteOp;
         match op {
-            WriteOp::Set(rec) => {
-                let values: Vec<Vec<u8>> =
-                    rec.fields.iter().map(|(_, v)| v.clone()).collect();
-                self.do_put(&rec.key, &values)
-            }
+            WriteOp::Set(rec) => self.do_put(rec),
             WriteOp::SetField { key, field, value } => self.do_set_field(key, *field, value),
             WriteOp::Del(key) => self.do_remove(key),
         }
@@ -320,11 +326,10 @@ impl Backend for JnvmBackend {
     }
 
     fn store_full(&self, rec: &Record) -> bool {
-        let values: Vec<Vec<u8>> = rec.fields.iter().map(|(_, v)| v.clone()).collect();
         // Held across the whole failure-atomic block: the map put mutates
         // the shard's shared blocks (see the concurrency contract above).
         let _shard = self.shard_locks[self.shard_index(&rec.key)].lock();
-        self.with_fa(|| self.do_put(&rec.key, &values))
+        self.with_fa(|| self.do_put(rec))
     }
 
     fn read(&self, key: &str) -> Option<Record> {
@@ -503,6 +508,55 @@ mod tests {
                 assert!(msg.contains("0x") && msg.contains("exceeds"), "{key}, sink {sink}: {msg}");
             }
         }
+    }
+
+    /// A corrupt `nfields` word on media stops neither recovery nor the
+    /// allocator: the mark visits the slots the record's chain holds — so
+    /// the pool recovers exactly what the undamaged one does — and a `DEL`
+    /// of the record is a catchable panic, not a free of whatever words
+    /// follow it. (Recovery used to index past the chain and panic.)
+    #[test]
+    fn corrupt_nfields_word_neither_stops_recovery_nor_frees_past_the_record() {
+        let reopened = |corrupt: bool| {
+            let (pmem, rt) = rt(8 << 20);
+            let be = JnvmBackend::create(&rt, 1, true).unwrap();
+            for key in ["victim", "bystander"] {
+                assert!(be.store_full(&Record::ycsb(key, &[vec![1u8; 100], vec![2u8; 300]])));
+            }
+            if corrupt {
+                let nfields = be.lookup("victim").unwrap().proxy.chain().phys(0);
+                pmem.write_u64(nfields, u64::MAX);
+                pmem.pwb(nfields);
+            }
+            be.sync();
+            drop((be, rt));
+            pmem.crash(&CrashPolicy::strict()).unwrap();
+            let opened = register_kvstore(JnvmBuilder::new()).open(Arc::clone(&pmem));
+            let (rt2, report) = opened.expect("recovery gets through the record");
+            (JnvmBackend::open(&rt2, true).unwrap(), report)
+        };
+        let (_, clean) = reopened(false);
+        let (be, report) = reopened(true);
+        assert_eq!(
+            (
+                report.live_objects,
+                report.live_blocks,
+                report.nullified_refs
+            ),
+            (clean.live_objects, clean.live_blocks, clean.nullified_refs),
+            "the record's own references are traced, and nothing else"
+        );
+        let want = Record::ycsb("bystander", &[vec![1u8; 100], vec![2u8; 300]]);
+        assert_eq!(be.read("bystander"), Some(want.clone()));
+
+        let _hush = jnvm_pmem::hush_panics();
+        let del = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| be.remove("victim")));
+        let msg = *del
+            .expect_err("freed through a corrupt nfields")
+            .downcast::<String>()
+            .unwrap();
+        assert!(msg.contains("exceeds its chain"), "{msg}");
+        assert_eq!(be.read("bystander"), Some(want));
     }
 
     #[test]

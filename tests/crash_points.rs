@@ -22,7 +22,7 @@ use jnvm_repro::heap::HeapConfig;
 use jnvm_repro::jnvm::{
     commit_phase, persistent_class, Jnvm, JnvmBuilder, PObject, RecoveryReport,
 };
-use jnvm_repro::jpdt::{register_jpdt, PByteArray, PBytes, PI64SkipMap};
+use jnvm_repro::jpdt::{register_jpdt, PByteArray, PBytes, PI64SkipMap, PRefArray};
 use jnvm_repro::kvstore::{
     register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend, Record,
 };
@@ -759,16 +759,109 @@ fn spans_adversarial_sweep(n: usize, seeds: u64, every_point: bool) -> u64 {
     )
 }
 
+// And over a structural group — the three shapes of the server's writes in
+// one commit: ALLOC and FREE entries (one word each since log format 3,
+// pooled blobs and a block-allocated object) beside the WRITEs that publish
+// and unlink them, applied by the live commit from DRAM and by replay from
+// the log.
+
+struct SlotsCtx {
+    rt: Jnvm,
+    slots: Vec<PRefArray>,
+}
+
+/// Small fresh pool with three rooted two-cell reference arrays: slot 0
+/// holds a blob `old-0`, slot 1 is empty, slot 2 holds a blob `old-2` and
+/// a [`Pair`]. The set-up leaves the log created, a bump stride reserved
+/// and the blob pool carved, so the workload's op stream is three stagings
+/// and one commit.
+fn slots_setup() -> (Arc<Pmem>, SlotsCtx) {
+    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
+    let rt = register_jpdt(JnvmBuilder::new())
+        .register::<Pair>()
+        .create(Arc::clone(&pmem), HeapConfig::default())
+        .expect("pool");
+    let slots: Vec<PRefArray> = (0..3)
+        .map(|i| {
+            rt.fa(|| {
+                let slot = PRefArray::new(&rt, 2).expect("array");
+                if i != 1 {
+                    let blob = PBytes::new(&rt, format!("old-{i}").as_bytes()).expect("blob");
+                    slot.set_ref(0, Some(blob.addr()));
+                }
+                if i == 2 {
+                    slot.set_ref(1, Some(Pair::alloc_uninit(&rt).addr()));
+                }
+                rt.root_put(&format!("slot{i}"), &slot).expect("root");
+                slot
+            })
+        })
+        .collect();
+    pmem.psync();
+    (pmem, SlotsCtx { rt, slots })
+}
+
+/// One commit group of a field update (fresh blob published, old one
+/// freed), an insert (a fresh blob and a fresh object published in an empty
+/// slot) and a delete (both references cleared, both objects freed).
+fn write_slots(ctx: &SlotsCtx) {
+    let rt = &ctx.rt;
+    let blob = |bytes: &[u8]| Some(PBytes::new(rt, bytes).expect("blob").addr());
+    let setf = rt.fa_stage(|| {
+        rt.free_addr(ctx.slots[0].get_ref(0).expect("old blob"));
+        ctx.slots[0].set_ref(0, blob(b"new-0"));
+    });
+    let set = rt.fa_stage(|| {
+        let pair = Pair::alloc_uninit(rt);
+        pair.set_left(11);
+        ctx.slots[1].set_ref(0, blob(b"new-1"));
+        ctx.slots[1].set_ref(1, Some(pair.addr()));
+    });
+    let del = rt.fa_stage(|| {
+        for cell in 0..2 {
+            rt.free_addr(ctx.slots[2].get_ref(cell).expect("stored"));
+            ctx.slots[2].set_ref(cell, None);
+        }
+    });
+    rt.fa_commit_group(vec![setf.0, set.0, del.0]);
+}
+
+/// [`adversarial_sweep`] over [`write_slots`]: a block is old or new when
+/// its slot holds exactly the old or the new references, each to a valid
+/// object of the right content (recovery nulls a reference to an invalid
+/// one, which reads as torn here).
+fn slots_adversarial_sweep(seeds: u64, every_point: bool) -> u64 {
+    let observe = |rt: &Jnvm| {
+        let cells = |i: usize| {
+            let slot = rt.root_get_as::<PRefArray>(&format!("slot{i}"));
+            let slot = slot.expect("typed").expect("slot survived");
+            let blob = slot.get_ref(0).map(|a| PBytes::resurrect(rt, a).to_vec());
+            let pair = slot.get_ref(1).map(|a| Pair::resurrect(rt, a).left());
+            (blob, pair)
+        };
+        let side = |seen, old, new| (seen == old || seen == new).then_some(seen == new);
+        let blob = |tag: &str| Some(tag.as_bytes().to_vec());
+        vec![
+            side(cells(0), (blob("old-0"), None), (blob("new-0"), None)),
+            side(cells(1), (None, None), (blob("new-1"), Some(11))),
+            side(cells(2), (blob("old-2"), Some(0)), (None, None)),
+        ]
+    };
+    adversarial_sweep(slots_setup, write_slots, observe, seeds, every_point)
+}
+
 /// Regression (fails on the 3-fence commit): from the commit-point fence to
 /// the end of the commit, 16 eviction seeds, the solo form and a staged
-/// group of three — of one word in each of several objects, and of one
-/// unaligned two-block range per block.
+/// group of three — of one word in each of several objects, of one
+/// unaligned two-block range per block, and of an update, an insert and a
+/// delete.
 #[test]
 fn multi_object_blocks_survive_adversarial_eviction_after_commit_point() {
     assert!(cells_adversarial_sweep(false, 16, false) > 0);
     assert!(cells_adversarial_sweep(true, 16, false) > 0);
     assert!(spans_adversarial_sweep(1, 16, false) > 0);
     assert!(spans_adversarial_sweep(3, 16, false) > 0);
+    assert!(slots_adversarial_sweep(16, false) > 0);
 }
 
 /// Exhaustive form: every crash point × 64 eviction seeds (~30 s in the
@@ -793,6 +886,15 @@ fn adversarial_exhaustive_range_log_blocks_survive_every_crash_point() {
         let runs = spans_adversarial_sweep(arrays, 64, true);
         println!("arrays={arrays}: {runs} crashing runs, 0 torn ranges");
     }
+}
+
+/// The exhaustive form over a structural group: every crash point × 64
+/// eviction seeds of an update + insert + delete commit.
+#[test]
+#[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
+fn adversarial_exhaustive_structural_group_survives_every_crash_point() {
+    let runs = slots_adversarial_sweep(64, true);
+    println!("{runs} crashing runs, 0 torn or split structural groups");
 }
 
 /// `fa(body)` is `fa_stage(body)` + `fa_commit_group(vec![tx])`: on
@@ -829,13 +931,15 @@ fn solo_fa_and_group_of_one_issue_identical_device_ops() {
             .collect::<Vec<_>>()
     };
     let solo = trace(false);
-    // 30 device ops (90 while every redirected write built, flushed and
-    // applied a whole in-flight block copy): the allocation (bump + its
-    // pwb, header, one in-place field), ONE store of the six log entries
-    // and the pwbs of their 3 lines + the fresh object's, fence; length,
-    // flag, 1 pwb, fence; the validation and 4 × (8-byte apply + pwb),
-    // fence; flag clear + pwb, fence; the free's header + pwb.
-    assert_eq!(solo.len(), 30, "device ops of the block");
+    // 27 device ops (30 while a fresh block bumped the persistent bump
+    // pointer and wrote it back, and the entries began on the flag's line;
+    // 90 while every redirected write built, flushed and applied a whole
+    // in-flight block copy): the allocation (header, one in-place field —
+    // the block comes out of the reserved stride), ONE store of the six log
+    // entries and the pwbs of their 2 lines + the fresh object's, fence;
+    // length, flag, 1 pwb, fence; the validation and 4 × (8-byte apply +
+    // pwb), fence; flag clear + pwb, fence; the free's header + pwb.
+    assert_eq!(solo.len(), 27, "device ops of the block");
     assert_eq!(solo, trace(true));
 }
 

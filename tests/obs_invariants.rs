@@ -29,6 +29,8 @@
 use std::sync::{Mutex, MutexGuard};
 
 use jnvm_repro::faultsim::strided_points;
+use jnvm_repro::heap::FIRST_USER_CLASS_ID;
+use jnvm_repro::jnvm::Proxy;
 use jnvm_repro::kvstore::{commit_writes, Record, WriteOp};
 use jnvm_repro::obs::{self, Histogram, ObsMode};
 use jnvm_repro::pmem::{PmemConfig, SanitizeMode, StatsSnapshot};
@@ -489,11 +491,13 @@ fn log_mode_sites_per_op_are_pinned() {
     assert_eq!(points, 3 * OPS, "ordering points per rmw");
     assert_eq!(spans - points, 2 * OPS, "begin/end spans per rmw");
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fence hooks per rmw");
-    // 8.3 per rmw; 83 852 (21.8 per rmw) while every redirected write
-    // built, flushed and applied a whole in-flight block copy, the fresh
-    // blob was flushed by its constructor *and* by the commit, and the
-    // flag and length words of one line were written back separately.
-    assert_eq!(d.pwbs, 32_012, "pwb hooks over {OPS} rmws");
+    // 7.3 per rmw; 32 012 (8.3) while the log's entries shared the flag's
+    // line, written back in step 1 and again at the commit point; 83 852
+    // (21.8) while every redirected write built, flushed and applied a whole
+    // in-flight block copy, the fresh blob was flushed by its constructor
+    // *and* by the commit, and the flag and length words of one line were
+    // written back separately.
+    assert_eq!(d.pwbs, 28_166, "pwb hooks over {OPS} rmws");
 }
 
 // ---------------------------------------------------------------------------
@@ -521,6 +525,19 @@ fn preloaded_cluster(cfg: PmemConfig) -> Cluster {
     pool
 }
 
+/// One row of CI's job-summary table of device costs per op (the pinned
+/// tests print theirs under `--nocapture`).
+fn print_cost_row(op: &str, ops: u64, d: &StatsSnapshot) {
+    let per_op = |count: u64| count as f64 / ops as f64;
+    println!(
+        "device-cost | {op} | {:.1} B read | {:.1} B written | {:.2} pwbs | {:.2} fences",
+        per_op(d.bytes_read),
+        per_op(d.bytes_written),
+        per_op(d.pwbs),
+        per_op(d.pfences + d.psyncs),
+    );
+}
+
 fn setf(key: usize, field: usize, fill: u8) -> WriteOp {
     WriteOp::SetField {
         key: format!("user{key:04}"),
@@ -530,12 +547,15 @@ fn setf(key: usize, field: usize, fill: u8) -> WriteOp {
 }
 
 /// What one 100-byte `SETF` moves on the device, exactly: the redo log
-/// carries the 8-byte reference the op changes, not the record's block.
-/// 368 bytes, 9 or 10 `pwb`s (the new blob's pool slot covers 2 or 3
-/// lines), 4 fences — 1 424 bytes and 23 or 24 `pwb`s while the write was
-/// redirected to an in-flight NVMM copy of the whole block. A change that
-/// moves these moves the benchmark's `update_only` figures (3.68 device
-/// bytes per user byte) with them.
+/// carries the 8-byte reference the op changes, not the record's block,
+/// and the commit applies it from DRAM. 288 bytes, 8 or 9 `pwb`s (the new
+/// blob's pool slot covers 2 or 3 lines), 4 fences — 368 bytes and 9 or 10
+/// `pwb`s while the commit read its own log back (56 B), an entry's head
+/// was two words (3 × 8 B) and the entries shared the flag's line (1
+/// `pwb`); 1 424 bytes and 23 or 24 `pwb`s while the write was redirected
+/// to an in-flight NVMM copy of the whole block. A change that moves these
+/// moves the benchmark's `update_only` figures (2.88 device bytes per user
+/// byte alone) with them.
 #[test]
 fn setf_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
@@ -551,14 +571,102 @@ fn setf_device_cost_per_op_is_pinned() {
         assert!(out.results[0] && out.groups == 1);
     }
     let d = pool.device_stats().delta(&before);
-    assert_eq!(d.bytes_read, 148 * OPS, "device bytes read per SETF");
-    assert_eq!(d.bytes_written, 220 * OPS, "device bytes written per SETF");
+    print_cost_row("SETF (100 B of 10 x 100 B)", OPS, &d);
+    assert_eq!(d.bytes_read, 92 * OPS, "device bytes read per SETF");
+    assert_eq!(d.bytes_written, 196 * OPS, "device bytes written per SETF");
     assert_eq!(
         d.pwbs,
-        9 * OPS + 32,
+        8 * OPS + 32,
         "pwbs per SETF (half the blobs span 3 lines)"
     );
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fences per group of one");
+}
+
+/// Device cost of the structural ops on records of `fields` × `size`
+/// bytes, each op a commit group of one, over [`STRUCTURAL_OPS`] ops per
+/// phase: `SET`s of new keys fed by the bump pointer (fresh pool, empty free
+/// lists), the `DEL`s of those records, and `SET`s of new keys again, now
+/// recycling what the `DEL`s freed.
+fn structural_costs(fields: usize, size: usize) -> [StatsSnapshot; 3] {
+    let pool = preloaded_cluster(PmemConfig::crash_sim(32 << 20));
+    let shard = pool.kv(0).shard(0);
+    let set = |tag: &str, i: u64| {
+        let values = vec![vec![i as u8; size]; fields];
+        WriteOp::Set(Record::ycsb(&format!("{tag}{i:04}"), &values))
+    };
+    let phase = |op: &dyn Fn(u64) -> WriteOp| {
+        let before = pool.device_stats();
+        for i in 0..STRUCTURAL_OPS {
+            let out = commit_writes(&shard.grid, &shard.be, &[op(i)]);
+            assert!(out.results[0] && out.groups == 1);
+        }
+        pool.device_stats().delta(&before)
+    };
+    [
+        phase(&|i| set("fresh", i)),
+        phase(&|i| WriteOp::Del(format!("fresh{i:04}"))),
+        phase(&|i| set("again", i)),
+    ]
+}
+
+const STRUCTURAL_OPS: u64 = 64;
+
+fn assert_cost(op: &str, d: &StatsSnapshot, pinned: (u64, u64, u64)) {
+    print_cost_row(op, STRUCTURAL_OPS, d);
+    assert_eq!(
+        (d.bytes_read, d.bytes_written, d.pwbs, d.pfences + d.psyncs),
+        (pinned.0, pinned.1, pinned.2, 4 * STRUCTURAL_OPS),
+        "device bytes read, bytes written, pwbs and fences of {STRUCTURAL_OPS} x {op}"
+    );
+}
+
+/// What a `SET` of a new key moves on the device, held like `SETF`'s row:
+/// totals over 64 ops, because a pool block or a map cell carved every few
+/// ops makes the per-op figure fractional. Bump-fed, a 10 × 100 B record
+/// costs 144 B read, ≈1 691 B written and 47.5 `pwb`s, a 4 × 64 B one 96 B,
+/// ≈630 B and 22.8; while the commit read its log back, an entry's head was
+/// two words and every fresh block was a persistent `fetch_add` + `pwb` of
+/// the bump pointer: 376 B, 1 860 B and 56.7 `pwb`s, and 232 B, ≈722 B and
+/// 27.4.
+#[test]
+fn set_device_cost_per_op_is_pinned() {
+    let _g = obs_lock(); // device ops feed the process-global obs counters
+    let [fresh, _, again] = structural_costs(4, 64);
+    assert_cost(
+        "SET new key (4 x 64 B), bump-fed",
+        &fresh,
+        (6_144, 40_296, 1_462),
+    );
+    assert_cost(
+        "SET new key (4 x 64 B), recycling",
+        &again,
+        (6_144, 36_928, 1_366),
+    );
+    let [fresh, _, again] = structural_costs(10, 100);
+    assert_cost(
+        "SET new key (10 x 100 B), bump-fed",
+        &fresh,
+        (9_216, 108_200, 3_040),
+    );
+    assert_cost(
+        "SET new key (10 x 100 B), recycling",
+        &again,
+        (9_216, 99_904, 2_710),
+    );
+}
+
+/// What a `DEL` moves on the device: the map's unlink, one one-word FREE
+/// entry per blob and for the record, and their invalidations behind the
+/// retire fence — 204 B read, 160 B written and 12 `pwb`s for 4 × 64 B,
+/// 324 B, 256 B and 18 for 10 × 100 B (340 / 224 / 13 and 556 / 368 / 20
+/// with the log read back and two-word heads).
+#[test]
+fn del_device_cost_per_op_is_pinned() {
+    let _g = obs_lock(); // device ops feed the process-global obs counters
+    let [_, del, _] = structural_costs(4, 64);
+    assert_cost("DEL (4 x 64 B)", &del, (13_056, 10_240, 768));
+    let [_, del, _] = structural_costs(10, 100);
+    assert_cost("DEL (10 x 100 B)", &del, (20_736, 16_384, 1_152));
 }
 
 /// What one `GET` moves on the device, exactly, whichever sink serves it:
@@ -607,20 +715,21 @@ fn get_device_cost_per_op_is_pinned() {
 }
 
 /// The same, by commit-group size: a batch of `SETF`s on distinct keys is
-/// one group, one transaction, in one log — so the flag line, the length,
-/// the log's first line and the 4 fences are paid once per group, and the
-/// per-op cost falls towards the op's own 3 log words + blob + apply.
+/// one group, one transaction, in one log — so the flag line, the length
+/// and the 4 fences are paid once per group, and the per-op cost falls
+/// towards the op's own 4 log words + blob + apply.
 #[test]
 fn setf_device_cost_per_group_size_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     const OPS: usize = 64;
     // (ops per group, device bytes read, bytes written, pwbs, fences) of
-    // 64 ops: 368 B and 9.5 pwbs per op alone, 356 B and 8.0 in pairs,
-    // 347 B and 6.7 in eights.
+    // 64 ops: 288 B and 8.5 pwbs per op alone, 276 B and 7.0 in pairs,
+    // 267 B and 6.3 in eights (368 / 9.5, 356 / 8.0 and 347 / 6.7 with the
+    // log read back, two-word heads and entries on the flag's line).
     let pinned = [
-        (1, 148 * 64, 220 * 64, 608, 4 * 64),
-        (2, 148 * 64, 208 * 64, 511, 4 * 32),
-        (8, 148 * 64, 199 * 64, 428, 4 * 8),
+        (1, 92 * 64, 196 * 64, 544, 4 * 64),
+        (2, 92 * 64, 184 * 64, 447, 4 * 32),
+        (8, 92 * 64, 175 * 64, 404, 4 * 8),
     ];
     for (batch, bytes_read, bytes_written, pwbs, fences) in pinned {
         let pool = preloaded_cluster(PmemConfig::crash_sim(32 << 20));
@@ -677,4 +786,23 @@ fn commit_path_issues_no_redundant_pwbs() {
         "back-to-back fences on the commit path"
     );
     assert_eq!(d.san_violations, 0);
+
+    // A group of WRITE entries alone commits from what it holds in DRAM:
+    // no device read at all — of the log it has just stored, or of
+    // anything else.
+    let cell = Proxy::alloc(&shard.rt, FIRST_USER_CLASS_ID, 16);
+    cell.pwb();
+    cell.validate();
+    shard.pmem.psync();
+    let stage = |word: u64| shard.rt.fa_stage(|| cell.write_u64(word * 8, 7)).0;
+    let group = vec![stage(0), stage(1)];
+    let before = pool.device_stats();
+    shard.rt.fa_commit_group(group);
+    let d = pool.device_stats().delta(&before);
+    assert_eq!(
+        (d.reads, d.bytes_read),
+        (0, 0),
+        "device reads of a commit of writes"
+    );
+    assert_eq!((d.pfences, d.redundant_pwbs), (4, 0));
 }

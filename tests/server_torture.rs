@@ -63,8 +63,8 @@ fn small_torture() -> TortureConfig {
 /// Acked ⇒ durable must come *cheap*: under pipelined load the committer
 /// makes each group of staged writes one transaction behind one 4-fence
 /// pass. What is deterministic is pinned — 4 fences per group, plus the 2
-/// that create and publish the committer's one redo log — and what the
-/// scheduler decides (how many writes a group catches) is bounded with
+/// that create and publish the committer's one redo log and the one behind
+/// each reservation of 1 024 fresh blocks — and what the scheduler decides (how many writes a group catches) is bounded with
 /// margin: at least 2 writes per group, where runs form 4 to 6. A server
 /// that fenced every write individually forms 720 groups and fails this.
 #[test]
@@ -73,6 +73,8 @@ fn group_commit_amortizes_fences_under_pipelined_load() {
         Cluster::create(1, 1, 16, PmemConfig::crash_sim(256 << 20), true).expect("create pool");
     let server = cluster.start(ServerConfig::default()).unwrap();
     let before = cluster.device_stats();
+    let bump = || cluster.kv(0).shard(0).rt.heap().scan_end();
+    let bump_before = bump();
     let load = run_loadgen(
         server.addr(),
         &LoadgenConfig {
@@ -94,10 +96,12 @@ fn group_commit_amortizes_fences_under_pipelined_load() {
     );
     assert_eq!(stats.acked_writes, load.acked_writes);
     assert!(stats.groups > 0 && stats.batches > 0);
+    let strides = (bump() - bump_before) / 1024;
     assert_eq!(
         d.pfences + d.psyncs,
-        4 * stats.groups + 2,
-        "4 fences per commit group + 2 for the one log's creation ({} groups in {} batches)",
+        4 * stats.groups + 2 + strides,
+        "4 fences per commit group + 2 for the one log's creation + {strides} bump \
+         reservations ({} groups in {} batches)",
         stats.groups,
         stats.batches
     );
