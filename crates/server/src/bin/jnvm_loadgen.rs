@@ -195,15 +195,22 @@ fn main() {
         server.shutdown();
         let d = cluster.device_stats().delta(&before);
         print_report(&report);
+        // One line (CI tails it into the job summary): group formation,
+        // fence cost, and the hand-off's accounting identity.
         println!(
             "shards={} groups={} batches={} ops_per_group={:.2} ordering_points={} \
-             per_acked_write={:.4}",
+             per_acked_write={:.4} queued={} acked={} nacked={} failed={} rejected={}",
             stats.shards,
             stats.groups,
             stats.batches,
             report.acked_writes as f64 / stats.groups.max(1) as f64,
             d.ordering_points(),
-            d.ordering_points() as f64 / report.acked_writes.max(1) as f64
+            d.ordering_points() as f64 / report.acked_writes.max(1) as f64,
+            stats.queued_writes,
+            stats.acked_writes,
+            stats.nacked_writes,
+            stats.failed_writes,
+            stats.rejected_writes
         );
         return;
     }

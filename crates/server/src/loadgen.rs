@@ -27,7 +27,7 @@
 //! This stream never reads behind an unacknowledged write to a *different*
 //! key; `tests/lincheck.rs` has the history that does.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -35,7 +35,7 @@ use jnvm_kvstore::Record;
 use jnvm_lincheck::{ClientRecorder, Clock, History, OpKind, Outcome};
 use jnvm_obs::Histogram;
 
-use crate::proto::{encode_request, parse_reply, ProtoError, Reply, Request};
+use crate::proto::{encode_request, read_reply, ProtoError, Reply, Request};
 
 /// Load shape.
 #[derive(Debug, Clone, Copy)]
@@ -203,32 +203,6 @@ fn captured_kind(req: &Request) -> Option<(&str, OpKind)> {
             Some((key, OpKind::SetField(*field, value.clone())))
         }
         _ => None,
-    }
-}
-
-/// `Ok(None)` = stream ended or timed out; `Err` = the reply stream is
-/// unparseable ([`ProtoError`]) — typed, so the caller can record it
-/// instead of conflating it with silence.
-pub(crate) fn read_reply(
-    stream: &mut TcpStream,
-    rbuf: &mut Vec<u8>,
-) -> Result<Option<Reply>, ProtoError> {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut tmp = [0u8; 8 * 1024];
-    loop {
-        if let Some((reply, n)) = parse_reply(rbuf)? {
-            rbuf.drain(..n);
-            return Ok(Some(reply));
-        }
-        if Instant::now() > deadline {
-            return Ok(None);
-        }
-        match stream.read(&mut tmp) {
-            Ok(0) => return Ok(None),
-            Ok(n) => rbuf.extend_from_slice(&tmp[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => return Ok(None),
-        }
     }
 }
 

@@ -35,6 +35,10 @@
 //!   the frame boundary is still sound — [`Request::Invalid`], the server
 //!   replies [`Reply::Err`] and keeps the connection.
 
+use std::io::{ErrorKind, Read};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
+
 use jnvm_kvstore::{decode_record, encode_record, Record, WriteOp};
 
 /// First byte of every request frame.
@@ -114,7 +118,8 @@ pub enum Request {
     Del(String),
     /// Record count.
     Len,
-    /// Server/device/grid counters as text.
+    /// Server/device/grid counters as text. Its `ack_latency=` line is the
+    /// obs registry's `commit-ack` summary: zero while `JNVM_OBS=off`.
     Stats,
     /// Recent per-thread observability spans as text (`jnvm-obs`
     /// tracer dump; empty-ish while `JNVM_OBS=off`).
@@ -183,6 +188,7 @@ pub fn parse_frame(buf: &[u8]) -> ParseOutcome {
             Ok(key) => Request::Del(key),
             Err(e) => Request::Invalid(e),
         },
+        OP_SET if len > MAX_FRAME - REPL_SET_OVERHEAD => Request::Invalid("record too large"),
         OP_SET => match decode_record(body) {
             Some(rec) if rec.key.len() > MAX_KEY => Request::Invalid("key too long"),
             Some(rec) if rec.fields.len() > MAX_FIELDS => Request::Invalid("too many fields"),
@@ -306,15 +312,24 @@ fn encode_repl_op(op: &WriteOp, out: &mut Vec<u8>) {
     }
 }
 
+/// What `REPL_APPLY` framing puts around one `SET` record: the body's
+/// 12-byte `[seq][count]` header plus the op's tag byte and length word.
+/// A client `SET` is accepted only up to [`MAX_FRAME`] minus this, so
+/// every record the server takes fits a replication frame of its own (the
+/// other ops are bounded far below by [`MAX_KEY`] and [`MAX_VALUE`]).
+const REPL_SET_OVERHEAD: usize = 12 + 1 + 4;
+
 /// Encode one commit group as `REPL_APPLY` frames, chunking so no frame
-/// body exceeds [`MAX_FRAME`]. Returns `(frame bytes, seq)` pairs; `seq`
-/// values are allocated through `next_seq` in send order, so the last
-/// pair's seq is the batch's ack target.
+/// body exceeds [`MAX_FRAME`] — a group splits only *between* ops, which is
+/// why [`parse_frame`] bounds what one op can be. Returns `(frame bytes,
+/// seq)` pairs; `seq` values are allocated through `next_seq` in send
+/// order, so the last pair's seq is the batch's ack target.
 pub fn encode_repl_apply(
     ops: &[WriteOp],
     mut next_seq: impl FnMut() -> u64,
 ) -> Vec<(Vec<u8>, u64)> {
-    // Leave generous headroom for the 12-byte repl header + frame header.
+    // Op bytes per frame, with generous headroom for the repl header. An
+    // op larger than this travels alone, within `REPL_SET_OVERHEAD`'s bound.
     let budget = MAX_FRAME - 1024;
     let mut frames = Vec::new();
     let mut chunk: Vec<u8> = Vec::new();
@@ -328,6 +343,7 @@ pub fn encode_repl_apply(
         body.extend_from_slice(&seq.to_le_bytes());
         body.extend_from_slice(&chunk_count.to_le_bytes());
         body.append(chunk);
+        debug_assert!(body.len() <= MAX_FRAME, "REPL_APPLY body over MAX_FRAME");
         let mut frame = Vec::with_capacity(6 + body.len());
         frame.push(MAGIC);
         frame.push(OP_REPL_APPLY);
@@ -526,6 +542,33 @@ pub fn parse_reply(buf: &[u8]) -> Result<Option<(Reply, usize)>, ProtoError> {
         _ => unreachable!("status validated above"),
     };
     Ok(Some((reply, 5 + len)))
+}
+
+/// Read one reply off `stream`, buffering in `rbuf` across calls. `Ok(None)`
+/// = the stream ended, failed, or stayed silent for 10 s; `Err` = the reply
+/// stream is unparseable ([`ProtoError`]) — typed, so the caller can record
+/// it instead of conflating it with silence.
+pub(crate) fn read_reply(
+    stream: &mut TcpStream,
+    rbuf: &mut Vec<u8>,
+) -> Result<Option<Reply>, ProtoError> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut tmp = [0u8; 8 * 1024];
+    loop {
+        if let Some((reply, n)) = parse_reply(rbuf)? {
+            rbuf.drain(..n);
+            return Ok(Some(reply));
+        }
+        if Instant::now() > deadline {
+            return Ok(None);
+        }
+        match stream.read(&mut tmp) {
+            Ok(0) => return Ok(None),
+            Ok(n) => rbuf.extend_from_slice(&tmp[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => return Ok(None),
+        }
+    }
 }
 
 /// Perform the connect-time hello on `stream`: send ours, read the

@@ -6,25 +6,43 @@
 //!
 //! The server runs over N independent pool shards (grid + backend +
 //! device each; see [`jnvm_kvstore::ShardedKv`]). Connection handlers
-//! never touch the persistent devices for writes. They decode ops, route
-//! each by key hash ([`jnvm_kvstore::shard_for_key`]) to its shard's
-//! bounded queue (backpressure: producers block while that queue is full)
-//! and hold a *ticket* per op. Each shard's committer drains up to
-//! `batch_max` ops from its own queue, runs
-//! [`jnvm_kvstore::commit_writes`] against its own backend (group commit:
-//! 4 fences per group, not per op — the applies are durable before the
-//! log retires) and resolves the batch's tickets only
-//! after that call returns — i.e. after the group durability point *and*
-//! the apply phase, so a GET that waited for the ticket reads the write.
-//! K writes spread over N shards pay N *concurrent* fence passes instead
-//! of serializing behind one committer. Handlers release replies strictly
-//! in request order from a per-connection completion queue
-//! (`Completions`): a write's slot when its ticket resolves, a read's at
-//! once — a GET executes inline after this connection's earlier writes
-//! **to its own key** have resolved, and is concurrent with its
-//! unacknowledged writes to other keys (DESIGN.md §8), so a read neither
-//! waits out a commit it does not depend on nor cuts the connection's
-//! commit group short. Replies are written once per drain, not per reply.
+//! never touch the persistent devices for writes: they decode ops and send
+//! each, routed by key hash ([`jnvm_kvstore::shard_for_key`]), down its
+//! shard's queue. Who answers a write is settled by who owns what:
+//!
+//! * The queue is a **bounded channel**. Every handler holds a clone of
+//!   each shard's sender, the server one of its own, the shard's committer
+//!   the only receiver. `send` blocks while the queue is full
+//!   (backpressure) and fails once the receiver is gone — the refusal: an
+//!   op no queue took has no ticket.
+//! * A queued op travels with its **`Resolver`**, the one value that can
+//!   answer the *ticket* its handler waits on. Resolving consumes it;
+//!   dropped unresolved, it fails the ticket. A failed batch is a dropped
+//!   batch, an abandoned queue a dropped receiver, and a committer that
+//!   unwinds for a reason nobody planned still answers all it held.
+//! * The committer's **replication link** (stream + backup endpoint
+//!   thread) is its local, made before the thread: nobody else can close,
+//!   read or join it.
+//!
+//! A committer takes one blocking `recv` plus whatever else is queued, up
+//! to `batch_max`, runs [`jnvm_kvstore::commit_writes`] against its own
+//! backend (group commit: 4 fences per group, not per op — the applies
+//! are durable before the log retires) and resolves the batch only after
+//! that call returns — i.e. after the group durability point *and* the
+//! apply phase, so a GET that waited for the ticket reads the write; N
+//! shards run N fence passes concurrently. Shutdown is a flag plus dropped
+//! senders (the server's at the request, a handler's as it leaves), so a
+//! committer's `recv` fails exactly when its queue is empty and no
+//! producer can exist.
+//!
+//! Handlers release replies strictly in request order from a
+//! per-connection completion queue (`Completions`): a write's slot when
+//! its ticket resolves, a read's at once — a GET executes inline after
+//! this connection's earlier writes **to its own key** have resolved, and
+//! is concurrent with its unacknowledged writes to other keys (DESIGN.md
+//! §8), so a read neither waits out a commit it does not depend on nor
+//! cuts the connection's commit group short. Replies are written once per
+//! drain, not per reply.
 //!
 //! ## Replication: acked ⇒ durable on a surviving replica
 //!
@@ -57,22 +75,22 @@
 //!
 //! ## Write accounting
 //!
-//! `acked`/`nacked`/`failed` are counted when the committer *resolves*
-//! each ticket (not when the handler flushes the reply — a send failure
-//! must not lose counts), `queued` when a ticket is created, and
-//! `rejected` when enqueue refuses (dead shard / shutdown). After a full
-//! shutdown every queued ticket is drained and resolved, so
-//! `queued == acked + nacked + failed` — the graceful-shutdown
-//! regression pins this. A dying shard is marked dead under its queue
-//! lock before the crash path drains the queue, so the identity also
-//! holds whenever the load has drained after a crash
-//! (`kill_during_traffic` checks it at every crash point).
+//! `queued` counts the ops a queue accepted, `rejected` the ones `enqueue`
+//! refused (dead shard, shutdown, committer gone). An accepted op's
+//! resolver answers exactly once — `acked` / `nacked` in
+//! `Resolver::resolve`, `failed` in its `Drop`, counted *before* the
+//! waiter wakes and never at reply flush (a send failure must not lose
+//! counts) — and cannot leave the process any other way. So `queued ==
+//! acked + nacked + failed` whenever the load has drained, on every exit
+//! path: graceful shutdown, failover, shard death (`kill_during_traffic`
+//! checks it at every crash point) or a committer that just unwinds.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SendError, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -80,12 +98,11 @@ use jnvm::ReplicaSet;
 use jnvm_kvstore::{
     commit_writes, shard_for_key, Backend, DataGrid, JnvmBackend, KvShard, ReplLag, WriteOp,
 };
-use jnvm_obs::Histogram;
 use jnvm_pmem::{catch_crash, hush_panics, thread_charged_ns, Pmem, StatsSnapshot};
 
 use crate::proto::{
     check_hello, close_value_reply, encode_repl_apply, encode_reply_into, hello_frame,
-    open_value_reply, parse_frame, parse_reply, ParseOutcome, Reply, Request,
+    open_value_reply, parse_frame, read_reply, ParseOutcome, Reply, Request,
 };
 use crate::repl::start_backup_endpoint;
 
@@ -95,7 +112,7 @@ pub struct ServerConfig {
     /// Maximum ops a committer drains into one batch.
     pub batch_max: usize,
     /// Per-shard bounded-queue capacity; producers block (backpressure)
-    /// beyond it.
+    /// beyond it (0 = every op is handed to the committer directly).
     pub queue_cap: usize,
 }
 
@@ -174,7 +191,7 @@ pub struct ServerStats {
     pub repl_acked: u64,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TicketState {
     Waiting,
     /// Committed and durable; `true` = applied, `false` = target absent.
@@ -183,13 +200,10 @@ enum TicketState {
     Failed,
 }
 
-/// One enqueued write, shared by its shard's queue (the committer resolves
-/// it) and its connection's completion queue (the handler waits on it).
+/// The handler half of one enqueued write; its [`Resolver`] answers it.
 struct Ticket {
     /// The key written: a later `GET` of it on the connection waits.
     key: String,
-    /// Index of the shard whose committer resolves this ticket.
-    shard: usize,
     /// When the op entered its shard queue — the base of the commit-ack
     /// latency recorded into the obs registry at resolution.
     enqueued: Instant,
@@ -198,18 +212,19 @@ struct Ticket {
 }
 
 impl Ticket {
-    fn new(key: String, shard: usize) -> Ticket {
+    fn new(key: String) -> Ticket {
         Ticket {
             key,
-            shard,
             enqueued: Instant::now(),
             state: Mutex::new(TicketState::Waiting),
             cv: Condvar::new(),
         }
     }
 
+    /// The resolver's call. It runs from a `Drop`, which must not panic: a
+    /// poisoned lock still guards a valid state (only stores happen under it).
     fn resolve(&self, s: TicketState) {
-        *self.state.lock().expect("ticket lock") = s;
+        *self.state.lock().unwrap_or_else(PoisonError::into_inner) = s;
         self.cv.notify_all();
     }
 
@@ -217,50 +232,72 @@ impl Ticket {
         *self.state.lock().expect("ticket lock") != TicketState::Waiting
     }
 
-    /// Block until resolved. The shard's committer resolves every ticket
-    /// it ever dequeues, and its crash path drains the queue and marks the
-    /// shard dead under one hold of the queue lock, so no ticket is left
-    /// behind; the timeout loop is only a backstop for the handler-panic
-    /// path, which marks every shard dead without draining.
-    fn wait(&self, shared: &Shared) -> TicketState {
+    /// Block until resolved. Untimed: the resolver sits in a queue or a
+    /// batch until it answers, by `resolve` or by `Drop`.
+    fn wait(&self) -> TicketState {
         let mut st = self.state.lock().expect("ticket lock");
-        loop {
-            match *st {
-                TicketState::Waiting => {}
-                resolved => return resolved,
-            }
-            if shared.shards[self.shard].dead.load(Ordering::Acquire) {
-                return TicketState::Failed;
-            }
-            let (g, _) = self
-                .cv
-                .wait_timeout(st, Duration::from_millis(50))
-                .expect("ticket wait");
-            st = g;
+        while *st == TicketState::Waiting {
+            st = self.cv.wait(st).expect("ticket wait");
+        }
+        *st
+    }
+}
+
+/// The committer half of a ticket and the only value that can answer it:
+/// consumed by [`Resolver::resolve`], or — dropped in a failed batch, an
+/// abandoned queue, an unwinding committer — failing it from `Drop`.
+/// Either way the write is counted, then its waiter woken, once.
+struct Resolver {
+    /// `None` once answered, or when the queue refused the op.
+    ticket: Option<Arc<Ticket>>,
+    shared: Arc<Shared>,
+}
+
+impl Resolver {
+    /// Committed and durable (`ok`: applied, else target absent): count it,
+    /// then wake the waiter.
+    fn resolve(mut self, ok: bool) {
+        let ticket = self.ticket.take().expect("answered only here");
+        if ok {
+            self.shared.acked_writes.fetch_add(1, Ordering::Relaxed);
+            // Exactly one registry sample per acked write, recorded at the
+            // same place the counter moves — the obs-invariant suite holds
+            // `acked_writes == hist("commit-ack").count` to the digit.
+            jnvm_obs::record_latency("commit-ack", ticket.enqueued.elapsed().as_nanos() as u64);
+        } else {
+            self.shared.nacked_writes.fetch_add(1, Ordering::Relaxed);
+        }
+        ticket.resolve(TicketState::Done(ok));
+    }
+}
+
+impl Drop for Resolver {
+    fn drop(&mut self) {
+        if let Some(ticket) = self.ticket.take() {
+            self.shared.failed_writes.fetch_add(1, Ordering::Relaxed);
+            ticket.resolve(TicketState::Failed);
         }
     }
 }
 
-/// Per-shard serving state: the replica set plus the committer's queue,
-/// replication link and crash flag. Each shard's committer owns exactly
-/// this shard — the footprint-disjointness the FA group commit asserts
-/// holds trivially across shards because their devices are disjoint.
+/// What travels down a shard's queue.
+type Queued = (WriteOp, Resolver);
+
+/// A committer's replication link — the stream to its shard's backup
+/// endpoint, and that endpoint's thread — or `None` when the shard is solo.
+type Link = Option<(TcpStream, JoinHandle<()>)>;
+
+/// Per-shard serving state everyone may read; the queue's receiver and the
+/// replication link are not here — they are the committer's own. Each
+/// shard's committer owns exactly this shard — the footprint-disjointness
+/// the FA group commit asserts holds trivially across shards because their
+/// devices are disjoint.
 struct ShardState {
     set: ReplicaSet<ShardHandle>,
-    /// Committer-side replication link to this shard's backup endpoint.
-    /// `None` once solo (never replicated, degraded, or promoted).
-    link: Mutex<Option<TcpStream>>,
-    /// The backup endpoint thread; joined when the link closes — that
-    /// join is the exclusive-writer handoff of the backup's stack.
-    endpoint: Mutex<Option<JoinHandle<()>>>,
     /// Replication-lag watermark (groups sent vs. backup durability point).
     lag: ReplLag,
-    queue: Mutex<VecDeque<(WriteOp, Arc<Ticket>)>>,
-    /// The shard's committer waits here for work.
-    queue_cv: Condvar,
-    /// Producers wait here for queue space.
-    space_cv: Condvar,
-    /// This shard's write path died with no replica left to serve.
+    /// This shard's write path died with no replica left to serve: reads
+    /// of its image are refused, and writes early (`send` refuses the rest).
     dead: AtomicBool,
     groups: AtomicU64,
     batches: AtomicU64,
@@ -270,16 +307,13 @@ struct ShardState {
     charged_ns: AtomicU64,
 }
 
-impl ShardState {
-    /// The replica currently serving reads and primary commits.
-    fn active(&self) -> &ShardHandle {
-        self.set.active()
-    }
-}
-
+#[derive(Default)]
 struct Shared {
     cfg: ServerConfig,
     shards: Vec<ShardState>,
+    /// The server's own sender of every shard queue, in shard order: cloned
+    /// for each connection, dropped (`None`) when shutdown is requested.
+    queues: Mutex<Option<Vec<SyncSender<Queued>>>>,
     shutdown: AtomicBool,
     acked_writes: AtomicU64,
     nacked_writes: AtomicU64,
@@ -288,8 +322,6 @@ struct Shared {
     rejected_writes: AtomicU64,
     acked_after_promotion: AtomicU64,
     connections: AtomicU64,
-    /// Per-connection write ack-latency histograms, merged at conn close.
-    latency: Mutex<Histogram>,
 }
 
 impl Shared {
@@ -309,7 +341,7 @@ impl Shared {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
     committers: Vec<JoinHandle<()>>,
     handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
@@ -338,24 +370,22 @@ impl Server {
         );
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let mut states: Vec<ShardState> = Vec::with_capacity(shards.len());
+        let mut states = Vec::with_capacity(shards.len());
+        let mut queues = Vec::with_capacity(shards.len());
+        let mut seats = Vec::with_capacity(shards.len());
         for replicas in shards {
-            let mut link = None;
-            let mut endpoint = None;
-            if let Some(backup) = replicas.get(1) {
-                let (stream, handle) =
-                    start_backup_endpoint(Arc::clone(&backup.grid), Arc::clone(&backup.be))?;
-                link = Some(stream);
-                endpoint = Some(handle);
-            }
+            // A committer's own: the receiver of its shard's queue and the
+            // replication link, which exists before the thread it goes to.
+            let link = replicas
+                .get(1)
+                .map(|b| start_backup_endpoint(Arc::clone(&b.grid), Arc::clone(&b.be)))
+                .transpose()?;
+            let (tx, rx) = sync_channel(cfg.queue_cap);
+            queues.push(tx);
+            seats.push((rx, link));
             states.push(ShardState {
                 set: ReplicaSet::new(replicas),
-                link: Mutex::new(link),
-                endpoint: Mutex::new(endpoint),
                 lag: ReplLag::new(),
-                queue: Mutex::new(VecDeque::new()),
-                queue_cv: Condvar::new(),
-                space_cv: Condvar::new(),
                 dead: AtomicBool::new(false),
                 groups: AtomicU64::new(0),
                 batches: AtomicU64::new(0),
@@ -365,22 +395,17 @@ impl Server {
         let shared = Arc::new(Shared {
             cfg,
             shards: states,
-            shutdown: AtomicBool::new(false),
-            acked_writes: AtomicU64::new(0),
-            nacked_writes: AtomicU64::new(0),
-            failed_writes: AtomicU64::new(0),
-            queued_writes: AtomicU64::new(0),
-            rejected_writes: AtomicU64::new(0),
-            acked_after_promotion: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            latency: Mutex::new(Histogram::new()),
+            queues: Mutex::new(Some(queues)),
+            ..Shared::default()
         });
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-        let committers = (0..shared.shards.len())
-            .map(|si| {
+        let committers = seats
+            .into_iter()
+            .enumerate()
+            .map(|(si, (rx, link))| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || committer_loop(&shared, si))
+                std::thread::spawn(move || committer_loop(&shared, si, rx, link))
             })
             .collect();
         let acceptor = {
@@ -391,7 +416,7 @@ impl Server {
         Ok(Server {
             addr,
             shared,
-            acceptor: Some(acceptor),
+            acceptor,
             committers,
             handlers,
         })
@@ -433,40 +458,29 @@ impl Server {
     }
 
     /// Stop accepting, drain queued writes (each queued ticket is acked
-    /// or failed, never silently dropped), join every thread — committers
-    /// close their replication links on exit, which shuts the backup
-    /// endpoints down in turn.
-    pub fn shutdown(mut self) {
+    /// or failed, never silently dropped), join every thread — a committer
+    /// leaves when its queue is empty and senderless, closing its
+    /// replication link, which shuts the backup endpoint down in turn.
+    pub fn shutdown(self) {
         request_shutdown(&self.shared);
         // Unblock the acceptor's blocking accept(). No hello follows: the
         // handler's hello-read loop exits on the shutdown flag.
         let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
+        let _ = self.acceptor.join();
         for h in self.handlers.lock().expect("handlers lock").drain(..) {
             let _ = h.join();
         }
-        for c in self.committers.drain(..) {
+        for c in self.committers {
             let _ = c.join();
-        }
-        // Committers quiesce their own links; this catches endpoints whose
-        // committer died before the link existed (defensive only).
-        for s in &self.shared.shards {
-            quiesce_link(s);
         }
     }
 }
 
+/// The flag makes handlers refuse writes and leave, dropping their senders;
+/// with the server's own dropped too, each drained committer's `recv` fails.
 fn request_shutdown(shared: &Shared) {
     shared.shutdown.store(true, Ordering::Release);
-    // Per shard, under its queue lock so the committer's empty-queue exit
-    // check and the producers' reject check see a consistent flag.
-    for shard in &shared.shards {
-        let _q = shard.queue.lock().expect("queue lock");
-        shard.queue_cv.notify_all();
-        shard.space_cv.notify_all();
-    }
+    drop(shared.queues.lock().expect("queues lock").take());
 }
 
 fn snapshot(shared: &Shared) -> ServerStats {
@@ -547,9 +561,10 @@ fn acceptor_loop(
     handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::Acquire) {
+        // Its own sender of every queue, unless shutdown took the server's.
+        let Some(queues) = shared.queues.lock().expect("queues lock").clone() else {
             break;
-        }
+        };
         let Ok(stream) = stream else { continue };
         shared.connections.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::clone(shared);
@@ -559,7 +574,7 @@ fn acceptor_loop(
             // catch is a conservative backstop against a non-crash panic
             // stranding the server. A crash that does reach it cannot be
             // attributed to one shard: mark them all dead.
-            if catch_crash(|| handle_conn(&shared, stream)).is_err() {
+            if catch_crash(|| handle_conn(&shared, &queues, stream)).is_err() {
                 for s in &shared.shards {
                     s.dead.store(true, Ordering::Release);
                 }
@@ -574,172 +589,70 @@ fn acceptor_loop(
     }
 }
 
-/// Close the committer-side replication link and join the backup endpoint
-/// thread. TCP delivers everything written before the close, so the join
-/// returns only after the endpoint has applied every streamed group and
-/// exited — after this, the caller is the backup stack's only writer.
-/// Idempotent; safe whether the endpoint exited on its own (backup crash)
-/// or is still draining.
-fn quiesce_link(shard: &ShardState) {
-    drop(shard.link.lock().expect("link lock").take());
-    if let Some(h) = shard.endpoint.lock().expect("endpoint lock").take() {
-        let _ = h.join();
+/// Close the replication link and join the backup endpoint thread. TCP
+/// delivers everything written before the close, so the join returns only
+/// after the endpoint has applied every streamed group and exited — after
+/// this, the caller is the backup stack's only writer. Idempotent; safe
+/// whether the endpoint already exited (backup crash) or is still draining.
+fn quiesce_link(link: &mut Link) {
+    if let Some((stream, endpoint)) = link.take() {
+        drop(stream);
+        let _ = endpoint.join();
     }
-}
-
-/// Resolve a committed ticket and do the write accounting. Counting at
-/// resolution (not at reply flush) keeps the counters exact even when the
-/// client connection died before its replies could be sent.
-fn resolve_done(shared: &Shared, shard: &ShardState, ticket: &Ticket, ok: bool) {
-    if ok {
-        shared.acked_writes.fetch_add(1, Ordering::Relaxed);
-        // Exactly one registry sample per acked write, recorded at the
-        // same place the counter moves — the obs-invariant suite holds
-        // `acked_writes == hist("commit-ack").count` to the digit.
-        jnvm_obs::record_latency("commit-ack", ticket.enqueued.elapsed().as_nanos() as u64);
-        if shard.set.promotions() > 0 {
-            shared.acked_after_promotion.fetch_add(1, Ordering::Relaxed);
-        }
-    } else {
-        shared.nacked_writes.fetch_add(1, Ordering::Relaxed);
-    }
-    ticket.resolve(TicketState::Done(ok));
-}
-
-fn resolve_failed(shared: &Shared, ticket: &Ticket) {
-    shared.failed_writes.fetch_add(1, Ordering::Relaxed);
-    ticket.resolve(TicketState::Failed);
-}
-
-/// Fail the in-flight batch and everything queued behind it — the crash
-/// path's "nothing here was acked" sweep. Every ticket is resolved; none
-/// is silently dropped. With `last_replica` the shard dies here, under
-/// the queue lock `enqueue` checks `dead` under: every producer is either
-/// refused at enqueue or failed by this drain, never ticketed on a shard
-/// whose committer is gone.
-fn fail_batch_and_queue(
-    shared: &Shared,
-    shard: &ShardState,
-    batch: &[Arc<Ticket>],
-    last_replica: bool,
-) {
-    for ticket in batch {
-        resolve_failed(shared, ticket);
-    }
-    let mut q = shard.queue.lock().expect("queue lock");
-    for (_, ticket) in q.drain(..) {
-        resolve_failed(shared, &ticket);
-    }
-    // Only after the drain: a handler polling a queued ticket must find it
-    // resolved (and counted), never merely orphaned by `dead` — it would
-    // answer its client while `failed_writes` is still short of it.
-    if last_replica {
-        shard.dead.store(true, Ordering::Release);
-    }
-    shard.space_cv.notify_all();
 }
 
 /// Stream the batch to the shard's backup endpoint, chunked into
 /// `REPL_APPLY` frames. Returns the last sequence number to await, or
 /// `None` when the shard runs solo. A send failure means the backup is
 /// gone: degrade in place and commit solo from now on.
-fn stream_to_backup(shard: &ShardState, ops: &[WriteOp]) -> Option<u64> {
-    if shard.set.is_degraded() {
-        return None;
-    }
-    let mut guard = shard.link.lock().expect("link lock");
-    let link = guard.as_mut()?;
+fn stream_to_backup(shard: &ShardState, link: &mut Link, ops: &[WriteOp]) -> Option<u64> {
+    let (stream, _) = link.as_mut()?;
     let frames = encode_repl_apply(ops, || shard.lag.next_seq());
     let last_seq = frames.last().map(|(_, seq)| *seq)?;
     for (frame, _) in &frames {
-        if link.write_all(frame).is_err() {
-            drop(guard);
-            degrade_backup(shard);
+        if stream.write_all(frame).is_err() {
+            degrade_backup(shard, link);
             return None;
         }
     }
     Some(last_seq)
 }
 
-/// Wait for the backup's durability point to reach `target`. Acks are
-/// cumulative, so one ack may cover several chunks. Returns `false` on
-/// link EOF / error / timeout — the degrade signal.
-fn wait_for_backup(shard: &ShardState, target: u64) -> bool {
-    let mut guard = shard.link.lock().expect("link lock");
-    let Some(link) = guard.as_mut() else {
-        return false;
-    };
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut tmp = [0u8; 4096];
+/// Wait for the backup's durability point to reach `target` (acks are
+/// cumulative: one may cover several chunks). Anything but a `REPL_ACK`
+/// within [`read_reply`]'s 10 s — EOF, an error, silence — means the backup
+/// died mid-batch: degrade, and ack the group off the primary, which holds it.
+fn wait_for_backup(shard: &ShardState, link: &mut Link, target: u64) {
+    let mut rbuf = Vec::new();
     while shard.lag.acked() < target {
-        // Drain every complete ack already buffered.
-        let mut progressed = true;
-        while progressed {
-            match parse_reply(&buf) {
-                Ok(Some((Reply::ReplAck(seq), n))) => {
-                    shard.lag.record_acked(seq);
-                    buf.drain(..n);
-                }
-                Ok(Some(_)) | Err(_) => return false,
-                Ok(None) => progressed = false,
-            }
-        }
-        if shard.lag.acked() >= target {
-            break;
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        match link.read(&mut tmp) {
-            Ok(0) => return false,
-            Ok(n) => buf.extend_from_slice(&tmp[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => return false,
+        let Some((stream, _)) = link else { return };
+        match read_reply(stream, &mut rbuf) {
+            Ok(Some(Reply::ReplAck(seq))) => shard.lag.record_acked(seq),
+            _ => return degrade_backup(shard, link),
         }
     }
-    true
 }
 
 /// Backup-side failure: drop the link, join the endpoint, mark the set
 /// degraded. The primary keeps serving solo — nothing acked is lost,
 /// because acks were always gated on the *primary's* durability too.
-fn degrade_backup(shard: &ShardState) {
-    quiesce_link(shard);
+fn degrade_backup(shard: &ShardState, link: &mut Link) {
+    quiesce_link(link);
     shard.set.degrade();
 }
 
-fn committer_loop(shared: &Arc<Shared>, si: usize) {
+/// One shard's committer. It owns the queue's receiver, the replication
+/// link and every resolver it took off the queue: whichever way it leaves,
+/// what it still holds is dropped, which fails those tickets.
+fn committer_loop(shared: &Arc<Shared>, si: usize, rx: Receiver<Queued>, mut link: Link) {
     let shard = &shared.shards[si];
-    loop {
-        // Split as drained: the ops move into the slice the backup stream
-        // and the commit borrow, the tickets stay beside them.
-        let (ops, batch): (Vec<WriteOp>, Vec<Arc<Ticket>>) = {
-            let mut q = shard.queue.lock().expect("queue lock");
-            loop {
-                if !q.is_empty() {
-                    break;
-                }
-                if shared.shutdown.load(Ordering::Acquire) || shard.dead.load(Ordering::Acquire)
-                {
-                    // Empty queue + shutdown/death: every ticket this
-                    // shard ever accepted has been resolved. Quiesce the
-                    // replication link so the backup endpoint exits too.
-                    drop(q);
-                    quiesce_link(shard);
-                    return;
-                }
-                let (g, _) = shard
-                    .queue_cv
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .expect("queue wait");
-                q = g;
-            }
-            let n = q.len().min(shared.cfg.batch_max);
-            let batch = q.drain(..n).unzip();
-            shard.space_cv.notify_all();
-            batch
-        };
+    // `recv` fails only on an empty queue whose every sender is gone:
+    // shutdown was requested and the last handler has left.
+    while let Ok(first) = rx.recv() {
+        // Everything queued, up to `batch_max`, split as taken: the ops go
+        // to the backup stream and the commit, the resolvers wait beside.
+        let more = rx.try_iter().take(shared.cfg.batch_max.saturating_sub(1));
+        let (ops, batch): (Vec<_>, Vec<_>) = std::iter::once(first).chain(more).unzip();
         debug_assert!(
             ops.iter().all(|op| shared.route(op.key()) == si),
             "op routed to the wrong shard's committer"
@@ -749,86 +662,87 @@ fn committer_loop(shared: &Arc<Shared>, si: usize) {
         // and its state stays a superset-prefix of the primary's at every
         // primary crash point.
         let obs_send = jnvm_obs::span_begin();
-        let ack_target = stream_to_backup(shard, &ops);
+        let ack_target = stream_to_backup(shard, &mut link, &ops);
         if ack_target.is_some() {
             jnvm_obs::span_end(jnvm_obs::SpanKind::ReplSend, obs_send);
         }
-        let active = shard.active();
+        let active = shard.set.active();
         match catch_crash(|| commit_writes(&active.grid, &active.be, &ops)) {
             Ok(out) => {
                 if let Some(target) = ack_target {
                     let obs_ack = jnvm_obs::span_begin();
-                    let backup_ok = wait_for_backup(shard, target);
+                    wait_for_backup(shard, &mut link, target);
                     jnvm_obs::span_end(jnvm_obs::SpanKind::ReplAck, obs_ack);
-                    if !backup_ok {
-                        // Backup died mid-batch. The primary already
-                        // holds the group durably — ack off it alone.
-                        degrade_backup(shard);
-                    }
                 }
                 // The group durability point (on every live replica) is
                 // behind us: release acks.
                 shard.groups.fetch_add(out.groups as u64, Ordering::Relaxed);
                 shard.batches.fetch_add(1, Ordering::Relaxed);
                 shard.charged_ns.store(thread_charged_ns(), Ordering::Release);
-                for (ticket, ok) in batch.iter().zip(out.results.iter()) {
-                    resolve_done(shared, shard, ticket, *ok);
+                if shard.set.promotions() > 0 {
+                    let n = out.results.iter().filter(|ok| **ok).count() as u64;
+                    shared.acked_after_promotion.fetch_add(n, Ordering::Relaxed);
                 }
+                for (resolver, ok) in batch.into_iter().zip(out.results) {
+                    resolver.resolve(ok);
+                }
+            }
+            // Power failed mid-batch on the active device: nothing here
+            // reached its durability point as a group — ack none of it.
+            Err(_) if shard.set.backup().is_none() => {
+                // No redundancy left: only this shard goes down (no other
+                // committer touches this device). Its image is refused to
+                // reads; batch and queue fail as they drop, `send` refuses.
+                shard.dead.store(true, Ordering::Release);
+                break;
             }
             Err(_) => {
-                // Power failed mid-batch on the active device: nothing
-                // here reached its durability point as a group — refuse
-                // to ack any of it.
-                let failover = shard.set.backup().is_some();
-                fail_batch_and_queue(shared, shard, &batch, !failover);
-                if failover {
-                    // Failover: quiesce the link (the endpoint finishes
-                    // applying everything streamed, then exits; the join
-                    // makes this committer the backup's only writer),
-                    // promote, keep serving. The frozen primary is never
-                    // touched again.
-                    quiesce_link(shard);
-                    shard.set.promote();
-                    continue;
-                }
-                // No redundancy left: only this shard went down (marked
-                // dead by the drain above). The other shards' committers
-                // never touch this device and keep committing.
-                quiesce_link(shard);
-                return;
+                // Failover: fail the batch and everything queued behind it,
+                // quiesce the link (the endpoint applies what was streamed
+                // and exits; the join makes this committer the backup's only
+                // writer), promote, keep serving on it alone.
+                drop(batch);
+                rx.try_iter().for_each(drop);
+                quiesce_link(&mut link);
+                shard.set.promote();
             }
         }
     }
+    // Shutdown or death: close the link so the backup endpoint exits too.
+    quiesce_link(&mut link);
 }
 
-/// Enqueue a write on its shard, blocking while that shard's queue is
-/// full (backpressure). Returns the op's ticket.
-fn enqueue(shared: &Shared, op: WriteOp) -> Result<Arc<Ticket>, &'static str> {
+/// Enqueue a write on its shard, blocking in `send` while that queue is
+/// full (backpressure). Returns the op's ticket, or the counted (`rejected`)
+/// refusal of an op no queue took: no ticket then, so never `failed`.
+fn enqueue(
+    shared: &Arc<Shared>,
+    queues: &[SyncSender<Queued>],
+    op: WriteOp,
+) -> Result<Arc<Ticket>, &'static str> {
     let si = shared.route(op.key());
-    let shard = &shared.shards[si];
-    let key = op.key().to_string();
-    let mut q = shard.queue.lock().expect("queue lock");
-    loop {
-        if shard.dead.load(Ordering::Acquire) {
-            return Err("shard crashed");
+    let refusal = if shared.shards[si].dead.load(Ordering::Acquire) {
+        "shard crashed"
+    } else if shared.shutdown.load(Ordering::Acquire) {
+        "server shutting down"
+    } else {
+        let ticket = Arc::new(Ticket::new(op.key().to_string()));
+        let resolver = Resolver {
+            ticket: Some(Arc::clone(&ticket)),
+            shared: Arc::clone(shared),
+        };
+        match queues[si].send((op, resolver)) {
+            Ok(()) => {
+                shared.queued_writes.fetch_add(1, Ordering::Relaxed);
+                return Ok(ticket);
+            }
+            // The receiver is gone — the shard died, or its committer unwound.
+            Err(SendError((_, mut unsent))) => unsent.ticket = None,
         }
-        if shared.shutdown.load(Ordering::Acquire) {
-            return Err("server shutting down");
-        }
-        if q.len() < shared.cfg.queue_cap {
-            break;
-        }
-        let (g, _) = shard
-            .space_cv
-            .wait_timeout(q, Duration::from_millis(50))
-            .expect("space wait");
-        q = g;
-    }
-    let ticket = Arc::new(Ticket::new(key, si));
-    q.push_back((op, Arc::clone(&ticket)));
-    shared.queued_writes.fetch_add(1, Ordering::Relaxed);
-    shard.queue_cv.notify_one();
-    Ok(ticket)
+        "shard crashed"
+    };
+    shared.rejected_writes.fetch_add(1, Ordering::Relaxed);
+    Err(refusal)
 }
 
 /// Reply bytes a connection may encode before it stops parsing and drains:
@@ -891,12 +805,12 @@ impl Completions {
     /// Block until [`Completions::wait_set`] is resolved — after writing,
     /// as before every wait on an unresolved ticket, the bytes already
     /// encoded: a reply that is ready never sits behind a later commit.
-    fn wait(&mut self, shared: &Shared, stream: &mut TcpStream, key: Option<&str>) -> bool {
+    fn wait(&mut self, stream: &mut TcpStream, key: Option<&str>) -> bool {
         if self.wait_set(key).any(|t| !t.is_resolved()) && !self.write_out(stream) {
             return false;
         }
         for ticket in self.wait_set(key) {
-            ticket.wait(shared);
+            ticket.wait();
         }
         true
     }
@@ -906,9 +820,9 @@ impl Completions {
     /// (its shard crashed) answers `Err` but does **not** end the
     /// connection: the other shards are still serving. Returns `false`
     /// only when the connection itself is done for. Counters are NOT
-    /// touched here — the committer counts at ticket resolution, so a dead
-    /// client socket cannot skew the accounting.
-    fn drain(&mut self, shared: &Shared, stream: &mut TcpStream, hist: &mut Histogram) -> bool {
+    /// touched here — the resolver counts as it answers the ticket, so a
+    /// dead client socket cannot skew the accounting.
+    fn drain(&mut self, stream: &mut TcpStream) -> bool {
         while let Some(slot) = self.slots.pop_front() {
             let ticket = match slot {
                 Slot::Ready(bytes) => {
@@ -920,11 +834,8 @@ impl Completions {
             if !ticket.is_resolved() && !self.write_out(stream) {
                 return false;
             }
-            let reply = match ticket.wait(shared) {
-                TicketState::Done(true) => {
-                    hist.record(ticket.enqueued.elapsed().as_nanos() as u64);
-                    Reply::Ok
-                }
+            let reply = match ticket.wait() {
+                TicketState::Done(true) => Reply::Ok,
                 TicketState::Done(false) => Reply::NotFound,
                 TicketState::Waiting | TicketState::Failed => {
                     Reply::Err("write lost to a crash".into())
@@ -969,7 +880,7 @@ fn exchange_hello(shared: &Shared, stream: &mut TcpStream) -> bool {
     check_hello(theirs).is_ok()
 }
 
-fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
+fn handle_conn(shared: &Arc<Shared>, queues: &[SyncSender<Queued>], mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     if !exchange_hello(shared, &mut stream) {
@@ -978,13 +889,12 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     let mut buf: Vec<u8> = Vec::new();
     let mut tmp = [0u8; 16 * 1024];
     let mut done = Completions::default();
-    let mut hist = Histogram::new();
 
     'conn: loop {
         // Drain every complete frame already buffered (pipelining).
         let mut consumed = 0;
         loop {
-            if done.backlog >= REPLY_BACKLOG_MAX && !done.drain(shared, &mut stream, &mut hist) {
+            if done.backlog >= REPLY_BACKLOG_MAX && !done.drain(&mut stream) {
                 break 'conn;
             }
             let (req, n) = match parse_frame(&buf[consumed..]) {
@@ -992,7 +902,7 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                 // Unparseable stream: cut the connection — after answering,
                 // in order, every request accepted before the garbage.
                 ParseOutcome::Malformed(_) => {
-                    done.drain(shared, &mut stream, &mut hist);
+                    done.drain(&mut stream);
                     break 'conn;
                 }
                 ParseOutcome::Frame(req, n) => (req, n),
@@ -1010,7 +920,7 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                         Request::Get(key) => Some(key.as_str()),
                         _ => None,
                     };
-                    if !done.wait(shared, &mut stream, own_key) {
+                    if !done.wait(&mut stream, own_key) {
                         break 'conn;
                     }
                     let reply = match other {
@@ -1023,7 +933,7 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                                 Reply::Err("shard crashed".into())
                             } else {
                                 // One pass from NVMM to the reply bytes.
-                                let grid = &shard.active().grid;
+                                let grid = &shard.set.active().grid;
                                 done.push_with(|out| {
                                     encode_get_reply(out, |out| grid.read_encoded(&key, out))
                                 });
@@ -1035,7 +945,7 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                                 shared
                                     .shards
                                     .iter()
-                                    .map(|s| s.active().grid.len() as u64)
+                                    .map(|s| s.set.active().grid.len() as u64)
                                     .sum::<u64>()
                             }) {
                                 Some(total) => Reply::Value(total.to_le_bytes().to_vec()),
@@ -1049,7 +959,7 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                         Request::Metrics => Reply::Value(metrics_text(shared).into_bytes()),
                         Request::Shutdown => {
                             done.push_ready(&Reply::Ok);
-                            done.drain(shared, &mut stream, &mut hist);
+                            done.drain(&mut stream);
                             request_shutdown(shared);
                             break 'conn;
                         }
@@ -1067,14 +977,9 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                     continue;
                 }
             };
-            match enqueue(shared, op) {
+            match enqueue(shared, queues, op) {
                 Ok(ticket) => done.slots.push_back(Slot::Pending(ticket)),
-                Err(msg) => {
-                    // Refused before a ticket existed — rejected, not
-                    // failed (it never entered the queued population).
-                    shared.rejected_writes.fetch_add(1, Ordering::Relaxed);
-                    done.push_ready(&Reply::Err(msg.to_string()));
-                }
+                Err(why) => done.push_ready(&Reply::Err(why.to_string())),
             }
         }
         buf.drain(..consumed);
@@ -1082,7 +987,7 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
         // Everything parsed is enqueued; release the replies before
         // blocking on the socket again so single-window clients make
         // progress.
-        if !done.drain(shared, &mut stream, &mut hist) {
+        if !done.drain(&mut stream) {
             break 'conn;
         }
 
@@ -1097,12 +1002,6 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             Err(_) => break 'conn,
         }
     }
-
-    shared
-        .latency
-        .lock()
-        .expect("latency lock")
-        .merge(&hist);
 }
 
 /// The `METRICS` reply: the obs registry (per-label fence accounting,
@@ -1118,6 +1017,8 @@ fn metrics_text(shared: &Shared) -> String {
     out
 }
 
+/// The `STATS` reply. `ack_latency=` is the obs registry's `commit-ack`
+/// summary (the one ack histogram), so it reads zero while `JNVM_OBS=off`.
 fn stats_text(shared: &Shared) -> String {
     let s = snapshot(shared);
     let mut reads = 0u64;
@@ -1127,7 +1028,7 @@ fn stats_text(shared: &Shared) -> String {
     let mut len = 0usize;
     let mut d = StatsSnapshot::default();
     for shard in &shared.shards {
-        let unit = shard.active();
+        let unit = shard.set.active();
         let g = unit.grid.metrics();
         reads += g.reads.load(Ordering::Relaxed);
         writes += g.writes.load(Ordering::Relaxed);
@@ -1142,7 +1043,8 @@ fn stats_text(shared: &Shared) -> String {
             d.absorb(&shard.set.get(i).pmem.stats());
         }
     }
-    let lat = shared.latency.lock().expect("latency lock").summary();
+    let obs = jnvm_obs::metrics_snapshot();
+    let lat = obs.hist_summary("commit-ack").unwrap_or_default();
     let acked = s.acked_writes.max(1);
     format!(
         "backend={}\nshards={}\nreplicas={}\ndead_shards={}\npromotions={}\ndegraded_shards={}\nlen={}\nreads={}\nwrites={}\nhits={}\nmisses={}\n\
@@ -1150,7 +1052,7 @@ fn stats_text(shared: &Shared) -> String {
          repl_sent={}\nrepl_acked={}\nrepl_lag={}\ngroups={}\nbatches={}\nconnections={}\n\
          pwbs={}\npfences={}\npsyncs={}\nordering_points={}\nordering_points_per_acked_write={:.4}\n\
          redundant_pwbs={}\nredundant_fences={}\nsan_violations={}\nack_latency={}\n",
-        shared.shards[0].active().be.name(),
+        shared.shards[0].set.active().be.name(),
         s.shards,
         s.replicas,
         s.dead_shards,
@@ -1189,7 +1091,122 @@ fn stats_text(shared: &Shared) -> String {
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
+    use crate::proto::parse_reply;
     use jnvm_pmem::PmemConfig;
+
+    /// A 1 × 1 server and, beside it, a shard queue of the test's own:
+    /// `enqueue` takes the senders it is given, so the test produces into
+    /// that queue and plays its committer with the receiver (the server's
+    /// real committer idles on the real one).
+    fn hand_off(queue_cap: usize) -> (Cluster, Server, [SyncSender<Queued>; 1], Receiver<Queued>) {
+        let cluster = Cluster::create(1, 1, 4, PmemConfig::crash_sim(8 << 20), true).unwrap();
+        let server = cluster.start(ServerConfig::default()).unwrap();
+        let (tx, rx) = sync_channel(queue_cap);
+        (cluster, server, [tx], rx)
+    }
+
+    fn del(key: &str) -> WriteOp {
+        WriteOp::Del(key.into())
+    }
+
+    /// `(queued, acked, nacked, failed, rejected)`.
+    fn counts(shared: &Shared) -> (u64, u64, u64, u64, u64) {
+        let s = snapshot(shared);
+        (
+            s.queued_writes,
+            s.acked_writes,
+            s.nacked_writes,
+            s.failed_writes,
+            s.rejected_writes,
+        )
+    }
+
+    /// The resolver contract: dropped unresolved it wakes its waiter with
+    /// `Failed` and counts one failed write; resolved (and then dropped, as
+    /// `resolve` consumes it) it counts once as acked or nacked and never
+    /// as failed.
+    #[test]
+    fn a_resolver_answers_and_counts_its_ticket_exactly_once() {
+        let (_cluster, server, queues, rx) = hand_off(8);
+        let shared = &server.shared;
+        let mut waiters = Vec::new();
+        for key in ["dropped", "applied", "absent"] {
+            let ticket = enqueue(shared, &queues, del(key)).unwrap();
+            waiters.push(std::thread::spawn(move || ticket.wait()));
+        }
+        assert_eq!(counts(shared), (3, 0, 0, 0, 0));
+        let mut resolvers = rx.try_iter().map(|(_, resolver)| resolver);
+        drop(resolvers.next().unwrap());
+        assert_eq!(counts(shared), (3, 0, 0, 1, 0));
+        resolvers.next().unwrap().resolve(true);
+        resolvers.next().unwrap().resolve(false);
+        assert_eq!(counts(shared), (3, 1, 1, 1, 0));
+        let woken: Vec<TicketState> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
+        use TicketState::{Done, Failed};
+        assert_eq!(woken, [Failed, Done(true), Done(false)]);
+        server.shutdown();
+    }
+
+    /// Backpressure meets a dying shard: with a one-slot queue that is
+    /// full, a second producer parks in `send`; when the receiver goes it
+    /// is refused — rejected, never queued, no ticket — and the op that
+    /// *was* queued fails with the receiver.
+    #[test]
+    fn a_producer_parked_on_a_full_queue_is_refused_when_the_receiver_goes() {
+        let (_cluster, server, queues, rx) = hand_off(1);
+        let shared = &server.shared;
+        let queued = enqueue(shared, &queues, del("fills-the-queue")).unwrap();
+        let gate = std::sync::Barrier::new(2);
+        let refusal = std::thread::scope(|s| {
+            let parked = s.spawn(|| {
+                gate.wait();
+                enqueue(shared, &queues, del("one-too-many")).err()
+            });
+            gate.wait();
+            // Give the producer the core so that it is parked in `send`
+            // when the receiver goes; arriving a moment after, it meets a
+            // disconnected queue and must be refused just the same.
+            for _ in 0..1000 {
+                std::thread::yield_now();
+            }
+            drop(rx);
+            parked.join().unwrap()
+        });
+        assert_eq!(refusal, Some("shard crashed"));
+        assert_eq!(queued.wait(), TicketState::Failed);
+        assert_eq!(counts(shared), (1, 0, 0, 1, 1));
+        server.shutdown();
+    }
+
+    /// The exit nobody planned: a committer that takes a batch, answers
+    /// half of it and unwinds — batch, receiver and all, two more ops still
+    /// queued — leaves no waiter blocked and the accounting identity
+    /// intact; producers that come later are refused.
+    #[test]
+    fn a_committer_that_unwinds_strands_no_waiter() {
+        let (_cluster, server, queues, rx) = hand_off(8);
+        let shared = &server.shared;
+        let tickets: Vec<Arc<Ticket>> = (0..6)
+            .map(|i| enqueue(shared, &queues, del(&format!("k{i}"))).unwrap())
+            .collect();
+        let committer = std::thread::spawn(move || {
+            let mut batch: Vec<Queued> = rx.try_iter().take(4).collect();
+            for (_, resolver) in batch.drain(..2) {
+                resolver.resolve(true);
+            }
+            // An unwind without the panic hook's message.
+            std::panic::resume_unwind(Box::new("committer gone"));
+        });
+        assert!(committer.join().is_err());
+        assert!(tickets.iter().all(|t| t.is_resolved()), "stranded waiter");
+        let answers: Vec<TicketState> = tickets.iter().map(|t| t.wait()).collect();
+        assert_eq!(answers[..2], [TicketState::Done(true); 2]);
+        assert_eq!(answers[2..], [TicketState::Failed; 4]);
+        let late = enqueue(shared, &queues, del("late"));
+        assert_eq!(late.err(), Some("shard crashed"));
+        assert_eq!(counts(shared), (6, 2, 0, 4, 1));
+        server.shutdown();
+    }
 
     /// A read no longer waits for another key's commit — shown on the
     /// queue itself, with tickets no committer will ever resolve: `GET b`
@@ -1200,7 +1217,7 @@ mod tests {
         let mut done = Completions::default();
         done.push_ready(&Reply::Ok);
         for key in ["a", "c"] {
-            let ticket = Arc::new(Ticket::new(key.into(), 0));
+            let ticket = Arc::new(Ticket::new(key.into()));
             assert!(!ticket.is_resolved());
             done.slots.push_back(Slot::Pending(ticket));
             done.push_ready(&Reply::NotFound);

@@ -66,7 +66,7 @@ use jnvm_pmem::{silence_crash_panics, FaultPlan, Pmem, PmemConfig};
 
 use crate::cluster::{grid_cfg, Cluster};
 use crate::loadgen::{key_for, run_loadgen, value_for, LoadReport, LoadgenConfig, OpOutcome};
-use crate::proto::{encode_request, handshake, Reply, Request};
+use crate::proto::{encode_request, handshake, read_reply, Reply, Request};
 use crate::server::{Server, ServerConfig, ServerStats};
 
 /// Experiment shape.
@@ -191,6 +191,20 @@ fn run_armed<T>(
     crash_dev.arm_faults(FaultPlan::crash_at(point));
     let load = run_loadgen(server.addr(), &cfg.load);
     let stats = server.stats();
+    // While a shard lives the server keeps every connection open, so each
+    // request sent was answered (`Err` included). Silence means a handler is
+    // stuck behind a ticket nobody answered — it would hang the joins in
+    // `shutdown` too, so the server and its stacks are leaked instead.
+    if stats.dead_shards < stats.shards {
+        if let Some(c) = load.per_conn.iter().find(|c| c.replied() < c.sent) {
+            let (replied, sent) = (c.replied(), c.sent);
+            std::mem::forget((server, cluster));
+            return Err(format!(
+                "point {point}: conn {} got {replied} replies to {sent} requests",
+                c.conn
+            ));
+        }
+    }
     let probed = probe(&server, &stats, crash_dev.faults_frozen());
     server.shutdown();
     let injected = crash_dev.faults_frozen();
@@ -236,9 +250,10 @@ pub fn kill_during_traffic(point: u64, cfg: &TortureConfig) -> Result<KillReport
         ops_counted,
         ..
     } = run_armed(point, cfg, |_, _, _| Ok(()))?;
-    // The load has drained, so every ticket ever issued was resolved by a
-    // committer: a write ticketed on a dying shard and answered only by
-    // the handler's liveness poll would be queued but never counted.
+    // The load has drained, so every ticket ever issued was answered by
+    // its resolver — counted first, woken second — whether a committer
+    // resolved it or a dying shard dropped it: a ticket answered any other
+    // way would be queued but never counted.
     if stats.queued_writes != stats.acked_writes + stats.nacked_writes + stats.failed_writes {
         return Err(format!(
             "point {point}: write accounting broken: queued {} != acked {} + nacked {} + failed {}",
@@ -393,7 +408,7 @@ fn probe_promoted_shard(server: &Server, cfg: &TortureConfig) -> Result<u64, Str
         stream
             .write_all(&encode_request(req))
             .map_err(|e| format!("probe send: {e}"))?;
-        match crate::loadgen::read_reply(stream, &mut rbuf) {
+        match read_reply(stream, &mut rbuf) {
             Ok(Some(reply)) => Ok(reply),
             Ok(None) => Err("probe: promoted shard went silent".into()),
             Err(e) => Err(format!("probe reply stream: {e}")),

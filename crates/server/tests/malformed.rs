@@ -213,6 +213,57 @@ fn oversized_value_is_rejected_but_connection_survives() {
     server.shutdown();
 }
 
+/// What the client path accepts is a subset of what the replication path
+/// can frame. A `SET` body within `MAX_FRAME` but too large to wrap in a
+/// `REPL_APPLY` frame used to be acked off the primary while the backup
+/// refused the frame and the shard silently degraded; it is a typed `Err`
+/// now, and the largest record that *is* accepted reaches both replicas.
+#[test]
+fn a_set_too_large_to_replicate_is_refused_not_half_replicated() {
+    use jnvm_server::proto::MAX_FRAME;
+    // `REPL_APPLY`'s `[seq u64][count u32]` header + the op's tag and length.
+    const REPL_SET_OVERHEAD: usize = 12 + 1 + 4;
+    // 15 full-size fields plus one sized so the record encodes to `len`.
+    let record_of = |key: &str, len: usize| {
+        let mut values = vec![vec![0x5a_u8; 64 << 10]; 15];
+        values.push(Vec::new());
+        let short = len - jnvm_kvstore::encode_record(&Record::ycsb(key, &values)).len();
+        values[15] = vec![0xa5; short];
+        let rec = Record::ycsb(key, &values);
+        assert_eq!(jnvm_kvstore::encode_record(&rec).len(), len);
+        rec
+    };
+    let cluster = Cluster::create(1, 2, 8, PmemConfig::crash_sim(64 << 20), true).unwrap();
+    let server = cluster.start(ServerConfig::default()).unwrap();
+    let mut s = connect(&server);
+    let mut buf = Vec::new();
+
+    for len in [MAX_FRAME, MAX_FRAME - REPL_SET_OVERHEAD + 1] {
+        let reply = roundtrip(&mut s, &mut buf, &Request::Set(record_of("too-big", len)));
+        assert!(
+            matches!(reply, Some(Reply::Err(_))),
+            "{len} B record: {reply:?}"
+        );
+    }
+    set_record(&mut s, &mut buf, "small"); // same connection: still open
+    let stats = server.stats();
+    assert_eq!(stats.degraded_shards, 0, "a legal SET cost the backup");
+    assert_eq!((stats.repl_sent, stats.repl_acked), (1, 1));
+
+    let largest = record_of("largest", MAX_FRAME - REPL_SET_OVERHEAD);
+    let reply = roundtrip(&mut s, &mut buf, &Request::Set(largest.clone()));
+    assert_eq!(reply, Some(Reply::Ok));
+    let stats = server.stats();
+    assert_eq!(stats.degraded_shards, 0);
+    assert_eq!((stats.repl_sent, stats.repl_acked), (2, 2));
+    server.shutdown();
+    for r in 0..2 {
+        let stored = cluster.kv(r).read("largest");
+        assert_eq!(stored.as_ref(), Some(&largest), "replica {r}");
+        assert_eq!(cluster.kv(r).read("too-big"), None, "replica {r}");
+    }
+}
+
 #[test]
 fn mid_pipeline_drop_does_not_leak_staged_entries() {
     let (server, _cluster) = start_server();

@@ -147,6 +147,38 @@ fn kill_during_traffic_strided_sweep() {
     assert!(injected >= 3, "sweep barely injected: {injected}/5 points");
 }
 
+/// The strided kill sweep once more over a one-slot queue and two-op
+/// batches, so that at the crash instant producers *are* parked in `send`
+/// behind a full queue: each must come back refused (`rejected`) or find
+/// its op failed with the queue — `kill_during_traffic` returns `Err` when
+/// a live connection is left without a reply or when `queued == acked +
+/// nacked + failed` does not hold — and the recovered image and the
+/// lincheck verdict must not care how small the queue was.
+#[test]
+fn kill_during_traffic_with_producers_parked_on_a_full_queue() {
+    let cfg = TortureConfig {
+        server: ServerConfig {
+            batch_max: 2,
+            queue_cap: 1,
+        },
+        ..small_torture()
+    };
+    let total = traffic_op_count(&cfg).expect("valid topology");
+    let mut injected = 0;
+    for point in strided_points(total, 5) {
+        let report = kill_during_traffic(point, &cfg).unwrap_or_else(|e| panic!("{e}"));
+        if report.injected {
+            injected += 1;
+            let s = report.server;
+            assert!(
+                s.failed_writes + s.rejected_writes > 0,
+                "point {point}: a crash mid-traffic failed and refused nothing"
+            );
+        }
+    }
+    assert!(injected >= 3, "sweep barely injected: {injected}/5 points");
+}
+
 /// The strided kill sweep again, but the post-kill reopen recovers on 4
 /// worker threads: the acked-durability and untorn-record verdicts must
 /// not depend on the recovery thread count (the full bit-level proof is
