@@ -30,7 +30,10 @@
 //!    entry's words onto the original, `pwb`, `pfence` — the
 //!    applies must be durable *before* step 4, or a crash could persist the
 //!    cleared flag while losing an applied line, and nothing would replay
-//!    the torn block,
+//!    the torn block. A live commit validates an allocation by storing its
+//!    header word, valid bit set, from DRAM — the block wrote that header
+//!    when it allocated the object and kept it; replay, which has no DRAM
+//!    state, reads the header back and flips the bit,
 //! 4. clear the committed flag, `pwb`, `pfence` (so the log is reusable
 //!    and the blocks the group released may be recycled).
 //!
@@ -55,7 +58,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::thread::ThreadId;
 
-use jnvm_heap::{HeapError, HEADER_BYTES};
+use jnvm_heap::{BlockHeader, HeapError, HEADER_BYTES};
 use jnvm_pmem::CACHE_LINE;
 use parking_lot::Mutex;
 
@@ -227,7 +230,7 @@ impl FaManager {
                 // a crash anywhere in here re-replays on the next recovery
                 // and converges.
                 let (len, bytes) = read_log(pmem, &chain);
-                apply_and_retire(rt, &chain, len, &bytes, false, &mut retired_fp)?;
+                apply_and_retire(rt, &chain, len, &bytes, &[], false, &mut retired_fp)?;
                 replayed += 1;
             }
             *cursor = slot + 1;
@@ -295,8 +298,24 @@ struct TxState {
     /// crash point `i` names the same op on every run.
     overlay: BTreeMap<u64, u64>,
     /// Objects allocated inside this block (written in place, validated
-    /// and flushed by the commit): master address -> payload bytes.
-    allocated: BTreeMap<u64, u64>,
+    /// and flushed by the commit), by master address.
+    allocated: BTreeMap<u64, Allocated>,
+    /// Each ALLOC entry's header word with the valid bit set, in entry
+    /// order: what a live commit stores to validate the allocation.
+    valid_words: Vec<u64>,
+}
+
+/// What the commit needs of an object the block allocated, so that it
+/// never reads the object's headers back.
+struct Allocated {
+    /// Payload bytes the commit flushes: what the allocation asked for, or
+    /// the whole chain once grown.
+    payload: u64,
+    /// Index of its header word in [`TxState::valid_words`].
+    word: usize,
+    /// Byte addresses of the chain's blocks, master first, when it has
+    /// more than one; empty for one block or a pooled object.
+    blocks: Vec<u64>,
 }
 
 impl TxState {
@@ -328,24 +347,21 @@ impl TxState {
     /// besides its log entries, as `(address, length)` ranges: the header
     /// and payload of every object it allocated (written in place with
     /// their own flushes suppressed by the mediation — the commit owns
-    /// their write-back). Blocks a fresh chain grew by since are taken
-    /// whole.
+    /// their write-back). A chain grown since is taken whole (see
+    /// [`note_extend`]); a pooled object, whose payload fits one block's,
+    /// is one range from its mini-header. From DRAM: no chain is walked.
     fn allocated_ranges(&self, out: &mut Vec<(u64, u64)>) {
         let heap = self.rt.heap();
-        for (&master, &payload) in &self.allocated {
-            if self.rt.pools().is_pooled_addr(master) {
-                out.push((master, HEADER_BYTES + payload));
-                continue;
-            }
-            let mut left = payload.max(1);
-            for b in heap.chain_blocks(heap.block_of_addr(master)) {
+        for (master, a) in &self.allocated {
+            let blocks = if a.blocks.is_empty() {
+                std::slice::from_ref(master)
+            } else {
+                &a.blocks
+            };
+            let mut left = a.payload.max(1);
+            for &b in blocks {
                 let used = left.min(heap.payload_size());
-                let len = if used > 0 {
-                    HEADER_BYTES + used
-                } else {
-                    heap.block_size()
-                };
-                out.push((heap.block_addr(b), len));
+                out.push((b, HEADER_BYTES + used));
                 left -= used;
             }
         }
@@ -475,15 +491,56 @@ pub(crate) fn overlay_write(rt: &Jnvm, master_addr: u64, addr: u64, data: &[u8])
 }
 
 /// Record the allocation of an object of `payload` bytes performed inside
-/// the active failure-atomic block (no-op outside one). The commit will
-/// flush and validate it.
-pub(crate) fn note_alloc(master_addr: u64, payload: u64) {
+/// the active failure-atomic block (no-op outside one): `head` is the
+/// (mini-)header the allocation wrote, `blocks` the byte addresses of its
+/// blocks, master first. The commit will flush and validate it.
+pub(crate) fn note_alloc(master_addr: u64, payload: u64, head: BlockHeader, blocks: &[u64]) {
     if depth() == 0 {
         return;
     }
     with_tx(|tx| {
         tx.push_entry(KIND_ALLOC, master_addr);
-        tx.allocated.insert(master_addr, payload);
+        let mut valid = head;
+        valid.valid = true;
+        let word = tx.valid_words.len();
+        tx.valid_words.push(valid.encode());
+        let blocks = if blocks.len() > 1 {
+            blocks.to_vec()
+        } else {
+            Vec::new()
+        };
+        let allocated = Allocated {
+            payload,
+            word,
+            blocks,
+        };
+        tx.allocated.insert(master_addr, allocated);
+    });
+}
+
+/// Record that the chain at `master_addr` grew by the blocks at `added`
+/// (no-op unless the active block allocated it). A one-block chain's
+/// master was its tail, so its header now links the first added block.
+/// The whole grown chain is the object's payload from then on: the block
+/// may have written anywhere in it.
+pub(crate) fn note_extend(master_addr: u64, added: &[u64]) {
+    if depth() == 0 {
+        return;
+    }
+    with_tx(|tx| {
+        let heap = tx.rt.heap();
+        let (Some(a), Some(&first)) = (tx.allocated.get_mut(&master_addr), added.first()) else {
+            return;
+        };
+        if a.blocks.is_empty() {
+            let word = &mut tx.valid_words[a.word];
+            let mut head = BlockHeader::decode(*word);
+            head.next = heap.block_of_addr(first);
+            *word = head.encode();
+            a.blocks.push(master_addr);
+        }
+        a.blocks.extend_from_slice(added);
+        a.payload = a.blocks.len() as u64 * heap.payload_size();
     });
 }
 
@@ -588,6 +645,10 @@ fn decode_log(
 /// write-back. The caller owns the closing fence and declares `retired_fp`
 /// (the cleared flag, collected only while the sanitizer is on) behind it.
 ///
+/// A live commit passes `valid_words`, its ALLOC entries' header words with
+/// the valid bit set (see [`TxState::valid_words`]), and stores each one;
+/// replay passes none and flips the bit of the header it reads.
+///
 /// `runtime_commit` is true on a live commit, which gets back the master
 /// addresses the log freed and may hand them to the shared allocator only
 /// once that closing fence has run. Releasing them earlier is a race:
@@ -607,6 +668,7 @@ fn apply_and_retire(
     chain: &RawChain,
     len: u64,
     bytes: &[u8],
+    valid_words: &[u64],
     runtime_commit: bool,
     retired_fp: &mut Vec<(u64, u64)>,
 ) -> Result<Vec<u64>, JnvmError> {
@@ -619,10 +681,17 @@ fn apply_and_retire(
         }
     };
     let mut frees = Vec::new();
+    let mut valid_words = valid_words.iter();
     for entry in decode_log(rt, chain, len, bytes)? {
         match entry {
             Entry::Alloc(a) => {
-                rt.set_valid_addr(a, true);
+                match valid_words.next() {
+                    Some(&word) => {
+                        pmem.write_u64(a, word);
+                        pmem.pwb(a);
+                    }
+                    None => rt.set_valid_addr(a, true),
+                }
                 applied(a, 8);
             }
             Entry::Free(a) if runtime_commit => frees.push(a),
@@ -638,6 +707,7 @@ fn apply_and_retire(
             }
         }
     }
+    debug_assert!(valid_words.next().is_none(), "a word per ALLOC entry");
     pmem.pfence();
     let label = if runtime_commit {
         "fa-retire"
@@ -725,6 +795,7 @@ impl JnvmRuntime {
                 ops: 0,
                 overlay: BTreeMap::new(),
                 allocated: BTreeMap::new(),
+                valid_words: Vec::new(),
             });
         });
         TX_DEPTH.with(|d| d.set(1));
@@ -830,12 +901,20 @@ impl JnvmRuntime {
         chain.write_bytes(pmem, LOG_ENTRIES, &bytes);
         let mut staged: Vec<(u64, u64)> = Vec::new();
         chain.segments(LOG_ENTRIES, words * 8, |addr, len| staged.push((addr, len)));
+        // The group's ALLOC header words, in entry order (a group of one
+        // keeps its block's vector).
+        let mut valid_words: Vec<u64> = Vec::new();
         for mut tx in group {
-            let state = tx
+            let mut state = tx
                 .state
                 .take()
                 .expect("staged state present until commit or drop");
             state.allocated_ranges(&mut staged);
+            if valid_words.is_empty() {
+                valid_words = std::mem::take(&mut state.valid_words);
+            } else {
+                valid_words.extend_from_slice(&state.valid_words);
+            }
         }
         let mut lines: Vec<u64> = staged
             .iter()
@@ -861,11 +940,20 @@ impl JnvmRuntime {
         pmem.ordering_point("fa-commit", &staged);
         // 3–4. Apply the entries, fence, clear the flag; then retire the
         // log behind the closing fence. The entries are applied from
-        // `bytes`: what step 1 stored is never read back.
+        // `bytes` and the allocations validated from `valid_words`: what
+        // step 1 stored and what the blocks allocated are never read back.
         set_phase(CommitPhase::Apply);
         let mut retired_fp: Vec<(u64, u64)> = Vec::new();
-        let frees = apply_and_retire(self, chain, words, &bytes, true, &mut retired_fp)
-            .expect("entries staged by this commit are well-formed");
+        let frees = apply_and_retire(
+            self,
+            chain,
+            words,
+            &bytes,
+            &valid_words,
+            true,
+            &mut retired_fp,
+        )
+        .expect("entries staged by this commit are well-formed");
         pmem.pfence();
         pmem.ordering_point("fa-retire", &retired_fp);
         // Only now — the retire is durable, the log cannot replay again —
@@ -939,6 +1027,7 @@ mod tests {
     use crate::JnvmBuilder;
     use jnvm_heap::HeapConfig;
     use jnvm_pmem::{CrashPolicy, Pmem, PmemConfig};
+    use proptest::prelude::*;
     use std::collections::HashSet;
 
     /// The committed log `chain` as recovery reads it back: its entry bytes
@@ -1748,6 +1837,134 @@ mod tests {
         let (rt2, report) = big_reopen(&pmem);
         assert_eq!(report.replayed_logs, 0);
         assert_eq!(fills(&rt2, &addrs), [Some(7); 4]);
+    }
+
+    crate::persistent_class! {
+        /// A one-word class: the pooled objects of the property below.
+        pub class Word {
+            val word, set_word: i64;
+        }
+    }
+
+    /// One allocation a staged block of the property below makes.
+    #[derive(Debug, Clone)]
+    enum Alloc {
+        /// A pooled object of this many payload bytes.
+        Pooled(u64),
+        /// A chain of this many payload bytes: one block or several.
+        Chain(u64),
+        /// A chain of this many payload bytes grown, inside the block that
+        /// allocated it, by this many blocks.
+        Grown(u64, u64),
+    }
+
+    fn alloc_op() -> impl Strategy<Value = Alloc> {
+        prop_oneof![
+            (1u64..=232).prop_map(Alloc::Pooled),
+            (1u64..800).prop_map(Alloc::Chain),
+            ((1u64..600), (1u64..3)).prop_map(|(p, n)| Alloc::Grown(p, n)),
+        ]
+    }
+
+    /// The step-1 ranges as the commit derived them before it kept each
+    /// chain's blocks in DRAM: by walking every allocated chain on media.
+    fn walked_ranges(state: &TxState) -> Vec<(u64, u64)> {
+        let heap = state.rt.heap();
+        let mut out = Vec::new();
+        for (&master, a) in &state.allocated {
+            if state.rt.pools().is_pooled_addr(master) {
+                out.push((master, HEADER_BYTES + a.payload));
+                continue;
+            }
+            let mut left = a.payload.max(1);
+            for b in heap.chain_blocks(heap.block_of_addr(master)) {
+                let used = left.min(heap.payload_size());
+                out.push((heap.block_addr(b), HEADER_BYTES + used));
+                left -= used;
+            }
+        }
+        out
+    }
+
+    /// The addresses of a block's ALLOC entries, in entry order.
+    fn alloc_entries(entries: &[u64]) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < entries.len() {
+            let head = entries[i];
+            if head & KIND_MASK == KIND_ALLOC {
+                out.push(head & ADDR_MASK);
+            }
+            i += 1 + (head >> RUN_SHIFT) as usize;
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A live commit validates each allocation by storing the header
+        /// word its block kept and flushes the ranges its block kept, where
+        /// it used to read both back: over random groups of pooled objects,
+        /// one- and multi-block chains and chains grown inside their block,
+        /// every stored word equals what `set_valid`'s read-modify-write
+        /// gives on the same pool, and the step-1 ranges from DRAM equal a
+        /// `chain_blocks` walk's.
+        #[test]
+        fn commit_stores_what_the_read_back_paths_computed(
+            group in proptest::collection::vec(proptest::collection::vec(alloc_op(), 0..5), 1..4),
+        ) {
+            let pmem = Pmem::new(PmemConfig::crash_sim(4 << 20));
+            let rt = JnvmBuilder::new()
+                .register::<Word>()
+                .create(Arc::clone(&pmem), HeapConfig::default())
+                .unwrap();
+            let id = rt.registry().id_of::<Word>().unwrap();
+            let staged: Vec<StagedTx> = group
+                .iter()
+                .map(|allocs| {
+                    rt.fa_stage(|| {
+                        for (i, a) in allocs.iter().enumerate() {
+                            let fill = i as u64 + 1;
+                            match *a {
+                                Alloc::Pooled(payload) => {
+                                    let addr = rt.alloc_pooled::<Word>(payload).unwrap();
+                                    rt.pmem().write_u64(addr + HEADER_BYTES, fill);
+                                }
+                                Alloc::Chain(payload) => {
+                                    Proxy::alloc(&rt, id, payload).write_u64(0, fill);
+                                }
+                                Alloc::Grown(payload, extra) => {
+                                    let mut p = Proxy::alloc(&rt, id, payload);
+                                    p.extend(extra).unwrap();
+                                    p.write_u64(p.capacity() - 8, fill);
+                                }
+                            }
+                        }
+                    })
+                    .0
+                })
+                .collect();
+            let mut expected = Vec::new();
+            for tx in &staged {
+                let state = tx.state();
+                let mut dram = Vec::new();
+                state.allocated_ranges(&mut dram);
+                prop_assert_eq!(dram, walked_ranges(state));
+                let masters = alloc_entries(&state.entries);
+                let rmw: Vec<u64> = masters
+                    .iter()
+                    .map(|a| BlockHeader { valid: true, ..BlockHeader::decode(pmem.read_u64(*a)) }.encode())
+                    .collect();
+                prop_assert_eq!(&state.valid_words, &rmw);
+                expected.extend(masters.into_iter().zip(rmw));
+            }
+            rt.fa_commit_group(staged);
+            for (master, word) in expected {
+                prop_assert_eq!(pmem.read_u64(master), word, "header at {:#x}", master);
+                prop_assert!(rt.is_valid_addr(master));
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! writes to valid objects are staged in the block's volatile overlay and
 //! reads observe them; outside, accesses go straight to NVMM.
 
-use jnvm_heap::HEADER_BYTES;
+use jnvm_heap::{BlockHeap, Chain, HEADER_BYTES};
 
 use crate::fa;
 use crate::runtime::{Jnvm, JnvmRuntime};
@@ -30,12 +30,14 @@ impl RawChain {
     /// Walk the chain headers starting at the master block address.
     pub fn open(rt: &JnvmRuntime, master_addr: u64) -> RawChain {
         let heap = rt.heap();
-        let idx = heap.block_of_addr(master_addr);
-        let blocks = heap
-            .chain_blocks(idx)
-            .into_iter()
-            .map(|b| heap.block_addr(b))
-            .collect();
+        RawChain::of(heap, heap.chain_blocks(heap.block_of_addr(master_addr)))
+    }
+
+    /// The chain of the block indexes `blocks`, master first.
+    fn of(heap: &BlockHeap, mut blocks: Vec<u64>) -> RawChain {
+        for b in &mut blocks {
+            *b = heap.block_addr(*b);
+        }
         RawChain {
             blocks,
             payload: heap.payload_size(),
@@ -138,24 +140,25 @@ impl Proxy {
     /// Fallible [`Proxy::alloc`].
     pub fn try_alloc(rt: &Jnvm, class_id: u16, payload: u64) -> Result<Proxy, crate::JnvmError> {
         let heap = rt.heap();
-        let master_idx = heap.alloc_chain(class_id, payload)?;
-        let master_addr = heap.block_addr(master_idx);
-        fa::note_alloc(master_addr, payload);
+        let Chain { head, blocks } = heap.new_chain(class_id, payload)?;
+        let chain = RawChain::of(heap, blocks);
+        fa::note_alloc(chain.blocks[0], payload, head, &chain.blocks);
         Ok(Proxy {
             rt: rt.clone(),
-            chain: RawChain::open(rt, master_addr),
+            chain,
             class_id,
         })
     }
 
-    /// Open a proxy over the existing object at `master_addr`.
+    /// Open a proxy over the existing object at `master_addr`: one walk of
+    /// its chain, which reads the master header once.
     pub fn open(rt: &Jnvm, master_addr: u64) -> Proxy {
-        let chain = RawChain::open(rt, master_addr);
-        let class_id = rt.heap().read_header(rt.heap().block_of_addr(master_addr)).id;
+        let heap = rt.heap();
+        let Chain { head, blocks } = heap.walk_chain(heap.block_of_addr(master_addr));
         Proxy {
             rt: rt.clone(),
-            chain,
-            class_id,
+            chain: RawChain::of(heap, blocks),
+            class_id: head.id,
         }
     }
 
@@ -196,9 +199,9 @@ impl Proxy {
         let heap = self.rt.heap();
         let master_idx = heap.block_of_addr(self.addr());
         let added = heap.extend_chain(master_idx, extra_blocks)?;
-        self.chain
-            .blocks
-            .extend(added.into_iter().map(|b| heap.block_addr(b)));
+        let added: Vec<u64> = added.into_iter().map(|b| heap.block_addr(b)).collect();
+        fa::note_extend(self.addr(), &added);
+        self.chain.blocks.extend(added);
         Ok(())
     }
 

@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use jnvm_heap::{BlockHeap, HeapConfig, PoolManager};
+use jnvm_heap::{BlockHeader, BlockHeap, HeapConfig, PoolManager, NULL_BLOCK};
 use jnvm_pmem::Pmem;
 use parking_lot::Mutex;
 
@@ -145,7 +145,12 @@ impl JnvmRuntime {
     pub fn alloc_pooled<T: PObject>(self: &Jnvm, payload: u64) -> Result<u64, JnvmError> {
         let id = self.registry().id_of::<T>()?;
         let addr = self.pools.alloc(id, payload)?;
-        fa::note_alloc(addr, payload);
+        let mini = BlockHeader {
+            id,
+            valid: false,
+            next: NULL_BLOCK,
+        };
+        fa::note_alloc(addr, payload, mini, &[addr]);
         Ok(addr)
     }
 

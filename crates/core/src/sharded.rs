@@ -73,7 +73,9 @@ impl ShardedJnvm {
     /// by `tests/sharded_recovery.rs`).
     ///
     /// Returns the runtimes plus one [`RecoveryReport`] per shard, in
-    /// shard order. The first shard error aborts the whole open.
+    /// shard order. The first shard error aborts the whole open; a shard
+    /// whose recovery panics (a corrupt image) panics the open with its own
+    /// payload.
     pub fn open_with_options(
         pmems: &[Arc<Pmem>],
         opts: RecoveryOptions,
@@ -91,7 +93,7 @@ impl ShardedJnvm {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("shard recovery thread"))
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                 .collect()
         });
         let mut shards = Vec::with_capacity(results.len());

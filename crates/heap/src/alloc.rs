@@ -42,6 +42,16 @@ impl Default for HeapConfig {
 /// *persisted* bump is above every block any thread ever held.
 const BUMP_STRIDE: u64 = 1024;
 
+/// An object's chain as its allocation wrote it or one walk read it: the
+/// master header and the block indexes, master first.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Chain {
+    /// The master block's header.
+    pub head: BlockHeader,
+    /// Every block of the chain, master first.
+    pub blocks: Vec<u64>,
+}
+
 /// Volatile counters describing heap occupancy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapStats {
@@ -285,8 +295,15 @@ impl BlockHeap {
     ///
     /// The returned master block is in the **invalid** state; the object
     /// becomes alive only once reachable *and* validated. No fence is
-    /// executed. Returns the master block index.
+    /// executed. Returns the master block index; [`BlockHeap::new_chain`]
+    /// also returns what the allocation wrote.
     pub fn alloc_chain(&self, class_id: u16, payload_bytes: u64) -> Result<u64, HeapError> {
+        Ok(self.new_chain(class_id, payload_bytes)?.blocks[0])
+    }
+
+    /// [`BlockHeap::alloc_chain`], returning the chain it linked and the
+    /// master header it wrote — what a caller would otherwise read back.
+    pub fn new_chain(&self, class_id: u16, payload_bytes: u64) -> Result<Chain, HeapError> {
         let n = self.blocks_for(payload_bytes);
         let mut blocks = Vec::with_capacity(n as usize);
         for _ in 0..n {
@@ -306,28 +323,54 @@ impl BlockHeap {
             self.write_header(blocks[w], BlockHeader::slave(next));
         }
         let next = if blocks.len() > 1 { blocks[1] } else { NULL_BLOCK };
-        self.write_header(blocks[0], BlockHeader::master(class_id, next)?);
-        Ok(blocks[0])
+        let head = BlockHeader::master(class_id, next)?;
+        self.write_header(blocks[0], head);
+        Ok(Chain { head, blocks })
+    }
+
+    /// Walk the chain of the object whose master block is `master`, reading
+    /// each header once.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the master's address, if the chain holds more blocks
+    /// than the heap does: a `next` link cycles, and the walk would
+    /// otherwise grow its block list until the allocator aborts.
+    pub fn walk_chain(&self, master: u64) -> Chain {
+        let head = self.read_header(master);
+        let mut blocks = vec![master];
+        let mut cur = head.next;
+        while cur != NULL_BLOCK {
+            assert!(
+                (blocks.len() as u64) < self.nblocks,
+                "chain of master {:#x}: chain does not terminate",
+                self.block_addr(master)
+            );
+            blocks.push(cur);
+            cur = self.read_header(cur).next;
+        }
+        Chain { head, blocks }
     }
 
     /// Collect the block indexes of the object whose master block is
-    /// `master` (the master itself first).
+    /// `master` (the master itself first). See [`BlockHeap::walk_chain`].
     pub fn chain_blocks(&self, master: u64) -> Vec<u64> {
-        let mut out = vec![master];
-        let mut cur = self.read_header(master).next;
-        while cur != NULL_BLOCK {
-            out.push(cur);
-            cur = self.read_header(cur).next;
-        }
-        out
+        self.walk_chain(master).blocks
     }
 
     /// Grow the chain of `master` by `extra` blocks, returning the indexes
     /// of the new blocks. New blocks are appended at the tail; the tail link
     /// is published with a `pwb` but no fence.
     pub fn extend_chain(&self, master: u64, extra: u64) -> Result<Vec<u64>, HeapError> {
-        let chain = self.chain_blocks(master);
-        let mut tail = *chain.last().expect("chain contains at least the master");
+        let Chain { head, blocks } = self.walk_chain(master);
+        let mut tail = *blocks.last().expect("chain contains at least the master");
+        // The walk read the tail's header: a slave's is `slave(NULL)`, a
+        // lone master's `head`.
+        let mut tail_header = if tail == master {
+            head
+        } else {
+            BlockHeader::slave(NULL_BLOCK)
+        };
         let mut added = Vec::with_capacity(extra as usize);
         for _ in 0..extra {
             let b = self.alloc_block()?;
@@ -339,15 +382,15 @@ impl BlockHeap {
             // slave link into some other chain — and the chain walk wanders
             // into foreign blocks after recovery.
             self.write_header_pwb(b, BlockHeader::slave(NULL_BLOCK));
-            let mut th = self.read_header(tail);
-            th.next = b;
-            self.write_header_pwb(tail, th);
+            tail_header.next = b;
+            self.write_header_pwb(tail, tail_header);
             self.pmem.publish_point(
                 "chain-extend",
                 &[(self.block_addr(b), HEADER_BYTES), (self.block_addr(tail), HEADER_BYTES)],
             );
             added.push(b);
             tail = b;
+            tail_header = BlockHeader::slave(NULL_BLOCK);
         }
         Ok(added)
     }
@@ -361,10 +404,9 @@ impl BlockHeap {
     /// caller batch a single fence over a whole graph of frees) and recycle
     /// every block of the chain through the volatile free queue.
     pub fn free_object(&self, master: u64) {
-        let blocks = self.chain_blocks(master);
-        let mut h = self.read_header(master);
-        h.valid = false;
-        self.write_header_pwb(master, h);
+        let Chain { mut head, blocks } = self.walk_chain(master);
+        head.valid = false;
+        self.write_header_pwb(master, head);
         self.freed.fetch_add(blocks.len() as u64, Ordering::Relaxed);
         self.free.lock().extend(blocks);
     }
@@ -581,6 +623,39 @@ mod tests {
         assert!(s1.is_free_or_slave());
         assert_eq!(s1.next, chain[2]);
         assert_eq!(h.read_header(chain[2]).next, NULL_BLOCK);
+    }
+
+    #[test]
+    fn new_chain_returns_what_a_walk_reads_back() {
+        let h = heap(1 << 20);
+        for payload in [8, 248, 248 * 2 + 10] {
+            let before = h.pmem().stats();
+            let chain = h.new_chain(42, payload).unwrap();
+            let reads = h.pmem().stats().delta(&before).reads;
+            assert_eq!(reads, 0, "allocation reads nothing");
+            assert_eq!(h.walk_chain(chain.blocks[0]), chain);
+            assert_eq!(chain.blocks.len() as u64, h.blocks_for(payload));
+        }
+    }
+
+    /// Regression: a `next` link that cycles back into its chain made every
+    /// walk grow its block list until the allocator aborted. The walk is
+    /// bounded by the heap's block count; past it, a catchable panic names
+    /// the master.
+    #[test]
+    fn a_cyclic_chain_is_a_catchable_panic_not_an_endless_walk() {
+        let h = heap(1 << 20);
+        let master = h.alloc_chain(7, 248 + 10).unwrap();
+        let slave = h.chain_blocks(master)[1];
+        h.write_header(slave, BlockHeader::slave(master));
+        let walk = std::panic::catch_unwind(|| h.chain_blocks(master));
+        let panic = walk.expect_err("a cyclic chain must not walk to completion");
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(message.contains("chain does not terminate"), "{message}");
+        assert!(
+            message.contains(&format!("{:#x}", h.block_addr(master))),
+            "{message}"
+        );
     }
 
     #[test]

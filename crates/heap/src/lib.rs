@@ -33,7 +33,7 @@ mod layout;
 mod pool;
 mod scan;
 
-pub use alloc::{BlockHeap, HeapConfig, HeapStats};
+pub use alloc::{BlockHeap, Chain, HeapConfig, HeapStats};
 pub use error::HeapError;
 pub use layout::{
     BlockHeader, CLASS_ID_MAX, CLASS_ID_POOL, FIRST_USER_CLASS_ID, HEADER_BYTES, NULL_BLOCK,

@@ -129,16 +129,16 @@ impl PoolManager {
         Ok(first)
     }
 
-    /// Free a pooled object: persistently invalidate its mini-header (no
-    /// fence, like [`BlockHeap::free_object`]) and recycle the slot.
+    /// Free a pooled object: persistently clear its mini-header (no fence,
+    /// like [`BlockHeap::free_object`]) and recycle the slot. The cleared
+    /// word is what a carved free slot holds; both recoveries keep only a
+    /// slot whose mini-header is valid, so nothing reads the old one back.
     ///
     /// Fails with [`HeapError::UnknownPoolClass`] if `addr` lands in a pool
     /// block whose meta word is corrupt.
     pub fn free(&self, addr: u64) -> Result<(), HeapError> {
         let (ci, _) = self.locate(addr)?;
-        let mut mh = self.read_mini(addr);
-        mh.valid = false;
-        self.write_mini_pwb(addr, mh);
+        self.write_mini_pwb(addr, BlockHeader::FREE);
         self.queues[ci].lock().push_back(addr);
         Ok(())
     }
@@ -358,8 +358,12 @@ mod tests {
         let (_h, pm) = mk();
         let a = pm.alloc(20, 16).unwrap();
         pm.set_valid(a, true);
+        let before = pm.heap().pmem().stats();
         pm.free(a).unwrap();
-        assert!(!pm.read_mini(a).valid);
+        let d = pm.heap().pmem().stats().delta(&before);
+        assert_eq!(pm.read_mini(a), BlockHeader::FREE, "a carved slot's word");
+        // The meta word's slot class; not the mini-header it clears.
+        assert_eq!(d.bytes_read, 4, "bytes a free reads");
         // Freed slot is preferred over the block's remaining fresh slots?
         // Not guaranteed (queue order), but the slot must eventually return.
         let mut seen = false;

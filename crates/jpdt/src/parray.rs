@@ -3,16 +3,25 @@
 //! An array stores its length at offset 0 and the elements afterwards.
 //! Element accessors go through the mediated [`Proxy`] interface, so the
 //! same array is usable from the low-level interface *and* inside
-//! failure-atomic blocks.
+//! failure-atomic blocks. The length never changes: a handle reads it once,
+//! when it resurrects the array, and bounds-checks every access against
+//! that value.
 
 use jnvm::{Jnvm, JnvmError, PObject, Proxy};
 
 macro_rules! array_common {
     ($name:ident) => {
         impl $name {
+            /// Open the array at `addr`: its one read of the length word.
+            fn open(rt: &Jnvm, addr: u64) -> $name {
+                let proxy = Proxy::open(rt, addr);
+                let len = proxy.read_u64(0);
+                $name { proxy, len }
+            }
+
             /// Number of elements.
             pub fn len(&self) -> u64 {
-                self.proxy.read_u64(0)
+                self.len
             }
 
             /// True for zero-length arrays.
@@ -46,7 +55,7 @@ macro_rules! array_common {
             #[inline]
             #[allow(dead_code)] // not every array type indexes elements
             fn check(&self, i: u64) {
-                let n = self.len();
+                let n = self.len;
                 assert!(i < n, "array index {i} out of bounds (len {n})");
             }
         }
@@ -57,6 +66,7 @@ macro_rules! array_common {
 #[derive(Clone)]
 pub struct PLongArray {
     proxy: Proxy,
+    len: u64,
 }
 
 array_common!(PLongArray);
@@ -72,7 +82,7 @@ impl PLongArray {
         }
         proxy.pwb();
         proxy.validate();
-        Ok(PLongArray { proxy })
+        Ok(PLongArray { proxy, len })
     }
 
     /// Element `i`.
@@ -105,9 +115,7 @@ impl PObject for PLongArray {
     const CLASS_NAME: &'static str = "jnvm_jpdt.PLongArray";
 
     fn resurrect(rt: &Jnvm, addr: u64) -> Self {
-        PLongArray {
-            proxy: Proxy::open(rt, addr),
-        }
+        PLongArray::open(rt, addr)
     }
 
     fn addr(&self) -> u64 {
@@ -120,6 +128,7 @@ impl PObject for PLongArray {
 #[derive(Clone)]
 pub struct PByteArray {
     proxy: Proxy,
+    len: u64,
 }
 
 array_common!(PByteArray);
@@ -133,7 +142,7 @@ impl PByteArray {
         proxy.write_bytes(8, &zeros);
         proxy.pwb();
         proxy.validate();
-        Ok(PByteArray { proxy })
+        Ok(PByteArray { proxy, len })
     }
 
     /// Copy `data` into the array at byte offset `off`.
@@ -166,9 +175,7 @@ impl PObject for PByteArray {
     const CLASS_NAME: &'static str = "jnvm_jpdt.PByteArray";
 
     fn resurrect(rt: &Jnvm, addr: u64) -> Self {
-        PByteArray {
-            proxy: Proxy::open(rt, addr),
-        }
+        PByteArray::open(rt, addr)
     }
 
     fn addr(&self) -> u64 {
@@ -182,6 +189,7 @@ impl PObject for PByteArray {
 #[derive(Clone)]
 pub struct PRefArray {
     proxy: Proxy,
+    len: u64,
 }
 
 array_common!(PRefArray);
@@ -196,7 +204,7 @@ impl PRefArray {
         }
         proxy.pwb();
         proxy.validate();
-        Ok(PRefArray { proxy })
+        Ok(PRefArray { proxy, len })
     }
 
     /// Reference in cell `i` (`None` = null).
@@ -242,9 +250,7 @@ impl PObject for PRefArray {
     const CLASS_NAME: &'static str = "jnvm_jpdt.PRefArray";
 
     fn resurrect(rt: &Jnvm, addr: u64) -> Self {
-        PRefArray {
-            proxy: Proxy::open(rt, addr),
-        }
+        PRefArray::open(rt, addr)
     }
 
     fn addr(&self) -> u64 {

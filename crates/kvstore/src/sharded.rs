@@ -207,6 +207,47 @@ mod tests {
         }
     }
 
+    /// Regression: a record whose chain cycles — its slave's `next` points
+    /// back at its master — made recovery's mark walk it until the block
+    /// list it grew aborted the allocator. The walk is bounded by the
+    /// heap's block count: the open fails, naming the chain.
+    #[test]
+    fn a_cyclic_record_chain_fails_the_open_instead_of_hanging() {
+        use crate::jnvm_backend::PRecord;
+        use jnvm_heap::BlockHeader;
+        use jnvm_pmem::CrashPolicy;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let pmems = devices(1);
+        let kv = ShardedKv::create(&pmems, 1, true, GridConfig::default()).unwrap();
+        let shard = kv.shard(0);
+        // 8 + 40 × 8 payload bytes: a two-block record.
+        let wide = Record::ycsb("wide", &vec![b"v".to_vec(); 40]);
+        assert!(commit_writes(&shard.grid, &shard.be, &[WriteOp::Set(wide)]).results[0]);
+        let heap = shard.rt.heap();
+        let id = shard.rt.registry().id_of::<PRecord>().unwrap();
+        let mut masters = Vec::new();
+        heap.for_each_header(|idx, h| {
+            if h.is_valid_master() && h.id == id {
+                masters.push(idx);
+            }
+        });
+        let [master] = masters[..] else {
+            panic!("one record, found {masters:?}")
+        };
+        let slave = heap.chain_blocks(master)[1];
+        heap.write_header_pwb(slave, BlockHeader::slave(master));
+        shard.pmem.pfence();
+        drop(kv);
+        pmems[0].crash(&CrashPolicy::strict()).expect("crash");
+
+        let opts = RecoveryOptions::parallel(2);
+        let open = AssertUnwindSafe(|| ShardedKv::open(&pmems, true, GridConfig::default(), opts));
+        let panic = catch_unwind(open).map(drop).expect_err("the open must fail");
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(message.contains("chain does not terminate"), "{message}");
+    }
+
     #[test]
     fn sharded_create_write_reopen_roundtrip() {
         let pmems = devices(3);

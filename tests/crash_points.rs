@@ -20,7 +20,8 @@ use std::sync::Arc;
 use jnvm_repro::faultsim;
 use jnvm_repro::heap::HeapConfig;
 use jnvm_repro::jnvm::{
-    commit_phase, persistent_class, Jnvm, JnvmBuilder, PObject, RecoveryReport,
+    commit_phase, persistent_class, Jnvm, JnvmBuilder, PObject, RecoveryMode, RecoveryOptions,
+    RecoveryReport,
 };
 use jnvm_repro::jpdt::{register_jpdt, PByteArray, PBytes, PI64SkipMap, PRefArray};
 use jnvm_repro::kvstore::{
@@ -895,6 +896,115 @@ fn adversarial_exhaustive_range_log_blocks_survive_every_crash_point() {
 fn adversarial_exhaustive_structural_group_survives_every_crash_point() {
     let runs = slots_adversarial_sweep(64, true);
     println!("{runs} crashing runs, 0 torn or split structural groups");
+}
+
+// ---------------------------------------------------------------------------
+// Workload 6: a group that allocates chains and grows them inside the block
+// that allocated them. The live commit validates each allocation by storing
+// the header word it kept in DRAM (for a one-block chain grown since, a
+// header whose `next` the growth rewrote) and flushes the blocks it kept;
+// replay reads the header back. Swept under both recovery modes.
+// ---------------------------------------------------------------------------
+
+/// Capacity of every grown array: three blocks of payload, less the length.
+const GROWN_LEN: u64 = 3 * 248 - 8;
+
+struct GrowCtx {
+    rt: Jnvm,
+    slots: PRefArray,
+}
+
+/// Small fresh pool with a rooted two-cell reference array, both cells
+/// empty, and the log created.
+fn grow_setup() -> (Arc<Pmem>, GrowCtx) {
+    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
+    let rt = register_jpdt(JnvmBuilder::new())
+        .create(Arc::clone(&pmem), HeapConfig::default())
+        .expect("pool");
+    let slots = rt.fa(|| {
+        let slots = PRefArray::new(&rt, 2).expect("array");
+        rt.root_put("grown", &slots).expect("root");
+        slots
+    });
+    pmem.psync();
+    (pmem, GrowCtx { rt, slots })
+}
+
+/// One group of two blocks, each publishing in its own cell a byte array
+/// it allocated and grew to three blocks: block 0 from a two-block chain,
+/// block 1 from a one-block chain (whose master header the growth links).
+fn grow_workload(ctx: &GrowCtx) {
+    let rt = &ctx.rt;
+    let stage = |cell: u64, payload: u64, extra: u64| {
+        rt.fa_stage(|| {
+            let mut array = rt.alloc_proxy::<PByteArray>(payload).expect("alloc");
+            array.extend(extra).expect("grow");
+            array.write_u64(0, GROWN_LEN);
+            array.write_bytes(8, &[0xA0 + cell as u8; GROWN_LEN as usize]);
+            ctx.slots.set_ref(cell, Some(array.addr()));
+        })
+        .0
+    };
+    rt.fa_commit_group(vec![stage(0, 8 + 400, 1), stage(1, 16, 2)]);
+}
+
+fn grow_reopen(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Jnvm, RecoveryReport) {
+    register_jpdt(JnvmBuilder::new())
+        .open_with_options(Arc::clone(pmem), RecoveryOptions::with_mode(mode))
+        .expect("recovery")
+}
+
+/// What each cell holds after recovery: `None` when empty, else whether
+/// it is the whole grown array.
+fn grow_observe(rt: &Jnvm) -> Vec<Option<bool>> {
+    let slots = rt.root_get_as::<PRefArray>("grown");
+    let slots = slots.expect("typed").expect("rooted");
+    (0..2)
+        .map(|cell| {
+            slots.get_ref(cell).map(|addr| {
+                let array = PByteArray::resurrect(rt, addr);
+                let mut bytes = vec![0u8; array.len() as usize];
+                array.read_at(0, &mut bytes);
+                array.len() == GROWN_LEN && bytes.iter().all(|b| *b == 0xA0 + cell as u8)
+            })
+        })
+        .collect()
+}
+
+/// Every crash point of the group, under `Full` and `HeaderScanOnly`
+/// recovery: the pool recovers to the image of a crash before the group
+/// or to that of one after it — both cells empty, or both holding their
+/// whole three-block array — with that image's live block count.
+#[test]
+fn grown_chains_recover_equivalently_at_every_crash_point() {
+    for mode in [RecoveryMode::Full, RecoveryMode::HeaderScanOnly] {
+        let baseline = |run: bool| {
+            let (pmem, ctx) = grow_setup();
+            if run {
+                grow_workload(&ctx);
+            }
+            drop(ctx);
+            pmem.crash(&CrashPolicy::strict()).expect("crash");
+            let (rt, report) = grow_reopen(&pmem, mode);
+            (grow_observe(&rt), report.live_blocks)
+        };
+        let (before, after) = (baseline(false), baseline(true));
+        assert_eq!(before.0, [None, None]);
+        assert_eq!(after.0, [Some(true), Some(true)], "{mode:?}");
+        assert_eq!(after.1, before.1 + 6, "{mode:?}: two 3-block arrays");
+        let verify = |pmem: &Arc<Pmem>, report: &faultsim::CrashReport| {
+            let (rt, recovered) = grow_reopen(pmem, mode);
+            let seen = (grow_observe(&rt), recovered.live_blocks);
+            assert!(
+                seen == before || seen == after,
+                "{mode:?}, crash point {}: recovered {seen:?}",
+                report.point
+            );
+        };
+        let plan = FaultPlan::count();
+        let summary = faultsim::sweep_all(plan, grow_setup, grow_workload, verify);
+        assert!(summary.points_crashed > 0, "{mode:?}");
+    }
 }
 
 /// `fa(body)` is `fa_stage(body)` + `fa_commit_group(vec![tx])`: on

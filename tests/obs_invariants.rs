@@ -548,14 +548,18 @@ fn setf(key: usize, field: usize, fill: u8) -> WriteOp {
 
 /// What one 100-byte `SETF` moves on the device, exactly: the redo log
 /// carries the 8-byte reference the op changes, not the record's block,
-/// and the commit applies it from DRAM. 288 bytes, 8 or 9 `pwb`s (the new
-/// blob's pool slot covers 2 or 3 lines), 4 fences — 368 bytes and 9 or 10
-/// `pwb`s while the commit read its own log back (56 B), an entry's head
-/// was two words (3 × 8 B) and the entries shared the flag's line (1
-/// `pwb`); 1 424 bytes and 23 or 24 `pwb`s while the write was redirected
-/// to an in-flight NVMM copy of the whole block. A change that moves these
-/// moves the benchmark's `update_only` figures (2.88 device bytes per user
-/// byte alone) with them.
+/// and the commit applies it from DRAM. 248 bytes (52 read: the lookup's
+/// 4 words, `nfields`, the old reference, the freed slot's 4-byte class),
+/// 8 or 9 `pwb`s (the new blob's pool slot covers 2 or 3 lines), 4 fences
+/// — 288 bytes (92 read) while the array's length was re-read per cell,
+/// `Proxy::open` read the master header twice, the apply read back the
+/// blob's header to validate it and the free the slot's mini-header to
+/// clear it; 368 bytes and 9 or 10 `pwb`s while the commit read its own
+/// log back (56 B), an entry's head was two words (3 × 8 B) and the
+/// entries shared the flag's line (1 `pwb`); 1 424 bytes and 23 or 24
+/// `pwb`s while the write was redirected to an in-flight NVMM copy of the
+/// whole block. A change that moves these moves the benchmark's
+/// `update_only` figures (2.48 device bytes per user byte alone) with them.
 #[test]
 fn setf_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
@@ -572,7 +576,7 @@ fn setf_device_cost_per_op_is_pinned() {
     }
     let d = pool.device_stats().delta(&before);
     print_cost_row("SETF (100 B of 10 x 100 B)", OPS, &d);
-    assert_eq!(d.bytes_read, 92 * OPS, "device bytes read per SETF");
+    assert_eq!(d.bytes_read, 52 * OPS, "device bytes read per SETF");
     assert_eq!(d.bytes_written, 196 * OPS, "device bytes written per SETF");
     assert_eq!(
         d.pwbs,
@@ -623,11 +627,14 @@ fn assert_cost(op: &str, d: &StatsSnapshot, pinned: (u64, u64, u64)) {
 /// What a `SET` of a new key moves on the device, held like `SETF`'s row:
 /// totals over 64 ops, because a pool block or a map cell carved every few
 /// ops makes the per-op figure fractional. Bump-fed, a 10 × 100 B record
-/// costs 144 B read, ≈1 691 B written and 47.5 `pwb`s, a 4 × 64 B one 96 B,
-/// ≈630 B and 22.8; while the commit read its log back, an entry's head was
-/// two words and every fresh block was a persistent `fetch_add` + `pwb` of
-/// the bump pointer: 376 B, 1 860 B and 56.7 `pwb`s, and 232 B, ≈722 B and
-/// 27.4.
+/// costs 0 B read, ≈1 691 B written and 47.5 `pwb`s, a 4 × 64 B one 0 B,
+/// ≈630 B and 22.8 — 144 B and 96 B read while the apply read back every
+/// header the block had written to validate it (8 B per object), the proxy
+/// and the commit re-walked the chains the allocator had just linked and
+/// the map re-read its array's length; while the commit read its log back,
+/// an entry's head was two words and every fresh block was a persistent
+/// `fetch_add` + `pwb` of the bump pointer: 376 B, 1 860 B and 56.7
+/// `pwb`s, and 232 B, ≈722 B and 27.4.
 #[test]
 fn set_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
@@ -635,48 +642,54 @@ fn set_device_cost_per_op_is_pinned() {
     assert_cost(
         "SET new key (4 x 64 B), bump-fed",
         &fresh,
-        (6_144, 40_296, 1_462),
+        (0, 40_296, 1_462),
     );
     assert_cost(
         "SET new key (4 x 64 B), recycling",
         &again,
-        (6_144, 36_928, 1_366),
+        (0, 36_928, 1_366),
     );
     let [fresh, _, again] = structural_costs(10, 100);
     assert_cost(
         "SET new key (10 x 100 B), bump-fed",
         &fresh,
-        (9_216, 108_200, 3_040),
+        (0, 108_200, 3_040),
     );
     assert_cost(
         "SET new key (10 x 100 B), recycling",
         &again,
-        (9_216, 99_904, 2_710),
+        (0, 99_904, 2_710),
     );
 }
 
 /// What a `DEL` moves on the device: the map's unlink, one one-word FREE
 /// entry per blob and for the record, and their invalidations behind the
-/// retire fence — 204 B read, 160 B written and 12 `pwb`s for 4 × 64 B,
-/// 324 B, 256 B and 18 for 10 × 100 B (340 / 224 / 13 and 556 / 368 / 20
-/// with the log read back and two-word heads).
+/// retire fence — 116 B read, 160 B written and 12 `pwb`s for 4 × 64 B,
+/// 188 B, 256 B and 18 for 10 × 100 B (204 and 324 B read while the array's
+/// length was re-read per cell, `Proxy::open` and every block free read the
+/// master header twice and a pooled free read the mini-header it clears;
+/// 340 / 224 / 13 and 556 / 368 / 20 with the log read back and two-word
+/// heads).
 #[test]
 fn del_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     let [_, del, _] = structural_costs(4, 64);
-    assert_cost("DEL (4 x 64 B)", &del, (13_056, 10_240, 768));
+    assert_cost("DEL (4 x 64 B)", &del, (7_424, 10_240, 768));
     let [_, del, _] = structural_costs(10, 100);
-    assert_cost("DEL (10 x 100 B)", &del, (20_736, 16_384, 1_152));
+    assert_cost("DEL (10 x 100 B)", &del, (12_032, 16_384, 1_152));
 }
 
 /// What one `GET` moves on the device, exactly, whichever sink serves it:
-/// the map lookup's reads, then the record's `nfields` word and its
-/// reference array (2 reads), then a length word and the content per field
-/// (2 each) — 29 reads and 1 224 bytes for 10 × 100 B behind a 7-read
-/// lookup (the benchmark's shape: `ycsb_c`'s 1.224 device bytes per user
-/// byte), 17 reads for 4 × 64 B — and nothing written, flushed or fenced.
-/// It was 48 reads and 1 304 bytes while every field re-read `nfields` and
-/// its own length.
+/// the map lookup's reads (the cell, the entry's master header, its value
+/// reference, the record's master header), then the record's `nfields`
+/// word and its reference array (2 reads), then a length word and the
+/// content per field (2 each) — 26 reads and 1 200 bytes for 10 × 100 B
+/// behind a 4-read lookup (the benchmark's shape: `ycsb_c`'s 1.200 device
+/// bytes per user byte), 14 reads and 360 bytes for 4 × 64 B — and nothing
+/// written, flushed or fenced. It was 29 reads / 1 224 B and 17 / 384 B
+/// behind a 7-read lookup while the array's length was re-read per cell
+/// and `Proxy::open` read each master header twice, and 48 reads and
+/// 1 304 bytes while every field re-read `nfields` and its own length.
 #[test]
 fn get_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
@@ -693,21 +706,29 @@ fn get_device_cost_per_op_is_pinned() {
             (0, 0, 0, 0),
             "a GET only reads"
         );
-        (d.reads, d.bytes_read)
+        d
     };
-    for (key, fields, pinned) in [("user0007", 10, (29, 1224)), ("small", 4, (17, 384))] {
+    let rows = [
+        ("GET (10 x 100 B)", "user0007", 10, (26, 1200)),
+        ("GET (4 x 64 B)", "small", 4, (14, 360)),
+    ];
+    for (op, key, fields, pinned) in rows {
         // The proxy touch stops at each field's length word: what is left
         // of it without the 2 + 1 per field is the lookup.
-        let touch = cost(&|| assert!(shard.grid.read_touch(key)));
-        assert_eq!(touch.0 - 2 - fields, 7, "map lookup reads for {key}");
-        assert_eq!(pinned.0, touch.0 + fields, "one more read per field for its content");
+        let touch = cost(&|| assert!(shard.grid.read_touch(key))).reads;
+        assert_eq!(touch - 2 - fields, 4, "map lookup reads for {key}");
+        // One more read per field, for its content.
+        assert_eq!(pinned.0, touch + fields, "device reads of {key}");
+        let read = cost(&|| assert!(shard.grid.read(key).is_some()));
+        print_cost_row(op, 1, &read);
         assert_eq!(
-            cost(&|| assert!(shard.grid.read(key).is_some())),
+            (read.reads, read.bytes_read),
             pinned,
             "device reads and bytes read of grid.read({key})"
         );
+        let encoded = cost(&|| assert!(shard.grid.read_encoded(key, &mut Vec::new())));
         assert_eq!(
-            cost(&|| assert!(shard.grid.read_encoded(key, &mut Vec::new()))),
+            (encoded.reads, encoded.bytes_read),
             pinned,
             "device reads and bytes read of grid.read_encoded({key})"
         );
@@ -723,13 +744,15 @@ fn setf_device_cost_per_group_size_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     const OPS: usize = 64;
     // (ops per group, device bytes read, bytes written, pwbs, fences) of
-    // 64 ops: 288 B and 8.5 pwbs per op alone, 276 B and 7.0 in pairs,
-    // 267 B and 6.3 in eights (368 / 9.5, 356 / 8.0 and 347 / 6.7 with the
-    // log read back, two-word heads and entries on the flag's line).
+    // 64 ops: 248 B and 8.5 pwbs per op alone, 236 B and 7.0 in pairs,
+    // 227 B and 6.3 in eights (288, 276 and 267 B with 92 B read per op
+    // instead of 52 — see `setf_device_cost_per_op_is_pinned`; 368 / 9.5,
+    // 356 / 8.0 and 347 / 6.7 with the log read back, two-word heads and
+    // entries on the flag's line).
     let pinned = [
-        (1, 92 * 64, 196 * 64, 544, 4 * 64),
-        (2, 92 * 64, 184 * 64, 447, 4 * 32),
-        (8, 92 * 64, 175 * 64, 404, 4 * 8),
+        (1, 52 * 64, 196 * 64, 544, 4 * 64),
+        (2, 52 * 64, 184 * 64, 447, 4 * 32),
+        (8, 52 * 64, 175 * 64, 404, 4 * 8),
     ];
     for (batch, bytes_read, bytes_written, pwbs, fences) in pinned {
         let pool = preloaded_cluster(PmemConfig::crash_sim(32 << 20));
