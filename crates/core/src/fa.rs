@@ -1840,7 +1840,7 @@ mod tests {
     }
 
     crate::persistent_class! {
-        /// A one-word class: the pooled objects of the property below.
+        /// A one-word class: the objects of the properties below.
         pub class Word {
             val word, set_word: i64;
         }
@@ -1928,8 +1928,7 @@ mod tests {
                             let fill = i as u64 + 1;
                             match *a {
                                 Alloc::Pooled(payload) => {
-                                    let addr = rt.alloc_pooled::<Word>(payload).unwrap();
-                                    rt.pmem().write_u64(addr + HEADER_BYTES, fill);
+                                    Proxy::try_alloc_small(&rt, id, payload).unwrap().write_u64(0, fill);
                                 }
                                 Alloc::Chain(payload) => {
                                     Proxy::alloc(&rt, id, payload).write_u64(0, fill);
@@ -1963,6 +1962,149 @@ mod tests {
             for (master, word) in expected {
                 prop_assert_eq!(pmem.read_u64(master), word, "header at {:#x}", master);
                 prop_assert!(rt.is_valid_addr(master));
+            }
+        }
+    }
+
+    /// Bytes of the neighbouring slots, which no store may reach.
+    const NEIGHBOUR: u8 = 0xEE;
+
+    /// `[lo, hi)`, the payload bytes block `j` of a group of `k` may store
+    /// to: a run of whole words, so that no two blocks of a group write one
+    /// word (the footprint discipline of `fa_stage`).
+    fn share(payload: u64, j: usize, k: usize) -> (u64, u64) {
+        let words = payload.div_ceil(8);
+        let word = |j: usize| words * j as u64 / k as u64 * 8;
+        (word(j), word(j + 1).min(payload))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A pooled object is a chain of one slot to the commit: the same
+        /// random staged groups of stores — unaligned byte ranges, each
+        /// block reading the whole payload back through the overlay — on a
+        /// pooled proxy and on a one-block chained proxy of the same payload
+        /// leave the same payload bytes, after the live commit and after
+        /// recovery replays the group's log from the media onto the image
+        /// from before the group. Every WRITE entry of the pooled object
+        /// stays inside its slot, and the slots around it keep their bytes.
+        /// A store is `(offset, length, fill)`, reduced to the storing
+        /// block's share of the payload.
+        #[test]
+        fn a_pooled_object_commits_and_replays_like_a_chained_one(
+            payload in 8u64..=232,
+            groups in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec((any::<u64>(), 1u64..40, any::<u8>()), 1..4),
+                    1..4,
+                ),
+                1..4,
+            ),
+        ) {
+            let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
+            let mut rt = JnvmBuilder::new()
+                .register::<Word>()
+                .create(Arc::clone(&pmem), HeapConfig::default())
+                .unwrap();
+            let id = rt.registry().id_of::<Word>().unwrap();
+            // The pooled object between two neighbours of its class, and its
+            // chained twin.
+            let mut made: Vec<Proxy> = (0..3)
+                .map(|_| Proxy::try_alloc_small(&rt, id, payload).unwrap())
+                .collect();
+            made.push(Proxy::try_alloc(&rt, id, payload).unwrap());
+            let slot = made[1].chain().clone();
+            prop_assert_eq!((slot.blocks.len(), made[3].block_count()), (1, 1));
+            prop_assert!(rt.pools().is_pooled_addr(slot.blocks[0]));
+            for (i, p) in made.iter().enumerate() {
+                let fill = if i == 0 || i == 2 { NEIGHBOUR } else { 0 };
+                p.write_bytes(0, &vec![fill; payload as usize]);
+                p.pwb();
+                p.validate();
+            }
+            rt.pmem().pfence();
+            let addrs: Vec<u64> = made.iter().map(Proxy::addr).collect();
+            let mut model = vec![0u8; payload as usize];
+            for stores in groups {
+                let objs: Vec<Proxy> = addrs.iter().map(|a| Proxy::open(&rt, *a)).collect();
+                let (pooled, chained) = (&objs[1], &objs[3]);
+                let before = model.clone();
+                let k = stores.len();
+                let mut staged = Vec::new();
+                for (j, block) in stores.iter().enumerate() {
+                    let (lo, hi) = share(payload, j, k);
+                    let mut view = before.clone();
+                    let (tx, ok) = rt.fa_stage(|| {
+                        for &(off, len, fill) in block {
+                            if lo == hi {
+                                break;
+                            }
+                            let at = lo + off % (hi - lo);
+                            let bytes = vec![fill; len.min(hi - at) as usize];
+                            pooled.write_bytes(at, &bytes);
+                            chained.write_bytes(at, &bytes);
+                            view[at as usize..at as usize + bytes.len()].copy_from_slice(&bytes);
+                        }
+                        let mut seen = [vec![0u8; payload as usize], vec![0u8; payload as usize]];
+                        pooled.read_bytes(0, &mut seen[0]);
+                        chained.read_bytes(0, &mut seen[1]);
+                        // A share starts on a word: read that word as one, too.
+                        let word = |p: &Proxy| p.read_u64(lo).to_le_bytes();
+                        let at = lo as usize;
+                        seen == [view.clone(), view.clone()]
+                            && (lo + 8 > payload
+                                || [word(pooled), word(chained)] == [&view[at..at + 8]; 2])
+                    });
+                    prop_assert!(ok, "block {} of the group reads what it staged", j);
+                    model[lo as usize..hi as usize].copy_from_slice(&view[lo as usize..hi as usize]);
+                    staged.push(tx);
+                }
+                rt.fa_commit_group(staged);
+                let image = |rt: &Jnvm| -> Vec<Vec<u8>> {
+                    let read = |a: &u64| {
+                        let mut out = vec![0u8; payload as usize];
+                        Proxy::open(rt, *a).read_bytes(0, &mut out);
+                        out
+                    };
+                    addrs.iter().map(read).collect()
+                };
+                let neighbour = vec![NEIGHBOUR; payload as usize];
+                let want = vec![neighbour.clone(), model.clone(), neighbour, model.clone()];
+                prop_assert_eq!(&image(&rt), &want, "after the live commit");
+
+                // The log on media: every WRITE entry inside its object.
+                let log = first_log(&rt);
+                for entry in read_back(&rt, &log).1 {
+                    if let Entry::Write { addr, words } = entry {
+                        let end = addr + words.len() as u64;
+                        let inside = |(first, cap): (u64, u64)| first + 8 <= addr && end <= first + 8 + cap;
+                        prop_assert!(
+                            inside((slot.blocks[0], slot.payload)) || inside((addrs[3], rt.heap().payload_size())),
+                            "WRITE [{:#x}, {:#x}) leaves its object", addr, end
+                        );
+                    }
+                }
+                // Put the image from before the group back, commit the log
+                // again on media, and let recovery replay it.
+                for p in [pooled, chained] {
+                    p.chain().write_bytes(&pmem, 0, &before);
+                    p.chain().pwb_range(&pmem, 0, payload);
+                }
+                pmem.write_u64(log.phys(LOG_COMMITTED), 1);
+                pmem.pwb(log.phys(LOG_COMMITTED));
+                pmem.pfence();
+                drop(objs);
+                drop(rt);
+                pmem.crash(&CrashPolicy::strict()).unwrap();
+                let opts = crate::RecoveryOptions::with_mode(crate::RecoveryMode::HeaderScanOnly);
+                let (reopened, report) = JnvmBuilder::new()
+                    .register::<Word>()
+                    .open_with_options(Arc::clone(&pmem), opts)
+                    .unwrap();
+                prop_assert_eq!(report.replayed_logs, 1);
+                prop_assert_eq!(&image(&reopened), &want, "after replay");
+                rt = reopened;
             }
         }
     }

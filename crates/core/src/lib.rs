@@ -71,7 +71,7 @@ pub use fa::depth as fa_depth;
 pub use fa::{commit_phase, CommitPhase, StagedTx};
 pub use field::PVal;
 pub use object::{PAny, PObject};
-pub use proxy::{Proxy, RawChain};
+pub use proxy::{Blocks, Proxy, RawChain};
 pub use recovery::{RecoveryMode, RecoveryOptions, RecoveryReport};
 pub use replica::{divergent_keys, ReplicaSet};
 pub use registry::{ClassOps, ClassRegistry};

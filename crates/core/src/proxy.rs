@@ -5,32 +5,100 @@
 //! (§4.1: "the proxy actually contains an array that holds the addresses of
 //! all its blocks"), so locating the block of a field is a division.
 //!
+//! A small object that never grows may live in a pool slot instead (§4.4).
+//! Its proxy is the same chain of one "block": the slot, whose one-word
+//! mini-header stands where a block's header does, and whose payload is the
+//! slot's. Opening one reads nothing from the device — the slot class comes
+//! from the pool's DRAM table.
+//!
 //! Field accessors are *mediated*: each load/store checks the per-thread
 //! failure-atomic nesting counter (§3.2). Inside a failure-atomic block,
 //! writes to valid objects are staged in the block's volatile overlay and
 //! reads observe them; outside, accesses go straight to NVMM.
 
-use jnvm_heap::{BlockHeap, Chain, HEADER_BYTES};
+use jnvm_heap::{BlockHeader, BlockHeap, Chain, HeapError, HEADER_BYTES, NULL_BLOCK};
 
 use crate::fa;
 use crate::runtime::{Jnvm, JnvmRuntime};
 
-/// Address computation over a chain of blocks, without transactional
-/// mediation. Shared by proxies, the failure-atomic log and the recovery
-/// code.
+/// Address computation over a chain of blocks — or over one pool slot, a
+/// chain of one — without transactional mediation. Shared by proxies, the
+/// failure-atomic log and the recovery code.
 #[derive(Debug, Clone)]
 pub struct RawChain {
-    /// Byte addresses of the chain's blocks, master first.
-    pub blocks: Vec<u64>,
-    /// Usable payload bytes per block.
+    /// Byte addresses of the chain's blocks, master first; for a pooled
+    /// object, its mini-header's.
+    pub blocks: Blocks,
+    /// Usable payload bytes per block (per slot, for a pooled object).
     pub payload: u64,
 }
 
+/// The block addresses of a [`RawChain`], master first, read as a slice.
+/// One address — a pooled object's or a one-block chain's — is held
+/// inline, so that opening such an object allocates nothing.
+#[derive(Debug, Clone)]
+pub enum Blocks {
+    /// A single block or pool slot.
+    One(u64),
+    /// Two blocks or more.
+    Many(Vec<u64>),
+}
+
+impl Blocks {
+    /// Append the addresses `more` at the tail.
+    pub(crate) fn extend(&mut self, more: impl IntoIterator<Item = u64>) {
+        if let Blocks::One(one) = *self {
+            *self = Blocks::Many(vec![one]);
+        }
+        if let Blocks::Many(all) = self {
+            all.extend(more);
+        }
+    }
+}
+
+impl From<Vec<u64>> for Blocks {
+    fn from(blocks: Vec<u64>) -> Blocks {
+        match blocks[..] {
+            [one] => Blocks::One(one),
+            _ => Blocks::Many(blocks),
+        }
+    }
+}
+
+impl std::ops::Deref for Blocks {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match self {
+            Blocks::One(one) => std::slice::from_ref(one),
+            Blocks::Many(many) => many,
+        }
+    }
+}
+
 impl RawChain {
-    /// Walk the chain headers starting at the master block address.
-    pub fn open(rt: &JnvmRuntime, master_addr: u64) -> RawChain {
+    /// The chain of the object at `addr`: a walk of the chain headers from
+    /// its master block, or, for a pooled object, its slot — no device
+    /// read.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `addr`, if it is a pooled address whose block's slot
+    /// class is unknown and whose meta word is corrupt; and as
+    /// [`BlockHeap::walk_chain`] does.
+    pub fn open(rt: &JnvmRuntime, addr: u64) -> RawChain {
+        let pools = rt.pools();
+        if pools.is_pooled_addr(addr) {
+            let payload = pools
+                .slot_payload(addr)
+                .unwrap_or_else(|e| panic!("pooled object at {addr:#x}: {e}"));
+            return RawChain {
+                blocks: Blocks::One(addr),
+                payload,
+            };
+        }
         let heap = rt.heap();
-        RawChain::of(heap, heap.chain_blocks(heap.block_of_addr(master_addr)))
+        RawChain::of(heap, heap.chain_blocks(heap.block_of_addr(addr)))
     }
 
     /// The chain of the block indexes `blocks`, master first.
@@ -39,7 +107,7 @@ impl RawChain {
             *b = heap.block_addr(*b);
         }
         RawChain {
-            blocks,
+            blocks: Blocks::from(blocks),
             payload: heap.payload_size(),
         }
     }
@@ -53,6 +121,11 @@ impl RawChain {
     /// block start)`.
     #[inline]
     pub fn locate(&self, logical: u64) -> (usize, u64) {
+        if logical < self.payload {
+            // The first block, where a small object's fields all are: no
+            // division.
+            return (0, HEADER_BYTES + logical);
+        }
         let bi = (logical / self.payload) as usize;
         let off = HEADER_BYTES + logical % self.payload;
         (bi, off)
@@ -109,7 +182,7 @@ impl RawChain {
     }
 }
 
-/// A proxy to a block-allocated persistent object.
+/// A proxy to a persistent object: a chain of blocks, or a pool slot.
 ///
 /// Cloning a proxy is cheap and yields another view of the same persistent
 /// data structure — like copying a Java reference.
@@ -117,7 +190,6 @@ impl RawChain {
 pub struct Proxy {
     rt: Jnvm,
     chain: RawChain,
-    class_id: u16,
 }
 
 impl Proxy {
@@ -146,19 +218,34 @@ impl Proxy {
         Ok(Proxy {
             rt: rt.clone(),
             chain,
-            class_id,
         })
     }
 
-    /// Open a proxy over the existing object at `master_addr`: one walk of
-    /// its chain, which reads the master header once.
-    pub fn open(rt: &Jnvm, master_addr: u64) -> Proxy {
-        let heap = rt.heap();
-        let Chain { head, blocks } = heap.walk_chain(heap.block_of_addr(master_addr));
+    /// [`Proxy::try_alloc`] for an object that never grows: a pool slot
+    /// (§4.4) when `payload` fits the largest slot class, a chain
+    /// otherwise. The object starts invalid either way, and is flushed and
+    /// validated the same way.
+    pub fn try_alloc_small(
+        rt: &Jnvm,
+        class_id: u16,
+        payload: u64,
+    ) -> Result<Proxy, crate::JnvmError> {
+        let pools = rt.pools();
+        if payload > pools.max_payload() {
+            return Proxy::try_alloc(rt, class_id, payload);
+        }
+        let head = BlockHeader::master(class_id, NULL_BLOCK)?;
+        let addr = pools.alloc(class_id, payload)?;
+        fa::note_alloc(addr, payload, head, &[addr]);
+        Ok(Proxy::open(rt, addr))
+    }
+
+    /// Open a proxy over the existing object at `addr`: one walk of its
+    /// chain, or nothing read at all for a pooled object.
+    pub fn open(rt: &Jnvm, addr: u64) -> Proxy {
         Proxy {
             rt: rt.clone(),
-            chain: RawChain::of(heap, blocks),
-            class_id: head.id,
+            chain: RawChain::open(rt, addr),
         }
     }
 
@@ -172,9 +259,9 @@ impl Proxy {
         self.chain.blocks[0]
     }
 
-    /// Class id from allocation/open time.
+    /// Class id, read from the object's (mini-)header.
     pub fn class_id(&self) -> u16 {
-        self.class_id
+        self.rt.class_id_of_addr(self.addr())
     }
 
     /// Payload capacity in bytes.
@@ -195,8 +282,17 @@ impl Proxy {
     /// Grow the object by `extra_blocks`, refreshing the cached block
     /// array. Fence-free append (§4.1.6 relies on this for extensible
     /// arrays).
+    ///
+    /// # Errors
+    ///
+    /// A pooled object cannot grow: it fails with
+    /// [`HeapError::ObjectTooLargeForPool`] of the size asked for.
     pub fn extend(&mut self, extra_blocks: u64) -> Result<(), crate::JnvmError> {
         let heap = self.rt.heap();
+        if self.rt.pools().is_pooled_addr(self.addr()) {
+            let asked = self.capacity() + extra_blocks * heap.payload_size();
+            return Err(HeapError::ObjectTooLargeForPool(asked).into());
+        }
         let master_idx = heap.block_of_addr(self.addr());
         let added = heap.extend_chain(master_idx, extra_blocks)?;
         let added: Vec<u64> = added.into_iter().map(|b| heap.block_addr(b)).collect();
@@ -338,15 +434,17 @@ impl Proxy {
     // ------------------------------------------------------------------
 
     /// `pwb()` of the paper: enqueue every cache line of the object
-    /// (headers included) for write-back. No-op inside a failure-atomic
-    /// block, where the commit protocol owns flushing.
+    /// (headers included) for write-back — whole blocks for a chain, the
+    /// slot and no further for a pooled object. No-op inside a
+    /// failure-atomic block, where the commit protocol owns flushing.
     pub fn pwb(&self) {
         if fa::depth() > 0 {
             return;
         }
-        let bs = self.rt.heap().block_size();
-        for b in &self.chain.blocks {
-            self.rt.pmem().pwb_range(*b, bs);
+        for b in self.chain.blocks.iter() {
+            self.rt
+                .pmem()
+                .pwb_range(*b, HEADER_BYTES + self.chain.payload);
         }
     }
 
@@ -384,8 +482,7 @@ impl Proxy {
 
     /// Whether the object is currently valid (§3.2.3).
     pub fn is_valid(&self) -> bool {
-        let heap = self.rt.heap();
-        heap.read_header(heap.block_of_addr(self.addr())).valid
+        self.rt.is_valid_addr(self.addr())
     }
 
     /// Validate the object: set the header valid bit and enqueue its line.
@@ -423,8 +520,8 @@ impl std::fmt::Debug for Proxy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Proxy")
             .field("addr", &self.addr())
-            .field("class_id", &self.class_id)
             .field("blocks", &self.chain.blocks.len())
+            .field("payload", &self.chain.payload)
             .finish()
     }
 }

@@ -107,7 +107,8 @@ pub struct RecoveryReport {
     pub threads: usize,
     /// Committed failure-atomic logs replayed.
     pub replayed_logs: u64,
-    /// Live objects visited (Full mode) or valid masters kept (HeaderScan).
+    /// Live objects visited (Full mode) or valid masters and pool slots
+    /// kept (HeaderScan).
     pub live_objects: u64,
     /// Blocks found live.
     pub live_blocks: u64,
@@ -314,15 +315,9 @@ impl MarkShared<'_> {
             }
         };
         if !ops.ref_offsets.is_empty() {
-            if rt.pools().is_pooled_addr(addr) {
-                for off in ops.ref_offsets {
-                    push(addr + 8 + off, local);
-                }
-            } else {
-                let chain = RawChain::open(rt, addr);
-                for off in ops.ref_offsets {
-                    push(chain.phys(*off), local);
-                }
+            let chain = RawChain::open(rt, addr);
+            for off in ops.ref_offsets {
+                push(chain.phys(*off), local);
             }
         }
         (ops.trace_extra)(rt, addr, &mut |slot| push(slot, local));
@@ -489,7 +484,7 @@ fn header_scan(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) {
     let mut master_lists: Vec<Vec<u64>> = Vec::new();
     let mut scan_device: Vec<Duration> = Vec::new();
     for ((slots, masters), dt) in scanned {
-        report.live_objects += masters.len() as u64;
+        report.live_objects += (slots.len() + masters.len()) as u64;
         live_slots.extend(slots);
         if !masters.is_empty() {
             master_lists.push(masters);

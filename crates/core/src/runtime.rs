@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use jnvm_heap::{BlockHeader, BlockHeap, HeapConfig, PoolManager, NULL_BLOCK};
+use jnvm_heap::{BlockHeap, HeapConfig, PoolManager};
 use jnvm_pmem::Pmem;
 use parking_lot::Mutex;
 
@@ -112,7 +112,7 @@ impl JnvmRuntime {
         &self.heap
     }
 
-    /// The small-immutable-object pools.
+    /// The pools of small fixed-size objects.
     pub fn pools(&self) -> &PoolManager {
         &self.pools
     }
@@ -139,19 +139,13 @@ impl JnvmRuntime {
     // Allocation and deletion.
     // ------------------------------------------------------------------
 
-    /// Allocate a pooled small-immutable object (§4.4) of class `T` with
-    /// `payload` bytes. Returns the object's address; the object starts
-    /// invalid. Failure-atomic-block aware.
-    pub fn alloc_pooled<T: PObject>(self: &Jnvm, payload: u64) -> Result<u64, JnvmError> {
+    /// Allocate an object of class `T` with `payload` bytes of fields that
+    /// never grows, returning its proxy: a pool slot (§4.4) when it fits
+    /// one, a chain otherwise (see [`crate::Proxy::try_alloc_small`]).
+    /// Failure-atomic-block aware.
+    pub fn alloc_small<T: PObject>(self: &Jnvm, payload: u64) -> Result<crate::Proxy, JnvmError> {
         let id = self.registry().id_of::<T>()?;
-        let addr = self.pools.alloc(id, payload)?;
-        let mini = BlockHeader {
-            id,
-            valid: false,
-            next: NULL_BLOCK,
-        };
-        fa::note_alloc(addr, payload, mini, &[addr]);
-        Ok(addr)
+        crate::Proxy::try_alloc_small(self, id, payload)
     }
 
     /// Allocate a block-chained object of class `T` with `payload` bytes of

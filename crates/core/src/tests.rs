@@ -795,3 +795,75 @@ fn large_object_spans_blocks() {
         assert_eq!(p.read_u64(off as u64), v ^ 0xffff);
     }
 }
+
+/// A pooled object is a chain of one slot to recovery as well: a rooted
+/// list of nodes, one in a slot of every class, recovers under both modes
+/// — the mark traces each node's reference through its slot's chain — and
+/// after either reopen the pools' DRAM slot-class table holds what every
+/// pool block's meta word does.
+#[test]
+fn pooled_list_recovers_and_fills_the_slot_class_table() {
+    let (pmem, rt) = fresh(1 << 20);
+    let id = rt.registry().id_of::<Node>().unwrap();
+    let list: Vec<u64> = rt.fa(|| {
+        let node = |(i, payload): (usize, &u64)| {
+            let proxy = crate::Proxy::try_alloc_small(&rt, id, *payload).unwrap();
+            let n = Node::resurrect(&rt, proxy.addr());
+            n.set_value(i as i64);
+            n
+        };
+        let nodes: Vec<Node> = jnvm_heap::POOL_SLOT_CLASSES
+            .iter()
+            .enumerate()
+            .map(node)
+            .collect();
+        for pair in nodes.windows(2) {
+            pair[0].set_next(Some(&pair[1]));
+        }
+        rt.root_put("list", &nodes[0]).unwrap();
+        nodes.iter().map(|n| n.addr()).collect()
+    });
+    assert!(list.iter().all(|a| rt.pools().is_pooled_addr(*a)));
+    drop(rt);
+    pmem.crash(&CrashPolicy::strict()).unwrap();
+    for mode in [RecoveryMode::Full, RecoveryMode::HeaderScanOnly] {
+        let (rt, _) = JnvmBuilder::new()
+            .register::<Simple>()
+            .register::<Node>()
+            .open_with_options(Arc::clone(&pmem), RecoveryOptions::with_mode(mode))
+            .unwrap();
+        let mut node = rt.root_get_as::<Node>("list").unwrap();
+        for (i, addr) in list.iter().enumerate() {
+            let n = node.expect("the list is whole");
+            assert_eq!((n.addr(), n.value()), (*addr, i as i64), "{mode:?}");
+            node = n.next();
+        }
+        assert!(node.is_none());
+        let mut pool_blocks = 0;
+        rt.heap().for_each_header(|idx, h| {
+            if h.id == jnvm_heap::CLASS_ID_POOL {
+                pool_blocks += 1;
+                let meta = rt.pmem().read_u32(rt.heap().block_addr(idx) + 8) as u64;
+                assert_eq!(rt.pools().known_slot_payload(idx), Some(meta), "{mode:?}");
+            }
+        });
+        assert_eq!(pool_blocks, jnvm_heap::POOL_SLOT_CLASSES.len(), "{mode:?}");
+    }
+}
+
+/// `Proxy::pwb` writes back a pooled object's slot — mini-header and slot
+/// payload — and no line past it: a neighbouring slot's, or the next
+/// block's, which a block-sized flush from the slot's address would reach.
+#[test]
+fn a_pooled_pwb_covers_its_slot_and_no_further() {
+    let (pmem, rt) = fresh(1 << 20);
+    let id = rt.registry().id_of::<Node>().unwrap();
+    for &payload in jnvm_heap::POOL_SLOT_CLASSES {
+        let p = crate::Proxy::try_alloc_small(&rt, id, payload).unwrap();
+        assert_eq!(p.capacity(), payload);
+        let (first, last) = (p.addr() / 64, (p.addr() + 8 + payload - 1) / 64);
+        let before = pmem.stats();
+        p.pwb();
+        assert_eq!(pmem.stats().delta(&before).pwbs, last - first + 1, "{payload} B");
+    }
+}

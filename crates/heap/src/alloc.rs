@@ -199,9 +199,10 @@ impl BlockHeap {
         idx * self.block_size + HEADER_BYTES
     }
 
-    /// Block index containing byte address `addr`.
+    /// Block index containing byte address `addr` (the block size is a
+    /// power of two: a shift, not a division).
     pub fn block_of_addr(&self, addr: u64) -> u64 {
-        addr / self.block_size
+        addr >> self.block_size.trailing_zeros()
     }
 
     /// Current occupancy counters.

@@ -16,9 +16,9 @@ pub const NULL_BLOCK: u64 = 0;
 /// Maximum class id representable in the 15-bit header field.
 pub const CLASS_ID_MAX: u16 = (1 << 15) - 1;
 
-/// Reserved class id marking a pool block (§4.4 small-immutable-object
-/// pools). Pool blocks are not ordinary masters: recovery treats them
-/// specially, reclaiming individual slots.
+/// Reserved class id marking a pool block (§4.4 small-object pools). Pool
+/// blocks are not ordinary masters: recovery treats them specially,
+/// reclaiming individual slots.
 pub const CLASS_ID_POOL: u16 = 1;
 
 /// First class id handed out to user classes by the `jnvm` registry.
@@ -36,12 +36,14 @@ pub(crate) const SB_ROOT_SLOTS: u64 = 40;
 pub(crate) const ROOT_SLOT_COUNT: u64 = 8;
 
 pub(crate) const HEAP_MAGIC: u64 = 0x4a4e564d48454150; // "JNVMHEAP"
-/// Bumped whenever a persistent format under the heap changes: 3 is the
-/// failure-atomic redo log of one-word entry heads, its entries starting on
-/// the log's second cache line (an older pool may hold a committed log of
-/// version-2 two-word heads or version-1 block copies, which must be
-/// refused, not mis-replayed).
-pub(crate) const HEAP_VERSION: u32 = 3;
+/// Bumped whenever what the heap holds changes in a way an older build
+/// would misread: 3 is the failure-atomic redo log of one-word entry heads,
+/// its entries starting on the log's second cache line (an older pool may
+/// hold a committed log of version-2 two-word heads or version-1 block
+/// copies, which must be refused, not mis-replayed); 4 keeps the same bytes
+/// but puts mutable objects with references — map entries, records — in
+/// pool slots, which a version-3 build's recovery would mis-trace.
+pub(crate) const HEAP_VERSION: u32 = 4;
 
 /// Decoded block header (and pooled-object mini-header — same format).
 ///

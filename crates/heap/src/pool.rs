@@ -1,11 +1,13 @@
-//! Memory-pool allocators for small immutable objects (§4.4).
+//! Memory-pool allocators for small fixed-size objects (§4.4).
 //!
 //! A whole 256-B block per 20-byte string wastes NVMM to internal
-//! fragmentation. Pool allocators pack several *immutable* objects of the
-//! same size class into one block. (Only immutable objects: the paper's
-//! failure-atomic algorithm of §4.2 copies whole blocks, and two mutable
-//! objects sharing a block would make the in-flight replicas diverge; the
-//! mediated accessors here likewise stage writes for block objects only.)
+//! fragmentation. Pool allocators pack several objects of the same size
+//! class into one block. The paper pools *immutable* objects only, because
+//! its failure-atomic algorithm of §4.2 copies whole blocks and two mutable
+//! objects sharing one would make the in-flight copies diverge. This
+//! runtime's failure-atomic blocks log the words they write, never a block
+//! (DESIGN.md §3), so a slot holds any object that never grows: the map's
+//! entries and the kvstore's records as well as strings and byte blobs.
 //!
 //! Layout of a pool block:
 //!
@@ -20,8 +22,19 @@
 //! A pooled object is addressed by the byte address of its mini-header,
 //! which is never block-aligned — that is how the runtime tells pooled
 //! references and block references apart.
+//!
+//! Which slot class a pool block holds is also kept in DRAM, one byte per
+//! block (the class index + 1, 0 while unknown), so that locating, sizing
+//! and freeing a slot read nothing from the device. The byte is written
+//! when a block is carved and when recovery reads the block's meta word
+//! anyway ([`PoolManager::rebuild`], [`PoolManager::scan_block_slots`]); a
+//! lookup that finds 0 reads the meta word once and fills it in. A byte may
+//! outlive its pool block (recovery reclaims an empty one whole): carving
+//! overwrites it, and no pooled address points into a block that is not a
+//! pool block.
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -42,6 +55,11 @@ pub struct PoolManager {
     classes: Vec<u64>,
     /// Volatile free-slot queues, one per class; rebuilt at recovery.
     queues: Vec<Mutex<VecDeque<u64>>>,
+    /// The slot-class table: per block, its class index + 1, or 0 while
+    /// unknown (see the module doc). Accessed `Relaxed`: a byte publishes
+    /// nothing but itself, and a reader that still finds 0 reads the meta
+    /// word, which the carve stored before any slot left this manager.
+    slot_class: Box<[AtomicU8]>,
 }
 
 impl PoolManager {
@@ -55,7 +73,16 @@ impl PoolManager {
             .filter(|payload| payload + HEADER_BYTES <= slots_area)
             .collect();
         let queues = classes.iter().map(|_| Mutex::new(VecDeque::new())).collect();
-        PoolManager { heap, classes, queues }
+        // Zeroed by the allocator, not by a loop: a page of the table costs
+        // DRAM only once a pool block in its range is known.
+        // SAFETY: all-zero bytes are an `AtomicU8` of value 0.
+        let slot_class = unsafe { Box::new_zeroed_slice(heap.nblocks() as usize).assume_init() };
+        PoolManager {
+            heap,
+            classes,
+            queues,
+            slot_class,
+        }
     }
 
     /// The heap this manager allocates from.
@@ -71,7 +98,7 @@ impl PoolManager {
     /// Whether `addr` refers to a pooled object (mini-header address) rather
     /// than a block object (block-aligned master address).
     pub fn is_pooled_addr(&self, addr: u64) -> bool {
-        !addr.is_multiple_of(self.heap.block_size())
+        addr & (self.heap.block_size() - 1) != 0
     }
 
     fn class_for(&self, payload: u64) -> Result<usize, HeapError> {
@@ -107,24 +134,32 @@ impl PoolManager {
         let base = self.heap.block_addr(block);
         let pmem = self.heap.pmem();
         let nslots = self.slots_per_block(slot_payload);
-        self.heap.write_header(
-            block,
-            BlockHeader { id: CLASS_ID_POOL, valid: true, next: 0 },
-        );
-        pmem.write_u32(base + 8, slot_payload as u32);
-        pmem.write_u32(base + 12, nslots as u32);
+        self.know(block, ci);
+        // The header and the meta word, neighbours on the block's first
+        // line, in one store.
+        let header = BlockHeader {
+            id: CLASS_ID_POOL,
+            valid: true,
+            next: 0,
+        };
+        let mut head = [0u8; 16];
+        head[..8].copy_from_slice(&header.encode().to_le_bytes());
+        head[8..].copy_from_slice(&(slot_payload | nslots << 32).to_le_bytes());
+        pmem.write_bytes(base, &head);
         // The header/meta line must be durable before any slot inside this
         // block is validated; pwb now, the allocating thread's next pfence
         // (always executed before an object becomes reachable) orders it.
         pmem.pwb(base);
         pmem.publish_point("pool-carve", &[(base, 16)]);
         let first = base + 16;
-        for i in 1..nslots {
-            // Remaining slots join the free queue with a cleared mini-header.
-            let slot = first + i * Self::slot_total(slot_payload);
+        // Remaining slots join the free queue with a cleared mini-header.
+        let rest: Vec<u64> = (1..nslots)
+            .map(|i| first + i * Self::slot_total(slot_payload))
+            .collect();
+        for &slot in &rest {
             pmem.write_u64(slot, 0);
-            self.queues[ci].lock().push_back(slot);
         }
+        self.queues[ci].lock().extend(rest);
         self.write_mini(first, BlockHeader { id: class_id, valid: false, next: 0 });
         Ok(first)
     }
@@ -132,12 +167,13 @@ impl PoolManager {
     /// Free a pooled object: persistently clear its mini-header (no fence,
     /// like [`BlockHeap::free_object`]) and recycle the slot. The cleared
     /// word is what a carved free slot holds; both recoveries keep only a
-    /// slot whose mini-header is valid, so nothing reads the old one back.
+    /// slot whose mini-header is valid, so nothing reads the old one back,
+    /// and the slot class comes from the DRAM table: a free reads nothing.
     ///
-    /// Fails with [`HeapError::UnknownPoolClass`] if `addr` lands in a pool
-    /// block whose meta word is corrupt.
+    /// Fails with [`HeapError::UnknownPoolClass`] if the table does not know
+    /// the block and its meta word is corrupt.
     pub fn free(&self, addr: u64) -> Result<(), HeapError> {
-        let (ci, _) = self.locate(addr)?;
+        let ci = self.locate(addr)?;
         self.write_mini_pwb(addr, BlockHeader::FREE);
         self.queues[ci].lock().push_back(addr);
         Ok(())
@@ -165,42 +201,67 @@ impl PoolManager {
         self.write_mini_pwb(addr, h);
     }
 
-    /// Payload address of the pooled object at `addr`.
-    pub fn payload_addr(&self, addr: u64) -> u64 {
-        addr + HEADER_BYTES
+    /// Slot payload capacity of the pooled object at `addr`, from the DRAM
+    /// slot-class table (see [`PoolManager::free`] for the error).
+    pub fn slot_payload(&self, addr: u64) -> Result<u64, HeapError> {
+        Ok(self.classes[self.class_index(addr)?])
     }
 
-    /// Slot payload capacity of the pooled object at `addr` (from the pool
-    /// block's meta word).
-    pub fn slot_payload(&self, addr: u64) -> u64 {
-        let block = self.heap.block_of_addr(addr);
-        self.heap.pmem().read_u32(self.heap.block_addr(block) + 8) as u64
+    /// The slot payload the DRAM table holds for block `idx`, without a
+    /// device read: `None` while the table does not know the block.
+    pub fn known_slot_payload(&self, idx: u64) -> Option<u64> {
+        match self.slot_class[idx as usize].load(Ordering::Relaxed) {
+            0 => None,
+            k => Some(self.classes[k as usize - 1]),
+        }
     }
 
-    /// Locate `(size class index, slot index)` for a pooled address.
+    /// Record that pool block `idx` holds slots of class `ci`.
+    fn know(&self, idx: u64, ci: usize) {
+        self.slot_class[idx as usize].store(ci as u8 + 1, Ordering::Relaxed);
+    }
+
+    /// The class index of the slot payload `payload` read from a meta word.
+    fn class_of_payload(&self, payload: u64) -> Option<usize> {
+        self.classes.iter().position(|c| *c == payload)
+    }
+
+    /// The size class index of the pooled address `addr`: from the DRAM
+    /// table, or — on a miss — from the pool block's meta word, read once
+    /// and remembered.
     ///
-    /// Fails with [`HeapError::UnknownPoolClass`] if the pool block's meta
-    /// word names a slot class the allocator was not configured with.
+    /// Fails with [`HeapError::UnknownPoolClass`] if the meta word names a
+    /// slot class the allocator was not configured with.
+    fn class_index(&self, addr: u64) -> Result<usize, HeapError> {
+        let block = self.heap.block_of_addr(addr);
+        match self.slot_class[block as usize].load(Ordering::Relaxed) {
+            0 => {
+                let meta = self.heap.block_addr(block) + 8;
+                let payload = self.heap.pmem().read_u32(meta) as u64;
+                let ci = self
+                    .class_of_payload(payload)
+                    .ok_or(HeapError::UnknownPoolClass { block, payload })?;
+                self.know(block, ci);
+                Ok(ci)
+            }
+            k => Ok(k as usize - 1),
+        }
+    }
+
+    /// [`PoolManager::class_index`] of a slot about to be recycled.
     ///
     /// # Panics
     ///
     /// Panics if `addr` does not lie on a slot boundary of a pool block —
     /// that indicates heap corruption or a non-pooled address.
-    fn locate(&self, addr: u64) -> Result<(usize, u64), HeapError> {
-        let block = self.heap.block_of_addr(addr);
-        let base = self.heap.block_addr(block);
-        let payload = self.heap.pmem().read_u32(base + 8) as u64;
-        let ci = self
-            .classes
-            .iter()
-            .position(|c| *c == payload)
-            .ok_or(HeapError::UnknownPoolClass { block, payload })?;
-        let off = addr - (base + 16);
+    fn locate(&self, addr: u64) -> Result<usize, HeapError> {
+        let ci = self.class_index(addr)?;
+        let first = self.heap.block_addr(self.heap.block_of_addr(addr)) + 16;
         assert!(
-            off.is_multiple_of(Self::slot_total(payload)),
+            (addr - first).is_multiple_of(Self::slot_total(self.classes[ci])),
             "address {addr:#x} is not on a slot boundary"
         );
-        Ok((ci, off / Self::slot_total(payload)))
+        Ok(ci)
     }
 
     /// Recovery (§4.1.3 extension for pools): for every *marked* pool block,
@@ -237,9 +298,10 @@ impl PoolManager {
                 }
                 let base = self.heap.block_addr(idx);
                 let payload = pmem.read_u32(base + 8) as u64;
-                let Some(ci) = self.classes.iter().position(|c| *c == payload) else {
+                let Some(ci) = self.class_of_payload(payload) else {
                     continue;
                 };
+                self.know(idx, ci);
                 let nslots = pmem.read_u32(base + 12) as u64;
                 for i in 0..nslots {
                     let slot = base + 16 + i * Self::slot_total(payload);
@@ -269,15 +331,17 @@ impl PoolManager {
     }
 
     /// Iterate the slots of the pool block `idx`, yielding each slot's
-    /// mini-header address and decoded mini-header. Used by the header-scan
-    /// recovery variant. No-op if `idx` is not a recognizable pool block.
+    /// mini-header address and decoded mini-header, and record the block's
+    /// slot class in the DRAM table. Used by the header-scan recovery
+    /// variant. No-op if `idx` is not a recognizable pool block.
     pub fn scan_block_slots(&self, idx: u64, mut f: impl FnMut(u64, BlockHeader)) {
         let base = self.heap.block_addr(idx);
         let pmem = self.heap.pmem();
         let payload = pmem.read_u32(base + 8) as u64;
-        if !self.classes.contains(&payload) {
+        let Some(ci) = self.class_of_payload(payload) else {
             return;
-        }
+        };
+        self.know(idx, ci);
         let nslots = pmem.read_u32(base + 12) as u64;
         let max_slots = (self.heap.payload_size() - 8) / Self::slot_total(payload);
         for i in 0..nslots.min(max_slots) {
@@ -344,10 +408,14 @@ mod tests {
     fn corrupt_pool_meta_reports_unknown_class() {
         let (heap, pm) = mk();
         let a = pm.alloc(20, 16).unwrap();
-        // Scribble an impossible slot class into the block's meta word.
+        // Scribble an impossible slot class into the block's meta word. The
+        // manager that carved the block knows its class without reading
+        // it; a fresh one (a reopened pool's) has to read the meta word.
         let base = heap.block_addr(heap.block_of_addr(a));
         heap.pmem().write_u32(base + 8, 3);
-        match pm.free(a) {
+        assert_eq!(pm.slot_payload(a).unwrap(), 16);
+        let pm2 = PoolManager::new(Arc::clone(&heap));
+        match pm2.free(a) {
             Err(HeapError::UnknownPoolClass { payload: 3, .. }) => {}
             other => panic!("expected UnknownPoolClass, got {other:?}"),
         }
@@ -362,8 +430,9 @@ mod tests {
         pm.free(a).unwrap();
         let d = pm.heap().pmem().stats().delta(&before);
         assert_eq!(pm.read_mini(a), BlockHeader::FREE, "a carved slot's word");
-        // The meta word's slot class; not the mini-header it clears.
-        assert_eq!(d.bytes_read, 4, "bytes a free reads");
+        // Neither the mini-header it clears nor the meta word: the slot
+        // class is in the DRAM table (4 B while it came from the meta word).
+        assert_eq!(d.bytes_read, 0, "bytes a free reads");
         // Freed slot is preferred over the block's remaining fresh slots?
         // Not guaranteed (queue order), but the slot must eventually return.
         let mut seen = false;
@@ -376,13 +445,78 @@ mod tests {
         assert!(seen, "freed slot was never reallocated");
     }
 
+    /// The DRAM slot-class table holds what each pool block's meta word
+    /// does — after carving, after recovery's `rebuild` and after the header
+    /// scan `HeaderScanOnly` recovery runs — and once it knows a block,
+    /// sizing and freeing its slots read nothing. A miss reads the meta word
+    /// once.
+    #[test]
+    fn slot_class_table_matches_every_meta_word() {
+        let (heap, pm) = mk();
+        // Two blocks of every class, the second one partly used.
+        let mut addrs = Vec::new();
+        for &payload in POOL_SLOT_CLASSES {
+            for _ in 0..pm.slots_per_block(payload) + 1 {
+                let a = pm.alloc(9, payload).unwrap();
+                pm.set_valid(a, true);
+                addrs.push(a);
+            }
+        }
+        let pool_blocks: Vec<u64> = (heap.data_start()..heap.scan_end())
+            .filter(|i| heap.read_header(*i).id == CLASS_ID_POOL)
+            .collect();
+        assert_eq!(pool_blocks.len(), 2 * POOL_SLOT_CLASSES.len());
+        let meta = |idx: u64| heap.pmem().read_u32(heap.block_addr(idx) + 8) as u64;
+        let agrees = |pm: &PoolManager| {
+            let known = |i: &u64| pm.known_slot_payload(*i) == Some(meta(*i));
+            pool_blocks.iter().all(known)
+        };
+        assert!(agrees(&pm), "after carving");
+
+        let before = heap.pmem().stats();
+        for a in &addrs {
+            pm.slot_payload(*a).unwrap();
+        }
+        pm.free(addrs[0]).unwrap();
+        let d = heap.pmem().stats().delta(&before);
+        assert_eq!((d.reads, d.bytes_read), (0, 0), "slot_payload and free");
+
+        // A restarted manager knows no block until recovery reads them.
+        let rebuilt = PoolManager::new(Arc::clone(&heap));
+        assert!(pool_blocks
+            .iter()
+            .all(|i| rebuilt.known_slot_payload(*i).is_none()));
+        let bm = heap.new_bitmap();
+        for i in &pool_blocks {
+            bm.mark(*i);
+        }
+        rebuilt.rebuild(&bm, &addrs[1..].iter().copied().collect(), 1);
+        assert!(agrees(&rebuilt), "after rebuild");
+        let scanned = PoolManager::new(Arc::clone(&heap));
+        for i in &pool_blocks {
+            scanned.scan_block_slots(*i, |_, _| {});
+        }
+        assert!(agrees(&scanned), "after the header scan");
+
+        let missed = PoolManager::new(Arc::clone(&heap));
+        let before = heap.pmem().stats();
+        assert_eq!(missed.slot_payload(addrs[1]).unwrap(), 16);
+        assert_eq!(missed.slot_payload(addrs[2]).unwrap(), 16);
+        let d = heap.pmem().stats().delta(&before);
+        assert_eq!(
+            (d.reads, d.bytes_read),
+            (1, 4),
+            "one meta word per missed block"
+        );
+    }
+
     #[test]
     fn size_class_selection() {
         let (_h, pm) = mk();
         let a = pm.alloc(7, 16).unwrap();
         let b = pm.alloc(7, 17).unwrap();
-        assert_eq!(pm.slot_payload(a), 16);
-        assert_eq!(pm.slot_payload(b), 32);
+        assert_eq!(pm.slot_payload(a).unwrap(), 16);
+        assert_eq!(pm.slot_payload(b).unwrap(), 32);
         assert!(matches!(
             pm.alloc(7, 233),
             Err(HeapError::ObjectTooLargeForPool(233))

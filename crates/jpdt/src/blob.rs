@@ -2,83 +2,49 @@
 //!
 //! Layout: `[length u64][bytes]`. Blobs that fit a pool slot (§4.4) are
 //! pool-allocated to avoid internal fragmentation; larger ones get a block
-//! chain. Blobs are immutable after construction, which is what makes pool
-//! packing safe under failure-atomic blocks (§4.4).
+//! chain. Either way a blob is read through its proxy's [`RawChain`],
+//! whose capacity — the slot's payload, or the chain's — bounds the length
+//! word. Reads and the writes of construction are unmediated: a blob is
+//! immutable once built, and built by the block that allocated it.
 
-use jnvm::{Jnvm, JnvmError, PObject, RawChain};
+use jnvm::{Jnvm, JnvmError, PObject, Proxy, RawChain};
 
-/// Internal representation of a blob proxy.
-#[derive(Clone)]
-enum Repr {
-    /// Pool slot: payload starts at `addr + 8`.
-    Pooled,
-    /// Block chain.
-    Chain(RawChain),
-}
-
-fn open_repr(rt: &Jnvm, addr: u64) -> Repr {
-    if rt.pools().is_pooled_addr(addr) {
-        Repr::Pooled
-    } else {
-        Repr::Chain(RawChain::open(rt, addr))
-    }
-}
-
-fn blob_alloc<T: PObject>(rt: &Jnvm, data: &[u8]) -> Result<(u64, Repr), JnvmError> {
-    let payload = 8 + data.len() as u64;
-    if payload <= rt.pools().max_payload() {
-        let addr = rt.alloc_pooled::<T>(payload)?;
-        let pmem = rt.pmem();
-        pmem.write_u64(addr + 8, data.len() as u64);
-        pmem.write_bytes(addr + 16, data);
-        // Flush the whole object (mini-header included) — fence-free: the
-        // creator batches a fence before publication (§3.2.3). Inside a
-        // failure-atomic block the commit owns the write-back, as it does
-        // for the mediated `Proxy::pwb` of the chained case below.
-        if !rt.in_fa() {
-            pmem.pwb_range(addr, 8 + payload);
-        }
-        rt.set_valid_addr(addr, true);
-        Ok((addr, Repr::Pooled))
-    } else {
-        let proxy = rt.alloc_proxy::<T>(payload)?;
-        let chain = proxy.chain().clone();
-        let pmem = rt.pmem();
-        pmem.write_u64(chain.phys(0), data.len() as u64);
-        chain.write_bytes(pmem, 8, data);
-        proxy.pwb();
-        proxy.validate();
-        Ok((proxy.addr(), Repr::Chain(chain)))
-    }
+fn blob_alloc<T: PObject>(rt: &Jnvm, data: &[u8]) -> Result<Proxy, JnvmError> {
+    let proxy = rt.alloc_small::<T>(8 + data.len() as u64)?;
+    let (chain, pmem) = (proxy.chain(), rt.pmem());
+    pmem.write_u64(chain.phys(0), data.len() as u64);
+    chain.write_bytes(pmem, 8, data);
+    // Fence-free: the creator batches a fence before publication (§3.2.3).
+    // Inside a failure-atomic block the commit owns the write-back and the
+    // validation.
+    proxy.pwb();
+    proxy.validate();
+    Ok(proxy)
 }
 
 /// The blob's length word, bounded by what its storage can hold **before**
 /// any caller sizes a buffer by it: a torn or corrupt word is a catchable
-/// panic, never an allocator abort.
-fn blob_len(rt: &Jnvm, addr: u64, repr: &Repr) -> u64 {
-    let pmem = rt.pmem();
-    let (len, cap) = match repr {
-        Repr::Pooled => (pmem.read_u64(addr + 8), rt.pools().max_payload()),
-        Repr::Chain(c) => (pmem.read_u64(c.phys(0)), c.capacity()),
-    };
+/// panic, never an allocator abort — nor a read of a neighbouring slot.
+fn blob_len(rt: &Jnvm, chain: &RawChain) -> u64 {
+    let len = rt.pmem().read_u64(chain.phys(0));
+    let cap = chain.capacity();
     assert!(
         len <= cap.saturating_sub(8),
-        "blob at {addr:#x}: length word {len} exceeds its storage ({cap} B)"
+        "blob at {:#x}: length word {len} exceeds its storage ({cap} B)",
+        chain.blocks[0]
     );
     len
 }
 
-fn blob_read(rt: &Jnvm, addr: u64, repr: &Repr, out: &mut [u8]) {
-    let pmem = rt.pmem();
-    match repr {
-        Repr::Pooled => pmem.read_bytes(addr + 16, out),
-        Repr::Chain(c) => c.read_bytes(pmem, 8, out),
-    }
+/// Copy the content of the blob on `chain`, from its first byte, into
+/// `out`.
+fn blob_read(rt: &Jnvm, chain: &RawChain, out: &mut [u8]) {
+    chain.read_bytes(rt.pmem(), 8, out);
 }
 
 /// Length of the blob at `addr`, without a handle (one device read).
 pub fn blob_len_at(rt: &Jnvm, addr: u64) -> u64 {
-    blob_len(rt, addr, &open_repr(rt, addr))
+    blob_len(rt, &RawChain::open(rt, addr))
 }
 
 /// Append the content of the blob at `addr` to `out`: one length read, one
@@ -90,12 +56,12 @@ pub fn blob_append_to(
     out: &mut Vec<u8>,
     header: impl FnOnce(&mut Vec<u8>, usize),
 ) {
-    let repr = open_repr(rt, addr);
-    let len = blob_len(rt, addr, &repr) as usize;
+    let chain = RawChain::open(rt, addr);
+    let len = blob_len(rt, &chain) as usize;
     header(out, len);
     let at = out.len();
     out.resize(at + len, 0);
-    blob_read(rt, addr, &repr, &mut out[at..]);
+    blob_read(rt, &chain, &mut out[at..]);
 }
 
 macro_rules! blob_type {
@@ -103,9 +69,7 @@ macro_rules! blob_type {
         $(#[$meta])*
         #[derive(Clone)]
         pub struct $name {
-            rt: Jnvm,
-            addr: u64,
-            repr: Repr,
+            proxy: Proxy,
         }
 
         impl $name {
@@ -113,13 +77,12 @@ macro_rules! blob_type {
             /// validated, fence-free: issue a `pfence` (directly or through
             /// a publishing structure) before relying on durability.
             pub fn new(rt: &Jnvm, data: &[u8]) -> Result<$name, JnvmError> {
-                let (addr, repr) = blob_alloc::<$name>(rt, data)?;
-                Ok($name { rt: rt.clone(), addr, repr })
+                Ok($name { proxy: blob_alloc::<$name>(rt, data)? })
             }
 
             /// Content length in bytes.
             pub fn len(&self) -> u64 {
-                blob_len(&self.rt, self.addr, &self.repr)
+                blob_len(self.proxy.runtime(), self.proxy.chain())
             }
 
             /// True for a zero-length blob.
@@ -130,7 +93,7 @@ macro_rules! blob_type {
             /// Copy the content into a fresh `Vec`.
             pub fn to_vec(&self) -> Vec<u8> {
                 let mut out = vec![0u8; self.len() as usize];
-                blob_read(&self.rt, self.addr, &self.repr, &mut out);
+                blob_read(self.proxy.runtime(), self.proxy.chain(), &mut out);
                 out
             }
 
@@ -138,7 +101,7 @@ macro_rules! blob_type {
             /// returning the number of bytes copied.
             pub fn read_into(&self, out: &mut [u8]) -> usize {
                 let n = (self.len() as usize).min(out.len());
-                blob_read(&self.rt, self.addr, &self.repr, &mut out[..n]);
+                blob_read(self.proxy.runtime(), self.proxy.chain(), &mut out[..n]);
                 n
             }
 
@@ -153,12 +116,12 @@ macro_rules! blob_type {
 
             /// Whether this blob is pool-allocated (§4.4).
             pub fn is_pooled(&self) -> bool {
-                matches!(self.repr, Repr::Pooled)
+                self.proxy.runtime().pools().is_pooled_addr(self.addr())
             }
 
             /// Free the blob (`JNVM.free`).
             pub fn free(self) {
-                self.rt.clone().free_addr(self.addr);
+                self.proxy.runtime().free_addr(self.addr());
             }
         }
 
@@ -167,21 +130,19 @@ macro_rules! blob_type {
 
             fn resurrect(rt: &Jnvm, addr: u64) -> Self {
                 $name {
-                    rt: rt.clone(),
-                    addr,
-                    repr: open_repr(rt, addr),
+                    proxy: Proxy::open(rt, addr),
                 }
             }
 
             fn addr(&self) -> u64 {
-                self.addr
+                self.proxy.addr()
             }
         }
 
         impl std::fmt::Debug for $name {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
                 f.debug_struct(stringify!($name))
-                    .field("addr", &self.addr)
+                    .field("addr", &self.addr())
                     .field("len", &self.len())
                     .finish()
             }

@@ -12,7 +12,8 @@
 //! NVMM, while the *logic* lives in a volatile **mirror** — a `HashMap`,
 //! `BTreeMap` or skip list mapping keys to array cells, rebuilt at
 //! resurrection. Three proxy-caching variants are offered: `Base`,
-//! `Cached` and `Eager` (§4.3.2).
+//! `Cached` and `Eager` (§4.3.2). A map entry never grows, so it takes a
+//! pool slot (§4.4), not a block.
 //!
 //! Types:
 //!
@@ -44,7 +45,7 @@ pub use blob::{blob_append_to, blob_len_at, PBytes, PString};
 pub use parray::{PByteArray, PLongArray, PRefArray};
 pub use pmap::{
     CacheMode, HashMirror, MapEntry, Mirror, PI64HashMap, PI64Set, PI64SkipMap, PI64TreeMap,
-    PKey, PMapCore, PStringHashMap, PValue, PStringSet, PStringSkipMap, PStringTreeMap, SkipMirror,
+    PKey, PMapCore, PStringHashMap, PStringSet, PStringSkipMap, PStringTreeMap, SkipMirror,
     TreeMirror,
 };
 pub use pqueue::PQueue;

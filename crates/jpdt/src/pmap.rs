@@ -248,49 +248,12 @@ impl<K: PKey> Mirror<K> for SkipMirror<K> {
 // The map core.
 // ----------------------------------------------------------------------
 
-/// A handle on a map value: block-chained values get a ready proxy (the
-/// expensive part of resurrection), pooled small objects just their
-/// address.
-#[derive(Clone, Debug)]
-pub enum PValue {
-    /// A block-chained object with its proxy (block addresses cached).
-    Block(Proxy),
-    /// A pooled small-immutable object.
-    Pooled(u64),
-}
-
-impl PValue {
-    fn open(rt: &Jnvm, addr: u64) -> PValue {
-        if rt.pools().is_pooled_addr(addr) {
-            PValue::Pooled(addr)
-        } else {
-            PValue::Block(Proxy::open(rt, addr))
-        }
-    }
-
-    /// Persistent address of the value.
-    pub fn addr(&self) -> u64 {
-        match self {
-            PValue::Block(p) => p.addr(),
-            PValue::Pooled(a) => *a,
-        }
-    }
-
-    /// The proxy, for block-chained values.
-    pub fn as_proxy(&self) -> Option<&Proxy> {
-        match self {
-            PValue::Block(p) => Some(p),
-            PValue::Pooled(_) => None,
-        }
-    }
-}
-
 struct Inner<K: PKey, M: Mirror<K>> {
     array: PRefArray,
     mirror: M,
     free_cells: Vec<u64>,
-    /// cell -> value handle (Cached/Eager modes).
-    cache: HashMap<u64, PValue>,
+    /// cell -> value proxy (Cached/Eager modes).
+    cache: HashMap<u64, Proxy>,
     _k: PhantomData<fn() -> K>,
 }
 
@@ -349,7 +312,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
                     let key = K::read_key(rt, &e, MapEntry::<K>::KEY_OFF);
                     if mode == CacheMode::Eager {
                         if let Some(v) = e.read_ref(MapEntry::<K>::VALUE_OFF) {
-                            cache.insert(cell, PValue::open(rt, v));
+                            cache.insert(cell, Proxy::open(rt, v));
                         }
                     }
                     mirror.insert(key, cell);
@@ -390,6 +353,12 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
     /// The caching mode.
     pub fn mode(&self) -> CacheMode {
         self.mode
+    }
+
+    /// A fresh, invalid entry: a pool slot, since an entry never grows.
+    fn new_entry(&self) -> Result<Proxy, JnvmError> {
+        self.rt
+            .alloc_small::<MapEntry<K>>(MapEntry::<K>::payload_bytes())
     }
 
     fn entry_at(&self, cell: u64, array: &PRefArray) -> Proxy {
@@ -434,7 +403,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
             self.rt.pfence();
             e.ordering_point("pmap-publish", MapEntry::<K>::VALUE_OFF, 8);
             if self.mode != CacheMode::Base {
-                inner.cache.insert(cell, PValue::open(&self.rt, value));
+                inner.cache.insert(cell, Proxy::open(&self.rt, value));
             }
             return Ok(old);
         }
@@ -442,11 +411,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
             self.grow(&mut inner)?;
         }
         let cell = inner.free_cells.pop().expect("grow guarantees a free cell");
-        let e = Proxy::try_alloc(
-            &self.rt,
-            self.rt.registry().id_of::<MapEntry<K>>()?,
-            MapEntry::<K>::payload_bytes(),
-        )?;
+        let e = self.new_entry()?;
         K::write_key(&self.rt, &e, MapEntry::<K>::KEY_OFF, &key)?;
         e.write_ref(MapEntry::<K>::VALUE_OFF, Some(value));
         e.pwb();
@@ -459,7 +424,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
         self.rt.pfence();
         inner.array.proxy().ordering_point("pmap-publish", 8 + cell * 8, 8);
         if self.mode != CacheMode::Base {
-            inner.cache.insert(cell, PValue::open(&self.rt, value));
+            inner.cache.insert(cell, Proxy::open(&self.rt, value));
         }
         inner.mirror.insert(key, cell);
         Ok(None)
@@ -473,10 +438,10 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
             .read_ref(MapEntry::<K>::VALUE_OFF)
     }
 
-    /// Value handle for `key`, honouring the caching mode: `Base`
-    /// resurrects a fresh handle, `Cached` fills the cache on miss,
+    /// Value proxy for `key`, honouring the caching mode: `Base`
+    /// resurrects a fresh proxy, `Cached` fills the cache on miss,
     /// `Eager` normally hits the resurrection-time cache.
-    pub fn get_value(&self, key: &K) -> Option<PValue> {
+    pub fn get_value(&self, key: &K) -> Option<Proxy> {
         let mut inner = self.inner.lock();
         let cell = inner.mirror.get(key)?;
         if self.mode != CacheMode::Base {
@@ -487,7 +452,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
         let v = self
             .entry_at(cell, &inner.array)
             .read_ref(MapEntry::<K>::VALUE_OFF)?;
-        let value = PValue::open(&self.rt, v);
+        let value = Proxy::open(&self.rt, v);
         if self.mode != CacheMode::Base {
             inner.cache.insert(cell, value.clone());
         }
@@ -554,11 +519,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
             self.grow(&mut inner)?;
         }
         let cell = inner.free_cells.pop().expect("grow guarantees a free cell");
-        let e = Proxy::try_alloc(
-            &self.rt,
-            self.rt.registry().id_of::<MapEntry<K>>()?,
-            MapEntry::<K>::payload_bytes(),
-        )?;
+        let e = self.new_entry()?;
         K::write_key(&self.rt, &e, MapEntry::<K>::KEY_OFF, &key)?;
         e.write_ref(MapEntry::<K>::VALUE_OFF, Some(e.addr()));
         e.pwb();
@@ -621,7 +582,7 @@ macro_rules! define_pmap {
             }
 
             /// See [`PMapCore::get_value`].
-            pub fn get_value(&self, key: &$key) -> Option<PValue> {
+            pub fn get_value(&self, key: &$key) -> Option<Proxy> {
                 self.core.get_value(key)
             }
 

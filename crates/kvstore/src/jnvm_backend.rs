@@ -11,7 +11,7 @@
 //! consistency (low-level interface).
 
 use jnvm::{Jnvm, JnvmBuilder, JnvmError, PObject, Proxy, RawChain};
-use jnvm_jpdt::{blob_append_to, blob_len_at, register_jpdt, PBytes, PStringHashMap, PValue};
+use jnvm_jpdt::{blob_append_to, blob_len_at, register_jpdt, PBytes, PStringHashMap};
 use parking_lot::Mutex;
 
 use crate::backend::Backend;
@@ -24,13 +24,15 @@ pub struct PRecord {
 
 impl PRecord {
     /// Allocate a record with the given field values, read where they lie.
-    /// Flushed but **invalid** — publication (map insert) validates it.
+    /// Flushed but **invalid** — publication (map insert) validates it. A
+    /// record never grows: it takes a pool slot when its reference array
+    /// fits one (up to 28 fields on 256-B blocks), a chain otherwise.
     pub fn create(
         rt: &Jnvm,
         values: impl IntoIterator<Item = impl AsRef<[u8]>, IntoIter: ExactSizeIterator>,
     ) -> Result<PRecord, JnvmError> {
         let values = values.into_iter();
-        let proxy = rt.alloc_proxy::<PRecord>(8 + values.len() as u64 * 8)?;
+        let proxy = rt.alloc_small::<PRecord>(8 + values.len() as u64 * 8)?;
         proxy.write_u64(0, values.len() as u64);
         for (i, v) in values.enumerate() {
             let blob = PBytes::new(rt, v.as_ref())?;
@@ -243,12 +245,10 @@ impl JnvmBackend {
         &self.shards[self.shard_index(key)]
     }
 
-    /// The persistent record stored under `key`, if any (block or pooled).
+    /// The persistent record stored under `key`, if any.
     fn lookup(&self, key: &str) -> Option<PRecord> {
-        Some(match self.shard(key).get_value(&key.to_string())? {
-            PValue::Block(proxy) => PRecord::from_proxy(proxy),
-            PValue::Pooled(addr) => PRecord::resurrect(&self.rt, addr),
-        })
+        let proxy = self.shard(key).get_value(&key.to_string())?;
+        Some(PRecord::from_proxy(proxy))
     }
 
     fn with_fa<R>(&self, f: impl FnOnce() -> R) -> R {
@@ -487,14 +487,22 @@ mod tests {
     /// A length word read from NVMM never sizes an allocation unchecked: a
     /// corrupt `nfields` word, or a pooled blob's corrupt length word (a
     /// `GET` racing a crash instant can see either), is a panic the serving
-    /// path catches — through every sink — not an allocator abort.
+    /// path catches — through every sink — not an allocator abort. A
+    /// pooled blob's length is bounded by its own slot, not by the largest
+    /// class: a length of 200 in a 64-B value's 80-B slot (72 B of payload)
+    /// used to pass the 224-B bound and serve the neighbouring slots' bytes.
     #[test]
     fn corrupt_length_words_panic_instead_of_sizing_an_allocation() {
         let _hush = jnvm_pmem::hush_panics();
         let (pmem, rt) = rt(8 << 20);
         let be = JnvmBackend::create(&rt, 1, false).unwrap();
-        for key in ["nfields", "bloblen"] {
-            assert!(be.store_full(&Record::ycsb(key, &[vec![1u8; 100], vec![2u8; 100]])));
+        let records = [
+            ("nfields", vec![vec![1u8; 100], vec![2u8; 100]]),
+            ("bloblen", vec![vec![1u8; 100], vec![2u8; 100]]),
+            ("slotlen", vec![vec![3u8; 64]; 4]),
+        ];
+        for (key, values) in &records {
+            assert!(be.store_full(&Record::ycsb(key, values)));
             assert!(read_outcomes(&be, key).iter().all(|r| matches!(r, Ok(true))));
         }
         let proxy = |key| be.lookup(key).unwrap().proxy;
@@ -502,12 +510,49 @@ mod tests {
         let blob = proxy("bloblen").read_ref(8 + 8).unwrap();
         assert!(rt.pools().is_pooled_addr(blob));
         pmem.write_u64(blob + 8, 1 << 40);
-        for key in ["nfields", "bloblen"] {
+        let blob = proxy("slotlen").read_ref(8).unwrap();
+        assert_eq!(rt.pools().slot_payload(blob).unwrap(), 72);
+        pmem.write_u64(blob + 8, 200);
+        for (key, _) in records {
             for (sink, outcome) in read_outcomes(&be, key).into_iter().enumerate() {
                 let msg = *outcome.expect_err("a corrupt length was served").downcast::<String>().unwrap();
                 assert!(msg.contains("0x") && msg.contains("exceeds"), "{key}, sink {sink}: {msg}");
+                if key == "slotlen" {
+                    assert!(
+                        msg.contains("exceeds its storage (72 B)"),
+                        "sink {sink}: {msg}"
+                    );
+                }
             }
         }
+    }
+
+    /// A record of more than 28 fields does not fit the largest pool slot
+    /// (232 B of payload): it gets a chain, and reads, updates and
+    /// recovers like a pooled one.
+    #[test]
+    fn a_record_too_large_for_a_slot_gets_a_chain() {
+        let (pmem, rt) = rt(8 << 20);
+        let be = JnvmBackend::create(&rt, 1, true).unwrap();
+        for (key, fields, pooled) in [("narrow", 28, true), ("wide", 29, false)] {
+            let values: Vec<Vec<u8>> = (0..fields).map(|i| vec![i as u8; 8]).collect();
+            let mut want = Record::ycsb(key, &values);
+            assert!(be.store_full(&want));
+            let record = be.lookup(key).unwrap();
+            assert_eq!(rt.pools().is_pooled_addr(record.addr()), pooled, "{key}");
+            assert!(be.update_field(key, fields - 1, b"last"));
+            want.fields[fields - 1].1 = b"last".to_vec();
+            assert_eq!(be.read(key).as_ref(), Some(&want), "{key}");
+        }
+        be.sync();
+        drop((be, rt));
+        pmem.crash(&CrashPolicy::strict()).unwrap();
+        let (rt2, _) = register_kvstore(JnvmBuilder::new())
+            .open(Arc::clone(&pmem))
+            .unwrap();
+        let be2 = JnvmBackend::open(&rt2, true).unwrap();
+        assert_eq!(be2.read("wide").unwrap().fields[28].1, b"last");
+        assert_eq!(be2.read("narrow").unwrap().fields[27].1, b"last");
     }
 
     /// A corrupt `nfields` word on media stops neither recovery nor the

@@ -13,12 +13,12 @@
 //!    leaked redo-log or account blocks;
 //! 2. DataGrid insert / RMW / remove churn over the `JnvmBackend`
 //!    (J-PFA flavour): every recovered record is complete and untorn, and
-//!    block accounting closes exactly (records + a bounded number of
-//!    redo logs).
+//!    object and block accounting close exactly (records + a bounded
+//!    number of redo logs).
 //!
-//! The block-accounting constants (`log_blocks`, `rec_blocks`) are
-//! *measured* from deterministic single-threaded runs rather than
-//! hard-coded, so the tests survive layout changes.
+//! The accounting constants (`log_blocks`, `rec_objects`) are *measured*
+//! from deterministic single-threaded runs rather than hard-coded, so the
+//! tests survive layout changes.
 
 use std::sync::Arc;
 
@@ -272,12 +272,12 @@ fn grid_reopen(pmem: &Arc<Pmem>) -> (Jnvm, JnvmBackend, RecoveryReport) {
     (rt, be, report)
 }
 
-/// Measured grid baselines: `(full, rec_blocks, drained)` — the live block
-/// count of the complete 16-record image (which includes the one redo log
-/// the single-threaded setup created), the per-record footprint (record +
-/// field blobs + map entry + key blob; all keys/values are uniform sizes),
-/// and the footprint of the image after every record has been removed
-/// again (map skeleton + one redo log, no pool slabs).
+/// Measured grid baselines: `(full, rec_objects, drained)` — the live
+/// object count of the complete 16-record image (which includes the one
+/// redo log the single-threaded setup created), the per-record footprint in
+/// objects (record + field blobs + map entry + key blob), and the live
+/// *block* count of the image after every record has been removed again
+/// (map skeleton + one redo log, no pool slabs).
 fn grid_baselines() -> (u64, u64, u64) {
     let observe = |removals: usize| {
         let (pmem, ctx) = grid_setup();
@@ -287,14 +287,21 @@ fn grid_baselines() -> (u64, u64, u64) {
         }
         drop(ctx);
         pmem.crash(&CrashPolicy::strict()).expect("crash");
-        grid_reopen(&pmem).2.live_blocks
+        grid_reopen(&pmem).2
     };
     let full = observe(0);
     let minus_one = observe(1);
     let drained = observe(NTHREADS * KEYS_PER_THREAD);
-    assert!(full > minus_one, "removing a record freed no blocks");
-    assert!(minus_one > drained, "draining the grid freed no blocks");
-    (full, full - minus_one, drained)
+    let rec_objects = full.live_objects - minus_one.live_objects;
+    assert_eq!(
+        rec_objects, 5,
+        "a record is its entry, key, record and two blobs"
+    );
+    assert!(
+        full.live_blocks > drained.live_blocks,
+        "draining the grid freed no blocks"
+    );
+    (full.live_objects, rec_objects, drained.live_blocks)
 }
 
 /// Per-field values a recovered record may legally hold. Field 0 is also
@@ -309,7 +316,7 @@ fn allowed_tags(field: usize) -> &'static [&'static str] {
 
 fn grid_verify(
     full: u64,
-    rec_blocks: u64,
+    rec_objects: u64,
     drained_base: u64,
     log_blocks: u64,
     pmem: &Arc<Pmem>,
@@ -353,25 +360,21 @@ fn grid_verify(
         present,
         "crash point {point}: backend len disagrees with reachable records"
     );
-    // Block accounting, pass 1 — a bounded model check. The grid's keys and
-    // 8-byte field values are pool-allocated (§4.4): many slots share one
-    // slab block, and which slabs survive a concurrent remove/re-insert
-    // churn depends on the interleaving. The live count may therefore
-    // legally drift a few *slab* blocks either way from the single-threaded
-    // per-record model, so this pass only bounds it; pass 2 below is exact.
+    // Object accounting, pass 1 — exact up to the redo logs. Every object
+    // of a record (its entry, key, record and blobs) is pool-allocated
+    // (§4.4), so which slab *blocks* survive a concurrent remove/re-insert
+    // churn depends on the interleaving; the live *objects* do not: the
+    // image holds five per present record, plus one object per redo log
+    // beyond the setup's (at most one per worker).
     let total_keys = (NTHREADS * KEYS_PER_THREAD) as u64;
     assert!(present <= total_keys);
-    let expected_records = full - (total_keys - present) * rec_blocks;
-    let slab_slack = NTHREADS as u64;
+    let expected = full - (total_keys - present) * rec_objects;
     assert!(
-        report.live_blocks + slab_slack >= expected_records,
-        "crash point {point}: lost blocks ({} live, ~{expected_records} expected for {present} records)",
-        report.live_blocks
-    );
-    assert!(
-        report.live_blocks <= expected_records + (NTHREADS as u64 - 1) * log_blocks + slab_slack,
-        "crash point {point}: leaked blocks ({} live, ~{expected_records} expected for {present} records)",
-        report.live_blocks
+        (expected..expected + NTHREADS as u64).contains(&report.live_objects),
+        "crash point {point}: {} live objects, {expected} expected for {present} records \
+         plus up to {} more redo logs",
+        report.live_objects,
+        NTHREADS - 1
     );
     // Block accounting, pass 2 — exact. Drain every surviving record, crash
     // again, and require the footprint to return to the drained baseline
@@ -427,7 +430,7 @@ fn grid_churn_survives_concurrent_crash_sweep() {
     // One redo log's footprint, measured on the bank pool: the log layout
     // depends only on the (shared, default) heap geometry.
     let (_, log_blocks) = bank_baselines();
-    let (full, rec_blocks, drained) = grid_baselines();
+    let (full, rec_objects, drained) = grid_baselines();
     let total = torture_count(NTHREADS, grid_setup, grid_workload);
     assert!(total > 0, "grid workload performed no persistence ops");
     let summary = torture_sweep(
@@ -436,7 +439,7 @@ fn grid_churn_survives_concurrent_crash_sweep() {
         NTHREADS,
         grid_setup,
         grid_workload,
-        |pmem, outcome| grid_verify(full, rec_blocks, drained, log_blocks, pmem, outcome),
+        |pmem, outcome| grid_verify(full, rec_objects, drained, log_blocks, pmem, outcome),
     );
     assert!(
         summary.points_injected > 0,
@@ -450,7 +453,7 @@ fn grid_churn_survives_concurrent_crash_sweep() {
 fn grid_churn_survives_exhaustive_randomized_torture() {
     silence_crash_panics();
     let (_, log_blocks) = bank_baselines();
-    let (full, rec_blocks, drained) = grid_baselines();
+    let (full, rec_objects, drained) = grid_baselines();
     let total = torture_count(NTHREADS, grid_setup, grid_workload);
     for seed in 0..2u64 {
         let plan = FaultPlan::count().with_policy(CrashPolicy::adversarial(seed));
@@ -460,7 +463,7 @@ fn grid_churn_survives_exhaustive_randomized_torture() {
             NTHREADS,
             grid_setup,
             grid_workload,
-            |pmem, outcome| grid_verify(full, rec_blocks, drained, log_blocks, pmem, outcome),
+            |pmem, outcome| grid_verify(full, rec_objects, drained, log_blocks, pmem, outcome),
         );
         assert!(summary.points_injected > 0, "seed {seed}: nothing injected");
     }

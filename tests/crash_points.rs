@@ -25,7 +25,7 @@ use jnvm_repro::jnvm::{
 };
 use jnvm_repro::jpdt::{register_jpdt, PByteArray, PBytes, PI64SkipMap, PRefArray};
 use jnvm_repro::kvstore::{
-    register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend, Record,
+    commit_writes, register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend, Record, WriteOp,
 };
 use jnvm_repro::pmem::{
     catch_crash, silence_crash_panics, CrashPolicy, FaultOp, FaultPlan, Pmem, PmemConfig,
@@ -1004,6 +1004,167 @@ fn grown_chains_recover_equivalently_at_every_crash_point() {
         let plan = FaultPlan::count();
         let summary = faultsim::sweep_all(plan, grow_setup, grow_workload, verify);
         assert!(summary.points_crashed > 0, "{mode:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Workload 7: one commit group over records that live in pool slots — a SET
+// of a new key, a SETF and a DEL. The map entries, keys, records and blobs
+// are all pooled, so the group's ALLOC, WRITE and FREE entries land in
+// slots that share blocks and lines with each other.
+// ---------------------------------------------------------------------------
+
+/// Map shards of the backend under test.
+const POOLED_SHARDS: usize = 4;
+/// The key the group inserts.
+const POOLED_NEW: &str = "fresh";
+
+/// A two-field record of 16-byte values: its entry, key, record and blobs
+/// each fit a pool slot.
+fn pooled_record(key: &str, fill: u8) -> Record {
+    Record::ycsb(key, &[vec![fill; 16], vec![fill + 1; 16]])
+}
+
+/// The key the group deletes: on another map shard than [`POOLED_NEW`], so
+/// that the SET and the DEL share one group.
+fn pooled_gone() -> String {
+    let shard = |k: &str| jnvm_repro::kvstore::shard_for_key(k, POOLED_SHARDS);
+    let key = (0..)
+        .map(|i| format!("gone{i}"))
+        .find(|k| shard(k) != shard(POOLED_NEW));
+    key.expect("a key on another shard")
+}
+
+struct PooledCtx {
+    _rt: Jnvm,
+    be: Arc<JnvmBackend>,
+    grid: DataGrid,
+}
+
+/// Small fresh pool whose backend holds `keep` and the key to delete, the
+/// log created by a warm-up SETF.
+fn pooled_setup() -> (Arc<Pmem>, PooledCtx) {
+    let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
+    let rt = register_kvstore(JnvmBuilder::new())
+        .create(Arc::clone(&pmem), HeapConfig::default())
+        .expect("pool");
+    let be = Arc::new(JnvmBackend::create(&rt, POOLED_SHARDS, true).expect("backend"));
+    let grid = DataGrid::new(
+        Arc::clone(&be) as Arc<dyn Backend>,
+        GridConfig { cache_capacity: 0 },
+    );
+    for (key, fill) in [("keep", 0x10), (pooled_gone().as_str(), 0x20)] {
+        assert!(grid.insert(&pooled_record(key, fill)));
+    }
+    let warm = WriteOp::SetField {
+        key: "keep".into(),
+        field: 1,
+        value: vec![0x11; 16],
+    };
+    assert!(commit_writes(&grid, &be, &[warm]).results[0]);
+    pmem.psync();
+    (pmem, PooledCtx { _rt: rt, be, grid })
+}
+
+fn pooled_workload(ctx: &PooledCtx) {
+    let ops = [
+        WriteOp::Set(pooled_record(POOLED_NEW, 0x30)),
+        WriteOp::SetField {
+            key: "keep".into(),
+            field: 0,
+            value: vec![0x40; 16],
+        },
+        WriteOp::Del(pooled_gone()),
+    ];
+    let out = commit_writes(&ctx.grid, &ctx.be, &ops);
+    assert_eq!((out.results, out.groups), (vec![true; 3], 1));
+}
+
+/// Reopen under `mode`: `Some(is it the image after the group)`, or `None`
+/// for any other image, and the recovery report.
+fn pooled_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Option<bool>, RecoveryReport) {
+    let (rt, report) = register_kvstore(JnvmBuilder::new())
+        .open_with_options(Arc::clone(pmem), RecoveryOptions::with_mode(mode))
+        .expect("recovery");
+    let be = JnvmBackend::open(&rt, true).expect("backend");
+    let keep = be.read("keep").expect("keep survives").fields[0].1.clone();
+    let fresh = be.read(POOLED_NEW);
+    let gone = be.read(&pooled_gone());
+    let before = keep == [0x10; 16] && fresh.is_none() && gone.is_some();
+    let after =
+        keep == [0x40; 16] && fresh == Some(pooled_record(POOLED_NEW, 0x30)) && gone.is_none();
+    ((before || after).then_some(after), report)
+}
+
+/// Every crash point of the group, strict power failures and 8 adversarial
+/// eviction seeds, under `Full` and `HeaderScanOnly` recovery: the pool
+/// recovers to the image before the group or the one after it, with that
+/// image's exact live-object count — except that `HeaderScanOnly` keeps a
+/// freed object whose invalidation a crash lost (it follows the retire
+/// fence and is not fenced itself; ROADMAP's "`HeaderScanOnly` leak"), so
+/// past the group its count lies between the images' with and without the
+/// group's six frees.
+#[test]
+fn pooled_records_recover_to_either_image_at_every_crash_point() {
+    silence_crash_panics();
+    for mode in [RecoveryMode::Full, RecoveryMode::HeaderScanOnly] {
+        let baseline = |run: bool, settle: bool| {
+            let (pmem, ctx) = pooled_setup();
+            if run {
+                pooled_workload(&ctx);
+            }
+            if settle {
+                pmem.psync();
+            }
+            drop(ctx);
+            pmem.crash(&CrashPolicy::strict()).expect("crash");
+            let (image, report) = pooled_observe(&pmem, mode);
+            (image, report.live_objects)
+        };
+        let before = baseline(false, false);
+        let (after, lost) = (baseline(true, true), baseline(true, false));
+        assert_eq!(
+            (before.0, after.0, lost.0),
+            (Some(false), Some(true), Some(true))
+        );
+        let leaked = lost.1 - after.1;
+        match mode {
+            RecoveryMode::Full => assert_eq!(leaked, 0),
+            RecoveryMode::HeaderScanOnly => assert_eq!(leaked, 6, "the group's frees"),
+        }
+        assert_eq!(
+            after.1, before.1,
+            "{mode:?}: 5 objects in, 5 out, one blob swapped"
+        );
+        let policies =
+            std::iter::once(CrashPolicy::strict()).chain((0..8).map(CrashPolicy::adversarial));
+        for policy in policies {
+            let seen = std::cell::RefCell::new([0usize; 2]);
+            let verify = |pmem: &Arc<Pmem>, report: &faultsim::CrashReport| {
+                let (image, recovered) = pooled_observe(pmem, mode);
+                let point = report.point;
+                let live = recovered.live_objects;
+                if let Some(after) = image {
+                    seen.borrow_mut()[after as usize] += 1;
+                }
+                match image {
+                    Some(false) => assert_eq!(live, before.1, "{mode:?}, point {point}: before"),
+                    Some(true) => assert!(
+                        (after.1..=lost.1).contains(&live),
+                        "{mode:?}, point {point}: after, {live} live objects"
+                    ),
+                    None => panic!("{mode:?}, point {point}: neither image"),
+                }
+            };
+            let plan = FaultPlan::count().with_policy(policy);
+            let summary = faultsim::sweep_all(plan, pooled_setup, pooled_workload, verify);
+            let [befores, afters] = *seen.borrow();
+            assert_eq!(summary.points_crashed, befores + afters, "{mode:?}");
+            assert!(
+                befores > 0 && afters > 0,
+                "{mode:?}: both sides of the commit point"
+            );
+        }
     }
 }
 

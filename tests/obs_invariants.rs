@@ -491,13 +491,15 @@ fn log_mode_sites_per_op_are_pinned() {
     assert_eq!(points, 3 * OPS, "ordering points per rmw");
     assert_eq!(spans - points, 2 * OPS, "begin/end spans per rmw");
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fence hooks per rmw");
-    // 7.3 per rmw; 32 012 (8.3) while the log's entries shared the flag's
-    // line, written back in step 1 and again at the commit point; 83 852
-    // (21.8) while every redirected write built, flushed and applied a whole
-    // in-flight block copy, the fresh blob was flushed by its constructor
-    // *and* by the commit, and the flag and length words of one line were
-    // written back separately.
-    assert_eq!(d.pwbs, 28_166, "pwb hooks over {OPS} rmws");
+    // 7.3 per rmw; 28 166 while the records took whole blocks and the
+    // blobs alone filled the pool slots (a fresh blob's slot spans one line
+    // or two, depending on where it lies); 32 012 (8.3) while the log's
+    // entries shared the flag's line, written back in step 1 and again at
+    // the commit point; 83 852 (21.8) while every redirected write built,
+    // flushed and applied a whole in-flight block copy, the fresh blob was
+    // flushed by its constructor *and* by the commit, and the flag and
+    // length words of one line were written back separately.
+    assert_eq!(d.pwbs, 28_127, "pwb hooks over {OPS} rmws");
 }
 
 // ---------------------------------------------------------------------------
@@ -548,10 +550,14 @@ fn setf(key: usize, field: usize, fill: u8) -> WriteOp {
 
 /// What one 100-byte `SETF` moves on the device, exactly: the redo log
 /// carries the 8-byte reference the op changes, not the record's block,
-/// and the commit applies it from DRAM. 248 bytes (52 read: the lookup's
-/// 4 words, `nfields`, the old reference, the freed slot's 4-byte class),
-/// 8 or 9 `pwb`s (the new blob's pool slot covers 2 or 3 lines), 4 fences
-/// — 288 bytes (92 read) while the array's length was re-read per cell,
+/// and the commit applies it from DRAM. 228 bytes (32 read: the lookup's
+/// 2 words — the cell and the entry's value reference —, `nfields` and the
+/// old reference), 8 or 9 `pwb`s (the new blob's pool slot covers 2 or 3
+/// lines; 1 in 64 blobs spans 3, 1 in 2 while the records took whole blocks
+/// and the blobs alone filled the slots), 4 fences — 248 bytes (52 read)
+/// while the lookup also read the entry's and the record's master headers
+/// and a free read its slot's 4-byte class from the pool block's meta word;
+/// 288 bytes (92 read) while the array's length was re-read per cell,
 /// `Proxy::open` read the master header twice, the apply read back the
 /// blob's header to validate it and the free the slot's mini-header to
 /// clear it; 368 bytes and 9 or 10 `pwb`s while the commit read its own
@@ -576,12 +582,12 @@ fn setf_device_cost_per_op_is_pinned() {
     }
     let d = pool.device_stats().delta(&before);
     print_cost_row("SETF (100 B of 10 x 100 B)", OPS, &d);
-    assert_eq!(d.bytes_read, 52 * OPS, "device bytes read per SETF");
+    assert_eq!(d.bytes_read, 32 * OPS, "device bytes read per SETF");
     assert_eq!(d.bytes_written, 196 * OPS, "device bytes written per SETF");
     assert_eq!(
         d.pwbs,
-        8 * OPS + 32,
-        "pwbs per SETF (half the blobs span 3 lines)"
+        8 * OPS + 1,
+        "pwbs per SETF (one blob spans 3 lines)"
     );
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fences per group of one");
 }
@@ -627,8 +633,14 @@ fn assert_cost(op: &str, d: &StatsSnapshot, pinned: (u64, u64, u64)) {
 /// What a `SET` of a new key moves on the device, held like `SETF`'s row:
 /// totals over 64 ops, because a pool block or a map cell carved every few
 /// ops makes the per-op figure fractional. Bump-fed, a 10 × 100 B record
-/// costs 0 B read, ≈1 691 B written and 47.5 `pwb`s, a 4 × 64 B one 0 B,
-/// ≈630 B and 22.8 — 144 B and 96 B read while the apply read back every
+/// costs 0 B read, ≈1 711 B written and 48.8 `pwb`s, a 4 × 64 B one 0 B,
+/// ≈648 B and 23.8; recycling, the same bytes as before the entry and the
+/// record moved into pool slots, 43.0 and 22.2 `pwb`s. Carving the slots'
+/// pool blocks costs the bump-fed `SET` ≈19 B (a pool header, meta word and
+/// cleared mini-headers every few ops), and a slot that straddles a line
+/// ≈1 `pwb` more (≈1 691 B, 47.5 and ≈630 B, 22.8 — 42.3 and 21.3
+/// recycling — while each took a whole block); 144 B and 96 B read while
+/// the apply read back every
 /// header the block had written to validate it (8 B per object), the proxy
 /// and the commit re-walked the chains the allocator had just linked and
 /// the map re-read its array's length; while the commit read its log back,
@@ -642,30 +654,35 @@ fn set_device_cost_per_op_is_pinned() {
     assert_cost(
         "SET new key (4 x 64 B), bump-fed",
         &fresh,
-        (0, 40_296, 1_462),
+        (0, 41_496, 1_524),
     );
     assert_cost(
         "SET new key (4 x 64 B), recycling",
         &again,
-        (0, 36_928, 1_366),
+        (0, 36_928, 1_422),
     );
     let [fresh, _, again] = structural_costs(10, 100);
     assert_cost(
         "SET new key (10 x 100 B), bump-fed",
         &fresh,
-        (0, 108_200, 3_040),
+        (0, 109_496, 3_124),
     );
     assert_cost(
         "SET new key (10 x 100 B), recycling",
         &again,
-        (0, 99_904, 2_710),
+        (0, 99_904, 2_755),
     );
 }
 
 /// What a `DEL` moves on the device: the map's unlink, one one-word FREE
 /// entry per blob and for the record, and their invalidations behind the
-/// retire fence — 116 B read, 160 B written and 12 `pwb`s for 4 × 64 B,
-/// 188 B, 256 B and 18 for 10 × 100 B (204 and 324 B read while the array's
+/// retire fence — 64 B read, 160 B written and 12 `pwb`s for 4 × 64 B,
+/// 112 B, 256 B and 18 for 10 × 100 B. What it reads is the lookup's cell
+/// and value reference, the record's `nfields` and references, and the
+/// entry's key reference: no header, no pool meta word (116 and 188 B read
+/// while the entry and the record took whole blocks, whose master headers
+/// `Proxy::open` and each free read, and a pooled free read its slot's
+/// class from the meta word; 204 and 324 B while the array's
 /// length was re-read per cell, `Proxy::open` and every block free read the
 /// master header twice and a pooled free read the mini-header it clears;
 /// 340 / 224 / 13 and 556 / 368 / 20 with the log read back and two-word
@@ -674,22 +691,24 @@ fn set_device_cost_per_op_is_pinned() {
 fn del_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     let [_, del, _] = structural_costs(4, 64);
-    assert_cost("DEL (4 x 64 B)", &del, (7_424, 10_240, 768));
+    assert_cost("DEL (4 x 64 B)", &del, (4_096, 10_240, 768));
     let [_, del, _] = structural_costs(10, 100);
-    assert_cost("DEL (10 x 100 B)", &del, (12_032, 16_384, 1_152));
+    assert_cost("DEL (10 x 100 B)", &del, (7_168, 16_384, 1_152));
 }
 
 /// What one `GET` moves on the device, exactly, whichever sink serves it:
-/// the map lookup's reads (the cell, the entry's master header, its value
-/// reference, the record's master header), then the record's `nfields`
-/// word and its reference array (2 reads), then a length word and the
-/// content per field (2 each) — 26 reads and 1 200 bytes for 10 × 100 B
-/// behind a 4-read lookup (the benchmark's shape: `ycsb_c`'s 1.200 device
-/// bytes per user byte), 14 reads and 360 bytes for 4 × 64 B — and nothing
-/// written, flushed or fenced. It was 29 reads / 1 224 B and 17 / 384 B
-/// behind a 7-read lookup while the array's length was re-read per cell
-/// and `Proxy::open` read each master header twice, and 48 reads and
-/// 1 304 bytes while every field re-read `nfields` and its own length.
+/// the map lookup's reads (the cell and the entry's value reference: the
+/// entry and the record are pool slots, whose proxies read no header),
+/// then the record's `nfields` word and its reference array (2 reads), then
+/// a length word and the content per field (2 each) — 24 reads and 1 184
+/// bytes for 10 × 100 B behind a 2-read lookup (the benchmark's shape), 12
+/// reads and 344 bytes for 4 × 64 B — and nothing written, flushed or
+/// fenced. It was 26 reads / 1 200 B and 14 / 360 B behind a 4-read lookup
+/// while the entry and the record took whole blocks and a proxy read each
+/// one's master header; 29 reads / 1 224 B and 17 / 384 B behind a 7-read
+/// lookup while the array's length was re-read per cell and `Proxy::open`
+/// read each master header twice, and 48 reads and 1 304 bytes while every
+/// field re-read `nfields` and its own length.
 #[test]
 fn get_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
@@ -709,14 +728,14 @@ fn get_device_cost_per_op_is_pinned() {
         d
     };
     let rows = [
-        ("GET (10 x 100 B)", "user0007", 10, (26, 1200)),
-        ("GET (4 x 64 B)", "small", 4, (14, 360)),
+        ("GET (10 x 100 B)", "user0007", 10, (24, 1184)),
+        ("GET (4 x 64 B)", "small", 4, (12, 344)),
     ];
     for (op, key, fields, pinned) in rows {
         // The proxy touch stops at each field's length word: what is left
         // of it without the 2 + 1 per field is the lookup.
         let touch = cost(&|| assert!(shard.grid.read_touch(key))).reads;
-        assert_eq!(touch - 2 - fields, 4, "map lookup reads for {key}");
+        assert_eq!(touch - 2 - fields, 2, "map lookup reads for {key}");
         // One more read per field, for its content.
         assert_eq!(pinned.0, touch + fields, "device reads of {key}");
         let read = cost(&|| assert!(shard.grid.read(key).is_some()));
@@ -744,15 +763,16 @@ fn setf_device_cost_per_group_size_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     const OPS: usize = 64;
     // (ops per group, device bytes read, bytes written, pwbs, fences) of
-    // 64 ops: 248 B and 8.5 pwbs per op alone, 236 B and 7.0 in pairs,
-    // 227 B and 6.3 in eights (288, 276 and 267 B with 92 B read per op
-    // instead of 52 — see `setf_device_cost_per_op_is_pinned`; 368 / 9.5,
-    // 356 / 8.0 and 347 / 6.7 with the log read back, two-word heads and
-    // entries on the flag's line).
+    // 64 ops: 228 B and 8.0 pwbs per op alone, 216 B and 6.5 in pairs,
+    // 207 B and 5.9 in eights (248 / 8.5, 236 / 7.0 and 227 / 6.3 with 52 B
+    // read per op instead of 32 and the blobs alone in the pool slots — see
+    // `setf_device_cost_per_op_is_pinned`; 288, 276 and 267 B with 92 B
+    // read; 368 / 9.5, 356 / 8.0 and 347 / 6.7 with the log read back,
+    // two-word heads and entries on the flag's line).
     let pinned = [
-        (1, 52 * 64, 196 * 64, 544, 4 * 64),
-        (2, 52 * 64, 184 * 64, 447, 4 * 32),
-        (8, 52 * 64, 175 * 64, 404, 4 * 8),
+        (1, 32 * 64, 196 * 64, 513, 4 * 64),
+        (2, 32 * 64, 184 * 64, 416, 4 * 32),
+        (8, 32 * 64, 175 * 64, 376, 4 * 8),
     ];
     for (batch, bytes_read, bytes_written, pwbs, fences) in pinned {
         let pool = preloaded_cluster(PmemConfig::crash_sim(32 << 20));
@@ -773,6 +793,53 @@ fn setf_device_cost_per_group_size_is_pinned() {
             (bytes_read, bytes_written, pwbs, fences),
             "device bytes read, bytes written, pwbs and fences of {OPS} SETFs in groups of {batch}"
         );
+    }
+}
+
+/// What a stored record costs in heap blocks: 1 000 `SET`s of new keys,
+/// in groups of 8, on a fresh one-pool cluster, and the blocks the heap
+/// handed out over them, net of those it took back — the record, its
+/// blobs, its map entry and key, and its share of map-array growth, pool
+/// blocks and the log. `BLOCKS` per 1 000 records of 4 × 64 B and of
+/// 10 × 100 B: 1.90 and 5.74 blocks a record, since the map entry (16 B of
+/// payload) and the record (40 B and 88 B) are pool slots; 3.47 and 7.14
+/// (3 471 and 7 137) while each took a whole 256-B block. (The
+/// `device_cost_per_op` in the name puts its rows in CI's device-cost
+/// summary.)
+#[test]
+fn footprint_device_cost_per_op_is_pinned() {
+    let _g = obs_lock(); // device ops feed the process-global obs counters
+    const RECORDS: usize = 1_000;
+    const BLOCKS: [(usize, usize, u64); 2] = [(4, 64, 1_904), (10, 100, 5_737)];
+    for (fields, size, pinned) in BLOCKS {
+        let pool = Cluster::create(1, 1, 16, PmemConfig::crash_sim(32 << 20), true).expect("pool");
+        let shard = pool.kv(0).shard(0);
+        let heap = shard.rt.heap();
+        let before = heap.stats();
+        let sets: Vec<WriteOp> = (0..RECORDS)
+            .map(|i| {
+                WriteOp::Set(Record::ycsb(
+                    &format!("key{i:05}"),
+                    &vec![vec![7u8; size]; fields],
+                ))
+            })
+            .collect();
+        for group in sets.chunks(8) {
+            assert!(commit_writes(&shard.grid, &shard.be, group)
+                .results
+                .iter()
+                .all(|ok| *ok));
+        }
+        let after = heap.stats();
+        let blocks = (after.blocks_allocated - before.blocks_allocated)
+            - (after.blocks_freed - before.blocks_freed);
+        let label = format!("{RECORDS} SETs of {fields} x {size} B");
+        println!(
+            "device-cost | footprint | {label} | {:.3} heap blocks per record | {} free pool slots",
+            blocks as f64 / RECORDS as f64,
+            shard.rt.pools().free_slots(),
+        );
+        assert_eq!(blocks, pinned, "heap blocks held after {label}");
     }
 }
 
