@@ -11,14 +11,16 @@
 //!                        [--conns 4] [--ops 120]
 //! ```
 //!
-//! The `lincheck` subcommand drives the kill-during-traffic torture at
-//! strided crash points; each run captures every client's
+//! The `lincheck` subcommand is the kill-during-traffic sweep: it drives
+//! the server torture at `faultsim::strided_points` over the crash
+//! replica's counted op space; each run captures every client's
 //! invocation/response-stamped op history, reopens the surviving
 //! replicas, appends the recovered state as post-recovery reads, and
 //! checks the whole thing with the per-key Wing–Gong verifier
-//! (`jnvm-lincheck`). The first non-linearizable history stops the sweep
-//! and prints its minimized witness — the shortest per-key subsequence
-//! that fails — then exits 1.
+//! (`jnvm-lincheck`), plus the failover divergence audit after a primary
+//! kill. The first failing point stops the sweep and prints its minimized
+//! witness — the shortest per-key subsequence that fails — then exits 1.
+//! A sweep in which no point fired exits 1 too: it checked nothing.
 //!
 //! The `timeline` subcommand runs a concurrent failure-atomic KV churn on
 //! a CrashSim device with the Optane-like latency profile, arms a power
@@ -38,7 +40,7 @@
 use std::sync::Arc;
 
 use jnvm::JnvmBuilder;
-use jnvm_faultsim::{torture_point, TortureOutcome};
+use jnvm_faultsim::{strided_points, torture_point, TortureOutcome};
 use jnvm_kvstore::{register_kvstore, DataGrid, Record};
 use jnvm_pmem::{silence_crash_panics, FaultPlan, LatencyProfile, Pmem, PmemConfig};
 use jnvm_server::{Args, Cluster};
@@ -179,7 +181,7 @@ fn timeline(args: &Args) {
 
 /// Sweep strided crash points through kill-during-traffic and hold every
 /// run to durable linearizability. Exits 1 on the first violation, with
-/// the checker's minimized witness on stderr.
+/// the checker's minimized witness on stderr, and when no point fired.
 fn lincheck(args: &Args) {
     use jnvm_server::{
         kill_during_traffic, traffic_op_count, LoadgenConfig, ServerConfig, TortureConfig,
@@ -202,26 +204,33 @@ fn lincheck(args: &Args) {
         recovery_threads: args.get_or("recovery-threads", 2),
         server: ServerConfig::default(),
     };
-    let points = args.get_or("points", 12u64);
     let total = traffic_op_count(&cfg).unwrap_or_else(|e| Args::usage_error(&e));
+    let points = strided_points(total, args.get_or("points", 12u64));
     println!(
-        "lincheck sweep: {} shard(s) x {} replica(s), seed {}, op space ~{total}, {points} points",
-        cfg.pool_shards, cfg.replicas, cfg.load.seed
+        "lincheck sweep: {} shard(s) x {} replica(s), seed {}, op space ~{total}, {} points",
+        cfg.pool_shards,
+        cfg.replicas,
+        cfg.load.seed,
+        points.len()
     );
     let mut checked_keys = 0u64;
     let mut checked_events = 0u64;
     let mut injected = 0u64;
-    for k in 0..points {
-        let point = 1 + k * total.max(1) / points.max(1);
+    for &point in &points {
         match kill_during_traffic(point, &cfg) {
             Ok(r) => {
                 checked_keys += r.lincheck_keys;
                 checked_events += r.lincheck_events;
                 injected += u64::from(r.injected);
                 println!(
-                    "point {point}: linearizable ({} keys, {} events, acked={}, \
-                     promotions={})",
-                    r.lincheck_keys, r.lincheck_events, r.acked_writes, r.promotions
+                    "point {point}: linearizable ({} keys, {} events, injected={}, acked={}, \
+                     promotions={}, divergent={})",
+                    r.lincheck_keys,
+                    r.lincheck_events,
+                    r.injected,
+                    r.acked_writes,
+                    r.promotions,
+                    r.divergent_keys
                 );
             }
             Err(e) => {
@@ -230,9 +239,14 @@ fn lincheck(args: &Args) {
             }
         }
     }
+    if injected == 0 {
+        eprintln!("verdict: no crash point fired — the sweep checked nothing");
+        std::process::exit(1);
+    }
     println!(
-        "verdict: durably linearizable — {points} crash points ({injected} fired), \
-         {checked_keys} key partitions, {checked_events} events"
+        "verdict: durably linearizable — {} crash points ({injected} fired), \
+         {checked_keys} key partitions, {checked_events} events",
+        points.len()
     );
 }
 

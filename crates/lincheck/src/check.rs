@@ -19,8 +19,14 @@
 //! Wing–Gong: pick any operation that *may* linearize first — one whose
 //! invocation precedes every other remaining operation's response — apply
 //! it to the specification state, recurse on the rest; backtrack on
-//! failure. Two refinements:
+//! failure. Three refinements:
 //!
+//! * **Session order** (DESIGN.md §8): on one key, an op may not go first
+//!   while an earlier determinate op of its client remains, however the
+//!   intervals overlap. An indeterminate op orders nothing: a write
+//!   answered `Err` at a failover may land on the promoted backup after a
+//!   later read the crashed primary served. Ops of different clients keep
+//!   the real-time-only rule.
 //! * **Indeterminate operations** (in flight at the crash, or answered
 //!   with an error) branch twice when chosen: *linearize* (apply the
 //!   transition, ignore the unobserved result) or *vanish* (drop the op
@@ -30,7 +36,8 @@
 //!   none), so deferring the vanish decision loses no interleavings.
 //! * **Memoization** on `(remaining-set, spec state)`: two search paths
 //!   that linearized different prefixes into the same state and the same
-//!   remaining set have identical futures, so the second is pruned. This
+//!   remaining set have identical futures (session order, too, is a
+//!   function of the remaining set), so the second is pruned. This
 //!   is what keeps the worst case at `O(2^n · states)` per key instead of
 //!   `n!`.
 //!
@@ -140,12 +147,23 @@ pub fn linearizable(events: &[&Event]) -> bool {
     } else {
         (1u128 << events.len()) - 1
     };
+    // Session order: the mask of each op's determinate same-client predecessors.
+    let before = |e: &Event, o: &Event| o.client == e.client && o.seq < e.seq && o.determinate();
+    let earlier: Vec<u128> = events
+        .iter()
+        .map(|e| {
+            (0..events.len())
+                .filter(|&j| before(e, events[j]))
+                .fold(0, |m, j| m | 1 << j)
+        })
+        .collect();
     let mut memo: HashSet<(u128, Option<FieldVals>)> = HashSet::new();
-    search(events, None, full, &mut memo)
+    search(events, &earlier, None, full, &mut memo)
 }
 
 fn search(
     events: &[&Event],
+    earlier: &[u128],
     state: Option<FieldVals>,
     remaining: u128,
     memo: &mut HashSet<(u128, Option<FieldVals>)>,
@@ -179,13 +197,13 @@ fn search(
         }
         let e = events[i];
         let bound = if i == min1_idx { min2 } else { min1 };
-        if e.inv > bound {
-            continue; // some other remaining op finished before e began
+        if e.inv > bound || remaining & earlier[i] != 0 {
+            continue; // another op finished before e began, or its client's earlier op remains
         }
         let rest = remaining & !(1 << i);
         if e.determinate() {
             if let Some(next) = apply_checked(&state, e) {
-                if search(events, next, rest, memo) {
+                if search(events, earlier, next, rest, memo) {
                     return true;
                 }
             }
@@ -193,11 +211,11 @@ fn search(
             // Branch 1: the op took effect (result unobserved, so only
             // the state transition matters).
             let next = apply_free(&state, &e.kind);
-            if search(events, next, rest, memo) {
+            if search(events, earlier, next, rest, memo) {
                 return true;
             }
             // Branch 2: the op vanished at the crash.
-            if search(events, state.clone(), rest, memo) {
+            if search(events, earlier, state.clone(), rest, memo) {
                 return true;
             }
         }
@@ -238,7 +256,7 @@ fn apply_checked(state: &Option<FieldVals>, e: &Event) -> Option<Option<FieldVal
 }
 
 /// The state transition of an op whose result went unobserved.
-fn apply_free(state: &Option<FieldVals>, kind: &OpKind) -> Option<FieldVals> {
+pub(crate) fn apply_free(state: &Option<FieldVals>, kind: &OpKind) -> Option<FieldVals> {
     match kind {
         OpKind::Get => state.clone(),
         OpKind::Set(v) => Some(v.clone()),
@@ -575,6 +593,82 @@ mod tests {
         );
         let v = check(&h).expect_err("acked SETF lost");
         assert_one_minimal(&v.witness);
+    }
+
+    // ------------------------------------------------------ session order
+
+    /// Client 0's acked `SET` of `k`, overlapped by a second op on `k` that
+    /// `client` pipelined behind it: (a) a `SETF` answered NotFound, (b) a
+    /// `GET` answered NotFound, (c) a second acked `SET`, with the first
+    /// value observed after the crash.
+    fn overlaps(client: usize) -> [History; 3] {
+        let set = |v: &str| ev(0, 0, "k", OpKind::Set(val(v)), Outcome::Ok, 0, Some(3));
+        let second = |kind, outcome, res| ev(client, 1, "k", kind, outcome, 1, Some(res));
+        [
+            history(
+                vec![set("v"), second(OpKind::SetField(0, b"x".to_vec()), Outcome::NotFound, 2)],
+                None,
+            ),
+            history(vec![set("v"), second(OpKind::Get, Outcome::NotFound, 4)], None),
+            history(
+                vec![
+                    set("v1"),
+                    second(OpKind::Set(val("v2")), Outcome::Ok, 4),
+                    ev(usize::MAX, 0, "k", OpKind::Get, Outcome::Value(val("v1")), 11, Some(12)),
+                ],
+                Some(10),
+            ),
+        ]
+    }
+
+    #[test]
+    fn setf_overtaking_its_own_clients_set_is_rejected() {
+        let v = check(&overlaps(0)[0]).expect_err("SETF found nothing behind its own acked SET");
+        let tags: Vec<_> = v.witness.iter().map(|e| (e.kind.tag(), &e.outcome)).collect();
+        assert_eq!(tags, [("SET", &Outcome::Ok), ("SETF", &Outcome::NotFound)]);
+        assert_one_minimal(&v.witness);
+    }
+
+    #[test]
+    fn get_overtaking_its_own_clients_set_is_rejected() {
+        let v = check(&overlaps(0)[1]).expect_err("GET found nothing behind its own acked SET");
+        let tags: Vec<_> = v.witness.iter().map(|e| (e.kind.tag(), &e.outcome)).collect();
+        assert_eq!(tags, [("SET", &Outcome::Ok), ("GET", &Outcome::NotFound)]);
+        assert_one_minimal(&v.witness);
+    }
+
+    #[test]
+    fn one_clients_pipelined_sets_take_effect_in_request_order() {
+        let v = check(&overlaps(0)[2]).expect_err("v2 was set after v1, so v1 cannot survive");
+        // Dropping either SET leaves a read of v1 that nothing explains, so
+        // the 1-minimal core is the observation alone.
+        assert_eq!(v.witness.len(), 1);
+        assert_eq!(v.witness[0].client, usize::MAX);
+        assert_eq!(v.witness[0].outcome, Outcome::Value(val("v1")));
+        assert_one_minimal(&v.witness);
+    }
+
+    #[test]
+    fn an_errored_write_orders_nothing_after_it() {
+        // The failover window: the SET's group reached the backup before
+        // the primary crashed, so it answered Err and surfaced at
+        // promotion — after the GET the crashed primary answered.
+        let h = history(
+            vec![
+                ev(0, 0, "k", OpKind::Set(val("v")), Outcome::Indeterminate, 0, Some(3)),
+                ev(0, 1, "k", OpKind::Get, Outcome::NotFound, 1, Some(4)),
+                ev(usize::MAX, 0, "k", OpKind::Get, Outcome::Value(val("v")), 11, Some(12)),
+            ],
+            Some(10),
+        );
+        check(&h).expect("an Err'd write may take effect after its client's later read");
+    }
+
+    #[test]
+    fn the_same_overlaps_from_two_clients_are_concurrent() {
+        for (shape, h) in overlaps(1).iter().enumerate() {
+            check(h).unwrap_or_else(|v| panic!("shape {shape}: {v}"));
+        }
     }
 
     // --------------------------------------------------------- plumbing

@@ -1,11 +1,10 @@
 //! # jnvm-lincheck — durable linearizability for the KV torture suites
 //!
-//! Every torture so far verifies *per-key* safety: acked ⇒ durable,
-//! untorn records, allowed-states windows. None of them verifies that the
-//! concurrent client histories are actually **linearizable** — that there
-//! exists one sequential order of all operations, consistent with
-//! real-time order and with every observed result. This crate closes that
-//! gap with two pieces:
+//! The one correctness oracle the KV tortures hold a run to: the
+//! concurrent client history must be **linearizable** — there exists one
+//! sequential order of all operations, consistent with real-time order,
+//! with each client's per-key order, and with every observed result. Two
+//! pieces:
 //!
 //! 1. **History capture** ([`Clock`], [`ClientRecorder`], [`History`]):
 //!    invocation/response-timestamped op events, recorded lock-free per
@@ -41,12 +40,13 @@
 //!   reject histories whose "post-recovery" observations were recorded
 //!   before the crash mark.
 //!
-//! What this convicts that the allowed-states windows cannot: a read that
-//! served a value which was later *not* the one made durable (dirty
-//! read), a read that travelled backwards in a key's history (stale
-//! read), and any cross-key ordering inversion — by locality, an
-//! inversion always surfaces as some single key whose subhistory has no
-//! valid linearization.
+//! What this convicts: an acked write lost or a record torn by the crash;
+//! a read of a value that was never made durable (dirty read) or that a
+//! later write had replaced (stale read); one client's op that took
+//! effect ahead of its own earlier op on the same key (a `SETF` or `GET`
+//! overtaking a pipelined `SET`); and any cross-key ordering inversion —
+//! by locality, an inversion always surfaces as some single key whose
+//! subhistory has no valid linearization.
 
 pub mod check;
 
@@ -109,7 +109,7 @@ pub enum Outcome {
 pub struct Event {
     /// The recording client (connection / worker index).
     pub client: usize,
-    /// The client's own op counter (0-based), for witness reporting.
+    /// The client's own op counter (0-based): its request order.
     pub seq: usize,
     /// Key the op targets.
     pub key: String,
@@ -322,6 +322,26 @@ impl History {
         check(self)
     }
 
+    /// The states `key` passes through under its writes, acked or not,
+    /// folded in `seq` order through the checker's specification: absent
+    /// first, then one state per write. `key` must have a single writer.
+    pub fn prefix_states(&self, key: &str) -> Vec<Option<FieldVals>> {
+        let mut writes: Vec<&Event> = self
+            .events
+            .iter()
+            .filter(|e| e.key == key && e.kind != OpKind::Get)
+            .collect();
+        assert!(
+            writes.windows(2).all(|w| w[0].client == w[1].client),
+            "harness bug: {key} has more than one writer"
+        );
+        writes.sort_by_key(|e| e.seq);
+        writes.iter().fold(vec![None], |mut states, e| {
+            states.push(check::apply_free(&states[states.len() - 1], &e.kind));
+            states
+        })
+    }
+
     /// The distinct keys the history touches, sorted.
     pub fn keys(&self) -> Vec<&str> {
         let mut keys: Vec<&str> = self.events.iter().map(|e| e.key.as_str()).collect();
@@ -452,5 +472,23 @@ mod tests {
             }
         };
         assert_eq!(build(false), build(true));
+    }
+
+    #[test]
+    fn prefix_states_fold_one_writers_ops_in_seq_order() {
+        let clock = Clock::new();
+        let mut r = ClientRecorder::new(&clock, 0);
+        let rec = |f0: &str| vec![f0.as_bytes().to_vec(), b"tail".to_vec()];
+        r.invoke("k", OpKind::Set(rec("a")));
+        r.invoke("k", OpKind::Get);
+        r.invoke("other", OpKind::Del);
+        r.invoke("k", OpKind::SetField(0, b"b".to_vec()));
+        r.invoke("k", OpKind::Del);
+        let h = History::collect(clock, [r]);
+        assert_eq!(
+            h.prefix_states("k"),
+            vec![None, Some(rec("a")), Some(rec("b")), None]
+        );
+        assert_eq!(h.prefix_states("other"), vec![None, None]);
     }
 }

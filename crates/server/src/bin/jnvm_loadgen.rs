@@ -1,7 +1,6 @@
-//! `jnvm-loadgen`: pipelined load generator and kill-during-traffic
-//! driver for `jnvm-server`.
+//! `jnvm-loadgen`: pipelined load generator for `jnvm-server`.
 //!
-//! Three modes:
+//! Two modes:
 //!
 //! ```text
 //! # against an already-running server
@@ -10,16 +9,13 @@
 //! # spin up a server in-process, load it, report acked writes per commit
 //! # group and fences per acked write
 //! jnvm-loadgen --self-host [--shards 1] [--replicas 1] [--conns 4] ...
-//!
-//! # one kill-during-traffic experiment (or a whole sweep)
-//! jnvm-loadgen --kill-at 1234 [--shards 4] [--crash-shard 0]
-//! jnvm-loadgen --kill-sweep 25        # 25 strided points over the op space
 //! ```
 //!
-//! `--shards` opens that many independent pools with one group committer
-//! each; the kill modes arm the crash on `--crash-shard`'s device only,
-//! so the experiment covers the failure-isolation contract: the other
-//! shards must keep acking while one lies dead.
+//! Either way the run's captured history goes through the
+//! durable-linearizability checker (`jnvm-lincheck`): the summary line
+//! carries its verdict, and a violation prints the minimized witness and
+//! exits 1. Against `--addr`, the keys of `--seed` must be this run's
+//! alone. Kill-during-traffic sweeps are `jnvm-faultsim lincheck`.
 //!
 //! `--trace` turns the observability layer on (`JNVM_OBS=log` for the
 //! self-hosted server) and dumps the server's `TRACE` and `METRICS`
@@ -30,8 +26,8 @@ use std::net::{SocketAddr, TcpStream};
 
 use jnvm_pmem::PmemConfig;
 use jnvm_server::{
-    encode_request, handshake, kill_during_traffic, parse_reply, run_loadgen, traffic_op_count,
-    Args, Cluster, LoadReport, LoadgenConfig, Reply, Request, ServerConfig, TortureConfig,
+    encode_request, handshake, parse_reply, run_loadgen, Args, Cluster, LoadReport, LoadgenConfig,
+    Reply, Request, ServerConfig,
 };
 
 fn load_cfg(args: &Args) -> LoadgenConfig {
@@ -45,37 +41,21 @@ fn load_cfg(args: &Args) -> LoadgenConfig {
     }
 }
 
-fn torture_cfg(args: &Args) -> TortureConfig {
-    // --crash-backup arms the kill on the backup replica; the default
-    // (also spellable --crash-primary) arms it on the primary — the
-    // failover case.
-    let crash_replica = usize::from(args.has("crash-backup"));
-    TortureConfig {
-        load: load_cfg(args),
-        shards: args.get_or("map-shards", 16),
-        pool_shards: args.get_or("shards", 1),
-        replicas: args.get_or("replicas", 1),
-        crash_shard: args.get_or("crash-shard", 0),
-        crash_replica,
-        pool_bytes: args.get_or::<u64>("pool-mb", 64) << 20,
-        recovery_threads: args.get_or("recovery-threads", 1),
-        server: ServerConfig {
-            batch_max: args.get_or("batch-max", 64),
-            queue_cap: args.get_or("queue-cap", 256),
-        },
-    }
-}
-
-fn print_report(report: &LoadReport) {
+/// Print the run's summary with the checker's verdict on its history.
+/// Returns whether the history linearized; a violation's minimized
+/// witness goes to stderr.
+fn print_report(report: &LoadReport) -> bool {
+    let verdict = jnvm_lincheck::check(&report.history);
     let replied: usize = report.per_conn.iter().map(|c| c.replied()).sum();
     let sent: usize = report.per_conn.iter().map(|c| c.sent).sum();
     let secs = report.elapsed.as_secs_f64().max(1e-9);
     println!(
-        "sent={} replied={} acked_writes={} errors={} elapsed={:.3}s rate={:.0} op/s",
+        "sent={} replied={} acked_writes={} errors={} lincheck={} elapsed={:.3}s rate={:.0} op/s",
         sent,
         replied,
         report.acked_writes,
         report.errors,
+        if verdict.is_ok() { "ok" } else { "VIOLATION" },
         secs,
         replied as f64 / secs
     );
@@ -85,6 +65,10 @@ fn print_report(report: &LoadReport) {
         }
     }
     println!("latency {}", report.hist.summary().display_us());
+    if let Err(v) = &verdict {
+        eprintln!("not linearizable: {v}");
+    }
+    verdict.is_ok()
 }
 
 /// One-shot request against a running server: handshake, one frame out,
@@ -129,50 +113,7 @@ fn main() {
         jnvm_obs::set_mode(jnvm_obs::ObsMode::Log);
     }
 
-    // One kill experiment (`--kill-at P`) is a sweep over the single
-    // point P; `--kill-sweep N` strides N points over the counted op space.
-    let kill_at = args.get("kill-at").is_some();
-    if kill_at || args.get("kill-sweep").is_some() {
-        let tcfg = torture_cfg(&args);
-        let points: Vec<u64> = if kill_at {
-            vec![args.get_or("kill-at", 0)]
-        } else {
-            let n: u64 = args.get_or("kill-sweep", 25);
-            let total = traffic_op_count(&tcfg).unwrap_or_else(|e| Args::usage_error(&e));
-            println!("op space ~{total}; sweeping {n} strided points");
-            (0..n).map(|k| 1 + k * total.max(1) / n.max(1)).collect()
-        };
-        let mut failures = 0u32;
-        for point in points {
-            match kill_during_traffic(point, &tcfg) {
-                Ok(r) => println!(
-                    "point {point}: ok (injected={} acked={} acked_after_first_error={} \
-                     promotions={} acked_after_promotion={} degraded={} divergent={} \
-                     keys_checked={} ops_counted={})",
-                    r.injected,
-                    r.acked_writes,
-                    r.acked_after_first_error,
-                    r.promotions,
-                    r.acked_after_promotion,
-                    r.degraded_shards,
-                    r.divergent_keys,
-                    r.keys_checked,
-                    r.ops_counted
-                ),
-                Err(e) => {
-                    eprintln!("point {point}: FAILED: {e}");
-                    failures += 1;
-                }
-            }
-        }
-        if failures > 0 {
-            eprintln!("{failures} point(s) failed");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if args.has("self-host") {
+    let linearizable = if args.has("self-host") {
         let scfg = ServerConfig {
             batch_max: args.get_or("batch-max", 64),
             queue_cap: args.get_or("queue-cap", 256),
@@ -194,7 +135,7 @@ fn main() {
         }
         server.shutdown();
         let d = cluster.device_stats().delta(&before);
-        print_report(&report);
+        let linearizable = print_report(&report);
         // One line (CI tails it into the job summary): group formation,
         // fence cost, and the hand-off's accounting identity.
         println!(
@@ -212,16 +153,20 @@ fn main() {
             stats.failed_writes,
             stats.rejected_writes
         );
-        return;
-    }
-
-    let addr: SocketAddr = args
-        .get("addr")
-        .expect("--addr host:port (or --self-host / --kill-at / --kill-sweep)")
-        .parse()
-        .expect("--addr must be host:port");
-    print_report(&run_loadgen(addr, &cfg));
-    if trace {
-        dump_obs(addr);
+        linearizable
+    } else {
+        let addr: SocketAddr = args
+            .get("addr")
+            .expect("--addr host:port (or --self-host)")
+            .parse()
+            .expect("--addr must be host:port");
+        let linearizable = print_report(&run_loadgen(addr, &cfg));
+        if trace {
+            dump_obs(addr);
+        }
+        linearizable
+    };
+    if !linearizable {
+        std::process::exit(1);
     }
 }

@@ -33,9 +33,10 @@
 //! the scaling; the shard-aware torture pins the isolation).
 //!
 //! The crate ships two binaries — `jnvm-server` (standalone server over a
-//! fresh crash-sim pool) and `jnvm-loadgen` (pipelined load generator,
-//! with a self-hosted kill-during-traffic mode) — and the [`loadgen`] /
-//! [`torture`] libraries the tests and CI drive.
+//! fresh crash-sim pool) and `jnvm-loadgen` (pipelined load generator
+//! whose run history goes through the `jnvm-lincheck` checker) — and the
+//! [`loadgen`] / [`torture`] libraries the tests, CI and
+//! `jnvm-faultsim lincheck` drive.
 
 pub mod args;
 pub mod cluster;

@@ -1,16 +1,19 @@
 //! The pipelined load generator (client side of the wire protocol).
 //!
-//! Traffic is **deterministic** given `(connection, op index)` — the
-//! kill-during-traffic verifier in [`crate::torture`] recomputes every
-//! expected record from the same functions ([`key_for`], [`value_for`],
-//! [`op_for`]) and compares against what survived recovery.
+//! Traffic is **deterministic** given `(seed, connection, op index)`
+//! ([`key_for`], [`value_for`], [`op_for`]), and every request is recorded
+//! as an interval-stamped `jnvm-lincheck` event in [`LoadReport::history`].
+//! The checker's verdict on that history is the run's verdict:
+//! `jnvm-loadgen` checks a crash-free run as it is, and the
+//! kill-during-traffic torture ([`crate::torture`]) closes it over the
+//! recovered image first.
 //!
 //! Per connection, op `i` is:
 //!
 //! | `i % 10` | op |
 //! |---|---|
 //! | 4 | `DEL key(i-1)` |
-//! | 7 | `GET key(i-1)` (read-your-writes probe) |
+//! | 7 | `GET key(i-1)` |
 //! | 9 | `SETF key(i-1) field0` |
 //! | else | `SET key(i)` with `fields` deterministic values |
 //!
@@ -18,14 +21,14 @@
 //! ops is a prefix of the sent ops — an `Ok`-acked write is by protocol
 //! durable, and everything after the first error/silence is unknown.
 //!
-//! The probe leans on the server's per-key guarantee: a `GET` waits for
-//! the connection's earlier writes **to its own key**, acknowledged or
-//! not, and for no other key's (DESIGN.md §8). Op `i-1` is the `SET` of
-//! the probed key, still in flight when the `GET` is sent, so a server
-//! that let the read overtake it answers `NotFound` — counted as a
-//! [`OpOutcome::BadRead`] once that `SET` is known to have been acked.
-//! This stream never reads behind an unacknowledged write to a *different*
-//! key; `tests/lincheck.rs` has the history that does.
+//! Every key has one writer, the connection that `SET`s it, and the op
+//! that follows on that key rides behind the `SET` in the pipeline. The
+//! server applies one connection's writes to a key in request order and
+//! lets a `GET` see them (DESIGN.md §8); the checker holds one client's
+//! ops on one key to that order, so an op that overtakes its key's `SET`
+//! has no linearization. This stream never reads behind an
+//! unacknowledged write to a *different* key; `tests/lincheck.rs` has the
+//! history that does.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -76,11 +79,8 @@ pub enum OpOutcome {
     NoReply,
     /// Write acked — durable by protocol contract.
     Ok,
-    /// GET/LEN returned a payload that matched expectations.
+    /// GET returned a record.
     Value,
-    /// GET returned a payload that did **not** match the expected record,
-    /// or `NotFound` for a key whose `SET` on this connection was acked.
-    BadRead,
     /// Target absent.
     NotFound,
     /// Server answered an error.
@@ -125,7 +125,7 @@ pub struct LoadReport {
     pub elapsed: Duration,
     /// `Ok`-acked writes across connections.
     pub acked_writes: u64,
-    /// Error replies + bad reads across connections.
+    /// `Err` replies across connections.
     pub errors: u64,
     /// The captured op history: one interval-stamped event per sent
     /// request, `Indeterminate` where the reply never arrived. The kill
@@ -179,14 +179,6 @@ pub fn op_for(conn: usize, i: usize, cfg: &LoadgenConfig) -> Request {
             Request::Set(Record::ycsb(&key_for(seed, conn, i), &values))
         }
     }
-}
-
-/// The record op `i` of connection `conn` would GET (for `i % 10 == 7`).
-fn expected_get(conn: usize, i: usize, cfg: &LoadgenConfig) -> Record {
-    let values: Vec<Vec<u8>> = (0..cfg.fields.max(1))
-        .map(|f| value_for(cfg.seed, conn, i - 1, f, cfg.value_size))
-        .collect();
-    Record::ycsb(&key_for(cfg.seed, conn, i - 1), &values)
 }
 
 /// The history-capture view of a request: target key plus the abstract
@@ -255,37 +247,19 @@ fn run_conn(
         report.hist.record(sent_at.elapsed().as_nanos() as u64);
         let (outcome, observed) = match reply {
             Reply::Ok => (OpOutcome::Ok, Outcome::Ok),
-            // The probe's key was SET by the op just before it: absent
-            // after that SET was acked means the GET overtook the write.
-            Reply::NotFound if i % 10 == 7 && report.outcomes[i - 1] == OpOutcome::Ok => {
-                (OpOutcome::BadRead, Outcome::NotFound)
-            }
             Reply::NotFound => (OpOutcome::NotFound, Outcome::NotFound),
             // An error reply ends the op but leaves its effect unknown:
             // the history keeps it Indeterminate (with a response stamp).
-            Reply::Err(_) => (OpOutcome::Err, Outcome::Indeterminate),
             // Acks belong on the replication link, never to a client.
-            Reply::ReplAck(_) => (OpOutcome::Err, Outcome::Indeterminate),
+            Reply::Err(_) | Reply::ReplAck(_) => (OpOutcome::Err, Outcome::Indeterminate),
+            // The history records what was *actually served*: an
+            // undecodable payload becomes an empty record, which no SET
+            // ever writes, so the checker convicts it.
             Reply::Value(payload) => {
-                // Read-your-writes probe: the GET rides behind this
-                // connection's acked SET, so the payload must match. The
-                // history records what was *actually served* (an
-                // undecodable payload becomes an empty record, which no
-                // SET ever writes — the checker convicts it), so the
-                // lincheck verdict is independent of this expectation.
-                let decoded = jnvm_kvstore::decode_record(&payload);
-                let observed = Outcome::Value(
-                    decoded
-                        .as_ref()
-                        .map(|r| r.fields.iter().map(|(_, v)| v.clone()).collect())
-                        .unwrap_or_default(),
-                );
-                let outcome = if decoded.as_ref() == Some(&expected_get(conn, i, cfg)) {
-                    OpOutcome::Value
-                } else {
-                    OpOutcome::BadRead
-                };
-                (outcome, observed)
+                let fields = jnvm_kvstore::decode_record(&payload)
+                    .map(|r| r.fields.into_iter().map(|(_, v)| v).collect())
+                    .unwrap_or_default();
+                (OpOutcome::Value, Outcome::Value(fields))
             }
         };
         report.outcomes[i] = outcome;
@@ -350,7 +324,7 @@ pub fn run_loadgen(addr: SocketAddr, cfg: &LoadgenConfig) -> LoadReport {
         for o in &c.outcomes {
             match o {
                 OpOutcome::Ok => acked_writes += 1,
-                OpOutcome::Err | OpOutcome::BadRead => errors += 1,
+                OpOutcome::Err => errors += 1,
                 _ => {}
             }
         }

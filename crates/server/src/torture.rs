@@ -1,7 +1,23 @@
 //! Kill-during-traffic: inject a crash point while live loadgen
 //! connections drive the server, then reopen the pool(s), run recovery,
-//! and hold the server to its word — **every `Ok`-acked write is present,
-//! every record is untorn**.
+//! and hold the server to its word — **the client history, closed over
+//! the recovered image, is durably linearizable**: every `Ok`-acked write
+//! is present, no record is torn, and no op of a connection took effect
+//! ahead of that connection's earlier op on the same key.
+//!
+//! ## One oracle
+//!
+//! The loadgen records every request it sends as an interval-stamped
+//! event. After the kill,
+//! [`check_recovered`](jnvm_lincheck::History::check_recovered) appends
+//! the recovered state of every key the run touched and runs
+//! `jnvm-lincheck` over the whole history. The checker carries the
+//! server's per-key promise to a pipelining connection (DESIGN.md §8): a
+//! `SETF` answered `NotFound` behind its connection's acked `SET`, a `GET`
+//! that overtook its own key's write, and a lost acked write all have no
+//! linearization. The traffic model is the loadgen's
+//! [`op_for`](crate::op_for) as recorded, and the sequential spec is the
+//! checker's: this module keeps no copy of either.
 //!
 //! ## Shard-aware killing
 //!
@@ -23,37 +39,19 @@
 //! * a **primary** crash makes the shard promote its backup in place and
 //!   resume acking ([`KillReport::promotions`],
 //!   [`KillReport::acked_after_promotion`]); verification re-opens the
-//!   **surviving** replica of each shard and runs the allowed-states
-//!   window there — an acked write missing from the promoted backup is
-//!   exactly the bug this torture exists to catch. The crashed primary's
-//!   image is then audited against the survivor: per key, the backup must
-//!   be *ahead or equal* in the key's op-prefix order (groups stream to
-//!   the backup before the primary's commit), and
-//!   [`KillReport::divergent_keys`] counts where the two images differ.
+//!   **surviving** replica of each shard and checks the history there —
+//!   an acked write missing from the promoted backup is exactly the bug
+//!   this torture exists to catch. The crashed primary's image is then
+//!   audited against the survivor: per key, the backup must be *ahead or
+//!   equal* in the key's write order (groups stream to the backup before
+//!   the primary's commit), as
+//!   [`prefix_states`](jnvm_lincheck::History::prefix_states) folds it
+//!   from the recorded writes; [`KillReport::divergent_keys`] counts where
+//!   the two images differ. No client ever reads the crashed primary's
+//!   image, so this is the one check the history cannot make.
 //! * a **backup** crash degrades the shard to solo mode; nothing acked is
 //!   lost (acks were always gated on the primary's durability too) and
 //!   verification runs against the primaries.
-//!
-//! ## The allowed-states window
-//!
-//! Traffic is deterministic per `(connection, op index)` and replies come
-//! back in request order, so after the run each key has
-//!
-//! * a known op sequence `o_1 .. o_m` (SET, then maybe SETF or DEL), and
-//! * a known *acked floor*: the last op answered `Ok` and everything a
-//!   later state would imply before it. (Writes commit in per-key order —
-//!   same shard ⇒ same queue order ⇒ later group — so if `o_p` was acked,
-//!   the recovered image must reflect at least `o_1 .. o_p`.)
-//!
-//! The recovered image must equal the state after some prefix `o_1 ..
-//! o_j` with `floor ≤ j ≤ m` — acked ops are a floor, unacked ones may or
-//! may not have reached their durability point, and any mixture of two
-//! states (a half-applied SETF, a torn record) matches no prefix and
-//! fails the check. Keys on non-crashed shards get the same check.
-//! Failover adds one wrinkle: a write that *failed* into the promotion
-//! window may still have applied on the backup (it was streamed before
-//! the primary's crash), so a later op on the same key can legitimately
-//! ack — the floor tracks the last `Ok`, not a contiguous prefix.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -62,10 +60,11 @@ use std::time::Duration;
 
 use jnvm::RecoveryOptions;
 use jnvm_kvstore::{shard_for_key, Record, ShardedKv};
+use jnvm_lincheck::FieldVals;
 use jnvm_pmem::{silence_crash_panics, FaultPlan, Pmem, PmemConfig};
 
 use crate::cluster::{grid_cfg, Cluster};
-use crate::loadgen::{key_for, run_loadgen, value_for, LoadReport, LoadgenConfig, OpOutcome};
+use crate::loadgen::{run_loadgen, LoadReport, LoadgenConfig, OpOutcome};
 use crate::proto::{encode_request, handshake, read_reply, Reply, Request};
 use crate::server::{Server, ServerConfig, ServerStats};
 
@@ -133,8 +132,6 @@ pub struct KillReport {
     /// Writes acked by a shard that had failed over — the liveness
     /// witness of promotion (server counter).
     pub acked_after_promotion: u64,
-    /// Keys whose recovered state was checked.
-    pub keys_checked: u64,
     /// Keys on the crash shard whose crashed-primary image differs from
     /// the survivor's (always an *allowed* divergence — the audit fails
     /// instead if the backup is ever **behind** the primary).
@@ -235,12 +232,12 @@ pub fn traffic_op_count(cfg: &TortureConfig) -> Result<u64, String> {
 
 /// One kill-during-traffic experiment: build fresh pools + server, arm a
 /// crash at `point` on the chosen replica's device, run the load, then
-/// reopen + recover the **surviving** replica of every shard and verify
-/// the allowed-states window for every key — including keys on shards
-/// that never crashed. After a primary kill the crashed image is also
-/// audited for divergence against the survivor. Returns `Err` with a
-/// description on any violated invariant, and on an unservable topology
-/// or out-of-range crash target.
+/// reopen + recover the **surviving** replica of every shard and check the
+/// client history, closed over that image, for durable linearizability —
+/// keys on shards that never crashed included. After a primary kill the
+/// crashed image is also audited for divergence against the survivor.
+/// Returns `Err` with a description on any violated invariant, and on an
+/// unservable topology or out-of-range crash target.
 pub fn kill_during_traffic(point: u64, cfg: &TortureConfig) -> Result<KillReport, String> {
     let ArmedRun {
         pmems,
@@ -270,6 +267,9 @@ pub fn kill_during_traffic(point: u64, cfg: &TortureConfig) -> Result<KillReport
         .map(|(kv, _reports)| kv)
         .map_err(|e| format!("reopen {what} after crash at point {point}: {e}"))
     };
+    let fields = |rec: Option<Record>| -> Option<FieldVals> {
+        rec.map(|rec| rec.fields.into_iter().map(|(_, v)| v).collect())
+    };
 
     // The survivor view: after a primary kill the crash shard's backup is
     // what promotion left serving; every other shard (and every shard on
@@ -284,51 +284,36 @@ pub fn kill_during_traffic(point: u64, cfg: &TortureConfig) -> Result<KillReport
         })
         .collect();
     let kv2 = reopen(&survivors, "survivors")?;
-
-    let (keys_checked, crash_shard_keys) = verify_allowed_states(&load, cfg, &kv2)
-        .map_err(|e| format!("point {point}: {e}"))?;
     let lincheck = load
         .history
-        .check_recovered(|key| {
-            kv2.read(key)
-                .map(|rec| rec.fields.into_iter().map(|(_, v)| v).collect())
-        })
+        .check_recovered(|key| fields(kv2.read(key)))
         .map_err(|v| format!("point {point}: durable-linearizability violation: {v}"))?;
-    drop(kv2);
 
     // Divergence audit of the crashed primary against the survivor it
-    // handed over to.
+    // handed over to, in each crash-shard key's write order.
     let mut divergent = 0u64;
     if promoted {
         let pkv = reopen(&pmems[cfg.crash_shard][..1], "crashed primary")?;
-        for k in &crash_shard_keys {
-            let p_state = pkv.read(&k.key);
-            let candidates: Vec<Option<Record>> = (0..=k.ops.len())
-                .map(|j| state_after(k.conn, k.i, &k.ops, j, cfg))
-                .collect();
-            let j_p: Vec<usize> = (0..candidates.len())
-                .filter(|j| candidates[*j] == p_state)
-                .collect();
-            let j_b: Vec<usize> = (0..candidates.len())
-                .filter(|j| candidates[*j] == k.survivor)
-                .collect();
-            let (Some(&p_min), Some(&b_max)) = (j_p.first(), j_b.last()) else {
+        for key in load.history.keys() {
+            if kv2.route(key) != cfg.crash_shard {
+                continue;
+            }
+            let states = load.history.prefix_states(key);
+            let (p_state, b_state) = (fields(pkv.read(key)), fields(kv2.read(key)));
+            let Some(p_min) = states.iter().position(|s| *s == p_state) else {
                 return Err(format!(
-                    "point {point}: {}: crashed-primary state matches no op prefix \
-                     (torn image survived recovery)",
-                    k.key
+                    "point {point}: {key}: crashed-primary state matches no write prefix \
+                     (torn image survived recovery)"
                 ));
             };
-            if p_min > b_max {
+            let b_max = states.iter().rposition(|s| *s == b_state);
+            if b_max < Some(p_min) {
                 return Err(format!(
-                    "point {point}: {}: promoted backup (prefix ≤ {b_max}) is BEHIND the \
-                     crashed primary (prefix ≥ {p_min}) — groups must reach the backup first",
-                    k.key
+                    "point {point}: {key}: promoted backup (write prefix {b_max:?}) is BEHIND \
+                     the crashed primary (write prefix {p_min}) — groups must reach the backup first"
                 ));
             }
-            if p_state != k.survivor {
-                divergent += 1;
-            }
+            divergent += u64::from(p_state != b_state);
         }
     }
 
@@ -340,7 +325,6 @@ pub fn kill_during_traffic(point: u64, cfg: &TortureConfig) -> Result<KillReport
         promotions: stats.promotions,
         degraded_shards: stats.degraded_shards,
         acked_after_promotion: stats.acked_after_promotion,
-        keys_checked,
         divergent_keys: divergent,
         lincheck_keys: lincheck.keys as u64,
         lincheck_events: lincheck.events as u64,
@@ -462,164 +446,4 @@ fn acked_after_first_error(load: &LoadReport) -> u64 {
         }
     }
     total
-}
-
-/// The op indices touching the key created at index `i` (SET always;
-/// `i%10==3` ⇒ DEL at `i+1`; `i%10==8` ⇒ SETF at `i+1`). Indices `4`,
-/// `7`, `9` mod 10 are not SETs and create no key.
-fn key_ops(i: usize, ops_per_conn: usize) -> Option<Vec<(usize, KeyOp)>> {
-    if matches!(i % 10, 4 | 7 | 9) && i > 0 {
-        return None;
-    }
-    let mut ops = vec![(i, KeyOp::Set)];
-    if i + 1 < ops_per_conn {
-        match i % 10 {
-            3 => ops.push((i + 1, KeyOp::Del)),
-            8 => ops.push((i + 1, KeyOp::SetF)),
-            _ => {}
-        }
-    }
-    Some(ops)
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum KeyOp {
-    Set,
-    SetF,
-    Del,
-}
-
-/// One crash-shard key's identity and survivor-side recovered state,
-/// retained for the post-verification divergence audit.
-struct AuditKey {
-    key: String,
-    conn: usize,
-    i: usize,
-    ops: Vec<(usize, KeyOp)>,
-    survivor: Option<Record>,
-}
-
-/// The record state after applying the first `j` ops of `key_ops(i)`.
-fn state_after(
-    conn: usize,
-    i: usize,
-    ops: &[(usize, KeyOp)],
-    j: usize,
-    cfg: &TortureConfig,
-) -> Option<Record> {
-    let mut state: Option<Record> = None;
-    for (idx, op) in ops.iter().take(j) {
-        match op {
-            KeyOp::Set => {
-                let values: Vec<Vec<u8>> = (0..cfg.load.fields.max(1))
-                    .map(|f| value_for(cfg.load.seed, conn, *idx, f, cfg.load.value_size))
-                    .collect();
-                state = Some(Record::ycsb(&key_for(cfg.load.seed, conn, i), &values));
-            }
-            KeyOp::SetF => {
-                let rec = state.as_mut().expect("SETF follows SET");
-                rec.fields[0].1 = value_for(cfg.load.seed, conn, *idx, 0, cfg.load.value_size);
-            }
-            KeyOp::Del => state = None,
-        }
-    }
-    state
-}
-
-/// Check every key of every connection against its allowed-states window.
-/// Returns the number of keys checked and the crash-shard keys with their
-/// survivor-side states (for the divergence audit).
-fn verify_allowed_states(
-    load: &LoadReport,
-    cfg: &TortureConfig,
-    kv2: &ShardedKv,
-) -> Result<(u64, Vec<AuditKey>), String> {
-    let mut checked = 0u64;
-    let mut audit: Vec<AuditKey> = Vec::new();
-    for conn in &load.per_conn {
-        // Replies are in order: sanity-check the prefix property once per
-        // connection before leaning on it. (Err replies do NOT end the
-        // connection in the sharded server — only the reply stream's
-        // tail may be silent.)
-        let replied = conn.replied();
-        if conn.outcomes[replied..]
-            .iter()
-            .any(|o| *o != OpOutcome::NoReply)
-        {
-            return Err(format!(
-                "conn {}: reply after a silent gap — ordering broken",
-                conn.conn
-            ));
-        }
-        for o in &conn.outcomes[..replied] {
-            if *o == OpOutcome::BadRead {
-                return Err(format!(
-                    "conn {}: GET observed a record that matches no acked state",
-                    conn.conn
-                ));
-            }
-        }
-        for i in 0..cfg.load.ops_per_conn {
-            let Some(ops) = key_ops(i, cfg.load.ops_per_conn) else {
-                continue;
-            };
-            checked += 1;
-            let key = key_for(cfg.load.seed, conn.conn, i);
-            // Acked floor: an op answered Ok is durable, and writes apply
-            // in per-key order, so the image must reflect at least every
-            // op up to the LAST acked one. (With failover, an op that
-            // failed into the promotion window may have applied on the
-            // backup anyway — so a later op on the same key can
-            // legitimately ack, and the floor is the last Ok, not a
-            // contiguous prefix.) NotFound on a follow-up write is
-            // legitimate only when the key's SET was itself not acked.
-            let mut floor = 0;
-            for (pos, (idx, _)) in ops.iter().enumerate() {
-                match conn.outcomes[*idx] {
-                    OpOutcome::Ok => floor = pos + 1,
-                    OpOutcome::NotFound
-                        if pos > 0 && conn.outcomes[ops[0].0] == OpOutcome::Ok =>
-                    {
-                        return Err(format!(
-                            "{key}: write op {idx} answered NotFound although the \
-                             key's SET was acked"
-                        ));
-                    }
-                    _ => {}
-                }
-            }
-            let observed = kv2.read(&key);
-            let allowed: Vec<Option<Record>> = (floor..=ops.len())
-                .map(|j| state_after(conn.conn, i, &ops, j, cfg))
-                .collect();
-            if !allowed.contains(&observed) {
-                let got = match &observed {
-                    None => "absent".to_string(),
-                    Some(r) => format!(
-                        "{} fields, field0 {} B",
-                        r.fields.len(),
-                        r.fields.first().map_or(0, |f| f.1.len())
-                    ),
-                };
-                return Err(format!(
-                    "{key}: recovered state ({got}) matches none of the {} allowed \
-                     prefixes (acked floor {floor} of {} ops) — acked write lost or \
-                     record torn (shard {})",
-                    allowed.len(),
-                    ops.len(),
-                    kv2.route(&key),
-                ));
-            }
-            if kv2.route(&key) == cfg.crash_shard {
-                audit.push(AuditKey {
-                    key,
-                    conn: conn.conn,
-                    i,
-                    ops,
-                    survivor: observed,
-                });
-            }
-        }
-    }
-    Ok((checked, audit))
 }

@@ -32,6 +32,7 @@ use jnvm_repro::faultsim::strided_points;
 use jnvm_repro::heap::FIRST_USER_CLASS_ID;
 use jnvm_repro::jnvm::Proxy;
 use jnvm_repro::kvstore::{commit_writes, Record, WriteOp};
+use jnvm_repro::lincheck::check;
 use jnvm_repro::obs::{self, Histogram, ObsMode};
 use jnvm_repro::pmem::{PmemConfig, SanitizeMode, StatsSnapshot};
 use jnvm_repro::server::{
@@ -261,6 +262,7 @@ fn server_acks_and_fences_reconcile_with_obs_registry() {
     }
 
     assert_eq!(load.errors, 0, "crash-free traffic must not error");
+    check(&load.history).unwrap_or_else(|v| panic!("not linearizable: {v}"));
     assert!(load.acked_writes > 0);
     assert_eq!(stats.acked_writes, load.acked_writes);
     assert_eq!(

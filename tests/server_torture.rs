@@ -19,6 +19,7 @@ use std::time::Duration;
 
 use jnvm_repro::faultsim::strided_points;
 use jnvm_repro::kvstore::Record;
+use jnvm_repro::lincheck::check;
 use jnvm_repro::pmem::PmemConfig;
 use jnvm_repro::server::{
     encode_request, handshake, kill_during_traffic, parse_reply, promotion_read_probe, run_loadgen,
@@ -89,6 +90,7 @@ fn group_commit_amortizes_fences_under_pipelined_load() {
     let d = cluster.device_stats().delta(&before);
 
     assert_eq!(load.errors, 0, "crash-free traffic must not error");
+    check(&load.history).unwrap_or_else(|v| panic!("not linearizable: {v}"));
     assert!(
         load.acked_writes >= 700,
         "expected ~720 acked writes, got {}",
@@ -124,7 +126,7 @@ fn uninjected_run_reopens_with_every_acked_write() {
     assert!(!report.injected);
     assert_eq!(report.server.failed_writes, 0);
     assert!(report.acked_writes > 0);
-    assert!(report.keys_checked > 0);
+    assert!(report.lincheck_keys > 0);
 }
 
 /// Strided kill sweep: inject a crash at several points across the
@@ -234,7 +236,7 @@ fn sharded_kill_isolates_the_crashed_shard() {
         report.acked_writes
     );
     assert!(report.acked_writes > 0);
-    assert!(report.keys_checked > 0);
+    assert!(report.lincheck_keys > 0);
 }
 
 /// Crash-free sharded traffic: a 4-shard server under the standard load
@@ -294,7 +296,7 @@ fn failover_promotes_backup_and_keeps_acking() {
         "the promoted shard runs solo afterwards"
     );
     assert!(report.acked_after_first_error > 0);
-    assert!(report.keys_checked > 0);
+    assert!(report.lincheck_keys > 0);
 }
 
 /// Read-your-writes across promotion: after the primary crash fails the
@@ -349,7 +351,7 @@ fn backup_crash_degrades_shard_to_solo() {
     assert_eq!(report.server.dead_shards, 0);
     assert_eq!(report.divergent_keys, 0, "no failover, no divergence audit");
     assert!(report.acked_writes > 0);
-    assert!(report.keys_checked > 0);
+    assert!(report.lincheck_keys > 0);
 }
 
 /// Small strided failover sweep for the default suite: crash the primary
