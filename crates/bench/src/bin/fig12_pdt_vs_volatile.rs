@@ -133,7 +133,7 @@ fn main() {
         ops,
         value_bytes,
         |k| {
-            if let Some(v) = pm.get_value(&k.to_string()) {
+            if let Some(v) = pm.get_value(k) {
                 let blob = PBytes::resurrect(&rt, v.addr());
                 std::hint::black_box(blob.to_vec().len());
             }
@@ -177,7 +177,7 @@ fn main() {
         ops,
         value_bytes,
         |k| {
-            if let Some(v) = pt.get_value(&k.to_string()) {
+            if let Some(v) = pt.get_value(k) {
                 std::hint::black_box(PBytes::resurrect(&rt, v.addr()).to_vec().len());
             }
         },
@@ -200,7 +200,7 @@ fn main() {
         ops,
         value_bytes,
         |k| {
-            if let Some(v) = sl.borrow().get(&k.to_string()) {
+            if let Some(v) = sl.borrow().get(k) {
                 std::hint::black_box(v.len());
             }
         },
@@ -220,7 +220,7 @@ fn main() {
         ops,
         value_bytes,
         |k| {
-            if let Some(v) = ps.get_value(&k.to_string()) {
+            if let Some(v) = ps.get_value(k) {
                 std::hint::black_box(PBytes::resurrect(&rt, v.addr()).to_vec().len());
             }
         },

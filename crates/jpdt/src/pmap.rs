@@ -12,7 +12,9 @@
 //! [`CacheMode::Cached`] fills a proxy cache on demand, and
 //! [`CacheMode::Eager`] populates it during resurrection.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::marker::PhantomData;
 
 use parking_lot::Mutex;
@@ -44,8 +46,15 @@ pub enum CacheMode {
 ///
 /// The entry payload is `[value ref u64][key: KEY_WORDS words]`; the key
 /// part may inline the key (`i64`) or reference persistent sub-objects
-/// (`String` via [`PString`]).
-pub trait PKey: Clone + Eq + std::hash::Hash + Ord + Send + 'static {
+/// (`String` via [`PString`]). Lookups take the key's borrowed
+/// [`PKey::Query`] form, as `HashMap::get` does, so probing a
+/// `String`-keyed map with a `&str` allocates nothing.
+pub trait PKey: Clone + Eq + Hash + Ord + Send + 'static {
+    /// The borrowed form lookups take (`str` for `String`).
+    type Query: ?Sized + Eq + Hash + Ord;
+
+    /// This key in its lookup form.
+    fn query(&self) -> &Self::Query;
     /// Words occupied by the key inside an entry.
     const KEY_WORDS: u64;
     /// Class name under which this key's entry class is registered.
@@ -64,6 +73,11 @@ pub trait PKey: Clone + Eq + std::hash::Hash + Ord + Send + 'static {
 }
 
 impl PKey for String {
+    type Query = str;
+
+    fn query(&self) -> &str {
+        self
+    }
     const KEY_WORDS: u64 = 1;
     const ENTRY_CLASS_NAME: &'static str = "jnvm_jpdt.MapEntry<String>";
     /// Value slot + PString key slot.
@@ -88,6 +102,11 @@ impl PKey for String {
 }
 
 impl PKey for i64 {
+    type Query = i64;
+
+    fn query(&self) -> &i64 {
+        self
+    }
     const KEY_WORDS: u64 = 1;
     const ENTRY_CLASS_NAME: &'static str = "jnvm_jpdt.MapEntry<i64>";
     /// Only the value slot holds a reference; the key is inline.
@@ -142,13 +161,13 @@ impl<K: PKey> PObject for MapEntry<K> {
 // ----------------------------------------------------------------------
 
 /// The volatile key→cell index of a map.
-pub trait Mirror<K>: Send + Default {
+pub trait Mirror<K: PKey>: Send + Default {
     /// Insert a mapping, returning the displaced cell if the key existed.
     fn insert(&mut self, k: K, cell: u64) -> Option<u64>;
     /// Cell of `k`, if present.
-    fn get(&self, k: &K) -> Option<u64>;
+    fn get(&self, k: &K::Query) -> Option<u64>;
     /// Remove `k`, returning its cell.
-    fn remove(&mut self, k: &K) -> Option<u64>;
+    fn remove(&mut self, k: &K::Query) -> Option<u64>;
     /// Number of keys.
     fn len(&self) -> usize;
     /// True when empty.
@@ -168,14 +187,14 @@ impl<K> Default for HashMirror<K> {
     }
 }
 
-impl<K: PKey> Mirror<K> for HashMirror<K> {
+impl<K: PKey + Borrow<K::Query>> Mirror<K> for HashMirror<K> {
     fn insert(&mut self, k: K, cell: u64) -> Option<u64> {
         self.0.insert(k, cell)
     }
-    fn get(&self, k: &K) -> Option<u64> {
+    fn get(&self, k: &K::Query) -> Option<u64> {
         self.0.get(k).copied()
     }
-    fn remove(&mut self, k: &K) -> Option<u64> {
+    fn remove(&mut self, k: &K::Query) -> Option<u64> {
         self.0.remove(k)
     }
     fn len(&self) -> usize {
@@ -197,14 +216,14 @@ impl<K> Default for TreeMirror<K> {
     }
 }
 
-impl<K: PKey> Mirror<K> for TreeMirror<K> {
+impl<K: PKey + Borrow<K::Query>> Mirror<K> for TreeMirror<K> {
     fn insert(&mut self, k: K, cell: u64) -> Option<u64> {
         self.0.insert(k, cell)
     }
-    fn get(&self, k: &K) -> Option<u64> {
+    fn get(&self, k: &K::Query) -> Option<u64> {
         self.0.get(k).copied()
     }
-    fn remove(&mut self, k: &K) -> Option<u64> {
+    fn remove(&mut self, k: &K::Query) -> Option<u64> {
         self.0.remove(k)
     }
     fn len(&self) -> usize {
@@ -226,14 +245,14 @@ impl<K: Ord> Default for SkipMirror<K> {
     }
 }
 
-impl<K: PKey> Mirror<K> for SkipMirror<K> {
+impl<K: PKey + Borrow<K::Query>> Mirror<K> for SkipMirror<K> {
     fn insert(&mut self, k: K, cell: u64) -> Option<u64> {
         self.0.insert(k, cell)
     }
-    fn get(&self, k: &K) -> Option<u64> {
+    fn get(&self, k: &K::Query) -> Option<u64> {
         self.0.get(k).copied()
     }
-    fn remove(&mut self, k: &K) -> Option<u64> {
+    fn remove(&mut self, k: &K::Query) -> Option<u64> {
         self.0.remove_cloned(k)
     }
     fn len(&self) -> usize {
@@ -392,7 +411,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
     /// is explicit in J-NVM).
     pub fn put(&self, key: K, value: u64) -> Result<Option<u64>, JnvmError> {
         let mut inner = self.inner.lock();
-        if let Some(cell) = inner.mirror.get(&key) {
+        if let Some(cell) = inner.mirror.get(key.query()) {
             let e = self.entry_at(cell, &inner.array);
             let old = e.read_ref(MapEntry::<K>::VALUE_OFF);
             // Atomic update: validate new value, fence, store, flush.
@@ -431,7 +450,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
     }
 
     /// Address of the value associated with `key`.
-    pub fn get(&self, key: &K) -> Option<u64> {
+    pub fn get(&self, key: &K::Query) -> Option<u64> {
         let inner = self.inner.lock();
         let cell = inner.mirror.get(key)?;
         self.entry_at(cell, &inner.array)
@@ -441,7 +460,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
     /// Value proxy for `key`, honouring the caching mode: `Base`
     /// resurrects a fresh proxy, `Cached` fills the cache on miss,
     /// `Eager` normally hits the resurrection-time cache.
-    pub fn get_value(&self, key: &K) -> Option<Proxy> {
+    pub fn get_value(&self, key: &K::Query) -> Option<Proxy> {
         let mut inner = self.inner.lock();
         let cell = inner.mirror.get(key)?;
         if self.mode != CacheMode::Base {
@@ -460,13 +479,13 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
     }
 
     /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
+    pub fn contains(&self, key: &K::Query) -> bool {
         self.inner.lock().mirror.get(key).is_some()
     }
 
     /// Remove `key`. Returns the value's address (ownership passes to the
     /// caller); the entry and its key sub-objects are freed.
-    pub fn remove(&self, key: &K) -> Option<u64> {
+    pub fn remove(&self, key: &K::Query) -> Option<u64> {
         let mut inner = self.inner.lock();
         let cell = inner.mirror.remove(key)?;
         let e = self.entry_at(cell, &inner.array);
@@ -512,7 +531,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
     /// Returns true if the key was newly inserted.
     pub fn insert_self(&self, key: K) -> Result<bool, JnvmError> {
         let mut inner = self.inner.lock();
-        if inner.mirror.get(&key).is_some() {
+        if inner.mirror.get(key.query()).is_some() {
             return Ok(false);
         }
         if inner.free_cells.is_empty() {
@@ -577,22 +596,22 @@ macro_rules! define_pmap {
             }
 
             /// See [`PMapCore::get`].
-            pub fn get(&self, key: &$key) -> Option<u64> {
+            pub fn get(&self, key: &<$key as PKey>::Query) -> Option<u64> {
                 self.core.get(key)
             }
 
             /// See [`PMapCore::get_value`].
-            pub fn get_value(&self, key: &$key) -> Option<Proxy> {
+            pub fn get_value(&self, key: &<$key as PKey>::Query) -> Option<Proxy> {
                 self.core.get_value(key)
             }
 
             /// See [`PMapCore::remove`].
-            pub fn remove(&self, key: &$key) -> Option<u64> {
+            pub fn remove(&self, key: &<$key as PKey>::Query) -> Option<u64> {
                 self.core.remove(key)
             }
 
             /// See [`PMapCore::contains`].
-            pub fn contains(&self, key: &$key) -> bool {
+            pub fn contains(&self, key: &<$key as PKey>::Query) -> bool {
                 self.core.contains(key)
             }
 
@@ -709,12 +728,12 @@ macro_rules! define_pset {
             }
 
             /// Whether `key` is present.
-            pub fn contains(&self, key: &$key) -> bool {
+            pub fn contains(&self, key: &<$key as PKey>::Query) -> bool {
                 self.core.contains(key)
             }
 
             /// Remove `key`; returns true if it was present.
-            pub fn remove(&self, key: &$key) -> bool {
+            pub fn remove(&self, key: &<$key as PKey>::Query) -> bool {
                 self.core.remove(key).is_some()
             }
 

@@ -66,16 +66,16 @@ mod tests {
         let v2 = PBytes::new(&rt, b"value-2").unwrap();
         assert_eq!(m.put("k1".into(), v1.addr()).unwrap(), None);
         assert_eq!(m.len(), 1);
-        assert!(m.contains(&"k1".to_string()));
-        assert_eq!(m.get(&"k1".to_string()), Some(v1.addr()));
+        assert!(m.contains("k1"));
+        assert_eq!(m.get("k1"), Some(v1.addr()));
         // Replace returns the old value; caller frees it.
         let old = m.put("k1".into(), v2.addr()).unwrap();
         assert_eq!(old, Some(v1.addr()));
         rt.free_addr(old.unwrap());
-        assert_eq!(m.get(&"k1".to_string()), Some(v2.addr()));
-        assert_eq!(m.remove(&"k1".to_string()), Some(v2.addr()));
+        assert_eq!(m.get("k1"), Some(v2.addr()));
+        assert_eq!(m.remove("k1"), Some(v2.addr()));
         assert!(m.is_empty());
-        assert_eq!(m.remove(&"k1".to_string()), None);
+        assert_eq!(m.remove("k1"), None);
     }
 
     #[test]
@@ -121,7 +121,7 @@ mod tests {
         rt.root_put("map", &m).unwrap();
         let v = PBytes::new(&rt, b"gone").unwrap();
         m.put("k".into(), v.addr()).unwrap();
-        let got = m.remove(&"k".to_string()).unwrap();
+        let got = m.remove("k").unwrap();
         rt.free_addr(got);
         rt.pmem().pfence();
         pmem.crash(&CrashPolicy::strict()).unwrap();
@@ -164,8 +164,8 @@ mod tests {
             let m = PStringHashMap::with_mode(&rt, mode).unwrap();
             let v = PBytes::new(&rt, b"cached").unwrap();
             m.put("k".into(), v.addr()).unwrap();
-            let p1 = m.get_value(&"k".to_string()).unwrap();
-            let p2 = m.get_value(&"k".to_string()).unwrap();
+            let p1 = m.get_value("k").unwrap();
+            let p2 = m.get_value("k").unwrap();
             assert_eq!(p1.addr(), v.addr());
             assert_eq!(p2.addr(), v.addr());
         }
@@ -177,7 +177,7 @@ mod tests {
         pmem.drain_all();
         let any = rt.root_get("em").unwrap();
         let m2 = PStringHashMap::open_with_mode(&rt, any.addr(), CacheMode::Eager);
-        assert_eq!(m2.get_value(&"k".to_string()).unwrap().addr(), v.addr());
+        assert_eq!(m2.get_value("k").unwrap().addr(), v.addr());
     }
 
     #[test]
@@ -188,15 +188,15 @@ mod tests {
         assert!(s.insert("a".into()).unwrap());
         assert!(!s.insert("a".into()).unwrap(), "duplicate insert rejected");
         assert!(s.insert("b".into()).unwrap());
-        assert!(s.contains(&"a".to_string()));
+        assert!(s.contains("a"));
         assert_eq!(s.len(), 2);
-        assert!(s.remove(&"a".to_string()));
-        assert!(!s.remove(&"a".to_string()));
+        assert!(s.remove("a"));
+        assert!(!s.remove("a"));
         pmem.crash(&CrashPolicy::strict()).unwrap();
         let rt2 = reopen(&pmem);
         let s2 = rt2.root_get_as::<PStringSet>("set").unwrap().unwrap();
         assert_eq!(s2.len(), 1);
-        assert!(s2.contains(&"b".to_string()));
+        assert!(s2.contains("b"));
     }
 
     #[test]
@@ -208,7 +208,7 @@ mod tests {
             let v = PBytes::new(&rt, b"fa-value").unwrap();
             m.put("k".into(), v.addr()).unwrap();
         });
-        let v = m.get(&"k".to_string()).unwrap();
+        let v = m.get("k").unwrap();
         assert_eq!(rt.read_pobject::<PBytes>(v).unwrap().to_vec(), b"fa-value");
     }
 
@@ -237,7 +237,7 @@ mod tests {
         let before = rt.heap().stats();
         let v = PBytes::new(&rt, b"v").unwrap();
         m.put("some-key".into(), v.addr()).unwrap();
-        let got = m.remove(&"some-key".to_string()).unwrap();
+        let got = m.remove("some-key").unwrap();
         rt.free_addr(got);
         let after = rt.heap().stats();
         // The put/remove cycle carves one pool block (on first use) hosting

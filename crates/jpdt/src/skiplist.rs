@@ -4,6 +4,8 @@
 //! volatile `ConcurrentSkipListMap` stand-in of Figure 12. Arena-based
 //! (indices instead of pointers) so it stays entirely in safe Rust.
 
+use std::borrow::Borrow;
+
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -68,7 +70,10 @@ impl<K: Ord, V> SkipListMap<K, V> {
 
     /// For each level `l`, the index of the last node with key < `key`
     /// (NIL meaning "head"). Returns the predecessor array.
-    fn predecessors(&self, key: &K) -> [usize; MAX_LEVEL] {
+    fn predecessors<Q: ?Sized + Ord>(&self, key: &Q) -> [usize; MAX_LEVEL]
+    where
+        K: Borrow<Q>,
+    {
         let mut preds = [NIL; MAX_LEVEL];
         let mut cur = NIL; // head
         for l in (0..self.level).rev() {
@@ -78,7 +83,7 @@ impl<K: Ord, V> SkipListMap<K, V> {
                 } else {
                     self.arena[cur].next[l]
                 };
-                if next != NIL && self.arena[next].key < *key {
+                if next != NIL && self.arena[next].key.borrow() < key {
                     cur = next;
                 } else {
                     break;
@@ -140,11 +145,14 @@ impl<K: Ord, V> SkipListMap<K, V> {
         None
     }
 
-    /// Look up `key`.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    /// Look up `key` (any form the key type borrows as).
+    pub fn get<Q: ?Sized + Ord>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
         let preds = self.predecessors(key);
         let candidate = self.next_of(preds[0], 0);
-        if candidate != NIL && self.arena[candidate].key == *key {
+        if candidate != NIL && self.arena[candidate].key.borrow() == key {
             Some(&self.arena[candidate].value)
         } else {
             None
@@ -154,10 +162,13 @@ impl<K: Ord, V> SkipListMap<K, V> {
     /// Remove `key`; returns whether it was present. (The slot's value
     /// stays parked in the arena until reuse; [`SkipListMap::remove_cloned`]
     /// retrieves it for cloneable values.)
-    pub fn remove(&mut self, key: &K) -> bool {
+    pub fn remove<Q: ?Sized + Ord>(&mut self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+    {
         let preds = self.predecessors(key);
         let target = self.next_of(preds[0], 0);
-        if target == NIL || self.arena[target].key != *key {
+        if target == NIL || self.arena[target].key.borrow() != key {
             return false;
         }
         let height = self.arena[target].next.len();
@@ -196,10 +207,13 @@ impl<K: Ord, V> SkipListMap<K, V> {
 impl<K: Ord, V: Clone> SkipListMap<K, V> {
     /// Remove `key` and return a clone of its value. (The arena keeps the
     /// slot until reuse; cloning sidesteps moving out of the arena.)
-    pub fn remove_cloned(&mut self, key: &K) -> Option<V> {
+    pub fn remove_cloned<Q: ?Sized + Ord>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
         let preds = self.predecessors(key);
         let target = self.next_of(preds[0], 0);
-        if target == NIL || self.arena[target].key != *key {
+        if target == NIL || self.arena[target].key.borrow() != key {
             return None;
         }
         let value = self.arena[target].value.clone();

@@ -1,9 +1,15 @@
 //! The volatile record type and its binary marshalling codec.
 //!
 //! The codec is intentionally a real serializer (length-prefixed fields
-//! with names, allocation on decode): Figure 8 of the paper shows that
-//! marshalling — not the file system — dominates the cost of the external
-//! design, so the cost here must be genuine CPU work.
+//! with names, the key and every value copied out on decode): Figure 8 of
+//! the paper shows that marshalling — not the file system — dominates the
+//! cost of the external design, so the cost here must be genuine CPU work.
+//! Field names are the exception: a wire name that equals its positional
+//! YCSB name borrows it from [`ycsb_field_name`]'s table, so decoding a
+//! YCSB record allocates only its key, its field vector and its values.
+//! The codec is exact: a count or length that does not fit its header word
+//! is refused on encode, and bytes after the last field are refused on
+//! decode.
 
 use std::borrow::Cow;
 
@@ -13,16 +19,21 @@ use std::borrow::Cow;
 pub struct Record {
     /// Record key.
     pub key: String,
-    /// Ordered `(name, value)` fields.
-    pub fields: Vec<(String, Vec<u8>)>,
+    /// Ordered `(name, value)` fields. Names are positional
+    /// ([`ycsb_field_name`]) and borrowed from its static table; only a
+    /// name that differs from its position's (or one past the table) owns
+    /// a heap string.
+    pub fields: Vec<(Cow<'static, str>, Vec<u8>)>,
 }
+
+/// The positional names [`ycsb_field_name`] and [`decode_record`] borrow.
+const NAMES: [&str; 16] = [
+    "field0", "field1", "field2", "field3", "field4", "field5", "field6", "field7", "field8",
+    "field9", "field10", "field11", "field12", "field13", "field14", "field15",
+];
 
 /// Positional YCSB field name; the common widths borrow from one table.
 pub fn ycsb_field_name(i: usize) -> Cow<'static, str> {
-    const NAMES: [&str; 16] = [
-        "field0", "field1", "field2", "field3", "field4", "field5", "field6", "field7",
-        "field8", "field9", "field10", "field11", "field12", "field13", "field14", "field15",
-    ];
     match NAMES.get(i) {
         Some(n) => Cow::Borrowed(n),
         None => Cow::Owned(format!("field{i}")),
@@ -37,7 +48,7 @@ impl Record {
             fields: values
                 .iter()
                 .enumerate()
-                .map(|(i, v)| (ycsb_field_name(i).into_owned(), v.clone()))
+                .map(|(i, v)| (ycsb_field_name(i), v.clone()))
                 .collect(),
         }
     }
@@ -50,18 +61,33 @@ impl Record {
 
 const MAGIC: u16 = 0x4a52; // "JR"
 
+/// `n` as a header word of type `T`.
+///
+/// # Panics
+/// If `n` does not fit: a truncated count or length would encode a
+/// different record than the one asked for.
+fn header_word<T: TryFrom<usize>>(n: usize, what: &str) -> T {
+    T::try_from(n).unwrap_or_else(|_| panic!("record {what} {n} does not fit its header word"))
+}
+
 /// Append a marshalled record's header: magic, field count, key.
+///
+/// # Panics
+/// If `nfields` exceeds `u16::MAX` or the key exceeds `u32::MAX` bytes.
 pub fn write_record_header(out: &mut Vec<u8>, key: &str, nfields: usize) {
     out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&(nfields as u16).to_le_bytes());
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(&header_word::<u16>(nfields, "field count").to_le_bytes());
+    out.extend_from_slice(&header_word::<u32>(key.len(), "key length").to_le_bytes());
     out.extend_from_slice(key.as_bytes());
 }
 
 /// Append one field's header; the caller appends its `value_len` bytes next.
+///
+/// # Panics
+/// If the name or `value_len` exceeds `u32::MAX` bytes.
 pub fn write_field_header(out: &mut Vec<u8>, name: &str, value_len: usize) {
-    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(value_len as u32).to_le_bytes());
+    out.extend_from_slice(&header_word::<u32>(name.len(), "name length").to_le_bytes());
+    out.extend_from_slice(&header_word::<u32>(value_len, "value length").to_le_bytes());
     out.extend_from_slice(name.as_bytes());
 }
 
@@ -78,7 +104,9 @@ pub fn encode_record(rec: &Record) -> Vec<u8> {
     out
 }
 
-/// Unmarshal a record. Returns `None` on malformed input.
+/// Unmarshal a record. Returns `None` on malformed input, including bytes
+/// after the last field. A name equal to its positional YCSB name is
+/// borrowed; any other name is owned, so every record round-trips exactly.
 pub fn decode_record(bytes: &[u8]) -> Option<Record> {
     fn take<'a>(b: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
         if b.len() < n {
@@ -96,15 +124,24 @@ pub fn decode_record(bytes: &[u8]) -> Option<Record> {
     let nfields = u16::from_le_bytes(take(&mut b, 2)?.try_into().ok()?) as usize;
     let keylen = u32::from_le_bytes(take(&mut b, 4)?.try_into().ok()?) as usize;
     let key = String::from_utf8(take(&mut b, keylen)?.to_vec()).ok()?;
+    // Every field takes at least its 8 header bytes: a count the input
+    // cannot hold sizes no allocation.
+    if nfields > b.len() / 8 {
+        return None;
+    }
     let mut fields = Vec::with_capacity(nfields);
-    for _ in 0..nfields {
+    for i in 0..nfields {
         let namelen = u32::from_le_bytes(take(&mut b, 4)?.try_into().ok()?) as usize;
         let datalen = u32::from_le_bytes(take(&mut b, 4)?.try_into().ok()?) as usize;
-        let name = String::from_utf8(take(&mut b, namelen)?.to_vec()).ok()?;
+        let name = std::str::from_utf8(take(&mut b, namelen)?).ok()?;
+        let name = match NAMES.get(i) {
+            Some(&positional) if positional == name => Cow::Borrowed(positional),
+            _ => Cow::Owned(name.to_owned()),
+        };
         let data = take(&mut b, datalen)?.to_vec();
         fields.push((name, data));
     }
-    Some(Record { key, fields })
+    b.is_empty().then_some(Record { key, fields })
 }
 
 #[cfg(test)]
@@ -128,6 +165,31 @@ mod proptests {
         ) {
             let rec = Record::ycsb(&key, &fields);
             prop_assert_eq!(decode_record(&encode_record(&rec)), Some(rec));
+        }
+
+        /// Arbitrary names round-trip byte for byte — positional ones at the
+        /// wrong index (`"field3"` at position 5) included — and a decoded
+        /// name borrows the static table iff it is its position's name.
+        #[test]
+        fn names_round_trip_and_only_positional_names_borrow(
+            names in proptest::collection::vec(
+                prop_oneof![
+                    "[a-z0-9_]{0,12}",
+                    (0usize..20).prop_map(|i| format!("field{i}")),
+                ],
+                0..20,
+            ),
+        ) {
+            let rec = Record {
+                key: "k".to_string(),
+                fields: names.into_iter().map(|n| (Cow::Owned(n), vec![1u8])).collect(),
+            };
+            let back = decode_record(&encode_record(&rec)).expect("decodes");
+            prop_assert_eq!(&back, &rec);
+            for (i, (name, _)) in back.fields.iter().enumerate() {
+                let positional = matches!(ycsb_field_name(i), Cow::Borrowed(p) if p == name);
+                prop_assert_eq!(matches!(name, Cow::Borrowed(_)), positional);
+            }
         }
 
         /// Truncation at any point yields None, never a wrong record.
@@ -169,7 +231,7 @@ mod proptests {
         let rec = Record {
             key: "max".to_string(),
             fields: (0..u16::MAX as usize)
-                .map(|i| (ycsb_field_name(i).into_owned(), Vec::new()))
+                .map(|i| (ycsb_field_name(i), Vec::new()))
                 .collect(),
         };
         let bytes = encode_record(&rec);
@@ -182,6 +244,28 @@ mod proptests {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A count past the `u16` header word is refused, not truncated (65 537
+    /// fields once encoded a count of 1 and decoded as a 1-field record).
+    #[test]
+    #[should_panic(expected = "field count 65537 does not fit")]
+    fn field_count_past_its_header_word_is_refused() {
+        encode_record(&Record::ycsb("k", &vec![vec![]; 65_537]));
+    }
+
+    #[test]
+    #[should_panic(expected = "value length 4294967296 does not fit")]
+    fn value_length_past_its_header_word_is_refused() {
+        write_field_header(&mut Vec::new(), "field0", 1 << 32);
+    }
+
+    /// Bytes after the last field are not a different record's tail to drop.
+    #[test]
+    fn trailing_bytes_are_refused() {
+        let mut bytes = encode_record(&Record::ycsb("k", &[b"v".to_vec()]));
+        bytes.push(0);
+        assert!(decode_record(&bytes).is_none());
+    }
 
     #[test]
     fn round_trip() {
@@ -213,8 +297,9 @@ mod tests {
     #[test]
     fn ycsb_names_are_positional() {
         let rec = Record::ycsb("k", &[vec![1], vec![2]]);
-        assert_eq!(rec.fields[0].0, "field0");
-        assert_eq!(rec.fields[1].0, "field1");
+        assert_eq!(rec.fields[0].0, Cow::Borrowed("field0"));
+        assert_eq!(rec.fields[1].0, Cow::Borrowed("field1"));
+        assert!(rec.fields.iter().all(|(n, _)| matches!(n, Cow::Borrowed(_))));
         assert_eq!(rec.value_bytes(), 2);
     }
 }

@@ -59,17 +59,27 @@ impl PRecord {
     /// bounded by what the chain can hold before it sizes anything: a torn
     /// or corrupt word is a catchable panic, never an allocator abort — nor
     /// a free of whatever words follow the record.
-    fn field_refs(&self) -> Vec<u64> {
+    fn field_refs(&self) -> FieldRefs {
         let n = self.nfields();
         assert!(
             n <= max_fields(self.proxy.capacity()),
             "record at {:#x}: nfields word {n} exceeds its chain",
             self.proxy.addr()
         );
-        let mut raw = vec![0u8; n as usize * 8];
-        self.proxy.read_bytes(8, &mut raw);
-        let words = raw.chunks_exact(8);
-        words.map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes"))).collect()
+        let n = n as usize;
+        let mut refs = FieldRefs {
+            inline: [0; INLINE_REFS * 8],
+            heap: Vec::new(),
+            n,
+        };
+        let raw = if n <= INLINE_REFS {
+            &mut refs.inline[..n * 8]
+        } else {
+            refs.heap = vec![0u8; n * 8];
+            &mut refs.heap[..]
+        };
+        self.proxy.read_bytes(8, raw);
+        refs
     }
 
     /// Materialize the whole record (positional YCSB field names).
@@ -77,12 +87,12 @@ impl PRecord {
         let rt = self.proxy.runtime();
         let refs = self.field_refs();
         let mut fields = Vec::with_capacity(refs.len());
-        for (i, blob) in refs.into_iter().enumerate() {
+        for (i, blob) in refs.iter().enumerate() {
             let mut value = Vec::new();
             if blob != 0 {
                 blob_append_to(rt, blob, &mut value, |_, _| {});
             }
-            fields.push((ycsb_field_name(i).into_owned(), value));
+            fields.push((ycsb_field_name(i), value));
         }
         Record {
             key: key.to_string(),
@@ -97,7 +107,7 @@ impl PRecord {
         let rt = self.proxy.runtime();
         let refs = self.field_refs();
         write_record_header(out, key, refs.len());
-        for (i, blob) in refs.into_iter().enumerate() {
+        for (i, blob) in refs.iter().enumerate() {
             let name = ycsb_field_name(i);
             if blob == 0 {
                 write_field_header(out, &name, 0);
@@ -130,10 +140,39 @@ impl PRecord {
     /// Free the record and every field blob.
     pub fn free_deep(rt: &Jnvm, addr: u64) {
         let blobs = PRecord::resurrect(rt, addr).field_refs();
-        for blob in blobs.into_iter().filter(|blob| *blob != 0) {
+        for blob in blobs.iter().filter(|blob| *blob != 0) {
             rt.free_addr(blob);
         }
         rt.free_addr(addr);
+    }
+}
+
+/// Reference slots [`FieldRefs`] holds without a heap buffer: more than
+/// the 28 a pool slot's record has, so reading a pooled record's
+/// references allocates nothing.
+const INLINE_REFS: usize = 32;
+
+/// A record's reference array (0 = null), copied out of NVMM by one read.
+struct FieldRefs {
+    inline: [u8; INLINE_REFS * 8],
+    /// Used instead of `inline` past [`INLINE_REFS`] references.
+    heap: Vec<u8>,
+    n: usize,
+}
+
+impl FieldRefs {
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        let raw = if self.n <= INLINE_REFS {
+            &self.inline[..self.n * 8]
+        } else {
+            &self.heap[..]
+        };
+        raw.chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
     }
 }
 
@@ -247,7 +286,7 @@ impl JnvmBackend {
 
     /// The persistent record stored under `key`, if any.
     fn lookup(&self, key: &str) -> Option<PRecord> {
-        let proxy = self.shard(key).get_value(&key.to_string())?;
+        let proxy = self.shard(key).get_value(key)?;
         Some(PRecord::from_proxy(proxy))
     }
 
@@ -294,7 +333,7 @@ impl JnvmBackend {
 
     /// Removal body; same caller contract as [`JnvmBackend::do_put`].
     fn do_remove(&self, key: &str) -> bool {
-        match self.shard(key).remove(&key.to_string()) {
+        match self.shard(key).remove(key) {
             Some(old) => {
                 PRecord::free_deep(&self.rt, old);
                 true
@@ -346,7 +385,8 @@ impl Backend for JnvmBackend {
         let Some(prec) = self.lookup(key) else {
             return false;
         };
-        let blobs = prec.field_refs().into_iter().filter(|blob| *blob != 0);
+        let refs = prec.field_refs();
+        let blobs = refs.iter().filter(|blob| *blob != 0);
         std::hint::black_box(blobs.fold(0, |sum, blob| sum ^ blob_len_at(&self.rt, blob)));
         true
     }

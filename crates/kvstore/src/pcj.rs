@@ -81,7 +81,7 @@ impl Backend for PcjBackend {
 
     fn read(&self, key: &str) -> Option<Record> {
         self.jni();
-        let addr = self.shard(key).get(&key.to_string())?;
+        let addr = self.shard(key).get(key)?;
         let blob = PBytes::resurrect(&self.rt, addr);
         let bytes = blob.to_vec();
         spin_ns(self.costs.marshal_ns_per_byte * bytes.len() as u64);
@@ -102,7 +102,7 @@ impl Backend for PcjBackend {
 
     fn remove(&self, key: &str) -> bool {
         self.jni();
-        match self.shard(key).remove(&key.to_string()) {
+        match self.shard(key).remove(key) {
             Some(old) => {
                 self.rt.free_addr(old);
                 true

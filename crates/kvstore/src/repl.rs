@@ -7,8 +7,9 @@
 //! retire) once per batch, not per write — the Persistent
 //! Software Combining argument applied across devices.
 //!
-//! [`commit_writes_replicated`] is the in-process form used by the
-//! fault-injection harness and the `fig14_replication` model: it commits
+//! [`commit_writes_replicated`] is the in-process form, called by the
+//! kvstore-level replicated crash sweep (`tests/replication.rs`) and by
+//! the benchmark's per-layer probe (`benchmark/src/layers.rs`): it commits
 //! the batch on the **backup first**, then on the primary, mirroring the
 //! server's wire ordering (the group is streamed to the backup *before*
 //! the primary's commit). That ordering is what makes failover safe: at

@@ -249,7 +249,12 @@ fn parse_repl_apply(body: &[u8]) -> Option<Request> {
     }
     let seq = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
     let count = u32::from_le_bytes(body[8..12].try_into().expect("4 bytes")) as usize;
-    let mut ops = Vec::with_capacity(count.min(1024));
+    // Every op takes at least its tag byte and a length word: a count the
+    // body cannot hold sizes no allocation.
+    if count > (body.len() - 12) / 5 {
+        return None;
+    }
+    let mut ops = Vec::with_capacity(count);
     let mut at = 12;
     let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
         let s = body.get(*at..*at + n)?;

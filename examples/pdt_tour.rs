@@ -79,7 +79,7 @@ fn main() {
         .root_get_as::<PStringHashMap>("tour-map")
         .expect("typed")
         .expect("map survived");
-    let gamma = map2.get(&"gamma".to_string()).expect("entry survived");
+    let gamma = map2.get("gamma").expect("entry survived");
     println!(
         "map[gamma] = {:?} — the mirror was rebuilt from NVMM at resurrection",
         String::from_utf8_lossy(&PBytes::resurrect(&rt2, gamma).to_vec())
