@@ -241,7 +241,7 @@ mod tests {
                 "{kind:?} update"
             );
             assert_eq!(
-                setup.grid.read(&rec.key).unwrap().fields[2].1,
+                setup.grid.read(&rec.key).unwrap().fields.value(2),
                 vec![9u8; 32],
                 "{kind:?} after update"
             );

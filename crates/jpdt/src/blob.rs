@@ -47,6 +47,22 @@ pub fn blob_len_at(rt: &Jnvm, addr: u64) -> u64 {
     blob_len(rt, &RawChain::open(rt, addr))
 }
 
+/// The most content bytes the blob at `addr` can hold, when DRAM alone
+/// knows it: a pooled blob's slot payload behind its length word, from the
+/// pool's slot-class table. `0` for a chained blob or a slot whose class
+/// the table has not learned yet — never a device read. A buffer-sizing
+/// hint, not a bound.
+pub fn blob_capacity_hint(rt: &Jnvm, addr: u64) -> usize {
+    let pools = rt.pools();
+    if !pools.is_pooled_addr(addr) {
+        return 0;
+    }
+    let block = rt.heap().block_of_addr(addr);
+    pools
+        .known_slot_payload(block)
+        .map_or(0, |payload| payload.saturating_sub(8) as usize)
+}
+
 /// Append the content of the blob at `addr` to `out`: one length read, one
 /// content read, no handle, no buffer in between. `header` gets the
 /// (bounded) length first, to write what goes in front of the bytes.

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use parking_lot::RwLock;
 
-use crate::codec::{decode_record, encode_record, Record};
+use crate::codec::{decode_record, encode_record, encode_record_into, Record};
 use crate::CostModel;
 
 /// A persistent (or dummy) store the grid writes through to.
@@ -27,7 +27,7 @@ pub trait Backend: Send + Sync {
     /// external design); J-NVM backends encode straight out of NVMM.
     fn read_encoded(&self, key: &str, out: &mut Vec<u8>) -> bool {
         self.read(key)
-            .map(|rec| out.extend_from_slice(&encode_record(&rec)))
+            .map(|rec| encode_record_into(&rec, out))
             .is_some()
     }
     /// Serve a YCSB-style read without forcing materialization: J-NVM
@@ -100,13 +100,8 @@ impl Backend for VolatileBackend {
 
     fn update_field(&self, key: &str, field: usize, value: &[u8]) -> bool {
         let mut m = self.shard(key).write();
-        match m.get_mut(key) {
-            Some(rec) if field < rec.fields.len() => {
-                rec.fields[field].1 = value.to_vec();
-                true
-            }
-            _ => false,
-        }
+        m.get_mut(key)
+            .is_some_and(|rec| rec.set_field(field, value))
     }
 
     fn remove(&self, key: &str) -> bool {
@@ -204,7 +199,7 @@ mod tests {
         assert!(b.store_full(&rec));
         assert_eq!(b.read("k").unwrap(), rec);
         assert!(b.update_field("k", 0, b"V0"));
-        assert_eq!(b.read("k").unwrap().fields[0].1, b"V0");
+        assert_eq!(b.read("k").unwrap().fields.value(0), b"V0");
         assert!(!b.update_field("k", 5, b"x"));
         assert_eq!(b.len(), 1);
         assert!(b.remove("k"));

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::backend::Backend;
-use crate::codec::{encode_record, Record};
+use crate::codec::{encode_record_into, Record};
 use crate::lru::ShardedLru;
 
 /// Shards of the volatile record cache.
@@ -78,7 +78,7 @@ impl DataGrid {
     /// whose writes bypass the write-through paths).
     pub(crate) fn invalidate(&self, key: &str) {
         if self.cache_enabled {
-            self.cache.remove(&key.to_string());
+            self.cache.remove(key);
         }
     }
 
@@ -118,7 +118,7 @@ impl DataGrid {
         let _g = self.stripe(key).lock();
         self.metrics.reads.fetch_add(1, Ordering::Relaxed);
         if self.cache_enabled {
-            if let Some(rec) = self.cache.get(&key.to_string()) {
+            if let Some(rec) = self.cache.get(key) {
                 self.metrics.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(rec);
             }
@@ -131,14 +131,14 @@ impl DataGrid {
         Some(rec)
     }
 
-    /// [`DataGrid::read`] marshalled ([`encode_record`]'s bytes) onto `out`:
+    /// [`DataGrid::read`] marshalled ([`crate::encode_record`]'s bytes) onto `out`:
     /// same stripe lock, same counters, `out` untouched when absent. An
     /// uncached grid lets the backend encode (J-NVM: straight out of NVMM).
     pub fn read_encoded(&self, key: &str, out: &mut Vec<u8>) -> bool {
         if self.cache_enabled {
             return self
                 .read(key)
-                .map(|rec| out.extend_from_slice(&encode_record(&rec)))
+                .map(|rec| encode_record_into(&rec, out))
                 .is_some();
         }
         let _g = self.stripe(key).lock();
@@ -158,11 +158,10 @@ impl DataGrid {
     /// [`DataGrid::read_touch`] body; caller holds the key's stripe lock.
     fn read_touch_locked(&self, key: &str) -> bool {
         self.metrics.reads.fetch_add(1, Ordering::Relaxed);
-        if self.cache_enabled
-            && self.cache.get(&key.to_string()).is_some() {
-                self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
+        if self.cache_enabled && self.cache.touch(key) {
+            self.metrics.hits.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
         self.metrics.misses.fetch_add(1, Ordering::Relaxed);
         if self.backend.prefers_field_updates() {
             // J-NVM path: proxy touch.
@@ -197,7 +196,7 @@ impl DataGrid {
             self.backend.update_field(key, field, value)
         } else {
             let rec = if self.cache_enabled {
-                self.cache.get(&key.to_string())
+                self.cache.get(key)
             } else {
                 None
             };
@@ -211,17 +210,15 @@ impl DataGrid {
                 }
                 None => return false,
             };
-            if field >= rec.fields.len() {
+            if !rec.set_field(field, value) {
                 return false;
             }
-            rec.fields[field].1 = value.to_vec();
             self.backend.store_full(&rec)
         };
         if ok && self.cache_enabled {
             // Keep the cached copy coherent (write-through).
-            if let Some(mut rec) = self.cache.get(&key.to_string()) {
-                if field < rec.fields.len() {
-                    rec.fields[field].1 = value.to_vec();
+            if let Some(mut rec) = self.cache.get(key) {
+                if rec.set_field(field, value) {
                     self.cache.insert(key.to_string(), rec);
                 }
             }
@@ -244,7 +241,7 @@ impl DataGrid {
         let _g = self.stripe(key).lock();
         self.metrics.writes.fetch_add(1, Ordering::Relaxed);
         if self.cache_enabled {
-            self.cache.remove(&key.to_string());
+            self.cache.remove(key);
         }
         self.backend.remove(key)
     }
@@ -280,9 +277,9 @@ mod tests {
         assert!(g.insert(&rec));
         assert_eq!(g.read("k").unwrap(), rec);
         assert!(g.update_field("k", 1, b"B"));
-        assert_eq!(g.read("k").unwrap().fields[1].1, b"B");
+        assert_eq!(g.read("k").unwrap().fields.value(1), b"B");
         assert!(g.rmw("k", 0, b"A"));
-        assert_eq!(g.read("k").unwrap().fields[0].1, b"A");
+        assert_eq!(g.read("k").unwrap().fields.value(0), b"A");
         assert!(g.remove("k"));
         assert!(g.read("k").is_none());
     }
@@ -305,7 +302,7 @@ mod tests {
         g.insert(&rec);
         g.read("k"); // cached
         g.update_field("k", 0, b"new");
-        assert_eq!(g.read("k").unwrap().fields[0].1, b"new");
+        assert_eq!(g.read("k").unwrap().fields.value(0), b"new");
     }
 
     #[test]
@@ -316,7 +313,7 @@ mod tests {
         let rec = Record::ycsb("k", &[b"x".to_vec(), b"y".to_vec()]);
         g.insert(&rec);
         assert!(g.update_field("k", 0, b"X"));
-        assert_eq!(g.read("k").unwrap().fields[0].1, b"X");
+        assert_eq!(g.read("k").unwrap().fields.value(0), b"X");
         assert!(!g.update_field("absent", 0, b"X"));
     }
 
@@ -344,7 +341,8 @@ mod tests {
                     for _ in 0..100 {
                         loop {
                             let cur = g.read("k").unwrap();
-                            let v = u64::from_le_bytes(cur.fields[0].1[..8].try_into().unwrap());
+                            let v =
+                                u64::from_le_bytes(cur.fields.value(0)[..8].try_into().unwrap());
                             // CAS-like: reinsert only if unchanged (the
                             // VolatileBackend's update is atomic per call).
                             if g.update_field_cas("k", v, v + 1) {
@@ -358,7 +356,11 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        let v = u64::from_le_bytes(g.read("k").unwrap().fields[0].1[..8].try_into().unwrap());
+        let v = u64::from_le_bytes(
+            g.read("k").unwrap().fields.value(0)[..8]
+                .try_into()
+                .unwrap(),
+        );
         assert_eq!(v, 800);
     }
 
@@ -544,7 +546,7 @@ mod tests {
             let Some(rec) = self.backend.read(key) else {
                 return false;
             };
-            let cur = u64::from_le_bytes(rec.fields[0].1[..8].try_into().unwrap());
+            let cur = u64::from_le_bytes(rec.fields.value(0)[..8].try_into().unwrap());
             if cur != expect {
                 return false;
             }

@@ -218,7 +218,10 @@ mod tests {
         assert!(out.groups < ops.len(), "no grouping happened: {out:?}");
         assert_eq!(d.pfences, 4 * out.groups as u64);
         for i in 0..16 {
-            assert_eq!(grid.read(&format!("k{i:02}")).unwrap().fields[0].1, b"v");
+            assert_eq!(
+                grid.read(&format!("k{i:02}")).unwrap().fields.value(0),
+                b"v"
+            );
         }
     }
 
@@ -265,7 +268,7 @@ mod tests {
         }
         for i in 0..32 {
             assert_eq!(
-                grid.read(&format!("pair-{i:03}")).unwrap().fields[0].1,
+                grid.read(&format!("pair-{i:03}")).unwrap().fields.value(0),
                 b"patched"
             );
         }
@@ -329,6 +332,6 @@ mod tests {
         ];
         let out = commit_writes(&grid, &be, &ops);
         assert_eq!(out.results, vec![false, true, false]);
-        assert_eq!(grid.read("present").unwrap().fields[0].1, b"v");
+        assert_eq!(grid.read("present").unwrap().fields.value(0), b"v");
     }
 }

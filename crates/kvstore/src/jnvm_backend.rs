@@ -11,11 +11,13 @@
 //! consistency (low-level interface).
 
 use jnvm::{Jnvm, JnvmBuilder, JnvmError, PObject, Proxy, RawChain};
-use jnvm_jpdt::{blob_append_to, blob_len_at, register_jpdt, PBytes, PStringHashMap};
+use jnvm_jpdt::{
+    blob_append_to, blob_capacity_hint, blob_len_at, register_jpdt, PBytes, PStringHashMap,
+};
 use parking_lot::Mutex;
 
 use crate::backend::Backend;
-use crate::codec::{write_field_header, write_record_header, ycsb_field_name, Record};
+use crate::codec::{write_field_header, write_record_header, ycsb_field_name, Fields, Record};
 
 /// A persistent YCSB-style record: `[nfields u64][field blob refs...]`.
 pub struct PRecord {
@@ -82,17 +84,20 @@ impl PRecord {
         refs
     }
 
-    /// Materialize the whole record (positional YCSB field names).
+    /// Materialize the whole record (positional YCSB field names): the key
+    /// and one buffer, sized from the blobs' slot capacities as the DRAM
+    /// pool table knows them, so sizing reads nothing.
     pub fn to_record(&self, key: &str) -> Record {
         let rt = self.proxy.runtime();
         let refs = self.field_refs();
-        let mut fields = Vec::with_capacity(refs.len());
+        let room = refs.iter().map(|blob| blob_capacity_hint(rt, blob)).sum();
+        let mut fields = Fields::with_capacity(refs.len(), room);
         for (i, blob) in refs.iter().enumerate() {
-            let mut value = Vec::new();
-            if blob != 0 {
-                blob_append_to(rt, blob, &mut value, |_, _| {});
-            }
-            fields.push((ycsb_field_name(i), value));
+            fields.push_with(&ycsb_field_name(i), |values| {
+                if blob != 0 {
+                    blob_append_to(rt, blob, values, |_, _| {});
+                }
+            });
         }
         Record {
             key: key.to_string(),
@@ -312,7 +317,7 @@ impl JnvmBackend {
     /// block or staging) and exclusion (the shard lock or group-former
     /// shard disjointness).
     fn do_put(&self, rec: &Record) -> bool {
-        let Ok(prec) = PRecord::create(&self.rt, rec.fields.iter().map(|(_, v)| v)) else {
+        let Ok(prec) = PRecord::create(&self.rt, rec.fields.values()) else {
             return false;
         };
         match self.shard(&rec.key).put(rec.key.clone(), prec.addr()) {
@@ -473,7 +478,7 @@ mod tests {
                 let rec = be
                     .read(&key)
                     .unwrap_or_else(|| panic!("{key}: concurrent insert lost"));
-                assert_eq!(rec.fields[0].1, format!("v{t}-{i:04}").into_bytes());
+                assert_eq!(rec.fields.value(0), format!("v{t}-{i:04}").into_bytes());
             }
         }
         // Same story on the persistent image.
@@ -502,7 +507,7 @@ mod tests {
             assert!(be.store_full(&rec));
             assert_eq!(be.read(&rec.key).unwrap(), rec);
             assert!(be.update_field(&rec.key, 0, b"A"));
-            assert_eq!(be.read(&rec.key).unwrap().fields[0].1, b"A");
+            assert_eq!(be.read(&rec.key).unwrap().fields.value(0), b"A");
             assert!(!be.update_field("missing", 0, b"x"));
             assert_eq!(be.len(), 1);
             assert!(be.remove(&rec.key));
@@ -581,7 +586,7 @@ mod tests {
             let record = be.lookup(key).unwrap();
             assert_eq!(rt.pools().is_pooled_addr(record.addr()), pooled, "{key}");
             assert!(be.update_field(key, fields - 1, b"last"));
-            want.fields[fields - 1].1 = b"last".to_vec();
+            assert!(want.set_field(fields - 1, b"last"));
             assert_eq!(be.read(key).as_ref(), Some(&want), "{key}");
         }
         be.sync();
@@ -591,8 +596,8 @@ mod tests {
             .open(Arc::clone(&pmem))
             .unwrap();
         let be2 = JnvmBackend::open(&rt2, true).unwrap();
-        assert_eq!(be2.read("wide").unwrap().fields[28].1, b"last");
-        assert_eq!(be2.read("narrow").unwrap().fields[27].1, b"last");
+        assert_eq!(be2.read("wide").unwrap().fields.value(28), b"last");
+        assert_eq!(be2.read("narrow").unwrap().fields.value(27), b"last");
     }
 
     /// A corrupt `nfields` word on media stops neither recovery nor the
@@ -661,7 +666,7 @@ mod tests {
         assert_eq!(be2.len(), 50);
         for i in 0..50 {
             let rec = be2.read(&format!("user{i}")).expect("record survived");
-            assert_eq!(rec.fields[0].1, vec![i as u8; 16]);
+            assert_eq!(rec.fields.value(0), vec![i as u8; 16]);
         }
     }
 
@@ -745,14 +750,14 @@ mod tests {
                     // A null field reference reads as an empty value.
                     let null = null % values.len();
                     be.lookup(&want.key).unwrap().proxy.write_ref(8 + null as u64 * 8, None);
-                    want.fields[null].1.clear();
+                    assert!(want.set_field(null, b""));
                     assert_sinks_agree(&be, &want);
                     // Inside an open failure-atomic block the walker sees a
                     // staged `set_field` exactly as the proxy accessors do.
                     let staged = (null + 1) % values.len();
                     rt.fa(|| {
                         assert!(be.do_set_field(&want.key, staged, b"staged, not yet committed"));
-                        want.fields[staged].1 = b"staged, not yet committed".to_vec();
+                        assert!(want.set_field(staged, b"staged, not yet committed"));
                         assert_sinks_agree(&be, &want);
                     });
                     assert_sinks_agree(&be, &want);

@@ -35,7 +35,7 @@ mod sharded;
 mod simfs;
 
 pub use backend::{Backend, NullFsBackend, VolatileBackend};
-pub use codec::{decode_record, encode_record, Record};
+pub use codec::{decode_record, encode_record, encode_record_into, encoded_len, Fields, Record};
 pub use grid::{DataGrid, GridConfig, GridMetrics};
 pub use group::{commit_writes, BatchOutcome, WriteOp};
 pub use jnvm_backend::{register_kvstore, JnvmBackend, PRecord};

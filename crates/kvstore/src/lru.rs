@@ -2,6 +2,7 @@
 //! concurrent wrapper — the grid's volatile cache, standing in for
 //! Infinispan's bounded data container.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
@@ -80,8 +81,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Get and touch (promote to most recently used).
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    /// Get and touch (promote to most recently used). `key` may be any
+    /// borrowed form of `K` (a `&str` for a `String` key).
+    pub fn get<Q: Hash + Eq + ?Sized>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
         let idx = *self.map.get(key)?;
         self.unlink(idx);
         self.push_front(idx);
@@ -89,7 +94,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Peek without touching.
-    pub fn peek(&self, key: &K) -> Option<&V> {
+    pub fn peek<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
         self.map.get(key).map(|i| &self.nodes[*i].value)
     }
 
@@ -145,7 +153,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Remove an entry.
-    pub fn remove(&mut self, key: &K) -> bool {
+    pub fn remove<Q: Hash + Eq + ?Sized>(&mut self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+    {
         match self.map.remove(key) {
             Some(idx) => {
                 self.unlink(idx);
@@ -186,15 +197,29 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<LruCache<K, V>> {
+    /// The shard of `key`. A borrowed form hashes as `K` does (the
+    /// [`Borrow`] contract), so it finds the same shard.
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<LruCache<K, V>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    /// Get (clones the value) and touch.
-    pub fn get(&self, key: &K) -> Option<V> {
+    /// Get (clones the value) and touch. `key` may be any borrowed form of
+    /// `K`, so a hit allocates only the clone.
+    pub fn get<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
         self.shard(key).lock().get(key).cloned()
+    }
+
+    /// Touch without cloning the value: whether `key` is cached.
+    pub fn touch<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+    {
+        self.shard(key).lock().get(key).is_some()
     }
 
     /// Insert/replace.
@@ -203,7 +228,10 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
     }
 
     /// Remove.
-    pub fn remove(&self, key: &K) -> bool {
+    pub fn remove<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+    {
         self.shard(key).lock().remove(key)
     }
 

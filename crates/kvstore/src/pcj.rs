@@ -93,11 +93,7 @@ impl Backend for PcjBackend {
         let Some(mut rec) = self.read(key) else {
             return false;
         };
-        if field >= rec.fields.len() {
-            return false;
-        }
-        rec.fields[field].1 = value.to_vec();
-        self.store_full(&rec)
+        rec.set_field(field, value) && self.store_full(&rec)
     }
 
     fn remove(&self, key: &str) -> bool {
@@ -146,7 +142,7 @@ mod tests {
         assert!(be.store_full(&rec));
         assert_eq!(be.read("user7").unwrap(), rec);
         assert!(be.update_field("user7", 1, b"BBB"));
-        assert_eq!(be.read("user7").unwrap().fields[1].1, b"BBB");
+        assert_eq!(be.read("user7").unwrap().fields.value(1), b"BBB");
         assert_eq!(be.len(), 1);
         assert!(be.remove("user7"));
         assert!(be.read("user7").is_none());

@@ -162,9 +162,9 @@ mod tests {
             &lag,
         );
         assert_eq!(out.results, vec![true, true, false]);
-        assert_eq!(pbe.read("a").unwrap().fields[0].1, b"1");
-        assert_eq!(bbe.read("a").unwrap().fields[0].1, b"1");
-        assert_eq!(bbe.read("b").unwrap().fields[0].1, b"2");
+        assert_eq!(pbe.read("a").unwrap().fields.value(0), b"1");
+        assert_eq!(bbe.read("a").unwrap().fields.value(0), b"1");
+        assert_eq!(bbe.read("b").unwrap().fields.value(0), b"2");
         assert_eq!((lag.sent(), lag.acked(), lag.lag()), (1, 1, 0));
     }
 

@@ -276,7 +276,7 @@ mod tests {
         assert_eq!(reports.len(), 3);
         for k in &keys {
             let rec = kv2.read(k).expect("record survives reopen");
-            assert_eq!(rec.fields[0].1, k.as_bytes());
+            assert_eq!(rec.fields.value(0), k.as_bytes());
         }
         assert_eq!(kv2.records(), keys.len());
     }

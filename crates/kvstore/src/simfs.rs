@@ -213,11 +213,7 @@ impl Backend for FsBackend {
         let Some(mut rec) = self.read(key) else {
             return false;
         };
-        if field >= rec.fields.len() {
-            return false;
-        }
-        rec.fields[field].1 = value.to_vec();
-        self.store_full(&rec)
+        rec.set_field(field, value) && self.store_full(&rec)
     }
 
     fn remove(&self, key: &str) -> bool {
@@ -325,7 +321,7 @@ mod tests {
         assert!(be.store_full(&rec));
         assert_eq!(be.read("user1").unwrap(), rec);
         assert!(be.update_field("user1", 1, b"BBB"));
-        assert_eq!(be.read("user1").unwrap().fields[1].1, b"BBB");
+        assert_eq!(be.read("user1").unwrap().fields.value(1), b"BBB");
         assert!(!be.update_field("user1", 9, b"nope"));
         assert!(!be.update_field("missing", 0, b"nope"));
         assert!(be.remove("user1"));

@@ -189,7 +189,7 @@ fn captured_kind(req: &Request) -> Option<(&str, OpKind)> {
         Request::Del(key) => Some((key, OpKind::Del)),
         Request::Set(rec) => Some((
             &rec.key,
-            OpKind::Set(rec.fields.iter().map(|(_, v)| v.clone()).collect()),
+            OpKind::Set(rec.fields.values().map(<[u8]>::to_vec).collect()),
         )),
         Request::SetField { key, field, value } => {
             Some((key, OpKind::SetField(*field, value.clone())))
@@ -257,7 +257,7 @@ fn run_conn(
             // ever writes, so the checker convicts it.
             Reply::Value(payload) => {
                 let fields = jnvm_kvstore::decode_record(&payload)
-                    .map(|r| r.fields.into_iter().map(|(_, v)| v).collect())
+                    .map(|r| r.fields.values().map(<[u8]>::to_vec).collect())
                     .unwrap_or_default();
                 (OpOutcome::Value, Outcome::Value(fields))
             }

@@ -39,7 +39,9 @@ use std::io::{ErrorKind, Read};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use jnvm_kvstore::{decode_record, encode_record, Record, WriteOp};
+use jnvm_kvstore::{
+    decode_record, encode_record, encode_record_into, encoded_len, Record, WriteOp,
+};
 
 /// First byte of every request frame.
 pub const MAGIC: u8 = 0x4e;
@@ -192,7 +194,7 @@ pub fn parse_frame(buf: &[u8]) -> ParseOutcome {
         OP_SET => match decode_record(body) {
             Some(rec) if rec.key.len() > MAX_KEY => Request::Invalid("key too long"),
             Some(rec) if rec.fields.len() > MAX_FIELDS => Request::Invalid("too many fields"),
-            Some(rec) if rec.fields.iter().any(|(_, v)| v.len() > MAX_VALUE) => {
+            Some(rec) if rec.fields.values().any(|v| v.len() > MAX_VALUE) => {
                 Request::Invalid("value too large")
             }
             Some(rec) => Request::Set(rec),
@@ -296,10 +298,14 @@ fn parse_repl_apply(body: &[u8]) -> Option<Request> {
 fn encode_repl_op(op: &WriteOp, out: &mut Vec<u8>) {
     match op {
         WriteOp::Set(rec) => {
-            let bytes = encode_record(rec);
+            // The record goes straight into `out`; its length word is
+            // patched behind it.
             out.push(REPL_OP_SET);
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(&bytes);
+            let at = out.len();
+            out.extend_from_slice(&[0; 4]);
+            encode_record_into(rec, out);
+            let len = (out.len() - at - 4) as u32;
+            out[at..at + 4].copy_from_slice(&len.to_le_bytes());
         }
         WriteOp::SetField { key, field, value } => {
             out.push(REPL_OP_SETF);
@@ -324,11 +330,21 @@ fn encode_repl_op(op: &WriteOp, out: &mut Vec<u8>) {
 /// other ops are bounded far below by [`MAX_KEY`] and [`MAX_VALUE`]).
 const REPL_SET_OVERHEAD: usize = 12 + 1 + 4;
 
+/// Bytes [`encode_repl_op`] appends for `op`.
+fn repl_op_len(op: &WriteOp) -> usize {
+    match op {
+        WriteOp::Set(rec) => 1 + 4 + encoded_len(rec),
+        WriteOp::SetField { key, value, .. } => 1 + 4 + 4 + key.len() + 4 + value.len(),
+        WriteOp::Del(key) => 1 + 4 + key.len(),
+    }
+}
+
 /// Encode one commit group as `REPL_APPLY` frames, chunking so no frame
 /// body exceeds [`MAX_FRAME`] — a group splits only *between* ops, which is
 /// why [`parse_frame`] bounds what one op can be. Returns `(frame bytes,
 /// seq)` pairs; `seq` values are allocated through `next_seq` in send
-/// order, so the last pair's seq is the batch's ack target.
+/// order, so the last pair's seq is the batch's ack target. Each frame is
+/// sized before its ops are encoded into it: one allocation per frame.
 pub fn encode_repl_apply(
     ops: &[WriteOp],
     mut next_seq: impl FnMut() -> u64,
@@ -337,36 +353,38 @@ pub fn encode_repl_apply(
     // op larger than this travels alone, within `REPL_SET_OVERHEAD`'s bound.
     let budget = MAX_FRAME - 1024;
     let mut frames = Vec::new();
-    let mut chunk: Vec<u8> = Vec::new();
-    let mut chunk_count = 0u32;
-    let mut flush = |chunk: &mut Vec<u8>, chunk_count: &mut u32| {
-        if *chunk_count == 0 {
-            return;
+    let mut rest = ops;
+    while !rest.is_empty() {
+        let (mut count, mut op_bytes) = (0, 0);
+        for op in rest {
+            let len = repl_op_len(op);
+            if count > 0 && op_bytes + len > budget {
+                break;
+            }
+            count += 1;
+            op_bytes += len;
         }
+        let (chunk, tail) = rest.split_at(count);
+        rest = tail;
         let seq = next_seq();
-        let mut body = Vec::with_capacity(12 + chunk.len());
-        body.extend_from_slice(&seq.to_le_bytes());
-        body.extend_from_slice(&chunk_count.to_le_bytes());
-        body.append(chunk);
-        debug_assert!(body.len() <= MAX_FRAME, "REPL_APPLY body over MAX_FRAME");
-        let mut frame = Vec::with_capacity(6 + body.len());
+        let body = 12 + op_bytes;
+        debug_assert!(body <= MAX_FRAME, "REPL_APPLY body over MAX_FRAME");
+        let mut frame = Vec::with_capacity(6 + body);
         frame.push(MAGIC);
         frame.push(OP_REPL_APPLY);
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&body);
-        frames.push((frame, seq));
-        *chunk_count = 0;
-    };
-    for op in ops {
-        let mut enc = Vec::new();
-        encode_repl_op(op, &mut enc);
-        if !chunk.is_empty() && chunk.len() + enc.len() > budget {
-            flush(&mut chunk, &mut chunk_count);
+        frame.extend_from_slice(&(body as u32).to_le_bytes());
+        frame.extend_from_slice(&seq.to_le_bytes());
+        frame.extend_from_slice(&(count as u32).to_le_bytes());
+        for op in chunk {
+            encode_repl_op(op, &mut frame);
         }
-        chunk.extend_from_slice(&enc);
-        chunk_count += 1;
+        debug_assert_eq!(
+            frame.len(),
+            6 + body,
+            "repl_op_len disagrees with encode_repl_op"
+        );
+        frames.push((frame, seq));
     }
-    flush(&mut chunk, &mut chunk_count);
     frames
 }
 

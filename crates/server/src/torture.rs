@@ -268,7 +268,7 @@ pub fn kill_during_traffic(point: u64, cfg: &TortureConfig) -> Result<KillReport
         .map_err(|e| format!("reopen {what} after crash at point {point}: {e}"))
     };
     let fields = |rec: Option<Record>| -> Option<FieldVals> {
-        rec.map(|rec| rec.fields.into_iter().map(|(_, v)| v).collect())
+        rec.map(|rec| rec.fields.values().map(<[u8]>::to_vec).collect())
     };
 
     // The survivor view: after a primary kill the crash shard's backup is

@@ -108,7 +108,11 @@ fn garbage_behind_accepted_requests_does_not_eat_their_replies() {
     match next_reply(&mut s, &mut buf) {
         Some(Reply::Value(payload)) => {
             let rec = jnvm_kvstore::decode_record(&payload).expect("record");
-            assert_eq!(rec.fields[1].1, b"new".to_vec(), "the GET reads the SETF before it");
+            assert_eq!(
+                rec.fields.value(1),
+                b"new",
+                "the GET reads the SETF before it"
+            );
         }
         other => panic!("GET k returned {other:?}"),
     }
@@ -291,7 +295,7 @@ fn mid_pipeline_drop_does_not_leak_staged_entries() {
         match roundtrip(&mut s, &mut buf, &Request::Get(format!("drop-{i:02}"))) {
             Some(Reply::Value(payload)) => {
                 let rec = jnvm_kvstore::decode_record(&payload).expect("untorn record");
-                assert_eq!(rec.fields[0].1, vec![i as u8; 64]);
+                assert_eq!(rec.fields.value(0), vec![i as u8; 64]);
             }
             Some(Reply::NotFound) => {}
             other => panic!("GET drop-{i:02} returned {other:?}"),

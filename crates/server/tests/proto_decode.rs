@@ -7,19 +7,23 @@
 //! `Malformed` or `Invalid`, or a wait for more bytes, and must never size
 //! an allocation from a length it has not checked against the input. A
 //! well-formed `SET` of a 10-field YCSB record costs exactly the record's
-//! 12 allocations.
+//! 2 allocations (its key and its one buffer), a replicated `SET` the same
+//! plus the frame's share of the op vector, and encoding a commit group for
+//! the backup allocates per frame, not per op.
 
 #[path = "../../kvstore/tests/support/alloc_counter.rs"]
 mod alloc_counter;
 
 use alloc_counter::allocs;
 use jnvm_kvstore::{Record, WriteOp};
+use jnvm_server::proto::encode_repl_apply;
 use jnvm_server::{encode_request, parse_frame, ParseOutcome, Request};
 use proptest::prelude::*;
 
-/// The largest allocation one parse may make per buffered byte: a record
-/// field or a replicated op takes at least 5 input bytes and at most
-/// 56 bytes of vector slot, and nothing else is sized from the input.
+/// The largest allocation one parse may make per buffered byte: a
+/// replicated op takes at least 5 input bytes and 80 bytes of vector slot,
+/// a record's buffer is smaller than its encoding, and nothing else is
+/// sized from the input.
 const ALLOC_PER_INPUT_BYTE: usize = 16;
 
 /// One request per spec: `kind` picks SET / SETF / REPL_APPLY.
@@ -168,7 +172,7 @@ proptest! {
 }
 
 #[test]
-fn parsing_a_ycsb_set_takes_the_records_twelve() {
+fn parsing_a_ycsb_set_takes_the_records_two() {
     let values: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 100]).collect();
     let rec = Record::ycsb("user42", &values);
     let frame = encode_request(&Request::Set(rec.clone()));
@@ -180,7 +184,54 @@ fn parsing_a_ycsb_set_takes_the_records_twelve() {
         }
         other => panic!("expected a SET frame, got {other:?}"),
     }
-    assert_eq!(used.count, 12, "key + field vector + 10 values, and nothing else");
+    assert_eq!(used.count, 2, "key + one buffer, and nothing else");
+}
+
+/// `SET`s of new 4 × 64 B records, as `insert_delete_2x2`'s committer
+/// sends them to the backup.
+fn insert_group(n: usize) -> Vec<WriteOp> {
+    (0..n)
+        .map(|i| {
+            WriteOp::Set(Record::ycsb(
+                &format!("user{i:012}"),
+                &vec![vec![i as u8; 64]; 4],
+            ))
+        })
+        .collect()
+}
+
+/// The backup's parse of a `REPL_APPLY` frame: the op vector once, then
+/// each `SET`'s key and buffer.
+#[test]
+fn parsing_a_repl_apply_of_sets_takes_two_per_op() {
+    let ops = insert_group(4);
+    let frames = encode_repl_apply(&ops, || 7);
+    assert_eq!(frames.len(), 1);
+    let (used, outcome) = allocs(|| parse_frame(&frames[0].0));
+    match outcome {
+        ParseOutcome::Frame(Request::ReplApply { seq: 7, ops: back }, _) => assert_eq!(back, ops),
+        other => panic!("expected a REPL_APPLY frame, got {other:?}"),
+    }
+    assert_eq!(
+        used.count,
+        1 + 2 * 4,
+        "the op vector + key and buffer per SET"
+    );
+}
+
+/// The committer's encode of a commit group: every record is written
+/// straight into its frame, sized before the first op goes in.
+#[test]
+fn encoding_a_repl_apply_allocates_per_frame_not_per_op() {
+    let ops = insert_group(64);
+    let (used, frames) = allocs(|| encode_repl_apply(&ops, || 1));
+    assert_eq!(frames.len(), 1);
+    assert_eq!(used.count, 2, "the frame list + the one frame");
+    assert_eq!(
+        used.largest,
+        frames[0].0.len(),
+        "the frame is sized exactly"
+    );
 }
 
 /// A SET whose body carries bytes after its last field is a different

@@ -284,13 +284,13 @@ fn grid_baselines() -> (u64, u64) {
 fn grid_verify(blocks_pre: u64, blocks_post: u64, pmem: &Arc<Pmem>, point: u64) {
     let (be, report) = grid_reopen(pmem);
     let k1 = be.read("k1").expect("k1 lost");
-    let f0 = &k1.fields[0].1;
+    let f0 = k1.fields.value(0);
     assert!(
         f0 == K1_OLD || f0 == K1_NEW,
         "crash point {point}: k1 field0 torn: {f0:?}"
     );
     assert_eq!(
-        k1.fields[1].1, b"bbbb",
+        k1.fields.value(1), b"bbbb",
         "crash point {point}: k1 field1 damaged by unrelated crash"
     );
     let k2 = be.read("k2");
@@ -298,8 +298,8 @@ fn grid_verify(blocks_pre: u64, blocks_post: u64, pmem: &Arc<Pmem>, point: u64) 
         None => {}
         Some(rec) => {
             // All-or-nothing: a recovered k2 is the complete record.
-            assert_eq!(rec.fields[0].1, b"cccc", "crash point {point}: k2 torn");
-            assert_eq!(rec.fields[1].1, b"dddd", "crash point {point}: k2 torn");
+            assert_eq!(rec.fields.value(0), b"cccc", "crash point {point}: k2 torn");
+            assert_eq!(rec.fields.value(1), b"dddd", "crash point {point}: k2 torn");
         }
     }
     // Program order: the RMW ran after the insert committed, so a new k1
@@ -1087,7 +1087,7 @@ fn pooled_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Option<bool>, Recove
         .open_with_options(Arc::clone(pmem), RecoveryOptions::with_mode(mode))
         .expect("recovery");
     let be = JnvmBackend::open(&rt, true).expect("backend");
-    let keep = be.read("keep").expect("keep survives").fields[0].1.clone();
+    let keep = be.read("keep").expect("keep survives").fields.value(0).to_vec();
     let fresh = be.read(POOLED_NEW);
     let gone = be.read(&pooled_gone());
     let before = keep == [0x10; 16] && fresh.is_none() && gone.is_some();

@@ -52,7 +52,7 @@ fn jnvm_grid_survives_crash_with_full_fidelity() {
                 .read(&format!("user{i:08}"))
                 .unwrap_or_else(|| panic!("record {i} lost (fa={fa})"));
             if i < 50 {
-                assert_eq!(rec.fields[3].1, vec![0xEE; 100], "updated field {i}");
+                assert_eq!(rec.fields.value(3), vec![0xEE; 100], "updated field {i}");
             } else {
                 assert_eq!(rec, sample_record(i), "record {i} content");
             }

@@ -61,7 +61,7 @@ fn chunk(shard: usize, c: usize) -> Vec<WriteOp> {
 
 fn captured_kind(op: &WriteOp) -> OpKind {
     match op {
-        WriteOp::Set(rec) => OpKind::Set(rec.fields.iter().map(|(_, v)| v.clone()).collect()),
+        WriteOp::Set(rec) => OpKind::Set(rec.fields.values().map(<[u8]>::to_vec).collect()),
         WriteOp::SetField { field, value, .. } => OpKind::SetField(*field, value.clone()),
         WriteOp::Del(_) => OpKind::Del,
     }
@@ -172,7 +172,7 @@ fn run_point(point: u64) {
                     .unwrap_or_else(|e| panic!("point {}: reopen failed: {e}", out.point));
             if let Err(v) = hist.check_recovered(|key| {
                 kv2.read(key)
-                    .map(|rec| rec.fields.into_iter().map(|(_, v)| v).collect())
+                    .map(|rec| rec.fields.values().map(<[u8]>::to_vec).collect())
             }) {
                 panic!("point {}: durable-linearizability violation: {v}", out.point);
             }
@@ -278,7 +278,7 @@ impl MixedClient {
                 Request::Get(key) => (key, OpKind::Get),
                 Request::Set(rec) => (
                     &rec.key,
-                    OpKind::Set(rec.fields.iter().map(|(_, v)| v.clone()).collect()),
+                    OpKind::Set(rec.fields.values().map(<[u8]>::to_vec).collect()),
                 ),
                 Request::SetField { key, field, value } => {
                     (key, OpKind::SetField(*field, value.clone()))
@@ -310,8 +310,8 @@ impl MixedClient {
                     jnvm_repro::kvstore::decode_record(&payload)
                         .expect("decodable record")
                         .fields
-                        .into_iter()
-                        .map(|(_, v)| v)
+                        .values()
+                        .map(<[u8]>::to_vec)
                         .collect(),
                 ),
                 other => panic!("crash-free traffic answered {other:?}"),

@@ -76,12 +76,12 @@ fn expect_chunk(grid: &DataGrid, shard: usize, c: usize) {
         let rec = grid
             .read(&key(shard, c, i))
             .unwrap_or_else(|| panic!("shard {shard} chunk {c}: acked key {i} lost"));
-        assert_eq!(rec.fields[0].1, set_value(c, i), "shard {shard} chunk {c} key {i}");
+        assert_eq!(rec.fields.value(0), set_value(c, i), "shard {shard} chunk {c} key {i}");
     }
     let rec = grid
         .read(&key(shard, c, 3))
         .unwrap_or_else(|| panic!("shard {shard} chunk {c}: acked key 3 lost"));
-    assert_eq!(rec.fields[0].1, field_value(c), "shard {shard} chunk {c} SETF");
+    assert_eq!(rec.fields.value(0), field_value(c), "shard {shard} chunk {c} SETF");
 }
 
 // ----------------------------------------------------------------- stacks
@@ -143,7 +143,7 @@ fn setup(log: &Arc<Log>) -> (Vec<Vec<Arc<Pmem>>>, Ctx) {
 /// The history-capture view of one [`WriteOp`].
 fn captured_kind(op: &WriteOp) -> OpKind {
     match op {
-        WriteOp::Set(rec) => OpKind::Set(rec.fields.iter().map(|(_, v)| v.clone()).collect()),
+        WriteOp::Set(rec) => OpKind::Set(rec.fields.values().map(<[u8]>::to_vec).collect()),
         WriteOp::SetField { field, value, .. } => OpKind::SetField(*field, value.clone()),
         WriteOp::Del(_) => OpKind::Del,
     }
@@ -338,7 +338,7 @@ fn run_point(point: u64, crash_replica: usize) -> Arc<Log> {
                     .expect("every key names its shard");
                 let (_rt, _be, grid) = &survivors[s];
                 grid.read(k)
-                    .map(|r| r.fields.into_iter().map(|(_, v)| v).collect())
+                    .map(|r| r.fields.values().map(<[u8]>::to_vec).collect())
             }) {
                 panic!("point {point}: durable-linearizability violation: {v}");
             }

@@ -537,7 +537,7 @@ fn pipelined_get_observes_the_unacked_write_before_it() {
     let replies = pipeline(&mut conn, &reqs);
     for (i, pair) in replies[1..].chunks(2).enumerate() {
         assert_eq!(pair[0], Reply::Ok, "SETF #{i}");
-        assert_eq!(served(&pair[1]).fields[0].1, val(i), "GET behind SETF #{i}");
+        assert_eq!(served(&pair[1]).fields.value(0), val(i), "GET behind SETF #{i}");
     }
 
     let reqs: Vec<Request> = (0..ROUNDS)
@@ -587,7 +587,7 @@ fn mixed_pipeline_replies_in_request_order() {
     assert_eq!(served(&replies[1]), rec("b"), "GET b");
     assert_eq!(replies[2], Reply::Ok, "SET c");
     assert_eq!(
-        served(&replies[3]).fields[1].1,
+        served(&replies[3]).fields.value(1),
         b"new",
         "GET a sees the SETF"
     );
@@ -808,7 +808,7 @@ fn read_mostly_kill(point: u64) -> (bool, u64) {
     for (k, req) in preload.iter().enumerate() {
         let Request::Set(rec) = req else { unreachable!() };
         for (f, (_, v)) in rec.fields.iter().enumerate() {
-            carried.insert((hot_key(k), f, v.clone()));
+            carried.insert((hot_key(k), f, v.to_vec()));
         }
     }
     for (c, log) in logs.iter().enumerate() {
@@ -836,9 +836,9 @@ fn read_mostly_kill(point: u64) -> (bool, u64) {
                 (Request::Get(key), Reply::Value(_)) => {
                     let rec = served(reply);
                     assert_eq!((rec.key.as_str(), rec.fields.len()), (key.as_str(), HOT_FIELDS));
-                    for (f, (_, v)) in rec.fields.into_iter().enumerate() {
+                    for (f, v) in rec.fields.values().enumerate() {
                         assert!(
-                            carried.contains(&(key.clone(), f, v)),
+                            carried.contains(&(key.clone(), f, v.to_vec())),
                             "point {point}, conn {c}, op {i}: {key} field {f} holds bytes no write carried"
                         );
                     }

@@ -122,7 +122,7 @@ fn concurrent_shard_recovery_is_bit_identical_to_sequential() {
     assert_eq!(reports.len(), SHARDS);
     for k in &floor_keys {
         let rec = kva.read(k).unwrap_or_else(|| panic!("{k}: committed write lost"));
-        assert_eq!(rec.fields[0].1, k.as_bytes(), "{k}: torn after recovery");
+        assert_eq!(rec.fields.value(0), k.as_bytes(), "{k}: torn after recovery");
     }
     drop(kva);
 
