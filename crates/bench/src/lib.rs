@@ -19,8 +19,7 @@
 //!
 //! All binaries accept `--key value` flags (`--records`, `--ops`,
 //! `--scale`, `--out` ...) and write CSV series into `results/` in addition
-//! to printing paper-style tables. Criterion micro-benchmarks live in
-//! `benches/`.
+//! to printing paper-style tables.
 
 pub mod adapter;
 pub mod output;

@@ -141,7 +141,7 @@ pub fn make_grid(
             let pmem = Pmem::new(PmemConfig {
                 size: pool,
                 mode: SimMode::Performance,
-                latency: LatencyProfile::dram(),
+                latency: LatencyProfile::off(),
                 sanitize: SanitizeMode::from_env(),
                 label: String::new(),
             });

@@ -64,7 +64,6 @@ mod runtime;
 mod macros;
 
 mod replica;
-mod sharded;
 
 pub use error::JnvmError;
 pub use fa::depth as fa_depth;
@@ -73,10 +72,9 @@ pub use field::PVal;
 pub use object::{PAny, PObject};
 pub use proxy::{Blocks, Proxy, RawChain};
 pub use recovery::{RecoveryMode, RecoveryOptions, RecoveryReport};
-pub use replica::{divergent_keys, ReplicaSet};
+pub use replica::ReplicaSet;
 pub use registry::{ClassOps, ClassRegistry};
 pub use runtime::{Jnvm, JnvmBuilder, JnvmRuntime};
-pub use sharded::ShardedJnvm;
 
 #[cfg(test)]
 mod tests;

@@ -15,14 +15,6 @@
 //! A backup-side crash instead calls [`ReplicaSet::degrade`]: the primary
 //! keeps serving solo. Both transitions are one-way — re-attaching a
 //! replica is re-creation, not state here.
-//!
-//! [`divergent_keys`] is the post-failover audit helper: it compares
-//! per-key state between two recovered images through caller-supplied
-//! read closures, returning the keys whose states differ. After a primary
-//! crash the backup is always *ahead or equal* per key (ops stream to the
-//! backup before the primary's commit), so every divergent key must sit
-//! above that key's acked floor — the replicated torture asserts exactly
-//! that.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -120,25 +112,6 @@ impl<T> ReplicaSet<T> {
     }
 }
 
-/// Compare per-key state between two recovered images and return the keys
-/// whose states differ. `read_a`/`read_b` abstract over whatever "state"
-/// means for the caller (a record, an `Option<Record>`, a hash) so this
-/// stays free of storage-layer dependencies.
-pub fn divergent_keys<K, V, A, B>(
-    keys: impl IntoIterator<Item = K>,
-    mut read_a: A,
-    mut read_b: B,
-) -> Vec<K>
-where
-    V: PartialEq,
-    A: FnMut(&K) -> V,
-    B: FnMut(&K) -> V,
-{
-    keys.into_iter()
-        .filter(|k| read_a(k) != read_b(k))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,17 +151,5 @@ mod tests {
         assert_eq!(set.active_index(), 0, "degrade must not fail over");
         assert_eq!(set.backup(), None);
         assert_eq!(set.promotions(), 0);
-    }
-
-    #[test]
-    fn divergent_keys_reports_exactly_the_differences() {
-        let a = [(1, "x"), (2, "y"), (3, "z")];
-        let b = [(1, "x"), (2, "Y"), (4, "w")];
-        let read = |img: &[(i32, &'static str)]| {
-            let img: Vec<_> = img.to_vec();
-            move |k: &i32| img.iter().find(|(key, _)| key == k).map(|(_, v)| *v)
-        };
-        let div = divergent_keys(vec![1, 2, 3, 4], read(&a), read(&b));
-        assert_eq!(div, vec![2, 3, 4]);
     }
 }

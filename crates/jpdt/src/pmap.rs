@@ -19,7 +19,7 @@ use std::marker::PhantomData;
 
 use parking_lot::Mutex;
 
-use jnvm::{Jnvm, JnvmError, PObject, Proxy, RawChain};
+use jnvm::{Jnvm, JnvmError, PObject, Proxy};
 
 use crate::parray::PRefArray;
 use crate::skiplist::SkipListMap;
@@ -785,7 +785,3 @@ define_pset!(
     PI64HashMap,
     "jnvm_jpdt.PI64Set"
 );
-
-/// Tracer registered for [`RawChain`]-reachable map arrays — re-exported
-/// for tests that need to assert layout invariants.
-pub(crate) fn _unused(_: &RawChain) {}

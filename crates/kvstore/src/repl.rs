@@ -8,8 +8,8 @@
 //! Software Combining argument applied across devices.
 //!
 //! [`commit_writes_replicated`] is the in-process form, called by the
-//! kvstore-level replicated crash sweep (`tests/replication.rs`) and by
-//! the benchmark's per-layer probe (`benchmark/src/layers.rs`): it commits
+//! in-process kill driver (`tests/lincheck.rs`) and by the benchmark's
+//! per-layer probe (`benchmark/src/layers.rs`): it commits
 //! the batch on the **backup first**, then on the primary, mirroring the
 //! server's wire ordering (the group is streamed to the backup *before*
 //! the primary's commit). That ordering is what makes failover safe: at

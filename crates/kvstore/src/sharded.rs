@@ -2,16 +2,23 @@
 //!
 //! Each shard is a complete stack — device, [`jnvm::Jnvm`] runtime,
 //! [`JnvmBackend`], [`DataGrid`] — and keys route to shards by the same
-//! FNV-1a hash the backend uses for its in-pool map shards. Because the
-//! shards share nothing (disjoint devices, asserted by
-//! [`jnvm::ShardedJnvm`]), a committer per shard may run
-//! [`crate::commit_writes`] concurrently with every other shard's
-//! committer: the group-commit exclusive-writer contract is per backend,
-//! and routing guarantees a key only ever reaches one backend.
+//! FNV-1a hash the backend uses for its in-pool map shards.
+//!
+//! J-NVM's decoupling makes persistent state partitionable: a proxy caches
+//! block addresses within one pool, the recovery GC walks reachability from
+//! one pool's root map, and the FA log manager allocates log slots in one
+//! pool. The one global invariant the composition rests on is that **the
+//! shards' devices are pairwise distinct** (asserted on create and open).
+//! Given that, replay, mark and sweep on different shards touch disjoint
+//! heaps, so [`ShardedKv::open`] recovers every shard concurrently, and a
+//! committer per shard may run [`crate::commit_writes`] concurrently with
+//! every other shard's committer: the group-commit exclusive-writer
+//! contract is per backend, and routing guarantees a key only ever reaches
+//! one backend.
 
 use std::sync::Arc;
 
-use jnvm::{Jnvm, JnvmError, RecoveryOptions, RecoveryReport, ShardedJnvm};
+use jnvm::{Jnvm, JnvmBuilder, JnvmError, RecoveryOptions, RecoveryReport};
 use jnvm_heap::HeapConfig;
 use jnvm_pmem::Pmem;
 
@@ -45,6 +52,25 @@ pub struct ShardedKv {
     shards: Vec<KvShard>,
 }
 
+/// Panic on an empty device list, or unless every device is distinct from
+/// every other. Two shards on one device would alias heaps and break every
+/// disjointness argument the concurrent recovery (and the per-shard
+/// committers above it) rely on.
+fn assert_disjoint_devices(pmems: &[Arc<Pmem>]) {
+    assert!(
+        !pmems.is_empty(),
+        "a sharded store needs at least one device"
+    );
+    for i in 0..pmems.len() {
+        for j in i + 1..pmems.len() {
+            assert!(
+                !Arc::ptr_eq(&pmems[i], &pmems[j]),
+                "shards {i} and {j} share one device — shard heaps must be disjoint"
+            );
+        }
+    }
+}
+
 impl ShardedKv {
     /// Format a fresh pool on every device and stack a backend + grid on
     /// each. `map_shards` is the per-pool map shard count (the in-pool
@@ -55,27 +81,53 @@ impl ShardedKv {
         fa: bool,
         grid_cfg: GridConfig,
     ) -> Result<ShardedKv, JnvmError> {
-        let runtimes =
-            ShardedJnvm::create(pmems, HeapConfig::default(), register_kvstore)?.into_shards();
+        assert_disjoint_devices(pmems);
+        let runtimes = pmems
+            .iter()
+            .map(|p| {
+                register_kvstore(JnvmBuilder::new()).create(Arc::clone(p), HeapConfig::default())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Self::stack(pmems, runtimes, grid_cfg, |rt| {
             JnvmBackend::create(rt, map_shards.max(1), fa)
         })
     }
 
-    /// Reopen every shard (concurrent per-shard recovery via
-    /// [`ShardedJnvm::open_with_options`]) and re-anchor a backend + grid
-    /// on each. Returns one [`RecoveryReport`] per shard.
+    /// Reopen every shard and re-anchor a backend + grid on each. The
+    /// recovery passes run **concurrently**, one `open_with_options` per
+    /// shard on its own thread (each of which may itself use several
+    /// recovery workers); the result is bit-identical to recovering the
+    /// shards one after another (pinned by `tests/sharded_recovery.rs`).
+    ///
+    /// Returns one [`RecoveryReport`] per shard, in shard order. The first
+    /// shard error aborts the whole open; a shard whose recovery panics (a
+    /// corrupt image) panics the open with its own payload.
     pub fn open(
         pmems: &[Arc<Pmem>],
         fa: bool,
         grid_cfg: GridConfig,
         opts: RecoveryOptions,
     ) -> Result<(ShardedKv, Vec<RecoveryReport>), JnvmError> {
-        let (runtimes, reports) =
-            ShardedJnvm::open_with_options(pmems, opts, register_kvstore)?;
-        let kv = Self::stack(pmems, runtimes.into_shards(), grid_cfg, |rt| {
-            JnvmBackend::open(rt, fa)
-        })?;
+        assert_disjoint_devices(pmems);
+        let opened: Vec<Result<(Jnvm, RecoveryReport), JnvmError>> = std::thread::scope(|s| {
+            let handles: Vec<_> = pmems
+                .iter()
+                .map(|p| {
+                    let p = Arc::clone(p);
+                    s.spawn(move || register_kvstore(JnvmBuilder::new()).open_with_options(p, opts))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        });
+        let (runtimes, reports): (Vec<Jnvm>, Vec<RecoveryReport>) = opened
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .unzip();
+        let kv = Self::stack(pmems, runtimes, grid_cfg, |rt| JnvmBackend::open(rt, fa))?;
         Ok((kv, reports))
     }
 
@@ -246,6 +298,38 @@ mod tests {
         let panic = catch_unwind(open).map(drop).expect_err("the open must fail");
         let message = panic.downcast_ref::<String>().expect("a formatted message");
         assert!(message.contains("chain does not terminate"), "{message}");
+    }
+
+    /// Every shard is its own heap: the same key written on each shard's
+    /// stack directly (bypassing routing) recovers per shard.
+    #[test]
+    fn shards_are_independent_heaps() {
+        let pmems = devices(3);
+        let kv = ShardedKv::create(&pmems, 1, true, GridConfig::default()).unwrap();
+        let cell = |i: usize| Record::ycsb("cell", &[format!("{}", 100 + i).into_bytes()]);
+        for (i, shard) in kv.shards().iter().enumerate() {
+            assert!(commit_writes(&shard.grid, &shard.be, &[WriteOp::Set(cell(i))]).results[0]);
+        }
+        drop(kv);
+        for p in &pmems {
+            p.crash(&jnvm_pmem::CrashPolicy::strict()).expect("crash");
+        }
+        let (kv2, reports) =
+            ShardedKv::open(&pmems, true, GridConfig::default(), RecoveryOptions::parallel(2))
+                .unwrap();
+        assert_eq!(reports.len(), 3);
+        for (i, shard) in kv2.shards().iter().enumerate() {
+            let rec = shard.grid.read("cell").expect("the record survives");
+            assert_eq!(rec, cell(i), "shard {i} recovered the wrong heap");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share one device")]
+    fn aliased_devices_are_rejected() {
+        let p = Pmem::new(PmemConfig::crash_sim(16 << 20));
+        let pmems = vec![Arc::clone(&p), p];
+        let _ = ShardedKv::create(&pmems, 1, true, GridConfig::default());
     }
 
     #[test]

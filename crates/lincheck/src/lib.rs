@@ -47,6 +47,10 @@
 //! overtaking a pipelined `SET`); and any cross-key ordering inversion —
 //! by locality, an inversion always surfaces as some single key whose
 //! subhistory has no valid linearization.
+//!
+//! One check lies outside any history: after a failover no client reads
+//! the crashed primary, so [`History::audit_failover`] compares its
+//! recovered image with the promoted backup's in each key's write order.
 
 pub mod check;
 
@@ -342,6 +346,42 @@ impl History {
         })
     }
 
+    /// The failover divergence audit — the one check a history cannot make
+    /// by itself, because no client ever reads a crashed primary's image.
+    /// For each of `keys`, the crashed primary's recovered state
+    /// (`primary(key)`) must be one of the key's
+    /// [`prefix_states`](Self::prefix_states), and the promoted survivor's
+    /// (`survivor(key)`) that prefix or a later one: a group reaches the
+    /// backup before the primary commits it. Returns how many keys differ
+    /// between the two images, or the first key that breaks the order.
+    pub fn audit_failover<'k>(
+        &self,
+        keys: impl IntoIterator<Item = &'k str>,
+        mut primary: impl FnMut(&str) -> Option<FieldVals>,
+        mut survivor: impl FnMut(&str) -> Option<FieldVals>,
+    ) -> Result<usize, String> {
+        let mut divergent = 0;
+        for key in keys {
+            let states = self.prefix_states(key);
+            let (p_state, b_state) = (primary(key), survivor(key));
+            let Some(p_min) = states.iter().position(|s| *s == p_state) else {
+                return Err(format!(
+                    "{key}: crashed-primary state matches no write prefix \
+                     (torn image survived recovery)"
+                ));
+            };
+            let b_max = states.iter().rposition(|s| *s == b_state);
+            if b_max < Some(p_min) {
+                return Err(format!(
+                    "{key}: promoted backup (write prefix {b_max:?}) is BEHIND the crashed \
+                     primary (write prefix {p_min}) — groups must reach the backup first"
+                ));
+            }
+            divergent += usize::from(p_state != b_state);
+        }
+        Ok(divergent)
+    }
+
     /// The distinct keys the history touches, sorted.
     pub fn keys(&self) -> Vec<&str> {
         let mut keys: Vec<&str> = self.events.iter().map(|e| e.key.as_str()).collect();
@@ -490,5 +530,22 @@ mod tests {
             vec![None, Some(rec("a")), Some(rec("b")), None]
         );
         assert_eq!(h.prefix_states("other"), vec![None, None]);
+    }
+
+    #[test]
+    fn failover_audit_allows_a_backup_ahead_and_convicts_one_behind() {
+        let clock = Clock::new();
+        let mut r = ClientRecorder::new(&clock, 0);
+        let v = |s: &str| Some(vec![s.as_bytes().to_vec()]);
+        r.invoke("k", OpKind::Set(vec![b"a".to_vec()]));
+        r.invoke("k", OpKind::SetField(0, b"b".to_vec()));
+        let h = History::collect(clock, [r]);
+        let image = |state: Option<FieldVals>| move |_: &str| state.clone();
+        assert_eq!(h.audit_failover(["k"], image(v("a")), image(v("a"))), Ok(0));
+        assert_eq!(h.audit_failover(["k"], image(None), image(v("b"))), Ok(1));
+        let behind = h.audit_failover(["k"], image(v("b")), image(v("a")));
+        assert!(behind.is_err_and(|e| e.contains("BEHIND")));
+        let torn = h.audit_failover(["k"], image(v("x")), image(v("b")));
+        assert!(torn.is_err_and(|e| e.contains("no write prefix")));
     }
 }

@@ -50,20 +50,9 @@ pub struct LatencyProfile {
 }
 
 impl LatencyProfile {
-    /// No injected latency at all (unit tests, CI).
+    /// No injected latency at all (unit tests, CI, and the `TmpFS` backend,
+    /// which stores files in volatile memory).
     pub const fn off() -> Self {
-        LatencyProfile {
-            read_line_ns: 0,
-            write_line_ns: 0,
-            pwb_ns: 0,
-            pfence_ns: 0,
-            psync_ns: 0,
-        }
-    }
-
-    /// DRAM-like timing: tiny read cost, free persistence primitives. Used by
-    /// the `TmpFS` backend which stores files in volatile memory.
-    pub const fn dram() -> Self {
         LatencyProfile {
             read_line_ns: 0,
             write_line_ns: 0,

@@ -21,12 +21,12 @@
 //! self-hosted server) and dumps the server's `TRACE` and `METRICS`
 //! reports after the run.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 
 use jnvm_pmem::PmemConfig;
 use jnvm_server::{
-    encode_request, handshake, parse_reply, run_loadgen, Args, Cluster, LoadReport, LoadgenConfig,
+    encode_request, handshake, read_reply, run_loadgen, Args, Cluster, LoadReport, LoadgenConfig,
     Reply, Request, ServerConfig,
 };
 
@@ -77,19 +77,10 @@ fn fetch(addr: SocketAddr, req: &Request) -> Result<String, String> {
     let mut s = TcpStream::connect(addr).map_err(|e| e.to_string())?;
     handshake(&mut s).map_err(|e| e.to_string())?;
     s.write_all(&encode_request(req)).map_err(|e| e.to_string())?;
-    let mut buf = Vec::new();
-    let mut tmp = [0u8; 4096];
-    loop {
-        match parse_reply(&buf).map_err(|e| e.to_string())? {
-            Some((Reply::Value(v), _)) => return Ok(String::from_utf8_lossy(&v).into_owned()),
-            Some((other, _)) => return Err(format!("unexpected reply {other:?}")),
-            None => {}
-        }
-        let n = s.read(&mut tmp).map_err(|e| e.to_string())?;
-        if n == 0 {
-            return Err("connection closed before reply".into());
-        }
-        buf.extend_from_slice(&tmp[..n]);
+    match read_reply(&mut s, &mut Vec::new()).map_err(|e| e.to_string())? {
+        Some(Reply::Value(v)) => Ok(String::from_utf8_lossy(&v).into_owned()),
+        Some(other) => Err(format!("unexpected reply {other:?}")),
+        None => Err("no reply: the connection closed, failed or stayed silent".into()),
     }
 }
 

@@ -29,8 +29,8 @@
 //! independent pools ([`jnvm_kvstore::shard_for_key`]), so `K` writes
 //! spread over `N` shards pay `N` *concurrent* fence passes instead of
 //! serializing behind one committer, and a crash on one shard's device
-//! kills only that shard — the others keep committing (`fig13` measures
-//! the scaling; the shard-aware torture pins the isolation).
+//! kills only that shard — the others keep committing (the shard-aware
+//! torture pins the isolation).
 //!
 //! The crate ships two binaries — `jnvm-server` (standalone server over a
 //! fresh crash-sim pool) and `jnvm-loadgen` (pipelined load generator
@@ -51,10 +51,7 @@ pub use cluster::Cluster;
 pub use loadgen::{key_for, op_for, run_loadgen, value_for, ConnReport, LoadReport, LoadgenConfig};
 pub use proto::{
     encode_reply, encode_request, handshake, handshake_proto_error, parse_frame, parse_reply,
-    ParseOutcome, ProtoError, Reply, Request, PROTO_VERSION,
+    read_reply, ParseOutcome, ProtoError, Reply, Request, PROTO_VERSION,
 };
 pub use server::{Server, ServerConfig, ServerStats, ShardHandle};
-pub use torture::{
-    kill_during_traffic, promotion_read_probe, traffic_op_count, KillReport, ProbeReport,
-    TortureConfig,
-};
+pub use torture::{kill_during_traffic, traffic_op_count, KillReport, TortureConfig};

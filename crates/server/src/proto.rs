@@ -571,7 +571,7 @@ pub fn parse_reply(buf: &[u8]) -> Result<Option<(Reply, usize)>, ProtoError> {
 /// = the stream ended, failed, or stayed silent for 10 s; `Err` = the reply
 /// stream is unparseable ([`ProtoError`]) — typed, so the caller can record
 /// it instead of conflating it with silence.
-pub(crate) fn read_reply(
+pub fn read_reply(
     stream: &mut TcpStream,
     rbuf: &mut Vec<u8>,
 ) -> Result<Option<Reply>, ProtoError> {

@@ -42,31 +42,25 @@
 //!   **surviving** replica of each shard and checks the history there —
 //!   an acked write missing from the promoted backup is exactly the bug
 //!   this torture exists to catch. The crashed primary's image is then
-//!   audited against the survivor: per key, the backup must be *ahead or
-//!   equal* in the key's write order (groups stream to the backup before
-//!   the primary's commit), as
-//!   [`prefix_states`](jnvm_lincheck::History::prefix_states) folds it
-//!   from the recorded writes; [`KillReport::divergent_keys`] counts where
-//!   the two images differ. No client ever reads the crashed primary's
-//!   image, so this is the one check the history cannot make.
+//!   audited against the survivor by
+//!   [`audit_failover`](jnvm_lincheck::History::audit_failover): per key,
+//!   the backup must be *ahead or equal* in the key's write order (groups
+//!   stream to the backup before the primary's commit);
+//!   [`KillReport::divergent_keys`] counts where the two images differ.
 //! * a **backup** crash degrades the shard to solo mode; nothing acked is
 //!   lost (acks were always gated on the primary's durability too) and
 //!   verification runs against the primaries.
 
-use std::io::Write;
-use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
 
 use jnvm::RecoveryOptions;
-use jnvm_kvstore::{shard_for_key, Record, ShardedKv};
+use jnvm_kvstore::{Record, ShardedKv};
 use jnvm_lincheck::FieldVals;
 use jnvm_pmem::{silence_crash_panics, FaultPlan, Pmem, PmemConfig};
 
 use crate::cluster::{grid_cfg, Cluster};
 use crate::loadgen::{run_loadgen, LoadReport, LoadgenConfig, OpOutcome};
-use crate::proto::{encode_request, handshake, read_reply, Reply, Request};
-use crate::server::{Server, ServerConfig, ServerStats};
+use crate::server::{ServerConfig, ServerStats};
 
 /// Experiment shape.
 #[derive(Debug, Clone, Copy)]
@@ -146,7 +140,7 @@ pub struct KillReport {
 
 /// What one armed run leaves behind: the devices (stacks already torn
 /// down), what the clients saw, and whether the crash fired.
-struct ArmedRun<T> {
+struct ArmedRun {
     /// `pmems[shard][replica]`, thawed and resynchronized.
     pmems: Vec<Vec<Arc<Pmem>>>,
     load: LoadReport,
@@ -155,24 +149,18 @@ struct ArmedRun<T> {
     injected: bool,
     /// Persistence-relevant ops counted on the crash device while armed.
     ops_counted: u64,
-    /// What `probe` returned.
-    probed: T,
 }
 
 /// The kill-experiment protocol, written once: build a fresh cluster and
 /// start its server (pool format and server startup are not part of the
 /// crash-point space), arm a crash at `point` on the configured replica's
-/// device, run the load, let `probe` talk to the **still-running** server,
-/// shut down, tear the stacks down while the crash device is still frozen
-/// (unwind destructors must not repair the crash image — same sequence as
-/// `jnvm_faultsim::torture_point`), then thaw and resynchronize. The
-/// topology and the crash target are validated here, by [`Cluster`]: an
-/// unservable configuration is an `Err` before anything runs.
-fn run_armed<T>(
-    point: u64,
-    cfg: &TortureConfig,
-    probe: impl FnOnce(&Server, &ServerStats, bool) -> Result<T, String>,
-) -> Result<ArmedRun<T>, String> {
+/// device, run the load, shut down, tear the stacks down while the crash
+/// device is still frozen (unwind destructors must not repair the crash
+/// image — same sequence as `jnvm_faultsim::torture_point`), then thaw and
+/// resynchronize. The topology and the crash target are validated here, by
+/// [`Cluster`]: an unservable configuration is an `Err` before anything
+/// runs.
+fn run_armed(point: u64, cfg: &TortureConfig) -> Result<ArmedRun, String> {
     silence_crash_panics();
     let cluster = Cluster::create(
         cfg.pool_shards,
@@ -202,7 +190,6 @@ fn run_armed<T>(
             ));
         }
     }
-    let probed = probe(&server, &stats, crash_dev.faults_frozen());
     server.shutdown();
     let injected = crash_dev.faults_frozen();
     let pmems = cluster.into_pmems();
@@ -216,7 +203,6 @@ fn run_armed<T>(
         stats,
         injected,
         ops_counted,
-        probed: probed?,
     })
 }
 
@@ -227,7 +213,7 @@ fn run_armed<T>(
 /// representative, not exact. `Err` on an unservable topology or an
 /// out-of-range crash target.
 pub fn traffic_op_count(cfg: &TortureConfig) -> Result<u64, String> {
-    Ok(run_armed(u64::MAX, cfg, |_, _, _| Ok(()))?.ops_counted)
+    Ok(run_armed(u64::MAX, cfg)?.ops_counted)
 }
 
 /// One kill-during-traffic experiment: build fresh pools + server, arm a
@@ -245,8 +231,7 @@ pub fn kill_during_traffic(point: u64, cfg: &TortureConfig) -> Result<KillReport
         stats,
         injected,
         ops_counted,
-        ..
-    } = run_armed(point, cfg, |_, _, _| Ok(()))?;
+    } = run_armed(point, cfg)?;
     // The load has drained, so every ticket ever issued was answered by
     // its resolver — counted first, woken second — whether a committer
     // resolved it or a dying shard dropped it: a ticket answered any other
@@ -291,31 +276,19 @@ pub fn kill_during_traffic(point: u64, cfg: &TortureConfig) -> Result<KillReport
 
     // Divergence audit of the crashed primary against the survivor it
     // handed over to, in each crash-shard key's write order.
-    let mut divergent = 0u64;
-    if promoted {
+    let divergent = if promoted {
         let pkv = reopen(&pmems[cfg.crash_shard][..1], "crashed primary")?;
-        for key in load.history.keys() {
-            if kv2.route(key) != cfg.crash_shard {
-                continue;
-            }
-            let states = load.history.prefix_states(key);
-            let (p_state, b_state) = (fields(pkv.read(key)), fields(kv2.read(key)));
-            let Some(p_min) = states.iter().position(|s| *s == p_state) else {
-                return Err(format!(
-                    "point {point}: {key}: crashed-primary state matches no write prefix \
-                     (torn image survived recovery)"
-                ));
-            };
-            let b_max = states.iter().rposition(|s| *s == b_state);
-            if b_max < Some(p_min) {
-                return Err(format!(
-                    "point {point}: {key}: promoted backup (write prefix {b_max:?}) is BEHIND \
-                     the crashed primary (write prefix {p_min}) — groups must reach the backup first"
-                ));
-            }
-            divergent += u64::from(p_state != b_state);
-        }
-    }
+        let history = &load.history;
+        let crash_keys = history
+            .keys()
+            .into_iter()
+            .filter(|k| kv2.route(k) == cfg.crash_shard);
+        history
+            .audit_failover(crash_keys, |k| fields(pkv.read(k)), |k| fields(kv2.read(k)))
+            .map_err(|e| format!("point {point}: {e}"))?
+    } else {
+        0
+    };
 
     Ok(KillReport {
         injected,
@@ -325,108 +298,11 @@ pub fn kill_during_traffic(point: u64, cfg: &TortureConfig) -> Result<KillReport
         promotions: stats.promotions,
         degraded_shards: stats.degraded_shards,
         acked_after_promotion: stats.acked_after_promotion,
-        divergent_keys: divergent,
+        divergent_keys: divergent as u64,
         lincheck_keys: lincheck.keys as u64,
         lincheck_events: lincheck.events as u64,
         server: stats,
     })
-}
-
-/// Report of one read-your-writes probe across a primary failover.
-#[derive(Debug, Clone, Copy)]
-pub struct ProbeReport {
-    /// Whether the armed crash actually fired.
-    pub injected: bool,
-    /// Backups promoted to primary (server counter).
-    pub promotions: u64,
-    /// Writes acked by a shard that had failed over (server counter).
-    pub acked_after_promotion: u64,
-    /// The pool shard the probe key routes to (the crashed one).
-    pub probe_shard: usize,
-    /// Probe SETs acked by the promoted shard.
-    pub probe_sets_acked: u64,
-}
-
-/// Read-your-writes across promotion: crash the primary of `crash_shard`
-/// mid-traffic, wait for the load to drain (the shard promotes its backup
-/// in place), then — against the **still-running** server — SET a key
-/// routed to the promoted shard twice and GET it back. The GET is issued
-/// after `acked_after_promotion` went nonzero for that key's shard, so it
-/// must observe the *last* acked SET; anything else is a stale read on
-/// the survivor. Errors describe the violated expectation.
-pub fn promotion_read_probe(point: u64, cfg: &TortureConfig) -> Result<ProbeReport, String> {
-    if cfg.replicas != 2 || cfg.crash_replica != 0 {
-        return Err("the probe needs replicas=2 and a primary kill".into());
-    }
-    let run = run_armed(point, cfg, |server, stats, injected| {
-        if injected && stats.promotions > 0 {
-            probe_promoted_shard(server, cfg)
-        } else {
-            Ok(0)
-        }
-    })?;
-    Ok(ProbeReport {
-        injected: run.injected,
-        promotions: run.stats.promotions,
-        acked_after_promotion: run.stats.acked_after_promotion,
-        probe_shard: cfg.crash_shard,
-        probe_sets_acked: run.probed,
-    })
-}
-
-/// SET a key routed to the promoted crash shard twice, GET it back, and
-/// hold the reply to the last acked SET. Returns the SETs acked.
-fn probe_promoted_shard(server: &Server, cfg: &TortureConfig) -> Result<u64, String> {
-    let key = (0u32..)
-        .map(|n| format!("promo-probe-{n:04}"))
-        .find(|k| shard_for_key(k, cfg.pool_shards) == cfg.crash_shard)
-        .expect("some probe key routes to the crash shard");
-    let vals = |tag: u8| vec![vec![tag; 8]];
-    let mut stream =
-        TcpStream::connect(server.addr()).map_err(|e| format!("probe connect: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    handshake(&mut stream).map_err(|e| format!("probe handshake: {e}"))?;
-    let mut rbuf: Vec<u8> = Vec::new();
-    let mut roundtrip = |stream: &mut TcpStream, req: &Request| -> Result<Reply, String> {
-        stream
-            .write_all(&encode_request(req))
-            .map_err(|e| format!("probe send: {e}"))?;
-        match read_reply(stream, &mut rbuf) {
-            Ok(Some(reply)) => Ok(reply),
-            Ok(None) => Err("probe: promoted shard went silent".into()),
-            Err(e) => Err(format!("probe reply stream: {e}")),
-        }
-    };
-    let mut sets_acked = 0u64;
-    for tag in [1u8, 2u8] {
-        match roundtrip(&mut stream, &Request::Set(Record::ycsb(&key, &vals(tag))))? {
-            Reply::Ok => sets_acked += 1,
-            other => {
-                return Err(format!(
-                    "probe SET #{tag} on promoted shard {} answered {other:?}",
-                    cfg.crash_shard
-                ))
-            }
-        }
-    }
-    let expected = Record::ycsb(&key, &vals(2));
-    match roundtrip(&mut stream, &Request::Get(key.clone()))? {
-        Reply::Value(payload) => {
-            if jnvm_kvstore::decode_record(&payload).as_ref() != Some(&expected) {
-                return Err(format!(
-                    "probe GET on {key}: read-your-writes broken across promotion \
-                     (did not observe the last acked SET)"
-                ));
-            }
-        }
-        other => {
-            return Err(format!(
-                "probe GET on {key} answered {other:?} after two acked SETs"
-            ))
-        }
-    }
-    Ok(sets_acked)
 }
 
 /// `Ok` outcomes after each connection's first `Err`, summed. With one

@@ -12,24 +12,27 @@
 //!    conserved at every crash point, and the recovered image holds no
 //!    leaked redo-log or account blocks;
 //! 2. DataGrid insert / RMW / remove churn over the `JnvmBackend`
-//!    (J-PFA flavour): every recovered record is complete and untorn, and
-//!    object and block accounting close exactly (records + a bounded
+//!    (J-PFA flavour), every op recorded into a `jnvm-lincheck` history:
+//!    the history closed over the recovered image is durably linearizable,
+//!    and object and block accounting close exactly (records + a bounded
 //!    number of redo logs).
 //!
 //! The accounting constants (`log_blocks`, `rec_objects`) are *measured*
 //! from deterministic single-threaded runs rather than hard-coded, so the
 //! tests survive layout changes.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex};
 
 use jnvm_repro::faultsim::{
-    strided_points, torture_count, torture_sweep, TortureOutcome,
+    strided_points, torture_count, torture_sweep, TortureOutcome, TortureSummary,
 };
 use jnvm_repro::heap::HeapConfig;
 use jnvm_repro::jnvm::{Jnvm, JnvmBuilder, RecoveryReport};
 use jnvm_repro::kvstore::{
     register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend, Record,
 };
+use jnvm_repro::lincheck::{ClientRecorder, Clock, History, OpKind, Outcome};
 use jnvm_repro::pmem::{
     silence_crash_panics, CrashPolicy, FaultPlan, Pmem, PmemConfig,
 };
@@ -217,10 +220,43 @@ fn grid_val(t: usize, k: usize, tag: &str) -> Vec<u8> {
     format!("{t:02}{k:02}{tag}").into_bytes()
 }
 
+/// One recorder per churn worker plus one, the last, for the setup's
+/// inserts; `Arc`ed past the harness's context drop.
+struct GridLog {
+    clock: Clock,
+    recorders: Vec<Mutex<ClientRecorder>>,
+}
+
+impl GridLog {
+    fn into_history(self) -> History {
+        let recs = self.recorders.into_iter();
+        let recs = recs.map(|m| m.into_inner().expect("recorder lock"));
+        History::collect(self.clock, recs.collect::<Vec<_>>())
+    }
+}
+
 struct GridCtx {
     /// Keeps the runtime (and its heap/pools) alive for the workload's lifetime.
     _rt: Jnvm,
     grid: DataGrid,
+    log: Arc<GridLog>,
+}
+
+/// Run one grid write as client `w`'s recorded op: invoked before it
+/// touches the device, acked once it returns (every churn op succeeds).
+fn recorded(log: &GridLog, w: usize, key: &str, kind: OpKind, op: impl FnOnce() -> bool) {
+    let recorder = || log.recorders[w].lock().expect("recorder lock");
+    let tok = recorder().invoke(key, kind);
+    assert!(op(), "{key}: churn op refused");
+    recorder().resolve(tok, Outcome::Ok);
+}
+
+/// Insert the two-field record `[v, v]` under `key`, recorded.
+fn recorded_insert(ctx: &GridCtx, w: usize, key: &str, v: Vec<u8>) {
+    let kind = OpKind::Set(vec![v.clone(), v.clone()]);
+    recorded(&ctx.log, w, key, kind, || {
+        ctx.grid.insert(&Record::ycsb(key, &[v.clone(), v]))
+    });
 }
 
 fn grid_setup() -> (Arc<Pmem>, GridCtx) {
@@ -230,14 +266,21 @@ fn grid_setup() -> (Arc<Pmem>, GridCtx) {
         .expect("pool");
     let be = JnvmBackend::create(&rt, 2, true).expect("backend");
     let grid = DataGrid::new(Arc::new(be), GridConfig { cache_capacity: 0 });
+    let clock = Clock::new();
+    let log = Arc::new(GridLog {
+        recorders: (0..=NTHREADS)
+            .map(|w| Mutex::new(ClientRecorder::new(&clock, w)))
+            .collect(),
+        clock,
+    });
+    let ctx = GridCtx { _rt: rt, grid, log };
     for t in 0..NTHREADS {
         for k in 0..KEYS_PER_THREAD {
-            let v = grid_val(t, k, "init");
-            assert!(grid.insert(&Record::ycsb(&grid_key(t, k), &[v.clone(), v])));
+            recorded_insert(&ctx, NTHREADS, &grid_key(t, k), grid_val(t, k, "init"));
         }
     }
     pmem.psync();
-    (pmem, GridCtx { _rt: rt, grid })
+    (pmem, ctx)
 }
 
 /// Each worker churns its own keys (RMW, remove, re-insert) so per-key
@@ -247,18 +290,14 @@ fn grid_workload(t: usize, ctx: &GridCtx) {
     for i in 0..CHURN_ROUNDS {
         for k in 0..KEYS_PER_THREAD {
             let key = grid_key(t, k);
-            let tag = format!("{i:04}");
+            let v = grid_val(t, k, &format!("{i:04}"));
             match i % 3 {
                 0 => {
-                    assert!(ctx.grid.rmw(&key, 0, &grid_val(t, k, &tag)));
+                    let kind = OpKind::SetField(0, v.clone());
+                    recorded(&ctx.log, t, &key, kind, || ctx.grid.rmw(&key, 0, &v));
                 }
-                1 => {
-                    assert!(ctx.grid.remove(&key));
-                }
-                _ => {
-                    let v = grid_val(t, k, &tag);
-                    assert!(ctx.grid.insert(&Record::ycsb(&key, &[v.clone(), v])));
-                }
+                1 => recorded(&ctx.log, t, &key, OpKind::Del, || ctx.grid.remove(&key)),
+                _ => recorded_insert(ctx, t, &key, v),
             }
         }
     }
@@ -272,13 +311,20 @@ fn grid_reopen(pmem: &Arc<Pmem>) -> (Jnvm, JnvmBackend, RecoveryReport) {
     (rt, be, report)
 }
 
-/// Measured grid baselines: `(full, rec_objects, drained)` — the live
-/// object count of the complete 16-record image (which includes the one
-/// redo log the single-threaded setup created), the per-record footprint in
-/// objects (record + field blobs + map entry + key blob), and the live
-/// *block* count of the image after every record has been removed again
-/// (map skeleton + one redo log, no pool slabs).
-fn grid_baselines() -> (u64, u64, u64) {
+/// Measured grid baselines: the live object count of the complete
+/// 16-record image (which includes the one redo log the single-threaded
+/// setup created), the per-record footprint in objects (record + field
+/// blobs + map entry + key blob), the live *block* count of the image after
+/// every record has been removed again (map skeleton + one redo log, no
+/// pool slabs), and one redo log's footprint in blocks.
+struct GridBase {
+    full: u64,
+    rec_objects: u64,
+    drained: u64,
+    log_blocks: u64,
+}
+
+fn grid_baselines() -> GridBase {
     let observe = |removals: usize| {
         let (pmem, ctx) = grid_setup();
         for i in 0..removals {
@@ -301,60 +347,41 @@ fn grid_baselines() -> (u64, u64, u64) {
         full.live_blocks > drained.live_blocks,
         "draining the grid freed no blocks"
     );
-    (full.live_objects, rec_objects, drained.live_blocks)
-}
-
-/// Per-field values a recovered record may legally hold. Field 0 is also
-/// the RMW target; field 1 only changes on whole-record re-inserts.
-fn allowed_tags(field: usize) -> &'static [&'static str] {
-    if field == 0 {
-        &["init", "0000", "0002", "0003", "0005"]
-    } else {
-        &["init", "0002", "0005"]
+    GridBase {
+        full: full.live_objects,
+        rec_objects,
+        drained: drained.live_blocks,
+        // The log layout depends only on the (shared, default) heap
+        // geometry, so the bank pool's measurement holds here.
+        log_blocks: bank_baselines().1,
     }
 }
 
-fn grid_verify(
-    full: u64,
-    rec_objects: u64,
-    drained_base: u64,
-    log_blocks: u64,
-    pmem: &Arc<Pmem>,
-    outcome: &TortureOutcome,
-) {
+/// The recovered grid against the churn's history — durably linearizable:
+/// a completed write lost, a torn record or one holding another record's
+/// bytes has no linearization — then object and block accounting, which
+/// the history does not see.
+fn grid_verify(base: &GridBase, log: GridLog, pmem: &Arc<Pmem>, outcome: &TortureOutcome) {
+    let GridBase {
+        full,
+        rec_objects,
+        drained: drained_base,
+        log_blocks,
+    } = *base;
     let point = outcome.point;
     let (_rt, be, report) = grid_reopen(pmem);
-    let mut present = 0u64;
-    for t in 0..NTHREADS {
-        for k in 0..KEYS_PER_THREAD {
-            let key = grid_key(t, k);
-            let Some(rec) = be.read(&key) else { continue };
-            present += 1;
-            assert_eq!(
-                rec.fields.len(),
-                2,
-                "crash point {point}: {key} recovered with a partial field set"
-            );
-            let prefix = format!("{t:02}{k:02}").into_bytes();
-            for (f, (_, value)) in rec.fields.iter().enumerate() {
-                assert_eq!(
-                    value.len(),
-                    8,
-                    "crash point {point}: {key} field {f} torn: {value:?}"
-                );
-                assert_eq!(
-                    &value[..4],
-                    &prefix[..],
-                    "crash point {point}: {key} field {f} holds another record's bytes: {value:?}"
-                );
-                let tag = std::str::from_utf8(&value[4..]).unwrap_or("?");
-                assert!(
-                    allowed_tags(f).contains(&tag),
-                    "crash point {point}: {key} field {f} holds a value never written whole: {value:?}"
-                );
-            }
-        }
+    let mut history = log.into_history();
+    if let Err(v) = history.check_recovered(|key| {
+        be.read(key)
+            .map(|rec| rec.fields.values().map(<[u8]>::to_vec).collect())
+    }) {
+        panic!("crash point {point}: durable-linearizability violation: {v}");
     }
+    let present = history
+        .keys()
+        .into_iter()
+        .filter(|key| be.read(key).is_some())
+        .count() as u64;
     assert_eq!(
         be.len() as u64,
         present,
@@ -422,25 +449,41 @@ fn grid_verify(
     );
 }
 
-/// Acceptance: concurrent insert / RMW / remove churn recovers with no
-/// torn records, no phantom map entries, and exact block accounting.
+/// Sweep `points` of the grid churn under `plan`, each recovered image
+/// held to [`grid_verify`] with the history its own run recorded.
+fn grid_sweep(
+    base: &GridBase,
+    points: impl IntoIterator<Item = u64>,
+    plan: FaultPlan,
+) -> TortureSummary {
+    let log = RefCell::new(None);
+    torture_sweep(
+        points,
+        plan,
+        NTHREADS,
+        || {
+            let (pmem, ctx) = grid_setup();
+            *log.borrow_mut() = Some(Arc::clone(&ctx.log));
+            (pmem, ctx)
+        },
+        grid_workload,
+        |pmem, outcome| {
+            let run = log.borrow_mut().take().expect("setup ran");
+            let run = Arc::into_inner(run).expect("the workload context is dropped");
+            grid_verify(base, run, pmem, outcome)
+        },
+    )
+}
+
+/// Acceptance: concurrent insert / RMW / remove churn recovers to a
+/// durably linearizable image with exact object and block accounting.
 #[test]
 fn grid_churn_survives_concurrent_crash_sweep() {
     silence_crash_panics();
-    // One redo log's footprint, measured on the bank pool: the log layout
-    // depends only on the (shared, default) heap geometry.
-    let (_, log_blocks) = bank_baselines();
-    let (full, rec_objects, drained) = grid_baselines();
+    let base = grid_baselines();
     let total = torture_count(NTHREADS, grid_setup, grid_workload);
     assert!(total > 0, "grid workload performed no persistence ops");
-    let summary = torture_sweep(
-        strided_points(total, 20),
-        FaultPlan::count(),
-        NTHREADS,
-        grid_setup,
-        grid_workload,
-        |pmem, outcome| grid_verify(full, rec_objects, drained, log_blocks, pmem, outcome),
-    );
+    let summary = grid_sweep(&base, strided_points(total, 20), FaultPlan::count());
     assert!(
         summary.points_injected > 0,
         "no crash point fired inside the concurrent workload"
@@ -452,19 +495,11 @@ fn grid_churn_survives_concurrent_crash_sweep() {
 #[ignore = "full randomized torture sweep; run with --ignored"]
 fn grid_churn_survives_exhaustive_randomized_torture() {
     silence_crash_panics();
-    let (_, log_blocks) = bank_baselines();
-    let (full, rec_objects, drained) = grid_baselines();
+    let base = grid_baselines();
     let total = torture_count(NTHREADS, grid_setup, grid_workload);
     for seed in 0..2u64 {
         let plan = FaultPlan::count().with_policy(CrashPolicy::adversarial(seed));
-        let summary = torture_sweep(
-            0..total + NTHREADS as u64,
-            plan,
-            NTHREADS,
-            grid_setup,
-            grid_workload,
-            |pmem, outcome| grid_verify(full, rec_objects, drained, log_blocks, pmem, outcome),
-        );
+        let summary = grid_sweep(&base, 0..total + NTHREADS as u64, plan);
         assert!(summary.points_injected > 0, "seed {seed}: nothing injected");
     }
 }

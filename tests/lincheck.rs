@@ -1,62 +1,105 @@
-//! Durable-linearizability integration: the sharded in-process torture
-//! feeds its captured history through the Wing–Gong checker after
-//! recovery, and the seeded loadgen replays byte-identical invocation
-//! sequences.
+//! Durable linearizability, below the wire and over it.
 //!
-//! The adversarial self-tests for the checker itself (hand-crafted
-//! non-linearizable histories with pinned minimized witnesses) live in
-//! `crates/lincheck/src/check.rs`; this file covers the system-level
-//! wiring — real commits, real crash injection, real recovery — plus the
-//! loadgen determinism contract the torture verifiers depend on.
+//! **One in-process kill experiment**, a driver over `(shards, replicas,
+//! crash target)`: a [`Cluster`], one worker per shard committing chunks of
+//! writes through its [`ReplicaSet`] with [`commit_writes_replicated`]
+//! (backup first, then primary — the server's ordering; with one replica,
+//! or once the set has degraded, it is plain `commit_writes`), every op
+//! recorded into a [`ClientRecorder`] history, and one device armed through
+//! `faultsim::torture_point`. When the crash fires the worker reacts as the
+//! server's committer does: if the active replica's device froze it
+//! promotes the backup, or with none left the shard dies; if the backup's
+//! froze the primary runs solo. One oracle judges every point: the history,
+//! closed over the survivors' recovered images, must be durably
+//! linearizable ([`History::check_recovered`]), and after a failover the
+//! crashed primary's image must never be ahead of the promoted backup
+//! ([`History::audit_failover`]).
+//!
+//! Then two crash-free wire-level checks: the seeded loadgen replays
+//! byte-identical invocation sequences, and pipelined reads behind
+//! unacknowledged writes to other keys linearize. The checker's own
+//! adversarial self-tests (hand-crafted histories with pinned minimized
+//! witnesses) live in `crates/lincheck/src/check.rs`.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use jnvm_repro::faultsim::{strided_points, torture_point};
-use jnvm_repro::jnvm::RecoveryOptions;
+use jnvm_repro::jnvm::{RecoveryOptions, ReplicaSet};
 use jnvm_repro::kvstore::{
-    commit_writes, shard_for_key, GridConfig, Record, ShardedKv, WriteOp,
+    commit_writes_replicated, shard_for_key, GridConfig, Record, ReplLag, ReplicaStack, ShardedKv,
+    WriteOp,
 };
-use jnvm_repro::lincheck::{check, ClientRecorder, Clock, History, OpKind, Outcome};
+use jnvm_repro::lincheck::{check, ClientRecorder, Clock, FieldVals, History, OpKind, Outcome};
 use jnvm_repro::pmem::{catch_crash, silence_crash_panics, FaultPlan, Pmem, PmemConfig};
 use jnvm_repro::server::{
-    encode_request, handshake, parse_reply, run_loadgen, Cluster, LoadgenConfig, Reply, Request,
-    ServerConfig,
+    encode_request, handshake, read_reply, run_loadgen, Cluster, LoadgenConfig, Reply, Request,
+    ServerConfig, ShardHandle,
 };
 
-const POOL_SHARDS: usize = 2;
-const CRASH_SHARD: usize = 0;
-const CHUNKS: usize = 10;
+// ------------------------------------------------ the in-process kill driver
 
-fn grid_cfg() -> GridConfig {
-    GridConfig { cache_capacity: 0 }
+/// The shape of one kill experiment.
+#[derive(Debug, Clone, Copy)]
+struct Kill {
+    shards: usize,
+    replicas: usize,
+    /// The armed device, `(shard, replica)`; replica 0 is the primary.
+    target: (usize, usize),
 }
 
-/// Key `i` of chunk `c`, salted until it routes to `shard` — the sharded
-/// engine recovers each pool independently and asserts routing, so the
-/// workload must respect `shard_for_key`.
-fn skey(shard: usize, c: usize, i: usize) -> String {
+/// Shard 0's only device dies, and the shard with it.
+const SOLO: Kill = Kill {
+    shards: 2,
+    replicas: 1,
+    target: (0, 0),
+};
+/// Shard 0's primary dies and its backup takes over.
+const PRIMARY: Kill = Kill {
+    shards: 2,
+    replicas: 2,
+    target: (0, 0),
+};
+/// Shard 0's backup dies and its primary runs solo.
+const BACKUP: Kill = Kill {
+    shards: 2,
+    replicas: 2,
+    target: (0, 1),
+};
+
+const CHUNKS: usize = 12;
+
+/// Key `i` of chunk `c`, salted until it routes to `shard`: the survivors
+/// are reopened as one routed store.
+fn key(kill: Kill, shard: usize, c: usize, i: usize) -> String {
     (0u32..)
-        .map(|salt| format!("sh{shard}-c{c:02}-k{i}-{salt}"))
-        .find(|k| shard_for_key(k, POOL_SHARDS) == shard)
+        .map(|salt| format!("s{shard}-c{c:02}-k{i}-{salt}"))
+        .find(|k| shard_for_key(k, kill.shards) == shard)
         .expect("some salt routes to the shard")
 }
 
-/// One commit group: two SETs, a SETF on key 0, a DEL of key 1. An acked
-/// chunk leaves key 0 present (field 0 rewritten) and key 1 absent.
-fn chunk(shard: usize, c: usize) -> Vec<WriteOp> {
-    let val = |i: usize| format!("v{shard}-{c}-{i}").into_bytes();
-    vec![
-        WriteOp::Set(Record::ycsb(&skey(shard, c, 0), &[val(0), val(1)])),
-        WriteOp::Set(Record::ycsb(&skey(shard, c, 1), &[val(2), val(3)])),
-        WriteOp::SetField {
-            key: skey(shard, c, 0),
-            field: 0,
-            value: format!("f{shard}-{c}").into_bytes(),
-        },
-        WriteOp::Del(skey(shard, c, 1)),
-    ]
+/// One commit group: four SETs of two-field records, a SETF of key 3's
+/// field 0 and a DEL of key 0. Keys are unique per chunk, so every key has
+/// one writer.
+fn chunk(kill: Kill, shard: usize, c: usize) -> Vec<WriteOp> {
+    let k = |i: usize| key(kill, shard, c, i);
+    let val = |tag: &str, i: usize| format!("{tag}{shard}-{c}-{i}").into_bytes();
+    let mut ops: Vec<WriteOp> = (0..4)
+        .map(|i| WriteOp::Set(Record::ycsb(&k(i), &[val("v", i), val("w", i)])))
+        .collect();
+    ops.push(WriteOp::SetField {
+        key: k(3),
+        field: 0,
+        value: val("f", 3),
+    });
+    ops.push(WriteOp::Del(k(0)));
+    ops
+}
+
+fn fields(rec: Option<Record>) -> Option<FieldVals> {
+    rec.map(|rec| rec.fields.values().map(<[u8]>::to_vec).collect())
 }
 
 fn captured_kind(op: &WriteOp) -> OpKind {
@@ -67,50 +110,103 @@ fn captured_kind(op: &WriteOp) -> OpKind {
     }
 }
 
-/// Shared recorder state; `Arc`ed past the harness's context drop.
+/// What the workers leave for the verifier; `Arc`ed past the harness's
+/// context drop.
 struct Log {
     clock: Clock,
+    /// One recorder per shard worker.
     recorders: Vec<Mutex<ClientRecorder>>,
+    /// Chunks acked, per shard.
+    acked: Vec<AtomicUsize>,
+    acked_after_promotion: AtomicUsize,
+    promotions: AtomicUsize,
+    degrades: AtomicUsize,
 }
 
-fn new_log() -> Arc<Log> {
-    let clock = Clock::new();
-    Arc::new(Log {
-        recorders: (0..POOL_SHARDS)
-            .map(|s| Mutex::new(ClientRecorder::new(&clock, s)))
-            .collect(),
-        clock,
-    })
+impl Log {
+    fn new(kill: Kill) -> Arc<Log> {
+        let clock = Clock::new();
+        Arc::new(Log {
+            recorders: (0..kill.shards)
+                .map(|s| Mutex::new(ClientRecorder::new(&clock, s)))
+                .collect(),
+            clock,
+            acked: (0..kill.shards).map(|_| AtomicUsize::new(0)).collect(),
+            acked_after_promotion: AtomicUsize::new(0),
+            promotions: AtomicUsize::new(0),
+            degrades: AtomicUsize::new(0),
+        })
+    }
+
+    fn history(&self) -> History {
+        let recs = self.recorders.iter().enumerate().map(|(s, m)| {
+            let fresh = ClientRecorder::new(&self.clock, s);
+            std::mem::replace(&mut *m.lock().expect("recorder lock"), fresh)
+        });
+        History::collect(self.clock.clone(), recs.collect::<Vec<_>>())
+    }
 }
 
 struct Ctx {
-    cluster: Cluster,
+    kill: Kill,
+    sets: Vec<ReplicaSet<ShardHandle>>,
+    lags: Vec<ReplLag>,
     log: Arc<Log>,
+    /// Owns the runtimes under `sets`; declared (so dropped) after them.
+    _cluster: Cluster,
 }
 
-/// `POOL_SHARDS` singleton replica sets.
-fn setup(log: &Arc<Log>) -> (Vec<Vec<Arc<Pmem>>>, Ctx) {
-    let cluster = Cluster::create(POOL_SHARDS, 1, 4, PmemConfig::crash_sim(24 << 20), true)
-        .expect("create pools");
-    let pmems = cluster.pmems().to_vec();
-    let log = Arc::clone(log);
-    (pmems, Ctx { cluster, log })
+fn setup(kill: Kill, log: &Arc<Log>) -> (Vec<Vec<Arc<Pmem>>>, Ctx) {
+    let cluster = Cluster::create(
+        kill.shards,
+        kill.replicas,
+        4,
+        PmemConfig::crash_sim(24 << 20),
+        true,
+    )
+    .expect("create pools");
+    let ctx = Ctx {
+        kill,
+        sets: cluster.handles().into_iter().map(ReplicaSet::new).collect(),
+        lags: (0..kill.shards).map(|_| ReplLag::new()).collect(),
+        log: Arc::clone(log),
+        _cluster: cluster,
+    };
+    (ctx._cluster.pmems().to_vec(), ctx)
 }
 
-/// Per-shard worker: commit every chunk on this shard's stack, recording
-/// invocation/response events. A crash leaves the in-flight chunk
-/// Indeterminate and kills the worker (the shard is dead).
+fn stack(h: &ShardHandle) -> ReplicaStack<'_> {
+    ReplicaStack {
+        grid: &h.grid,
+        be: &h.be,
+    }
+}
+
+/// Per-shard worker: commit every chunk through the shard's replica set.
+/// Every op is invoked before the commit touches a device, so a crash
+/// mid-chunk leaves the whole chunk indeterminate (the backup may hold it);
+/// a chunk is acked when the commit returns.
 fn drive(shard: usize, ctx: &Ctx) {
-    let sh = ctx.cluster.kv(0).shard(shard);
+    let (set, log) = (&ctx.sets[shard], &ctx.log);
     for c in 0..CHUNKS {
-        let ops = chunk(shard, c);
+        let ops = chunk(ctx.kill, shard, c);
         let toks: Vec<_> = {
-            let mut rec = ctx.log.recorders[shard].lock().expect("recorder lock");
-            ops.iter().map(|op| rec.invoke(op.key(), captured_kind(op))).collect()
+            let mut rec = log.recorders[shard].lock().expect("recorder lock");
+            ops.iter()
+                .map(|op| rec.invoke(op.key(), captured_kind(op)))
+                .collect()
         };
-        match catch_crash(|| commit_writes(&sh.grid, &sh.be, &ops)) {
+        let committed = catch_crash(|| {
+            commit_writes_replicated(
+                stack(set.active()),
+                set.backup().map(stack),
+                &ops,
+                &ctx.lags[shard],
+            )
+        });
+        match committed {
             Ok(out) => {
-                let mut rec = ctx.log.recorders[shard].lock().expect("recorder lock");
+                let mut rec = log.recorders[shard].lock().expect("recorder lock");
                 for (tok, (op, applied)) in toks.into_iter().zip(ops.iter().zip(&out.results)) {
                     let outcome = match op {
                         WriteOp::Set(_) => Outcome::Ok,
@@ -119,88 +215,177 @@ fn drive(shard: usize, ctx: &Ctx) {
                     };
                     rec.resolve(tok, outcome);
                 }
+                log.acked[shard].fetch_add(1, Ordering::Relaxed);
+                if set.promotions() > 0 {
+                    log.acked_after_promotion.fetch_add(1, Ordering::Relaxed);
+                }
             }
-            Err(_) => return,
+            // The active replica's device froze: fail over, or with no
+            // backup left the shard dies.
+            Err(_) if set.active().pmem.faults_frozen() => {
+                if set.promote().is_none() {
+                    return;
+                }
+                log.promotions.fetch_add(1, Ordering::Relaxed);
+            }
+            // The backup's froze: the primary runs solo.
+            Err(_) => {
+                set.degrade();
+                log.degrades.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 }
 
-/// Count pass: size of the crash shard's op space under this workload.
-fn op_space(log: &Arc<Log>) -> u64 {
-    let target = (CRASH_SHARD, 0);
-    torture_point(
-        u64::MAX,
-        FaultPlan::count(),
-        target,
-        POOL_SHARDS,
-        || setup(log),
-        drive,
-        |_, _| {},
-    )
-    .ops_counted
+fn reopen(devs: &[Arc<Pmem>]) -> ShardedKv {
+    let grid = GridConfig { cache_capacity: 0 };
+    ShardedKv::open(devs, true, grid, RecoveryOptions::parallel(2))
+        .expect("reopen after the crash")
+        .0
 }
 
-fn run_point(point: u64) {
-    let log = new_log();
-    let slog = Arc::clone(&log);
+/// What one point showed.
+struct Tally {
+    injected: bool,
+    ops_counted: u64,
+    acked: Vec<usize>,
+    acked_after_promotion: usize,
+    promotions: usize,
+    degrades: usize,
+}
+
+/// One kill experiment: arm `point` on the target device, run the workers,
+/// then hold the history to the oracle on the survivors — the promoted
+/// backup of a failed-over shard, every other shard's primary — and audit
+/// a failed-over shard's crashed primary. Untouched shards must ack every
+/// chunk. `u64::MAX` is the count pass: nothing fires, the oracle still
+/// runs.
+fn run_point(kill: Kill, point: u64) -> Tally {
+    let log = Log::new(kill);
     let vlog = Arc::clone(&log);
-    torture_point(
+    let out = torture_point(
         point,
         FaultPlan::count(),
-        (CRASH_SHARD, 0),
-        POOL_SHARDS,
-        move || setup(&slog),
+        kill.target,
+        kill.shards,
+        || setup(kill, &log),
         drive,
-        move |pmems, out| {
-            let pmems: Vec<Arc<Pmem>> = pmems.iter().map(|reps| Arc::clone(&reps[0])).collect();
-            let mut hist = {
-                let recs: Vec<ClientRecorder> = vlog
-                    .recorders
-                    .iter()
-                    .enumerate()
-                    .map(|(s, m)| {
-                        std::mem::replace(
-                            &mut *m.lock().expect("recorder lock"),
-                            ClientRecorder::new(&vlog.clock, s),
-                        )
-                    })
-                    .collect();
-                History::collect(vlog.clock.clone(), recs)
-            };
-            let (kv2, _reports) =
-                ShardedKv::open(&pmems, true, grid_cfg(), RecoveryOptions::parallel(2))
-                    .unwrap_or_else(|e| panic!("point {}: reopen failed: {e}", out.point));
-            if let Err(v) = hist.check_recovered(|key| {
-                kv2.read(key)
-                    .map(|rec| rec.fields.values().map(<[u8]>::to_vec).collect())
-            }) {
-                panic!("point {}: durable-linearizability violation: {v}", out.point);
+        |pmems, _| {
+            let crash_shard = kill.target.0;
+            for s in (0..kill.shards).filter(|&s| s != crash_shard) {
+                let acked = vlog.acked[s].load(Ordering::Relaxed);
+                assert_eq!(
+                    acked, CHUNKS,
+                    "point {point}: untouched shard {s} acked {acked} chunks"
+                );
+            }
+            let promoted = vlog.promotions.load(Ordering::Relaxed) > 0;
+            let survivors: Vec<Arc<Pmem>> = pmems
+                .iter()
+                .enumerate()
+                .map(|(s, reps)| Arc::clone(&reps[usize::from(promoted && s == crash_shard)]))
+                .collect();
+            let kv = reopen(&survivors);
+            let mut history = vlog.history();
+            if let Err(v) = history.check_recovered(|k| fields(kv.read(k))) {
+                panic!("point {point}: durable-linearizability violation: {v}");
+            }
+            if promoted {
+                let primary = reopen(&pmems[crash_shard][..1]);
+                let crash_keys = history
+                    .keys()
+                    .into_iter()
+                    .filter(|k| kv.route(k) == crash_shard);
+                if let Err(e) = history.audit_failover(
+                    crash_keys,
+                    |k| fields(primary.read(k)),
+                    |k| fields(kv.read(k)),
+                ) {
+                    panic!("point {point}: {e}");
+                }
             }
         },
     );
+    Tally {
+        injected: out.injected,
+        ops_counted: out.ops_counted,
+        acked: log
+            .acked
+            .iter()
+            .map(|a| a.load(Ordering::Relaxed))
+            .collect(),
+        acked_after_promotion: log.acked_after_promotion.load(Ordering::Relaxed),
+        promotions: log.promotions.load(Ordering::Relaxed),
+        degrades: log.degrades.load(Ordering::Relaxed),
+    }
 }
 
-/// Time-bounded sweep for the default suite: strided crash points through
-/// the sharded engine, every history checked after recovery.
+/// Count the target device's ops, then run at most `max_points` points
+/// strided across them.
+fn sweep(kill: Kill, max_points: u64) -> Vec<Tally> {
+    silence_crash_panics();
+    let total = run_point(kill, u64::MAX).ops_counted;
+    assert!(total > 0, "count pass saw no device ops");
+    let points = strided_points(total, max_points);
+    points
+        .into_iter()
+        .map(|point| run_point(kill, point))
+        .collect()
+}
+
+/// N×1: a crash kills its shard, and the dead shard's history is checked
+/// on its own recovered device.
 #[test]
 fn sharded_torture_histories_are_durably_linearizable() {
-    silence_crash_panics();
-    let total = op_space(&new_log());
-    assert!(total > 0, "count pass saw no device ops");
-    for point in strided_points(total, 6) {
-        run_point(point);
-    }
+    let points = sweep(SOLO, 6);
+    assert!(
+        points
+            .iter()
+            .any(|p| p.injected && p.acked[SOLO.target.0] < CHUNKS),
+        "no point killed the crash shard mid-run"
+    );
+    assert!(points.iter().all(|p| p.promotions == 0 && p.degrades == 0));
 }
 
-/// Exhaustive-leaning variant for the torture CI job.
+/// N×2, primary kill: the shard promotes its backup and keeps acking on it.
 #[test]
-#[ignore = "wide sweep; run with --ignored in the torture job"]
-fn sharded_lincheck_wide_sweep() {
-    silence_crash_panics();
-    let total = op_space(&new_log());
-    for point in strided_points(total, 48) {
-        run_point(point);
-    }
+fn acked_chunks_survive_primary_crash_and_failover() {
+    let points = sweep(PRIMARY, 8);
+    assert!(
+        points.iter().any(|p| p.promotions > 0),
+        "no point promoted — sweep never hit the primary"
+    );
+    assert!(
+        points
+            .iter()
+            .map(|p| p.acked_after_promotion)
+            .sum::<usize>()
+            > 0,
+        "no chunk was ever acked after promotion"
+    );
+}
+
+/// N×2, backup kill: the shard degrades to solo and never promotes.
+#[test]
+fn backup_crash_degrades_without_losing_acked_chunks() {
+    let points = sweep(BACKUP, 5);
+    assert!(
+        points.iter().all(|p| p.promotions == 0),
+        "a backup crash must never promote"
+    );
+    assert!(
+        points.iter().any(|p| p.degrades > 0),
+        "sweep never hit the backup"
+    );
+}
+
+/// The wide sweeps for the torture CI job.
+#[test]
+#[ignore = "wide sweeps; run with --ignored in the torture job"]
+fn wide_kill_sweeps() {
+    sweep(SOLO, 48);
+    sweep(PRIMARY, 64);
+    sweep(BACKUP, 24);
 }
 
 // ------------------------------------------------------- seeded determinism
@@ -222,8 +407,17 @@ fn digest_for(seed: u64) -> Vec<u8> {
     let report = run_loadgen(server.addr(), &cfg);
     server.shutdown();
     for c in &report.per_conn {
-        assert!(c.proto_error.is_none(), "conn {}: {:?}", c.conn, c.proto_error);
-        assert_eq!(c.sent, cfg.ops_per_conn, "conn {} did not send everything", c.conn);
+        assert!(
+            c.proto_error.is_none(),
+            "conn {}: {:?}",
+            c.conn,
+            c.proto_error
+        );
+        assert_eq!(
+            c.sent, cfg.ops_per_conn,
+            "conn {} did not send everything",
+            c.conn
+        );
     }
     report.history.invocation_digest()
 }
@@ -234,7 +428,10 @@ fn digest_for(seed: u64) -> Vec<u8> {
 fn same_seed_records_byte_identical_invocations() {
     let a = digest_for(7);
     let b = digest_for(7);
-    assert!(!a.is_empty(), "digest should cover the recorded invocations");
+    assert!(
+        !a.is_empty(),
+        "digest should cover the recorded invocations"
+    );
     assert_eq!(a, b, "same seed, different invocation stream");
     let c = digest_for(8);
     assert_ne!(a, c, "distinct seeds must produce distinct op streams");
@@ -290,19 +487,9 @@ impl MixedClient {
         }
         self.stream.write_all(&frames).expect("send window");
         for tok in toks {
-            let reply = loop {
-                if let Some((reply, n)) = parse_reply(&self.rbuf).expect("framed reply") {
-                    self.rbuf.drain(..n);
-                    break reply;
-                }
-                let mut tmp = [0u8; 4096];
-                let n = self
-                    .stream
-                    .read(&mut tmp)
-                    .expect("reply before the timeout");
-                assert!(n > 0, "server closed mid-window");
-                self.rbuf.extend_from_slice(&tmp[..n]);
-            };
+            let reply = read_reply(&mut self.stream, &mut self.rbuf)
+                .expect("framed reply")
+                .expect("a reply before the server closed or went silent");
             let outcome = match reply {
                 Reply::Ok => Outcome::Ok,
                 Reply::NotFound => Outcome::NotFound,

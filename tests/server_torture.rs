@@ -22,9 +22,8 @@ use jnvm_repro::kvstore::Record;
 use jnvm_repro::lincheck::check;
 use jnvm_repro::pmem::PmemConfig;
 use jnvm_repro::server::{
-    encode_request, handshake, kill_during_traffic, parse_reply, promotion_read_probe, run_loadgen,
-    traffic_op_count, value_for, Cluster, LoadgenConfig, Reply, Request, ServerConfig,
-    TortureConfig,
+    encode_request, handshake, kill_during_traffic, parse_reply, run_loadgen, traffic_op_count,
+    value_for, Cluster, LoadgenConfig, Reply, Request, ServerConfig, TortureConfig,
 };
 
 /// Pool shards for the shared sweeps: `JNVM_SHARDS` or 1.
@@ -297,35 +296,6 @@ fn failover_promotes_backup_and_keeps_acking() {
     );
     assert!(report.acked_after_first_error > 0);
     assert!(report.lincheck_keys > 0);
-}
-
-/// Read-your-writes across promotion: after the primary crash fails the
-/// shard over to its backup (and `acked_after_promotion` witnesses it
-/// acking again), a fresh connection SETs a key routed to the promoted
-/// shard twice and GETs it back — the survivor must serve the *last*
-/// acked SET, not a stale or empty image.
-#[test]
-fn get_after_promotion_observes_last_acked_set() {
-    let cfg = TortureConfig {
-        pool_shards: 2,
-        replicas: 2,
-        crash_shard: 0,
-        recovery_threads: 2,
-        ..small_torture()
-    };
-    let total = traffic_op_count(&cfg).expect("valid topology");
-    let report = promotion_read_probe(total / 10, &cfg).unwrap_or_else(|e| panic!("{e}"));
-    assert!(report.injected, "point {} of {total} must fire", total / 10);
-    assert!(report.promotions >= 1, "the crash shard must fail over");
-    assert!(
-        report.acked_after_promotion > 0,
-        "the probe runs after the promoted shard resumed acking"
-    );
-    assert_eq!(report.probe_shard, 0, "the probe key targets the promoted shard");
-    assert_eq!(
-        report.probe_sets_acked, 2,
-        "both probe SETs must ack on the survivor"
-    );
 }
 
 /// A **backup** crash is invisible to clients: the shard degrades to
@@ -665,7 +635,6 @@ fn unservable_topology_is_an_error_not_a_panic() {
         assert!(e.contains("topology") && e.contains(needle), "{e}");
         let e = kill_during_traffic(10, &cfg).expect_err("kill must refuse");
         assert!(e.contains("topology") && e.contains(needle), "{e}");
-        assert!(promotion_read_probe(10, &cfg).is_err(), "probe must refuse");
     }
 }
 

@@ -1,7 +1,7 @@
 //! Differential testing of the **sharded** recovery fan-out.
 //!
 //! The contract: recovering N shards concurrently (one recovery pass per
-//! shard on its own thread, as `ShardedJnvm::open_with_options` does) is
+//! shard on its own thread, as `ShardedKv::open` does) is
 //! **bit-identical on every shard's media** to recovering the same N
 //! crash images one shard after another. Shard heaps are disjoint — that
 //! is the whole argument — so cross-shard concurrency must be unable to
