@@ -13,10 +13,11 @@
 //!
 //! A log's payload is `[committed flag][length in words]` on its first
 //! cache line and the entries from its second one on, an entry
-//! `[n << 48 | address | kind][n payload words]`: the kind sits in the three
-//! idle low bits of the 8-aligned address, `n` is 0 for an allocation or a
-//! free, and a write entry carries the `n` words to store at `address`, all
-//! inside one block's payload.
+//! `[n << 48 | address | kind][payload words]`: the kind sits in the three
+//! idle low bits of the 8-aligned address. A write entry carries `n` ≥ 1
+//! words to store at `address`, all inside one block's payload; an
+//! allocation carries none, and `n` is the class id of the object
+//! allocated; a free carries none, and `n` is 0.
 //!
 //! Commit, of a group of one or more blocks — the group is the transaction
 //! and has **one** log, the paper's per-thread log of the committing thread:
@@ -31,11 +32,16 @@
 //!    applies must be durable *before* step 4, or a crash could persist the
 //!    cleared flag while losing an applied line, and nothing would replay
 //!    the torn block. A live commit validates an allocation by storing its
-//!    header word, valid bit set, from DRAM — the block wrote that header
-//!    when it allocated the object and kept it; replay, which has no DRAM
-//!    state, reads the header back and flips the bit,
+//!    whole header word, valid bit set, from DRAM: a pool slot's mini-header
+//!    is stored here and nowhere else (until then the slot holds the invalid
+//!    word of its free or its carve), a chain's master header was also
+//!    stored at allocation, for its links. Replay, which has no DRAM state,
+//!    stores a slot's header from the entry's class id and flips a master's
+//!    valid bit. A free is invalidated here too — a slot's mini-header
+//!    cleared, a master's valid bit cleared — behind the same fence, so that
+//!    no freed object outlives the commit valid on media,
 //! 4. clear the committed flag, `pwb`, `pfence` (so the log is reusable
-//!    and the blocks the group released may be recycled).
+//!    and the storage the group freed may be recycled).
 //!
 //! That is 4 fences per group whatever its size. The protocol is written
 //! once: [`JnvmRuntime::fa_stage`] builds a block's entries in DRAM and
@@ -58,7 +64,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::thread::ThreadId;
 
-use jnvm_heap::{BlockHeader, HeapError, HEADER_BYTES};
+use jnvm_heap::{BlockHeader, HeapError, HEADER_BYTES, NULL_BLOCK};
 use jnvm_pmem::CACHE_LINE;
 use parking_lot::Mutex;
 
@@ -319,8 +325,9 @@ struct Allocated {
 }
 
 impl TxState {
-    fn push_entry(&mut self, kind: u64, addr: u64) {
-        self.entries.push(entry_head(kind, addr));
+    /// Append a one-word entry (an ALLOC or a FREE) with head `head`.
+    fn push_entry(&mut self, head: u64) {
+        self.entries.push(head);
         self.ops += 1;
     }
 
@@ -491,15 +498,22 @@ pub(crate) fn overlay_write(rt: &Jnvm, master_addr: u64, addr: u64, data: &[u8])
 }
 
 /// Record the allocation of an object of `payload` bytes performed inside
-/// the active failure-atomic block (no-op outside one): `head` is the
-/// (mini-)header the allocation wrote, `blocks` the byte addresses of its
-/// blocks, master first. The commit will flush and validate it.
-pub(crate) fn note_alloc(master_addr: u64, payload: u64, head: BlockHeader, blocks: &[u64]) {
+/// the active failure-atomic block: `head` is its (mini-)header, as the
+/// allocation stored it (a chain's master) or as the commit will (a
+/// slot's), `blocks` the byte addresses of its blocks, master first. The
+/// commit will flush and validate it. Returns `false`, recording nothing,
+/// outside a block.
+pub(crate) fn note_alloc(
+    master_addr: u64,
+    payload: u64,
+    head: BlockHeader,
+    blocks: &[u64],
+) -> bool {
     if depth() == 0 {
-        return;
+        return false;
     }
     with_tx(|tx| {
-        tx.push_entry(KIND_ALLOC, master_addr);
+        tx.push_entry(entry_head(KIND_ALLOC, master_addr) | u64::from(head.id) << RUN_SHIFT);
         let mut valid = head;
         valid.valid = true;
         let word = tx.valid_words.len();
@@ -516,6 +530,7 @@ pub(crate) fn note_alloc(master_addr: u64, payload: u64, head: BlockHeader, bloc
         };
         tx.allocated.insert(master_addr, allocated);
     });
+    true
 }
 
 /// Record that the chain at `master_addr` grew by the blocks at `added`
@@ -544,10 +559,23 @@ pub(crate) fn note_extend(master_addr: u64, added: &[u64]) {
     });
 }
 
-/// Whether the object at `addr` was allocated inside the failure-atomic
-/// block active on this thread (false outside one).
-pub(crate) fn allocated_in_block(addr: u64) -> bool {
-    depth() > 0 && with_tx(|tx| tx.allocated.contains_key(&addr))
+/// The header of the object at `addr` if the failure-atomic block active
+/// on this thread allocated it (`None` outside one): its class and links,
+/// invalid until the block commits. What a header read returns for such an
+/// object, as a field read returns the overlay — a slot's mini-header is
+/// not on media before the commit stores it.
+pub(crate) fn staged_header(addr: u64) -> Option<BlockHeader> {
+    if depth() == 0 {
+        return None;
+    }
+    with_tx(|tx| {
+        let a = tx.allocated.get(&addr)?;
+        let head = BlockHeader::decode(tx.valid_words[a.word]);
+        Some(BlockHeader {
+            valid: false,
+            ..head
+        })
+    })
 }
 
 /// Record a free inside the active failure-atomic block. Returns `true` if
@@ -557,14 +585,18 @@ pub(crate) fn note_free(addr: u64) -> bool {
     if depth() == 0 {
         return false;
     }
-    with_tx(|tx| tx.push_entry(KIND_FREE, addr));
+    with_tx(|tx| tx.push_entry(entry_head(KIND_FREE, addr)));
     true
 }
 
 /// One decoded redo entry.
 #[cfg_attr(test, derive(Debug, PartialEq))]
 enum Entry {
-    Alloc(u64),
+    /// Validate the object of class `class` at `addr`.
+    Alloc {
+        addr: u64,
+        class: u16,
+    },
     Free(u64),
     /// Store the log bytes `words` (a range into the log's buffer) at `addr`.
     Write {
@@ -588,9 +620,10 @@ fn read_log(pmem: &jnvm_pmem::Pmem, chain: &RawChain) -> (u64, Vec<u8>) {
 /// Decode the entries of `chain`'s log from `bytes`, its first `len` words
 /// of entries — the bytes a live commit has just stored, or what recovery
 /// read back. Nothing is trusted: a length the chain cannot hold, an entry
-/// running past `len`, an unknown kind, an address outside the heap and a
-/// write range leaving its block's payload are all
-/// [`JnvmError::CorruptLog`] — reported before anything is applied.
+/// running past `len`, an unknown kind, an address outside the heap, an
+/// allocation of a class the registry does not know and a write range
+/// leaving its block's payload are all [`JnvmError::CorruptLog`] —
+/// reported before anything is applied.
 fn decode_log(
     rt: &JnvmRuntime,
     chain: &RawChain,
@@ -611,7 +644,9 @@ fn decode_log(
     let mut i = 0;
     while i < len {
         let head = word(i);
-        let (kind, n, addr) = (head & KIND_MASK, head >> RUN_SHIFT, head & ADDR_MASK);
+        let (kind, high, addr) = (head & KIND_MASK, head >> RUN_SHIFT, head & ADDR_MASK);
+        // An ALLOC's high bits are its class id, not a run of words.
+        let n = if kind == KIND_ALLOC { 0 } else { high };
         if n > len - i - 1 {
             return corrupt(head, "entry runs past the committed length");
         }
@@ -620,7 +655,13 @@ fn decode_log(
             return corrupt(head, "address outside the heap");
         }
         entries.push(match (kind, n) {
-            (KIND_ALLOC, 0) => Entry::Alloc(addr),
+            (KIND_ALLOC, _) => {
+                let class = high as u16;
+                if rt.registry().ops_of_id(class).is_none() {
+                    return corrupt(head, "allocation of an unregistered class");
+                }
+                Entry::Alloc { addr, class }
+            }
             (KIND_FREE, 0) => Entry::Free(addr),
             (KIND_WRITE, 1..) => {
                 let off = addr - heap.block_addr(block);
@@ -647,16 +688,18 @@ fn decode_log(
 ///
 /// A live commit passes `valid_words`, its ALLOC entries' header words with
 /// the valid bit set (see [`TxState::valid_words`]), and stores each one;
-/// replay passes none and flips the bit of the header it reads.
+/// replay passes none, stores a slot's header from the entry's class and
+/// flips the bit of a master header it reads — the same words.
 ///
-/// `runtime_commit` is true on a live commit, which gets back the master
-/// addresses the log freed and may hand them to the shared allocator only
-/// once that closing fence has run. Releasing them earlier is a race:
-/// another thread can take such a block and scribble on it while the log
-/// is still committed on media — a crash in that window replays the log
-/// and re-invalidates the other thread's allocation. During post-crash
-/// replay (false) the frees are invalidated persistently and the recovery
-/// GC rebuilds the free queue.
+/// Both invalidate every free here, behind the apply fence. The storage is
+/// released later: a live commit (`runtime_commit`) gets back each freed
+/// object with its blocks (see [`JnvmRuntime::invalidate_addr`]) and may
+/// hand them to the shared allocator only once that closing fence has run.
+/// Releasing them earlier is a race: another thread can take such a block
+/// and scribble on it while the log is still committed on media — a crash
+/// in that window replays the log and re-invalidates the other thread's
+/// allocation. After replay (false) the recovery GC rebuilds the free
+/// queues.
 ///
 /// The applies must be durable before the flag clears: under partial line
 /// eviction a crash could otherwise persist a flag-clear while losing
@@ -671,7 +714,7 @@ fn apply_and_retire(
     valid_words: &[u64],
     runtime_commit: bool,
     retired_fp: &mut Vec<(u64, u64)>,
-) -> Result<Vec<u64>, JnvmError> {
+) -> Result<Vec<(u64, Vec<u64>)>, JnvmError> {
     let pmem = rt.pmem();
     let collect = pmem.sanitizer_active();
     let mut applied_fp: Vec<(u64, u64)> = Vec::new();
@@ -684,19 +727,32 @@ fn apply_and_retire(
     let mut valid_words = valid_words.iter();
     for entry in decode_log(rt, chain, len, bytes)? {
         match entry {
-            Entry::Alloc(a) => {
+            Entry::Alloc { addr: a, class } => {
+                let store = |word: u64| {
+                    pmem.write_u64(a, word);
+                    pmem.pwb(a);
+                };
                 match valid_words.next() {
-                    Some(&word) => {
-                        pmem.write_u64(a, word);
-                        pmem.pwb(a);
-                    }
+                    Some(&word) => store(word),
+                    // Replay: a slot's header is not on media, a master's
+                    // is — with its links.
+                    None if rt.pools().is_pooled_addr(a) => store(
+                        BlockHeader {
+                            id: class,
+                            valid: true,
+                            next: NULL_BLOCK,
+                        }
+                        .encode(),
+                    ),
                     None => rt.set_valid_addr(a, true),
                 }
                 applied(a, 8);
             }
-            Entry::Free(a) if runtime_commit => frees.push(a),
             Entry::Free(a) => {
-                rt.set_valid_addr(a, false);
+                let blocks = rt.invalidate_addr(a);
+                if runtime_commit {
+                    frees.push((a, blocks));
+                }
                 applied(a, 8);
             }
             Entry::Write { addr, words } => {
@@ -957,9 +1013,10 @@ impl JnvmRuntime {
         pmem.pfence();
         pmem.ordering_point("fa-retire", &retired_fp);
         // Only now — the retire is durable, the log cannot replay again —
-        // may the blocks this group released re-enter the shared allocator.
-        for a in frees {
-            self.free_addr_now(a);
+        // may what this group freed (invalidated in step 3) re-enter the
+        // shared allocator.
+        for (a, blocks) in frees {
+            self.release_addr(a, blocks);
         }
         self.fa_manager().release_log(log);
         jnvm_obs::span_end(jnvm_obs::SpanKind::FaCommitGroup, obs_begin);
@@ -1389,7 +1446,7 @@ mod tests {
         assert!(!Proxy::open(&rt, addrs[1]).is_valid());
 
         type Damage = fn(&Pmem, &RawChain, &[u64]);
-        let cases: [(&str, Damage); 12] = [
+        let cases: [(&str, Damage); 15] = [
             ("committed length exceeds the log", |p, c, _| {
                 p.write_u64(c.phys(LOG_LEN), u64::MAX)
             }),
@@ -1435,6 +1492,17 @@ mod tests {
             ("unknown entry kind", |p, c, a| {
                 p.write_u64(c.phys(entry(1)), write(0, a[0] + 8));
                 p.write_u64(c.phys(LOG_LEN), 2)
+            }),
+            // An ALLOC's high bits are a class id: 0, the pool blocks' 1 and
+            // an id nothing was registered under are no object's class.
+            ("allocation of an unregistered class", |p, c, a| {
+                p.write_u64(c.phys(entry(0)), a[1] | KIND_ALLOC)
+            }),
+            ("allocation of an unregistered class", |p, c, a| {
+                p.write_u64(c.phys(entry(0)), 1 << RUN_SHIFT | a[1] | KIND_ALLOC)
+            }),
+            ("allocation of an unregistered class", |p, c, a| {
+                p.write_u64(c.phys(entry(0)), 0x7fff << RUN_SHIFT | a[1] | KIND_ALLOC)
             }),
         ];
         for (reason, damage) in cases {
@@ -1539,10 +1607,11 @@ mod tests {
     /// the entries it holds in DRAM and never reads its log, recovery has
     /// only the log. At every crash point of a mixed group's commit past
     /// the commit point, the log on media is byte for byte what the commit
-    /// staged and decodes to the same entries, and replaying it converges
-    /// to the image the uninterrupted commit leaves; before the commit
-    /// point, nothing of the group survives. Strict power failures and 8
-    /// adversarial eviction seeds.
+    /// staged and decodes to the same entries — its four ALLOC entries
+    /// carrying their class id —, and replaying it converges to the image
+    /// the uninterrupted commit leaves, as does a crash after the retire,
+    /// frees invalidated; before the commit point, nothing of the group
+    /// survives. Strict power failures and 8 adversarial eviction seeds.
     #[test]
     fn media_log_replays_to_what_the_live_commit_applied_from_dram() {
         use jnvm_pmem::{catch_crash, silence_crash_panics, FaultPlan};
@@ -1560,9 +1629,6 @@ mod tests {
                 workload(&rt, &objs);
             }
             let total = pmem.disarm_faults();
-            // The live commit invalidates what it freed behind its closing
-            // fence, write-back queued; replay does so ahead of its own.
-            pmem.psync();
             drop((objs, rt));
             pmem.crash(&CrashPolicy::strict()).unwrap();
             (mixed_image(&big_reopen(&pmem).0, &addrs), total)
@@ -1603,6 +1669,16 @@ mod tests {
                         entries, applied,
                         "policy {p}, point {point}: decoded entries"
                     );
+                    let allocs = entries.iter().filter(|e| {
+                        matches!(
+                            e,
+                            Entry::Alloc {
+                                class: CLASS_ID_FALOG,
+                                ..
+                            }
+                        )
+                    });
+                    assert_eq!(allocs.count(), 4, "ALLOC entries carry the class id");
                     compared += 1;
                 }
                 drop((objs, rt));
@@ -1610,19 +1686,9 @@ mod tests {
                 if on_media {
                     assert_eq!(image, after, "policy {p}, point {point}: replayed image");
                 } else if committed {
-                    // Retired: every apply is durable. The invalidation of
-                    // what the group freed follows the closing fence, and a
-                    // header scan keeps a valid object nothing references.
-                    let kept = |image: &[(bool, u64, u64)]| {
-                        let freed = |i: &usize| [3, 4, 7].contains(i);
-                        let kept = image.iter().enumerate().filter(|(i, _)| !freed(i));
-                        kept.map(|(_, o)| *o).collect::<Vec<_>>()
-                    };
-                    assert_eq!(
-                        kept(&image),
-                        kept(&after),
-                        "policy {p}, point {point}: retired image"
-                    );
+                    // Retired: every apply is durable, the invalidation of
+                    // what the group freed included.
+                    assert_eq!(image, after, "policy {p}, point {point}: retired image");
                 } else if p == 0 {
                     assert_eq!(
                         image, before,
@@ -1886,16 +1952,19 @@ mod tests {
         out
     }
 
-    /// The addresses of a block's ALLOC entries, in entry order.
-    fn alloc_entries(entries: &[u64]) -> Vec<u64> {
+    /// The addresses and class ids of a block's ALLOC entries, in entry
+    /// order.
+    fn alloc_entries(entries: &[u64]) -> Vec<(u64, u16)> {
         let mut out = Vec::new();
         let mut i = 0;
         while i < entries.len() {
             let head = entries[i];
             if head & KIND_MASK == KIND_ALLOC {
-                out.push(head & ADDR_MASK);
+                out.push((head & ADDR_MASK, (head >> RUN_SHIFT) as u16));
+                i += 1;
+            } else {
+                i += 1 + (head >> RUN_SHIFT) as usize;
             }
-            i += 1 + (head >> RUN_SHIFT) as usize;
         }
         out
     }
@@ -1907,9 +1976,12 @@ mod tests {
         /// word its block kept and flushes the ranges its block kept, where
         /// it used to read both back: over random groups of pooled objects,
         /// one- and multi-block chains and chains grown inside their block,
-        /// every stored word equals what `set_valid`'s read-modify-write
-        /// gives on the same pool, and the step-1 ranges from DRAM equal a
-        /// `chain_blocks` walk's.
+        /// every stored word equals what replay stores — `set_valid`'s
+        /// read-modify-write of a master header, a slot's header from the
+        /// ALLOC entry's class — and the step-1 ranges from DRAM equal a
+        /// `chain_blocks` walk's. Until the commit, a slot's mini-header on
+        /// media is the invalid word of its carve, and header reads inside
+        /// the block see the staged one.
         #[test]
         fn commit_stores_what_the_read_back_paths_computed(
             group in proptest::collection::vec(proptest::collection::vec(alloc_op(), 0..5), 1..4),
@@ -1928,7 +2000,10 @@ mod tests {
                             let fill = i as u64 + 1;
                             match *a {
                                 Alloc::Pooled(payload) => {
-                                    Proxy::try_alloc_small(&rt, id, payload).unwrap().write_u64(0, fill);
+                                    let p = Proxy::try_alloc_small(&rt, id, payload).unwrap();
+                                    p.write_u64(0, fill);
+                                    assert_eq!(pmem.read_u64(p.addr()), 0, "a slot's media header");
+                                    assert_eq!((p.class_id(), p.is_valid()), (id, false));
                                 }
                                 Alloc::Chain(payload) => {
                                     Proxy::alloc(&rt, id, payload).write_u64(0, fill);
@@ -1951,12 +2026,19 @@ mod tests {
                 state.allocated_ranges(&mut dram);
                 prop_assert_eq!(dram, walked_ranges(state));
                 let masters = alloc_entries(&state.entries);
-                let rmw: Vec<u64> = masters
+                let replayed: Vec<u64> = masters
                     .iter()
-                    .map(|a| BlockHeader { valid: true, ..BlockHeader::decode(pmem.read_u64(*a)) }.encode())
+                    .map(|&(a, class)| {
+                        let head = if rt.pools().is_pooled_addr(a) {
+                            BlockHeader { id: class, valid: false, next: 0 }
+                        } else {
+                            BlockHeader::decode(pmem.read_u64(a))
+                        };
+                        BlockHeader { valid: true, ..head }.encode()
+                    })
                     .collect();
-                prop_assert_eq!(&state.valid_words, &rmw);
-                expected.extend(masters.into_iter().zip(rmw));
+                prop_assert_eq!(&state.valid_words, &replayed);
+                expected.extend(masters.into_iter().map(|(a, _)| a).zip(replayed));
             }
             rt.fa_commit_group(staged);
             for (master, word) in expected {

@@ -225,6 +225,11 @@ impl Proxy {
     /// (§4.4) when `payload` fits the largest slot class, a chain
     /// otherwise. The object starts invalid either way, and is flushed and
     /// validated the same way.
+    ///
+    /// A slot's mini-header is stored once: here, invalid, outside a
+    /// failure-atomic block; inside one, whole and valid by the block's
+    /// commit — until then the slot holds the invalid word it was freed or
+    /// carved with, and header reads inside the block see the one staged.
     pub fn try_alloc_small(
         rt: &Jnvm,
         class_id: u16,
@@ -235,8 +240,10 @@ impl Proxy {
             return Proxy::try_alloc(rt, class_id, payload);
         }
         let head = BlockHeader::master(class_id, NULL_BLOCK)?;
-        let addr = pools.alloc(class_id, payload)?;
-        fa::note_alloc(addr, payload, head, &[addr]);
+        let addr = pools.alloc(payload)?;
+        if !fa::note_alloc(addr, payload, head, &[addr]) {
+            pools.write_mini(addr, head);
+        }
         Ok(Proxy::open(rt, addr))
     }
 

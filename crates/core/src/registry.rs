@@ -252,8 +252,12 @@ impl std::fmt::Debug for ClassRegistry {
     }
 }
 
-/// Read the class id of the object at `addr` (pooled or block).
+/// Read the class id of the object at `addr` (pooled or block) — the
+/// staged header's for an object the active failure-atomic block allocated.
 pub(crate) fn class_id_of_addr(rt: &JnvmRuntime, addr: u64) -> u16 {
+    if let Some(head) = crate::fa::staged_header(addr) {
+        return head.id;
+    }
     if rt.pools().is_pooled_addr(addr) {
         rt.pools().read_mini(addr).id
     } else {

@@ -171,16 +171,36 @@ impl JnvmRuntime {
         }
     }
 
-    /// Immediate free, bypassing any failure-atomic block (used by commit
-    /// and recovery).
+    /// Immediate free, bypassing any failure-atomic block (used by an
+    /// aborted block and outside blocks).
     pub(crate) fn free_addr_now(&self, addr: u64) {
+        let blocks = self.invalidate_addr(addr);
+        self.release_addr(addr, blocks);
+    }
+
+    /// The first half of a free: invalidate the object at `addr` (one
+    /// header store + `pwb`, no fence) — clear a slot's mini-header, or a
+    /// master's valid bit — and return its chain's blocks (none for a
+    /// slot), which [`JnvmRuntime::release_addr`] recycles.
+    pub(crate) fn invalidate_addr(&self, addr: u64) -> Vec<u64> {
+        if self.pools.is_pooled_addr(addr) {
+            self.pools.invalidate(addr);
+            Vec::new()
+        } else {
+            self.heap.invalidate_object(self.heap.block_of_addr(addr))
+        }
+    }
+
+    /// The second half of a free: hand the slot at `addr`, or the chain
+    /// `blocks`, back to the allocator. Touches no NVMM.
+    pub(crate) fn release_addr(&self, addr: u64, blocks: Vec<u64>) {
         if self.pools.is_pooled_addr(addr) {
             // A corrupt pool block makes the slot unfreeable; leak it rather
             // than abort — recovery-time GC reclaims whatever stays
             // unreachable.
-            let _ = self.pools.free(addr);
+            let _ = self.pools.release(addr);
         } else {
-            self.heap.free_object(self.heap.block_of_addr(addr));
+            self.heap.release_blocks(blocks);
         }
     }
 
@@ -189,7 +209,7 @@ impl JnvmRuntime {
     /// the active failure-atomic block allocated is a no-op: it becomes
     /// valid when the block commits (§4.2).
     pub fn set_valid_addr(&self, addr: u64, valid: bool) {
-        if valid && fa::allocated_in_block(addr) {
+        if valid && fa::staged_header(addr).is_some() {
             return;
         }
         if self.pools.is_pooled_addr(addr) {
@@ -199,8 +219,12 @@ impl JnvmRuntime {
         }
     }
 
-    /// Whether the object at `addr` is valid.
+    /// Whether the object at `addr` is valid. One the active
+    /// failure-atomic block allocated is not, until the block commits.
     pub fn is_valid_addr(&self, addr: u64) -> bool {
+        if let Some(head) = fa::staged_header(addr) {
+            return head.valid;
+        }
         if self.pools.is_pooled_addr(addr) {
             self.pools.read_mini(addr).valid
         } else {

@@ -867,3 +867,57 @@ fn a_pooled_pwb_covers_its_slot_and_no_further() {
         assert_eq!(pmem.stats().delta(&before).pwbs, last - first + 1, "{payload} B");
     }
 }
+
+/// Regression: a pool block carved from a freed chain kept, on media, its
+/// previous life's bytes at the slot mini-header offsets — the carve
+/// cleared them with stores nothing wrote back. Here the chain's payload is
+/// words that decode as valid `Node` headers; a failure-atomic block carves
+/// the block for a 16-B slot and commits it, and the power fails. A
+/// `HeaderScanOnly` reopen keeps exactly one object more than the same pool
+/// without that block: the slot it committed (it kept 8 more, 7 stale
+/// words past the block's first line read as live objects, when the carve
+/// wrote back only the line of its header).
+#[test]
+fn a_recycled_carve_leaves_no_stale_mini_header_for_a_header_scan() {
+    let live_after_crash = |commit: bool| {
+        let (pmem, rt) = fresh(1 << 20);
+        let id = rt.registry().id_of::<Node>().unwrap();
+        rt.fa(|| rt.root_put("warm", &Simple::alloc_uninit(&rt)).unwrap());
+        let old = crate::Proxy::alloc(&rt, id, 248);
+        let valid = jnvm_heap::BlockHeader {
+            id,
+            valid: true,
+            next: 0,
+        }
+        .encode();
+        for off in (0..248).step_by(8) {
+            old.write_u64(off, valid);
+        }
+        old.pwb();
+        old.validate();
+        pmem.pfence();
+        rt.free_addr(old.addr());
+        pmem.pfence();
+        if commit {
+            let slot = rt.fa(|| {
+                let p = crate::Proxy::try_alloc_small(&rt, id, 16).unwrap();
+                p.write_u64(0, 7);
+                p.addr()
+            });
+            let heap = rt.heap();
+            assert_eq!(heap.block_of_addr(slot), heap.block_of_addr(old.addr()));
+        }
+        drop((old, rt));
+        pmem.crash(&CrashPolicy::strict()).unwrap();
+        let (_, report) = JnvmBuilder::new()
+            .register::<Simple>()
+            .register::<Node>()
+            .open_with_options(
+                Arc::clone(&pmem),
+                RecoveryOptions::with_mode(RecoveryMode::HeaderScanOnly),
+            )
+            .unwrap();
+        report.live_objects
+    };
+    assert_eq!(live_after_crash(true), live_after_crash(false) + 1);
+}

@@ -88,7 +88,9 @@ pub struct BlockHeap {
 
 impl BlockHeap {
     /// Format a fresh heap over `pmem`, erasing any previous content of the
-    /// superblock region.
+    /// superblock region. The rest of the device must read zero, as
+    /// [`Pmem::new`] makes it: a pool block carved from the bump cursor
+    /// takes its zero slot mini-headers as already cleared.
     pub fn format(pmem: Arc<Pmem>, cfg: HeapConfig) -> Result<Arc<BlockHeap>, HeapError> {
         if !cfg.block_size.is_power_of_two() || cfg.block_size < 64 {
             return Err(HeapError::BadSuperblock(format!(
@@ -256,9 +258,18 @@ impl BlockHeap {
     /// blocks reserved from the persistent bump pointer, which advances a
     /// stride at a time. The block's header is *not* initialized.
     pub fn alloc_block(&self) -> Result<u64, HeapError> {
+        Ok(self.take_block()?.0)
+    }
+
+    /// [`BlockHeap::alloc_block`], also telling whether the block came from
+    /// the bump cursor (`true`) rather than the free queue. Such a block
+    /// reads all zero: nothing is ever stored above the persisted bump (see
+    /// `BUMP_STRIDE`), and [`BlockHeap::format`] leaves the data region as
+    /// the device holds it.
+    pub(crate) fn take_block(&self) -> Result<(u64, bool), HeapError> {
         let recycled = self.free.lock().pop_front();
-        let idx = match recycled {
-            Some(idx) => idx,
+        let (idx, from_bump) = match recycled {
+            Some(idx) => (idx, false),
             None => {
                 let mut fresh = self.fresh.lock();
                 if fresh.is_empty() {
@@ -279,11 +290,11 @@ impl BlockHeap {
                     self.pmem.pwb(SB_BUMP);
                     self.pmem.pfence();
                 }
-                fresh.next().expect("a stride was just reserved")
+                (fresh.next().expect("a stride was just reserved"), true)
             }
         };
         self.allocated.fetch_add(1, Ordering::Relaxed);
-        Ok(idx)
+        Ok((idx, from_bump))
     }
 
     /// Number of blocks needed for an object with `payload_bytes` of fields.
@@ -312,8 +323,7 @@ impl BlockHeap {
                 Ok(b) => blocks.push(b),
                 Err(e) => {
                     // Return the partial chain to the free queue.
-                    self.freed.fetch_add(blocks.len() as u64, Ordering::Relaxed);
-                    self.free.lock().extend(blocks);
+                    self.release_blocks(blocks);
                     return Err(e);
                 }
             }
@@ -405,9 +415,23 @@ impl BlockHeap {
     /// caller batch a single fence over a whole graph of frees) and recycle
     /// every block of the chain through the volatile free queue.
     pub fn free_object(&self, master: u64) {
+        let blocks = self.invalidate_object(master);
+        self.release_blocks(blocks);
+    }
+
+    /// The first half of [`BlockHeap::free_object`]: invalidate the master
+    /// (one header store + `pwb`, no fence) and return the chain's blocks,
+    /// which stay out of the allocator until [`BlockHeap::release_blocks`].
+    pub fn invalidate_object(&self, master: u64) -> Vec<u64> {
         let Chain { mut head, blocks } = self.walk_chain(master);
         head.valid = false;
         self.write_header_pwb(master, head);
+        blocks
+    }
+
+    /// The second half of [`BlockHeap::free_object`]: recycle `blocks`
+    /// through the volatile free queue, touching no NVMM.
+    pub fn release_blocks(&self, blocks: Vec<u64>) {
         self.freed.fetch_add(blocks.len() as u64, Ordering::Relaxed);
         self.free.lock().extend(blocks);
     }

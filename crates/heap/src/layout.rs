@@ -42,8 +42,13 @@ pub(crate) const HEAP_MAGIC: u64 = 0x4a4e564d48454150; // "JNVMHEAP"
 /// hold a committed log of version-2 two-word heads or version-1 block
 /// copies, which must be refused, not mis-replayed); 4 keeps the same bytes
 /// but puts mutable objects with references — map entries, records — in
-/// pool slots, which a version-3 build's recovery would mis-trace.
-pub(crate) const HEAP_VERSION: u32 = 4;
+/// pool slots, which a version-3 build's recovery would mis-trace; 5 (log
+/// format 4) puts the class id in an ALLOC entry, because a slot a
+/// failure-atomic block allocates has no mini-header on media until the
+/// block applies, and keeps a string map entry's key inside the entry — a
+/// version-4 build would replay such an allocation with class id 0 and
+/// read a key's length as the reference to a key object.
+pub(crate) const HEAP_VERSION: u32 = 5;
 
 /// Decoded block header (and pooled-object mini-header — same format).
 ///

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use jnvm_pmem::CACHE_LINE;
 use parking_lot::Mutex;
 
 use crate::alloc::BlockHeap;
@@ -116,21 +117,26 @@ impl PoolManager {
         (self.heap.payload_size() - 8) / Self::slot_total(payload)
     }
 
-    /// Allocate a pooled object of class `class_id` with at least `payload`
-    /// bytes. Returns the mini-header address; the object starts **invalid**
-    /// and un-flushed, like any fresh allocation (§4.1.4).
-    pub fn alloc(&self, class_id: u16, payload: u64) -> Result<u64, HeapError> {
+    /// Allocate a slot of at least `payload` bytes. Returns the mini-header
+    /// address, and stores nothing to it: the slot's mini-header is the
+    /// FREE word its last free stored, or the zero of a freshly carved
+    /// slot — invalid either way, as a fresh allocation must be (§4.1.4).
+    /// The caller stores the object's header: in place when it allocates
+    /// outside a failure-atomic block, at commit inside one.
+    pub fn alloc(&self, payload: u64) -> Result<u64, HeapError> {
         let ci = self.class_for(payload)?;
-        // (Popped in a statement of its own: the queue lock is released
-        // before the device store below.)
         let recycled = self.queues[ci].lock().pop_front();
-        if let Some(addr) = recycled {
-            self.write_mini(addr, BlockHeader { id: class_id, valid: false, next: 0 });
-            return Ok(addr);
+        match recycled {
+            Some(addr) => Ok(addr),
+            None => self.carve(ci),
         }
-        // Carve a new pool block.
+    }
+
+    /// Carve a new pool block of class index `ci`: queue every slot but the
+    /// first, and return the first.
+    fn carve(&self, ci: usize) -> Result<u64, HeapError> {
         let slot_payload = self.classes[ci];
-        let block = self.heap.alloc_block()?;
+        let (block, from_bump) = self.heap.take_block()?;
         let base = self.heap.block_addr(block);
         let pmem = self.heap.pmem();
         let nslots = self.slots_per_block(slot_payload);
@@ -146,35 +152,58 @@ impl PoolManager {
         head[..8].copy_from_slice(&header.encode().to_le_bytes());
         head[8..].copy_from_slice(&(slot_payload | nslots << 32).to_le_bytes());
         pmem.write_bytes(base, &head);
-        // The header/meta line must be durable before any slot inside this
-        // block is validated; pwb now, the allocating thread's next pfence
-        // (always executed before an object becomes reachable) orders it.
-        pmem.pwb(base);
-        pmem.publish_point("pool-carve", &[(base, 16)]);
-        let first = base + 16;
-        // Remaining slots join the free queue with a cleared mini-header.
-        let rest: Vec<u64> = (1..nslots)
-            .map(|i| first + i * Self::slot_total(slot_payload))
+        let slots: Vec<u64> = (0..nslots)
+            .map(|i| base + 16 + i * Self::slot_total(slot_payload))
             .collect();
-        for &slot in &rest {
-            pmem.write_u64(slot, 0);
+        let mut footprint = vec![(base, 16)];
+        if !from_bump {
+            // A recycled block holds its previous life's bytes, which a
+            // header scan could read as valid mini-headers: clear every
+            // slot's. (A block from the bump cursor reads zero: its slots
+            // are free already.)
+            for &slot in &slots {
+                pmem.write_u64(slot, 0);
+                footprint.push((slot, HEADER_BYTES));
+            }
         }
-        self.queues[ci].lock().extend(rest);
-        self.write_mini(first, BlockHeader { id: class_id, valid: false, next: 0 });
-        Ok(first)
+        // These lines must be durable before any slot inside this block is
+        // validated; pwb now, the allocating thread's next pfence (always
+        // executed before an object becomes reachable) orders them.
+        let mut lines: Vec<u64> = footprint.iter().map(|(at, _)| at / CACHE_LINE).collect();
+        lines.dedup();
+        for line in lines {
+            pmem.pwb(line * CACHE_LINE);
+        }
+        pmem.publish_point("pool-carve", &footprint);
+        self.queues[ci].lock().extend(&slots[1..]);
+        Ok(slots[0])
     }
 
-    /// Free a pooled object: persistently clear its mini-header (no fence,
-    /// like [`BlockHeap::free_object`]) and recycle the slot. The cleared
-    /// word is what a carved free slot holds; both recoveries keep only a
-    /// slot whose mini-header is valid, so nothing reads the old one back,
-    /// and the slot class comes from the DRAM table: a free reads nothing.
+    /// Free a pooled object: [`PoolManager::invalidate`], then
+    /// [`PoolManager::release`]. Reads nothing from the device.
     ///
     /// Fails with [`HeapError::UnknownPoolClass`] if the table does not know
-    /// the block and its meta word is corrupt.
+    /// the block and its meta word is corrupt; the slot is then invalid but
+    /// never recycled.
     pub fn free(&self, addr: u64) -> Result<(), HeapError> {
-        let ci = self.locate(addr)?;
+        self.invalidate(addr);
+        self.release(addr)
+    }
+
+    /// Persistently clear the mini-header of the pooled object at `addr`
+    /// (store + `pwb`, no fence, like [`BlockHeap::invalidate_object`]). The
+    /// cleared word is what a carved free slot holds; both recoveries keep
+    /// only a slot whose mini-header is valid, so nothing reads the old one
+    /// back.
+    pub fn invalidate(&self, addr: u64) {
         self.write_mini_pwb(addr, BlockHeader::FREE);
+    }
+
+    /// Recycle the slot at `addr` through its class's free queue, touching
+    /// no NVMM: the slot class comes from the DRAM table. See
+    /// [`PoolManager::free`] for the error.
+    pub fn release(&self, addr: u64) -> Result<(), HeapError> {
+        let ci = self.locate(addr)?;
         self.queues[ci].lock().push_back(addr);
         Ok(())
     }
@@ -184,7 +213,8 @@ impl PoolManager {
         BlockHeader::decode(self.heap.pmem().read_u64(addr))
     }
 
-    fn write_mini(&self, addr: u64, h: BlockHeader) {
+    /// Store the mini-header of the pooled object at `addr` (no flush).
+    pub fn write_mini(&self, addr: u64, h: BlockHeader) {
         self.heap.pmem().write_u64(addr, h.encode());
     }
 
@@ -377,6 +407,23 @@ mod tests {
         (heap, pm)
     }
 
+    /// A slot of `payload` bytes holding a valid object of class `id`, its
+    /// header stored and written back as an allocation outside a
+    /// failure-atomic block, validated, stores it.
+    fn alloc_valid(pm: &PoolManager, id: u16, payload: u64) -> u64 {
+        let a = pm.alloc(payload).unwrap();
+        pm.write_mini(
+            a,
+            BlockHeader {
+                id,
+                valid: true,
+                next: 0,
+            },
+        );
+        pm.heap().pmem().pwb(a);
+        a
+    }
+
     #[test]
     fn classes_fit_block() {
         let (_h, pm) = mk();
@@ -388,26 +435,26 @@ mod tests {
         let (heap, pm) = mk();
         let before = heap.stats().blocks_allocated;
         // 16-byte payloads: slot total 24, (248-8)/24 = 10 per block.
-        let addrs: Vec<u64> = (0..10).map(|_| pm.alloc(20, 10).unwrap()).collect();
+        let addrs: Vec<u64> = (0..10).map(|_| pm.alloc(10).unwrap()).collect();
         assert_eq!(heap.stats().blocks_allocated - before, 1);
         let blocks: HashSet<u64> = addrs.iter().map(|a| heap.block_of_addr(*a)).collect();
         assert_eq!(blocks.len(), 1);
         // 11th allocation opens a second block.
-        pm.alloc(20, 10).unwrap();
+        pm.alloc(10).unwrap();
         assert_eq!(heap.stats().blocks_allocated - before, 2);
     }
 
     #[test]
     fn pooled_addresses_are_not_block_aligned() {
         let (_h, pm) = mk();
-        let a = pm.alloc(20, 30).unwrap();
+        let a = pm.alloc(30).unwrap();
         assert!(pm.is_pooled_addr(a));
     }
 
     #[test]
     fn corrupt_pool_meta_reports_unknown_class() {
         let (heap, pm) = mk();
-        let a = pm.alloc(20, 16).unwrap();
+        let a = pm.alloc(16).unwrap();
         // Scribble an impossible slot class into the block's meta word. The
         // manager that carved the block knows its class without reading
         // it; a fresh one (a reopened pool's) has to read the meta word.
@@ -424,8 +471,7 @@ mod tests {
     #[test]
     fn free_recycles_slot() {
         let (_h, pm) = mk();
-        let a = pm.alloc(20, 16).unwrap();
-        pm.set_valid(a, true);
+        let a = alloc_valid(&pm, 20, 16);
         let before = pm.heap().pmem().stats();
         pm.free(a).unwrap();
         let d = pm.heap().pmem().stats().delta(&before);
@@ -437,7 +483,7 @@ mod tests {
         // Not guaranteed (queue order), but the slot must eventually return.
         let mut seen = false;
         for _ in 0..20 {
-            if pm.alloc(20, 16).unwrap() == a {
+            if pm.alloc(16).unwrap() == a {
                 seen = true;
                 break;
             }
@@ -457,9 +503,7 @@ mod tests {
         let mut addrs = Vec::new();
         for &payload in POOL_SLOT_CLASSES {
             for _ in 0..pm.slots_per_block(payload) + 1 {
-                let a = pm.alloc(9, payload).unwrap();
-                pm.set_valid(a, true);
-                addrs.push(a);
+                addrs.push(alloc_valid(&pm, 9, payload));
             }
         }
         let pool_blocks: Vec<u64> = (heap.data_start()..heap.scan_end())
@@ -513,34 +557,115 @@ mod tests {
     #[test]
     fn size_class_selection() {
         let (_h, pm) = mk();
-        let a = pm.alloc(7, 16).unwrap();
-        let b = pm.alloc(7, 17).unwrap();
+        let a = pm.alloc(16).unwrap();
+        let b = pm.alloc(17).unwrap();
         assert_eq!(pm.slot_payload(a).unwrap(), 16);
         assert_eq!(pm.slot_payload(b).unwrap(), 32);
         assert!(matches!(
-            pm.alloc(7, 233),
+            pm.alloc(233),
             Err(HeapError::ObjectTooLargeForPool(233))
         ));
     }
 
+    /// An allocation stores no mini-header: a carved slot holds the zero
+    /// of a fresh block, a recycled one the FREE word of its free — both
+    /// invalid. Taking a recycled slot touches the device not at all.
     #[test]
-    fn mini_header_carries_class() {
-        let (_h, pm) = mk();
-        let a = pm.alloc(321, 60).unwrap();
-        let mh = pm.read_mini(a);
-        assert_eq!(mh.id, 321);
-        assert!(!mh.valid, "fresh pooled object must be invalid");
+    fn alloc_stores_no_mini_header() {
+        let (heap, pm) = mk();
+        let a = pm.alloc(60).unwrap();
+        assert_eq!(pm.read_mini(a), BlockHeader::FREE, "a carved slot");
+        let head = BlockHeader {
+            id: 321,
+            valid: false,
+            next: 0,
+        };
+        pm.write_mini(a, head);
         pm.set_valid(a, true);
-        assert!(pm.read_mini(a).valid);
+        assert_eq!(pm.read_mini(a), BlockHeader { valid: true, ..head });
+        pm.free(a).unwrap();
+        let before = heap.pmem().stats();
+        let again = (0..3).map(|_| pm.alloc(60).unwrap()).find(|s| *s == a);
+        let d = heap.pmem().stats().delta(&before);
+        assert_eq!(again, Some(a), "the freed slot comes back");
+        assert_eq!((d.reads, d.writes, d.pwbs), (0, 0, 0), "a recycled slot");
+        assert_eq!(pm.read_mini(a), BlockHeader::FREE, "a recycled slot");
+    }
+
+    /// A block from the bump cursor has never been written: carving it
+    /// stores the block header and the meta word — one store, one `pwb` —
+    /// and leaves every slot's zero alone. The slots read zero before and
+    /// after a power failure.
+    #[test]
+    fn a_block_from_the_bump_cursor_reads_zero_past_its_head() {
+        let (heap, pm) = mk();
+        let pmem = Arc::clone(heap.pmem());
+        heap.alloc_block().unwrap(); // reserves the bump stride
+        let before = pmem.stats();
+        let a = pm.alloc(16).unwrap();
+        let d = pmem.stats().delta(&before);
+        assert_eq!(
+            (d.writes, d.bytes_written, d.pwbs),
+            (1, 16, 1),
+            "the carve of a fresh block"
+        );
+        let base = heap.block_addr(heap.block_of_addr(a));
+        let rest = |pmem: &Pmem| {
+            let mut bytes = vec![0xAAu8; (heap.block_size() - 16) as usize];
+            pmem.read_bytes(base + 16, &mut bytes);
+            bytes.iter().all(|b| *b == 0)
+        };
+        assert!(rest(&pmem), "before the crash");
+        pmem.pfence();
+        pmem.crash(&jnvm_pmem::CrashPolicy::strict()).unwrap();
+        let heap2 = BlockHeap::open(Arc::clone(&pmem)).unwrap();
+        assert_eq!(heap2.read_header(heap2.block_of_addr(a)).id, CLASS_ID_POOL);
+        assert!(rest(&pmem), "after the crash");
+    }
+
+    /// Regression: carving a block the free queue recycled cleared its slot
+    /// mini-headers with stores nothing wrote back, so after a power failure
+    /// the block showed its previous life's bytes at those offsets — here,
+    /// words that decode as valid headers, which a header scan keeps. The
+    /// carve writes back every cleared line, ordered by the allocating
+    /// thread's next fence.
+    #[test]
+    fn carving_a_recycled_block_makes_its_cleared_headers_durable() {
+        let (heap, pm) = mk();
+        let pmem = Arc::clone(heap.pmem());
+        let old = heap.alloc_chain(7, 8).unwrap();
+        let valid = BlockHeader {
+            id: 7,
+            valid: true,
+            next: 0,
+        }
+        .encode();
+        let words: Vec<u8> = (0..heap.payload_size() / 8)
+            .flat_map(|_| valid.to_le_bytes())
+            .collect();
+        pmem.write_bytes(heap.payload_addr(old), &words);
+        pmem.pwb_range(heap.block_addr(old), heap.block_size());
+        heap.set_valid(old, true);
+        pmem.pfence();
+        heap.free_object(old);
+        let a = pm.alloc(16).unwrap();
+        assert_eq!(heap.block_of_addr(a), old, "the carve recycled the block");
+        pmem.pfence();
+        pmem.crash(&jnvm_pmem::CrashPolicy::strict()).unwrap();
+        let heap2 = BlockHeap::open(Arc::clone(&pmem)).unwrap();
+        let mut slots = 0;
+        PoolManager::new(heap2).scan_block_slots(old, |slot, mini| {
+            assert!(!mini.valid, "slot {slot:#x}: {mini:?}");
+            slots += 1;
+        });
+        assert_eq!(slots, 10);
     }
 
     #[test]
     fn rebuild_keeps_live_frees_dead() {
         let (heap, pm) = mk();
-        let live = pm.alloc(9, 16).unwrap();
-        let dead = pm.alloc(9, 16).unwrap();
-        pm.set_valid(live, true);
-        pm.set_valid(dead, true);
+        let live = alloc_valid(&pm, 9, 16);
+        let dead = alloc_valid(&pm, 9, 16);
         heap.pmem().pfence();
 
         // Simulate restart: new manager with empty queues.
@@ -562,8 +687,7 @@ mod tests {
         let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
         let heap = BlockHeap::format(Arc::clone(&pmem), HeapConfig::default()).unwrap();
         let pm = PoolManager::new(Arc::clone(&heap));
-        let a = pm.alloc(9, 16).unwrap();
-        pm.set_valid(a, true);
+        let a = alloc_valid(&pm, 9, 16);
         pmem.pfence();
         pmem.crash(&jnvm_pmem::CrashPolicy::strict()).unwrap();
         let heap2 = BlockHeap::open(Arc::clone(&pmem)).unwrap();

@@ -61,8 +61,8 @@ proptest! {
                     }
                 }
                 Op::PoolAlloc(sz) => {
-                    let a = pools.alloc(43, sz).unwrap();
-                    pools.set_valid(a, true);
+                    let a = pools.alloc(sz).unwrap();
+                    pools.write_mini(a, crate::BlockHeader { id: 43, valid: true, next: 0 });
                     live_pool.push(a);
                 }
                 Op::PoolFree(i) => {

@@ -23,7 +23,6 @@ use jnvm::{Jnvm, JnvmError, PObject, Proxy};
 
 use crate::parray::PRefArray;
 use crate::skiplist::SkipListMap;
-use crate::PString;
 
 /// Proxy-caching policy of a map (§4.3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,9 +43,10 @@ pub enum CacheMode {
 
 /// A volatile key type storable in a persistent map entry.
 ///
-/// The entry payload is `[value ref u64][key: KEY_WORDS words]`; the key
-/// part may inline the key (`i64`) or reference persistent sub-objects
-/// (`String` via [`PString`]). Lookups take the key's borrowed
+/// The entry payload is `[value ref u64][key]`, the key held inline: an
+/// `i64` as one word, a `String` as its length word and its bytes — so an
+/// entry's one reference is its value, and inserting or removing a key
+/// allocates or frees the entry alone. Lookups take the key's borrowed
 /// [`PKey::Query`] form, as `HashMap::get` does, so probing a
 /// `String`-keyed map with a `&str` allocates nothing.
 pub trait PKey: Clone + Eq + Hash + Ord + Send + 'static {
@@ -55,21 +55,15 @@ pub trait PKey: Clone + Eq + Hash + Ord + Send + 'static {
 
     /// This key in its lookup form.
     fn query(&self) -> &Self::Query;
-    /// Words occupied by the key inside an entry.
-    const KEY_WORDS: u64;
+    /// Bytes this key takes inside an entry.
+    fn key_bytes(&self) -> u64;
     /// Class name under which this key's entry class is registered.
     const ENTRY_CLASS_NAME: &'static str;
-    /// Reference-slot offsets within the entry payload (must include 0,
-    /// the value slot, plus any key sub-object slots).
-    const ENTRY_REF_OFFSETS: &'static [u64];
 
-    /// Materialize the key into entry `e` at payload offset `off`
-    /// (allocating sub-objects as needed; they must be left validated).
-    fn write_key(rt: &Jnvm, e: &Proxy, off: u64, key: &Self) -> Result<(), JnvmError>;
+    /// Store the key into the fresh entry `e` at payload offset `off`.
+    fn write_key(&self, e: &Proxy, off: u64);
     /// Read the key back from entry `e`.
-    fn read_key(rt: &Jnvm, e: &Proxy, off: u64) -> Self;
-    /// Free key sub-objects of entry `e`.
-    fn free_key(rt: &Jnvm, e: &Proxy, off: u64);
+    fn read_key(e: &Proxy, off: u64) -> Self;
 }
 
 impl PKey for String {
@@ -78,26 +72,32 @@ impl PKey for String {
     fn query(&self) -> &str {
         self
     }
-    const KEY_WORDS: u64 = 1;
+
+    fn key_bytes(&self) -> u64 {
+        8 + self.len() as u64
+    }
     const ENTRY_CLASS_NAME: &'static str = "jnvm_jpdt.MapEntry<String>";
-    /// Value slot + PString key slot.
-    const ENTRY_REF_OFFSETS: &'static [u64] = &[0, 8];
 
-    fn write_key(rt: &Jnvm, e: &Proxy, off: u64, key: &Self) -> Result<(), JnvmError> {
-        let s = PString::from_str_in(rt, key)?;
-        e.write_ref(off, Some(s.addr()));
-        Ok(())
+    fn write_key(&self, e: &Proxy, off: u64) {
+        e.write_u64(off, self.len() as u64);
+        e.write_bytes(off + 8, self.as_bytes());
     }
 
-    fn read_key(rt: &Jnvm, e: &Proxy, off: u64) -> Self {
-        let addr = e.read_ref(off).expect("entry key reference present");
-        PString::resurrect(rt, addr).to_string_lossy()
-    }
-
-    fn free_key(rt: &Jnvm, e: &Proxy, off: u64) {
-        if let Some(addr) = e.read_ref(off) {
-            rt.free_addr(addr);
-        }
+    /// Lossy for bytes that are not UTF-8. The length word is bounded by
+    /// the entry's storage before it sizes a buffer: a torn or corrupt word
+    /// is a catchable panic, never an allocator abort.
+    fn read_key(e: &Proxy, off: u64) -> Self {
+        let len = e.read_u64(off);
+        let room = e.capacity().saturating_sub(off + 8);
+        assert!(
+            len <= room,
+            "map entry at {:#x}: key length word {len} exceeds its storage ({room} B)",
+            e.addr()
+        );
+        let mut bytes = vec![0u8; len as usize];
+        e.read_bytes(off + 8, &mut bytes);
+        String::from_utf8(bytes)
+            .unwrap_or_else(|bad| String::from_utf8_lossy(bad.as_bytes()).into_owned())
     }
 }
 
@@ -107,25 +107,22 @@ impl PKey for i64 {
     fn query(&self) -> &i64 {
         self
     }
-    const KEY_WORDS: u64 = 1;
-    const ENTRY_CLASS_NAME: &'static str = "jnvm_jpdt.MapEntry<i64>";
-    /// Only the value slot holds a reference; the key is inline.
-    const ENTRY_REF_OFFSETS: &'static [u64] = &[0];
 
-    fn write_key(_rt: &Jnvm, e: &Proxy, off: u64, key: &Self) -> Result<(), JnvmError> {
-        e.write_i64(off, *key);
-        Ok(())
+    fn key_bytes(&self) -> u64 {
+        8
+    }
+    const ENTRY_CLASS_NAME: &'static str = "jnvm_jpdt.MapEntry<i64>";
+
+    fn write_key(&self, e: &Proxy, off: u64) {
+        e.write_i64(off, *self);
     }
 
-    fn read_key(_rt: &Jnvm, e: &Proxy, off: u64) -> Self {
+    fn read_key(e: &Proxy, off: u64) -> Self {
         e.read_i64(off)
     }
-
-    fn free_key(_rt: &Jnvm, _e: &Proxy, _off: u64) {}
 }
 
-/// The persistent entry class of a map keyed by `K`:
-/// `[value ref][key words]`.
+/// The persistent entry class of a map keyed by `K`: `[value ref][key]`.
 pub struct MapEntry<K: PKey> {
     proxy: Proxy,
     _k: PhantomData<fn() -> K>,
@@ -134,15 +131,12 @@ pub struct MapEntry<K: PKey> {
 impl<K: PKey> MapEntry<K> {
     const VALUE_OFF: u64 = 0;
     const KEY_OFF: u64 = 8;
-
-    fn payload_bytes() -> u64 {
-        8 + K::KEY_WORDS * 8
-    }
 }
 
 impl<K: PKey> PObject for MapEntry<K> {
     const CLASS_NAME: &'static str = K::ENTRY_CLASS_NAME;
-    const REF_OFFSETS: &'static [u64] = K::ENTRY_REF_OFFSETS;
+    /// The value reference, the entry's only one.
+    const REF_OFFSETS: &'static [u64] = &[0];
 
     fn resurrect(rt: &Jnvm, addr: u64) -> Self {
         MapEntry {
@@ -328,7 +322,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
             match array.get_ref(cell) {
                 Some(entry_addr) => {
                     let e = Proxy::open(rt, entry_addr);
-                    let key = K::read_key(rt, &e, MapEntry::<K>::KEY_OFF);
+                    let key = K::read_key(&e, MapEntry::<K>::KEY_OFF);
                     if mode == CacheMode::Eager {
                         if let Some(v) = e.read_ref(MapEntry::<K>::VALUE_OFF) {
                             cache.insert(cell, Proxy::open(rt, v));
@@ -374,10 +368,14 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
         self.mode
     }
 
-    /// A fresh, invalid entry: a pool slot, since an entry never grows.
-    fn new_entry(&self) -> Result<Proxy, JnvmError> {
-        self.rt
-            .alloc_small::<MapEntry<K>>(MapEntry::<K>::payload_bytes())
+    /// A fresh, invalid entry holding `key`: a pool slot when it fits one,
+    /// since an entry never grows.
+    fn new_entry(&self, key: &K) -> Result<Proxy, JnvmError> {
+        let e = self
+            .rt
+            .alloc_small::<MapEntry<K>>(MapEntry::<K>::KEY_OFF + key.key_bytes())?;
+        key.write_key(&e, MapEntry::<K>::KEY_OFF);
+        Ok(e)
     }
 
     fn entry_at(&self, cell: u64, array: &PRefArray) -> Proxy {
@@ -430,8 +428,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
             self.grow(&mut inner)?;
         }
         let cell = inner.free_cells.pop().expect("grow guarantees a free cell");
-        let e = self.new_entry()?;
-        K::write_key(&self.rt, &e, MapEntry::<K>::KEY_OFF, &key)?;
+        let e = self.new_entry(&key)?;
         e.write_ref(MapEntry::<K>::VALUE_OFF, Some(value));
         e.pwb();
         self.rt.set_valid_addr(value, true);
@@ -484,7 +481,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
     }
 
     /// Remove `key`. Returns the value's address (ownership passes to the
-    /// caller); the entry and its key sub-objects are freed.
+    /// caller); the entry, which holds the key, is freed.
     pub fn remove(&self, key: &K::Query) -> Option<u64> {
         let mut inner = self.inner.lock();
         let cell = inner.mirror.remove(key)?;
@@ -494,7 +491,6 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
         inner.array.set_ref(cell, None);
         inner.array.pwb_cell(cell);
         self.rt.pfence();
-        K::free_key(&self.rt, &e, MapEntry::<K>::KEY_OFF);
         self.rt.free_addr(e.addr());
         inner.free_cells.push(cell);
         inner.cache.remove(&cell);
@@ -538,8 +534,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
             self.grow(&mut inner)?;
         }
         let cell = inner.free_cells.pop().expect("grow guarantees a free cell");
-        let e = self.new_entry()?;
-        K::write_key(&self.rt, &e, MapEntry::<K>::KEY_OFF, &key)?;
+        let e = self.new_entry(&key)?;
         e.write_ref(MapEntry::<K>::VALUE_OFF, Some(e.addr()));
         e.pwb();
         e.validate();

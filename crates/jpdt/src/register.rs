@@ -230,25 +230,73 @@ mod tests {
         assert_eq!(m.len(), 49);
     }
 
+    /// A key's length word is bounded by its entry before it sizes a
+    /// buffer: a corrupt one stops a resurrection with a catchable panic
+    /// naming the entry, not an allocation of its size.
     #[test]
-    fn entry_and_key_objects_are_freed_on_remove() {
-        let (_p, rt) = rt(8 << 20);
+    fn a_corrupt_key_length_is_a_catchable_panic() {
+        let _hush = jnvm_pmem::hush_panics();
+        let (pmem, rt) = rt(8 << 20);
         let m = PStringHashMap::new(&rt).unwrap();
+        let v = PBytes::new(&rt, b"v").unwrap();
+        m.put("key".into(), v.addr()).unwrap();
+        // The first put takes cell 0 of the map's array (offset 0 of the
+        // map); the entry's key length is its payload's second word.
+        let array = jnvm::Proxy::open(&rt, m.addr()).read_ref(0).unwrap();
+        let entry = crate::PRefArray::resurrect(&rt, array).get_ref(0).unwrap();
+        pmem.write_u64(entry + 8 + 8, 1 << 40);
+        let open = || PStringHashMap::open_with_mode(&rt, m.addr(), CacheMode::Base);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(open))
+            .map(drop)
+            .expect_err("a corrupt key length was trusted");
+        let msg = panic.downcast::<String>().unwrap();
+        let named = msg.contains(&format!("{entry:#x}"));
+        assert!(named && msg.contains("exceeds its storage"), "{msg}");
+    }
+
+    /// A `String` key lives inside its entry: a put allocates the entry
+    /// alone — `[value ref][key length][key bytes]`, one slot — and a remove
+    /// frees it and reads no key reference.
+    #[test]
+    fn entry_slots_hold_their_key_and_are_freed_on_remove() {
+        let (pmem, rt) = rt(8 << 20);
+        let m = PStringHashMap::new(&rt).unwrap();
+        rt.root_put("map", &m).unwrap();
         let before = rt.heap().stats();
         let v = PBytes::new(&rt, b"v").unwrap();
         m.put("some-key".into(), v.addr()).unwrap();
+        // The value's slot is of the 16-B class, the entry's (8 + 8 + 8 B)
+        // of the 32-B one: one pool block carved for each.
+        assert_eq!(
+            rt.heap().stats().blocks_allocated - before.blocks_allocated,
+            2
+        );
+        assert_eq!(rt.pools().free_slots(), 9 + 5);
+        let reads = pmem.stats().reads;
         let got = m.remove("some-key").unwrap();
+        // The map cell and the entry's value reference, no key reference.
+        assert_eq!(pmem.stats().reads - reads, 2, "device reads of a remove");
         rt.free_addr(got);
         let after = rt.heap().stats();
-        // The put/remove cycle carves one pool block (on first use) hosting
-        // the entry, PString and PBytes slots, all of the 16-B class. Every
-        // slot is freed; the pool block is retained for slot reuse.
+        // Every slot is freed; the pool blocks are retained for slot reuse.
         assert_eq!(after.blocks_freed - before.blocks_freed, 0);
-        assert_eq!(after.blocks_allocated - before.blocks_allocated, 1);
         assert_eq!(
             rt.pools().free_slots(),
-            10,
-            "the block's ten slots, all free"
+            10 + 6,
+            "the blocks' slots, all free"
+        );
+        let key = "k".repeat(300);
+        let v = PBytes::new(&rt, b"long").unwrap();
+        m.put(key.clone(), v.addr()).unwrap();
+        pmem.crash(&CrashPolicy::strict()).unwrap();
+        let m2 = reopen(&pmem)
+            .root_get_as::<PStringHashMap>("map")
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            m2.keys(2),
+            vec![key],
+            "a key too long for a slot takes a chain"
         );
     }
 }

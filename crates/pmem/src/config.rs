@@ -7,8 +7,11 @@ use crate::sanitize::SanitizeMode;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimMode {
     /// Single in-memory array. `pwb`/`pfence`/`psync` only account statistics
-    /// and inject latency. Crash simulation is unavailable. This is the mode
-    /// every benchmark harness uses.
+    /// and inject latency. Crash simulation is unavailable. The paper-figure
+    /// harnesses (`jnvm-bench`) run in this mode; the benchmark
+    /// (`benchmark/`) does not — it runs [`SimMode::CrashSim`] with
+    /// [`LatencyProfile::optane_like`], because every one of its runs ends
+    /// in a power failure and a recovery.
     Performance,
     /// Per-line dirty tracking plus a shadow of the persisted content of
     /// the lines that are not clean. [`crate::Pmem::crash`] is available.
@@ -140,7 +143,9 @@ impl PmemConfig {
         }
     }
 
-    /// A `Performance` pool with Optane-like latency — the benchmark default.
+    /// A `Performance` pool with Optane-like latency — what the paper-figure
+    /// harnesses of `jnvm-bench` run on (the benchmark's pools are
+    /// `CrashSim` ones with the same latency).
     pub fn optane(size: u64) -> Self {
         PmemConfig {
             size,

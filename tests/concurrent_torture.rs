@@ -314,7 +314,8 @@ fn grid_reopen(pmem: &Arc<Pmem>) -> (Jnvm, JnvmBackend, RecoveryReport) {
 /// Measured grid baselines: the live object count of the complete
 /// 16-record image (which includes the one redo log the single-threaded
 /// setup created), the per-record footprint in objects (record + field
-/// blobs + map entry + key blob), the live *block* count of the image after
+/// blobs + map entry, which holds the key; 5 while the key was a blob of
+/// its own), the live *block* count of the image after
 /// every record has been removed again (map skeleton + one redo log, no
 /// pool slabs), and one redo log's footprint in blocks.
 struct GridBase {
@@ -340,8 +341,8 @@ fn grid_baselines() -> GridBase {
     let drained = observe(NTHREADS * KEYS_PER_THREAD);
     let rec_objects = full.live_objects - minus_one.live_objects;
     assert_eq!(
-        rec_objects, 5,
-        "a record is its entry, key, record and two blobs"
+        rec_objects, 4,
+        "a record is its entry (key inside), record and two blobs"
     );
     assert!(
         full.live_blocks > drained.live_blocks,
@@ -388,10 +389,10 @@ fn grid_verify(base: &GridBase, log: GridLog, pmem: &Arc<Pmem>, outcome: &Tortur
         "crash point {point}: backend len disagrees with reachable records"
     );
     // Object accounting, pass 1 — exact up to the redo logs. Every object
-    // of a record (its entry, key, record and blobs) is pool-allocated
+    // of a record (its entry, record and blobs) is pool-allocated
     // (§4.4), so which slab *blocks* survive a concurrent remove/re-insert
     // churn depends on the interleaving; the live *objects* do not: the
-    // image holds five per present record, plus one object per redo log
+    // image holds four per present record, plus one object per redo log
     // beyond the setup's (at most one per worker).
     let total_keys = (NTHREADS * KEYS_PER_THREAD) as u64;
     assert!(present <= total_keys);

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use jnvm_repro::faultsim;
-use jnvm_repro::heap::HeapConfig;
+use jnvm_repro::heap::{BlockHeader, HeapConfig};
 use jnvm_repro::jnvm::{
     commit_phase, persistent_class, Jnvm, JnvmBuilder, PObject, RecoveryMode, RecoveryOptions,
     RecoveryReport,
@@ -1009,8 +1009,8 @@ fn grown_chains_recover_equivalently_at_every_crash_point() {
 
 // ---------------------------------------------------------------------------
 // Workload 7: one commit group over records that live in pool slots — a SET
-// of a new key, a SETF and a DEL. The map entries, keys, records and blobs
-// are all pooled, so the group's ALLOC, WRITE and FREE entries land in
+// of a new key, a SETF and a DEL. The map entries, records and blobs are
+// all pooled, so the group's ALLOC, WRITE and FREE entries land in
 // slots that share blocks and lines with each other.
 // ---------------------------------------------------------------------------
 
@@ -1019,8 +1019,8 @@ const POOLED_SHARDS: usize = 4;
 /// The key the group inserts.
 const POOLED_NEW: &str = "fresh";
 
-/// A two-field record of 16-byte values: its entry, key, record and blobs
-/// each fit a pool slot.
+/// A two-field record of 16-byte values: its entry (which holds the key),
+/// record and blobs each fit a pool slot.
 fn pooled_record(key: &str, fill: u8) -> Record {
     Record::ycsb(key, &[vec![fill; 16], vec![fill + 1; 16]])
 }
@@ -1099,11 +1099,12 @@ fn pooled_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Option<bool>, Recove
 /// Every crash point of the group, strict power failures and 8 adversarial
 /// eviction seeds, under `Full` and `HeaderScanOnly` recovery: the pool
 /// recovers to the image before the group or the one after it, with that
-/// image's exact live-object count — except that `HeaderScanOnly` keeps a
-/// freed object whose invalidation a crash lost (it follows the retire
-/// fence and is not fenced itself; ROADMAP's "`HeaderScanOnly` leak"), so
-/// past the group its count lies between the images' with and without the
-/// group's six frees.
+/// image's exact live-object count. The commit invalidates what the group
+/// frees behind its apply fence, so a crash right after it loses none of
+/// the five frees: `HeaderScanOnly` used to keep them (ROADMAP's
+/// "`HeaderScanOnly` leak" — the invalidations followed the retire fence,
+/// unfenced), and this test pinned 6 leaked objects, then a range of
+/// counts past the group.
 #[test]
 fn pooled_records_recover_to_either_image_at_every_crash_point() {
     silence_crash_panics();
@@ -1127,14 +1128,13 @@ fn pooled_records_recover_to_either_image_at_every_crash_point() {
             (before.0, after.0, lost.0),
             (Some(false), Some(true), Some(true))
         );
-        let leaked = lost.1 - after.1;
-        match mode {
-            RecoveryMode::Full => assert_eq!(leaked, 0),
-            RecoveryMode::HeaderScanOnly => assert_eq!(leaked, 6, "the group's frees"),
-        }
+        assert_eq!(
+            lost.1, after.1,
+            "{mode:?}: objects leaked by the group's frees"
+        );
         assert_eq!(
             after.1, before.1,
-            "{mode:?}: 5 objects in, 5 out, one blob swapped"
+            "{mode:?}: 4 objects in, 4 out, one blob swapped"
         );
         let policies =
             std::iter::once(CrashPolicy::strict()).chain((0..8).map(CrashPolicy::adversarial));
@@ -1149,10 +1149,7 @@ fn pooled_records_recover_to_either_image_at_every_crash_point() {
                 }
                 match image {
                     Some(false) => assert_eq!(live, before.1, "{mode:?}, point {point}: before"),
-                    Some(true) => assert!(
-                        (after.1..=lost.1).contains(&live),
-                        "{mode:?}, point {point}: after, {live} live objects"
-                    ),
+                    Some(true) => assert_eq!(live, after.1, "{mode:?}, point {point}: after"),
                     None => panic!("{mode:?}, point {point}: neither image"),
                 }
             };
@@ -1166,6 +1163,178 @@ fn pooled_records_recover_to_either_image_at_every_crash_point() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Workload 8: where a committed slot comes from. One group allocates three
+// pooled blobs — into a slot a free recycled, into the first slot of a
+// block carved from the bump cursor (whose mini-headers were never
+// written) and into the first slot of a block carved from a freed chain
+// (whose old bytes the carve clears) — and frees a fourth. None of the
+// three mini-headers is stored before the commit's apply; replay stores
+// them from the ALLOC entries' class ids.
+// ---------------------------------------------------------------------------
+
+/// Content lengths of the group's blobs, each of its own slot class: 232 B
+/// (one slot to a block — the recycled slot), 16 B (the carve of the freed
+/// chain) and 32 B (the carve from the bump cursor), in allocation order.
+const ORIGIN_LENS: [usize; 3] = [200, 8, 20];
+
+struct OriginCtx {
+    rt: Jnvm,
+    cells: PRefArray,
+}
+
+/// Small fresh pool with a rooted four-cell reference array whose last cell
+/// holds a 40-byte blob, the log created; then a 200-byte blob allocated
+/// and freed (its slot queued for reuse), and a one-block chain whose
+/// payload is non-zero bytes, freed (its block the heap's only free one).
+fn origin_setup() -> (Arc<Pmem>, OriginCtx) {
+    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
+    let rt = register_jpdt(JnvmBuilder::new())
+        .create(Arc::clone(&pmem), HeapConfig::default())
+        .expect("pool");
+    let cells = rt.fa(|| {
+        let cells = PRefArray::new(&rt, 4).expect("array");
+        let gone = PBytes::new(&rt, &[0x33; 40]).expect("blob");
+        cells.set_ref(3, Some(gone.addr()));
+        rt.root_put("origins", &cells).expect("root");
+        cells
+    });
+    let recycled = PBytes::new(&rt, &[0; 200]).expect("blob");
+    rt.free_addr(recycled.addr());
+    let chain = rt.alloc_proxy::<PBytes>(248).expect("chain");
+    chain.write_bytes(0, &[0x5A; 248]);
+    chain.pwb();
+    chain.validate();
+    pmem.pfence();
+    rt.free_addr(chain.addr());
+    assert_eq!(rt.heap().stats().free_queue_len, 1);
+    pmem.psync();
+    (pmem, OriginCtx { rt, cells })
+}
+
+fn origin_workload(ctx: &OriginCtx) {
+    let rt = &ctx.rt;
+    let set = rt.fa_stage(|| {
+        for (i, len) in ORIGIN_LENS.iter().enumerate() {
+            let blob = PBytes::new(rt, &vec![0xA0 + i as u8; *len]).expect("blob");
+            ctx.cells.set_ref(i as u64, Some(blob.addr()));
+        }
+    });
+    let del = rt.fa_stage(|| {
+        rt.free_addr(ctx.cells.get_ref(3).expect("stored"));
+        ctx.cells.set_ref(3, None);
+    });
+    rt.fa_commit_group(vec![set.0, del.0]);
+}
+
+/// Reopen under `mode`: `Some(is it the image after the group)`, or `None`
+/// for any other image, and the recovery report. In the image after the
+/// group, each allocated blob's mini-header is the word the live commit
+/// stores: its class, valid, no link.
+fn origin_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Option<bool>, RecoveryReport) {
+    let (rt, report) = register_jpdt(JnvmBuilder::new())
+        .open_with_options(Arc::clone(pmem), RecoveryOptions::with_mode(mode))
+        .expect("recovery");
+    let cells = rt.root_get_as::<PRefArray>("origins");
+    let cells = cells.expect("typed").expect("rooted");
+    let seen: Vec<Option<Vec<u8>>> = (0..4)
+        .map(|i| cells.get_ref(i).map(|a| PBytes::resurrect(&rt, a).to_vec()))
+        .collect();
+    let before = seen == [None, None, None, Some(vec![0x33; 40])];
+    let new = |i: usize| Some(vec![0xA0 + i as u8; ORIGIN_LENS[i]]);
+    let after = seen == [new(0), new(1), new(2), None];
+    if after {
+        let id = rt.registry().id_of::<PBytes>().expect("registered");
+        let word = BlockHeader {
+            id,
+            valid: true,
+            next: 0,
+        }
+        .encode();
+        for i in 0..3 {
+            let addr = cells.get_ref(i).expect("stored");
+            assert_eq!(pmem.read_u64(addr), word, "{mode:?}: header of blob {i}");
+        }
+    }
+    ((before || after).then_some(after), report)
+}
+
+/// Every crash point of [`origin_workload`], strict power failures and
+/// `seeds` adversarial eviction seeds, under `Full` and `HeaderScanOnly`
+/// recovery: the pool recovers to the image before the group or the one
+/// after it, with that image's exact live-object count, and after it each
+/// allocated slot holds the header the live commit stores — replayed from
+/// the log when the crash fell between the commit point and the apply.
+fn origin_sweep(seeds: u64) {
+    silence_crash_panics();
+    let (pmem, ctx) = origin_setup();
+    origin_workload(&ctx);
+    let heap = ctx.rt.heap();
+    let blocks: Vec<u64> = (0..3)
+        .map(|i| heap.block_of_addr(ctx.cells.get_ref(i).expect("stored")))
+        .collect();
+    assert!(
+        blocks[0] < blocks[1] && blocks[1] < blocks[2],
+        "slot, recycled carve, bump"
+    );
+    assert_eq!(
+        heap.stats().bump,
+        blocks[2] + 1,
+        "the last carve took the bump cursor"
+    );
+    drop((ctx, pmem));
+    for mode in [RecoveryMode::Full, RecoveryMode::HeaderScanOnly] {
+        let baseline = |run: bool| {
+            let (pmem, ctx) = origin_setup();
+            if run {
+                origin_workload(&ctx);
+            }
+            drop(ctx);
+            pmem.crash(&CrashPolicy::strict()).expect("crash");
+            let (image, report) = origin_observe(&pmem, mode);
+            (image, report.live_objects)
+        };
+        let (before, after) = (baseline(false), baseline(true));
+        assert_eq!((before.0, after.0), (Some(false), Some(true)), "{mode:?}");
+        assert_eq!(after.1, before.1 + 2, "{mode:?}: 3 blobs in, 1 out");
+        let policies =
+            std::iter::once(CrashPolicy::strict()).chain((0..seeds).map(CrashPolicy::adversarial));
+        for policy in policies {
+            let seen = std::cell::RefCell::new([0usize; 2]);
+            let verify = |pmem: &Arc<Pmem>, report: &faultsim::CrashReport| {
+                let (image, recovered) = origin_observe(pmem, mode);
+                let (point, live) = (report.point, recovered.live_objects);
+                match image {
+                    Some(false) => assert_eq!(live, before.1, "{mode:?}, point {point}: before"),
+                    Some(true) => assert_eq!(live, after.1, "{mode:?}, point {point}: after"),
+                    None => panic!("{mode:?}, {policy:?}, point {point}: neither image"),
+                }
+                seen.borrow_mut()[(image == Some(true)) as usize] += 1;
+            };
+            let plan = FaultPlan::count().with_policy(policy);
+            let summary = faultsim::sweep_all(plan, origin_setup, origin_workload, verify);
+            let [befores, afters] = *seen.borrow();
+            assert_eq!(summary.points_crashed, befores + afters, "{mode:?}");
+            assert!(
+                befores > 0 && afters > 0,
+                "{mode:?}: both sides of the commit point"
+            );
+        }
+    }
+}
+
+#[test]
+fn slots_of_every_origin_recover_to_either_image_at_every_crash_point() {
+    origin_sweep(8);
+}
+
+/// Exhaustive form: 64 eviction seeds (CI's torture job, `--release`).
+#[test]
+#[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
+fn adversarial_exhaustive_slots_of_every_origin_recover_at_every_crash_point() {
+    origin_sweep(64);
 }
 
 /// `fa(body)` is `fa_stage(body)` + `fa_commit_group(vec![tx])`: on

@@ -493,7 +493,10 @@ fn log_mode_sites_per_op_are_pinned() {
     assert_eq!(points, 3 * OPS, "ordering points per rmw");
     assert_eq!(spans - points, 2 * OPS, "begin/end spans per rmw");
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fence hooks per rmw");
-    // 7.3 per rmw; 28 166 while the records took whole blocks and the
+    // 7.3 per rmw; 28 127 while the keys were objects of their own (a key
+    // inside its entry takes a slot of the 32-B class here, beside the
+    // rmw's blobs, so where a blob's slot lies moved); 28 166 while the
+    // records took whole blocks and the
     // blobs alone filled the pool slots (a fresh blob's slot spans one line
     // or two, depending on where it lies); 32 012 (8.3) while the log's
     // entries shared the flag's line, written back in step 1 and again at
@@ -501,7 +504,7 @@ fn log_mode_sites_per_op_are_pinned() {
     // flushed and applied a whole in-flight block copy, the fresh blob was
     // flushed by its constructor *and* by the commit, and the flag and
     // length words of one line were written back separately.
-    assert_eq!(d.pwbs, 28_127, "pwb hooks over {OPS} rmws");
+    assert_eq!(d.pwbs, 28_200, "pwb hooks over {OPS} rmws");
 }
 
 // ---------------------------------------------------------------------------
@@ -552,12 +555,13 @@ fn setf(key: usize, field: usize, fill: u8) -> WriteOp {
 
 /// What one 100-byte `SETF` moves on the device, exactly: the redo log
 /// carries the 8-byte reference the op changes, not the record's block,
-/// and the commit applies it from DRAM. 228 bytes (32 read: the lookup's
+/// and the commit applies it from DRAM. 220 bytes (32 read: the lookup's
 /// 2 words — the cell and the entry's value reference —, `nfields` and the
 /// old reference), 8 or 9 `pwb`s (the new blob's pool slot covers 2 or 3
 /// lines; 1 in 64 blobs spans 3, 1 in 2 while the records took whole blocks
-/// and the blobs alone filled the slots), 4 fences — 248 bytes (52 read)
-/// while the lookup also read the entry's and the record's master headers
+/// and the blobs alone filled the slots), 4 fences — 228 bytes while the
+/// new blob's mini-header was stored invalid at allocation and again valid
+/// by the commit; 248 bytes (52 read) while the lookup also read the entry's and the record's master headers
 /// and a free read its slot's 4-byte class from the pool block's meta word;
 /// 288 bytes (92 read) while the array's length was re-read per cell,
 /// `Proxy::open` read the master header twice, the apply read back the
@@ -585,7 +589,7 @@ fn setf_device_cost_per_op_is_pinned() {
     let d = pool.device_stats().delta(&before);
     print_cost_row("SETF (100 B of 10 x 100 B)", OPS, &d);
     assert_eq!(d.bytes_read, 32 * OPS, "device bytes read per SETF");
-    assert_eq!(d.bytes_written, 196 * OPS, "device bytes written per SETF");
+    assert_eq!(d.bytes_written, 188 * OPS, "device bytes written per SETF");
     assert_eq!(
         d.pwbs,
         8 * OPS + 1,
@@ -635,9 +639,14 @@ fn assert_cost(op: &str, d: &StatsSnapshot, pinned: (u64, u64, u64)) {
 /// What a `SET` of a new key moves on the device, held like `SETF`'s row:
 /// totals over 64 ops, because a pool block or a map cell carved every few
 /// ops makes the per-op figure fractional. Bump-fed, a 10 × 100 B record
-/// costs 0 B read, ≈1 711 B written and 48.8 `pwb`s, a 4 × 64 B one 0 B,
-/// ≈648 B and 23.8; recycling, the same bytes as before the entry and the
-/// record moved into pool slots, 43.0 and 22.2 `pwb`s. Carving the slots'
+/// costs 0 B read, ≈1 524 B written and 46.7 `pwb`s, a 4 × 64 B one 0 B,
+/// ≈526 B and 20.7; recycling, ≈1 433 B and 41.0, ≈497 B and 19.2. Each
+/// pooled object's mini-header is stored once, valid, by the commit, a
+/// carve from the bump cursor stores no cleared mini-headers, and the key
+/// is inside its entry. Before that, bump-fed ≈1 711 B and 48.8, ≈648 B
+/// and 23.8; recycling, ≈1 561 B and 43.0, ≈577 B and 22.2 — the same
+/// bytes as before the entry and the record moved into pool slots. Carving
+/// the slots'
 /// pool blocks costs the bump-fed `SET` ≈19 B (a pool header, meta word and
 /// cleared mini-headers every few ops), and a slot that straddles a line
 /// ≈1 `pwb` more (≈1 691 B, 47.5 and ≈630 B, 22.8 — 42.3 and 21.3
@@ -656,32 +665,35 @@ fn set_device_cost_per_op_is_pinned() {
     assert_cost(
         "SET new key (4 x 64 B), bump-fed",
         &fresh,
-        (0, 41_496, 1_524),
+        (0, 33_680, 1_322),
     );
     assert_cost(
         "SET new key (4 x 64 B), recycling",
         &again,
-        (0, 36_928, 1_422),
+        (0, 31_808, 1_227),
     );
     let [fresh, _, again] = structural_costs(10, 100);
     assert_cost(
         "SET new key (10 x 100 B), bump-fed",
         &fresh,
-        (0, 109_496, 3_124),
+        (0, 97_504, 2_986),
     );
     assert_cost(
         "SET new key (10 x 100 B), recycling",
         &again,
-        (0, 99_904, 2_755),
+        (0, 91_712, 2_624),
     );
 }
 
 /// What a `DEL` moves on the device: the map's unlink, one one-word FREE
-/// entry per blob and for the record, and their invalidations behind the
-/// retire fence — 64 B read, 160 B written and 12 `pwb`s for 4 × 64 B,
-/// 112 B, 256 B and 18 for 10 × 100 B. What it reads is the lookup's cell
-/// and value reference, the record's `nfields` and references, and the
-/// entry's key reference: no header, no pool meta word (116 and 188 B read
+/// entry per blob and for the record and the entry, and their
+/// invalidations behind the apply fence — 56 B read, 144 B written and 10
+/// `pwb`s for 4 × 64 B, 104 B, 240 B and 17 for 10 × 100 B. What it reads
+/// is the lookup's cell and value reference and the record's `nfields` and
+/// references: no header, no pool meta word, no key (64 B, 160 B and 12,
+/// 112 B, 256 B and 18 while the key was an object of its own, whose
+/// reference the `DEL` read and which it freed — one FREE entry, one
+/// invalidation —, behind the retire fence; 116 and 188 B read
 /// while the entry and the record took whole blocks, whose master headers
 /// `Proxy::open` and each free read, and a pooled free read its slot's
 /// class from the meta word; 204 and 324 B while the array's
@@ -693,9 +705,9 @@ fn set_device_cost_per_op_is_pinned() {
 fn del_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     let [_, del, _] = structural_costs(4, 64);
-    assert_cost("DEL (4 x 64 B)", &del, (4_096, 10_240, 768));
+    assert_cost("DEL (4 x 64 B)", &del, (3_584, 9_216, 640));
     let [_, del, _] = structural_costs(10, 100);
-    assert_cost("DEL (10 x 100 B)", &del, (7_168, 16_384, 1_152));
+    assert_cost("DEL (10 x 100 B)", &del, (6_656, 15_360, 1_088));
 }
 
 /// What one `GET` moves on the device, exactly, whichever sink serves it:
@@ -765,16 +777,17 @@ fn setf_device_cost_per_group_size_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     const OPS: usize = 64;
     // (ops per group, device bytes read, bytes written, pwbs, fences) of
-    // 64 ops: 228 B and 8.0 pwbs per op alone, 216 B and 6.5 in pairs,
-    // 207 B and 5.9 in eights (248 / 8.5, 236 / 7.0 and 227 / 6.3 with 52 B
+    // 64 ops: 220 B and 8.0 pwbs per op alone, 208 B and 6.5 in pairs,
+    // 199 B and 5.9 in eights (228, 216 and 207 B while a fresh blob's
+    // mini-header was stored twice; 248 / 8.5, 236 / 7.0 and 227 / 6.3 with 52 B
     // read per op instead of 32 and the blobs alone in the pool slots — see
     // `setf_device_cost_per_op_is_pinned`; 288, 276 and 267 B with 92 B
     // read; 368 / 9.5, 356 / 8.0 and 347 / 6.7 with the log read back,
     // two-word heads and entries on the flag's line).
     let pinned = [
-        (1, 32 * 64, 196 * 64, 513, 4 * 64),
-        (2, 32 * 64, 184 * 64, 416, 4 * 32),
-        (8, 32 * 64, 175 * 64, 376, 4 * 8),
+        (1, 32 * 64, 188 * 64, 513, 4 * 64),
+        (2, 32 * 64, 176 * 64, 416, 4 * 32),
+        (8, 32 * 64, 167 * 64, 376, 4 * 8),
     ];
     for (batch, bytes_read, bytes_written, pwbs, fences) in pinned {
         let pool = preloaded_cluster(PmemConfig::crash_sim(32 << 20));
@@ -801,18 +814,20 @@ fn setf_device_cost_per_group_size_is_pinned() {
 /// What a stored record costs in heap blocks: 1 000 `SET`s of new keys,
 /// in groups of 8, on a fresh one-pool cluster, and the blocks the heap
 /// handed out over them, net of those it took back — the record, its
-/// blobs, its map entry and key, and its share of map-array growth, pool
-/// blocks and the log. `BLOCKS` per 1 000 records of 4 × 64 B and of
-/// 10 × 100 B: 1.90 and 5.74 blocks a record, since the map entry (16 B of
-/// payload) and the record (40 B and 88 B) are pool slots; 3.47 and 7.14
-/// (3 471 and 7 137) while each took a whole 256-B block. (The
+/// blobs, its map entry, and its share of map-array growth, pool blocks
+/// and the log. `BLOCKS` per 1 000 records of 4 × 64 B and of 10 × 100 B:
+/// 1.87 and 5.70 blocks a record, since the map entry holds its key (8 +
+/// 8 + 8 B of payload: one 40-B slot); 1.90 and 5.74 (1 904 and 5 737)
+/// while the key was a string object of its own beside a 16-B entry (24-B
+/// and 40-B slots), the record (40 B and 88 B) a pool slot too; 3.47 and
+/// 7.14 (3 471 and 7 137) while each took a whole 256-B block. (The
 /// `device_cost_per_op` in the name puts its rows in CI's device-cost
 /// summary.)
 #[test]
 fn footprint_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     const RECORDS: usize = 1_000;
-    const BLOCKS: [(usize, usize, u64); 2] = [(4, 64, 1_904), (10, 100, 5_737)];
+    const BLOCKS: [(usize, usize, u64); 2] = [(4, 64, 1_871), (10, 100, 5_704)];
     for (fields, size, pinned) in BLOCKS {
         let pool = Cluster::create(1, 1, 16, PmemConfig::crash_sim(32 << 20), true).expect("pool");
         let shard = pool.kv(0).shard(0);
