@@ -51,7 +51,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use jnvm_heap::{LiveBitmap, CLASS_ID_POOL};
+use jnvm_heap::{LiveBitmap, CLASS_ID_POOL, REF_ADDR_MASK};
 use parking_lot::Mutex;
 
 use crate::error::JnvmError;
@@ -179,9 +179,14 @@ pub(crate) fn run(rt: &Jnvm, opts: RecoveryOptions) -> Result<RecoveryReport, Jn
     Ok(report)
 }
 
+/// Whether the reference `addr` (a masked reference word) names a valid
+/// object: a valid master block of the data area, or a valid slot of a pool
+/// block. Anything else — past the device, inside a chain block, off a slot
+/// boundary — is dangling, and its reference is nullified.
 fn object_valid(rt: &Jnvm, addr: u64) -> bool {
-    if rt.pools().is_pooled_addr(addr) {
-        rt.pools().read_mini(addr).valid
+    let pools = rt.pools();
+    if pools.is_pooled_addr(addr) {
+        pools.is_slot_addr(addr) && pools.read_mini(addr).valid
     } else {
         let heap = rt.heap();
         let idx = heap.block_of_addr(addr);
@@ -263,11 +268,12 @@ impl MarkShared<'_> {
         true
     }
 
-    /// Resolve one reference slot: read the stored reference,
-    /// validity-check the target, and either nullify the slot (dangling)
-    /// or visit the target. Each slot is yielded by exactly one parent's
-    /// single trace, so this runs exactly once per slot and the nullify
-    /// write never races another worker.
+    /// Resolve one reference slot: read the stored reference, mask off any
+    /// tag ([`REF_ADDR_MASK`]), validity-check the target, and either
+    /// nullify the slot (dangling) or visit the target — leaving a live
+    /// word, tag and all, as it was. Each slot is yielded by exactly one
+    /// parent's single trace, so this runs exactly once per slot and the
+    /// nullify write never races another worker.
     fn resolve_slot(
         &self,
         slot: u64,
@@ -279,8 +285,9 @@ impl MarkShared<'_> {
         if r == 0 {
             return Ok(());
         }
-        if object_valid(self.rt, r) {
-            self.visit(r, local)
+        let addr = r & REF_ADDR_MASK;
+        if object_valid(self.rt, addr) {
+            self.visit(addr, local)
         } else {
             // §2.4: a reference to a partially deleted (or never
             // validated) object is nullified.

@@ -47,8 +47,19 @@ pub(crate) const HEAP_MAGIC: u64 = 0x4a4e564d48454150; // "JNVMHEAP"
 /// failure-atomic block allocates has no mini-header on media until the
 /// block applies, and keeps a string map entry's key inside the entry — a
 /// version-4 build would replay such an allocation with class id 0 and
-/// read a key's length as the reference to a key object.
-pub(crate) const HEAP_VERSION: u32 = 5;
+/// read a key's length as the reference to a key object; 6 lets a reference
+/// word carry a tag above [`REF_ADDR_MASK`] — a kvstore record's reference
+/// to a field value holds the value's slack there, and the value stores no
+/// length word — which a version-5 build would trace as an address, and
+/// whose value's first 8 bytes it would read as a length.
+pub(crate) const HEAP_VERSION: u32 = 6;
+
+/// The address bits of a persistent reference word. Every heap address is
+/// below 2^48 (the redo log's entry heads and a header's `next` field rely
+/// on it too), so a class may keep a tag in the 16 bits above: recovery
+/// masks a reference word before it checks or visits the target, and
+/// nullifies a dangling one by storing 0 — null is the word 0, tag and all.
+pub const REF_ADDR_MASK: u64 = (1 << 48) - 1;
 
 /// Decoded block header (and pooled-object mini-header — same format).
 ///

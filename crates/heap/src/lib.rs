@@ -38,7 +38,7 @@ pub use alloc::{BlockHeap, Chain, HeapConfig, HeapStats};
 pub use error::HeapError;
 pub use layout::{
     BlockHeader, CLASS_ID_MAX, CLASS_ID_POOL, FIRST_USER_CLASS_ID, HEADER_BYTES, NULL_BLOCK,
-    SUPERBLOCK_BYTES,
+    REF_ADDR_MASK, SUPERBLOCK_BYTES,
 };
 pub use pool::{PoolManager, POOL_SLOT_CLASSES};
 pub use scan::LiveBitmap;

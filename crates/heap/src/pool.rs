@@ -286,12 +286,53 @@ impl PoolManager {
     /// that indicates heap corruption or a non-pooled address.
     fn locate(&self, addr: u64) -> Result<usize, HeapError> {
         let ci = self.class_index(addr)?;
-        let first = self.heap.block_addr(self.heap.block_of_addr(addr)) + 16;
         assert!(
-            (addr - first).is_multiple_of(Self::slot_total(self.classes[ci])),
+            self.on_slot_boundary(addr, ci),
             "address {addr:#x} is not on a slot boundary"
         );
         Ok(ci)
+    }
+
+    /// Whether `addr` is the mini-header address of one of the slots of
+    /// class index `ci` its block holds.
+    fn on_slot_boundary(&self, addr: u64, ci: usize) -> bool {
+        let total = Self::slot_total(self.classes[ci]);
+        let first = self.heap.block_addr(self.heap.block_of_addr(addr)) + 16;
+        addr >= first
+            && (addr - first).is_multiple_of(total)
+            && (addr - first) / total < self.slots_per_block(self.classes[ci])
+    }
+
+    /// Whether `addr` can be the mini-header address of a slot: it lies in
+    /// a pool block of the heap's data area — one the DRAM table knows, or,
+    /// on a miss, whose header says `CLASS_ID_POOL` and whose meta word
+    /// names a configured class (one 16-byte read, remembered) — on a slot
+    /// boundary. What recovery checks before it trusts a reference word:
+    /// any other word would read past the device or take a payload word of
+    /// some object for a header.
+    pub fn is_slot_addr(&self, addr: u64) -> bool {
+        let heap = &self.heap;
+        let block = heap.block_of_addr(addr);
+        if block < heap.data_start() || block >= heap.nblocks() {
+            return false;
+        }
+        let ci = match self.slot_class[block as usize].load(Ordering::Relaxed) {
+            0 => {
+                let mut head = [0u8; 16];
+                heap.pmem().read_bytes(heap.block_addr(block), &mut head);
+                let [header, meta] =
+                    [0, 8].map(|at| u64::from_le_bytes(head[at..at + 8].try_into().unwrap()));
+                match self.class_of_payload(meta as u32 as u64) {
+                    Some(ci) if BlockHeader::decode(header).id == CLASS_ID_POOL => {
+                        self.know(block, ci);
+                        ci
+                    }
+                    _ => return false,
+                }
+            }
+            k => k as usize - 1,
+        };
+        self.on_slot_boundary(addr, ci)
     }
 
     /// Recovery (§4.1.3 extension for pools): for every *marked* pool block,
@@ -552,6 +593,25 @@ mod tests {
             (1, 4),
             "one meta word per missed block"
         );
+    }
+
+    /// Only a slot boundary of a pool block is a slot address — known to
+    /// the table or, for a manager that has not met the block, read from
+    /// its header and meta word — not a word past the heap, inside a chain
+    /// block, or inside a slot.
+    #[test]
+    fn slot_addresses_are_slot_boundaries_of_pool_blocks() {
+        let (heap, pm) = mk();
+        let slots: Vec<u64> = (0..3).map(|_| pm.alloc(100).unwrap()).collect();
+        let chain = heap.block_addr(heap.alloc_chain(7, 8).unwrap());
+        let fresh = PoolManager::new(Arc::clone(&heap));
+        for pm in [&pm, &fresh] {
+            assert!(slots.iter().all(|s| pm.is_slot_addr(*s)));
+            let past = heap.nblocks() * heap.block_size() + 16;
+            for bad in [slots[0] + 8, slots[2] + 64, chain + 16, past, 16] {
+                assert!(!pm.is_slot_addr(bad), "{bad:#x}");
+            }
+        }
     }
 
     #[test]

@@ -42,44 +42,6 @@ fn blob_read(rt: &Jnvm, chain: &RawChain, out: &mut [u8]) {
     chain.read_bytes(rt.pmem(), 8, out);
 }
 
-/// Length of the blob at `addr`, without a handle (one device read).
-pub fn blob_len_at(rt: &Jnvm, addr: u64) -> u64 {
-    blob_len(rt, &RawChain::open(rt, addr))
-}
-
-/// The most content bytes the blob at `addr` can hold, when DRAM alone
-/// knows it: a pooled blob's slot payload behind its length word, from the
-/// pool's slot-class table. `0` for a chained blob or a slot whose class
-/// the table has not learned yet — never a device read. A buffer-sizing
-/// hint, not a bound.
-pub fn blob_capacity_hint(rt: &Jnvm, addr: u64) -> usize {
-    let pools = rt.pools();
-    if !pools.is_pooled_addr(addr) {
-        return 0;
-    }
-    let block = rt.heap().block_of_addr(addr);
-    pools
-        .known_slot_payload(block)
-        .map_or(0, |payload| payload.saturating_sub(8) as usize)
-}
-
-/// Append the content of the blob at `addr` to `out`: one length read, one
-/// content read, no handle, no buffer in between. `header` gets the
-/// (bounded) length first, to write what goes in front of the bytes.
-pub fn blob_append_to(
-    rt: &Jnvm,
-    addr: u64,
-    out: &mut Vec<u8>,
-    header: impl FnOnce(&mut Vec<u8>, usize),
-) {
-    let chain = RawChain::open(rt, addr);
-    let len = blob_len(rt, &chain) as usize;
-    header(out, len);
-    let at = out.len();
-    out.resize(at + len, 0);
-    blob_read(rt, &chain, &mut out[at..]);
-}
-
 macro_rules! blob_type {
     ($(#[$meta:meta])* $name:ident, $class:literal) => {
         $(#[$meta])*

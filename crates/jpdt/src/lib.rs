@@ -41,7 +41,7 @@ mod pvec;
 mod register;
 mod skiplist;
 
-pub use blob::{blob_append_to, blob_capacity_hint, blob_len_at, PBytes, PString};
+pub use blob::{PBytes, PString};
 pub use parray::{PByteArray, PLongArray, PRefArray};
 pub use pmap::{
     CacheMode, HashMirror, MapEntry, Mirror, PI64HashMap, PI64Set, PI64SkipMap, PI64TreeMap,

@@ -1,25 +1,28 @@
 //! The J-NVM backends (J-PDT and J-PFA flavours, §5.1).
 //!
-//! Records are **persistent objects**: a [`PRecord`] holds references to
-//! one immutable [`PBytes`] per field. Reads copy field bytes out through
-//! proxies — no marshalling. A field update atomically replaces one field
-//! reference and frees the old blob (§4.1.6), exactly the helpers the
-//! paper says its Infinispan portage uses.
+//! Records are **persistent objects**: a [`PRecord`] holds one reference
+//! per field to an immutable [`PValue`], and the reference carries the
+//! value's length — so a read takes the record's reference array and then
+//! each value's bytes, and nothing else, straight from NVMM: no
+//! marshalling. A field update atomically replaces one field reference and
+//! frees the old value (§4.1.6), exactly the helpers the paper says its
+//! Infinispan portage uses.
 //!
 //! The J-PFA flavour runs every operation inside a failure-atomic block;
 //! the J-PDT flavour relies on the structures' hand-crafted crash
 //! consistency (low-level interface).
 
 use jnvm::{Jnvm, JnvmBuilder, JnvmError, PObject, Proxy, RawChain};
-use jnvm_jpdt::{
-    blob_append_to, blob_capacity_hint, blob_len_at, register_jpdt, PBytes, PStringHashMap,
-};
+use jnvm_heap::REF_ADDR_MASK;
+use jnvm_jpdt::{register_jpdt, PStringHashMap};
 use parking_lot::Mutex;
 
 use crate::backend::Backend;
 use crate::codec::{write_field_header, write_record_header, ycsb_field_name, Fields, Record};
 
-/// A persistent YCSB-style record: `[nfields u64][field blob refs...]`.
+/// A persistent YCSB-style record: `[nfields u64][field refs...]`, where a
+/// field reference is `slack << 48 | addr` — the [`PValue`] at `addr`, of
+/// its storage's capacity minus `slack` bytes — or 0 for null.
 pub struct PRecord {
     proxy: Proxy,
 }
@@ -37,8 +40,7 @@ impl PRecord {
         let proxy = rt.alloc_small::<PRecord>(8 + values.len() as u64 * 8)?;
         proxy.write_u64(0, values.len() as u64);
         for (i, v) in values.enumerate() {
-            let blob = PBytes::new(rt, v.as_ref())?;
-            proxy.write_ref(8 + i as u64 * 8, Some(blob.addr()));
+            proxy.write_u64(8 + i as u64 * 8, PValue::create(rt, v.as_ref())?);
         }
         proxy.pwb();
         Ok(PRecord { proxy })
@@ -56,11 +58,12 @@ impl PRecord {
 
     /// The one walk over a record's persistent layout, for reads and for
     /// [`PRecord::free_deep`]: the `nfields` word, then the whole reference
-    /// array (0 = null) in one mediated read — inside a failure-atomic
-    /// block it sees the overlay as [`Proxy::read_u64`] does. `nfields` is
-    /// bounded by what the chain can hold before it sizes anything: a torn
-    /// or corrupt word is a catchable panic, never an allocator abort — nor
-    /// a free of whatever words follow the record.
+    /// array in one mediated read — inside a failure-atomic block it sees
+    /// the overlay as [`Proxy::read_u64`] does. Each sink decodes a
+    /// reference with [`Value::open`]. `nfields` is bounded by what the
+    /// chain can hold before it sizes anything: a torn or corrupt word is a
+    /// catchable panic, never an allocator abort — nor a free of whatever
+    /// words follow the record.
     fn field_refs(&self) -> FieldRefs {
         let n = self.nfields();
         assert!(
@@ -85,17 +88,19 @@ impl PRecord {
     }
 
     /// Materialize the whole record (positional YCSB field names): the key
-    /// and one buffer, sized from the blobs' slot capacities as the DRAM
-    /// pool table knows them, so sizing reads nothing.
+    /// and one buffer, sized exactly from the references' lengths. A pooled
+    /// value's capacity is in the DRAM slot-class table, so sizing reads
+    /// nothing; a chained value's chain is walked to size it and again to
+    /// read it.
     pub fn to_record(&self, key: &str) -> Record {
         let rt = self.proxy.runtime();
         let refs = self.field_refs();
-        let room = refs.iter().map(|blob| blob_capacity_hint(rt, blob)).sum();
+        let room = refs.iter().map(|word| Value::open(rt, word).map_or(0, |v| v.len)).sum();
         let mut fields = Fields::with_capacity(refs.len(), room);
-        for (i, blob) in refs.iter().enumerate() {
+        for (i, word) in refs.iter().enumerate() {
             fields.push_with(&ycsb_field_name(i), |values| {
-                if blob != 0 {
-                    blob_append_to(rt, blob, values, |_, _| {});
+                if let Some(value) = Value::open(rt, word) {
+                    value.append_to(rt, values);
                 }
             });
         }
@@ -106,49 +111,125 @@ impl PRecord {
     }
 
     /// Append [`crate::encode_record`]'s bytes for this record to `out`,
-    /// field by field straight out of NVMM: the only copy of a value is the
-    /// one into `out`.
+    /// field by field straight out of NVMM: each field's header from its
+    /// reference, then the only copy of its value, the one into `out`.
     pub(crate) fn encode_into(&self, key: &str, out: &mut Vec<u8>) {
         let rt = self.proxy.runtime();
         let refs = self.field_refs();
         write_record_header(out, key, refs.len());
-        for (i, blob) in refs.iter().enumerate() {
-            let name = ycsb_field_name(i);
-            if blob == 0 {
-                write_field_header(out, &name, 0);
-            } else {
-                blob_append_to(rt, blob, out, |out, len| write_field_header(out, &name, len));
+        for (i, word) in refs.iter().enumerate() {
+            let value = Value::open(rt, word);
+            write_field_header(out, &ycsb_field_name(i), value.as_ref().map_or(0, |v| v.len));
+            if let Some(value) = value {
+                value.append_to(rt, out);
             }
         }
     }
 
-    /// Atomically replace field `i` with a fresh blob and free the old one
+    /// Atomically replace field `i` with a fresh value and free the old one
     /// (the update-and-free helper of §4.1.6).
     pub fn set_field(&self, i: u64, value: &[u8]) -> Result<bool, JnvmError> {
         if i >= self.nfields() {
             return Ok(false);
         }
         let rt = self.proxy.runtime().clone();
-        let old = self.proxy.read_ref(8 + i * 8);
-        let blob = PBytes::new(&rt, value)?; // written, flushed, validated
+        let old = self.proxy.read_u64(8 + i * 8);
+        let word = PValue::create(&rt, value)?; // written, flushed, validated
         rt.pfence();
-        self.proxy.write_ref(8 + i * 8, Some(blob.addr()));
+        self.proxy.write_u64(8 + i * 8, word);
         self.proxy.pwb_field(8 + i * 8, 8);
         rt.pfence();
         self.proxy.ordering_point("record-field-publish", 8 + i * 8, 8);
-        if let Some(old_addr) = old {
-            rt.free_addr(old_addr);
+        if old != 0 {
+            rt.free_addr(old & REF_ADDR_MASK);
         }
         Ok(true)
     }
 
-    /// Free the record and every field blob.
+    /// Free the record and every field value.
     pub fn free_deep(rt: &Jnvm, addr: u64) {
-        let blobs = PRecord::resurrect(rt, addr).field_refs();
-        for blob in blobs.iter().filter(|blob| *blob != 0) {
-            rt.free_addr(blob);
+        let refs = PRecord::resurrect(rt, addr).field_refs();
+        for word in refs.iter().filter(|word| *word != 0) {
+            rt.free_addr(word & REF_ADDR_MASK);
         }
         rt.free_addr(addr);
+    }
+}
+
+/// A field value of a [`PRecord`]: its bytes, from payload offset 0, and
+/// nothing else. The record's reference to it carries its length, so no
+/// reader needs a length word. A leaf: it holds no reference.
+pub struct PValue {
+    addr: u64,
+}
+
+impl PValue {
+    /// Allocate a value holding `data` and return the record's reference
+    /// word to it. The value is flushed and validated, fence-free: the
+    /// creator fences before it publishes the word (§3.2.3); inside a
+    /// failure-atomic block the commit owns both.
+    ///
+    /// The slack (capacity − length) always fits the reference's 16 tag
+    /// bits: `alloc_small` takes the smallest slot class or chain that
+    /// fits, so it is below a block's payload (< 248 B on 256-B blocks).
+    fn create(rt: &Jnvm, data: &[u8]) -> Result<u64, JnvmError> {
+        let proxy = rt.alloc_small::<PValue>(data.len() as u64)?;
+        proxy.chain().write_bytes(rt.pmem(), 0, data);
+        proxy.pwb();
+        proxy.validate();
+        let slack = proxy.capacity() - data.len() as u64;
+        assert!(slack <= u16::MAX.into(), "value slack {slack} needs more than 16 bits");
+        Ok(slack << 48 | proxy.addr())
+    }
+}
+
+impl PObject for PValue {
+    const CLASS_NAME: &'static str = "jnvm_kvstore.PValue";
+
+    fn resurrect(_rt: &Jnvm, addr: u64) -> Self {
+        PValue { addr }
+    }
+
+    fn addr(&self) -> u64 {
+        self.addr
+    }
+}
+
+/// A field's value located by its reference word: its storage, and how
+/// many bytes of it are the value.
+struct Value {
+    chain: RawChain,
+    len: usize,
+}
+
+impl Value {
+    /// Decode a field reference (`None` for null): open the value's storage
+    /// — a pool slot's capacity comes from the DRAM slot-class table, a
+    /// chain's from its walk — and take the slack off the capacity. A slack
+    /// past the capacity is a catchable panic naming the address, never a
+    /// length that sizes a buffer — nor a read of a neighbouring slot.
+    fn open(rt: &Jnvm, word: u64) -> Option<Value> {
+        if word == 0 {
+            return None;
+        }
+        let (addr, slack) = (word & REF_ADDR_MASK, word >> 48);
+        let chain = RawChain::open(rt, addr);
+        let cap = chain.capacity();
+        assert!(
+            slack <= cap,
+            "value at {addr:#x}: reference slack {slack} exceeds its storage ({cap} B)"
+        );
+        Some(Value {
+            chain,
+            len: (cap - slack) as usize,
+        })
+    }
+
+    /// Append the value's bytes to `out`: one read per block it spans.
+    fn append_to(&self, rt: &Jnvm, out: &mut Vec<u8>) {
+        let at = out.len();
+        out.resize(at + self.len, 0);
+        self.chain.read_bytes(rt.pmem(), 0, &mut out[at..]);
     }
 }
 
@@ -157,7 +238,7 @@ impl PRecord {
 /// references allocates nothing.
 const INLINE_REFS: usize = 32;
 
-/// A record's reference array (0 = null), copied out of NVMM by one read.
+/// A record's reference words (0 = null), copied out of NVMM by one read.
 struct FieldRefs {
     inline: [u8; INLINE_REFS * 8],
     /// Used instead of `inline` past [`INLINE_REFS`] references.
@@ -211,9 +292,10 @@ impl PObject for PRecord {
     }
 }
 
-/// Register every class the kvstore needs (J-PDT classes + [`PRecord`]).
+/// Register every class the kvstore needs (J-PDT classes, [`PRecord`] and
+/// [`PValue`]).
 pub fn register_kvstore(b: JnvmBuilder) -> JnvmBuilder {
-    register_jpdt(b).register::<PRecord>()
+    register_jpdt(b).register::<PRecord>().register::<PValue>()
 }
 
 /// The J-PDT / J-PFA backend: sharded persistent hash maps of records.
@@ -385,14 +467,14 @@ impl Backend for JnvmBackend {
     }
 
     fn read_touch(&self, key: &str) -> bool {
-        // The client holds the persistent record: touch each field through
-        // its blob's length word, no contents copied out of NVMM.
+        // The client holds the persistent record: touch each field's length
+        // through its reference, no contents copied out of NVMM.
         let Some(prec) = self.lookup(key) else {
             return false;
         };
         let refs = prec.field_refs();
-        let blobs = refs.iter().filter(|blob| *blob != 0);
-        std::hint::black_box(blobs.fold(0, |sum, blob| sum ^ blob_len_at(&self.rt, blob)));
+        let values = refs.iter().filter_map(|word| Value::open(&self.rt, word));
+        std::hint::black_box(values.fold(0, |sum, value| sum ^ value.len));
         true
     }
 
@@ -529,45 +611,38 @@ mod tests {
         ]
     }
 
-    /// A length word read from NVMM never sizes an allocation unchecked: a
-    /// corrupt `nfields` word, or a pooled blob's corrupt length word (a
-    /// `GET` racing a crash instant can see either), is a panic the serving
-    /// path catches — through every sink — not an allocator abort. A
-    /// pooled blob's length is bounded by its own slot, not by the largest
-    /// class: a length of 200 in a 64-B value's 80-B slot (72 B of payload)
-    /// used to pass the 224-B bound and serve the neighbouring slots' bytes.
+    /// A length read from NVMM never sizes an allocation unchecked: a
+    /// corrupt `nfields` word, or a field reference whose slack exceeds its
+    /// value's storage (a `GET` racing a crash instant can see either), is
+    /// a panic the serving path catches — through every sink, naming the
+    /// address — not an allocator abort, nor a read of the neighbouring
+    /// slots. A pooled value's capacity is its own slot's (72 B for a 64-B
+    /// value), a chained one's its chain's (496 B for 300 B).
     #[test]
     fn corrupt_length_words_panic_instead_of_sizing_an_allocation() {
         let _hush = jnvm_pmem::hush_panics();
         let (pmem, rt) = rt(8 << 20);
         let be = JnvmBackend::create(&rt, 1, false).unwrap();
         let records = [
-            ("nfields", vec![vec![1u8; 100], vec![2u8; 100]]),
-            ("bloblen", vec![vec![1u8; 100], vec![2u8; 100]]),
-            ("slotlen", vec![vec![3u8; 64]; 4]),
+            ("nfields", vec![vec![1u8; 100], vec![2u8; 100]], "exceeds its chain"),
+            ("pooled", vec![vec![3u8; 64]; 4], "slack 73 exceeds its storage (72 B)"),
+            ("chained", vec![vec![4u8; 300]], "slack 497 exceeds its storage (496 B)"),
         ];
-        for (key, values) in &records {
+        for (key, values, _) in &records {
             assert!(be.store_full(&Record::ycsb(key, values)));
             assert!(read_outcomes(&be, key).iter().all(|r| matches!(r, Ok(true))));
         }
         let proxy = |key| be.lookup(key).unwrap().proxy;
         pmem.write_u64(proxy("nfields").chain().phys(0), u64::MAX);
-        let blob = proxy("bloblen").read_ref(8 + 8).unwrap();
-        assert!(rt.pools().is_pooled_addr(blob));
-        pmem.write_u64(blob + 8, 1 << 40);
-        let blob = proxy("slotlen").read_ref(8).unwrap();
-        assert_eq!(rt.pools().slot_payload(blob).unwrap(), 72);
-        pmem.write_u64(blob + 8, 200);
-        for (key, _) in records {
+        for (key, slack) in [("pooled", 73u64), ("chained", 497)] {
+            let field = proxy(key).chain().phys(8);
+            let word = pmem.read_u64(field);
+            pmem.write_u64(field, slack << 48 | word & REF_ADDR_MASK);
+        }
+        for (key, _, what) in records {
             for (sink, outcome) in read_outcomes(&be, key).into_iter().enumerate() {
                 let msg = *outcome.expect_err("a corrupt length was served").downcast::<String>().unwrap();
-                assert!(msg.contains("0x") && msg.contains("exceeds"), "{key}, sink {sink}: {msg}");
-                if key == "slotlen" {
-                    assert!(
-                        msg.contains("exceeds its storage (72 B)"),
-                        "sink {sink}: {msg}"
-                    );
-                }
+                assert!(msg.contains("0x") && msg.contains(what), "{key}, sink {sink}: {msg}");
             }
         }
     }
@@ -647,6 +722,64 @@ mod tests {
             .unwrap();
         assert!(msg.contains("exceeds its chain"), "{msg}");
         assert_eq!(be.read("bystander"), Some(want));
+    }
+
+    /// Recovery checks a reference that is not block-aligned as strictly as
+    /// a block-aligned one: a word pointing past the device, inside a chain
+    /// block or off a slot boundary of a pool block names no slot, so the
+    /// open nullifies it and counts it, and every other key reads back. The
+    /// first used to panic the whole open ("pmem access out of bounds");
+    /// the other two took a payload word for a mini-header — here one that
+    /// decodes as valid, of a class no one registered, which failed the
+    /// open.
+    #[test]
+    fn a_reference_to_no_slot_is_nullified_at_recovery() {
+        let values = vec![vec![1u8; 100], vec![3u8; 300], vec![5u8; 64]];
+        let keys = ["victim", "bystander", "other"];
+        let field = |be: &JnvmBackend, key, i: u64| {
+            be.lookup(key).unwrap().proxy.chain().phys(8 + i * 8)
+        };
+        // A fresh pool of three records, the victim's field 2 overwritten
+        // with `bad` of it (0 keeps it), crashed and reopened.
+        type BadWord<'a> = dyn Fn(&Pmem, &JnvmBackend) -> u64 + 'a;
+        let reopened = |bad: &BadWord<'_>| {
+            let (pmem, rt) = rt(8 << 20);
+            let be = JnvmBackend::create(&rt, 1, true).unwrap();
+            for key in keys {
+                assert!(be.store_full(&Record::ycsb(key, &values)));
+            }
+            let word = bad(&pmem, &be);
+            if word != 0 {
+                let at = field(&be, "victim", 2);
+                pmem.write_u64(at, word);
+                pmem.pwb(at);
+            }
+            be.sync();
+            drop((be, rt));
+            pmem.crash(&CrashPolicy::strict()).unwrap();
+            let opened = register_kvstore(JnvmBuilder::new()).open(Arc::clone(&pmem));
+            let (rt2, report) = opened.expect("recovery gets past the word");
+            (JnvmBackend::open(&rt2, true).unwrap(), report)
+        };
+        let (_, clean) = reopened(&|_, _| 0);
+        let value_of = |pmem: &Pmem, be: &JnvmBackend, i| {
+            pmem.read_u64(field(be, "bystander", i)) & REF_ADDR_MASK
+        };
+        let bad_words: [(&str, &BadWord<'_>); 3] = [
+            ("past the device", &|pmem, _| 7 << 48 | (pmem.len() + 24)),
+            ("inside a chain block", &|pmem, be| value_of(pmem, be, 1) + 24),
+            ("off a slot boundary", &|pmem, be| value_of(pmem, be, 0) + 8),
+        ];
+        for (what, bad) in bad_words {
+            let (be, report) = reopened(bad);
+            assert_eq!(report.nullified_refs, clean.nullified_refs + 1, "{what}");
+            let mut victim = Record::ycsb("victim", &values);
+            assert!(victim.set_field(2, b""));
+            assert_eq!(be.read("victim"), Some(victim), "{what}: the field reads null");
+            for key in &keys[1..] {
+                assert_eq!(be.read(key), Some(Record::ycsb(key, &values)), "{what}: {key}");
+            }
+        }
     }
 
     #[test]

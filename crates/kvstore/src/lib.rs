@@ -38,7 +38,7 @@ pub use backend::{Backend, NullFsBackend, VolatileBackend};
 pub use codec::{decode_record, encode_record, encode_record_into, encoded_len, Fields, Record};
 pub use grid::{DataGrid, GridConfig, GridMetrics};
 pub use group::{commit_writes, BatchOutcome, WriteOp};
-pub use jnvm_backend::{register_kvstore, JnvmBackend, PRecord};
+pub use jnvm_backend::{register_kvstore, JnvmBackend, PRecord, PValue};
 pub use lru::{LruCache, ShardedLru};
 pub use pcj::PcjBackend;
 pub use repl::{commit_writes_replicated, ReplLag, ReplicaStack};

@@ -56,10 +56,10 @@ fn jnvm_read_takes_two() {
         used.count, 2,
         "key + one buffer sized up front; the lookup allocates nothing"
     );
-    // The map lookup's two reads, the record's two and two per blob, as a
-    // `GET` (tests/obs_invariants.rs): sizing from the slot classes reads
-    // nothing.
-    assert_eq!(reads, 2 + 2 + 2 * 10);
+    // The map lookup's two reads, the record's two and one per value, as a
+    // `GET` (tests/obs_invariants.rs): sizing from the references' lengths
+    // and the slot classes reads nothing.
+    assert_eq!(reads, 2 + 2 + 10);
 }
 
 /// A cached record served by the grid costs its clone, and the lookup

@@ -18,14 +18,15 @@
 use std::sync::Arc;
 
 use jnvm_repro::faultsim;
-use jnvm_repro::heap::{BlockHeader, HeapConfig};
+use jnvm_repro::heap::{BlockHeader, HeapConfig, REF_ADDR_MASK};
 use jnvm_repro::jnvm::{
-    commit_phase, persistent_class, Jnvm, JnvmBuilder, PObject, RecoveryMode, RecoveryOptions,
-    RecoveryReport,
+    commit_phase, persistent_class, Jnvm, JnvmBuilder, PObject, Proxy, RawChain, RecoveryMode,
+    RecoveryOptions, RecoveryReport,
 };
 use jnvm_repro::jpdt::{register_jpdt, PByteArray, PBytes, PI64SkipMap, PRefArray};
 use jnvm_repro::kvstore::{
-    commit_writes, register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend, Record, WriteOp,
+    commit_writes, register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend, PRecord, Record,
+    WriteOp,
 };
 use jnvm_repro::pmem::{
     catch_crash, silence_crash_panics, CrashPolicy, FaultOp, FaultPlan, Pmem, PmemConfig,
@@ -1335,6 +1336,147 @@ fn slots_of_every_origin_recover_to_either_image_at_every_crash_point() {
 #[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
 fn adversarial_exhaustive_slots_of_every_origin_recover_at_every_crash_point() {
     origin_sweep(64);
+}
+
+// ---------------------------------------------------------------------------
+// Workload 9: one record field swept through value sizes — 100 B, 7 B, 300 B
+// (a chain), 0 B. The field's reference carries its value's slack (capacity
+// minus length) above its address, and the value stores no length: whichever
+// update a crash leaves, the reference recovery keeps must decode to that
+// value's exact length.
+// ---------------------------------------------------------------------------
+
+/// The field's value lengths, setup first, then one update each.
+const FIELD_LENS: [usize; 4] = [100, 7, 300, 0];
+
+/// The rooted record after `step` updates: field 0 swept, field 1 fixed.
+fn field_record(step: usize) -> Record {
+    let swept = vec![0xA0 + step as u8; FIELD_LENS[step]];
+    Record::ycsb("rec", &[swept, vec![0x11; 16]])
+}
+
+struct FieldCtx {
+    rt: Jnvm,
+    rec: PRecord,
+    fa: bool,
+}
+
+/// Small fresh pool with a rooted two-field record at step 0, the log
+/// created by a warm-up update of field 1.
+fn field_setup(fa: bool) -> (Arc<Pmem>, FieldCtx) {
+    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
+    let rt = register_kvstore(JnvmBuilder::new())
+        .create(Arc::clone(&pmem), HeapConfig::default())
+        .expect("pool");
+    let rec = rt.fa(|| {
+        let rec = PRecord::create(&rt, field_record(0).fields.values()).expect("record");
+        rt.root_put("rec", &rec).expect("root");
+        rec
+    });
+    rt.fa(|| assert!(rec.set_field(1, &[0x11; 16]).expect("warm-up")));
+    pmem.psync();
+    (pmem, FieldCtx { rt, rec, fa })
+}
+
+/// The first `upto` updates of field 0, each a failure-atomic block in the
+/// J-PFA flavour, the low-level publish-then-free of §4.1.6 otherwise.
+fn field_updates(ctx: &FieldCtx, upto: usize) {
+    for step in 1..=upto {
+        let value = field_record(step).fields.value(0).to_vec();
+        let update = || assert!(ctx.rec.set_field(0, &value).expect("update"));
+        if ctx.fa {
+            ctx.rt.fa(update);
+        } else {
+            update();
+        }
+    }
+}
+
+/// Reopen under `mode`: which step's image the record holds (`None` for
+/// none), after checking that the field's reference decodes to that step's
+/// length, and the recovery report.
+fn field_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Option<usize>, RecoveryReport) {
+    let (rt, report) = register_kvstore(JnvmBuilder::new())
+        .open_with_options(Arc::clone(pmem), RecoveryOptions::with_mode(mode))
+        .expect("recovery");
+    let rec = rt.root_get_as::<PRecord>("rec").expect("typed").expect("rooted");
+    let got = rec.to_record("rec");
+    let step = (0..FIELD_LENS.len()).find(|s| got == field_record(*s));
+    if let Some(step) = step {
+        let word = Proxy::open(&rt, rec.addr()).read_u64(8);
+        let capacity = RawChain::open(&rt, word & REF_ADDR_MASK).capacity();
+        assert_eq!(
+            capacity - (word >> 48),
+            FIELD_LENS[step] as u64,
+            "{mode:?}: the tag of step {step}'s value ({word:#x})"
+        );
+    }
+    (step, report)
+}
+
+/// Every crash point of the three updates, under `policies`, in the J-PFA
+/// flavour recovered by `Full` and `HeaderScanOnly` and in the J-PDT flavour
+/// recovered by `Full` (its unpublished values are garbage only a
+/// traversal reclaims): the record recovers to the image of some number of
+/// updates, with that image's exact live-object count, and each of the four
+/// images is seen.
+fn field_sweep(policies: impl Iterator<Item = CrashPolicy> + Clone) {
+    silence_crash_panics();
+    let runs = [
+        (true, RecoveryMode::Full),
+        (true, RecoveryMode::HeaderScanOnly),
+        (false, RecoveryMode::Full),
+    ];
+    for (fa, mode) in runs {
+        let images: Vec<u64> = (0..FIELD_LENS.len())
+            .map(|upto| {
+                let (pmem, ctx) = field_setup(fa);
+                field_updates(&ctx, upto);
+                drop(ctx);
+                pmem.crash(&CrashPolicy::strict()).expect("crash");
+                let (step, report) = field_observe(&pmem, mode);
+                assert_eq!(step, Some(upto), "fa={fa}, {mode:?}: crash-free image");
+                report.live_objects
+            })
+            .collect();
+        for policy in policies.clone() {
+            let seen = std::cell::RefCell::new([0usize; FIELD_LENS.len()]);
+            let verify = |pmem: &Arc<Pmem>, report: &faultsim::CrashReport| {
+                let (step, recovered) = field_observe(pmem, mode);
+                let point = report.point;
+                let step = step.unwrap_or_else(|| {
+                    panic!("fa={fa}, {mode:?}, {policy:?}, point {point}: no step's image")
+                });
+                assert_eq!(
+                    recovered.live_objects, images[step],
+                    "fa={fa}, {mode:?}, {policy:?}, point {point}: live objects of step {step}"
+                );
+                seen.borrow_mut()[step] += 1;
+            };
+            let plan = FaultPlan::count().with_policy(policy);
+            let setup = || field_setup(fa);
+            let workload = |ctx: &FieldCtx| field_updates(ctx, FIELD_LENS.len() - 1);
+            let summary = faultsim::sweep_all(plan, setup, workload, verify);
+            let seen = *seen.borrow();
+            assert_eq!(summary.points_crashed, seen.iter().sum::<usize>());
+            assert!(
+                seen.iter().all(|n| *n > 0),
+                "fa={fa}, {mode:?}: every step's image, {seen:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn tagged_field_references_recover_to_an_exact_length_at_every_crash_point() {
+    field_sweep(std::iter::once(CrashPolicy::strict()));
+}
+
+/// Exhaustive form: 64 eviction seeds (CI's torture job, `--release`).
+#[test]
+#[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
+fn adversarial_exhaustive_tagged_field_references_recover_at_every_crash_point() {
+    field_sweep((0..64).map(CrashPolicy::adversarial));
 }
 
 /// `fa(body)` is `fa_stage(body)` + `fa_commit_group(vec![tx])`: on

@@ -493,7 +493,9 @@ fn log_mode_sites_per_op_are_pinned() {
     assert_eq!(points, 3 * OPS, "ordering points per rmw");
     assert_eq!(spans - points, 2 * OPS, "begin/end spans per rmw");
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fence hooks per rmw");
-    // 7.3 per rmw; 28 127 while the keys were objects of their own (a key
+    // 7.2 per rmw; 28 200 while a value began with a length word (the
+    // rmw's 11-byte values took slots of the 32-B class, not the 16-B one,
+    // so where a value's slot lies moved); 28 127 while the keys were objects of their own (a key
     // inside its entry takes a slot of the 32-B class here, beside the
     // rmw's blobs, so where a blob's slot lies moved); 28 166 while the
     // records took whole blocks and the
@@ -504,7 +506,7 @@ fn log_mode_sites_per_op_are_pinned() {
     // flushed and applied a whole in-flight block copy, the fresh blob was
     // flushed by its constructor *and* by the commit, and the flag and
     // length words of one line were written back separately.
-    assert_eq!(d.pwbs, 28_200, "pwb hooks over {OPS} rmws");
+    assert_eq!(d.pwbs, 27_689, "pwb hooks over {OPS} rmws");
 }
 
 // ---------------------------------------------------------------------------
@@ -555,13 +557,15 @@ fn setf(key: usize, field: usize, fill: u8) -> WriteOp {
 
 /// What one 100-byte `SETF` moves on the device, exactly: the redo log
 /// carries the 8-byte reference the op changes, not the record's block,
-/// and the commit applies it from DRAM. 220 bytes (32 read: the lookup's
+/// and the commit applies it from DRAM. 212 bytes (32 read: the lookup's
 /// 2 words — the cell and the entry's value reference —, `nfields` and the
-/// old reference), 8 or 9 `pwb`s (the new blob's pool slot covers 2 or 3
-/// lines; 1 in 64 blobs spans 3, 1 in 2 while the records took whole blocks
-/// and the blobs alone filled the slots), 4 fences — 228 bytes while the
-/// new blob's mini-header was stored invalid at allocation and again valid
-/// by the commit; 248 bytes (52 read) while the lookup also read the entry's and the record's master headers
+/// old reference), 8 `pwb`s (the new value's header and bytes cover 2
+/// lines of its pool slot), 4 fences — 220 bytes and 8 or 9 `pwb`s while
+/// the value began with a length word (1 in 64 values then spanned 3
+/// lines, 1 in 2 while the records took whole blocks and the values alone
+/// filled the slots); 228 bytes while the new value's mini-header was
+/// stored invalid at allocation and again valid by the commit; 248 bytes
+/// (52 read) while the lookup also read the entry's and the record's master headers
 /// and a free read its slot's 4-byte class from the pool block's meta word;
 /// 288 bytes (92 read) while the array's length was re-read per cell,
 /// `Proxy::open` read the master header twice, the apply read back the
@@ -589,12 +593,8 @@ fn setf_device_cost_per_op_is_pinned() {
     let d = pool.device_stats().delta(&before);
     print_cost_row("SETF (100 B of 10 x 100 B)", OPS, &d);
     assert_eq!(d.bytes_read, 32 * OPS, "device bytes read per SETF");
-    assert_eq!(d.bytes_written, 188 * OPS, "device bytes written per SETF");
-    assert_eq!(
-        d.pwbs,
-        8 * OPS + 1,
-        "pwbs per SETF (one blob spans 3 lines)"
-    );
+    assert_eq!(d.bytes_written, 180 * OPS, "device bytes written per SETF");
+    assert_eq!(d.pwbs, 8 * OPS, "pwbs per SETF");
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fences per group of one");
 }
 
@@ -639,8 +639,12 @@ fn assert_cost(op: &str, d: &StatsSnapshot, pinned: (u64, u64, u64)) {
 /// What a `SET` of a new key moves on the device, held like `SETF`'s row:
 /// totals over 64 ops, because a pool block or a map cell carved every few
 /// ops makes the per-op figure fractional. Bump-fed, a 10 × 100 B record
-/// costs 0 B read, ≈1 524 B written and 46.7 `pwb`s, a 4 × 64 B one 0 B,
-/// ≈526 B and 20.7; recycling, ≈1 433 B and 41.0, ≈497 B and 19.2. Each
+/// costs 0 B read, ≈1 444 B written and 46.2 `pwb`s, a 4 × 64 B one 0 B,
+/// ≈494 B and 20.7; recycling, ≈1 353 B and 40.5, ≈465 B and 19.2. A value
+/// stores no length word (its reference carries the length): 8 B less per
+/// field, and a 100-B value's flushed range crosses a line boundary less
+/// often (≈1 524 B and 46.7, ≈526 B and 20.7; ≈1 433 B and 41.0, ≈497 B and
+/// 19.2 with the length word). Each
 /// pooled object's mini-header is stored once, valid, by the commit, a
 /// carve from the bump cursor stores no cleared mini-headers, and the key
 /// is inside its entry. Before that, bump-fed ≈1 711 B and 48.8, ≈648 B
@@ -665,32 +669,34 @@ fn set_device_cost_per_op_is_pinned() {
     assert_cost(
         "SET new key (4 x 64 B), bump-fed",
         &fresh,
-        (0, 33_680, 1_322),
+        (0, 31_632, 1_322),
     );
     assert_cost(
         "SET new key (4 x 64 B), recycling",
         &again,
-        (0, 31_808, 1_227),
+        (0, 29_760, 1_227),
     );
     let [fresh, _, again] = structural_costs(10, 100);
     assert_cost(
         "SET new key (10 x 100 B), bump-fed",
         &fresh,
-        (0, 97_504, 2_986),
+        (0, 92_384, 2_954),
     );
     assert_cost(
         "SET new key (10 x 100 B), recycling",
         &again,
-        (0, 91_712, 2_624),
+        (0, 86_592, 2_592),
     );
 }
 
 /// What a `DEL` moves on the device: the map's unlink, one one-word FREE
-/// entry per blob and for the record and the entry, and their
+/// entry per value and for the record and the entry, and their
 /// invalidations behind the apply fence — 56 B read, 144 B written and 10
 /// `pwb`s for 4 × 64 B, 104 B, 240 B and 17 for 10 × 100 B. What it reads
 /// is the lookup's cell and value reference and the record's `nfields` and
-/// references: no header, no pool meta word, no key (64 B, 160 B and 12,
+/// references: no header, no pool meta word, no key, no value — so a
+/// value's length moving from its first word into its reference moved
+/// none of these numbers (64 B, 160 B and 12,
 /// 112 B, 256 B and 18 while the key was an object of its own, whose
 /// reference the `DEL` read and which it freed — one FREE entry, one
 /// invalidation —, behind the retire fence; 116 and 188 B read
@@ -713,16 +719,18 @@ fn del_device_cost_per_op_is_pinned() {
 /// What one `GET` moves on the device, exactly, whichever sink serves it:
 /// the map lookup's reads (the cell and the entry's value reference: the
 /// entry and the record are pool slots, whose proxies read no header),
-/// then the record's `nfields` word and its reference array (2 reads), then
-/// a length word and the content per field (2 each) — 24 reads and 1 184
-/// bytes for 10 × 100 B behind a 2-read lookup (the benchmark's shape), 12
-/// reads and 344 bytes for 4 × 64 B — and nothing written, flushed or
-/// fenced. It was 26 reads / 1 200 B and 14 / 360 B behind a 4-read lookup
-/// while the entry and the record took whole blocks and a proxy read each
-/// one's master header; 29 reads / 1 224 B and 17 / 384 B behind a 7-read
-/// lookup while the array's length was re-read per cell and `Proxy::open`
-/// read each master header twice, and 48 reads and 1 304 bytes while every
-/// field re-read `nfields` and its own length.
+/// then the record's `nfields` word and its reference array (2 reads),
+/// then each field's content (1 each: its reference carries its length) —
+/// 14 reads and 1 104 bytes for 10 × 100 B behind a 2-read lookup (the
+/// benchmark's shape), 8 reads and 312 bytes for 4 × 64 B — and nothing
+/// written, flushed or fenced. It was 24 reads / 1 184 B and 12 / 344 B
+/// while each value began with a length word that the read took first; 26
+/// reads / 1 200 B and 14 / 360 B behind a 4-read lookup while the entry
+/// and the record took whole blocks and a proxy read each one's master
+/// header; 29 reads / 1 224 B and 17 / 384 B behind a 7-read lookup while
+/// the array's length was re-read per cell and `Proxy::open` read each
+/// master header twice, and 48 reads and 1 304 bytes while every field
+/// re-read `nfields` and its own length.
 #[test]
 fn get_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
@@ -742,14 +750,15 @@ fn get_device_cost_per_op_is_pinned() {
         d
     };
     let rows = [
-        ("GET (10 x 100 B)", "user0007", 10, (24, 1184)),
-        ("GET (4 x 64 B)", "small", 4, (12, 344)),
+        ("GET (10 x 100 B)", "user0007", 10, (14, 1104)),
+        ("GET (4 x 64 B)", "small", 4, (8, 312)),
     ];
     for (op, key, fields, pinned) in rows {
-        // The proxy touch stops at each field's length word: what is left
-        // of it without the 2 + 1 per field is the lookup.
+        // The proxy touch stops at the reference array, which holds every
+        // field's length: the lookup's 2 reads and the record's 2, for any
+        // field count.
         let touch = cost(&|| assert!(shard.grid.read_touch(key))).reads;
-        assert_eq!(touch - 2 - fields, 2, "map lookup reads for {key}");
+        assert_eq!(touch, 4, "touch reads for {key}");
         // One more read per field, for its content.
         assert_eq!(pinned.0, touch + fields, "device reads of {key}");
         let read = cost(&|| assert!(shard.grid.read(key).is_some()));
@@ -771,23 +780,24 @@ fn get_device_cost_per_op_is_pinned() {
 /// The same, by commit-group size: a batch of `SETF`s on distinct keys is
 /// one group, one transaction, in one log — so the flag line, the length
 /// and the 4 fences are paid once per group, and the per-op cost falls
-/// towards the op's own 4 log words + blob + apply.
+/// towards the op's own 4 log words + value + apply.
 #[test]
 fn setf_device_cost_per_group_size_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     const OPS: usize = 64;
     // (ops per group, device bytes read, bytes written, pwbs, fences) of
-    // 64 ops: 220 B and 8.0 pwbs per op alone, 208 B and 6.5 in pairs,
-    // 199 B and 5.9 in eights (228, 216 and 207 B while a fresh blob's
+    // 64 ops: 212 B and 8.0 pwbs per op alone, 200 B and 6.5 in pairs,
+    // 191 B and 5.9 in eights (220, 208 and 199 B, the first with 1 `pwb`
+    // more, while a value began with a length word; 228, 216 and 207 B while a fresh blob's
     // mini-header was stored twice; 248 / 8.5, 236 / 7.0 and 227 / 6.3 with 52 B
     // read per op instead of 32 and the blobs alone in the pool slots — see
     // `setf_device_cost_per_op_is_pinned`; 288, 276 and 267 B with 92 B
     // read; 368 / 9.5, 356 / 8.0 and 347 / 6.7 with the log read back,
     // two-word heads and entries on the flag's line).
     let pinned = [
-        (1, 32 * 64, 188 * 64, 513, 4 * 64),
-        (2, 32 * 64, 176 * 64, 416, 4 * 32),
-        (8, 32 * 64, 167 * 64, 376, 4 * 8),
+        (1, 32 * 64, 180 * 64, 512, 4 * 64),
+        (2, 32 * 64, 168 * 64, 416, 4 * 32),
+        (8, 32 * 64, 159 * 64, 376, 4 * 8),
     ];
     for (batch, bytes_read, bytes_written, pwbs, fences) in pinned {
         let pool = preloaded_cluster(PmemConfig::crash_sim(32 << 20));

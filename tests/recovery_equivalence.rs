@@ -16,7 +16,8 @@
 //!    in-flight redo logs;
 //! 2. a deterministic wide graph of dangling references, so the
 //!    work-stealing mark provably nullifies the same set of slots the
-//!    sequential mark does;
+//!    sequential mark does — plain ones, and records' tagged field
+//!    references, which must keep their tag bit for bit when live;
 //! 3. two writers frozen between commit point and retire, so two
 //!    committed logs write the same word and the replay order shows;
 //! 4. completed workloads (for the HeaderScanOnly-vs-Full pin and its
@@ -29,12 +30,14 @@
 use std::sync::Arc;
 
 use jnvm_repro::faultsim::{strided_points, torture_count, torture_sweep};
-use jnvm_repro::heap::HeapConfig;
+use jnvm_repro::heap::{HeapConfig, REF_ADDR_MASK};
 use jnvm_repro::jnvm::{
-    persistent_class, Jnvm, JnvmBuilder, PObject, RecoveryMode, RecoveryOptions,
+    persistent_class, Jnvm, JnvmBuilder, PObject, Proxy, RecoveryMode, RecoveryOptions,
     RecoveryReport,
 };
-use jnvm_repro::kvstore::{register_kvstore, DataGrid, GridConfig, JnvmBackend, Record};
+use jnvm_repro::kvstore::{
+    register_kvstore, DataGrid, GridConfig, JnvmBackend, PRecord, Record,
+};
 use jnvm_repro::pmem::{
     catch_crash, silence_crash_panics, CrashPolicy, FaultOp, FaultPlan, Pmem, PmemConfig,
 };
@@ -353,6 +356,66 @@ fn dangling_refs_nullified_identically_in_parallel() {
         "every dangling child ref must be nullified exactly once"
     );
     assert!(oracle.freed_blocks > 0, "invalid children must be reclaimed");
+}
+
+// ---------------------------------------------------------------------------
+// Tagged references: a record's field reference carries its value's slack
+// above the address bits.
+// ---------------------------------------------------------------------------
+
+/// Rooted records of the tagged image.
+const TAGGED_RECORDS: usize = 48;
+/// Field value lengths: three pool classes (one value empty) and a chain.
+const TAGGED_LENS: [usize; 4] = [100, 7, 300, 0];
+
+/// A record's field reference words, straight off the device.
+fn field_words(rt: &Jnvm, rec: &PRecord) -> [u64; 4] {
+    let proxy = Proxy::open(rt, rec.addr());
+    std::array::from_fn(|f| proxy.read_u64(8 + 8 * f as u64))
+}
+
+/// `TAGGED_RECORDS` rooted records; in every third one, the value of field
+/// `i % 4` is invalidated before the power failure, so its tagged reference
+/// dangles. Returns the image and, per record, the words recovery must
+/// leave: 0 for the dangling reference, every other word as written.
+fn tagged_refs_image() -> (Vec<u8>, Vec<[u64; 4]>) {
+    let pmem = Pmem::new(PmemConfig::crash_sim(4 << 20));
+    let rt = register_kvstore(JnvmBuilder::new())
+        .create(Arc::clone(&pmem), HeapConfig::default())
+        .expect("pool");
+    let mut want = Vec::new();
+    for i in 0..TAGGED_RECORDS {
+        let values = TAGGED_LENS.map(|len| vec![i as u8; len]);
+        let rec = PRecord::create(&rt, &values).expect("record");
+        rt.root_put(&format!("r{i}"), &rec).expect("root");
+        let mut words = field_words(&rt, &rec);
+        assert!(words.iter().all(|w| w >> 48 != 0), "every value has slack");
+        if i % 3 == 0 {
+            rt.set_valid_addr(words[i % 4] & REF_ADDR_MASK, false);
+            words[i % 4] = 0;
+        }
+        want.push(words);
+    }
+    rt.psync();
+    pmem.crash(&CrashPolicy::strict()).expect("crash");
+    (snapshot(&pmem), want)
+}
+
+/// Recovery masks a tagged reference before it checks the target: one to
+/// an invalidated value is nullified to 0, one to a valid value keeps its
+/// word bit for bit — identically at 1, 2, 4 and 8 threads.
+#[test]
+fn tagged_refs_are_kept_or_nullified_identically_in_parallel() {
+    let (image, want) = tagged_refs_image();
+    let oracle = assert_thread_equivalence(&image, register_kvstore, RecoveryMode::Full, "tagged");
+    assert_eq!(oracle.nullified_refs, TAGGED_RECORDS.div_ceil(3) as u64);
+    for threads in std::iter::once(1).chain(candidate_threads()) {
+        let (_, rt, _) = open_restored(&image, register_kvstore, RecoveryMode::Full, threads);
+        for (i, want) in want.iter().enumerate() {
+            let rec = rt.root_get_as::<PRecord>(&format!("r{i}")).expect("typed").expect("rooted");
+            assert_eq!(&field_words(&rt, &rec), want, "threads={threads}, record {i}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
