@@ -309,6 +309,24 @@ struct TxState {
     /// Each ALLOC entry's header word with the valid bit set, in entry
     /// order: what a live commit stores to validate the allocation.
     valid_words: Vec<u64>,
+    /// DRAM state the block changed ahead of its commit, as the closures
+    /// that put it back (see [`JnvmRuntime::on_abort`]).
+    undo: Undo,
+}
+
+/// Closures that put back DRAM state a failure-atomic block changed ahead
+/// of its commit. Dropped, they run newest first — an abort drops them
+/// with its block; a commit takes them out and clears them once its
+/// durability point is behind it.
+#[derive(Default)]
+struct Undo(Vec<Box<dyn FnOnce() + Send>>);
+
+impl Drop for Undo {
+    fn drop(&mut self) {
+        for undo in self.0.drain(..).rev() {
+            undo();
+        }
+    }
 }
 
 /// What the commit needs of an object the block allocated, so that it
@@ -816,6 +834,20 @@ impl JnvmRuntime {
         depth() > 0
     }
 
+    /// Register `undo`, which puts back DRAM state that the active
+    /// failure-atomic block changed ahead of its commit (a structure's
+    /// volatile index, say): it runs if the block does not reach its
+    /// group's durability point — its closure unwinds, its [`StagedTx`]
+    /// drops uncommitted, or the commit unwinds before the commit-point
+    /// fence —, newest first, and is dropped unrun once that fence has
+    /// run. A no-op outside a block, where a change is made on media as it
+    /// is made in DRAM.
+    pub fn on_abort(&self, undo: impl FnOnce() + Send + 'static) {
+        if depth() > 0 {
+            with_tx(|tx| tx.undo.0.push(Box::new(undo)));
+        }
+    }
+
     /// Execute `f` as a failure-atomic block whose mutations are **staged**
     /// rather than committed: every modification is staged exactly as in
     /// [`JnvmRuntime::fa`] and the block's redo entries are built — in
@@ -852,6 +884,7 @@ impl JnvmRuntime {
                 overlay: BTreeMap::new(),
                 allocated: BTreeMap::new(),
                 valid_words: Vec::new(),
+                undo: Undo::default(),
             });
         });
         TX_DEPTH.with(|d| d.set(1));
@@ -958,13 +991,19 @@ impl JnvmRuntime {
         let mut staged: Vec<(u64, u64)> = Vec::new();
         chain.segments(LOG_ENTRIES, words * 8, |addr, len| staged.push((addr, len)));
         // The group's ALLOC header words, in entry order (a group of one
-        // keeps its block's vector).
+        // keeps its block's vector). The blocks' DRAM changes stay
+        // undoable until the durability point: a crash before it unwinds
+        // from here with none of the group on media, and what the group
+        // staged must not outlive it in DRAM either — a reader of the
+        // crashed replica would find it there.
         let mut valid_words: Vec<u64> = Vec::new();
+        let mut undo = Undo::default();
         for mut tx in group {
             let mut state = tx
                 .state
                 .take()
                 .expect("staged state present until commit or drop");
+            undo.0.append(&mut state.undo.0);
             state.allocated_ranges(&mut staged);
             if valid_words.is_empty() {
                 valid_words = std::mem::take(&mut state.valid_words);
@@ -990,6 +1029,7 @@ impl JnvmRuntime {
         chain.pwb_range(pmem, LOG_COMMITTED, LOG_ENTRIES);
         // ---- the group's durability point ----
         pmem.pfence();
+        undo.0.clear();
         // The whole group is durably committed behind the one fence: what
         // step 1 flushed, and the log's flag and length words.
         staged.push((chain.phys(LOG_COMMITTED), LOG_ENTRIES));
@@ -1071,6 +1111,9 @@ fn entry_bytes(group: &[StagedTx]) -> Vec<u8> {
 /// Abort a block from its captured state (shared by a stage whose closure
 /// unwound and [`StagedTx`]'s drop).
 fn abort_state(state: TxState) {
+    // Put back the DRAM state the block changed, newest change first, so
+    // each undo finds the state its change left.
+    drop(state.undo);
     // Release objects allocated inside the aborted block; its entries
     // never left DRAM.
     for master in state.allocated.keys() {

@@ -141,8 +141,34 @@ impl PoolManager {
         let pmem = self.heap.pmem();
         let nslots = self.slots_per_block(slot_payload);
         self.know(block, ci);
+        let slots: Vec<u64> = (0..nslots)
+            .map(|i| base + 16 + i * Self::slot_total(slot_payload))
+            .collect();
+        if !from_bump {
+            // A recycled block holds its previous life's bytes, which a
+            // header scan of a pool block reads as mini-headers: clear every
+            // slot's, and fence before the pool header below can reach
+            // media — else eviction could persist the header's line without
+            // another line's cleared word, and a stale word that decodes as
+            // a valid header would count as a live object. (A block from
+            // the bump cursor reads zero: its slots are free already.)
+            for &slot in &slots {
+                pmem.write_u64(slot, 0);
+            }
+            let mut lines: Vec<u64> = slots.iter().map(|s| s / CACHE_LINE).collect();
+            lines.dedup();
+            for line in lines {
+                pmem.pwb(line * CACHE_LINE);
+            }
+            pmem.pfence();
+            let footprint: Vec<(u64, u64)> = slots.iter().map(|&s| (s, HEADER_BYTES)).collect();
+            pmem.ordering_point("pool-carve", &footprint);
+        }
         // The header and the meta word, neighbours on the block's first
-        // line, in one store.
+        // line, in one store. Their line must be durable before any slot
+        // inside this block is validated; pwb now, the allocating thread's
+        // next pfence (always executed before an object becomes reachable)
+        // orders it.
         let header = BlockHeader {
             id: CLASS_ID_POOL,
             valid: true,
@@ -152,29 +178,8 @@ impl PoolManager {
         head[..8].copy_from_slice(&header.encode().to_le_bytes());
         head[8..].copy_from_slice(&(slot_payload | nslots << 32).to_le_bytes());
         pmem.write_bytes(base, &head);
-        let slots: Vec<u64> = (0..nslots)
-            .map(|i| base + 16 + i * Self::slot_total(slot_payload))
-            .collect();
-        let mut footprint = vec![(base, 16)];
-        if !from_bump {
-            // A recycled block holds its previous life's bytes, which a
-            // header scan could read as valid mini-headers: clear every
-            // slot's. (A block from the bump cursor reads zero: its slots
-            // are free already.)
-            for &slot in &slots {
-                pmem.write_u64(slot, 0);
-                footprint.push((slot, HEADER_BYTES));
-            }
-        }
-        // These lines must be durable before any slot inside this block is
-        // validated; pwb now, the allocating thread's next pfence (always
-        // executed before an object becomes reachable) orders them.
-        let mut lines: Vec<u64> = footprint.iter().map(|(at, _)| at / CACHE_LINE).collect();
-        lines.dedup();
-        for line in lines {
-            pmem.pwb(line * CACHE_LINE);
-        }
-        pmem.publish_point("pool-carve", &footprint);
+        pmem.pwb(base);
+        pmem.publish_point("pool-carve", &[(base, 16)]);
         self.queues[ci].lock().extend(&slots[1..]);
         Ok(slots[0])
     }

@@ -197,11 +197,35 @@ array_common!(PRefArray);
 impl PRefArray {
     /// Allocate `len` null cells, flushed and validated (fence-free).
     pub fn new(rt: &Jnvm, len: u64) -> Result<PRefArray, JnvmError> {
+        PRefArray::with_cells(rt, len, &[])
+    }
+
+    /// Allocate `len` cells that begin with a copy of `from`'s and are null
+    /// past them, flushed and validated (fence-free): the copied cells are
+    /// read in one pass and every cell is stored once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is shorter than `from`.
+    pub fn grown_from(from: &PRefArray, len: u64) -> Result<PRefArray, JnvmError> {
+        assert!(
+            len >= from.len,
+            "grown array of {len} cells shorter than {}",
+            from.len
+        );
+        let mut cells = vec![0u8; (from.len * 8) as usize];
+        from.proxy.read_bytes(8, &mut cells);
+        PRefArray::with_cells(from.proxy.runtime(), len, &cells)
+    }
+
+    /// Allocate `len` cells, the first ones `prefix` (raw cell words) and
+    /// the rest null, in one store of the length word and every cell.
+    fn with_cells(rt: &Jnvm, len: u64, prefix: &[u8]) -> Result<PRefArray, JnvmError> {
         let proxy = rt.alloc_proxy::<PRefArray>(8 + len * 8)?;
-        proxy.write_u64(0, len);
-        for i in 0..len {
-            proxy.write_u64(8 + i * 8, 0);
-        }
+        let mut words = vec![0u8; (8 + len * 8) as usize];
+        words[..8].copy_from_slice(&len.to_le_bytes());
+        words[8..8 + prefix.len()].copy_from_slice(prefix);
+        proxy.write_bytes(0, &words);
         proxy.pwb();
         proxy.validate();
         Ok(PRefArray { proxy, len })

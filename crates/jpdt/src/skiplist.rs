@@ -204,10 +204,11 @@ impl<K: Ord, V> SkipListMap<K, V> {
     }
 }
 
-impl<K: Ord, V: Clone> SkipListMap<K, V> {
-    /// Remove `key` and return a clone of its value. (The arena keeps the
-    /// slot until reuse; cloning sidesteps moving out of the arena.)
-    pub fn remove_cloned<Q: ?Sized + Ord>(&mut self, key: &Q) -> Option<V>
+impl<K: Ord + Clone, V: Clone> SkipListMap<K, V> {
+    /// Remove `key` and return clones of its key and value, as
+    /// `BTreeMap::remove_entry` returns them. (The arena keeps the slot
+    /// until reuse; cloning sidesteps moving out of the arena.)
+    pub fn remove_cloned<Q: ?Sized + Ord>(&mut self, key: &Q) -> Option<(K, V)>
     where
         K: Borrow<Q>,
     {
@@ -216,9 +217,10 @@ impl<K: Ord, V: Clone> SkipListMap<K, V> {
         if target == NIL || self.arena[target].key.borrow() != key {
             return None;
         }
-        let value = self.arena[target].value.clone();
+        let node = &self.arena[target];
+        let entry = (node.key.clone(), node.value.clone());
         self.remove(key);
-        Some(value)
+        Some(entry)
     }
 }
 
@@ -239,7 +241,7 @@ mod tests {
         assert_eq!(m.get(&2), None);
         assert_eq!(m.insert(5, "FIVE"), Some("five"));
         assert_eq!(m.len(), 3);
-        assert_eq!(m.remove_cloned(&5), Some("FIVE"));
+        assert_eq!(m.remove_cloned(&5), Some((5, "FIVE")));
         assert_eq!(m.get(&5), None);
         assert_eq!(m.len(), 2);
         assert_eq!(m.remove_cloned(&5), None);
@@ -277,7 +279,7 @@ mod tests {
                     assert_eq!(sl.get(&k).copied(), bt.get(&k).copied());
                 }
                 _ => {
-                    assert_eq!(sl.remove_cloned(&k), bt.remove(&k));
+                    assert_eq!(sl.remove_cloned(&k), bt.remove_entry(&k));
                 }
             }
             assert_eq!(sl.len(), bt.len());

@@ -722,6 +722,16 @@ mod tests {
             .unwrap();
         assert!(msg.contains("exceeds its chain"), "{msg}");
         assert_eq!(be.read("bystander"), Some(want));
+        // The failed `DEL` aborted its block, and the block's map changes
+        // with it: the key is still there in DRAM as on media — as a map
+        // resurrected from media sees it. (The mirror used to lose it while
+        // media kept it, until a restart.)
+        let map = &be.shards[0];
+        let media = PStringHashMap::open_with_mode(&be.rt, map.addr(), jnvm_jpdt::CacheMode::Base);
+        assert_eq!((map.len(), media.len()), (2, 2));
+        for key in ["victim", "bystander"] {
+            assert_eq!(map.get(key), media.get(key), "{key}");
+        }
     }
 
     /// Recovery checks a reference that is not block-aligned as strictly as

@@ -56,10 +56,11 @@ fn jnvm_read_takes_two() {
         used.count, 2,
         "key + one buffer sized up front; the lookup allocates nothing"
     );
-    // The map lookup's two reads, the record's two and one per value, as a
-    // `GET` (tests/obs_invariants.rs): sizing from the references' lengths
+    // The record's two reads and one per value, as a `GET`
+    // (tests/obs_invariants.rs): the map lookup answers from DRAM (it read
+    // 2 words while it did not), and sizing from the references' lengths
     // and the slot classes reads nothing.
-    assert_eq!(reads, 2 + 2 + 10);
+    assert_eq!(reads, 2 + 10);
 }
 
 /// A cached record served by the grid costs its clone, and the lookup

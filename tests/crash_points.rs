@@ -1264,12 +1264,10 @@ fn origin_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Option<bool>, Recove
 
 /// Every crash point of [`origin_workload`], strict power failures and
 /// `seeds` adversarial eviction seeds, under `Full` and `HeaderScanOnly`
-/// recovery: the pool recovers to the image before the group or the one
-/// after it, with that image's exact live-object count, and after it each
-/// allocated slot holds the header the live commit stores — replayed from
-/// the log when the crash fell between the commit point and the apply.
+/// recovery, by [`either_image_sweep`]; after the group each allocated slot
+/// holds the header the live commit stores — replayed from the log when
+/// the crash fell between the commit point and the apply.
 fn origin_sweep(seeds: u64) {
-    silence_crash_panics();
     let (pmem, ctx) = origin_setup();
     origin_workload(&ctx);
     let heap = ctx.rt.heap();
@@ -1286,36 +1284,59 @@ fn origin_sweep(seeds: u64) {
         "the last carve took the bump cursor"
     );
     drop((ctx, pmem));
+    // 3 blobs in, 1 out.
+    either_image_sweep(origin_setup, origin_workload, origin_observe, seeds, 2);
+}
+
+/// Every crash point of `workload`, strict power failures and `seeds`
+/// adversarial eviction seeds, under `Full` and `HeaderScanOnly` recovery:
+/// the pool recovers to the image before `workload` or the one after it
+/// (`observe` says which: `Some(is it the one after)`, `None` for neither),
+/// with that image's exact live-object count — `added` more after — and
+/// the sweep sees both images.
+fn either_image_sweep<C>(
+    setup: impl Fn() -> (Arc<Pmem>, C),
+    workload: impl Fn(&C),
+    observe: impl Fn(&Arc<Pmem>, RecoveryMode) -> (Option<bool>, RecoveryReport),
+    seeds: u64,
+    added: u64,
+) {
+    silence_crash_panics();
     for mode in [RecoveryMode::Full, RecoveryMode::HeaderScanOnly] {
         let baseline = |run: bool| {
-            let (pmem, ctx) = origin_setup();
+            let (pmem, ctx) = setup();
             if run {
-                origin_workload(&ctx);
+                workload(&ctx);
             }
             drop(ctx);
             pmem.crash(&CrashPolicy::strict()).expect("crash");
-            let (image, report) = origin_observe(&pmem, mode);
+            let (image, report) = observe(&pmem, mode);
             (image, report.live_objects)
         };
         let (before, after) = (baseline(false), baseline(true));
         assert_eq!((before.0, after.0), (Some(false), Some(true)), "{mode:?}");
-        assert_eq!(after.1, before.1 + 2, "{mode:?}: 3 blobs in, 1 out");
+        assert_eq!(after.1, before.1 + added, "{mode:?}");
         let policies =
             std::iter::once(CrashPolicy::strict()).chain((0..seeds).map(CrashPolicy::adversarial));
         for policy in policies {
             let seen = std::cell::RefCell::new([0usize; 2]);
             let verify = |pmem: &Arc<Pmem>, report: &faultsim::CrashReport| {
-                let (image, recovered) = origin_observe(pmem, mode);
+                let (image, recovered) = observe(pmem, mode);
                 let (point, live) = (report.point, recovered.live_objects);
                 match image {
-                    Some(false) => assert_eq!(live, before.1, "{mode:?}, point {point}: before"),
-                    Some(true) => assert_eq!(live, after.1, "{mode:?}, point {point}: after"),
+                    Some(false) => assert_eq!(
+                        live, before.1,
+                        "{mode:?}, {policy:?}, point {point}: before"
+                    ),
+                    Some(true) => {
+                        assert_eq!(live, after.1, "{mode:?}, {policy:?}, point {point}: after")
+                    }
                     None => panic!("{mode:?}, {policy:?}, point {point}: neither image"),
                 }
                 seen.borrow_mut()[(image == Some(true)) as usize] += 1;
             };
             let plan = FaultPlan::count().with_policy(policy);
-            let summary = faultsim::sweep_all(plan, origin_setup, origin_workload, verify);
+            let summary = faultsim::sweep_all(plan, &setup, &workload, verify);
             let [befores, afters] = *seen.borrow();
             assert_eq!(summary.points_crashed, befores + afters, "{mode:?}");
             assert!(
@@ -1336,6 +1357,107 @@ fn slots_of_every_origin_recover_to_either_image_at_every_crash_point() {
 #[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
 fn adversarial_exhaustive_slots_of_every_origin_recover_at_every_crash_point() {
     origin_sweep(64);
+}
+
+// ---------------------------------------------------------------------------
+// Workload 10: a pool block carved from a recycled chain whose every payload
+// word decodes as a valid mini-header of a registered class. The carve
+// clears each slot's mini-header before the pool header can reach media: a
+// header scan must never find the block a pool block with a stale word at a
+// slot boundary.
+// ---------------------------------------------------------------------------
+
+struct CarveCtx {
+    rt: Jnvm,
+    cells: PRefArray,
+}
+
+/// Small fresh pool with a rooted two-cell reference array, the log
+/// created; then a one-block chain whose payload words are each the header
+/// word of a valid `PBytes`, freed (its block the heap's only free one).
+fn carve_setup() -> (Arc<Pmem>, CarveCtx) {
+    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
+    let rt = register_jpdt(JnvmBuilder::new())
+        .create(Arc::clone(&pmem), HeapConfig::default())
+        .expect("pool");
+    let cells = rt.fa(|| {
+        let cells = PRefArray::new(&rt, 2).expect("array");
+        rt.root_put("carved", &cells).expect("root");
+        cells
+    });
+    let id = rt.registry().id_of::<PBytes>().expect("registered");
+    let valid = BlockHeader {
+        id,
+        valid: true,
+        next: 0,
+    }
+    .encode();
+    let chain = rt.alloc_proxy::<PBytes>(248).expect("chain");
+    let words: Vec<u8> = (0..248 / 8).flat_map(|_| valid.to_le_bytes()).collect();
+    chain.write_bytes(0, &words);
+    chain.pwb();
+    chain.validate();
+    pmem.pfence();
+    rt.free_addr(chain.addr());
+    assert_eq!(rt.heap().stats().free_queue_len, 1);
+    pmem.psync();
+    (pmem, CarveCtx { rt, cells })
+}
+
+/// One failure-atomic block: an 8-byte blob (a slot of the 16-B class,
+/// whose pool block the allocation carves from the recycled chain) stored
+/// in cell 0.
+fn carve_workload(ctx: &CarveCtx) {
+    let rt = &ctx.rt;
+    rt.fa(|| {
+        let blob = PBytes::new(rt, &[0xC5; 8]).expect("blob");
+        ctx.cells.set_ref(0, Some(blob.addr()));
+    });
+}
+
+fn carve_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Option<bool>, RecoveryReport) {
+    let (rt, report) = register_jpdt(JnvmBuilder::new())
+        .open_with_options(Arc::clone(pmem), RecoveryOptions::with_mode(mode))
+        .expect("recovery");
+    let cells = rt.root_get_as::<PRefArray>("carved");
+    let cells = cells.expect("typed").expect("rooted");
+    let image = match cells.get_ref(0) {
+        None => Some(false),
+        Some(a) => (PBytes::resurrect(&rt, a).to_vec() == [0xC5; 8]).then_some(true),
+    };
+    (image, report)
+}
+
+/// [`either_image_sweep`] over [`carve_workload`]. Regression: the carve
+/// stored the pool header and the cleared mini-headers with no fence
+/// between them, so eviction could persist the header's line alone, and a
+/// header scan counted every stale word at a slot boundary of another line
+/// as a live object.
+fn carve_sweep(seeds: u64) {
+    let (pmem, ctx) = carve_setup();
+    let freed = ctx.rt.heap().stats().bump;
+    carve_workload(&ctx);
+    let blob = ctx.cells.get_ref(0).expect("stored");
+    assert_eq!(
+        ctx.rt.heap().stats().bump,
+        freed,
+        "the carve recycled the chain's block"
+    );
+    assert!(ctx.rt.pools().is_pooled_addr(blob));
+    drop((ctx, pmem));
+    either_image_sweep(carve_setup, carve_workload, carve_observe, seeds, 1);
+}
+
+#[test]
+fn a_recycled_carve_recovers_an_exact_live_count_at_every_crash_point() {
+    carve_sweep(8);
+}
+
+/// Exhaustive form: 64 eviction seeds (CI's torture job, `--release`).
+#[test]
+#[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
+fn adversarial_exhaustive_recycled_carve_recovers_an_exact_live_count_at_every_crash_point() {
+    carve_sweep(64);
 }
 
 // ---------------------------------------------------------------------------

@@ -26,15 +26,16 @@
 //! The obs registry is process-global, so every test serializes on one
 //! mutex and measures *deltas* across its own window.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use jnvm_repro::faultsim::strided_points;
-use jnvm_repro::heap::FIRST_USER_CLASS_ID;
-use jnvm_repro::jnvm::Proxy;
+use jnvm_repro::heap::{HeapConfig, FIRST_USER_CLASS_ID};
+use jnvm_repro::jnvm::{JnvmBuilder, PObject, Proxy};
+use jnvm_repro::jpdt::{register_jpdt, PBytes, PStringHashMap};
 use jnvm_repro::kvstore::{commit_writes, Record, WriteOp};
 use jnvm_repro::lincheck::check;
 use jnvm_repro::obs::{self, Histogram, ObsMode};
-use jnvm_repro::pmem::{PmemConfig, SanitizeMode, StatsSnapshot};
+use jnvm_repro::pmem::{Pmem, PmemConfig, SanitizeMode, StatsSnapshot};
 use jnvm_repro::server::{
     kill_during_traffic, run_loadgen, traffic_op_count, Cluster, LoadgenConfig, ServerConfig,
     TortureConfig,
@@ -557,10 +558,11 @@ fn setf(key: usize, field: usize, fill: u8) -> WriteOp {
 
 /// What one 100-byte `SETF` moves on the device, exactly: the redo log
 /// carries the 8-byte reference the op changes, not the record's block,
-/// and the commit applies it from DRAM. 212 bytes (32 read: the lookup's
-/// 2 words — the cell and the entry's value reference —, `nfields` and the
-/// old reference), 8 `pwb`s (the new value's header and bytes cover 2
-/// lines of its pool slot), 4 fences — 220 bytes and 8 or 9 `pwb`s while
+/// and the commit applies it from DRAM. 196 bytes (16 read: `nfields` and
+/// the old reference — the map lookup answers from DRAM), 8 `pwb`s (the new
+/// value's header and bytes cover 2 lines of its pool slot), 4 fences —
+/// 212 bytes (32 read) while the lookup read 2 words, the cell and the
+/// entry's value reference; 220 bytes and 8 or 9 `pwb`s while
 /// the value began with a length word (1 in 64 values then spanned 3
 /// lines, 1 in 2 while the records took whole blocks and the values alone
 /// filled the slots); 228 bytes while the new value's mini-header was
@@ -592,7 +594,7 @@ fn setf_device_cost_per_op_is_pinned() {
     }
     let d = pool.device_stats().delta(&before);
     print_cost_row("SETF (100 B of 10 x 100 B)", OPS, &d);
-    assert_eq!(d.bytes_read, 32 * OPS, "device bytes read per SETF");
+    assert_eq!(d.bytes_read, 16 * OPS, "device bytes read per SETF");
     assert_eq!(d.bytes_written, 180 * OPS, "device bytes written per SETF");
     assert_eq!(d.pwbs, 8 * OPS, "pwbs per SETF");
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fences per group of one");
@@ -691,12 +693,13 @@ fn set_device_cost_per_op_is_pinned() {
 
 /// What a `DEL` moves on the device: the map's unlink, one one-word FREE
 /// entry per value and for the record and the entry, and their
-/// invalidations behind the apply fence — 56 B read, 144 B written and 10
-/// `pwb`s for 4 × 64 B, 104 B, 240 B and 17 for 10 × 100 B. What it reads
-/// is the lookup's cell and value reference and the record's `nfields` and
-/// references: no header, no pool meta word, no key, no value — so a
-/// value's length moving from its first word into its reference moved
-/// none of these numbers (64 B, 160 B and 12,
+/// invalidations behind the apply fence — 48 B read, 144 B written and 10
+/// `pwb`s for 4 × 64 B, 96 B, 240 B and 17 for 10 × 100 B. What it reads
+/// is the map cell (to find the entry it frees) and the record's `nfields`
+/// and references: no header, no pool meta word, no key, no value, and the
+/// value reference from DRAM (56 and 104 B read while the lookup read it
+/// from the entry). A value's length moving from its first word into its
+/// reference moved none of these numbers (64 B, 160 B and 12,
 /// 112 B, 256 B and 18 while the key was an object of its own, whose
 /// reference the `DEL` read and which it freed — one FREE entry, one
 /// invalidation —, behind the retire fence; 116 and 188 B read
@@ -711,19 +714,20 @@ fn set_device_cost_per_op_is_pinned() {
 fn del_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     let [_, del, _] = structural_costs(4, 64);
-    assert_cost("DEL (4 x 64 B)", &del, (3_584, 9_216, 640));
+    assert_cost("DEL (4 x 64 B)", &del, (3_072, 9_216, 640));
     let [_, del, _] = structural_costs(10, 100);
-    assert_cost("DEL (10 x 100 B)", &del, (6_656, 15_360, 1_088));
+    assert_cost("DEL (10 x 100 B)", &del, (6_144, 15_360, 1_088));
 }
 
 /// What one `GET` moves on the device, exactly, whichever sink serves it:
-/// the map lookup's reads (the cell and the entry's value reference: the
-/// entry and the record are pool slots, whose proxies read no header),
+/// no read for the map lookup (the mirror holds each cell's value
+/// reference, and the record is a pool slot, whose proxy reads no header),
 /// then the record's `nfields` word and its reference array (2 reads),
 /// then each field's content (1 each: its reference carries its length) —
-/// 14 reads and 1 104 bytes for 10 × 100 B behind a 2-read lookup (the
-/// benchmark's shape), 8 reads and 312 bytes for 4 × 64 B — and nothing
-/// written, flushed or fenced. It was 24 reads / 1 184 B and 12 / 344 B
+/// 12 reads and 1 088 bytes for 10 × 100 B (the benchmark's shape), 6
+/// reads and 296 bytes for 4 × 64 B — and nothing written, flushed or
+/// fenced. It was 14 reads / 1 104 B and 8 / 312 B behind a 2-read lookup
+/// (the cell and the entry's value reference); 24 reads / 1 184 B and 12 / 344 B
 /// while each value began with a length word that the read took first; 26
 /// reads / 1 200 B and 14 / 360 B behind a 4-read lookup while the entry
 /// and the record took whole blocks and a proxy read each one's master
@@ -750,15 +754,14 @@ fn get_device_cost_per_op_is_pinned() {
         d
     };
     let rows = [
-        ("GET (10 x 100 B)", "user0007", 10, (14, 1104)),
-        ("GET (4 x 64 B)", "small", 4, (8, 312)),
+        ("GET (10 x 100 B)", "user0007", 10, (12, 1088)),
+        ("GET (4 x 64 B)", "small", 4, (6, 296)),
     ];
     for (op, key, fields, pinned) in rows {
         // The proxy touch stops at the reference array, which holds every
-        // field's length: the lookup's 2 reads and the record's 2, for any
-        // field count.
+        // field's length: the record's 2 reads, for any field count.
         let touch = cost(&|| assert!(shard.grid.read_touch(key))).reads;
-        assert_eq!(touch, 4, "touch reads for {key}");
+        assert_eq!(touch, 2, "touch reads for {key}");
         // One more read per field, for its content.
         assert_eq!(pinned.0, touch + fields, "device reads of {key}");
         let read = cost(&|| assert!(shard.grid.read(key).is_some()));
@@ -777,6 +780,70 @@ fn get_device_cost_per_op_is_pinned() {
     }
 }
 
+/// What the persistent map's own ops read, outside any block, on 100-byte
+/// pooled values: a lookup — `get`, `contains`, `get_value` — reads
+/// nothing, because the mirror holds each cell's value reference and a
+/// pooled value's proxy reads no header (`get` and `get_value` read the
+/// cell and the entry's value reference, 16 B, while the mirror held the
+/// cell alone); a replace reads the cell, to find the entry whose
+/// reference it writes, and the new value's mini-header, which it
+/// validates (16 B; 24 B); a remove reads the cell, to find the entry it
+/// frees (8 B; 16 B). Writes and write-backs are the ops' own and did not
+/// move.
+#[test]
+fn map_device_cost_per_op_is_pinned() {
+    let _g = obs_lock(); // device ops feed the process-global obs counters
+    const OPS: usize = 64;
+    let pmem = Pmem::new(PmemConfig::crash_sim(8 << 20));
+    let rt = register_jpdt(JnvmBuilder::new())
+        .create(Arc::clone(&pmem), HeapConfig::default())
+        .expect("pool");
+    let map = PStringHashMap::new(&rt).expect("map");
+    let blob = |i: usize| PBytes::new(&rt, &[i as u8; 100]).expect("blob").addr();
+    let (old, new): (Vec<u64>, Vec<u64>) = (0..OPS).map(|i| (blob(i), blob(OPS + i))).unzip();
+    for (i, v) in old.iter().enumerate() {
+        assert_eq!(map.put(format!("key{i}"), *v).expect("put"), None);
+    }
+    pmem.psync();
+    let key = |i: usize| format!("key{i}");
+    type Row<'a> = (&'a str, &'a dyn Fn(usize), u64);
+    let rows: [Row; 5] = [
+        (
+            "map get",
+            &|i| assert_eq!(map.get(&key(i)), Some(old[i])),
+            0,
+        ),
+        ("map contains", &|i| assert!(map.contains(&key(i))), 0),
+        (
+            "map get_value",
+            &|i| assert_eq!(map.get_value(&key(i)).map(|p| p.addr()), Some(old[i])),
+            0,
+        ),
+        (
+            "map replace",
+            &|i| assert_eq!(map.put(key(i), new[i]).expect("put"), Some(old[i])),
+            16,
+        ),
+        (
+            "map remove",
+            &|i| assert_eq!(map.remove(&key(i)), Some(new[i])),
+            8,
+        ),
+    ];
+    for (op, run, pinned) in rows {
+        let before = pmem.stats();
+        (0..OPS).for_each(run);
+        let d = pmem.stats().delta(&before);
+        print_cost_row(op, OPS as u64, &d);
+        assert_eq!(
+            d.bytes_read,
+            pinned * OPS as u64,
+            "device bytes read by {OPS} x {op}"
+        );
+    }
+    assert!(map.is_empty());
+}
+
 /// The same, by commit-group size: a batch of `SETF`s on distinct keys is
 /// one group, one transaction, in one log — so the flag line, the length
 /// and the 4 fences are paid once per group, and the per-op cost falls
@@ -786,8 +853,10 @@ fn setf_device_cost_per_group_size_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     const OPS: usize = 64;
     // (ops per group, device bytes read, bytes written, pwbs, fences) of
-    // 64 ops: 212 B and 8.0 pwbs per op alone, 200 B and 6.5 in pairs,
-    // 191 B and 5.9 in eights (220, 208 and 199 B, the first with 1 `pwb`
+    // 64 ops: 196 B and 8.0 pwbs per op alone, 184 B and 6.5 in pairs,
+    // 175 B and 5.9 in eights (16 B read each; 212, 200 and 191 B with 32
+    // B read while the map lookup read the cell and the entry's value
+    // reference; 220, 208 and 199 B, the first with 1 `pwb`
     // more, while a value began with a length word; 228, 216 and 207 B while a fresh blob's
     // mini-header was stored twice; 248 / 8.5, 236 / 7.0 and 227 / 6.3 with 52 B
     // read per op instead of 32 and the blobs alone in the pool slots — see
@@ -795,9 +864,9 @@ fn setf_device_cost_per_group_size_is_pinned() {
     // read; 368 / 9.5, 356 / 8.0 and 347 / 6.7 with the log read back,
     // two-word heads and entries on the flag's line).
     let pinned = [
-        (1, 32 * 64, 180 * 64, 512, 4 * 64),
-        (2, 32 * 64, 168 * 64, 416, 4 * 32),
-        (8, 32 * 64, 159 * 64, 376, 4 * 8),
+        (1, 16 * 64, 180 * 64, 512, 4 * 64),
+        (2, 16 * 64, 168 * 64, 416, 4 * 32),
+        (8, 16 * 64, 159 * 64, 376, 4 * 8),
     ];
     for (batch, bytes_read, bytes_written, pwbs, fences) in pinned {
         let pool = preloaded_cluster(PmemConfig::crash_sim(32 << 20));
