@@ -2,14 +2,18 @@
 //! commit sequence (§4.2).
 //!
 //! Where `fig11_recovery` crashes the TPC-B bank once and times the
-//! restart, this binary crashes a failure-atomic transfer at **every**
-//! persistence-relevant operation (store / `pwb` / `pfence` / `psync`) via
-//! the `jnvm-pmem` injection engine, re-opens the pool after each injected
-//! power failure, and prints one row per crash point: which op the failure
-//! replaced, which commit phase it landed in, what state recovery produced,
-//! and whether any block leaked. The table makes the §4.2 protocol's
-//! all-or-nothing boundary visible: every point before the commit record is
-//! durable recovers the old state, every point after it the new one.
+//! restart, this binary crashes a failure-atomic transfer via the
+//! `jnvm-pmem` injection engine, re-opens the pool after each injected
+//! power failure, and prints one row per **fence epoch**: the crash points
+//! (store / `pwb` / `pfence` / `psync`) from one fence to the next, which
+//! under the strict policy all leave the same media, so one crash — before
+//! the epoch's fence, where the most of the program has run — stands for
+//! them. A row gives the epoch's point range, the op its crash replaced,
+//! the commit phase it landed in, what state recovery produced, and
+//! whether any block leaked. The table makes the §4.2 protocol's
+//! all-or-nothing boundary visible: every epoch up to the fence that makes
+//! the commit record durable recovers the old state, every later one the
+//! new one.
 //!
 //! Flags: `--transfers` (fa blocks in the workload, default 1),
 //! `--out results`.
@@ -94,7 +98,7 @@ fn main() {
     );
 
     let mut table = Table::new(&[
-        "point",
+        "points",
         "op",
         "phase",
         "recovered",
@@ -106,6 +110,8 @@ fn main() {
     let mut old_state = 0u64;
     let mut new_state = 0u64;
     let mut torn = 0u64;
+    // The first point of the epoch the next crash stands for.
+    let mut first = 0u64;
     let summary = faultsim::sweep_all(
         FaultPlan::count().with_policy(CrashPolicy::strict()),
         || setup(transfers),
@@ -131,8 +137,10 @@ fn main() {
                 .get(report.point as usize)
                 .map(|t| t.op.name())
                 .unwrap_or("?");
+            let points = format!("{first}-{}", report.point);
+            first = report.point + 1;
             table.row(&[
-                report.point.to_string(),
+                points.clone(),
                 op.to_string(),
                 phase.name().to_string(),
                 format!("({l}, {r})"),
@@ -142,7 +150,7 @@ fn main() {
             ]);
             rows.push(format!(
                 "{},{},{},{},{},{},{}",
-                report.point,
+                points,
                 op,
                 phase.name(),
                 l,
@@ -154,7 +162,8 @@ fn main() {
     );
     table.print();
     println!(
-        "{} crash points: {} recover the old state, {} the new/prefix state, {} torn",
+        "{} fence epochs of {total} crash points: {} recover the old state, \
+         {} the new/prefix state, {} torn",
         summary.points_crashed, old_state, new_state, torn
     );
     if torn > 0 {
@@ -164,7 +173,7 @@ fn main() {
     let path = write_csv(
         &out,
         "fig11_crash_point_sweep",
-        "point,op,phase,left,right,replayed_logs,live_blocks",
+        "points,op,phase,left,right,replayed_logs,live_blocks",
         &rows,
     );
     println!("wrote {}", path.display());

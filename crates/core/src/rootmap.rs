@@ -11,12 +11,15 @@
 //! A volatile mirror (name → slot/entry) is rebuilt lazily after open. Every
 //! mutation of the persistent structure is a single reference write, so the
 //! map is crash-consistent without failure-atomic blocks — the same pattern
-//! J-PDT uses (§4.3.2).
+//! J-PDT uses (§4.3.2). Inside a block those writes are staged, while the
+//! mirror and the free slots change at once: an abort of the block puts
+//! them back ([`JnvmRuntime::on_abort`]).
 //!
 //! Both the fenced `put`/`remove` and the weak `wput` of Figure 5 are
 //! provided.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::JnvmError;
 use crate::object::{PAny, PObject};
@@ -36,6 +39,15 @@ pub(crate) struct RootState {
     /// name -> (slot index, entry address).
     mirror: HashMap<String, (u64, u64)>,
     free_slots: Vec<u64>,
+}
+
+/// Inside a failure-atomic block, have an abort of the block run `undo`
+/// over the mirror: the block's slot and entry writes never reach media.
+fn on_abort(rt: &Jnvm, undo: impl FnOnce(&mut RootState) + Send + 'static) {
+    if rt.in_fa() {
+        let owner = Arc::clone(rt);
+        rt.on_abort(move || undo(&mut owner.root_state().lock()));
+    }
 }
 
 fn slot_off(slot: u64) -> u64 {
@@ -169,6 +181,11 @@ impl JnvmRuntime {
                 rt.pfence();
             }
             state.mirror.insert(name.to_string(), (slot, entry.addr()));
+            let name = name.to_string();
+            on_abort(rt, move |state| {
+                state.mirror.remove(&name);
+                state.free_slots.push(slot);
+            });
             Ok(())
         })
     }
@@ -215,6 +232,11 @@ impl JnvmRuntime {
             rt.pfence();
             rt.free_addr(entry);
             state.free_slots.push(slot);
+            let name = name.to_string();
+            on_abort(rt, move |state| {
+                state.free_slots.retain(|s| *s != slot);
+                state.mirror.insert(name, (slot, entry));
+            });
             if value == 0 {
                 None
             } else {

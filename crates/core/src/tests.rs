@@ -114,6 +114,61 @@ fn root_map_replaces_existing() {
     assert_eq!(rt.root_get_as::<Simple>("k").unwrap().unwrap().x(), 2);
 }
 
+/// A block that puts a new name and removes an old one, then aborts —
+/// by dropping its `StagedTx` and by unwinding —, leaves the root map as
+/// it found it: in DRAM, on media after a reopen, and for the names put
+/// by the blocks that commit after it (which must not take a slot the
+/// abort left in use).
+#[test]
+fn an_aborted_block_leaves_the_root_map_as_it_found_it() {
+    let (pmem, rt) = fresh(1 << 20);
+    let simple = |rt: &crate::Jnvm, x: i32| {
+        let s = Simple::alloc_uninit(rt);
+        s.set_x(x);
+        s
+    };
+    for (name, x) in [("a", 1), ("b", 2)] {
+        rt.root_put(name, &simple(&rt, x)).unwrap();
+    }
+    let view = |rt: &crate::Jnvm| {
+        let mut names = rt.root_names();
+        names.sort();
+        let x = |name| rt.root_get_as::<Simple>(name).unwrap().map(|s| s.x());
+        let exists = ["a", "b", "new"].map(|name| rt.root_exists(name));
+        (names, rt.root_len(), x("a"), x("b"), x("new"), exists)
+    };
+    let before = view(&rt);
+    let block = || {
+        rt.root_put("new", &simple(&rt, 3)).unwrap();
+        assert!(rt.root_remove("a").is_some());
+        assert!(rt.root_exists("new") && !rt.root_exists("a"));
+    };
+    drop(rt.fa_stage(block));
+    assert_eq!(view(&rt), before, "StagedTx dropped");
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        rt.fa(|| {
+            block();
+            panic!("abort");
+        })
+    }));
+    assert!(unwound.is_err());
+    assert_eq!(view(&rt), before, "closure unwound");
+    drop(rt);
+    pmem.crash(&CrashPolicy::strict()).unwrap();
+    let (rt, _) = reopen(&pmem);
+    assert_eq!(view(&rt), before, "reopened");
+    // New names take free slots, not the ones "a" and "b" hold.
+    for (i, name) in ["c", "d", "e"].iter().enumerate() {
+        rt.fa(|| rt.root_put(name, &simple(&rt, 10 + i as i32)).unwrap());
+    }
+    drop(rt);
+    pmem.crash(&CrashPolicy::strict()).unwrap();
+    let (rt, _) = reopen(&pmem);
+    assert_eq!(rt.root_len(), 5);
+    assert_eq!(view(&rt).2, Some(1));
+    assert_eq!(view(&rt).3, Some(2));
+}
+
 #[test]
 fn durable_across_clean_crash() {
     let (pmem, rt) = fresh(1 << 20);

@@ -5,14 +5,22 @@
 //! operation. This crate turns that single primitive into an exhaustive
 //! testing harness: given a workload, it
 //!
-//! 1. runs a **count pass** ([`FaultMode::Count`]) to learn how many
-//!    persistence-relevant operations the workload performs (and optionally
-//!    the full op trace), then
-//! 2. **sweeps**: for every crash point `i` in `0..N` it rebuilds the
-//!    initial state from scratch, arms [`FaultMode::CrashAt`]`(i)`, runs the
-//!    workload until the injected power failure unwinds it, and hands the
-//!    crashed device to a caller-supplied `verify` closure — which typically
+//! 1. runs a **count pass** ([`FaultMode::Count`]) to learn the
+//!    persistence-relevant operations the workload performs, in order, and
+//!    the thread that issued each, then
+//! 2. **sweeps**: for every crash point `i` it builds the initial state
+//!    afresh, arms [`FaultMode::CrashAt`]`(i)`, runs the workload
+//!    until the injected power failure unwinds it, and hands the crashed
+//!    device to a caller-supplied `verify` closure — which typically
 //!    re-opens the pool and asserts the workload's recovery invariants.
+//!
+//! Which points [`sweep_all`] crashes at follows from the plan's policy.
+//! Under a policy that evicts nothing ([`jnvm_pmem::CrashPolicy::strict`])
+//! only fenced lines survive a crash, so every point between two fences of
+//! one writer thread leaves the same media: one point per **fence epoch**
+//! sees every distinct crash image, and that is what it sweeps. Under an
+//! eviction policy points inside an epoch persist different lines, and it
+//! sweeps every point.
 //!
 //! The driver takes care of the delicate ordering around the unwind: the
 //! workload context is dropped **while the device is still frozen**, so that
@@ -38,12 +46,14 @@
 //! protocol), drops the context while the device is still frozen, thaws
 //! it, resynchronizes the cache ([`Pmem::resync_cache`] — workers
 //! mid-store at the moment of the crash may have scribbled on the rebuilt
-//! cache), and only then verifies.
+//! cache), and only then verifies. With several writer threads a fence
+//! epoch is not defined, so these sweeps take [`strided_points`].
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use jnvm_pmem::{catch_crash, CrashInjected, FaultMode, FaultPlan, Pmem, TraceRecord};
+use jnvm_pmem::{catch_crash, CrashInjected, FaultMode, FaultOp, FaultPlan, Pmem, TraceRecord};
 
 /// What happened at one crash point of a sweep.
 #[derive(Debug, Clone, Copy)]
@@ -156,20 +166,58 @@ pub fn sweep<Ctx>(
     summary
 }
 
-/// Sweep **every** crash point of the workload: a count pass learns the op
-/// count `N`, then [`sweep`] runs over `0..N`. Returns the summary; the
-/// caller's invariants live in `verify`.
+/// One crash point per fence epoch of a single-writer op stream: the index
+/// of every `pfence` / `psync`, and the last point when the stream does not
+/// end on one. A crash before op `i` keeps what the fences before `i`
+/// persisted, so under a policy that evicts nothing every point of an epoch
+/// — the fence and the ops since the previous one — leaves the same media;
+/// the fence's own point has the most of the program behind it.
+fn epoch_points(trace: &[TraceRecord]) -> Vec<u64> {
+    let fence = |r: &TraceRecord| matches!(r.op, FaultOp::Pfence | FaultOp::Psync);
+    let mut points: Vec<u64> = (0..trace.len() as u64)
+        .filter(|i| fence(&trace[*i as usize]))
+        .collect();
+    if trace.last().is_some_and(|r| !fence(r)) {
+        points.push(trace.len() as u64 - 1);
+    }
+    points
+}
+
+/// Sweep the workload's crash points: a count pass traces its `N` ops,
+/// then [`sweep`] runs over them — one point per fence epoch (each
+/// `pfence` / `psync`, and the last point) under a plan whose policy evicts
+/// nothing, where the points of an epoch leave one media image, and all of
+/// `0..N` under an eviction policy, where they do not. Returns the summary;
+/// the caller's invariants live in `verify`.
 ///
-/// `setup` is invoked `N + 1` times (once for the count pass); it must be
-/// deterministic enough that every instance performs the same op stream.
+/// `setup` is invoked once more than there are points (once for the count
+/// pass); it must be deterministic enough that every instance performs the
+/// same op stream.
+///
+/// # Panics
+///
+/// Under a policy that evicts nothing, when the count pass saw more than
+/// one thread issue ops: each thread's fence persists only its own
+/// write-backs, so the points of an epoch no longer leave one image.
 pub fn sweep_all<Ctx>(
     plan: FaultPlan,
     mut setup: impl FnMut() -> (Arc<Pmem>, Ctx),
     mut workload: impl FnMut(&Ctx),
     verify: impl FnMut(&Arc<Pmem>, &CrashReport),
 ) -> SweepSummary {
-    let total = count_ops(&mut setup, &mut workload);
-    let summary = sweep(0..total, plan, setup, workload, verify);
+    let (total, trace) = trace_ops(&mut setup, &mut workload);
+    let points = if plan.policy.evict_probability > 0.0 {
+        (0..total).collect()
+    } else {
+        let threads = trace.iter().map(|r| r.thread).collect::<HashSet<_>>().len();
+        assert!(
+            threads <= 1,
+            "a strict sweep takes one point per fence epoch, which one writer defines; \
+             the count pass saw {threads} threads"
+        );
+        epoch_points(&trace)
+    };
+    let summary = sweep(points, plan, setup, workload, verify);
     assert_eq!(
         summary.points_completed, 0,
         "count pass reported {total} ops but a CrashAt point within 0..{total} \
@@ -382,9 +430,9 @@ pub fn torture_sweep<Ctx: Sync>(
 }
 
 /// Evenly strided sample of `0..total` with at most `max_points` elements,
-/// always including the first and last point. Lets long workloads run a
-/// representative sweep by default while keeping the exhaustive sweep
-/// (`stride == 1`) available behind `--ignored` test gates.
+/// always including the first and last point: the points of a sweep over
+/// several writer threads, where no fence epoch is defined and an op
+/// index names a different op from run to run.
 pub fn strided_points(total: u64, max_points: u64) -> Vec<u64> {
     if total == 0 {
         return Vec::new();
@@ -401,7 +449,7 @@ pub fn strided_points(total: u64, max_points: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jnvm_pmem::{silence_crash_panics, FaultOp, PmemConfig};
+    use jnvm_pmem::{silence_crash_panics, CrashPolicy, PmemConfig};
 
     /// A miniature redo-log commit against the raw device: write a value
     /// and a commit flag with a correct flush/fence protocol.
@@ -426,27 +474,78 @@ mod tests {
         assert_eq!(trace.len(), 6);
         assert_eq!(trace[0].op, FaultOp::Write);
         assert_eq!(trace[5].op, FaultOp::Pfence);
+        let me = std::thread::current().id();
+        assert!(trace.iter().all(|r| r.thread == me));
+    }
+
+    /// `raw_commit` under `policy`: the points `sweep_all` crashed at. The
+    /// protocol's invariant holds at each: if the commit flag reached the
+    /// media, the value is there too.
+    fn raw_commit_points(policy: CrashPolicy) -> Vec<u64> {
+        let mut seen = Vec::new();
+        let plan = FaultPlan::count().with_policy(policy);
+        let summary = sweep_all(plan, setup, raw_commit, |pmem, report| {
+            if pmem.read_u64(64) == 1 {
+                assert_eq!(pmem.read_u64(0), 0xfeed, "flag durable before value");
+            }
+            seen.push(report.point);
+        });
+        assert_eq!(summary.points_crashed, seen.len());
+        assert_eq!(summary.points_completed, 0);
+        seen
     }
 
     #[test]
-    fn sweep_all_visits_every_point() {
+    fn sweep_all_visits_every_point_under_eviction() {
+        for policy in [CrashPolicy::adversarial(3), CrashPolicy::lenient()] {
+            assert_eq!(raw_commit_points(policy), vec![0, 1, 2, 3, 4, 5]);
+        }
+    }
+
+    /// Under the strict policy the two fences are the two epochs; a stream
+    /// that does not end on a fence adds its last point.
+    #[test]
+    fn strict_sweep_all_takes_one_point_per_fence_epoch() {
+        assert_eq!(raw_commit_points(CrashPolicy::strict()), vec![2, 5]);
+        let (_, trace) = trace_ops(setup, |p: &Arc<Pmem>| {
+            raw_commit(p);
+            p.write_u64(128, 2);
+            p.pwb(128);
+            p.psync();
+            p.write_u64(192, 3);
+        });
+        assert_eq!(epoch_points(&trace), vec![2, 5, 8, 9]);
+        assert_eq!(epoch_points(&[]), Vec::<u64>::new());
+    }
+
+    /// Two writer threads: their fences persist only their own lines, so
+    /// no fence epoch is defined, and a strict `sweep_all` refuses.
+    #[test]
+    #[should_panic(expected = "the count pass saw 2 threads")]
+    fn strict_sweep_all_refuses_two_writer_threads() {
+        silence_crash_panics();
+        let plan = FaultPlan::count();
+        sweep_all(plan, torture_setup, threaded_workload, |_, _| {});
+    }
+
+    /// Under eviction the same two-thread workload sweeps every point.
+    #[test]
+    fn adversarial_sweep_all_of_two_writer_threads_visits_every_point() {
+        silence_crash_panics();
+        let total = count_ops(torture_setup, threaded_workload);
+        let plan = FaultPlan::count().with_policy(CrashPolicy::adversarial(1));
         let mut seen = Vec::new();
-        let summary = sweep_all(
-            FaultPlan::count(),
-            setup,
-            raw_commit,
-            |pmem, report| {
-                // The protocol's invariant: if the commit flag reached the
-                // media, the value must be there too.
-                if pmem.read_u64(64) == 1 {
-                    assert_eq!(pmem.read_u64(0), 0xfeed, "flag durable before value");
+        let summary = sweep_all(plan, torture_setup, threaded_workload, |pmem, report| {
+            for t in 0..2u64 {
+                for i in 0..8u64 {
+                    let v = pmem.read_u64(t * 4096 + i * 64);
+                    assert!(v == 0 || v == i + 1, "torn value {v}");
                 }
-                seen.push(report.point);
-            },
-        );
-        assert_eq!(summary.points_crashed, 6);
-        assert_eq!(summary.points_completed, 0);
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
+            }
+            seen.push(report.point);
+        });
+        assert_eq!(summary.points_crashed as u64, total);
+        assert_eq!(seen, (0..total).collect::<Vec<_>>());
     }
 
     #[test]

@@ -40,6 +40,7 @@
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::thread::ThreadId;
 
 use parking_lot::Mutex;
 
@@ -104,6 +105,10 @@ pub struct TraceRecord {
     pub op: FaultOp,
     /// Byte address the operation targeted (0 for `pfence`/`psync`).
     pub addr: u64,
+    /// The thread that issued it: a fence persists only its own thread's
+    /// write-backs, so which thread ran an op says what a crash after it
+    /// keeps.
+    pub thread: ThreadId,
 }
 
 /// Internal engine state; one per device.
@@ -228,7 +233,11 @@ impl Pmem {
         }
         let idx = inj.counter.fetch_add(1, Ordering::Relaxed);
         if inj.tracing.load(Ordering::Relaxed) {
-            inj.trace.lock().push(TraceRecord { op, addr });
+            inj.trace.lock().push(TraceRecord {
+                op,
+                addr,
+                thread: std::thread::current().id(),
+            });
         }
         if idx == inj.trigger.load(Ordering::Relaxed) {
             // Freeze first: the crash below and the unwind after it must

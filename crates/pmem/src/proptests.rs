@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 
-use crate::{CrashPolicy, Pmem, PmemConfig, SanitizeMode, CACHE_LINE};
+use crate::{
+    catch_crash, silence_crash_panics, CrashPolicy, FaultOp, FaultPlan, Pmem, PmemConfig,
+    SanitizeMode, CACHE_LINE,
+};
 
 const SIZE: u64 = 16 * 1024;
 
@@ -63,12 +66,14 @@ fn apply(pmem: &Pmem, model: &mut [u8], op: &Op) {
 }
 
 /// One step of a persist sequence: a store, a `pwb` (of the n-th earlier
-/// store's first line, so flushes mostly hit written lines) or a fence.
+/// store's first line, so flushes mostly hit written lines), a `pfence` or
+/// a `psync`.
 #[derive(Debug, Clone)]
 enum Step {
     Store(Op),
     Pwb(u64),
     Fence,
+    Sync,
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -76,7 +81,25 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         3 => op_strategy().prop_map(Step::Store),
         3 => (0..SIZE).prop_map(Step::Pwb),
         1 => Just(Step::Fence),
+        1 => Just(Step::Sync),
     ]
+}
+
+/// Run `steps` on one thread.
+fn run_steps(pmem: &Pmem, model: &mut [u8], steps: &[Step]) {
+    let mut stored: Vec<u64> = Vec::new();
+    for step in steps {
+        match step {
+            Step::Store(op) => {
+                apply(pmem, model, op);
+                stored.push(op_bytes(op).0);
+            }
+            Step::Pwb(n) if stored.is_empty() => pmem.pwb(*n),
+            Step::Pwb(n) => pmem.pwb(stored[*n as usize % stored.len()]),
+            Step::Fence => pmem.pfence(),
+            Step::Sync => pmem.psync(),
+        }
+    }
 }
 
 /// A step of the two-thread variant: thread A owns the even words and
@@ -360,18 +383,7 @@ proptest! {
     ) {
         let pmem = log_pool();
         let mut model = vec![0u8; SIZE as usize];
-        let mut stored: Vec<u64> = Vec::new();
-        for step in &steps {
-            match step {
-                Step::Store(op) => {
-                    apply(&pmem, &mut model, op);
-                    stored.push(op_bytes(op).0);
-                }
-                Step::Pwb(n) if stored.is_empty() => pmem.pwb(*n),
-                Step::Pwb(n) => pmem.pwb(stored[*n as usize % stored.len()]),
-                Step::Fence => pmem.pfence(),
-            }
-        }
+        run_steps(&pmem, &mut model, &steps);
         let accepted: Vec<u64> = (0..SIZE / CACHE_LINE)
             .filter(|line| sanitizer_accepts(&pmem, line * CACHE_LINE, CACHE_LINE))
             .collect();
@@ -429,6 +441,42 @@ proptest! {
         pmem.crash(&CrashPolicy::strict()).unwrap();
         for (addr, before) in accepted {
             prop_assert_eq!(pmem.read_u64(addr), before, "accepted word {:#x} lost data", addr);
+        }
+    }
+
+    /// One crash point per fence epoch sees every strict crash image: a
+    /// single-thread stream crashed at each of its points leaves the media
+    /// its epoch's representative leaves — the next `pfence` / `psync`, or
+    /// the last point after the last one. A strict crash that kept a
+    /// `pwb`ed line no fence had covered would tell the points before the
+    /// `pwb` from those after it.
+    #[test]
+    fn strict_crash_images_change_only_at_fences(
+        steps in proptest::collection::vec(step_strategy(), 1..60),
+    ) {
+        silence_crash_panics();
+        let run = |plan: FaultPlan| {
+            let pmem = Pmem::new(PmemConfig::crash_sim(SIZE));
+            pmem.arm_faults(plan);
+            let crashed = catch_crash(|| run_steps(&pmem, &mut vec![0u8; SIZE as usize], &steps));
+            pmem.disarm_faults();
+            let mut media = vec![0u8; SIZE as usize];
+            pmem.read_bytes(0, &mut media);
+            (pmem, crashed.is_err(), media)
+        };
+        let (pmem, _, _) = run(FaultPlan::count());
+        let trace = pmem.fault_trace();
+        let images: Vec<Vec<u8>> = (0..trace.len() as u64)
+            .map(|i| {
+                let (_, crashed, media) = run(FaultPlan::crash_at(i));
+                assert!(crashed, "point {i} fired");
+                media
+            })
+            .collect();
+        let fence = |op: FaultOp| matches!(op, FaultOp::Pfence | FaultOp::Psync);
+        for (i, image) in images.iter().enumerate() {
+            let rep = (i..trace.len()).find(|j| fence(trace[*j].op)).unwrap_or(trace.len() - 1);
+            prop_assert!(image == &images[rep], "point {} differs from its epoch's point {}", i, rep);
         }
     }
 

@@ -1,19 +1,26 @@
-//! Exhaustive crash-point sweeps over the persistence-relevant op stream.
+//! Crash-point sweeps over the persistence-relevant op stream of
+//! single-writer workloads.
 //!
 //! Where `tests/crash_recovery.rs` crashes at *random* moments with
 //! adversarial line eviction, these tests use the `jnvm-pmem` injection
 //! engine (`FaultPlan` / `CrashAt`) plus the `jnvm-faultsim` sweep driver
-//! to crash at **every** persistence-relevant operation (store, `pwb`,
-//! `pfence`, `psync`) of three canonical workloads:
+//! to crash at every persistence-relevant operation (store, `pwb`,
+//! `pfence`, `psync`) that can leave a distinct image. Under the strict
+//! policy only fenced lines survive, so every point of a fence epoch leaves
+//! the same media and `faultsim::sweep_all` takes one point per epoch —
+//! an exhaustive sweep; under an eviction policy it takes every point.
 //!
-//! 1. the failure-atomic pair transfer (the §4.2 redo-log commit sequence),
-//! 2. a `JnvmBackend` insert + read-modify-write through the `DataGrid`,
-//! 3. redo-log recovery itself — a crash *during replay* must leave a state
-//!    from which a second recovery still reaches the committed image.
-//!
-//! After each injected crash the pool is re-opened and the workload's
-//! atomicity/durability contract is asserted, including a block-leak check
-//! against crash-free baselines.
+//! One oracle, [`prefix_sweep`], checks the workloads: each is a sequence
+//! of steps (a failure-atomic block, a commit group, a J-PDT publish, a
+//! record update), and every crash must recover — in each recovery mode —
+//! to the crash-free image of some prefix of the steps, with that image's
+//! exact live count, and every prefix's image must be seen. Workload
+//! checks that are not about which prefix survived (a transfer's sum, a
+//! torn field, a header word, a value's length) live in each workload's
+//! `observe`. Two other sweeps stand beside it: a crash *during recovery
+//! replay* must leave a state from which a second recovery still reaches
+//! the committed image, and [`adversarial_sweep`] checks that a commit is
+//! durable from its commit-point fence on under line eviction.
 
 use std::sync::Arc;
 
@@ -43,6 +50,138 @@ persistent_class! {
 }
 
 // ---------------------------------------------------------------------------
+// The prefix-image oracle.
+// ---------------------------------------------------------------------------
+
+const FULL: [RecoveryMode; 1] = [RecoveryMode::Full];
+const BOTH: [RecoveryMode; 2] = [RecoveryMode::Full, RecoveryMode::HeaderScanOnly];
+
+fn strict() -> std::iter::Once<CrashPolicy> {
+    std::iter::once(CrashPolicy::strict())
+}
+
+/// Strict power failures, then `seeds` adversarial eviction seeds.
+fn strict_and_adversarial(seeds: u64) -> impl Iterator<Item = CrashPolicy> + Clone {
+    strict().chain((0..seeds).map(CrashPolicy::adversarial))
+}
+
+/// Reopen a crashed pool under `mode`.
+fn open(builder: JnvmBuilder, pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Jnvm, RecoveryReport) {
+    builder
+        .open_with_options(Arc::clone(pmem), RecoveryOptions::with_mode(mode))
+        .expect("recovery")
+}
+
+/// A fresh pool on a device of `config`, created by `builder`.
+fn create(builder: JnvmBuilder, config: PmemConfig) -> (Arc<Pmem>, Jnvm) {
+    let pmem = Pmem::new(config);
+    let rt = builder.create(Arc::clone(&pmem), HeapConfig::default());
+    (pmem, rt.expect("pool"))
+}
+
+fn jpdt_builder() -> JnvmBuilder {
+    register_jpdt(JnvmBuilder::new())
+}
+
+fn pair_builder() -> JnvmBuilder {
+    jpdt_builder().register::<Pair>()
+}
+
+fn kvstore_builder() -> JnvmBuilder {
+    register_kvstore(JnvmBuilder::new())
+}
+
+/// What a workload's `observe` says of a recovered pool: which prefix of the
+/// steps its image is (`None` for none), and its live count.
+type Observed = (Option<usize>, u64);
+
+/// The crash-free image of every prefix of `steps`: the live count recovery
+/// reports under `mode` when the power fails right after `run(ctx, upto)`,
+/// an image `observe` must name as that prefix's.
+fn prefix_images<C>(
+    setup: impl Fn() -> (Arc<Pmem>, C),
+    steps: usize,
+    run: impl Fn(&C, usize),
+    observe: impl Fn(&Arc<Pmem>, RecoveryMode) -> Observed,
+    mode: RecoveryMode,
+) -> Vec<u64> {
+    (0..=steps)
+        .map(|upto| {
+            let (pmem, ctx) = setup();
+            run(&ctx, upto);
+            drop(ctx);
+            pmem.crash(&CrashPolicy::strict()).expect("crash");
+            let (image, live) = observe(&pmem, mode);
+            assert_eq!(
+                image,
+                Some(upto),
+                "{mode:?}: the crash-free image of {upto} steps"
+            );
+            live
+        })
+        .collect()
+}
+
+/// Names the crash a failed check recovered from.
+struct At(String);
+
+impl Drop for At {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("failed check at {}", self.0);
+        }
+    }
+}
+
+/// Crash `run(ctx, steps)` at the points `faultsim::sweep_all` takes under
+/// each of `policies` and recover it under each of `modes`: the pool must
+/// recover to the crash-free image of some prefix of the steps
+/// ([`Observed`] by `observe`), with that image's exact live count, and
+/// every prefix's image must be seen. Returns the crash-free live counts,
+/// per mode and prefix.
+fn prefix_sweep<C>(
+    setup: impl Fn() -> (Arc<Pmem>, C),
+    steps: usize,
+    run: impl Fn(&C, usize),
+    observe: impl Fn(&Arc<Pmem>, RecoveryMode) -> Observed,
+    modes: &[RecoveryMode],
+    policies: impl Iterator<Item = CrashPolicy> + Clone,
+) -> Vec<Vec<u64>> {
+    silence_crash_panics();
+    let mut live = Vec::new();
+    for &mode in modes {
+        let images = prefix_images(&setup, steps, &run, &observe, mode);
+        for policy in policies.clone() {
+            let mut seen = vec![0usize; steps + 1];
+            let plan = FaultPlan::count().with_policy(policy);
+            let workload = |ctx: &C| run(ctx, steps);
+            faultsim::sweep_all(plan, &setup, workload, |pmem, report| {
+                let at = At(format!(
+                    "{mode:?}, {policy:?}, crash point {}",
+                    report.point
+                ));
+                let (image, recovered) = observe(pmem, mode);
+                let step = image
+                    .filter(|s| *s <= steps)
+                    .unwrap_or_else(|| panic!("{}: no prefix's image", at.0));
+                assert_eq!(
+                    recovered, images[step],
+                    "{}: live count of {step} steps",
+                    at.0
+                );
+                seen[step] += 1;
+            });
+            assert!(
+                seen.iter().all(|n| *n > 0),
+                "{mode:?}, {policy:?}: every prefix's image, seen {seen:?}"
+            );
+        }
+        live.push(images);
+    }
+    live
+}
+
+// ---------------------------------------------------------------------------
 // Workload 1: the failure-atomic pair transfer (§4.2 commit sequence).
 // ---------------------------------------------------------------------------
 
@@ -51,22 +190,11 @@ struct FaCtx {
     p: Pair,
 }
 
-fn reopen_pair(pmem: &Arc<Pmem>) -> (Jnvm, RecoveryReport) {
-    register_jpdt(JnvmBuilder::new())
-        .register::<Pair>()
-        .open(Arc::clone(pmem))
-        .expect("recovery")
-}
-
 /// Fresh pool with a published pair at (1500, 500). A warm-up transfer has
 /// already run, so the redo log is in steady state: every sweep instance
 /// of the workload performs the identical op stream and allocation pattern.
 fn fa_setup() -> (Arc<Pmem>, FaCtx) {
-    let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
-    let rt = register_jpdt(JnvmBuilder::new())
-        .register::<Pair>()
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .expect("pool");
+    let (pmem, rt) = create(pair_builder(), PmemConfig::crash_sim(1 << 20));
     let p = rt.fa(|| {
         let p = Pair::alloc_uninit(&rt);
         p.set_left(1600);
@@ -74,84 +202,39 @@ fn fa_setup() -> (Arc<Pmem>, FaCtx) {
         rt.root_put("pair", &p).expect("root");
         p
     });
-    rt.fa(|| {
-        p.set_left(p.left() - 100);
-        p.set_right(p.right() + 100);
-    });
+    let ctx = FaCtx { rt, p };
+    fa_run(&ctx, 1);
     pmem.psync();
-    (pmem, FaCtx { rt, p })
+    (pmem, ctx)
 }
 
-/// The region under test: one failure-atomic 100-unit transfer,
-/// (1500, 500) -> (1400, 600).
-fn fa_workload(ctx: &FaCtx) {
-    ctx.rt.fa(|| {
-        ctx.p.set_left(ctx.p.left() - 100);
-        ctx.p.set_right(ctx.p.right() + 100);
-    });
+/// `upto` failure-atomic 100-unit transfers, (1500, 500) -> (1400, 600) ...
+fn fa_run(ctx: &FaCtx, upto: usize) {
+    for _ in 0..upto {
+        ctx.rt.fa(|| {
+            ctx.p.set_left(ctx.p.left() - 100);
+            ctx.p.set_right(ctx.p.right() + 100);
+        });
+    }
 }
 
-/// Crash-free reference images: `(left, right, live_blocks)` recovered when
-/// the power fails (strict policy: every unflushed line lost) right after
-/// `setup`, and right after a completed workload.
-fn fa_baselines() -> ((i64, i64, u64), (i64, i64, u64)) {
-    let observe = |run_workload: bool| {
-        let (pmem, ctx) = fa_setup();
-        if run_workload {
-            fa_workload(&ctx);
-        }
-        drop(ctx);
-        pmem.crash(&CrashPolicy::strict()).expect("crash");
-        let (rt, report) = reopen_pair(&pmem);
-        let p = rt
-            .root_get_as::<Pair>("pair")
-            .expect("typed")
-            .expect("pair survived");
-        (p.left(), p.right(), report.live_blocks)
-    };
-    (observe(false), observe(true))
+/// Reopen under `mode`: how many whole transfers the pair shows, after
+/// checking that the sum survived, and the live block count.
+fn fa_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
+    let (rt, report) = open(pair_builder(), pmem, mode);
+    let p = rt.root_get_as::<Pair>("pair").expect("typed");
+    let (l, r) = p.map(|p| (p.left(), p.right())).expect("pair survived");
+    assert_eq!(l + r, 2000, "transfer was torn: ({l}, {r})");
+    let moved = 1500 - l;
+    let step = (moved >= 0 && moved % 100 == 0).then_some(moved as usize / 100);
+    (step, report.live_blocks)
 }
 
-fn fa_verify(pre: (i64, i64, u64), post: (i64, i64, u64), pmem: &Arc<Pmem>, point: u64) {
-    let (rt, report) = reopen_pair(pmem);
-    let p = rt
-        .root_get_as::<Pair>("pair")
-        .expect("typed")
-        .expect("pair survived crash");
-    let state = (p.left(), p.right());
-    assert_eq!(
-        p.left() + p.right(),
-        2000,
-        "crash point {point}: transfer was torn: {state:?}"
-    );
-    let expected_blocks = if state == (pre.0, pre.1) {
-        pre.2
-    } else if state == (post.0, post.1) {
-        post.2
-    } else {
-        panic!("crash point {point}: impossible recovered state {state:?}");
-    };
-    assert_eq!(
-        report.live_blocks, expected_blocks,
-        "crash point {point}: leaked or lost blocks (state {state:?})"
-    );
-}
-
-/// Acceptance sweep: every crash point of the FA pair transfer preserves
-/// the sum, recovers to exactly the old or the new state, and leaks no
-/// blocks.
+/// Every crash of the FA pair transfer preserves the sum and recovers to
+/// exactly the old or the new state, leaking no blocks.
 #[test]
 fn fa_transfer_survives_every_crash_point() {
-    let (pre, post) = fa_baselines();
-    assert_eq!((pre.0, pre.1), (1500, 500));
-    assert_eq!((post.0, post.1), (1400, 600));
-    let summary = faultsim::sweep_all(
-        FaultPlan::count(),
-        fa_setup,
-        fa_workload,
-        |pmem, report| fa_verify(pre, post, pmem, report.point),
-    );
-    assert!(summary.points_crashed > 0, "workload performed no ops");
+    prefix_sweep(fa_setup, 1, fa_run, fa_observe, &FULL, strict());
 }
 
 // ---------------------------------------------------------------------------
@@ -161,64 +244,47 @@ fn fa_transfer_survives_every_crash_point() {
 // image.
 // ---------------------------------------------------------------------------
 
-/// Find the first crash point of the FA transfer whose crash lands after
-/// the commit point (the log is durable but not yet applied): the state a
-/// replaying recovery starts from.
-fn first_committed_unapplied_point() -> u64 {
-    let total = faultsim::count_ops(fa_setup, fa_workload);
-    for i in 0..total {
-        let (pmem, ctx) = fa_setup();
-        pmem.arm_faults(FaultPlan::crash_at(i));
-        let outcome = catch_crash(|| fa_workload(&ctx));
-        drop(ctx);
-        pmem.disarm_faults();
-        if outcome.is_err() && commit_phase().is_committed() {
-            return i;
-        }
-    }
-    panic!("no crash point lands between commit and apply");
-}
-
-/// Build the committed-but-unapplied image deterministically.
-fn replay_setup(point: u64) -> (Arc<Pmem>, Arc<Pmem>) {
+/// Crash the FA transfer at `point` and report whether the crash landed
+/// after the commit point (the log is durable but not yet applied).
+fn crash_transfer_at(point: u64) -> (Arc<Pmem>, bool) {
     let (pmem, ctx) = fa_setup();
     pmem.arm_faults(FaultPlan::crash_at(point));
-    let outcome = catch_crash(|| fa_workload(&ctx));
+    let outcome = catch_crash(|| fa_run(&ctx, 1));
     drop(ctx);
     pmem.disarm_faults();
-    assert!(outcome.is_err(), "expected an injected crash at {point}");
-    assert!(commit_phase().is_committed());
-    (Arc::clone(&pmem), pmem)
+    let committed = outcome.is_err() && commit_phase().is_committed();
+    (pmem, committed)
 }
 
 #[test]
 fn recovery_replay_survives_every_crash_point() {
-    let (_, post) = fa_baselines();
-    let seed_point = first_committed_unapplied_point();
+    let mode = RecoveryMode::Full;
+    let live = prefix_images(fa_setup, 1, fa_run, fa_observe, mode)[1];
+    // The state a replaying recovery starts from: the first crash point
+    // of the transfer that lands between commit and apply.
+    let total = faultsim::count_ops(fa_setup, |ctx| fa_run(ctx, 1));
+    let seed_point = (0..total)
+        .find(|i| crash_transfer_at(*i).1)
+        .expect("a crash point lands between commit and apply");
     let summary = faultsim::sweep_all(
         FaultPlan::count(),
-        || replay_setup(seed_point),
-        |pmem| {
-            // The workload under injection is recovery itself.
-            let _ = reopen_pair(pmem);
+        || {
+            let (pmem, committed) = crash_transfer_at(seed_point);
+            assert!(
+                committed,
+                "crash point {seed_point} lands after the commit point"
+            );
+            (Arc::clone(&pmem), pmem)
         },
+        // The workload under injection is recovery itself.
+        |pmem| drop(open(pair_builder(), pmem, mode)),
         |pmem, report| {
             // Second recovery after a torn first recovery: replay must be
             // idempotent, always reaching the committed (1400, 600) image.
-            let (rt, rep) = reopen_pair(pmem);
-            let p = rt
-                .root_get_as::<Pair>("pair")
-                .expect("typed")
-                .expect("pair survived replay crash");
             assert_eq!(
-                (p.left(), p.right()),
-                (1400, 600),
-                "replay crash point {}: committed transfer lost or torn",
-                report.point
-            );
-            assert_eq!(
-                rep.live_blocks, post.2,
-                "replay crash point {}: leaked blocks",
+                fa_observe(pmem, mode),
+                (Some(1), live),
+                "replay crash point {}: committed transfer lost, torn or leaking",
                 report.point
             );
         },
@@ -240,10 +306,7 @@ const K1_OLD: &[u8] = b"aaaa";
 const K1_NEW: &[u8] = b"AAAA";
 
 fn grid_setup() -> (Arc<Pmem>, GridCtx) {
-    let pmem = Pmem::new(PmemConfig::crash_sim(4 << 20));
-    let rt = register_kvstore(JnvmBuilder::new())
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .expect("pool");
+    let (pmem, rt) = create(kvstore_builder(), PmemConfig::crash_sim(4 << 20));
     let be = JnvmBackend::create(&rt, 1, true).expect("backend");
     let grid = DataGrid::new(Arc::new(be), GridConfig { cache_capacity: 0 });
     assert!(grid.insert(&Record::ycsb("k1", &[K1_OLD.to_vec(), b"bbbb".to_vec()])));
@@ -252,104 +315,54 @@ fn grid_setup() -> (Arc<Pmem>, GridCtx) {
 }
 
 /// Insert a second record, then RMW the first record's field 0. The new
-/// value has the same length as the old one so every recovered state has
-/// the same per-record block count.
-fn grid_workload(ctx: &GridCtx) {
-    ctx.grid
-        .insert(&Record::ycsb("k2", &[b"cccc".to_vec(), b"dddd".to_vec()]));
-    ctx.grid.rmw("k1", 0, K1_NEW);
+/// value has the same length as the old one so both later images have the
+/// same per-record block count.
+fn grid_run(ctx: &GridCtx, upto: usize) {
+    if upto >= 1 {
+        ctx.grid
+            .insert(&Record::ycsb("k2", &[b"cccc".to_vec(), b"dddd".to_vec()]));
+    }
+    if upto >= 2 {
+        ctx.grid.rmw("k1", 0, K1_NEW);
+    }
 }
 
-fn grid_reopen(pmem: &Arc<Pmem>) -> (JnvmBackend, RecoveryReport) {
-    let (rt, report) = register_kvstore(JnvmBuilder::new())
-        .open(Arc::clone(pmem))
-        .expect("recovery");
+/// Reopen under `mode`: how many of the two writes the pool shows, after
+/// checking that neither record is torn and that the RMW never survives
+/// without the insert before it, and the live block count.
+fn grid_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
+    let (rt, report) = open(kvstore_builder(), pmem, mode);
     let be = JnvmBackend::open(&rt, true).expect("backend");
-    (be, report)
-}
-
-/// `(live_blocks before k2 exists, live_blocks after the full workload)`.
-fn grid_baselines() -> (u64, u64) {
-    let observe = |run_workload: bool| {
-        let (pmem, ctx) = grid_setup();
-        if run_workload {
-            grid_workload(&ctx);
-        }
-        drop(ctx);
-        pmem.crash(&CrashPolicy::strict()).expect("crash");
-        grid_reopen(&pmem).1.live_blocks
-    };
-    (observe(false), observe(true))
-}
-
-fn grid_verify(blocks_pre: u64, blocks_post: u64, pmem: &Arc<Pmem>, point: u64) {
-    let (be, report) = grid_reopen(pmem);
     let k1 = be.read("k1").expect("k1 lost");
     let f0 = k1.fields.value(0);
-    assert!(
-        f0 == K1_OLD || f0 == K1_NEW,
-        "crash point {point}: k1 field0 torn: {f0:?}"
-    );
+    assert!(f0 == K1_OLD || f0 == K1_NEW, "k1 field0 torn: {f0:?}");
     assert_eq!(
-        k1.fields.value(1), b"bbbb",
-        "crash point {point}: k1 field1 damaged by unrelated crash"
+        k1.fields.value(1),
+        b"bbbb",
+        "k1 field1 damaged by unrelated crash"
     );
     let k2 = be.read("k2");
-    match &k2 {
-        None => {}
-        Some(rec) => {
-            // All-or-nothing: a recovered k2 is the complete record.
-            assert_eq!(rec.fields.value(0), b"cccc", "crash point {point}: k2 torn");
-            assert_eq!(rec.fields.value(1), b"dddd", "crash point {point}: k2 torn");
-        }
+    if let Some(rec) = &k2 {
+        // All-or-nothing: a recovered k2 is the complete record.
+        assert_eq!(rec.fields.value(0), b"cccc", "k2 torn");
+        assert_eq!(rec.fields.value(1), b"dddd", "k2 torn");
     }
     // Program order: the RMW ran after the insert committed, so a new k1
     // value implies k2 is present.
     if f0 == K1_NEW {
-        assert!(
-            k2.is_some(),
-            "crash point {point}: rmw applied but earlier insert lost"
-        );
+        assert!(k2.is_some(), "rmw applied but earlier insert lost");
     }
-    let expected_blocks = if k2.is_some() { blocks_post } else { blocks_pre };
-    assert_eq!(
-        report.live_blocks, expected_blocks,
-        "crash point {point}: leaked or lost blocks (k2 present: {})",
-        k2.is_some()
-    );
+    let step = if f0 == K1_NEW {
+        2
+    } else {
+        k2.is_some() as usize
+    };
+    (Some(step), report.live_blocks)
 }
 
-/// Default sweep: a representative stride over the grid workload's crash
-/// points (the exhaustive version runs behind `--ignored`).
 #[test]
-fn grid_insert_rmw_survives_strided_crash_points() {
-    let (blocks_pre, blocks_post) = grid_baselines();
-    let total = faultsim::count_ops(grid_setup, grid_workload);
-    let points = faultsim::strided_points(total, 48);
-    let summary = faultsim::sweep(
-        points,
-        FaultPlan::count(),
-        grid_setup,
-        grid_workload,
-        |pmem, report| grid_verify(blocks_pre, blocks_post, pmem, report.point),
-    );
-    assert!(summary.points_crashed > 0);
-    assert_eq!(summary.points_completed, 0);
-}
-
-/// Exhaustive version of the grid sweep: every crash point. Slow; run with
-/// `cargo test -- --ignored`.
-#[test]
-#[ignore = "exhaustive sweep; run with --ignored"]
 fn grid_insert_rmw_survives_every_crash_point() {
-    let (blocks_pre, blocks_post) = grid_baselines();
-    let summary = faultsim::sweep_all(
-        FaultPlan::count(),
-        grid_setup,
-        grid_workload,
-        |pmem, report| grid_verify(blocks_pre, blocks_post, pmem, report.point),
-    );
-    assert!(summary.points_crashed > 0);
+    prefix_sweep(grid_setup, 2, grid_run, grid_observe, &FULL, strict());
 }
 
 // ---------------------------------------------------------------------------
@@ -368,10 +381,10 @@ struct SkCtx {
 /// Fresh strict-sanitized pool with a skip-list of three published keys,
 /// synced: the deterministic S0 image every sweep instance starts from.
 fn sk_setup() -> (Arc<Pmem>, SkCtx) {
-    let pmem = Pmem::new(PmemConfig::crash_sim(4 << 20).with_sanitize(SanitizeMode::Strict));
-    let rt = register_jpdt(JnvmBuilder::new())
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .expect("pool");
+    let (pmem, rt) = create(
+        jpdt_builder(),
+        PmemConfig::crash_sim(4 << 20).with_sanitize(SanitizeMode::Strict),
+    );
     let m = PI64SkipMap::new(&rt).expect("map");
     rt.root_put("sk", &m).expect("root");
     for k in [10i64, 20, 30] {
@@ -384,8 +397,7 @@ fn sk_setup() -> (Arc<Pmem>, SkCtx) {
 
 /// The publish paths under test, in program order: insert key 25 (fresh
 /// tower), overwrite key 20's value slot (old blob freed), remove key 30
-/// (tower unlink, blob freed). `upto` truncates the sequence so the same
-/// code builds the crash-free baseline for every prefix.
+/// (tower unlink, blob freed). `upto` truncates the sequence.
 fn sk_mutations(ctx: &SkCtx, upto: usize) {
     let SkCtx { rt, m } = ctx;
     if upto >= 1 {
@@ -407,122 +419,57 @@ fn sk_mutations(ctx: &SkCtx, upto: usize) {
     }
 }
 
-fn sk_workload(ctx: &SkCtx) {
-    sk_mutations(ctx, 3);
+/// The map as ordered `(key, value bytes)` pairs after `upto` mutations.
+fn sk_image(upto: usize) -> Vec<(i64, Vec<u8>)> {
+    let mut image: std::collections::BTreeMap<i64, Vec<u8>> = [10i64, 20, 30]
+        .map(|k| (k, format!("init-{k}").into_bytes()))
+        .into();
+    if upto >= 1 {
+        image.insert(25, b"ins-25".to_vec());
+    }
+    if upto >= 2 {
+        image.insert(20, b"upd-20".to_vec());
+    }
+    if upto >= 3 {
+        image.remove(&30);
+    }
+    image.into_iter().collect()
 }
 
-fn sk_reopen(pmem: &Arc<Pmem>) -> (Jnvm, RecoveryReport) {
-    register_jpdt(JnvmBuilder::new())
-        .open(Arc::clone(pmem))
-        .expect("recovery")
-}
-
-/// Recovered map image as ordered `(key, value bytes)` pairs.
-fn sk_state(rt: &Jnvm) -> Vec<(i64, Vec<u8>)> {
-    let m = rt
-        .root_get_as::<PI64SkipMap>("sk")
-        .expect("typed")
-        .expect("map survived");
-    m.keys(16)
+/// Reopen under `mode`: which mutation prefix the recovered map equals
+/// exactly — a torn tower, a half-updated value slot, or a half-unlinked
+/// key matches none — and the live block count.
+fn sk_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
+    let (rt, report) = open(jpdt_builder(), pmem, mode);
+    let m = rt.root_get_as::<PI64SkipMap>("sk").expect("typed");
+    let m = m.expect("map survived");
+    let state: Vec<(i64, Vec<u8>)> = m
+        .keys(16)
         .into_iter()
         .map(|k| {
             let addr = m.get(&k).expect("published key holds a value ref");
-            (k, PBytes::resurrect(rt, addr).to_vec())
+            (k, PBytes::resurrect(&rt, addr).to_vec())
         })
-        .collect()
-}
-
-/// A crash-free reference image: the map state plus its block budget.
-type SkBaseline = (Vec<(i64, Vec<u8>)>, u64);
-
-/// Crash-free `(state, live_blocks)` images after each mutation prefix,
-/// S0 (setup only) through S3 (full workload).
-fn sk_baselines() -> Vec<SkBaseline> {
-    (0..=3)
-        .map(|upto| {
-            let (pmem, ctx) = sk_setup();
-            sk_mutations(&ctx, upto);
-            drop(ctx);
-            pmem.crash(&CrashPolicy::strict()).expect("crash");
-            let (rt, report) = sk_reopen(&pmem);
-            (sk_state(&rt), report.live_blocks)
-        })
-        .collect()
-}
-
-/// A recovered image must equal exactly one mutation prefix — a torn
-/// tower, a half-updated value slot, or a half-unlinked key matches none
-/// — and carry that prefix's block budget (no leaked blobs, towers, or
-/// in-flight allocations).
-fn sk_verify(baselines: &[SkBaseline], pmem: &Arc<Pmem>, point: u64) {
-    let (rt, report) = sk_reopen(pmem);
-    let state = sk_state(&rt);
-    let hit = baselines
-        .iter()
-        .find(|(s, _)| *s == state)
-        .unwrap_or_else(|| {
-            panic!(
-                "crash point {point}: recovered skip-list state matches no \
-                 mutation prefix: {state:?}"
-            )
-        });
-    assert_eq!(
+        .collect();
+    (
+        (0..=3).find(|upto| sk_image(*upto) == state),
         report.live_blocks,
-        hit.1,
-        "crash point {point}: leaked or lost blocks (keys {:?})",
-        state.iter().map(|(k, _)| *k).collect::<Vec<_>>()
-    );
+    )
 }
 
-/// Default sweep: a representative stride over the skip-list publish
-/// paths, sanitizer strict (the exhaustive version runs behind
-/// `--ignored`).
 #[test]
-fn skiplist_publish_paths_survive_strided_crash_points() {
-    let baselines = sk_baselines();
-    // The four prefixes are pairwise distinct, so a recovered state
-    // identifies its prefix — and its block budget — unambiguously.
-    for i in 0..baselines.len() {
-        for j in i + 1..baselines.len() {
-            assert_ne!(baselines[i].0, baselines[j].0, "prefixes {i} and {j} collide");
-        }
-    }
-    let total = faultsim::count_ops(sk_setup, sk_workload);
-    let points = faultsim::strided_points(total, 48);
-    let summary = faultsim::sweep(
-        points,
-        FaultPlan::count(),
-        sk_setup,
-        sk_workload,
-        |pmem, report| sk_verify(&baselines, pmem, report.point),
-    );
-    assert!(summary.points_crashed > 0);
-    assert_eq!(summary.points_completed, 0);
-}
-
-/// Exhaustive version: every crash point of the skip-list publish paths.
-/// Slow; run with `cargo test -- --ignored`.
-#[test]
-#[ignore = "exhaustive sweep; run with --ignored"]
 fn skiplist_publish_paths_survive_every_crash_point() {
-    let baselines = sk_baselines();
-    let summary = faultsim::sweep_all(
-        FaultPlan::count(),
-        sk_setup,
-        sk_workload,
-        |pmem, report| sk_verify(&baselines, pmem, report.point),
-    );
-    assert!(summary.points_crashed > 0);
+    prefix_sweep(sk_setup, 3, sk_mutations, sk_observe, &FULL, strict());
 }
 
 // ---------------------------------------------------------------------------
-// Workload 5: multi-object blocks under adversarial line eviction. Every
-// sweep above crashes with `CrashPolicy::strict()` — nothing unfenced
-// survives — which cannot see a fence missing *between* two steps of the
-// commit: that takes a crash that persists a later line (the cleared
-// committed flag) and loses an earlier one (an applied payload). The
-// commit used to retire its log without fencing the applies; a block over
-// several objects then tore, and no log was left to replay it.
+// Workload 5: multi-object blocks under adversarial line eviction. A strict
+// power failure — nothing unfenced survives — cannot see a fence missing
+// *between* two steps of the commit: that takes a crash that persists a
+// later line (the cleared committed flag) and loses an earlier one (an
+// applied payload). The commit used to retire its log without fencing the
+// applies; a block over several objects then tore, and no log was left to
+// replay it.
 // ---------------------------------------------------------------------------
 
 const CELLS: usize = 4;
@@ -563,11 +510,7 @@ fn write_cells(ctx: &CellsCtx, grouped: bool, base: i64) {
 /// The warm-up pass has the shape of the workload, so the log pool is in
 /// steady state and the workload's op stream is the commit protocol alone.
 fn cells_setup(grouped: bool) -> (Arc<Pmem>, CellsCtx) {
-    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
-    let rt = register_jpdt(JnvmBuilder::new())
-        .register::<Pair>()
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .expect("pool");
+    let (pmem, rt) = create(pair_builder(), PmemConfig::crash_sim(256 << 10));
     let cells = (0..CELLS)
         .map(|i| {
             rt.fa(|| {
@@ -617,7 +560,7 @@ fn adversarial_sweep<C>(
         let plan = FaultPlan::count().with_policy(CrashPolicy::adversarial(seed));
         let points = if every_point { 0 } else { commit_fence }..total;
         let summary = faultsim::sweep(points, plan, &setup, &workload, |pmem, report| {
-            let (rt, _) = reopen_pair(pmem);
+            let (rt, _) = open(pair_builder(), pmem, RecoveryMode::Full);
             let blocks = observe(&rt);
             let ok = match blocks[0] {
                 Some(new) => new || report.point <= commit_fence,
@@ -705,11 +648,7 @@ fn write_spans(ctx: &SpanCtx, fill: u8) {
 /// 0xEE outside the span and `0x10 + i` inside it (written by a warm-up
 /// pass of the workload's own shape).
 fn spans_setup(n: usize) -> (Arc<Pmem>, SpanCtx) {
-    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
-    let rt = register_jpdt(JnvmBuilder::new())
-        .register::<Pair>()
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .expect("pool");
+    let (pmem, rt) = create(pair_builder(), PmemConfig::crash_sim(256 << 10));
     let arrays = (0..n)
         .map(|i| {
             rt.fa(|| {
@@ -778,11 +717,7 @@ struct SlotsCtx {
 /// and the blob pool carved, so the workload's op stream is three stagings
 /// and one commit.
 fn slots_setup() -> (Arc<Pmem>, SlotsCtx) {
-    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
-    let rt = register_jpdt(JnvmBuilder::new())
-        .register::<Pair>()
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .expect("pool");
+    let (pmem, rt) = create(pair_builder(), PmemConfig::crash_sim(256 << 10));
     let slots: Vec<PRefArray> = (0..3)
         .map(|i| {
             rt.fa(|| {
@@ -918,10 +853,7 @@ struct GrowCtx {
 /// Small fresh pool with a rooted two-cell reference array, both cells
 /// empty, and the log created.
 fn grow_setup() -> (Arc<Pmem>, GrowCtx) {
-    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
-    let rt = register_jpdt(JnvmBuilder::new())
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .expect("pool");
+    let (pmem, rt) = create(jpdt_builder(), PmemConfig::crash_sim(256 << 10));
     let slots = rt.fa(|| {
         let slots = PRefArray::new(&rt, 2).expect("array");
         rt.root_put("grown", &slots).expect("root");
@@ -934,7 +866,10 @@ fn grow_setup() -> (Arc<Pmem>, GrowCtx) {
 /// One group of two blocks, each publishing in its own cell a byte array
 /// it allocated and grew to three blocks: block 0 from a two-block chain,
 /// block 1 from a one-block chain (whose master header the growth links).
-fn grow_workload(ctx: &GrowCtx) {
+fn grow_run(ctx: &GrowCtx, upto: usize) {
+    if upto == 0 {
+        return;
+    }
     let rt = &ctx.rt;
     let stage = |cell: u64, payload: u64, extra: u64| {
         rt.fa_stage(|| {
@@ -949,62 +884,35 @@ fn grow_workload(ctx: &GrowCtx) {
     rt.fa_commit_group(vec![stage(0, 8 + 400, 1), stage(1, 16, 2)]);
 }
 
-fn grow_reopen(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Jnvm, RecoveryReport) {
-    register_jpdt(JnvmBuilder::new())
-        .open_with_options(Arc::clone(pmem), RecoveryOptions::with_mode(mode))
-        .expect("recovery")
-}
-
-/// What each cell holds after recovery: `None` when empty, else whether
-/// it is the whole grown array.
-fn grow_observe(rt: &Jnvm) -> Vec<Option<bool>> {
+/// Reopen under `mode`: both cells empty (0), or both holding their whole
+/// grown array (1), and the live block count.
+fn grow_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
+    let (rt, report) = open(jpdt_builder(), pmem, mode);
     let slots = rt.root_get_as::<PRefArray>("grown");
     let slots = slots.expect("typed").expect("rooted");
-    (0..2)
+    let cells: Vec<Option<bool>> = (0..2)
         .map(|cell| {
             slots.get_ref(cell).map(|addr| {
-                let array = PByteArray::resurrect(rt, addr);
+                let array = PByteArray::resurrect(&rt, addr);
                 let mut bytes = vec![0u8; array.len() as usize];
                 array.read_at(0, &mut bytes);
                 array.len() == GROWN_LEN && bytes.iter().all(|b| *b == 0xA0 + cell as u8)
             })
         })
-        .collect()
+        .collect();
+    let step = match cells[..] {
+        [None, None] => Some(0),
+        [Some(true), Some(true)] => Some(1),
+        _ => None,
+    };
+    (step, report.live_blocks)
 }
 
-/// Every crash point of the group, under `Full` and `HeaderScanOnly`
-/// recovery: the pool recovers to the image of a crash before the group
-/// or to that of one after it — both cells empty, or both holding their
-/// whole three-block array — with that image's live block count.
 #[test]
 fn grown_chains_recover_equivalently_at_every_crash_point() {
-    for mode in [RecoveryMode::Full, RecoveryMode::HeaderScanOnly] {
-        let baseline = |run: bool| {
-            let (pmem, ctx) = grow_setup();
-            if run {
-                grow_workload(&ctx);
-            }
-            drop(ctx);
-            pmem.crash(&CrashPolicy::strict()).expect("crash");
-            let (rt, report) = grow_reopen(&pmem, mode);
-            (grow_observe(&rt), report.live_blocks)
-        };
-        let (before, after) = (baseline(false), baseline(true));
-        assert_eq!(before.0, [None, None]);
-        assert_eq!(after.0, [Some(true), Some(true)], "{mode:?}");
-        assert_eq!(after.1, before.1 + 6, "{mode:?}: two 3-block arrays");
-        let verify = |pmem: &Arc<Pmem>, report: &faultsim::CrashReport| {
-            let (rt, recovered) = grow_reopen(pmem, mode);
-            let seen = (grow_observe(&rt), recovered.live_blocks);
-            assert!(
-                seen == before || seen == after,
-                "{mode:?}, crash point {}: recovered {seen:?}",
-                report.point
-            );
-        };
-        let plan = FaultPlan::count();
-        let summary = faultsim::sweep_all(plan, grow_setup, grow_workload, verify);
-        assert!(summary.points_crashed > 0, "{mode:?}");
+    let live = prefix_sweep(grow_setup, 1, grow_run, grow_observe, &BOTH, strict());
+    for (mode, live) in BOTH.iter().zip(live) {
+        assert_eq!(live[1], live[0] + 6, "{mode:?}: two 3-block arrays");
     }
 }
 
@@ -1045,10 +953,7 @@ struct PooledCtx {
 /// Small fresh pool whose backend holds `keep` and the key to delete, the
 /// log created by a warm-up SETF.
 fn pooled_setup() -> (Arc<Pmem>, PooledCtx) {
-    let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
-    let rt = register_kvstore(JnvmBuilder::new())
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .expect("pool");
+    let (pmem, rt) = create(kvstore_builder(), PmemConfig::crash_sim(1 << 20));
     let be = Arc::new(JnvmBackend::create(&rt, POOLED_SHARDS, true).expect("backend"));
     let grid = DataGrid::new(
         Arc::clone(&be) as Arc<dyn Backend>,
@@ -1067,7 +972,10 @@ fn pooled_setup() -> (Arc<Pmem>, PooledCtx) {
     (pmem, PooledCtx { _rt: rt, be, grid })
 }
 
-fn pooled_workload(ctx: &PooledCtx) {
+fn pooled_run(ctx: &PooledCtx, upto: usize) {
+    if upto == 0 {
+        return;
+    }
     let ops = [
         WriteOp::Set(pooled_record(POOLED_NEW, 0x30)),
         WriteOp::SetField {
@@ -1081,88 +989,54 @@ fn pooled_workload(ctx: &PooledCtx) {
     assert_eq!((out.results, out.groups), (vec![true; 3], 1));
 }
 
-/// Reopen under `mode`: `Some(is it the image after the group)`, or `None`
-/// for any other image, and the recovery report.
-fn pooled_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Option<bool>, RecoveryReport) {
-    let (rt, report) = register_kvstore(JnvmBuilder::new())
-        .open_with_options(Arc::clone(pmem), RecoveryOptions::with_mode(mode))
-        .expect("recovery");
+/// Reopen under `mode`: the image before the group (0) or after it (1),
+/// and the live-object count.
+fn pooled_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
+    let (rt, report) = open(kvstore_builder(), pmem, mode);
     let be = JnvmBackend::open(&rt, true).expect("backend");
-    let keep = be.read("keep").expect("keep survives").fields.value(0).to_vec();
+    let keep = be
+        .read("keep")
+        .expect("keep survives")
+        .fields
+        .value(0)
+        .to_vec();
     let fresh = be.read(POOLED_NEW);
     let gone = be.read(&pooled_gone());
     let before = keep == [0x10; 16] && fresh.is_none() && gone.is_some();
     let after =
         keep == [0x40; 16] && fresh == Some(pooled_record(POOLED_NEW, 0x30)) && gone.is_none();
-    ((before || after).then_some(after), report)
+    let step = (before || after).then_some(after as usize);
+    (step, report.live_objects)
 }
 
-/// Every crash point of the group, strict power failures and 8 adversarial
+/// Every crash of the group, strict power failures and 8 adversarial
 /// eviction seeds, under `Full` and `HeaderScanOnly` recovery: the pool
 /// recovers to the image before the group or the one after it, with that
 /// image's exact live-object count. The commit invalidates what the group
 /// frees behind its apply fence, so a crash right after it loses none of
-/// the five frees: `HeaderScanOnly` used to keep them (ROADMAP's
-/// "`HeaderScanOnly` leak" — the invalidations followed the retire fence,
-/// unfenced), and this test pinned 6 leaked objects, then a range of
-/// counts past the group.
+/// the five frees — it leaves the live count a settled pool has.
+/// `HeaderScanOnly` used to keep them (ROADMAP's "`HeaderScanOnly` leak" —
+/// the invalidations followed the retire fence, unfenced), and this test
+/// pinned 6 leaked objects, then a range of counts past the group.
 #[test]
 fn pooled_records_recover_to_either_image_at_every_crash_point() {
-    silence_crash_panics();
-    for mode in [RecoveryMode::Full, RecoveryMode::HeaderScanOnly] {
-        let baseline = |run: bool, settle: bool| {
-            let (pmem, ctx) = pooled_setup();
-            if run {
-                pooled_workload(&ctx);
-            }
-            if settle {
-                pmem.psync();
-            }
-            drop(ctx);
-            pmem.crash(&CrashPolicy::strict()).expect("crash");
-            let (image, report) = pooled_observe(&pmem, mode);
-            (image, report.live_objects)
-        };
-        let before = baseline(false, false);
-        let (after, lost) = (baseline(true, true), baseline(true, false));
+    let policies = strict_and_adversarial(8);
+    let live = prefix_sweep(pooled_setup, 1, pooled_run, pooled_observe, &BOTH, policies);
+    for (mode, live) in BOTH.iter().zip(live) {
         assert_eq!(
-            (before.0, after.0, lost.0),
-            (Some(false), Some(true), Some(true))
-        );
-        assert_eq!(
-            lost.1, after.1,
-            "{mode:?}: objects leaked by the group's frees"
-        );
-        assert_eq!(
-            after.1, before.1,
+            live[1], live[0],
             "{mode:?}: 4 objects in, 4 out, one blob swapped"
         );
-        let policies =
-            std::iter::once(CrashPolicy::strict()).chain((0..8).map(CrashPolicy::adversarial));
-        for policy in policies {
-            let seen = std::cell::RefCell::new([0usize; 2]);
-            let verify = |pmem: &Arc<Pmem>, report: &faultsim::CrashReport| {
-                let (image, recovered) = pooled_observe(pmem, mode);
-                let point = report.point;
-                let live = recovered.live_objects;
-                if let Some(after) = image {
-                    seen.borrow_mut()[after as usize] += 1;
-                }
-                match image {
-                    Some(false) => assert_eq!(live, before.1, "{mode:?}, point {point}: before"),
-                    Some(true) => assert_eq!(live, after.1, "{mode:?}, point {point}: after"),
-                    None => panic!("{mode:?}, point {point}: neither image"),
-                }
-            };
-            let plan = FaultPlan::count().with_policy(policy);
-            let summary = faultsim::sweep_all(plan, pooled_setup, pooled_workload, verify);
-            let [befores, afters] = *seen.borrow();
-            assert_eq!(summary.points_crashed, befores + afters, "{mode:?}");
-            assert!(
-                befores > 0 && afters > 0,
-                "{mode:?}: both sides of the commit point"
-            );
-        }
+        let (pmem, ctx) = pooled_setup();
+        pooled_run(&ctx, 1);
+        pmem.psync();
+        drop(ctx);
+        pmem.crash(&CrashPolicy::strict()).expect("crash");
+        assert_eq!(
+            pooled_observe(&pmem, *mode),
+            (Some(1), live[1]),
+            "{mode:?}: objects leaked by the group's frees"
+        );
     }
 }
 
@@ -1191,10 +1065,7 @@ struct OriginCtx {
 /// and freed (its slot queued for reuse), and a one-block chain whose
 /// payload is non-zero bytes, freed (its block the heap's only free one).
 fn origin_setup() -> (Arc<Pmem>, OriginCtx) {
-    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
-    let rt = register_jpdt(JnvmBuilder::new())
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .expect("pool");
+    let (pmem, rt) = create(jpdt_builder(), PmemConfig::crash_sim(256 << 10));
     let cells = rt.fa(|| {
         let cells = PRefArray::new(&rt, 4).expect("array");
         let gone = PBytes::new(&rt, &[0x33; 40]).expect("blob");
@@ -1215,7 +1086,10 @@ fn origin_setup() -> (Arc<Pmem>, OriginCtx) {
     (pmem, OriginCtx { rt, cells })
 }
 
-fn origin_workload(ctx: &OriginCtx) {
+fn origin_run(ctx: &OriginCtx, upto: usize) {
+    if upto == 0 {
+        return;
+    }
     let rt = &ctx.rt;
     let set = rt.fa_stage(|| {
         for (i, len) in ORIGIN_LENS.iter().enumerate() {
@@ -1230,14 +1104,12 @@ fn origin_workload(ctx: &OriginCtx) {
     rt.fa_commit_group(vec![set.0, del.0]);
 }
 
-/// Reopen under `mode`: `Some(is it the image after the group)`, or `None`
-/// for any other image, and the recovery report. In the image after the
-/// group, each allocated blob's mini-header is the word the live commit
-/// stores: its class, valid, no link.
-fn origin_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Option<bool>, RecoveryReport) {
-    let (rt, report) = register_jpdt(JnvmBuilder::new())
-        .open_with_options(Arc::clone(pmem), RecoveryOptions::with_mode(mode))
-        .expect("recovery");
+/// Reopen under `mode`: the image before the group (0) or after it (1),
+/// and the live-object count. In the image after the group, each allocated
+/// blob's mini-header is the word the live commit stores: its class, valid,
+/// no link.
+fn origin_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
+    let (rt, report) = open(jpdt_builder(), pmem, mode);
     let cells = rt.root_get_as::<PRefArray>("origins");
     let cells = cells.expect("typed").expect("rooted");
     let seen: Vec<Option<Vec<u8>>> = (0..4)
@@ -1259,17 +1131,20 @@ fn origin_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Option<bool>, Recove
             assert_eq!(pmem.read_u64(addr), word, "{mode:?}: header of blob {i}");
         }
     }
-    ((before || after).then_some(after), report)
+    (
+        (before || after).then_some(after as usize),
+        report.live_objects,
+    )
 }
 
-/// Every crash point of [`origin_workload`], strict power failures and
-/// `seeds` adversarial eviction seeds, under `Full` and `HeaderScanOnly`
-/// recovery, by [`either_image_sweep`]; after the group each allocated slot
-/// holds the header the live commit stores — replayed from the log when
-/// the crash fell between the commit point and the apply.
+/// [`prefix_sweep`] over [`origin_run`], strict power failures and `seeds`
+/// adversarial eviction seeds, under both recovery modes: 3 blobs in, 1
+/// out; after the group each allocated slot holds the header the live
+/// commit stores — replayed from the log when the crash fell between the
+/// commit point and the apply.
 fn origin_sweep(seeds: u64) {
     let (pmem, ctx) = origin_setup();
-    origin_workload(&ctx);
+    origin_run(&ctx, 1);
     let heap = ctx.rt.heap();
     let blocks: Vec<u64> = (0..3)
         .map(|i| heap.block_of_addr(ctx.cells.get_ref(i).expect("stored")))
@@ -1284,66 +1159,10 @@ fn origin_sweep(seeds: u64) {
         "the last carve took the bump cursor"
     );
     drop((ctx, pmem));
-    // 3 blobs in, 1 out.
-    either_image_sweep(origin_setup, origin_workload, origin_observe, seeds, 2);
-}
-
-/// Every crash point of `workload`, strict power failures and `seeds`
-/// adversarial eviction seeds, under `Full` and `HeaderScanOnly` recovery:
-/// the pool recovers to the image before `workload` or the one after it
-/// (`observe` says which: `Some(is it the one after)`, `None` for neither),
-/// with that image's exact live-object count — `added` more after — and
-/// the sweep sees both images.
-fn either_image_sweep<C>(
-    setup: impl Fn() -> (Arc<Pmem>, C),
-    workload: impl Fn(&C),
-    observe: impl Fn(&Arc<Pmem>, RecoveryMode) -> (Option<bool>, RecoveryReport),
-    seeds: u64,
-    added: u64,
-) {
-    silence_crash_panics();
-    for mode in [RecoveryMode::Full, RecoveryMode::HeaderScanOnly] {
-        let baseline = |run: bool| {
-            let (pmem, ctx) = setup();
-            if run {
-                workload(&ctx);
-            }
-            drop(ctx);
-            pmem.crash(&CrashPolicy::strict()).expect("crash");
-            let (image, report) = observe(&pmem, mode);
-            (image, report.live_objects)
-        };
-        let (before, after) = (baseline(false), baseline(true));
-        assert_eq!((before.0, after.0), (Some(false), Some(true)), "{mode:?}");
-        assert_eq!(after.1, before.1 + added, "{mode:?}");
-        let policies =
-            std::iter::once(CrashPolicy::strict()).chain((0..seeds).map(CrashPolicy::adversarial));
-        for policy in policies {
-            let seen = std::cell::RefCell::new([0usize; 2]);
-            let verify = |pmem: &Arc<Pmem>, report: &faultsim::CrashReport| {
-                let (image, recovered) = observe(pmem, mode);
-                let (point, live) = (report.point, recovered.live_objects);
-                match image {
-                    Some(false) => assert_eq!(
-                        live, before.1,
-                        "{mode:?}, {policy:?}, point {point}: before"
-                    ),
-                    Some(true) => {
-                        assert_eq!(live, after.1, "{mode:?}, {policy:?}, point {point}: after")
-                    }
-                    None => panic!("{mode:?}, {policy:?}, point {point}: neither image"),
-                }
-                seen.borrow_mut()[(image == Some(true)) as usize] += 1;
-            };
-            let plan = FaultPlan::count().with_policy(policy);
-            let summary = faultsim::sweep_all(plan, &setup, &workload, verify);
-            let [befores, afters] = *seen.borrow();
-            assert_eq!(summary.points_crashed, befores + afters, "{mode:?}");
-            assert!(
-                befores > 0 && afters > 0,
-                "{mode:?}: both sides of the commit point"
-            );
-        }
+    let policies = strict_and_adversarial(seeds);
+    let live = prefix_sweep(origin_setup, 1, origin_run, origin_observe, &BOTH, policies);
+    for (mode, live) in BOTH.iter().zip(live) {
+        assert_eq!(live[1], live[0] + 2, "{mode:?}");
     }
 }
 
@@ -1376,10 +1195,7 @@ struct CarveCtx {
 /// created; then a one-block chain whose payload words are each the header
 /// word of a valid `PBytes`, freed (its block the heap's only free one).
 fn carve_setup() -> (Arc<Pmem>, CarveCtx) {
-    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
-    let rt = register_jpdt(JnvmBuilder::new())
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .expect("pool");
+    let (pmem, rt) = create(jpdt_builder(), PmemConfig::crash_sim(256 << 10));
     let cells = rt.fa(|| {
         let cells = PRefArray::new(&rt, 2).expect("array");
         rt.root_put("carved", &cells).expect("root");
@@ -1407,7 +1223,10 @@ fn carve_setup() -> (Arc<Pmem>, CarveCtx) {
 /// One failure-atomic block: an 8-byte blob (a slot of the 16-B class,
 /// whose pool block the allocation carves from the recycled chain) stored
 /// in cell 0.
-fn carve_workload(ctx: &CarveCtx) {
+fn carve_run(ctx: &CarveCtx, upto: usize) {
+    if upto == 0 {
+        return;
+    }
     let rt = &ctx.rt;
     rt.fa(|| {
         let blob = PBytes::new(rt, &[0xC5; 8]).expect("blob");
@@ -1415,28 +1234,27 @@ fn carve_workload(ctx: &CarveCtx) {
     });
 }
 
-fn carve_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Option<bool>, RecoveryReport) {
-    let (rt, report) = register_jpdt(JnvmBuilder::new())
-        .open_with_options(Arc::clone(pmem), RecoveryOptions::with_mode(mode))
-        .expect("recovery");
+fn carve_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
+    let (rt, report) = open(jpdt_builder(), pmem, mode);
     let cells = rt.root_get_as::<PRefArray>("carved");
     let cells = cells.expect("typed").expect("rooted");
-    let image = match cells.get_ref(0) {
-        None => Some(false),
-        Some(a) => (PBytes::resurrect(&rt, a).to_vec() == [0xC5; 8]).then_some(true),
+    let step = match cells.get_ref(0) {
+        None => Some(0),
+        Some(a) => (PBytes::resurrect(&rt, a).to_vec() == [0xC5; 8]).then_some(1),
     };
-    (image, report)
+    (step, report.live_objects)
 }
 
-/// [`either_image_sweep`] over [`carve_workload`]. Regression: the carve
-/// stored the pool header and the cleared mini-headers with no fence
+/// [`prefix_sweep`] over [`carve_run`], strict power failures and `seeds`
+/// adversarial eviction seeds, under both recovery modes. Regression: the
+/// carve stored the pool header and the cleared mini-headers with no fence
 /// between them, so eviction could persist the header's line alone, and a
 /// header scan counted every stale word at a slot boundary of another line
 /// as a live object.
 fn carve_sweep(seeds: u64) {
     let (pmem, ctx) = carve_setup();
     let freed = ctx.rt.heap().stats().bump;
-    carve_workload(&ctx);
+    carve_run(&ctx, 1);
     let blob = ctx.cells.get_ref(0).expect("stored");
     assert_eq!(
         ctx.rt.heap().stats().bump,
@@ -1445,7 +1263,11 @@ fn carve_sweep(seeds: u64) {
     );
     assert!(ctx.rt.pools().is_pooled_addr(blob));
     drop((ctx, pmem));
-    either_image_sweep(carve_setup, carve_workload, carve_observe, seeds, 1);
+    let policies = strict_and_adversarial(seeds);
+    let live = prefix_sweep(carve_setup, 1, carve_run, carve_observe, &BOTH, policies);
+    for (mode, live) in BOTH.iter().zip(live) {
+        assert_eq!(live[1], live[0] + 1, "{mode:?}");
+    }
 }
 
 #[test]
@@ -1486,10 +1308,7 @@ struct FieldCtx {
 /// Small fresh pool with a rooted two-field record at step 0, the log
 /// created by a warm-up update of field 1.
 fn field_setup(fa: bool) -> (Arc<Pmem>, FieldCtx) {
-    let pmem = Pmem::new(PmemConfig::crash_sim(256 << 10));
-    let rt = register_kvstore(JnvmBuilder::new())
-        .create(Arc::clone(&pmem), HeapConfig::default())
-        .expect("pool");
+    let (pmem, rt) = create(kvstore_builder(), PmemConfig::crash_sim(256 << 10));
     let rec = rt.fa(|| {
         let rec = PRecord::create(&rt, field_record(0).fields.values()).expect("record");
         rt.root_put("rec", &rec).expect("root");
@@ -1516,12 +1335,13 @@ fn field_updates(ctx: &FieldCtx, upto: usize) {
 
 /// Reopen under `mode`: which step's image the record holds (`None` for
 /// none), after checking that the field's reference decodes to that step's
-/// length, and the recovery report.
-fn field_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Option<usize>, RecoveryReport) {
-    let (rt, report) = register_kvstore(JnvmBuilder::new())
-        .open_with_options(Arc::clone(pmem), RecoveryOptions::with_mode(mode))
-        .expect("recovery");
-    let rec = rt.root_get_as::<PRecord>("rec").expect("typed").expect("rooted");
+/// length, and the live-object count.
+fn field_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
+    let (rt, report) = open(kvstore_builder(), pmem, mode);
+    let rec = rt
+        .root_get_as::<PRecord>("rec")
+        .expect("typed")
+        .expect("rooted");
     let got = rec.to_record("rec");
     let step = (0..FIELD_LENS.len()).find(|s| got == field_record(*s));
     if let Some(step) = step {
@@ -1533,65 +1353,34 @@ fn field_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Option<usize>, Recove
             "{mode:?}: the tag of step {step}'s value ({word:#x})"
         );
     }
-    (step, report)
+    (step, report.live_objects)
 }
 
-/// Every crash point of the three updates, under `policies`, in the J-PFA
-/// flavour recovered by `Full` and `HeaderScanOnly` and in the J-PDT flavour
-/// recovered by `Full` (its unpublished values are garbage only a
-/// traversal reclaims): the record recovers to the image of some number of
-/// updates, with that image's exact live-object count, and each of the four
-/// images is seen.
+/// Every crash of the three updates, under `policies`, in the J-PFA flavour
+/// recovered by `Full` and `HeaderScanOnly` and in the J-PDT flavour
+/// recovered by `Full` (its unpublished values are garbage only a traversal
+/// reclaims): the record recovers to the image of some number of updates,
+/// with that image's exact live-object count, and each of the four images
+/// is seen.
 fn field_sweep(policies: impl Iterator<Item = CrashPolicy> + Clone) {
-    silence_crash_panics();
-    let runs = [
-        (true, RecoveryMode::Full),
-        (true, RecoveryMode::HeaderScanOnly),
-        (false, RecoveryMode::Full),
-    ];
-    for (fa, mode) in runs {
-        let images: Vec<u64> = (0..FIELD_LENS.len())
-            .map(|upto| {
-                let (pmem, ctx) = field_setup(fa);
-                field_updates(&ctx, upto);
-                drop(ctx);
-                pmem.crash(&CrashPolicy::strict()).expect("crash");
-                let (step, report) = field_observe(&pmem, mode);
-                assert_eq!(step, Some(upto), "fa={fa}, {mode:?}: crash-free image");
-                report.live_objects
-            })
-            .collect();
-        for policy in policies.clone() {
-            let seen = std::cell::RefCell::new([0usize; FIELD_LENS.len()]);
-            let verify = |pmem: &Arc<Pmem>, report: &faultsim::CrashReport| {
-                let (step, recovered) = field_observe(pmem, mode);
-                let point = report.point;
-                let step = step.unwrap_or_else(|| {
-                    panic!("fa={fa}, {mode:?}, {policy:?}, point {point}: no step's image")
-                });
-                assert_eq!(
-                    recovered.live_objects, images[step],
-                    "fa={fa}, {mode:?}, {policy:?}, point {point}: live objects of step {step}"
-                );
-                seen.borrow_mut()[step] += 1;
-            };
-            let plan = FaultPlan::count().with_policy(policy);
-            let setup = || field_setup(fa);
-            let workload = |ctx: &FieldCtx| field_updates(ctx, FIELD_LENS.len() - 1);
-            let summary = faultsim::sweep_all(plan, setup, workload, verify);
-            let seen = *seen.borrow();
-            assert_eq!(summary.points_crashed, seen.iter().sum::<usize>());
-            assert!(
-                seen.iter().all(|n| *n > 0),
-                "fa={fa}, {mode:?}: every step's image, {seen:?}"
-            );
-        }
+    let flavours: [(bool, &[RecoveryMode]); 2] = [(true, &BOTH), (false, &FULL)];
+    for (fa, modes) in flavours {
+        let setup = || field_setup(fa);
+        let steps = FIELD_LENS.len() - 1;
+        prefix_sweep(
+            setup,
+            steps,
+            field_updates,
+            field_observe,
+            modes,
+            policies.clone(),
+        );
     }
 }
 
 #[test]
 fn tagged_field_references_recover_to_an_exact_length_at_every_crash_point() {
-    field_sweep(std::iter::once(CrashPolicy::strict()));
+    field_sweep(strict());
 }
 
 /// Exhaustive form: 64 eviction seeds (CI's torture job, `--release`).
@@ -1660,32 +1449,21 @@ proptest! {
         transfers in 1usize..4,
         point_sel in 0u64..1_000_000,
     ) {
-        let setup = fa_setup;
-        let workload = |ctx: &FaCtx| {
-            for _ in 0..transfers {
-                fa_workload(ctx);
-            }
-        };
-        let total = faultsim::count_ops(setup, workload);
+        let workload = |ctx: &FaCtx| fa_run(ctx, transfers);
+        let total = faultsim::count_ops(fa_setup, workload);
         let point = point_sel % total;
         let summary = faultsim::sweep(
             [point],
             FaultPlan::count(),
-            setup,
+            fa_setup,
             workload,
             |pmem, report| {
-                let (rt, _) = reopen_pair(pmem);
-                let p = rt
-                    .root_get_as::<Pair>("pair")
-                    .expect("typed")
-                    .expect("pair survived");
-                let (l, r) = (p.left(), p.right());
-                assert_eq!(l + r, 2000, "crash point {}: torn transfer", report.point);
-                // Transfers apply in order: the recovered left value is the
-                // starting 1500 minus 100 per fully-applied transfer.
+                // Transfers apply in order: the recovered pair is that of
+                // some number of whole transfers.
+                let (step, _) = fa_observe(pmem, RecoveryMode::Full);
                 assert!(
-                    (0..=transfers as i64).any(|k| l == 1500 - 100 * k),
-                    "crash point {}: impossible state ({l}, {r})",
+                    step.is_some_and(|s| s <= transfers),
+                    "crash point {}: impossible state after {step:?} transfers",
                     report.point
                 );
             },
