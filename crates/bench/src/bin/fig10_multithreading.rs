@@ -52,7 +52,8 @@ fn crashsim_sanity(records: u64, ops: u64, threads: usize) {
     drop(grid);
     drop(be);
     drop(rt);
-    pmem.crash(&CrashPolicy::strict()).expect("simulated power failure");
+    pmem.crash(&CrashPolicy::strict())
+        .expect("simulated power failure");
     let (rt2, recovery) = register_kvstore(JnvmBuilder::new())
         .open(Arc::clone(&pmem))
         .expect("recovery");
@@ -108,13 +109,11 @@ fn main() {
                 tputs.push(report.throughput);
             }
             let fmt = |x: f64| format!("{:.2} Mops/s", x / 1e6);
-            table.row(&[
-                t.to_string(),
-                fmt(tputs[0]),
-                fmt(tputs[1]),
-                fmt(tputs[2]),
-            ]);
-            rows.push(format!("{},{:.0},{:.0},{:.0}", t, tputs[0], tputs[1], tputs[2]));
+            table.row(&[t.to_string(), fmt(tputs[0]), fmt(tputs[1]), fmt(tputs[2])]);
+            rows.push(format!(
+                "{},{:.0},{:.0},{:.0}",
+                t, tputs[0], tputs[1], tputs[2]
+            ));
         }
         table.print();
         let path = write_csv(

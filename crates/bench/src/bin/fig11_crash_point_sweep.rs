@@ -82,7 +82,12 @@ fn recover(pmem: &Arc<Pmem>) -> (i64, i64, u64, u64) {
         .root_get_as::<Pair>("pair")
         .expect("typed")
         .expect("pair survived");
-    (p.left(), p.right(), report.replayed_logs, report.live_blocks)
+    (
+        p.left(),
+        p.right(),
+        report.replayed_logs,
+        report.live_blocks,
+    )
 }
 
 fn main() {

@@ -26,11 +26,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use jnvm::{JnvmBuilder, RecoveryOptions};
 use jnvm_bench::{write_csv, Args, Table};
 use jnvm_heap::HeapConfig;
 use jnvm_pmem::{Pmem, PmemConfig};
 use jnvm_tpcb::{register_tpcb, run_timeline, BankKind, JnvmBank, TimelineConfig};
-use jnvm::{JnvmBuilder, RecoveryOptions};
 
 fn timeline_section(args: &Args, out: &Path) {
     let cfg = TimelineConfig {
@@ -65,7 +65,13 @@ fn timeline_section(args: &Args, out: &Path) {
         let r = run_timeline(kind, &cfg);
         let gc = r
             .recovery
-            .map(|rec| format!("{:.3} s ({} live objs)", rec.gc_time.as_secs_f64(), rec.live_objects))
+            .map(|rec| {
+                format!(
+                    "{:.3} s ({} live objs)",
+                    rec.gc_time.as_secs_f64(),
+                    rec.live_objects
+                )
+            })
             .unwrap_or_else(|| "-".to_string());
         table.row(&[
             kind.label().to_string(),
@@ -111,7 +117,9 @@ fn scaling_section(args: &Args, out: &Path) {
     let objects: u64 = args.get_or("scale-objects", 1_000_000);
     let pool_bytes: u64 = args.get_or("scale-pool-bytes", 2u64 << 30);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("\nRecovery-GC thread scaling ({objects} objects, Optane-like latency, {cores} host cores)");
+    println!(
+        "\nRecovery-GC thread scaling ({objects} objects, Optane-like latency, {cores} host cores)"
+    );
     println!(
         "speedup is on the modeled critical path (slowest worker's charged device time):\n\
          the busy-wait latency model time-shares host cores, so wall clock only shows\n\

@@ -106,7 +106,8 @@ fn main() {
     // Hash maps.
     let vm = std::cell::RefCell::new(HashMap::<String, Vec<u8>>::new());
     for i in 0..records {
-        vm.borrow_mut().insert(record_key(i), vec![0u8; value_bytes]);
+        vm.borrow_mut()
+            .insert(record_key(i), vec![0u8; value_bytes]);
     }
     let v_hash = drive(
         records,
@@ -150,7 +151,8 @@ fn main() {
     // Tree maps.
     let bt = std::cell::RefCell::new(BTreeMap::<String, Vec<u8>>::new());
     for i in 0..records {
-        bt.borrow_mut().insert(record_key(i), vec![0u8; value_bytes]);
+        bt.borrow_mut()
+            .insert(record_key(i), vec![0u8; value_bytes]);
     }
     let v_tree = drive(
         records,
@@ -193,7 +195,8 @@ fn main() {
     // Skip-list maps.
     let sl = std::cell::RefCell::new(SkipListMap::<String, Vec<u8>>::new());
     for i in 0..records {
-        sl.borrow_mut().insert(record_key(i), vec![0u8; value_bytes]);
+        sl.borrow_mut()
+            .insert(record_key(i), vec![0u8; value_bytes]);
     }
     let v_skip = drive(
         records,

@@ -178,8 +178,7 @@ fn main() {
     let log_pct = log_ns_per_op / (off.sec_per_op * 1e9) * 100.0;
     // Measured wall-clock slowdown, best-of-N (reported, not gated:
     // ms-scale round noise swamps single-digit percentages).
-    let log_measured_pct =
-        ((log.sec_per_op - off.sec_per_op) / off.sec_per_op * 100.0).max(0.0);
+    let log_measured_pct = ((log.sec_per_op - off.sec_per_op) / off.sec_per_op * 100.0).max(0.0);
 
     if markdown {
         println!("### Observability overhead (YCSB-A, {ops} ops, {threads} threads, CrashSim)\n");

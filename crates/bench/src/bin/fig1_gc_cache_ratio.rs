@@ -28,7 +28,9 @@ fn main() {
     let ops: u64 = args.get_or("ops", 600_000);
     let out: PathBuf = PathBuf::from(args.get_or("out", "results".to_string()));
 
-    println!("Figure 1: G1-style GC vs Infinispan cache ratio ({records} records, {ops} YCSB-F ops)");
+    println!(
+        "Figure 1: G1-style GC vs Infinispan cache ratio ({records} records, {ops} YCSB-F ops)"
+    );
     let mut table = Table::new(&[
         "cache",
         "completion",

@@ -22,7 +22,9 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 /// The paper's x axis (GB).
-const SIZES_GB: [f64; 10] = [0.30, 0.59, 1.18, 2.37, 4.74, 9.48, 18.96, 37.92, 75.84, 151.68];
+const SIZES_GB: [f64; 10] = [
+    0.30, 0.59, 1.18, 2.37, 4.74, 9.48, 18.96, 37.92, 75.84, 151.68,
+];
 
 fn main() {
     let args = Args::parse();

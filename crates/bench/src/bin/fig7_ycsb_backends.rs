@@ -21,7 +21,15 @@ fn main() {
     let optane = !args.has("no-latency");
 
     println!("Figure 7: YCSB across backends ({records} records, {ops} ops/workload)");
-    let mut table = Table::new(&["workload", "J-PDT", "J-PFA", "FS", "PCJ", "J-PDT/FS", "J-PDT/PCJ"]);
+    let mut table = Table::new(&[
+        "workload",
+        "J-PDT",
+        "J-PFA",
+        "FS",
+        "PCJ",
+        "J-PDT/FS",
+        "J-PDT/PCJ",
+    ]);
     let mut rows = Vec::new();
     for w in Workload::ALL {
         let mut tputs = Vec::new();
@@ -58,6 +66,11 @@ fn main() {
         ));
     }
     table.print();
-    let path = write_csv(&out, "fig7_ycsb_backends", "workload,jpdt,jpfa,fs,pcj", &rows);
+    let path = write_csv(
+        &out,
+        "fig7_ycsb_backends",
+        "workload,jpdt,jpfa,fs,pcj",
+        &rows,
+    );
     println!("wrote {}", path.display());
 }

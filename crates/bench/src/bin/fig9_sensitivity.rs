@@ -34,17 +34,18 @@ fn run_point(
 ) -> Point {
     let mut vals = Vec::new();
     for kind in [BackendKind::Jpdt, BackendKind::Fs] {
-        let ratio = if kind == BackendKind::Jpdt { 0.0 } else { cache_ratio };
+        let ratio = if kind == BackendKind::Jpdt {
+            0.0
+        } else {
+            cache_ratio
+        };
         let setup = make_grid(kind, records, field_count, field_len, ratio, optane);
         let mut spec = Workload::A.spec(records, ops);
         spec.field_count = field_count;
         spec.field_len = field_len;
         run_load(&spec, |_| GridClient::new(Arc::clone(&setup.grid)));
         let report = run_workload(&spec, |_| GridClient::new(Arc::clone(&setup.grid)));
-        vals.push((
-            report.reads.mean() / 1e3,
-            report.updates.mean() / 1e3,
-        ));
+        vals.push((report.reads.mean() / 1e3, report.updates.mean() / 1e3));
     }
     Point {
         label: label.to_string(),

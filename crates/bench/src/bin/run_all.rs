@@ -64,14 +64,10 @@ fn main() {
         ),
         (
             "fig9_sensitivity",
-            if quick {
-                vec!["--ops", "4000"]
-            } else {
-                vec![]
-            }
-            .into_iter()
-            .map(String::from)
-            .collect(),
+            if quick { vec!["--ops", "4000"] } else { vec![] }
+                .into_iter()
+                .map(String::from)
+                .collect(),
         ),
         (
             "fig10_multithreading",

@@ -54,21 +54,18 @@ fn count_sites(dir: &Path) -> (u64, u64) {
 
 fn main() {
     let args = Args::parse();
-    let root: PathBuf = args
-        .get("root")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            // Walk up from the executable/cwd until Cargo.toml + crates/.
-            let mut d = std::env::current_dir().expect("cwd");
-            loop {
-                if d.join("crates").is_dir() && d.join("Cargo.toml").is_file() {
-                    break d;
-                }
-                if !d.pop() {
-                    break std::env::current_dir().expect("cwd");
-                }
+    let root: PathBuf = args.get("root").map(PathBuf::from).unwrap_or_else(|| {
+        // Walk up from the executable/cwd until Cargo.toml + crates/.
+        let mut d = std::env::current_dir().expect("cwd");
+        loop {
+            if d.join("crates").is_dir() && d.join("Cargo.toml").is_file() {
+                break d;
             }
-        });
+            if !d.pop() {
+                break std::env::current_dir().expect("cwd");
+            }
+        }
+    });
 
     println!("Table 1: deletion sites in NVMM-ready data stores\n");
     println!("(a) Paper's measurements (static counts over external trees):");

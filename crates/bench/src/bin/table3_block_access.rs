@@ -150,6 +150,11 @@ fn main() {
             rows.push(format!("{bs},{:.4},{:.4}", m[0], m[3]));
         }
         t.print();
-        write_csv(&out, "table3_block_size_sweep", "block_bytes,seq_read_gbps,rand_write_gbps", &rows);
+        write_csv(
+            &out,
+            "table3_block_size_sweep",
+            "block_bytes,seq_read_gbps,rand_write_gbps",
+            &rows,
+        );
     }
 }

@@ -183,9 +183,8 @@ pub fn make_grid(
             let rt = register_kvstore(JnvmBuilder::new())
                 .create(Arc::clone(&pmem), HeapConfig::default())
                 .expect("pool creation");
-            let be: Arc<dyn Backend> = Arc::new(
-                JnvmBackend::create(&rt, 64, kind == BackendKind::Jpfa).expect("backend"),
-            );
+            let be: Arc<dyn Backend> =
+                Arc::new(JnvmBackend::create(&rt, 64, kind == BackendKind::Jpfa).expect("backend"));
             GridSetup {
                 grid: Arc::new(DataGrid::new(be, grid_cfg)),
                 pmem: Some(pmem),
@@ -258,7 +257,10 @@ mod tests {
 
     #[test]
     fn labels_parse() {
-        for k in BackendKind::FIGURE7.iter().chain(BackendKind::FIGURE8.iter()) {
+        for k in BackendKind::FIGURE7
+            .iter()
+            .chain(BackendKind::FIGURE8.iter())
+        {
             assert_eq!(BackendKind::parse(k.label()), Some(*k));
         }
     }

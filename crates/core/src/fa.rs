@@ -873,7 +873,11 @@ impl JnvmRuntime {
     /// Panics if the calling thread is already inside a failure-atomic
     /// block: staging cannot nest.
     pub fn fa_stage<R>(self: &Arc<Self>, f: impl FnOnce() -> R) -> (StagedTx, R) {
-        assert_eq!(depth(), 0, "fa_stage cannot nest inside an active failure-atomic block");
+        assert_eq!(
+            depth(),
+            0,
+            "fa_stage cannot nest inside an active failure-atomic block"
+        );
         let obs_begin = jnvm_obs::span_begin();
         set_phase(CommitPhase::Mutate);
         TX.with(|tx| {
@@ -2247,9 +2251,17 @@ mod tests {
         // full: too many threads").
         let logs: Vec<LogHandle> = (0..want).map(|_| fam.acquire_log(&rt)).collect();
         let addrs: HashSet<u64> = logs.iter().map(|l| l.addr()).collect();
-        assert_eq!(addrs.len() as u64, want, "every log published at a distinct address");
+        assert_eq!(
+            addrs.len() as u64,
+            want,
+            "every log published at a distinct address"
+        );
         let dir = RawChain::open(&rt, rt.heap().root_slot(2));
-        assert_eq!(pmem.read_u64(dir.phys(0)), DIR_CAPACITY * 2, "capacity doubled");
+        assert_eq!(
+            pmem.read_u64(dir.phys(0)),
+            DIR_CAPACITY * 2,
+            "capacity doubled"
+        );
         assert_eq!(used_slots(&rt), want);
         for log in logs {
             fam.release_log(log);
@@ -2265,7 +2277,11 @@ mod tests {
         // Acquiring that many again drains the recovered pool: no new
         // logs are created, no directory slots consumed.
         let logs2: Vec<LogHandle> = (0..want).map(|_| fam2.acquire_log(&rt2)).collect();
-        assert_eq!(used_slots(&rt2), want, "recovery must repopulate the log pool");
+        assert_eq!(
+            used_slots(&rt2),
+            want,
+            "recovery must repopulate the log pool"
+        );
         for log in logs2 {
             fam2.release_log(log);
         }

@@ -72,8 +72,8 @@ pub use field::PVal;
 pub use object::{PAny, PObject};
 pub use proxy::{Blocks, Proxy, RawChain};
 pub use recovery::{RecoveryMode, RecoveryOptions, RecoveryReport};
-pub use replica::ReplicaSet;
 pub use registry::{ClassOps, ClassRegistry};
+pub use replica::ReplicaSet;
 pub use runtime::{Jnvm, JnvmBuilder, JnvmRuntime};
 
 #[cfg(test)]

@@ -73,7 +73,9 @@ impl PAny {
     /// [`JnvmError::ClassMismatch`] if the object belongs to another class,
     /// [`JnvmError::UnregisteredClass`] if `T` was never registered.
     pub fn get_as<T: PObject>(&self, rt: &Jnvm) -> Result<T, JnvmError> {
-        let expected = rt.registry().id_of_name(T::CLASS_NAME)
+        let expected = rt
+            .registry()
+            .id_of_name(T::CLASS_NAME)
             .ok_or(JnvmError::UnregisteredClass(T::CLASS_NAME))?;
         if expected != self.class_id {
             return Err(JnvmError::ClassMismatch {

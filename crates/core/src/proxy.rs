@@ -480,7 +480,8 @@ impl Proxy {
         let pmem = self.rt.pmem();
         if pmem.sanitizer_active() {
             let mut fp: Vec<(u64, u64)> = Vec::new();
-            self.chain.segments(off, len.max(1), |addr, seg| fp.push((addr, seg)));
+            self.chain
+                .segments(off, len.max(1), |addr, seg| fp.push((addr, seg)));
             pmem.ordering_point(label, &fp);
         } else {
             pmem.ordering_point(label, &[]);

@@ -82,7 +82,10 @@ pub struct RecoveryOptions {
 
 impl Default for RecoveryOptions {
     fn default() -> Self {
-        RecoveryOptions { mode: RecoveryMode::Full, threads: 1 }
+        RecoveryOptions {
+            mode: RecoveryMode::Full,
+            threads: 1,
+        }
     }
 }
 
@@ -94,7 +97,10 @@ impl RecoveryOptions {
 
     /// Full recovery on `threads` workers.
     pub fn parallel(threads: usize) -> RecoveryOptions {
-        RecoveryOptions { mode: RecoveryMode::Full, threads }
+        RecoveryOptions {
+            mode: RecoveryMode::Full,
+            threads,
+        }
     }
 }
 
@@ -417,12 +423,17 @@ fn full_gc(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) -> Result<(),
 
     // Roots: class table, root map, log directory (whose tracer yields the
     // logs). Root slots are written once at format time; all three exist.
-    let roots: Vec<u64> = (0..3).map(|s| heap.root_slot(s)).filter(|a| *a != 0).collect();
+    let roots: Vec<u64> = (0..3)
+        .map(|s| heap.root_slot(s))
+        .filter(|a| *a != 0)
+        .collect();
 
     let shared = MarkShared {
         rt,
         bitmap: &bitmap,
-        pool_claims: (0..CLAIM_SHARDS).map(|_| Mutex::new(HashSet::new())).collect(),
+        pool_claims: (0..CLAIM_SHARDS)
+            .map(|_| Mutex::new(HashSet::new()))
+            .collect(),
         overflow: Mutex::new(Vec::new()),
         active: AtomicUsize::new(threads),
         aborted: AtomicBool::new(false),

@@ -69,7 +69,9 @@ impl ClassOps {
 
 impl std::fmt::Debug for ClassOps {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClassOps").field("name", &self.name).finish()
+        f.debug_struct("ClassOps")
+            .field("name", &self.name)
+            .finish()
     }
 }
 

@@ -36,7 +36,10 @@ impl<T> ReplicaSet<T> {
     ///
     /// Panics on an empty set.
     pub fn new(replicas: Vec<T>) -> ReplicaSet<T> {
-        assert!(!replicas.is_empty(), "a replica set needs at least one member");
+        assert!(
+            !replicas.is_empty(),
+            "a replica set needs at least one member"
+        );
         let degraded = replicas.len() < 2;
         ReplicaSet {
             replicas,

@@ -77,10 +77,7 @@ impl JnvmRuntime {
         self.heap().set_root_slot(1, map.addr());
     }
 
-    fn with_root<R>(
-        self: &Jnvm,
-        f: impl FnOnce(&Jnvm, &Proxy, &mut RootState) -> R,
-    ) -> R {
+    fn with_root<R>(self: &Jnvm, f: impl FnOnce(&Jnvm, &Proxy, &mut RootState) -> R) -> R {
         let map = Proxy::open(self, self.heap().root_slot(1));
         let mut state = self.root_state().lock();
         if !state.loaded {

@@ -150,10 +150,7 @@ impl JnvmRuntime {
 
     /// Allocate a block-chained object of class `T` with `payload` bytes of
     /// fields, returning its proxy. Failure-atomic-block aware.
-    pub fn alloc_proxy<T: PObject>(
-        self: &Jnvm,
-        payload: u64,
-    ) -> Result<crate::Proxy, JnvmError> {
+    pub fn alloc_proxy<T: PObject>(self: &Jnvm, payload: u64) -> Result<crate::Proxy, JnvmError> {
         let id = self.registry().id_of::<T>()?;
         crate::Proxy::try_alloc(self, id, payload)
     }

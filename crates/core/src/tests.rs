@@ -291,7 +291,10 @@ fn figure5_crash_before_fence_discards_everything() {
     // No validation, no fence: crash.
     pmem.crash(&CrashPolicy::strict()).unwrap();
     let (rt2, _) = reopen(&pmem);
-    assert!(rt2.root_get("a").is_none(), "invalid object must not surface");
+    assert!(
+        rt2.root_get("a").is_none(),
+        "invalid object must not surface"
+    );
 }
 
 #[test]
@@ -919,7 +922,11 @@ fn a_pooled_pwb_covers_its_slot_and_no_further() {
         let (first, last) = (p.addr() / 64, (p.addr() + 8 + payload - 1) / 64);
         let before = pmem.stats();
         p.pwb();
-        assert_eq!(pmem.stats().delta(&before).pwbs, last - first + 1, "{payload} B");
+        assert_eq!(
+            pmem.stats().delta(&before).pwbs,
+            last - first + 1,
+            "{payload} B"
+        );
     }
 }
 

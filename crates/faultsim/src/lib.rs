@@ -631,7 +631,10 @@ mod tests {
                 for t in 0..TORTURE_THREADS as u64 {
                     for i in 0..16u64 {
                         let v = pmems[0][0].read_u64(t * 8192 + i * 64);
-                        assert!(v == 0 || v == i + 1, "torn value {v} at thread {t} slot {i}");
+                        assert!(
+                            v == 0 || v == i + 1,
+                            "torn value {v} at thread {t} slot {i}"
+                        );
                     }
                 }
             },
@@ -692,7 +695,10 @@ mod tests {
             let mut primary: Option<CrashInjected> = None;
             for h in handles {
                 if let Err(ci) = h.join().expect("no non-crash panics") {
-                    if primary.as_ref().is_none_or(|p| p.secondary && !ci.secondary) {
+                    if primary
+                        .as_ref()
+                        .is_none_or(|p| p.secondary && !ci.secondary)
+                    {
                         primary = Some(ci);
                     }
                 }
@@ -725,7 +731,10 @@ mod tests {
                 }
             },
         );
-        assert!(summary.points_crashed > 0, "sweep must exercise crash points");
+        assert!(
+            summary.points_crashed > 0,
+            "sweep must exercise crash points"
+        );
     }
 
     /// Shape 2 — N isolated shards, one worker per shard writing 8 fenced

@@ -93,7 +93,11 @@ impl ManagedHeap {
 
     /// Read reference slot `slot` of `obj`.
     pub fn get_ref(&self, obj: ObjId, slot: usize) -> ObjId {
-        self.objs[obj as usize].refs.get(slot).copied().unwrap_or(NIL)
+        self.objs[obj as usize]
+            .refs
+            .get(slot)
+            .copied()
+            .unwrap_or(NIL)
     }
 
     /// Whether `obj` is currently allocated.

@@ -230,13 +230,11 @@ impl CachedFsStore {
                 let (root, old_stamp) = (*root, *old_stamp);
                 self.recency.remove(&old_stamp);
                 self.heap.set_root(root, rec);
-                self.cache
-                    .insert(key.to_string(), (root, rec, self.stamp));
+                self.cache.insert(key.to_string(), (root, rec, self.stamp));
             }
             None => {
                 let root = self.heap.add_root(rec);
-                self.cache
-                    .insert(key.to_string(), (root, rec, self.stamp));
+                self.cache.insert(key.to_string(), (root, rec, self.stamp));
             }
         }
         let s = self.stamp;

@@ -133,18 +133,24 @@ impl BlockHeap {
     /// repopulate it; until then, allocation falls back to the bump pointer.
     pub fn open(pmem: Arc<Pmem>) -> Result<Arc<BlockHeap>, HeapError> {
         if pmem.len() < SUPERBLOCK_BYTES {
-            return Err(HeapError::BadSuperblock("pool smaller than superblock".into()));
+            return Err(HeapError::BadSuperblock(
+                "pool smaller than superblock".into(),
+            ));
         }
         if pmem.read_u64(SB_MAGIC) != HEAP_MAGIC {
             return Err(HeapError::BadSuperblock("bad magic".into()));
         }
         let version = pmem.read_u32(SB_VERSION);
         if version != HEAP_VERSION {
-            return Err(HeapError::BadSuperblock(format!("unsupported version {version}")));
+            return Err(HeapError::BadSuperblock(format!(
+                "unsupported version {version}"
+            )));
         }
         let block_size = pmem.read_u32(SB_BLOCK_SIZE) as u64;
         if !block_size.is_power_of_two() || block_size < 64 {
-            return Err(HeapError::BadSuperblock(format!("corrupt block size {block_size}")));
+            return Err(HeapError::BadSuperblock(format!(
+                "corrupt block size {block_size}"
+            )));
         }
         let nblocks = pmem.read_u64(SB_NBLOCKS);
         if nblocks > pmem.len() / block_size {
@@ -330,10 +336,18 @@ impl BlockHeap {
         }
         // Link slaves back-to-front, then the master.
         for w in (1..blocks.len()).rev() {
-            let next = if w + 1 < blocks.len() { blocks[w + 1] } else { NULL_BLOCK };
+            let next = if w + 1 < blocks.len() {
+                blocks[w + 1]
+            } else {
+                NULL_BLOCK
+            };
             self.write_header(blocks[w], BlockHeader::slave(next));
         }
-        let next = if blocks.len() > 1 { blocks[1] } else { NULL_BLOCK };
+        let next = if blocks.len() > 1 {
+            blocks[1]
+        } else {
+            NULL_BLOCK
+        };
         let head = BlockHeader::master(class_id, next)?;
         self.write_header(blocks[0], head);
         Ok(Chain { head, blocks })
@@ -397,7 +411,10 @@ impl BlockHeap {
             self.write_header_pwb(tail, tail_header);
             self.pmem.publish_point(
                 "chain-extend",
-                &[(self.block_addr(b), HEADER_BYTES), (self.block_addr(tail), HEADER_BYTES)],
+                &[
+                    (self.block_addr(b), HEADER_BYTES),
+                    (self.block_addr(tail), HEADER_BYTES),
+                ],
             );
             added.push(b);
             tail = b;
@@ -460,7 +477,8 @@ impl BlockHeap {
         self.pmem.write_u64(SB_ROOT_SLOTS + slot * 8, value);
         self.pmem.pwb(SB_ROOT_SLOTS + slot * 8);
         self.pmem.pfence();
-        self.pmem.ordering_point("root-publish", &[(SB_ROOT_SLOTS + slot * 8, 8)]);
+        self.pmem
+            .ordering_point("root-publish", &[(SB_ROOT_SLOTS + slot * 8, 8)]);
     }
 
     // ------------------------------------------------------------------
@@ -630,7 +648,10 @@ mod tests {
         for _ in 0..capacity {
             h.alloc_block().unwrap();
         }
-        assert!(matches!(h.alloc_block(), Err(HeapError::OutOfMemory { .. })));
+        assert!(matches!(
+            h.alloc_block(),
+            Err(HeapError::OutOfMemory { .. })
+        ));
     }
 
     #[test]

@@ -34,7 +34,10 @@ impl fmt::Display for HeapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HeapError::OutOfMemory { requested } => {
-                write!(f, "persistent heap out of memory ({requested} blocks requested)")
+                write!(
+                    f,
+                    "persistent heap out of memory ({requested} blocks requested)"
+                )
             }
             HeapError::BadSuperblock(msg) => write!(f, "bad heap superblock: {msg}"),
             HeapError::BadBlockIndex(idx) => write!(f, "bad block index {idx}"),

@@ -150,10 +150,26 @@ mod tests {
     #[test]
     fn encode_decode_round_trip() {
         let cases = [
-            BlockHeader { id: 0, valid: false, next: 0 },
-            BlockHeader { id: 1, valid: true, next: 0 },
-            BlockHeader { id: CLASS_ID_MAX, valid: true, next: (1u64 << 48) - 1 },
-            BlockHeader { id: 1234, valid: false, next: 99_999 },
+            BlockHeader {
+                id: 0,
+                valid: false,
+                next: 0,
+            },
+            BlockHeader {
+                id: 1,
+                valid: true,
+                next: 0,
+            },
+            BlockHeader {
+                id: CLASS_ID_MAX,
+                valid: true,
+                next: (1u64 << 48) - 1,
+            },
+            BlockHeader {
+                id: 1234,
+                valid: false,
+                next: 99_999,
+            },
         ];
         for h in cases {
             assert_eq!(BlockHeader::decode(h.encode()), h);
@@ -162,12 +178,20 @@ mod tests {
 
     #[test]
     fn table2_states() {
-        let valid_master = BlockHeader { id: 7, valid: true, next: 3 };
+        let valid_master = BlockHeader {
+            id: 7,
+            valid: true,
+            next: 3,
+        };
         assert!(valid_master.is_valid_master());
         assert!(!valid_master.is_invalid_master());
         assert!(!valid_master.is_free_or_slave());
 
-        let invalid_master = BlockHeader { id: 7, valid: false, next: 3 };
+        let invalid_master = BlockHeader {
+            id: 7,
+            valid: false,
+            next: 3,
+        };
         assert!(invalid_master.is_invalid_master());
         assert!(!invalid_master.is_valid_master());
 
@@ -187,9 +211,17 @@ mod tests {
 
     #[test]
     fn valid_bit_is_bit_48() {
-        let h = BlockHeader { id: 0x7fff, valid: true, next: 0 };
+        let h = BlockHeader {
+            id: 0x7fff,
+            valid: true,
+            next: 0,
+        };
         assert_eq!(h.encode() >> 48 & 1, 1);
-        let h2 = BlockHeader { id: 0x7fff, valid: false, next: 0 };
+        let h2 = BlockHeader {
+            id: 0x7fff,
+            valid: false,
+            next: 0,
+        };
         assert_eq!(h2.encode() >> 48 & 1, 0);
     }
 }

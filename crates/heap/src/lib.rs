@@ -27,11 +27,11 @@
 
 mod alloc;
 mod error;
+mod layout;
 pub mod par;
+mod pool;
 #[cfg(test)]
 mod proptests;
-mod layout;
-mod pool;
 mod scan;
 
 pub use alloc::{BlockHeap, Chain, HeapConfig, HeapStats};

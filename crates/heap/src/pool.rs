@@ -73,7 +73,10 @@ impl PoolManager {
             .copied()
             .filter(|payload| payload + HEADER_BYTES <= slots_area)
             .collect();
-        let queues = classes.iter().map(|_| Mutex::new(VecDeque::new())).collect();
+        let queues = classes
+            .iter()
+            .map(|_| Mutex::new(VecDeque::new()))
+            .collect();
         // Zeroed by the allocator, not by a loop: a page of the table costs
         // DRAM only once a pool block in its range is known.
         // SAFETY: all-zero bytes are an `AtomicU8` of value 0.
@@ -647,7 +650,13 @@ mod tests {
         };
         pm.write_mini(a, head);
         pm.set_valid(a, true);
-        assert_eq!(pm.read_mini(a), BlockHeader { valid: true, ..head });
+        assert_eq!(
+            pm.read_mini(a),
+            BlockHeader {
+                valid: true,
+                ..head
+            }
+        );
         pm.free(a).unwrap();
         let before = heap.pmem().stats();
         let again = (0..3).map(|_| pm.alloc(60).unwrap()).find(|s| *s == a);

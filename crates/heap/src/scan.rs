@@ -83,7 +83,10 @@ impl LiveBitmap {
 
     /// Number of marked blocks (stripe merge).
     pub fn marked_count(&self) -> u64 {
-        self.stripes.iter().map(|s| s.marked.load(Ordering::Relaxed)).sum()
+        self.stripes
+            .iter()
+            .map(|s| s.marked.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Number of blocks covered.

@@ -203,7 +203,9 @@ mod tests {
         let (_p, rt) = rt();
         // Around the pool/chain boundary (max pooled payload 232 => 224
         // data bytes) and around block payload multiples.
-        for n in [1usize, 7, 8, 223, 224, 225, 232, 240, 247, 248, 249, 495, 496, 497] {
+        for n in [
+            1usize, 7, 8, 223, 224, 225, 232, 240, 247, 248, 249, 495, 496, 497,
+        ] {
             let data: Vec<u8> = (0..n).map(|i| (i * 7 % 251) as u8).collect();
             let b = PBytes::new(&rt, &data).unwrap();
             assert_eq!(b.to_vec(), data, "size {n}");

@@ -33,10 +33,10 @@
 
 mod blob;
 mod parray;
-#[cfg(test)]
-mod proptests;
 mod pmap;
 mod pqueue;
+#[cfg(test)]
+mod proptests;
 mod pvec;
 mod register;
 mod skiplist;
@@ -44,9 +44,8 @@ mod skiplist;
 pub use blob::{PBytes, PString};
 pub use parray::{PByteArray, PLongArray, PRefArray};
 pub use pmap::{
-    CacheMode, HashMirror, MapEntry, Mirror, PI64HashMap, PI64Set, PI64SkipMap, PI64TreeMap,
-    PKey, PMapCore, PStringHashMap, PStringSet, PStringSkipMap, PStringTreeMap, SkipMirror,
-    TreeMirror,
+    CacheMode, HashMirror, MapEntry, Mirror, PI64HashMap, PI64Set, PI64SkipMap, PI64TreeMap, PKey,
+    PMapCore, PStringHashMap, PStringSet, PStringSkipMap, PStringTreeMap, SkipMirror, TreeMirror,
 };
 pub use pqueue::PQueue;
 pub use pvec::PRefVec;

@@ -151,7 +151,10 @@ impl PByteArray {
     ///
     /// Panics if the range is out of bounds.
     pub fn write_at(&self, off: u64, data: &[u8]) {
-        assert!(off + data.len() as u64 <= self.len(), "byte range out of bounds");
+        assert!(
+            off + data.len() as u64 <= self.len(),
+            "byte range out of bounds"
+        );
         self.proxy.write_bytes(8 + off, data);
     }
 
@@ -161,7 +164,10 @@ impl PByteArray {
     ///
     /// Panics if the range is out of bounds.
     pub fn read_at(&self, off: u64, out: &mut [u8]) {
-        assert!(off + out.len() as u64 <= self.len(), "byte range out of bounds");
+        assert!(
+            off + out.len() as u64 <= self.len(),
+            "byte range out of bounds"
+        );
         self.proxy.read_bytes(8 + off, out);
     }
 

@@ -299,10 +299,7 @@ mod tests {
         rt.pfence();
         // Hand-drive the first half of enqueue.
         {
-            let ring = rt
-                .root_get_as::<PQueue>("q")
-                .unwrap()
-                .unwrap();
+            let ring = rt.root_get_as::<PQueue>("q").unwrap().unwrap();
             let _ = ring; // the public API has no way to tear — drive via proxy
         }
         // Write cell 0 + flush, but never bump tail.

@@ -153,7 +153,10 @@ mod tests {
         assert_eq!(m.keys(10), vec![10, 20, 30, 40, 50]);
         pmem.crash(&CrashPolicy::strict()).unwrap();
         let rt2 = reopen(&pmem);
-        let m2 = rt2.root_get_as::<crate::PI64SkipMap>("sk").unwrap().unwrap();
+        let m2 = rt2
+            .root_get_as::<crate::PI64SkipMap>("sk")
+            .unwrap()
+            .unwrap();
         assert_eq!(m2.keys(10), vec![10, 20, 30, 40, 50]);
     }
 

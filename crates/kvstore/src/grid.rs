@@ -267,7 +267,12 @@ mod tests {
     use jnvm_pmem::{Pmem, PmemConfig};
 
     fn volatile_grid(cache: usize) -> DataGrid {
-        DataGrid::new(Arc::new(VolatileBackend::new()), GridConfig { cache_capacity: cache })
+        DataGrid::new(
+            Arc::new(VolatileBackend::new()),
+            GridConfig {
+                cache_capacity: cache,
+            },
+        )
     }
 
     #[test]
@@ -550,8 +555,7 @@ mod tests {
             if cur != expect {
                 return false;
             }
-            self.backend
-                .update_field(key, 0, &new.to_le_bytes())
+            self.backend.update_field(key, 0, &new.to_le_bytes())
         }
     }
 }

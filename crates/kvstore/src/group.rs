@@ -161,7 +161,9 @@ pub fn commit_writes(grid: &DataGrid, be: &JnvmBackend, ops: &[WriteOp]) -> Batc
         rt.fa_commit_group(staged);
         rt.pmem().ordering_point("kv-batch-ack", &[]);
         groups += 1;
-        grid.metrics().writes.fetch_add(committed, Ordering::Relaxed);
+        grid.metrics()
+            .writes
+            .fetch_add(committed, Ordering::Relaxed);
         for &idx in &remaining {
             if !deferred.contains(&idx) {
                 grid.invalidate(ops[idx].key());
@@ -190,10 +192,7 @@ mod tests {
             .create(Arc::clone(&pmem), HeapConfig::default())
             .unwrap();
         let be = Arc::new(JnvmBackend::create(&rt, 8, fa).unwrap());
-        let grid = DataGrid::new(
-            Arc::clone(&be) as Arc<dyn Backend>,
-            GridConfig::default(),
-        );
+        let grid = DataGrid::new(Arc::clone(&be) as Arc<dyn Backend>, GridConfig::default());
         (pmem, be, grid)
     }
 
@@ -293,7 +292,10 @@ mod tests {
         }
         let out = commit_writes(&grid, &be, &ops);
         for (i, r) in out.results.iter().enumerate() {
-            assert!(*r, "op {i} failed: Del outran its Set across a group boundary");
+            assert!(
+                *r,
+                "op {i} failed: Del outran its Set across a group boundary"
+            );
         }
         assert!(
             out.groups >= 2,
@@ -311,7 +313,11 @@ mod tests {
     #[test]
     fn jpdt_flavour_batches_behind_one_sync() {
         let (_p, be, grid) = setup(false);
-        let ops = vec![set("a", b"1"), set("b", b"2"), WriteOp::Del("absent".into())];
+        let ops = vec![
+            set("a", b"1"),
+            set("b", b"2"),
+            WriteOp::Del("absent".into()),
+        ];
         let out = commit_writes(&grid, &be, &ops);
         assert_eq!(out.results, vec![true, true, false]);
         assert_eq!(out.groups, 1);

@@ -95,7 +95,10 @@ impl PRecord {
     pub fn to_record(&self, key: &str) -> Record {
         let rt = self.proxy.runtime();
         let refs = self.field_refs();
-        let room = refs.iter().map(|word| Value::open(rt, word).map_or(0, |v| v.len)).sum();
+        let room = refs
+            .iter()
+            .map(|word| Value::open(rt, word).map_or(0, |v| v.len))
+            .sum();
         let mut fields = Fields::with_capacity(refs.len(), room);
         for (i, word) in refs.iter().enumerate() {
             fields.push_with(&ycsb_field_name(i), |values| {
@@ -119,7 +122,11 @@ impl PRecord {
         write_record_header(out, key, refs.len());
         for (i, word) in refs.iter().enumerate() {
             let value = Value::open(rt, word);
-            write_field_header(out, &ycsb_field_name(i), value.as_ref().map_or(0, |v| v.len));
+            write_field_header(
+                out,
+                &ycsb_field_name(i),
+                value.as_ref().map_or(0, |v| v.len),
+            );
             if let Some(value) = value {
                 value.append_to(rt, out);
             }
@@ -139,7 +146,8 @@ impl PRecord {
         self.proxy.write_u64(8 + i * 8, word);
         self.proxy.pwb_field(8 + i * 8, 8);
         rt.pfence();
-        self.proxy.ordering_point("record-field-publish", 8 + i * 8, 8);
+        self.proxy
+            .ordering_point("record-field-publish", 8 + i * 8, 8);
         if old != 0 {
             rt.free_addr(old & REF_ADDR_MASK);
         }
@@ -178,7 +186,10 @@ impl PValue {
         proxy.pwb();
         proxy.validate();
         let slack = proxy.capacity() - data.len() as u64;
-        assert!(slack <= u16::MAX.into(), "value slack {slack} needs more than 16 bits");
+        assert!(
+            slack <= u16::MAX.into(),
+            "value slack {slack} needs more than 16 bits"
+        );
         Ok(slack << 48 | proxy.addr())
     }
 }
@@ -463,7 +474,9 @@ impl Backend for JnvmBackend {
     }
 
     fn read_encoded(&self, key: &str, out: &mut Vec<u8>) -> bool {
-        self.lookup(key).map(|prec| prec.encode_into(key, out)).is_some()
+        self.lookup(key)
+            .map(|prec| prec.encode_into(key, out))
+            .is_some()
     }
 
     fn read_touch(&self, key: &str) -> bool {
@@ -520,10 +533,16 @@ mod tests {
         let (_p, rt) = rt(8 << 20);
         let rec = PRecord::create(&rt, &[b"one".to_vec(), b"two".to_vec()]).unwrap();
         assert_eq!(rec.nfields(), 2);
-        assert_eq!(rec.to_record("k"), Record::ycsb("k", &[b"one".to_vec(), b"two".to_vec()]));
+        assert_eq!(
+            rec.to_record("k"),
+            Record::ycsb("k", &[b"one".to_vec(), b"two".to_vec()])
+        );
         assert!(!rec.set_field(2, b"x").unwrap());
         assert!(rec.set_field(1, b"TWO").unwrap());
-        assert_eq!(rec.to_record("k"), Record::ycsb("k", &[b"one".to_vec(), b"TWO".to_vec()]));
+        assert_eq!(
+            rec.to_record("k"),
+            Record::ycsb("k", &[b"one".to_vec(), b"TWO".to_vec()])
+        );
     }
 
     /// Regression: concurrent failure-atomic puts into the *same* shard
@@ -624,13 +643,27 @@ mod tests {
         let (pmem, rt) = rt(8 << 20);
         let be = JnvmBackend::create(&rt, 1, false).unwrap();
         let records = [
-            ("nfields", vec![vec![1u8; 100], vec![2u8; 100]], "exceeds its chain"),
-            ("pooled", vec![vec![3u8; 64]; 4], "slack 73 exceeds its storage (72 B)"),
-            ("chained", vec![vec![4u8; 300]], "slack 497 exceeds its storage (496 B)"),
+            (
+                "nfields",
+                vec![vec![1u8; 100], vec![2u8; 100]],
+                "exceeds its chain",
+            ),
+            (
+                "pooled",
+                vec![vec![3u8; 64]; 4],
+                "slack 73 exceeds its storage (72 B)",
+            ),
+            (
+                "chained",
+                vec![vec![4u8; 300]],
+                "slack 497 exceeds its storage (496 B)",
+            ),
         ];
         for (key, values, _) in &records {
             assert!(be.store_full(&Record::ycsb(key, values)));
-            assert!(read_outcomes(&be, key).iter().all(|r| matches!(r, Ok(true))));
+            assert!(read_outcomes(&be, key)
+                .iter()
+                .all(|r| matches!(r, Ok(true))));
         }
         let proxy = |key| be.lookup(key).unwrap().proxy;
         pmem.write_u64(proxy("nfields").chain().phys(0), u64::MAX);
@@ -641,8 +674,14 @@ mod tests {
         }
         for (key, _, what) in records {
             for (sink, outcome) in read_outcomes(&be, key).into_iter().enumerate() {
-                let msg = *outcome.expect_err("a corrupt length was served").downcast::<String>().unwrap();
-                assert!(msg.contains("0x") && msg.contains(what), "{key}, sink {sink}: {msg}");
+                let msg = *outcome
+                    .expect_err("a corrupt length was served")
+                    .downcast::<String>()
+                    .unwrap();
+                assert!(
+                    msg.contains("0x") && msg.contains(what),
+                    "{key}, sink {sink}: {msg}"
+                );
             }
         }
     }
@@ -746,9 +785,8 @@ mod tests {
     fn a_reference_to_no_slot_is_nullified_at_recovery() {
         let values = vec![vec![1u8; 100], vec![3u8; 300], vec![5u8; 64]];
         let keys = ["victim", "bystander", "other"];
-        let field = |be: &JnvmBackend, key, i: u64| {
-            be.lookup(key).unwrap().proxy.chain().phys(8 + i * 8)
-        };
+        let field =
+            |be: &JnvmBackend, key, i: u64| be.lookup(key).unwrap().proxy.chain().phys(8 + i * 8);
         // A fresh pool of three records, the victim's field 2 overwritten
         // with `bad` of it (0 keeps it), crashed and reopened.
         type BadWord<'a> = dyn Fn(&Pmem, &JnvmBackend) -> u64 + 'a;
@@ -777,7 +815,9 @@ mod tests {
         };
         let bad_words: [(&str, &BadWord<'_>); 3] = [
             ("past the device", &|pmem, _| 7 << 48 | (pmem.len() + 24)),
-            ("inside a chain block", &|pmem, be| value_of(pmem, be, 1) + 24),
+            ("inside a chain block", &|pmem, be| {
+                value_of(pmem, be, 1) + 24
+            }),
             ("off a slot boundary", &|pmem, be| value_of(pmem, be, 0) + 8),
         ];
         for (what, bad) in bad_words {
@@ -785,9 +825,17 @@ mod tests {
             assert_eq!(report.nullified_refs, clean.nullified_refs + 1, "{what}");
             let mut victim = Record::ycsb("victim", &values);
             assert!(victim.set_field(2, b""));
-            assert_eq!(be.read("victim"), Some(victim), "{what}: the field reads null");
+            assert_eq!(
+                be.read("victim"),
+                Some(victim),
+                "{what}: the field reads null"
+            );
             for key in &keys[1..] {
-                assert_eq!(be.read(key), Some(Record::ycsb(key, &values)), "{what}: {key}");
+                assert_eq!(
+                    be.read(key),
+                    Some(Record::ycsb(key, &values)),
+                    "{what}: {key}"
+                );
             }
         }
     }
@@ -851,10 +899,29 @@ mod tests {
             let mut out = queued.to_vec();
             let mark = out.len();
             assert!(!be.read_encoded("absent", &mut out));
-            assert_eq!(out, queued, "{}: an absent key leaves `out` alone", be.name());
-            assert!(be.read_encoded(&want.key, &mut out), "{}: present", be.name());
-            assert_eq!(&out[mark..], encode_record(&be.read(&want.key).unwrap()), "{}", be.name());
-            assert_eq!(decode_record(&out[mark..]).as_ref(), Some(want), "{}", be.name());
+            assert_eq!(
+                out,
+                queued,
+                "{}: an absent key leaves `out` alone",
+                be.name()
+            );
+            assert!(
+                be.read_encoded(&want.key, &mut out),
+                "{}: present",
+                be.name()
+            );
+            assert_eq!(
+                &out[mark..],
+                encode_record(&be.read(&want.key).unwrap()),
+                "{}",
+                be.name()
+            );
+            assert_eq!(
+                decode_record(&out[mark..]).as_ref(),
+                Some(want),
+                "{}",
+                be.name()
+            );
             assert!(be.read_touch(&want.key));
         }
 

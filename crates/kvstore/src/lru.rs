@@ -193,7 +193,9 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
             (total_capacity / shards).max(1)
         };
         ShardedLru {
-            shards: (0..shards).map(|_| Mutex::new(LruCache::new(per))).collect(),
+            shards: (0..shards)
+                .map(|_| Mutex::new(LruCache::new(per)))
+                .collect(),
         }
     }
 

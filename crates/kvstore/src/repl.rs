@@ -156,8 +156,14 @@ mod tests {
             WriteOp::Del("missing".into()),
         ];
         let out = commit_writes_replicated(
-            ReplicaStack { grid: &pgrid, be: &pbe },
-            Some(ReplicaStack { grid: &bgrid, be: &bbe }),
+            ReplicaStack {
+                grid: &pgrid,
+                be: &pbe,
+            },
+            Some(ReplicaStack {
+                grid: &bgrid,
+                be: &bbe,
+            }),
             &ops,
             &lag,
         );
@@ -174,7 +180,10 @@ mod tests {
         let lag = ReplLag::new();
         let ops = vec![WriteOp::Set(Record::ycsb("k", &[b"v".to_vec()]))];
         let out = commit_writes_replicated(
-            ReplicaStack { grid: &pgrid, be: &pbe },
+            ReplicaStack {
+                grid: &pgrid,
+                be: &pbe,
+            },
             None,
             &ops,
             &lag,

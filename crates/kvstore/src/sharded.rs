@@ -142,10 +142,7 @@ impl ShardedKv {
             .zip(runtimes)
             .map(|(pmem, rt)| {
                 let be = Arc::new(be_for(&rt)?);
-                let grid = Arc::new(DataGrid::new(
-                    Arc::clone(&be) as Arc<dyn Backend>,
-                    grid_cfg,
-                ));
+                let grid = Arc::new(DataGrid::new(Arc::clone(&be) as Arc<dyn Backend>, grid_cfg));
                 Ok(KvShard {
                     pmem: Arc::clone(pmem),
                     rt,
@@ -295,7 +292,9 @@ mod tests {
 
         let opts = RecoveryOptions::parallel(2);
         let open = AssertUnwindSafe(|| ShardedKv::open(&pmems, true, GridConfig::default(), opts));
-        let panic = catch_unwind(open).map(drop).expect_err("the open must fail");
+        let panic = catch_unwind(open)
+            .map(drop)
+            .expect_err("the open must fail");
         let message = panic.downcast_ref::<String>().expect("a formatted message");
         assert!(message.contains("chain does not terminate"), "{message}");
     }
@@ -314,9 +313,13 @@ mod tests {
         for p in &pmems {
             p.crash(&jnvm_pmem::CrashPolicy::strict()).expect("crash");
         }
-        let (kv2, reports) =
-            ShardedKv::open(&pmems, true, GridConfig::default(), RecoveryOptions::parallel(2))
-                .unwrap();
+        let (kv2, reports) = ShardedKv::open(
+            &pmems,
+            true,
+            GridConfig::default(),
+            RecoveryOptions::parallel(2),
+        )
+        .unwrap();
         assert_eq!(reports.len(), 3);
         for (i, shard) in kv2.shards().iter().enumerate() {
             let rec = shard.grid.read("cell").expect("the record survives");
@@ -341,8 +344,7 @@ mod tests {
         let keys: Vec<String> = (0..60).map(|i| format!("key-{i:03}")).collect();
         let mut per_shard: Vec<Vec<WriteOp>> = vec![Vec::new(); kv.num_shards()];
         for k in &keys {
-            per_shard[kv.route(k)]
-                .push(WriteOp::Set(Record::ycsb(k, &[k.as_bytes().to_vec()])));
+            per_shard[kv.route(k)].push(WriteOp::Set(Record::ycsb(k, &[k.as_bytes().to_vec()])));
         }
         for (s, ops) in per_shard.iter().enumerate() {
             let shard = kv.shard(s);
@@ -354,9 +356,13 @@ mod tests {
         for p in &pmems {
             p.crash(&jnvm_pmem::CrashPolicy::strict()).expect("crash");
         }
-        let (kv2, reports) =
-            ShardedKv::open(&pmems, true, GridConfig::default(), RecoveryOptions::parallel(2))
-                .unwrap();
+        let (kv2, reports) = ShardedKv::open(
+            &pmems,
+            true,
+            GridConfig::default(),
+            RecoveryOptions::parallel(2),
+        )
+        .unwrap();
         assert_eq!(reports.len(), 3);
         for k in &keys {
             let rec = kv2.read(k).expect("record survives reopen");

@@ -20,7 +20,6 @@ use parking_lot::RwLock;
 
 use jnvm_pmem::{spin_ns, Pmem};
 
-
 use crate::backend::Backend;
 use crate::codec::{decode_record, encode_record, Record};
 use crate::CostModel;

@@ -227,9 +227,7 @@ fn search(
 /// from `state`, else the successor state.
 fn apply_checked(state: &Option<FieldVals>, e: &Event) -> Option<Option<FieldVals>> {
     match (&e.kind, &e.outcome) {
-        (OpKind::Get, Outcome::Value(v)) => {
-            (state.as_ref() == Some(v)).then(|| state.clone())
-        }
+        (OpKind::Get, Outcome::Value(v)) => (state.as_ref() == Some(v)).then(|| state.clone()),
         (OpKind::Get, Outcome::NotFound) => state.is_none().then_some(None),
         (OpKind::Set(v), Outcome::Ok) => Some(Some(v.clone())),
         (OpKind::SetField(i, v), Outcome::Ok) => match state {
@@ -245,7 +243,9 @@ fn apply_checked(state: &Option<FieldVals>, e: &Event) -> Option<Option<FieldVal
             Some(fields) => {
                 // NotFound is also legal when the field index is out of
                 // range on a present record.
-                let OpKind::SetField(i, _) = &e.kind else { unreachable!() };
+                let OpKind::SetField(i, _) = &e.kind else {
+                    unreachable!()
+                };
                 (*i >= fields.len()).then(|| state.clone())
             }
         },
@@ -362,7 +362,15 @@ mod tests {
             vec![
                 ev(0, 0, "k", OpKind::Set(val("a")), Outcome::Ok, 0, Some(1)),
                 ev(0, 1, "k", OpKind::Get, Outcome::Value(val("a")), 2, Some(3)),
-                ev(0, 2, "k", OpKind::SetField(0, b"b".to_vec()), Outcome::Ok, 4, Some(5)),
+                ev(
+                    0,
+                    2,
+                    "k",
+                    OpKind::SetField(0, b"b".to_vec()),
+                    Outcome::Ok,
+                    4,
+                    Some(5),
+                ),
                 ev(0, 3, "k", OpKind::Get, Outcome::Value(val("b")), 6, Some(7)),
                 ev(0, 4, "k", OpKind::Del, Outcome::Ok, 8, Some(9)),
                 ev(0, 5, "k", OpKind::Get, Outcome::NotFound, 10, Some(11)),
@@ -383,7 +391,15 @@ mod tests {
                 vec![
                     ev(0, 0, "k", OpKind::Set(val("a")), Outcome::Ok, 0, Some(3)),
                     ev(1, 0, "k", OpKind::Set(val("b")), Outcome::Ok, 1, Some(4)),
-                    ev(0, 1, "k", OpKind::Get, Outcome::Value(val(winner)), 5, Some(6)),
+                    ev(
+                        0,
+                        1,
+                        "k",
+                        OpKind::Get,
+                        Outcome::Value(val(winner)),
+                        5,
+                        Some(6),
+                    ),
                 ],
                 None,
             );
@@ -399,10 +415,28 @@ mod tests {
             let h = history(
                 vec![
                     ev(0, 0, "k", OpKind::Set(val("v1")), Outcome::Ok, 0, Some(1)),
-                    ev(0, 1, "k", OpKind::Set(val("v2")), Outcome::Indeterminate, 2, None),
-                    ev(usize::MAX, 0, "k", OpKind::Get,
-                       if survivor == "v1" { Outcome::Value(val("v1")) } else { Outcome::Value(val("v2")) },
-                       11, Some(12)),
+                    ev(
+                        0,
+                        1,
+                        "k",
+                        OpKind::Set(val("v2")),
+                        Outcome::Indeterminate,
+                        2,
+                        None,
+                    ),
+                    ev(
+                        usize::MAX,
+                        0,
+                        "k",
+                        OpKind::Get,
+                        if survivor == "v1" {
+                            Outcome::Value(val("v1"))
+                        } else {
+                            Outcome::Value(val("v2"))
+                        },
+                        11,
+                        Some(12),
+                    ),
                 ],
                 Some(10),
             );
@@ -417,9 +451,19 @@ mod tests {
                 vec![
                     ev(0, 0, "k", OpKind::Set(val("v")), Outcome::Ok, 0, Some(1)),
                     ev(0, 1, "k", OpKind::Del, Outcome::Indeterminate, 2, None),
-                    ev(usize::MAX, 0, "k", OpKind::Get,
-                       if present { Outcome::Value(val("v")) } else { Outcome::NotFound },
-                       11, Some(12)),
+                    ev(
+                        usize::MAX,
+                        0,
+                        "k",
+                        OpKind::Get,
+                        if present {
+                            Outcome::Value(val("v"))
+                        } else {
+                            Outcome::NotFound
+                        },
+                        11,
+                        Some(12),
+                    ),
                 ],
                 Some(10),
             );
@@ -436,8 +480,24 @@ mod tests {
         let h = history(
             vec![
                 ev(0, 0, "k", OpKind::Set(val("v1")), Outcome::Ok, 0, Some(1)),
-                ev(1, 0, "k", OpKind::Set(val("v2")), Outcome::Indeterminate, 2, Some(3)),
-                ev(0, 1, "k", OpKind::Get, Outcome::Value(val("v2")), 4, Some(5)),
+                ev(
+                    1,
+                    0,
+                    "k",
+                    OpKind::Set(val("v2")),
+                    Outcome::Indeterminate,
+                    2,
+                    Some(3),
+                ),
+                ev(
+                    0,
+                    1,
+                    "k",
+                    OpKind::Get,
+                    Outcome::Value(val("v2")),
+                    4,
+                    Some(5),
+                ),
             ],
             None,
         );
@@ -448,8 +508,24 @@ mod tests {
         // must not see its value.
         let h = history(
             vec![
-                ev(0, 0, "k", OpKind::Get, Outcome::Value(val("v2")), 0, Some(1)),
-                ev(1, 0, "k", OpKind::Set(val("v2")), Outcome::Indeterminate, 2, Some(3)),
+                ev(
+                    0,
+                    0,
+                    "k",
+                    OpKind::Get,
+                    Outcome::Value(val("v2")),
+                    0,
+                    Some(1),
+                ),
+                ev(
+                    1,
+                    0,
+                    "k",
+                    OpKind::Set(val("v2")),
+                    Outcome::Indeterminate,
+                    2,
+                    Some(3),
+                ),
             ],
             None,
         );
@@ -461,7 +537,15 @@ mod tests {
     fn setfield_on_absent_key_answers_notfound() {
         let h = history(
             vec![
-                ev(0, 0, "k", OpKind::SetField(0, b"x".to_vec()), Outcome::NotFound, 0, Some(1)),
+                ev(
+                    0,
+                    0,
+                    "k",
+                    OpKind::SetField(0, b"x".to_vec()),
+                    Outcome::NotFound,
+                    0,
+                    Some(1),
+                ),
                 ev(0, 1, "k", OpKind::Del, Outcome::NotFound, 2, Some(3)),
             ],
             None,
@@ -478,7 +562,15 @@ mod tests {
         let h = history(
             vec![
                 ev(0, 0, "k", OpKind::Set(val("v")), Outcome::Ok, 0, Some(1)),
-                ev(usize::MAX, 0, "k", OpKind::Get, Outcome::NotFound, 11, Some(12)),
+                ev(
+                    usize::MAX,
+                    0,
+                    "k",
+                    OpKind::Get,
+                    Outcome::NotFound,
+                    11,
+                    Some(12),
+                ),
             ],
             Some(10),
         );
@@ -500,7 +592,15 @@ mod tests {
             vec![
                 ev(0, 0, "k", OpKind::Set(val("v1")), Outcome::Ok, 0, Some(1)),
                 ev(0, 1, "k", OpKind::Del, Outcome::Ok, 2, Some(3)),
-                ev(0, 2, "k", OpKind::Get, Outcome::Value(val("v1")), 4, Some(5)),
+                ev(
+                    0,
+                    2,
+                    "k",
+                    OpKind::Get,
+                    Outcome::Value(val("v1")),
+                    4,
+                    Some(5),
+                ),
             ],
             None,
         );
@@ -519,8 +619,24 @@ mod tests {
             vec![
                 ev(0, 0, "k", OpKind::Set(val("v1")), Outcome::Ok, 0, Some(1)),
                 ev(0, 1, "k", OpKind::Set(val("v2")), Outcome::Ok, 2, Some(3)),
-                ev(1, 0, "k", OpKind::Get, Outcome::Value(val("v2")), 4, Some(5)),
-                ev(1, 1, "k", OpKind::Get, Outcome::Value(val("v1")), 6, Some(7)),
+                ev(
+                    1,
+                    0,
+                    "k",
+                    OpKind::Get,
+                    Outcome::Value(val("v2")),
+                    4,
+                    Some(5),
+                ),
+                ev(
+                    1,
+                    1,
+                    "k",
+                    OpKind::Get,
+                    Outcome::Value(val("v1")),
+                    6,
+                    Some(7),
+                ),
             ],
             None,
         );
@@ -536,9 +652,25 @@ mod tests {
         // survive.
         let h = history(
             vec![
-                ev(0, 0, "k", OpKind::Set(val("v")), Outcome::Indeterminate, 0, None),
+                ev(
+                    0,
+                    0,
+                    "k",
+                    OpKind::Set(val("v")),
+                    Outcome::Indeterminate,
+                    0,
+                    None,
+                ),
                 ev(1, 0, "k", OpKind::Get, Outcome::Value(val("v")), 2, Some(3)),
-                ev(usize::MAX, 0, "k", OpKind::Get, Outcome::NotFound, 11, Some(12)),
+                ev(
+                    usize::MAX,
+                    0,
+                    "k",
+                    OpKind::Get,
+                    Outcome::NotFound,
+                    11,
+                    Some(12),
+                ),
             ],
             Some(10),
         );
@@ -557,8 +689,24 @@ mod tests {
             vec![
                 ev(0, 0, "k1", OpKind::Set(val("a")), Outcome::Ok, 0, Some(1)),
                 ev(0, 1, "k2", OpKind::Set(val("b")), Outcome::Ok, 2, Some(3)),
-                ev(usize::MAX, 0, "k1", OpKind::Get, Outcome::NotFound, 11, Some(12)),
-                ev(usize::MAX, 1, "k2", OpKind::Get, Outcome::Value(val("b")), 13, Some(14)),
+                ev(
+                    usize::MAX,
+                    0,
+                    "k1",
+                    OpKind::Get,
+                    Outcome::NotFound,
+                    11,
+                    Some(12),
+                ),
+                ev(
+                    usize::MAX,
+                    1,
+                    "k2",
+                    OpKind::Get,
+                    Outcome::Value(val("b")),
+                    13,
+                    Some(14),
+                ),
             ],
             Some(10),
         );
@@ -571,8 +719,24 @@ mod tests {
             vec![
                 ev(0, 0, "k1", OpKind::Set(val("a")), Outcome::Ok, 0, Some(1)),
                 ev(0, 1, "k2", OpKind::Set(val("b")), Outcome::Ok, 2, Some(3)),
-                ev(usize::MAX, 0, "k1", OpKind::Get, Outcome::Value(val("a")), 11, Some(12)),
-                ev(usize::MAX, 1, "k2", OpKind::Get, Outcome::Value(val("b")), 13, Some(14)),
+                ev(
+                    usize::MAX,
+                    0,
+                    "k1",
+                    OpKind::Get,
+                    Outcome::Value(val("a")),
+                    11,
+                    Some(12),
+                ),
+                ev(
+                    usize::MAX,
+                    1,
+                    "k2",
+                    OpKind::Get,
+                    Outcome::Value(val("b")),
+                    13,
+                    Some(14),
+                ),
             ],
             Some(10),
         );
@@ -584,10 +748,33 @@ mod tests {
         // The acked SETF must be reflected in the recovered record.
         let h = history(
             vec![
-                ev(0, 0, "k", OpKind::Set(vec![b"a".to_vec(), b"b".to_vec()]), Outcome::Ok, 0, Some(1)),
-                ev(0, 1, "k", OpKind::SetField(0, b"x".to_vec()), Outcome::Ok, 2, Some(3)),
-                ev(usize::MAX, 0, "k", OpKind::Get,
-                   Outcome::Value(vec![b"a".to_vec(), b"b".to_vec()]), 11, Some(12)),
+                ev(
+                    0,
+                    0,
+                    "k",
+                    OpKind::Set(vec![b"a".to_vec(), b"b".to_vec()]),
+                    Outcome::Ok,
+                    0,
+                    Some(1),
+                ),
+                ev(
+                    0,
+                    1,
+                    "k",
+                    OpKind::SetField(0, b"x".to_vec()),
+                    Outcome::Ok,
+                    2,
+                    Some(3),
+                ),
+                ev(
+                    usize::MAX,
+                    0,
+                    "k",
+                    OpKind::Get,
+                    Outcome::Value(vec![b"a".to_vec(), b"b".to_vec()]),
+                    11,
+                    Some(12),
+                ),
             ],
             Some(10),
         );
@@ -606,15 +793,29 @@ mod tests {
         let second = |kind, outcome, res| ev(client, 1, "k", kind, outcome, 1, Some(res));
         [
             history(
-                vec![set("v"), second(OpKind::SetField(0, b"x".to_vec()), Outcome::NotFound, 2)],
+                vec![
+                    set("v"),
+                    second(OpKind::SetField(0, b"x".to_vec()), Outcome::NotFound, 2),
+                ],
                 None,
             ),
-            history(vec![set("v"), second(OpKind::Get, Outcome::NotFound, 4)], None),
+            history(
+                vec![set("v"), second(OpKind::Get, Outcome::NotFound, 4)],
+                None,
+            ),
             history(
                 vec![
                     set("v1"),
                     second(OpKind::Set(val("v2")), Outcome::Ok, 4),
-                    ev(usize::MAX, 0, "k", OpKind::Get, Outcome::Value(val("v1")), 11, Some(12)),
+                    ev(
+                        usize::MAX,
+                        0,
+                        "k",
+                        OpKind::Get,
+                        Outcome::Value(val("v1")),
+                        11,
+                        Some(12),
+                    ),
                 ],
                 Some(10),
             ),
@@ -624,7 +825,11 @@ mod tests {
     #[test]
     fn setf_overtaking_its_own_clients_set_is_rejected() {
         let v = check(&overlaps(0)[0]).expect_err("SETF found nothing behind its own acked SET");
-        let tags: Vec<_> = v.witness.iter().map(|e| (e.kind.tag(), &e.outcome)).collect();
+        let tags: Vec<_> = v
+            .witness
+            .iter()
+            .map(|e| (e.kind.tag(), &e.outcome))
+            .collect();
         assert_eq!(tags, [("SET", &Outcome::Ok), ("SETF", &Outcome::NotFound)]);
         assert_one_minimal(&v.witness);
     }
@@ -632,7 +837,11 @@ mod tests {
     #[test]
     fn get_overtaking_its_own_clients_set_is_rejected() {
         let v = check(&overlaps(0)[1]).expect_err("GET found nothing behind its own acked SET");
-        let tags: Vec<_> = v.witness.iter().map(|e| (e.kind.tag(), &e.outcome)).collect();
+        let tags: Vec<_> = v
+            .witness
+            .iter()
+            .map(|e| (e.kind.tag(), &e.outcome))
+            .collect();
         assert_eq!(tags, [("SET", &Outcome::Ok), ("GET", &Outcome::NotFound)]);
         assert_one_minimal(&v.witness);
     }
@@ -655,9 +864,25 @@ mod tests {
         // promotion — after the GET the crashed primary answered.
         let h = history(
             vec![
-                ev(0, 0, "k", OpKind::Set(val("v")), Outcome::Indeterminate, 0, Some(3)),
+                ev(
+                    0,
+                    0,
+                    "k",
+                    OpKind::Set(val("v")),
+                    Outcome::Indeterminate,
+                    0,
+                    Some(3),
+                ),
                 ev(0, 1, "k", OpKind::Get, Outcome::NotFound, 1, Some(4)),
-                ev(usize::MAX, 0, "k", OpKind::Get, Outcome::Value(val("v")), 11, Some(12)),
+                ev(
+                    usize::MAX,
+                    0,
+                    "k",
+                    OpKind::Get,
+                    Outcome::Value(val("v")),
+                    11,
+                    Some(12),
+                ),
             ],
             Some(10),
         );
@@ -696,7 +921,11 @@ mod tests {
         h.mark_crash();
         h.observe("a", Some(val("2")));
         let v = check(&h).expect_err("torn/foreign value");
-        assert_eq!(v.witness.len(), 1, "the impossible observation alone convicts");
+        assert_eq!(
+            v.witness.len(),
+            1,
+            "the impossible observation alone convicts"
+        );
     }
 
     #[test]
@@ -707,14 +936,24 @@ mod tests {
         let mut events = Vec::new();
         for i in 0..10usize {
             events.push(ev(
-                i, 0, "k",
+                i,
+                0,
+                "k",
                 OpKind::Set(val(&format!("v{i}"))),
                 Outcome::Indeterminate,
                 i as u64,
                 None,
             ));
         }
-        events.push(ev(usize::MAX, 0, "k", OpKind::Get, Outcome::Value(val("v7")), 100, Some(101)));
+        events.push(ev(
+            usize::MAX,
+            0,
+            "k",
+            OpKind::Get,
+            Outcome::Value(val("v7")),
+            100,
+            Some(101),
+        ));
         check(&history(events, Some(50))).expect("v7 linearized last");
     }
 
@@ -722,7 +961,15 @@ mod tests {
     #[should_panic(expected = "post-recovery observation")]
     fn observation_before_crash_mark_is_harness_misuse() {
         let h = history(
-            vec![ev(usize::MAX, 0, "k", OpKind::Get, Outcome::NotFound, 1, Some(2))],
+            vec![ev(
+                usize::MAX,
+                0,
+                "k",
+                OpKind::Get,
+                Outcome::NotFound,
+                1,
+                Some(2),
+            )],
             Some(10),
         );
         let _ = check(&h);

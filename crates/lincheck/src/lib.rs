@@ -261,10 +261,7 @@ impl History {
     /// Assemble a history from per-client recorders. The clock must be
     /// the one the recorders stamped with — observation events continue
     /// on it.
-    pub fn collect(
-        clock: Clock,
-        recorders: impl IntoIterator<Item = ClientRecorder>,
-    ) -> History {
+    pub fn collect(clock: Clock, recorders: impl IntoIterator<Item = ClientRecorder>) -> History {
         let mut events = Vec::new();
         for r in recorders {
             events.extend(r.into_events());
@@ -396,8 +393,11 @@ impl History {
     /// same seed must produce byte-identical digests; see the seeded
     /// determinism test in `tests/lincheck.rs`.
     pub fn invocation_digest(&self) -> Vec<u8> {
-        let mut by_client: Vec<&Event> =
-            self.events.iter().filter(|e| e.client != usize::MAX).collect();
+        let mut by_client: Vec<&Event> = self
+            .events
+            .iter()
+            .filter(|e| e.client != usize::MAX)
+            .collect();
         by_client.sort_by_key(|e| (e.client, e.seq));
         let mut out = Vec::new();
         for e in by_client {

@@ -206,7 +206,9 @@ mod tests {
         for w in 0..3u64 {
             let mut part = Histogram::new();
             for i in 0..5_000u64 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(w * 1_000 + i);
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(w * 1_000 + i);
                 let v = x % 5_000_000 + 1;
                 part.record(v);
                 combined.record(v);

@@ -319,7 +319,13 @@ pub fn metrics_text() -> String {
         );
     }
     for (name, h) in &snap.hists {
-        let _ = writeln!(out, "hist {} count={} {}", name, h.count(), h.summary().display_us());
+        let _ = writeln!(
+            out,
+            "hist {} count={} {}",
+            name,
+            h.count(),
+            h.summary().display_us()
+        );
     }
     out
 }
@@ -334,13 +340,15 @@ mod tests {
         let _g = test_lock();
         set_mode(ObsMode::Log);
         let before = metrics_snapshot();
-        let b = |s: &MetricsSnapshot, n: &str| s.label(n).cloned().unwrap_or(LabelCounts {
-            name: "",
-            points: 0,
-            pwbs: 0,
-            pfences: 0,
-            psyncs: 0,
-        });
+        let b = |s: &MetricsSnapshot, n: &str| {
+            s.label(n).cloned().unwrap_or(LabelCounts {
+                name: "",
+                points: 0,
+                pwbs: 0,
+                pfences: 0,
+                psyncs: 0,
+            })
+        };
         note_pwb();
         note_pwb();
         note_fence();

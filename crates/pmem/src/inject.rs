@@ -160,8 +160,10 @@ impl Pmem {
         let inj = self.injector();
         inj.counter.store(0, Ordering::Relaxed);
         inj.frozen.store(false, Ordering::Relaxed);
-        inj.crash_token
-            .store(NEXT_CRASH_TOKEN.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
+        inj.crash_token.store(
+            NEXT_CRASH_TOKEN.fetch_add(1, Ordering::Relaxed),
+            Ordering::Relaxed,
+        );
         *inj.policy.lock() = plan.policy;
         inj.trace.lock().clear();
         let (trigger, tracing) = match plan.mode {
@@ -424,7 +426,10 @@ mod tests {
             let err = catch_crash(|| p2.write_u64(64, 2)).expect_err("other threads must stop");
             assert!(err.secondary);
             assert_eq!(err.op, FaultOp::Write);
-            assert_eq!(err.op_index, 0, "secondary unwinds report the trigger point");
+            assert_eq!(
+                err.op_index, 0,
+                "secondary unwinds report the trigger point"
+            );
             // After its own unwind the thread is quiesced; cleanup paths
             // may keep touching the device without aborting the process.
             p2.write_u64(64, 3);
@@ -434,7 +439,11 @@ mod tests {
         .join()
         .unwrap();
         p.disarm_faults();
-        assert_eq!(p.read_u64(64), 0, "frozen device must drop all of the thread's writes");
+        assert_eq!(
+            p.read_u64(64),
+            0,
+            "frozen device must drop all of the thread's writes"
+        );
         assert_eq!(p.stats().secondary_unwinds, 1);
     }
 

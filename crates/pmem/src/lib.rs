@@ -35,12 +35,12 @@
 
 mod config;
 mod device;
-mod inject;
-#[cfg(test)]
-mod proptests;
 mod error;
 mod image;
+mod inject;
 mod latency;
+#[cfg(test)]
+mod proptests;
 mod sanitize;
 mod stats;
 

@@ -75,9 +75,7 @@ impl SanitizeMode {
                 "" | "off" | "0" => SanitizeMode::Off,
                 "log" => SanitizeMode::Log,
                 "strict" => SanitizeMode::Strict,
-                other => panic!(
-                    "JNVM_SANITIZE={other:?}: expected \"off\", \"log\" or \"strict\""
-                ),
+                other => panic!("JNVM_SANITIZE={other:?}: expected \"off\", \"log\" or \"strict\""),
             },
         }
     }
@@ -276,7 +274,11 @@ mod tests {
         p.zero_range(CACHE_LINE, CACHE_LINE);
         p.ordering_point("line0", &[(0, CACHE_LINE)]);
         p.ordering_point("line2", &[(2 * CACHE_LINE, CACHE_LINE)]);
-        assert_eq!(p.stats().san_violations, 0, "zero_range leaked into a neighbour line");
+        assert_eq!(
+            p.stats().san_violations,
+            0,
+            "zero_range leaked into a neighbour line"
+        );
         p.ordering_point("line1", &[(CACHE_LINE, CACHE_LINE)]);
         let v = p.san_violations();
         assert_eq!(v.len(), 1);

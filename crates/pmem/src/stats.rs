@@ -352,8 +352,7 @@ mod tests {
     fn array_roundtrip_covers_every_field() {
         // A distinct value per field: from_array(to_array(s)) == s proves
         // the two orderings agree field-for-field.
-        let a: [u64; StatsSnapshot::FIELDS] =
-            std::array::from_fn(|i| (i as u64 + 1) * 1_000_003);
+        let a: [u64; StatsSnapshot::FIELDS] = std::array::from_fn(|i| (i as u64 + 1) * 1_000_003);
         let s = StatsSnapshot::from_array(a);
         assert_eq!(s.to_array(), a);
         assert_eq!(StatsSnapshot::from_array(s.to_array()), s);

@@ -76,7 +76,8 @@ fn print_report(report: &LoadReport) -> bool {
 fn fetch(addr: SocketAddr, req: &Request) -> Result<String, String> {
     let mut s = TcpStream::connect(addr).map_err(|e| e.to_string())?;
     handshake(&mut s).map_err(|e| e.to_string())?;
-    s.write_all(&encode_request(req)).map_err(|e| e.to_string())?;
+    s.write_all(&encode_request(req))
+        .map_err(|e| e.to_string())?;
     match read_reply(&mut s, &mut Vec::new()).map_err(|e| e.to_string())? {
         Some(Reply::Value(v)) => Ok(String::from_utf8_lossy(&v).into_owned()),
         Some(other) => Err(format!("unexpected reply {other:?}")),

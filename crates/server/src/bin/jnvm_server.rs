@@ -87,7 +87,13 @@ fn main() {
     println!(
         "pools={}x{} MiB replicas={} map_shards={} fa={} batch_max={} queue_cap={} \
          recovery_threads={}",
-        pool_shards, pool_mb, replicas, map_shards, fa, cfg.batch_max, cfg.queue_cap,
+        pool_shards,
+        pool_mb,
+        replicas,
+        map_shards,
+        fa,
+        cfg.batch_max,
+        cfg.queue_cap,
         recovery_threads
     );
 

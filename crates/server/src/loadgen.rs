@@ -155,7 +155,9 @@ pub fn value_for(seed: u64, conn: usize, i: usize, field: usize, len: usize) -> 
         ^ (field as u64).wrapping_mul(0xd1b54a32d192ed03);
     let mut out = Vec::with_capacity(len);
     for _ in 0..len {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         out.push((x >> 33) as u8);
     }
     out
@@ -284,7 +286,13 @@ fn run_conn(
         report.sent += 1;
         window.push_back((i, Instant::now(), tok));
         while window.len() >= cfg.pipeline.max(1) {
-            if !settle(&mut report, &mut recorder, &mut window, &mut stream, &mut rbuf) {
+            if !settle(
+                &mut report,
+                &mut recorder,
+                &mut window,
+                &mut stream,
+                &mut rbuf,
+            ) {
                 dead = true;
                 break;
             }
@@ -294,7 +302,13 @@ fn run_conn(
         }
     }
     while !dead && !window.is_empty() {
-        if !settle(&mut report, &mut recorder, &mut window, &mut stream, &mut rbuf) {
+        if !settle(
+            &mut report,
+            &mut recorder,
+            &mut window,
+            &mut stream,
+            &mut rbuf,
+        ) {
             break;
         }
     }
@@ -312,7 +326,10 @@ pub fn run_loadgen(addr: SocketAddr, cfg: &LoadgenConfig) -> LoadReport {
                 s.spawn(move || run_conn(addr, c, cfg, &clock))
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("conn thread")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("conn thread"))
+            .collect()
     });
     let (per_conn, recorders): (Vec<ConnReport>, Vec<ClientRecorder>) =
         per_conn.into_iter().unzip();

@@ -540,7 +540,10 @@ pub fn parse_reply(buf: &[u8]) -> Result<Option<(Reply, usize)>, ProtoError> {
     // Status first: on a desynchronized stream the next four bytes are
     // not a length, and "unknown status" is the diagnosis that says so.
     let status = buf[0];
-    if !matches!(status, ST_OK | ST_VALUE | ST_NOT_FOUND | ST_ERR | ST_REPL_ACK) {
+    if !matches!(
+        status,
+        ST_OK | ST_VALUE | ST_NOT_FOUND | ST_ERR | ST_REPL_ACK
+    ) {
         return Err(ProtoError::UnknownStatus(status));
     }
     let len = u32::from_le_bytes(buf[1..5].try_into().expect("4 bytes")) as usize;
@@ -560,7 +563,9 @@ pub fn parse_reply(buf: &[u8]) -> Result<Option<(Reply, usize)>, ProtoError> {
             if payload.len() != 8 {
                 return Err(ProtoError::UnknownStatus(status));
             }
-            Reply::ReplAck(u64::from_le_bytes(payload[..8].try_into().expect("8 bytes")))
+            Reply::ReplAck(u64::from_le_bytes(
+                payload[..8].try_into().expect("8 bytes"),
+            ))
         }
         _ => unreachable!("status validated above"),
     };
@@ -571,10 +576,7 @@ pub fn parse_reply(buf: &[u8]) -> Result<Option<(Reply, usize)>, ProtoError> {
 /// = the stream ended, failed, or stayed silent for 10 s; `Err` = the reply
 /// stream is unparseable ([`ProtoError`]) — typed, so the caller can record
 /// it instead of conflating it with silence.
-pub fn read_reply(
-    stream: &mut TcpStream,
-    rbuf: &mut Vec<u8>,
-) -> Result<Option<Reply>, ProtoError> {
+pub fn read_reply(stream: &mut TcpStream, rbuf: &mut Vec<u8>) -> Result<Option<Reply>, ProtoError> {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut tmp = [0u8; 8 * 1024];
     loop {
@@ -603,8 +605,7 @@ pub fn handshake<S: std::io::Read + std::io::Write>(stream: &mut S) -> std::io::
     stream.write_all(&hello_frame())?;
     let mut theirs = [0u8; 2];
     stream.read_exact(&mut theirs)?;
-    check_hello(theirs)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    check_hello(theirs).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 /// Pull a typed [`ProtoError`] back out of a [`handshake`] failure, if
@@ -721,9 +722,7 @@ mod tests {
         // ~40 ops x 48 KiB > MAX_FRAME: must split, preserving op order
         // and allocating monotone seqs.
         let ops: Vec<WriteOp> = (0..40)
-            .map(|i| {
-                WriteOp::Set(Record::ycsb(&format!("k{i}"), &[vec![i as u8; 48 << 10]]))
-            })
+            .map(|i| WriteOp::Set(Record::ycsb(&format!("k{i}"), &[vec![i as u8; 48 << 10]])))
             .collect();
         let mut next = 0u64;
         let frames = encode_repl_apply(&ops, || {
@@ -812,10 +811,7 @@ mod tests {
         // reply code. Pre-ProtoError this path only surfaced as a
         // `&'static str` that call sites unwrapped.
         let garbage = b"HTTP/1.1 200 OK\r\n\r\nuptime=9";
-        assert_eq!(
-            parse_reply(garbage),
-            Err(ProtoError::UnknownStatus(b'H'))
-        );
+        assert_eq!(parse_reply(garbage), Err(ProtoError::UnknownStatus(b'H')));
         // A plausible status byte but an absurd length word: typed, and
         // carries the claimed length for the caller's diagnostics.
         let mut huge = vec![ST_VALUE];
@@ -828,9 +824,7 @@ mod tests {
         );
         // Both render a human-readable reason.
         assert!(format!("{}", ProtoError::UnknownStatus(b'H')).contains("0x48"));
-        assert!(
-            format!("{}", ProtoError::ReplyTooLarge { len: 7 }).contains("7 B")
-        );
+        assert!(format!("{}", ProtoError::ReplyTooLarge { len: 7 }).contains("7 B"));
         // Truncated-but-sane prefixes stay Incomplete, never errors.
         for cut in 0..5 {
             assert_eq!(parse_reply(&huge[..cut]), Ok(None));

@@ -330,9 +330,7 @@ impl Shared {
     }
 
     fn all_dead(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.dead.load(Ordering::Acquire))
+        self.shards.iter().all(|s| s.dead.load(Ordering::Acquire))
     }
 }
 
@@ -678,7 +676,9 @@ fn committer_loop(shared: &Arc<Shared>, si: usize, rx: Receiver<Queued>, mut lin
                 // behind us: release acks.
                 shard.groups.fetch_add(out.groups as u64, Ordering::Relaxed);
                 shard.batches.fetch_add(1, Ordering::Relaxed);
-                shard.charged_ns.store(thread_charged_ns(), Ordering::Release);
+                shard
+                    .charged_ns
+                    .store(thread_charged_ns(), Ordering::Release);
                 if shard.set.promotions() > 0 {
                     let n = out.results.iter().filter(|ok| **ok).count() as u64;
                     shared.acked_after_promotion.fetch_add(n, Ordering::Relaxed);
@@ -953,9 +953,7 @@ fn handle_conn(shared: &Arc<Shared>, queues: &[SyncSender<Queued>], mut stream: 
                             }
                         }
                         Request::Stats => Reply::Value(stats_text(shared).into_bytes()),
-                        Request::Trace => {
-                            Reply::Value(jnvm_obs::trace_text(64).into_bytes())
-                        }
+                        Request::Trace => Reply::Value(jnvm_obs::trace_text(64).into_bytes()),
                         Request::Metrics => Reply::Value(metrics_text(shared).into_bytes()),
                         Request::Shutdown => {
                             done.push_ready(&Reply::Ok);
@@ -1243,7 +1241,9 @@ mod tests {
             let mut out = earlier.clone();
             encode_get_reply(&mut out, read);
             assert_eq!(out[..earlier.len()], earlier[..], "earlier replies moved");
-            let (reply, n) = parse_reply(&out[earlier.len()..]).unwrap().expect("a whole frame");
+            let (reply, n) = parse_reply(&out[earlier.len()..])
+                .unwrap()
+                .expect("a whole frame");
             assert_eq!(earlier.len() + n, out.len(), "bytes behind the frame");
             reply
         };

@@ -264,7 +264,11 @@ pub fn kill_during_traffic(point: u64, cfg: &TortureConfig) -> Result<KillReport
         .iter()
         .enumerate()
         .map(|(s, reps)| {
-            let r = if promoted && s == cfg.crash_shard { 1 } else { 0 };
+            let r = if promoted && s == cfg.crash_shard {
+                1
+            } else {
+                0
+            };
             Arc::clone(&reps[r])
         })
         .collect();

@@ -188,8 +188,10 @@ fn truncated_frame_then_disconnect_leaves_grid_consistent() {
     let mut buf = Vec::new();
     assert_eq!(grid_len(&mut s, &mut buf), 1);
     assert!(
-        matches!(roundtrip(&mut s, &mut buf, &Request::Get("t-truncated".into())),
-            Some(Reply::NotFound)),
+        matches!(
+            roundtrip(&mut s, &mut buf, &Request::Get("t-truncated".into())),
+            Some(Reply::NotFound)
+        ),
         "half a frame must not half-apply"
     );
     server.shutdown();

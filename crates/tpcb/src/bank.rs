@@ -84,10 +84,7 @@ pub trait Bank: Send + Sync {
 const STRIPES: usize = 256;
 
 fn stripe_pair(locks: &[Mutex<()>], a: u64, b: u64) -> (usize, usize) {
-    let (x, y) = (
-        (a as usize) % locks.len(),
-        (b as usize) % locks.len(),
-    );
+    let (x, y) = ((a as usize) % locks.len(), (b as usize) % locks.len());
     (x.min(y), x.max(y))
 }
 

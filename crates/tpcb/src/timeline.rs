@@ -216,7 +216,10 @@ pub fn run_timeline(kind: BankKind, cfg: &TimelineConfig) -> TimelineReport {
             let (rt, report) = register_tpcb(JnvmBuilder::new())
                 .open_with_options(
                     Arc::clone(pmem.as_ref().expect("jnvm has a pool")),
-                    RecoveryOptions { mode, threads: cfg.recovery_threads },
+                    RecoveryOptions {
+                        mode,
+                        threads: cfg.recovery_threads,
+                    },
                 )
                 .expect("recovery");
             recovery = Some(report);
@@ -323,9 +326,15 @@ mod tests {
 
     #[test]
     fn jpfa_timeline_with_parallel_recovery_conserves_money() {
-        let cfg = TimelineConfig { recovery_threads: 4, ..tiny() };
+        let cfg = TimelineConfig {
+            recovery_threads: 4,
+            ..tiny()
+        };
         let r = run_timeline(BankKind::Jpfa, &cfg);
-        assert!(r.money_conserved, "parallel recovery must not tear transfers");
+        assert!(
+            r.money_conserved,
+            "parallel recovery must not tear transfers"
+        );
         assert_eq!(r.recovery.expect("recovery ran").threads, 4);
     }
 

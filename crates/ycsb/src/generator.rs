@@ -102,8 +102,7 @@ impl ZipfianGenerator {
         if uz < 1.0 + 0.5f64.powf(self.theta) {
             return self.base + 1;
         }
-        self.base
-            + ((self.items as f64) * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64
+        self.base + ((self.items as f64) * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64
     }
 }
 
@@ -127,8 +126,8 @@ impl Generator for ZipfianGenerator {
             self.zeta_n = Self::zeta(n, self.theta);
         }
         self.items = n;
-        self.eta = (1.0 - (2.0 / n as f64).powf(1.0 - self.theta))
-            / (1.0 - self.zeta2 / self.zeta_n);
+        self.eta =
+            (1.0 - (2.0 / n as f64).powf(1.0 - self.theta)) / (1.0 - self.zeta2 / self.zeta_n);
     }
 }
 
@@ -251,7 +250,10 @@ mod tests {
                 oldest += 1;
             }
         }
-        assert!(newest > oldest * 20, "latest skews to recent: {newest} vs {oldest}");
+        assert!(
+            newest > oldest * 20,
+            "latest skews to recent: {newest} vs {oldest}"
+        );
     }
 
     #[test]

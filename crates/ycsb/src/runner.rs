@@ -7,8 +7,8 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::generator::{Generator, LatestGenerator, ScrambledZipfianGenerator};
-use crate::Histogram;
 use crate::workload::{RequestDistribution, WorkloadSpec};
+use crate::Histogram;
 use crate::{field_value, record_key};
 
 /// The operations a store adapter must serve.

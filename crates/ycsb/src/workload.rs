@@ -29,7 +29,13 @@ pub enum Workload {
 
 impl Workload {
     /// All workloads the paper evaluates, in Figure 7 order.
-    pub const ALL: [Workload; 5] = [Workload::A, Workload::B, Workload::C, Workload::D, Workload::F];
+    pub const ALL: [Workload; 5] = [
+        Workload::A,
+        Workload::B,
+        Workload::C,
+        Workload::D,
+        Workload::F,
+    ];
 
     /// One-letter label.
     pub fn label(&self) -> &'static str {
@@ -81,10 +87,7 @@ impl Workload {
                 update: 0.05,
                 ..base
             },
-            Workload::C => WorkloadSpec {
-                read: 1.0,
-                ..base
-            },
+            Workload::C => WorkloadSpec { read: 1.0, ..base },
             Workload::D => WorkloadSpec {
                 read: 0.95,
                 insert: 0.05,

@@ -47,7 +47,10 @@ fn main() {
     let load = run_load(&spec, |_| Client(Arc::clone(&grid)));
     println!("load: {:.2} s ({} records)", load.as_secs_f64(), grid.len());
 
-    println!("running YCSB-A with {} ops on {} threads...", spec.op_count, spec.threads);
+    println!(
+        "running YCSB-A with {} ops on {} threads...",
+        spec.op_count, spec.threads
+    );
     let report = run_workload(&spec, |_| Client(Arc::clone(&grid)));
     println!(
         "throughput: {:.1} Kops/s over {:.2} s",

@@ -22,7 +22,11 @@ fn main() {
 
     // Strings and byte blobs: small ones are pool-packed (§4.4).
     let s = PString::from_str_in(&rt, "persistent and pooled").expect("pstring");
-    println!("PString: {:?} (pooled: {})", s.to_string_lossy(), s.is_pooled());
+    println!(
+        "PString: {:?} (pooled: {})",
+        s.to_string_lossy(),
+        s.is_pooled()
+    );
 
     // Fixed arrays.
     let arr = PLongArray::new(&rt, 8).expect("array");
@@ -30,7 +34,10 @@ fn main() {
         arr.set(i, (i * i) as i64);
     }
     arr.pwb();
-    println!("PLongArray: {:?}", (0..8).map(|i| arr.get(i)).collect::<Vec<_>>());
+    println!(
+        "PLongArray: {:?}",
+        (0..8).map(|i| arr.get(i)).collect::<Vec<_>>()
+    );
 
     // The extensible array (ArrayList drop-in).
     let vec = PRefVec::new(&rt, 2).expect("vec");
@@ -38,7 +45,11 @@ fn main() {
         let w = PString::from_str_in(&rt, word).expect("word");
         vec.push(w.addr()).expect("push");
     }
-    print!("PRefVec ({} elems, capacity {}):", vec.len(), vec.capacity());
+    print!(
+        "PRefVec ({} elems, capacity {}):",
+        vec.len(),
+        vec.capacity()
+    );
     vec.for_each(|_, addr| {
         print!(" {}", PString::resurrect(&rt, addr).to_string_lossy());
     });

@@ -55,14 +55,20 @@ fn main() {
         .root_get_as::<Simple>("simple")
         .expect("typed lookup")
         .expect("present");
-    let mut sw = SimpleWithTransient { persistent: s, y: 0 };
+    let mut sw = SimpleWithTransient {
+        persistent: s,
+        y: 0,
+    };
 
     // s.inc(); s.y = 42;
     rt.fa(|| sw.persistent.set_x(sw.persistent.x() + 1));
     sw.y = 42;
 
     println!("x   = {}", sw.persistent.x());
-    println!("msg = {}", sw.persistent.msg().expect("msg set").to_string_lossy());
+    println!(
+        "msg = {}",
+        sw.persistent.msg().expect("msg set").to_string_lossy()
+    );
     println!("y   = {} (transient)", sw.y);
 
     // Crash! Everything reachable-and-valid survives; y does not.
@@ -80,7 +86,11 @@ fn main() {
         .expect("typed lookup")
         .expect("survived the crash");
     assert_eq!(s2.x(), 43);
-    println!("after crash: x = {}, msg = {:?}", s2.x(), s2.msg().map(|m| m.to_string_lossy()));
+    println!(
+        "after crash: x = {}, msg = {:?}",
+        s2.x(),
+        s2.msg().map(|m| m.to_string_lossy())
+    );
 
     // JNVM.root.put("simple", new Simple(24)); JNVM.free(s.msg); JNVM.free(s);
     rt2.fa(|| {

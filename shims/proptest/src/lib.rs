@@ -221,7 +221,11 @@ pub mod strategy {
                 .unwrap_or_else(|| panic!("string strategy: unsupported pattern {self:?}"));
             let mut out = String::new();
             for (chars, lo, hi) in &atoms {
-                let n = if lo == hi { *lo } else { rng.random_range(*lo..=*hi) };
+                let n = if lo == hi {
+                    *lo
+                } else {
+                    rng.random_range(*lo..=*hi)
+                };
                 for _ in 0..n {
                     out.push(chars[rng.random_range(0..chars.len())]);
                 }
@@ -419,7 +423,9 @@ pub mod prelude {
     pub use crate::collection;
     pub use crate::strategy::{any, Just, Strategy};
     pub use crate::test_runner::{ProptestConfig, TestCaseError};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 /// Fail the current case with a formatted message unless `cond` holds.
@@ -456,8 +462,13 @@ macro_rules! prop_assert_eq {
 macro_rules! prop_assert_ne {
     ($left:expr, $right:expr $(,)?) => {{
         let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(*l != *r, "assertion failed: {} != {}\n  both: {:?}",
-            stringify!($left), stringify!($right), l);
+        $crate::prop_assert!(
+            *l != *r,
+            "assertion failed: {} != {}\n  both: {:?}",
+            stringify!($left),
+            stringify!($right),
+            l
+        );
     }};
 }
 
@@ -598,15 +609,14 @@ mod tests {
     #[test]
     fn failing_property_panics_with_inputs() {
         let caught = std::panic::catch_unwind(|| {
-            crate::test_runner::run_cases(
-                "always_fails",
-                &ProptestConfig::with_cases(4),
-                |_rng| {
-                    Err(crate::test_runner::TestCaseError::Fail("boom".into()))
-                },
-            )
+            crate::test_runner::run_cases("always_fails", &ProptestConfig::with_cases(4), |_rng| {
+                Err(crate::test_runner::TestCaseError::Fail("boom".into()))
+            })
         });
-        let msg = *caught.expect_err("must panic").downcast::<String>().unwrap();
+        let msg = *caught
+            .expect_err("must panic")
+            .downcast::<String>()
+            .unwrap();
         assert!(msg.contains("boom"), "{msg}");
     }
 

@@ -6,12 +6,12 @@
 
 pub use jnvm;
 pub use jnvm_faultsim as faultsim;
-pub use jnvm_obs as obs;
 pub use jnvm_gcsim as gcsim;
 pub use jnvm_heap as heap;
 pub use jnvm_jpdt as jpdt;
 pub use jnvm_kvstore as kvstore;
 pub use jnvm_lincheck as lincheck;
+pub use jnvm_obs as obs;
 pub use jnvm_pmem as pmem;
 pub use jnvm_server as server;
 pub use jnvm_tpcb as tpcb;

@@ -29,13 +29,9 @@ use jnvm_repro::faultsim::{
 };
 use jnvm_repro::heap::HeapConfig;
 use jnvm_repro::jnvm::{Jnvm, JnvmBuilder, RecoveryReport};
-use jnvm_repro::kvstore::{
-    register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend, Record,
-};
+use jnvm_repro::kvstore::{register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend, Record};
 use jnvm_repro::lincheck::{ClientRecorder, Clock, History, OpKind, Outcome};
-use jnvm_repro::pmem::{
-    silence_crash_panics, CrashPolicy, FaultPlan, Pmem, PmemConfig,
-};
+use jnvm_repro::pmem::{silence_crash_panics, CrashPolicy, FaultPlan, Pmem, PmemConfig};
 use jnvm_repro::tpcb::{register_tpcb, Bank, JnvmBank};
 
 const NTHREADS: usize = 4;
@@ -543,8 +539,9 @@ fn concurrent_insert_remove_conserves_blocks() {
                         for round in 0..3 {
                             for k in 0..KEYS_PER_THREAD {
                                 let v = grid_val(t, k, &format!("{round:04}"));
-                                assert!(grid
-                                    .insert(&Record::ycsb(&grid_key(t, k), &[v.clone(), v])));
+                                assert!(
+                                    grid.insert(&Record::ycsb(&grid_key(t, k), &[v.clone(), v]))
+                                );
                             }
                             for k in 0..KEYS_PER_THREAD {
                                 assert!(grid.remove(&grid_key(t, k)));

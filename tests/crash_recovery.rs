@@ -158,7 +158,9 @@ fn repeated_crash_reopen_cycles_preserve_and_reclaim() {
             .expect("map survived");
         assert_eq!(map.len(), expected.len(), "round {round}");
         for (k, v) in &expected {
-            let addr = map.get(k).unwrap_or_else(|| panic!("round {round}: {k} missing"));
+            let addr = map
+                .get(k)
+                .unwrap_or_else(|| panic!("round {round}: {k} missing"));
             assert_eq!(&rt.read_pobject::<PBytes>(addr).expect("blob").to_vec(), v);
         }
     }
@@ -196,7 +198,10 @@ fn nogc_and_full_recovery_agree_on_fa_only_state() {
     let pmem_a = mk();
     let (rt_full, _) = register_jpdt(JnvmBuilder::new())
         .register::<Pair>()
-        .open_with_options(Arc::clone(&pmem_a), RecoveryOptions::with_mode(RecoveryMode::Full))
+        .open_with_options(
+            Arc::clone(&pmem_a),
+            RecoveryOptions::with_mode(RecoveryMode::Full),
+        )
         .expect("full");
     let pmem_b = mk();
     let (rt_scan, _) = register_jpdt(JnvmBuilder::new())

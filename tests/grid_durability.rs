@@ -14,7 +14,9 @@ use jnvm_repro::pmem::{CrashPolicy, Pmem, PmemConfig};
 fn sample_record(i: u32) -> Record {
     Record::ycsb(
         &format!("user{i:08}"),
-        &(0..10).map(|f| vec![(i % 251) as u8 ^ f; 100]).collect::<Vec<_>>(),
+        &(0..10)
+            .map(|f| vec![(i % 251) as u8 ^ f; 100])
+            .collect::<Vec<_>>(),
     )
 }
 
@@ -47,7 +49,9 @@ fn jnvm_grid_survives_crash_with_full_fidelity() {
         let grid2 = DataGrid::new(backend2, GridConfig::default());
         assert_eq!(grid2.len(), 200);
         for i in 0..200 {
-            if i == 0 { eprintln!("reading back (fa={fa})"); }
+            if i == 0 {
+                eprintln!("reading back (fa={fa})");
+            }
             let rec = grid2
                 .read(&format!("user{i:08}"))
                 .unwrap_or_else(|| panic!("record {i} lost (fa={fa})"));
@@ -74,7 +78,10 @@ fn fs_grid_survives_crash_after_remount() {
     let grid2 = DataGrid::new(be2, GridConfig::default());
     assert_eq!(grid2.len(), 100);
     for i in 0..100 {
-        assert_eq!(grid2.read(&format!("user{i:08}")).expect("present"), sample_record(i));
+        assert_eq!(
+            grid2.read(&format!("user{i:08}")).expect("present"),
+            sample_record(i)
+        );
     }
 }
 

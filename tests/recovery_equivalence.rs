@@ -35,9 +35,7 @@ use jnvm_repro::jnvm::{
     persistent_class, Jnvm, JnvmBuilder, PObject, Proxy, RecoveryMode, RecoveryOptions,
     RecoveryReport,
 };
-use jnvm_repro::kvstore::{
-    register_kvstore, DataGrid, GridConfig, JnvmBackend, PRecord, Record,
-};
+use jnvm_repro::kvstore::{register_kvstore, DataGrid, GridConfig, JnvmBackend, PRecord, Record};
 use jnvm_repro::pmem::{
     catch_crash, silence_crash_panics, CrashPolicy, FaultOp, FaultPlan, Pmem, PmemConfig,
 };
@@ -121,11 +119,17 @@ fn assert_thread_equivalence(
         let tag = format!("{label} [threads={threads}]");
         let (p, rt, rep) = open_restored(image, register, mode, threads);
         assert_eq!(rep.threads, threads, "{tag}: report thread count");
-        assert_eq!(rep.replayed_logs, oracle.replayed_logs, "{tag}: replayed logs");
+        assert_eq!(
+            rep.replayed_logs, oracle.replayed_logs,
+            "{tag}: replayed logs"
+        );
         assert_eq!(rep.live_objects, oracle.live_objects, "{tag}: live objects");
         assert_eq!(rep.live_blocks, oracle.live_blocks, "{tag}: live blocks");
         assert_eq!(rep.freed_blocks, oracle.freed_blocks, "{tag}: freed blocks");
-        assert_eq!(rep.nullified_refs, oracle.nullified_refs, "{tag}: nullified refs");
+        assert_eq!(
+            rep.nullified_refs, oracle.nullified_refs,
+            "{tag}: nullified refs"
+        );
         assert_eq!(
             rt.heap().stats().free_queue_len,
             ort.heap().stats().free_queue_len,
@@ -355,7 +359,10 @@ fn dangling_refs_nullified_identically_in_parallel() {
         oracle.nullified_refs, expected,
         "every dangling child ref must be nullified exactly once"
     );
-    assert!(oracle.freed_blocks > 0, "invalid children must be reclaimed");
+    assert!(
+        oracle.freed_blocks > 0,
+        "invalid children must be reclaimed"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -412,8 +419,15 @@ fn tagged_refs_are_kept_or_nullified_identically_in_parallel() {
     for threads in std::iter::once(1).chain(candidate_threads()) {
         let (_, rt, _) = open_restored(&image, register_kvstore, RecoveryMode::Full, threads);
         for (i, want) in want.iter().enumerate() {
-            let rec = rt.root_get_as::<PRecord>(&format!("r{i}")).expect("typed").expect("rooted");
-            assert_eq!(&field_words(&rt, &rec), want, "threads={threads}, record {i}");
+            let rec = rt
+                .root_get_as::<PRecord>(&format!("r{i}"))
+                .expect("typed")
+                .expect("rooted");
+            assert_eq!(
+                &field_words(&rt, &rec),
+                want,
+                "threads={threads}, record {i}"
+            );
         }
     }
 }
@@ -529,25 +543,27 @@ fn fa_publication_only_image() -> Vec<u8> {
 #[test]
 fn header_scan_agrees_with_full_gc_on_publication_only_workloads() {
     let image = fa_publication_only_image();
-    let full = assert_thread_equivalence(
-        &image,
-        register_tpcb,
-        RecoveryMode::Full,
-        "pin-full",
-    );
+    let full = assert_thread_equivalence(&image, register_tpcb, RecoveryMode::Full, "pin-full");
     let scan = assert_thread_equivalence(
         &image,
         register_tpcb,
         RecoveryMode::HeaderScanOnly,
         "pin-scan",
     );
-    assert_eq!(scan.live_blocks, full.live_blocks, "modes disagree on live blocks");
-    assert_eq!(scan.freed_blocks, full.freed_blocks, "modes disagree on freed blocks");
-    assert_eq!(full.nullified_refs, 0, "publication-only image has no dangling refs");
-    let (pf, _rtf, _) =
-        open_restored(&image, register_tpcb, RecoveryMode::Full, 1);
-    let (ps, _rts, _) =
-        open_restored(&image, register_tpcb, RecoveryMode::HeaderScanOnly, 1);
+    assert_eq!(
+        scan.live_blocks, full.live_blocks,
+        "modes disagree on live blocks"
+    );
+    assert_eq!(
+        scan.freed_blocks, full.freed_blocks,
+        "modes disagree on freed blocks"
+    );
+    assert_eq!(
+        full.nullified_refs, 0,
+        "publication-only image has no dangling refs"
+    );
+    let (pf, _rtf, _) = open_restored(&image, register_tpcb, RecoveryMode::Full, 1);
+    let (ps, _rts, _) = open_restored(&image, register_tpcb, RecoveryMode::HeaderScanOnly, 1);
     assert_media_identical(&pf, &ps, "pin: Full vs HeaderScanOnly media");
 }
 
@@ -595,10 +611,13 @@ fn header_scan_diverges_from_full_gc_on_unreachable_garbage() {
         scan.live_blocks > full.live_blocks,
         "header scan must retain the unreachable-but-valid master"
     );
-    let (_, rt_full, _) =
-        open_restored(&image, |b| b.register::<Pair>(), RecoveryMode::Full, 1);
-    let (_, rt_scan, _) =
-        open_restored(&image, |b| b.register::<Pair>(), RecoveryMode::HeaderScanOnly, 1);
+    let (_, rt_full, _) = open_restored(&image, |b| b.register::<Pair>(), RecoveryMode::Full, 1);
+    let (_, rt_scan, _) = open_restored(
+        &image,
+        |b| b.register::<Pair>(),
+        RecoveryMode::HeaderScanOnly,
+        1,
+    );
     assert!(
         rt_full.heap().read_header(leaked_block).is_free_or_slave(),
         "Full mode reclaims the leaked block"

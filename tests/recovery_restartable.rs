@@ -34,12 +34,8 @@ use jnvm_repro::faultsim::{
     count_ops, strided_points, sweep, torture_count, torture_sweep, SweepSummary,
 };
 use jnvm_repro::heap::HeapConfig;
-use jnvm_repro::jnvm::{
-    persistent_class, Jnvm, JnvmBuilder, RecoveryOptions,
-};
-use jnvm_repro::pmem::{
-    silence_crash_panics, CrashPolicy, FaultPlan, Pmem, PmemConfig,
-};
+use jnvm_repro::jnvm::{persistent_class, Jnvm, JnvmBuilder, RecoveryOptions};
+use jnvm_repro::pmem::{silence_crash_panics, CrashPolicy, FaultPlan, Pmem, PmemConfig};
 use jnvm_repro::tpcb::{register_tpcb, Bank, JnvmBank};
 
 /// Writer threads in the torture run that produces the crash image.
@@ -301,7 +297,10 @@ fn parallel_recovery_of_bank_image_survives_midway_crashes() {
         FaultPlan::count(),
         bank_invariants,
     );
-    assert!(summary.points_crashed > 0, "no crash point fired inside recovery");
+    assert!(
+        summary.points_crashed > 0,
+        "no crash point fired inside recovery"
+    );
 }
 
 /// Bounded slice over the dangling-graph image: crashes land in the
@@ -318,7 +317,10 @@ fn parallel_recovery_of_dangling_graph_survives_midway_crashes() {
         FaultPlan::count(),
         |_| {},
     );
-    assert!(summary.points_crashed > 0, "no crash point fired inside recovery");
+    assert!(
+        summary.points_crashed > 0,
+        "no crash point fired inside recovery"
+    );
 }
 
 /// Exhaustive: every crash point of the recovery op stream, under the

@@ -139,8 +139,7 @@ fn kill_during_traffic_strided_sweep() {
     assert!(total > 1000, "traffic too small to be interesting: {total}");
     let mut injected = 0;
     for point in strided_points(total, 5) {
-        let report =
-            kill_during_traffic(point, &cfg).unwrap_or_else(|e| panic!("{e}"));
+        let report = kill_during_traffic(point, &cfg).unwrap_or_else(|e| panic!("{e}"));
         if report.injected {
             injected += 1;
         }
@@ -413,7 +412,10 @@ fn graceful_shutdown_drains_every_queued_ticket() {
         stats.acked_writes + stats.nacked_writes + stats.failed_writes,
         "every ticket must resolve exactly once"
     );
-    assert_eq!(stats.acked_writes, BURST as u64, "crash-free burst must ack");
+    assert_eq!(
+        stats.acked_writes, BURST as u64,
+        "crash-free burst must ack"
+    );
 }
 
 // ------------------------------------------- per-connection reply ordering
@@ -507,7 +509,11 @@ fn pipelined_get_observes_the_unacked_write_before_it() {
     let replies = pipeline(&mut conn, &reqs);
     for (i, pair) in replies[1..].chunks(2).enumerate() {
         assert_eq!(pair[0], Reply::Ok, "SETF #{i}");
-        assert_eq!(served(&pair[1]).fields.value(0), val(i), "GET behind SETF #{i}");
+        assert_eq!(
+            served(&pair[1]).fields.value(0),
+            val(i),
+            "GET behind SETF #{i}"
+        );
     }
 
     let reqs: Vec<Request> = (0..ROUNDS)
@@ -775,7 +781,9 @@ fn read_mostly_kill(point: u64) -> (bool, u64) {
     // SETF of the stream carried — acknowledged or still in flight.
     let mut carried = std::collections::HashSet::new();
     for (k, req) in preload.iter().enumerate() {
-        let Request::Set(rec) = req else { unreachable!() };
+        let Request::Set(rec) = req else {
+            unreachable!()
+        };
         for (f, (_, v)) in rec.fields.iter().enumerate() {
             carried.insert((hot_key(k), f, v.to_vec()));
         }
@@ -788,7 +796,10 @@ fn read_mostly_kill(point: u64) -> (bool, u64) {
         }
     }
     for (c, log) in logs.iter().enumerate() {
-        assert_eq!(log.proto_errors, 0, "point {point}, conn {c}: desynchronized reply stream");
+        assert_eq!(
+            log.proto_errors, 0,
+            "point {point}, conn {c}: desynchronized reply stream"
+        );
         // At most one incomplete frame, and only where the stream was cut.
         assert!(
             matches!(parse_reply(&log.tail), Ok(None)),
@@ -804,7 +815,10 @@ fn read_mostly_kill(point: u64) -> (bool, u64) {
                 (_, Reply::Err(_)) => assert!(injected, "point {point}: Err without a crash"),
                 (Request::Get(key), Reply::Value(_)) => {
                     let rec = served(reply);
-                    assert_eq!((rec.key.as_str(), rec.fields.len()), (key.as_str(), HOT_FIELDS));
+                    assert_eq!(
+                        (rec.key.as_str(), rec.fields.len()),
+                        (key.as_str(), HOT_FIELDS)
+                    );
                     for (f, v) in rec.fields.values().enumerate() {
                         assert!(
                             carried.contains(&(key.clone(), f, v.to_vec())),
@@ -813,7 +827,9 @@ fn read_mostly_kill(point: u64) -> (bool, u64) {
                     }
                 }
                 (Request::SetField { .. }, Reply::Ok) => {}
-                (req, reply) => panic!("point {point}, conn {c}, op {i}: {req:?} answered {reply:?}"),
+                (req, reply) => {
+                    panic!("point {point}, conn {c}, op {i}: {req:?} answered {reply:?}")
+                }
             }
         }
     }
@@ -826,7 +842,10 @@ fn read_mostly_kill(point: u64) -> (bool, u64) {
 fn read_mostly_kill_never_tears_the_reply_stream() {
     let (injected, total) = read_mostly_kill(u64::MAX);
     assert!(!injected);
-    assert!(total > 100, "too few device ops on shard 0 to sweep: {total}");
+    assert!(
+        total > 100,
+        "too few device ops on shard 0 to sweep: {total}"
+    );
     let fired = strided_points(total, 5)
         .into_iter()
         .filter(|point| read_mostly_kill(*point).0)

@@ -121,8 +121,14 @@ fn concurrent_shard_recovery_is_bit_identical_to_sequential() {
         .expect("concurrent sharded recovery");
     assert_eq!(reports.len(), SHARDS);
     for k in &floor_keys {
-        let rec = kva.read(k).unwrap_or_else(|| panic!("{k}: committed write lost"));
-        assert_eq!(rec.fields.value(0), k.as_bytes(), "{k}: torn after recovery");
+        let rec = kva
+            .read(k)
+            .unwrap_or_else(|| panic!("{k}: committed write lost"));
+        assert_eq!(
+            rec.fields.value(0),
+            k.as_bytes(),
+            "{k}: torn after recovery"
+        );
     }
     drop(kva);
 
@@ -155,12 +161,7 @@ fn sharded_reopen_rejects_aliased_devices() {
     let p = Pmem::new(PmemConfig::crash_sim(1 << 20));
     let pmems = vec![Arc::clone(&p), p];
     let err = std::panic::catch_unwind(|| {
-        let _ = ShardedKv::open(
-            &pmems,
-            true,
-            zero_cache(),
-            RecoveryOptions::parallel(1),
-        );
+        let _ = ShardedKv::open(&pmems, true, zero_cache(), RecoveryOptions::parallel(1));
     });
     assert!(err.is_err(), "aliased devices must be rejected on open");
 }
