@@ -279,8 +279,8 @@ fn grow_dir(rt: &Jnvm, dir: &mut Proxy, cap: u64) {
 }
 
 /// Tracer for the log directory: every non-null slot references a log.
-pub(crate) fn trace_log_dir(rt: &Jnvm, addr: u64, visit: &mut dyn FnMut(u64)) {
-    let chain = RawChain::open(rt, addr);
+pub(crate) fn trace_log_dir(rt: &Jnvm, word: u64, visit: &mut dyn FnMut(u64)) {
+    let chain = RawChain::open(rt, word & jnvm_heap::REF_ADDR_MASK);
     let cap = rt.pmem().read_u64(chain.phys(0));
     for slot in 0..cap {
         visit(chain.phys(8 + slot * 8));

@@ -2,6 +2,8 @@
 //! the paper's `PObject` Java interface) and the type-erased [`PAny`]
 //! handle.
 
+use jnvm_heap::REF_ADDR_MASK;
+
 use crate::error::JnvmError;
 use crate::runtime::Jnvm;
 
@@ -26,18 +28,40 @@ pub trait PObject: Sized {
     const REF_OFFSETS: &'static [u64] = &[];
 
     /// The *resurrect constructor* (§3.1): build a proxy for the existing
-    /// persistent data structure at `addr` (a master-block or pooled-slot
-    /// byte address). May initialize transient state.
+    /// persistent data structure referenced by `addr` — the reference word
+    /// its holder stored: a master-block or pooled-slot byte address, plus,
+    /// for a class that tags its references ([`PObject::reference`]), the
+    /// tag above [`jnvm_heap::REF_ADDR_MASK`]. May initialize transient
+    /// state.
     fn resurrect(rt: &Jnvm, addr: u64) -> Self;
 
     /// Address of the associated persistent data structure.
     fn addr(&self) -> u64;
 
+    /// The word a holder stores to reference this object: its address,
+    /// and in the 16 bits above [`jnvm_heap::REF_ADDR_MASK`] whatever the
+    /// class keeps there about the object (none by default). The root map
+    /// stores it, and [`PObject::resurrect`] and [`PObject::trace_extra`]
+    /// get it back.
+    fn reference(&self) -> u64 {
+        self.addr()
+    }
+
+    /// Whether the reference word `word` to a valid object of this class
+    /// carries a tag the class can decode (always, for a class that tags
+    /// nothing). Recovery asks before it visits the object, and nullifies
+    /// and counts a reference refused here as it does a dangling one.
+    fn reference_ok(_rt: &Jnvm, _word: u64) -> bool {
+        true
+    }
+
     /// Trace dynamically-located persistent references (e.g. cells of a
-    /// persistent array). `visit` receives the *physical byte address* of
-    /// each reference slot. Fixed slots are covered by
-    /// [`PObject::REF_OFFSETS`] and need not be reported here.
-    fn trace_extra(_rt: &Jnvm, _addr: u64, _visit: &mut dyn FnMut(u64)) {}
+    /// persistent array). `word` is the reference the mark resolved, tag
+    /// included (mask it with [`jnvm_heap::REF_ADDR_MASK`] for the
+    /// address); `visit` receives the *physical byte address* of each
+    /// reference slot. Fixed slots are covered by [`PObject::REF_OFFSETS`]
+    /// and need not be reported here.
+    fn trace_extra(_rt: &Jnvm, _word: u64, _visit: &mut dyn FnMut(u64)) {}
 
     /// Consistency hook called for every live object during the recovery
     /// pass (§3.2.1). Low-level classes that shun failure-atomic blocks
@@ -46,18 +70,19 @@ pub trait PObject: Sized {
 }
 
 /// A type-erased reference to a persistent object, as returned by the root
-/// map. Carries the class id read from the object header, so a typed
-/// downcast can be checked.
+/// map: the reference word stored, tag and all ([`PObject::reference`]),
+/// and the class id read from the object header, so a typed downcast can
+/// be checked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PAny {
-    pub(crate) addr: u64,
+    pub(crate) word: u64,
     pub(crate) class_id: u16,
 }
 
 impl PAny {
     /// Address of the persistent data structure.
     pub fn addr(&self) -> u64 {
-        self.addr
+        self.word & REF_ADDR_MASK
     }
 
     /// Class id from the object header.
@@ -83,6 +108,6 @@ impl PAny {
                 found: self.class_id,
             });
         }
-        Ok(T::resurrect(rt, self.addr))
+        Ok(T::resurrect(rt, self.word))
     }
 }

@@ -32,10 +32,12 @@
 //!    local stack, spilling half its stack to a shared overflow queue when
 //!    it grows and stealing batches when starved. The unit of work is a
 //!    **reference slot**, not an object: the worker that pops a slot reads
-//!    it, validity-checks the target, and either nullifies the slot or
-//!    claims and traces the target. (Were targets the work unit, a single
-//!    wide parent — e.g. a million-element ref array — would serialize a
-//!    million validity reads in the worker that traced it.) Visit-once is
+//!    it, validity-checks the target — the header word that says whether
+//!    it is valid also names its class, which checks the reference's tag —
+//!    and either nullifies the slot or claims and traces the target.
+//!    (Were targets the work unit, a single wide parent — e.g. a
+//!    million-element ref array — would serialize a million validity reads
+//!    in the worker that traced it.) Visit-once is
 //!    decided by the atomic [`jnvm_heap::LiveBitmap`] (chained objects) or
 //!    a sharded claim table (pooled objects), so each object is traced and
 //!    `recover`-hooked by exactly one worker; every reference slot is
@@ -56,6 +58,7 @@ use parking_lot::Mutex;
 
 use crate::error::JnvmError;
 use crate::proxy::RawChain;
+use crate::registry::ClassOps;
 use crate::runtime::Jnvm;
 
 /// Which recovery algorithm to run at open.
@@ -120,8 +123,15 @@ pub struct RecoveryReport {
     pub live_blocks: u64,
     /// Blocks reclaimed into the free queue.
     pub freed_blocks: u64,
-    /// Dangling references nullified (Full mode only).
+    /// Dangling references nullified (Full mode only), and references whose
+    /// tag their class refused ([`crate::PObject::reference_ok`]).
     pub nullified_refs: u64,
+    /// Device reads of the mark/traversal phase (the header passes in
+    /// HeaderScan): a delta of the device's read count, so it counts any
+    /// other traffic on the device while recovery runs. Exact at one
+    /// thread; more workers may each read a pool block's meta word when
+    /// they first touch the block at once.
+    pub mark_reads: u64,
     /// Wall time of log replay.
     pub log_time: Duration,
     /// Wall time of the collection pass (mark + sweep).
@@ -185,21 +195,27 @@ pub(crate) fn run(rt: &Jnvm, opts: RecoveryOptions) -> Result<RecoveryReport, Jn
     Ok(report)
 }
 
-/// Whether the reference `addr` (a masked reference word) names a valid
-/// object: a valid master block of the data area, or a valid slot of a pool
-/// block. Anything else — past the device, inside a chain block, off a slot
-/// boundary — is dangling, and its reference is nullified.
-fn object_valid(rt: &Jnvm, addr: u64) -> bool {
+/// The class id of the object the reference `addr` (a masked reference
+/// word) names, if it is a valid one: a valid master block of the data
+/// area, or a valid slot of a pool block. Anything else — past the device,
+/// inside a chain block, off a slot boundary — is dangling (`None`), and
+/// its reference is nullified. One header read.
+fn valid_class(rt: &Jnvm, addr: u64) -> Option<u16> {
     let pools = rt.pools();
     if pools.is_pooled_addr(addr) {
-        pools.is_slot_addr(addr) && pools.read_mini(addr).valid
+        if !pools.is_slot_addr(addr) {
+            return None;
+        }
+        let mini = pools.read_mini(addr);
+        mini.valid.then_some(mini.id)
     } else {
         let heap = rt.heap();
         let idx = heap.block_of_addr(addr);
         if idx < heap.data_start() || idx >= heap.nblocks() {
-            return false;
+            return None;
         }
-        heap.read_header(idx).is_valid_master()
+        let head = heap.read_header(idx);
+        head.is_valid_master().then_some(head.id)
     }
 }
 
@@ -275,11 +291,14 @@ impl MarkShared<'_> {
     }
 
     /// Resolve one reference slot: read the stored reference, mask off any
-    /// tag ([`REF_ADDR_MASK`]), validity-check the target, and either
-    /// nullify the slot (dangling) or visit the target — leaving a live
-    /// word, tag and all, as it was. Each slot is yielded by exactly one
-    /// parent's single trace, so this runs exactly once per slot and the
-    /// nullify write never races another worker.
+    /// tag ([`REF_ADDR_MASK`]), validity-check the target, have its class
+    /// check the tag, and either nullify the slot (dangling, or a tag the
+    /// class refuses) or visit the target — leaving a live word, tag and
+    /// all, as it was. Each slot is yielded by exactly one parent's single
+    /// trace, so this runs exactly once per slot and the nullify write
+    /// never races another worker. The tag is checked before the claim, so
+    /// which of two references to one object claims it first decides
+    /// nothing.
     fn resolve_slot(
         &self,
         slot: u64,
@@ -291,9 +310,11 @@ impl MarkShared<'_> {
         if r == 0 {
             return Ok(());
         }
-        let addr = r & REF_ADDR_MASK;
-        if object_valid(self.rt, addr) {
-            self.visit(addr, local)
+        let ops = valid_class(self.rt, r & REF_ADDR_MASK)
+            .map(|class_id| self.ops_of(class_id))
+            .transpose()?;
+        if let Some(ops) = ops.filter(|ops| (ops.reference_ok)(self.rt, r)) {
+            self.visit(r, &ops, local)
         } else {
             // §2.4: a reference to a partially deleted (or never
             // validated) object is nullified.
@@ -307,20 +328,25 @@ impl MarkShared<'_> {
         }
     }
 
-    /// Visit one valid object: claim it, push every reference slot it
-    /// holds as stealable work, and run the class's `recover` hook.
-    fn visit(&self, addr: u64, local: &mut Vec<u64>) -> Result<(), JnvmError> {
+    fn ops_of(&self, class_id: u16) -> Result<ClassOps, JnvmError> {
+        self.rt
+            .registry()
+            .ops_of_id(class_id)
+            .copied()
+            .ok_or_else(|| JnvmError::UnknownPersistedClass(format!("id {class_id}")))
+    }
+
+    /// Visit one valid object of class `ops`, referenced by `word`: claim
+    /// it, push every reference slot it holds as stealable work, and run
+    /// the class's `recover` hook.
+    fn visit(&self, word: u64, ops: &ClassOps, local: &mut Vec<u64>) -> Result<(), JnvmError> {
+        let addr = word & REF_ADDR_MASK;
         if !self.claim(addr) {
             return Ok(());
         }
         let rt = self.rt;
         self.live_objects.fetch_add(1, Ordering::Relaxed);
 
-        let class_id = rt.class_id_of_addr(addr);
-        let ops = *rt
-            .registry()
-            .ops_of_id(class_id)
-            .ok_or_else(|| JnvmError::UnknownPersistedClass(format!("id {class_id}")))?;
         let push = |slot: u64, local: &mut Vec<u64>| {
             local.push(slot);
             if local.len() > SPILL_THRESHOLD {
@@ -333,7 +359,7 @@ impl MarkShared<'_> {
                 push(chain.phys(*off), local);
             }
         }
-        (ops.trace_extra)(rt, addr, &mut |slot| push(slot, local));
+        (ops.trace_extra)(rt, word, &mut |slot| push(slot, local));
         (ops.recover)(rt, addr);
         Ok(())
     }
@@ -380,7 +406,8 @@ impl MarkShared<'_> {
             if aborted() {
                 return Ok(());
             }
-            self.visit(root, &mut local)?;
+            let ops = self.ops_of(self.rt.class_id_of_addr(root))?;
+            self.visit(root, &ops, &mut local)?;
         }
         loop {
             while let Some(slot) = local.pop() {
@@ -419,6 +446,7 @@ impl MarkShared<'_> {
 fn full_gc(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) -> Result<(), JnvmError> {
     let heap = rt.heap();
     let t_mark = Instant::now();
+    let reads_before = rt.pmem().stats().reads;
     let bitmap = heap.new_bitmap();
 
     // Roots: class table, root map, log directory (whose tracer yields the
@@ -457,6 +485,7 @@ fn full_gc(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) -> Result<(),
     report.modeled_mark_time = slowest(&mark_device);
     report.mark_thread_device_times = mark_device;
     report.live_blocks = bitmap.marked_count();
+    report.mark_reads = rt.pmem().stats().reads - reads_before;
     report.mark_time = t_mark.elapsed();
 
     let live_slots: HashSet<u64> = shared
@@ -471,6 +500,7 @@ fn full_gc(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) -> Result<(),
 fn header_scan(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) {
     let heap = rt.heap();
     let t_mark = Instant::now();
+    let reads_before = rt.pmem().stats().reads;
     let bitmap = heap.new_bitmap();
 
     // Pass 1 (read-only, partitioned — no pfence needed): find live pool
@@ -524,6 +554,7 @@ fn header_scan(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) {
     report.modeled_mark_time = slowest(&scan_device) + slowest(&chain_device);
     report.mark_thread_device_times = scan_device;
     report.live_blocks = bitmap.marked_count();
+    report.mark_reads = rt.pmem().stats().reads - reads_before;
     report.mark_time = t_mark.elapsed();
     sweep(rt, &bitmap, &live_slots, threads, report);
 }

@@ -40,7 +40,10 @@ pub struct ClassOps {
     pub name: &'static str,
     /// Logical offsets of fixed reference fields.
     pub ref_offsets: &'static [u64],
-    /// Tracer for dynamically-located reference slots (physical addresses).
+    /// Whether a reference word's tag decodes ([`PObject::reference_ok`]).
+    pub reference_ok: fn(&Jnvm, u64) -> bool,
+    /// Tracer for dynamically-located reference slots (physical addresses),
+    /// given the reference word the mark resolved.
     pub trace_extra: fn(&Jnvm, u64, &mut dyn FnMut(u64)),
     /// Consistency hook run on each live object at recovery.
     pub recover: fn(&Jnvm, u64),
@@ -52,6 +55,7 @@ impl ClassOps {
         ClassOps {
             name: T::CLASS_NAME,
             ref_offsets: T::REF_OFFSETS,
+            reference_ok: T::reference_ok,
             trace_extra: T::trace_extra,
             recover: T::recover,
         }
@@ -61,6 +65,7 @@ impl ClassOps {
         ClassOps {
             name,
             ref_offsets: &[],
+            reference_ok: |_, _| true,
             trace_extra,
             recover: |_, _| {},
         }
@@ -75,22 +80,31 @@ impl std::fmt::Debug for ClassOps {
     }
 }
 
-/// Volatile id/name/ops maps, frozen once the runtime is constructed.
+/// Volatile id/name/ops tables, frozen once the runtime is constructed.
+/// Neither lookup hashes: ops are indexed by class id, and a name is
+/// found by a scan of the few registered classes, newest first — an
+/// application registers its own classes after the libraries' (the
+/// kvstore's records and values after J-PDT's), so its hot allocations
+/// find theirs in a compare or two instead of hashing the name.
 pub struct ClassRegistry {
-    by_id: HashMap<u16, ClassOps>,
-    by_name: HashMap<&'static str, u16>,
+    by_id: Vec<Option<ClassOps>>,
+    by_name: Vec<(&'static str, u16)>,
     table_addr: u64,
 }
 
 impl ClassRegistry {
     /// Operations for class `id`, if registered.
     pub fn ops_of_id(&self, id: u16) -> Option<&ClassOps> {
-        self.by_id.get(&id)
+        self.by_id.get(id as usize)?.as_ref()
     }
 
     /// Id of the class named `name`, if registered.
     pub fn id_of_name(&self, name: &str) -> Option<u16> {
-        self.by_name.get(name).copied()
+        self.by_name
+            .iter()
+            .rev()
+            .find(|(known, _)| *known == name)
+            .map(|(_, id)| *id)
     }
 
     /// Id registered for `T`.
@@ -119,8 +133,29 @@ impl ClassRegistry {
         self.by_name.is_empty()
     }
 
-    fn internal_ops() -> Vec<(u16, ClassOps)> {
-        vec![
+    /// A registry holding the internal classes alone.
+    fn internal(table_addr: u64) -> ClassRegistry {
+        let mut reg = ClassRegistry {
+            by_id: Vec::new(),
+            by_name: Vec::new(),
+            table_addr,
+        };
+        for (id, ops) in ClassRegistry::internal_ops() {
+            reg.insert_ops(id, ops);
+        }
+        reg
+    }
+
+    fn insert_ops(&mut self, id: u16, ops: ClassOps) {
+        let at = id as usize;
+        if self.by_id.len() <= at {
+            self.by_id.resize(at + 1, None);
+        }
+        self.by_id[at] = Some(ops);
+    }
+
+    fn internal_ops() -> [(u16, ClassOps); 5] {
+        [
             (
                 CLASS_ID_CLASSTABLE,
                 ClassOps::internal("jnvm.internal.ClassTable", |_, _, _| {}),
@@ -155,11 +190,7 @@ impl ClassRegistry {
         rt.pmem().pfence();
         rt.heap().set_root_slot(0, table.addr());
 
-        let mut reg = ClassRegistry {
-            by_id: ClassRegistry::internal_ops().into_iter().collect(),
-            by_name: HashMap::new(),
-            table_addr: table.addr(),
-        };
+        let mut reg = ClassRegistry::internal(table.addr());
         for (next_id, ops) in (FIRST_USER_CLASS_ID..).zip(classes.iter()) {
             reg.append_entry(rt, next_id, ops)?;
         }
@@ -188,11 +219,7 @@ impl ClassRegistry {
             persisted.insert(name, id);
         }
 
-        let mut reg = ClassRegistry {
-            by_id: ClassRegistry::internal_ops().into_iter().collect(),
-            by_name: HashMap::new(),
-            table_addr,
-        };
+        let mut reg = ClassRegistry::internal(table_addr);
         let mut matched: HashMap<&'static str, ClassOps> = HashMap::new();
         for ops in classes {
             matched.insert(ops.name, *ops);
@@ -201,17 +228,14 @@ impl ClassRegistry {
         for (name, id) in &persisted {
             max_id = max_id.max(*id);
             match matched.remove(name.as_str()) {
-                Some(ops) => {
-                    reg.by_id.insert(*id, ops);
-                    reg.by_name.insert(ops.name, *id);
-                }
+                Some(ops) => reg.register(*id, ops),
                 None => return Err(JnvmError::UnknownPersistedClass(name.clone())),
             }
         }
         // Remaining classes are new: append them.
         let mut next_id = max_id + 1;
         for ops in classes {
-            if reg.by_name.contains_key(ops.name) {
+            if reg.id_of_name(ops.name).is_some() {
                 continue;
             }
             reg.append_entry(rt, next_id, ops)?;
@@ -240,9 +264,13 @@ impl ClassRegistry {
         pmem.pfence();
         pmem.write_u64(chain.phys(0), count + 1);
         pmem.pwb(chain.phys(0));
-        self.by_id.insert(id, *ops);
-        self.by_name.insert(ops.name, id);
+        self.register(id, *ops);
         Ok(())
+    }
+
+    fn register(&mut self, id: u16, ops: ClassOps) {
+        self.insert_ops(id, ops);
+        self.by_name.push((ops.name, id));
     }
 }
 

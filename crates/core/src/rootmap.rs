@@ -6,7 +6,8 @@
 //! * map object (class [`CLASS_ID_ROOTMAP`]): `[capacity u64][slot u64 × capacity]`
 //!   where each slot references an entry object or is null;
 //! * entry object (class [`CLASS_ID_ROOTENTRY`]):
-//!   `[value ref u64][key length u64][key bytes ≤ 184]` — one block.
+//!   `[value ref u64][key length u64][key bytes ≤ 184]` — one block. The
+//!   value reference is the object's [`PObject::reference`], tag and all.
 //!
 //! A volatile mirror (name → slot/entry) is rebuilt lazily after open. Every
 //! mutation of the persistent structure is a single reference write, so the
@@ -20,6 +21,8 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+
+use jnvm_heap::REF_ADDR_MASK;
 
 use crate::error::JnvmError;
 use crate::object::{PAny, PObject};
@@ -122,14 +125,14 @@ impl JnvmRuntime {
     ///
     /// [`JnvmError::RootKeyTooLong`] or [`JnvmError::RootMapFull`].
     pub fn root_put<T: PObject>(self: &Jnvm, name: &str, obj: &T) -> Result<(), JnvmError> {
-        self.root_put_addr(name, obj.addr(), true)
+        self.root_put_addr(name, obj.reference(), true)
     }
 
     /// Weak variant of [`JnvmRuntime::root_put`] (`wput` in Figure 5): no
     /// fence is executed and the value is not validated; the caller batches
     /// `validate` + a single `pfence` over several objects.
     pub fn root_wput<T: PObject>(self: &Jnvm, name: &str, obj: &T) -> Result<(), JnvmError> {
-        self.root_put_addr(name, obj.addr(), false)
+        self.root_put_addr(name, obj.reference(), false)
     }
 
     pub(crate) fn root_put_addr(
@@ -147,7 +150,7 @@ impl JnvmRuntime {
         self.with_root(|rt, map, state| {
             if strong {
                 // The association must never expose an invalid object.
-                rt.set_valid_addr(value, true);
+                rt.set_valid_addr(value & REF_ADDR_MASK, true);
                 rt.pfence();
             }
             if let Some((_slot, entry)) = state.mirror.get(name).copied() {
@@ -197,8 +200,8 @@ impl JnvmRuntime {
                 return None;
             }
             Some(PAny {
-                addr: value,
-                class_id: rt.class_id_of_addr(value),
+                word: value,
+                class_id: rt.class_id_of_addr(value & REF_ADDR_MASK),
             })
         })
     }
@@ -218,7 +221,8 @@ impl JnvmRuntime {
 
     /// Remove the association for `name` durably. The referenced object is
     /// **not** freed (deletion is explicit in J-NVM). Returns the removed
-    /// object's address, if any.
+    /// reference word (the object's address, plus its class's tag, if
+    /// any), if any.
     pub fn root_remove(self: &Jnvm, name: &str) -> Option<u64> {
         self.with_root(|rt, map, state| {
             let (slot, entry) = state.mirror.remove(name)?;
@@ -254,8 +258,8 @@ impl JnvmRuntime {
 }
 
 /// Tracer for the root map object: every non-null slot references an entry.
-pub(crate) fn trace_root_map(rt: &Jnvm, addr: u64, visit: &mut dyn FnMut(u64)) {
-    let chain = RawChain::open(rt, addr);
+pub(crate) fn trace_root_map(rt: &Jnvm, word: u64, visit: &mut dyn FnMut(u64)) {
+    let chain = RawChain::open(rt, word & REF_ADDR_MASK);
     let cap = rt.pmem().read_u64(chain.phys(0));
     for slot in 0..cap {
         visit(chain.phys(slot_off(slot)));
@@ -263,7 +267,7 @@ pub(crate) fn trace_root_map(rt: &Jnvm, addr: u64, visit: &mut dyn FnMut(u64)) {
 }
 
 /// Tracer for a root entry: the value reference at payload offset 0.
-pub(crate) fn trace_root_entry(rt: &Jnvm, addr: u64, visit: &mut dyn FnMut(u64)) {
-    let chain = RawChain::open(rt, addr);
+pub(crate) fn trace_root_entry(rt: &Jnvm, word: u64, visit: &mut dyn FnMut(u64)) {
+    let chain = RawChain::open(rt, word & REF_ADDR_MASK);
     visit(chain.phys(0));
 }

@@ -51,8 +51,11 @@ pub(crate) const HEAP_MAGIC: u64 = 0x4a4e564d48454150; // "JNVMHEAP"
 /// word carry a tag above [`REF_ADDR_MASK`] — a kvstore record's reference
 /// to a field value holds the value's slack there, and the value stores no
 /// length word — which a version-5 build would trace as an address, and
-/// whose value's first 8 bytes it would read as a length.
-pub(crate) const HEAP_VERSION: u32 = 6;
+/// whose value's first 8 bytes it would read as a length; 7 moves a
+/// record's field count from its first payload word into the tag of the
+/// reference to it, and starts its reference array at payload offset 0 —
+/// a version-6 build would read a field reference as the count.
+pub(crate) const HEAP_VERSION: u32 = 7;
 
 /// The address bits of a persistent reference word. Every heap address is
 /// below 2^48 (the redo log's entry heads and a header's `next` field rely

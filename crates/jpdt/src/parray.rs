@@ -287,8 +287,8 @@ impl PObject for PRefArray {
         self.proxy.addr()
     }
 
-    fn trace_extra(rt: &Jnvm, addr: u64, visit: &mut dyn FnMut(u64)) {
-        let chain = jnvm::RawChain::open(rt, addr);
+    fn trace_extra(rt: &Jnvm, word: u64, visit: &mut dyn FnMut(u64)) {
+        let chain = jnvm::RawChain::open(rt, word & jnvm_heap::REF_ADDR_MASK);
         let len = rt.pmem().read_u64(chain.phys(0));
         for i in 0..len {
             visit(chain.phys(8 + i * 8));

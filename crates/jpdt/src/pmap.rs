@@ -5,9 +5,12 @@
 //! key lookup — lives in a volatile **mirror** (hash map, tree map or skip
 //! list) mapping keys to cell indices, rebuilt at resurrection; beside it
 //! one DRAM word per cell holds the value reference of the cell's entry,
-//! so a lookup reads nothing from NVMM. Every mutation of the persistent
-//! state is one reference write, so the map is consistent at any instant
-//! without failure-atomic blocks.
+//! so a lookup reads nothing from NVMM. A value reference is opaque to the
+//! map: the holder's word, which may carry a tag above
+//! [`jnvm_heap::REF_ADDR_MASK`] (a kvstore record's carries its field
+//! count); the map masks it wherever it needs the address. Every mutation
+//! of the persistent state is one reference write, so the map is
+//! consistent at any instant without failure-atomic blocks.
 //!
 //! Three caching variants trade memory for resurrection cost (§4.3.2):
 //! [`CacheMode::Base`] allocates a fresh value proxy per lookup,
@@ -23,6 +26,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use jnvm::{Jnvm, JnvmError, PObject, Proxy};
+use jnvm_heap::REF_ADDR_MASK;
 
 use crate::parray::PRefArray;
 use crate::skiplist::SkipListMap;
@@ -370,7 +374,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
                     if let Some(v) = e.read_ref(MapEntry::<K>::VALUE_OFF) {
                         values[cell as usize] = v;
                         if mode == CacheMode::Eager {
-                            cache.insert(cell, Proxy::open(rt, v));
+                            cache.insert(cell, Proxy::open(rt, v & REF_ADDR_MASK));
                         }
                     }
                     mirror.insert(key, cell);
@@ -460,16 +464,16 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
         Ok(())
     }
 
-    /// Insert or update: associate `key` with the persistent object at
-    /// `value`. Returns the previous value's address if the key existed
-    /// (ownership of the old object passes back to the caller — deletion
-    /// is explicit in J-NVM).
+    /// Insert or update: associate `key` with the persistent object
+    /// `value` references. Returns the previous value reference if the key
+    /// existed (ownership of the old object passes back to the caller —
+    /// deletion is explicit in J-NVM).
     pub fn put(&self, key: K, value: u64) -> Result<Option<u64>, JnvmError> {
         let mut inner = self.inner.lock();
         if let Some(cell) = inner.mirror.get(key.query()) {
             let e = self.entry_at(cell, &inner.array);
             // Atomic update: validate new value, fence, store, flush.
-            self.rt.set_valid_addr(value, true);
+            self.rt.set_valid_addr(value & REF_ADDR_MASK, true);
             self.rt.pfence();
             e.write_ref(MapEntry::<K>::VALUE_OFF, Some(value));
             let old = std::mem::replace(&mut inner.values[cell as usize], value);
@@ -477,7 +481,9 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
             self.rt.pfence();
             e.ordering_point("pmap-publish", MapEntry::<K>::VALUE_OFF, 8);
             if self.mode != CacheMode::Base {
-                inner.cache.insert(cell, Proxy::open(&self.rt, value));
+                inner
+                    .cache
+                    .insert(cell, Proxy::open(&self.rt, value & REF_ADDR_MASK));
             }
             self.on_abort(move |inner| {
                 inner.values[cell as usize] = old;
@@ -491,7 +497,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
         let e = self.new_entry(&key)?;
         e.write_ref(MapEntry::<K>::VALUE_OFF, Some(value));
         e.pwb();
-        self.rt.set_valid_addr(value, true);
+        self.rt.set_valid_addr(value & REF_ADDR_MASK, true);
         e.validate();
         self.rt.pfence();
         self.publish(&mut inner, key, e, value);
@@ -510,7 +516,9 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
             .proxy()
             .ordering_point("pmap-publish", 8 + cell * 8, 8);
         if self.mode != CacheMode::Base {
-            inner.cache.insert(cell, Proxy::open(&self.rt, value));
+            inner
+                .cache
+                .insert(cell, Proxy::open(&self.rt, value & REF_ADDR_MASK));
         }
         if self.rt.in_fa() {
             let k = key.clone();
@@ -522,8 +530,8 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
         inner.occupy(key, cell, value);
     }
 
-    /// Address of the value associated with `key`: from DRAM, no device
-    /// read.
+    /// The value reference associated with `key`, tag and all: from DRAM,
+    /// no device read.
     pub fn get(&self, key: &K::Query) -> Option<u64> {
         let inner = self.inner.lock();
         inner.value(inner.mirror.get(key)?)
@@ -540,7 +548,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
                 return Some(p.clone());
             }
         }
-        let value = Proxy::open(&self.rt, inner.value(cell)?);
+        let value = Proxy::open(&self.rt, inner.value(cell)? & REF_ADDR_MASK);
         if self.mode != CacheMode::Base {
             inner.cache.insert(cell, value.clone());
         }
@@ -552,7 +560,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
         self.inner.lock().mirror.get(key).is_some()
     }
 
-    /// Remove `key`. Returns the value's address (ownership passes to the
+    /// Remove `key`. Returns the value reference (ownership passes to the
     /// caller); the entry, which holds the key, is freed.
     pub fn remove(&self, key: &K::Query) -> Option<u64> {
         let mut inner = self.inner.lock();
@@ -574,7 +582,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
         value
     }
 
-    /// Iterate `(key, value address)` in mirror order.
+    /// Iterate `(key, value reference)` in mirror order.
     pub fn for_each(&self, mut f: impl FnMut(&K, u64)) {
         let inner = self.inner.lock();
         inner.mirror.for_each(&mut |k, cell| {

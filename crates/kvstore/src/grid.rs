@@ -69,6 +69,11 @@ impl DataGrid {
         (crate::fnv1a(key) as usize) % LOCK_STRIPES
     }
 
+    /// Number of lock stripes: every [`DataGrid::stripe_index`] is below it.
+    pub(crate) fn stripe_count(&self) -> usize {
+        self.locks.len()
+    }
+
     /// The stripe lock at `idx` (from [`DataGrid::stripe_index`]).
     pub(crate) fn stripe_at(&self, idx: usize) -> &Mutex<()> {
         &self.locks[idx]

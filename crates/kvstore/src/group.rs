@@ -17,7 +17,6 @@
 //! given backend through the committer while it is in use — the server's
 //! single-committer design does exactly that.
 
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 
 use crate::backend::Backend;
@@ -114,35 +113,36 @@ pub fn commit_writes(grid: &DataGrid, be: &JnvmBackend, ops: &[WriteOp]) -> Batc
     let rt = be.runtime().clone();
     let mut groups = 0;
     let mut remaining: Vec<usize> = (0..ops.len()).collect();
+    // Per round, the stripes an op of the group holds or one deferred on
+    // (either bars the stripe), and the shards a structural op of the
+    // group touches: flags indexed by stripe and by shard, no hashing.
+    let mut barred_stripes = vec![false; grid.stripe_count()];
+    let mut structural_shards = vec![false; be.shard_count()];
     while !remaining.is_empty() {
-        let mut stripes: HashSet<usize> = HashSet::new();
-        let mut structural_shards: HashSet<usize> = HashSet::new();
-        let mut deferred_stripes: HashSet<usize> = HashSet::new();
+        barred_stripes.fill(false);
+        structural_shards.fill(false);
         let mut guards = Vec::new();
         let mut staged = Vec::new();
-        let mut committed = 0u64;
+        let mut grouped: Vec<usize> = Vec::new();
         let mut deferred: Vec<usize> = Vec::new();
 
         for &idx in &remaining {
             let op = &ops[idx];
             let stripe = grid.stripe_index(op.key());
             let shard = be.shard_index(op.key());
-            let conflict = stripes.contains(&stripe)
-                || deferred_stripes.contains(&stripe)
-                || (op.is_structural() && structural_shards.contains(&shard));
-            if conflict {
+            if barred_stripes[stripe] || (op.is_structural() && structural_shards[shard]) {
                 // Same stripe ⇒ possibly the same key: defer to a later
                 // group of this call so per-key order is preserved. The
                 // stripe is poisoned for the rest of the round — once one
                 // op on it defers, a later op on the same key must not slip
                 // into this group ahead of it.
                 deferred.push(idx);
-                deferred_stripes.insert(stripe);
+                barred_stripes[stripe] = true;
                 continue;
             }
-            stripes.insert(stripe);
+            barred_stripes[stripe] = true;
             if op.is_structural() {
-                structural_shards.insert(shard);
+                structural_shards[shard] = true;
             }
             // Stripe lock held through the group's durability point: a
             // staged key's persistent image is mid-flight and its volatile
@@ -150,11 +150,11 @@ pub fn commit_writes(grid: &DataGrid, be: &JnvmBackend, ops: &[WriteOp]) -> Batc
             guards.push(grid.stripe_at(stripe).lock());
             let (tx, ok) = rt.fa_stage(|| be.apply_op(op));
             results[idx] = ok;
-            committed += 1;
+            grouped.push(idx);
             staged.push(tx);
         }
 
-        // The group's durability point: 4 fences for `committed` ops
+        // The group's durability point: 4 fences for the grouped ops
         // (the applies are durable before the log retires).
         // `fa_commit_group` declares the log/object footprints itself
         // ("fa-commit"/"fa-retire"); this label only marks the ack point.
@@ -163,11 +163,9 @@ pub fn commit_writes(grid: &DataGrid, be: &JnvmBackend, ops: &[WriteOp]) -> Batc
         groups += 1;
         grid.metrics()
             .writes
-            .fetch_add(committed, Ordering::Relaxed);
-        for &idx in &remaining {
-            if !deferred.contains(&idx) {
-                grid.invalidate(ops[idx].key());
-            }
+            .fetch_add(grouped.len() as u64, Ordering::Relaxed);
+        for &idx in &grouped {
+            grid.invalidate(ops[idx].key());
         }
         drop(guards);
         remaining = deferred;

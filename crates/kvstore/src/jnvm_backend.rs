@@ -1,8 +1,9 @@
 //! The J-NVM backends (J-PDT and J-PFA flavours, §5.1).
 //!
 //! Records are **persistent objects**: a [`PRecord`] holds one reference
-//! per field to an immutable [`PValue`], and the reference carries the
-//! value's length — so a read takes the record's reference array and then
+//! per field to an immutable [`PValue`], and nothing else. The reference
+//! to a value carries the value's length, and the reference to a record
+//! its field count — so a read takes the record's reference array and then
 //! each value's bytes, and nothing else, straight from NVMM: no
 //! marshalling. A field update atomically replaces one field reference and
 //! frees the old value (§4.1.6), exactly the helpers the paper says its
@@ -20,58 +21,50 @@ use parking_lot::Mutex;
 use crate::backend::Backend;
 use crate::codec::{write_field_header, write_record_header, ycsb_field_name, Fields, Record};
 
-/// A persistent YCSB-style record: `[nfields u64][field refs...]`, where a
-/// field reference is `slack << 48 | addr` — the [`PValue`] at `addr`, of
-/// its storage's capacity minus `slack` bytes — or 0 for null.
+/// A persistent YCSB-style record: `[field refs...]`, its payload nothing
+/// but its reference array, where a field reference is `slack << 48 |
+/// addr` — the [`PValue`] at `addr`, of its storage's capacity minus
+/// `slack` bytes — or 0 for null. The field count is in the reference to
+/// the record, the same way ([`PObject::reference`]): `slack << 48 | addr`,
+/// with `slack` = capacity − 8 × fields. Whoever holds a record's
+/// reference — a map's value word, its DRAM mirror, a root-map entry —
+/// holds its field count, so no one reads a count from NVMM.
 pub struct PRecord {
     proxy: Proxy,
+    nfields: u64,
 }
 
 impl PRecord {
     /// Allocate a record with the given field values, read where they lie.
     /// Flushed but **invalid** — publication (map insert) validates it. A
     /// record never grows: it takes a pool slot when its reference array
-    /// fits one (up to 28 fields on 256-B blocks), a chain otherwise.
+    /// fits one (up to 29 fields on 256-B blocks), a chain otherwise.
     pub fn create(
         rt: &Jnvm,
         values: impl IntoIterator<Item = impl AsRef<[u8]>, IntoIter: ExactSizeIterator>,
     ) -> Result<PRecord, JnvmError> {
         let values = values.into_iter();
-        let proxy = rt.alloc_small::<PRecord>(8 + values.len() as u64 * 8)?;
-        proxy.write_u64(0, values.len() as u64);
+        let nfields = values.len() as u64;
+        let proxy = rt.alloc_small::<PRecord>(nfields * 8)?;
         for (i, v) in values.enumerate() {
-            proxy.write_u64(8 + i as u64 * 8, PValue::create(rt, v.as_ref())?);
+            proxy.write_u64(i as u64 * 8, PValue::create(rt, v.as_ref())?);
         }
         proxy.pwb();
-        Ok(PRecord { proxy })
-    }
-
-    /// Wrap an existing record proxy.
-    pub fn from_proxy(proxy: Proxy) -> PRecord {
-        PRecord { proxy }
+        Ok(PRecord { proxy, nfields })
     }
 
     /// Number of fields.
     pub fn nfields(&self) -> u64 {
-        self.proxy.read_u64(0)
+        self.nfields
     }
 
     /// The one walk over a record's persistent layout, for reads and for
-    /// [`PRecord::free_deep`]: the `nfields` word, then the whole reference
-    /// array in one mediated read — inside a failure-atomic block it sees
-    /// the overlay as [`Proxy::read_u64`] does. Each sink decodes a
-    /// reference with [`Value::open`]. `nfields` is bounded by what the
-    /// chain can hold before it sizes anything: a torn or corrupt word is a
-    /// catchable panic, never an allocator abort — nor a free of whatever
-    /// words follow the record.
+    /// [`PRecord::free_deep`]: the whole reference array in one mediated
+    /// read — inside a failure-atomic block it sees the overlay as
+    /// [`Proxy::read_u64`] does. Each sink decodes a reference with
+    /// [`Value::open`].
     fn field_refs(&self) -> FieldRefs {
-        let n = self.nfields();
-        assert!(
-            n <= max_fields(self.proxy.capacity()),
-            "record at {:#x}: nfields word {n} exceeds its chain",
-            self.proxy.addr()
-        );
-        let n = n as usize;
+        let n = self.nfields as usize;
         let mut refs = FieldRefs {
             inline: [0; INLINE_REFS * 8],
             heap: Vec::new(),
@@ -83,7 +76,7 @@ impl PRecord {
             refs.heap = vec![0u8; n * 8];
             &mut refs.heap[..]
         };
-        self.proxy.read_bytes(8, raw);
+        self.proxy.read_bytes(0, raw);
         refs
     }
 
@@ -136,31 +129,30 @@ impl PRecord {
     /// Atomically replace field `i` with a fresh value and free the old one
     /// (the update-and-free helper of §4.1.6).
     pub fn set_field(&self, i: u64, value: &[u8]) -> Result<bool, JnvmError> {
-        if i >= self.nfields() {
+        if i >= self.nfields {
             return Ok(false);
         }
         let rt = self.proxy.runtime().clone();
-        let old = self.proxy.read_u64(8 + i * 8);
+        let old = self.proxy.read_u64(i * 8);
         let word = PValue::create(&rt, value)?; // written, flushed, validated
         rt.pfence();
-        self.proxy.write_u64(8 + i * 8, word);
-        self.proxy.pwb_field(8 + i * 8, 8);
+        self.proxy.write_u64(i * 8, word);
+        self.proxy.pwb_field(i * 8, 8);
         rt.pfence();
-        self.proxy
-            .ordering_point("record-field-publish", 8 + i * 8, 8);
+        self.proxy.ordering_point("record-field-publish", i * 8, 8);
         if old != 0 {
             rt.free_addr(old & REF_ADDR_MASK);
         }
         Ok(true)
     }
 
-    /// Free the record and every field value.
-    pub fn free_deep(rt: &Jnvm, addr: u64) {
-        let refs = PRecord::resurrect(rt, addr).field_refs();
+    /// Free the record a reference word names and every field value.
+    pub fn free_deep(rt: &Jnvm, record: u64) {
+        let refs = PRecord::resurrect(rt, record).field_refs();
         for word in refs.iter().filter(|word| *word != 0) {
             rt.free_addr(word & REF_ADDR_MASK);
         }
-        rt.free_addr(addr);
+        rt.free_addr(record & REF_ADDR_MASK);
     }
 }
 
@@ -245,7 +237,7 @@ impl Value {
 }
 
 /// Reference slots [`FieldRefs`] holds without a heap buffer: more than
-/// the 28 a pool slot's record has, so reading a pooled record's
+/// the 29 a pool slot's record has, so reading a pooled record's
 /// references allocates nothing.
 const INLINE_REFS: usize = 32;
 
@@ -273,32 +265,65 @@ impl FieldRefs {
     }
 }
 
-/// The most reference slots a record's chain of `capacity` payload bytes
-/// holds behind its `nfields` word.
-fn max_fields(capacity: u64) -> u64 {
-    capacity.saturating_sub(8) / 8
+/// The field count a record reference's `slack` gives a record of
+/// `capacity` payload bytes, if it gives one: the slack must leave a whole
+/// number of 8-byte reference slots.
+fn fields_in(capacity: u64, slack: u64) -> Option<u64> {
+    let used = capacity.checked_sub(slack)?;
+    (used % 8 == 0).then_some(used / 8)
 }
 
 impl PObject for PRecord {
     const CLASS_NAME: &'static str = "jnvm_kvstore.PRecord";
 
-    fn resurrect(rt: &Jnvm, addr: u64) -> Self {
-        PRecord {
-            proxy: Proxy::open(rt, addr),
-        }
+    /// Open the record a reference word names, its field count decoded from
+    /// the word's tag against the record's storage — a pool slot's capacity
+    /// from the DRAM slot-class table, a chain's from its walk — reading
+    /// nothing else.
+    ///
+    /// # Panics
+    ///
+    /// A tag that is no field count of that storage (see
+    /// [`PObject::reference_ok`]) is a catchable panic naming the address,
+    /// never a count that sizes a read — nor a free of the words past the
+    /// record.
+    fn resurrect(rt: &Jnvm, word: u64) -> Self {
+        let addr = word & REF_ADDR_MASK;
+        let proxy = Proxy::open(rt, addr);
+        let cap = proxy.capacity();
+        let nfields = fields_in(cap, word >> 48).unwrap_or_else(|| {
+            panic!(
+                "record at {addr:#x}: reference slack {} is no field count of its storage ({cap} B)",
+                word >> 48
+            )
+        });
+        PRecord { proxy, nfields }
     }
 
     fn addr(&self) -> u64 {
         self.proxy.addr()
     }
 
-    fn trace_extra(rt: &Jnvm, addr: u64, visit: &mut dyn FnMut(u64)) {
-        // Recovery's mark must get through a torn or corrupt `nfields`
-        // word: visit only slots the chain holds.
-        let chain = RawChain::open(rt, addr);
-        let n = rt.pmem().read_u64(chain.phys(0));
-        for i in 0..n.min(max_fields(chain.capacity())) {
-            visit(chain.phys(8 + i * 8));
+    /// The record's address, its field count in the tag.
+    fn reference(&self) -> u64 {
+        let slack = self.proxy.capacity() - self.nfields * 8;
+        slack << 48 | self.proxy.addr()
+    }
+
+    /// A slack past the record's storage, or one that leaves part of a
+    /// reference slot, gives no field count: recovery nullifies the
+    /// reference rather than trace past the record or trust a torn word.
+    fn reference_ok(rt: &Jnvm, word: u64) -> bool {
+        let chain = RawChain::open(rt, word & REF_ADDR_MASK);
+        fields_in(chain.capacity(), word >> 48).is_some()
+    }
+
+    /// Exactly the field count's slots, from the tag: the mark reads no
+    /// count. (It refused a tag that gives none before it got here.)
+    fn trace_extra(rt: &Jnvm, word: u64, visit: &mut dyn FnMut(u64)) {
+        let chain = RawChain::open(rt, word & REF_ADDR_MASK);
+        for i in 0..fields_in(chain.capacity(), word >> 48).unwrap_or(0) {
+            visit(chain.phys(i * 8));
         }
     }
 }
@@ -374,6 +399,11 @@ impl JnvmBackend {
         })
     }
 
+    /// Number of map shards: every [`JnvmBackend::shard_index`] is below it.
+    pub(crate) fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
     pub(crate) fn shard_index(&self, key: &str) -> usize {
         (crate::fnv1a(key) as usize) % self.shards.len()
     }
@@ -382,10 +412,11 @@ impl JnvmBackend {
         &self.shards[self.shard_index(key)]
     }
 
-    /// The persistent record stored under `key`, if any.
+    /// The persistent record stored under `key`, if any: its reference,
+    /// field count and all, comes from the map's DRAM mirror.
     fn lookup(&self, key: &str) -> Option<PRecord> {
-        let proxy = self.shard(key).get_value(key)?;
-        Some(PRecord::from_proxy(proxy))
+        let word = self.shard(key).get(key)?;
+        Some(PRecord::resurrect(&self.rt, word))
     }
 
     fn with_fa<R>(&self, f: impl FnOnce() -> R) -> R {
@@ -413,7 +444,7 @@ impl JnvmBackend {
         let Ok(prec) = PRecord::create(&self.rt, rec.fields.values()) else {
             return false;
         };
-        match self.shard(&rec.key).put(rec.key.clone(), prec.addr()) {
+        match self.shard(&rec.key).put(rec.key.clone(), prec.reference()) {
             Ok(Some(old)) => {
                 PRecord::free_deep(&self.rt, old);
                 true
@@ -630,13 +661,35 @@ mod tests {
         ]
     }
 
+    /// The panic message of an outcome that must have been a panic.
+    fn panic_message<T>(outcome: std::thread::Result<T>, what: &str) -> String {
+        let payload = outcome.err().unwrap_or_else(|| panic!("{what}"));
+        *payload.downcast::<String>().expect("a formatted message")
+    }
+
+    /// Re-store `key`'s record reference, in the map's DRAM mirror and on
+    /// media alike, with `slack` in its tag (a torn or corrupt word, as a
+    /// map resurrected from a damaged image holds it). Returns the record's
+    /// address.
+    fn retag(be: &JnvmBackend, key: &str, slack: u64) -> u64 {
+        let map = be.shard(key);
+        let addr = map.get(key).unwrap() & REF_ADDR_MASK;
+        assert!(map
+            .put(key.to_string(), slack << 48 | addr)
+            .unwrap()
+            .is_some());
+        addr
+    }
+
     /// A length read from NVMM never sizes an allocation unchecked: a
-    /// corrupt `nfields` word, or a field reference whose slack exceeds its
-    /// value's storage (a `GET` racing a crash instant can see either), is
-    /// a panic the serving path catches — through every sink, naming the
-    /// address — not an allocator abort, nor a read of the neighbouring
-    /// slots. A pooled value's capacity is its own slot's (72 B for a 64-B
-    /// value), a chained one's its chain's (496 B for 300 B).
+    /// record reference whose tag is no field count of the record's
+    /// storage, or a field reference whose slack exceeds its value's
+    /// storage (a `GET` racing a crash instant can see either), is a panic
+    /// the serving path catches — through every sink, naming the address —
+    /// not an allocator abort, nor a read of the neighbouring slots. A
+    /// pooled value's capacity is its own slot's (72 B for a 64-B value), a
+    /// chained one's its chain's (496 B for 300 B); the record of two
+    /// fields has a 16-B slot.
     #[test]
     fn corrupt_length_words_panic_instead_of_sizing_an_allocation() {
         let _hush = jnvm_pmem::hush_panics();
@@ -644,9 +697,9 @@ mod tests {
         let be = JnvmBackend::create(&rt, 1, false).unwrap();
         let records = [
             (
-                "nfields",
+                "record",
                 vec![vec![1u8; 100], vec![2u8; 100]],
-                "exceeds its chain",
+                "slack 24 is no field count of its storage (16 B)",
             ),
             (
                 "pooled",
@@ -665,19 +718,15 @@ mod tests {
                 .iter()
                 .all(|r| matches!(r, Ok(true))));
         }
-        let proxy = |key| be.lookup(key).unwrap().proxy;
-        pmem.write_u64(proxy("nfields").chain().phys(0), u64::MAX);
+        retag(&be, "record", 24);
         for (key, slack) in [("pooled", 73u64), ("chained", 497)] {
-            let field = proxy(key).chain().phys(8);
+            let field = be.lookup(key).unwrap().proxy.chain().phys(0);
             let word = pmem.read_u64(field);
             pmem.write_u64(field, slack << 48 | word & REF_ADDR_MASK);
         }
         for (key, _, what) in records {
             for (sink, outcome) in read_outcomes(&be, key).into_iter().enumerate() {
-                let msg = *outcome
-                    .expect_err("a corrupt length was served")
-                    .downcast::<String>()
-                    .unwrap();
+                let msg = panic_message(outcome, "a corrupt length was served");
                 assert!(
                     msg.contains("0x") && msg.contains(what),
                     "{key}, sink {sink}: {msg}"
@@ -686,14 +735,14 @@ mod tests {
         }
     }
 
-    /// A record of more than 28 fields does not fit the largest pool slot
+    /// A record of more than 29 fields does not fit the largest pool slot
     /// (232 B of payload): it gets a chain, and reads, updates and
     /// recovers like a pooled one.
     #[test]
     fn a_record_too_large_for_a_slot_gets_a_chain() {
         let (pmem, rt) = rt(8 << 20);
         let be = JnvmBackend::create(&rt, 1, true).unwrap();
-        for (key, fields, pooled) in [("narrow", 28, true), ("wide", 29, false)] {
+        for (key, fields, pooled) in [("narrow", 29, true), ("wide", 30, false)] {
             let values: Vec<Vec<u8>> = (0..fields).map(|i| vec![i as u8; 8]).collect();
             let mut want = Record::ycsb(key, &values);
             assert!(be.store_full(&want));
@@ -710,27 +759,45 @@ mod tests {
             .open(Arc::clone(&pmem))
             .unwrap();
         let be2 = JnvmBackend::open(&rt2, true).unwrap();
-        assert_eq!(be2.read("wide").unwrap().fields.value(28), b"last");
-        assert_eq!(be2.read("narrow").unwrap().fields.value(27), b"last");
+        assert_eq!(be2.read("wide").unwrap().fields.value(29), b"last");
+        assert_eq!(be2.read("narrow").unwrap().fields.value(28), b"last");
     }
 
-    /// A corrupt `nfields` word on media stops neither recovery nor the
-    /// allocator: the mark visits the slots the record's chain holds — so
-    /// the pool recovers exactly what the undamaged one does — and a `DEL`
-    /// of the record is a catchable panic, not a free of whatever words
-    /// follow it. (Recovery used to index past the chain and panic.)
+    /// A record reference with a corrupt tag on media stops neither
+    /// recovery nor the allocator: a `DEL` of the record is a catchable
+    /// panic, not a free of whatever words follow it, and leaves the map as
+    /// it found it; recovery nullifies the reference — the record and its
+    /// two values are garbage, and nothing else is — and every other key
+    /// reads back. (While the count was the record's first word, a corrupt
+    /// one made recovery index past the chain and panic.)
     #[test]
-    fn corrupt_nfields_word_neither_stops_recovery_nor_frees_past_the_record() {
+    fn corrupt_record_tag_neither_stops_recovery_nor_frees_past_the_record() {
+        let values = [vec![1u8; 100], vec![2u8; 300]];
         let reopened = |corrupt: bool| {
             let (pmem, rt) = rt(8 << 20);
             let be = JnvmBackend::create(&rt, 1, true).unwrap();
             for key in ["victim", "bystander"] {
-                assert!(be.store_full(&Record::ycsb(key, &[vec![1u8; 100], vec![2u8; 300]])));
+                assert!(be.store_full(&Record::ycsb(key, &values)));
             }
             if corrupt {
-                let nfields = be.lookup("victim").unwrap().proxy.chain().phys(0);
-                pmem.write_u64(nfields, u64::MAX);
-                pmem.pwb(nfields);
+                retag(&be, "victim", u16::MAX.into());
+                let _hush = jnvm_pmem::hush_panics();
+                let del =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| be.remove("victim")));
+                let msg = panic_message(del, "freed through a corrupt tag");
+                assert!(msg.contains("is no field count"), "{msg}");
+                // The failed `DEL` aborted its block, and the block's map
+                // changes with it: the key is still there in DRAM as on
+                // media — as a map resurrected from media sees it. (The
+                // mirror used to lose it while media kept it, until a
+                // restart.)
+                let map = &be.shards[0];
+                let media =
+                    PStringHashMap::open_with_mode(&be.rt, map.addr(), jnvm_jpdt::CacheMode::Base);
+                assert_eq!((map.len(), media.len()), (2, 2));
+                for key in ["victim", "bystander"] {
+                    assert_eq!(map.get(key), media.get(key), "{key}");
+                }
             }
             be.sync();
             drop((be, rt));
@@ -742,34 +809,67 @@ mod tests {
         let (_, clean) = reopened(false);
         let (be, report) = reopened(true);
         assert_eq!(
-            (
-                report.live_objects,
-                report.live_blocks,
-                report.nullified_refs
-            ),
-            (clean.live_objects, clean.live_blocks, clean.nullified_refs),
-            "the record's own references are traced, and nothing else"
+            (report.live_objects, report.nullified_refs),
+            (clean.live_objects - 3, clean.nullified_refs + 1),
+            "the record and its values are unreachable, and nothing else"
         );
-        let want = Record::ycsb("bystander", &[vec![1u8; 100], vec![2u8; 300]]);
-        assert_eq!(be.read("bystander"), Some(want.clone()));
-
-        let _hush = jnvm_pmem::hush_panics();
-        let del = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| be.remove("victim")));
-        let msg = *del
-            .expect_err("freed through a corrupt nfields")
-            .downcast::<String>()
-            .unwrap();
-        assert!(msg.contains("exceeds its chain"), "{msg}");
+        assert_eq!(be.read("victim"), None);
+        let want = Record::ycsb("bystander", &values);
         assert_eq!(be.read("bystander"), Some(want));
-        // The failed `DEL` aborted its block, and the block's map changes
-        // with it: the key is still there in DRAM as on media — as a map
-        // resurrected from media sees it. (The mirror used to lose it while
-        // media kept it, until a restart.)
-        let map = &be.shards[0];
-        let media = PStringHashMap::open_with_mode(&be.rt, map.addr(), jnvm_jpdt::CacheMode::Base);
-        assert_eq!((map.len(), media.len()), (2, 2));
-        for key in ["victim", "bystander"] {
-            assert_eq!(map.get(key), media.get(key), "{key}");
+    }
+
+    /// A record reference whose tag is impossible — a slack past the
+    /// record's storage, or one that leaves part of a reference slot —
+    /// is refused by every op that opens the record (`GET` through each
+    /// sink, `SETF`, `DEL`) with a catchable panic naming the record's
+    /// address; recovery nullifies the reference and counts it, and every
+    /// other key reads back. A 4-field record fills its 32-B slot: slack 0.
+    #[test]
+    fn an_impossible_record_tag_is_refused_and_nullified_at_recovery() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let _hush = jnvm_pmem::hush_panics();
+        let values = vec![vec![7u8; 64]; 4];
+        let keys = ["victim", "bystander", "other"];
+        let reopened = |slack: Option<u64>| {
+            let (pmem, rt) = rt(8 << 20);
+            let be = JnvmBackend::create(&rt, 1, true).unwrap();
+            for key in keys {
+                assert!(be.store_full(&Record::ycsb(key, &values)));
+            }
+            if let Some(slack) = slack {
+                let at = format!("record at {:#x}", retag(&be, "victim", slack));
+                let mut outcomes = Vec::from(read_outcomes(&be, "victim"));
+                outcomes.push(catch_unwind(AssertUnwindSafe(|| {
+                    be.update_field("victim", 0, b"x")
+                })));
+                outcomes.push(catch_unwind(AssertUnwindSafe(|| be.remove("victim"))));
+                for (op, outcome) in outcomes.into_iter().enumerate() {
+                    let msg = panic_message(outcome, "an impossible tag was decoded");
+                    assert!(msg.contains(&at), "slack {slack}, op {op}: {msg}");
+                }
+                for key in &keys[1..] {
+                    assert_eq!(be.read(key), Some(Record::ycsb(key, &values)));
+                }
+            }
+            be.sync();
+            drop((be, rt));
+            pmem.crash(&CrashPolicy::strict()).unwrap();
+            let opened = register_kvstore(JnvmBuilder::new()).open(Arc::clone(&pmem));
+            let (rt2, report) = opened.expect("recovery gets past the tag");
+            (JnvmBackend::open(&rt2, true).unwrap(), report)
+        };
+        let (_, clean) = reopened(None);
+        for (what, slack) in [("past the slot", 40), ("part of a slot", 4)] {
+            let (be, report) = reopened(Some(slack));
+            assert_eq!(report.nullified_refs, clean.nullified_refs + 1, "{what}");
+            assert_eq!(be.read("victim"), None, "{what}");
+            for key in &keys[1..] {
+                assert_eq!(
+                    be.read(key),
+                    Some(Record::ycsb(key, &values)),
+                    "{what}: {key}"
+                );
+            }
         }
     }
 
@@ -786,7 +886,7 @@ mod tests {
         let values = vec![vec![1u8; 100], vec![3u8; 300], vec![5u8; 64]];
         let keys = ["victim", "bystander", "other"];
         let field =
-            |be: &JnvmBackend, key, i: u64| be.lookup(key).unwrap().proxy.chain().phys(8 + i * 8);
+            |be: &JnvmBackend, key, i: u64| be.lookup(key).unwrap().proxy.chain().phys(i * 8);
         // A fresh pool of three records, the victim's field 2 overwritten
         // with `bad` of it (0 keeps it), crashed and reopened.
         type BadWord<'a> = dyn Fn(&Pmem, &JnvmBackend) -> u64 + 'a;
@@ -959,7 +1059,7 @@ mod tests {
                     }
                     // A null field reference reads as an empty value.
                     let null = null % values.len();
-                    be.lookup(&want.key).unwrap().proxy.write_ref(8 + null as u64 * 8, None);
+                    be.lookup(&want.key).unwrap().proxy.write_ref(null as u64 * 8, None);
                     assert!(want.set_field(null, b""));
                     assert_sinks_agree(&be, &want);
                     // Inside an open failure-atomic block the walker sees a

@@ -56,11 +56,12 @@ fn jnvm_read_takes_two() {
         used.count, 2,
         "key + one buffer sized up front; the lookup allocates nothing"
     );
-    // The record's two reads and one per value, as a `GET`
-    // (tests/obs_invariants.rs): the map lookup answers from DRAM (it read
-    // 2 words while it did not), and sizing from the references' lengths
-    // and the slot classes reads nothing.
-    assert_eq!(reads, 2 + 10);
+    // The record's one read and one per value, as a `GET`
+    // (tests/obs_invariants.rs): the map lookup answers from DRAM, field
+    // count and all (it read 2 words while it did not, and the record's
+    // count was 1 read more while the record stored it), and sizing from
+    // the references' lengths and the slot classes reads nothing.
+    assert_eq!(reads, 1 + 10);
 }
 
 /// A cached record served by the grid costs its clone, and the lookup

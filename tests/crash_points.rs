@@ -1287,7 +1287,8 @@ fn adversarial_exhaustive_recycled_carve_recovers_an_exact_live_count_at_every_c
 // (a chain), 0 B. The field's reference carries its value's slack (capacity
 // minus length) above its address, and the value stores no length: whichever
 // update a crash leaves, the reference recovery keeps must decode to that
-// value's exact length.
+// value's exact length. The root entry's reference to the record carries its
+// field count the same way.
 // ---------------------------------------------------------------------------
 
 /// The field's value lengths, setup first, then one update each.
@@ -1342,10 +1343,15 @@ fn field_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
         .root_get_as::<PRecord>("rec")
         .expect("typed")
         .expect("rooted");
+    assert_eq!(
+        rec.nfields(),
+        2,
+        "{mode:?}: the root reference's field count"
+    );
     let got = rec.to_record("rec");
     let step = (0..FIELD_LENS.len()).find(|s| got == field_record(*s));
     if let Some(step) = step {
-        let word = Proxy::open(&rt, rec.addr()).read_u64(8);
+        let word = Proxy::open(&rt, rec.addr()).read_u64(0);
         let capacity = RawChain::open(&rt, word & REF_ADDR_MASK).capacity();
         assert_eq!(
             capacity - (word >> 48),

@@ -494,7 +494,10 @@ fn log_mode_sites_per_op_are_pinned() {
     assert_eq!(points, 3 * OPS, "ordering points per rmw");
     assert_eq!(spans - points, 2 * OPS, "begin/end spans per rmw");
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fence hooks per rmw");
-    // 7.2 per rmw; 28 200 while a value began with a length word (the
+    // 7.2 per rmw; 27 689 while a record's first word held its count (the
+    // rmw's two-field records took slots of the 32-B class, not the 16-B
+    // one beside its values, so where a value's slot lies moved); 28 200
+    // while a value began with a length word (the
     // rmw's 11-byte values took slots of the 32-B class, not the 16-B one,
     // so where a value's slot lies moved); 28 127 while the keys were objects of their own (a key
     // inside its entry takes a slot of the 32-B class here, beside the
@@ -507,7 +510,7 @@ fn log_mode_sites_per_op_are_pinned() {
     // flushed and applied a whole in-flight block copy, the fresh blob was
     // flushed by its constructor *and* by the commit, and the flag and
     // length words of one line were written back separately.
-    assert_eq!(d.pwbs, 27_689, "pwb hooks over {OPS} rmws");
+    assert_eq!(d.pwbs, 27_733, "pwb hooks over {OPS} rmws");
 }
 
 // ---------------------------------------------------------------------------
@@ -558,10 +561,11 @@ fn setf(key: usize, field: usize, fill: u8) -> WriteOp {
 
 /// What one 100-byte `SETF` moves on the device, exactly: the redo log
 /// carries the 8-byte reference the op changes, not the record's block,
-/// and the commit applies it from DRAM. 196 bytes (16 read: `nfields` and
-/// the old reference — the map lookup answers from DRAM), 8 `pwb`s (the new
-/// value's header and bytes cover 2 lines of its pool slot), 4 fences —
-/// 212 bytes (32 read) while the lookup read 2 words, the cell and the
+/// and the commit applies it from DRAM. 188 bytes (8 read: the old
+/// reference — the map lookup answers from DRAM, the record's field count
+/// included), 8 `pwb`s (the new value's header and bytes cover 2 lines of
+/// its pool slot), 4 fences — 196 bytes (16 read) while the record's first
+/// word held its count, 212 bytes (32 read) while the lookup read 2 words, the cell and the
 /// entry's value reference; 220 bytes and 8 or 9 `pwb`s while
 /// the value began with a length word (1 in 64 values then spanned 3
 /// lines, 1 in 2 while the records took whole blocks and the values alone
@@ -594,7 +598,7 @@ fn setf_device_cost_per_op_is_pinned() {
     }
     let d = pool.device_stats().delta(&before);
     print_cost_row("SETF (100 B of 10 x 100 B)", OPS, &d);
-    assert_eq!(d.bytes_read, 16 * OPS, "device bytes read per SETF");
+    assert_eq!(d.bytes_read, 8 * OPS, "device bytes read per SETF");
     assert_eq!(d.bytes_written, 180 * OPS, "device bytes written per SETF");
     assert_eq!(d.pwbs, 8 * OPS, "pwbs per SETF");
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fences per group of one");
@@ -641,9 +645,13 @@ fn assert_cost(op: &str, d: &StatsSnapshot, pinned: (u64, u64, u64)) {
 /// What a `SET` of a new key moves on the device, held like `SETF`'s row:
 /// totals over 64 ops, because a pool block or a map cell carved every few
 /// ops makes the per-op figure fractional. Bump-fed, a 10 × 100 B record
-/// costs 0 B read, ≈1 444 B written and 46.2 `pwb`s, a 4 × 64 B one 0 B,
-/// ≈494 B and 20.7; recycling, ≈1 353 B and 40.5, ≈465 B and 19.2. A value
-/// stores no length word (its reference carries the length): 8 B less per
+/// costs 0 B read, ≈1 436 B written and 46.2 `pwb`s, a 4 × 64 B one 0 B,
+/// ≈484 B and 19.7; recycling, 1 345 B and 40.5, 457 B and 18.0. A record
+/// stores no field count (the reference to it carries the count): 8 B
+/// less, and a 4 × 64 B record takes a 32-B slot instead of a 72-B one,
+/// whose flushed range is a line shorter and whose pool blocks cost less
+/// to carve (≈1 444 B and 46.2, ≈494 B and 20.7; ≈1 353 B and 40.5, ≈465 B
+/// and 19.2 with the count word). A value stores no length word (its reference carries the length): 8 B less per
 /// field, and a 100-B value's flushed range crosses a line boundary less
 /// often (≈1 524 B and 46.7, ≈526 B and 20.7; ≈1 433 B and 41.0, ≈497 B and
 /// 19.2 with the length word). Each
@@ -671,34 +679,35 @@ fn set_device_cost_per_op_is_pinned() {
     assert_cost(
         "SET new key (4 x 64 B), bump-fed",
         &fresh,
-        (0, 31_632, 1_322),
+        (0, 30_960, 1_259),
     );
     assert_cost(
         "SET new key (4 x 64 B), recycling",
         &again,
-        (0, 29_760, 1_227),
+        (0, 29_248, 1_152),
     );
     let [fresh, _, again] = structural_costs(10, 100);
     assert_cost(
         "SET new key (10 x 100 B), bump-fed",
         &fresh,
-        (0, 92_384, 2_954),
+        (0, 91_872, 2_954),
     );
     assert_cost(
         "SET new key (10 x 100 B), recycling",
         &again,
-        (0, 86_592, 2_592),
+        (0, 86_080, 2_592),
     );
 }
 
 /// What a `DEL` moves on the device: the map's unlink, one one-word FREE
 /// entry per value and for the record and the entry, and their
-/// invalidations behind the apply fence — 48 B read, 144 B written and 10
-/// `pwb`s for 4 × 64 B, 96 B, 240 B and 17 for 10 × 100 B. What it reads
-/// is the map cell (to find the entry it frees) and the record's `nfields`
-/// and references: no header, no pool meta word, no key, no value, and the
-/// value reference from DRAM (56 and 104 B read while the lookup read it
-/// from the entry). A value's length moving from its first word into its
+/// invalidations behind the apply fence — 40 B read, 144 B written and 10
+/// `pwb`s for 4 × 64 B, 88 B, 240 B and 17 for 10 × 100 B. What it reads
+/// is the map cell (to find the entry it frees) and the record's
+/// references: no header, no pool meta word, no key, no value, no field
+/// count, and the value reference from DRAM (48 and 96 B read while the
+/// record's first word held its count; 56 and 104 B while the lookup read
+/// the value reference from the entry). A value's length moving from its first word into its
 /// reference moved none of these numbers (64 B, 160 B and 12,
 /// 112 B, 256 B and 18 while the key was an object of its own, whose
 /// reference the `DEL` read and which it freed — one FREE entry, one
@@ -714,19 +723,20 @@ fn set_device_cost_per_op_is_pinned() {
 fn del_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     let [_, del, _] = structural_costs(4, 64);
-    assert_cost("DEL (4 x 64 B)", &del, (3_072, 9_216, 640));
+    assert_cost("DEL (4 x 64 B)", &del, (2_560, 9_216, 640));
     let [_, del, _] = structural_costs(10, 100);
-    assert_cost("DEL (10 x 100 B)", &del, (6_144, 15_360, 1_088));
+    assert_cost("DEL (10 x 100 B)", &del, (5_632, 15_360, 1_088));
 }
 
 /// What one `GET` moves on the device, exactly, whichever sink serves it:
 /// no read for the map lookup (the mirror holds each cell's value
-/// reference, and the record is a pool slot, whose proxy reads no header),
-/// then the record's `nfields` word and its reference array (2 reads),
-/// then each field's content (1 each: its reference carries its length) —
-/// 12 reads and 1 088 bytes for 10 × 100 B (the benchmark's shape), 6
-/// reads and 296 bytes for 4 × 64 B — and nothing written, flushed or
-/// fenced. It was 14 reads / 1 104 B and 8 / 312 B behind a 2-read lookup
+/// reference, which carries the record's field count, and the record is a
+/// pool slot, whose proxy reads no header), then the record's reference
+/// array (1 read), then each field's content (1 each: its reference
+/// carries its length) — 11 reads and 1 080 bytes for 10 × 100 B (the
+/// benchmark's shape), 5 reads and 288 bytes for 4 × 64 B — and nothing
+/// written, flushed or fenced. It was 12 reads / 1 088 B and 6 / 296 B
+/// while the record's first word held its count; 14 reads / 1 104 B and 8 / 312 B behind a 2-read lookup
 /// (the cell and the entry's value reference); 24 reads / 1 184 B and 12 / 344 B
 /// while each value began with a length word that the read took first; 26
 /// reads / 1 200 B and 14 / 360 B behind a 4-read lookup while the entry
@@ -754,14 +764,14 @@ fn get_device_cost_per_op_is_pinned() {
         d
     };
     let rows = [
-        ("GET (10 x 100 B)", "user0007", 10, (12, 1088)),
-        ("GET (4 x 64 B)", "small", 4, (6, 296)),
+        ("GET (10 x 100 B)", "user0007", 10, (11, 1080)),
+        ("GET (4 x 64 B)", "small", 4, (5, 288)),
     ];
     for (op, key, fields, pinned) in rows {
         // The proxy touch stops at the reference array, which holds every
-        // field's length: the record's 2 reads, for any field count.
+        // field's length: the record's 1 read, for any field count.
         let touch = cost(&|| assert!(shard.grid.read_touch(key))).reads;
-        assert_eq!(touch, 2, "touch reads for {key}");
+        assert_eq!(touch, 1, "touch reads for {key}");
         // One more read per field, for its content.
         assert_eq!(pinned.0, touch + fields, "device reads of {key}");
         let read = cost(&|| assert!(shard.grid.read(key).is_some()));
@@ -853,9 +863,10 @@ fn setf_device_cost_per_group_size_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     const OPS: usize = 64;
     // (ops per group, device bytes read, bytes written, pwbs, fences) of
-    // 64 ops: 196 B and 8.0 pwbs per op alone, 184 B and 6.5 in pairs,
-    // 175 B and 5.9 in eights (16 B read each; 212, 200 and 191 B with 32
-    // B read while the map lookup read the cell and the entry's value
+    // 64 ops: 188 B and 8.0 pwbs per op alone, 176 B and 6.5 in pairs,
+    // 167 B and 5.9 in eights (8 B read each; 196, 184 and 175 B with 16 B
+    // read while the record's first word held its count; 212, 200 and 191
+    // B with 32 B read while the map lookup read the cell and the entry's value
     // reference; 220, 208 and 199 B, the first with 1 `pwb`
     // more, while a value began with a length word; 228, 216 and 207 B while a fresh blob's
     // mini-header was stored twice; 248 / 8.5, 236 / 7.0 and 227 / 6.3 with 52 B
@@ -864,9 +875,9 @@ fn setf_device_cost_per_group_size_is_pinned() {
     // read; 368 / 9.5, 356 / 8.0 and 347 / 6.7 with the log read back,
     // two-word heads and entries on the flag's line).
     let pinned = [
-        (1, 16 * 64, 180 * 64, 512, 4 * 64),
-        (2, 16 * 64, 168 * 64, 416, 4 * 32),
-        (8, 16 * 64, 159 * 64, 376, 4 * 8),
+        (1, 8 * 64, 180 * 64, 512, 4 * 64),
+        (2, 8 * 64, 168 * 64, 416, 4 * 32),
+        (8, 8 * 64, 159 * 64, 376, 4 * 8),
     ];
     for (batch, bytes_read, bytes_written, pwbs, fences) in pinned {
         let pool = preloaded_cluster(PmemConfig::crash_sim(32 << 20));
@@ -895,8 +906,12 @@ fn setf_device_cost_per_group_size_is_pinned() {
 /// handed out over them, net of those it took back — the record, its
 /// blobs, its map entry, and its share of map-array growth, pool blocks
 /// and the log. `BLOCKS` per 1 000 records of 4 × 64 B and of 10 × 100 B:
-/// 1.87 and 5.70 blocks a record, since the map entry holds its key (8 +
-/// 8 + 8 B of payload: one 40-B slot); 1.90 and 5.74 (1 904 and 5 737)
+/// 1.71 and 5.70 blocks a record, since the reference to a record carries
+/// its field count (a 4 × 64 B record's 32 B of payload take a 32-B slot,
+/// not a 72-B one; a 10 × 100 B record's 80 B stay in a 112-B slot); 1.87
+/// and 5.70 while the record's first word held its count, since the map
+/// entry holds its key (8 + 8 + 8 B of payload: one 40-B slot); 1.90 and
+/// 5.74 (1 904 and 5 737)
 /// while the key was a string object of its own beside a 16-B entry (24-B
 /// and 40-B slots), the record (40 B and 88 B) a pool slot too; 3.47 and
 /// 7.14 (3 471 and 7 137) while each took a whole 256-B block. (The
@@ -906,7 +921,7 @@ fn setf_device_cost_per_group_size_is_pinned() {
 fn footprint_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     const RECORDS: usize = 1_000;
-    const BLOCKS: [(usize, usize, u64); 2] = [(4, 64, 1_871), (10, 100, 5_704)];
+    const BLOCKS: [(usize, usize, u64); 2] = [(4, 64, 1_705), (10, 100, 5_704)];
     for (fields, size, pinned) in BLOCKS {
         let pool = Cluster::create(1, 1, 16, PmemConfig::crash_sim(32 << 20), true).expect("pool");
         let shard = pool.kv(0).shard(0);

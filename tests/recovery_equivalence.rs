@@ -21,7 +21,7 @@
 //! 3. two writers frozen between commit point and retire, so two
 //!    committed logs write the same word and the replay order shows;
 //! 4. completed workloads (for the HeaderScanOnly-vs-Full pin and its
-//!    counterexample).
+//!    counterexample, and the mark's reads per record).
 //!
 //! Images are captured once (a byte-for-byte copy of the post-crash
 //! media) and restored into a fresh device per configuration, so every
@@ -35,7 +35,9 @@ use jnvm_repro::jnvm::{
     persistent_class, Jnvm, JnvmBuilder, PObject, Proxy, RecoveryMode, RecoveryOptions,
     RecoveryReport,
 };
-use jnvm_repro::kvstore::{register_kvstore, DataGrid, GridConfig, JnvmBackend, PRecord, Record};
+use jnvm_repro::kvstore::{
+    register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend, PRecord, Record,
+};
 use jnvm_repro::pmem::{
     catch_crash, silence_crash_panics, CrashPolicy, FaultOp, FaultPlan, Pmem, PmemConfig,
 };
@@ -378,7 +380,7 @@ const TAGGED_LENS: [usize; 4] = [100, 7, 300, 0];
 /// A record's field reference words, straight off the device.
 fn field_words(rt: &Jnvm, rec: &PRecord) -> [u64; 4] {
     let proxy = Proxy::open(rt, rec.addr());
-    std::array::from_fn(|f| proxy.read_u64(8 + 8 * f as u64))
+    std::array::from_fn(|f| proxy.read_u64(8 * f as u64))
 }
 
 /// `TAGGED_RECORDS` rooted records; in every third one, the value of field
@@ -625,5 +627,60 @@ fn header_scan_diverges_from_full_gc_on_unreachable_garbage() {
     assert!(
         rt_scan.heap().read_header(leaked_block).is_valid_master(),
         "HeaderScanOnly keeps the leaked block"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// What the mark reads per record.
+// ---------------------------------------------------------------------------
+
+/// A one-shard kvstore pool of `records` records of 10 × 100 B — the
+/// benchmark's shape —, synced and crashed.
+fn records_image(records: usize) -> Vec<u8> {
+    let pmem = Pmem::new(PmemConfig::crash_sim(8 << 20));
+    let rt = register_kvstore(JnvmBuilder::new())
+        .create(Arc::clone(&pmem), HeapConfig::default())
+        .expect("pool");
+    let be = JnvmBackend::create(&rt, 1, false).expect("backend");
+    let values = vec![vec![7u8; 100]; 10];
+    for i in 0..records {
+        assert!(be.store_full(&Record::ycsb(&format!("user{i:05}"), &values)));
+    }
+    rt.psync();
+    pmem.crash(&CrashPolicy::strict()).expect("crash");
+    snapshot(&pmem)
+}
+
+/// The mark's device reads, exactly, at one thread, for 512 and 1 024
+/// records: 16 537 and 31 760, 29.73 per record of the 512 more (a map
+/// whose cell array is exactly full either way). For every reference it
+/// resolves, the mark reads the slot and the target's header, which says
+/// whether the target is valid and names its class: the map cell and the
+/// entry, the entry's value reference and the record, then each of the 10
+/// field references and its value — 24 a record. The rest is each pool
+/// block's meta word, read at its first touch (≈5.7 a record: two 100-B
+/// values to a block). The record's field count comes from the tag of the
+/// entry's reference to it: nothing reads a count. It was 23 196 and
+/// 45 075, 42.73 per record, while the record's first word held its count
+/// (1 read) and the mark read each claimed object's header a second time
+/// for its class (12). More threads may read a pool block's meta word
+/// twice, when two workers first touch it at once, so only the one-thread
+/// count is exact.
+#[test]
+fn mark_reads_per_record_are_pinned() {
+    let [small, large] = [512, 1024].map(|records| {
+        let (_, _, report) = open_restored(
+            &records_image(records),
+            register_kvstore,
+            RecoveryMode::Full,
+            1,
+        );
+        report
+    });
+    assert_eq!(large.live_objects - small.live_objects, 512 * 12);
+    assert_eq!(
+        (small.mark_reads, large.mark_reads),
+        (16_537, 31_760),
+        "mark device reads of 512 and 1 024 records"
     );
 }
