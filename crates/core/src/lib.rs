@@ -63,8 +63,6 @@ mod runtime;
 #[macro_use]
 mod macros;
 
-mod replica;
-
 pub use error::JnvmError;
 pub use fa::depth as fa_depth;
 pub use fa::{commit_phase, CommitPhase, StagedTx};
@@ -73,7 +71,6 @@ pub use object::{PAny, PObject};
 pub use proxy::{Blocks, Proxy, RawChain};
 pub use recovery::{RecoveryMode, RecoveryOptions, RecoveryReport};
 pub use registry::{ClassOps, ClassRegistry};
-pub use replica::ReplicaSet;
 pub use runtime::{Jnvm, JnvmBuilder, JnvmRuntime};
 
 #[cfg(test)]

@@ -274,9 +274,11 @@ pub struct TortureSummary {
 ///    **N isolated shards**, one worker per shard (only the crash shard's
 ///    worker unwinds — the device-level model of the sharded server's
 ///    failure isolation); **N shards × R replicas**, one worker per shard
-///    driving all of its shard's replicas (the committer model: stream to
-///    the backup, commit on the primary — the caller's failover logic
-///    decides whether the worker unwinds at all);
+///    driving all of its shard's replicas (the committer model: the
+///    worker commits through `jnvm_server::Replicas::commit`, which
+///    catches the crash and fails over, degrades or reports the shard
+///    dead, so the worker need not unwind at all — and a backup's device
+///    is written by its endpoint thread, not by a worker);
 /// 4. the scope join is the quiesce barrier. The context is dropped while
 ///    the crash device is still frozen (unwind destructors must not
 ///    repair the crash image), the device is thawed, and — if the crash

@@ -7,23 +7,18 @@
 //! retire) once per batch, not per write — the Persistent
 //! Software Combining argument applied across devices.
 //!
-//! [`commit_writes_replicated`] is the in-process form, called by the
-//! in-process kill driver (`tests/lincheck.rs`) and by the benchmark's
-//! per-layer probe (`benchmark/src/layers.rs`): it commits
-//! the batch on the **backup first**, then on the primary, mirroring the
-//! server's wire ordering (the group is streamed to the backup *before*
-//! the primary's commit). That ordering is what makes failover safe: at
-//! any crash point on the primary, the backup's applied state is a
-//! superset-prefix of the primary's — every *fully replicated-committed*
-//! (i.e. ackable) batch is durable on the backup, and anything beyond the
-//! last acked batch is an allowed prefix extension under the acked ⇒
-//! durable contract.
+//! [`commit_writes_replicated`] and [`ReplicaStack`] are kept only for the
+//! benchmark's per-layer probe (`benchmark/src/layers.rs`), which times an
+//! in-process replicated group: it commits the batch on the **backup
+//! first**, then on the primary — the wire ordering, where the group is
+//! streamed to the backup *before* the primary's commit. Serving and the
+//! kill experiments replicate over the wire instead, through
+//! `jnvm_server::Replicas::commit`.
 //!
-//! `jnvm-server` uses the wire path instead (REPL frames in
-//! `server::proto`), but drives the same [`ReplLag`] watermark: `sent`
-//! advances when a group is handed to the backup, `acked` when the
-//! backup's durability point comes back. `sent - acked` is the
-//! replication lag a STATS reader sees.
+//! [`ReplLag`] is the replication-lag watermark both forms drive: `sent`
+//! advances when a group is handed to the backup, `acked` when the backup's
+//! durability point comes back. `sent - acked` is the replication lag a
+//! STATS reader sees.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -90,11 +85,7 @@ pub struct ReplicaStack<'a> {
 /// With `backup = None` (degraded / solo mode) this is plain
 /// [`commit_writes`] and the watermark does not move.
 ///
-/// The caller owns crash handling: an injected crash on either device
-/// unwinds out of this function ([`jnvm_pmem::catch_crash`] at the call
-/// site), after which the caller promotes or degrades. On a mid-batch
-/// primary crash the backup has already committed the batch — the
-/// superset-prefix invariant failover relies on.
+/// An injected crash on either device unwinds out of this function.
 pub fn commit_writes_replicated(
     primary: ReplicaStack<'_>,
     backup: Option<ReplicaStack<'_>>,

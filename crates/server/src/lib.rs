@@ -53,5 +53,6 @@ pub use proto::{
     encode_reply, encode_request, handshake, handshake_proto_error, parse_frame, parse_reply,
     read_reply, ParseOutcome, ProtoError, Reply, Request, PROTO_VERSION,
 };
+pub use repl::{Committed, Replicas};
 pub use server::{Server, ServerConfig, ServerStats, ShardHandle};
 pub use torture::{kill_during_traffic, traffic_op_count, KillReport, TortureConfig};

@@ -21,19 +21,19 @@
 //!   batch, an abandoned queue a dropped receiver, and a committer that
 //!   unwinds for a reason nobody planned still answers all it held.
 //! * The committer's **replication link** (stream + backup endpoint
-//!   thread) is its local, made before the thread: nobody else can close,
-//!   read or join it.
+//!   thread, a [`Link`]) is its local, made before the thread: nobody else
+//!   can close, read or join it.
 //!
 //! A committer takes one blocking `recv` plus whatever else is queued, up
-//! to `batch_max`, runs [`jnvm_kvstore::commit_writes`] against its own
-//! backend (group commit: 4 fences per group, not per op — the applies
-//! are durable before the log retires) and resolves the batch only after
-//! that call returns — i.e. after the group durability point *and* the
-//! apply phase, so a GET that waited for the ticket reads the write; N
-//! shards run N fence passes concurrently. Shutdown is a flag plus dropped
-//! senders (the server's at the request, a handler's as it leaves), so a
-//! committer's `recv` fails exactly when its queue is empty and no
-//! producer can exist.
+//! to `batch_max`, and commits it through its shard's [`Replicas::commit`],
+//! which runs [`jnvm_kvstore::commit_writes`] on the active stack (group
+//! commit: 4 fences per group, not per op — the applies are durable before
+//! the log retires). It resolves the batch only after that call returns,
+//! i.e. after the group durability point *and* the apply phase, so a GET
+//! that waited for the ticket reads the write; N shards run N fence passes
+//! concurrently. Shutdown is a flag plus dropped senders (the server's at
+//! the request, a handler's as it leaves), so a committer's `recv` fails
+//! exactly when its queue is empty and no producer can exist.
 //!
 //! Handlers release replies strictly in request order from a
 //! per-connection completion queue (`Completions`): a write's slot when
@@ -46,32 +46,23 @@
 //!
 //! ## Replication: acked ⇒ durable on a surviving replica
 //!
-//! With `--replicas 2` each shard owns a [`jnvm::ReplicaSet`] of two
-//! full stacks on independent devices. The committer streams each drained
-//! batch to the shard's backup endpoint (`REPL_APPLY` frames over a
-//! loopback link; see [`crate::repl`]) **before** committing on the
-//! primary, then waits for the backup's cumulative `REPL_ACK` before
-//! resolving tickets. The backup applies concurrently with the primary's
-//! commit, so the added latency is `max` of the two passes, not their
-//! sum — and send-before-commit means the backup's applied state is
-//! always a superset-prefix of the primary's, which is what makes
-//! failover safe at *every* primary crash point.
+//! With `--replicas 2` each shard's [`Replicas`] holds two full stacks on
+//! independent devices. How a batch is streamed to the backup, committed,
+//! acked, and failed over is [`crate::repl`]'s, in one place.
 //!
 //! ## Crash behaviour: promote, degrade, or die
 //!
 //! Every thread that can touch a device runs under
-//! [`jnvm_pmem::catch_crash`]. When the fault-injection engine fires on a
-//! replicated shard's **primary**, that shard's committer fails the
-//! in-flight batch and everything queued (none of it was acked), quiesces
-//! the replication link (close + join the endpoint thread — the
-//! exclusive-writer handoff), **promotes** the backup in place and keeps
-//! serving; `acked_after_promotion` counts the proof of life. When the
-//! **backup** dies (its endpoint stops acking), the committer degrades to
-//! solo mode and keeps acking off the primary alone. Only a crash with no
-//! redundancy left kills the shard, PR 6 style: writes are answered
-//! [`Reply::Err`] at enqueue and GETs routed to it answer `Err` too.
-//! Writes that missed their durability point are never answered `Ok`.
-//! The kill-during-traffic torture checks exactly these contracts.
+//! [`jnvm_pmem::catch_crash`]. A crash on a replicated shard's **primary**
+//! comes back from [`Replicas::commit`] as a failover: the backup already
+//! serves, and the committer fails the in-flight batch and everything
+//! queued (none of it was acked) and keeps serving. A lost **backup**
+//! asks nothing of the committer: the batch is acked off the primary,
+//! which runs solo from then on. Only a crash with no redundancy left
+//! kills the shard: writes are answered [`Reply::Err`] at enqueue and GETs
+//! routed to it answer `Err` too. Writes that missed their durability
+//! point are never answered `Ok`. The kill-during-traffic torture checks
+//! exactly these contracts.
 //!
 //! ## Write accounting
 //!
@@ -94,17 +85,14 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use jnvm::ReplicaSet;
-use jnvm_kvstore::{
-    commit_writes, shard_for_key, Backend, DataGrid, JnvmBackend, KvShard, ReplLag, WriteOp,
-};
+use jnvm_kvstore::{shard_for_key, Backend, DataGrid, JnvmBackend, KvShard, WriteOp};
 use jnvm_pmem::{catch_crash, hush_panics, thread_charged_ns, Pmem, StatsSnapshot};
 
 use crate::proto::{
-    check_hello, close_value_reply, encode_repl_apply, encode_reply_into, hello_frame,
-    open_value_reply, parse_frame, read_reply, ParseOutcome, Reply, Request,
+    check_hello, close_value_reply, encode_reply_into, hello_frame, open_value_reply, parse_frame,
+    ParseOutcome, Reply, Request,
 };
-use crate::repl::start_backup_endpoint;
+use crate::repl::{Committed, Link, Replicas};
 
 /// Server tunables.
 #[derive(Debug, Clone, Copy)]
@@ -283,19 +271,13 @@ impl Drop for Resolver {
 /// What travels down a shard's queue.
 type Queued = (WriteOp, Resolver);
 
-/// A committer's replication link — the stream to its shard's backup
-/// endpoint, and that endpoint's thread — or `None` when the shard is solo.
-type Link = Option<(TcpStream, JoinHandle<()>)>;
-
 /// Per-shard serving state everyone may read; the queue's receiver and the
 /// replication link are not here — they are the committer's own. Each
 /// shard's committer owns exactly this shard — the footprint-disjointness
 /// the FA group commit asserts holds trivially across shards because their
 /// devices are disjoint.
 struct ShardState {
-    set: ReplicaSet<ShardHandle>,
-    /// Replication-lag watermark (groups sent vs. backup durability point).
-    lag: ReplLag,
+    set: Replicas,
     /// This shard's write path died with no replica left to serve: reads
     /// of its image are refused, and writes early (`send` refuses the rest).
     dead: AtomicBool,
@@ -362,10 +344,6 @@ impl Server {
         cfg: ServerConfig,
     ) -> std::io::Result<Server> {
         assert!(!shards.is_empty(), "the server needs at least one shard");
-        assert!(
-            shards.iter().all(|r| (1..=2).contains(&r.len())),
-            "each shard takes one primary and at most one backup"
-        );
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let mut states = Vec::with_capacity(shards.len());
@@ -374,16 +352,12 @@ impl Server {
         for replicas in shards {
             // A committer's own: the receiver of its shard's queue and the
             // replication link, which exists before the thread it goes to.
-            let link = replicas
-                .get(1)
-                .map(|b| start_backup_endpoint(Arc::clone(&b.grid), Arc::clone(&b.be)))
-                .transpose()?;
+            let set = Replicas::new(replicas);
             let (tx, rx) = sync_channel(cfg.queue_cap);
             queues.push(tx);
-            seats.push((rx, link));
+            seats.push((rx, set.connect()?));
             states.push(ShardState {
-                set: ReplicaSet::new(replicas),
-                lag: ReplLag::new(),
+                set,
                 dead: AtomicBool::new(false),
                 groups: AtomicU64::new(0),
                 batches: AtomicU64::new(0),
@@ -500,22 +474,25 @@ fn snapshot(shared: &Shared) -> ServerStats {
             .sum(),
         connections: shared.connections.load(Ordering::Relaxed),
         shards: shared.shards.len() as u64,
-        replicas: shared.shards.iter().map(|s| s.set.len() as u64).sum(),
+        replicas: shared
+            .shards
+            .iter()
+            .map(|s| s.set.stacks().len() as u64)
+            .sum(),
         dead_shards: shared
             .shards
             .iter()
             .filter(|s| s.dead.load(Ordering::Acquire))
             .count() as u64,
         promotions: shared.shards.iter().map(|s| s.set.promotions()).sum(),
-        // Singleton sets are born degraded; only count lost redundancy.
         degraded_shards: shared
             .shards
             .iter()
-            .filter(|s| s.set.len() >= 2 && s.set.is_degraded())
+            .filter(|s| s.set.lost_redundancy())
             .count() as u64,
         acked_after_promotion: shared.acked_after_promotion.load(Ordering::Relaxed),
-        repl_sent: shared.shards.iter().map(|s| s.lag.sent()).sum(),
-        repl_acked: shared.shards.iter().map(|s| s.lag.acked()).sum(),
+        repl_sent: shared.shards.iter().map(|s| s.set.lag().sent()).sum(),
+        repl_acked: shared.shards.iter().map(|s| s.set.lag().acked()).sum(),
     }
 }
 
@@ -587,91 +564,25 @@ fn acceptor_loop(
     }
 }
 
-/// Close the replication link and join the backup endpoint thread. TCP
-/// delivers everything written before the close, so the join returns only
-/// after the endpoint has applied every streamed group and exited — after
-/// this, the caller is the backup stack's only writer. Idempotent; safe
-/// whether the endpoint already exited (backup crash) or is still draining.
-fn quiesce_link(link: &mut Link) {
-    if let Some((stream, endpoint)) = link.take() {
-        drop(stream);
-        let _ = endpoint.join();
-    }
-}
-
-/// Stream the batch to the shard's backup endpoint, chunked into
-/// `REPL_APPLY` frames. Returns the last sequence number to await, or
-/// `None` when the shard runs solo. A send failure means the backup is
-/// gone: degrade in place and commit solo from now on.
-fn stream_to_backup(shard: &ShardState, link: &mut Link, ops: &[WriteOp]) -> Option<u64> {
-    let (stream, _) = link.as_mut()?;
-    let frames = encode_repl_apply(ops, || shard.lag.next_seq());
-    let last_seq = frames.last().map(|(_, seq)| *seq)?;
-    for (frame, _) in &frames {
-        if stream.write_all(frame).is_err() {
-            degrade_backup(shard, link);
-            return None;
-        }
-    }
-    Some(last_seq)
-}
-
-/// Wait for the backup's durability point to reach `target` (acks are
-/// cumulative: one may cover several chunks). Anything but a `REPL_ACK`
-/// within [`read_reply`]'s 10 s — EOF, an error, silence — means the backup
-/// died mid-batch: degrade, and ack the group off the primary, which holds it.
-fn wait_for_backup(shard: &ShardState, link: &mut Link, target: u64) {
-    let mut rbuf = Vec::new();
-    while shard.lag.acked() < target {
-        let Some((stream, _)) = link else { return };
-        match read_reply(stream, &mut rbuf) {
-            Ok(Some(Reply::ReplAck(seq))) => shard.lag.record_acked(seq),
-            _ => return degrade_backup(shard, link),
-        }
-    }
-}
-
-/// Backup-side failure: drop the link, join the endpoint, mark the set
-/// degraded. The primary keeps serving solo — nothing acked is lost,
-/// because acks were always gated on the *primary's* durability too.
-fn degrade_backup(shard: &ShardState, link: &mut Link) {
-    quiesce_link(link);
-    shard.set.degrade();
-}
-
 /// One shard's committer. It owns the queue's receiver, the replication
 /// link and every resolver it took off the queue: whichever way it leaves,
-/// what it still holds is dropped, which fails those tickets.
+/// what it still holds is dropped, which fails those tickets, and the link
+/// closes, which shuts the backup endpoint down.
 fn committer_loop(shared: &Arc<Shared>, si: usize, rx: Receiver<Queued>, mut link: Link) {
     let shard = &shared.shards[si];
     // `recv` fails only on an empty queue whose every sender is gone:
     // shutdown was requested and the last handler has left.
     while let Ok(first) = rx.recv() {
         // Everything queued, up to `batch_max`, split as taken: the ops go
-        // to the backup stream and the commit, the resolvers wait beside.
+        // to the replicated commit, the resolvers wait beside.
         let more = rx.try_iter().take(shared.cfg.batch_max.saturating_sub(1));
         let (ops, batch): (Vec<_>, Vec<_>) = std::iter::once(first).chain(more).unzip();
         debug_assert!(
             ops.iter().all(|op| shared.route(op.key()) == si),
             "op routed to the wrong shard's committer"
         );
-        // Hand the group to the backup *before* the primary's commit: the
-        // backup applies concurrently (latency = max of the two passes)
-        // and its state stays a superset-prefix of the primary's at every
-        // primary crash point.
-        let obs_send = jnvm_obs::span_begin();
-        let ack_target = stream_to_backup(shard, &mut link, &ops);
-        if ack_target.is_some() {
-            jnvm_obs::span_end(jnvm_obs::SpanKind::ReplSend, obs_send);
-        }
-        let active = shard.set.active();
-        match catch_crash(|| commit_writes(&active.grid, &active.be, &ops)) {
-            Ok(out) => {
-                if let Some(target) = ack_target {
-                    let obs_ack = jnvm_obs::span_begin();
-                    wait_for_backup(shard, &mut link, target);
-                    jnvm_obs::span_end(jnvm_obs::SpanKind::ReplAck, obs_ack);
-                }
+        match shard.set.commit(&mut link, &ops) {
+            Committed::Acked(out) => {
                 // The group durability point (on every live replica) is
                 // behind us: release acks.
                 shard.groups.fetch_add(out.groups as u64, Ordering::Relaxed);
@@ -687,29 +598,21 @@ fn committer_loop(shared: &Arc<Shared>, si: usize, rx: Receiver<Queued>, mut lin
                     resolver.resolve(ok);
                 }
             }
-            // Power failed mid-batch on the active device: nothing here
-            // reached its durability point as a group — ack none of it.
-            Err(_) if shard.set.backup().is_none() => {
-                // No redundancy left: only this shard goes down (no other
-                // committer touches this device). Its image is refused to
-                // reads; batch and queue fail as they drop, `send` refuses.
+            // The backup serves now: fail the batch and everything queued
+            // behind it (none of it reached its durability point as a group).
+            Committed::FailedOver => {
+                drop(batch);
+                rx.try_iter().for_each(drop);
+            }
+            // No redundancy left: only this shard goes down (no other
+            // committer touches this device). Its image is refused to
+            // reads; batch and queue fail as they drop, `send` refuses.
+            Committed::Dead => {
                 shard.dead.store(true, Ordering::Release);
                 break;
             }
-            Err(_) => {
-                // Failover: fail the batch and everything queued behind it,
-                // quiesce the link (the endpoint applies what was streamed
-                // and exits; the join makes this committer the backup's only
-                // writer), promote, keep serving on it alone.
-                drop(batch);
-                rx.try_iter().for_each(drop);
-                quiesce_link(&mut link);
-                shard.set.promote();
-            }
         }
     }
-    // Shutdown or death: close the link so the backup endpoint exits too.
-    quiesce_link(&mut link);
 }
 
 /// Enqueue a write on its shard, blocking in `send` while that queue is
@@ -1037,8 +940,8 @@ fn stats_text(shared: &Shared) -> String {
         }
         // Device stats absorb over every replica: replication's fence
         // cost is real and must show up in ordering_points_per_acked.
-        for i in 0..shard.set.len() {
-            d.absorb(&shard.set.get(i).pmem.stats());
+        for stack in shard.set.stacks() {
+            d.absorb(&stack.pmem.stats());
         }
     }
     let obs = jnvm_obs::metrics_snapshot();

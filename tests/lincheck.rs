@@ -2,18 +2,15 @@
 //!
 //! **One in-process kill experiment**, a driver over `(shards, replicas,
 //! crash target)`: a [`Cluster`], one worker per shard committing chunks of
-//! writes through its [`ReplicaSet`] with [`commit_writes_replicated`]
-//! (backup first, then primary — the server's ordering; with one replica,
-//! or once the set has degraded, it is plain `commit_writes`), every op
-//! recorded into a [`ClientRecorder`] history, and one device armed through
-//! `faultsim::torture_point`. When the crash fires the worker reacts as the
-//! server's committer does: if the active replica's device froze it
-//! promotes the backup, or with none left the shard dies; if the backup's
-//! froze the primary runs solo. One oracle judges every point: the history,
-//! closed over the survivors' recovered images, must be durably
-//! linearizable ([`History::check_recovered`]), and after a failover the
-//! crashed primary's image must never be ahead of the promoted backup
-//! ([`History::audit_failover`]).
+//! writes through its shard's [`Replicas::commit`] — the server's
+//! replicated commit, streaming each chunk to a real backup endpoint before
+//! the active stack commits it, and promoting, degrading or dying as the
+//! server does — every op recorded into a [`ClientRecorder`] history, and
+//! one device armed through `faultsim::torture_point`. One oracle judges
+//! every point: the history, closed over the survivors' recovered images,
+//! must be durably linearizable ([`History::check_recovered`]), and after a
+//! failover the crashed primary's image must never be ahead of the promoted
+//! backup ([`History::audit_failover`]).
 //!
 //! Then two crash-free wire-level checks: the seeded loadgen replays
 //! byte-identical invocation sequences, and pipelined reads behind
@@ -27,16 +24,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use jnvm_repro::faultsim::{strided_points, torture_point};
-use jnvm_repro::jnvm::{RecoveryOptions, ReplicaSet};
-use jnvm_repro::kvstore::{
-    commit_writes_replicated, shard_for_key, GridConfig, Record, ReplLag, ReplicaStack, ShardedKv,
-    WriteOp,
-};
+use jnvm_repro::jnvm::RecoveryOptions;
+use jnvm_repro::kvstore::{shard_for_key, GridConfig, Record, ShardedKv, WriteOp};
 use jnvm_repro::lincheck::{check, ClientRecorder, Clock, FieldVals, History, OpKind, Outcome};
-use jnvm_repro::pmem::{catch_crash, silence_crash_panics, FaultPlan, Pmem, PmemConfig};
+use jnvm_repro::pmem::{silence_crash_panics, FaultPlan, Pmem, PmemConfig};
 use jnvm_repro::server::{
-    encode_request, handshake, read_reply, run_loadgen, Cluster, LoadgenConfig, Reply, Request,
-    ServerConfig, ShardHandle,
+    encode_request, handshake, read_reply, run_loadgen, Cluster, Committed, LoadgenConfig,
+    Replicas, Reply, Request, ServerConfig,
 };
 
 // ------------------------------------------------ the in-process kill driver
@@ -120,7 +114,8 @@ struct Log {
     acked: Vec<AtomicUsize>,
     acked_after_promotion: AtomicUsize,
     promotions: AtomicUsize,
-    degrades: AtomicUsize,
+    /// Replicated shards left running solo (backup lost or promoted).
+    degraded: AtomicUsize,
 }
 
 impl Log {
@@ -134,7 +129,7 @@ impl Log {
             acked: (0..kill.shards).map(|_| AtomicUsize::new(0)).collect(),
             acked_after_promotion: AtomicUsize::new(0),
             promotions: AtomicUsize::new(0),
-            degrades: AtomicUsize::new(0),
+            degraded: AtomicUsize::new(0),
         })
     }
 
@@ -149,8 +144,7 @@ impl Log {
 
 struct Ctx {
     kill: Kill,
-    sets: Vec<ReplicaSet<ShardHandle>>,
-    lags: Vec<ReplLag>,
+    sets: Vec<Replicas>,
     log: Arc<Log>,
     /// Owns the runtimes under `sets`; declared (so dropped) after them.
     _cluster: Cluster,
@@ -167,27 +161,20 @@ fn setup(kill: Kill, log: &Arc<Log>) -> (Vec<Vec<Arc<Pmem>>>, Ctx) {
     .expect("create pools");
     let ctx = Ctx {
         kill,
-        sets: cluster.handles().into_iter().map(ReplicaSet::new).collect(),
-        lags: (0..kill.shards).map(|_| ReplLag::new()).collect(),
+        sets: cluster.handles().into_iter().map(Replicas::new).collect(),
         log: Arc::clone(log),
         _cluster: cluster,
     };
     (ctx._cluster.pmems().to_vec(), ctx)
 }
 
-fn stack(h: &ShardHandle) -> ReplicaStack<'_> {
-    ReplicaStack {
-        grid: &h.grid,
-        be: &h.be,
-    }
-}
-
-/// Per-shard worker: commit every chunk through the shard's replica set.
-/// Every op is invoked before the commit touches a device, so a crash
-/// mid-chunk leaves the whole chunk indeterminate (the backup may hold it);
-/// a chunk is acked when the commit returns.
+/// Per-shard worker: commit every chunk through the shard's replicated
+/// commit. Every op is invoked before the commit touches a device, so a
+/// crash mid-chunk leaves the whole chunk indeterminate (the backup may
+/// hold it); a chunk is acked when the commit acks it.
 fn drive(shard: usize, ctx: &Ctx) {
     let (set, log) = (&ctx.sets[shard], &ctx.log);
+    let mut link = set.connect().expect("connect the backup endpoint");
     for c in 0..CHUNKS {
         let ops = chunk(ctx.kill, shard, c);
         let toks: Vec<_> = {
@@ -196,45 +183,29 @@ fn drive(shard: usize, ctx: &Ctx) {
                 .map(|op| rec.invoke(op.key(), captured_kind(op)))
                 .collect()
         };
-        let committed = catch_crash(|| {
-            commit_writes_replicated(
-                stack(set.active()),
-                set.backup().map(stack),
-                &ops,
-                &ctx.lags[shard],
-            )
-        });
-        match committed {
-            Ok(out) => {
-                let mut rec = log.recorders[shard].lock().expect("recorder lock");
-                for (tok, (op, applied)) in toks.into_iter().zip(ops.iter().zip(&out.results)) {
-                    let outcome = match op {
-                        WriteOp::Set(_) => Outcome::Ok,
-                        _ if *applied => Outcome::Ok,
-                        _ => Outcome::NotFound,
-                    };
-                    rec.resolve(tok, outcome);
-                }
-                log.acked[shard].fetch_add(1, Ordering::Relaxed);
-                if set.promotions() > 0 {
-                    log.acked_after_promotion.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            // The active replica's device froze: fail over, or with no
-            // backup left the shard dies.
-            Err(_) if set.active().pmem.faults_frozen() => {
-                if set.promote().is_none() {
-                    return;
-                }
-                log.promotions.fetch_add(1, Ordering::Relaxed);
-            }
-            // The backup's froze: the primary runs solo.
-            Err(_) => {
-                set.degrade();
-                log.degrades.fetch_add(1, Ordering::Relaxed);
-            }
+        let out = match set.commit(&mut link, &ops) {
+            Committed::Acked(out) => out,
+            Committed::FailedOver => continue,
+            Committed::Dead => break,
+        };
+        let mut rec = log.recorders[shard].lock().expect("recorder lock");
+        for (tok, (op, applied)) in toks.into_iter().zip(ops.iter().zip(&out.results)) {
+            let outcome = match op {
+                WriteOp::Set(_) => Outcome::Ok,
+                _ if *applied => Outcome::Ok,
+                _ => Outcome::NotFound,
+            };
+            rec.resolve(tok, outcome);
+        }
+        log.acked[shard].fetch_add(1, Ordering::Relaxed);
+        if set.promotions() > 0 {
+            log.acked_after_promotion.fetch_add(1, Ordering::Relaxed);
         }
     }
+    log.promotions
+        .fetch_add(set.promotions() as usize, Ordering::Relaxed);
+    log.degraded
+        .fetch_add(usize::from(set.lost_redundancy()), Ordering::Relaxed);
 }
 
 fn reopen(devs: &[Arc<Pmem>]) -> ShardedKv {
@@ -251,7 +222,7 @@ struct Tally {
     acked: Vec<usize>,
     acked_after_promotion: usize,
     promotions: usize,
-    degrades: usize,
+    degraded: usize,
 }
 
 /// One kill experiment: arm `point` on the target device, run the workers,
@@ -316,7 +287,7 @@ fn run_point(kill: Kill, point: u64) -> Tally {
             .collect(),
         acked_after_promotion: log.acked_after_promotion.load(Ordering::Relaxed),
         promotions: log.promotions.load(Ordering::Relaxed),
-        degrades: log.degrades.load(Ordering::Relaxed),
+        degraded: log.degraded.load(Ordering::Relaxed),
     }
 }
 
@@ -344,7 +315,7 @@ fn sharded_torture_histories_are_durably_linearizable() {
             .any(|p| p.injected && p.acked[SOLO.target.0] < CHUNKS),
         "no point killed the crash shard mid-run"
     );
-    assert!(points.iter().all(|p| p.promotions == 0 && p.degrades == 0));
+    assert!(points.iter().all(|p| p.promotions == 0 && p.degraded == 0));
 }
 
 /// N×2, primary kill: the shard promotes its backup and keeps acking on it.
@@ -374,7 +345,7 @@ fn backup_crash_degrades_without_losing_acked_chunks() {
         "a backup crash must never promote"
     );
     assert!(
-        points.iter().any(|p| p.degrades > 0),
+        points.iter().any(|p| p.degraded > 0),
         "sweep never hit the backup"
     );
 }
