@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use jnvm::{commit_phase, persistent_class, Jnvm, JnvmBuilder};
 use jnvm_bench::{write_csv, Args, Table};
-use jnvm_faultsim as faultsim;
+use jnvm_faultsim::{self as faultsim, Devices};
 use jnvm_heap::HeapConfig;
 use jnvm_jpdt::register_jpdt;
 use jnvm_pmem::{silence_crash_panics, CrashPolicy, FaultPlan, Pmem, PmemConfig};
@@ -41,7 +41,7 @@ struct Ctx {
     transfers: usize,
 }
 
-fn setup(transfers: usize) -> (Arc<Pmem>, Ctx) {
+fn setup(transfers: usize) -> (Devices, Ctx) {
     let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
     let rt = register_jpdt(JnvmBuilder::new())
         .register::<Pair>()
@@ -61,10 +61,10 @@ fn setup(transfers: usize) -> (Arc<Pmem>, Ctx) {
         p.set_right(p.right() + 100);
     });
     pmem.psync();
-    (pmem, Ctx { rt, p, transfers })
+    (vec![vec![pmem]], Ctx { rt, p, transfers })
 }
 
-fn workload(ctx: &Ctx) {
+fn workload(_: usize, ctx: &Ctx) {
     for _ in 0..ctx.transfers {
         ctx.rt.fa(|| {
             ctx.p.set_left(ctx.p.left() - 100);
@@ -96,7 +96,19 @@ fn main() {
     let transfers: usize = args.get_or("transfers", 1);
     let out: PathBuf = PathBuf::from(args.get_or("out", "results".to_string()));
 
-    let (total, trace) = faultsim::trace_ops(|| setup(transfers), workload);
+    // The one pool (target (0, 0)), written by one worker, which runs on
+    // this thread: `commit_phase` below reads the phase the crash
+    // interrupted.
+    let trace = faultsim::torture_point(
+        FaultPlan::count(),
+        (0, 0),
+        1,
+        || setup(transfers),
+        workload,
+        |_, _| {},
+    )
+    .trace;
+    let total = trace.len();
     println!(
         "Crash-point sweep: {transfers} failure-atomic transfer(s), \
          {total} persistence-relevant ops"
@@ -118,12 +130,14 @@ fn main() {
     // The first point of the epoch the next crash stands for.
     let mut first = 0u64;
     let summary = faultsim::sweep_all(
-        FaultPlan::count().with_policy(CrashPolicy::strict()),
+        CrashPolicy::strict(),
+        (0, 0),
+        1,
         || setup(transfers),
         workload,
-        |pmem, report| {
+        |pmems, report| {
             let phase = commit_phase();
-            let (l, r, replayed, live) = recover(pmem);
+            let (l, r, replayed, live) = recover(&pmems[0][0]);
             let verdict = if l + r != 2000 {
                 torn += 1;
                 "TORN"
@@ -169,7 +183,7 @@ fn main() {
     println!(
         "{} fence epochs of {total} crash points: {} recover the old state, \
          {} the new/prefix state, {} torn",
-        summary.points_crashed, old_state, new_state, torn
+        summary.points_injected, old_state, new_state, torn
     );
     if torn > 0 {
         println!("FAILURE: the commit sequence is not failure-atomic");

@@ -30,7 +30,9 @@
 //! `fa_commit_group`, ordering point, and recovery span, per thread, on
 //! the modeled device clock. The crash splits the timeline in two — the
 //! spans the workload completed before power was lost, then the recovery
-//! pass's marks and replays.
+//! pass's marks and replays. Worker 0 runs on the main thread (the
+//! engine runs every topology's worker 0 on the calling thread), so its
+//! spans share that thread's row with the recovery pass's.
 //!
 //! Timestamps are **per-thread modeled nanoseconds** (each thread's own
 //! charged device time, as if it had a dedicated core), so cross-thread
@@ -40,7 +42,7 @@
 use std::sync::Arc;
 
 use jnvm::JnvmBuilder;
-use jnvm_faultsim::{strided_points, torture_point, TortureOutcome};
+use jnvm_faultsim::{strided_points, torture_point, Devices, TortureOutcome};
 use jnvm_kvstore::{register_kvstore, DataGrid, Record};
 use jnvm_pmem::{silence_crash_panics, FaultPlan, LatencyProfile, Pmem, PmemConfig};
 use jnvm_server::{Args, Cluster};
@@ -61,7 +63,7 @@ fn grid(pool: &Cluster) -> &DataGrid {
     &pool.kv(0).shard(0).grid
 }
 
-fn setup(opts: &TimelineOpts) -> (Vec<Vec<Arc<Pmem>>>, Cluster) {
+fn setup(opts: &TimelineOpts) -> (Devices, Cluster) {
     // CrashSim fidelity *with* the Optane latency profile: the injected
     // spin both charges the modeled clock (span timestamps) and spreads
     // the threads' op streams out so the timeline shows real overlap.
@@ -135,10 +137,9 @@ fn timeline(args: &Args) {
     };
     silence_crash_panics();
     // One pool, `threads` workers, fresh devices per run.
-    let run = |point: u64, verify: Verify<'_>| {
+    let run = |plan: FaultPlan, verify: Verify<'_>| {
         torture_point(
-            point,
-            FaultPlan::count(),
+            plan,
             (0, 0),
             opts.threads,
             || setup(&opts),
@@ -151,13 +152,13 @@ fn timeline(args: &Args) {
     // point lands mid-stream. Tracing stays off here so the rendered
     // timeline holds only the crash run and its recovery.
     jnvm_obs::set_mode(jnvm_obs::ObsMode::Off);
-    let total = run(u64::MAX, &|_, _| {}).ops_counted;
+    let total = run(FaultPlan::count(), &|_, _| {}).ops_counted;
     let point: u64 = args.get_or("point", total / 2);
     println!("op space ~{total}; arming power failure at op {point}\n");
     jnvm_obs::set_mode(jnvm_obs::ObsMode::Log);
 
     // Crash run, then recovery — both traced.
-    run(point, &|pmems, out| {
+    run(FaultPlan::crash_at(point), &|pmems, out| {
         println!(
             "crash {}: {}/{} workers unwound; recovering...\n",
             if out.injected {

@@ -1,166 +1,238 @@
 //! # jnvm-faultsim — crash-point sweep driver
 //!
-//! The `jnvm-pmem` injection engine ([`jnvm_pmem::FaultPlan`]) can crash the
+//! The `jnvm-pmem` injection engine ([`jnvm_pmem::FaultPlan`]) can crash a
 //! simulated device immediately **before** its N-th persistence-relevant
-//! operation. This crate turns that single primitive into an exhaustive
-//! testing harness: given a workload, it
+//! operation. This crate turns that primitive into one exhaustive testing
+//! engine over a **topology** of devices, `pmems[shard][replica]` (replica
+//! 0 the primary). One pool is the 1 × 1 topology, N isolated shards are
+//! N × 1, and N replicated shards are N × R: the same experiment with
+//! different arguments.
 //!
-//! 1. runs a **count pass** ([`FaultMode::Count`]) to learn the
-//!    persistence-relevant operations the workload performs, in order, and
-//!    the thread that issued each, then
-//! 2. **sweeps**: for every crash point `i` it builds the initial state
-//!    afresh, arms [`FaultMode::CrashAt`]`(i)`, runs the workload
-//!    until the injected power failure unwinds it, and hands the crashed
-//!    device to a caller-supplied `verify` closure — which typically
-//!    re-opens the pool and asserts the workload's recovery invariants.
-//!
-//! Which points [`sweep_all`] crashes at follows from the plan's policy.
-//! Under a policy that evicts nothing ([`jnvm_pmem::CrashPolicy::strict`])
-//! only fenced lines survive a crash, so every point between two fences of
-//! one writer thread leaves the same media: one point per **fence epoch**
-//! sees every distinct crash image, and that is what it sweeps. Under an
-//! eviction policy points inside an epoch persist different lines, and it
-//! sweeps every point.
-//!
-//! The driver takes care of the delicate ordering around the unwind: the
-//! workload context is dropped **while the device is still frozen**, so that
-//! destructors running during/after the unwind (e.g. a failure-atomic
-//! guard's abort path) cannot retroactively repair the crash image, and only
-//! then is the device thawed for verification.
-//!
-//! The driver is deliberately generic over the workload context `Ctx` so
-//! the same loop drives raw-device workloads, `jnvm` runtimes, and whole
-//! KV stores (see the workspace's `tests/crash_points.rs`).
-//!
-//! ## Concurrent torture ([`torture_point`] / [`torture_sweep`])
-//!
-//! The single-threaded sweep can only falsify sequential durability bugs.
-//! [`torture_point`] runs concurrent workers over one shared context with
-//! crash injection armed on **one device of a topology**
-//! (`pmems[shard][replica]`). One pool hammered by `n` threads, N
-//! isolated shards and N shards × R replicas are the same experiment with
-//! different arguments: whichever worker's op lands on the trigger takes
-//! the power failure, every *other* worker that touches the frozen device
-//! unwinds with a secondary [`CrashInjected`], and workers that never
-//! touch it run to completion. The driver joins all workers (the quiesce
-//! protocol), drops the context while the device is still frozen, thaws
-//! it, resynchronizes the cache ([`Pmem::resync_cache`] — workers
+//! [`torture_point`] is the one primitive. It builds the topology afresh,
+//! arms **one** device with a plan — [`FaultMode::Count`] to count and
+//! trace that device's ops, or [`FaultMode::CrashAt`]`(i)` to crash it
+//! before its op `i` — and runs `workers` workers over a shared context.
+//! Worker 0 runs on the calling thread, whatever the shape, so a one-pool
+//! sweep's `verify` sees that worker's thread-local state (the commit
+//! phase a crash interrupted, `jnvm::commit_phase`). Whichever worker's op
+//! lands on the trigger takes the power failure; every *other* worker that
+//! touches the frozen device unwinds with a secondary
+//! [`jnvm_pmem::CrashInjected`], and workers that never touch it run to
+//! completion. The driver joins all workers
+//! (the quiesce protocol), drops the context **while the device is still
+//! frozen** — so destructors running during or after the unwind (a
+//! failure-atomic guard's abort path) cannot repair the crash image —
+//! thaws it, resynchronizes its cache ([`Pmem::resync_cache`]: workers
 //! mid-store at the moment of the crash may have scribbled on the rebuilt
-//! cache), and only then verifies. With several writer threads a fence
-//! epoch is not defined, so these sweeps take [`strided_points`].
+//! cache), and only then hands the devices to a caller-supplied `verify`.
+//!
+//! Two sweeps run it point after point:
+//!
+//! - [`sweep`] crashes at the points the caller names;
+//! - [`sweep_all`] takes its points from a count pass. Under a policy
+//!   that evicts nothing ([`CrashPolicy::strict`]) only fenced lines
+//!   survive a crash, so every point between two fences of the one thread
+//!   that writes the armed device leaves the same media: one point per
+//!   **fence epoch** sees every distinct crash image, and that is what it
+//!   sweeps. Under an eviction policy points inside an epoch persist
+//!   different lines, and it sweeps every point.
+//!
+//! ## Drivers on [`strided_points`]
+//!
+//! A fence epoch needs one writer. Where several threads write the armed
+//! device an op index names a different op from run to run, and the sweep
+//! takes an evenly strided sample of the counted ops instead:
+//!
+//! - the concurrent bank and grid tortures (`tests/concurrent_torture.rs`),
+//!   the recovery-equivalence images taken from them and the restartable
+//!   recoveries (`tests/recovery_{equivalence,restartable}.rs`) run
+//!   several writer threads on one pool — recovery's mark and sweep
+//!   workers included;
+//! - the kill-during-traffic sweeps over sockets (`tests/server_torture.rs`,
+//!   the kill rows of `tests/obs_invariants.rs` and `jnvm-faultsim
+//!   lincheck`) arm the device of a running server through its own
+//!   protocol (`jnvm_server::kill_during_traffic`), not through this
+//!   engine.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use jnvm_pmem::{catch_crash, CrashInjected, FaultMode, FaultOp, FaultPlan, Pmem, TraceRecord};
+use jnvm_pmem::{catch_crash, CrashPolicy, FaultMode, FaultOp, FaultPlan, Pmem, TraceRecord};
 
-/// What happened at one crash point of a sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct CrashReport {
-    /// The 0-based index of the persistence-relevant op that was replaced
-    /// by a power failure.
+/// A topology's devices, `pmems[shard][replica]`; replica 0 is the primary.
+pub type Devices = Vec<Vec<Arc<Pmem>>>;
+
+/// What happened in one [`torture_point`] run.
+#[derive(Debug, Clone)]
+pub struct TortureOutcome {
+    /// The armed crash point (ops counted on the armed device, across all
+    /// threads in interleaving order). A count pass has no crash point; it
+    /// reports the end of the stream, the first point past its last op.
     pub point: u64,
-    /// The op that would have executed, as unwound by the engine.
-    pub crash: CrashInjected,
+    /// The armed device's identity ([`Pmem::label`]), for reports.
+    pub crash_label: String,
+    /// Whether the crash fired before the armed device's op stream ended.
+    pub injected: bool,
+    /// Persistence-relevant ops counted on the armed device while armed.
+    pub ops_counted: u64,
+    /// The armed device's ops in order — one [`TraceRecord`] per crash
+    /// point, so `trace[i]` names the op a `CrashAt(i)` run replaces with a
+    /// power failure, and the thread that issued it. Empty unless the plan
+    /// was [`FaultMode::Count`].
+    pub trace: Vec<TraceRecord>,
+    /// Workers unwound by the crash: the trigger thread plus every worker
+    /// whose next op hit the frozen device. Workers sharing the armed
+    /// device all unwind; with one worker per disjoint device at most one
+    /// does — that *is* the isolation property.
+    pub crashed_workers: usize,
+    /// Workers that ran their workload to completion.
+    pub completed_workers: usize,
 }
 
-/// Aggregate result of [`sweep`].
+/// Aggregate result of [`sweep`] and [`sweep_all`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SweepSummary {
-    /// Crash points actually exercised (workload crashed and was verified).
-    pub points_crashed: usize,
-    /// Points at which the workload ran to completion instead of crashing
-    /// (the point index was past the end of the op stream).
+pub struct TortureSummary {
+    /// Points at which a crash was injected (and verified).
+    pub points_injected: usize,
+    /// Points past the end of the armed device's op stream: the workload
+    /// completed; `verify` still ran against the completed image.
     pub points_completed: usize,
 }
 
-/// Run `workload` once with the injector in counting mode and return the
-/// number of persistence-relevant operations it performs.
+/// Run one crash experiment over a topology of devices.
 ///
-/// `setup` builds a fresh device + workload context; the same closures are
-/// then typically handed to [`sweep`].
-pub fn count_ops<Ctx>(
-    setup: impl FnOnce() -> (Arc<Pmem>, Ctx),
-    workload: impl FnOnce(&Ctx),
-) -> u64 {
-    trace_ops(setup, workload).0
-}
-
-/// Like [`count_ops`], additionally returning the ordered trace of
-/// persistence-relevant operations — one [`TraceRecord`] per crash point,
-/// so `trace[i]` names the op that a [`FaultMode::CrashAt`]`(i)` run would
-/// replace with a power failure.
-pub fn trace_ops<Ctx>(
-    setup: impl FnOnce() -> (Arc<Pmem>, Ctx),
-    workload: impl FnOnce(&Ctx),
-) -> (u64, Vec<TraceRecord>) {
-    let (pmem, ctx) = setup();
-    pmem.arm_faults(FaultPlan::count());
-    workload(&ctx);
-    drop(ctx);
-    let trace = pmem.fault_trace();
-    let n = pmem.disarm_faults();
-    (n, trace)
-}
-
-/// Sweep the given crash points of a workload.
-///
-/// For each point `i` in `points`:
-///
-/// 1. `setup()` builds a fresh device and workload context (pool created,
-///    warmed up, fences drained — everything *before* the region under
-///    test);
-/// 2. the device is armed with `CrashAt(i)` (under `plan`'s crash policy);
-/// 3. `workload(&ctx)` runs inside [`catch_crash`]; the injected power
-///    failure unwinds it at op `i`. A workload that is **internally
-///    multi-threaded** (a parallel recovery pass spawning its own
-///    mark/sweep workers) must re-throw a worker's
-///    [`CrashInjected`] from the spawning thread (see
-///    `jnvm_heap::par::run_workers_timed`) so the primary crash reaches this
+/// 1. `setup()` builds fresh devices (`pmems[shard][replica]`, pairwise
+///    disjoint) and the shared context — everything *before* the region
+///    under test;
+/// 2. the `(shard, replica)` device named by `target` — and only it — is
+///    armed with `plan`;
+/// 3. `workers` workers run `workload(w, &ctx)`, each inside
+///    [`catch_crash`]; worker 0 runs on the calling thread, the rest on
+///    scoped threads named `worker-{w}`. The shapes in use: **one pool,
+///    n workers** (every worker's next op on the frozen device unwinds with
+///    a secondary [`jnvm_pmem::CrashInjected`] — a power failure stops
+///    every CPU);
+///    **N isolated shards**, one worker per shard (only the crash shard's
+///    worker unwinds); **N shards × R replicas**, one worker per shard
+///    driving all of its shard's replicas (the committer model: the worker
+///    commits through `jnvm_server::Replicas::commit`, which catches the
+///    crash and fails over, degrades or reports the shard dead, so the
+///    worker need not unwind at all — and a backup's device is written by
+///    its endpoint thread, not by a worker). A workload that spawns its own
+///    threads (a parallel recovery pass) must re-throw a thread's
+///    [`jnvm_pmem::CrashInjected`] from the spawning thread (see
+///    `jnvm_heap::par::run_workers_timed`) so the crash reaches this
 ///    `catch_crash`;
-/// 4. the context is dropped **while the device is still frozen**, then the
-///    device is disarmed (thawed);
-/// 5. on a crash, the device cache is resynchronized from media
-///    ([`Pmem::resync_cache`]) — workers of an internally threaded
-///    workload that were mid-store at the moment of the crash may have
-///    scribbled on the rebuilt cache; after a single-threaded crash
-///    [`Pmem::crash`] has already rebuilt it and this changes nothing —
-///    and `verify(&pmem, &report)` checks recovery invariants (typically:
-///    reopen the pool, assert the workload's atomicity / durability
-///    contract, check for leaked blocks). If the workload instead ran to
-///    completion, the point was past the end of the op stream; it is
-///    tallied in [`SweepSummary::points_completed`] and `verify` is not
-///    called.
+/// 4. the scope join is the quiesce barrier. The context is dropped while
+///    the armed device is still frozen, the device is thawed, and — if the
+///    crash fired — its cache is resynchronized from media;
+/// 5. `verify(&pmems, &outcome)` checks recovery invariants — typically
+///    re-opening the surviving image(s) and asserting that every acked
+///    write is readable and untorn. It runs for completed (past-the-end)
+///    points too: a fully-applied image must satisfy the same invariants.
 ///
-/// Panics from `workload` that are not injected crashes propagate (they are
-/// real bugs); panics from `verify` propagate (they are failed invariants).
-pub fn sweep<Ctx>(
-    points: impl IntoIterator<Item = u64>,
+/// Panics from workers that are not injected crashes propagate (they are
+/// real bugs); panics from `verify` are failed invariants.
+///
+/// # Panics
+///
+/// When `target` names no device, when two replicas share one device, and
+/// when a count pass saw no op on the armed device: a sweep over its points
+/// would check nothing.
+pub fn torture_point<Ctx: Sync>(
     plan: FaultPlan,
-    mut setup: impl FnMut() -> (Arc<Pmem>, Ctx),
-    mut workload: impl FnMut(&Ctx),
-    mut verify: impl FnMut(&Arc<Pmem>, &CrashReport),
-) -> SweepSummary {
-    let mut summary = SweepSummary::default();
+    target: (usize, usize),
+    workers: usize,
+    setup: impl FnOnce() -> (Devices, Ctx),
+    workload: impl Fn(usize, &Ctx) + Sync,
+    verify: impl FnOnce(&[Vec<Arc<Pmem>>], &TortureOutcome),
+) -> TortureOutcome {
+    let (shard, replica) = target;
+    let (pmems, ctx) = setup();
+    assert!(
+        shard < pmems.len(),
+        "crash shard {shard} out of range ({} shards)",
+        pmems.len()
+    );
+    assert!(
+        replica < pmems[shard].len(),
+        "crash replica {replica} out of range ({} replicas on shard {shard})",
+        pmems[shard].len()
+    );
+    let flat: Vec<&Arc<Pmem>> = pmems.iter().flatten().collect();
+    for (i, a) in flat.iter().enumerate() {
+        assert!(
+            flat[i + 1..].iter().all(|b| !Arc::ptr_eq(a, b)),
+            "two replicas share one device — replication claims need disjoint devices"
+        );
+    }
+    let crash_dev = &pmems[shard][replica];
+    crash_dev.arm_faults(plan);
+    let crashed = AtomicUsize::new(0);
+    let run = |w: usize| {
+        if catch_crash(|| workload(w, &ctx)).is_err() {
+            crashed.fetch_add(1, Ordering::SeqCst);
+        }
+    };
+    std::thread::scope(|s| {
+        for w in 1..workers {
+            let run = &run;
+            // Named so span rings and panic messages identify the worker.
+            std::thread::Builder::new()
+                .name(format!("worker-{w}"))
+                .spawn_scoped(s, move || run(w))
+                .expect("spawn torture worker");
+        }
+        run(0);
+    });
+    let injected = crash_dev.faults_frozen();
+    drop(ctx);
+    let trace = crash_dev.fault_trace();
+    let ops_counted = crash_dev.disarm_faults();
+    if injected {
+        crash_dev.resync_cache();
+    }
+    let label = crash_dev.label().to_string();
+    let point = match plan.mode {
+        FaultMode::CrashAt(point) => point,
+        FaultMode::Count => {
+            assert!(ops_counted > 0, "the count pass saw no op on {label:?}");
+            ops_counted
+        }
+    };
+    let crashed_workers = crashed.load(Ordering::SeqCst);
+    let outcome = TortureOutcome {
+        point,
+        crash_label: label,
+        injected,
+        ops_counted,
+        trace,
+        crashed_workers,
+        completed_workers: workers - crashed_workers,
+    };
+    verify(&pmems, &outcome);
+    outcome
+}
+
+/// Run [`torture_point`] at each of `points` under `policy`, with the same
+/// target, workers, setup, workload and verify.
+pub fn sweep<Ctx: Sync>(
+    points: impl IntoIterator<Item = u64>,
+    policy: CrashPolicy,
+    target: (usize, usize),
+    workers: usize,
+    mut setup: impl FnMut() -> (Devices, Ctx),
+    workload: impl Fn(usize, &Ctx) + Sync,
+    mut verify: impl FnMut(&[Vec<Arc<Pmem>>], &TortureOutcome),
+) -> TortureSummary {
+    let mut summary = TortureSummary::default();
     for point in points {
-        let (pmem, ctx) = setup();
-        pmem.arm_faults(FaultPlan {
-            mode: FaultMode::CrashAt(point),
-            ..plan
-        });
-        let outcome = catch_crash(|| workload(&ctx));
-        // Destructors (e.g. fa-guard abort paths) must not be able to touch
-        // the post-crash image: drop the context before thawing.
-        drop(ctx);
-        pmem.disarm_faults();
-        match outcome {
-            Err(crash) => {
-                pmem.resync_cache();
-                summary.points_crashed += 1;
-                verify(&pmem, &CrashReport { point, crash });
-            }
-            Ok(()) => summary.points_completed += 1,
+        let plan = FaultPlan::crash_at(point).with_policy(policy);
+        if torture_point(plan, target, workers, &mut setup, &workload, &mut verify).injected {
+            summary.points_injected += 1;
+        } else {
+            summary.points_completed += 1;
         }
     }
     summary
@@ -183,251 +255,51 @@ fn epoch_points(trace: &[TraceRecord]) -> Vec<u64> {
     points
 }
 
-/// Sweep the workload's crash points: a count pass traces its `N` ops,
+/// Sweep the armed device's crash points: a count pass traces its `N` ops,
 /// then [`sweep`] runs over them — one point per fence epoch (each
-/// `pfence` / `psync`, and the last point) under a plan whose policy evicts
+/// `pfence` / `psync`, and the last point) under a policy that evicts
 /// nothing, where the points of an epoch leave one media image, and all of
-/// `0..N` under an eviction policy, where they do not. Returns the summary;
-/// the caller's invariants live in `verify`.
+/// `0..N` under an eviction policy, where they do not. `verify` runs at
+/// every point, not on the count pass.
 ///
-/// `setup` is invoked once more than there are points (once for the count
-/// pass); it must be deterministic enough that every instance performs the
-/// same op stream.
+/// `setup` is invoked once more than there are points; every instance must
+/// give the armed device the same op stream.
 ///
 /// # Panics
 ///
-/// Under a policy that evicts nothing, when the count pass saw more than
-/// one thread issue ops: each thread's fence persists only its own
-/// write-backs, so the points of an epoch no longer leave one image.
-pub fn sweep_all<Ctx>(
-    plan: FaultPlan,
-    mut setup: impl FnMut() -> (Arc<Pmem>, Ctx),
-    mut workload: impl FnMut(&Ctx),
-    verify: impl FnMut(&Arc<Pmem>, &CrashReport),
-) -> SweepSummary {
-    let (total, trace) = trace_ops(&mut setup, &mut workload);
-    let points = if plan.policy.evict_probability > 0.0 {
+/// When the count pass saw no op on the armed device; under a policy that
+/// evicts nothing, when it saw more than one thread write that device
+/// (each thread's fence persists only its own write-backs, so the points
+/// of an epoch no longer leave one image); and when a point did not fire,
+/// because the op stream differs between setups.
+pub fn sweep_all<Ctx: Sync>(
+    policy: CrashPolicy,
+    target: (usize, usize),
+    workers: usize,
+    mut setup: impl FnMut() -> (Devices, Ctx),
+    workload: impl Fn(usize, &Ctx) + Sync,
+    verify: impl FnMut(&[Vec<Arc<Pmem>>], &TortureOutcome),
+) -> TortureSummary {
+    let count = FaultPlan::count();
+    let trace = torture_point(count, target, workers, &mut setup, &workload, |_, _| {}).trace;
+    let total = trace.len() as u64;
+    let points = if policy.evict_probability > 0.0 {
         (0..total).collect()
     } else {
         let threads = trace.iter().map(|r| r.thread).collect::<HashSet<_>>().len();
         assert!(
-            threads <= 1,
+            threads == 1,
             "a strict sweep takes one point per fence epoch, which one writer defines; \
-             the count pass saw {threads} threads"
+             the count pass saw {threads} threads write the armed device"
         );
         epoch_points(&trace)
     };
-    let summary = sweep(points, plan, setup, workload, verify);
+    let summary = sweep(points, policy, target, workers, setup, workload, verify);
     assert_eq!(
         summary.points_completed, 0,
         "count pass reported {total} ops but a CrashAt point within 0..{total} \
          did not fire — the workload is not deterministic across setups"
     );
-    summary
-}
-
-/// What happened in one [`torture_point`] experiment.
-#[derive(Debug, Clone)]
-pub struct TortureOutcome {
-    /// The armed crash point (ops counted on the crash device, across all
-    /// workers in interleaving order).
-    pub point: u64,
-    /// Which shard's replica set took the crash.
-    pub crash_shard: usize,
-    /// Which replica of that shard crashed (0 = primary).
-    pub crash_replica: usize,
-    /// The crash device's identity ([`Pmem::label`]), for reports.
-    pub crash_label: String,
-    /// Whether the point fired before the crash device's op stream ended.
-    pub injected: bool,
-    /// Persistence-relevant ops counted on the crash device while armed.
-    pub ops_counted: u64,
-    /// Workers unwound by the crash: the trigger thread plus every worker
-    /// whose next op hit the frozen device. Workers sharing the crash
-    /// device all unwind; with one worker per disjoint device at most one
-    /// does — that *is* the isolation property.
-    pub crashed_workers: usize,
-    /// Workers that ran their workload to completion.
-    pub completed_workers: usize,
-}
-
-/// Aggregate result of [`torture_sweep`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TortureSummary {
-    /// Points at which a crash was injected (and verified).
-    pub points_injected: usize,
-    /// Points past the end of the interleaved op stream: the workload
-    /// completed; `verify` still ran against the completed image.
-    pub points_completed: usize,
-}
-
-/// Run one concurrent crash experiment over a topology of devices.
-///
-/// 1. `setup()` builds fresh devices (`pmems[shard][replica]`, replica 0
-///    the primary, pairwise disjoint) and the shared context;
-/// 2. the `(shard, replica)` device named by `target` — and only it — is
-///    armed with `CrashAt(point)` under `plan`'s policy;
-/// 3. `workers` threads run `workload(w, &ctx)`, each inside
-///    [`catch_crash`]. The three shapes in use: **one pool, n threads**
-///    (`[[dev]]`, every worker's next op on the frozen device unwinds with
-///    a secondary [`CrashInjected`] — a power failure stops every CPU);
-///    **N isolated shards**, one worker per shard (only the crash shard's
-///    worker unwinds — the device-level model of the sharded server's
-///    failure isolation); **N shards × R replicas**, one worker per shard
-///    driving all of its shard's replicas (the committer model: the
-///    worker commits through `jnvm_server::Replicas::commit`, which
-///    catches the crash and fails over, degrades or reports the shard
-///    dead, so the worker need not unwind at all — and a backup's device
-///    is written by its endpoint thread, not by a worker);
-/// 4. the scope join is the quiesce barrier. The context is dropped while
-///    the crash device is still frozen (unwind destructors must not
-///    repair the crash image), the device is thawed, and — if the crash
-///    fired — its cache is resynchronized from media to discard stores
-///    that were in flight when power was lost;
-/// 5. `verify(&pmems, &outcome)` checks recovery invariants — typically
-///    re-opening the surviving image(s) and asserting that every acked
-///    write is readable and untorn. It is called for completed
-///    (past-the-end) points too: a fully-applied image must satisfy the
-///    same invariants.
-///
-/// Panics from workers that are not injected crashes propagate out of the
-/// scope join (they are real bugs); panics from `verify` are failed
-/// invariants.
-pub fn torture_point<Ctx: Sync>(
-    point: u64,
-    plan: FaultPlan,
-    target: (usize, usize),
-    workers: usize,
-    setup: impl FnOnce() -> (Vec<Vec<Arc<Pmem>>>, Ctx),
-    workload: impl Fn(usize, &Ctx) + Sync,
-    verify: impl FnOnce(&[Vec<Arc<Pmem>>], &TortureOutcome),
-) -> TortureOutcome {
-    let (crash_shard, crash_replica) = target;
-    let (pmems, ctx) = setup();
-    assert!(
-        crash_shard < pmems.len(),
-        "crash shard {crash_shard} out of range ({} shards)",
-        pmems.len()
-    );
-    assert!(
-        crash_replica < pmems[crash_shard].len(),
-        "crash replica {crash_replica} out of range ({} replicas on shard {crash_shard})",
-        pmems[crash_shard].len()
-    );
-    let flat: Vec<&Arc<Pmem>> = pmems.iter().flatten().collect();
-    for (i, a) in flat.iter().enumerate() {
-        assert!(
-            flat[i + 1..].iter().all(|b| !Arc::ptr_eq(a, b)),
-            "two replicas share one device — replication claims need disjoint devices"
-        );
-    }
-    let crash_dev = &pmems[crash_shard][crash_replica];
-    crash_dev.arm_faults(FaultPlan {
-        mode: FaultMode::CrashAt(point),
-        ..plan
-    });
-    let crashed = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let (ctx, workload, crashed) = (&ctx, &workload, &crashed);
-            // Named so span rings and panic messages identify the worker.
-            std::thread::Builder::new()
-                .name(format!("worker-{w}"))
-                .spawn_scoped(s, move || {
-                    if catch_crash(|| workload(w, ctx)).is_err() {
-                        crashed.fetch_add(1, Ordering::SeqCst);
-                    }
-                })
-                .expect("spawn torture worker");
-        }
-    });
-    let injected = crash_dev.faults_frozen();
-    drop(ctx);
-    let ops_counted = crash_dev.disarm_faults();
-    if injected {
-        crash_dev.resync_cache();
-    }
-    let crashed_workers = crashed.load(Ordering::SeqCst);
-    let outcome = TortureOutcome {
-        point,
-        crash_shard,
-        crash_replica,
-        crash_label: crash_dev.label().to_string(),
-        injected,
-        ops_counted,
-        crashed_workers,
-        completed_workers: workers - crashed_workers,
-    };
-    verify(&pmems, &outcome);
-    outcome
-}
-
-/// The one-pool shape of [`torture_point`]: `nthreads` workers share the
-/// single device `setup` returns, which is also the crash target.
-fn solo_point<Ctx: Sync>(
-    point: u64,
-    plan: FaultPlan,
-    nthreads: usize,
-    setup: impl FnOnce() -> (Arc<Pmem>, Ctx),
-    workload: impl Fn(usize, &Ctx) + Sync,
-    verify: impl FnOnce(&Arc<Pmem>, &TortureOutcome),
-) -> TortureOutcome {
-    torture_point(
-        point,
-        plan,
-        (0, 0),
-        nthreads,
-        || {
-            let (pmem, ctx) = setup();
-            (vec![vec![pmem]], ctx)
-        },
-        workload,
-        |pmems, outcome| verify(&pmems[0][0], outcome),
-    )
-}
-
-/// Count the persistence-relevant ops of a concurrent one-pool workload:
-/// [`torture_point`] armed past the end of any op stream, so nothing
-/// fires. The total is exact (every op is counted once) but how the ops
-/// interleave — and therefore what op index a given thread's Nth op gets —
-/// varies run to run.
-pub fn torture_count<Ctx: Sync>(
-    nthreads: usize,
-    setup: impl FnOnce() -> (Arc<Pmem>, Ctx),
-    workload: impl Fn(usize, &Ctx) + Sync,
-) -> u64 {
-    solo_point(
-        u64::MAX,
-        FaultPlan::count(),
-        nthreads,
-        setup,
-        workload,
-        |_, _| {},
-    )
-    .ops_counted
-}
-
-/// Sweep the given crash points of a concurrent one-pool workload with
-/// [`torture_point`]. Because the interleaving differs between runs, the
-/// same point index may fall on a different op each time — that is the
-/// point: sweeping plus repetition explores the interleaving space.
-pub fn torture_sweep<Ctx: Sync>(
-    points: impl IntoIterator<Item = u64>,
-    plan: FaultPlan,
-    nthreads: usize,
-    mut setup: impl FnMut() -> (Arc<Pmem>, Ctx),
-    workload: impl Fn(usize, &Ctx) + Sync,
-    mut verify: impl FnMut(&Arc<Pmem>, &TortureOutcome),
-) -> TortureSummary {
-    let mut summary = TortureSummary::default();
-    for point in points {
-        let outcome = solo_point(point, plan, nthreads, &mut setup, &workload, &mut verify);
-        if outcome.injected {
-            summary.points_injected += 1;
-        } else {
-            summary.points_completed += 1;
-        }
-    }
     summary
 }
 
@@ -451,7 +323,7 @@ pub fn strided_points(total: u64, max_points: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jnvm_pmem::{silence_crash_panics, CrashPolicy, PmemConfig};
+    use jnvm_pmem::{silence_crash_panics, CrashInjected, PmemConfig};
 
     /// A miniature redo-log commit against the raw device: write a value
     /// and a commit flag with a correct flush/fence protocol.
@@ -463,135 +335,6 @@ mod tests {
         pmem.pwb(64);
         pmem.pfence();
     }
-
-    fn setup() -> (Arc<Pmem>, Arc<Pmem>) {
-        let pmem = Pmem::new(PmemConfig::crash_sim(4096));
-        (Arc::clone(&pmem), pmem)
-    }
-
-    #[test]
-    fn count_matches_trace_len() {
-        let (n, trace) = trace_ops(setup, raw_commit);
-        assert_eq!(n, 6);
-        assert_eq!(trace.len(), 6);
-        assert_eq!(trace[0].op, FaultOp::Write);
-        assert_eq!(trace[5].op, FaultOp::Pfence);
-        let me = std::thread::current().id();
-        assert!(trace.iter().all(|r| r.thread == me));
-    }
-
-    /// `raw_commit` under `policy`: the points `sweep_all` crashed at. The
-    /// protocol's invariant holds at each: if the commit flag reached the
-    /// media, the value is there too.
-    fn raw_commit_points(policy: CrashPolicy) -> Vec<u64> {
-        let mut seen = Vec::new();
-        let plan = FaultPlan::count().with_policy(policy);
-        let summary = sweep_all(plan, setup, raw_commit, |pmem, report| {
-            if pmem.read_u64(64) == 1 {
-                assert_eq!(pmem.read_u64(0), 0xfeed, "flag durable before value");
-            }
-            seen.push(report.point);
-        });
-        assert_eq!(summary.points_crashed, seen.len());
-        assert_eq!(summary.points_completed, 0);
-        seen
-    }
-
-    #[test]
-    fn sweep_all_visits_every_point_under_eviction() {
-        for policy in [CrashPolicy::adversarial(3), CrashPolicy::lenient()] {
-            assert_eq!(raw_commit_points(policy), vec![0, 1, 2, 3, 4, 5]);
-        }
-    }
-
-    /// Under the strict policy the two fences are the two epochs; a stream
-    /// that does not end on a fence adds its last point.
-    #[test]
-    fn strict_sweep_all_takes_one_point_per_fence_epoch() {
-        assert_eq!(raw_commit_points(CrashPolicy::strict()), vec![2, 5]);
-        let (_, trace) = trace_ops(setup, |p: &Arc<Pmem>| {
-            raw_commit(p);
-            p.write_u64(128, 2);
-            p.pwb(128);
-            p.psync();
-            p.write_u64(192, 3);
-        });
-        assert_eq!(epoch_points(&trace), vec![2, 5, 8, 9]);
-        assert_eq!(epoch_points(&[]), Vec::<u64>::new());
-    }
-
-    /// Two writer threads: their fences persist only their own lines, so
-    /// no fence epoch is defined, and a strict `sweep_all` refuses.
-    #[test]
-    #[should_panic(expected = "the count pass saw 2 threads")]
-    fn strict_sweep_all_refuses_two_writer_threads() {
-        silence_crash_panics();
-        let plan = FaultPlan::count();
-        sweep_all(plan, torture_setup, threaded_workload, |_, _| {});
-    }
-
-    /// Under eviction the same two-thread workload sweeps every point.
-    #[test]
-    fn adversarial_sweep_all_of_two_writer_threads_visits_every_point() {
-        silence_crash_panics();
-        let total = count_ops(torture_setup, threaded_workload);
-        let plan = FaultPlan::count().with_policy(CrashPolicy::adversarial(1));
-        let mut seen = Vec::new();
-        let summary = sweep_all(plan, torture_setup, threaded_workload, |pmem, report| {
-            for t in 0..2u64 {
-                for i in 0..8u64 {
-                    let v = pmem.read_u64(t * 4096 + i * 64);
-                    assert!(v == 0 || v == i + 1, "torn value {v}");
-                }
-            }
-            seen.push(report.point);
-        });
-        assert_eq!(summary.points_crashed as u64, total);
-        assert_eq!(seen, (0..total).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn past_the_end_points_complete() {
-        let summary = sweep(
-            [100u64, 200u64],
-            FaultPlan::count(),
-            setup,
-            raw_commit,
-            |_, _| panic!("no crash expected"),
-        );
-        assert_eq!(summary.points_crashed, 0);
-        assert_eq!(summary.points_completed, 2);
-    }
-
-    const TORTURE_THREADS: usize = 4;
-    /// Per-thread ops: 16 iterations × (write + pwb + pfence).
-    const TORTURE_OPS_PER_THREAD: u64 = 16 * 3;
-
-    fn torture_setup() -> (Arc<Pmem>, Arc<Pmem>) {
-        let pmem = Pmem::new(PmemConfig::crash_sim(64 * 1024));
-        (Arc::clone(&pmem), pmem)
-    }
-
-    /// Each worker writes its own 16 lines with a correct flush/fence per
-    /// write, so after any crash a thread's region holds only values it
-    /// wrote (or zero).
-    fn torture_workload(t: usize, p: &Arc<Pmem>) {
-        let base = t as u64 * 8192;
-        for i in 0..16u64 {
-            let addr = base + i * 64;
-            p.write_u64(addr, i + 1);
-            p.pwb(addr);
-            p.pfence();
-        }
-    }
-
-    #[test]
-    fn torture_count_totals_all_threads() {
-        let total = torture_count(TORTURE_THREADS, torture_setup, torture_workload);
-        assert_eq!(total, TORTURE_THREADS as u64 * TORTURE_OPS_PER_THREAD);
-    }
-
-    type Devices = Vec<Vec<Arc<Pmem>>>;
 
     /// `shards` × `replicas` fresh labelled devices; the context is the
     /// same grid, so workers index it as `devs[shard][replica]`.
@@ -611,6 +354,245 @@ mod tests {
         (pmems.clone(), pmems)
     }
 
+    /// One pool: the 1 × 1 topology.
+    fn pool() -> (Devices, Devices) {
+        topology(1, 1)
+    }
+
+    /// Count `workload`'s ops on the one pool, with `workers` workers.
+    fn count(workers: usize, workload: impl Fn(usize, &Devices) + Sync) -> TortureOutcome {
+        torture_point(
+            FaultPlan::count(),
+            (0, 0),
+            workers,
+            pool,
+            workload,
+            |_, _| {},
+        )
+    }
+
+    /// `n` fenced lines of value `i + 1` at `base + i * 64` on `dev`.
+    fn fenced_lines(dev: &Pmem, base: u64, n: u64) {
+        for i in 0..n {
+            dev.write_u64(base + i * 64, i + 1);
+            dev.pwb(base + i * 64);
+            dev.pfence();
+        }
+    }
+
+    /// Every slot of `fenced_lines(dev, base, n)` holds what it wrote or
+    /// zero: a prefix survived, nothing torn.
+    fn assert_prefix(dev: &Pmem, base: u64, n: u64) {
+        for i in 0..n {
+            let v = dev.read_u64(base + i * 64);
+            assert!(v == 0 || v == i + 1, "torn value {v} at {base:#x} slot {i}");
+        }
+    }
+
+    /// The fence points of `fences` fenced lines: each line is a write, a
+    /// pwb and a fence.
+    fn fence_points(fences: u64) -> Vec<u64> {
+        (0..fences).map(|i| 3 * i + 2).collect()
+    }
+
+    #[test]
+    fn count_pass_traces_the_armed_device_on_the_calling_thread() {
+        let out = count(1, |_, d| raw_commit(&d[0][0]));
+        assert_eq!(out.ops_counted, 6);
+        assert_eq!(out.point, 6, "a count pass reports the end of the stream");
+        assert!(!out.injected);
+        assert_eq!(out.trace.len(), 6);
+        assert_eq!(out.trace[0].op, FaultOp::Write);
+        assert_eq!(out.trace[5].op, FaultOp::Pfence);
+        let me = std::thread::current().id();
+        assert!(
+            out.trace.iter().all(|r| r.thread == me),
+            "worker 0 runs here"
+        );
+    }
+
+    /// `raw_commit` under `policy`: the points `sweep_all` crashed at. The
+    /// protocol's invariant holds at each: if the commit flag reached the
+    /// media, the value is there too.
+    fn raw_commit_points(policy: CrashPolicy) -> Vec<u64> {
+        let mut seen = Vec::new();
+        let workload = |_: usize, d: &Devices| raw_commit(&d[0][0]);
+        let summary = sweep_all(policy, (0, 0), 1, pool, workload, |pmems, out| {
+            let pmem = &pmems[0][0];
+            if pmem.read_u64(64) == 1 {
+                assert_eq!(pmem.read_u64(0), 0xfeed, "flag durable before value");
+            }
+            seen.push(out.point);
+        });
+        assert_eq!(summary.points_injected, seen.len());
+        assert_eq!(summary.points_completed, 0);
+        seen
+    }
+
+    #[test]
+    fn sweep_all_visits_every_point_under_eviction() {
+        for policy in [CrashPolicy::adversarial(3), CrashPolicy::lenient()] {
+            assert_eq!(raw_commit_points(policy), vec![0, 1, 2, 3, 4, 5]);
+        }
+    }
+
+    /// Under the strict policy the two fences are the two epochs; a stream
+    /// that does not end on a fence adds its last point.
+    #[test]
+    fn strict_sweep_all_takes_one_point_per_fence_epoch() {
+        assert_eq!(raw_commit_points(CrashPolicy::strict()), vec![2, 5]);
+        let out = count(1, |_, d| {
+            let p = &d[0][0];
+            raw_commit(p);
+            p.write_u64(128, 2);
+            p.pwb(128);
+            p.psync();
+            p.write_u64(192, 3);
+        });
+        assert_eq!(epoch_points(&out.trace), vec![2, 5, 8, 9]);
+        assert_eq!(epoch_points(&[]), Vec::<u64>::new());
+    }
+
+    /// A sweep that checks nothing fails: a workload that never touches
+    /// the armed device has no crash point.
+    #[test]
+    #[should_panic(expected = "the count pass saw no op on \"s0/primary\"")]
+    fn sweep_all_of_a_workload_that_writes_nothing_panics() {
+        sweep_all(CrashPolicy::strict(), (0, 0), 1, pool, |_, _| {}, |_, _| {});
+    }
+
+    /// Two writer threads: their fences persist only their own lines, so
+    /// no fence epoch is defined, and a strict `sweep_all` refuses.
+    #[test]
+    #[should_panic(expected = "the count pass saw 2 threads")]
+    fn strict_sweep_all_refuses_two_writer_threads() {
+        silence_crash_panics();
+        let workload = |_: usize, d: &Devices| threaded_workload(&d[0][0]);
+        sweep_all(CrashPolicy::strict(), (0, 0), 1, pool, workload, |_, _| {});
+    }
+
+    /// Under eviction the same two-thread workload sweeps every point.
+    #[test]
+    fn adversarial_sweep_all_of_two_writer_threads_visits_every_point() {
+        silence_crash_panics();
+        let workload = |_: usize, d: &Devices| threaded_workload(&d[0][0]);
+        let total = count(1, workload).ops_counted;
+        let mut seen = Vec::new();
+        let policy = CrashPolicy::adversarial(1);
+        let summary = sweep_all(policy, (0, 0), 1, pool, workload, |pmems, out| {
+            for t in 0..2u64 {
+                assert_prefix(&pmems[0][0], t * 4096, 8);
+            }
+            seen.push(out.point);
+        });
+        assert_eq!(summary.points_injected as u64, total);
+        assert_eq!(seen, (0..total).collect::<Vec<_>>());
+    }
+
+    /// The writer check looks only at the armed device: shard 1's worker
+    /// writes its own device alongside, and the sweep takes exactly shard
+    /// 0's fence epochs.
+    #[test]
+    fn strict_sweep_all_takes_the_armed_shards_epochs_only() {
+        silence_crash_panics();
+        let workload = |s: usize, d: &Devices| fenced_lines(&d[s][0], 0, 8 + 8 * s as u64);
+        let mut seen = Vec::new();
+        let summary = sweep_all(
+            CrashPolicy::strict(),
+            (0, 0),
+            2,
+            || topology(2, 1),
+            workload,
+            |pmems, out| {
+                assert_eq!((out.crashed_workers, out.completed_workers), (1, 1));
+                assert_prefix(&pmems[0][0], 0, 8);
+                seen.push(out.point);
+            },
+        );
+        assert_eq!(summary.points_injected, 8);
+        assert_eq!(seen, fence_points(8));
+    }
+
+    /// A device no worker writes — as the endpoint thread writes an N × 2
+    /// backup — has one writer all the same, and a strict sweep takes it.
+    #[test]
+    fn strict_sweep_all_accepts_a_device_written_by_a_non_worker_thread() {
+        silence_crash_panics();
+        let workload = |_: usize, d: &Devices| {
+            std::thread::scope(|s| {
+                // The endpoint catches its crash and stops, as a backup's
+                // endpoint closes its link.
+                s.spawn(|| catch_crash(|| fenced_lines(&d[0][1], 0, 8)));
+                fenced_lines(&d[0][0], 0, 8);
+            });
+        };
+        let mut seen = Vec::new();
+        let summary = sweep_all(
+            CrashPolicy::strict(),
+            (0, 1),
+            1,
+            || topology(1, 2),
+            workload,
+            |pmems, out| {
+                assert_eq!(out.crash_label, "s0/backup");
+                assert_eq!(
+                    out.crashed_workers, 0,
+                    "the worker never touches the backup"
+                );
+                assert_prefix(&pmems[0][1], 0, 8);
+                seen.push(out.point);
+            },
+        );
+        assert_eq!(summary.points_injected, 8);
+        assert_eq!(seen, fence_points(8));
+    }
+
+    /// Explicit points past the end of the stream complete, and `verify`
+    /// sees the completed image.
+    #[test]
+    fn past_the_end_points_complete() {
+        let summary = sweep(
+            [100u64, 200u64],
+            CrashPolicy::strict(),
+            (0, 0),
+            1,
+            pool,
+            |_, d| raw_commit(&d[0][0]),
+            |pmems, out| {
+                assert!(!out.injected);
+                assert_eq!(out.ops_counted, 6);
+                assert_eq!(
+                    (pmems[0][0].read_u64(0), pmems[0][0].read_u64(64)),
+                    (0xfeed, 1)
+                );
+            },
+        );
+        assert_eq!(summary.points_injected, 0);
+        assert_eq!(summary.points_completed, 2);
+    }
+
+    const TORTURE_THREADS: usize = 4;
+    /// Per-thread ops: 16 iterations × (write + pwb + pfence).
+    const TORTURE_OPS_PER_THREAD: u64 = 16 * 3;
+
+    /// Each worker writes its own 16 lines with a correct flush/fence per
+    /// write, so after any crash a thread's region holds only values it
+    /// wrote (or zero).
+    fn torture_workload(t: usize, devs: &Devices) {
+        fenced_lines(&devs[0][0], t as u64 * 8192, 16);
+    }
+
+    #[test]
+    fn count_pass_totals_all_workers() {
+        let out = count(TORTURE_THREADS, torture_workload);
+        assert_eq!(
+            out.ops_counted,
+            TORTURE_THREADS as u64 * TORTURE_OPS_PER_THREAD
+        );
+        let threads: HashSet<_> = out.trace.iter().map(|r| r.thread).collect();
+        assert_eq!(threads.len(), TORTURE_THREADS);
+    }
+
     /// Shape 1 — one pool, n threads. Crash very early: every worker
     /// still has ops ahead of it, so every worker must unwind — the
     /// trigger thread via the primary CrashInjected, the rest via
@@ -620,24 +602,17 @@ mod tests {
     fn injected_crash_stops_every_thread() {
         silence_crash_panics();
         let outcome = torture_point(
-            2,
-            FaultPlan::count(),
+            FaultPlan::crash_at(2),
             (0, 0),
             TORTURE_THREADS,
-            || topology(1, 1),
-            |t, devs| torture_workload(t, &devs[0][0]),
+            pool,
+            torture_workload,
             |pmems, outcome| {
                 assert!(outcome.injected);
                 // No thread fenced more than its prefix: each surviving
                 // value must be one the owner actually wrote.
                 for t in 0..TORTURE_THREADS as u64 {
-                    for i in 0..16u64 {
-                        let v = pmems[0][0].read_u64(t * 8192 + i * 64);
-                        assert!(
-                            v == 0 || v == i + 1,
-                            "torn value {v} at thread {t} slot {i}"
-                        );
-                    }
+                    assert_prefix(&pmems[0][0], t * 8192, 16);
                 }
             },
         );
@@ -649,21 +624,22 @@ mod tests {
     }
 
     #[test]
-    fn torture_sweep_tallies_injected_and_completed() {
+    fn sweep_tallies_injected_and_completed() {
         silence_crash_panics();
         let total = TORTURE_THREADS as u64 * TORTURE_OPS_PER_THREAD;
-        let summary = torture_sweep(
+        let summary = sweep(
             [0, total / 2, total + 50],
-            FaultPlan::count(),
+            CrashPolicy::strict(),
+            (0, 0),
             TORTURE_THREADS,
-            torture_setup,
+            pool,
             torture_workload,
-            |pmem, outcome| {
+            |pmems, outcome| {
                 if !outcome.injected {
                     // Completed run: every fenced write is durable.
                     for t in 0..TORTURE_THREADS as u64 {
                         for i in 0..16u64 {
-                            assert_eq!(pmem.read_u64(t * 8192 + i * 64), i + 1);
+                            assert_eq!(pmems[0][0].read_u64(t * 8192 + i * 64), i + 1);
                         }
                     }
                 }
@@ -675,8 +651,8 @@ mod tests {
 
     /// A workload that spawns its own workers (as parallel recovery does):
     /// each worker is wrapped in [`catch_crash`] and the spawning thread
-    /// re-throws the primary crash, which [`sweep`] must catch, resync and
-    /// hand to `verify`.
+    /// re-throws the primary crash, which [`torture_point`] must catch,
+    /// resync and hand to `verify`.
     fn threaded_workload(pmem: &Arc<Pmem>) {
         let crash = std::thread::scope(|s| {
             let handles: Vec<_> = (0..2u64)
@@ -715,26 +691,25 @@ mod tests {
     #[test]
     fn sweep_resynchronizes_internally_threaded_workloads() {
         silence_crash_panics();
-        let total = count_ops(torture_setup, threaded_workload);
-        assert!(total > 0);
+        let workload = |_: usize, d: &Devices| threaded_workload(&d[0][0]);
+        let total = count(1, workload).ops_counted;
         let summary = sweep(
             strided_points(total, 8),
-            FaultPlan::count(),
-            torture_setup,
-            threaded_workload,
-            |pmem, _report| {
+            CrashPolicy::strict(),
+            (0, 0),
+            1,
+            pool,
+            workload,
+            |pmems, _| {
                 // Post-resync reads must see media: each slot holds a value
                 // its owner wrote (or zero), never a torn cache leftover.
                 for t in 0..2u64 {
-                    for i in 0..8u64 {
-                        let v = pmem.read_u64(t * 4096 + i * 64);
-                        assert!(v == 0 || v == i + 1, "torn value {v}");
-                    }
+                    assert_prefix(&pmems[0][0], t * 4096, 8);
                 }
             },
         );
         assert!(
-            summary.points_crashed > 0,
+            summary.points_injected > 0,
             "sweep must exercise crash points"
         );
     }
@@ -744,20 +719,12 @@ mod tests {
     #[test]
     fn sharded_crash_stops_only_the_crash_shards_worker() {
         silence_crash_panics();
-        let workload = |s: usize, devs: &Devices| {
-            for i in 0..8u64 {
-                devs[s][0].write_u64(i * 64, i + 1);
-                devs[s][0].pwb(i * 64);
-                devs[s][0].pfence();
-            }
-        };
         let outcome = torture_point(
-            2,
-            FaultPlan::count(),
+            FaultPlan::crash_at(2),
             (1, 0),
             3,
             || topology(3, 1),
-            workload,
+            |s, devs| fenced_lines(&devs[s][0], 0, 8),
             |pmems, outcome| {
                 assert!(outcome.injected);
                 // Non-crashed shards: every fenced write durable.
@@ -771,10 +738,7 @@ mod tests {
                     }
                 }
                 // Crash shard: only its written prefix may be there.
-                for i in 0..8u64 {
-                    let v = pmems[1][0].read_u64(i * 64);
-                    assert!(v == 0 || v == i + 1, "torn value {v} on crash shard");
-                }
+                assert_prefix(&pmems[1][0], 0, 8);
             },
         );
         assert_eq!(
@@ -801,8 +765,7 @@ mod tests {
         };
         // Arm the crash on shard 1's PRIMARY, mid-stream.
         let outcome = torture_point(
-            7,
-            FaultPlan::count(),
+            FaultPlan::crash_at(7),
             (1, 0),
             2,
             || topology(2, 2),
@@ -838,8 +801,7 @@ mod tests {
     /// only the driver's own checks can fire.
     fn idle_point(target: (usize, usize), setup: impl FnOnce() -> (Devices, Devices)) {
         torture_point(
-            0,
-            FaultPlan::count(),
+            FaultPlan::crash_at(0),
             target,
             1,
             setup,

@@ -156,8 +156,10 @@ struct ArmedRun {
 /// crash-point space), arm a crash at `point` on the configured replica's
 /// device, run the load, shut down, tear the stacks down while the crash
 /// device is still frozen (unwind destructors must not repair the crash
-/// image — same sequence as `jnvm_faultsim::torture_point`), then thaw and
-/// resynchronize. The topology and the crash target are validated here, by
+/// image), then thaw and resynchronize. That is the sequence of the
+/// in-process engine's point runner (`jnvm_faultsim::torture_point`, armed
+/// with `FaultPlan::crash_at(point)`), written again here because the
+/// server's own threads, not the engine's workers, drive the devices. The topology and the crash target are validated here, by
 /// [`Cluster`]: an unservable configuration is an `Err` before anything
 /// runs.
 fn run_armed(point: u64, cfg: &TortureConfig) -> Result<ArmedRun, String> {

@@ -3,10 +3,12 @@
 //! to the same invariants a sequential crash must satisfy.
 //!
 //! Where `tests/crash_points.rs` sweeps the op stream of a *single*
-//! thread, these tests drive `jnvm_faultsim::torture_sweep`: the crash
-//! point is an index into the **interleaved** op stream of all workers,
-//! so which thread triggers the failure — and what every other thread was
-//! in the middle of — varies from run to run. Two workloads:
+//! thread, these tests drive `jnvm_faultsim::sweep` over one pool with
+//! several workers: the crash point is an index into the **interleaved**
+//! op stream of all workers, so which thread triggers the failure — and
+//! what every other thread was in the middle of — varies from run to run.
+//! With several writers no fence epoch is defined, so the default tests
+//! take `strided_points` of a count pass. Two workloads:
 //!
 //! 1. TPC-B-style bank transfers (failure-atomic): the total balance is
 //!    conserved at every crash point, and the recovered image holds no
@@ -25,7 +27,7 @@ use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
 use jnvm_repro::faultsim::{
-    strided_points, torture_count, torture_sweep, TortureOutcome, TortureSummary,
+    strided_points, sweep, torture_point, Devices, TortureOutcome, TortureSummary,
 };
 use jnvm_repro::heap::HeapConfig;
 use jnvm_repro::jnvm::{Jnvm, JnvmBuilder, RecoveryReport};
@@ -35,6 +37,15 @@ use jnvm_repro::pmem::{silence_crash_panics, CrashPolicy, FaultPlan, Pmem, PmemC
 use jnvm_repro::tpcb::{register_tpcb, Bank, JnvmBank};
 
 const NTHREADS: usize = 4;
+
+/// The one pool's device, the 1 × 1 topology's, is the crash target.
+const POOL: (usize, usize) = (0, 0);
+
+/// The ops `NTHREADS` workers of `workload` issue on `setup`'s pool.
+fn pool_ops<C: Sync>(setup: fn() -> (Devices, C), workload: fn(usize, &C)) -> u64 {
+    let count = FaultPlan::count();
+    torture_point(count, POOL, NTHREADS, setup, workload, |_, _| {}).ops_counted
+}
 
 // ---------------------------------------------------------------------------
 // Workload 1: concurrent failure-atomic bank transfers.
@@ -50,14 +61,14 @@ struct BankCtx {
     bank: JnvmBank,
 }
 
-fn bank_setup() -> (Arc<Pmem>, BankCtx) {
+fn bank_setup() -> (Devices, BankCtx) {
     let pmem = Pmem::new(PmemConfig::crash_sim(4 << 20));
     let rt = register_tpcb(JnvmBuilder::new())
         .create(Arc::clone(&pmem), HeapConfig::default())
         .expect("pool");
     let bank = JnvmBank::create(&rt, ACCOUNTS, INITIAL).expect("bank");
     pmem.psync();
-    (pmem, BankCtx { _rt: rt, bank })
+    (vec![vec![pmem]], BankCtx { _rt: rt, bank })
 }
 
 /// Each worker moves money around its own rotation of account pairs; the
@@ -83,13 +94,14 @@ fn bank_reopen(pmem: &Arc<Pmem>) -> (Jnvm, RecoveryReport) {
 /// first failure-atomic block and retained in the free pool afterwards).
 fn bank_baselines() -> (u64, u64) {
     let observe = |run_workload: bool| {
-        let (pmem, ctx) = bank_setup();
+        let (pmems, ctx) = bank_setup();
+        let pmem = &pmems[0][0];
         if run_workload {
             bank_workload(0, &ctx);
         }
         drop(ctx);
         pmem.crash(&CrashPolicy::strict()).expect("crash");
-        bank_reopen(&pmem).1.live_blocks
+        bank_reopen(pmem).1.live_blocks
     };
     let base = observe(false);
     let with_one_log = observe(true);
@@ -103,8 +115,8 @@ fn bank_baselines() -> (u64, u64) {
 /// The concurrent-crash contract: money is conserved, per-account balances
 /// are reachable by whole transfers, block accounting closes with at most
 /// one redo log per worker, and recovery is idempotent.
-fn bank_verify(base: u64, log_blocks: u64, pmem: &Arc<Pmem>, outcome: &TortureOutcome) {
-    let point = outcome.point;
+fn bank_verify(base: u64, log_blocks: u64, pmems: &[Vec<Arc<Pmem>>], outcome: &TortureOutcome) {
+    let (pmem, point) = (&pmems[0][0], outcome.point);
     let (rt, report) = bank_reopen(pmem);
     let bank = JnvmBank::open(&rt).expect("bank reopen");
     assert_eq!(
@@ -156,15 +168,15 @@ fn bank_verify(base: u64, log_blocks: u64, pmem: &Arc<Pmem>, outcome: &TortureOu
 fn bank_transfers_survive_concurrent_crash_sweep() {
     silence_crash_panics();
     let (base, log_blocks) = bank_baselines();
-    let total = torture_count(NTHREADS, bank_setup, bank_workload);
-    assert!(total > 0, "bank workload performed no persistence ops");
-    let summary = torture_sweep(
+    let total = pool_ops(bank_setup, bank_workload);
+    let summary = sweep(
         strided_points(total, 24),
-        FaultPlan::count(),
+        CrashPolicy::strict(),
+        POOL,
         NTHREADS,
         bank_setup,
         bank_workload,
-        |pmem, outcome| bank_verify(base, log_blocks, pmem, outcome),
+        |pmems, outcome| bank_verify(base, log_blocks, pmems, outcome),
     );
     assert!(
         summary.points_injected > 0,
@@ -180,19 +192,19 @@ fn bank_transfers_survive_concurrent_crash_sweep() {
 fn bank_transfers_survive_exhaustive_randomized_torture() {
     silence_crash_panics();
     let (base, log_blocks) = bank_baselines();
-    let total = torture_count(NTHREADS, bank_setup, bank_workload);
+    let total = pool_ops(bank_setup, bank_workload);
     for seed in 0..4u64 {
-        let plan = FaultPlan::count().with_policy(CrashPolicy::adversarial(seed));
         // Op totals vary run-to-run with the interleaving, so sweep a bit
         // past the counted total; late points that complete instead of
         // crashing still verify the finished image.
-        let summary = torture_sweep(
+        let summary = sweep(
             0..total + NTHREADS as u64,
-            plan,
+            CrashPolicy::adversarial(seed),
+            POOL,
             NTHREADS,
             bank_setup,
             bank_workload,
-            |pmem, outcome| bank_verify(base, log_blocks, pmem, outcome),
+            |pmems, outcome| bank_verify(base, log_blocks, pmems, outcome),
         );
         assert!(summary.points_injected > 0, "seed {seed}: nothing injected");
     }
@@ -255,7 +267,7 @@ fn recorded_insert(ctx: &GridCtx, w: usize, key: &str, v: Vec<u8>) {
     });
 }
 
-fn grid_setup() -> (Arc<Pmem>, GridCtx) {
+fn grid_setup() -> (Devices, GridCtx) {
     let pmem = Pmem::new(PmemConfig::crash_sim(8 << 20));
     let rt = register_kvstore(JnvmBuilder::new())
         .create(Arc::clone(&pmem), HeapConfig::default())
@@ -276,7 +288,7 @@ fn grid_setup() -> (Arc<Pmem>, GridCtx) {
         }
     }
     pmem.psync();
-    (pmem, ctx)
+    (vec![vec![pmem]], ctx)
 }
 
 /// Each worker churns its own keys (RMW, remove, re-insert) so per-key
@@ -323,14 +335,15 @@ struct GridBase {
 
 fn grid_baselines() -> GridBase {
     let observe = |removals: usize| {
-        let (pmem, ctx) = grid_setup();
+        let (pmems, ctx) = grid_setup();
+        let pmem = &pmems[0][0];
         for i in 0..removals {
             let key = grid_key(i / KEYS_PER_THREAD, i % KEYS_PER_THREAD);
             assert!(ctx.grid.remove(&key));
         }
         drop(ctx);
         pmem.crash(&CrashPolicy::strict()).expect("crash");
-        grid_reopen(&pmem).2
+        grid_reopen(pmem).2
     };
     let full = observe(0);
     let minus_one = observe(1);
@@ -358,14 +371,14 @@ fn grid_baselines() -> GridBase {
 /// a completed write lost, a torn record or one holding another record's
 /// bytes has no linearization — then object and block accounting, which
 /// the history does not see.
-fn grid_verify(base: &GridBase, log: GridLog, pmem: &Arc<Pmem>, outcome: &TortureOutcome) {
+fn grid_verify(base: &GridBase, log: GridLog, pmems: &[Vec<Arc<Pmem>>], outcome: &TortureOutcome) {
     let GridBase {
         full,
         rec_objects,
         drained: drained_base,
         log_blocks,
     } = *base;
-    let point = outcome.point;
+    let (pmem, point) = (&pmems[0][0], outcome.point);
     let (_rt, be, report) = grid_reopen(pmem);
     let mut history = log.into_history();
     if let Err(v) = history.check_recovered(|key| {
@@ -446,28 +459,29 @@ fn grid_verify(base: &GridBase, log: GridLog, pmem: &Arc<Pmem>, outcome: &Tortur
     );
 }
 
-/// Sweep `points` of the grid churn under `plan`, each recovered image
+/// Sweep `points` of the grid churn under `policy`, each recovered image
 /// held to [`grid_verify`] with the history its own run recorded.
 fn grid_sweep(
     base: &GridBase,
     points: impl IntoIterator<Item = u64>,
-    plan: FaultPlan,
+    policy: CrashPolicy,
 ) -> TortureSummary {
     let log = RefCell::new(None);
-    torture_sweep(
+    sweep(
         points,
-        plan,
+        policy,
+        POOL,
         NTHREADS,
         || {
-            let (pmem, ctx) = grid_setup();
+            let (pmems, ctx) = grid_setup();
             *log.borrow_mut() = Some(Arc::clone(&ctx.log));
-            (pmem, ctx)
+            (pmems, ctx)
         },
         grid_workload,
-        |pmem, outcome| {
+        |pmems, outcome| {
             let run = log.borrow_mut().take().expect("setup ran");
             let run = Arc::into_inner(run).expect("the workload context is dropped");
-            grid_verify(base, run, pmem, outcome)
+            grid_verify(base, run, pmems, outcome)
         },
     )
 }
@@ -478,9 +492,8 @@ fn grid_sweep(
 fn grid_churn_survives_concurrent_crash_sweep() {
     silence_crash_panics();
     let base = grid_baselines();
-    let total = torture_count(NTHREADS, grid_setup, grid_workload);
-    assert!(total > 0, "grid workload performed no persistence ops");
-    let summary = grid_sweep(&base, strided_points(total, 20), FaultPlan::count());
+    let total = pool_ops(grid_setup, grid_workload);
+    let summary = grid_sweep(&base, strided_points(total, 20), CrashPolicy::strict());
     assert!(
         summary.points_injected > 0,
         "no crash point fired inside the concurrent workload"
@@ -493,10 +506,10 @@ fn grid_churn_survives_concurrent_crash_sweep() {
 fn grid_churn_survives_exhaustive_randomized_torture() {
     silence_crash_panics();
     let base = grid_baselines();
-    let total = torture_count(NTHREADS, grid_setup, grid_workload);
+    let total = pool_ops(grid_setup, grid_workload);
     for seed in 0..2u64 {
-        let plan = FaultPlan::count().with_policy(CrashPolicy::adversarial(seed));
-        let summary = grid_sweep(&base, 0..total + NTHREADS as u64, plan);
+        let policy = CrashPolicy::adversarial(seed);
+        let summary = grid_sweep(&base, 0..total + NTHREADS as u64, policy);
         assert!(summary.points_injected > 0, "seed {seed}: nothing injected");
     }
 }

@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use jnvm_repro::faultsim;
+use jnvm_repro::faultsim::{self, Devices};
 use jnvm_repro::heap::{BlockHeader, HeapConfig, REF_ADDR_MASK};
 use jnvm_repro::jnvm::{
     commit_phase, persistent_class, Jnvm, JnvmBuilder, PObject, Proxy, RawChain, RecoveryMode,
@@ -37,7 +37,7 @@ use jnvm_repro::kvstore::{
 };
 use jnvm_repro::pmem::{
     catch_crash, silence_crash_panics, CrashPolicy, FaultOp, FaultPlan, Pmem, PmemConfig,
-    SanitizeMode,
+    SanitizeMode, TraceRecord,
 };
 
 use proptest::prelude::*;
@@ -70,6 +70,28 @@ fn open(builder: JnvmBuilder, pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Jnvm, Re
     builder
         .open_with_options(Arc::clone(pmem), RecoveryOptions::with_mode(mode))
         .expect("recovery")
+}
+
+/// Every sweep here crashes one pool, the 1 × 1 topology's device, written
+/// by one worker on the calling thread.
+const POOL: (usize, usize) = (0, 0);
+
+/// `setup`'s device as that topology.
+fn one_pool<C>(setup: impl Fn() -> (Arc<Pmem>, C)) -> impl FnMut() -> (Devices, C) {
+    move || {
+        let (pmem, ctx) = setup();
+        (vec![vec![pmem]], ctx)
+    }
+}
+
+/// The count pass of `workload` over `setup`'s pool: its ops, in order.
+fn trace<C: Sync>(
+    setup: impl Fn() -> (Arc<Pmem>, C),
+    workload: impl Fn(&C) + Sync,
+) -> Vec<TraceRecord> {
+    let count = FaultPlan::count();
+    let workload = |_: usize, ctx: &C| workload(ctx);
+    faultsim::torture_point(count, POOL, 1, one_pool(setup), workload, |_, _| {}).trace
 }
 
 /// A fresh pool on a device of `config`, created by `builder`.
@@ -139,10 +161,10 @@ impl Drop for At {
 /// ([`Observed`] by `observe`), with that image's exact live count, and
 /// every prefix's image must be seen. Returns the crash-free live counts,
 /// per mode and prefix.
-fn prefix_sweep<C>(
+fn prefix_sweep<C: Sync>(
     setup: impl Fn() -> (Arc<Pmem>, C),
     steps: usize,
-    run: impl Fn(&C, usize),
+    run: impl Fn(&C, usize) + Sync,
     observe: impl Fn(&Arc<Pmem>, RecoveryMode) -> Observed,
     modes: &[RecoveryMode],
     policies: impl Iterator<Item = CrashPolicy> + Clone,
@@ -153,14 +175,14 @@ fn prefix_sweep<C>(
         let images = prefix_images(&setup, steps, &run, &observe, mode);
         for policy in policies.clone() {
             let mut seen = vec![0usize; steps + 1];
-            let plan = FaultPlan::count().with_policy(policy);
-            let workload = |ctx: &C| run(ctx, steps);
-            faultsim::sweep_all(plan, &setup, workload, |pmem, report| {
+            let workload = |_: usize, ctx: &C| run(ctx, steps);
+            let setup = one_pool(&setup);
+            faultsim::sweep_all(policy, POOL, 1, setup, workload, |pmems, report| {
                 let at = At(format!(
                     "{mode:?}, {policy:?}, crash point {}",
                     report.point
                 ));
-                let (image, recovered) = observe(pmem, mode);
+                let (image, recovered) = observe(&pmems[0][0], mode);
                 let step = image
                     .filter(|s| *s <= steps)
                     .unwrap_or_else(|| panic!("{}: no prefix's image", at.0));
@@ -262,34 +284,36 @@ fn recovery_replay_survives_every_crash_point() {
     let live = prefix_images(fa_setup, 1, fa_run, fa_observe, mode)[1];
     // The state a replaying recovery starts from: the first crash point
     // of the transfer that lands between commit and apply.
-    let total = faultsim::count_ops(fa_setup, |ctx| fa_run(ctx, 1));
+    let total = trace(fa_setup, |ctx| fa_run(ctx, 1)).len() as u64;
     let seed_point = (0..total)
         .find(|i| crash_transfer_at(*i).1)
         .expect("a crash point lands between commit and apply");
     let summary = faultsim::sweep_all(
-        FaultPlan::count(),
-        || {
+        CrashPolicy::strict(),
+        POOL,
+        1,
+        one_pool(|| {
             let (pmem, committed) = crash_transfer_at(seed_point);
             assert!(
                 committed,
                 "crash point {seed_point} lands after the commit point"
             );
             (Arc::clone(&pmem), pmem)
-        },
+        }),
         // The workload under injection is recovery itself.
-        |pmem| drop(open(pair_builder(), pmem, mode)),
-        |pmem, report| {
+        |_, pmem| drop(open(pair_builder(), pmem, mode)),
+        |pmems, report| {
             // Second recovery after a torn first recovery: replay must be
             // idempotent, always reaching the committed (1400, 600) image.
             assert_eq!(
-                fa_observe(pmem, mode),
+                fa_observe(&pmems[0][0], mode),
                 (Some(1), live),
                 "replay crash point {}: committed transfer lost, torn or leaking",
                 report.point
             );
         },
     );
-    assert!(summary.points_crashed > 0, "recovery performed no ops");
+    assert!(summary.points_injected > 0, "recovery performed no ops");
 }
 
 // ---------------------------------------------------------------------------
@@ -536,15 +560,16 @@ fn cells_setup(grouped: bool) -> (Arc<Pmem>, CellsCtx) {
 /// group is one transaction in one log, with one flag line), and that side
 /// the new one once the commit-point fence has executed. Returns the number
 /// of crashing runs.
-fn adversarial_sweep<C>(
+fn adversarial_sweep<C: Sync>(
     setup: impl Fn() -> (Arc<Pmem>, C),
-    workload: impl Fn(&C),
+    workload: impl Fn(&C) + Sync,
     observe: impl Fn(&Jnvm) -> Vec<Option<bool>>,
     seeds: u64,
     every_point: bool,
 ) -> u64 {
     silence_crash_panics();
-    let (total, trace) = faultsim::trace_ops(&setup, &workload);
+    let trace = trace(&setup, &workload);
+    let total = trace.len() as u64;
     // The workload's first fence covers step 1's write-backs, its second
     // is the commit point.
     let commit_fence = trace
@@ -557,10 +582,12 @@ fn adversarial_sweep<C>(
     let mut runs = 0;
     let mut torn = Vec::new();
     for seed in 0..seeds {
-        let plan = FaultPlan::count().with_policy(CrashPolicy::adversarial(seed));
+        let policy = CrashPolicy::adversarial(seed);
         let points = if every_point { 0 } else { commit_fence }..total;
-        let summary = faultsim::sweep(points, plan, &setup, &workload, |pmem, report| {
-            let (rt, _) = open(pair_builder(), pmem, RecoveryMode::Full);
+        let setup = one_pool(&setup);
+        let workload = |_: usize, ctx: &C| workload(ctx);
+        let summary = faultsim::sweep(points, policy, POOL, 1, setup, workload, |pmems, report| {
+            let (rt, _) = open(pair_builder(), &pmems[0][0], RecoveryMode::Full);
             let blocks = observe(&rt);
             let ok = match blocks[0] {
                 Some(new) => new || report.point <= commit_fence,
@@ -574,7 +601,7 @@ fn adversarial_sweep<C>(
             summary.points_completed, 0,
             "op stream differs between setups"
         );
-        runs += summary.points_crashed as u64;
+        runs += summary.points_injected as u64;
     }
     assert!(
         torn.is_empty(),
@@ -1416,18 +1443,17 @@ fn solo_fa_and_group_of_one_issue_identical_device_ops() {
             Pair::alloc_uninit(&ctx.rt).set_left(7);
             ctx.rt.free_addr(spare.addr());
         };
-        let (_, trace) = faultsim::trace_ops(setup, |(ctx, spare)| {
+        trace(setup, |(ctx, spare)| {
             if staged {
                 let (tx, ()) = ctx.rt.fa_stage(|| body(ctx, spare));
                 ctx.rt.fa_commit_group(vec![tx]);
             } else {
                 ctx.rt.fa(|| body(ctx, spare));
             }
-        });
-        trace
-            .into_iter()
-            .map(|r| (r.op, r.addr))
-            .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .map(|r| (r.op, r.addr))
+        .collect::<Vec<_>>()
     };
     let solo = trace(false);
     // 27 device ops (30 while a fresh block bumped the persistent bump
@@ -1455,18 +1481,19 @@ proptest! {
         transfers in 1usize..4,
         point_sel in 0u64..1_000_000,
     ) {
-        let workload = |ctx: &FaCtx| fa_run(ctx, transfers);
-        let total = faultsim::count_ops(fa_setup, workload);
+        let total = trace(fa_setup, |ctx| fa_run(ctx, transfers)).len() as u64;
         let point = point_sel % total;
         let summary = faultsim::sweep(
             [point],
-            FaultPlan::count(),
-            fa_setup,
-            workload,
-            |pmem, report| {
+            CrashPolicy::strict(),
+            POOL,
+            1,
+            one_pool(fa_setup),
+            |_, ctx| fa_run(ctx, transfers),
+            |pmems, report| {
                 // Transfers apply in order: the recovered pair is that of
                 // some number of whole transfers.
-                let (step, _) = fa_observe(pmem, RecoveryMode::Full);
+                let (step, _) = fa_observe(&pmems[0][0], RecoveryMode::Full);
                 assert!(
                     step.is_some_and(|s| s <= transfers),
                     "crash point {}: impossible state after {step:?} transfers",
@@ -1474,6 +1501,6 @@ proptest! {
                 );
             },
         );
-        prop_assert_eq!(summary.points_crashed, 1);
+        prop_assert_eq!(summary.points_injected, 1);
     }
 }

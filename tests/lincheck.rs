@@ -6,11 +6,15 @@
 //! replicated commit, streaming each chunk to a real backup endpoint before
 //! the active stack commits it, and promoting, degrading or dying as the
 //! server does — every op recorded into a [`ClientRecorder`] history, and
-//! one device armed through `faultsim::torture_point`. One oracle judges
+//! one device armed. One thread writes that device (the shard's worker on
+//! a primary, the backup endpoint's thread on a backup), so a strict crash
+//! anywhere in one fence epoch leaves one image, and `faultsim::sweep_all`
+//! crashes it once per epoch: the sweep is exhaustive. One oracle judges
 //! every point: the history, closed over the survivors' recovered images,
 //! must be durably linearizable ([`History::check_recovered`]), and after a
 //! failover the crashed primary's image must never be ahead of the promoted
-//! backup ([`History::audit_failover`]).
+//! backup ([`History::audit_failover`]). The default tests commit 4 chunks
+//! per worker (50 epochs per kill); the `--ignored` one commits 12 (146).
 //!
 //! Then two crash-free wire-level checks: the seeded loadgen replays
 //! byte-identical invocation sequences, and pipelined reads behind
@@ -18,16 +22,17 @@
 //! adversarial self-tests (hand-crafted histories with pinned minimized
 //! witnesses) live in `crates/lincheck/src/check.rs`.
 
+use std::cell::RefCell;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use jnvm_repro::faultsim::{strided_points, torture_point};
+use jnvm_repro::faultsim::{sweep_all, Devices};
 use jnvm_repro::jnvm::RecoveryOptions;
 use jnvm_repro::kvstore::{shard_for_key, GridConfig, Record, ShardedKv, WriteOp};
 use jnvm_repro::lincheck::{check, ClientRecorder, Clock, FieldVals, History, OpKind, Outcome};
-use jnvm_repro::pmem::{silence_crash_panics, FaultPlan, Pmem, PmemConfig};
+use jnvm_repro::pmem::{silence_crash_panics, CrashPolicy, Pmem, PmemConfig};
 use jnvm_repro::server::{
     encode_request, handshake, read_reply, run_loadgen, Cluster, Committed, LoadgenConfig,
     Replicas, Reply, Request, ServerConfig,
@@ -42,28 +47,32 @@ struct Kill {
     replicas: usize,
     /// The armed device, `(shard, replica)`; replica 0 is the primary.
     target: (usize, usize),
+    /// Commit groups per shard worker.
+    chunks: usize,
 }
+
+/// Chunks per worker in the default suite. Every fence epoch of the armed
+/// device is swept: 50 at 4 chunks, 146 at 12.
+const CHUNKS: usize = 4;
 
 /// Shard 0's only device dies, and the shard with it.
 const SOLO: Kill = Kill {
     shards: 2,
     replicas: 1,
     target: (0, 0),
+    chunks: CHUNKS,
 };
 /// Shard 0's primary dies and its backup takes over.
 const PRIMARY: Kill = Kill {
-    shards: 2,
-    replicas: 2,
     target: (0, 0),
+    replicas: 2,
+    ..SOLO
 };
 /// Shard 0's backup dies and its primary runs solo.
 const BACKUP: Kill = Kill {
-    shards: 2,
-    replicas: 2,
     target: (0, 1),
+    ..PRIMARY
 };
-
-const CHUNKS: usize = 12;
 
 /// Key `i` of chunk `c`, salted until it routes to `shard`: the survivors
 /// are reopened as one routed store.
@@ -150,7 +159,7 @@ struct Ctx {
     _cluster: Cluster,
 }
 
-fn setup(kill: Kill, log: &Arc<Log>) -> (Vec<Vec<Arc<Pmem>>>, Ctx) {
+fn setup(kill: Kill, log: &Arc<Log>) -> (Devices, Ctx) {
     let cluster = Cluster::create(
         kill.shards,
         kill.replicas,
@@ -175,7 +184,7 @@ fn setup(kill: Kill, log: &Arc<Log>) -> (Vec<Vec<Arc<Pmem>>>, Ctx) {
 fn drive(shard: usize, ctx: &Ctx) {
     let (set, log) = (&ctx.sets[shard], &ctx.log);
     let mut link = set.connect().expect("connect the backup endpoint");
-    for c in 0..CHUNKS {
+    for c in 0..ctx.kill.chunks {
         let ops = chunk(ctx.kill, shard, c);
         let toks: Vec<_> = {
             let mut rec = log.recorders[shard].lock().expect("recorder lock");
@@ -217,129 +226,113 @@ fn reopen(devs: &[Arc<Pmem>]) -> ShardedKv {
 
 /// What one point showed.
 struct Tally {
-    injected: bool,
-    ops_counted: u64,
     acked: Vec<usize>,
     acked_after_promotion: usize,
     promotions: usize,
     degraded: usize,
 }
 
-/// One kill experiment: arm `point` on the target device, run the workers,
-/// then hold the history to the oracle on the survivors — the promoted
+/// Hold one point's history to the oracle on the survivors — the promoted
 /// backup of a failed-over shard, every other shard's primary — and audit
 /// a failed-over shard's crashed primary. Untouched shards must ack every
-/// chunk. `u64::MAX` is the count pass: nothing fires, the oracle still
-/// runs.
-fn run_point(kill: Kill, point: u64) -> Tally {
-    let log = Log::new(kill);
-    let vlog = Arc::clone(&log);
-    let out = torture_point(
-        point,
-        FaultPlan::count(),
-        kill.target,
-        kill.shards,
-        || setup(kill, &log),
-        drive,
-        |pmems, _| {
-            let crash_shard = kill.target.0;
-            for s in (0..kill.shards).filter(|&s| s != crash_shard) {
-                let acked = vlog.acked[s].load(Ordering::Relaxed);
-                assert_eq!(
-                    acked, CHUNKS,
-                    "point {point}: untouched shard {s} acked {acked} chunks"
-                );
-            }
-            let promoted = vlog.promotions.load(Ordering::Relaxed) > 0;
-            let survivors: Vec<Arc<Pmem>> = pmems
-                .iter()
-                .enumerate()
-                .map(|(s, reps)| Arc::clone(&reps[usize::from(promoted && s == crash_shard)]))
-                .collect();
-            let kv = reopen(&survivors);
-            let mut history = vlog.history();
-            if let Err(v) = history.check_recovered(|k| fields(kv.read(k))) {
-                panic!("point {point}: durable-linearizability violation: {v}");
-            }
-            if promoted {
-                let primary = reopen(&pmems[crash_shard][..1]);
-                let crash_keys = history
-                    .keys()
-                    .into_iter()
-                    .filter(|k| kv.route(k) == crash_shard);
-                if let Err(e) = history.audit_failover(
-                    crash_keys,
-                    |k| fields(primary.read(k)),
-                    |k| fields(kv.read(k)),
-                ) {
-                    panic!("point {point}: {e}");
-                }
-            }
-        },
-    );
+/// chunk.
+fn verify(kill: Kill, log: &Log, pmems: &[Vec<Arc<Pmem>>], point: u64) -> Tally {
+    let crash_shard = kill.target.0;
+    let acked: Vec<usize> = log
+        .acked
+        .iter()
+        .map(|a| a.load(Ordering::Relaxed))
+        .collect();
+    for s in (0..kill.shards).filter(|&s| s != crash_shard) {
+        assert_eq!(
+            acked[s], kill.chunks,
+            "point {point}: untouched shard {s} acked {} chunks",
+            acked[s]
+        );
+    }
+    let promotions = log.promotions.load(Ordering::Relaxed);
+    let promoted = promotions > 0;
+    let survivors: Vec<Arc<Pmem>> = pmems
+        .iter()
+        .enumerate()
+        .map(|(s, reps)| Arc::clone(&reps[usize::from(promoted && s == crash_shard)]))
+        .collect();
+    let kv = reopen(&survivors);
+    let mut history = log.history();
+    if let Err(v) = history.check_recovered(|k| fields(kv.read(k))) {
+        panic!("point {point}: durable-linearizability violation: {v}");
+    }
+    if promoted {
+        let primary = reopen(&pmems[crash_shard][..1]);
+        let crash_keys = history
+            .keys()
+            .into_iter()
+            .filter(|k| kv.route(k) == crash_shard);
+        if let Err(e) = history.audit_failover(
+            crash_keys,
+            |k| fields(primary.read(k)),
+            |k| fields(kv.read(k)),
+        ) {
+            panic!("point {point}: {e}");
+        }
+    }
     Tally {
-        injected: out.injected,
-        ops_counted: out.ops_counted,
-        acked: log
-            .acked
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect(),
+        acked,
         acked_after_promotion: log.acked_after_promotion.load(Ordering::Relaxed),
-        promotions: log.promotions.load(Ordering::Relaxed),
+        promotions,
         degraded: log.degraded.load(Ordering::Relaxed),
     }
 }
 
-/// Count the target device's ops, then run at most `max_points` points
-/// strided across them.
-fn sweep(kill: Kill, max_points: u64) -> Vec<Tally> {
+/// Crash the target device at one point per fence epoch — strict crashes
+/// keep only fenced lines, and one thread writes that device: the shard's
+/// worker on a primary, the backup endpoint's thread on a backup — and
+/// [`verify`] every point.
+fn every_epoch(kill: Kill) -> Vec<Tally> {
     silence_crash_panics();
-    let total = run_point(kill, u64::MAX).ops_counted;
-    assert!(total > 0, "count pass saw no device ops");
-    let points = strided_points(total, max_points);
-    points
-        .into_iter()
-        .map(|point| run_point(kill, point))
-        .collect()
+    let log = RefCell::new(Log::new(kill));
+    let mut tallies = Vec::new();
+    sweep_all(
+        CrashPolicy::strict(),
+        kill.target,
+        kill.shards,
+        || {
+            *log.borrow_mut() = Log::new(kill);
+            setup(kill, &log.borrow())
+        },
+        drive,
+        |pmems, out| tallies.push(verify(kill, &log.borrow(), pmems, out.point)),
+    );
+    tallies
 }
 
 /// N×1: a crash kills its shard, and the dead shard's history is checked
 /// on its own recovered device.
-#[test]
-fn sharded_torture_histories_are_durably_linearizable() {
-    let points = sweep(SOLO, 6);
+fn solo(chunks: usize) {
+    let points = every_epoch(Kill { chunks, ..SOLO });
     assert!(
-        points
-            .iter()
-            .any(|p| p.injected && p.acked[SOLO.target.0] < CHUNKS),
+        points.iter().any(|p| p.acked[SOLO.target.0] < chunks),
         "no point killed the crash shard mid-run"
     );
     assert!(points.iter().all(|p| p.promotions == 0 && p.degraded == 0));
 }
 
 /// N×2, primary kill: the shard promotes its backup and keeps acking on it.
-#[test]
-fn acked_chunks_survive_primary_crash_and_failover() {
-    let points = sweep(PRIMARY, 8);
+fn primary(chunks: usize) {
+    let points = every_epoch(Kill { chunks, ..PRIMARY });
     assert!(
         points.iter().any(|p| p.promotions > 0),
         "no point promoted — sweep never hit the primary"
     );
     assert!(
-        points
-            .iter()
-            .map(|p| p.acked_after_promotion)
-            .sum::<usize>()
-            > 0,
+        points.iter().any(|p| p.acked_after_promotion > 0),
         "no chunk was ever acked after promotion"
     );
 }
 
 /// N×2, backup kill: the shard degrades to solo and never promotes.
-#[test]
-fn backup_crash_degrades_without_losing_acked_chunks() {
-    let points = sweep(BACKUP, 5);
+fn backup(chunks: usize) {
+    let points = every_epoch(Kill { chunks, ..BACKUP });
     assert!(
         points.iter().all(|p| p.promotions == 0),
         "a backup crash must never promote"
@@ -350,13 +343,29 @@ fn backup_crash_degrades_without_losing_acked_chunks() {
     );
 }
 
-/// The wide sweeps for the torture CI job.
 #[test]
-#[ignore = "wide sweeps; run with --ignored in the torture job"]
-fn wide_kill_sweeps() {
-    sweep(SOLO, 48);
-    sweep(PRIMARY, 64);
-    sweep(BACKUP, 24);
+fn sharded_torture_histories_are_durably_linearizable() {
+    solo(CHUNKS);
+}
+
+#[test]
+fn acked_chunks_survive_primary_crash_and_failover() {
+    primary(CHUNKS);
+}
+
+#[test]
+fn backup_crash_degrades_without_losing_acked_chunks() {
+    backup(CHUNKS);
+}
+
+/// Every fence epoch of the three kills at 12 chunks per worker, for the
+/// torture CI job.
+#[test]
+#[ignore = "every epoch at 12 chunks; run with --release -- --ignored in the torture job"]
+fn every_epoch_at_twelve_chunks() {
+    solo(12);
+    primary(12);
+    backup(12);
 }
 
 // ------------------------------------------------------- seeded determinism

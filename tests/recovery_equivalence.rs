@@ -29,7 +29,7 @@
 
 use std::sync::Arc;
 
-use jnvm_repro::faultsim::{strided_points, torture_count, torture_sweep};
+use jnvm_repro::faultsim::{strided_points, sweep, torture_point, Devices};
 use jnvm_repro::heap::{HeapConfig, REF_ADDR_MASK};
 use jnvm_repro::jnvm::{
     persistent_class, Jnvm, JnvmBuilder, PObject, Proxy, RecoveryMode, RecoveryOptions,
@@ -44,6 +44,15 @@ use jnvm_repro::pmem::{
 use jnvm_repro::tpcb::{register_tpcb, Bank, JnvmBank};
 
 const NTHREADS: usize = 4;
+
+/// The one pool's device, the 1 × 1 topology's, is the crash target.
+const POOL: (usize, usize) = (0, 0);
+
+/// The ops `NTHREADS` workers of `workload` issue on `setup`'s pool.
+fn pool_ops<C: Sync>(setup: fn() -> (Devices, C), workload: fn(usize, &C)) -> u64 {
+    let count = FaultPlan::count();
+    torture_point(count, POOL, NTHREADS, setup, workload, |_, _| {}).ops_counted
+}
 
 /// Parallel thread counts to hold against the sequential oracle. The CI
 /// recovery matrix narrows this to one count via `JNVM_RECOVERY_THREADS`.
@@ -165,14 +174,14 @@ struct BankCtx {
     bank: JnvmBank,
 }
 
-fn bank_setup() -> (Arc<Pmem>, BankCtx) {
+fn bank_setup() -> (Devices, BankCtx) {
     let pmem = Pmem::new(PmemConfig::crash_sim(4 << 20));
     let rt = register_tpcb(JnvmBuilder::new())
         .create(Arc::clone(&pmem), HeapConfig::default())
         .expect("pool");
     let bank = JnvmBank::create(&rt, ACCOUNTS, INITIAL).expect("bank");
     pmem.psync();
-    (pmem, BankCtx { _rt: rt, bank })
+    (vec![vec![pmem]], BankCtx { _rt: rt, bank })
 }
 
 fn bank_workload(t: usize, ctx: &BankCtx) {
@@ -185,14 +194,15 @@ fn bank_workload(t: usize, ctx: &BankCtx) {
 
 fn bank_torture_equivalence(points: Vec<u64>) {
     silence_crash_panics();
-    let summary = torture_sweep(
+    let summary = sweep(
         points,
-        FaultPlan::count(),
+        CrashPolicy::strict(),
+        POOL,
         NTHREADS,
         bank_setup,
         bank_workload,
-        |pmem, outcome| {
-            let image = snapshot(pmem);
+        |pmems, outcome| {
+            let image = snapshot(&pmems[0][0]);
             assert_thread_equivalence(
                 &image,
                 register_tpcb,
@@ -208,8 +218,7 @@ fn bank_torture_equivalence(points: Vec<u64>) {
 /// crashed point the image is recovered at 1/2/4/8 threads and compared.
 #[test]
 fn bank_torture_images_recover_identically_across_thread_counts() {
-    let total = torture_count(NTHREADS, bank_setup, bank_workload);
-    assert!(total > 0, "bank workload performed no persistence ops");
+    let total = pool_ops(bank_setup, bank_workload);
     bank_torture_equivalence(strided_points(total, 8));
 }
 
@@ -217,7 +226,7 @@ fn bank_torture_images_recover_identically_across_thread_counts() {
 #[test]
 #[ignore = "exhaustive differential sweep; run with --ignored"]
 fn bank_torture_images_recover_identically_exhaustive() {
-    let total = torture_count(NTHREADS, bank_setup, bank_workload);
+    let total = pool_ops(bank_setup, bank_workload);
     bank_torture_equivalence((0..total).collect());
 }
 
@@ -241,7 +250,7 @@ fn grid_val(t: usize, k: usize, tag: &str) -> Vec<u8> {
     format!("{t:02}{k:02}{tag}").into_bytes()
 }
 
-fn grid_setup() -> (Arc<Pmem>, GridCtx) {
+fn grid_setup() -> (Devices, GridCtx) {
     let pmem = Pmem::new(PmemConfig::crash_sim(8 << 20));
     let rt = register_kvstore(JnvmBuilder::new())
         .create(Arc::clone(&pmem), HeapConfig::default())
@@ -255,7 +264,7 @@ fn grid_setup() -> (Arc<Pmem>, GridCtx) {
         }
     }
     pmem.psync();
-    (pmem, GridCtx { _rt: rt, grid })
+    (vec![vec![pmem]], GridCtx { _rt: rt, grid })
 }
 
 fn grid_workload(t: usize, ctx: &GridCtx) {
@@ -284,16 +293,16 @@ fn grid_workload(t: usize, ctx: &GridCtx) {
 #[test]
 fn grid_churn_images_recover_identically_across_thread_counts() {
     silence_crash_panics();
-    let total = torture_count(NTHREADS, grid_setup, grid_workload);
-    assert!(total > 0, "grid workload performed no persistence ops");
-    let summary = torture_sweep(
+    let total = pool_ops(grid_setup, grid_workload);
+    let summary = sweep(
         strided_points(total, 6),
-        FaultPlan::count(),
+        CrashPolicy::strict(),
+        POOL,
         NTHREADS,
         grid_setup,
         grid_workload,
-        |pmem, outcome| {
-            let image = snapshot(pmem);
+        |pmems, outcome| {
+            let image = snapshot(&pmems[0][0]);
             assert_thread_equivalence(
                 &image,
                 register_kvstore,
@@ -529,13 +538,13 @@ fn overlapping_committed_logs_replay_in_slot_order_at_every_thread_count() {
 /// was published (made reachable) inside its failure-atomic block, so
 /// nothing valid is unreachable.
 fn fa_publication_only_image() -> Vec<u8> {
-    let (pmem, ctx) = bank_setup();
+    let (pmems, ctx) = bank_setup();
     for t in 0..NTHREADS {
         bank_workload(t, &ctx);
     }
     drop(ctx);
-    pmem.crash(&CrashPolicy::strict()).expect("crash");
-    snapshot(&pmem)
+    pmems[0][0].crash(&CrashPolicy::strict()).expect("crash");
+    snapshot(&pmems[0][0])
 }
 
 /// On FA-publication-only workloads the cheap header scan (J-PFA-nogc)

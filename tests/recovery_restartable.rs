@@ -10,11 +10,13 @@
 //!
 //! Mechanically: a concurrent torture run produces a mid-flight crash
 //! image; [`jnvm_faultsim::sweep`] then sweeps crash points *inside*
-//! a parallel (`threads = 4`) recovery of that image — the injected crash
-//! unwinds one recovery worker, `run_workers_timed` re-throws it from the
-//! spawning thread, and the harness resynchronizes the device cache from
-//! media (ghost stores of other mid-store workers must not be visible).
-//! Verification reopens sequentially and requires:
+//! a parallel (`threads = 4`) recovery of that image, run by the one
+//! worker of a 1 × 1 topology — the injected crash unwinds one recovery
+//! thread, `run_workers_timed` re-throws it from the spawning thread, and
+//! the engine resynchronizes the device cache from media (ghost stores of
+//! other mid-store threads must not be visible). Verification — at every
+//! crash, and at any point past the end of the stream, where recovery
+//! completed — reopens sequentially and requires:
 //!
 //! 1. the workload's own invariants (bank money conserved, whole
 //!    transfers only);
@@ -24,15 +26,14 @@
 //! 3. **idempotence**: a third recovery finds nothing left to do (no logs
 //!    to replay, nothing to free, nothing to nullify).
 //!
-//! The default tests sweep a strided slice of the recovery op stream; the
+//! Recovery's threads all write the device, so no fence epoch is defined:
+//! the default tests sweep `strided_points` of the recovery op stream; the
 //! exhaustive every-point sweep (plus adversarial line-eviction policies)
 //! runs with `--ignored`.
 
 use std::sync::Arc;
 
-use jnvm_repro::faultsim::{
-    count_ops, strided_points, sweep, torture_count, torture_sweep, SweepSummary,
-};
+use jnvm_repro::faultsim::{strided_points, sweep, torture_point, Devices, TortureSummary};
 use jnvm_repro::heap::HeapConfig;
 use jnvm_repro::jnvm::{persistent_class, Jnvm, JnvmBuilder, RecoveryOptions};
 use jnvm_repro::pmem::{silence_crash_panics, CrashPolicy, FaultPlan, Pmem, PmemConfig};
@@ -40,6 +41,8 @@ use jnvm_repro::tpcb::{register_tpcb, Bank, JnvmBank};
 
 /// Writer threads in the torture run that produces the crash image.
 const NTHREADS: usize = 4;
+/// The one pool's device, the 1 × 1 topology's, is the crash target.
+const POOL: (usize, usize) = (0, 0);
 /// Worker threads of the recovery pass under injection. The CI recovery
 /// matrix overrides this via `JNVM_RECOVERY_THREADS`.
 fn recovery_threads() -> usize {
@@ -65,6 +68,12 @@ fn restore(image: &[u8]) -> Arc<Pmem> {
     pmem.write_bytes(0, image);
     pmem.drain_all();
     pmem
+}
+
+/// `image` restored as a one-pool topology whose context is the device.
+fn restore_pool(image: &[u8]) -> (Devices, Arc<Pmem>) {
+    let pmem = restore(image);
+    (vec![vec![Arc::clone(&pmem)]], pmem)
 }
 
 fn assert_media_matches(pmem: &Arc<Pmem>, oracle: &[u8], label: &str) {
@@ -95,14 +104,14 @@ struct BankCtx {
     bank: JnvmBank,
 }
 
-fn bank_setup() -> (Arc<Pmem>, BankCtx) {
+fn bank_setup() -> (Devices, BankCtx) {
     let pmem = Pmem::new(PmemConfig::crash_sim(4 << 20));
     let rt = register_tpcb(JnvmBuilder::new())
         .create(Arc::clone(&pmem), HeapConfig::default())
         .expect("pool");
     let bank = JnvmBank::create(&rt, ACCOUNTS, INITIAL).expect("bank");
     pmem.psync();
-    (pmem, BankCtx { _rt: rt, bank })
+    (vec![vec![pmem]], BankCtx { _rt: rt, bank })
 }
 
 fn bank_workload(t: usize, ctx: &BankCtx) {
@@ -117,18 +126,20 @@ fn bank_workload(t: usize, ctx: &BankCtx) {
 /// logs in every lifecycle state, in-flight copies, per-worker garbage.
 fn torn_bank_image() -> Vec<u8> {
     silence_crash_panics();
-    let total = torture_count(NTHREADS, bank_setup, bank_workload);
-    assert!(total > 0, "bank workload performed no persistence ops");
+    let count = FaultPlan::count();
+    let total =
+        torture_point(count, POOL, NTHREADS, bank_setup, bank_workload, |_, _| {}).ops_counted;
     let mut image = None;
     // Interleavings vary run to run, so try a few mid-stream points and
     // keep the last one that actually crashed.
-    torture_sweep(
+    sweep(
         [total / 3, total / 2, 2 * total / 3],
-        FaultPlan::count(),
+        CrashPolicy::strict(),
+        POOL,
         NTHREADS,
         bank_setup,
         bank_workload,
-        |pmem, _| image = Some(snapshot(pmem)),
+        |pmems, _| image = Some(snapshot(&pmems[0][0])),
     );
     image.expect("no mid-stream crash point fired")
 }
@@ -181,9 +192,9 @@ fn restartable_sweep(
     image: &[u8],
     register: fn(JnvmBuilder) -> JnvmBuilder,
     points: Vec<u64>,
-    plan: FaultPlan,
+    policy: CrashPolicy,
     verify_extra: impl Fn(&Jnvm),
-) -> SweepSummary {
+) -> TortureSummary {
     silence_crash_panics();
     let threads = recovery_threads();
     // The crash-free oracle: recover the image once, sequentially, and
@@ -204,19 +215,19 @@ fn restartable_sweep(
 
     sweep(
         points,
-        plan,
-        || {
-            let pmem = restore(image);
-            (Arc::clone(&pmem), pmem)
-        },
-        |pmem| {
+        policy,
+        POOL,
+        1,
+        || restore_pool(image),
+        |_, pmem| {
             // The workload under injection IS the parallel recovery. A
             // crash inside any worker unwinds the open.
             let _ = register(JnvmBuilder::new())
                 .open_with_options(Arc::clone(pmem), RecoveryOptions::parallel(threads))
                 .expect("recovery on an intact image cannot fail logically");
         },
-        |pmem, report| {
+        |pmems, report| {
+            let pmem = &pmems[0][0];
             let label = format!("recovery-crash@{}", report.point);
             // Second recovery, sequential: must succeed and converge.
             let (rt, rep2) = register(JnvmBuilder::new())
@@ -266,17 +277,19 @@ fn bank_invariants(rt: &Jnvm) {
 
 fn recovery_op_count(image: &[u8], register: fn(JnvmBuilder) -> JnvmBuilder) -> u64 {
     let threads = recovery_threads();
-    count_ops(
-        || {
-            let pmem = restore(image);
-            (Arc::clone(&pmem), pmem)
-        },
-        |pmem| {
+    torture_point(
+        FaultPlan::count(),
+        POOL,
+        1,
+        || restore_pool(image),
+        |_, pmem| {
             let _ = register(JnvmBuilder::new())
                 .open_with_options(Arc::clone(pmem), RecoveryOptions::parallel(threads))
                 .expect("count pass");
         },
+        |_, _| {},
     )
+    .ops_counted
 }
 
 // ---------------------------------------------------------------------------
@@ -289,16 +302,15 @@ fn recovery_op_count(image: &[u8], register: fn(JnvmBuilder) -> JnvmBuilder) -> 
 fn parallel_recovery_of_bank_image_survives_midway_crashes() {
     let image = torn_bank_image();
     let total = recovery_op_count(&image, register_tpcb);
-    assert!(total > 0, "recovery performed no persistence ops");
     let summary = restartable_sweep(
         &image,
         register_tpcb,
         strided_points(total, 16),
-        FaultPlan::count(),
+        CrashPolicy::strict(),
         bank_invariants,
     );
     assert!(
-        summary.points_crashed > 0,
+        summary.points_injected > 0,
         "no crash point fired inside recovery"
     );
 }
@@ -309,16 +321,15 @@ fn parallel_recovery_of_bank_image_survives_midway_crashes() {
 fn parallel_recovery_of_dangling_graph_survives_midway_crashes() {
     let image = torn_graph_image();
     let total = recovery_op_count(&image, |b| b.register::<Link>());
-    assert!(total > 0, "recovery performed no persistence ops");
     let summary = restartable_sweep(
         &image,
         |b| b.register::<Link>(),
         strided_points(total, 12),
-        FaultPlan::count(),
+        CrashPolicy::strict(),
         |_| {},
     );
     assert!(
-        summary.points_crashed > 0,
+        summary.points_injected > 0,
         "no crash point fired inside recovery"
     );
 }
@@ -331,10 +342,10 @@ fn parallel_recovery_of_dangling_graph_survives_midway_crashes() {
 fn parallel_recovery_survives_exhaustive_crash_sweep() {
     let image = torn_bank_image();
     let total = recovery_op_count(&image, register_tpcb);
-    for plan in [
-        FaultPlan::count(),
-        FaultPlan::count().with_policy(CrashPolicy::adversarial(1)),
-        FaultPlan::count().with_policy(CrashPolicy::adversarial(2)),
+    for policy in [
+        CrashPolicy::strict(),
+        CrashPolicy::adversarial(1),
+        CrashPolicy::adversarial(2),
     ] {
         let summary = restartable_sweep(
             &image,
@@ -342,9 +353,9 @@ fn parallel_recovery_survives_exhaustive_crash_sweep() {
             // Parallel op totals wobble slightly with scheduling; points
             // past the end count as completed, not crashed.
             (0..total + NTHREADS as u64).collect(),
-            plan,
+            policy,
             bank_invariants,
         );
-        assert!(summary.points_crashed > 0, "nothing injected");
+        assert!(summary.points_injected > 0, "nothing injected");
     }
 }
