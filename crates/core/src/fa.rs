@@ -11,26 +11,30 @@
 //! (The paper redirects writes to in-flight NVMM block copies instead;
 //! DESIGN.md §3 says why this departs from it.)
 //!
-//! A log's payload is `[committed flag][length in words]` on its first
-//! cache line and the entries from its second one on, an entry
-//! `[n << 48 | address | kind][payload words]`: the kind sits in the three
-//! idle low bits of the 8-aligned address. A write entry carries `n` ≥ 1
-//! words to store at `address`, all inside one block's payload; an
-//! allocation carries none, and `n` is the class id of the object
-//! allocated; a free carries none, and `n` is 0.
+//! A log's payload is `[length in words]` on its first cache line — the
+//! log is committed while it is nonzero — and the entries from its second
+//! one on, an entry `[n << 48 | address | kind][payload words]`: the kind
+//! sits in the three idle low bits of the 8-aligned address. A WRITE (3)
+//! carries `n` ≥ 1 words to store at `address`, all inside one block's
+//! payload; an ALLOC (1) carries none, and `n` is the class id of the
+//! object allocated; a FREE (2) carries none, and `n` is 0. A LINK (4),
+//! `[address | 4 | class << 48][word]`, is a one-word WRITE of `word` plus
+//! the ALLOC of the object of class `class` at `word & REF_ADDR_MASK`; a
+//! SWAP (5), `[address | 5 | class << 48][word][freed]`, is a LINK plus
+//! the FREE of `freed` — a field update's reference swap in 24 bytes, not
+//! the 32 of its three entries.
 //!
 //! Commit, of a group of one or more blocks — the group is the transaction
 //! and has **one** log, the paper's per-thread log of the committing thread:
 //!
 //! 1. store the group's entries, in apply order, into one log; `pwb` them
 //!    and the fresh allocations, `pfence`,
-//! 2. set the log's committed flag + length, `pwb`, `pfence` — the
-//!    durability point,
+//! 2. store the log's length, `pwb`, `pfence` — the durability point,
 //! 3. apply, from the entries still in DRAM (only recovery reads a log
 //!    back): validate allocations, invalidate frees, copy each write
 //!    entry's words onto the original, `pwb`, `pfence` — the
 //!    applies must be durable *before* step 4, or a crash could persist the
-//!    cleared flag while losing an applied line, and nothing would replay
+//!    zero length while losing an applied line, and nothing would replay
 //!    the torn block. A live commit validates an allocation by storing its
 //!    whole header word, valid bit set, from DRAM: a pool slot's mini-header
 //!    is stored here and nowhere else (until then the slot holds the invalid
@@ -40,15 +44,16 @@
 //!    valid bit. A free is invalidated here too — a slot's mini-header
 //!    cleared, a master's valid bit cleared — behind the same fence, so that
 //!    no freed object outlives the commit valid on media,
-//! 4. clear the committed flag, `pwb`, `pfence` (so the log is reusable
-//!    and the storage the group freed may be recycled).
+//! 4. store a zero length, `pwb`, `pfence` (so the log is reusable and the
+//!    storage the group freed may be recycled).
 //!
 //! That is 4 fences per group whatever its size. The protocol is written
 //! once: [`JnvmRuntime::fa_stage`] builds a block's entries in DRAM and
 //! touches no log, [`JnvmRuntime::fa_commit_group`] runs the four steps, a
 //! solo [`JnvmRuntime::fa`] is a group of one, and steps 3–4
 //! (`apply_and_retire`) are also what recovery runs over each log it finds
-//! committed.
+//! committed. Both decode a LINK or a SWAP into the ALLOC, FREE and WRITE
+//! it stands for, so one apply serves every kind.
 //!
 //! Updates to *invalid* objects — typically objects allocated inside the
 //! same block — are applied in place: if the block aborts, recovery deletes
@@ -64,7 +69,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::thread::ThreadId;
 
-use jnvm_heap::{BlockHeader, HeapError, HEADER_BYTES, NULL_BLOCK};
+use jnvm_heap::{BlockHeader, HeapError, HEADER_BYTES, NULL_BLOCK, REF_ADDR_MASK};
 use jnvm_pmem::CACHE_LINE;
 use parking_lot::Mutex;
 
@@ -81,18 +86,20 @@ const DIR_CAPACITY: u64 = 64;
 /// Initial log capacity in entry words; logs grow on demand.
 const LOG_INIT_WORDS: u64 = 768;
 
-/// Logical offset of the committed flag within a log's payload.
-const LOG_COMMITTED: u64 = 0;
-/// Logical offset of the committed length, in words of entries.
-const LOG_LEN: u64 = 8;
+/// Logical offset of the committed length, in words of entries, within a
+/// log's payload: the commit point stores it, the retire stores 0, and a
+/// log is committed while it is nonzero.
+const LOG_LEN: u64 = 0;
 /// Logical offset of the first entry: the first payload byte of the log's
-/// second cache line. The flag/length line holds no entry words, so its only
+/// second cache line. The length's line holds no entry words, so its only
 /// write-backs are the commit point's and the retire's.
 const LOG_ENTRIES: u64 = CACHE_LINE - HEADER_BYTES;
 
 const KIND_ALLOC: u64 = 1;
 const KIND_FREE: u64 = 2;
 const KIND_WRITE: u64 = 3;
+const KIND_LINK: u64 = 4;
+const KIND_SWAP: u64 = 5;
 /// An entry's head is one word: the kind in the low 3 bits of the 8-aligned
 /// address it targets, and above [`RUN_SHIFT`] the number of payload words
 /// that follow.
@@ -174,7 +181,6 @@ impl FaManager {
         }
         // Create a new log and publish it in the directory.
         let log = Proxy::alloc(rt, CLASS_ID_FALOG, LOG_ENTRIES + LOG_INIT_WORDS * 8);
-        log.write_u64(LOG_COMMITTED, 0);
         log.write_u64(LOG_LEN, 0);
         log.pwb();
         log.validate();
@@ -192,10 +198,10 @@ impl FaManager {
         *cursor += 1;
         let chain = RawChain::open(rt, log.addr());
         // The directory now durably references the log; its initialized
-        // committed-flag/length words must be persisted with it, or recovery
-        // could chase the slot into an uninitialized log.
+        // length word must be persisted with it, or recovery could chase
+        // the slot into an uninitialized log.
         rt.pmem()
-            .ordering_point("log-publish", &[(chain.phys(LOG_COMMITTED), 16)]);
+            .ordering_point("log-publish", &[(chain.phys(LOG_LEN), 8)]);
         LogHandle { chain }
     }
 
@@ -203,11 +209,12 @@ impl FaManager {
         self.free_logs.lock().push_back(log);
     }
 
-    /// After restart: replay committed logs, abandon uncommitted ones, and
-    /// repopulate the volatile log pool. Returns the number replayed (an
-    /// abandoned log is not observable: retire clears the flag and leaves
-    /// the length, exactly what a log cut short before its commit point
-    /// holds). Must run before the recovery GC. A damaged log (see
+    /// After restart: replay committed logs — those whose length is
+    /// nonzero —, abandon uncommitted ones, and repopulate the volatile log
+    /// pool. Returns the number replayed (an abandoned log is not
+    /// observable: retire stores the zero length that a log cut short
+    /// before its commit point still holds). Must run before the recovery
+    /// GC. A damaged log (see
     /// `decode_log`) surfaces as [`JnvmError::CorruptLog`] rather than
     /// aborting, so a server re-open on a damaged pool can report the
     /// failure.
@@ -231,11 +238,11 @@ impl FaManager {
                 continue;
             }
             let chain = RawChain::open(rt, log_addr);
-            if pmem.read_u64(chain.phys(LOG_COMMITTED)) == 1 {
+            let (len, bytes) = read_log(pmem, &chain);
+            if len != 0 {
                 // Steps 3–4 of the commit protocol. Both are idempotent, so
                 // a crash anywhere in here re-replays on the next recovery
                 // and converges.
-                let (len, bytes) = read_log(pmem, &chain);
                 apply_and_retire(rt, &chain, len, &bytes, &[], false, &mut retired_fp)?;
                 replayed += 1;
             }
@@ -243,7 +250,7 @@ impl FaManager {
             free_logs.push_back(LogHandle { chain });
         }
         pmem.pfence();
-        // Every flag the replay cleared is durable behind the closing fence.
+        // Every length the replay zeroed is durable behind the closing fence.
         pmem.ordering_point("recovery-retire", &retired_fp);
         Ok(replayed)
     }
@@ -280,7 +287,7 @@ fn grow_dir(rt: &Jnvm, dir: &mut Proxy, cap: u64) {
 
 /// Tracer for the log directory: every non-null slot references a log.
 pub(crate) fn trace_log_dir(rt: &Jnvm, word: u64, visit: &mut dyn FnMut(u64)) {
-    let chain = RawChain::open(rt, word & jnvm_heap::REF_ADDR_MASK);
+    let chain = RawChain::open(rt, word & REF_ADDR_MASK);
     let cap = rt.pmem().read_u64(chain.phys(0));
     for slot in 0..cap {
         visit(chain.phys(8 + slot * 8));
@@ -294,7 +301,7 @@ pub(crate) fn trace_log_dir(rt: &Jnvm, word: u64, visit: &mut dyn FnMut(u64)) {
 struct TxState {
     rt: Jnvm,
     /// The block's redo entries as log words: ALLOC and FREE entries in
-    /// program order; `seal` appends the WRITE entries.
+    /// program order; `seal` appends the WRITE, LINK and SWAP entries.
     entries: Vec<u64>,
     /// Number of entries in `entries`.
     ops: u64,
@@ -306,8 +313,9 @@ struct TxState {
     /// Objects allocated inside this block (written in place, validated
     /// and flushed by the commit), by master address.
     allocated: BTreeMap<u64, Allocated>,
-    /// Each ALLOC entry's header word with the valid bit set, in entry
-    /// order: what a live commit stores to validate the allocation.
+    /// Each allocation's header word with the valid bit set, in the order
+    /// its ALLOC, LINK or SWAP entry comes: what a live commit stores to
+    /// validate the allocation.
     valid_words: Vec<u64>,
     /// DRAM state the block changed ahead of its commit, as the closures
     /// that put it back (see [`JnvmRuntime::on_abort`]).
@@ -335,7 +343,8 @@ struct Allocated {
     /// Payload bytes the commit flushes: what the allocation asked for, or
     /// the whole chain once grown.
     payload: u64,
-    /// Index of its header word in [`TxState::valid_words`].
+    /// Index of its header word in [`TxState::valid_words`] until `seal`
+    /// reorders them.
     word: usize,
     /// Byte addresses of the chain's blocks, master first, when it has
     /// more than one; empty for one block or a pooled object.
@@ -350,10 +359,20 @@ impl TxState {
     }
 
     /// The block's closure has returned: emit each maximal run of overlay
-    /// words as one WRITE entry. DRAM only — the commit stores the entries
-    /// in its group's log. A run never leaves its block: consecutive
-    /// payload words of two blocks have a header word between them.
+    /// words as one WRITE entry, behind the ALLOC and FREE entries. DRAM
+    /// only — the commit stores the entries in its group's log. A run never
+    /// leaves its block: consecutive payload words of two blocks have a
+    /// header word between them.
+    ///
+    /// A one-word run whose word, masked, is the address of an object the
+    /// block allocated takes that object's ALLOC into a LINK, and the
+    /// block's first FREE not yet taken, if any, makes it a SWAP. A taken
+    /// entry's effect moves behind the writes before it, which store other
+    /// words; `valid_words` follows the ALLOCs into their new order. A block
+    /// that frees an object it allocated fuses nothing: a taken ALLOC would
+    /// pass that object's FREE.
     fn seal(&mut self) {
+        let first = self.entries.len();
         let mut head = 0;
         let mut next = None;
         for (&addr, &v) in &self.overlay {
@@ -366,6 +385,48 @@ impl TxState {
             self.entries[head] += 1 << RUN_SHIFT;
             next = Some(addr + 8);
         }
+        let own =
+            |e: &u64| e & KIND_MASK == KIND_FREE && self.allocated.contains_key(&(e & ADDR_MASK));
+        if self.entries[..first].iter().any(own) {
+            return;
+        }
+        // A taken ALLOC or FREE, and a taken header word, become 0 — no head
+        // and no valid header word is — and are dropped at the end.
+        let mut i = first;
+        while i < self.entries.len() {
+            let head = self.entries[i];
+            let (n, obj) = (head >> RUN_SHIFT, self.entries[i + 1] & REF_ADDR_MASK);
+            let link = self.allocated.get(&obj).map(|a| a.word);
+            let Some(k) = link.filter(|&k| n == 1 && self.valid_words[k] != 0) else {
+                i += 1 + n as usize;
+                continue;
+            };
+            let prefix = &self.entries[..first];
+            let alloc = prefix
+                .iter()
+                .position(|e| e & !(RUN_MAX << RUN_SHIFT) == obj | KIND_ALLOC);
+            let alloc = alloc.expect("an ALLOC entry per allocated object");
+            let free = prefix.iter().position(|e| e & KIND_MASK == KIND_FREE);
+            let class = std::mem::take(&mut self.entries[alloc]) >> RUN_SHIFT << RUN_SHIFT;
+            let valid = std::mem::take(&mut self.valid_words[k]);
+            self.valid_words.push(valid);
+            let kind = if free.is_some() { KIND_SWAP } else { KIND_LINK };
+            self.entries[i] = entry_head(kind, head & ADDR_MASK) | class;
+            i += 2;
+            self.ops -= 1;
+            if let Some(f) = free {
+                let freed = std::mem::take(&mut self.entries[f]) & ADDR_MASK;
+                self.entries.insert(i, freed);
+                i += 1;
+                self.ops -= 1;
+            }
+        }
+        let mut at = 0;
+        self.entries.retain(|&e| {
+            at += 1;
+            at > first || e != 0
+        });
+        self.valid_words.retain(|&w| w != 0);
     }
 
     /// What step 1 of the commit protocol must persist for a sealed block
@@ -414,11 +475,11 @@ pub enum CommitPhase {
     Mutate,
     /// Step 1: flushing log entries and fresh allocations.
     FlushStaged,
-    /// Step 2: writing + flushing the committed flag and entry count.
+    /// Step 2: writing + flushing the log's length, its commit point.
     CommitPoint,
     /// Step 3: copying the logged words onto the originals.
     Apply,
-    /// Step 4: clearing the committed flag so the log can be reused.
+    /// Step 4: zeroing the log's length so the log can be reused.
     Retire,
 }
 
@@ -637,11 +698,13 @@ fn read_log(pmem: &jnvm_pmem::Pmem, chain: &RawChain) -> (u64, Vec<u8>) {
 
 /// Decode the entries of `chain`'s log from `bytes`, its first `len` words
 /// of entries — the bytes a live commit has just stored, or what recovery
-/// read back. Nothing is trusted: a length the chain cannot hold, an entry
-/// running past `len`, an unknown kind, an address outside the heap, an
-/// allocation of a class the registry does not know and a write range
-/// leaving its block's payload are all [`JnvmError::CorruptLog`] —
-/// reported before anything is applied.
+/// read back. A LINK decodes to the ALLOC and the WRITE it stands for, a
+/// SWAP to the ALLOC, the FREE and the WRITE. Nothing is trusted: a length
+/// the chain cannot hold, an entry running past `len`, an unknown kind, an
+/// address outside the heap (a LINK's or SWAP's object and freed address
+/// included), an allocation of a class the registry does not know and a
+/// write range leaving its block's payload are all [`JnvmError::CorruptLog`]
+/// — reported before anything is applied.
 fn decode_log(
     rt: &JnvmRuntime,
     chain: &RawChain,
@@ -658,41 +721,53 @@ fn decode_log(
         let at = (i * 8) as usize;
         u64::from_le_bytes(bytes[at..at + 8].try_into().expect("slice of 8"))
     };
+    let heap_blocks = heap.data_start()..heap.nblocks();
+    let in_heap = |a: u64| a & 7 == 0 && heap_blocks.contains(&heap.block_of_addr(a));
     let mut entries = Vec::new();
     let mut i = 0;
     while i < len {
         let head = word(i);
         let (kind, high, addr) = (head & KIND_MASK, head >> RUN_SHIFT, head & ADDR_MASK);
-        // An ALLOC's high bits are its class id, not a run of words.
-        let n = if kind == KIND_ALLOC { 0 } else { high };
+        // The high bits of an ALLOC, a LINK or a SWAP are a class id, not
+        // a run of words: a LINK carries one word, a SWAP two.
+        let (n, class) = match kind {
+            KIND_ALLOC => (0, Some(high as u16)),
+            KIND_LINK => (1, Some(high as u16)),
+            KIND_SWAP => (2, Some(high as u16)),
+            _ => (high, None),
+        };
         if n > len - i - 1 {
             return corrupt(head, "entry runs past the committed length");
         }
-        let block = heap.block_of_addr(addr);
-        if block < heap.data_start() || block >= heap.nblocks() {
+        if !in_heap(addr) {
             return corrupt(head, "address outside the heap");
         }
-        entries.push(match (kind, n) {
-            (KIND_ALLOC, _) => {
-                let class = high as u16;
-                if rt.registry().ops_of_id(class).is_none() {
-                    return corrupt(head, "allocation of an unregistered class");
-                }
-                Entry::Alloc { addr, class }
-            }
-            (KIND_FREE, 0) => Entry::Free(addr),
-            (KIND_WRITE, 1..) => {
-                let off = addr - heap.block_addr(block);
-                if off < HEADER_BYTES || n * 8 > heap.block_size() - off {
+        if class.is_some_and(|class| rt.registry().ops_of_id(class).is_none()) {
+            return corrupt(head, "allocation of an unregistered class");
+        }
+        match (kind, n, class) {
+            (KIND_ALLOC, _, Some(class)) => entries.push(Entry::Alloc { addr, class }),
+            (KIND_FREE, 0, _) => entries.push(Entry::Free(addr)),
+            (KIND_WRITE | KIND_LINK | KIND_SWAP, 1.., _) => {
+                let run = if kind == KIND_WRITE { n } else { 1 };
+                let off = addr - heap.block_addr(heap.block_of_addr(addr));
+                if off < HEADER_BYTES || run * 8 > heap.block_size() - off {
                     return corrupt(head, "write range leaves its block's payload");
                 }
-                Entry::Write {
-                    addr,
-                    words: ((i + 1) * 8) as usize..((i + 1 + n) * 8) as usize,
+                if let Some(class) = class {
+                    let obj = word(i + 1) & REF_ADDR_MASK;
+                    let freed = (kind == KIND_SWAP).then(|| word(i + 2));
+                    if !in_heap(obj) || freed.is_some_and(|a| !in_heap(a)) {
+                        return corrupt(head, "address outside the heap");
+                    }
+                    entries.push(Entry::Alloc { addr: obj, class });
+                    entries.extend(freed.map(Entry::Free));
                 }
+                let words = ((i + 1) * 8) as usize..((i + 1 + run) * 8) as usize;
+                entries.push(Entry::Write { addr, words });
             }
             _ => return corrupt(head, "unknown entry kind"),
-        });
+        }
         i += 1 + n;
     }
     Ok(entries)
@@ -700,12 +775,13 @@ fn decode_log(
 
 /// Steps 3–4 of the commit protocol over the durably committed log `chain`
 /// of `len` words, whose entry bytes are `bytes` (see [`decode_log`]): apply
-/// its entries, fence, and only then clear the committed flag and queue its
+/// its entries, fence, and only then store a zero length and queue its
 /// write-back. The caller owns the closing fence and declares `retired_fp`
-/// (the cleared flag, collected only while the sanitizer is on) behind it.
+/// (the zeroed length, collected only while the sanitizer is on) behind it.
 ///
-/// A live commit passes `valid_words`, its ALLOC entries' header words with
-/// the valid bit set (see [`TxState::valid_words`]), and stores each one;
+/// A live commit passes `valid_words`, one header word with the valid bit
+/// set per allocation its entries decode to, in their order (see
+/// [`TxState::valid_words`]), and stores each one;
 /// replay passes none, stores a slot's header from the entry's class and
 /// flips the bit of a master header it reads — the same words.
 ///
@@ -719,8 +795,8 @@ fn decode_log(
 /// allocation. After replay (false) the recovery GC rebuilds the free
 /// queues.
 ///
-/// The applies must be durable before the flag clears: under partial line
-/// eviction a crash could otherwise persist a flag-clear while losing
+/// The applies must be durable before the length clears: under partial
+/// line eviction a crash could otherwise persist the zero length while losing
 /// applied data, and — the log no longer being committed — nothing would
 /// ever replay the torn block. Hence the fence between the two steps,
 /// convicted by the ordering point right behind it.
@@ -792,10 +868,10 @@ fn apply_and_retire(
     if runtime_commit {
         set_phase(CommitPhase::Retire);
     }
-    pmem.write_u64(chain.phys(LOG_COMMITTED), 0);
-    pmem.pwb(chain.phys(LOG_COMMITTED));
+    pmem.write_u64(chain.phys(LOG_LEN), 0);
+    pmem.pwb(chain.phys(LOG_LEN));
     if collect {
-        retired_fp.push((chain.phys(LOG_COMMITTED), 8));
+        retired_fp.push((chain.phys(LOG_LEN), 8));
     }
     Ok(frees)
 }
@@ -851,9 +927,16 @@ impl JnvmRuntime {
     /// Execute `f` as a failure-atomic block whose mutations are **staged**
     /// rather than committed: every modification is staged exactly as in
     /// [`JnvmRuntime::fa`] and the block's redo entries are built — in
-    /// DRAM: staging touches no log, queues no write-back and issues no
-    /// fence (the objects `f` allocates are the only NVMM it writes). The
-    /// returned [`StagedTx`] must be handed to
+    /// DRAM: staging touches no log. What it writes to NVMM is the
+    /// allocator's: the objects `f` allocates, stored in place with their
+    /// write-back left to the commit (but a chain grown inside the block
+    /// writes back its new links), and the pool blocks it carves — a carve
+    /// stores and `pwb`s the pool header, and a carve of a recycled block
+    /// also clears its slots' mini-headers, writes them back and fences.
+    /// Those write-backs sit in the staging thread's queue, and only that
+    /// thread's fences order them: hence [`JnvmRuntime::fa_commit_group`]
+    /// must run on it.
+    /// The returned [`StagedTx`] must be handed to
     /// [`JnvmRuntime::fa_commit_group`] (with any number of siblings) to
     /// make the block durable as part of *one* transaction behind one pass
     /// of fences — the group commit of the server write path. Dropping the
@@ -928,9 +1011,9 @@ impl JnvmRuntime {
     /// acknowledgement released after this call covers every block in the
     /// group, and a crash leaves all of the group or none of it), the
     /// entries are applied behind a single apply fence (the applies must be
-    /// durable before the committed flag clears), and a single retire fence
-    /// closes the pass. `K` independent commits thus cost 4 fences and one
-    /// flag line instead of `4K` and `K`.
+    /// durable before the length clears), and a single retire fence closes
+    /// the pass. `K` independent commits thus cost 4 fences and one commit
+    /// word instead of `4K` and `K`.
     ///
     /// Blocks that staged no mutations are released for free. The order of
     /// `group` is the apply order; footprints must be pairwise disjoint
@@ -1028,17 +1111,15 @@ impl JnvmRuntime {
         // 2. Commit point of the whole group.
         set_phase(CommitPhase::CommitPoint);
         pmem.write_u64(chain.phys(LOG_LEN), words);
-        pmem.write_u64(chain.phys(LOG_COMMITTED), 1);
-        // Flag and length are neighbours: one write-back covers both.
-        chain.pwb_range(pmem, LOG_COMMITTED, LOG_ENTRIES);
+        pmem.pwb(chain.phys(LOG_LEN));
         // ---- the group's durability point ----
         pmem.pfence();
         undo.0.clear();
         // The whole group is durably committed behind the one fence: what
-        // step 1 flushed, and the log's flag and length words.
-        staged.push((chain.phys(LOG_COMMITTED), LOG_ENTRIES));
+        // step 1 flushed, and the log's length.
+        staged.push((chain.phys(LOG_LEN), 8));
         pmem.ordering_point("fa-commit", &staged);
-        // 3–4. Apply the entries, fence, clear the flag; then retire the
+        // 3–4. Apply the entries, fence, zero the length; then retire the
         // log behind the closing fence. The entries are applied from
         // `bytes` and the allocations validated from `valid_words`: what
         // step 1 stored and what the blocks allocated are never read back.
@@ -1068,8 +1149,8 @@ impl JnvmRuntime {
     }
 }
 
-/// A staged failure-atomic block: mutations staged, logged and queued
-/// for write-back, but not yet durable. Produced by
+/// A staged failure-atomic block: its mutations staged and its redo
+/// entries built, in DRAM — nothing of it logged, nothing durable. Produced by
 /// [`JnvmRuntime::fa_stage`]; consumed by [`JnvmRuntime::fa_commit_group`].
 /// Dropping an uncommitted handle aborts the block.
 pub struct StagedTx {
@@ -1140,6 +1221,23 @@ mod tests {
         let (len, bytes) = read_log(rt.pmem(), chain);
         let entries = decode_log(rt, chain, len, &bytes).expect("well-formed log");
         (bytes, entries)
+    }
+
+    /// The heads of the entries in `entries`, a block's or a log's words.
+    fn heads(entries: &[u64]) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < entries.len() {
+            let head = entries[i];
+            out.push(head);
+            i += 1 + match head & KIND_MASK {
+                KIND_ALLOC | KIND_FREE => 0,
+                KIND_LINK => 1,
+                KIND_SWAP => 2,
+                _ => (head >> RUN_SHIFT) as usize,
+            };
+        }
+        out
     }
 
     fn used_slots(rt: &Jnvm) -> u64 {
@@ -1217,7 +1315,7 @@ mod tests {
                     continue;
                 }
                 let chain = RawChain::open(&rt, log_addr);
-                if pmem.read_u64(chain.phys(LOG_COMMITTED)) != 1 {
+                if pmem.read_u64(chain.phys(LOG_LEN)) == 0 {
                     continue;
                 }
                 for entry in read_back(&rt, &chain).1 {
@@ -1258,10 +1356,10 @@ mod tests {
     }
 
     /// A group of K staged blocks is one transaction in one log: staging
-    /// touches no log, the commit takes exactly one, sets one flag and one
-    /// length, clears one flag, and costs 4 fences total, not 4K (flush,
-    /// commit point, apply — durable before the flag clears —, retire);
-    /// every block's effect lands.
+    /// touches no log, the commit takes exactly one, stores its length once
+    /// and zeroes it once, and costs 4 fences total, not 4K (flush, commit
+    /// point, apply — durable before the length clears —, retire); every
+    /// block's effect lands.
     #[test]
     fn group_commits_as_one_transaction_in_one_log() {
         use jnvm_pmem::{FaultOp, FaultPlan};
@@ -1305,13 +1403,12 @@ mod tests {
                 |r: &&jnvm_pmem::TraceRecord| r.op == FaultOp::Write && r.addr == log.phys(logical);
             trace.iter().filter(to).count()
         };
-        assert_eq!(stores(LOG_COMMITTED), 2, "one flag set, one flag cleared");
-        assert_eq!(stores(LOG_LEN), 1, "one length");
-        assert_eq!(pmem.read_u64(log.phys(LOG_LEN)), 2 * objs.len() as u64);
+        assert_eq!(stores(LOG_LEN), 2, "one length stored, one zeroed");
+        assert_eq!(pmem.read_u64(log.phys(LOG_LEN)), 0, "retired");
         assert_ne!(
             log.phys(LOG_ENTRIES) / CACHE_LINE,
             log.phys(LOG_LEN) / CACHE_LINE,
-            "the flag/length line holds no entry words"
+            "the length's line holds no entry words"
         );
         for (i, obj) in objs.iter().enumerate() {
             assert_eq!(obj.read_u64(0), 100 + i as u64);
@@ -1430,7 +1527,6 @@ mod tests {
         let chain = rt.fa_manager().acquire_log(&rt).chain;
         chain.write_bytes(&pmem, LOG_ENTRIES, &bytes);
         pmem.write_u64(chain.phys(LOG_LEN), 3);
-        pmem.write_u64(chain.phys(LOG_COMMITTED), 1);
         damage(&pmem, &chain, &addrs);
         pmem.drain_all();
         pmem.crash(&CrashPolicy::strict()).unwrap();
@@ -1486,6 +1582,10 @@ mod tests {
         fn write(n: u64, addr: u64) -> u64 {
             n << RUN_SHIFT | addr | KIND_WRITE
         }
+        /// A LINK or SWAP head of an object of class `class` at `addr`.
+        fn fused(kind: u64, class: u16, addr: u64) -> u64 {
+            u64::from(class) << RUN_SHIFT | addr | kind
+        }
         let (pmem, addrs) = committed_image(|_, _, _| ());
         let (rt, report) = JnvmBuilder::new().open(Arc::clone(&pmem)).unwrap();
         assert_eq!(report.replayed_logs, 1);
@@ -1493,7 +1593,7 @@ mod tests {
         assert!(!Proxy::open(&rt, addrs[1]).is_valid());
 
         type Damage = fn(&Pmem, &RawChain, &[u64]);
-        let cases: [(&str, Damage); 15] = [
+        let cases: [(&str, Damage); 24] = [
             ("committed length exceeds the log", |p, c, _| {
                 p.write_u64(c.phys(LOG_LEN), u64::MAX)
             }),
@@ -1528,7 +1628,7 @@ mod tests {
             ("unknown entry kind", |p, c, a| {
                 p.write_u64(c.phys(entry(0)), a[1])
             }),
-            // Kinds 4-7: a set bit 2 is not part of any address.
+            // Kinds 6 and 7: a set bit 2 is not part of any address.
             ("unknown entry kind", |p, c, a| {
                 p.write_u64(c.phys(entry(0)), a[1] | 4 | KIND_FREE)
             }),
@@ -1551,6 +1651,50 @@ mod tests {
             ("allocation of an unregistered class", |p, c, a| {
                 p.write_u64(c.phys(entry(0)), 0x7fff << RUN_SHIFT | a[1] | KIND_ALLOC)
             }),
+            // The WRITE made a LINK (of word 99) or a SWAP (of `a[2]`,
+            // freeing the word after it): a LINK's and a SWAP's high bits
+            // are a class id, their word names an object in the heap, a
+            // SWAP frees an address in the heap, and their payload is one
+            // word and two.
+            ("allocation of an unregistered class", |p, c, a| {
+                p.write_u64(c.phys(entry(1)), fused(KIND_LINK, 0x7fff, a[0] + 8))
+            }),
+            ("allocation of an unregistered class", |p, c, a| {
+                p.write_u64(c.phys(entry(1)), fused(KIND_SWAP, 0, a[0] + 8));
+                p.write_u64(c.phys(entry(2)), a[2]);
+                p.write_u64(c.phys(LOG_LEN), 4)
+            }),
+            ("address outside the heap", |p, c, a| {
+                p.write_u64(c.phys(entry(1)), fused(KIND_LINK, CLASS_ID_FALOG, a[0] + 8))
+            }),
+            ("address outside the heap", |p, c, a| {
+                p.write_u64(c.phys(entry(1)), fused(KIND_LINK, CLASS_ID_FALOG, a[0] + 8));
+                p.write_u64(c.phys(entry(2)), p.len())
+            }),
+            ("address outside the heap", |p, c, a| {
+                p.write_u64(c.phys(entry(1)), fused(KIND_SWAP, CLASS_ID_FALOG, a[0] + 8));
+                p.write_u64(c.phys(entry(2)), a[2]);
+                p.write_u64(c.phys(entry(3)), 64);
+                p.write_u64(c.phys(LOG_LEN), 4)
+            }),
+            ("address outside the heap", |p, c, a| {
+                p.write_u64(c.phys(entry(1)), fused(KIND_SWAP, CLASS_ID_FALOG, a[0] + 8));
+                p.write_u64(c.phys(entry(2)), a[2]);
+                p.write_u64(c.phys(entry(3)), 1 << RUN_SHIFT | a[3]);
+                p.write_u64(c.phys(LOG_LEN), 4)
+            }),
+            ("write range leaves its block's payload", |p, c, a| {
+                p.write_u64(c.phys(entry(1)), fused(KIND_LINK, CLASS_ID_FALOG, a[2]));
+                p.write_u64(c.phys(entry(2)), a[3])
+            }),
+            ("entry runs past the committed length", |p, c, a| {
+                p.write_u64(c.phys(entry(1)), fused(KIND_LINK, CLASS_ID_FALOG, a[0] + 8));
+                p.write_u64(c.phys(LOG_LEN), 2)
+            }),
+            ("entry runs past the committed length", |p, c, a| {
+                p.write_u64(c.phys(entry(1)), fused(KIND_SWAP, CLASS_ID_FALOG, a[0] + 8));
+                p.write_u64(c.phys(entry(2)), a[2])
+            }),
         ];
         for (reason, damage) in cases {
             let (pmem, addrs) = committed_image(damage);
@@ -1565,8 +1709,9 @@ mod tests {
             }
             assert_eq!(words(&pmem), before, "{reason}: a refused log was applied");
         }
-        // Every kind the 3 bits can hold besides the three defined.
-        for kind in (0..=KIND_MASK).filter(|k| ![KIND_ALLOC, KIND_FREE, KIND_WRITE].contains(k)) {
+        // Every kind the 3 bits can hold besides the five defined: 0, 6, 7.
+        let defined = [KIND_ALLOC, KIND_FREE, KIND_WRITE, KIND_LINK, KIND_SWAP];
+        for kind in (0..=KIND_MASK).filter(|k| !defined.contains(k)) {
             let (_pmem, rt, objs) = stage_setup();
             let chain = rt.fa_manager().acquire_log(&rt).chain;
             let bytes = (objs[0].addr() | kind).to_le_bytes();
@@ -1603,9 +1748,10 @@ mod tests {
     }
 
     /// One group in the three shapes of the server's writes: a field update
-    /// (fresh blob, one reference swapped, old blob freed), an insert (a
-    /// fresh record of two fresh blobs published in two words of a valid
-    /// object) and a delete (a reference cleared, object and blob freed).
+    /// (fresh blob, one reference swapped, old blob freed: a SWAP), an
+    /// insert (a fresh record of two fresh blobs published in one word of a
+    /// valid object: a LINK and two ALLOCs) and a delete (a reference
+    /// cleared, object and blob freed, a counter written).
     fn mixed_group(rt: &Jnvm, objs: &[Proxy]) -> Vec<StagedTx> {
         let blob = |fill: u64| {
             let blob = Proxy::alloc(rt, CLASS_ID_FALOG, 8);
@@ -1621,15 +1767,78 @@ mod tests {
             let rec = Proxy::alloc(rt, CLASS_ID_FALOG, 16);
             rec.write_u64(0, blob(0x5E70));
             rec.write_u64(8, blob(0x5E71));
-            objs[1].write_u64(0, 101);
             objs[1].write_u64(8, rec.addr());
         });
         let del = rt.fa_stage(|| {
             rt.free_addr(objs[3].read_u64(8));
             rt.free_addr(objs[3].addr());
             objs[2].write_u64(0, 102);
+            objs[2].write_u64(8, 0);
         });
         vec![setf.0, set.0, del.0]
+    }
+
+    /// A field update seals to exactly one 24-byte SWAP: its blob's ALLOC
+    /// and the old blob's FREE ride in the one-word WRITE of the reference.
+    /// An insert seals to one LINK for the cell that publishes the record,
+    /// and plain ALLOCs for the blobs only the fresh record references;
+    /// `valid_words` follows the record's header word to its LINK. A block
+    /// that frees an object it allocated fuses nothing.
+    #[test]
+    fn seal_fuses_a_swap_and_a_link_and_nothing_else() {
+        let (_pmem, rt, objs, addrs) = mixed_setup();
+        let class = u64::from(CLASS_ID_FALOG) << RUN_SHIFT;
+        let [setf, set, _]: [StagedTx; 3] = mixed_group(&rt, &objs).try_into().unwrap();
+        let fresh = &addrs[8..];
+        assert_eq!(
+            setf.state().entries,
+            [class | (addrs[0] + 16) | KIND_SWAP, fresh[0], addrs[4]]
+        );
+        assert_eq!(entry_bytes(std::slice::from_ref(&setf)).len(), 24);
+        assert_eq!((setf.op_count(), setf.state().valid_words.len()), (1, 1));
+        assert_eq!(
+            set.state().entries,
+            [
+                class | fresh[2] | KIND_ALLOC,
+                class | fresh[3] | KIND_ALLOC,
+                class | (addrs[1] + 16) | KIND_LINK,
+                fresh[1],
+            ]
+        );
+        // A two-block record: its header word is told apart by its link.
+        let (tx, rec) = rt.fa_stage(|| {
+            let rec = Proxy::alloc(&rt, CLASS_ID_FALOG, 300);
+            rec.write_u64(0, Proxy::alloc(&rt, CLASS_ID_FALOG, 8).addr());
+            objs[2].write_u64(8, rec.addr());
+            rec.addr()
+        });
+        let link = tx
+            .state()
+            .valid_words
+            .iter()
+            .map(|w| BlockHeader::decode(*w).next);
+        assert_eq!(
+            link.collect::<Vec<_>>(),
+            [NULL_BLOCK, rt.heap().block_of_addr(rec) + 1]
+        );
+        let (tx, blob) = rt.fa_stage(|| {
+            let blob = Proxy::alloc(&rt, CLASS_ID_FALOG, 8).addr();
+            objs[3].write_u64(8, blob);
+            rt.free_addr(addrs[7]);
+            rt.free_addr(blob);
+            blob
+        });
+        assert_eq!(
+            tx.state().entries,
+            [
+                class | blob | KIND_ALLOC,
+                addrs[7] | KIND_FREE,
+                blob | KIND_FREE,
+                1 << RUN_SHIFT | (addrs[3] + 16) | KIND_WRITE,
+                blob,
+            ]
+        );
+        assert_eq!(tx.op_count(), 4);
     }
 
     /// `(valid, word 0, word 1)` of each one-block object at `addrs`, zeroes
@@ -1654,8 +1863,9 @@ mod tests {
     /// the entries it holds in DRAM and never reads its log, recovery has
     /// only the log. At every crash point of a mixed group's commit past
     /// the commit point, the log on media is byte for byte what the commit
-    /// staged and decodes to the same entries — its four ALLOC entries
-    /// carrying their class id —, and replaying it converges to the image
+    /// staged — one SWAP for the update, one LINK for the insert — and
+    /// decodes to the same entries — four allocations carrying their class
+    /// id —, and replaying it converges to the image
     /// the uninterrupted commit leaves, as does a crash after the retire,
     /// frees invalidated; before the commit point, nothing of the group
     /// survives. Strict power failures and 8 adversarial eviction seeds.
@@ -1703,7 +1913,7 @@ mod tests {
                 assert!(outcome.is_err(), "crash point {point} not reached");
                 let committed = commit_phase().is_committed();
                 let log = first_log(&rt);
-                let on_media = pmem.read_u64(log.phys(LOG_COMMITTED)) == 1;
+                let on_media = pmem.read_u64(log.phys(LOG_LEN)) != 0;
                 if on_media {
                     let (bytes, entries) = read_back(&rt, &log);
                     let dram = staged.borrow();
@@ -1725,7 +1935,19 @@ mod tests {
                             }
                         )
                     });
-                    assert_eq!(allocs.count(), 4, "ALLOC entries carry the class id");
+                    assert_eq!(allocs.count(), 4, "allocations carry the class id");
+                    let fused = |kind| {
+                        let words = dram
+                            .chunks(8)
+                            .map(|w| u64::from_le_bytes(w.try_into().unwrap()));
+                        let heads = heads(&words.collect::<Vec<_>>());
+                        heads.iter().filter(|h| *h & KIND_MASK == kind).count()
+                    };
+                    assert_eq!(
+                        (fused(KIND_SWAP), fused(KIND_LINK)),
+                        (1, 1),
+                        "fused entries"
+                    );
                     compared += 1;
                 }
                 drop((objs, rt));
@@ -1756,21 +1978,21 @@ mod tests {
     }
 
     /// Regression: the recovery report counted as "abandoned" every log
-    /// with a clear flag and a non-zero length — which is what retire
-    /// leaves behind (it clears the flag only), so every log ever used was
-    /// reported. Media cannot tell the two apart; the count is gone, and a
-    /// cleanly retired log replays nothing and is pooled again.
+    /// with a clear flag and a non-zero length — which is what retire left
+    /// behind when it cleared a flag word only, so every log ever used was
+    /// reported. Media cannot tell a retired log from one cut short before
+    /// its commit point — both hold a zero length —; the count is gone, and
+    /// a cleanly retired log replays nothing and is pooled again.
     #[test]
     fn a_cleanly_retired_log_is_not_reported_abandoned() {
         let (pmem, rt, objs) = stage_setup();
         rt.fa(|| objs[0].write_u64(0, 5));
         rt.fa(|| objs[1].write_u64(0, 6));
         let log = first_log(&rt);
-        let words = |pmem: &Pmem| [LOG_COMMITTED, LOG_LEN].map(|at| pmem.read_u64(log.phys(at)));
-        assert_eq!(words(&pmem), [0, 2]);
+        assert_eq!(pmem.read_u64(log.phys(LOG_LEN)), 0);
         drop((objs, rt));
         pmem.crash(&CrashPolicy::strict()).unwrap();
-        assert_eq!(words(&pmem), [0, 2], "retire is durable");
+        assert_eq!(pmem.read_u64(log.phys(LOG_LEN)), 0, "retire is durable");
         let (rt2, report) = JnvmBuilder::new().open(Arc::clone(&pmem)).unwrap();
         assert_eq!(report.replayed_logs, 0);
         assert!(!format!("{report:?}").contains("abandoned"));
@@ -1849,11 +2071,12 @@ mod tests {
                 before,
                 rt.heap().blocks_for(LOG_ENTRIES + LOG_INIT_WORDS * 8) * 248
             );
-            pmem.arm_faults(FaultPlan::count());
-            workload(&rt, &objs);
-            let total = pmem.disarm_faults();
             let words = 4 * 8 * (1 + 31);
-            assert_eq!(pmem.read_u64(first_log(&rt).phys(LOG_LEN)), words);
+            pmem.arm_faults(FaultPlan::count());
+            let group = stage_fills(&rt, &objs, 7);
+            assert_eq!(entry_bytes(&group).len() as u64, words * 8);
+            rt.fa_commit_group(group);
+            let total = pmem.disarm_faults();
             assert!(words > LOG_INIT_WORDS && first_log(&rt).capacity() > before);
             total
         };
@@ -1891,7 +2114,7 @@ mod tests {
 
     /// Growing the group's log can exhaust the heap, mid-commit. Every
     /// block of the group then aborts — fresh allocations released, no
-    /// original touched — and no flag is set: nothing replays. The log,
+    /// original touched — and no length is stored: nothing replays. The log,
     /// grown part of the way, is back in the pool: once there is space the
     /// same group commits in it and no second log is created.
     #[test]
@@ -1930,8 +2153,8 @@ mod tests {
             "the fresh object was released"
         );
         assert_eq!(fills(&rt, &addrs), [Some(0); 4], "an aborted block applied");
-        let flag = first_log(&rt).phys(LOG_COMMITTED);
-        assert_eq!((pmem.read_u64(flag), pmem.media_read_u64(flag)), (0, 0));
+        let len = first_log(&rt).phys(LOG_LEN);
+        assert_eq!((pmem.read_u64(len), pmem.media_read_u64(len)), (0, 0));
 
         // Free space and commit the same group again.
         for b in drained {
@@ -1999,23 +2222,6 @@ mod tests {
         out
     }
 
-    /// The addresses and class ids of a block's ALLOC entries, in entry
-    /// order.
-    fn alloc_entries(entries: &[u64]) -> Vec<(u64, u16)> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < entries.len() {
-            let head = entries[i];
-            if head & KIND_MASK == KIND_ALLOC {
-                out.push((head & ADDR_MASK, (head >> RUN_SHIFT) as u16));
-                i += 1;
-            } else {
-                i += 1 + (head >> RUN_SHIFT) as usize;
-            }
-        }
-        out
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -2026,9 +2232,12 @@ mod tests {
         /// every stored word equals what replay stores — `set_valid`'s
         /// read-modify-write of a master header, a slot's header from the
         /// ALLOC entry's class — and the step-1 ranges from DRAM equal a
-        /// `chain_blocks` walk's. Until the commit, a slot's mini-header on
-        /// media is the invalid word of its carve, and header reads inside
-        /// the block see the staged one.
+        /// `chain_blocks` walk's. Each block publishes its first allocation
+        /// in one word of a valid object, a LINK that moves the allocation
+        /// behind the block's ALLOCs: its header word follows it there.
+        /// Until the commit, a slot's mini-header on media is the invalid
+        /// word of its carve, and header reads inside the block see the
+        /// staged one.
         #[test]
         fn commit_stores_what_the_read_back_paths_computed(
             group in proptest::collection::vec(proptest::collection::vec(alloc_op(), 0..5), 1..4),
@@ -2039,27 +2248,38 @@ mod tests {
                 .create(Arc::clone(&pmem), HeapConfig::default())
                 .unwrap();
             let id = rt.registry().id_of::<Word>().unwrap();
+            let holder = Proxy::alloc(&rt, id, 64);
+            holder.validate();
+            let log = rt.fa_manager().acquire_log(&rt);
             let staged: Vec<StagedTx> = group
                 .iter()
-                .map(|allocs| {
+                .enumerate()
+                .map(|(j, allocs)| {
                     rt.fa_stage(|| {
                         for (i, a) in allocs.iter().enumerate() {
                             let fill = i as u64 + 1;
-                            match *a {
+                            let addr = match *a {
                                 Alloc::Pooled(payload) => {
                                     let p = Proxy::try_alloc_small(&rt, id, payload).unwrap();
                                     p.write_u64(0, fill);
                                     assert_eq!(pmem.read_u64(p.addr()), 0, "a slot's media header");
                                     assert_eq!((p.class_id(), p.is_valid()), (id, false));
+                                    p.addr()
                                 }
                                 Alloc::Chain(payload) => {
-                                    Proxy::alloc(&rt, id, payload).write_u64(0, fill);
+                                    let p = Proxy::alloc(&rt, id, payload);
+                                    p.write_u64(0, fill);
+                                    p.addr()
                                 }
                                 Alloc::Grown(payload, extra) => {
                                     let mut p = Proxy::alloc(&rt, id, payload);
                                     p.extend(extra).unwrap();
                                     p.write_u64(p.capacity() - 8, fill);
+                                    p.addr()
                                 }
+                            };
+                            if i == 0 {
+                                holder.write_u64(16 * j as u64, addr);
                             }
                         }
                     })
@@ -2072,7 +2292,14 @@ mod tests {
                 let mut dram = Vec::new();
                 state.allocated_ranges(&mut dram);
                 prop_assert_eq!(dram, walked_ranges(state));
-                let masters = alloc_entries(&state.entries);
+                let bytes = entry_bytes(std::slice::from_ref(tx));
+                let entries = decode_log(&rt, &log.chain, bytes.len() as u64 / 8, &bytes).unwrap();
+                let alloc = |e| match e {
+                    Entry::Alloc { addr, class } => Some((addr, class)),
+                    _ => None,
+                };
+                let masters: Vec<(u64, u16)> = entries.into_iter().filter_map(alloc).collect();
+                prop_assert_eq!(heads(&state.entries).last().map(|h| h & KIND_MASK), (!masters.is_empty()).then_some(KIND_LINK));
                 let replayed: Vec<u64> = masters
                     .iter()
                     .map(|&(a, class)| {
@@ -2087,6 +2314,7 @@ mod tests {
                 prop_assert_eq!(&state.valid_words, &replayed);
                 expected.extend(masters.into_iter().map(|(a, _)| a).zip(replayed));
             }
+            rt.fa_manager().release_log(log);
             rt.fa_commit_group(staged);
             for (master, word) in expected {
                 prop_assert_eq!(pmem.read_u64(master), word, "header at {:#x}", master);
@@ -2189,6 +2417,7 @@ mod tests {
                     model[lo as usize..hi as usize].copy_from_slice(&view[lo as usize..hi as usize]);
                     staged.push(tx);
                 }
+                let words = entry_bytes(&staged).len() as u64 / 8;
                 rt.fa_commit_group(staged);
                 let image = |rt: &Jnvm| -> Vec<Vec<u8>> {
                     let read = |a: &u64| {
@@ -2202,8 +2431,11 @@ mod tests {
                 let want = vec![neighbour.clone(), model.clone(), neighbour, model.clone()];
                 prop_assert_eq!(&image(&rt), &want, "after the live commit");
 
-                // The log on media: every WRITE entry inside its object.
+                // Commit the retired log again on media, by its length: every
+                // WRITE entry inside its object.
                 let log = first_log(&rt);
+                pmem.write_u64(log.phys(LOG_LEN), words);
+                pmem.pwb(log.phys(LOG_LEN));
                 for entry in read_back(&rt, &log).1 {
                     if let Entry::Write { addr, words } = entry {
                         let end = addr + words.len() as u64;
@@ -2214,14 +2446,12 @@ mod tests {
                         );
                     }
                 }
-                // Put the image from before the group back, commit the log
-                // again on media, and let recovery replay it.
+                // Put the image from before the group back, and let recovery
+                // replay the log.
                 for p in [pooled, chained] {
                     p.chain().write_bytes(&pmem, 0, &before);
                     p.chain().pwb_range(&pmem, 0, payload);
                 }
-                pmem.write_u64(log.phys(LOG_COMMITTED), 1);
-                pmem.pwb(log.phys(LOG_COMMITTED));
                 pmem.pfence();
                 drop(objs);
                 drop(rt);

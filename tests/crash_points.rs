@@ -490,7 +490,7 @@ fn skiplist_publish_paths_survive_every_crash_point() {
 // Workload 5: multi-object blocks under adversarial line eviction. A strict
 // power failure — nothing unfenced survives — cannot see a fence missing
 // *between* two steps of the commit: that takes a crash that persists a
-// later line (the cleared committed flag) and loses an earlier one (an
+// later line (the zeroed log length) and loses an earlier one (an
 // applied payload). The commit used to retire its log without fencing the
 // applies; a block over several objects then tore, and no log was left to
 // replay it.
@@ -557,7 +557,7 @@ fn cells_setup(grouped: bool) -> (Arc<Pmem>, CellsCtx) {
 /// eviction seeds, reopen, and require the *commit* to be all-or-nothing:
 /// every failure-atomic block of it — `observe` reports each as `Some(is it
 /// new)`, or `None` when torn — whole, all of them on the same side (a
-/// group is one transaction in one log, with one flag line), and that side
+/// group is one transaction in one log, with one commit word), and that side
 /// the new one once the commit-point fence has executed. Returns the number
 /// of crashing runs.
 fn adversarial_sweep<C: Sync>(
@@ -730,8 +730,9 @@ fn spans_adversarial_sweep(n: usize, seeds: u64, every_point: bool) -> u64 {
 // And over a structural group — the three shapes of the server's writes in
 // one commit: ALLOC and FREE entries (one word each since log format 3,
 // pooled blobs and a block-allocated object) beside the WRITEs that publish
-// and unlink them, applied by the live commit from DRAM and by replay from
-// the log.
+// and unlink them, a one-word publish of a fresh object fused with its
+// ALLOC (and a FREE) into a LINK or a SWAP since log format 5, applied by
+// the live commit from DRAM and by replay from the log.
 
 struct SlotsCtx {
     rt: Jnvm,
@@ -1456,15 +1457,16 @@ fn solo_fa_and_group_of_one_issue_identical_device_ops() {
         .collect::<Vec<_>>()
     };
     let solo = trace(false);
-    // 27 device ops (30 while a fresh block bumped the persistent bump
+    // 26 device ops (27 while the commit point stored a committed flag
+    // beside the length; 30 while a fresh block bumped the persistent bump
     // pointer and wrote it back, and the entries began on the flag's line;
     // 90 while every redirected write built, flushed and applied a whole
     // in-flight block copy): the allocation (header, one in-place field —
     // the block comes out of the reserved stride), ONE store of the six log
     // entries and the pwbs of their 2 lines + the fresh object's, fence;
-    // length, flag, 1 pwb, fence; the validation and 4 × (8-byte apply +
-    // pwb), fence; flag clear + pwb, fence; the free's header + pwb.
-    assert_eq!(solo.len(), 27, "device ops of the block");
+    // length, 1 pwb, fence; the validation and 4 × (8-byte apply + pwb),
+    // fence; length zeroed + pwb, fence; the free's header + pwb.
+    assert_eq!(solo.len(), 26, "device ops of the block");
     assert_eq!(solo, trace(true));
 }
 

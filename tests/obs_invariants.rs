@@ -487,14 +487,16 @@ fn log_mode_sites_per_op_are_pinned() {
     // Ordering points record a point span *and* claim pending counts;
     // count them apart from plain begin/end spans. One rmw is one FA
     // block: the `fa-commit` ordering point and the two `fa-retire` ones
-    // (applies durable, then flags cleared), the stage and commit spans,
+    // (applies durable, then lengths zeroed), the stage and commit spans,
     // 4 fences — the applies are fenced before the log retires. Write-backs
     // are not a whole number per op, so the run's total is pinned.
     let points = d.ordering_points();
     assert_eq!(points, 3 * OPS, "ordering points per rmw");
     assert_eq!(spans - points, 2 * OPS, "begin/end spans per rmw");
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fence hooks per rmw");
-    // 7.2 per rmw; 27 689 while a record's first word held its count (the
+    // 7.2 per rmw, unchanged when an rmw's swap became one 24-B SWAP entry
+    // (32 B before) and the commit point one word (two): both still fit
+    // the lines they took; 27 689 while a record's first word held its count (the
     // rmw's two-field records took slots of the 32-B class, not the 16-B
     // one beside its values, so where a value's slot lies moved); 28 200
     // while a value began with a length word (the
@@ -561,10 +563,13 @@ fn setf(key: usize, field: usize, fill: u8) -> WriteOp {
 
 /// What one 100-byte `SETF` moves on the device, exactly: the redo log
 /// carries the 8-byte reference the op changes, not the record's block,
-/// and the commit applies it from DRAM. 188 bytes (8 read: the old
+/// and the commit applies it from DRAM. 172 bytes (8 read: the old
 /// reference — the map lookup answers from DRAM, the record's field count
 /// included), 8 `pwb`s (the new value's header and bytes cover 2 lines of
-/// its pool slot), 4 fences — 196 bytes (16 read) while the record's first
+/// its pool slot), 4 fences — 188 bytes while the log held the swap as an
+/// ALLOC, a FREE and a one-word WRITE (32 B, not one 24-B SWAP) and the
+/// commit point stored a committed flag beside the length (16 B, not 8);
+/// 196 bytes (16 read) while the record's first
 /// word held its count, 212 bytes (32 read) while the lookup read 2 words, the cell and the
 /// entry's value reference; 220 bytes and 8 or 9 `pwb`s while
 /// the value began with a length word (1 in 64 values then spanned 3
@@ -581,7 +586,7 @@ fn setf(key: usize, field: usize, fill: u8) -> WriteOp {
 /// entries shared the flag's line (1 `pwb`); 1 424 bytes and 23 or 24
 /// `pwb`s while the write was redirected to an in-flight NVMM copy of the
 /// whole block. A change that moves these moves the benchmark's
-/// `update_only` figures (2.48 device bytes per user byte alone) with them.
+/// `update_only` figures (1.72 device bytes per user byte alone) with them.
 #[test]
 fn setf_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
@@ -599,7 +604,7 @@ fn setf_device_cost_per_op_is_pinned() {
     let d = pool.device_stats().delta(&before);
     print_cost_row("SETF (100 B of 10 x 100 B)", OPS, &d);
     assert_eq!(d.bytes_read, 8 * OPS, "device bytes read per SETF");
-    assert_eq!(d.bytes_written, 180 * OPS, "device bytes written per SETF");
+    assert_eq!(d.bytes_written, 164 * OPS, "device bytes written per SETF");
     assert_eq!(d.pwbs, 8 * OPS, "pwbs per SETF");
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fences per group of one");
 }
@@ -645,8 +650,12 @@ fn assert_cost(op: &str, d: &StatsSnapshot, pinned: (u64, u64, u64)) {
 /// What a `SET` of a new key moves on the device, held like `SETF`'s row:
 /// totals over 64 ops, because a pool block or a map cell carved every few
 /// ops makes the per-op figure fractional. Bump-fed, a 10 × 100 B record
-/// costs 0 B read, ≈1 436 B written and 46.2 `pwb`s, a 4 × 64 B one 0 B,
-/// ≈484 B and 19.7; recycling, 1 345 B and 40.5, 457 B and 18.0. A record
+/// costs 0 B read, ≈1 420 B written and 46.2 `pwb`s, a 4 × 64 B one 0 B,
+/// ≈468 B and 19.7; recycling, 1 329 B and 40.5, 441 B and 18.0. The map
+/// cell that publishes the new entry is one 16-B LINK, not the entry's
+/// ALLOC and a one-word WRITE (24 B), and the commit point stores the
+/// length alone, not a flag beside it: 16 B less (≈1 436 B, ≈484 B; 1 345
+/// B, 457 B before). A record
 /// stores no field count (the reference to it carries the count): 8 B
 /// less, and a 4 × 64 B record takes a 32-B slot instead of a 72-B one,
 /// whose flushed range is a line shorter and whose pool blocks cost less
@@ -679,30 +688,32 @@ fn set_device_cost_per_op_is_pinned() {
     assert_cost(
         "SET new key (4 x 64 B), bump-fed",
         &fresh,
-        (0, 30_960, 1_259),
+        (0, 29_936, 1_259),
     );
     assert_cost(
         "SET new key (4 x 64 B), recycling",
         &again,
-        (0, 29_248, 1_152),
+        (0, 28_224, 1_152),
     );
     let [fresh, _, again] = structural_costs(10, 100);
     assert_cost(
         "SET new key (10 x 100 B), bump-fed",
         &fresh,
-        (0, 91_872, 2_954),
+        (0, 90_848, 2_954),
     );
     assert_cost(
         "SET new key (10 x 100 B), recycling",
         &again,
-        (0, 86_080, 2_592),
+        (0, 85_056, 2_592),
     );
 }
 
 /// What a `DEL` moves on the device: the map's unlink, one one-word FREE
 /// entry per value and for the record and the entry, and their
-/// invalidations behind the apply fence — 40 B read, 144 B written and 10
-/// `pwb`s for 4 × 64 B, 88 B, 240 B and 17 for 10 × 100 B. What it reads
+/// invalidations behind the apply fence — 40 B read, 136 B written and 10
+/// `pwb`s for 4 × 64 B, 88 B, 232 B and 17 for 10 × 100 B (144 and 240 B
+/// written while the commit point stored a flag beside the length; a
+/// `DEL` allocates nothing, so none of its entries fuse). What it reads
 /// is the map cell (to find the entry it frees) and the record's
 /// references: no header, no pool meta word, no key, no value, no field
 /// count, and the value reference from DRAM (48 and 96 B read while the
@@ -723,9 +734,9 @@ fn set_device_cost_per_op_is_pinned() {
 fn del_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     let [_, del, _] = structural_costs(4, 64);
-    assert_cost("DEL (4 x 64 B)", &del, (2_560, 9_216, 640));
+    assert_cost("DEL (4 x 64 B)", &del, (2_560, 8_704, 640));
     let [_, del, _] = structural_costs(10, 100);
-    assert_cost("DEL (10 x 100 B)", &del, (5_632, 15_360, 1_088));
+    assert_cost("DEL (10 x 100 B)", &del, (5_632, 14_848, 1_088));
 }
 
 /// What one `GET` moves on the device, exactly, whichever sink serves it:
@@ -855,16 +866,20 @@ fn map_device_cost_per_op_is_pinned() {
 }
 
 /// The same, by commit-group size: a batch of `SETF`s on distinct keys is
-/// one group, one transaction, in one log — so the flag line, the length
-/// and the 4 fences are paid once per group, and the per-op cost falls
-/// towards the op's own 4 log words + value + apply.
+/// one group, one transaction, in one log — so the commit word and the 4
+/// fences are paid once per group, and the per-op cost falls towards the
+/// op's own 3 log words + value + apply.
 #[test]
 fn setf_device_cost_per_group_size_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     const OPS: usize = 64;
     // (ops per group, device bytes read, bytes written, pwbs, fences) of
-    // 64 ops: 188 B and 8.0 pwbs per op alone, 176 B and 6.5 in pairs,
-    // 167 B and 5.9 in eights (8 B read each; 196, 184 and 175 B with 16 B
+    // 64 ops: 172 B and 8.0 pwbs per op alone, 164 B and 6.5 in pairs,
+    // 158 B and 5.6 in eights (8 B read each; 188, 176 and 167 B and 5.9
+    // `pwb`s in eights while a swap logged an ALLOC, a FREE and a one-word
+    // WRITE, 32 B, not one 24-B SWAP — eight of them took 4 log lines, not
+    // 3 — and the commit point stored a flag beside the length; 196, 184
+    // and 175 B with 16 B
     // read while the record's first word held its count; 212, 200 and 191
     // B with 32 B read while the map lookup read the cell and the entry's value
     // reference; 220, 208 and 199 B, the first with 1 `pwb`
@@ -875,9 +890,9 @@ fn setf_device_cost_per_group_size_is_pinned() {
     // read; 368 / 9.5, 356 / 8.0 and 347 / 6.7 with the log read back,
     // two-word heads and entries on the flag's line).
     let pinned = [
-        (1, 8 * 64, 180 * 64, 512, 4 * 64),
-        (2, 8 * 64, 168 * 64, 416, 4 * 32),
-        (8, 8 * 64, 159 * 64, 376, 4 * 8),
+        (1, 8 * 64, 164 * 64, 512, 4 * 64),
+        (2, 8 * 64, 156 * 64, 416, 4 * 32),
+        (8, 8 * 64, 150 * 64, 360, 4 * 8),
     ];
     for (batch, bytes_read, bytes_written, pwbs, fences) in pinned {
         let pool = preloaded_cluster(PmemConfig::crash_sim(32 << 20));
