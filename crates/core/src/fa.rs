@@ -19,10 +19,9 @@
 //! payload; an ALLOC (1) carries none, and `n` is the class id of the
 //! object allocated; a FREE (2) carries none, and `n` is 0. A LINK (4),
 //! `[address | 4 | class << 48][word]`, is a one-word WRITE of `word` plus
-//! the ALLOC of the object of class `class` at `word & REF_ADDR_MASK`; a
-//! SWAP (5), `[address | 5 | class << 48][word][freed]`, is a LINK plus
-//! the FREE of `freed` — a field update's reference swap in 24 bytes, not
-//! the 32 of its three entries.
+//! the ALLOC of the object of class `class` at `word & REF_ADDR_MASK`, in
+//! 16 bytes, not 24: a field update's reference swap logs a LINK and the
+//! old value's FREE.
 //!
 //! Commit, of a group of one or more blocks — the group is the transaction
 //! and has **one** log, the paper's per-thread log of the committing thread:
@@ -52,8 +51,8 @@
 //! touches no log, [`JnvmRuntime::fa_commit_group`] runs the four steps, a
 //! solo [`JnvmRuntime::fa`] is a group of one, and steps 3–4
 //! (`apply_and_retire`) are also what recovery runs over each log it finds
-//! committed. Both decode a LINK or a SWAP into the ALLOC, FREE and WRITE
-//! it stands for, so one apply serves every kind.
+//! committed. Both decode a LINK into the ALLOC and the WRITE it stands
+//! for, so one apply serves every kind.
 //!
 //! Updates to *invalid* objects — typically objects allocated inside the
 //! same block — are applied in place: if the block aborts, recovery deletes
@@ -99,7 +98,6 @@ const KIND_ALLOC: u64 = 1;
 const KIND_FREE: u64 = 2;
 const KIND_WRITE: u64 = 3;
 const KIND_LINK: u64 = 4;
-const KIND_SWAP: u64 = 5;
 /// An entry's head is one word: the kind in the low 3 bits of the 8-aligned
 /// address it targets, and above [`RUN_SHIFT`] the number of payload words
 /// that follow.
@@ -301,7 +299,8 @@ pub(crate) fn trace_log_dir(rt: &Jnvm, word: u64, visit: &mut dyn FnMut(u64)) {
 struct TxState {
     rt: Jnvm,
     /// The block's redo entries as log words: ALLOC and FREE entries in
-    /// program order; `seal` appends the WRITE, LINK and SWAP entries.
+    /// program order; `seal` turns ALLOCs into LINKs and appends the WRITE
+    /// entries.
     entries: Vec<u64>,
     /// Number of entries in `entries`.
     ops: u64,
@@ -314,8 +313,8 @@ struct TxState {
     /// and flushed by the commit), by master address.
     allocated: BTreeMap<u64, Allocated>,
     /// Each allocation's header word with the valid bit set, in the order
-    /// its ALLOC, LINK or SWAP entry comes: what a live commit stores to
-    /// validate the allocation.
+    /// of its ALLOC or LINK entry: what a live commit stores to validate
+    /// the allocation.
     valid_words: Vec<u64>,
     /// DRAM state the block changed ahead of its commit, as the closures
     /// that put it back (see [`JnvmRuntime::on_abort`]).
@@ -343,8 +342,7 @@ struct Allocated {
     /// Payload bytes the commit flushes: what the allocation asked for, or
     /// the whole chain once grown.
     payload: u64,
-    /// Index of its header word in [`TxState::valid_words`] until `seal`
-    /// reorders them.
+    /// Index of its header word in [`TxState::valid_words`].
     word: usize,
     /// Byte addresses of the chain's blocks, master first, when it has
     /// more than one; empty for one block or a pooled object.
@@ -365,17 +363,31 @@ impl TxState {
     /// header word between them.
     ///
     /// A one-word run whose word, masked, is the address of an object the
-    /// block allocated takes that object's ALLOC into a LINK, and the
-    /// block's first FREE not yet taken, if any, makes it a SWAP. A taken
-    /// entry's effect moves behind the writes before it, which store other
-    /// words; `valid_words` follows the ALLOCs into their new order. A block
-    /// that frees an object it allocated fuses nothing: a taken ALLOC would
-    /// pass that object's FREE.
+    /// block allocated becomes a LINK in that object's ALLOC's place: the
+    /// word is stored ahead of the entries between the two, which store
+    /// other words, and every ALLOC keeps its place, so `valid_words` and
+    /// [`Allocated::word`] stay in entry order.
     fn seal(&mut self) {
-        let first = self.entries.len();
+        let mut allocs = self.entries.len();
         let mut head = 0;
         let mut next = None;
-        for (&addr, &v) in &self.overlay {
+        let mut words = self.overlay.iter().peekable();
+        while let Some((&addr, &v)) = words.next() {
+            let obj = v & REF_ADDR_MASK;
+            let lone = next != Some(addr) && words.peek().is_none_or(|w| *w.0 != addr + 8);
+            if lone && self.allocated.contains_key(&obj) {
+                // Its ALLOC, unless an earlier word took it: a LINK's head
+                // and its 8-aligned word both differ from it in kind bits.
+                let alloc = entry_head(KIND_ALLOC, obj);
+                let is_alloc = |e: &u64| e & !(RUN_MAX << RUN_SHIFT) == alloc;
+                if let Some(at) = self.entries[..allocs].iter().position(is_alloc) {
+                    let class = self.entries[at] & RUN_MAX << RUN_SHIFT;
+                    self.entries[at] = entry_head(KIND_LINK, addr) | class;
+                    self.entries.insert(at + 1, v);
+                    allocs += 1;
+                    continue;
+                }
+            }
             if next != Some(addr) || self.entries[head] >> RUN_SHIFT == RUN_MAX {
                 head = self.entries.len();
                 self.entries.push(entry_head(KIND_WRITE, addr));
@@ -385,48 +397,6 @@ impl TxState {
             self.entries[head] += 1 << RUN_SHIFT;
             next = Some(addr + 8);
         }
-        let own =
-            |e: &u64| e & KIND_MASK == KIND_FREE && self.allocated.contains_key(&(e & ADDR_MASK));
-        if self.entries[..first].iter().any(own) {
-            return;
-        }
-        // A taken ALLOC or FREE, and a taken header word, become 0 — no head
-        // and no valid header word is — and are dropped at the end.
-        let mut i = first;
-        while i < self.entries.len() {
-            let head = self.entries[i];
-            let (n, obj) = (head >> RUN_SHIFT, self.entries[i + 1] & REF_ADDR_MASK);
-            let link = self.allocated.get(&obj).map(|a| a.word);
-            let Some(k) = link.filter(|&k| n == 1 && self.valid_words[k] != 0) else {
-                i += 1 + n as usize;
-                continue;
-            };
-            let prefix = &self.entries[..first];
-            let alloc = prefix
-                .iter()
-                .position(|e| e & !(RUN_MAX << RUN_SHIFT) == obj | KIND_ALLOC);
-            let alloc = alloc.expect("an ALLOC entry per allocated object");
-            let free = prefix.iter().position(|e| e & KIND_MASK == KIND_FREE);
-            let class = std::mem::take(&mut self.entries[alloc]) >> RUN_SHIFT << RUN_SHIFT;
-            let valid = std::mem::take(&mut self.valid_words[k]);
-            self.valid_words.push(valid);
-            let kind = if free.is_some() { KIND_SWAP } else { KIND_LINK };
-            self.entries[i] = entry_head(kind, head & ADDR_MASK) | class;
-            i += 2;
-            self.ops -= 1;
-            if let Some(f) = free {
-                let freed = std::mem::take(&mut self.entries[f]) & ADDR_MASK;
-                self.entries.insert(i, freed);
-                i += 1;
-                self.ops -= 1;
-            }
-        }
-        let mut at = 0;
-        self.entries.retain(|&e| {
-            at += 1;
-            at > first || e != 0
-        });
-        self.valid_words.retain(|&w| w != 0);
     }
 
     /// What step 1 of the commit protocol must persist for a sealed block
@@ -698,13 +668,12 @@ fn read_log(pmem: &jnvm_pmem::Pmem, chain: &RawChain) -> (u64, Vec<u8>) {
 
 /// Decode the entries of `chain`'s log from `bytes`, its first `len` words
 /// of entries — the bytes a live commit has just stored, or what recovery
-/// read back. A LINK decodes to the ALLOC and the WRITE it stands for, a
-/// SWAP to the ALLOC, the FREE and the WRITE. Nothing is trusted: a length
-/// the chain cannot hold, an entry running past `len`, an unknown kind, an
-/// address outside the heap (a LINK's or SWAP's object and freed address
-/// included), an allocation of a class the registry does not know and a
-/// write range leaving its block's payload are all [`JnvmError::CorruptLog`]
-/// — reported before anything is applied.
+/// read back. A LINK decodes to the ALLOC and the WRITE it stands for.
+/// Nothing is trusted: a length the chain cannot hold, an entry running
+/// past `len`, an unknown kind, an address outside the heap (a LINK's
+/// object included), an allocation of a class the registry does not know
+/// and a write range leaving its block's payload are all
+/// [`JnvmError::CorruptLog`] — reported before anything is applied.
 fn decode_log(
     rt: &JnvmRuntime,
     chain: &RawChain,
@@ -728,12 +697,11 @@ fn decode_log(
     while i < len {
         let head = word(i);
         let (kind, high, addr) = (head & KIND_MASK, head >> RUN_SHIFT, head & ADDR_MASK);
-        // The high bits of an ALLOC, a LINK or a SWAP are a class id, not
-        // a run of words: a LINK carries one word, a SWAP two.
+        // The high bits of an ALLOC or a LINK are a class id, not a run of
+        // words: a LINK carries one word.
         let (n, class) = match kind {
             KIND_ALLOC => (0, Some(high as u16)),
             KIND_LINK => (1, Some(high as u16)),
-            KIND_SWAP => (2, Some(high as u16)),
             _ => (high, None),
         };
         if n > len - i - 1 {
@@ -748,22 +716,19 @@ fn decode_log(
         match (kind, n, class) {
             (KIND_ALLOC, _, Some(class)) => entries.push(Entry::Alloc { addr, class }),
             (KIND_FREE, 0, _) => entries.push(Entry::Free(addr)),
-            (KIND_WRITE | KIND_LINK | KIND_SWAP, 1.., _) => {
-                let run = if kind == KIND_WRITE { n } else { 1 };
+            (KIND_WRITE | KIND_LINK, 1.., _) => {
                 let off = addr - heap.block_addr(heap.block_of_addr(addr));
-                if off < HEADER_BYTES || run * 8 > heap.block_size() - off {
+                if off < HEADER_BYTES || n * 8 > heap.block_size() - off {
                     return corrupt(head, "write range leaves its block's payload");
                 }
                 if let Some(class) = class {
                     let obj = word(i + 1) & REF_ADDR_MASK;
-                    let freed = (kind == KIND_SWAP).then(|| word(i + 2));
-                    if !in_heap(obj) || freed.is_some_and(|a| !in_heap(a)) {
+                    if !in_heap(obj) {
                         return corrupt(head, "address outside the heap");
                     }
                     entries.push(Entry::Alloc { addr: obj, class });
-                    entries.extend(freed.map(Entry::Free));
                 }
-                let words = ((i + 1) * 8) as usize..((i + 1 + run) * 8) as usize;
+                let words = ((i + 1) * 8) as usize..((i + 1 + n) * 8) as usize;
                 entries.push(Entry::Write { addr, words });
             }
             _ => return corrupt(head, "unknown entry kind"),
@@ -1233,7 +1198,6 @@ mod tests {
             i += 1 + match head & KIND_MASK {
                 KIND_ALLOC | KIND_FREE => 0,
                 KIND_LINK => 1,
-                KIND_SWAP => 2,
                 _ => (head >> RUN_SHIFT) as usize,
             };
         }
@@ -1582,9 +1546,9 @@ mod tests {
         fn write(n: u64, addr: u64) -> u64 {
             n << RUN_SHIFT | addr | KIND_WRITE
         }
-        /// A LINK or SWAP head of an object of class `class` at `addr`.
-        fn fused(kind: u64, class: u16, addr: u64) -> u64 {
-            u64::from(class) << RUN_SHIFT | addr | kind
+        /// A LINK head of an object of class `class` at `addr`.
+        fn link(class: u16, addr: u64) -> u64 {
+            u64::from(class) << RUN_SHIFT | addr | KIND_LINK
         }
         let (pmem, addrs) = committed_image(|_, _, _| ());
         let (rt, report) = JnvmBuilder::new().open(Arc::clone(&pmem)).unwrap();
@@ -1593,7 +1557,7 @@ mod tests {
         assert!(!Proxy::open(&rt, addrs[1]).is_valid());
 
         type Damage = fn(&Pmem, &RawChain, &[u64]);
-        let cases: [(&str, Damage); 24] = [
+        let cases: [(&str, Damage); 21] = [
             ("committed length exceeds the log", |p, c, _| {
                 p.write_u64(c.phys(LOG_LEN), u64::MAX)
             }),
@@ -1651,49 +1615,30 @@ mod tests {
             ("allocation of an unregistered class", |p, c, a| {
                 p.write_u64(c.phys(entry(0)), 0x7fff << RUN_SHIFT | a[1] | KIND_ALLOC)
             }),
-            // The WRITE made a LINK (of word 99) or a SWAP (of `a[2]`,
-            // freeing the word after it): a LINK's and a SWAP's high bits
-            // are a class id, their word names an object in the heap, a
-            // SWAP frees an address in the heap, and their payload is one
-            // word and two.
+            // The WRITE made a LINK of word 99: a LINK's high bits are a
+            // class id, its word names an object in the heap, and its
+            // payload is one word.
             ("allocation of an unregistered class", |p, c, a| {
-                p.write_u64(c.phys(entry(1)), fused(KIND_LINK, 0x7fff, a[0] + 8))
+                p.write_u64(c.phys(entry(1)), link(0x7fff, a[0] + 8))
             }),
             ("allocation of an unregistered class", |p, c, a| {
-                p.write_u64(c.phys(entry(1)), fused(KIND_SWAP, 0, a[0] + 8));
-                p.write_u64(c.phys(entry(2)), a[2]);
-                p.write_u64(c.phys(LOG_LEN), 4)
+                p.write_u64(c.phys(entry(1)), link(0, a[0] + 8));
+                p.write_u64(c.phys(entry(2)), a[2])
             }),
             ("address outside the heap", |p, c, a| {
-                p.write_u64(c.phys(entry(1)), fused(KIND_LINK, CLASS_ID_FALOG, a[0] + 8))
+                p.write_u64(c.phys(entry(1)), link(CLASS_ID_FALOG, a[0] + 8))
             }),
             ("address outside the heap", |p, c, a| {
-                p.write_u64(c.phys(entry(1)), fused(KIND_LINK, CLASS_ID_FALOG, a[0] + 8));
+                p.write_u64(c.phys(entry(1)), link(CLASS_ID_FALOG, a[0] + 8));
                 p.write_u64(c.phys(entry(2)), p.len())
             }),
-            ("address outside the heap", |p, c, a| {
-                p.write_u64(c.phys(entry(1)), fused(KIND_SWAP, CLASS_ID_FALOG, a[0] + 8));
-                p.write_u64(c.phys(entry(2)), a[2]);
-                p.write_u64(c.phys(entry(3)), 64);
-                p.write_u64(c.phys(LOG_LEN), 4)
-            }),
-            ("address outside the heap", |p, c, a| {
-                p.write_u64(c.phys(entry(1)), fused(KIND_SWAP, CLASS_ID_FALOG, a[0] + 8));
-                p.write_u64(c.phys(entry(2)), a[2]);
-                p.write_u64(c.phys(entry(3)), 1 << RUN_SHIFT | a[3]);
-                p.write_u64(c.phys(LOG_LEN), 4)
-            }),
             ("write range leaves its block's payload", |p, c, a| {
-                p.write_u64(c.phys(entry(1)), fused(KIND_LINK, CLASS_ID_FALOG, a[2]));
+                p.write_u64(c.phys(entry(1)), link(CLASS_ID_FALOG, a[2]));
                 p.write_u64(c.phys(entry(2)), a[3])
             }),
             ("entry runs past the committed length", |p, c, a| {
-                p.write_u64(c.phys(entry(1)), fused(KIND_LINK, CLASS_ID_FALOG, a[0] + 8));
+                p.write_u64(c.phys(entry(1)), link(CLASS_ID_FALOG, a[0] + 8));
                 p.write_u64(c.phys(LOG_LEN), 2)
-            }),
-            ("entry runs past the committed length", |p, c, a| {
-                p.write_u64(c.phys(entry(1)), fused(KIND_SWAP, CLASS_ID_FALOG, a[0] + 8));
-                p.write_u64(c.phys(entry(2)), a[2])
             }),
         ];
         for (reason, damage) in cases {
@@ -1709,8 +1654,9 @@ mod tests {
             }
             assert_eq!(words(&pmem), before, "{reason}: a refused log was applied");
         }
-        // Every kind the 3 bits can hold besides the five defined: 0, 6, 7.
-        let defined = [KIND_ALLOC, KIND_FREE, KIND_WRITE, KIND_LINK, KIND_SWAP];
+        // Every kind the 3 bits can hold besides the four defined: 0, 5, 6
+        // and 7.
+        let defined = [KIND_ALLOC, KIND_FREE, KIND_WRITE, KIND_LINK];
         for kind in (0..=KIND_MASK).filter(|k| !defined.contains(k)) {
             let (_pmem, rt, objs) = stage_setup();
             let chain = rt.fa_manager().acquire_log(&rt).chain;
@@ -1727,7 +1673,7 @@ mod tests {
     /// Four valid objects `[i, ref]` whose second word references a valid
     /// one-word blob, the committer's log created; plus every address a
     /// [`mixed_group`] touches or will allocate (the allocator is
-    /// deterministic: the next four fresh blocks).
+    /// deterministic: the next five fresh blocks).
     fn mixed_setup() -> (Arc<Pmem>, Jnvm, Vec<Proxy>, Vec<u64>) {
         let (pmem, rt, objs) = stage_setup();
         let mut addrs: Vec<u64> = objs.iter().map(|o| o.addr()).collect();
@@ -1743,15 +1689,16 @@ mod tests {
         rt.fa(|| objs[0].write_u64(0, 0));
         pmem.psync();
         let heap = rt.heap();
-        addrs.extend((0..4).map(|i| heap.block_addr(heap.stats().bump + i)));
+        addrs.extend((0..5).map(|i| heap.block_addr(heap.stats().bump + i)));
         (pmem, rt, objs, addrs)
     }
 
-    /// One group in the three shapes of the server's writes: a field update
-    /// (fresh blob, one reference swapped, old blob freed: a SWAP), an
-    /// insert (a fresh record of two fresh blobs published in one word of a
-    /// valid object: a LINK and two ALLOCs) and a delete (a reference
-    /// cleared, object and blob freed, a counter written).
+    /// One group in the shapes of the server's writes: a field update
+    /// (fresh blob, one reference swapped, old blob freed: a LINK and a
+    /// FREE), an insert (a fresh record of two fresh blobs published in a
+    /// two-word run of a valid object: three ALLOCs and a WRITE), a delete
+    /// (object and blob freed, a counter written) and an insert published
+    /// in one word (a fresh blob: a LINK).
     fn mixed_group(rt: &Jnvm, objs: &[Proxy]) -> Vec<StagedTx> {
         let blob = |fill: u64| {
             let blob = Proxy::alloc(rt, CLASS_ID_FALOG, 8);
@@ -1767,59 +1714,80 @@ mod tests {
             let rec = Proxy::alloc(rt, CLASS_ID_FALOG, 16);
             rec.write_u64(0, blob(0x5E70));
             rec.write_u64(8, blob(0x5E71));
+            objs[1].write_u64(0, 101);
             objs[1].write_u64(8, rec.addr());
         });
         let del = rt.fa_stage(|| {
             rt.free_addr(objs[3].read_u64(8));
             rt.free_addr(objs[3].addr());
             objs[2].write_u64(0, 102);
-            objs[2].write_u64(8, 0);
         });
-        vec![setf.0, set.0, del.0]
+        let link = rt.fa_stage(|| objs[2].write_u64(8, blob(0x5E72)));
+        vec![setf.0, set.0, del.0, link.0]
     }
 
-    /// A field update seals to exactly one 24-byte SWAP: its blob's ALLOC
-    /// and the old blob's FREE ride in the one-word WRITE of the reference.
-    /// An insert seals to one LINK for the cell that publishes the record,
-    /// and plain ALLOCs for the blobs only the fresh record references;
-    /// `valid_words` follows the record's header word to its LINK. A block
-    /// that frees an object it allocated fuses nothing.
+    /// A field update seals to a LINK and a FREE, 24 bytes: its blob's
+    /// ALLOC rides in the one-word WRITE of the reference. A fresh
+    /// reference inside a longer run keeps its ALLOC and its WRITE. A
+    /// one-word insert seals to one LINK for the cell that publishes the
+    /// record, in the record's ALLOC's place, and plain ALLOCs for what
+    /// only the fresh record references; `valid_words` keeps allocation
+    /// order. A block that frees an object it allocated validates it first.
     #[test]
-    fn seal_fuses_a_swap_and_a_link_and_nothing_else() {
+    fn seal_fuses_a_lone_fresh_reference_into_a_link() {
         let (_pmem, rt, objs, addrs) = mixed_setup();
         let class = u64::from(CLASS_ID_FALOG) << RUN_SHIFT;
-        let [setf, set, _]: [StagedTx; 3] = mixed_group(&rt, &objs).try_into().unwrap();
+        let [setf, set, _, link]: [StagedTx; 4] = mixed_group(&rt, &objs).try_into().unwrap();
         let fresh = &addrs[8..];
         assert_eq!(
             setf.state().entries,
-            [class | (addrs[0] + 16) | KIND_SWAP, fresh[0], addrs[4]]
+            [
+                class | (addrs[0] + 16) | KIND_LINK,
+                fresh[0],
+                addrs[4] | KIND_FREE
+            ]
         );
         assert_eq!(entry_bytes(std::slice::from_ref(&setf)).len(), 24);
-        assert_eq!((setf.op_count(), setf.state().valid_words.len()), (1, 1));
+        assert_eq!((setf.op_count(), setf.state().valid_words.len()), (2, 1));
         assert_eq!(
             set.state().entries,
             [
+                class | fresh[1] | KIND_ALLOC,
                 class | fresh[2] | KIND_ALLOC,
                 class | fresh[3] | KIND_ALLOC,
-                class | (addrs[1] + 16) | KIND_LINK,
+                2 << RUN_SHIFT | (addrs[1] + 8) | KIND_WRITE,
+                101,
                 fresh[1],
             ]
         );
-        // A two-block record: its header word is told apart by its link.
-        let (tx, rec) = rt.fa_stage(|| {
+        assert_eq!(
+            link.state().entries,
+            [class | (addrs[2] + 16) | KIND_LINK, fresh[4]]
+        );
+        // A two-block record and its blob: one LINK in the record's place.
+        let (tx, (rec, blob)) = rt.fa_stage(|| {
             let rec = Proxy::alloc(&rt, CLASS_ID_FALOG, 300);
-            rec.write_u64(0, Proxy::alloc(&rt, CLASS_ID_FALOG, 8).addr());
+            let blob = Proxy::alloc(&rt, CLASS_ID_FALOG, 8).addr();
+            rec.write_u64(0, blob);
             objs[2].write_u64(8, rec.addr());
-            rec.addr()
+            (rec.addr(), blob)
         });
-        let link = tx
+        assert_eq!(
+            tx.state().entries,
+            [
+                class | (addrs[2] + 16) | KIND_LINK,
+                rec,
+                class | blob | KIND_ALLOC
+            ]
+        );
+        let next = tx
             .state()
             .valid_words
             .iter()
             .map(|w| BlockHeader::decode(*w).next);
         assert_eq!(
-            link.collect::<Vec<_>>(),
-            [NULL_BLOCK, rt.heap().block_of_addr(rec) + 1]
+            next.collect::<Vec<_>>(),
+            [rt.heap().block_of_addr(rec) + 1, NULL_BLOCK]
         );
         let (tx, blob) = rt.fa_stage(|| {
             let blob = Proxy::alloc(&rt, CLASS_ID_FALOG, 8).addr();
@@ -1831,14 +1799,13 @@ mod tests {
         assert_eq!(
             tx.state().entries,
             [
-                class | blob | KIND_ALLOC,
+                class | (addrs[3] + 16) | KIND_LINK,
+                blob,
                 addrs[7] | KIND_FREE,
                 blob | KIND_FREE,
-                1 << RUN_SHIFT | (addrs[3] + 16) | KIND_WRITE,
-                blob,
             ]
         );
-        assert_eq!(tx.op_count(), 4);
+        assert_eq!(tx.op_count(), 3);
     }
 
     /// `(valid, word 0, word 1)` of each one-block object at `addrs`, zeroes
@@ -1863,9 +1830,10 @@ mod tests {
     /// the entries it holds in DRAM and never reads its log, recovery has
     /// only the log. At every crash point of a mixed group's commit past
     /// the commit point, the log on media is byte for byte what the commit
-    /// staged — one SWAP for the update, one LINK for the insert — and
-    /// decodes to the same entries — four allocations carrying their class
-    /// id —, and replaying it converges to the image
+    /// staged — a LINK for the update and one for the one-word insert, the
+    /// two-word insert's ALLOCs unfused — and decodes to the same entries —
+    /// five allocations carrying their class id —, and replaying it
+    /// converges to the image
     /// the uninterrupted commit leaves, as does a crash after the retire,
     /// frees invalidated; before the commit point, nothing of the group
     /// survives. Strict power failures and 8 adversarial eviction seeds.
@@ -1935,19 +1903,14 @@ mod tests {
                             }
                         )
                     });
-                    assert_eq!(allocs.count(), 4, "allocations carry the class id");
-                    let fused = |kind| {
-                        let words = dram
-                            .chunks(8)
-                            .map(|w| u64::from_le_bytes(w.try_into().unwrap()));
-                        let heads = heads(&words.collect::<Vec<_>>());
-                        heads.iter().filter(|h| *h & KIND_MASK == kind).count()
-                    };
-                    assert_eq!(
-                        (fused(KIND_SWAP), fused(KIND_LINK)),
-                        (1, 1),
-                        "fused entries"
-                    );
+                    assert_eq!(allocs.count(), 5, "allocations carry the class id");
+                    let words = dram
+                        .chunks(8)
+                        .map(|w| u64::from_le_bytes(w.try_into().unwrap()));
+                    let heads = heads(&words.collect::<Vec<_>>());
+                    let kinds = [KIND_ALLOC, KIND_FREE, KIND_WRITE, KIND_LINK]
+                        .map(|k| heads.iter().filter(|h| *h & KIND_MASK == k).count());
+                    assert_eq!(kinds, [3, 3, 2, 2], "ALLOC, FREE, WRITE, LINK heads");
                     compared += 1;
                 }
                 drop((objs, rt));
@@ -2233,8 +2196,8 @@ mod tests {
         /// read-modify-write of a master header, a slot's header from the
         /// ALLOC entry's class — and the step-1 ranges from DRAM equal a
         /// `chain_blocks` walk's. Each block publishes its first allocation
-        /// in one word of a valid object, a LINK that moves the allocation
-        /// behind the block's ALLOCs: its header word follows it there.
+        /// in one word of a valid object, a LINK in that allocation's place:
+        /// its header word keeps its place too.
         /// Until the commit, a slot's mini-header on media is the invalid
         /// word of its carve, and header reads inside the block see the
         /// staged one.
@@ -2299,7 +2262,7 @@ mod tests {
                     _ => None,
                 };
                 let masters: Vec<(u64, u16)> = entries.into_iter().filter_map(alloc).collect();
-                prop_assert_eq!(heads(&state.entries).last().map(|h| h & KIND_MASK), (!masters.is_empty()).then_some(KIND_LINK));
+                prop_assert_eq!(heads(&state.entries).first().map(|h| h & KIND_MASK), (!masters.is_empty()).then_some(KIND_LINK));
                 let replayed: Vec<u64> = masters
                     .iter()
                     .map(|&(a, class)| {

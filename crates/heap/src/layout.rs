@@ -55,10 +55,9 @@ pub(crate) const HEAP_MAGIC: u64 = 0x4a4e564d48454150; // "JNVMHEAP"
 /// record's field count from its first payload word into the tag of the
 /// reference to it, and starts its reference array at payload offset 0 —
 /// a version-6 build would read a field reference as the count; 8 (log
-/// format 5) adds the LINK and SWAP entries and makes the log's first
-/// word its length, nonzero while committed — a version-7 build would
-/// read that length as its committed flag and refuse a LINK as an unknown
-/// kind.
+/// format 5) adds the LINK entry and makes the log's first word its
+/// length, nonzero while committed — a version-7 build would read that
+/// length as its committed flag and refuse a LINK as an unknown kind.
 pub(crate) const HEAP_VERSION: u32 = 8;
 
 /// The address bits of a persistent reference word. Every heap address is

@@ -731,8 +731,8 @@ fn spans_adversarial_sweep(n: usize, seeds: u64, every_point: bool) -> u64 {
 // one commit: ALLOC and FREE entries (one word each since log format 3,
 // pooled blobs and a block-allocated object) beside the WRITEs that publish
 // and unlink them, a one-word publish of a fresh object fused with its
-// ALLOC (and a FREE) into a LINK or a SWAP since log format 5, applied by
-// the live commit from DRAM and by replay from the log.
+// ALLOC into a LINK since log format 5, applied by the live commit from
+// DRAM and by replay from the log.
 
 struct SlotsCtx {
     rt: Jnvm,

@@ -494,8 +494,8 @@ fn log_mode_sites_per_op_are_pinned() {
     assert_eq!(points, 3 * OPS, "ordering points per rmw");
     assert_eq!(spans - points, 2 * OPS, "begin/end spans per rmw");
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fence hooks per rmw");
-    // 7.2 per rmw, unchanged when an rmw's swap became one 24-B SWAP entry
-    // (32 B before) and the commit point one word (two): both still fit
+    // 7.2 per rmw, unchanged when an rmw's swap became a LINK and a FREE
+    // (24 B, 32 B before) and the commit point one word (two): both still fit
     // the lines they took; 27 689 while a record's first word held its count (the
     // rmw's two-field records took slots of the 32-B class, not the 16-B
     // one beside its values, so where a value's slot lies moved); 28 200
@@ -567,7 +567,7 @@ fn setf(key: usize, field: usize, fill: u8) -> WriteOp {
 /// reference — the map lookup answers from DRAM, the record's field count
 /// included), 8 `pwb`s (the new value's header and bytes cover 2 lines of
 /// its pool slot), 4 fences — 188 bytes while the log held the swap as an
-/// ALLOC, a FREE and a one-word WRITE (32 B, not one 24-B SWAP) and the
+/// ALLOC, a FREE and a one-word WRITE (32 B, not a 24-B LINK and FREE) and the
 /// commit point stored a committed flag beside the length (16 B, not 8);
 /// 196 bytes (16 read) while the record's first
 /// word held its count, 212 bytes (32 read) while the lookup read 2 words, the cell and the
@@ -877,7 +877,7 @@ fn setf_device_cost_per_group_size_is_pinned() {
     // 64 ops: 172 B and 8.0 pwbs per op alone, 164 B and 6.5 in pairs,
     // 158 B and 5.6 in eights (8 B read each; 188, 176 and 167 B and 5.9
     // `pwb`s in eights while a swap logged an ALLOC, a FREE and a one-word
-    // WRITE, 32 B, not one 24-B SWAP — eight of them took 4 log lines, not
+    // WRITE, 32 B, not a 24-B LINK and FREE — eight of them took 4 log lines, not
     // 3 — and the commit point stored a flag beside the length; 196, 184
     // and 175 B with 16 B
     // read while the record's first word held its count; 212, 200 and 191

@@ -2,7 +2,7 @@
 //! crash-consistent program.
 //!
 //! Recovery replays redo logs, nullifies dangling references, clears dead
-//! headers, and retires committed flags — all persistent writes. If the
+//! headers, and zeroes committed logs' lengths — all persistent writes. If the
 //! power fails *again* in the middle of that (a very real failure mode:
 //! machines that crash once tend to crash again on the way back up), the
 //! next recovery must converge to exactly the heap a crash-free recovery
