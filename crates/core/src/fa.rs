@@ -1213,9 +1213,9 @@ mod tests {
     }
 
     /// Regression: the commit used to hand freed masters back to the
-    /// volatile allocator during apply, *before* the log's committed flag
-    /// was durably cleared. Another thread could then allocate such a
-    /// block and scribble on it; a crash in that window replays the
+    /// volatile allocator during apply, *before* the retire that zeroes
+    /// the log's length was durable. Another thread could then allocate
+    /// such a block and scribble on it; a crash in that window replays the
     /// still-committed log over the other thread's allocation (observed in
     /// the concurrent torture harness as torn record fields and
     /// off-by-a-few block accounting).

@@ -14,10 +14,10 @@
 //!   publication share one failure-atomic block).
 //!
 //! Both modes are **restartable**: every persistent mutation recovery
-//! performs (replaying a committed log, retiring its flag, nullifying a
-//! dangling reference, clearing a dead header or pool slot) is idempotent,
-//! so a crash at any point inside recovery followed by a second recovery
-//! converges to the same heap — with any thread count.
+//! performs (replaying a committed log, retiring it by zeroing its length,
+//! nullifying a dangling reference, clearing a dead header or pool slot) is
+//! idempotent, so a crash at any point inside recovery followed by a second
+//! recovery converges to the same heap — with any thread count.
 //!
 //! Recovery has **one execution shape**: every partitioned phase hands its
 //! work items to [`jnvm_heap::par::run_workers_timed`], and the sequential
@@ -38,18 +38,19 @@
 //!    (Were targets the work unit, a single wide parent — e.g. a
 //!    million-element ref array — would serialize a million validity reads
 //!    in the worker that traced it.) Visit-once is
-//!    decided by the atomic [`jnvm_heap::LiveBitmap`] (chained objects) or
-//!    a sharded claim table (pooled objects), so each object is traced and
-//!    `recover`-hooked by exactly one worker; every reference slot is
+//!    decided by an atomic [`jnvm_heap::LiveBitmap`]: the block bitmap for
+//!    chained objects, the slot bitmap for pooled ones (one bit per pool
+//!    slot, [`jnvm_heap::PoolManager::slot_bit`]), so each object is traced
+//!    and `recover`-hooked by exactly one worker; every reference slot is
 //!    yielded by exactly one parent's single trace, hence nullifications
 //!    never race.
 //! 3. **Sweep** — pool-slot and free-queue rebuilds partition the block
-//!    range per worker (see the `jnvm-heap` crate).
+//!    range per worker (see the `jnvm-heap` crate), reading liveness from
+//!    the two bitmaps.
 //!
 //! Every worker that writes ends with a `pfence` of its own persistence
 //! domain; the caller closes recovery with `psync`.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -116,8 +117,8 @@ pub struct RecoveryReport {
     pub threads: usize,
     /// Committed failure-atomic logs replayed.
     pub replayed_logs: u64,
-    /// Live objects visited (Full mode) or valid masters and pool slots
-    /// kept (HeaderScan).
+    /// Live objects: the pool slots marked live plus the masters kept
+    /// (visited in Full mode, valid in HeaderScan).
     pub live_objects: u64,
     /// Blocks found live.
     pub live_blocks: u64,
@@ -132,6 +133,11 @@ pub struct RecoveryReport {
     /// thread; more workers may each read a pool block's meta word when
     /// they first touch the block at once.
     pub mark_reads: u64,
+    /// Device reads of log replay, counted as [`RecoveryReport::mark_reads`].
+    pub replay_reads: u64,
+    /// Device reads of the sweep (pool and free-queue rebuilds), counted as
+    /// [`RecoveryReport::mark_reads`].
+    pub sweep_reads: u64,
     /// Wall time of log replay.
     pub log_time: Duration,
     /// Wall time of the collection pass (mark + sweep).
@@ -177,9 +183,11 @@ pub(crate) fn run(rt: &Jnvm, opts: RecoveryOptions) -> Result<RecoveryReport, Jn
     };
     // 1. Failure-atomic logs first (§4.2).
     let t0 = Instant::now();
+    let reads_before = rt.pmem().stats().reads;
     let obs_replay = jnvm_obs::span_begin();
     report.replayed_logs = rt.fa_manager().recover_logs(rt)?;
     jnvm_obs::span_end(jnvm_obs::SpanKind::RecoveryReplay, obs_replay);
+    report.replay_reads = rt.pmem().stats().reads - reads_before;
     report.log_time = t0.elapsed();
 
     // 2. Collection pass.
@@ -223,10 +231,6 @@ fn valid_class(rt: &Jnvm, addr: u64) -> Option<u16> {
 // The work-stealing mark traversal.
 // ----------------------------------------------------------------------
 
-/// Shards of the pooled-object claim table. Pooled visit-once cannot use
-/// the block bitmap (many pooled objects share one block), so claims go
-/// through sharded hash sets keyed by slot address.
-const CLAIM_SHARDS: usize = 64;
 /// Local stack size beyond which a worker spills half to the overflow.
 const SPILL_THRESHOLD: usize = 256;
 /// Addresses a starved worker steals from the overflow at once.
@@ -235,8 +239,8 @@ const STEAL_BATCH: usize = 128;
 struct MarkShared<'a> {
     rt: &'a Jnvm,
     bitmap: &'a LiveBitmap,
-    /// Claimed pooled slots, sharded by address.
-    pool_claims: Vec<Mutex<HashSet<u64>>>,
+    /// Claimed pooled objects, one bit per pool slot.
+    slot_bitmap: &'a LiveBitmap,
     /// Spilled work (reference-slot addresses) any starved worker may
     /// steal.
     overflow: Mutex<Vec<u64>>,
@@ -246,20 +250,24 @@ struct MarkShared<'a> {
     active: AtomicUsize,
     /// Set on the first traversal error; workers drain and exit.
     aborted: AtomicBool,
-    live_objects: AtomicU64,
+    /// Claimed masters (the pooled objects are the slot bitmap's count).
+    masters: AtomicU64,
     nullified_refs: AtomicU64,
 }
 
 impl MarkShared<'_> {
+    /// Mark the object at `addr` live: a pooled one's slot bit, then its
+    /// block's bit; a master's bit, then its chain's. `false` if another
+    /// visit claimed it first.
     fn claim(&self, addr: u64) -> bool {
         let heap = self.rt.heap();
-        if self.rt.pools().is_pooled_addr(addr) {
-            let shard = (addr as usize >> 3) % CLAIM_SHARDS;
-            if !self.pool_claims[shard].lock().insert(addr) {
+        let pools = self.rt.pools();
+        if pools.is_pooled_addr(addr) {
+            let bit = pools.slot_bit(addr).expect("a visited slot address");
+            if !self.slot_bitmap.mark(bit) {
                 return false;
             }
             self.bitmap.mark(heap.block_of_addr(addr));
-            true
         } else {
             let idx = heap.block_of_addr(addr);
             if !self.bitmap.mark(idx) {
@@ -268,8 +276,9 @@ impl MarkShared<'_> {
             for b in heap.chain_blocks(idx) {
                 self.bitmap.mark(b);
             }
-            true
+            self.masters.fetch_add(1, Ordering::Relaxed);
         }
+        true
     }
 
     fn spill(&self, local: &mut Vec<u64>) {
@@ -345,7 +354,6 @@ impl MarkShared<'_> {
             return Ok(());
         }
         let rt = self.rt;
-        self.live_objects.fetch_add(1, Ordering::Relaxed);
 
         let push = |slot: u64, local: &mut Vec<u64>| {
             local.push(slot);
@@ -448,6 +456,7 @@ fn full_gc(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) -> Result<(),
     let t_mark = Instant::now();
     let reads_before = rt.pmem().stats().reads;
     let bitmap = heap.new_bitmap();
+    let slot_bitmap = rt.pools().new_slot_bitmap();
 
     // Roots: class table, root map, log directory (whose tracer yields the
     // logs). Root slots are written once at format time; all three exist.
@@ -459,13 +468,11 @@ fn full_gc(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) -> Result<(),
     let shared = MarkShared {
         rt,
         bitmap: &bitmap,
-        pool_claims: (0..CLAIM_SHARDS)
-            .map(|_| Mutex::new(HashSet::new()))
-            .collect(),
+        slot_bitmap: &slot_bitmap,
         overflow: Mutex::new(Vec::new()),
         active: AtomicUsize::new(threads),
         aborted: AtomicBool::new(false),
-        live_objects: AtomicU64::new(0),
+        masters: AtomicU64::new(0),
         nullified_refs: AtomicU64::new(0),
     };
     // Deal the roots round-robin among the workers. Workers beyond the
@@ -480,65 +487,50 @@ fn full_gc(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) -> Result<(),
         r?;
         mark_device.push(dt);
     }
-    report.live_objects = shared.live_objects.load(Ordering::Relaxed);
+    report.live_objects = shared.masters.load(Ordering::Relaxed) + slot_bitmap.marked_count();
     report.nullified_refs = shared.nullified_refs.load(Ordering::Relaxed);
     report.modeled_mark_time = slowest(&mark_device);
     report.mark_thread_device_times = mark_device;
     report.live_blocks = bitmap.marked_count();
     report.mark_reads = rt.pmem().stats().reads - reads_before;
     report.mark_time = t_mark.elapsed();
-
-    let live_slots: HashSet<u64> = shared
-        .pool_claims
-        .iter()
-        .flat_map(|s| s.lock().iter().copied().collect::<Vec<u64>>())
-        .collect();
-    sweep(rt, &bitmap, &live_slots, threads, report);
+    sweep(rt, &bitmap, &slot_bitmap, threads, report);
     Ok(())
 }
 
 fn header_scan(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) {
     let heap = rt.heap();
+    let pools = rt.pools();
     let t_mark = Instant::now();
     let reads_before = rt.pmem().stats().reads;
     let bitmap = heap.new_bitmap();
+    let slot_bitmap = pools.new_slot_bitmap();
 
-    // Pass 1 (read-only, partitioned — no pfence needed): find live pool
-    // slots and valid masters; mark pool blocks with at least one live slot.
+    // Pass 1 (read-only, partitioned — no pfence needed): mark live pool
+    // slots, and the pool blocks holding one; collect valid masters.
     let chunks = jnvm_heap::par::partition_range(heap.data_start(), heap.scan_end(), threads);
     let scanned = jnvm_heap::par::run_workers_timed(chunks, |(lo, hi)| {
-        let mut live_slots: HashSet<u64> = HashSet::new();
         let mut masters: Vec<u64> = Vec::new();
         for idx in lo..hi {
             let h = heap.read_header(idx);
             if h.id == CLASS_ID_POOL {
-                let mut any_live = false;
-                rt.pools().scan_block_slots(idx, |slot, mini| {
+                pools.scan_block_slots(idx, |slot, mini| {
                     if mini.id != 0 && mini.valid {
-                        live_slots.insert(slot);
-                        any_live = true;
+                        slot_bitmap.mark(pools.slot_bit(slot).expect("a scanned slot"));
+                        bitmap.mark(idx);
                     }
                 });
-                if any_live {
-                    bitmap.mark(idx);
-                }
             } else if h.is_valid_master() {
                 masters.push(idx);
             }
         }
-        (live_slots, masters)
+        masters
     });
-    let mut live_slots: HashSet<u64> = HashSet::new();
-    let mut master_lists: Vec<Vec<u64>> = Vec::new();
-    let mut scan_device: Vec<Duration> = Vec::new();
-    for ((slots, masters), dt) in scanned {
-        report.live_objects += (slots.len() + masters.len()) as u64;
-        live_slots.extend(slots);
-        if !masters.is_empty() {
-            master_lists.push(masters);
-        }
-        scan_device.push(dt);
-    }
+    let (mut master_lists, scan_device): (Vec<Vec<u64>>, Vec<Duration>) =
+        scanned.into_iter().unzip();
+    let masters: usize = master_lists.iter().map(Vec::len).sum();
+    report.live_objects = slot_bitmap.marked_count() + masters as u64;
+    master_lists.retain(|m| !m.is_empty());
 
     // Pass 2 (read-only, partitioned): mark every kept master's chain.
     let chain_device: Vec<Duration> = jnvm_heap::par::run_workers_timed(master_lists, |masters| {
@@ -556,7 +548,7 @@ fn header_scan(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) {
     report.live_blocks = bitmap.marked_count();
     report.mark_reads = rt.pmem().stats().reads - reads_before;
     report.mark_time = t_mark.elapsed();
-    sweep(rt, &bitmap, &live_slots, threads, report);
+    sweep(rt, &bitmap, &slot_bitmap, threads, report);
 }
 
 /// The modeled critical path of a phase: its slowest worker's device time.
@@ -565,18 +557,20 @@ fn slowest(times: &[Duration]) -> Duration {
 }
 
 /// The sweep both modes end with: rebuild the pool-slot queues and the free
-/// queue from the liveness `bitmap`.
+/// queue from the block `bitmap` and the `slot_bitmap`.
 fn sweep(
     rt: &Jnvm,
     bitmap: &LiveBitmap,
-    live_slots: &HashSet<u64>,
+    slot_bitmap: &LiveBitmap,
     threads: usize,
     report: &mut RecoveryReport,
 ) {
     let t_sweep = Instant::now();
-    let pool_device = rt.pools().rebuild(bitmap, live_slots, threads);
+    let reads_before = rt.pmem().stats().reads;
+    let pool_device = rt.pools().rebuild(bitmap, slot_bitmap, threads);
     let (freed, queue_device) = rt.heap().rebuild_free_queue(bitmap, threads);
     report.freed_blocks = freed;
+    report.sweep_reads = rt.pmem().stats().reads - reads_before;
     report.modeled_sweep_time = slowest(&pool_device) + slowest(&queue_device);
     report.sweep_time = t_sweep.elapsed();
 }

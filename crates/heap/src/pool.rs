@@ -19,6 +19,9 @@
 //! ...  slot[i]        at +16 + i * (8 + payload)
 //! ```
 //!
+//! The carve writes the slot count, and nothing reads it: a block's count
+//! follows from its slot class.
+//!
 //! A pooled object is addressed by the byte address of its mini-header,
 //! which is never block-aligned — that is how the runtime tells pooled
 //! references and block references apart.
@@ -26,14 +29,20 @@
 //! Which slot class a pool block holds is also kept in DRAM, one byte per
 //! block (the class index + 1, 0 while unknown), so that locating, sizing
 //! and freeing a slot read nothing from the device. The byte is written
-//! when a block is carved and when recovery reads the block's meta word
-//! anyway ([`PoolManager::rebuild`], [`PoolManager::scan_block_slots`]); a
+//! when a block is carved and when recovery first meets the block
+//! ([`PoolManager::is_slot_addr`], [`PoolManager::scan_block_slots`]); a
 //! lookup that finds 0 reads the meta word once and fills it in. A byte may
 //! outlive its pool block (recovery reclaims an empty one whole): carving
 //! overwrites it, and no pooled address points into a block that is not a
 //! pool block.
+//!
+//! Recovery keeps a pooled slot's liveness as one bit of a [`LiveBitmap`]
+//! ([`PoolManager::new_slot_bitmap`]): bit `block × slots_max + ordinal`,
+//! where `slots_max` is the slots per block of the smallest class, so every
+//! class's slots fit. [`PoolManager::rebuild`] sweeps from that bitmap and
+//! the table, reading no meta word.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,6 +70,8 @@ pub struct PoolManager {
     /// nothing but itself, and a reader that still finds 0 reads the meta
     /// word, which the carve stored before any slot left this manager.
     slot_class: Box<[AtomicU8]>,
+    /// Slots per block of the smallest class: the slot bitmap's stride.
+    slots_max: u64,
 }
 
 impl PoolManager {
@@ -81,11 +92,15 @@ impl PoolManager {
         // DRAM only once a pool block in its range is known.
         // SAFETY: all-zero bytes are an `AtomicU8` of value 0.
         let slot_class = unsafe { Box::new_zeroed_slice(heap.nblocks() as usize).assume_init() };
+        let slots_max = classes
+            .first()
+            .map_or(0, |c| slots_area / Self::slot_total(*c));
         PoolManager {
             heap,
             classes,
             queues,
             slot_class,
+            slots_max,
         }
     }
 
@@ -144,9 +159,7 @@ impl PoolManager {
         let pmem = self.heap.pmem();
         let nslots = self.slots_per_block(slot_payload);
         self.know(block, ci);
-        let slots: Vec<u64> = (0..nslots)
-            .map(|i| base + 16 + i * Self::slot_total(slot_payload))
-            .collect();
+        let slots: Vec<u64> = self.slots_of(block, ci).collect();
         if !from_bump {
             // A recycled block holds its previous life's bytes, which a
             // header scan of a pool block reads as mini-headers: clear every
@@ -248,10 +261,12 @@ impl PoolManager {
     /// The slot payload the DRAM table holds for block `idx`, without a
     /// device read: `None` while the table does not know the block.
     pub fn known_slot_payload(&self, idx: u64) -> Option<u64> {
-        match self.slot_class[idx as usize].load(Ordering::Relaxed) {
-            0 => None,
-            k => Some(self.classes[k as usize - 1]),
-        }
+        self.known(idx).map(|ci| self.classes[ci])
+    }
+
+    /// The class index the DRAM table holds for block `idx`, if it knows it.
+    fn known(&self, idx: u64) -> Option<usize> {
+        (self.slot_class[idx as usize].load(Ordering::Relaxed) as usize).checked_sub(1)
     }
 
     /// Record that pool block `idx` holds slots of class `ci`.
@@ -272,18 +287,15 @@ impl PoolManager {
     /// slot class the allocator was not configured with.
     fn class_index(&self, addr: u64) -> Result<usize, HeapError> {
         let block = self.heap.block_of_addr(addr);
-        match self.slot_class[block as usize].load(Ordering::Relaxed) {
-            0 => {
-                let meta = self.heap.block_addr(block) + 8;
-                let payload = self.heap.pmem().read_u32(meta) as u64;
-                let ci = self
-                    .class_of_payload(payload)
-                    .ok_or(HeapError::UnknownPoolClass { block, payload })?;
-                self.know(block, ci);
-                Ok(ci)
-            }
-            k => Ok(k as usize - 1),
+        if let Some(ci) = self.known(block) {
+            return Ok(ci);
         }
+        let payload = self.heap.pmem().read_u32(self.heap.block_addr(block) + 8) as u64;
+        let ci = self
+            .class_of_payload(payload)
+            .ok_or(HeapError::UnknownPoolClass { block, payload })?;
+        self.know(block, ci);
+        Ok(ci)
     }
 
     /// [`PoolManager::class_index`] of a slot about to be recycled.
@@ -295,20 +307,36 @@ impl PoolManager {
     fn locate(&self, addr: u64) -> Result<usize, HeapError> {
         let ci = self.class_index(addr)?;
         assert!(
-            self.on_slot_boundary(addr, ci),
+            self.slot_ordinal(addr, ci).is_some(),
             "address {addr:#x} is not on a slot boundary"
         );
         Ok(ci)
     }
 
-    /// Whether `addr` is the mini-header address of one of the slots of
-    /// class index `ci` its block holds.
-    fn on_slot_boundary(&self, addr: u64, ci: usize) -> bool {
+    /// The ordinal in its block of the slot whose mini-header is at `addr`,
+    /// for a block of class index `ci`; `None` off a slot boundary.
+    fn slot_ordinal(&self, addr: u64, ci: usize) -> Option<u64> {
         let total = Self::slot_total(self.classes[ci]);
         let first = self.heap.block_addr(self.heap.block_of_addr(addr)) + 16;
-        addr >= first
-            && (addr - first).is_multiple_of(total)
-            && (addr - first) / total < self.slots_per_block(self.classes[ci])
+        let off = addr.checked_sub(first)?;
+        let i = off / total;
+        (off.is_multiple_of(total) && i < self.slots_per_block(self.classes[ci])).then_some(i)
+    }
+
+    /// A bitmap with one bit per slot of every block, for
+    /// [`PoolManager::slot_bit`] and [`PoolManager::rebuild`].
+    pub fn new_slot_bitmap(&self) -> LiveBitmap {
+        LiveBitmap::new(self.heap.nblocks() * self.slots_max)
+    }
+
+    /// The slot bitmap's bit of the slot at `addr`: its block times the
+    /// slots the smallest class packs in a block, plus its ordinal there.
+    /// The class comes from the DRAM table (see [`PoolManager::free`]);
+    /// `None` if `addr` is not a slot boundary of a pool block.
+    pub fn slot_bit(&self, addr: u64) -> Option<u64> {
+        let ci = self.class_index(addr).ok()?;
+        let i = self.slot_ordinal(addr, ci)?;
+        Some(self.heap.block_of_addr(addr) * self.slots_max + i)
     }
 
     /// Whether `addr` can be the mini-header address of a slot: it lies in
@@ -324,8 +352,9 @@ impl PoolManager {
         if block < heap.data_start() || block >= heap.nblocks() {
             return false;
         }
-        let ci = match self.slot_class[block as usize].load(Ordering::Relaxed) {
-            0 => {
+        let ci = match self.known(block) {
+            Some(ci) => ci,
+            None => {
                 let mut head = [0u8; 16];
                 heap.pmem().read_bytes(heap.block_addr(block), &mut head);
                 let [header, meta] =
@@ -338,15 +367,19 @@ impl PoolManager {
                     _ => return false,
                 }
             }
-            k => k as usize - 1,
         };
-        self.on_slot_boundary(addr, ci)
+        self.slot_ordinal(addr, ci).is_some()
     }
 
     /// Recovery (§4.1.3 extension for pools): for every *marked* pool block,
-    /// keep slots in `live_slots`, persistently clear the rest and rebuild
+    /// keep the slots whose bit `slot_bitmap` holds
+    /// ([`PoolManager::slot_bit`]), persistently clear the rest and rebuild
     /// the free-slot queues. Unmarked pool blocks are reclaimed wholesale by
     /// [`BlockHeap::rebuild_free_queue`]. Call this *before* that.
+    ///
+    /// Reads the header of each marked block only, and no meta word: a
+    /// block's class comes from the DRAM table the mark filled, and its
+    /// slot count follows from the class.
     ///
     /// The pool-block scan is partitioned over `threads` sweep workers (one
     /// worker is the calling thread — see [`crate::par::run_workers_timed`]).
@@ -359,7 +392,7 @@ impl PoolManager {
     pub fn rebuild(
         &self,
         bitmap: &LiveBitmap,
-        live_slots: &HashSet<u64>,
+        slot_bitmap: &LiveBitmap,
         threads: usize,
     ) -> Vec<Duration> {
         let pmem = self.heap.pmem();
@@ -371,20 +404,15 @@ impl PoolManager {
         let swept = crate::par::run_workers_timed(chunks, |(lo, hi)| {
             let mut freed = Vec::new();
             for idx in lo..hi {
-                let h = self.heap.read_header(idx);
-                if h.id != CLASS_ID_POOL || !bitmap.is_marked(idx) {
+                if !bitmap.is_marked(idx) || self.heap.read_header(idx).id != CLASS_ID_POOL {
                     continue;
                 }
                 let base = self.heap.block_addr(idx);
-                let payload = pmem.read_u32(base + 8) as u64;
-                let Some(ci) = self.class_of_payload(payload) else {
+                let Ok(ci) = self.class_index(base) else {
                     continue;
                 };
-                self.know(idx, ci);
-                let nslots = pmem.read_u32(base + 12) as u64;
-                for i in 0..nslots {
-                    let slot = base + 16 + i * Self::slot_total(payload);
-                    if live_slots.contains(&slot) {
+                for (i, slot) in self.slots_of(idx, ci).enumerate() {
+                    if slot_bitmap.is_marked(idx * self.slots_max + i as u64) {
                         continue;
                     }
                     if pmem.read_u64(slot) != 0 {
@@ -414,19 +442,20 @@ impl PoolManager {
     /// slot class in the DRAM table. Used by the header-scan recovery
     /// variant. No-op if `idx` is not a recognizable pool block.
     pub fn scan_block_slots(&self, idx: u64, mut f: impl FnMut(u64, BlockHeader)) {
-        let base = self.heap.block_addr(idx);
-        let pmem = self.heap.pmem();
-        let payload = pmem.read_u32(base + 8) as u64;
-        let Some(ci) = self.class_of_payload(payload) else {
+        let Ok(ci) = self.class_index(self.heap.block_addr(idx)) else {
             return;
         };
-        self.know(idx, ci);
-        let nslots = pmem.read_u32(base + 12) as u64;
-        let max_slots = (self.heap.payload_size() - 8) / Self::slot_total(payload);
-        for i in 0..nslots.min(max_slots) {
-            let slot = base + 16 + i * Self::slot_total(payload);
-            f(slot, BlockHeader::decode(pmem.read_u64(slot)));
+        for slot in self.slots_of(idx, ci) {
+            f(slot, self.read_mini(slot));
         }
+    }
+
+    /// The mini-header addresses of the slots of pool block `idx`, of
+    /// class index `ci`, in order.
+    fn slots_of(&self, idx: u64, ci: usize) -> impl Iterator<Item = u64> {
+        let total = Self::slot_total(self.classes[ci]);
+        let first = self.heap.block_addr(idx) + 16;
+        (0..self.slots_per_block(self.classes[ci])).map(move |i| first + i * total)
     }
 
     /// Number of free slots currently queued (all classes).
@@ -448,6 +477,7 @@ mod tests {
     use super::*;
     use crate::alloc::HeapConfig;
     use jnvm_pmem::{Pmem, PmemConfig};
+    use std::collections::HashSet;
 
     fn mk() -> (Arc<BlockHeap>, PoolManager) {
         let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
@@ -583,7 +613,11 @@ mod tests {
         for i in &pool_blocks {
             bm.mark(*i);
         }
-        rebuilt.rebuild(&bm, &addrs[1..].iter().copied().collect(), 1);
+        let live = pm.new_slot_bitmap();
+        for a in &addrs[1..] {
+            live.mark(pm.slot_bit(*a).unwrap());
+        }
+        rebuilt.rebuild(&bm, &live, 1);
         assert!(agrees(&rebuilt), "after rebuild");
         let scanned = PoolManager::new(Arc::clone(&heap));
         for i in &pool_blocks {
@@ -746,14 +780,75 @@ mod tests {
         let pm2 = PoolManager::new(Arc::clone(&heap));
         let bm = heap.new_bitmap();
         bm.mark(heap.block_of_addr(live));
-        let mut live_slots = HashSet::new();
-        live_slots.insert(live);
+        let live_slots = pm2.new_slot_bitmap();
+        live_slots.mark(pm2.slot_bit(live).unwrap());
         pm2.rebuild(&bm, &live_slots, 1);
 
         assert!(pm2.read_mini(live).valid);
         assert_eq!(heap.pmem().read_u64(dead), 0, "dead slot cleared");
         // 10 slots per block, one live -> 9 free.
         assert_eq!(pm2.free_slots(), 9);
+    }
+
+    /// Regression: `rebuild` took a marked pool block's slot count from its
+    /// meta word, so a valid class with a corrupt count walked the sweep
+    /// past its block — here it cleared the neighbour block's header and
+    /// queued 99 free slots, 89 of them inside other blocks. The count
+    /// follows from the class.
+    #[test]
+    fn rebuild_ignores_a_corrupt_slot_count() {
+        let (heap, pm) = mk();
+        let live = alloc_valid(&pm, 9, 16);
+        let block = heap.block_of_addr(live);
+        let next = heap.alloc_chain(7, 8).unwrap();
+        assert_eq!(next, block + 1, "the neighbour block");
+        heap.set_valid(next, true);
+        heap.pmem().pfence();
+        heap.pmem().write_u32(heap.block_addr(block) + 12, 100);
+        let header = heap.pmem().read_u64(heap.block_addr(next));
+
+        let pm2 = PoolManager::new(Arc::clone(&heap));
+        let bm = heap.new_bitmap();
+        bm.mark(block);
+        bm.mark(next);
+        let live_slots = pm2.new_slot_bitmap();
+        live_slots.mark(pm2.slot_bit(live).unwrap());
+        pm2.rebuild(&bm, &live_slots, 1);
+
+        let after = heap.pmem().read_u64(heap.block_addr(next));
+        assert_eq!(after, header, "the neighbour's header");
+        assert_eq!(pm2.free_slots(), 9, "the block's dead slots");
+    }
+
+    /// Every slot of every class maps to its own bit below the slot
+    /// bitmap's length, and a word that is not a slot boundary maps to none.
+    #[test]
+    fn every_slot_has_its_own_bit() {
+        let (heap, pm) = mk();
+        let len = pm.new_slot_bitmap().len();
+        let mut bits = HashSet::new();
+        for &payload in POOL_SLOT_CLASSES {
+            let n = pm.slots_per_block(payload);
+            let slots: Vec<u64> = (0..n).map(|_| pm.alloc(payload).unwrap()).collect();
+            let block = heap.block_of_addr(slots[0]);
+            assert!(slots.iter().all(|s| heap.block_of_addr(*s) == block));
+            for &s in &slots {
+                let bit = pm.slot_bit(s).unwrap();
+                assert!(bit < len, "{s:#x}: bit {bit} of {len}");
+                assert!(bits.insert(bit), "{s:#x}: bit {bit} taken");
+                for bad in [s + 1, s + 8] {
+                    assert_eq!(pm.slot_bit(bad), None, "{bad:#x}");
+                }
+            }
+            assert_eq!(
+                pm.slot_bit(heap.block_addr(block) + 8),
+                None,
+                "the meta word"
+            );
+        }
+        assert_eq!(bits.len(), 10 + 6 + 3 + 2 + 1);
+        let chain = heap.block_addr(heap.alloc_chain(7, 8).unwrap());
+        assert_eq!(pm.slot_bit(chain + 16), None, "inside a chain block");
     }
 
     #[test]

@@ -28,8 +28,9 @@ struct Stripe {
     highest_plus1: AtomicU64,
 }
 
-/// One bit per block; built during the recovery traversal, consumed by
-/// [`crate::BlockHeap::rebuild_free_queue`].
+/// One bit per block, or per pool slot ([`crate::PoolManager::slot_bit`]);
+/// built during the recovery traversal, consumed by the sweep
+/// ([`crate::BlockHeap::rebuild_free_queue`], [`crate::PoolManager::rebuild`]).
 #[derive(Debug)]
 pub struct LiveBitmap {
     bits: Vec<AtomicU64>,

@@ -21,7 +21,8 @@
 //! 3. two writers frozen between commit point and retire, so two
 //!    committed logs write the same word and the replay order shows;
 //! 4. completed workloads (for the HeaderScanOnly-vs-Full pin and its
-//!    counterexample, and the mark's reads per record).
+//!    counterexample, recovery's reads per record, and a pool block whose
+//!    slot count is corrupt).
 //!
 //! Images are captured once (a byte-for-byte copy of the post-crash
 //! media) and restored into a fresh device per configuration, so every
@@ -30,7 +31,7 @@
 use std::sync::Arc;
 
 use jnvm_repro::faultsim::{strided_points, sweep, torture_point, Devices};
-use jnvm_repro::heap::{HeapConfig, REF_ADDR_MASK};
+use jnvm_repro::heap::{HeapConfig, CLASS_ID_POOL, REF_ADDR_MASK};
 use jnvm_repro::jnvm::{
     persistent_class, Jnvm, JnvmBuilder, PObject, Proxy, RecoveryMode, RecoveryOptions,
     RecoveryReport,
@@ -692,4 +693,71 @@ fn mark_reads_per_record_are_pinned() {
         (16_537, 31_760),
         "mark device reads of 512 and 1 024 records"
     );
+}
+
+/// Replay's and the sweep's device reads, exactly, at one thread, for the
+/// images of `mark_reads_per_record_are_pinned`. Replay reads the log
+/// directory and its logs' lengths, 69 either way: no log is committed.
+/// The sweep reads the bump pointer twice, the header of each block the
+/// mark kept (3 091 and 6 009) and the word of each dead slot in a kept
+/// pool block: 3 097 and 6 013. It was 9 906 and 17 754 while it read
+/// every block header below the bump pointer, and both halves of each
+/// kept pool block's meta word.
+#[test]
+fn replay_and_sweep_reads_are_pinned() {
+    let [small, large] = [512, 1024].map(|records| {
+        let (_, _, report) = open_restored(
+            &records_image(records),
+            register_kvstore,
+            RecoveryMode::Full,
+            1,
+        );
+        report
+    });
+    assert_eq!(
+        (small.replay_reads, large.replay_reads),
+        (69, 69),
+        "replay device reads of 512 and 1 024 records"
+    );
+    assert_eq!(
+        (small.sweep_reads, large.sweep_reads),
+        (3_097, 6_013),
+        "sweep device reads of 512 and 1 024 records"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// A corrupt slot count.
+// ---------------------------------------------------------------------------
+
+/// Regression: the sweep took a kept pool block's slot count from its meta
+/// word, so a block whose class is valid and whose count is not walked the
+/// sweep past its end, clearing words of the objects behind it (a count
+/// past the device panicked the open). Here a block of 120-B value slots,
+/// 2 to a block, claims 100; the count follows from the class, and every
+/// record reads back whole in both modes.
+#[test]
+fn a_corrupt_pool_slot_count_damages_no_other_object() {
+    const RECORDS: usize = 64;
+    let mut image = records_image(RECORDS);
+    let (_, rt, _) = open_restored(&image, register_kvstore, RecoveryMode::Full, 1);
+    let heap = rt.heap();
+    let meta = (heap.data_start()..heap.scan_end())
+        .find(|idx| {
+            heap.read_header(*idx).id == CLASS_ID_POOL
+                && rt.pmem().read_u32(heap.block_addr(*idx) + 8) == 112
+        })
+        .map(|idx| heap.block_addr(idx) as usize + 8)
+        .expect("a block of value slots");
+    image[meta + 4..meta + 8].copy_from_slice(&100u32.to_le_bytes());
+    let values = vec![vec![7u8; 100]; 10];
+    for mode in [RecoveryMode::Full, RecoveryMode::HeaderScanOnly] {
+        let (_, rt, _) = open_restored(&image, register_kvstore, mode, 1);
+        let be = JnvmBackend::open(&rt, false).expect("backend");
+        for i in 0..RECORDS {
+            let key = format!("user{i:05}");
+            let want = Record::ycsb(&key, &values);
+            assert_eq!(be.read(&key), Some(want), "{mode:?}: {key}");
+        }
+    }
 }
