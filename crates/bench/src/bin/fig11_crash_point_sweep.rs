@@ -23,10 +23,10 @@ use std::sync::Arc;
 
 use jnvm::{commit_phase, persistent_class, Jnvm, JnvmBuilder};
 use jnvm_bench::{write_csv, Args, Table};
-use jnvm_faultsim::{self as faultsim, Devices};
+use jnvm_faultsim::{self as faultsim, Devices, Images};
 use jnvm_heap::HeapConfig;
 use jnvm_jpdt::register_jpdt;
-use jnvm_pmem::{silence_crash_panics, CrashPolicy, FaultPlan, Pmem, PmemConfig};
+use jnvm_pmem::{silence_crash_panics, FaultPlan, Pmem, PmemConfig};
 
 persistent_class! {
     pub class Pair {
@@ -130,7 +130,7 @@ fn main() {
     // The first point of the epoch the next crash stands for.
     let mut first = 0u64;
     let summary = faultsim::sweep_all(
-        CrashPolicy::strict(),
+        Images::Strict,
         (0, 0),
         1,
         || setup(transfers),

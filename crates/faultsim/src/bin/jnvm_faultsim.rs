@@ -69,7 +69,7 @@ fn setup(opts: &TimelineOpts) -> (Devices, Cluster) {
     // the threads' op streams out so the timeline shows real overlap.
     let mut device = PmemConfig::crash_sim(opts.pool_mb << 20);
     device.latency = LatencyProfile::optane_like();
-    let pool = Cluster::create(1, 1, 2, device, true).expect("create pool");
+    let pool = Cluster::create(1, 1, 2, device).expect("create pool");
     for t in 0..opts.threads {
         for k in 0..opts.keys {
             let v = format!("t{t}k{k}-init").into_bytes();

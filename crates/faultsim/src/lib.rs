@@ -28,20 +28,26 @@
 //!
 //! Two sweeps run it point after point:
 //!
-//! - [`sweep`] crashes at the points the caller names;
-//! - [`sweep_all`] takes its points from a count pass. Under a policy
-//!   that evicts nothing ([`CrashPolicy::strict`]) only fenced lines
-//!   survive a crash, so every point between two fences of the one thread
-//!   that writes the armed device leaves the same media: one point per
-//!   **fence epoch** sees every distinct crash image, and that is what it
-//!   sweeps. Under an eviction policy points inside an epoch persist
-//!   different lines, and it sweeps every point.
+//! - [`sweep`] crashes at the points the caller names, under one policy;
+//! - [`sweep_all`] takes its points from a count pass over a device one
+//!   thread writes, and checks the crash [`Images`] it is asked for. A
+//!   crash keeps what was fenced plus any subset of the non-clean lines
+//!   (dirty, or written back and not fenced), so:
+//!   - [`Images::Strict`], the subset kept empty ([`CrashPolicy::strict`]):
+//!     every point between two fences leaves the same media, and one point
+//!     per **fence epoch** sees every strict image;
+//!   - [`Images::Every`], every subset: at each point it crashes once per
+//!     [`CrashPolicy::keep`] mask over the point's `n` non-clean lines,
+//!     `2ⁿ` crashes. A `pwb` changes neither a word nor which lines are
+//!     non-clean, so a point right after one has the previous point's
+//!     images and is skipped. A failure names a replayable `(point, mask)`.
 //!
 //! ## Drivers on [`strided_points`]
 //!
-//! A fence epoch needs one writer. Where several threads write the armed
-//! device an op index names a different op from run to run, and the sweep
-//! takes an evenly strided sample of the counted ops instead:
+//! Fence epochs and a point's non-clean lines need one writer. Where
+//! several threads write the armed device an op index names a different op
+//! from run to run, and the sweep takes an evenly strided sample of the
+//! counted ops instead, under a seeded eviction coin or none:
 //!
 //! - the concurrent bank and grid tortures (`tests/concurrent_torture.rs`),
 //!   the recovery-equivalence images taken from them and the restartable
@@ -70,6 +76,13 @@ pub struct TortureOutcome {
     /// threads in interleaving order). A count pass has no crash point; it
     /// reports the end of the stream, the first point past its last op.
     pub point: u64,
+    /// The [`CrashPolicy::keep`] mask the crash ran under: with `point`, a
+    /// replayable name of its image. 0 under a strict crash, and under a
+    /// coin policy, whose seed draws the survivors instead.
+    pub mask: u64,
+    /// Non-clean lines the crash faced (0 if none fired): the mask's bits
+    /// that name a line.
+    pub lines: u32,
     /// The armed device's identity ([`Pmem::label`]), for reports.
     pub crash_label: String,
     /// Whether the crash fired before the armed device's op stream ended.
@@ -93,7 +106,8 @@ pub struct TortureOutcome {
 /// Aggregate result of [`sweep`] and [`sweep_all`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TortureSummary {
-    /// Points at which a crash was injected (and verified).
+    /// Runs in which a crash was injected (and verified): one per point,
+    /// and per mask in an [`Images::Every`] sweep.
     pub points_injected: usize,
     /// Points past the end of the armed device's op stream: the workload
     /// completed; `verify` still ran against the completed image.
@@ -194,6 +208,7 @@ pub fn torture_point<Ctx: Sync>(
         crash_dev.resync_cache();
     }
     let label = crash_dev.label().to_string();
+    let lines = crash_dev.fault_crash_lines();
     let point = match plan.mode {
         FaultMode::CrashAt(point) => point,
         FaultMode::Count => {
@@ -202,8 +217,14 @@ pub fn torture_point<Ctx: Sync>(
         }
     };
     let crashed_workers = crashed.load(Ordering::SeqCst);
+    let mask = match plan.policy {
+        CrashPolicy::Keep(mask) => mask,
+        CrashPolicy::Coin { .. } => 0,
+    };
     let outcome = TortureOutcome {
         point,
+        mask,
+        lines,
         crash_label: label,
         injected,
         ops_counted,
@@ -238,6 +259,20 @@ pub fn sweep<Ctx: Sync>(
     summary
 }
 
+/// The crash images [`sweep_all`] checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Images {
+    /// The strict image — nothing unfenced survives — once per fence epoch.
+    Strict,
+    /// Every image: at each point not right after a `pwb`, one crash per
+    /// subset of the point's non-clean lines that survives.
+    Every,
+}
+
+/// The most non-clean lines an [`Images::Every`] point may face: 2¹⁰
+/// crashes. No sweep in this workspace faces more than 8.
+const MAX_LINES: u32 = 10;
+
 /// One crash point per fence epoch of a single-writer op stream: the index
 /// of every `pfence` / `psync`, and the last point when the stream does not
 /// end on one. A crash before op `i` keeps what the fences before `i`
@@ -255,46 +290,77 @@ fn epoch_points(trace: &[TraceRecord]) -> Vec<u64> {
     points
 }
 
-/// Sweep the armed device's crash points: a count pass traces its `N` ops,
-/// then [`sweep`] runs over them — one point per fence epoch (each
-/// `pfence` / `psync`, and the last point) under a policy that evicts
-/// nothing, where the points of an epoch leave one media image, and all of
-/// `0..N` under an eviction policy, where they do not. `verify` runs at
-/// every point, not on the count pass.
+/// Sweep the crash `images` of the armed device's op stream: a count pass
+/// traces its `N` ops, then
 ///
-/// `setup` is invoked once more than there are points; every instance must
-/// give the armed device the same op stream.
+/// - [`Images::Strict`] crashes strictly at one point per fence epoch (each
+///   `pfence` / `psync`, and the last point);
+/// - [`Images::Every`] crashes at every point of `0..N` whose previous op
+///   is not a `pwb`, once per [`CrashPolicy::keep`] mask in `0..2ⁿ`, where
+///   the mask-0 crash finds the `n` non-clean lines.
+///
+/// `verify` runs after every crash, not on the count pass; the outcome's
+/// `point` and `mask` name the image. `setup` is invoked once per crash
+/// and once more; every instance must give the armed device the same op
+/// stream.
 ///
 /// # Panics
 ///
-/// When the count pass saw no op on the armed device; under a policy that
-/// evicts nothing, when it saw more than one thread write that device
-/// (each thread's fence persists only its own write-backs, so the points
-/// of an epoch no longer leave one image); and when a point did not fire,
-/// because the op stream differs between setups.
+/// When the count pass saw no op on the armed device; when it saw more
+/// than one thread write that device (each thread's fence persists only its
+/// own write-backs, and an op index names a different op from run to run);
+/// when a point faces more than 10 non-clean lines; and when the op stream
+/// differs between setups: a point did not fire, or faced a different
+/// number of non-clean lines than at mask 0.
 pub fn sweep_all<Ctx: Sync>(
-    policy: CrashPolicy,
+    images: Images,
     target: (usize, usize),
     workers: usize,
     mut setup: impl FnMut() -> (Devices, Ctx),
     workload: impl Fn(usize, &Ctx) + Sync,
-    verify: impl FnMut(&[Vec<Arc<Pmem>>], &TortureOutcome),
+    mut verify: impl FnMut(&[Vec<Arc<Pmem>>], &TortureOutcome),
 ) -> TortureSummary {
     let count = FaultPlan::count();
     let trace = torture_point(count, target, workers, &mut setup, &workload, |_, _| {}).trace;
     let total = trace.len() as u64;
-    let points = if policy.evict_probability > 0.0 {
-        (0..total).collect()
-    } else {
-        let threads = trace.iter().map(|r| r.thread).collect::<HashSet<_>>().len();
-        assert!(
-            threads == 1,
-            "a strict sweep takes one point per fence epoch, which one writer defines; \
-             the count pass saw {threads} threads write the armed device"
-        );
-        epoch_points(&trace)
+    let threads = trace.iter().map(|r| r.thread).collect::<HashSet<_>>().len();
+    assert!(
+        threads == 1,
+        "a sweep takes its points from one writer's op stream; \
+         the count pass saw {threads} threads write the armed device"
+    );
+    let after_pwb = |i: u64| i > 0 && trace[i as usize - 1].op == FaultOp::Pwb;
+    let points = match images {
+        Images::Strict => epoch_points(&trace),
+        Images::Every => (0..total).filter(|i| !after_pwb(*i)).collect(),
     };
-    let summary = sweep(points, policy, target, workers, setup, workload, verify);
+    let mut summary = TortureSummary::default();
+    for point in points {
+        let mut crash = |mask: u64| {
+            let plan = FaultPlan::crash_at(point).with_policy(CrashPolicy::keep(mask));
+            let out = torture_point(plan, target, workers, &mut setup, &workload, &mut verify);
+            summary.points_injected += out.injected as usize;
+            summary.points_completed += !out.injected as usize;
+            out.lines
+        };
+        let lines = crash(0);
+        if images == Images::Strict {
+            continue;
+        }
+        assert!(
+            lines <= MAX_LINES,
+            "crash point {point} faces {lines} non-clean lines; an every-image \
+             sweep takes at most {MAX_LINES}"
+        );
+        for mask in 1..1u64 << lines {
+            let seen = crash(mask);
+            assert_eq!(
+                seen, lines,
+                "crash point {point} faced {lines} non-clean lines at mask 0 and \
+                 {seen} at mask {mask:#b}: the op stream differs between setups"
+            );
+        }
+    }
     assert_eq!(
         summary.points_completed, 0,
         "count pass reported {total} ops but a CrashAt point within 0..{total} \
@@ -411,36 +477,99 @@ mod tests {
         );
     }
 
-    /// `raw_commit` under `policy`: the points `sweep_all` crashed at. The
+    /// `raw_commit`'s crashes under `images`, as `(point, mask)`. The
     /// protocol's invariant holds at each: if the commit flag reached the
     /// media, the value is there too.
-    fn raw_commit_points(policy: CrashPolicy) -> Vec<u64> {
+    fn raw_commit_crashes(images: Images) -> Vec<(u64, u64)> {
         let mut seen = Vec::new();
         let workload = |_: usize, d: &Devices| raw_commit(&d[0][0]);
-        let summary = sweep_all(policy, (0, 0), 1, pool, workload, |pmems, out| {
+        let summary = sweep_all(images, (0, 0), 1, pool, workload, |pmems, out| {
             let pmem = &pmems[0][0];
             if pmem.read_u64(64) == 1 {
                 assert_eq!(pmem.read_u64(0), 0xfeed, "flag durable before value");
             }
-            seen.push(out.point);
+            seen.push((out.point, out.mask));
         });
         assert_eq!(summary.points_injected, seen.len());
         assert_eq!(summary.points_completed, 0);
         seen
     }
 
+    /// Points 2 and 5 follow a `pwb`, whose images are those of points 1
+    /// and 4, and get no crash; points 1 and 4 face one line each.
     #[test]
-    fn sweep_all_visits_every_point_under_eviction() {
-        for policy in [CrashPolicy::adversarial(3), CrashPolicy::lenient()] {
-            assert_eq!(raw_commit_points(policy), vec![0, 1, 2, 3, 4, 5]);
-        }
+    fn every_image_sweep_skips_the_point_after_a_pwb() {
+        assert_eq!(
+            raw_commit_crashes(Images::Every),
+            vec![(0, 0), (1, 0), (1, 1), (3, 0), (4, 0), (4, 1)]
+        );
+    }
+
+    /// Two unfenced lines, four crashes: bit `i` of the mask keeps the
+    /// `i`-th line in address order.
+    #[test]
+    fn every_image_sweep_crashes_once_per_subset_of_unfenced_lines() {
+        let workload = |_: usize, d: &Devices| {
+            d[0][0].write_u64(0, 1);
+            d[0][0].write_u64(64, 2);
+            d[0][0].pfence();
+        };
+        let mut seen = Vec::new();
+        sweep_all(Images::Every, (0, 0), 1, pool, workload, |pmems, out| {
+            let kept = |addr: u64, v: u64| (pmems[0][0].read_u64(addr) == v) as u64;
+            assert_eq!(
+                kept(0, 1) | kept(64, 2) << 1,
+                out.mask,
+                "point {}",
+                out.point
+            );
+            seen.push((out.point, out.mask, out.lines));
+        });
+        let at_2: Vec<_> = (0..4).map(|mask| (2, mask, 2)).collect();
+        assert_eq!(seen[..3], [(0, 0, 0), (1, 0, 1), (1, 1, 1)]);
+        assert_eq!(seen[3..], at_2[..]);
+    }
+
+    /// Past 10 non-clean lines an every-image sweep refuses rather than
+    /// sample.
+    #[test]
+    #[should_panic(expected = "crash point 1 faces 11 non-clean lines")]
+    fn every_image_sweep_of_eleven_unfenced_lines_panics() {
+        silence_crash_panics();
+        let workload = |_: usize, d: &Devices| {
+            d[0][0].write_bytes(0, &[1; 11 * 64]);
+            d[0][0].pfence();
+        };
+        sweep_all(Images::Every, (0, 0), 1, pool, workload, |_, _| {});
+    }
+
+    /// A setup that leaves one more dirty line behind on its fourth call —
+    /// point 1's second crash — changes that point's images.
+    #[test]
+    #[should_panic(expected = "faced 1 non-clean lines at mask 0 and 2 at mask 0b1")]
+    fn every_image_sweep_panics_when_a_later_crash_faces_other_lines() {
+        silence_crash_panics();
+        let mut calls = 0;
+        let setup = || {
+            calls += 1;
+            let (pmems, ctx) = pool();
+            if calls == 4 {
+                pmems[0][0].write_u64(128, 3);
+            }
+            (pmems, ctx)
+        };
+        let workload = |_: usize, d: &Devices| {
+            d[0][0].write_u64(0, 1);
+            d[0][0].pfence();
+        };
+        sweep_all(Images::Every, (0, 0), 1, setup, workload, |_, _| {});
     }
 
     /// Under the strict policy the two fences are the two epochs; a stream
     /// that does not end on a fence adds its last point.
     #[test]
     fn strict_sweep_all_takes_one_point_per_fence_epoch() {
-        assert_eq!(raw_commit_points(CrashPolicy::strict()), vec![2, 5]);
+        assert_eq!(raw_commit_crashes(Images::Strict), vec![(2, 0), (5, 0)]);
         let out = count(1, |_, d| {
             let p = &d[0][0];
             raw_commit(p);
@@ -458,35 +587,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "the count pass saw no op on \"s0/primary\"")]
     fn sweep_all_of_a_workload_that_writes_nothing_panics() {
-        sweep_all(CrashPolicy::strict(), (0, 0), 1, pool, |_, _| {}, |_, _| {});
+        sweep_all(Images::Strict, (0, 0), 1, pool, |_, _| {}, |_, _| {});
     }
 
-    /// Two writer threads: their fences persist only their own lines, so
-    /// no fence epoch is defined, and a strict `sweep_all` refuses.
+    /// Two writer threads: their fences persist only their own lines, and
+    /// an op index names a different op from run to run, so `sweep_all`
+    /// refuses.
     #[test]
     #[should_panic(expected = "the count pass saw 2 threads")]
-    fn strict_sweep_all_refuses_two_writer_threads() {
+    fn sweep_all_refuses_two_writer_threads() {
         silence_crash_panics();
         let workload = |_: usize, d: &Devices| threaded_workload(&d[0][0]);
-        sweep_all(CrashPolicy::strict(), (0, 0), 1, pool, workload, |_, _| {});
-    }
-
-    /// Under eviction the same two-thread workload sweeps every point.
-    #[test]
-    fn adversarial_sweep_all_of_two_writer_threads_visits_every_point() {
-        silence_crash_panics();
-        let workload = |_: usize, d: &Devices| threaded_workload(&d[0][0]);
-        let total = count(1, workload).ops_counted;
-        let mut seen = Vec::new();
-        let policy = CrashPolicy::adversarial(1);
-        let summary = sweep_all(policy, (0, 0), 1, pool, workload, |pmems, out| {
-            for t in 0..2u64 {
-                assert_prefix(&pmems[0][0], t * 4096, 8);
-            }
-            seen.push(out.point);
-        });
-        assert_eq!(summary.points_injected as u64, total);
-        assert_eq!(seen, (0..total).collect::<Vec<_>>());
+        sweep_all(Images::Every, (0, 0), 1, pool, workload, |_, _| {});
     }
 
     /// The writer check looks only at the armed device: shard 1's worker
@@ -498,7 +610,7 @@ mod tests {
         let workload = |s: usize, d: &Devices| fenced_lines(&d[s][0], 0, 8 + 8 * s as u64);
         let mut seen = Vec::new();
         let summary = sweep_all(
-            CrashPolicy::strict(),
+            Images::Strict,
             (0, 0),
             2,
             || topology(2, 1),
@@ -528,7 +640,7 @@ mod tests {
         };
         let mut seen = Vec::new();
         let summary = sweep_all(
-            CrashPolicy::strict(),
+            Images::Strict,
             (0, 1),
             1,
             || topology(1, 2),

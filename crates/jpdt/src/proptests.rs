@@ -90,7 +90,7 @@ proptest! {
             prop_assert_eq!(map.len(), model.len());
         }
         // Crash and compare the recovered map against the model.
-        pmem.crash(&CrashPolicy { evict_probability: 0.5, seed }).unwrap();
+        pmem.crash(&CrashPolicy::adversarial(seed)).unwrap();
         let (rt2, _) = register_jpdt(JnvmBuilder::new()).open(Arc::clone(&pmem)).unwrap();
         let map2 = rt2.root_get_as::<PStringHashMap>("m").unwrap().unwrap();
         prop_assert_eq!(map2.len(), model.len());

@@ -1,6 +1,9 @@
 //! Device configuration: size, simulation mode, latency profile, crash
 //! policy, persist-ordering sanitizer mode.
 
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
 use crate::sanitize::SanitizeMode;
 
 /// How faithfully the device models persistence.
@@ -22,10 +25,9 @@ pub enum SimMode {
     /// `pwb` enqueues the line on the calling thread's write-pending queue
     /// and a `pfence`/`psync` drains only that thread's queue. Lines another
     /// thread has `pwb`ed but not yet fenced are still *unpersisted* at a
-    /// crash (they fall under the eviction coin of the [`CrashPolicy`] like
-    /// any dirty line). Code that flushes on one thread and fences on
-    /// another is therefore not crash-consistent, and the simulator will
-    /// catch it.
+    /// crash (the [`CrashPolicy`] decides their fate like any dirty
+    /// line's). Code that flushes on one thread and fences on another is
+    /// therefore not crash-consistent, and the simulator will catch it.
     CrashSim,
 }
 
@@ -218,42 +220,67 @@ impl FaultPlan {
 }
 
 /// What happens to not-yet-persisted cache lines when the power fails.
-#[derive(Debug, Clone, Copy)]
-pub struct CrashPolicy {
-    /// Probability that a dirty (or pending-but-unfenced) line nevertheless
-    /// reaches the media before power is lost — cache eviction and
-    /// in-flight write-pending-queue drain can both persist data the program
-    /// never fenced.
-    pub evict_probability: f64,
-    /// Seed for the per-line persistence coin flips.
-    pub seed: u64,
+///
+/// A crash asks about every non-clean line — dirty, or written back and not
+/// yet fenced — once, in ascending line order. A line that survives reached
+/// the media (cache eviction and a write-pending-queue drain can both
+/// persist data the program never fenced); one that does not is rolled back
+/// to its persisted content.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CrashPolicy {
+    /// The `i`-th non-clean line survives iff bit `i` of the mask is set
+    /// (lines past the 64th never do). One mask is one crash image, so the
+    /// masks `0..1 << n` are every image of `n` non-clean lines.
+    Keep(u64),
+    /// Every non-clean line independently survives with probability `p`,
+    /// drawn from a generator seeded with `seed`.
+    Coin {
+        /// Survival probability of each line.
+        p: f64,
+        /// Seed of the per-line coin flips.
+        seed: u64,
+    },
 }
 
 impl CrashPolicy {
-    /// Nothing unflushed survives. The most deterministic policy: exactly the
-    /// fenced state is visible after the crash.
+    /// Nothing unflushed survives: exactly the fenced state is visible
+    /// after the crash. It is `keep(0)`.
     pub const fn strict() -> Self {
-        CrashPolicy {
-            evict_probability: 0.0,
-            seed: 0,
-        }
+        CrashPolicy::Keep(0)
+    }
+
+    /// The non-clean lines named by `mask` survive (see [`CrashPolicy::Keep`]).
+    pub const fn keep(mask: u64) -> Self {
+        CrashPolicy::Keep(mask)
     }
 
     /// Every unflushed line independently survives with probability 1/2.
     /// Catches code that *relies* on data not persisting as well as code
     /// that forgets to flush.
     pub const fn adversarial(seed: u64) -> Self {
-        CrashPolicy {
-            evict_probability: 0.5,
-            seed,
-        }
+        CrashPolicy::Coin { p: 0.5, seed }
     }
 
     /// Everything dirty survives (an orderly-shutdown-like crash).
     pub const fn lenient() -> Self {
-        CrashPolicy {
-            evict_probability: 1.0,
-            seed: 0,
+        CrashPolicy::Coin { p: 1.0, seed: 0 }
+    }
+
+    /// Whether each non-clean line survives, asked once per line in
+    /// ascending line order.
+    pub(crate) fn survivors(self) -> impl FnMut() -> bool {
+        let mut rng = StdRng::seed_from_u64(match self {
+            CrashPolicy::Coin { seed, .. } => seed,
+            CrashPolicy::Keep(_) => 0,
+        });
+        let mut line = 0;
+        move || {
+            let keep = match self {
+                CrashPolicy::Keep(mask) => mask.checked_shr(line).is_some_and(|m| m & 1 == 1),
+                CrashPolicy::Coin { p, .. } => p >= 1.0 || (p > 0.0 && rng.random::<f64>() < p),
+            };
+            line += 1;
+            keep
         }
     }
 }

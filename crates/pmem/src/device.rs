@@ -33,8 +33,6 @@ use std::sync::Arc;
 use std::thread::ThreadId;
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 use crate::config::{CrashPolicy, LatencyProfile, PmemConfig, SimMode};
 use crate::error::PmemError;
@@ -1016,42 +1014,39 @@ impl Pmem {
 
     /// Simulate a power failure.
     ///
-    /// Every line not persisted via `pwb`+`pfence` *on the same thread*
-    /// independently survives with `policy.evict_probability` (seeded — a
-    /// given `(policy, dirty set)` pair always produces the same post-crash
-    /// state); a line still pending in another thread's domain faces the
-    /// same coin as a dirty line. A line that loses it is rolled back to
-    /// its persisted content, so subsequent reads observe exactly the
-    /// surviving state.
+    /// Every line not persisted via `pwb`+`pfence` *on the same thread* —
+    /// dirty, or still pending in some thread's domain — survives or not as
+    /// `policy` decides, asked line by line in ascending order (a given
+    /// `(policy, non-clean set)` pair always produces the same post-crash
+    /// state). A line that does not survive is rolled back to its persisted
+    /// content, so subsequent reads observe exactly the surviving state.
     ///
     /// Returns [`PmemError::CrashSimRequired`] on a `Performance`-mode pool.
     ///
     /// Callers must quiesce writer threads first, as with a real power
     /// failure there is no meaningful "result" for racing in-flight writes.
     pub fn crash(&self, policy: &CrashPolicy) -> Result<(), PmemError> {
+        self.crash_lines(policy).map(drop)
+    }
+
+    /// [`Pmem::crash`], returning how many non-clean lines it settled: the
+    /// bits of a [`CrashPolicy::Keep`] mask that name a line.
+    pub(crate) fn crash_lines(&self, policy: &CrashPolicy) -> Result<u32, PmemError> {
         if !self.crash_sim_enabled() {
             return Err(PmemError::CrashSimRequired);
         }
         self.stats.crashes.add(1);
-        let mut rng = StdRng::seed_from_u64(policy.seed);
-        // Dirty lines may be evicted; pending lines sit in a write-pending
-        // queue, which may or may not drain before power loss. Both face
-        // the same coin.
-        self.settle_all(|| {
-            policy.evict_probability > 0.0
-                && (policy.evict_probability >= 1.0
-                    || rng.random::<f64>() < policy.evict_probability)
-        });
-        Ok(())
+        Ok(self.settle_all(policy.survivors()))
     }
 
     /// Every line clean, every domain empty: the shared body of crash,
     /// orderly drain and cache resync. A non-clean line keeps its content
     /// iff `survives`, asked line by line in ascending order; otherwise it
-    /// is rolled back to its shadow entry. Work is proportional to the
-    /// non-clean lines (without a shadow to name them, to the pool).
-    fn settle_all(&self, mut survives: impl FnMut() -> bool) {
-        let Some(p) = &self.persist else { return };
+    /// is rolled back to its shadow entry. Returns how many lines it asked
+    /// about. Work is proportional to the non-clean lines (without a
+    /// shadow to name them, to the pool).
+    fn settle_all(&self, mut survives: impl FnMut() -> bool) -> u32 {
+        let Some(p) = &self.persist else { return 0 };
         let _g = p.crash_lock.lock();
         let non_clean = match &p.shadow {
             Some(shadow) => shadow.lines(),
@@ -1061,11 +1056,13 @@ impl Pmem {
                 })
                 .collect(),
         };
+        let mut asked = 0;
         for line in non_clean {
             let mut held = p.lock(line);
             if held.state == LINE_CLEAN {
                 continue;
             }
+            asked += 1;
             let persisted = p
                 .shadow
                 .as_ref()
@@ -1083,6 +1080,7 @@ impl Pmem {
         // pending lines, no fence history.
         p.domains.lock().clear();
         p.settles.fetch_add(1, Ordering::Release);
+        asked
     }
 
     /// Persist every dirty line (an orderly shutdown / eADR-style flush),
@@ -1564,6 +1562,34 @@ mod tests {
         p.crash(&CrashPolicy::lenient()).unwrap();
         assert_eq!(p.read_u64(0), 1);
         assert_eq!(p.read_u64(512), 2);
+    }
+
+    /// Bit `i` of a keep mask is the `i`-th non-clean line in address
+    /// order, whatever order the lines were written in; `keep(0)` is the
+    /// strict image and all bits set the lenient one.
+    #[test]
+    fn keep_mask_bits_name_non_clean_lines_in_ascending_order() {
+        let image = |policy: CrashPolicy| {
+            let p = dev(4096);
+            p.write_u64(0, 1);
+            p.pwb(0);
+            p.pfence();
+            for line in [5u64, 0, 2] {
+                p.write_u64(line * 64 + 8, line + 10);
+            }
+            p.pwb(2 * 64); // pending, not fenced: still non-clean
+            p.crash(&policy).unwrap();
+            [0u64, 2, 5].map(|line| p.read_u64(line * 64 + 8))
+        };
+        assert_eq!(image(CrashPolicy::keep(0b101)), [10, 0, 15]);
+        assert_eq!(image(CrashPolicy::keep(0b010)), [0, 12, 0]);
+        assert_eq!(image(CrashPolicy::keep(0)), image(CrashPolicy::strict()));
+        assert_eq!(image(CrashPolicy::keep(0)), [0, 0, 0]);
+        assert_eq!(
+            image(CrashPolicy::keep(0b111)),
+            image(CrashPolicy::lenient())
+        );
+        assert_eq!(image(CrashPolicy::keep(0b111)), [10, 12, 15]);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::thread::ThreadId;
 
 use parking_lot::Mutex;
@@ -124,6 +124,8 @@ pub(crate) struct Injector {
     /// this crash" (skip silently) from "fresh thread must unwind".
     crash_token: AtomicU64,
     policy: Mutex<CrashPolicy>,
+    /// Non-clean lines the injected crash settled; 0 until one fires.
+    crash_lines: AtomicU32,
     trace: Mutex<Vec<TraceRecord>>,
 }
 
@@ -137,6 +139,7 @@ impl Default for Injector {
             tracing: AtomicBool::new(false),
             crash_token: AtomicU64::new(0),
             policy: Mutex::new(CrashPolicy::strict()),
+            crash_lines: AtomicU32::new(0),
             trace: Mutex::new(Vec::new()),
         }
     }
@@ -165,6 +168,7 @@ impl Pmem {
             Ordering::Relaxed,
         );
         *inj.policy.lock() = plan.policy;
+        inj.crash_lines.store(0, Ordering::Relaxed);
         inj.trace.lock().clear();
         let (trigger, tracing) = match plan.mode {
             FaultMode::Count => (u64::MAX, true),
@@ -195,6 +199,13 @@ impl Pmem {
     /// frozen the device ignores every mutation and write-back.
     pub fn faults_frozen(&self) -> bool {
         self.injector().frozen.load(Ordering::Relaxed)
+    }
+
+    /// How many non-clean lines the injected crash since the last
+    /// [`Pmem::arm_faults`] settled (0 until one fires): a
+    /// [`CrashPolicy::Keep`] mask past that many bits names no further line.
+    pub fn fault_crash_lines(&self) -> u32 {
+        self.injector().crash_lines.load(Ordering::Relaxed)
     }
 
     /// The operation trace recorded by the last [`FaultMode::Count`] run.
@@ -250,7 +261,8 @@ impl Pmem {
             self.record_injected_crash();
             // On a Performance pool there is nothing to roll back to; the
             // freeze + unwind still model the control-flow cut.
-            let _ = self.crash(&policy);
+            let lines = self.crash_lines(&policy).unwrap_or(0);
+            inj.crash_lines.store(lines, Ordering::Relaxed);
             std::panic::panic_any(CrashInjected {
                 op_index: idx,
                 op,

@@ -230,11 +230,20 @@ impl TwoArrays {
 
     fn crash(&mut self, policy: &CrashPolicy) {
         use rand::{RngExt, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(policy.seed);
-        let p = policy.evict_probability;
+        let seed = match *policy {
+            CrashPolicy::Coin { seed, .. } => seed,
+            CrashPolicy::Keep(_) => 0,
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut asked = 0;
         for line in 0..self.state.len() {
             if self.state[line] != 0 {
-                if p > 0.0 && (p >= 1.0 || rng.random::<f64>() < p) {
+                let keep = match *policy {
+                    CrashPolicy::Keep(mask) => asked < 64 && mask >> asked & 1 == 1,
+                    CrashPolicy::Coin { p, .. } => p > 0.0 && (p >= 1.0 || rng.random::<f64>() < p),
+                };
+                asked += 1;
+                if keep {
                     self.persist(line);
                 }
                 self.state[line] = 0;
@@ -287,7 +296,8 @@ fn issue_ref_op(pmem: &Pmem, op: &RefOp) {
 /// The shadow device is the two-array device: for any interleaving of
 /// stores, flushes and fences by `threads` threads, what is persisted
 /// agrees word for word before a crash, and the whole pool image after a
-/// strict, a lenient and an adversarial one. The threads are persistent
+/// strict, a lenient, an adversarial one and one that keeps the lines a
+/// mask names. The threads are persistent
 /// workers (a persistence domain is a `ThreadId`), each step handed over a
 /// channel and awaited, so the generated order is the executed order.
 fn device_equals_reference(
@@ -299,6 +309,7 @@ fn device_equals_reference(
         CrashPolicy::strict(),
         CrashPolicy::lenient(),
         CrashPolicy::adversarial(seed),
+        CrashPolicy::keep(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
     ];
     let pools = policies.map(|_| Pmem::new(PmemConfig::crash_sim(REF_SIZE)));
     std::thread::scope(|scope| {
@@ -557,7 +568,7 @@ proptest! {
             pmem.write_u64(line * 64, (line + 1) << 32);
             pmem.write_u64(line * 64 + 8, (line + 1) << 32);
         }
-        pmem.crash(&CrashPolicy { evict_probability: evict, seed }).unwrap();
+        pmem.crash(&CrashPolicy::Coin { p: evict, seed }).unwrap();
         for line in 0..SIZE / 64 {
             let a = pmem.read_u64(line * 64);
             let b = pmem.read_u64(line * 64 + 8);

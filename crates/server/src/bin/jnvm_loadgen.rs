@@ -115,7 +115,6 @@ fn main() {
             args.get_or("replicas", 1),
             args.get_or("map-shards", 16),
             PmemConfig::crash_sim(args.get_or::<u64>("pool-mb", 256) << 20),
-            true,
         )
         .unwrap_or_else(|e| Args::usage_error(&e));
         let before = cluster.device_stats();

@@ -4,7 +4,7 @@
 //! ```text
 //! jnvm-server [--pool-mb 256] [--shards 1] [--map-shards 16]
 //!             [--replicas 1] [--batch-max 64] [--queue-cap 256]
-//!             [--no-fa] [--recovery-threads 1] [--restart-drill]
+//!             [--recovery-threads 1] [--restart-drill]
 //! ```
 //!
 //! `--shards N` opens N independent pools (each `--pool-mb` MiB, with its
@@ -44,7 +44,6 @@ fn main() {
     let pool_shards: usize = args.get_or("shards", 1);
     let map_shards: usize = args.get_or("map-shards", 16);
     let replicas: usize = args.get_or("replicas", 1);
-    let fa = !args.has("no-fa");
     let cfg = ServerConfig {
         batch_max: args.get_or("batch-max", 64),
         queue_cap: args.get_or("queue-cap", 256),
@@ -52,7 +51,7 @@ fn main() {
     let recovery_threads: usize = args.get_or("recovery-threads", 1);
 
     let device = PmemConfig::crash_sim(pool_mb << 20);
-    let mut cluster = Cluster::create(pool_shards, replicas, map_shards, device, fa)
+    let mut cluster = Cluster::create(pool_shards, replicas, map_shards, device)
         .unwrap_or_else(|e| Args::usage_error(&e));
 
     if args.has("restart-drill") {
@@ -85,16 +84,9 @@ fn main() {
     let server = cluster.start(cfg).expect("bind server");
     println!("listening on {}", server.addr());
     println!(
-        "pools={}x{} MiB replicas={} map_shards={} fa={} batch_max={} queue_cap={} \
+        "pools={}x{} MiB replicas={} map_shards={} batch_max={} queue_cap={} \
          recovery_threads={}",
-        pool_shards,
-        pool_mb,
-        replicas,
-        map_shards,
-        fa,
-        cfg.batch_max,
-        cfg.queue_cap,
-        recovery_threads
+        pool_shards, pool_mb, replicas, map_shards, cfg.batch_max, cfg.queue_cap, recovery_threads
     );
 
     while !server.shutdown_requested() && !server.is_dead() {

@@ -38,22 +38,20 @@ pub struct Cluster {
     /// One store per replica position: `kvs[r].shard(s)` is shard `s`'s
     /// replica `r`.
     kvs: Vec<ShardedKv>,
-    fa: bool,
 }
 
 impl Cluster {
     /// Format `shards × replicas` fresh pools, each on its own device
     /// built from `device` (its label is overwritten per device), and stack
     /// a backend + uncached grid on every one. `map_shards` is the
-    /// per-pool map shard count (orthogonal to pool sharding), `fa`
-    /// selects failure-atomic blocks. An unservable topology is an `Err`,
-    /// not a clamp: the caller asked for something else than it would get.
+    /// per-pool map shard count (orthogonal to pool sharding). Every write
+    /// is a failure-atomic block. An unservable topology is an `Err`, not a
+    /// clamp: the caller asked for something else than it would get.
     pub fn create(
         shards: usize,
         replicas: usize,
         map_shards: usize,
         device: PmemConfig,
-        fa: bool,
     ) -> Result<Cluster, String> {
         if shards == 0 {
             return Err("topology: shards must be at least 1".into());
@@ -77,13 +75,12 @@ impl Cluster {
         let mut cluster = Cluster {
             pmems,
             kvs: Vec::with_capacity(replicas),
-            fa,
         };
         for r in 0..replicas {
             let kv = ShardedKv::create(
                 &cluster.replica_devices(r),
                 map_shards.max(1),
-                fa,
+                true,
                 grid_cfg(),
             )
             .map_err(|e| format!("format replica {r}'s pools: {e}"))?;
@@ -179,9 +176,8 @@ impl Cluster {
         }
         let mut reports = Vec::with_capacity(self.shards() * self.replicas());
         for r in 0..self.replicas() {
-            let (kv, recovered) =
-                ShardedKv::open(&self.replica_devices(r), self.fa, grid_cfg(), opts)
-                    .map_err(|e| format!("recover replica {r}'s pools: {e}"))?;
+            let (kv, recovered) = ShardedKv::open(&self.replica_devices(r), true, grid_cfg(), opts)
+                .map_err(|e| format!("recover replica {r}'s pools: {e}"))?;
             self.kvs.push(kv);
             reports.extend(recovered);
         }
@@ -202,7 +198,7 @@ mod tests {
     use super::*;
 
     fn build(shards: usize, replicas: usize) -> Result<Cluster, String> {
-        Cluster::create(shards, replicas, 4, PmemConfig::crash_sim(8 << 20), true)
+        Cluster::create(shards, replicas, 4, PmemConfig::crash_sim(8 << 20))
     }
 
     const KEYS: [&str; 6] = [

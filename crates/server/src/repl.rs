@@ -308,7 +308,7 @@ mod tests {
     /// One shard of `replicas` stacks, its replicated commit and its link.
     fn shard(replicas: usize) -> (Cluster, Replicas, Link) {
         silence_crash_panics();
-        let cluster = Cluster::create(1, replicas, 4, PmemConfig::crash_sim(8 << 20), true)
+        let cluster = Cluster::create(1, replicas, 4, PmemConfig::crash_sim(8 << 20))
             .expect("valid topology");
         let set = Replicas::new(cluster.handles().remove(0));
         let link = set.connect().expect("connect the backup endpoint");

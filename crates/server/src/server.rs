@@ -1000,7 +1000,7 @@ mod tests {
     /// that queue and plays its committer with the receiver (the server's
     /// real committer idles on the real one).
     fn hand_off(queue_cap: usize) -> (Cluster, Server, [SyncSender<Queued>; 1], Receiver<Queued>) {
-        let cluster = Cluster::create(1, 1, 4, PmemConfig::crash_sim(8 << 20), true).unwrap();
+        let cluster = Cluster::create(1, 1, 4, PmemConfig::crash_sim(8 << 20)).unwrap();
         let server = cluster.start(ServerConfig::default()).unwrap();
         let (tx, rx) = sync_channel(queue_cap);
         (cluster, server, [tx], rx)
@@ -1179,7 +1179,7 @@ mod tests {
     /// handles behind, and shutdown still joins whatever is left.
     #[test]
     fn acceptor_reaps_finished_handlers() {
-        let cluster = Cluster::create(1, 1, 4, PmemConfig::crash_sim(8 << 20), true).unwrap();
+        let cluster = Cluster::create(1, 1, 4, PmemConfig::crash_sim(8 << 20)).unwrap();
         let server = cluster.start(ServerConfig::default()).unwrap();
         let open_and_close = || {
             let mut s = TcpStream::connect(server.addr()).unwrap();

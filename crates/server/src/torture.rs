@@ -169,7 +169,6 @@ fn run_armed(point: u64, cfg: &TortureConfig) -> Result<ArmedRun, String> {
         cfg.replicas,
         cfg.shards,
         PmemConfig::crash_sim(cfg.pool_bytes),
-        true,
     )?;
     let crash_dev = Arc::clone(cluster.device(cfg.crash_shard, cfg.crash_replica)?);
     let server = cluster

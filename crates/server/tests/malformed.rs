@@ -15,7 +15,7 @@ use jnvm_server::{
 
 /// A one-pool server; the cluster is returned so the stacks outlive it.
 fn start_server() -> (Server, Cluster) {
-    let cluster = Cluster::create(1, 1, 8, PmemConfig::crash_sim(64 << 20), true).unwrap();
+    let cluster = Cluster::create(1, 1, 8, PmemConfig::crash_sim(64 << 20)).unwrap();
     let server = cluster.start(ServerConfig::default()).unwrap();
     (server, cluster)
 }
@@ -239,7 +239,7 @@ fn a_set_too_large_to_replicate_is_refused_not_half_replicated() {
         assert_eq!(jnvm_kvstore::encode_record(&rec).len(), len);
         rec
     };
-    let cluster = Cluster::create(1, 2, 8, PmemConfig::crash_sim(64 << 20), true).unwrap();
+    let cluster = Cluster::create(1, 2, 8, PmemConfig::crash_sim(64 << 20)).unwrap();
     let server = cluster.start(ServerConfig::default()).unwrap();
     let mut s = connect(&server);
     let mut buf = Vec::new();

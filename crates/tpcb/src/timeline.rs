@@ -10,7 +10,7 @@ use rand::{RngExt, SeedableRng};
 use jnvm::{JnvmBuilder, RecoveryMode, RecoveryOptions, RecoveryReport};
 use jnvm_heap::HeapConfig;
 use jnvm_kvstore::CostModel;
-use jnvm_pmem::{CrashPolicy, Pmem, PmemConfig};
+use jnvm_pmem::{Pmem, PmemConfig};
 
 use crate::bank::{register_tpcb, Bank, FsBank, JnvmBank, VolatileBank};
 
@@ -188,13 +188,10 @@ pub fn run_timeline(kind: BankKind, cfg: &TimelineConfig) -> TimelineReport {
     let crash_at = start.elapsed().as_secs_f64();
     drop(bank);
 
-    // Crash: the device loses unflushed lines (Performance pools have no
-    // crash simulation — the volatile structures being dropped and rebuilt
-    // is the restart under test; CrashSim-mode atomicity is covered by the
-    // unit/integration tests).
-    if let Some(p) = &pmem {
-        let _ = p.crash(&CrashPolicy::strict());
-    }
+    // The "crash" drops the volatile structures and nothing else: the pool
+    // is a `Performance` one, which has no crash simulation, so the restart
+    // recovers an image nothing was removed from. Dropping and rebuilding
+    // is the restart under test; crash images are the crash sweeps' job.
 
     // Restart (timed).
     let restart_begin = Instant::now();

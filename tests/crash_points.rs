@@ -5,10 +5,14 @@
 //! adversarial line eviction, these tests use the `jnvm-pmem` injection
 //! engine (`FaultPlan` / `CrashAt`) plus the `jnvm-faultsim` sweep driver
 //! to crash at every persistence-relevant operation (store, `pwb`,
-//! `pfence`, `psync`) that can leave a distinct image. Under the strict
-//! policy only fenced lines survive, so every point of a fence epoch leaves
-//! the same media and `faultsim::sweep_all` takes one point per epoch —
-//! an exhaustive sweep; under an eviction policy it takes every point.
+//! `pfence`, `psync`) that can leave a distinct image, and check every image
+//! a crash there can leave. A crash keeps the fenced lines and any subset of
+//! the non-clean ones. `faultsim::sweep_all` checks either the strict image
+//! (the empty subset) at one point per fence epoch, where it does not
+//! change between two fences ([`Images::Strict`]), or every subset at
+//! every point whose previous op is not a `pwb`, once per keep mask
+//! ([`Images::Every`]). A failed check names its `(point, mask)`, and
+//! `CrashPolicy::keep(mask)` at that point replays it.
 //!
 //! One oracle, [`prefix_sweep`], checks the workloads: each is a sequence
 //! of steps (a failure-atomic block, a commit group, a J-PDT publish, a
@@ -19,12 +23,13 @@
 //! torn field, a header word, a value's length) live in each workload's
 //! `observe`. Two other sweeps stand beside it: a crash *during recovery
 //! replay* must leave a state from which a second recovery still reaches
-//! the committed image, and [`adversarial_sweep`] checks that a commit is
-//! durable from its commit-point fence on under line eviction.
+//! the committed image, and [`eviction_sweep`] checks that a commit is
+//! all-or-nothing under line eviction, and durable from its commit-point
+//! fence on.
 
 use std::sync::Arc;
 
-use jnvm_repro::faultsim::{self, Devices};
+use jnvm_repro::faultsim::{self, Devices, Images};
 use jnvm_repro::heap::{BlockHeader, HeapConfig, REF_ADDR_MASK};
 use jnvm_repro::jnvm::{
     commit_phase, persistent_class, Jnvm, JnvmBuilder, PObject, Proxy, RawChain, RecoveryMode,
@@ -55,15 +60,6 @@ persistent_class! {
 
 const FULL: [RecoveryMode; 1] = [RecoveryMode::Full];
 const BOTH: [RecoveryMode; 2] = [RecoveryMode::Full, RecoveryMode::HeaderScanOnly];
-
-fn strict() -> std::iter::Once<CrashPolicy> {
-    std::iter::once(CrashPolicy::strict())
-}
-
-/// Strict power failures, then `seeds` adversarial eviction seeds.
-fn strict_and_adversarial(seeds: u64) -> impl Iterator<Item = CrashPolicy> + Clone {
-    strict().chain((0..seeds).map(CrashPolicy::adversarial))
-}
 
 /// Reopen a crashed pool under `mode`.
 fn open(builder: JnvmBuilder, pmem: &Arc<Pmem>, mode: RecoveryMode) -> (Jnvm, RecoveryReport) {
@@ -155,33 +151,38 @@ impl Drop for At {
     }
 }
 
-/// Crash `run(ctx, steps)` at the points `faultsim::sweep_all` takes under
-/// each of `policies` and recover it under each of `modes`: the pool must
-/// recover to the crash-free image of some prefix of the steps
-/// ([`Observed`] by `observe`), with that image's exact live count, and
-/// every prefix's image must be seen. Returns the crash-free live counts,
-/// per mode and prefix.
+/// `report`'s crash, as a failed check names it.
+fn crash_name(report: &faultsim::TortureOutcome) -> String {
+    format!("keep {:#b}, crash point {}", report.mask, report.point)
+}
+
+/// Crash `run(ctx, steps)` at every image `faultsim::sweep_all` takes under
+/// `sweep` and recover it under each of `modes`: the pool must recover to
+/// the crash-free image of some prefix of the steps ([`Observed`] by
+/// `observe`), with that image's exact live count, and every prefix's image
+/// must be seen. Returns the crash-free live counts, per mode and prefix.
 fn prefix_sweep<C: Sync>(
     setup: impl Fn() -> (Arc<Pmem>, C),
     steps: usize,
     run: impl Fn(&C, usize) + Sync,
     observe: impl Fn(&Arc<Pmem>, RecoveryMode) -> Observed,
     modes: &[RecoveryMode],
-    policies: impl Iterator<Item = CrashPolicy> + Clone,
+    sweep: Images,
 ) -> Vec<Vec<u64>> {
     silence_crash_panics();
     let mut live = Vec::new();
     for &mode in modes {
         let images = prefix_images(&setup, steps, &run, &observe, mode);
-        for policy in policies.clone() {
-            let mut seen = vec![0usize; steps + 1];
-            let workload = |_: usize, ctx: &C| run(ctx, steps);
-            let setup = one_pool(&setup);
-            faultsim::sweep_all(policy, POOL, 1, setup, workload, |pmems, report| {
-                let at = At(format!(
-                    "{mode:?}, {policy:?}, crash point {}",
-                    report.point
-                ));
+        let mut seen = vec![0usize; steps + 1];
+        let workload = |_: usize, ctx: &C| run(ctx, steps);
+        let crashes = faultsim::sweep_all(
+            sweep,
+            POOL,
+            1,
+            one_pool(&setup),
+            workload,
+            |pmems, report| {
+                let at = At(format!("{mode:?}, {}", crash_name(report)));
                 let (image, recovered) = observe(&pmems[0][0], mode);
                 let step = image
                     .filter(|s| *s <= steps)
@@ -192,12 +193,13 @@ fn prefix_sweep<C: Sync>(
                     at.0
                 );
                 seen[step] += 1;
-            });
-            assert!(
-                seen.iter().all(|n| *n > 0),
-                "{mode:?}, {policy:?}: every prefix's image, seen {seen:?}"
-            );
-        }
+            },
+        );
+        assert!(
+            seen.iter().all(|n| *n > 0),
+            "{mode:?}, {sweep:?}: every prefix's image, seen {seen:?}"
+        );
+        println!("{mode:?}, {sweep:?}: {} crashes", crashes.points_injected);
         live.push(images);
     }
     live
@@ -256,7 +258,7 @@ fn fa_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
 /// exactly the old or the new state, leaking no blocks.
 #[test]
 fn fa_transfer_survives_every_crash_point() {
-    prefix_sweep(fa_setup, 1, fa_run, fa_observe, &FULL, strict());
+    prefix_sweep(fa_setup, 1, fa_run, fa_observe, &FULL, Images::Strict);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +291,7 @@ fn recovery_replay_survives_every_crash_point() {
         .find(|i| crash_transfer_at(*i).1)
         .expect("a crash point lands between commit and apply");
     let summary = faultsim::sweep_all(
-        CrashPolicy::strict(),
+        Images::Strict,
         POOL,
         1,
         one_pool(|| {
@@ -386,7 +388,7 @@ fn grid_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
 
 #[test]
 fn grid_insert_rmw_survives_every_crash_point() {
-    prefix_sweep(grid_setup, 2, grid_run, grid_observe, &FULL, strict());
+    prefix_sweep(grid_setup, 2, grid_run, grid_observe, &FULL, Images::Strict);
 }
 
 // ---------------------------------------------------------------------------
@@ -483,12 +485,12 @@ fn sk_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
 
 #[test]
 fn skiplist_publish_paths_survive_every_crash_point() {
-    prefix_sweep(sk_setup, 3, sk_mutations, sk_observe, &FULL, strict());
+    prefix_sweep(sk_setup, 3, sk_mutations, sk_observe, &FULL, Images::Strict);
 }
 
 // ---------------------------------------------------------------------------
-// Workload 5: multi-object blocks under adversarial line eviction. A strict
-// power failure — nothing unfenced survives — cannot see a fence missing
+// Workload 5: multi-object blocks under line eviction. A strict power
+// failure — nothing unfenced survives — cannot see a fence missing
 // *between* two steps of the commit: that takes a crash that persists a
 // later line (the zeroed log length) and loses an earlier one (an
 // applied payload). The commit used to retire its log without fencing the
@@ -553,23 +555,19 @@ fn cells_setup(grouped: bool) -> (Arc<Pmem>, CellsCtx) {
 }
 
 /// Crash `workload` — one commit, solo or of a staged group — at every
-/// point (or only from the commit-point fence on) under `seeds` adversarial
-/// eviction seeds, reopen, and require the *commit* to be all-or-nothing:
-/// every failure-atomic block of it — `observe` reports each as `Some(is it
-/// new)`, or `None` when torn — whole, all of them on the same side (a
-/// group is one transaction in one log, with one commit word), and that side
-/// the new one once the commit-point fence has executed. Returns the number
-/// of crashing runs.
-fn adversarial_sweep<C: Sync>(
+/// image of every point, reopen, and require the *commit* to be
+/// all-or-nothing: every failure-atomic block of it — `observe` reports each
+/// as `Some(is it new)`, or `None` when torn — whole, all of them on the
+/// same side (a group is one transaction in one log, with one commit word),
+/// and that side the new one once the commit-point fence has executed.
+/// Returns the number of crashes.
+fn eviction_sweep<C: Sync>(
     setup: impl Fn() -> (Arc<Pmem>, C),
     workload: impl Fn(&C) + Sync,
     observe: impl Fn(&Jnvm) -> Vec<Option<bool>>,
-    seeds: u64,
-    every_point: bool,
-) -> u64 {
+) -> usize {
     silence_crash_panics();
     let trace = trace(&setup, &workload);
-    let total = trace.len() as u64;
     // The workload's first fence covers step 1's write-backs, its second
     // is the commit point.
     let commit_fence = trace
@@ -579,14 +577,15 @@ fn adversarial_sweep<C: Sync>(
         .nth(1)
         .expect("a commit has a commit-point fence")
         .0 as u64;
-    let mut runs = 0;
     let mut torn = Vec::new();
-    for seed in 0..seeds {
-        let policy = CrashPolicy::adversarial(seed);
-        let points = if every_point { 0 } else { commit_fence }..total;
-        let setup = one_pool(&setup);
-        let workload = |_: usize, ctx: &C| workload(ctx);
-        let summary = faultsim::sweep(points, policy, POOL, 1, setup, workload, |pmems, report| {
+    let workload = |_: usize, ctx: &C| workload(ctx);
+    let summary = faultsim::sweep_all(
+        Images::Every,
+        POOL,
+        1,
+        one_pool(&setup),
+        workload,
+        |pmems, report| {
             let (rt, _) = open(pair_builder(), &pmems[0][0], RecoveryMode::Full);
             let blocks = observe(&rt);
             let ok = match blocks[0] {
@@ -594,27 +593,25 @@ fn adversarial_sweep<C: Sync>(
                 None => false,
             };
             if !ok || blocks.iter().any(|b| *b != blocks[0]) {
-                torn.push((seed, report.point, blocks));
+                torn.push((crash_name(report), blocks));
             }
-        });
-        assert_eq!(
-            summary.points_completed, 0,
-            "op stream differs between setups"
-        );
-        runs += summary.points_injected as u64;
-    }
+        },
+    );
+    let crashes = summary.points_injected;
     assert!(
         torn.is_empty(),
-        "{} torn, split or lost commits in {runs} crashing runs of {total} points \
-         (commit-point fence at {commit_fence}); first (seed, point, blocks): {:?}",
+        "{} torn, split or lost commits in {crashes} crashes of {} points \
+         (commit-point fence at {commit_fence}); first: {:?}",
         torn.len(),
+        trace.len(),
         torn[0]
     );
-    runs
+    println!("{crashes} crashes");
+    crashes
 }
 
-/// [`adversarial_sweep`] over `write_cells(.., 100)`.
-fn cells_adversarial_sweep(grouped: bool, seeds: u64, every_point: bool) -> u64 {
+/// [`eviction_sweep`] over `write_cells(.., 100)`.
+fn cells_eviction_sweep(grouped: bool) -> usize {
     let observe = |rt: &Jnvm| {
         let left: Vec<i64> = (0..CELLS)
             .map(|i| {
@@ -629,12 +626,10 @@ fn cells_adversarial_sweep(grouped: bool, seeds: u64, every_point: bool) -> u64 
         };
         cell_blocks(grouped).map(seen).collect()
     };
-    adversarial_sweep(
+    eviction_sweep(
         || cells_setup(grouped),
         |ctx| write_cells(ctx, grouped, 100),
         observe,
-        seeds,
-        every_point,
     )
 }
 
@@ -692,10 +687,10 @@ fn spans_setup(n: usize) -> (Arc<Pmem>, SpanCtx) {
     (pmem, ctx)
 }
 
-/// [`adversarial_sweep`] over `write_spans(.., 0x80)` on `n` arrays: a
+/// [`eviction_sweep`] over `write_spans(.., 0x80)` on `n` arrays: a
 /// block is new (old) when its whole span reads `0x80 + i` (`0x10 + i`)
 /// and not a byte around it moved.
-fn spans_adversarial_sweep(n: usize, seeds: u64, every_point: bool) -> u64 {
+fn spans_eviction_sweep(n: usize) -> usize {
     let observe = |rt: &Jnvm| {
         let seen = |i: usize| {
             let array = rt.root_get_as::<PByteArray>(&format!("span{i}"));
@@ -718,13 +713,7 @@ fn spans_adversarial_sweep(n: usize, seeds: u64, every_point: bool) -> u64 {
         };
         (0..n).map(seen).collect()
     };
-    adversarial_sweep(
-        || spans_setup(n),
-        |ctx| write_spans(ctx, 0x80),
-        observe,
-        seeds,
-        every_point,
-    )
+    eviction_sweep(|| spans_setup(n), |ctx| write_spans(ctx, 0x80), observe)
 }
 
 // And over a structural group — the three shapes of the server's writes in
@@ -791,11 +780,11 @@ fn write_slots(ctx: &SlotsCtx) {
     rt.fa_commit_group(vec![setf.0, set.0, del.0]);
 }
 
-/// [`adversarial_sweep`] over [`write_slots`]: a block is old or new when
+/// [`eviction_sweep`] over [`write_slots`]: a block is old or new when
 /// its slot holds exactly the old or the new references, each to a valid
 /// object of the right content (recovery nulls a reference to an invalid
 /// one, which reads as torn here).
-fn slots_adversarial_sweep(seeds: u64, every_point: bool) -> u64 {
+fn slots_eviction_sweep() -> usize {
     let observe = |rt: &Jnvm| {
         let cells = |i: usize| {
             let slot = rt.root_get_as::<PRefArray>(&format!("slot{i}"));
@@ -812,54 +801,22 @@ fn slots_adversarial_sweep(seeds: u64, every_point: bool) -> u64 {
             side(cells(2), (blob("old-2"), Some(0)), (None, None)),
         ]
     };
-    adversarial_sweep(slots_setup, write_slots, observe, seeds, every_point)
+    eviction_sweep(slots_setup, write_slots, observe)
 }
 
-/// Regression (fails on the 3-fence commit): from the commit-point fence to
-/// the end of the commit, 16 eviction seeds, the solo form and a staged
-/// group of three — of one word in each of several objects, of one
-/// unaligned two-block range per block, and of an update, an insert and a
-/// delete.
+/// Regression (fails on the 3-fence commit): every image of every crash
+/// point, the solo form and a staged group of three — of one word in each
+/// of several objects, of one unaligned two-block range per block, and of
+/// an update, an insert and a delete.
 #[test]
 fn multi_object_blocks_survive_adversarial_eviction_after_commit_point() {
-    assert!(cells_adversarial_sweep(false, 16, false) > 0);
-    assert!(cells_adversarial_sweep(true, 16, false) > 0);
-    assert!(spans_adversarial_sweep(1, 16, false) > 0);
-    assert!(spans_adversarial_sweep(3, 16, false) > 0);
-    assert!(slots_adversarial_sweep(16, false) > 0);
-}
-
-/// Exhaustive form: every crash point × 64 eviction seeds (~30 s in the
-/// debug profile, ~3 s with `--release`, which is how CI's torture job
-/// runs it).
-#[test]
-#[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
-fn adversarial_exhaustive_multi_object_blocks_survive_every_crash_point() {
     for grouped in [false, true] {
-        let runs = cells_adversarial_sweep(grouped, 64, true);
-        println!("grouped={grouped}: {runs} crashing runs, 0 torn or split commits");
+        assert!(cells_eviction_sweep(grouped) > 0);
     }
-}
-
-/// The exhaustive form over the range log: every crash point × 64 eviction
-/// seeds of a block writing a multi-word, unaligned, two-block range, solo
-/// and as a staged group of three.
-#[test]
-#[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
-fn adversarial_exhaustive_range_log_blocks_survive_every_crash_point() {
     for arrays in [1, 3] {
-        let runs = spans_adversarial_sweep(arrays, 64, true);
-        println!("arrays={arrays}: {runs} crashing runs, 0 torn ranges");
+        assert!(spans_eviction_sweep(arrays) > 0);
     }
-}
-
-/// The exhaustive form over a structural group: every crash point × 64
-/// eviction seeds of an update + insert + delete commit.
-#[test]
-#[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
-fn adversarial_exhaustive_structural_group_survives_every_crash_point() {
-    let runs = slots_adversarial_sweep(64, true);
-    println!("{runs} crashing runs, 0 torn or split structural groups");
+    assert!(slots_eviction_sweep() > 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -938,7 +895,7 @@ fn grow_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
 
 #[test]
 fn grown_chains_recover_equivalently_at_every_crash_point() {
-    let live = prefix_sweep(grow_setup, 1, grow_run, grow_observe, &BOTH, strict());
+    let live = prefix_sweep(grow_setup, 1, grow_run, grow_observe, &BOTH, Images::Strict);
     for (mode, live) in BOTH.iter().zip(live) {
         assert_eq!(live[1], live[0] + 6, "{mode:?}: two 3-block arrays");
     }
@@ -1037,8 +994,8 @@ fn pooled_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
     (step, report.live_objects)
 }
 
-/// Every crash of the group, strict power failures and 8 adversarial
-/// eviction seeds, under `Full` and `HeaderScanOnly` recovery: the pool
+/// Every crash image of the group, under `Full` and `HeaderScanOnly`
+/// recovery: the pool
 /// recovers to the image before the group or the one after it, with that
 /// image's exact live-object count. The commit invalidates what the group
 /// frees behind its apply fence, so a crash right after it loses none of
@@ -1048,8 +1005,14 @@ fn pooled_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
 /// pinned 6 leaked objects, then a range of counts past the group.
 #[test]
 fn pooled_records_recover_to_either_image_at_every_crash_point() {
-    let policies = strict_and_adversarial(8);
-    let live = prefix_sweep(pooled_setup, 1, pooled_run, pooled_observe, &BOTH, policies);
+    let live = prefix_sweep(
+        pooled_setup,
+        1,
+        pooled_run,
+        pooled_observe,
+        &BOTH,
+        Images::Every,
+    );
     for (mode, live) in BOTH.iter().zip(live) {
         assert_eq!(
             live[1], live[0],
@@ -1165,12 +1128,12 @@ fn origin_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
     )
 }
 
-/// [`prefix_sweep`] over [`origin_run`], strict power failures and `seeds`
-/// adversarial eviction seeds, under both recovery modes: 3 blobs in, 1
-/// out; after the group each allocated slot holds the header the live
-/// commit stores — replayed from the log when the crash fell between the
-/// commit point and the apply.
-fn origin_sweep(seeds: u64) {
+/// [`prefix_sweep`] over [`origin_run`], every crash image, under both
+/// recovery modes: 3 blobs in, 1 out; after the group each allocated slot
+/// holds the header the live commit stores — replayed from the log when the
+/// crash fell between the commit point and the apply.
+#[test]
+fn slots_of_every_origin_recover_to_either_image_at_every_crash_point() {
     let (pmem, ctx) = origin_setup();
     origin_run(&ctx, 1);
     let heap = ctx.rt.heap();
@@ -1187,23 +1150,17 @@ fn origin_sweep(seeds: u64) {
         "the last carve took the bump cursor"
     );
     drop((ctx, pmem));
-    let policies = strict_and_adversarial(seeds);
-    let live = prefix_sweep(origin_setup, 1, origin_run, origin_observe, &BOTH, policies);
+    let live = prefix_sweep(
+        origin_setup,
+        1,
+        origin_run,
+        origin_observe,
+        &BOTH,
+        Images::Every,
+    );
     for (mode, live) in BOTH.iter().zip(live) {
         assert_eq!(live[1], live[0] + 2, "{mode:?}");
     }
-}
-
-#[test]
-fn slots_of_every_origin_recover_to_either_image_at_every_crash_point() {
-    origin_sweep(8);
-}
-
-/// Exhaustive form: 64 eviction seeds (CI's torture job, `--release`).
-#[test]
-#[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
-fn adversarial_exhaustive_slots_of_every_origin_recover_at_every_crash_point() {
-    origin_sweep(64);
 }
 
 // ---------------------------------------------------------------------------
@@ -1273,13 +1230,13 @@ fn carve_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
     (step, report.live_objects)
 }
 
-/// [`prefix_sweep`] over [`carve_run`], strict power failures and `seeds`
-/// adversarial eviction seeds, under both recovery modes. Regression: the
-/// carve stored the pool header and the cleared mini-headers with no fence
-/// between them, so eviction could persist the header's line alone, and a
-/// header scan counted every stale word at a slot boundary of another line
-/// as a live object.
-fn carve_sweep(seeds: u64) {
+/// [`prefix_sweep`] over [`carve_run`], every crash image, under both
+/// recovery modes. Regression: the carve stored the pool header and the
+/// cleared mini-headers with no fence between them, so eviction could
+/// persist the header's line alone, and a header scan counted every stale
+/// word at a slot boundary of another line as a live object.
+#[test]
+fn a_recycled_carve_recovers_an_exact_live_count_at_every_crash_point() {
     let (pmem, ctx) = carve_setup();
     let freed = ctx.rt.heap().stats().bump;
     carve_run(&ctx, 1);
@@ -1291,23 +1248,17 @@ fn carve_sweep(seeds: u64) {
     );
     assert!(ctx.rt.pools().is_pooled_addr(blob));
     drop((ctx, pmem));
-    let policies = strict_and_adversarial(seeds);
-    let live = prefix_sweep(carve_setup, 1, carve_run, carve_observe, &BOTH, policies);
+    let live = prefix_sweep(
+        carve_setup,
+        1,
+        carve_run,
+        carve_observe,
+        &BOTH,
+        Images::Every,
+    );
     for (mode, live) in BOTH.iter().zip(live) {
         assert_eq!(live[1], live[0] + 1, "{mode:?}");
     }
-}
-
-#[test]
-fn a_recycled_carve_recovers_an_exact_live_count_at_every_crash_point() {
-    carve_sweep(8);
-}
-
-/// Exhaustive form: 64 eviction seeds (CI's torture job, `--release`).
-#[test]
-#[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
-fn adversarial_exhaustive_recycled_carve_recovers_an_exact_live_count_at_every_crash_point() {
-    carve_sweep(64);
 }
 
 // ---------------------------------------------------------------------------
@@ -1390,13 +1341,13 @@ fn field_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
     (step, report.live_objects)
 }
 
-/// Every crash of the three updates, under `policies`, in the J-PFA flavour
-/// recovered by `Full` and `HeaderScanOnly` and in the J-PDT flavour
-/// recovered by `Full` (its unpublished values are garbage only a traversal
-/// reclaims): the record recovers to the image of some number of updates,
-/// with that image's exact live-object count, and each of the four images
-/// is seen.
-fn field_sweep(policies: impl Iterator<Item = CrashPolicy> + Clone) {
+/// Every crash image of the three updates, in the J-PFA flavour recovered
+/// by `Full` and `HeaderScanOnly` and in the J-PDT flavour recovered by
+/// `Full` (its unpublished values are garbage only a traversal reclaims):
+/// the record recovers to the image of some number of updates, with that
+/// image's exact live-object count, and each of the four images is seen.
+#[test]
+fn tagged_field_references_recover_to_an_exact_length_at_every_crash_point() {
     let flavours: [(bool, &[RecoveryMode]); 2] = [(true, &BOTH), (false, &FULL)];
     for (fa, modes) in flavours {
         let setup = || field_setup(fa);
@@ -1407,21 +1358,9 @@ fn field_sweep(policies: impl Iterator<Item = CrashPolicy> + Clone) {
             field_updates,
             field_observe,
             modes,
-            policies.clone(),
+            Images::Every,
         );
     }
-}
-
-#[test]
-fn tagged_field_references_recover_to_an_exact_length_at_every_crash_point() {
-    field_sweep(strict());
-}
-
-/// Exhaustive form: 64 eviction seeds (CI's torture job, `--release`).
-#[test]
-#[ignore = "exhaustive adversarial sweep; run with --release -- --ignored"]
-fn adversarial_exhaustive_tagged_field_references_recover_at_every_crash_point() {
-    field_sweep((0..64).map(CrashPolicy::adversarial));
 }
 
 /// `fa(body)` is `fa_stage(body)` + `fa_commit_group(vec![tx])`: on

@@ -60,7 +60,7 @@ proptest! {
                 p.set_right(p.right() + i as i64);
             });
         }
-        pmem.crash(&CrashPolicy { evict_probability: 0.5, seed }).expect("crash");
+        pmem.crash(&CrashPolicy::adversarial(seed)).expect("crash");
         let (rt2, _) = reopen(&pmem);
         let p2 = rt2.root_get_as::<Pair>("pair").expect("typed").expect("pair survived");
         prop_assert_eq!(p2.left() + p2.right(), 2000);
@@ -79,7 +79,7 @@ proptest! {
             let v = PBytes::new(&rt, format!("value-{i}").as_bytes()).expect("blob");
             map.put(format!("key-{i}"), v.addr()).expect("put");
         }
-        pmem.crash(&CrashPolicy { evict_probability: 0.5, seed }).expect("crash");
+        pmem.crash(&CrashPolicy::adversarial(seed)).expect("crash");
         let (rt2, _) = reopen(&pmem);
         let map2 = rt2
             .root_get_as::<PStringHashMap>("map")
@@ -108,7 +108,7 @@ proptest! {
             p.set_right(11);
             rt.root_put("p", &p).expect("root");
         });
-        pmem.crash(&CrashPolicy { evict_probability: 0.3, seed }).expect("crash 1");
+        pmem.crash(&CrashPolicy::Coin { p: 0.3, seed }).expect("crash 1");
         let (rt2, _) = reopen(&pmem);
         let first: Option<(i64, i64)> = rt2
             .root_get_as::<Pair>("p")

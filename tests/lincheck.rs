@@ -28,11 +28,11 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use jnvm_repro::faultsim::{sweep_all, Devices};
+use jnvm_repro::faultsim::{sweep_all, Devices, Images};
 use jnvm_repro::jnvm::RecoveryOptions;
 use jnvm_repro::kvstore::{shard_for_key, GridConfig, Record, ShardedKv, WriteOp};
 use jnvm_repro::lincheck::{check, ClientRecorder, Clock, FieldVals, History, OpKind, Outcome};
-use jnvm_repro::pmem::{silence_crash_panics, CrashPolicy, Pmem, PmemConfig};
+use jnvm_repro::pmem::{silence_crash_panics, Pmem, PmemConfig};
 use jnvm_repro::server::{
     encode_request, handshake, read_reply, run_loadgen, Cluster, Committed, LoadgenConfig,
     Replicas, Reply, Request, ServerConfig,
@@ -165,7 +165,6 @@ fn setup(kill: Kill, log: &Arc<Log>) -> (Devices, Ctx) {
         kill.replicas,
         4,
         PmemConfig::crash_sim(24 << 20),
-        true,
     )
     .expect("create pools");
     let ctx = Ctx {
@@ -293,7 +292,7 @@ fn every_epoch(kill: Kill) -> Vec<Tally> {
     let log = RefCell::new(Log::new(kill));
     let mut tallies = Vec::new();
     sweep_all(
-        CrashPolicy::strict(),
+        Images::Strict,
         kill.target,
         kill.shards,
         || {
@@ -373,8 +372,7 @@ fn every_epoch_at_twelve_chunks() {
 /// Spin a fresh single-shard server, run the seeded load, return the
 /// history's invocation digest.
 fn digest_for(seed: u64) -> Vec<u8> {
-    let cluster =
-        Cluster::create(1, 1, 4, PmemConfig::crash_sim(32 << 20), true).expect("create pool");
+    let cluster = Cluster::create(1, 1, 4, PmemConfig::crash_sim(32 << 20)).expect("create pool");
     let server = cluster.start(ServerConfig::default()).expect("bind server");
     let cfg = LoadgenConfig {
         conns: 3,
@@ -524,8 +522,7 @@ fn mixed_traffic(mut client: MixedClient, conn: usize) -> ClientRecorder {
 /// whole history must still linearize.
 #[test]
 fn reads_behind_unacked_writes_to_other_keys_linearize() {
-    let cluster =
-        Cluster::create(1, 1, 4, PmemConfig::crash_sim(32 << 20), true).expect("create pool");
+    let cluster = Cluster::create(1, 1, 4, PmemConfig::crash_sim(32 << 20)).expect("create pool");
     let server = cluster.start(ServerConfig::default()).expect("bind server");
     let addr = server.addr();
     let clock = Clock::new();

@@ -235,7 +235,6 @@ fn server_acks_and_fences_reconcile_with_obs_registry() {
         pool_replicas_from_env(),
         16,
         PmemConfig::crash_sim(48 << 20),
-        true,
     )
     .expect("create pools");
     let server = cluster.start(ServerConfig::default()).expect("bind");
@@ -429,7 +428,7 @@ fn obs_mode_never_changes_device_stats() {
     let _g = obs_lock();
     let run = |mode: ObsMode| -> [u64; StatsSnapshot::FIELDS] {
         let _m = with_mode(mode);
-        let pool = Cluster::create(1, 1, 4, PmemConfig::crash_sim(8 << 20), true).expect("pool");
+        let pool = Cluster::create(1, 1, 4, PmemConfig::crash_sim(8 << 20)).expect("pool");
         let grid = &pool.kv(0).shard(0).grid;
         for i in 0..40 {
             let v = format!("val-{i:04}").into_bytes();
@@ -465,7 +464,7 @@ fn log_mode_sites_per_op_are_pinned() {
 
     // The real workload: YCSB-style rmw churn over a CrashSim grid with
     // failure-atomic blocks on — the span-heaviest configuration.
-    let pool = Cluster::create(1, 1, 4, PmemConfig::crash_sim(16 << 20), true).expect("pool");
+    let pool = Cluster::create(1, 1, 4, PmemConfig::crash_sim(16 << 20)).expect("pool");
     let grid = &pool.kv(0).shard(0).grid;
     for i in 0..32 {
         let v = format!("val-{i:04}").into_bytes();
@@ -523,7 +522,7 @@ fn log_mode_sites_per_op_are_pinned() {
 /// A one-pool cluster preloaded, through the committer's own
 /// `commit_writes`, with 32 records of 10 × 100-byte fields.
 fn preloaded_cluster(cfg: PmemConfig) -> Cluster {
-    let pool = Cluster::create(1, 1, 16, cfg, true).expect("pool");
+    let pool = Cluster::create(1, 1, 16, cfg).expect("pool");
     let shard = pool.kv(0).shard(0);
     let load: Vec<WriteOp> = (0..32)
         .map(|i| {
@@ -938,7 +937,7 @@ fn footprint_device_cost_per_op_is_pinned() {
     const RECORDS: usize = 1_000;
     const BLOCKS: [(usize, usize, u64); 2] = [(4, 64, 1_705), (10, 100, 5_704)];
     for (fields, size, pinned) in BLOCKS {
-        let pool = Cluster::create(1, 1, 16, PmemConfig::crash_sim(32 << 20), true).expect("pool");
+        let pool = Cluster::create(1, 1, 16, PmemConfig::crash_sim(32 << 20)).expect("pool");
         let shard = pool.kv(0).shard(0);
         let heap = shard.rt.heap();
         let before = heap.stats();

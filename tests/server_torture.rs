@@ -69,8 +69,7 @@ fn small_torture() -> TortureConfig {
 /// that fenced every write individually forms 720 groups and fails this.
 #[test]
 fn group_commit_amortizes_fences_under_pipelined_load() {
-    let cluster =
-        Cluster::create(1, 1, 16, PmemConfig::crash_sim(256 << 20), true).expect("create pool");
+    let cluster = Cluster::create(1, 1, 16, PmemConfig::crash_sim(256 << 20)).expect("create pool");
     let server = cluster.start(ServerConfig::default()).unwrap();
     let before = cluster.device_stats();
     let bump = || cluster.kv(0).shard(0).rt.heap().scan_end();
@@ -350,8 +349,7 @@ fn replicated_kill_strided_sweep() {
 #[test]
 fn graceful_shutdown_drains_every_queued_ticket() {
     const BURST: usize = 200;
-    let cluster =
-        Cluster::create(1, 1, 8, PmemConfig::crash_sim(128 << 20), true).expect("create pool");
+    let cluster = Cluster::create(1, 1, 8, PmemConfig::crash_sim(128 << 20)).expect("create pool");
     let server = cluster
         .start(ServerConfig {
             batch_max: 16,
@@ -433,7 +431,6 @@ fn serve() -> (jnvm_repro::server::Server, Cluster, TcpStream) {
         pool_replicas_from_env(),
         8,
         PmemConfig::crash_sim(32 << 20),
-        true,
     )
     .expect("create pools");
     let server = cluster.start(ServerConfig::default()).unwrap();
