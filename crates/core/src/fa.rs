@@ -118,29 +118,19 @@ pub(crate) struct LogHandle {
 }
 
 impl LogHandle {
-    fn addr(&self) -> u64 {
-        self.chain.blocks[0]
-    }
-
     /// Grow the log's chain until it holds `words` words of entries. On
-    /// heap exhaustion the chain may have grown part of the way on media;
-    /// the handle then re-reads it, so it still describes the log whole and
-    /// can go back to the pool.
+    /// heap exhaustion the chain is left as it was, and the handle still
+    /// describes it whole.
     fn reserve(&mut self, rt: &Jnvm, words: u64) -> Result<(), HeapError> {
         let heap = rt.heap();
         let have = self.chain.blocks.len() as u64;
         let need = heap.blocks_for(LOG_ENTRIES + words * 8);
         if need > have {
-            match heap.extend_chain(heap.block_of_addr(self.addr()), need - have) {
-                Ok(added) => self
-                    .chain
-                    .blocks
-                    .extend(added.into_iter().map(|b| heap.block_addr(b))),
-                Err(e) => {
-                    self.chain = RawChain::open(rt, self.addr());
-                    return Err(e);
-                }
-            }
+            let tail = heap.block_of_addr(*self.chain.blocks.last().expect("a log has a master"));
+            let added = heap.extend_chain(tail, need - have)?;
+            self.chain
+                .blocks
+                .extend(added.into_iter().map(|(b, _)| heap.block_addr(b)));
         }
         Ok(())
     }
@@ -260,23 +250,15 @@ impl FaManager {
 /// directory slots are never reclaimed while their log lives.
 ///
 /// Crash-safe ordering: the extension blocks are linked and the fresh
-/// slot range is zeroed and **fenced before** the enlarged capacity is
-/// published at offset 0. A crash mid-growth therefore leaves either the
-/// old capacity (extension invisible to recovery) or the new capacity
-/// over all-null slots — never uninitialized slots that `recover_logs`
-/// would chase as log addresses.
+/// slot range is nulled (see [`Proxy::extend_zeroed`]) and **fenced
+/// before** the enlarged capacity is published at offset 0. A crash
+/// mid-growth therefore leaves either the old capacity (extension invisible
+/// to recovery) or the new capacity over all-null slots — never
+/// uninitialized slots that `recover_logs` would chase as log addresses.
 fn grow_dir(rt: &Jnvm, dir: &mut Proxy, cap: u64) {
-    let heap = rt.heap();
     let new_cap = cap * 2;
-    let need = heap.blocks_for(8 + new_cap * 8);
-    let have = dir.block_count() as u64;
-    if need > have {
-        dir.extend(need - have)
-            .expect("persistent heap exhausted growing the fa log directory");
-    }
-    let zeros = vec![0u8; ((new_cap - cap) * 8) as usize];
-    dir.write_bytes(8 + cap * 8, &zeros);
-    dir.pwb_field(8 + cap * 8, zeros.len() as u64);
+    dir.extend_zeroed(8 + cap * 8, 8 + new_cap * 8)
+        .expect("persistent heap exhausted growing the fa log directory");
     rt.pmem().pfence();
     dir.write_u64(0, new_cap);
     dir.pwb_field(0, 8);
@@ -2077,9 +2059,10 @@ mod tests {
 
     /// Growing the group's log can exhaust the heap, mid-commit. Every
     /// block of the group then aborts — fresh allocations released, no
-    /// original touched — and no length is stored: nothing replays. The log,
-    /// grown part of the way, is back in the pool: once there is space the
-    /// same group commits in it and no second log is created.
+    /// original touched — and no length is stored: nothing replays. The log
+    /// links none of the blocks it took (they go back to the allocator) and
+    /// is back in the pool: once there is space the same group commits in
+    /// it and no second log is created.
     #[test]
     fn heap_exhaustion_growing_the_log_aborts_the_whole_group() {
         let (pmem, rt, objs) = big_setup();
@@ -2111,9 +2094,9 @@ mod tests {
             "{message}"
         );
         assert_eq!(
-            heap.stats().blocks_freed,
-            freed + 1,
-            "the fresh object was released"
+            (heap.stats().blocks_freed, heap.stats().free_queue_len),
+            (freed + 3, 3),
+            "the fresh object and the log's two blocks were released"
         );
         assert_eq!(fills(&rt, &addrs), [Some(0); 4], "an aborted block applied");
         let len = first_log(&rt).phys(LOG_LEN);
@@ -2443,7 +2426,7 @@ mod tests {
         // releasing any — the 65th acquisition used to panic ("directory
         // full: too many threads").
         let logs: Vec<LogHandle> = (0..want).map(|_| fam.acquire_log(&rt)).collect();
-        let addrs: HashSet<u64> = logs.iter().map(|l| l.addr()).collect();
+        let addrs: HashSet<u64> = logs.iter().map(|l| l.chain.blocks[0]).collect();
         assert_eq!(
             addrs.len() as u64,
             want,

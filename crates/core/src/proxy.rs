@@ -286,25 +286,54 @@ impl Proxy {
         &self.chain
     }
 
-    /// Grow the object by `extra_blocks`, refreshing the cached block
-    /// array. Fence-free append (§4.1.6 relies on this for extensible
-    /// arrays).
+    /// Grow the object by `extra_blocks`, appended at the tail of the
+    /// cached block array: one header read, the tail's, and no fence after
+    /// the tail's link (see [`BlockHeap::extend_chain`]) — §4.1.6 relies on
+    /// this for extensible arrays. Returns the byte addresses of the added
+    /// blocks that came from the bump cursor: they read all zero.
     ///
     /// # Errors
     ///
     /// A pooled object cannot grow: it fails with
-    /// [`HeapError::ObjectTooLargeForPool`] of the size asked for.
-    pub fn extend(&mut self, extra_blocks: u64) -> Result<(), crate::JnvmError> {
+    /// [`HeapError::ObjectTooLargeForPool`] of the size asked for. On heap
+    /// exhaustion the chain is left as it was.
+    pub fn extend(&mut self, extra_blocks: u64) -> Result<Vec<u64>, crate::JnvmError> {
         let heap = self.rt.heap();
         if self.rt.pools().is_pooled_addr(self.addr()) {
             let asked = self.capacity() + extra_blocks * heap.payload_size();
             return Err(HeapError::ObjectTooLargeForPool(asked).into());
         }
-        let master_idx = heap.block_of_addr(self.addr());
-        let added = heap.extend_chain(master_idx, extra_blocks)?;
-        let added: Vec<u64> = added.into_iter().map(|b| heap.block_addr(b)).collect();
-        fa::note_extend(self.addr(), &added);
-        self.chain.blocks.extend(added);
+        let tail = heap.block_of_addr(*self.chain.blocks.last().expect("a chain has a master"));
+        let added = heap.extend_chain(tail, extra_blocks)?;
+        let addrs: Vec<u64> = added.iter().map(|&(b, _)| heap.block_addr(b)).collect();
+        fa::note_extend(self.addr(), &addrs);
+        self.chain.blocks.extend(addrs);
+        let zero = added.into_iter().filter(|&(_, from_bump)| from_bump);
+        Ok(zero.map(|(b, _)| heap.block_addr(b)).collect())
+    }
+
+    /// Make the payload range `[from, to)` usable and null: link the blocks
+    /// `to` needs past those the chain holds, then store zero over the
+    /// range and write it back — in place, unmediated — except in the
+    /// blocks this call took from the bump cursor, which read zero already.
+    /// Nothing is fenced: the caller fences before it publishes the range,
+    /// or, inside a failure-atomic block, the commit's step-1 fence does
+    /// (the range is past what the object's published length covers, so
+    /// no block stages it).
+    pub fn extend_zeroed(&mut self, from: u64, to: u64) -> Result<(), crate::JnvmError> {
+        let (have, need) = (self.block_count() as u64, self.rt.heap().blocks_for(to));
+        let zero = if need > have {
+            self.extend(need - have)?
+        } else {
+            Vec::new()
+        };
+        let (heap, pmem) = (self.rt.heap(), self.rt.pmem());
+        self.chain.segments(from, to - from, |addr, len| {
+            if !zero.contains(&heap.block_addr(heap.block_of_addr(addr))) {
+                pmem.zero_range(addr, len);
+                pmem.pwb_range(addr, len);
+            }
+        });
         Ok(())
     }
 

@@ -902,7 +902,11 @@ fn pooled_list_recovers_and_fills_the_slot_class_table() {
             if h.id == jnvm_heap::CLASS_ID_POOL {
                 pool_blocks += 1;
                 let meta = rt.pmem().read_u32(rt.heap().block_addr(idx) + 8) as u64;
-                assert_eq!(rt.pools().known_slot_payload(idx), Some(meta), "{mode:?}");
+                // From the DRAM table: no device read.
+                let before = rt.pmem().stats();
+                let payload = rt.pools().slot_payload(rt.heap().block_addr(idx) + 8);
+                let reads = rt.pmem().stats().delta(&before).reads;
+                assert_eq!((payload.unwrap(), reads), (meta, 0), "{mode:?}");
             }
         });
         assert_eq!(pool_blocks, jnvm_heap::POOL_SLOT_CLASSES.len(), "{mode:?}");

@@ -383,43 +383,50 @@ impl BlockHeap {
         self.walk_chain(master).blocks
     }
 
-    /// Grow the chain of `master` by `extra` blocks, returning the indexes
-    /// of the new blocks. New blocks are appended at the tail; the tail link
-    /// is published with a `pwb` but no fence.
-    pub fn extend_chain(&self, master: u64, extra: u64) -> Result<Vec<u64>, HeapError> {
-        let Chain { head, blocks } = self.walk_chain(master);
-        let mut tail = *blocks.last().expect("chain contains at least the master");
-        // The walk read the tail's header: a slave's is `slave(NULL)`, a
-        // lone master's `head`.
-        let mut tail_header = if tail == master {
-            head
-        } else {
-            BlockHeader::slave(NULL_BLOCK)
-        };
+    /// Grow the chain whose last block is `tail` (the caller holds its
+    /// chain's blocks) by `extra` blocks, returning each new block's index
+    /// and whether it came from the bump cursor, where it reads all zero
+    /// (see `take_block`). Reads one header, the tail's. On heap
+    /// exhaustion the chain is left as it was.
+    ///
+    /// The new blocks' headers are written back, and fenced if one of the
+    /// blocks is recycled, *before* the tail's link is stored and written
+    /// back, unfenced: a recycled block's media header is its previous
+    /// life's — e.g. a slave link into some other chain — and an image
+    /// that kept the link but not the header would send the chain walk
+    /// into foreign blocks. A fresh block's media header is already
+    /// `slave(NULL)`, which at worst ends the chain early.
+    pub fn extend_chain(&self, tail: u64, extra: u64) -> Result<Vec<(u64, bool)>, HeapError> {
         let mut added = Vec::with_capacity(extra as usize);
         for _ in 0..extra {
-            let b = self.alloc_block()?;
-            // The new tail's header must be written back, not just written:
-            // the link publishing it is pwb'ed below, and a crash that
-            // persists the link but not this header leaves `next` pointing
-            // at a block whose media header is stale. For a recycled block
-            // that stale header is the block's *previous* life — e.g. a
-            // slave link into some other chain — and the chain walk wanders
-            // into foreign blocks after recovery.
-            self.write_header_pwb(b, BlockHeader::slave(NULL_BLOCK));
-            tail_header.next = b;
-            self.write_header_pwb(tail, tail_header);
-            self.pmem.publish_point(
-                "chain-extend",
-                &[
-                    (self.block_addr(b), HEADER_BYTES),
-                    (self.block_addr(tail), HEADER_BYTES),
-                ],
-            );
-            added.push(b);
-            tail = b;
-            tail_header = BlockHeader::slave(NULL_BLOCK);
+            match self.take_block() {
+                Ok(b) => added.push(b),
+                Err(e) => {
+                    self.release_blocks(added.into_iter().map(|(b, _)| b).collect());
+                    return Err(e);
+                }
+            }
         }
+        let Some(&(first, _)) = added.first() else {
+            return Ok(added);
+        };
+        for (i, &(b, _)) in added.iter().enumerate() {
+            let next = added.get(i + 1).map_or(NULL_BLOCK, |n| n.0);
+            self.write_header_pwb(b, BlockHeader::slave(next));
+        }
+        if added.iter().any(|&(_, from_bump)| !from_bump) {
+            self.pmem.pfence();
+        }
+        let mut head = self.read_header(tail);
+        head.next = first;
+        self.write_header_pwb(tail, head);
+        self.pmem.publish_point(
+            "chain-extend",
+            &[
+                (self.block_addr(first), HEADER_BYTES),
+                (self.block_addr(tail), HEADER_BYTES),
+            ],
+        );
         Ok(added)
     }
 
@@ -739,50 +746,58 @@ mod tests {
         let master = h.alloc_chain(7, 100).unwrap();
         let added = h.extend_chain(master, 2).unwrap();
         assert_eq!(added.len(), 2);
+        assert!(added.iter().all(|&(_, from_bump)| from_bump));
         let chain = h.chain_blocks(master);
         assert_eq!(chain.len(), 3);
-        assert_eq!(&chain[1..], &added[..]);
+        assert_eq!(chain[1..], [added[0].0, added[1].0]);
+        // Growing from the new tail reads its header alone and links past it.
+        let more = h.extend_chain(chain[2], 1).unwrap();
+        assert_eq!(h.chain_blocks(master)[3], more[0].0);
+        assert_eq!(h.read_header(master).id, 7, "the master keeps its class");
     }
 
+    /// Regression: `extend_chain` wrote back a recycled block's new header
+    /// and then the tail's link with no fence between them, so a crash
+    /// image could keep the link and lose the header. A recycled block's
+    /// media header is its previous life's — here a slave link into the
+    /// freed object's chain — and the walk of the extended chain wandered
+    /// into the freed object's next block (masks 0b0001, 0b0101, 0b1001 and
+    /// 0b1101 recovered three blocks). Now every image of a crash before
+    /// the caller's fence recovers the chain without the new block or with
+    /// it, ending there.
     #[test]
-    fn extend_chain_onto_recycled_block_survives_crash() {
-        // Regression: extend_chain published the tail link with a pwb but
-        // wrote the new tail's own header *without* one. For a fresh bump
-        // block the lost header happens to equal slave(NULL) = 0 on media,
-        // but a recycled block still carries its previous life's header —
-        // here a slave link into the freed object's chain — and a crash
-        // after the caller's batching fence left the extended chain
-        // wandering into foreign blocks.
-        let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
-        let h = BlockHeap::format(Arc::clone(&pmem), HeapConfig::default()).unwrap();
-        // A 3-block object whose slave links are durable on media.
-        let victim = h.alloc_chain(7, 248 * 2 + 10).unwrap();
-        for b in h.chain_blocks(victim) {
-            let hd = h.read_header(b);
-            h.write_header_pwb(b, hd);
+    fn extend_chain_onto_recycled_block_survives_every_crash_image() {
+        for mask in 0..16 {
+            let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
+            let h = BlockHeap::format(Arc::clone(&pmem), HeapConfig::default()).unwrap();
+            // A 3-block object whose slave links are durable on media.
+            let victim = h.alloc_chain(7, 248 * 2 + 10).unwrap();
+            for b in h.chain_blocks(victim) {
+                let hd = h.read_header(b);
+                h.write_header_pwb(b, hd);
+            }
+            pmem.pfence();
+            // Free it: its blocks enter the free queue with their stale
+            // slave links still on media (a free touches only the master).
+            h.free_object(victim);
+            pmem.pfence();
+            // Reuse: a single-block object out of the free queue, extended
+            // by one recycled block; power fails before the caller fences.
+            let master = h.alloc_chain(9, 10).unwrap();
+            h.write_header_pwb(master, h.read_header(master));
+            pmem.pfence();
+            let added = h.extend_chain(master, 1).unwrap();
+            assert_eq!(added.len(), 1);
+            assert!(!added[0].1, "the added block is recycled");
+            pmem.crash(&CrashPolicy::keep(mask)).unwrap();
+            let h2 = BlockHeap::open(Arc::clone(&pmem)).unwrap();
+            let chain = h2.chain_blocks(master);
+            assert!(
+                chain == [master] || chain == [master, added[0].0],
+                "mask {mask:#06b}: chain {chain:?} wandered past {:?}",
+                added[0].0
+            );
         }
-        pmem.pfence();
-        // Free it: its blocks enter the free queue with their stale slave
-        // links still on media (free_object touches only the master header).
-        h.free_object(victim);
-        pmem.pfence();
-        // Reuse: a fresh single-block object out of the free queue...
-        let master = h.alloc_chain(9, 10).unwrap();
-        h.write_header_pwb(master, h.read_header(master));
-        pmem.pfence();
-        // ...extended by one recycled block, then the caller's batching
-        // fence, then power failure.
-        let added = h.extend_chain(master, 1).unwrap();
-        pmem.pfence();
-        pmem.crash(&CrashPolicy::strict()).unwrap();
-        let h2 = BlockHeap::open(pmem).unwrap();
-        let chain = h2.chain_blocks(master);
-        assert_eq!(
-            chain,
-            vec![master, added[0]],
-            "chain walk wandered into the recycled block's previous life"
-        );
-        assert_eq!(h2.read_header(added[0]).next, NULL_BLOCK);
     }
 
     #[test]

@@ -260,7 +260,8 @@ impl PoolManager {
 
     /// The slot payload the DRAM table holds for block `idx`, without a
     /// device read: `None` while the table does not know the block.
-    pub fn known_slot_payload(&self, idx: u64) -> Option<u64> {
+    #[cfg(test)]
+    fn known_slot_payload(&self, idx: u64) -> Option<u64> {
         self.known(idx).map(|ci| self.classes[ci])
     }
 

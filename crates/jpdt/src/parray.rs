@@ -1,11 +1,12 @@
-//! Fixed-size persistent arrays (§4.3.1).
+//! Persistent arrays (§4.3.1).
 //!
 //! An array stores its length at offset 0 and the elements afterwards.
 //! Element accessors go through the mediated [`Proxy`] interface, so the
 //! same array is usable from the low-level interface *and* inside
-//! failure-atomic blocks. The length never changes: a handle reads it once,
-//! when it resurrects the array, and bounds-checks every access against
-//! that value.
+//! failure-atomic blocks. A handle reads the length once, when it
+//! resurrects the array, and bounds-checks every access against that
+//! value. Only a [`PRefArray`] changes length: it grows in place, and its
+//! length word is the growth's commit point (see [`PRefArray::grow`]).
 
 use jnvm::{Jnvm, JnvmError, PObject, Proxy};
 
@@ -191,50 +192,56 @@ impl PObject for PByteArray {
 
 /// A persistent array of object references — the backbone of the extensible
 /// structures and maps. Cells hold raw persistent addresses (0 = null); the
-/// recovery GC traces every cell.
+/// recovery GC traces cells `0..len` of the media length word, and nothing
+/// past it.
 #[derive(Clone)]
 pub struct PRefArray {
     proxy: Proxy,
-    len: u64,
+    /// Crate-visible so that a map can put back the length an aborted
+    /// failure-atomic block grew (its linked blocks stay in the chain).
+    pub(crate) len: u64,
 }
 
 array_common!(PRefArray);
 
 impl PRefArray {
-    /// Allocate `len` null cells, flushed and validated (fence-free).
+    /// Allocate `len` null cells, flushed and validated (fence-free): the
+    /// length word and every cell are stored once.
     pub fn new(rt: &Jnvm, len: u64) -> Result<PRefArray, JnvmError> {
-        PRefArray::with_cells(rt, len, &[])
-    }
-
-    /// Allocate `len` cells that begin with a copy of `from`'s and are null
-    /// past them, flushed and validated (fence-free): the copied cells are
-    /// read in one pass and every cell is stored once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` is shorter than `from`.
-    pub fn grown_from(from: &PRefArray, len: u64) -> Result<PRefArray, JnvmError> {
-        assert!(
-            len >= from.len,
-            "grown array of {len} cells shorter than {}",
-            from.len
-        );
-        let mut cells = vec![0u8; (from.len * 8) as usize];
-        from.proxy.read_bytes(8, &mut cells);
-        PRefArray::with_cells(from.proxy.runtime(), len, &cells)
-    }
-
-    /// Allocate `len` cells, the first ones `prefix` (raw cell words) and
-    /// the rest null, in one store of the length word and every cell.
-    fn with_cells(rt: &Jnvm, len: u64, prefix: &[u8]) -> Result<PRefArray, JnvmError> {
         let proxy = rt.alloc_proxy::<PRefArray>(8 + len * 8)?;
         let mut words = vec![0u8; (8 + len * 8) as usize];
         words[..8].copy_from_slice(&len.to_le_bytes());
-        words[8..8 + prefix.len()].copy_from_slice(prefix);
         proxy.write_bytes(0, &words);
         proxy.pwb();
         proxy.validate();
         Ok(PRefArray { proxy, len })
+    }
+
+    /// Grow the array in place to `len` cells, the new ones null. No cell
+    /// moves: the chain gains the blocks `len` needs, or reuses blocks an
+    /// earlier growth linked, and the new cells are nulled in place but in
+    /// blocks fresh from the bump cursor, which read zero (see
+    /// [`Proxy::extend_zeroed`]). The length word is the commit point: the
+    /// new headers and nulls are durable before it is stored. Outside a
+    /// failure-atomic block: fence, store the length, `pwb`, fence. Inside
+    /// one the length store is staged, and the commit applies it behind
+    /// its step-1 fence; if the block aborts, the linked blocks stay in the
+    /// chain as spare capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is shorter than the array.
+    pub fn grow(&mut self, len: u64) -> Result<(), JnvmError> {
+        let n = self.len;
+        assert!(len >= n, "array of {n} cells grown to {len}");
+        self.proxy.extend_zeroed(8 + n * 8, 8 + len * 8)?;
+        let rt = self.proxy.runtime();
+        rt.pfence();
+        self.proxy.write_u64(0, len);
+        self.proxy.pwb_field(0, 8);
+        rt.pfence();
+        self.len = len;
+        Ok(())
     }
 
     /// Reference in cell `i` (`None` = null).

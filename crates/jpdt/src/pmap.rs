@@ -440,27 +440,21 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
         Proxy::open(&self.rt, addr)
     }
 
-    /// Double the cell array: a copy of it, published with the
-    /// atomic-update protocol (§4.1.6).
+    /// Double the cell array in place ([`PRefArray::grow`]): the mirror
+    /// hashes, so no cell moves and the master's reference never changes.
+    /// An abort puts back the DRAM length, free cells and value words; the
+    /// blocks the growth linked stay in the chain for the next one.
     fn grow(&self, inner: &mut Inner<K, M>) -> Result<(), JnvmError> {
-        let rt = &self.rt;
         let old_cap = inner.array.len();
-        let bigger = PRefArray::grown_from(&inner.array, old_cap * 2)?;
-        rt.pfence();
-        self.master.write_ref(OFF_ARRAY, Some(bigger.addr()));
-        self.master.pwb_field(OFF_ARRAY, 8);
-        rt.pfence();
-        let old = std::mem::replace(&mut inner.array, bigger);
+        inner.array.grow(old_cap * 2)?;
         let free_before = inner.free_cells.len();
         inner.free_cells.extend((old_cap..old_cap * 2).rev());
         inner.values.resize(old_cap as usize * 2, 0);
-        let kept = old.clone();
         self.on_abort(move |inner| {
-            inner.array = kept;
+            inner.array.len = old_cap;
             inner.free_cells.truncate(free_before);
             inner.values.truncate(old_cap as usize);
         });
-        old.free();
         Ok(())
     }
 
@@ -1042,32 +1036,42 @@ pub(crate) mod tests {
         }
     }
 
-    /// What one doubling of the cell array moves on the device, 64 → 128
-    /// cells outside a block: 7 reads / 544 B (the 64 old cells in one
-    /// read per block they span, and headers), 1 096 B written — the new
-    /// array's length word and 128 cells stored once (1 032 B over a
-    /// 5-block chain), its 5 block headers, its validation, the master's
-    /// reference and the old array's invalidation —, 23 `pwb`s (20 of them
-    /// the new array's lines, once) and 2 fences. It was 69 reads / 552 B,
-    /// 1 616 B written and 44 `pwb`s while the old cells were read one by
-    /// one, the 128 null cells were stored and then the 64 copied ones over
-    /// them, the array's lines were written back twice and it was validated
-    /// twice.
+    /// An aborted growth leaves the blocks it linked in the array's chain:
+    /// the next growth links none and nulls their cells, whatever they held
+    /// (a recycled block's old words, here), and the map's DRAM state
+    /// matches its media throughout, and after a crash.
     #[test]
-    fn one_doubling_device_cost_is_pinned() {
+    fn an_aborted_growth_leaves_blocks_the_next_one_reuses() {
         let rt = fresh();
         let m = filled(&rt, 64);
-        let before = rt.pmem().stats();
-        m.core().grow(&mut m.core().inner.lock()).unwrap();
-        let d = rt.pmem().stats().delta(&before);
-        let got = (d.reads, d.bytes_read, d.bytes_written, d.pwbs, d.pfences);
-        println!("device-cost | doubling 64 -> 128 cells | {got:?}");
-        assert_eq!(
-            got,
-            (7, 544, 1_096, 23, 2),
-            "reads, bytes read, bytes written, pwbs, fences"
-        );
-        assert_eq!(m.core().inner.lock().array.len(), 128);
+        rt.root_put("map", &m).unwrap();
+        let array = || m.core().inner.lock().array.clone();
+        let blocks = array().proxy().block_count();
+        drop(rt.fa_stage(|| {
+            m.put("new".into(), blob(&rt, "new")).unwrap();
+        }));
+        let spare = array();
+        assert_eq!(spare.len(), 64, "the aborted growth's length");
+        assert!(spare.proxy().block_count() > blocks, "it linked blocks");
+        assert_dram_matches_media(m.core());
+        let chain = spare.proxy().chain();
+        chain.write_bytes(rt.pmem(), 8 + 64 * 8, &[0xAB; 64 * 8]);
+        rt.fa(|| {
+            m.put("new".into(), blob(&rt, "new")).unwrap();
+        });
+        let grown = array();
+        assert_eq!(grown.len(), 128);
+        assert_eq!(grown.proxy().block_count(), spare.proxy().block_count());
+        let used = m.core().inner.lock().mirror.get("new").unwrap();
+        assert!((64..128).all(|i| i == used || grown.get_ref(i).is_none()));
+        assert_dram_matches_media(m.core());
+        let pmem = Arc::clone(rt.pmem());
+        let addr = m.addr();
+        drop((m, rt));
+        pmem.crash(&jnvm_pmem::CrashPolicy::strict()).unwrap();
+        let (rt, _) = register_jpdt(JnvmBuilder::new()).open(pmem).unwrap();
+        let m = PStringHashMap::open_with_mode(&rt, addr, CacheMode::Cached);
+        assert_eq!((m.len(), m.core().inner.lock().array.len()), (65, 128));
         assert_dram_matches_media(m.core());
     }
 }

@@ -1,10 +1,10 @@
 //! The extensible persistent array (§4.3.1): the `ArrayList` drop-in.
 //!
 //! Layout: the vec object is `[array ref u64][len u64]`; the storage is a
-//! [`PRefArray`]. Growth allocates a double-capacity array, copies the
-//! cells, then publishes it with the low-level **atomic update** of §4.1.6
-//! — validate, fence, store — so the structure is consistent at every
-//! instant.
+//! [`PRefArray`], referenced from `new` on. Growth doubles the array in
+//! place ([`PRefArray::grow`]): its chain gains blocks, the new cells are
+//! nulled, and the array's length word publishes them — no cell is copied,
+//! so the structure is consistent at every instant.
 
 use parking_lot::Mutex;
 
@@ -15,7 +15,7 @@ use crate::parray::PRefArray;
 /// An extensible persistent array of object references.
 pub struct PRefVec {
     proxy: Proxy,
-    /// Cached storage-array proxy, refreshed on growth/resurrection.
+    /// Cached storage-array proxy, grown in place.
     array: Mutex<PRefArray>,
 }
 
@@ -88,20 +88,7 @@ impl PRefVec {
         let mut array = self.array.lock();
         let len = self.len();
         if len == array.len() {
-            // Grow: copy into a double-size array, publish atomically.
-            let bigger = PRefArray::new(&rt, array.len() * 2)?;
-            for i in 0..len {
-                bigger.set_ref(i, array.get_ref(i));
-            }
-            bigger.pwb();
-            // update: validate(new), pfence, store ref, pwb.
-            rt.set_valid_addr(bigger.addr(), true);
-            rt.pfence();
-            self.proxy.write_ref(OFF_ARRAY, Some(bigger.addr()));
-            self.proxy.pwb_field(OFF_ARRAY, 8);
-            rt.pfence();
-            let old = std::mem::replace(&mut *array, bigger);
-            old.free();
+            array.grow(len * 2)?;
         }
         rt.set_valid_addr(target, true);
         array.set_ref(len, Some(target));

@@ -35,7 +35,7 @@ use jnvm_repro::jnvm::{
     commit_phase, persistent_class, Jnvm, JnvmBuilder, PObject, Proxy, RawChain, RecoveryMode,
     RecoveryOptions, RecoveryReport,
 };
-use jnvm_repro::jpdt::{register_jpdt, PByteArray, PBytes, PI64SkipMap, PRefArray};
+use jnvm_repro::jpdt::{register_jpdt, PByteArray, PBytes, PI64SkipMap, PRefArray, PStringHashMap};
 use jnvm_repro::kvstore::{
     commit_writes, register_kvstore, Backend, DataGrid, GridConfig, JnvmBackend, PRecord, Record,
     WriteOp,
@@ -1331,12 +1331,16 @@ fn field_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
     let step = (0..FIELD_LENS.len()).find(|s| got == field_record(*s));
     if let Some(step) = step {
         let word = Proxy::open(&rt, rec.addr()).read_u64(0);
-        let capacity = RawChain::open(&rt, word & REF_ADDR_MASK).capacity();
-        assert_eq!(
-            capacity - (word >> 48),
-            FIELD_LENS[step] as u64,
-            "{mode:?}: the tag of step {step}'s value ({word:#x})"
-        );
+        let tag = format!("{mode:?}: the tag of step {step}'s value ({word:#x})");
+        // A block's master or a pool slot of the recovered heap, before its
+        // chain is opened.
+        let (addr, heap) = (word & REF_ADDR_MASK, rt.heap());
+        let block = heap.block_of_addr(addr);
+        let object = (heap.data_start()..heap.nblocks()).contains(&block)
+            && (addr == heap.block_addr(block) || rt.pools().slot_payload(addr).is_ok());
+        assert!(object, "{tag} references no object");
+        let capacity = RawChain::open(&rt, addr).capacity();
+        assert_eq!(capacity - (word >> 48), FIELD_LENS[step] as u64, "{tag}");
     }
     (step, report.live_objects)
 }
@@ -1360,6 +1364,134 @@ fn tagged_field_references_recover_to_an_exact_length_at_every_crash_point() {
             modes,
             Images::Every,
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Workload 11: the insert that doubles a full 64-cell map, as a J-PFA commit
+// group of one and as the J-PDT low-level put. The cell array grows in
+// place: its chain gains blocks, the new cells are nulled (those in blocks
+// from the bump cursor read zero already), and the length word — stored
+// behind the nulls' fence, or applied by the commit behind its step-1
+// fence — publishes them.
+// ---------------------------------------------------------------------------
+
+/// Keys of the full map; the insert adds one more, `"new"`.
+const MAP_KEYS: usize = 64;
+
+struct MapGrowCtx {
+    rt: Jnvm,
+    map: PStringHashMap,
+    /// The blob every key maps to.
+    value: u64,
+    fa: bool,
+}
+
+/// Small fresh pool with a rooted map of [`MAP_KEYS`] keys, each to the
+/// same 8-byte blob, put by one failure-atomic block: its cell array is
+/// full, and the log is created. The array's 3 blocks are recycled from a
+/// freed chain whose every word is the blob's address: the slack of its
+/// last block, which the doubling adds to the array, holds references a
+/// header scan would keep.
+fn map_grow_setup(fa: bool) -> (Arc<Pmem>, MapGrowCtx) {
+    let (pmem, rt) = create(jpdt_builder(), PmemConfig::crash_sim(64 << 10));
+    let value = PBytes::new(&rt, &[0xB1; 8]).expect("blob").addr();
+    let stale = rt.alloc_proxy::<PBytes>(3 * 248).expect("chain");
+    stale.write_bytes(0, &value.to_le_bytes().repeat(3 * 248 / 8));
+    stale.pwb();
+    pmem.pfence();
+    rt.free_addr(stale.addr());
+    let map = PStringHashMap::new(&rt).expect("map");
+    let array = Proxy::open(&rt, map.addr()).read_u64(0);
+    let recycled = RawChain::open(&rt, array).blocks;
+    assert_eq!(recycled[..], stale.chain().blocks[..], "the array's blocks");
+    rt.root_put("map", &map).expect("root");
+    rt.fa(|| {
+        for i in 0..MAP_KEYS {
+            map.put(format!("k{i}"), value).expect("put");
+        }
+    });
+    pmem.psync();
+    let ctx = MapGrowCtx { rt, map, value, fa };
+    (pmem, ctx)
+}
+
+fn map_grow_run(ctx: &MapGrowCtx, upto: usize) {
+    if upto == 0 {
+        return;
+    }
+    let rt = &ctx.rt;
+    let insert = || assert_eq!(ctx.map.put("new".into(), ctx.value).expect("put"), None);
+    if ctx.fa {
+        let (tx, ()) = rt.fa_stage(insert);
+        rt.fa_commit_group(vec![tx]);
+    } else {
+        insert();
+    }
+}
+
+/// Reopen under `mode`: the image before the insert (0) or after it (1) —
+/// every old key, and `"new"` in image 1, mapped to the blob at `value` —,
+/// and the live-object count, after checking that the cell array is 64 or
+/// 128 cells over a prefix of `chain` (the blocks of the crash-free grown
+/// array) that covers them.
+fn map_grow_observe(pmem: &Arc<Pmem>, mode: RecoveryMode, value: u64, chain: &[u64]) -> Observed {
+    let (rt, report) = open(jpdt_builder(), pmem, mode);
+    let map = rt.root_get_as::<PStringHashMap>("map");
+    let map = map.expect("typed").expect("rooted");
+    let array = Proxy::open(&rt, map.addr()).read_u64(0);
+    let cells = PRefArray::resurrect(&rt, array).len();
+    let blocks = RawChain::open(&rt, array).blocks;
+    assert!(
+        [64, 128].contains(&cells)
+            && chain.starts_with(&blocks)
+            && blocks.len() as u64 >= rt.heap().blocks_for(8 + cells * 8),
+        "{mode:?}: {cells} cells over the chain {blocks:?}, grown {chain:?}"
+    );
+    assert_eq!(
+        PBytes::resurrect(&rt, value).to_vec(),
+        [0xB1; 8],
+        "{mode:?}"
+    );
+    let old = (0..MAP_KEYS).all(|i| map.get(&format!("k{i}")) == Some(value));
+    let step = match (old, map.len(), map.get("new")) {
+        (true, MAP_KEYS, None) => Some(0),
+        (true, n, Some(new)) if n == MAP_KEYS + 1 && new == value => Some(1),
+        _ => None,
+    };
+    (step, report.live_objects)
+}
+
+/// Every crash image of the insert that doubles a 64-cell map, in the J-PFA
+/// flavour under both recovery modes and in the J-PDT flavour under
+/// `Full` (its entry, validated before its cell publishes it, is garbage
+/// only a traversal reclaims): the map recovers to one side of the insert
+/// with that image's exact live-object count, on 64 or 128 cells whose
+/// chain walks no block but its own. The J-PDT flavour under a header scan
+/// is checked the same way but for the live count.
+#[test]
+fn a_map_doubling_recovers_either_side_at_every_crash_image() {
+    for fa in [true, false] {
+        let setup = || map_grow_setup(fa);
+        let (pmem, ctx) = setup();
+        map_grow_run(&ctx, 1);
+        let array = Proxy::open(&ctx.rt, ctx.map.addr()).read_u64(0);
+        let (value, chain) = (ctx.value, RawChain::open(&ctx.rt, array).blocks.to_vec());
+        assert_eq!(chain.len(), 5, "a 128-cell array");
+        drop((ctx, pmem));
+        let observe = |pmem: &Arc<Pmem>, mode| map_grow_observe(pmem, mode, value, &chain);
+        let modes: &[RecoveryMode] = if fa { &BOTH } else { &FULL };
+        prefix_sweep(setup, 1, map_grow_run, observe, modes, Images::Every);
+        if !fa {
+            let workload = |_: usize, ctx: &MapGrowCtx| map_grow_run(ctx, 1);
+            let mode = RecoveryMode::HeaderScanOnly;
+            let verify = |pmems: &[Vec<Arc<Pmem>>], report: &faultsim::TortureOutcome| {
+                let at = At(format!("{mode:?}, {}", crash_name(report)));
+                let (step, _) = map_grow_observe(&pmems[0][0], mode, value, &chain);
+                assert!(step.is_some(), "{}: neither side of the insert", at.0);
+            };
+            faultsim::sweep_all(Images::Every, POOL, 1, one_pool(setup), workload, verify);
+        }
     }
 }
 

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use jnvm_repro::faultsim::strided_points;
 use jnvm_repro::heap::{HeapConfig, FIRST_USER_CLASS_ID};
 use jnvm_repro::jnvm::{JnvmBuilder, PObject, Proxy};
-use jnvm_repro::jpdt::{register_jpdt, PBytes, PStringHashMap};
+use jnvm_repro::jpdt::{register_jpdt, PBytes, PRefArray, PStringHashMap};
 use jnvm_repro::kvstore::{commit_writes, Record, WriteOp};
 use jnvm_repro::lincheck::check;
 use jnvm_repro::obs::{self, Histogram, ObsMode};
@@ -862,6 +862,58 @@ fn map_device_cost_per_op_is_pinned() {
         );
     }
     assert!(map.is_empty());
+}
+
+/// What one doubling of a map's cell array moves on the device, 64 → 128
+/// cells outside a block: the map doubles by [`PRefArray::grow`], and the
+/// rest of its growth is DRAM. The array grows in place: its 3-block chain
+/// gains 2 blocks and no cell is read or copied. Bump-fed, 8 B read (the
+/// tail's header) and 256 B written — the 2 new headers, the tail's link,
+/// the 224 B of the tail's slack nulled and the length word —, 8 `pwb`s
+/// and 2 fences (behind the nulls, behind the length); the new blocks read
+/// zero, so their cells are not stored. Recycling, the 36 new cells in the
+/// recycled blocks are nulled too (288 B, 5 lines) and the chain's link
+/// waits behind a fence for the recycled headers. It was 7 reads / 544 B
+/// read, 1 096 B written, 23 `pwb`s and 2 fences while a doubling copied
+/// the 64 cells into a fresh 128-cell array, swapped the master's
+/// reference and freed the old array; 69 reads / 552 B, 1 616 B written
+/// and 44 `pwb`s while that copy read the old cells one by one, stored the
+/// 128 null cells and then the 64 copied ones over them, and wrote the new
+/// array back twice.
+#[test]
+fn map_doubling_device_cost_per_op_is_pinned() {
+    let _g = obs_lock(); // device ops feed the process-global obs counters
+    let rows = [
+        ("bump-fed", false, (8, 256, 8, 2)),
+        ("recycling", true, (8, 544, 13, 3)),
+    ];
+    for (how, recycling, pinned) in rows {
+        let op = format!("map doubling 64 -> 128 cells, {how}");
+        let pmem = Pmem::new(PmemConfig::crash_sim(8 << 20));
+        let rt = register_jpdt(JnvmBuilder::new())
+            .create(Arc::clone(&pmem), HeapConfig::default())
+            .expect("pool");
+        let mut array = PRefArray::new(&rt, 64).expect("array");
+        assert_eq!(array.proxy().block_count(), 3);
+        if recycling {
+            // Two blocks on the free queue, whose payload is not zero.
+            let old = rt.alloc_proxy::<PBytes>(2 * 248).expect("chain");
+            old.write_bytes(0, &[0xEE; 2 * 248]);
+            rt.free_addr(old.addr());
+        }
+        pmem.psync();
+        let before = pmem.stats();
+        array.grow(128).expect("grow");
+        let d = pmem.stats().delta(&before);
+        print_cost_row(&op, 1, &d);
+        assert_eq!(
+            (d.bytes_read, d.bytes_written, d.pwbs, d.pfences + d.psyncs),
+            pinned,
+            "device bytes read, bytes written, pwbs and fences of one {op}"
+        );
+        assert_eq!(array.proxy().block_count(), 5);
+        assert!((0..128).all(|i| array.get_ref(i).is_none()));
+    }
 }
 
 /// The same, by commit-group size: a batch of `SETF`s on distinct keys is
