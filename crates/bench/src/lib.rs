@@ -12,7 +12,6 @@
 //! | `fig9_sensitivity` | Figure 9 a–d (workload sensitivity) |
 //! | `fig10_multithreading` | Figure 10 (thread scaling) |
 //! | `fig11_recovery` | Figure 11 (crash/recovery timeline) |
-//! | `fig11_crash_point_sweep` | Figure 11 companion: exhaustive crash-point sweep of the §4.2 commit sequence |
 //! | `fig12_pdt_vs_volatile` | Figure 12 (persistent vs volatile types) |
 //! | `table3_block_access` | Table 3 (raw block access throughput) |
 //! | `run_all` | everything above, default scaled parameters |

@@ -4,23 +4,12 @@
 //! # render the commit timeline around an injected power failure
 //! jnvm-faultsim timeline [--threads 3] [--point N] [--rounds 4]
 //!                        [--keys 4] [--pool-mb 16] [--max-spans 48]
-//!
-//! # sweep crash points and hold every run to durable linearizability
-//! jnvm-faultsim lincheck [--points 12] [--shards 2] [--replicas 2]
-//!                        [--crash-shard 0] [--crash-backup] [--seed N]
-//!                        [--conns 4] [--ops 120]
 //! ```
 //!
-//! The `lincheck` subcommand is the kill-during-traffic sweep: it drives
-//! the server torture at `faultsim::strided_points` over the crash
-//! replica's counted op space; each run captures every client's
-//! invocation/response-stamped op history, reopens the surviving
-//! replicas, appends the recovered state as post-recovery reads, and
-//! checks the whole thing with the per-key Wing–Gong verifier
-//! (`jnvm-lincheck`), plus the failover divergence audit after a primary
-//! kill. The first failing point stops the sweep and prints its minimized
-//! witness — the shortest per-key subsequence that fails — then exits 1.
-//! A sweep in which no point fired exits 1 too: it checked nothing.
+//! The crash sweeps themselves run in the tests: `tests/crash_points.rs`
+//! sweeps single-writer workloads at every fence epoch, and
+//! `tests/server_torture.rs` kills a serving cluster mid-traffic and holds
+//! every run to durable linearizability.
 //!
 //! The `timeline` subcommand runs a concurrent failure-atomic KV churn on
 //! a CrashSim device with the Optane-like latency profile, arms a power
@@ -42,7 +31,7 @@
 use std::sync::Arc;
 
 use jnvm::JnvmBuilder;
-use jnvm_faultsim::{strided_points, torture_point, Devices, TortureOutcome};
+use jnvm_faultsim::{torture_point, Devices, TortureOutcome};
 use jnvm_kvstore::{register_kvstore, DataGrid, Record};
 use jnvm_pmem::{silence_crash_panics, FaultPlan, LatencyProfile, Pmem, PmemConfig};
 use jnvm_server::{Args, Cluster};
@@ -180,90 +169,16 @@ fn timeline(args: &Args) {
     });
 }
 
-/// Sweep strided crash points through kill-during-traffic and hold every
-/// run to durable linearizability. Exits 1 on the first violation, with
-/// the checker's minimized witness on stderr, and when no point fired.
-fn lincheck(args: &Args) {
-    use jnvm_server::{
-        kill_during_traffic, traffic_op_count, LoadgenConfig, ServerConfig, TortureConfig,
-    };
-    let cfg = TortureConfig {
-        load: LoadgenConfig {
-            conns: args.get_or("conns", 4),
-            ops_per_conn: args.get_or("ops", 120),
-            pipeline: args.get_or("pipeline", 16),
-            fields: args.get_or("fields", 4),
-            value_size: args.get_or("value-size", 32),
-            seed: args.get_or("seed", 0),
-        },
-        shards: args.get_or("map-shards", 16),
-        pool_shards: args.get_or("shards", 2),
-        replicas: args.get_or("replicas", 1),
-        crash_shard: args.get_or("crash-shard", 0),
-        crash_replica: usize::from(args.has("crash-backup")),
-        pool_bytes: args.get_or("pool-mb", 64u64) << 20,
-        recovery_threads: args.get_or("recovery-threads", 2),
-        server: ServerConfig::default(),
-    };
-    let total = traffic_op_count(&cfg).unwrap_or_else(|e| Args::usage_error(&e));
-    let points = strided_points(total, args.get_or("points", 12u64));
-    println!(
-        "lincheck sweep: {} shard(s) x {} replica(s), seed {}, op space ~{total}, {} points",
-        cfg.pool_shards,
-        cfg.replicas,
-        cfg.load.seed,
-        points.len()
-    );
-    let mut checked_keys = 0u64;
-    let mut checked_events = 0u64;
-    let mut injected = 0u64;
-    for &point in &points {
-        match kill_during_traffic(point, &cfg) {
-            Ok(r) => {
-                checked_keys += r.lincheck_keys;
-                checked_events += r.lincheck_events;
-                injected += u64::from(r.injected);
-                println!(
-                    "point {point}: linearizable ({} keys, {} events, injected={}, acked={}, \
-                     promotions={}, divergent={})",
-                    r.lincheck_keys,
-                    r.lincheck_events,
-                    r.injected,
-                    r.acked_writes,
-                    r.promotions,
-                    r.divergent_keys
-                );
-            }
-            Err(e) => {
-                eprintln!("point {point}: VIOLATION\n{e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if injected == 0 {
-        eprintln!("verdict: no crash point fired — the sweep checked nothing");
-        std::process::exit(1);
-    }
-    println!(
-        "verdict: durably linearizable — {} crash points ({injected} fired), \
-         {checked_keys} key partitions, {checked_events} events",
-        points.len()
-    );
-}
-
 fn main() {
     let mut argv = std::env::args().skip(1);
     let subcommand = argv.next();
     let args = Args::from_args(argv);
     match subcommand.as_deref() {
         Some("timeline") => timeline(&args),
-        Some("lincheck") => lincheck(&args),
         _ => {
             eprintln!(
                 "usage: jnvm-faultsim timeline [--threads N] [--point N] [--rounds N] \
-                 [--keys N] [--pool-mb MB] [--max-spans N]\n\
-                 \x20      jnvm-faultsim lincheck [--points N] [--shards N] [--replicas N] \
-                 [--crash-shard N] [--crash-backup] [--seed N] [--conns N] [--ops N]"
+                 [--keys N] [--pool-mb MB] [--max-spans N]"
             );
             std::process::exit(2);
         }

@@ -54,11 +54,10 @@
 //!   recoveries (`tests/recovery_{equivalence,restartable}.rs`) run
 //!   several writer threads on one pool — recovery's mark and sweep
 //!   workers included;
-//! - the kill-during-traffic sweeps over sockets (`tests/server_torture.rs`,
-//!   the kill rows of `tests/obs_invariants.rs` and `jnvm-faultsim
-//!   lincheck`) arm the device of a running server through its own
-//!   protocol (`jnvm_server::kill_during_traffic`), not through this
-//!   engine.
+//! - the kill-during-traffic sweeps over sockets (`tests/server_torture.rs`
+//!   and the kill rows of `tests/obs_invariants.rs`) arm the device of a
+//!   running server through its own protocol
+//!   (`jnvm_server::kill_during_traffic`), not through this engine.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -19,7 +19,6 @@
 
 use std::sync::atomic::Ordering;
 
-use crate::backend::Backend;
 use crate::codec::Record;
 use crate::grid::DataGrid;
 use crate::jnvm_backend::JnvmBackend;
@@ -76,38 +75,25 @@ pub struct BatchOutcome {
 
 /// Commit a batch of writes against `grid`/`be` with group commit.
 ///
-/// `be` must be the backend `grid` was built over. On the J-PFA flavour
-/// each op is staged as its own failure-atomic block and whole groups are
-/// committed as one transaction behind shared fences; when every op in the
-/// batch lands in one group, the batch costs 4 fences total instead of 4
-/// per op, and a crash leaves all of the group or none of it. Ops that
-/// conflict (same lock stripe, or two structural ops on one shard) are
-/// deferred to a later group of the same call, preserving per-key order.
+/// `be` must be the backend `grid` was built over, and a J-PFA one: this
+/// panics otherwise. Each op is staged as its own failure-atomic block and
+/// whole groups are committed as one transaction behind shared fences;
+/// when every op in the batch lands in one group, the batch costs 4 fences
+/// total instead of 4 per op, and a crash leaves all of the group or none
+/// of it. Ops that conflict (same lock stripe, or two structural ops on
+/// one shard) are deferred to a later group of the same call, preserving
+/// per-key order.
 ///
 /// When the function returns, every op in the batch is durable — the
 /// caller may acknowledge all of them.
 pub fn commit_writes(grid: &DataGrid, be: &JnvmBackend, ops: &[WriteOp]) -> BatchOutcome {
+    assert!(
+        be.fa_enabled(),
+        "commit_writes needs a J-PFA backend: a J-PDT op is not staged"
+    );
     let mut results = vec![false; ops.len()];
     if ops.is_empty() {
         return BatchOutcome { results, groups: 0 };
-    }
-
-    if !be.fa_enabled() {
-        // J-PDT flavour: the structures are crash-consistent on their own;
-        // one psync after the batch is the shared durability point.
-        for (i, op) in ops.iter().enumerate() {
-            results[i] = match op {
-                WriteOp::Set(rec) => grid.insert(rec),
-                WriteOp::SetField { key, field, value } => grid.update_field(key, *field, value),
-                WriteOp::Del(key) => grid.remove(key),
-            };
-        }
-        be.sync();
-        // The batch's ack point: the structures flushed their own lines,
-        // so there is no footprint left to check here — the label still
-        // marks where acknowledgements become legal.
-        be.runtime().pmem().ordering_point("kv-batch-ack", &[]);
-        return BatchOutcome { results, groups: 1 };
     }
 
     let rt = be.runtime().clone();
@@ -177,6 +163,7 @@ pub fn commit_writes(grid: &DataGrid, be: &JnvmBackend, ops: &[WriteOp]) -> Batc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
     use crate::grid::GridConfig;
     use crate::jnvm_backend::register_kvstore;
     use jnvm::JnvmBuilder;
@@ -184,12 +171,12 @@ mod tests {
     use jnvm_pmem::{Pmem, PmemConfig};
     use std::sync::Arc;
 
-    fn setup(fa: bool) -> (Arc<Pmem>, Arc<JnvmBackend>, DataGrid) {
+    fn setup() -> (Arc<Pmem>, Arc<JnvmBackend>, DataGrid) {
         let pmem = Pmem::new(PmemConfig::crash_sim(32 << 20));
         let rt = register_kvstore(JnvmBuilder::new())
             .create(Arc::clone(&pmem), HeapConfig::default())
             .unwrap();
-        let be = Arc::new(JnvmBackend::create(&rt, 8, fa).unwrap());
+        let be = Arc::new(JnvmBackend::create(&rt, 8, true).unwrap());
         let grid = DataGrid::new(Arc::clone(&be) as Arc<dyn Backend>, GridConfig::default());
         (pmem, be, grid)
     }
@@ -200,7 +187,7 @@ mod tests {
 
     #[test]
     fn batch_applies_all_ops_and_amortizes_fences() {
-        let (pmem, be, grid) = setup(true);
+        let (pmem, be, grid) = setup();
         let ops: Vec<WriteOp> = (0..16).map(|i| set(&format!("k{i:02}"), b"v")).collect();
         // First run warms the log pool — fresh-log creation pays fences of
         // its own that would obscure the steady-state count under test.
@@ -224,7 +211,7 @@ mod tests {
 
     #[test]
     fn same_key_ops_apply_in_order() {
-        let (_p, be, grid) = setup(true);
+        let (_p, be, grid) = setup();
         let ops = vec![
             set("k", b"first"),
             WriteOp::SetField {
@@ -248,7 +235,7 @@ mod tests {
         // defer on the shard rule. Their stripe was not yet claimed, so a
         // later SetField on the same key used to slip into the earlier
         // group and run before its Set existed.
-        let (_p, be, grid) = setup(true);
+        let (_p, be, grid) = setup();
         let mut ops = Vec::new();
         for i in 0..32 {
             let key = format!("pair-{i:03}");
@@ -281,7 +268,7 @@ mod tests {
         // absent key (result false) and the Set would then resurrect the
         // record. Split across deferral rounds, per-key order must hold:
         // every op applies, and the final state is "deleted".
-        let (_p, be, grid) = setup(true);
+        let (_p, be, grid) = setup();
         let mut ops = Vec::new();
         for i in 0..32 {
             let key = format!("dpair-{i:03}");
@@ -309,22 +296,8 @@ mod tests {
     }
 
     #[test]
-    fn jpdt_flavour_batches_behind_one_sync() {
-        let (_p, be, grid) = setup(false);
-        let ops = vec![
-            set("a", b"1"),
-            set("b", b"2"),
-            WriteOp::Del("absent".into()),
-        ];
-        let out = commit_writes(&grid, &be, &ops);
-        assert_eq!(out.results, vec![true, true, false]);
-        assert_eq!(out.groups, 1);
-        assert_eq!(grid.len(), 2);
-    }
-
-    #[test]
     fn failed_ops_report_false_without_poisoning_the_batch() {
-        let (_p, be, grid) = setup(true);
+        let (_p, be, grid) = setup();
         let ops = vec![
             WriteOp::SetField {
                 key: "missing".into(),

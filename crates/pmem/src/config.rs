@@ -39,13 +39,12 @@ pub enum SimMode {
 /// which the paper cites: NVMM reads ~2-3x DRAM latency, `clwb` tens of
 /// nanoseconds, and an `sfence` with a non-empty write-pending queue on the
 /// order of 100 ns. Absolute numbers do not matter for the reproduction —
-/// only the asymmetries they create.
+/// only the asymmetries they create. A store charges nothing: it lands in
+/// the CPU cache, and its cost is the `pwb` and fence that persist it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyProfile {
     /// Extra nanoseconds charged per cache line touched by a read.
     pub read_line_ns: u64,
-    /// Extra nanoseconds charged per cache line touched by a write.
-    pub write_line_ns: u64,
     /// Nanoseconds charged per `pwb`.
     pub pwb_ns: u64,
     /// Nanoseconds charged per `pfence`.
@@ -60,7 +59,6 @@ impl LatencyProfile {
     pub const fn off() -> Self {
         LatencyProfile {
             read_line_ns: 0,
-            write_line_ns: 0,
             pwb_ns: 0,
             pfence_ns: 0,
             psync_ns: 0,
@@ -77,7 +75,6 @@ impl LatencyProfile {
     pub const fn optane_like() -> Self {
         LatencyProfile {
             read_line_ns: 30,
-            write_line_ns: 0,
             pwb_ns: 70,
             pfence_ns: 110,
             psync_ns: 130,
@@ -87,11 +84,7 @@ impl LatencyProfile {
     /// True when every field is zero, allowing the hot path to skip the
     /// calibrated spin entirely.
     pub fn is_off(&self) -> bool {
-        self.read_line_ns == 0
-            && self.write_line_ns == 0
-            && self.pwb_ns == 0
-            && self.pfence_ns == 0
-            && self.psync_ns == 0
+        self.read_line_ns == 0 && self.pwb_ns == 0 && self.pfence_ns == 0 && self.psync_ns == 0
     }
 }
 

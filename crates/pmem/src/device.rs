@@ -432,11 +432,8 @@ impl Pmem {
     }
 
     #[inline]
-    fn charge_write(&self, addr: u64, len: u64) {
+    fn charge_write(&self, len: u64) {
         self.stats.record_write(len);
-        if self.latency_on {
-            spin_ns(self.latency.write_line_ns * Self::lines_touched(addr, len));
-        }
     }
 
     /// Take `line`'s lock for a store into it. On a line found clean the
@@ -538,7 +535,7 @@ impl Pmem {
         if self.fault_point(FaultOp::Write, addr) {
             return;
         }
-        self.charge_write(addr, len);
+        self.charge_write(len);
         if addr % CACHE_LINE + len > CACHE_LINE {
             // Straddles two lines: bytewise, a line at a time.
             let bytes = v.to_le_bytes();
@@ -694,7 +691,7 @@ impl Pmem {
         if self.fault_point(FaultOp::WriteBytes, addr) {
             return;
         }
-        self.charge_write(addr, len);
+        self.charge_write(len);
         self.store_by_line(addr, len, |a, n| {
             self.copy_in(a, &data[(a - addr) as usize..][..n as usize])
         });
@@ -735,7 +732,7 @@ impl Pmem {
         if self.fault_point(FaultOp::Zero, addr) {
             return;
         }
-        self.charge_write(addr, len);
+        self.charge_write(len);
         self.store_by_line(addr, len, |a, n| self.zero_words(a, n));
     }
 
@@ -783,7 +780,7 @@ impl Pmem {
             // Frozen: report the current value without mutating.
             return self.load_word((addr / 8) as usize);
         }
-        self.charge_write(addr, 8);
+        self.charge_write(8);
         let _held = self.enter_store(addr / CACHE_LINE);
         self.words[(addr / 8) as usize].fetch_add(delta, Ordering::AcqRel)
     }
@@ -802,7 +799,7 @@ impl Pmem {
             // Frozen: fail the swap, reporting the current value.
             return Err(self.load_word((addr / 8) as usize));
         }
-        self.charge_write(addr, 8);
+        self.charge_write(8);
         // Dirty even when the swap fails, as a failed `lock cmpxchg` still
         // takes the line exclusive.
         let _held = self.enter_store(addr / CACHE_LINE);

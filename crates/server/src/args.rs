@@ -1,6 +1,6 @@
 //! The workspace's one `--key value` flag parser: the server binaries use
 //! it directly, `jnvm-bench` re-exports it for the figure regenerators, and
-//! the `jnvm-faultsim` binary parses its subcommand flags with it.
+//! the `jnvm-faultsim timeline` subcommand parses its flags with it.
 
 use std::collections::HashMap;
 

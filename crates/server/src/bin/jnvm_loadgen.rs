@@ -15,7 +15,8 @@
 //! durable-linearizability checker (`jnvm-lincheck`): the summary line
 //! carries its verdict, and a violation prints the minimized witness and
 //! exits 1. Against `--addr`, the keys of `--seed` must be this run's
-//! alone. Kill-during-traffic sweeps are `jnvm-faultsim lincheck`.
+//! alone. Kill-during-traffic sweeps are the `tests/server_torture.rs`
+//! rows.
 //!
 //! `--trace` turns the observability layer on (`JNVM_OBS=log` for the
 //! self-hosted server) and dumps the server's `TRACE` and `METRICS`

@@ -35,8 +35,7 @@
 //! The crate ships two binaries — `jnvm-server` (standalone server over a
 //! fresh crash-sim pool) and `jnvm-loadgen` (pipelined load generator
 //! whose run history goes through the `jnvm-lincheck` checker) — and the
-//! [`loadgen`] / [`torture`] libraries the tests, CI and
-//! `jnvm-faultsim lincheck` drive.
+//! [`loadgen`] / [`torture`] libraries the tests and CI drive.
 
 pub mod args;
 pub mod cluster;

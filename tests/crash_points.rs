@@ -32,8 +32,8 @@ use std::sync::Arc;
 use jnvm_repro::faultsim::{self, Devices, Images};
 use jnvm_repro::heap::{BlockHeader, HeapConfig, REF_ADDR_MASK};
 use jnvm_repro::jnvm::{
-    commit_phase, persistent_class, Jnvm, JnvmBuilder, PObject, Proxy, RawChain, RecoveryMode,
-    RecoveryOptions, RecoveryReport,
+    commit_phase, persistent_class, CommitPhase, Jnvm, JnvmBuilder, PObject, Proxy, RawChain,
+    RecoveryMode, RecoveryOptions, RecoveryReport,
 };
 use jnvm_repro::jpdt::{register_jpdt, PByteArray, PBytes, PI64SkipMap, PRefArray, PStringHashMap};
 use jnvm_repro::kvstore::{
@@ -110,8 +110,9 @@ fn kvstore_builder() -> JnvmBuilder {
 }
 
 /// What a workload's `observe` says of a recovered pool: which prefix of the
-/// steps its image is (`None` for none), and its live count.
-type Observed = (Option<usize>, u64);
+/// steps its image is (`None` for none), its live count, and the logs
+/// recovery replayed.
+type Observed = (Option<usize>, u64, u64);
 
 /// The crash-free image of every prefix of `steps`: the live count recovery
 /// reports under `mode` when the power fails right after `run(ctx, upto)`,
@@ -129,7 +130,7 @@ fn prefix_images<C>(
             run(&ctx, upto);
             drop(ctx);
             pmem.crash(&CrashPolicy::strict()).expect("crash");
-            let (image, live) = observe(&pmem, mode);
+            let (image, live, _) = observe(&pmem, mode);
             assert_eq!(
                 image,
                 Some(upto),
@@ -156,11 +157,28 @@ fn crash_name(report: &faultsim::TortureOutcome) -> String {
     format!("keep {:#b}, crash point {}", report.mask, report.point)
 }
 
+/// One crash a sweep recovered from.
+struct Crash {
+    point: u64,
+    /// The commit phase the crash interrupted.
+    phase: CommitPhase,
+    /// The prefix of the steps its image is.
+    step: usize,
+    replayed_logs: u64,
+}
+
+/// One recovery mode's sweep: the crash-free live count of each prefix, and
+/// every crash in the order it ran.
+struct Swept {
+    live: Vec<u64>,
+    crashes: Vec<Crash>,
+}
+
 /// Crash `run(ctx, steps)` at every image `faultsim::sweep_all` takes under
 /// `sweep` and recover it under each of `modes`: the pool must recover to
 /// the crash-free image of some prefix of the steps ([`Observed`] by
 /// `observe`), with that image's exact live count, and every prefix's image
-/// must be seen. Returns the crash-free live counts, per mode and prefix.
+/// must be seen. Returns each mode's [`Swept`].
 fn prefix_sweep<C: Sync>(
     setup: impl Fn() -> (Arc<Pmem>, C),
     steps: usize,
@@ -168,41 +186,50 @@ fn prefix_sweep<C: Sync>(
     observe: impl Fn(&Arc<Pmem>, RecoveryMode) -> Observed,
     modes: &[RecoveryMode],
     sweep: Images,
-) -> Vec<Vec<u64>> {
+) -> Vec<Swept> {
     silence_crash_panics();
-    let mut live = Vec::new();
+    let mut swept = Vec::new();
     for &mode in modes {
-        let images = prefix_images(&setup, steps, &run, &observe, mode);
+        let live = prefix_images(&setup, steps, &run, &observe, mode);
         let mut seen = vec![0usize; steps + 1];
+        let mut crashes = Vec::new();
         let workload = |_: usize, ctx: &C| run(ctx, steps);
-        let crashes = faultsim::sweep_all(
+        let summary = faultsim::sweep_all(
             sweep,
             POOL,
             1,
             one_pool(&setup),
             workload,
-            |pmems, report| {
-                let at = At(format!("{mode:?}, {}", crash_name(report)));
-                let (image, recovered) = observe(&pmems[0][0], mode);
+            |pmems, outcome| {
+                // The one worker ran on this thread: the phase it was in.
+                let phase = commit_phase();
+                let at = At(format!("{mode:?}, {}", crash_name(outcome)));
+                let (image, recovered, replayed_logs) = observe(&pmems[0][0], mode);
                 let step = image
                     .filter(|s| *s <= steps)
                     .unwrap_or_else(|| panic!("{}: no prefix's image", at.0));
                 assert_eq!(
-                    recovered, images[step],
+                    recovered, live[step],
                     "{}: live count of {step} steps",
                     at.0
                 );
                 seen[step] += 1;
+                crashes.push(Crash {
+                    point: outcome.point,
+                    phase,
+                    step,
+                    replayed_logs,
+                });
             },
         );
         assert!(
             seen.iter().all(|n| *n > 0),
             "{mode:?}, {sweep:?}: every prefix's image, seen {seen:?}"
         );
-        println!("{mode:?}, {sweep:?}: {} crashes", crashes.points_injected);
-        live.push(images);
+        println!("{mode:?}, {sweep:?}: {} crashes", summary.points_injected);
+        swept.push(Swept { live, crashes });
     }
-    live
+    swept
 }
 
 // ---------------------------------------------------------------------------
@@ -251,14 +278,62 @@ fn fa_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
     assert_eq!(l + r, 2000, "transfer was torn: ({l}, {r})");
     let moved = 1500 - l;
     let step = (moved >= 0 && moved % 100 == 0).then_some(moved as usize / 100);
-    (step, report.live_blocks)
+    (step, report.live_blocks, report.replayed_logs)
 }
 
-/// Every crash of the FA pair transfer preserves the sum and recovers to
-/// exactly the old or the new state, leaking no blocks.
+/// Every crash of two FA pair transfers preserves the sum and recovers to a
+/// whole number of transfers, leaking no blocks. Each strict crash stands
+/// for its fence epoch; the test prints one line per epoch (the Fig. 11
+/// companion table in EXPERIMENTS.md, with `-- --nocapture`) and pins the
+/// epochs at which each transfer's commit becomes durable.
 #[test]
 fn fa_transfer_survives_every_crash_point() {
-    prefix_sweep(fa_setup, 1, fa_run, fa_observe, &FULL, Images::Strict);
+    let transfers = 2;
+    let swept = prefix_sweep(
+        fa_setup,
+        transfers,
+        fa_run,
+        fa_observe,
+        &FULL,
+        Images::Strict,
+    );
+    let Swept { live, crashes } = &swept[0];
+    println!("points | phase | recovered | replayed logs | live blocks");
+    // Where each transfer's image first recovers: the first point of its
+    // epoch.
+    let mut commits = Vec::new();
+    let mut first = 0;
+    for (i, c) in crashes.iter().enumerate() {
+        let moved = 100 * c.step as i64;
+        println!(
+            "{first}-{} | {} | ({}, {}) | {} | {}",
+            c.point,
+            c.phase.name(),
+            1500 - moved,
+            500 + moved,
+            c.replayed_logs,
+            live[c.step]
+        );
+        // A crash after the commit point replays the one log, any other
+        // replays none.
+        assert_eq!(
+            c.replayed_logs,
+            u64::from(c.phase.is_committed()),
+            "points {first}-{}: logs replayed in phase {}",
+            c.point,
+            c.phase.name()
+        );
+        if i > 0 && c.step != crashes[i - 1].step {
+            commits.push(first);
+        }
+        first = c.point + 1;
+    }
+    assert_eq!(crashes.len(), 8, "fence epochs of {transfers} transfers");
+    assert_eq!(
+        commits,
+        [6, 18],
+        "first points that recover 1 and 2 transfers"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -307,8 +382,9 @@ fn recovery_replay_survives_every_crash_point() {
         |pmems, report| {
             // Second recovery after a torn first recovery: replay must be
             // idempotent, always reaching the committed (1400, 600) image.
+            let (step, recovered, _) = fa_observe(&pmems[0][0], mode);
             assert_eq!(
-                fa_observe(&pmems[0][0], mode),
+                (step, recovered),
                 (Some(1), live),
                 "replay crash point {}: committed transfer lost, torn or leaking",
                 report.point
@@ -383,7 +459,7 @@ fn grid_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
     } else {
         k2.is_some() as usize
     };
-    (Some(step), report.live_blocks)
+    (Some(step), report.live_blocks, report.replayed_logs)
 }
 
 #[test]
@@ -480,6 +556,7 @@ fn sk_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
     (
         (0..=3).find(|upto| sk_image(*upto) == state),
         report.live_blocks,
+        report.replayed_logs,
     )
 }
 
@@ -890,13 +967,13 @@ fn grow_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
         [Some(true), Some(true)] => Some(1),
         _ => None,
     };
-    (step, report.live_blocks)
+    (step, report.live_blocks, report.replayed_logs)
 }
 
 #[test]
 fn grown_chains_recover_equivalently_at_every_crash_point() {
-    let live = prefix_sweep(grow_setup, 1, grow_run, grow_observe, &BOTH, Images::Strict);
-    for (mode, live) in BOTH.iter().zip(live) {
+    let swept = prefix_sweep(grow_setup, 1, grow_run, grow_observe, &BOTH, Images::Strict);
+    for (mode, Swept { live, .. }) in BOTH.iter().zip(swept) {
         assert_eq!(live[1], live[0] + 6, "{mode:?}: two 3-block arrays");
     }
 }
@@ -991,7 +1068,7 @@ fn pooled_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
     let after =
         keep == [0x40; 16] && fresh == Some(pooled_record(POOLED_NEW, 0x30)) && gone.is_none();
     let step = (before || after).then_some(after as usize);
-    (step, report.live_objects)
+    (step, report.live_objects, report.replayed_logs)
 }
 
 /// Every crash image of the group, under `Full` and `HeaderScanOnly`
@@ -1005,7 +1082,7 @@ fn pooled_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
 /// pinned 6 leaked objects, then a range of counts past the group.
 #[test]
 fn pooled_records_recover_to_either_image_at_every_crash_point() {
-    let live = prefix_sweep(
+    let swept = prefix_sweep(
         pooled_setup,
         1,
         pooled_run,
@@ -1013,7 +1090,7 @@ fn pooled_records_recover_to_either_image_at_every_crash_point() {
         &BOTH,
         Images::Every,
     );
-    for (mode, live) in BOTH.iter().zip(live) {
+    for (mode, Swept { live, .. }) in BOTH.iter().zip(swept) {
         assert_eq!(
             live[1], live[0],
             "{mode:?}: 4 objects in, 4 out, one blob swapped"
@@ -1023,8 +1100,9 @@ fn pooled_records_recover_to_either_image_at_every_crash_point() {
         pmem.psync();
         drop(ctx);
         pmem.crash(&CrashPolicy::strict()).expect("crash");
+        let (step, recovered, _) = pooled_observe(&pmem, *mode);
         assert_eq!(
-            pooled_observe(&pmem, *mode),
+            (step, recovered),
             (Some(1), live[1]),
             "{mode:?}: objects leaked by the group's frees"
         );
@@ -1125,6 +1203,7 @@ fn origin_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
     (
         (before || after).then_some(after as usize),
         report.live_objects,
+        report.replayed_logs,
     )
 }
 
@@ -1150,7 +1229,7 @@ fn slots_of_every_origin_recover_to_either_image_at_every_crash_point() {
         "the last carve took the bump cursor"
     );
     drop((ctx, pmem));
-    let live = prefix_sweep(
+    let swept = prefix_sweep(
         origin_setup,
         1,
         origin_run,
@@ -1158,7 +1237,7 @@ fn slots_of_every_origin_recover_to_either_image_at_every_crash_point() {
         &BOTH,
         Images::Every,
     );
-    for (mode, live) in BOTH.iter().zip(live) {
+    for (mode, Swept { live, .. }) in BOTH.iter().zip(swept) {
         assert_eq!(live[1], live[0] + 2, "{mode:?}");
     }
 }
@@ -1227,7 +1306,7 @@ fn carve_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
         None => Some(0),
         Some(a) => (PBytes::resurrect(&rt, a).to_vec() == [0xC5; 8]).then_some(1),
     };
-    (step, report.live_objects)
+    (step, report.live_objects, report.replayed_logs)
 }
 
 /// [`prefix_sweep`] over [`carve_run`], every crash image, under both
@@ -1248,7 +1327,7 @@ fn a_recycled_carve_recovers_an_exact_live_count_at_every_crash_point() {
     );
     assert!(ctx.rt.pools().is_pooled_addr(blob));
     drop((ctx, pmem));
-    let live = prefix_sweep(
+    let swept = prefix_sweep(
         carve_setup,
         1,
         carve_run,
@@ -1256,7 +1335,7 @@ fn a_recycled_carve_recovers_an_exact_live_count_at_every_crash_point() {
         &BOTH,
         Images::Every,
     );
-    for (mode, live) in BOTH.iter().zip(live) {
+    for (mode, Swept { live, .. }) in BOTH.iter().zip(swept) {
         assert_eq!(live[1], live[0] + 1, "{mode:?}");
     }
 }
@@ -1342,7 +1421,7 @@ fn field_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
         let capacity = RawChain::open(&rt, addr).capacity();
         assert_eq!(capacity - (word >> 48), FIELD_LENS[step] as u64, "{tag}");
     }
-    (step, report.live_objects)
+    (step, report.live_objects, report.replayed_logs)
 }
 
 /// Every crash image of the three updates, in the J-PFA flavour recovered
@@ -1459,7 +1538,7 @@ fn map_grow_observe(pmem: &Arc<Pmem>, mode: RecoveryMode, value: u64, chain: &[u
         (true, n, Some(new)) if n == MAP_KEYS + 1 && new == value => Some(1),
         _ => None,
     };
-    (step, report.live_objects)
+    (step, report.live_objects, report.replayed_logs)
 }
 
 /// Every crash image of the insert that doubles a 64-cell map, in the J-PFA
@@ -1487,7 +1566,7 @@ fn a_map_doubling_recovers_either_side_at_every_crash_image() {
             let mode = RecoveryMode::HeaderScanOnly;
             let verify = |pmems: &[Vec<Arc<Pmem>>], report: &faultsim::TortureOutcome| {
                 let at = At(format!("{mode:?}, {}", crash_name(report)));
-                let (step, _) = map_grow_observe(&pmems[0][0], mode, value, &chain);
+                let (step, _, _) = map_grow_observe(&pmems[0][0], mode, value, &chain);
                 assert!(step.is_some(), "{}: neither side of the insert", at.0);
             };
             faultsim::sweep_all(Images::Every, POOL, 1, one_pool(setup), workload, verify);
@@ -1566,7 +1645,7 @@ proptest! {
             |pmems, report| {
                 // Transfers apply in order: the recovered pair is that of
                 // some number of whole transfers.
-                let (step, _) = fa_observe(&pmems[0][0], RecoveryMode::Full);
+                let (step, _, _) = fa_observe(&pmems[0][0], RecoveryMode::Full);
                 assert!(
                     step.is_some_and(|s| s <= transfers),
                     "crash point {}: impossible state after {step:?} transfers",

@@ -4,7 +4,9 @@
 //! write survived and every record is untorn).
 //!
 //! The default suite runs a time-bounded smoke plus a small strided sweep;
-//! the `--ignored` test widens the sweep for the scheduled torture job.
+//! the `--ignored` tests widen the sweep for the scheduled torture job,
+//! one row per topology, each printing its durable-linearizability
+//! verdict line.
 //!
 //! The pool-shard count of the torture configs honors `JNVM_SHARDS`
 //! (default 1) and the replica count honors `JNVM_REPLICAS` (default 1,
@@ -850,6 +852,37 @@ fn read_mostly_kill_never_tears_the_reply_stream() {
     assert!(fired >= 3, "sweep barely injected: {fired} points");
 }
 
+/// A wide strided kill sweep for the scheduled torture job: `points`
+/// crash points over the crash replica's counted op space, each run held
+/// to acked ⇒ durable, untorn records and durable linearizability (the
+/// failover divergence audit too, after a primary kill). At least one
+/// point must fire, or the sweep checked nothing. Prints its verdict line.
+fn wide_kill_sweep(cfg: &TortureConfig, points: u64) {
+    let total = traffic_op_count(cfg).expect("valid topology");
+    let points = strided_points(total, points);
+    let (mut fired, mut keys, mut events) = (0u64, 0u64, 0u64);
+    for &point in &points {
+        let report =
+            kill_during_traffic(point, cfg).unwrap_or_else(|e| panic!("point {point}: {e}"));
+        fired += u64::from(report.injected);
+        keys += report.lincheck_keys;
+        events += report.lincheck_events;
+    }
+    assert!(fired > 0, "no crash point fired: the sweep checked nothing");
+    let kill = if cfg.crash_replica == 0 {
+        "primary"
+    } else {
+        "backup"
+    };
+    println!(
+        "{} shard(s) x {} replica(s), {kill} kill: verdict: durably linearizable — \
+         {} crash points ({fired} fired), {keys} key partitions, {events} events",
+        cfg.pool_shards,
+        cfg.replicas,
+        points.len()
+    );
+}
+
 /// The wide sweep for the scheduled torture job
 /// (`cargo test --release --test server_torture -- --ignored`).
 /// Recovers on 4 threads so the torture job also exercises the parallel
@@ -869,12 +902,7 @@ fn kill_during_traffic_wide_sweep() {
         recovery_threads: 4,
         ..TortureConfig::default()
     };
-    let total = traffic_op_count(&cfg).expect("valid topology");
-    for point in strided_points(total, 40) {
-        if let Err(e) = kill_during_traffic(point, &cfg) {
-            panic!("{e}");
-        }
-    }
+    wide_kill_sweep(&cfg, 40);
 }
 
 /// Wide replicated sweep for the torture job: primary kills across the
@@ -897,20 +925,41 @@ fn replicated_kill_wide_sweep() {
         recovery_threads: 4,
         ..TortureConfig::default()
     };
-    let total = traffic_op_count(&cfg).expect("valid topology");
-    for point in strided_points(total, 25) {
-        if let Err(e) = kill_during_traffic(point, &cfg) {
-            panic!("primary kill at {point}: {e}");
-        }
-    }
-    let backup_cfg = TortureConfig {
+    wide_kill_sweep(&cfg, 25);
+    let backup = TortureConfig {
         crash_replica: 1,
         ..cfg
     };
-    let total_b = traffic_op_count(&backup_cfg).expect("valid topology");
-    for point in strided_points(total_b, 10) {
-        if let Err(e) = kill_during_traffic(point, &backup_cfg) {
-            panic!("backup kill at {point}: {e}");
-        }
+    wide_kill_sweep(&backup, 10);
+}
+
+/// The torture job's durable-linearizability sweeps, one row per
+/// topology over one load shape (4 connections × 120 ops, pipeline 16,
+/// four 32-B fields, 2 recovery threads): 2 shards × 1 replica, then 2 × 2
+/// with primary kills and with backup kills.
+#[test]
+#[ignore]
+fn durably_linearizable_wide_sweeps() {
+    let cfg = TortureConfig {
+        load: LoadgenConfig {
+            conns: 4,
+            ops_per_conn: 120,
+            pipeline: 16,
+            fields: 4,
+            value_size: 32,
+            seed: 0,
+        },
+        pool_shards: 2,
+        recovery_threads: 2,
+        ..TortureConfig::default()
+    };
+    // (replicas, crash replica, points)
+    for (replicas, crash_replica, points) in [(1, 0, 48), (2, 0, 48), (2, 1, 24)] {
+        let row = TortureConfig {
+            replicas,
+            crash_replica,
+            ..cfg
+        };
+        wide_kill_sweep(&row, points);
     }
 }
