@@ -15,6 +15,7 @@
 //! | `fig12_pdt_vs_volatile` | Figure 12 (persistent vs volatile types) |
 //! | `table3_block_access` | Table 3 (raw block access throughput) |
 //! | `run_all` | everything above, default scaled parameters |
+//! | `bench_trajectory` | the committed `BENCH_*.json` files read back; exits non-zero when a count got worse |
 //!
 //! All binaries accept `--key value` flags (`--records`, `--ops`,
 //! `--scale`, `--out` ...) and write CSV series into `results/` in addition
@@ -23,6 +24,7 @@
 pub mod adapter;
 pub mod output;
 pub mod setup;
+pub mod trajectory;
 
 pub use adapter::GridClient;
 pub use jnvm_server::Args;

@@ -1051,9 +1051,7 @@ impl JnvmRuntime {
             .collect();
         lines.sort_unstable();
         lines.dedup();
-        for line in lines {
-            pmem.pwb(line * CACHE_LINE);
-        }
+        pmem.pwb_lines(&lines);
         pmem.pfence();
         // 2. Commit point of the whole group.
         set_phase(CommitPhase::CommitPoint);

@@ -46,9 +46,18 @@ impl PRecord {
         let values = values.into_iter();
         let nfields = values.len() as u64;
         let proxy = rt.alloc_small::<PRecord>(nfields * 8)?;
-        for (i, v) in values.enumerate() {
-            proxy.write_u64(i as u64 * 8, PValue::create(rt, v.as_ref())?);
+        // The reference array, stored in one write.
+        let (mut inline, mut heap) = ([0u8; INLINE_REFS * 8], Vec::new());
+        let refs = if values.len() <= INLINE_REFS {
+            &mut inline[..values.len() * 8]
+        } else {
+            heap.resize(values.len() * 8, 0);
+            &mut heap[..]
+        };
+        for (word, v) in refs.chunks_exact_mut(8).zip(values) {
+            word.copy_from_slice(&PValue::create(rt, v.as_ref())?.to_le_bytes());
         }
+        proxy.write_bytes(0, refs);
         proxy.pwb();
         Ok(PRecord { proxy, nfields })
     }

@@ -2,8 +2,8 @@
 //!
 //! `words` is the one copy of the pool: what loads see and, for every
 //! clean line, what is durable. The model of what is durable lives in
-//! [`Persistence`]: a state byte per cache line, the per-thread persistence
-//! domains and — on a `CrashSim` pool — the [`Shadow`], which holds the
+//! [`Persistence`] — a state byte per cache line, and on a `CrashSim` pool
+//! the [`Shadow`] — and in each thread's own [`Domain`]. The shadow holds the
 //! persisted content of the lines that are *not* clean and of no others,
 //! so its size follows the unfenced lines, not the pool. The first store
 //! that takes a line out of [`LINE_CLEAN`] saves the line's eight words
@@ -26,20 +26,18 @@
 //! `pwb`, so it can no longer fence the line clean around words that are
 //! in `words` but not yet marked.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
-use std::thread::ThreadId;
 
 use parking_lot::Mutex;
 
 use crate::config::{CrashPolicy, LatencyProfile, PmemConfig, SimMode};
 use crate::error::PmemError;
 use crate::inject::{FaultOp, Injector};
-use crate::latency::spin_ns;
+use crate::latency::spin_uncharged;
 use crate::sanitize::{san_thread_id, SanViolation, SanitizeMode, Sanitizer};
-use crate::stats::{PmemStats, StatsSnapshot};
+use crate::stats::{Counter, PmemStats, PoolLocal, StatsSnapshot};
 
 /// Size of a simulated CPU cache line in bytes.
 pub const CACHE_LINE: u64 = 64;
@@ -65,78 +63,137 @@ const LINE_LOCK: u8 = 0x80;
 const LINE_WRITTEN: u8 = 0x40;
 const LINE_STATE: u8 = 0x03;
 
-/// One thread's persistence domain.
+/// One thread's persistence domain on one pool. The thread owns it — it
+/// lives in the thread's entry for the pool (`stats.rs`) — so a `pwb`
+/// queues a line and a fence drains the queue without a lock: an `sfence`
+/// on real hardware orders only the issuing CPU's `clwb`s, and lines left
+/// in other threads' domains at a crash are as vulnerable as dirty lines.
+/// A settle (crash, drain, resync) empties every domain by bumping the
+/// pool's settle count; each thread empties its own at its next use.
 #[derive(Default)]
-struct Domain {
+pub(crate) struct Domain {
+    /// The pool's settle count when this domain was last used.
+    settles: u64,
     /// The write-pending queue: lines `pwb`ed since this thread's last fence.
-    wpq: Mutex<Vec<u64>>,
+    wpq: Vec<u64>,
     /// Sanitizer modes only: this thread has fenced and issued no `pwb`
     /// since, so its next fence orders nothing new (back-to-back fences).
-    /// False in a fresh entry: a thread's first fence is never redundant.
-    fenced_idle: AtomicBool,
+    /// False in an emptied domain: a thread's first fence is never redundant.
+    fenced_idle: bool,
 }
 
-/// One direct-mapped slot of the [`Shadow`].
-struct Slot {
-    /// `line + 1` of the line whose entry this is; 0 while free.
-    tag: AtomicU64,
-    words: [AtomicU64; WORDS_PER_LINE],
+impl Domain {
+    /// This domain at the pool's settle count `settles`: emptied first if
+    /// the pool settled since its last use.
+    fn at(&mut self, settles: u64) -> &mut Domain {
+        if self.settles != settles {
+            self.settles = settles;
+            self.wpq.clear();
+            self.fenced_idle = false;
+        }
+        self
+    }
 }
 
-const SHADOW_SLOTS: usize = 4096;
+/// The saved words of one slot of the [`Shadow`], on a cache line of
+/// their own.
+#[repr(align(64))]
+struct SlotWords([AtomicU64; WORDS_PER_LINE]);
+
+/// The tags of a bucket of [`Shadow`] slots, on one cache line: per slot,
+/// [`tag_of`] the line whose entry it holds, or 0 while free.
+#[repr(align(64))]
+struct Bucket([AtomicU64; BUCKET_SLOTS]);
+
+const BUCKET_SLOTS: usize = 8;
+const SHADOW_BUCKETS: usize = 512;
+
+/// In a slot's tag beside the line: the entry is all zeros, and the slot's
+/// words are not written (the pre-image of a line never stored to).
+const ZEROS: u64 = 1;
+
+/// A slot's tag for `line`'s entry.
+fn tag_of(line: u64) -> u64 {
+    (line + 1) << 1
+}
 
 /// The persisted content of the non-clean lines, keyed by line: a table of
-/// slots a line claims with one CAS — no mutex and no allocation while the
-/// non-clean lines are few, as they are between two fences — and a map for
-/// the lines that found their slot taken (a burst of unfenced stores). An
-/// *entry* is read and written under its line's lock bit; tag and mutex
-/// only arbitrate between lines.
+/// slots in which a line claims a free slot of its bucket with one CAS —
+/// no mutex and no allocation while the non-clean lines are few, as they
+/// are between two fences — and a map for the lines that found their
+/// bucket full (a burst of unfenced stores). An *entry* is read and written
+/// under its line's lock bit; tags and mutex only arbitrate between lines.
 struct Shadow {
-    slots: Box<[Slot]>,
+    buckets: Box<[Bucket]>,
+    words: Box<[SlotWords]>,
     overflow: Mutex<HashMap<u64, LineWords>>,
 }
 
 impl Shadow {
     fn new() -> Shadow {
         Shadow {
-            slots: zeroed(SHADOW_SLOTS),
+            buckets: zeroed(SHADOW_BUCKETS),
+            words: zeroed(SHADOW_BUCKETS * BUCKET_SLOTS),
             overflow: Mutex::default(),
         }
     }
 
-    /// The slot `line` hashes to, and whether it holds `line`'s entry.
+    /// The slots of `line`'s bucket: each one's index and tag.
     #[inline]
-    fn slot(&self, line: u64) -> (&Slot, bool) {
+    fn bucket(&self, line: u64) -> impl Iterator<Item = (usize, &AtomicU64)> {
         let hash = line.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
-        let slot = &self.slots[hash as usize % SHADOW_SLOTS];
-        // Acquire pairs with the Release that freed the slot: the previous
-        // tenant is done with `words`.
-        (slot, slot.tag.load(Ordering::Acquire) == line + 1)
+        let bucket = hash as usize % SHADOW_BUCKETS;
+        (bucket * BUCKET_SLOTS..).zip(&self.buckets[bucket].0)
     }
 
-    /// Record what is persisted of `line`: its first entry (`fresh`, the
-    /// line was clean) or a newer one in place of the one it has.
+    /// The slot holding `line`'s entry, if its bucket has it. Acquire pairs
+    /// with the Release that freed a slot: its previous tenant is done with
+    /// the words.
     #[inline]
-    fn save(&self, line: u64, persisted: LineWords, fresh: bool) {
-        let (slot, mine) = self.slot(line);
-        let claim = || {
-            slot.tag
-                .compare_exchange(0, line + 1, Ordering::Acquire, Ordering::Relaxed)
+    fn slot(&self, line: u64) -> Option<(usize, &AtomicU64)> {
+        self.bucket(line)
+            .find(|(_, tag)| tag.load(Ordering::Acquire) & !ZEROS == tag_of(line))
+    }
+
+    /// Record what is persisted of `line` (`None`: zeros): its first entry
+    /// (`fresh`, the line was clean) or a newer one in place of the one it
+    /// has.
+    #[inline]
+    fn save(&self, line: u64, persisted: Option<LineWords>, fresh: bool) {
+        let new = tag_of(line) | if persisted.is_none() { ZEROS } else { 0 };
+        let claim = |(_, tag): &(usize, &AtomicU64)| {
+            tag.load(Ordering::Relaxed) == 0
+                && tag
+                    .compare_exchange(0, new, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
         };
-        if mine || (fresh && claim().is_ok()) {
-            for (word, v) in slot.words.iter().zip(persisted) {
-                word.store(v, Ordering::Relaxed);
+        let slot = match self.slot(line) {
+            Some((slot, tag)) => {
+                // Only this line's lock holder reads the flag.
+                tag.store(new, Ordering::Relaxed);
+                Some(slot)
             }
-        } else {
-            self.overflow.lock().insert(line, persisted);
+            None if fresh => self.bucket(line).find(claim).map(|(slot, _)| slot),
+            None => None,
+        };
+        match (slot, persisted) {
+            (Some(slot), Some(persisted)) => {
+                for (word, v) in self.words[slot].0.iter().zip(persisted) {
+                    word.store(v, Ordering::Relaxed);
+                }
+            }
+            (Some(_), None) => {}
+            (None, persisted) => {
+                let persisted = persisted.unwrap_or_default();
+                self.overflow.lock().insert(line, persisted);
+            }
         }
     }
 
     /// `line`'s entry, dropped from the shadow with `take`.
     #[inline]
     fn entry(&self, line: u64, take: bool) -> Option<LineWords> {
-        let (slot, mine) = self.slot(line);
-        if !mine {
+        let Some((slot, tag)) = self.slot(line) else {
             let mut overflow = self.overflow.lock();
             if !take {
                 return overflow.get(&line).copied();
@@ -149,10 +206,14 @@ impl Shadow {
                 *overflow = HashMap::new();
             }
             return persisted;
-        }
-        let persisted = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
+        };
+        let persisted = if tag.load(Ordering::Relaxed) & ZEROS != 0 {
+            [0; WORDS_PER_LINE]
+        } else {
+            std::array::from_fn(|i| self.words[slot].0[i].load(Ordering::Relaxed))
+        };
         if take {
-            slot.tag.store(0, Ordering::Release);
+            tag.store(0, Ordering::Release);
         }
         Some(persisted)
     }
@@ -160,18 +221,19 @@ impl Shadow {
     /// The lines with an entry, ascending (crash draws its coins in this
     /// order, so it must not be the table's).
     fn lines(&self) -> Vec<u64> {
-        let tags = self
-            .slots
-            .iter()
-            .map(|slot| slot.tag.load(Ordering::Acquire));
-        let mut lines: Vec<u64> = tags.filter(|tag| *tag != 0).map(|tag| tag - 1).collect();
+        let slots = self.buckets.iter().flat_map(|bucket| &bucket.0);
+        let tags = slots.map(|tag| tag.load(Ordering::Acquire));
+        let mut lines: Vec<u64> = tags
+            .filter(|tag| *tag != 0)
+            .map(|tag| (tag >> 1) - 1)
+            .collect();
         lines.extend(self.overflow.lock().keys());
         lines.sort_unstable();
         lines
     }
 }
 
-/// Line states, domains and shadow (see the module doc). Allocated for
+/// Line states and shadow (see the module doc). Allocated for
 /// [`SimMode::CrashSim`] pools and for every pool with a sanitizer mode on.
 struct Persistence {
     /// One state byte per line (the benchmark's 448 MiB pools have 7.3 M).
@@ -181,44 +243,14 @@ struct Persistence {
     touchers: Option<Box<[AtomicU32]>>,
     /// `CrashSim` only: without it there is nothing to roll back to.
     shadow: Option<Shadow>,
-    /// Per-thread persistence domains: each thread's `pwb`s queue into its
-    /// own write-pending queue, and only that thread's `pfence`/`psync`
-    /// drains it — an `sfence` on real hardware orders only the issuing
-    /// CPU's `clwb`s. Lines left in *other* threads' domains at a crash
-    /// are as vulnerable as dirty lines.
-    domains: Mutex<HashMap<ThreadId, Arc<Domain>>>,
     /// Serializes fence drains, crash, drain and resync against each other.
     crash_lock: Mutex<()>,
-    /// Process-unique, and how often `domains` was reset: what a thread's
-    /// remembered domain is checked against.
-    id: u64,
+    /// How often the pool settled: each thread's [`Domain`] is as of one
+    /// count, and empty at any later one. Changed under `crash_lock`.
     settles: AtomicU64,
 }
 
 impl Persistence {
-    /// The calling thread's domain, created on first use. Every `pwb` and
-    /// fence asks, so each thread remembers its answer for the pool it
-    /// asked last — until that pool's next settle, which resets domains.
-    fn my_domain(&self) -> Arc<Domain> {
-        thread_local! {
-            /// (pool, its settle count, this thread's domain there).
-            static LAST: RefCell<Option<(u64, u64, Arc<Domain>)>> = const { RefCell::new(None) };
-        }
-        LAST.with(|last| {
-            let mut last = last.borrow_mut();
-            let settles = self.settles.load(Ordering::Acquire);
-            match &*last {
-                Some((pool, at, dom)) if (*pool, *at) == (self.id, settles) => Arc::clone(dom),
-                _ => {
-                    let mut map = self.domains.lock();
-                    let dom = Arc::clone(map.entry(std::thread::current().id()).or_default());
-                    *last = Some((self.id, settles, Arc::clone(&dom)));
-                    dom
-                }
-            }
-        })
-    }
-
     /// Take `line`'s lock bit, waiting out another holder (a few word
     /// stores and at most one shadow update long).
     #[inline]
@@ -307,7 +339,8 @@ unsafe trait ZeroBits {}
 unsafe impl ZeroBits for AtomicU8 {}
 unsafe impl ZeroBits for AtomicU32 {}
 unsafe impl ZeroBits for AtomicU64 {}
-unsafe impl ZeroBits for Slot {}
+unsafe impl ZeroBits for SlotWords {}
+unsafe impl ZeroBits for Bucket {}
 
 /// `n` zeroed atomics (a zero line state is [`LINE_CLEAN`]), as the
 /// allocator's zero pages: an array costs DRAM from the first store to
@@ -331,14 +364,11 @@ impl Pmem {
         let nlines = (size / CACHE_LINE) as usize;
         let crash_sim = cfg.mode == SimMode::CrashSim;
         let san = Sanitizer::new(cfg.sanitize);
-        static POOLS: AtomicU64 = AtomicU64::new(0);
         let persist = (crash_sim || san.is_some()).then(|| Persistence {
             lines: zeroed(nlines),
             touchers: san.as_ref().map(|_| zeroed(nlines)),
             shadow: crash_sim.then(Shadow::new),
-            domains: Mutex::new(HashMap::new()),
             crash_lock: Mutex::new(()),
-            id: POOLS.fetch_add(1, Ordering::Relaxed),
             settles: AtomicU64::new(0),
         });
         Arc::new(Pmem {
@@ -397,12 +427,12 @@ impl Pmem {
 
     /// Bump the injected-crash counter (called by the engine only).
     pub(crate) fn record_injected_crash(&self) {
-        self.stats.injected_crashes.add(1);
+        self.stats.add(Counter::injected_crashes, 1);
     }
 
     /// Bump the secondary-unwind counter (called by the engine only).
     pub(crate) fn record_secondary_unwind(&self) {
-        self.stats.secondary_unwinds.add(1);
+        self.stats.add(Counter::secondary_unwinds, 1);
     }
 
     #[inline]
@@ -425,15 +455,25 @@ impl Pmem {
 
     #[inline]
     fn charge_read(&self, addr: u64, len: u64) {
-        self.stats.record_read(len);
-        if self.latency_on {
-            spin_ns(self.latency.read_line_ns * Self::lines_touched(addr, len));
-        }
+        let ns = if self.latency_on {
+            self.latency.read_line_ns * Self::lines_touched(addr, len)
+        } else {
+            0
+        };
+        self.stats.with_local(|local, charged| {
+            local.cells.add(Counter::reads, 1);
+            local.cells.add(Counter::bytes_read, len);
+            charged.set(charged.get() + ns);
+        });
+        spin_uncharged(ns);
     }
 
     #[inline]
     fn charge_write(&self, len: u64) {
-        self.stats.record_write(len);
+        self.stats.with_local(|local, _| {
+            local.cells.add(Counter::writes, 1);
+            local.cells.add(Counter::bytes_written, len);
+        });
     }
 
     /// Take `line`'s lock for a store into it. On a line found clean the
@@ -445,11 +485,7 @@ impl Pmem {
         let mut held = p.lock(line);
         if held.state == LINE_CLEAN {
             if let Some(shadow) = &p.shadow {
-                let pre_image = if held.written {
-                    self.line_words(line)
-                } else {
-                    [0; WORDS_PER_LINE]
-                };
+                let pre_image = held.written.then(|| self.line_words(line));
                 shadow.save(line, pre_image, true);
             }
         }
@@ -459,12 +495,9 @@ impl Pmem {
     }
 
     /// Run `store(a, n)` over `[addr, addr + len)` one line's piece at a
-    /// time, each under its line's lock (in one piece without line states).
+    /// time, each under its line's lock.
     #[inline]
     fn store_by_line(&self, addr: u64, len: u64, mut store: impl FnMut(u64, u64)) {
-        if self.persist.is_none() {
-            return store(addr, len);
-        }
         let (mut a, end) = (addr, addr + len);
         while a < end {
             let n = (CACHE_LINE - a % CACHE_LINE).min(end - a);
@@ -494,7 +527,7 @@ impl Pmem {
         std::array::from_fn(|i| self.load_word(base + i))
     }
 
-    /// Read an unsigned integer of `LEN` bytes (1, 2, 4 or 8) at any byte
+    /// Read an unsigned integer of `len` bytes (1, 2, 4 or 8) at any byte
     /// address, crossing word boundaries if necessary.
     #[inline]
     fn read_uint(&self, addr: u64, len: u64) -> u64 {
@@ -502,25 +535,15 @@ impl Pmem {
         self.charge_read(addr, len);
         let widx = (addr / 8) as usize;
         let shift = (addr % 8) * 8;
-        if shift + len * 8 <= 64 {
-            let word = self.load_word(widx);
-            let v = word >> shift;
-            if len == 8 {
-                v
-            } else {
-                v & ((1u64 << (len * 8)) - 1)
-            }
-        } else {
+        let mut v = self.load_word(widx) >> shift;
+        if shift + len * 8 > 64 {
             // The value straddles two words.
-            let lo = self.load_word(widx) >> shift;
-            let hi_bits = shift + len * 8 - 64;
-            let hi = self.load_word(widx + 1) & ((1u64 << hi_bits) - 1);
-            let v = lo | (hi << (64 - shift));
-            if len == 8 {
-                v
-            } else {
-                v & ((1u64 << (len * 8)) - 1)
-            }
+            v |= self.load_word(widx + 1) << (64 - shift);
+        }
+        if len == 8 {
+            v
+        } else {
+            v & ((1u64 << (len * 8)) - 1)
         }
     }
 
@@ -536,36 +559,15 @@ impl Pmem {
             return;
         }
         self.charge_write(len);
-        if addr % CACHE_LINE + len > CACHE_LINE {
-            // Straddles two lines: bytewise, a line at a time.
-            let bytes = v.to_le_bytes();
-            return self.store_by_line(addr, len, |a, n| {
-                self.copy_in(a, &bytes[(a - addr) as usize..][..n as usize])
-            });
+        if len == 8 && addr.is_multiple_of(8) {
+            let _held = self.enter_store(addr / CACHE_LINE);
+            return self.store_word((addr / 8) as usize, v);
         }
-        let _held = self.enter_store(addr / CACHE_LINE);
-        let widx = (addr / 8) as usize;
-        let shift = (addr % 8) * 8;
-        if len == 8 && shift == 0 {
-            self.store_word(widx, v);
-        } else if shift + len * 8 <= 64 {
-            let mask = if len == 8 {
-                u64::MAX
-            } else {
-                ((1u64 << (len * 8)) - 1) << shift
-            };
-            let old = self.load_word(widx);
-            self.store_word(widx, (old & !mask) | ((v << shift) & mask));
-        } else {
-            let lo_bits = 64 - shift;
-            let lo_mask = u64::MAX << shift;
-            let old_lo = self.load_word(widx);
-            self.store_word(widx, (old_lo & !lo_mask) | (v << shift));
-            let hi_bits = len * 8 - lo_bits;
-            let hi_mask = (1u64 << hi_bits) - 1;
-            let old_hi = self.load_word(widx + 1);
-            self.store_word(widx + 1, (old_hi & !hi_mask) | ((v >> lo_bits) & hi_mask));
-        }
+        // Sub-word or unaligned: bytewise, a line at a time.
+        let bytes = v.to_le_bytes();
+        self.store_by_line(addr, len, |a, n| {
+            self.copy_in(a, &bytes[(a - addr) as usize..][..n as usize])
+        });
     }
 
     // ------------------------------------------------------------------
@@ -733,31 +735,8 @@ impl Pmem {
             return;
         }
         self.charge_write(len);
-        self.store_by_line(addr, len, |a, n| self.zero_words(a, n));
-    }
-
-    /// The word stores of [`Pmem::zero_range`].
-    fn zero_words(&self, addr: u64, len: u64) {
-        let mut a = addr;
-        let end = addr + len;
-        while a < end && !a.is_multiple_of(8) {
-            let widx = (a / 8) as usize;
-            let shift = (a % 8) * 8;
-            let old = self.load_word(widx);
-            self.store_word(widx, old & !(0xffu64 << shift));
-            a += 1;
-        }
-        while end - a >= 8 {
-            self.store_word((a / 8) as usize, 0);
-            a += 8;
-        }
-        while a < end {
-            let widx = (a / 8) as usize;
-            let shift = (a % 8) * 8;
-            let old = self.load_word(widx);
-            self.store_word(widx, old & !(0xffu64 << shift));
-            a += 1;
-        }
+        let zeros = [0; CACHE_LINE as usize];
+        self.store_by_line(addr, len, |a, n| self.copy_in(a, &zeros[..n as usize]));
     }
 
     // ------------------------------------------------------------------
@@ -823,45 +802,7 @@ impl Pmem {
     /// order this CPU's `clwb`s.
     pub fn pwb(&self, addr: u64) {
         self.check(addr, 1);
-        if self.fault_point(FaultOp::Pwb, addr) {
-            return;
-        }
-        self.stats.pwbs.add(1);
-        jnvm_obs::note_pwb();
-        if self.latency_on {
-            spin_ns(self.latency.pwb_ns);
-        }
-        if let Some(p) = &self.persist {
-            let line = addr / CACHE_LINE;
-            let san = self.san.is_some();
-            let mut held = p.lock(line);
-            // Queue dirty lines; a line another thread already has pending
-            // joins this thread's domain too (like `clwb`, flushing it
-            // again is legal, and *this* thread's fence must then make it
-            // durable even if the original flusher never fences).
-            let was_dirty = held.state == LINE_DIRTY;
-            let joined = was_dirty || held.state == LINE_PENDING;
-            // Wasted work — exactly the redundancy NVTraverse reports as
-            // endemic: flushing a clean line (legal), or one this thread
-            // flushed itself and has not fenced since (it is already in
-            // its queue; the toucher stamp says whose).
-            if san && !was_dirty && (!joined || self.line_state(line).1 == san_thread_id()) {
-                self.stats.redundant_pwbs.add(1);
-            }
-            if joined {
-                held.set(LINE_PENDING);
-            }
-            drop(held);
-            if joined || san {
-                let dom = p.my_domain();
-                if joined {
-                    dom.wpq.lock().push(line);
-                }
-                if san {
-                    dom.fenced_idle.store(false, Ordering::Relaxed);
-                }
-            }
-        }
+        self.write_back(std::iter::once(addr));
     }
 
     /// `pwb` over every line overlapping `[addr, addr + len)`.
@@ -870,10 +811,87 @@ impl Pmem {
             return;
         }
         self.check(addr, len);
-        let first = addr / CACHE_LINE;
-        let last = (addr + len - 1) / CACHE_LINE;
-        for line in first..=last {
-            self.pwb(line * CACHE_LINE);
+        let lines = addr / CACHE_LINE..=(addr + len - 1) / CACHE_LINE;
+        self.write_back(lines.map(|line| line * CACHE_LINE));
+    }
+
+    /// `pwb` of each of `lines` (line numbers: byte address / [`CACHE_LINE`]),
+    /// in order: the same ops as one [`Pmem::pwb`] per line, with the
+    /// thread's bookkeeping looked up once.
+    pub fn pwb_lines(&self, lines: &[u64]) {
+        for line in lines {
+            self.check(line * CACHE_LINE, CACHE_LINE);
+        }
+        self.write_back(lines.iter().map(|line| line * CACHE_LINE));
+    }
+
+    /// The `pwb` body, over the line of each of `addrs`: a crash point
+    /// each, then one thread-local access for the lot.
+    #[inline]
+    fn write_back(&self, addrs: impl Iterator<Item = u64> + Clone) {
+        // Every crash point first: a `pwb` only moves a line from dirty to
+        // pending, which a crash treats alike, so each point leaves the
+        // image it would leave between the lines' `pwb`s.
+        for addr in addrs.clone() {
+            if self.fault_point(FaultOp::Pwb, addr) {
+                return;
+            }
+        }
+        // Read before any line is touched: a settle after this read makes
+        // the lines queued below stale at the next fence.
+        let settles = self
+            .persist
+            .as_ref()
+            .map(|p| p.settles.load(Ordering::Acquire));
+        let ns = if self.latency_on {
+            self.latency.pwb_ns
+        } else {
+            0
+        };
+        self.stats.with_local(|local, charged| {
+            for addr in addrs {
+                local.cells.add(Counter::pwbs, 1);
+                jnvm_obs::note_pwb();
+                charged.set(charged.get() + ns);
+                spin_uncharged(ns);
+                if let (Some(p), Some(settles)) = (&self.persist, settles) {
+                    self.write_back_line(p, addr / CACHE_LINE, local, settles);
+                }
+            }
+        });
+    }
+
+    /// Move `line` into the calling thread's domain if it is dirty or
+    /// pending in another's.
+    #[inline]
+    fn write_back_line(&self, p: &Persistence, line: u64, local: &mut PoolLocal, settles: u64) {
+        let san = self.san.is_some();
+        let mut held = p.lock(line);
+        // Queue dirty lines; a line another thread already has pending
+        // joins this thread's domain too (like `clwb`, flushing it again is
+        // legal, and *this* thread's fence must then make it durable even
+        // if the original flusher never fences).
+        let was_dirty = held.state == LINE_DIRTY;
+        let joined = was_dirty || held.state == LINE_PENDING;
+        // Wasted work — exactly the redundancy NVTraverse reports as
+        // endemic: flushing a clean line (legal), or one this thread
+        // flushed itself and has not fenced since (it is already in its
+        // queue; the toucher stamp says whose).
+        if san && !was_dirty && (!joined || self.line_state(line).1 == san_thread_id()) {
+            local.cells.add(Counter::redundant_pwbs, 1);
+        }
+        if joined {
+            held.set(LINE_PENDING);
+        }
+        drop(held);
+        if joined || san {
+            let domain = local.domain.at(settles);
+            if joined {
+                domain.wpq.push(line);
+            }
+            if san {
+                domain.fenced_idle = false;
+            }
         }
     }
 
@@ -881,39 +899,42 @@ impl Pmem {
     /// `pwb` is durable, so the calling thread's write-pending queue settles
     /// here — and only the caller's: a fence persists the fencing thread's
     /// own pending flushes, nobody else's.
-    fn fence(&self, latency_ns: u64) {
-        if self.latency_on {
-            spin_ns(latency_ns);
-        }
-        let Some(p) = &self.persist else { return };
-        let dom = p.my_domain();
-        if self.san.is_some() && dom.fenced_idle.swap(true, Ordering::Relaxed) {
-            self.stats.redundant_fences.add(1);
-        }
-        let _g = p.crash_lock.lock();
-        let shadow = p.shadow.as_ref();
-        for line in dom.wpq.lock().drain(..) {
-            let mut held = p.lock(line);
-            match held.state {
-                // Durable as it stands: nothing to roll back to any more.
-                LINE_PENDING => {
-                    if let Some(shadow) = shadow {
-                        shadow.entry(line, true);
-                    }
-                    held.set(LINE_CLEAN);
-                }
-                // Rewritten after its pwb: the current content is persisted
-                // (an allowed eviction) but the line stays dirty, so a later
-                // crash may still lose newer writes.
-                LINE_DIRTY => {
-                    if let Some(shadow) = shadow {
-                        shadow.save(line, self.line_words(line), false);
-                    }
-                }
-                // Already settled by another thread that had it pending too.
-                _ => {}
+    fn fence(&self, counter: Counter, latency_ns: u64) {
+        let ns = if self.latency_on { latency_ns } else { 0 };
+        self.stats.with_local(|local, charged| {
+            local.cells.add(counter, 1);
+            charged.set(charged.get() + ns);
+            spin_uncharged(ns);
+            let Some(p) = &self.persist else { return };
+            let _g = p.crash_lock.lock();
+            let domain = local.domain.at(p.settles.load(Ordering::Relaxed));
+            if self.san.is_some() && std::mem::replace(&mut domain.fenced_idle, true) {
+                local.cells.add(Counter::redundant_fences, 1);
             }
-        }
+            let shadow = p.shadow.as_ref();
+            for line in domain.wpq.drain(..) {
+                let mut held = p.lock(line);
+                match held.state {
+                    // Durable as it stands: nothing to roll back to any more.
+                    LINE_PENDING => {
+                        if let Some(shadow) = shadow {
+                            shadow.entry(line, true);
+                        }
+                        held.set(LINE_CLEAN);
+                    }
+                    // Rewritten after its pwb: the current content is
+                    // persisted (an allowed eviction) but the line stays
+                    // dirty, so a later crash may still lose newer writes.
+                    LINE_DIRTY => {
+                        if let Some(shadow) = shadow {
+                            shadow.save(line, Some(self.line_words(line)), false);
+                        }
+                    }
+                    // Already settled by another thread that had it pending too.
+                    _ => {}
+                }
+            }
+        });
     }
 
     /// `pfence`: order preceding `pwb`s before succeeding ones, making the
@@ -921,9 +942,8 @@ impl Pmem {
     /// threads' queues stay pending.
     pub fn pfence(&self) {
         if !self.fault_point(FaultOp::Pfence, 0) {
-            self.stats.pfences.add(1);
             jnvm_obs::note_fence();
-            self.fence(self.latency.pfence_ns);
+            self.fence(Counter::pfences, self.latency.pfence_ns);
         }
     }
 
@@ -932,9 +952,8 @@ impl Pmem {
     /// paper implements both with `sfence` on its Intel testbed).
     pub fn psync(&self) {
         if !self.fault_point(FaultOp::Psync, 0) {
-            self.stats.psyncs.add(1);
             jnvm_obs::note_psync();
-            self.fence(self.latency.psync_ns);
+            self.fence(Counter::psyncs, self.latency.psync_ns);
         }
     }
 
@@ -974,7 +993,7 @@ impl Pmem {
         if self.faults_frozen() {
             return;
         }
-        self.stats.ordering_points.add(1);
+        self.stats.add(Counter::ordering_points, 1);
         // Claims the thread's pending pwb/fence counts for this label and
         // records an instant span (one never-taken branch while obs is off).
         jnvm_obs::note_ordering_point(label);
@@ -1032,7 +1051,7 @@ impl Pmem {
         if !self.crash_sim_enabled() {
             return Err(PmemError::CrashSimRequired);
         }
-        self.stats.crashes.add(1);
+        self.stats.add(Counter::crashes, 1);
         Ok(self.settle_all(policy.survivors()))
     }
 
@@ -1072,10 +1091,8 @@ impl Pmem {
             }
             held.set(LINE_CLEAN);
         }
-        // Drop the entries rather than empty them: threads look their
-        // domain up on every op, and a fresh entry is a reset one — no
-        // pending lines, no fence history.
-        p.domains.lock().clear();
+        // Every thread's domain is now stale: each empties its own at its
+        // next `pwb` or fence (no pending lines, no fence history).
         p.settles.fetch_add(1, Ordering::Release);
         asked
     }
@@ -1194,7 +1211,7 @@ impl std::fmt::Debug for Pmem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PmemConfig;
+    use crate::config::{FaultPlan, PmemConfig};
 
     fn dev(size: u64) -> Arc<Pmem> {
         Pmem::new(PmemConfig::crash_sim(size))
@@ -1634,6 +1651,23 @@ mod tests {
     }
 
     #[test]
+    fn performance_pool_stores_across_lines() {
+        let p = Pmem::new(PmemConfig::perf(4096).with_sanitize(SanitizeMode::Off));
+        p.write_bytes(60, &[7; 200]);
+        p.zero_range(100, 100);
+        p.write_u64(254, u64::MAX);
+        let mut out = [0u8; 210];
+        p.read_bytes(60, &mut out);
+        let expected = |i: usize| match i + 60 {
+            100..200 => 0,
+            254..262 => 0xff,
+            a if a < 260 => 7,
+            _ => 0,
+        };
+        assert!(out.iter().enumerate().all(|(i, b)| *b == expected(i)));
+    }
+
+    #[test]
     fn crash_on_performance_pool_errors() {
         let p = Pmem::new(PmemConfig::perf(4096));
         assert!(matches!(
@@ -1773,6 +1807,40 @@ mod tests {
         .unwrap();
         p.crash(&CrashPolicy::lenient()).unwrap();
         assert_eq!(p.read_u64(0), 44);
+    }
+
+    /// A domain is as of one settle: what a thread `pwb`ed before a crash
+    /// is gone from its queue, so its first fence after the crash persists
+    /// nothing a neighbour stored since — here after a plain crash and
+    /// after an injected one that pre-empted a batched `pwb` midway.
+    #[test]
+    fn a_fence_after_a_crash_settles_nothing_of_the_post_crash_image() {
+        let neighbour_stores = |p: &Arc<Pmem>| {
+            let pb = Arc::clone(p);
+            std::thread::spawn(move || pb.write_u64(8, 2))
+                .join()
+                .unwrap();
+        };
+        let p = dev(4096);
+        p.write_u64(0, 1);
+        p.pwb(0);
+        p.crash(&CrashPolicy::strict()).unwrap();
+        neighbour_stores(&p);
+        p.pfence();
+        assert_eq!(p.media_read_u64(8), 0, "the neighbour never flushed");
+        p.crash(&CrashPolicy::strict()).unwrap();
+        assert_eq!((p.read_u64(0), p.read_u64(8)), (0, 0));
+
+        let p = dev(4096);
+        p.write_u64(0, 1);
+        p.write_u64(64, 1);
+        p.arm_faults(FaultPlan::crash_at(1)); // the second line's pwb
+        let crashed = crate::catch_crash(|| p.pwb_lines(&[0, 1]));
+        assert_eq!(crashed.map_err(|c| c.op_index), Err(1));
+        p.disarm_faults();
+        neighbour_stores(&p);
+        p.pfence();
+        assert_eq!(p.media_read_u64(8), 0, "the neighbour never flushed");
     }
 
     #[test]

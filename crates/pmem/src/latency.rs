@@ -4,14 +4,8 @@
 //! is itself tens of nanoseconds, so the hot path instead runs a spin loop
 //! whose iteration rate is calibrated once per process.
 
-use std::cell::Cell;
 use std::sync::OnceLock;
 use std::time::Instant;
-
-thread_local! {
-    /// Nanoseconds the latency model has charged the calling thread.
-    static CHARGED_NS: Cell<u64> = const { Cell::new(0) };
-}
 
 /// Total latency-model nanoseconds charged to the calling thread so far.
 ///
@@ -24,7 +18,7 @@ thread_local! {
 /// speedup, while per-thread charged time still can. Zero on devices with
 /// no latency model.
 pub fn thread_charged_ns() -> u64 {
-    CHARGED_NS.with(|c| c.get())
+    crate::stats::charged_ns()
 }
 
 /// Spin-loop iterations executed per nanosecond, measured once.
@@ -54,12 +48,20 @@ fn spin_iters(n: u64) {
 /// spin iterations. A zero argument returns immediately.
 #[inline]
 pub fn spin_ns(ns: u64) {
-    if ns == 0 {
-        return;
+    if ns != 0 {
+        crate::stats::charge(ns);
+        spin_uncharged(ns);
     }
-    CHARGED_NS.with(|c| c.set(c.get() + ns));
-    let iters = (ns as f64 * iters_per_ns()) as u64;
-    spin_iters(iters.max(1));
+}
+
+/// The busy-wait of [`spin_ns`], for a device op that charged `ns` in its
+/// own thread-local access.
+#[inline]
+pub(crate) fn spin_uncharged(ns: u64) {
+    if ns != 0 {
+        let iters = (ns as f64 * iters_per_ns()) as u64;
+        spin_iters(iters.max(1));
+    }
 }
 
 #[cfg(test)]

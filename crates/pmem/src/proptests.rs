@@ -217,6 +217,11 @@ impl TwoArrays {
                     self.queues[thread].push(line);
                 }
             }
+            RefOp::PwbLines(lines) => {
+                for line in lines {
+                    self.step(thread, &RefOp::Pwb(line * CACHE_LINE));
+                }
+            }
             RefOp::Fence => {
                 for line in std::mem::take(&mut self.queues[thread]) {
                     self.persist(line);
@@ -262,6 +267,8 @@ enum RefOp {
     Cas(u64, bool, u64),
     FetchAdd(u64, u64),
     Pwb(u64),
+    /// `pwb_lines`: line numbers, in any order, repeats allowed.
+    PwbLines(Vec<u64>),
     Fence,
 }
 
@@ -272,6 +279,7 @@ fn ref_step_strategy() -> impl Strategy<Value = (usize, RefOp)> {
         1 => (word(), any::<bool>(), any::<u64>()).prop_map(|(a, hit, v)| RefOp::Cas(a, hit, v)),
         1 => (word(), any::<u64>()).prop_map(|(a, d)| RefOp::FetchAdd(a, d)),
         4 => (0..REF_SIZE).prop_map(RefOp::Pwb),
+        2 => proptest::collection::vec(0..REF_SIZE / CACHE_LINE, 0..6).prop_map(RefOp::PwbLines),
         2 => Just(RefOp::Fence),
     ];
     (0usize..3, op)
@@ -289,6 +297,7 @@ fn issue_ref_op(pmem: &Pmem, op: &RefOp) {
             pmem.fetch_add_u64(*addr, *delta);
         }
         RefOp::Pwb(addr) => pmem.pwb(*addr),
+        RefOp::PwbLines(lines) => pmem.pwb_lines(lines),
         RefOp::Fence => pmem.pfence(),
     }
 }

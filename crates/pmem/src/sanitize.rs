@@ -215,7 +215,7 @@ impl Pmem {
                     _ if publish => continue,
                     _ => SanViolationKind::MissingFence,
                 };
-                self.stats.san_violations.add(1);
+                self.stats.add(crate::stats::Counter::san_violations, 1);
                 san.flag(kind, label, line, toucher);
             }
         }

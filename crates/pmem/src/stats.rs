@@ -1,252 +1,275 @@
 //! Operation counters of the device.
 //!
-//! Every counter is **sharded**: each thread bumps a cache-line-padded
-//! cell picked by a thread-local slot, and readers sum the cells. With the
-//! parallel recovery engine N workers hammer these counters on every
-//! device op; a single `AtomicU64` per counter serializes them on one
-//! contended line and shows up in the recovery thread-scaling bench.
+//! Each thread counts into cells of its own, one set per pool it touched:
+//! the owner bumps a cell with a plain load and store — no locked
+//! read-modify-write, no line another writer shares — and
+//! [`PmemStats::snapshot`] folds every thread's cells, exited threads'
+//! included. The thread's entry for a pool also holds its persistence
+//! domain there (`device.rs`), and the charged latency of
+//! [`crate::thread_charged_ns`] sits beside the entries: a device op makes
+//! one thread-local access for all of its bookkeeping.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
-/// Shards per counter. Power of two, comfortably above the recovery
-/// thread counts exercised in the benches.
-const SHARDS: usize = 16;
+use parking_lot::Mutex;
 
-/// This thread's shard slot, assigned round-robin at first use.
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-    }
-    SLOT.with(|s| *s)
-}
+use crate::device::Domain;
 
-/// One shard cell, padded onto its own cache line.
+const FIELDS: usize = StatsSnapshot::FIELDS;
+
+/// One thread's counters on one pool. Only that thread writes them, on
+/// cache lines of their own.
 #[repr(align(64))]
 #[derive(Debug, Default)]
-struct Cell(AtomicU64);
+pub(crate) struct Cells([AtomicU64; FIELDS]);
 
-/// A `u64` counter striped over [`SHARDS`] cells. Writers touch only their
-/// own thread's cell; `sum` merges on read.
-#[derive(Debug, Default)]
-pub(crate) struct ShardedU64 {
-    cells: [Cell; SHARDS],
+impl Cells {
+    /// Owner only: a load and a store, which readers see whole.
+    #[inline]
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        let cell = &self.0[counter as usize];
+        cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    }
 }
 
-impl ShardedU64 {
-    #[inline]
-    pub(crate) fn add(&self, n: u64) {
-        self.cells[shard_index()].0.fetch_add(n, Ordering::Relaxed);
-    }
+/// The calling thread's state on one pool.
+pub(crate) struct PoolLocal {
+    pool: u64,
+    registry: Weak<Mutex<Registry>>,
+    pub(crate) cells: Arc<Cells>,
+    pub(crate) domain: Domain,
+}
 
-    fn sum(&self) -> u64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
-    }
-
-    fn reset(&self) {
-        for c in &self.cells {
-            c.0.store(0, Ordering::Relaxed);
+impl Drop for PoolLocal {
+    /// The thread exits: its counts join the pool's exited sums.
+    fn drop(&mut self) {
+        if let Some(registry) = self.registry.upgrade() {
+            let mut registry = registry.lock();
+            registry
+                .threads
+                .retain(|cells| !Arc::ptr_eq(cells, &self.cells));
+            for (sum, cell) in registry.exited.iter_mut().zip(&self.cells.0) {
+                *sum += cell.load(Ordering::Relaxed);
+            }
         }
     }
 }
 
-/// Internal sharded counters; every device operation bumps one of these.
+/// A pool's counters as its threads leave them.
 #[derive(Debug, Default)]
+struct Registry {
+    /// The cells of the threads that count here now.
+    threads: Vec<Arc<Cells>>,
+    /// The counts of the threads that exited.
+    exited: [u64; FIELDS],
+    /// The fold at the last [`PmemStats::reset`]: a snapshot is what came
+    /// after it, so no thread's cells are written by another.
+    base: [u64; FIELDS],
+}
+
+/// A thread's bookkeeping: the latency charged to it, and its state on
+/// each pool it touched, the one it used last first.
+struct Local {
+    charged_ns: Cell<u64>,
+    pools: RefCell<Vec<PoolLocal>>,
+}
+
+thread_local! {
+    static LOCAL: Local = const {
+        Local {
+            charged_ns: Cell::new(0),
+            pools: RefCell::new(Vec::new()),
+        }
+    };
+}
+
+/// Latency-model nanoseconds charged to the calling thread so far.
+pub(crate) fn charged_ns() -> u64 {
+    LOCAL.try_with(|local| local.charged_ns.get()).unwrap_or(0)
+}
+
+/// Charge `ns` to the calling thread.
+pub(crate) fn charge(ns: u64) {
+    let _ = LOCAL.try_with(|local| local.charged_ns.set(local.charged_ns.get() + ns));
+}
+
+/// A pool's device counters: every thread's cells, folded on read.
+#[derive(Debug)]
 pub struct PmemStats {
-    pub(crate) reads: ShardedU64,
-    pub(crate) writes: ShardedU64,
-    pub(crate) bytes_read: ShardedU64,
-    pub(crate) bytes_written: ShardedU64,
-    pub(crate) pwbs: ShardedU64,
-    pub(crate) pfences: ShardedU64,
-    pub(crate) psyncs: ShardedU64,
-    pub(crate) crashes: ShardedU64,
-    pub(crate) injected_crashes: ShardedU64,
-    pub(crate) secondary_unwinds: ShardedU64,
-    pub(crate) ordering_points: ShardedU64,
-    pub(crate) san_violations: ShardedU64,
-    pub(crate) redundant_pwbs: ShardedU64,
-    pub(crate) redundant_fences: ShardedU64,
+    /// Process-unique: what a thread finds its entry for this pool by.
+    id: u64,
+    registry: Arc<Mutex<Registry>>,
+}
+
+impl Default for PmemStats {
+    fn default() -> Self {
+        static POOLS: AtomicU64 = AtomicU64::new(0);
+        PmemStats {
+            id: POOLS.fetch_add(1, Ordering::Relaxed),
+            registry: Arc::default(),
+        }
+    }
 }
 
 impl PmemStats {
-    pub(crate) fn record_read(&self, bytes: u64) {
-        self.reads.add(1);
-        self.bytes_read.add(bytes);
+    /// Run `f` on the calling thread's state on this pool and its charged
+    /// latency, registering the thread at its first op here. `f` must not
+    /// reach the device's bookkeeping again. A thread whose thread-locals
+    /// are already torn down counts into cells of a fresh entry, and its
+    /// domain there is empty.
+    #[inline]
+    pub(crate) fn with_local<R>(&self, f: impl FnOnce(&mut PoolLocal, &Cell<u64>) -> R) -> R {
+        let mut f = Some(f);
+        LOCAL
+            .try_with(|local| {
+                let mut pools = local.pools.borrow_mut();
+                if pools.first().is_none_or(|entry| entry.pool != self.id) {
+                    self.to_front(&mut pools);
+                }
+                f.take().expect("called once")(&mut pools[0], &local.charged_ns)
+            })
+            .unwrap_or_else(|_| {
+                let mut pools = Vec::new();
+                self.to_front(&mut pools);
+                f.take().expect("called once")(&mut pools[0], &Cell::new(0))
+            })
     }
 
-    pub(crate) fn record_write(&self, bytes: u64) {
-        self.writes.add(1);
-        self.bytes_written.add(bytes);
+    /// Move this pool's entry to the front of `pools`, creating it on the
+    /// thread's first op here (and dropping the entries of dropped pools).
+    #[cold]
+    fn to_front(&self, pools: &mut Vec<PoolLocal>) {
+        let at = match pools.iter().position(|entry| entry.pool == self.id) {
+            Some(at) => at,
+            None => {
+                pools.retain(|entry| entry.registry.strong_count() > 0);
+                let cells = Arc::<Cells>::default();
+                self.registry.lock().threads.push(Arc::clone(&cells));
+                pools.push(PoolLocal {
+                    pool: self.id,
+                    registry: Arc::downgrade(&self.registry),
+                    cells,
+                    domain: Domain::default(),
+                });
+                pools.len() - 1
+            }
+        };
+        pools.swap(0, at);
     }
 
-    /// Capture a consistent-enough snapshot of all counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            reads: self.reads.sum(),
-            writes: self.writes.sum(),
-            bytes_read: self.bytes_read.sum(),
-            bytes_written: self.bytes_written.sum(),
-            pwbs: self.pwbs.sum(),
-            pfences: self.pfences.sum(),
-            psyncs: self.psyncs.sum(),
-            crashes: self.crashes.sum(),
-            injected_crashes: self.injected_crashes.sum(),
-            secondary_unwinds: self.secondary_unwinds.sum(),
-            ordering_points: self.ordering_points.sum(),
-            san_violations: self.san_violations.sum(),
-            redundant_pwbs: self.redundant_pwbs.sum(),
-            redundant_fences: self.redundant_fences.sum(),
+    /// Add `n` to the calling thread's `counter`.
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        self.with_local(|local, _| local.cells.add(counter, n));
+    }
+
+    /// Every thread's counts, exited ones' included.
+    fn fold(registry: &Registry) -> StatsSnapshot {
+        let mut sum = registry.exited;
+        for cells in &registry.threads {
+            for (total, cell) in sum.iter_mut().zip(&cells.0) {
+                *total += cell.load(Ordering::Relaxed);
+            }
         }
+        StatsSnapshot::from_array(sum)
+    }
+
+    /// Every thread's counts since the last reset.
+    pub fn snapshot(&self) -> StatsSnapshot {
+        let registry = self.registry.lock();
+        Self::fold(&registry).delta(&StatsSnapshot::from_array(registry.base))
     }
 
     /// Reset every counter to zero.
     pub fn reset(&self) {
-        self.reads.reset();
-        self.writes.reset();
-        self.bytes_read.reset();
-        self.bytes_written.reset();
-        self.pwbs.reset();
-        self.pfences.reset();
-        self.psyncs.reset();
-        self.crashes.reset();
-        self.injected_crashes.reset();
-        self.secondary_unwinds.reset();
-        self.ordering_points.reset();
-        self.san_violations.reset();
-        self.redundant_pwbs.reset();
-        self.redundant_fences.reset();
+        let mut registry = self.registry.lock();
+        registry.base = Self::fold(&registry).to_array();
     }
 }
 
-/// A point-in-time copy of the device counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
+/// The device counters, named once: [`StatsSnapshot`]'s fields, their
+/// names and array order, and the [`Counter`] a device op bumps.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// A point-in-time copy of the device counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        /// A counter's index in a thread's cells and in
+        /// [`StatsSnapshot::to_array`].
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy)]
+        pub(crate) enum Counter {
+            $($name,)*
+        }
+
+        impl StatsSnapshot {
+            /// Number of counters in the snapshot (the length of
+            /// [`Self::to_array`]).
+            pub const FIELDS: usize = [$(stringify!($name),)*].len();
+
+            /// Field names, in [`Self::to_array`] order.
+            pub const FIELD_NAMES: [&'static str; Self::FIELDS] = [$(stringify!($name),)*];
+
+            /// Every counter as a fixed-size array, in [`Self::FIELD_NAMES`]
+            /// order. [`Self::delta`] and [`Self::absorb`] are built on it,
+            /// so a counter added to the list is in both.
+            pub fn to_array(&self) -> [u64; Self::FIELDS] {
+                [$(self.$name,)*]
+            }
+
+            /// Inverse of [`Self::to_array`].
+            pub fn from_array(a: [u64; Self::FIELDS]) -> StatsSnapshot {
+                let [$($name,)*] = a;
+                StatsSnapshot { $($name,)* }
+            }
+        }
+    };
+}
+
+counters! {
     /// Number of read operations.
-    pub reads: u64,
+    reads,
     /// Number of write operations.
-    pub writes: u64,
+    writes,
     /// Bytes read.
-    pub bytes_read: u64,
+    bytes_read,
     /// Bytes written.
-    pub bytes_written: u64,
+    bytes_written,
     /// `pwb` invocations.
-    pub pwbs: u64,
+    pwbs,
     /// `pfence` invocations.
-    pub pfences: u64,
+    pfences,
     /// `psync` invocations.
-    pub psyncs: u64,
+    psyncs,
     /// Simulated power failures.
-    pub crashes: u64,
+    crashes,
     /// Power failures triggered by the crash-point injection engine
     /// (a subset of `crashes`).
-    pub injected_crashes: u64,
+    injected_crashes,
     /// Threads stopped by an injected crash they did not trigger (their
     /// first op against the frozen device unwound).
-    pub secondary_unwinds: u64,
+    secondary_unwinds,
     /// Labeled [`crate::Pmem::ordering_point`] emissions (FA commit and
     /// retire, allocator publish, recovery apply). Counted in every
     /// sanitizer mode, including `Off`.
-    pub ordering_points: u64,
+    ordering_points,
     /// Persist-ordering violations the sanitizer detected (`Log` mode
     /// records them; `Strict` panics after counting the first).
-    pub san_violations: u64,
+    san_violations,
     /// Wasted flushes: `pwb`s of already-clean lines, and of lines the
     /// caller itself already has pending. Tracked only when the sanitizer
     /// is on.
-    pub redundant_pwbs: u64,
+    redundant_pwbs,
     /// Fences with no intervening `pwb` on the fencing thread — wasted
     /// ordering points. Tracked only when the sanitizer is on.
-    pub redundant_fences: u64,
+    redundant_fences,
 }
 
 impl StatsSnapshot {
-    /// Number of counters in the snapshot (the length of [`Self::to_array`]).
-    pub const FIELDS: usize = 14;
-
-    /// Field names, in [`Self::to_array`] order.
-    pub const FIELD_NAMES: [&'static str; Self::FIELDS] = [
-        "reads",
-        "writes",
-        "bytes_read",
-        "bytes_written",
-        "pwbs",
-        "pfences",
-        "psyncs",
-        "crashes",
-        "injected_crashes",
-        "secondary_unwinds",
-        "ordering_points",
-        "san_violations",
-        "redundant_pwbs",
-        "redundant_fences",
-    ];
-
-    /// Every counter as a fixed-size array, in [`Self::FIELD_NAMES`] order.
-    ///
-    /// The **exhaustive** destructuring (no `..`) is the completeness
-    /// guard: adding a field to the struct without threading it through
-    /// here — and therefore through [`Self::delta`] and [`Self::absorb`],
-    /// which are implemented on top of the array — is a compile error,
-    /// not a silently-missing counter (this struct grew by hand twice
-    /// before, each time risking exactly that).
-    pub fn to_array(&self) -> [u64; Self::FIELDS] {
-        let StatsSnapshot {
-            reads,
-            writes,
-            bytes_read,
-            bytes_written,
-            pwbs,
-            pfences,
-            psyncs,
-            crashes,
-            injected_crashes,
-            secondary_unwinds,
-            ordering_points,
-            san_violations,
-            redundant_pwbs,
-            redundant_fences,
-        } = *self;
-        [
-            reads,
-            writes,
-            bytes_read,
-            bytes_written,
-            pwbs,
-            pfences,
-            psyncs,
-            crashes,
-            injected_crashes,
-            secondary_unwinds,
-            ordering_points,
-            san_violations,
-            redundant_pwbs,
-            redundant_fences,
-        ]
-    }
-
-    /// Inverse of [`Self::to_array`].
-    pub fn from_array(a: [u64; Self::FIELDS]) -> StatsSnapshot {
-        let [reads, writes, bytes_read, bytes_written, pwbs, pfences, psyncs, crashes, injected_crashes, secondary_unwinds, ordering_points, san_violations, redundant_pwbs, redundant_fences] =
-            a;
-        StatsSnapshot {
-            reads,
-            writes,
-            bytes_read,
-            bytes_written,
-            pwbs,
-            pfences,
-            psyncs,
-            crashes,
-            injected_crashes,
-            secondary_unwinds,
-            ordering_points,
-            san_violations,
-            redundant_pwbs,
-            redundant_fences,
-        }
-    }
-
     /// Counter-wise difference `self - earlier`, for measuring an interval.
     ///
     /// Saturating: if [`crate::Pmem::reset_stats`] ran between the two
@@ -287,6 +310,73 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Pmem, PmemConfig};
+
+    /// Each of `threads` threads stores, reads, flushes and fences its own
+    /// line `ops` times, then exits.
+    fn count_on_threads(p: &Arc<Pmem>, threads: u64, ops: u64) {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let p = Arc::clone(p);
+                std::thread::spawn(move || {
+                    for i in 0..ops {
+                        p.write_u64(t * 64, i);
+                        p.read_u64(t * 64);
+                        p.pwb(t * 64);
+                        p.pfence();
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn an_exited_threads_counts_survive_and_sums_are_exact() {
+        let p = Pmem::new(PmemConfig::crash_sim(4096));
+        p.write_u64(1024, 1); // this thread counts too
+        count_on_threads(&p, 8, 100);
+        let s = p.stats();
+        assert_eq!((s.writes, s.reads, s.pwbs, s.pfences), (801, 800, 800, 800));
+        assert_eq!((s.bytes_written, s.bytes_read), (801 * 8, 800 * 8));
+        // Counted once more after more threads came and went; the pool
+        // holds the cells of its live threads only.
+        count_on_threads(&p, 3, 10);
+        assert_eq!(p.stats().pwbs, 830);
+        assert_eq!(p.stats.registry.lock().threads.len(), 1);
+    }
+
+    #[test]
+    fn reset_zeroes_every_threads_cells() {
+        let p = Pmem::new(PmemConfig::crash_sim(4096));
+        count_on_threads(&p, 4, 10);
+        p.write_u64(1024, 1);
+        p.reset_stats();
+        assert_eq!(p.stats(), StatsSnapshot::default());
+        // A thread that counted before the reset counts from zero after it.
+        p.pwb(1024);
+        count_on_threads(&p, 2, 5);
+        let s = p.stats();
+        assert_eq!((s.writes, s.pwbs, s.pfences), (10, 11, 10));
+    }
+
+    #[test]
+    fn a_thread_counts_into_each_pool_apart() {
+        let (a, b) = (
+            Pmem::new(PmemConfig::perf(4096)),
+            Pmem::new(PmemConfig::perf(4096)),
+        );
+        for i in 0..10 {
+            a.write_u64(0, i);
+            b.read_u64(0);
+            b.read_u64(8);
+        }
+        drop(Pmem::new(PmemConfig::perf(4096)));
+        assert_eq!((a.stats().writes, a.stats().reads), (10, 0));
+        assert_eq!((b.stats().writes, b.stats().reads), (0, 20));
+    }
 
     #[test]
     fn delta_saturates_after_reset() {
