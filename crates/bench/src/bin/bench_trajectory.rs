@@ -1,7 +1,8 @@
 //! The benchmark's trajectory: reads every `BENCH_<n>.json` in `--dir`
 //! (default `.`), prints each workload's end-to-end metrics and exact
-//! counts across the files, and exits 1 when a count in the newest file is
-//! worse than in the one before it (see `jnvm_bench::trajectory::GATED`).
+//! counts across the files, and exits 1 when a gated metric in the newest
+//! file is worse than in the one before it by more than its bound (see
+//! `jnvm_bench::trajectory::GATED`).
 //! It reads the committed files and runs no benchmark.
 //!
 //! Flags: `--dir .`.

@@ -185,9 +185,10 @@ pub const END_TO_END: [&str; 4] = [
 /// The gated metrics (a name or a name prefix ending in `.`) and the
 /// relative amount by which the newest file may be worse than the one
 /// before it: 0 for the exact counts, 2 % for the bytes written per user
-/// byte. Every one is better lower (better nearer zero, for the label sum
-/// minus the device's count).
-pub const GATED: [(&str, f64); 8] = [
+/// byte and for the peak RSS (which repeats to within 0.6 % between files).
+/// Every one is better lower (better nearer zero, for the label sum minus
+/// the device's count).
+pub const GATED: [(&str, f64); 9] = [
     ("kvstore.commit_writes_pwbs_per_op.", 0.0),
     ("kvstore.commit_writes_fences_per_op.", 0.0),
     ("core.fa_fences_per_group", 0.0),
@@ -196,6 +197,7 @@ pub const GATED: [(&str, f64); 8] = [
     ("core.recovery_live_objects", 0.0),
     ("obs.label_sum_minus_device", 0.0),
     ("nvmm_bytes_per_user_byte", 0.02),
+    ("peak_rss_mb", 0.02),
 ];
 
 /// One `BENCH_<n>.json`: per workload, every metric by name.
@@ -376,6 +378,19 @@ mod tests {
         assert_eq!(
             regressions(&file(1, &bytes(1.0)), &file(2, &bytes(1.03))).len(),
             1
+        );
+    }
+
+    #[test]
+    fn gates_peak_rss_by_two_percent() {
+        let rss = |v: f64| file(0, &format!(r#""peak_rss_mb": {{"value": {v}}}"#));
+        assert!(regressions(&rss(90.0), &rss(90.9)).is_empty(), "1 % more");
+        let found = regressions(&rss(90.0), &rss(92.7));
+        assert_eq!(found.len(), 1, "3 % more: {found:?}");
+        assert!(found[0].contains("peak_rss_mb"), "{found:?}");
+        assert!(
+            regressions(&rss(90.0), &rss(80.0)).is_empty(),
+            "less is better"
         );
     }
 

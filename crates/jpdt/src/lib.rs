@@ -9,9 +9,9 @@
 //!
 //! The map/set family follows the paper's decoupling pattern (§4.3.2): the
 //! *content* (an extensible persistent array of entry references) lives in
-//! NVMM, while the *logic* lives in a volatile **mirror** — a `HashMap`,
-//! `BTreeMap` or skip list mapping keys to array cells, rebuilt at
-//! resurrection. Three proxy-caching variants are offered: `Base`,
+//! NVMM, while the *logic* lives in a volatile **index** — a compact hash
+//! table over a per-map key slab, a `BTreeMap` or a skip list mapping keys
+//! to array cells, rebuilt at resurrection. Three proxy-caching variants are offered: `Base`,
 //! `Cached` and `Eager` (§4.3.2). A map entry never grows, so it takes a
 //! pool slot (§4.4), not a block.
 //!
@@ -44,8 +44,9 @@ mod skiplist;
 pub use blob::{PBytes, PString};
 pub use parray::{PByteArray, PLongArray, PRefArray};
 pub use pmap::{
-    CacheMode, HashMirror, MapEntry, Mirror, PI64HashMap, PI64Set, PI64SkipMap, PI64TreeMap, PKey,
-    PMapCore, PStringHashMap, PStringSet, PStringSkipMap, PStringTreeMap, SkipMirror, TreeMirror,
+    CacheMode, HashIndex, Index, MapEntry, Mirror, Ordered, PI64HashMap, PI64Set, PI64SkipMap,
+    PI64TreeMap, PKey, PMapCore, PStringHashMap, PStringSet, PStringSkipMap, PStringTreeMap,
+    SkipMirror, TreeMirror,
 };
 pub use pqueue::PQueue;
 pub use pvec::PRefVec;

@@ -2,10 +2,11 @@
 //!
 //! The persistent content of a map is an extensible [`PRefArray`] whose
 //! cells reference *entry* objects (`[value ref][key ...]`). The logic —
-//! key lookup — lives in a volatile **mirror** (hash map, tree map or skip
-//! list) mapping keys to cell indices, rebuilt at resurrection; beside it
-//! one DRAM word per cell holds the value reference of the cell's entry,
-//! so a lookup reads nothing from NVMM. A value reference is opaque to the
+//! key lookup — lives in a volatile [`Index`] mapping keys to cell
+//! indices, rebuilt at resurrection: a compact [`HashIndex`], or an
+//! [`Ordered`] tree or skip-list mirror. Per cell it keeps the value
+//! reference of the cell's entry, so a lookup reads nothing from NVMM.
+//! A value reference is opaque to the
 //! map: the holder's word, which may carry a tag above
 //! [`jnvm_heap::REF_ADDR_MASK`] (a kvstore record's carries its field
 //! count); the map masks it wherever it needs the address. Every mutation
@@ -18,8 +19,9 @@
 //! [`CacheMode::Eager`] populates it during resurrection.
 
 use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -58,7 +60,7 @@ pub enum CacheMode {
 /// `String`-keyed map with a `&str` allocates nothing.
 pub trait PKey: Clone + Eq + Hash + Ord + Send + 'static {
     /// The borrowed form lookups take (`str` for `String`).
-    type Query: ?Sized + Eq + Hash + Ord;
+    type Query: ?Sized + Eq + Hash + Ord + ToOwned<Owned = Self>;
 
     /// This key in its lookup form.
     fn query(&self) -> &Self::Query;
@@ -71,6 +73,11 @@ pub trait PKey: Clone + Eq + Hash + Ord + Send + 'static {
     fn write_key(&self, e: &Proxy, off: u64);
     /// Read the key back from entry `e`.
     fn read_key(e: &Proxy, off: u64) -> Self;
+
+    /// Run `f` over the bytes a [`HashIndex`] keeps of the key `q`.
+    fn with_index_bytes<R>(q: &Self::Query, f: impl FnOnce(&[u8]) -> R) -> R;
+    /// Run `f` over the key whose index bytes are `bytes`.
+    fn with_indexed<R>(bytes: &[u8], f: impl FnOnce(&Self::Query) -> R) -> R;
 }
 
 impl PKey for String {
@@ -106,6 +113,14 @@ impl PKey for String {
         String::from_utf8(bytes)
             .unwrap_or_else(|bad| String::from_utf8_lossy(bad.as_bytes()).into_owned())
     }
+
+    fn with_index_bytes<R>(q: &str, f: impl FnOnce(&[u8]) -> R) -> R {
+        f(q.as_bytes())
+    }
+
+    fn with_indexed<R>(bytes: &[u8], f: impl FnOnce(&str) -> R) -> R {
+        f(std::str::from_utf8(bytes).expect("an index keeps a str's bytes"))
+    }
 }
 
 impl PKey for i64 {
@@ -126,6 +141,16 @@ impl PKey for i64 {
 
     fn read_key(e: &Proxy, off: u64) -> Self {
         e.read_i64(off)
+    }
+
+    fn with_index_bytes<R>(q: &i64, f: impl FnOnce(&[u8]) -> R) -> R {
+        f(&q.to_le_bytes())
+    }
+
+    fn with_indexed<R>(bytes: &[u8], f: impl FnOnce(&i64) -> R) -> R {
+        f(&i64::from_le_bytes(
+            bytes.try_into().expect("an index keeps 8 bytes of an i64"),
+        ))
     }
 }
 
@@ -158,54 +183,414 @@ impl<K: PKey> PObject for MapEntry<K> {
 }
 
 // ----------------------------------------------------------------------
-// Mirrors.
+// Indexes.
 // ----------------------------------------------------------------------
 
-/// The volatile key→cell index of a map.
-pub trait Mirror<K: PKey>: Send + Default + 'static {
-    /// Insert a mapping, returning the displaced cell if the key existed.
-    fn insert(&mut self, k: K, cell: u64) -> Option<u64>;
-    /// Cell of `k`, if present.
-    fn get(&self, k: &K::Query) -> Option<u64>;
-    /// Remove `k`, returning the stored key and its cell.
-    fn remove(&mut self, k: &K::Query) -> Option<(K, u64)>;
+/// The volatile state of a map (§4.3.2): its key → cell index and, per
+/// cell, the value reference the cell's entry holds on media (0 for a free
+/// cell, or for one whose value recovery nullified), with the free cells
+/// threaded beside them. A lookup answers from it and reads no NVMM.
+pub trait Index<K: PKey>: Send + 'static {
+    /// An index over `cells` cells, where `entry(cell)` is the key and
+    /// value cell `cell` holds, `None` for a free cell; asked in ascending
+    /// cell order. Free cells are taken lowest first.
+    fn build(cells: u64, entry: impl FnMut(u64) -> Option<(K, u64)>) -> Self;
+    /// Add free cells up to `cells`, to be taken lowest first and before
+    /// any older free cell.
+    fn grow(&mut self, cells: u64);
+    /// Undo the latest [`Index::grow`], to `cells`: its cells, free, are
+    /// the next ones to be taken (a block's undos run newest first).
+    fn shrink(&mut self, cells: u64);
+    /// The free cell the next insert takes.
+    fn free_cell(&self) -> Option<u64>;
+    /// Map `key` to `value` in the free cell `cell`. A key already present
+    /// leaves its old cell, which is freed and returned.
+    fn insert(&mut self, key: K, cell: u64, value: u64) -> Option<u64>;
+    /// Cell of `key`, if present.
+    fn get(&self, key: &K::Query) -> Option<u64>;
+    /// The value word of cell `cell`.
+    fn value(&self, cell: u64) -> u64;
+    /// Set cell `cell`'s value word, returning the one it replaces.
+    fn set_value(&mut self, cell: u64, value: u64) -> u64;
+    /// Remove `key` and free its cell: returns the cell and its value word.
+    fn remove(&mut self, key: &K::Query) -> Option<(u64, u64)>;
+    /// Remove the key cell `cell` holds, and free the cell.
+    fn remove_cell(&mut self, cell: u64);
     /// Number of keys.
     fn len(&self) -> usize;
     /// True when empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Iterate `(key, cell)`.
-    fn for_each(&self, f: &mut dyn FnMut(&K, u64));
+    /// Visit every `(key, cell)`, in index order.
+    fn for_each(&self, f: &mut dyn FnMut(&K::Query, u64));
 }
 
-/// Hash mirror — the persistent `HashMap` analogue.
-pub struct HashMirror<K>(HashMap<K, u64>);
+/// No cell: a vacant slot, the end of the free list.
+const NONE: u32 = u32::MAX;
 
-impl<K> Default for HashMirror<K> {
-    fn default() -> Self {
-        HashMirror(HashMap::new())
+/// A [`HashIndex`] table slot: 32 bits of the key's hash, whose low bits
+/// place it and whose whole is its tag, and the cell holding the key.
+#[derive(Clone, Copy)]
+struct Slot {
+    tag: u32,
+    cell: u32,
+}
+
+const VACANT: Slot = Slot { tag: 0, cell: NONE };
+
+/// A [`HashIndex`] cell record: the cell's value word and the offset of
+/// its key in the slab; a free cell's `key` is the next free cell. Packed
+/// to 12 bytes, since a map has up to twice as many cells as keys.
+#[derive(Clone, Copy)]
+#[repr(C, packed(4))]
+struct Rec {
+    value: u64,
+    key: u32,
+}
+
+const FREE_REC: Rec = Rec {
+    value: 0,
+    key: NONE,
+};
+
+/// A slab entry's length byte that says a `u32` length follows.
+const LONG_KEY: u8 = u8::MAX;
+
+/// A slab compacts once half of it is garbage, and at least this much.
+const SLAB_FLOOR: usize = 1024;
+
+/// The key bytes of the slab entry at the head of `slab`, and the bytes
+/// the entry takes: a length byte (or [`LONG_KEY`] and a `u32`), then the
+/// key.
+fn slab_key(slab: &[u8]) -> (&[u8], usize) {
+    match slab[0] {
+        LONG_KEY => {
+            let len = u32::from_le_bytes(slab[1..5].try_into().unwrap()) as usize;
+            (&slab[5..5 + len], 5 + len)
+        }
+        len => (&slab[1..1 + len as usize], 1 + len as usize),
     }
 }
 
-impl<K: PKey + Borrow<K::Query>> Mirror<K> for HashMirror<K> {
-    fn insert(&mut self, k: K, cell: u64) -> Option<u64> {
-        self.0.insert(k, cell)
+/// `cell`, or a count of cells, as a `u32` below [`NONE`].
+fn cell32(cell: u64) -> u32 {
+    u32::try_from(cell)
+        .ok()
+        .filter(|c| *c != NONE)
+        .expect("a hash map has fewer than 2^32 - 1 cells")
+}
+
+/// Hash index — the persistent `HashMap` analogue. An open-addressed,
+/// linearly probed table of `(tag, cell)` slots, at most 3/4 full, whose
+/// probe compares key bytes only on a tag match; one 12-byte record per
+/// cell; and the keys' bytes in one per-map slab. No key is a heap object
+/// of its own. Keys may come from outside the program, so `S` is seeded
+/// per map, as a std `HashMap`'s is (tests substitute a colliding one).
+pub struct HashIndex<K, S = RandomState> {
+    slots: Vec<Slot>,
+    recs: Vec<Rec>,
+    /// Head of the free cells, threaded through their records.
+    free: u32,
+    slab: Vec<u8>,
+    /// Slab bytes no key references.
+    garbage: usize,
+    len: usize,
+    hasher: S,
+    _k: PhantomData<fn() -> K>,
+}
+
+impl<K, S: BuildHasher> HashIndex<K, S> {
+    /// The tag of the key `bytes`: the low 32 bits of its hash.
+    fn tag(&self, bytes: &[u8]) -> u32 {
+        self.hasher.hash_one(bytes) as u32
     }
-    fn get(&self, k: &K::Query) -> Option<u64> {
-        self.0.get(k).copied()
+
+    /// The key bytes of occupied cell `cell`.
+    fn key(&self, cell: u32) -> &[u8] {
+        slab_key(&self.slab[self.recs[cell as usize].key as usize..]).0
     }
-    fn remove(&mut self, k: &K::Query) -> Option<(K, u64)> {
-        self.0.remove_entry(k)
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn for_each(&self, f: &mut dyn FnMut(&K, u64)) {
-        for (k, c) in &self.0 {
-            f(k, *c);
+
+    /// The slot holding the key `bytes`, whose hash is `tag`; else the
+    /// vacant slot that ends its probe run.
+    fn probe(&self, bytes: &[u8], tag: u32) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = tag as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.cell == NONE {
+                return Err(i);
+            }
+            if slot.tag == tag && self.key(slot.cell) == bytes {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
         }
     }
+
+    /// Index `bytes` → `value` in cell `cell`, which no free list holds;
+    /// returns the cell the key leaves, if it was present.
+    fn place(&mut self, bytes: &[u8], cell: u32, value: u64) -> Option<u32> {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            self.double_table();
+        }
+        let tag = self.tag(bytes);
+        match self.probe(bytes, tag) {
+            Ok(i) => {
+                let old = std::mem::replace(&mut self.slots[i].cell, cell);
+                let key = self.recs[old as usize].key;
+                self.recs[cell as usize] = Rec { value, key };
+                Some(old)
+            }
+            Err(i) => {
+                let key = self.push_key(bytes);
+                self.recs[cell as usize] = Rec { value, key };
+                self.slots[i] = Slot { tag, cell };
+                self.len += 1;
+                None
+            }
+        }
+    }
+
+    fn double_table(&mut self) {
+        let size = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![VACANT; size]);
+        let mask = self.slots.len() - 1;
+        for slot in old.into_iter().filter(|s| s.cell != NONE) {
+            let mut i = slot.tag as usize & mask;
+            while self.slots[i].cell != NONE {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
+    }
+
+    /// Empty slot `hole`, shifting back the entries of its probe run that
+    /// may move into it, so no probe needs a tombstone.
+    fn delete_slot(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let slot = self.slots[i];
+            if slot.cell == NONE {
+                break;
+            }
+            let home = slot.tag as usize & mask;
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = slot;
+                hole = i;
+            }
+        }
+        self.slots[hole] = VACANT;
+        self.len -= 1;
+    }
+
+    /// Append `bytes` to the slab, which grows by a quarter at a time;
+    /// returns their entry's offset.
+    fn push_key(&mut self, bytes: &[u8]) -> u32 {
+        let at = self.slab.len();
+        let long = bytes.len() >= LONG_KEY as usize;
+        let need = bytes.len() + if long { 5 } else { 1 };
+        if self.slab.capacity() - at < need {
+            self.slab.reserve_exact(need.max(at / 4).max(64));
+        }
+        if long {
+            self.slab.push(LONG_KEY);
+            let len = u32::try_from(bytes.len()).expect("a key is shorter than 4 GiB");
+            self.slab.extend_from_slice(&len.to_le_bytes());
+        } else {
+            self.slab.push(bytes.len() as u8);
+        }
+        self.slab.extend_from_slice(bytes);
+        u32::try_from(at).expect("a map's key slab stays below 4 GiB")
+    }
+
+    /// Put cell `cell` on the free list.
+    fn push_free(&mut self, cell: u32) {
+        self.recs[cell as usize] = Rec {
+            value: 0,
+            key: self.free,
+        };
+        self.free = cell;
+    }
+
+    /// Take cell `cell` off the free list: its head, unless the blocks of
+    /// one map aborted out of order.
+    fn take(&mut self, cell: u32) {
+        let next = self.recs[cell as usize].key;
+        if self.free == cell {
+            self.free = next;
+            return;
+        }
+        let mut at = self.free;
+        while at != NONE {
+            let rec = &mut self.recs[at as usize];
+            if rec.key == cell {
+                rec.key = next;
+                return;
+            }
+            at = rec.key;
+        }
+        panic!("cell {cell} is not free");
+    }
+
+    /// Free cell `cell`, whose key has left the table; returns its value
+    /// word.
+    fn release(&mut self, cell: u32) -> u64 {
+        let rec = self.recs[cell as usize];
+        self.garbage += slab_key(&self.slab[rec.key as usize..]).1;
+        self.push_free(cell);
+        if self.garbage >= SLAB_FLOOR && 2 * self.garbage >= self.slab.len() {
+            self.compact();
+        }
+        rec.value
+    }
+
+    /// Copy the live keys to a fresh slab, in table order.
+    fn compact(&mut self) {
+        let live = self.slab.len() - self.garbage;
+        let mut slab = Vec::with_capacity(live + live / 4);
+        for slot in self.slots.iter().filter(|s| s.cell != NONE) {
+            let rec = &mut self.recs[slot.cell as usize];
+            let at = rec.key as usize;
+            let size = slab_key(&self.slab[at..]).1;
+            rec.key = slab.len() as u32;
+            slab.extend_from_slice(&self.slab[at..at + size]);
+        }
+        self.slab = slab;
+        self.garbage = 0;
+    }
+
+    /// Bytes the slab holds, garbage included.
+    #[cfg(test)]
+    pub(crate) fn slab_len(&self) -> usize {
+        self.slab.len()
+    }
+}
+
+impl<K: PKey, S: BuildHasher> HashIndex<K, S> {
+    /// The slot holding `key`.
+    fn find(&self, key: &K::Query) -> Option<usize> {
+        K::with_index_bytes(key, |b| self.probe(b, self.tag(b)).ok())
+    }
+}
+
+impl<K: PKey, S: BuildHasher + Default + Send + 'static> Index<K> for HashIndex<K, S> {
+    fn build(cells: u64, mut entry: impl FnMut(u64) -> Option<(K, u64)>) -> Self {
+        let mut index = HashIndex {
+            slots: vec![VACANT; 8],
+            recs: vec![FREE_REC; cell32(cells) as usize],
+            free: NONE,
+            slab: Vec::new(),
+            garbage: 0,
+            len: 0,
+            hasher: S::default(),
+            _k: PhantomData,
+        };
+        let mut tail = NONE;
+        for cell in 0..cells as u32 {
+            match entry(u64::from(cell)) {
+                Some((key, value)) => {
+                    K::with_index_bytes(key.query(), |b| index.place(b, cell, value));
+                }
+                None if tail == NONE => (index.free, tail) = (cell, cell),
+                None => (index.recs[tail as usize].key, tail) = (cell, cell),
+            }
+        }
+        index
+    }
+
+    fn grow(&mut self, cells: u64) {
+        let old = self.recs.len() as u32;
+        self.recs.resize(cell32(cells) as usize, FREE_REC);
+        for cell in (old..cells as u32).rev() {
+            self.push_free(cell);
+        }
+    }
+
+    fn shrink(&mut self, cells: u64) {
+        while self.free != NONE && u64::from(self.free) >= cells {
+            self.free = self.recs[self.free as usize].key;
+        }
+        self.recs.truncate(cells as usize);
+    }
+
+    fn free_cell(&self) -> Option<u64> {
+        (self.free != NONE).then_some(u64::from(self.free))
+    }
+
+    fn insert(&mut self, key: K, cell: u64, value: u64) -> Option<u64> {
+        let cell = cell32(cell);
+        self.take(cell);
+        let old = K::with_index_bytes(key.query(), |b| self.place(b, cell, value))?;
+        self.push_free(old);
+        Some(u64::from(old))
+    }
+
+    fn get(&self, key: &K::Query) -> Option<u64> {
+        let i = self.find(key)?;
+        Some(u64::from(self.slots[i].cell))
+    }
+
+    fn value(&self, cell: u64) -> u64 {
+        self.recs[cell as usize].value
+    }
+
+    fn set_value(&mut self, cell: u64, value: u64) -> u64 {
+        let rec = &mut self.recs[cell as usize];
+        let old = rec.value;
+        rec.value = value;
+        old
+    }
+
+    fn remove(&mut self, key: &K::Query) -> Option<(u64, u64)> {
+        let i = self.find(key)?;
+        let cell = self.slots[i].cell;
+        self.delete_slot(i);
+        Some((u64::from(cell), self.release(cell)))
+    }
+
+    fn remove_cell(&mut self, cell: u64) {
+        let cell = cell32(cell);
+        let mask = self.slots.len() - 1;
+        let mut i = self.tag(self.key(cell)) as usize & mask;
+        while self.slots[i].cell != cell {
+            assert_ne!(self.slots[i].cell, NONE, "cell {cell} holds no key");
+            i = (i + 1) & mask;
+        }
+        self.delete_slot(i);
+        self.release(cell);
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(&K::Query, u64)) {
+        for slot in self.slots.iter().filter(|s| s.cell != NONE) {
+            K::with_indexed(self.key(slot.cell), |k| f(k, u64::from(slot.cell)));
+        }
+    }
+}
+
+/// The key → cell mirror of an ordered map, kept inside an [`Ordered`]
+/// index.
+pub trait Mirror<K: PKey>: Send + Default + 'static {
+    /// Insert a mapping, returning the displaced cell if the key existed.
+    fn insert(&mut self, k: K, cell: u64) -> Option<u64>;
+    /// Cell of `k`, if present.
+    fn get(&self, k: &K::Query) -> Option<u64>;
+    /// Remove `k`, returning its cell.
+    fn remove(&mut self, k: &K::Query) -> Option<u64>;
+    /// Number of keys.
+    fn len(&self) -> usize;
+    /// True when empty.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Iterate `(key, cell)` in key order.
+    fn for_each(&self, f: &mut dyn FnMut(&K, u64));
 }
 
 /// Red-black-tree mirror — the persistent `TreeMap` analogue.
@@ -224,8 +609,8 @@ impl<K: PKey + Borrow<K::Query>> Mirror<K> for TreeMirror<K> {
     fn get(&self, k: &K::Query) -> Option<u64> {
         self.0.get(k).copied()
     }
-    fn remove(&mut self, k: &K::Query) -> Option<(K, u64)> {
-        self.0.remove_entry(k)
+    fn remove(&mut self, k: &K::Query) -> Option<u64> {
+        self.0.remove(k)
     }
     fn len(&self) -> usize {
         self.0.len()
@@ -253,8 +638,8 @@ impl<K: PKey + Borrow<K::Query>> Mirror<K> for SkipMirror<K> {
     fn get(&self, k: &K::Query) -> Option<u64> {
         self.0.get(k).copied()
     }
-    fn remove(&mut self, k: &K::Query) -> Option<(K, u64)> {
-        self.0.remove_cloned(k)
+    fn remove(&mut self, k: &K::Query) -> Option<u64> {
+        self.0.remove_cloned(k).map(|(_, c)| c)
     }
     fn len(&self) -> usize {
         self.0.len()
@@ -264,67 +649,149 @@ impl<K: PKey + Borrow<K::Query>> Mirror<K> for SkipMirror<K> {
     }
 }
 
+/// The index of an ordered map: its mirror, with one value word per cell
+/// and a stack of free cells beside it.
+pub struct Ordered<K, M> {
+    mirror: M,
+    values: Vec<u64>,
+    free: Vec<u64>,
+    _k: PhantomData<fn() -> K>,
+}
+
+impl<K, M> Ordered<K, M> {
+    /// Free cell `cell`; returns its value word.
+    fn release(&mut self, cell: u64) -> u64 {
+        self.free.push(cell);
+        std::mem::take(&mut self.values[cell as usize])
+    }
+}
+
+impl<K: PKey, M: Mirror<K>> Index<K> for Ordered<K, M> {
+    fn build(cells: u64, mut entry: impl FnMut(u64) -> Option<(K, u64)>) -> Self {
+        let mut index = Ordered {
+            mirror: M::default(),
+            values: vec![0; cells as usize],
+            free: Vec::new(),
+            _k: PhantomData,
+        };
+        for cell in 0..cells {
+            match entry(cell) {
+                Some((key, value)) => {
+                    index.values[cell as usize] = value;
+                    index.mirror.insert(key, cell);
+                }
+                None => index.free.push(cell),
+            }
+        }
+        index.free.reverse();
+        index
+    }
+
+    fn grow(&mut self, cells: u64) {
+        self.free.extend((self.values.len() as u64..cells).rev());
+        self.values.resize(cells as usize, 0);
+    }
+
+    fn shrink(&mut self, cells: u64) {
+        self.free.retain(|c| *c < cells);
+        self.values.truncate(cells as usize);
+    }
+
+    fn free_cell(&self) -> Option<u64> {
+        self.free.last().copied()
+    }
+
+    fn insert(&mut self, key: K, cell: u64, value: u64) -> Option<u64> {
+        let at = self.free.iter().rposition(|c| *c == cell);
+        self.free.remove(at.expect("the cell is free"));
+        self.values[cell as usize] = value;
+        let old = self.mirror.insert(key, cell)?;
+        self.release(old);
+        Some(old)
+    }
+
+    fn get(&self, key: &K::Query) -> Option<u64> {
+        self.mirror.get(key)
+    }
+
+    fn value(&self, cell: u64) -> u64 {
+        self.values[cell as usize]
+    }
+
+    fn set_value(&mut self, cell: u64, value: u64) -> u64 {
+        std::mem::replace(&mut self.values[cell as usize], value)
+    }
+
+    fn remove(&mut self, key: &K::Query) -> Option<(u64, u64)> {
+        let cell = self.mirror.remove(key)?;
+        Some((cell, self.release(cell)))
+    }
+
+    /// A walk of the mirror, which holds no cell → key map: only an
+    /// aborted insert comes here.
+    fn remove_cell(&mut self, cell: u64) {
+        let mut key = None;
+        self.mirror.for_each(&mut |k, c| {
+            if c == cell {
+                key = Some(k.clone());
+            }
+        });
+        let key = key.expect("the cell holds a key");
+        self.remove(key.query());
+    }
+
+    fn len(&self) -> usize {
+        self.mirror.len()
+    }
+
+    fn for_each(&self, f: &mut dyn FnMut(&K::Query, u64)) {
+        self.mirror.for_each(&mut |k, c| f(k.query(), c));
+    }
+}
+
 // ----------------------------------------------------------------------
 // The map core.
 // ----------------------------------------------------------------------
 
-struct Inner<K: PKey, M: Mirror<K>> {
+struct Inner<K: PKey, I: Index<K>> {
     array: PRefArray,
-    mirror: M,
-    free_cells: Vec<u64>,
-    /// Per cell, the value reference its entry holds on media (0 for a
-    /// free cell): what a lookup answers, so that it reads no NVMM.
-    values: Vec<u64>,
+    index: I,
     /// cell -> value proxy (Cached/Eager modes).
     cache: HashMap<u64, Proxy>,
     _k: PhantomData<fn() -> K>,
 }
 
-impl<K: PKey, M: Mirror<K>> Inner<K, M> {
+impl<K: PKey, I: Index<K>> Inner<K, I> {
     fn value(&self, cell: u64) -> Option<u64> {
-        match self.values[cell as usize] {
+        match self.index.value(cell) {
             0 => None,
             v => Some(v),
         }
-    }
-
-    /// Cell `cell`, taken off the free list, now holds `key` → `value`.
-    fn occupy(&mut self, key: K, cell: u64, value: u64) {
-        self.values[cell as usize] = value;
-        self.mirror.insert(key, cell);
-    }
-
-    /// Cell `cell`, whose key has left the mirror, goes back on the free
-    /// list.
-    fn vacate(&mut self, cell: u64) {
-        self.values[cell as usize] = 0;
-        self.cache.remove(&cell);
-        self.free_cells.push(cell);
     }
 }
 
 /// Generic persistent map machinery, wrapped by the concrete named map
 /// types ([`PStringHashMap`] etc., which carry the persistent class names).
 ///
-/// The DRAM state — mirror, free cells, value words, proxy cache — changes
-/// with the media state it describes. Inside a failure-atomic block the
-/// media change is staged, so each DRAM change registers its inverse with
+/// The DRAM state — index, proxy cache — changes with the media state it
+/// describes. Inside a failure-atomic block the media change is staged, so
+/// each DRAM change registers its inverse with
 /// [`jnvm::JnvmRuntime::on_abort`]: an aborted block leaves the map as
 /// the block found it. Two staged blocks that change one map must abort
 /// newest first, so a group should hold at most one of them (the
 /// kvstore's group former puts at most one structural op per map in a
 /// group).
-pub struct PMapCore<K: PKey, M: Mirror<K>> {
+pub struct PMapCore<K: PKey, I: Index<K>> {
     rt: Jnvm,
     master: Proxy, // payload: [array ref u64]
     mode: CacheMode,
-    inner: Arc<Mutex<Inner<K, M>>>,
+    inner: Arc<Mutex<Inner<K, I>>>,
 }
 
 const OFF_ARRAY: u64 = 0;
 const INITIAL_CAPACITY: u64 = 64;
 
-impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
+impl<K: PKey, I: Index<K>> PMapCore<K, I> {
     /// Allocate a fresh persistent map with the concrete class id
     /// `master_class_id`.
     pub fn create(rt: &Jnvm, master_class_id: u16, mode: CacheMode) -> Result<Self, JnvmError> {
@@ -336,16 +803,14 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
         rt.pfence();
         let inner = Inner {
             array,
-            mirror: M::default(),
-            free_cells: (0..INITIAL_CAPACITY).rev().collect(),
-            values: vec![0; INITIAL_CAPACITY as usize],
+            index: I::build(INITIAL_CAPACITY, |_| None),
             cache: HashMap::new(),
             _k: PhantomData,
         };
         Ok(PMapCore::from_inner(rt, master, mode, inner))
     }
 
-    fn from_inner(rt: &Jnvm, master: Proxy, mode: CacheMode, inner: Inner<K, M>) -> Self {
+    fn from_inner(rt: &Jnvm, master: Proxy, mode: CacheMode, inner: Inner<K, I>) -> Self {
         PMapCore {
             rt: rt.clone(),
             master,
@@ -354,40 +819,27 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
         }
     }
 
-    /// Resurrect an existing map: rebuild the volatile mirror and the value
-    /// words (and, in [`CacheMode::Eager`], the proxy cache) by scanning the
-    /// persistent array (§4.3.2). Recovery has run: a value reference its
-    /// GC nullified reads 0 here.
+    /// Resurrect an existing map: rebuild the volatile index (and, in
+    /// [`CacheMode::Eager`], the proxy cache) from the entries a scan of
+    /// the persistent array reads (§4.3.2). Recovery has run: a value
+    /// reference its GC nullified reads 0 here.
     pub fn resurrect(rt: &Jnvm, addr: u64, mode: CacheMode) -> Self {
         let master = Proxy::open(rt, addr);
         let arr_addr = master.read_ref(OFF_ARRAY).expect("map always has storage");
         let array = PRefArray::resurrect(rt, arr_addr);
-        let mut mirror = M::default();
-        let mut free_cells = Vec::new();
-        let mut values = vec![0; array.len() as usize];
         let mut cache = HashMap::new();
-        for cell in 0..array.len() {
-            match array.get_ref(cell) {
-                Some(entry_addr) => {
-                    let e = Proxy::open(rt, entry_addr);
-                    let key = K::read_key(&e, MapEntry::<K>::KEY_OFF);
-                    if let Some(v) = e.read_ref(MapEntry::<K>::VALUE_OFF) {
-                        values[cell as usize] = v;
-                        if mode == CacheMode::Eager {
-                            cache.insert(cell, Proxy::open(rt, v & REF_ADDR_MASK));
-                        }
-                    }
-                    mirror.insert(key, cell);
-                }
-                None => free_cells.push(cell),
+        let index = I::build(array.len(), |cell| {
+            let e = Proxy::open(rt, array.get_ref(cell)?);
+            let key = K::read_key(&e, MapEntry::<K>::KEY_OFF);
+            let value = e.read_ref(MapEntry::<K>::VALUE_OFF).unwrap_or(0);
+            if value != 0 && mode == CacheMode::Eager {
+                cache.insert(cell, Proxy::open(rt, value & REF_ADDR_MASK));
             }
-        }
-        free_cells.reverse();
+            Some((key, value))
+        });
         let inner = Inner {
             array,
-            mirror,
-            free_cells,
-            values,
+            index,
             cache,
             _k: PhantomData,
         };
@@ -401,7 +853,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
 
     /// Number of keys.
     pub fn len(&self) -> usize {
-        self.inner.lock().mirror.len()
+        self.inner.lock().index.len()
     }
 
     /// True when empty.
@@ -416,7 +868,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
 
     /// Inside a failure-atomic block, have an abort of the block run `undo`
     /// over this map's DRAM state (see the type's doc).
-    fn on_abort(&self, undo: impl FnOnce(&mut Inner<K, M>) + Send + 'static) {
+    fn on_abort(&self, undo: impl FnOnce(&mut Inner<K, I>) + Send + 'static) {
         if self.rt.in_fa() {
             let inner = Arc::clone(&self.inner);
             self.rt.on_abort(move || undo(&mut inner.lock()));
@@ -436,24 +888,22 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
     /// The entry cell `cell` references: the one device read of a
     /// replace or a remove.
     fn entry_at(&self, cell: u64, array: &PRefArray) -> Proxy {
-        let addr = array.get_ref(cell).expect("mirror cell holds an entry");
+        let addr = array.get_ref(cell).expect("index cell holds an entry");
         Proxy::open(&self.rt, addr)
     }
 
-    /// Double the cell array in place ([`PRefArray::grow`]): the mirror
-    /// hashes, so no cell moves and the master's reference never changes.
-    /// An abort puts back the DRAM length, free cells and value words; the
-    /// blocks the growth linked stay in the chain for the next one.
-    fn grow(&self, inner: &mut Inner<K, M>) -> Result<(), JnvmError> {
+    /// Double the cell array in place ([`PRefArray::grow`]): the index
+    /// hashes or orders keys, so no cell moves and the master's reference
+    /// never changes. An abort puts back the DRAM length and the index's
+    /// cells; the blocks the growth linked stay in the chain for the next
+    /// one.
+    fn grow(&self, inner: &mut Inner<K, I>) -> Result<(), JnvmError> {
         let old_cap = inner.array.len();
         inner.array.grow(old_cap * 2)?;
-        let free_before = inner.free_cells.len();
-        inner.free_cells.extend((old_cap..old_cap * 2).rev());
-        inner.values.resize(old_cap as usize * 2, 0);
+        inner.index.grow(old_cap * 2);
         self.on_abort(move |inner| {
             inner.array.len = old_cap;
-            inner.free_cells.truncate(free_before);
-            inner.values.truncate(old_cap as usize);
+            inner.index.shrink(old_cap);
         });
         Ok(())
     }
@@ -464,13 +914,13 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
     /// deletion is explicit in J-NVM).
     pub fn put(&self, key: K, value: u64) -> Result<Option<u64>, JnvmError> {
         let mut inner = self.inner.lock();
-        if let Some(cell) = inner.mirror.get(key.query()) {
+        if let Some(cell) = inner.index.get(key.query()) {
             let e = self.entry_at(cell, &inner.array);
             // Atomic update: validate new value, fence, store, flush.
             self.rt.set_valid_addr(value & REF_ADDR_MASK, true);
             self.rt.pfence();
             e.write_ref(MapEntry::<K>::VALUE_OFF, Some(value));
-            let old = std::mem::replace(&mut inner.values[cell as usize], value);
+            let old = inner.index.set_value(cell, value);
             e.pwb_field(MapEntry::<K>::VALUE_OFF, 8);
             self.rt.pfence();
             e.ordering_point("pmap-publish", MapEntry::<K>::VALUE_OFF, 8);
@@ -480,12 +930,12 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
                     .insert(cell, Proxy::open(&self.rt, value & REF_ADDR_MASK));
             }
             self.on_abort(move |inner| {
-                inner.values[cell as usize] = old;
+                inner.index.set_value(cell, old);
                 inner.cache.remove(&cell);
             });
             return Ok((old != 0).then_some(old));
         }
-        if inner.free_cells.is_empty() {
+        if inner.index.free_cell().is_none() {
             self.grow(&mut inner)?;
         }
         let e = self.new_entry(&key)?;
@@ -500,8 +950,11 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
 
     /// Publish the fresh, validated entry `e` of `key` → `value` in a free
     /// cell: one write, fenced.
-    fn publish(&self, inner: &mut Inner<K, M>, key: K, e: Proxy, value: u64) {
-        let cell = inner.free_cells.pop().expect("grow guarantees a free cell");
+    fn publish(&self, inner: &mut Inner<K, I>, key: K, e: Proxy, value: u64) {
+        let cell = inner
+            .index
+            .free_cell()
+            .expect("grow guarantees a free cell");
         inner.array.set_ref(cell, Some(e.addr()));
         inner.array.pwb_cell(cell);
         self.rt.pfence();
@@ -514,21 +967,19 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
                 .cache
                 .insert(cell, Proxy::open(&self.rt, value & REF_ADDR_MASK));
         }
-        if self.rt.in_fa() {
-            let k = key.clone();
-            self.on_abort(move |inner| {
-                inner.mirror.remove(k.query());
-                inner.vacate(cell);
-            });
-        }
-        inner.occupy(key, cell, value);
+        let displaced = inner.index.insert(key, cell, value);
+        debug_assert!(displaced.is_none(), "a published key is new");
+        self.on_abort(move |inner| {
+            inner.index.remove_cell(cell);
+            inner.cache.remove(&cell);
+        });
     }
 
     /// The value reference associated with `key`, tag and all: from DRAM,
     /// no device read.
     pub fn get(&self, key: &K::Query) -> Option<u64> {
         let inner = self.inner.lock();
-        inner.value(inner.mirror.get(key)?)
+        inner.value(inner.index.get(key)?)
     }
 
     /// Value proxy for `key`, honouring the caching mode: `Base`
@@ -536,7 +987,7 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
     /// `Eager` normally hits the resurrection-time cache.
     pub fn get_value(&self, key: &K::Query) -> Option<Proxy> {
         let mut inner = self.inner.lock();
-        let cell = inner.mirror.get(key)?;
+        let cell = inner.index.get(key)?;
         if self.mode != CacheMode::Base {
             if let Some(p) = inner.cache.get(&cell) {
                 return Some(p.clone());
@@ -551,48 +1002,47 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
 
     /// Whether `key` is present.
     pub fn contains(&self, key: &K::Query) -> bool {
-        self.inner.lock().mirror.get(key).is_some()
+        self.inner.lock().index.get(key).is_some()
     }
 
     /// Remove `key`. Returns the value reference (ownership passes to the
     /// caller); the entry, which holds the key, is freed.
     pub fn remove(&self, key: &K::Query) -> Option<u64> {
         let mut inner = self.inner.lock();
-        let (key, cell) = inner.mirror.remove(key)?;
+        let (cell, value) = inner.index.remove(key)?;
         let e = self.entry_at(cell, &inner.array);
-        let value = inner.value(cell);
         // One write unpublishes the entry; fence before reclaiming.
         inner.array.set_ref(cell, None);
         inner.array.pwb_cell(cell);
         self.rt.pfence();
         self.rt.free_addr(e.addr());
-        inner.vacate(cell);
-        self.on_abort(move |inner| {
-            if let Some(at) = inner.free_cells.iter().rposition(|c| *c == cell) {
-                inner.free_cells.remove(at);
-            }
-            inner.occupy(key, cell, value.unwrap_or(0));
-        });
-        value
+        inner.cache.remove(&cell);
+        if self.rt.in_fa() {
+            let key = key.to_owned();
+            self.on_abort(move |inner| {
+                inner.index.insert(key, cell, value);
+            });
+        }
+        (value != 0).then_some(value)
     }
 
-    /// Iterate `(key, value reference)` in mirror order.
-    pub fn for_each(&self, mut f: impl FnMut(&K, u64)) {
+    /// Iterate `(key, value reference)` in index order.
+    pub fn for_each(&self, mut f: impl FnMut(&K::Query, u64)) {
         let inner = self.inner.lock();
-        inner.mirror.for_each(&mut |k, cell| {
+        inner.index.for_each(&mut |k, cell| {
             if let Some(v) = inner.value(cell) {
                 f(k, v);
             }
         });
     }
 
-    /// Keys in mirror order (ordered for tree/skip mirrors), up to `limit`.
+    /// Keys in index order (ordered for tree/skip maps), up to `limit`.
     pub fn keys(&self, limit: usize) -> Vec<K> {
         let inner = self.inner.lock();
         let mut out = Vec::new();
-        inner.mirror.for_each(&mut |k, _| {
+        inner.index.for_each(&mut |k, _| {
             if out.len() < limit {
-                out.push(k.clone());
+                out.push(k.to_owned());
             }
         });
         out
@@ -603,10 +1053,10 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
     /// Returns true if the key was newly inserted.
     pub fn insert_self(&self, key: K) -> Result<bool, JnvmError> {
         let mut inner = self.inner.lock();
-        if inner.mirror.get(key.query()).is_some() {
+        if inner.index.get(key.query()).is_some() {
             return Ok(false);
         }
-        if inner.free_cells.is_empty() {
+        if inner.index.free_cell().is_none() {
             self.grow(&mut inner)?;
         }
         let e = self.new_entry(&key)?;
@@ -625,10 +1075,10 @@ impl<K: PKey, M: Mirror<K>> PMapCore<K, M> {
 // ----------------------------------------------------------------------
 
 macro_rules! define_pmap {
-    ($(#[$meta:meta])* $name:ident, $key:ty, $mirror:ty, $class:literal) => {
+    ($(#[$meta:meta])* $name:ident, $key:ty, $index:ty, $class:literal) => {
         $(#[$meta])*
         pub struct $name {
-            core: PMapCore<$key, $mirror>,
+            core: PMapCore<$key, $index>,
         }
 
         impl $name {
@@ -654,7 +1104,7 @@ macro_rules! define_pmap {
             }
 
             /// The generic map core.
-            pub fn core(&self) -> &PMapCore<$key, $mirror> {
+            pub fn core(&self) -> &PMapCore<$key, $index> {
                 &self.core
             }
 
@@ -694,7 +1144,7 @@ macro_rules! define_pmap {
             }
 
             /// See [`PMapCore::for_each`].
-            pub fn for_each(&self, f: impl FnMut(&$key, u64)) {
+            pub fn for_each(&self, f: impl FnMut(&<$key as PKey>::Query, u64)) {
                 self.core.for_each(f)
             }
 
@@ -724,7 +1174,7 @@ define_pmap!(
     /// `java.util.HashMap` in Figure 12).
     PStringHashMap,
     String,
-    HashMirror<String>,
+    HashIndex<String>,
     "jnvm_jpdt.PStringHashMap"
 );
 
@@ -733,7 +1183,7 @@ define_pmap!(
     /// `java.util.TreeMap` drop-in).
     PStringTreeMap,
     String,
-    TreeMirror<String>,
+    Ordered<String, TreeMirror<String>>,
     "jnvm_jpdt.PStringTreeMap"
 );
 
@@ -742,7 +1192,7 @@ define_pmap!(
     /// `ConcurrentSkipListMap` drop-in).
     PStringSkipMap,
     String,
-    SkipMirror<String>,
+    Ordered<String, SkipMirror<String>>,
     "jnvm_jpdt.PStringSkipMap"
 );
 
@@ -750,7 +1200,7 @@ define_pmap!(
     /// Persistent hash map keyed by `i64`.
     PI64HashMap,
     i64,
-    HashMirror<i64>,
+    HashIndex<i64>,
     "jnvm_jpdt.PI64HashMap"
 );
 
@@ -758,7 +1208,7 @@ define_pmap!(
     /// Persistent ordered map keyed by `i64`.
     PI64TreeMap,
     i64,
-    TreeMirror<i64>,
+    Ordered<i64, TreeMirror<i64>>,
     "jnvm_jpdt.PI64TreeMap"
 );
 
@@ -766,7 +1216,7 @@ define_pmap!(
     /// Persistent skip-list map keyed by `i64`.
     PI64SkipMap,
     i64,
-    SkipMirror<i64>,
+    Ordered<i64, SkipMirror<i64>>,
     "jnvm_jpdt.PI64SkipMap"
 );
 
@@ -778,7 +1228,7 @@ macro_rules! define_pset {
     ($(#[$meta:meta])* $name:ident, $key:ty, $map:ident, $class:literal) => {
         $(#[$meta])*
         pub struct $name {
-            core: PMapCore<$key, HashMirror<$key>>,
+            core: PMapCore<$key, HashIndex<$key>>,
         }
 
         impl $name {
@@ -867,7 +1317,7 @@ pub(crate) mod tests {
     /// Every `(key, value reference)` the media hold, walked from `map`'s
     /// master without its DRAM state — through the failure-atomic overlay,
     /// as the map's own accessors read.
-    pub(crate) fn media_entries<K: PKey, M: Mirror<K>>(map: &PMapCore<K, M>) -> Vec<(K, u64)> {
+    pub(crate) fn media_entries<K: PKey, I: Index<K>>(map: &PMapCore<K, I>) -> Vec<(K, u64)> {
         let arr_addr = map
             .master
             .read_ref(OFF_ARRAY)
@@ -885,18 +1335,18 @@ pub(crate) mod tests {
 
     /// What the map answers from DRAM: its length and every `(key, value)`
     /// `for_each` yields, sorted.
-    pub(crate) fn dram_view<K: PKey + Debug, M: Mirror<K>>(
-        map: &PMapCore<K, M>,
+    pub(crate) fn dram_view<K: PKey + Debug, I: Index<K>>(
+        map: &PMapCore<K, I>,
     ) -> (usize, Vec<(K, u64)>) {
         let mut pairs = Vec::new();
-        map.for_each(|k, v| pairs.push((k.clone(), v)));
+        map.for_each(|k, v| pairs.push((k.to_owned(), v)));
         pairs.sort();
         (map.len(), pairs)
     }
 
     /// Every DRAM answer of `map` — `len`, `for_each`, `contains`, `get`,
     /// `get_value` — agrees with a walk of its media array and entries.
-    pub(crate) fn assert_dram_matches_media<K: PKey + Debug, M: Mirror<K>>(map: &PMapCore<K, M>) {
+    pub(crate) fn assert_dram_matches_media<K: PKey + Debug, I: Index<K>>(map: &PMapCore<K, I>) {
         let mut media = media_entries(map);
         media.sort();
         let (len, pairs) = dram_view(map);
@@ -905,7 +1355,7 @@ pub(crate) mod tests {
         assert_eq!(pairs, live, "for_each against the media walk");
         for (k, v) in &media {
             let want = (*v != 0).then_some(*v);
-            assert!(map.contains(k.query()), "{k:?} on media, not in the mirror");
+            assert!(map.contains(k.query()), "{k:?} on media, not in the index");
             assert_eq!(map.get(k.query()), want, "get({k:?})");
             assert_eq!(
                 map.get_value(k.query()).map(|p| p.addr()),
@@ -939,7 +1389,7 @@ pub(crate) mod tests {
     /// once, and nothing undid them when the block aborted — whether its
     /// `StagedTx` dropped uncommitted or its closure unwound. An aborted
     /// insert left a key whose cell never reached media (`get_value` then
-    /// panicked "mirror cell holds an entry"), an aborted remove dropped a
+    /// panicked "index cell holds an entry"), an aborted remove dropped a
     /// key that media still held, an aborted replace left the new value's
     /// reference, and an aborted growth left the map on an array the abort
     /// had freed. Now each answers what it did before the block, and the
@@ -1062,7 +1512,7 @@ pub(crate) mod tests {
         let grown = array();
         assert_eq!(grown.len(), 128);
         assert_eq!(grown.proxy().block_count(), spare.proxy().block_count());
-        let used = m.core().inner.lock().mirror.get("new").unwrap();
+        let used = m.core().inner.lock().index.get("new").unwrap();
         assert!((64..128).all(|i| i == used || grown.get_ref(i).is_none()));
         assert_dram_matches_media(m.core());
         let pmem = Arc::clone(rt.pmem());

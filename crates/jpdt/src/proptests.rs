@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Debug;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -13,9 +14,9 @@ use jnvm_pmem::{CrashPolicy, Pmem, PmemConfig};
 
 use crate::pmap::tests::{assert_dram_matches_media, dram_view};
 use crate::{
-    register_jpdt, CacheMode, HashMirror, Mirror, PBytes, PI64HashMap, PI64SkipMap, PI64TreeMap,
-    PKey, PMapCore, PRefVec, PStringHashMap, PStringSkipMap, PStringTreeMap, SkipMirror,
-    TreeMirror,
+    register_jpdt, CacheMode, HashIndex, Index, Ordered, PBytes, PI64HashMap, PI64SkipMap,
+    PI64TreeMap, PKey, PMapCore, PRefVec, PStringHashMap, PStringSkipMap, PStringTreeMap,
+    SkipMirror, TreeMirror,
 };
 
 #[derive(Debug, Clone)]
@@ -190,9 +191,9 @@ fn mode() -> impl Strategy<Value = CacheMode> {
 /// Run `op` on `map` and on `model`, freeing the value a replace or a
 /// remove hands back, and check the DRAM answers against the media walk
 /// and the model.
-fn run_op<K: PKey + Debug, M: Mirror<K>>(
+fn run_op<K: PKey + Debug, I: Index<K>>(
     rt: &Jnvm,
-    map: &PMapCore<K, M>,
+    map: &PMapCore<K, I>,
     model: &mut BTreeMap<K, u64>,
     key: fn(u16) -> K,
     op: KeyOp,
@@ -220,14 +221,14 @@ fn run_op<K: PKey + Debug, M: Mirror<K>>(
 /// and after every commit or abort, each DRAM answer equals the media
 /// walk's and the model's; and a resurrection of the map rebuilds the same
 /// answers.
-fn drive_map<N: PObject, K: PKey + Debug, M: Mirror<K>>(
+fn drive_map<N: PObject, K: PKey + Debug, I: Index<K>>(
     steps: &[Step],
     mode: CacheMode,
     key: fn(u16) -> K,
 ) {
     let (_pmem, rt) = fresh();
     let id = rt.registry().id_of::<N>().unwrap();
-    let map = PMapCore::<K, M>::create(&rt, id, mode).unwrap();
+    let map = PMapCore::<K, I>::create(&rt, id, mode).unwrap();
     let mut model = BTreeMap::new();
     for step in steps {
         match step {
@@ -251,7 +252,7 @@ fn drive_map<N: PObject, K: PKey + Debug, M: Mirror<K>>(
             }
         }
     }
-    let reopened = PMapCore::<K, M>::resurrect(&rt, map.addr(), mode);
+    let reopened = PMapCore::<K, I>::resurrect(&rt, map.addr(), mode);
     assert_eq!(dram_view(&reopened), dram_view(&map), "resurrected");
     assert_dram_matches_media(&reopened);
 }
@@ -266,18 +267,22 @@ fn i64_key(n: u16) -> i64 {
 
 /// Every named map type.
 fn drive_every_map(steps: &[Step], mode: CacheMode) {
-    drive_map::<PStringHashMap, String, HashMirror<String>>(steps, mode, string_key);
-    drive_map::<PStringTreeMap, String, TreeMirror<String>>(steps, mode, string_key);
-    drive_map::<PStringSkipMap, String, SkipMirror<String>>(steps, mode, string_key);
-    drive_map::<PI64HashMap, i64, HashMirror<i64>>(steps, mode, i64_key);
-    drive_map::<PI64TreeMap, i64, TreeMirror<i64>>(steps, mode, i64_key);
-    drive_map::<PI64SkipMap, i64, SkipMirror<i64>>(steps, mode, i64_key);
+    drive_map::<PStringHashMap, String, HashIndex<String>>(steps, mode, string_key);
+    drive_map::<PStringTreeMap, String, Ordered<String, TreeMirror<String>>>(
+        steps, mode, string_key,
+    );
+    drive_map::<PStringSkipMap, String, Ordered<String, SkipMirror<String>>>(
+        steps, mode, string_key,
+    );
+    drive_map::<PI64HashMap, i64, HashIndex<i64>>(steps, mode, i64_key);
+    drive_map::<PI64TreeMap, i64, Ordered<i64, TreeMirror<i64>>>(steps, mode, i64_key);
+    drive_map::<PI64SkipMap, i64, Ordered<i64, SkipMirror<i64>>>(steps, mode, i64_key);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Every map's DRAM words and mirror against its media, over inserts,
+    /// Every map's DRAM index against its media, over inserts,
     /// replaces, removes and doublings, directly and in staged blocks that
     /// commit or abort.
     #[test]
@@ -294,5 +299,206 @@ proptest! {
     #[ignore = "wide proptest; run with --release -- --ignored"]
     fn map_dram_state_matches_media_wide(steps in steps(400), mode in mode()) {
         drive_every_map(&steps, mode);
+    }
+}
+
+// ----------------------------------------------------------------------
+// The hash index alone, against `std::collections::HashMap`.
+// ----------------------------------------------------------------------
+
+/// One op on a [`HashIndex`] and its model, on key number `k` of
+/// [`index_keys`].
+#[derive(Debug, Clone)]
+enum IndexOp {
+    /// Map `k` to the value in the free cell `nth` from the top of the
+    /// free list (the head for 0), growing the cells when none is free.
+    Insert(u8, u64, u8),
+    Remove(u8),
+    /// Remove `k` by its cell, as an aborted insert does.
+    RemoveCell(u8),
+    SetValue(u8, u64),
+    /// Grow the cells and undo it.
+    GrowShrink,
+}
+
+fn index_ops() -> impl Strategy<Value = Vec<IndexOp>> {
+    let k = || any::<u8>();
+    let nth = prop_oneof![3 => Just(0u8), 1 => any::<u8>()];
+    proptest::collection::vec(
+        prop_oneof![
+            4 => (k(), 1..u64::MAX, nth).prop_map(|(k, v, n)| IndexOp::Insert(k, v, n)),
+            2 => k().prop_map(IndexOp::Remove),
+            1 => k().prop_map(IndexOp::RemoveCell),
+            1 => (k(), 1..u64::MAX).prop_map(|(k, v)| IndexOp::SetValue(k, v)),
+            1 => Just(IndexOp::GrowShrink),
+        ],
+        1..300,
+    )
+}
+
+/// Hashes every key to one of 8 values around 0, wrapping: keys crowd the
+/// last and first slots of any table, and share tags.
+#[derive(Default)]
+struct Crowd;
+
+impl BuildHasher for Crowd {
+    type Hasher = CrowdHasher;
+
+    fn build_hasher(&self) -> CrowdHasher {
+        CrowdHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+/// FNV-1a, folded to 8 values.
+struct CrowdHasher(u64);
+
+impl Hasher for CrowdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 = (self.0 ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        u64::from(((self.0 % 8) as u32).wrapping_sub(4))
+    }
+}
+
+/// 34 short keys, and 4 long ones (a slab entry with a `u32` length).
+fn index_keys() -> Vec<String> {
+    let short = (0..34).map(|n| format!("k{n}"));
+    short
+        .chain((0..4).map(|n| format!("{}{n}", "L".repeat(300))))
+        .collect()
+}
+
+/// The model: each key's cell, each cell's value word, and the free
+/// cells as a stack whose top is taken next.
+#[derive(Default)]
+struct IndexModel {
+    cells: HashMap<String, u64>,
+    values: Vec<u64>,
+    free: Vec<u64>,
+}
+
+impl IndexModel {
+    /// Double the cells of `ix` and of the model.
+    fn grow(&mut self, ix: &mut HashIndex<String, Crowd>) {
+        let cells = self.values.len() as u64;
+        ix.grow(cells * 2);
+        self.free.extend((cells..cells * 2).rev());
+        self.values.resize(cells as usize * 2, 0);
+    }
+
+    fn release(&mut self, cell: u64) -> (u64, u64) {
+        self.free.push(cell);
+        (cell, std::mem::take(&mut self.values[cell as usize]))
+    }
+}
+
+/// Every answer of `ix` — length, next free cell, `get` and `value` of
+/// every key, `for_each` — against the model.
+fn assert_index_matches(ix: &HashIndex<String, Crowd>, keys: &[String], model: &IndexModel) {
+    assert_eq!(ix.len(), model.cells.len(), "len");
+    assert_eq!(ix.free_cell(), model.free.last().copied(), "free cell");
+    for k in keys {
+        let cell = ix.get(k);
+        assert_eq!(cell, model.cells.get(k).copied(), "get {k:.12}");
+        if let Some(c) = cell {
+            assert_eq!(ix.value(c), model.values[c as usize], "value {k:.12}");
+        }
+    }
+    let mut seen = Vec::new();
+    ix.for_each(&mut |k, c| seen.push((k.to_owned(), c)));
+    seen.sort();
+    let mut want: Vec<(String, u64)> = model.cells.iter().map(|(k, c)| (k.clone(), *c)).collect();
+    want.sort();
+    assert_eq!(seen, want, "for_each");
+}
+
+fn drive_index(ops: &[IndexOp]) {
+    let keys = index_keys();
+    let key = |k: u8| &keys[k as usize % keys.len()];
+    let mut ix = HashIndex::<String, Crowd>::build(4, |_| None);
+    let mut model = IndexModel {
+        values: vec![0; 4],
+        free: (0..4).rev().collect(),
+        ..IndexModel::default()
+    };
+    for op in ops {
+        match *op {
+            IndexOp::Insert(k, value, nth) => {
+                if model.free.is_empty() {
+                    model.grow(&mut ix);
+                }
+                let at = model.free.len() - 1 - nth as usize % model.free.len();
+                let cell = model.free.remove(at);
+                let displaced = ix.insert(key(k).clone(), cell, value);
+                model.values[cell as usize] = value;
+                let old = model.cells.insert(key(k).clone(), cell);
+                if let Some(c) = old {
+                    model.release(c);
+                }
+                assert_eq!(displaced, old, "insert {op:?}");
+            }
+            IndexOp::Remove(k) => {
+                let want = model.cells.remove(key(k)).map(|c| model.release(c));
+                assert_eq!(ix.remove(key(k)), want, "{op:?}");
+            }
+            IndexOp::RemoveCell(k) => {
+                if let Some(cell) = model.cells.remove(key(k)) {
+                    model.release(cell);
+                    ix.remove_cell(cell);
+                }
+            }
+            IndexOp::SetValue(k, value) => {
+                if let Some(&cell) = model.cells.get(key(k)) {
+                    let old = std::mem::replace(&mut model.values[cell as usize], value);
+                    assert_eq!(ix.set_value(cell, value), old, "{op:?}");
+                }
+            }
+            IndexOp::GrowShrink => {
+                let cells = model.values.len() as u64;
+                ix.grow(cells * 2);
+                assert_eq!(ix.free_cell(), Some(cells), "grown");
+                ix.shrink(cells);
+            }
+        }
+        assert_index_matches(&ix, &keys, &model);
+    }
+    // Insert every long key, then remove them: over 1 KiB of garbage,
+    // most of the slab, so it compacts (and shrinks) on the way.
+    for k in &keys[34..38] {
+        if !model.cells.contains_key(k) {
+            if model.free.is_empty() {
+                model.grow(&mut ix);
+            }
+            let cell = model.free.pop().unwrap();
+            ix.insert(k.clone(), cell, 1);
+            model.values[cell as usize] = 1;
+            model.cells.insert(k.clone(), cell);
+        }
+    }
+    let mut compacted = false;
+    for k in &keys[34..38] {
+        let cell = model.cells.remove(k).unwrap();
+        let before = ix.slab_len();
+        assert_eq!(ix.remove(k), Some(model.release(cell)));
+        compacted |= ix.slab_len() < before;
+        assert_index_matches(&ix, &keys, &model);
+    }
+    assert!(compacted, "the slab compacted");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The hash index agrees with a `HashMap` model on inserts (into the
+    /// free list's head or deeper), replaces, removes by key and by cell,
+    /// value updates and undone growths, over keys whose hashes crowd a
+    /// small table and share tags; and its slab compacts.
+    #[test]
+    fn hash_index_matches_a_hashmap(ops in index_ops()) {
+        drive_index(&ops);
     }
 }

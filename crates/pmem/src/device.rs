@@ -190,32 +190,33 @@ impl Shadow {
         }
     }
 
-    /// `line`'s entry, dropped from the shadow with `take`.
+    /// `line`'s entry.
     #[inline]
-    fn entry(&self, line: u64, take: bool) -> Option<LineWords> {
+    fn entry(&self, line: u64) -> Option<LineWords> {
         let Some((slot, tag)) = self.slot(line) else {
-            let mut overflow = self.overflow.lock();
-            if !take {
-                return overflow.get(&line).copied();
-            }
-            let persisted = overflow.remove(&line);
-            // Drained, the map gives its table back whole (a table a burst
-            // grew is large enough for the allocator to unmap it; smaller
-            // ones, as `shrink_to` would allocate, stay in the heap).
-            if overflow.is_empty() {
-                *overflow = HashMap::new();
-            }
-            return persisted;
+            return self.overflow.lock().get(&line).copied();
         };
-        let persisted = if tag.load(Ordering::Relaxed) & ZEROS != 0 {
+        Some(if tag.load(Ordering::Relaxed) & ZEROS != 0 {
             [0; WORDS_PER_LINE]
         } else {
             std::array::from_fn(|i| self.words[slot].0[i].load(Ordering::Relaxed))
-        };
-        if take {
+        })
+    }
+
+    /// Drop `line`'s entry, reading none of its words.
+    #[inline]
+    fn forget(&self, line: u64) {
+        if let Some((_, tag)) = self.slot(line) {
             tag.store(0, Ordering::Release);
+            return;
         }
-        Some(persisted)
+        let mut overflow = self.overflow.lock();
+        // Drained, the map gives its table back whole (a table a burst
+        // grew is large enough for the allocator to unmap it; smaller
+        // ones, as `shrink_to` would allocate, stay in the heap).
+        if overflow.remove(&line).is_some() && overflow.is_empty() {
+            *overflow = HashMap::new();
+        }
     }
 
     /// The lines with an entry, ascending (crash draws its coins in this
@@ -918,7 +919,7 @@ impl Pmem {
                     // Durable as it stands: nothing to roll back to any more.
                     LINE_PENDING => {
                         if let Some(shadow) = shadow {
-                            shadow.entry(line, true);
+                            shadow.forget(line);
                         }
                         held.set(LINE_CLEAN);
                     }
@@ -1079,10 +1080,11 @@ impl Pmem {
                 continue;
             }
             asked += 1;
-            let persisted = p
-                .shadow
-                .as_ref()
-                .and_then(|shadow| shadow.entry(line, true));
+            let persisted = p.shadow.as_ref().and_then(|shadow| {
+                let persisted = shadow.entry(line);
+                shadow.forget(line);
+                persisted
+            });
             if let (false, Some(persisted)) = (survives(), persisted) {
                 let base = line as usize * WORDS_PER_LINE;
                 for (i, word) in persisted.into_iter().enumerate() {
@@ -1139,7 +1141,7 @@ impl Pmem {
     pub(crate) fn persistent_line(&self, line: u64) -> LineWords {
         let held = self.persist.as_ref().map(|p| p.lock(line));
         let shadowed = match (&held, self.shadow()) {
-            (Some(held), Some(shadow)) if held.state != LINE_CLEAN => shadow.entry(line, false),
+            (Some(held), Some(shadow)) if held.state != LINE_CLEAN => shadow.entry(line),
             _ => None,
         };
         shadowed.unwrap_or_else(|| self.line_words(line))
