@@ -1,6 +1,7 @@
 //! The benchmark's trajectory: reads every `BENCH_<n>.json` in `--dir`
-//! (default `.`), prints each workload's end-to-end metrics and exact
-//! counts across the files, and exits 1 when a gated metric in the newest
+//! (default `.`), prints each workload's end-to-end metrics, exact counts
+//! and per-write counts (`jnvm_bench::trajectory::PRINTED`, never gated)
+//! across the files, and exits 1 when a gated metric in the newest
 //! file is worse than in the one before it by more than its bound (see
 //! `jnvm_bench::trajectory::GATED`).
 //! It reads the committed files and runs no benchmark.

@@ -200,6 +200,15 @@ pub const GATED: [(&str, f64); 9] = [
     ("peak_rss_mb", 0.02),
 ];
 
+/// The per-write counts printed beside the gated ones and never gated:
+/// they depend on how the committer's groups form, which moves with the
+/// host's timing.
+pub const PRINTED: [&str; 3] = [
+    "server.ops_per_group",
+    "pmem.pwbs_per_acked_write",
+    "pmem.fences_per_acked_write",
+];
+
 /// One `BENCH_<n>.json`: per workload, every metric by name.
 #[derive(Debug)]
 pub struct BenchFile {
@@ -273,7 +282,8 @@ fn cell(v: Option<f64>) -> String {
 }
 
 /// Per workload of the newest file: its end-to-end metrics across the
-/// files, one row per file, then its gated metrics, one row per metric.
+/// files, one row per file, then its gated metrics and the [`PRINTED`]
+/// ones it reports, one row per metric.
 pub fn report(files: &[BenchFile]) -> String {
     let Some(newest) = files.last() else {
         return "no BENCH_*.json files\n".into();
@@ -294,8 +304,15 @@ pub fn report(files: &[BenchFile]) -> String {
         let mut header = vec!["count"];
         header.extend(names.iter().map(String::as_str));
         let mut t = Table::new(&header);
-        for (metric, _) in gated_names(newest, workload) {
-            let mut row = vec![metric.clone()];
+        let gated = gated_names(newest, workload)
+            .into_iter()
+            .map(|(m, _)| (m.clone(), m));
+        let printed = PRINTED
+            .iter()
+            .filter(|m| newest.metric(workload, m).is_some())
+            .map(|m| (format!("{m} (not gated)"), m.to_string()));
+        for (label, metric) in gated.chain(printed) {
+            let mut row = vec![label];
             row.extend(files.iter().map(|f| cell(f.metric(workload, &metric))));
             t.row(&row);
         }
@@ -392,6 +409,20 @@ mod tests {
             regressions(&rss(90.0), &rss(80.0)).is_empty(),
             "less is better"
         );
+    }
+
+    #[test]
+    fn per_write_counts_are_printed_and_never_gated() {
+        let counts = |v: f64| {
+            let metrics = PRINTED.map(|m| format!(r#""{m}": {{"value": {v}}}"#));
+            file(0, &metrics.join(", "))
+        };
+        let (good, bad) = (counts(1.0), counts(100.0));
+        assert!(regressions(&good, &bad).is_empty(), "worse, not gated");
+        let report = report(&[good, bad]);
+        for m in PRINTED {
+            assert!(report.contains(&format!("{m} (not gated)")), "{report}");
+        }
     }
 
     #[test]

@@ -1,39 +1,40 @@
 //! The `persistent_class!` macro — the Rust analogue of the paper's
 //! bytecode generator (§2.5, §3).
-//!
-//! Given a class declaration, it emits exactly the artefacts the paper's
-//! generator produces from a `@Persistent` Java class: a volatile proxy
-//! struct holding the block-address array, typed getters/setters that
-//! access NVMM through the mediated low-level interface, the resurrect
-//! constructor, atomic reference-update helpers (§4.1.6), the layout
-//! descriptor the recovery GC traces, and the class registration glue.
-//!
-//! # Syntax
-//!
-//! ```ignore
-//! persistent_class! {
-//!     /// A simple persistent object (Figure 3 of the paper).
-//!     pub class Simple {
-//!         val x, set_x: i32;
-//!         ref msg, set_msg, update_msg: PString;
-//!     }
-//! }
-//! ```
-//!
-//! * `val getter, setter: T;` — a primitive field (`T: PVal`), one word.
-//! * `ref getter, setter, updater: T;` — a persistent reference field
-//!   (`T: PObject`). The getter returns `Option<T>` (resurrecting a proxy
-//!   on demand), the setter stores a raw reference, and the updater is the
-//!   paper's atomic `validate → pfence → store` helper.
-//!
-//! Transient fields keep living in ordinary volatile Rust state — wrap the
-//! generated struct if you need them, as `examples/quickstart.rs` shows.
-//!
-//! Like the Java original, constructors are user code: call
-//! `Type::alloc_uninit(&rt)`, fill fields, then flush/validate (or do it
-//! all inside [`crate::JnvmRuntime::fa`]).
 
-/// Generate a persistent class. See the [module docs](crate::macros).
+/// Generate a persistent class — the Rust analogue of the paper's
+/// bytecode generator (§2.5, §3).
+///
+/// Given a class declaration, it emits exactly the artefacts the paper's
+/// generator produces from a `@Persistent` Java class: a volatile proxy
+/// struct holding the block-address array, typed getters/setters that
+/// access NVMM through the mediated low-level interface, the resurrect
+/// constructor, atomic reference-update helpers (§4.1.6), the layout
+/// descriptor the recovery GC traces, and the class registration glue.
+///
+/// # Syntax
+///
+/// ```ignore
+/// persistent_class! {
+///     /// A simple persistent object (Figure 3 of the paper).
+///     pub class Simple {
+///         val x, set_x: i32;
+///         ref msg, set_msg, update_msg: PString;
+///     }
+/// }
+/// ```
+///
+/// * `val getter, setter: T;` — a primitive field (`T: PVal`), one word.
+/// * `ref getter, setter, updater: T;` — a persistent reference field
+///   (`T: PObject`). The getter returns `Option<T>` (resurrecting a proxy
+///   on demand), the setter stores a raw reference, and the updater is the
+///   paper's atomic `validate → pfence → store` helper.
+///
+/// Transient fields keep living in ordinary volatile Rust state — wrap the
+/// generated struct if you need them, as `examples/quickstart.rs` shows.
+///
+/// Like the Java original, constructors are user code: call
+/// `Type::alloc_uninit(&rt)`, fill fields, then flush/validate (or do it
+/// all inside [`crate::JnvmRuntime::fa`]).
 #[macro_export]
 macro_rules! persistent_class {
     (

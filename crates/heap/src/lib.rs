@@ -18,8 +18,8 @@
 //! Allocation uses a **volatile free queue** plus a **persistent bump
 //! pointer** (§4.1.2): the allocator touches NVMM only when bumping. Small
 //! objects that never grow avoid internal fragmentation through
-//! per-size-class [`pool`] allocators that pack several objects per block
-//! (§4.4).
+//! per-size-class pool allocators ([`PoolManager`]) that pack several
+//! objects per block (§4.4).
 //!
 //! The recovery procedure of §4.1.3 is split between this crate (header
 //! scanning, the live bitmap, free-queue reconstruction) and the `jnvm`

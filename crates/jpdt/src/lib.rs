@@ -9,11 +9,15 @@
 //!
 //! The map/set family follows the paper's decoupling pattern (§4.3.2): the
 //! *content* (an extensible persistent array of entry references) lives in
-//! NVMM, while the *logic* lives in a volatile **index** — a compact hash
-//! table over a per-map key slab, a `BTreeMap` or a skip list mapping keys
-//! to array cells, rebuilt at resurrection. Three proxy-caching variants are offered: `Base`,
-//! `Cached` and `Eager` (§4.3.2). A map entry never grows, so it takes a
-//! pool slot (§4.4), not a block.
+//! NVMM, while the *logic* lives in DRAM, rebuilt at resurrection: one
+//! generic [`PMapCore`] over a key → cell [`Index`] (a compact
+//! [`HashIndex`] over a per-map key slab, a `BTreeMap` or a
+//! [`SkipListMap`]) and [`Cells`], one record per array cell holding its
+//! value reference and threading the free cells. Each named map is a type
+//! alias of `PMapCore` with a persistent class of its own. Three
+//! proxy-caching variants are offered: `Base`, `Cached` and `Eager`
+//! (§4.3.2). A map entry never grows, so it takes a pool slot (§4.4), not
+//! a block.
 //!
 //! Types:
 //!
@@ -25,8 +29,8 @@
 //! * [`PStringHashMap`] / [`PStringTreeMap`] / [`PStringSkipMap`] and the
 //!   `i64`-keyed variants — persistent maps,
 //! * [`PStringSet`], [`PI64Set`] — sets as self-referencing maps,
-//! * [`SkipListMap`] — the volatile skip list used as a mirror (and as the
-//!   volatile baseline in Figure 12).
+//! * [`SkipListMap`] — the volatile skip list a skip map indexes its keys
+//!   with (and the volatile baseline in Figure 12).
 //!
 //! Call [`register_jpdt`] on your [`jnvm::JnvmBuilder`] to register every
 //! J-PDT class.
@@ -44,9 +48,8 @@ mod skiplist;
 pub use blob::{PBytes, PString};
 pub use parray::{PByteArray, PLongArray, PRefArray};
 pub use pmap::{
-    CacheMode, HashIndex, Index, MapEntry, Mirror, Ordered, PI64HashMap, PI64Set, PI64SkipMap,
-    PI64TreeMap, PKey, PMapCore, PStringHashMap, PStringSet, PStringSkipMap, PStringTreeMap,
-    SkipMirror, TreeMirror,
+    CacheMode, Cells, HashIndex, Index, MapEntry, PI64HashMap, PI64Set, PI64SkipMap, PI64TreeMap,
+    PKey, PMapCore, PSet, PStringHashMap, PStringSet, PStringSkipMap, PStringTreeMap,
 };
 pub use pqueue::PQueue;
 pub use pvec::PRefVec;

@@ -105,11 +105,6 @@ impl PLongArray {
         self.check(i);
         self.proxy.write_i64(8 + i * 8, v);
     }
-
-    /// Flush the lines holding element `i`.
-    pub fn pwb_element(&self, i: u64) {
-        self.proxy.pwb_field(8 + i * 8, 8);
-    }
 }
 
 impl PObject for PLongArray {

@@ -2,11 +2,11 @@
 //!
 //! The persistent content of a map is an extensible [`PRefArray`] whose
 //! cells reference *entry* objects (`[value ref][key ...]`). The logic —
-//! key lookup — lives in a volatile [`Index`] mapping keys to cell
-//! indices, rebuilt at resurrection: a compact [`HashIndex`], or an
-//! [`Ordered`] tree or skip-list mirror. Per cell it keeps the value
-//! reference of the cell's entry, so a lookup reads nothing from NVMM.
-//! A value reference is opaque to the
+//! key lookup — lives in DRAM, rebuilt at resurrection: an [`Index`]
+//! mapping keys to cells (a compact [`HashIndex`], a `BTreeMap` or a
+//! [`SkipListMap`]), and [`Cells`], which keeps per cell the value
+//! reference of the cell's entry and threads the free cells, so a lookup
+//! reads nothing from NVMM. A value reference is opaque to the
 //! map: the holder's word, which may carry a tag above
 //! [`jnvm_heap::REF_ADDR_MASK`] (a kvstore record's carries its field
 //! count); the map masks it wherever it needs the address. Every mutation
@@ -20,7 +20,7 @@
 
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, Hash};
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -68,6 +68,8 @@ pub trait PKey: Clone + Eq + Hash + Ord + Send + 'static {
     fn key_bytes(&self) -> u64;
     /// Class name under which this key's entry class is registered.
     const ENTRY_CLASS_NAME: &'static str;
+    /// Class name under which the set of this key is registered.
+    const SET_CLASS_NAME: &'static str;
 
     /// Store the key into the fresh entry `e` at payload offset `off`.
     fn write_key(&self, e: &Proxy, off: u64);
@@ -91,6 +93,7 @@ impl PKey for String {
         8 + self.len() as u64
     }
     const ENTRY_CLASS_NAME: &'static str = "jnvm_jpdt.MapEntry<String>";
+    const SET_CLASS_NAME: &'static str = "jnvm_jpdt.PStringSet";
 
     fn write_key(&self, e: &Proxy, off: u64) {
         e.write_u64(off, self.len() as u64);
@@ -134,6 +137,7 @@ impl PKey for i64 {
         8
     }
     const ENTRY_CLASS_NAME: &'static str = "jnvm_jpdt.MapEntry<i64>";
+    const SET_CLASS_NAME: &'static str = "jnvm_jpdt.PI64Set";
 
     fn write_key(&self, e: &Proxy, off: u64) {
         e.write_i64(off, *self);
@@ -183,39 +187,194 @@ impl<K: PKey> PObject for MapEntry<K> {
 }
 
 // ----------------------------------------------------------------------
-// Indexes.
+// The volatile state: one record per cell, and a key index.
 // ----------------------------------------------------------------------
 
-/// The volatile state of a map (§4.3.2): its key → cell index and, per
-/// cell, the value reference the cell's entry holds on media (0 for a free
-/// cell, or for one whose value recovery nullified), with the free cells
-/// threaded beside them. A lookup answers from it and reads no NVMM.
-pub trait Index<K: PKey>: Send + 'static {
-    /// An index over `cells` cells, where `entry(cell)` is the key and
-    /// value cell `cell` holds, `None` for a free cell; asked in ascending
-    /// cell order. Free cells are taken lowest first.
-    fn build(cells: u64, entry: impl FnMut(u64) -> Option<(K, u64)>) -> Self;
+/// No cell: a vacant slot, the end of the free list.
+const NONE: u32 = u32::MAX;
+
+/// A cell's record: the value reference its entry holds on media (0 for a
+/// free cell, or for one whose value recovery nullified), and a word that
+/// links the next free cell of a free cell and belongs to the [`Index`] for
+/// an occupied one. Packed to 12 bytes, since a map has up to twice as many
+/// cells as keys.
+#[derive(Clone, Copy)]
+#[repr(C, packed(4))]
+struct Rec {
+    value: u64,
+    link: u32,
+}
+
+const FREE_REC: Rec = Rec {
+    value: 0,
+    link: NONE,
+};
+
+/// The volatile state of a map's cells (§4.3.2): one 12-byte record per
+/// cell, holding the value word and a `u32` that threads the free cells
+/// through their records. Together with the
+/// map's [`Index`] it answers every lookup, and reads no NVMM.
+pub struct Cells {
+    recs: Vec<Rec>,
+    /// Head of the free cells, the one the next insert takes.
+    free: u32,
+}
+
+impl Cells {
+    /// `cells` cells and an index of their keys, where `entry(cell)` is
+    /// the key and value cell `cell` holds, `None` for a free cell; asked
+    /// in ascending cell order. Free cells are taken lowest first.
+    pub(crate) fn build<K: PKey, I: Index<K>>(
+        cells: u64,
+        mut entry: impl FnMut(u64) -> Option<(K, u64)>,
+    ) -> (Cells, I) {
+        let cells = u32::try_from(cells).expect("a map has fewer than 2^32 cells");
+        // The index's small table before the records' large block: the
+        // other order measured 0.2 MiB more peak RSS on the benchmark's
+        // YCSB workloads.
+        let mut index = I::default();
+        let mut store = Cells {
+            recs: vec![FREE_REC; cells as usize],
+            free: NONE,
+        };
+        let mut tail = NONE;
+        for cell in 0..cells {
+            match entry(u64::from(cell)) {
+                Some((key, value)) => {
+                    store.recs[cell as usize].value = value;
+                    index.insert(&mut store, key, cell);
+                }
+                None if tail == NONE => (store.free, tail) = (cell, cell),
+                None => (store.recs[tail as usize].link, tail) = (cell, cell),
+            }
+        }
+        (store, index)
+    }
+
     /// Add free cells up to `cells`, to be taken lowest first and before
     /// any older free cell.
-    fn grow(&mut self, cells: u64);
-    /// Undo the latest [`Index::grow`], to `cells`: its cells, free, are
+    pub(crate) fn grow(&mut self, cells: u64) {
+        let cells = u32::try_from(cells).expect("a map has fewer than 2^32 cells");
+        let old = self.recs.len() as u32;
+        self.recs.resize(cells as usize, FREE_REC);
+        for cell in (old..cells).rev() {
+            self.push_free(cell);
+        }
+    }
+
+    /// Undo the latest [`Cells::grow`], to `cells`: its cells, free, are
     /// the next ones to be taken (a block's undos run newest first).
-    fn shrink(&mut self, cells: u64);
+    pub(crate) fn shrink(&mut self, cells: u64) {
+        while self.free != NONE && u64::from(self.free) >= cells {
+            self.free = self.recs[self.free as usize].link;
+        }
+        self.recs.truncate(cells as usize);
+    }
+
     /// The free cell the next insert takes.
-    fn free_cell(&self) -> Option<u64>;
+    pub(crate) fn free_cell(&self) -> Option<u32> {
+        (self.free != NONE).then_some(self.free)
+    }
+
+    /// The value reference of cell `cell`; `None` for a free cell or a
+    /// nullified value.
+    pub(crate) fn value(&self, cell: u32) -> Option<u64> {
+        let value = self.recs[cell as usize].value;
+        (value != 0).then_some(value)
+    }
+
+    /// Set cell `cell`'s value word, returning the one it replaces.
+    pub(crate) fn set_value(&mut self, cell: u32, value: u64) -> u64 {
+        let rec = &mut self.recs[cell as usize];
+        let old = rec.value;
+        rec.value = value;
+        old
+    }
+
     /// Map `key` to `value` in the free cell `cell`. A key already present
     /// leaves its old cell, which is freed and returned.
-    fn insert(&mut self, key: K, cell: u64, value: u64) -> Option<u64>;
-    /// Cell of `key`, if present.
-    fn get(&self, key: &K::Query) -> Option<u64>;
-    /// The value word of cell `cell`.
-    fn value(&self, cell: u64) -> u64;
-    /// Set cell `cell`'s value word, returning the one it replaces.
-    fn set_value(&mut self, cell: u64, value: u64) -> u64;
+    pub(crate) fn insert<K: PKey>(
+        &mut self,
+        index: &mut impl Index<K>,
+        key: K,
+        cell: u32,
+        value: u64,
+    ) -> Option<u32> {
+        self.take(cell);
+        self.recs[cell as usize].value = value;
+        let old = index.insert(self, key, cell)?;
+        self.push_free(old);
+        Some(old)
+    }
+
     /// Remove `key` and free its cell: returns the cell and its value word.
-    fn remove(&mut self, key: &K::Query) -> Option<(u64, u64)>;
+    pub(crate) fn remove<K: PKey>(
+        &mut self,
+        index: &mut impl Index<K>,
+        key: &K::Query,
+    ) -> Option<(u32, u64)> {
+        let cell = index.remove(self, key)?;
+        Some((cell, self.push_free(cell)))
+    }
+
     /// Remove the key cell `cell` holds, and free the cell.
-    fn remove_cell(&mut self, cell: u64);
+    pub(crate) fn remove_cell<K: PKey>(&mut self, index: &mut impl Index<K>, cell: u32) {
+        index.remove_cell(self, cell);
+        self.push_free(cell);
+    }
+
+    /// Put cell `cell` on the free list; returns its value word.
+    fn push_free(&mut self, cell: u32) -> u64 {
+        let rec = &mut self.recs[cell as usize];
+        rec.link = std::mem::replace(&mut self.free, cell);
+        let value = rec.value;
+        rec.value = 0;
+        value
+    }
+
+    /// Take cell `cell` off the free list: its head, unless the blocks of
+    /// one map aborted out of order.
+    fn take(&mut self, cell: u32) {
+        let next = self.recs[cell as usize].link;
+        if self.free == cell {
+            self.free = next;
+            return;
+        }
+        let mut at = self.free;
+        while at != NONE {
+            let rec = &mut self.recs[at as usize];
+            if rec.link == cell {
+                rec.link = next;
+                return;
+            }
+            at = rec.link;
+        }
+        panic!("cell {cell} is not free");
+    }
+
+    /// The index's word of occupied cell `cell`.
+    fn link(&self, cell: u32) -> u32 {
+        self.recs[cell as usize].link
+    }
+
+    fn set_link(&mut self, cell: u32, link: u32) {
+        self.recs[cell as usize].link = link;
+    }
+}
+
+/// A map's volatile key → cell index (§4.3.2), rebuilt at resurrection
+/// from the entries the scan reads. [`Cells`] keeps the rest; an index may
+/// keep a word in each occupied cell's record.
+pub trait Index<K: PKey>: Default + Send + 'static {
+    /// Map `key` to the occupied cell `cell`. A key already present leaves
+    /// its old cell, which is returned.
+    fn insert(&mut self, cells: &mut Cells, key: K, cell: u32) -> Option<u32>;
+    /// Cell of `key`, if present.
+    fn get(&self, cells: &Cells, key: &K::Query) -> Option<u32>;
+    /// Remove `key`, returning its cell.
+    fn remove(&mut self, cells: &mut Cells, key: &K::Query) -> Option<u32>;
+    /// Remove the key cell `cell` holds.
+    fn remove_cell(&mut self, cells: &mut Cells, cell: u32);
     /// Number of keys.
     fn len(&self) -> usize;
     /// True when empty.
@@ -223,11 +382,8 @@ pub trait Index<K: PKey>: Send + 'static {
         self.len() == 0
     }
     /// Visit every `(key, cell)`, in index order.
-    fn for_each(&self, f: &mut dyn FnMut(&K::Query, u64));
+    fn for_each(&self, cells: &Cells, f: &mut dyn FnMut(&K::Query, u32));
 }
-
-/// No cell: a vacant slot, the end of the free list.
-const NONE: u32 = u32::MAX;
 
 /// A [`HashIndex`] table slot: 32 bits of the key's hash, whose low bits
 /// place it and whose whole is its tag, and the cell holding the key.
@@ -238,21 +394,6 @@ struct Slot {
 }
 
 const VACANT: Slot = Slot { tag: 0, cell: NONE };
-
-/// A [`HashIndex`] cell record: the cell's value word and the offset of
-/// its key in the slab; a free cell's `key` is the next free cell. Packed
-/// to 12 bytes, since a map has up to twice as many cells as keys.
-#[derive(Clone, Copy)]
-#[repr(C, packed(4))]
-struct Rec {
-    value: u64,
-    key: u32,
-}
-
-const FREE_REC: Rec = Rec {
-    value: 0,
-    key: NONE,
-};
 
 /// A slab entry's length byte that says a `u32` length follows.
 const LONG_KEY: u8 = u8::MAX;
@@ -273,31 +414,34 @@ fn slab_key(slab: &[u8]) -> (&[u8], usize) {
     }
 }
 
-/// `cell`, or a count of cells, as a `u32` below [`NONE`].
-fn cell32(cell: u64) -> u32 {
-    u32::try_from(cell)
-        .ok()
-        .filter(|c| *c != NONE)
-        .expect("a hash map has fewer than 2^32 - 1 cells")
-}
-
 /// Hash index — the persistent `HashMap` analogue. An open-addressed,
 /// linearly probed table of `(tag, cell)` slots, at most 3/4 full, whose
-/// probe compares key bytes only on a tag match; one 12-byte record per
-/// cell; and the keys' bytes in one per-map slab. No key is a heap object
-/// of its own. Keys may come from outside the program, so `S` is seeded
-/// per map, as a std `HashMap`'s is (tests substitute a colliding one).
+/// probe compares key bytes only on a tag match; the keys' bytes in one
+/// per-map slab, each occupied cell's record holding its key's offset. No
+/// key is a heap object of its own. Keys may come from outside the
+/// program, so `S` is seeded per map, as a std `HashMap`'s is (tests
+/// substitute a colliding one).
 pub struct HashIndex<K, S = RandomState> {
     slots: Vec<Slot>,
-    recs: Vec<Rec>,
-    /// Head of the free cells, threaded through their records.
-    free: u32,
     slab: Vec<u8>,
     /// Slab bytes no key references.
     garbage: usize,
     len: usize,
     hasher: S,
     _k: PhantomData<fn() -> K>,
+}
+
+impl<K, S: Default> Default for HashIndex<K, S> {
+    fn default() -> Self {
+        HashIndex {
+            slots: vec![VACANT; 8],
+            slab: Vec::new(),
+            garbage: 0,
+            len: 0,
+            hasher: S::default(),
+            _k: PhantomData,
+        }
+    }
 }
 
 impl<K, S: BuildHasher> HashIndex<K, S> {
@@ -307,13 +451,16 @@ impl<K, S: BuildHasher> HashIndex<K, S> {
     }
 
     /// The key bytes of occupied cell `cell`.
-    fn key(&self, cell: u32) -> &[u8] {
-        slab_key(&self.slab[self.recs[cell as usize].key as usize..]).0
+    fn key<'a>(&'a self, cells: &Cells, cell: u32) -> &'a [u8] {
+        slab_key(&self.slab[cells.link(cell) as usize..]).0
     }
 
     /// The slot holding the key `bytes`, whose hash is `tag`; else the
-    /// vacant slot that ends its probe run.
-    fn probe(&self, bytes: &[u8], tag: u32) -> Result<usize, usize> {
+    /// vacant slot that ends its probe run. Every `GET` runs it: inlined,
+    /// since a map's methods are compiled in each crate that calls them,
+    /// and there an out-of-line probe cost `ycsb_c` ≈3 % of its `GET`s/s.
+    #[inline]
+    fn probe(&self, cells: &Cells, bytes: &[u8], tag: u32) -> Result<usize, usize> {
         let mask = self.slots.len() - 1;
         let mut i = tag as usize & mask;
         loop {
@@ -321,30 +468,29 @@ impl<K, S: BuildHasher> HashIndex<K, S> {
             if slot.cell == NONE {
                 return Err(i);
             }
-            if slot.tag == tag && self.key(slot.cell) == bytes {
+            if slot.tag == tag && self.key(cells, slot.cell) == bytes {
                 return Ok(i);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Index `bytes` → `value` in cell `cell`, which no free list holds;
-    /// returns the cell the key leaves, if it was present.
-    fn place(&mut self, bytes: &[u8], cell: u32, value: u64) -> Option<u32> {
+    /// Index `bytes` in cell `cell`; returns the cell the key leaves, if
+    /// it was present.
+    fn place(&mut self, cells: &mut Cells, bytes: &[u8], cell: u32) -> Option<u32> {
         if (self.len + 1) * 4 > self.slots.len() * 3 {
             self.double_table();
         }
         let tag = self.tag(bytes);
-        match self.probe(bytes, tag) {
+        match self.probe(cells, bytes, tag) {
             Ok(i) => {
                 let old = std::mem::replace(&mut self.slots[i].cell, cell);
-                let key = self.recs[old as usize].key;
-                self.recs[cell as usize] = Rec { value, key };
+                cells.set_link(cell, cells.link(old));
                 Some(old)
             }
             Err(i) => {
-                let key = self.push_key(bytes);
-                self.recs[cell as usize] = Rec { value, key };
+                let at = self.push_key(bytes);
+                cells.set_link(cell, at);
                 self.slots[i] = Slot { tag, cell };
                 self.len += 1;
                 None
@@ -365,9 +511,11 @@ impl<K, S: BuildHasher> HashIndex<K, S> {
         }
     }
 
-    /// Empty slot `hole`, shifting back the entries of its probe run that
-    /// may move into it, so no probe needs a tombstone.
-    fn delete_slot(&mut self, mut hole: usize) {
+    /// Empty slot `hole`, whose key cell `cell` holds, shifting back the
+    /// entries of its probe run that may move into it, so no probe needs a
+    /// tombstone; the key's slab bytes become garbage.
+    fn delete_slot(&mut self, cells: &mut Cells, mut hole: usize) {
+        let cell = self.slots[hole].cell;
         let mask = self.slots.len() - 1;
         let mut i = hole;
         loop {
@@ -384,6 +532,10 @@ impl<K, S: BuildHasher> HashIndex<K, S> {
         }
         self.slots[hole] = VACANT;
         self.len -= 1;
+        self.garbage += slab_key(&self.slab[cells.link(cell) as usize..]).1;
+        if self.garbage >= SLAB_FLOOR && 2 * self.garbage >= self.slab.len() {
+            self.compact(cells);
+        }
     }
 
     /// Append `bytes` to the slab, which grows by a quarter at a time;
@@ -406,56 +558,14 @@ impl<K, S: BuildHasher> HashIndex<K, S> {
         u32::try_from(at).expect("a map's key slab stays below 4 GiB")
     }
 
-    /// Put cell `cell` on the free list.
-    fn push_free(&mut self, cell: u32) {
-        self.recs[cell as usize] = Rec {
-            value: 0,
-            key: self.free,
-        };
-        self.free = cell;
-    }
-
-    /// Take cell `cell` off the free list: its head, unless the blocks of
-    /// one map aborted out of order.
-    fn take(&mut self, cell: u32) {
-        let next = self.recs[cell as usize].key;
-        if self.free == cell {
-            self.free = next;
-            return;
-        }
-        let mut at = self.free;
-        while at != NONE {
-            let rec = &mut self.recs[at as usize];
-            if rec.key == cell {
-                rec.key = next;
-                return;
-            }
-            at = rec.key;
-        }
-        panic!("cell {cell} is not free");
-    }
-
-    /// Free cell `cell`, whose key has left the table; returns its value
-    /// word.
-    fn release(&mut self, cell: u32) -> u64 {
-        let rec = self.recs[cell as usize];
-        self.garbage += slab_key(&self.slab[rec.key as usize..]).1;
-        self.push_free(cell);
-        if self.garbage >= SLAB_FLOOR && 2 * self.garbage >= self.slab.len() {
-            self.compact();
-        }
-        rec.value
-    }
-
     /// Copy the live keys to a fresh slab, in table order.
-    fn compact(&mut self) {
+    fn compact(&mut self, cells: &mut Cells) {
         let live = self.slab.len() - self.garbage;
         let mut slab = Vec::with_capacity(live + live / 4);
         for slot in self.slots.iter().filter(|s| s.cell != NONE) {
-            let rec = &mut self.recs[slot.cell as usize];
-            let at = rec.key as usize;
+            let at = cells.link(slot.cell) as usize;
             let size = slab_key(&self.slab[at..]).1;
-            rec.key = slab.len() as u32;
+            cells.set_link(slot.cell, slab.len() as u32);
             slab.extend_from_slice(&self.slab[at..at + size]);
         }
         self.slab = slab;
@@ -469,313 +579,130 @@ impl<K, S: BuildHasher> HashIndex<K, S> {
     }
 }
 
-impl<K: PKey, S: BuildHasher> HashIndex<K, S> {
-    /// The slot holding `key`.
-    fn find(&self, key: &K::Query) -> Option<usize> {
-        K::with_index_bytes(key, |b| self.probe(b, self.tag(b)).ok())
-    }
-}
-
 impl<K: PKey, S: BuildHasher + Default + Send + 'static> Index<K> for HashIndex<K, S> {
-    fn build(cells: u64, mut entry: impl FnMut(u64) -> Option<(K, u64)>) -> Self {
-        let mut index = HashIndex {
-            slots: vec![VACANT; 8],
-            recs: vec![FREE_REC; cell32(cells) as usize],
-            free: NONE,
-            slab: Vec::new(),
-            garbage: 0,
-            len: 0,
-            hasher: S::default(),
-            _k: PhantomData,
-        };
-        let mut tail = NONE;
-        for cell in 0..cells as u32 {
-            match entry(u64::from(cell)) {
-                Some((key, value)) => {
-                    K::with_index_bytes(key.query(), |b| index.place(b, cell, value));
-                }
-                None if tail == NONE => (index.free, tail) = (cell, cell),
-                None => (index.recs[tail as usize].key, tail) = (cell, cell),
-            }
-        }
-        index
+    fn insert(&mut self, cells: &mut Cells, key: K, cell: u32) -> Option<u32> {
+        K::with_index_bytes(key.query(), |b| self.place(cells, b, cell))
     }
 
-    fn grow(&mut self, cells: u64) {
-        let old = self.recs.len() as u32;
-        self.recs.resize(cell32(cells) as usize, FREE_REC);
-        for cell in (old..cells as u32).rev() {
-            self.push_free(cell);
-        }
+    fn get(&self, cells: &Cells, key: &K::Query) -> Option<u32> {
+        let i = K::with_index_bytes(key, |b| self.probe(cells, b, self.tag(b)).ok())?;
+        Some(self.slots[i].cell)
     }
 
-    fn shrink(&mut self, cells: u64) {
-        while self.free != NONE && u64::from(self.free) >= cells {
-            self.free = self.recs[self.free as usize].key;
-        }
-        self.recs.truncate(cells as usize);
-    }
-
-    fn free_cell(&self) -> Option<u64> {
-        (self.free != NONE).then_some(u64::from(self.free))
-    }
-
-    fn insert(&mut self, key: K, cell: u64, value: u64) -> Option<u64> {
-        let cell = cell32(cell);
-        self.take(cell);
-        let old = K::with_index_bytes(key.query(), |b| self.place(b, cell, value))?;
-        self.push_free(old);
-        Some(u64::from(old))
-    }
-
-    fn get(&self, key: &K::Query) -> Option<u64> {
-        let i = self.find(key)?;
-        Some(u64::from(self.slots[i].cell))
-    }
-
-    fn value(&self, cell: u64) -> u64 {
-        self.recs[cell as usize].value
-    }
-
-    fn set_value(&mut self, cell: u64, value: u64) -> u64 {
-        let rec = &mut self.recs[cell as usize];
-        let old = rec.value;
-        rec.value = value;
-        old
-    }
-
-    fn remove(&mut self, key: &K::Query) -> Option<(u64, u64)> {
-        let i = self.find(key)?;
+    fn remove(&mut self, cells: &mut Cells, key: &K::Query) -> Option<u32> {
+        let i = K::with_index_bytes(key, |b| self.probe(cells, b, self.tag(b)).ok())?;
         let cell = self.slots[i].cell;
-        self.delete_slot(i);
-        Some((u64::from(cell), self.release(cell)))
+        self.delete_slot(cells, i);
+        Some(cell)
     }
 
-    fn remove_cell(&mut self, cell: u64) {
-        let cell = cell32(cell);
+    fn remove_cell(&mut self, cells: &mut Cells, cell: u32) {
         let mask = self.slots.len() - 1;
-        let mut i = self.tag(self.key(cell)) as usize & mask;
+        let mut i = self.tag(self.key(cells, cell)) as usize & mask;
         while self.slots[i].cell != cell {
             assert_ne!(self.slots[i].cell, NONE, "cell {cell} holds no key");
             i = (i + 1) & mask;
         }
-        self.delete_slot(i);
-        self.release(cell);
+        self.delete_slot(cells, i);
     }
 
     fn len(&self) -> usize {
         self.len
     }
 
-    fn for_each(&self, f: &mut dyn FnMut(&K::Query, u64)) {
+    fn for_each(&self, cells: &Cells, f: &mut dyn FnMut(&K::Query, u32)) {
         for slot in self.slots.iter().filter(|s| s.cell != NONE) {
-            K::with_indexed(self.key(slot.cell), |k| f(k, u64::from(slot.cell)));
+            K::with_indexed(self.key(cells, slot.cell), |k| f(k, slot.cell));
         }
     }
 }
 
-/// The key → cell mirror of an ordered map, kept inside an [`Ordered`]
-/// index.
-pub trait Mirror<K: PKey>: Send + Default + 'static {
-    /// Insert a mapping, returning the displaced cell if the key existed.
-    fn insert(&mut self, k: K, cell: u64) -> Option<u64>;
-    /// Cell of `k`, if present.
-    fn get(&self, k: &K::Query) -> Option<u64>;
-    /// Remove `k`, returning its cell.
-    fn remove(&mut self, k: &K::Query) -> Option<u64>;
-    /// Number of keys.
-    fn len(&self) -> usize;
-    /// True when empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+/// Red-black-tree index — the persistent `TreeMap` analogue.
+impl<K: PKey + Borrow<K::Query>> Index<K> for BTreeMap<K, u32> {
+    fn insert(&mut self, _: &mut Cells, key: K, cell: u32) -> Option<u32> {
+        BTreeMap::insert(self, key, cell)
     }
-    /// Iterate `(key, cell)` in key order.
-    fn for_each(&self, f: &mut dyn FnMut(&K, u64));
-}
 
-/// Red-black-tree mirror — the persistent `TreeMap` analogue.
-pub struct TreeMirror<K>(std::collections::BTreeMap<K, u64>);
+    fn get(&self, _: &Cells, key: &K::Query) -> Option<u32> {
+        BTreeMap::get(self, key).copied()
+    }
 
-impl<K> Default for TreeMirror<K> {
-    fn default() -> Self {
-        TreeMirror(std::collections::BTreeMap::new())
+    fn remove(&mut self, _: &mut Cells, key: &K::Query) -> Option<u32> {
+        BTreeMap::remove(self, key)
     }
-}
 
-impl<K: PKey + Borrow<K::Query>> Mirror<K> for TreeMirror<K> {
-    fn insert(&mut self, k: K, cell: u64) -> Option<u64> {
-        self.0.insert(k, cell)
+    /// A walk of the tree, which holds no cell → key map: only an aborted
+    /// insert comes here.
+    fn remove_cell(&mut self, _: &mut Cells, cell: u32) {
+        self.retain(|_, c| *c != cell);
     }
-    fn get(&self, k: &K::Query) -> Option<u64> {
-        self.0.get(k).copied()
-    }
-    fn remove(&mut self, k: &K::Query) -> Option<u64> {
-        self.0.remove(k)
-    }
+
     fn len(&self) -> usize {
-        self.0.len()
+        BTreeMap::len(self)
     }
-    fn for_each(&self, f: &mut dyn FnMut(&K, u64)) {
-        for (k, c) in &self.0 {
-            f(k, *c);
+
+    fn for_each(&self, _: &Cells, f: &mut dyn FnMut(&K::Query, u32)) {
+        for (k, c) in self {
+            f(k.query(), *c);
         }
     }
 }
 
-/// Skip-list mirror — the persistent `ConcurrentSkipListMap` analogue.
-pub struct SkipMirror<K: Ord>(SkipListMap<K, u64>);
-
-impl<K: Ord> Default for SkipMirror<K> {
-    fn default() -> Self {
-        SkipMirror(SkipListMap::new())
-    }
-}
-
-impl<K: PKey + Borrow<K::Query>> Mirror<K> for SkipMirror<K> {
-    fn insert(&mut self, k: K, cell: u64) -> Option<u64> {
-        self.0.insert(k, cell)
-    }
-    fn get(&self, k: &K::Query) -> Option<u64> {
-        self.0.get(k).copied()
-    }
-    fn remove(&mut self, k: &K::Query) -> Option<u64> {
-        self.0.remove_cloned(k).map(|(_, c)| c)
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn for_each(&self, f: &mut dyn FnMut(&K, u64)) {
-        self.0.for_each(|k, c| f(k, *c));
-    }
-}
-
-/// The index of an ordered map: its mirror, with one value word per cell
-/// and a stack of free cells beside it.
-pub struct Ordered<K, M> {
-    mirror: M,
-    values: Vec<u64>,
-    free: Vec<u64>,
-    _k: PhantomData<fn() -> K>,
-}
-
-impl<K, M> Ordered<K, M> {
-    /// Free cell `cell`; returns its value word.
-    fn release(&mut self, cell: u64) -> u64 {
-        self.free.push(cell);
-        std::mem::take(&mut self.values[cell as usize])
-    }
-}
-
-impl<K: PKey, M: Mirror<K>> Index<K> for Ordered<K, M> {
-    fn build(cells: u64, mut entry: impl FnMut(u64) -> Option<(K, u64)>) -> Self {
-        let mut index = Ordered {
-            mirror: M::default(),
-            values: vec![0; cells as usize],
-            free: Vec::new(),
-            _k: PhantomData,
-        };
-        for cell in 0..cells {
-            match entry(cell) {
-                Some((key, value)) => {
-                    index.values[cell as usize] = value;
-                    index.mirror.insert(key, cell);
-                }
-                None => index.free.push(cell),
-            }
-        }
-        index.free.reverse();
-        index
+/// Skip-list index — the persistent `ConcurrentSkipListMap` analogue.
+impl<K: PKey + Borrow<K::Query>> Index<K> for SkipListMap<K, u32> {
+    fn insert(&mut self, _: &mut Cells, key: K, cell: u32) -> Option<u32> {
+        SkipListMap::insert(self, key, cell)
     }
 
-    fn grow(&mut self, cells: u64) {
-        self.free.extend((self.values.len() as u64..cells).rev());
-        self.values.resize(cells as usize, 0);
+    fn get(&self, _: &Cells, key: &K::Query) -> Option<u32> {
+        SkipListMap::get(self, key).copied()
     }
 
-    fn shrink(&mut self, cells: u64) {
-        self.free.retain(|c| *c < cells);
-        self.values.truncate(cells as usize);
+    fn remove(&mut self, _: &mut Cells, key: &K::Query) -> Option<u32> {
+        self.remove_cloned(key).map(|(_, c)| c)
     }
 
-    fn free_cell(&self) -> Option<u64> {
-        self.free.last().copied()
-    }
-
-    fn insert(&mut self, key: K, cell: u64, value: u64) -> Option<u64> {
-        let at = self.free.iter().rposition(|c| *c == cell);
-        self.free.remove(at.expect("the cell is free"));
-        self.values[cell as usize] = value;
-        let old = self.mirror.insert(key, cell)?;
-        self.release(old);
-        Some(old)
-    }
-
-    fn get(&self, key: &K::Query) -> Option<u64> {
-        self.mirror.get(key)
-    }
-
-    fn value(&self, cell: u64) -> u64 {
-        self.values[cell as usize]
-    }
-
-    fn set_value(&mut self, cell: u64, value: u64) -> u64 {
-        std::mem::replace(&mut self.values[cell as usize], value)
-    }
-
-    fn remove(&mut self, key: &K::Query) -> Option<(u64, u64)> {
-        let cell = self.mirror.remove(key)?;
-        Some((cell, self.release(cell)))
-    }
-
-    /// A walk of the mirror, which holds no cell → key map: only an
-    /// aborted insert comes here.
-    fn remove_cell(&mut self, cell: u64) {
+    /// A walk of the list, which holds no cell → key map: only an aborted
+    /// insert comes here.
+    fn remove_cell(&mut self, _: &mut Cells, cell: u32) {
         let mut key = None;
-        self.mirror.for_each(&mut |k, c| {
-            if c == cell {
+        SkipListMap::for_each(self, |k, c| {
+            if *c == cell {
                 key = Some(k.clone());
             }
         });
-        let key = key.expect("the cell holds a key");
-        self.remove(key.query());
+        SkipListMap::remove(self, key.expect("the cell holds a key").borrow());
     }
 
     fn len(&self) -> usize {
-        self.mirror.len()
+        SkipListMap::len(self)
     }
 
-    fn for_each(&self, f: &mut dyn FnMut(&K::Query, u64)) {
-        self.mirror.for_each(&mut |k, c| f(k.query(), c));
+    fn for_each(&self, _: &Cells, f: &mut dyn FnMut(&K::Query, u32)) {
+        SkipListMap::for_each(self, |k, c| f(k.query(), *c));
     }
 }
 
 // ----------------------------------------------------------------------
-// The map core.
+// The map.
 // ----------------------------------------------------------------------
 
 struct Inner<K: PKey, I: Index<K>> {
     array: PRefArray,
+    cells: Cells,
     index: I,
     /// cell -> value proxy (Cached/Eager modes).
-    cache: HashMap<u64, Proxy>,
+    cache: HashMap<u32, Proxy>,
     _k: PhantomData<fn() -> K>,
 }
 
-impl<K: PKey, I: Index<K>> Inner<K, I> {
-    fn value(&self, cell: u64) -> Option<u64> {
-        match self.index.value(cell) {
-            0 => None,
-            v => Some(v),
-        }
-    }
-}
-
-/// Generic persistent map machinery, wrapped by the concrete named map
-/// types ([`PStringHashMap`] etc., which carry the persistent class names).
+/// A persistent map keyed by `K` whose keys the index `I` looks up. Each
+/// named map ([`PStringHashMap`] etc.) is one `K` and `I`, with a
+/// persistent class name of its own.
 ///
-/// The DRAM state — index, proxy cache — changes with the media state it
-/// describes. Inside a failure-atomic block the media change is staged, so
-/// each DRAM change registers its inverse with
+/// The DRAM state — cells, index, proxy cache — changes with the media
+/// state it describes. Inside a failure-atomic block the media change is
+/// staged, so each DRAM change registers its inverse with
 /// [`jnvm::JnvmRuntime::on_abort`]: an aborted block leaves the map as
 /// the block found it. Two staged blocks that change one map must abort
 /// newest first, so a group should hold at most one of them (the
@@ -792,25 +719,56 @@ const OFF_ARRAY: u64 = 0;
 const INITIAL_CAPACITY: u64 = 64;
 
 impl<K: PKey, I: Index<K>> PMapCore<K, I> {
-    /// Allocate a fresh persistent map with the concrete class id
-    /// `master_class_id`.
-    pub fn create(rt: &Jnvm, master_class_id: u16, mode: CacheMode) -> Result<Self, JnvmError> {
+    /// Create an empty map (Base caching mode).
+    pub fn new(rt: &Jnvm) -> Result<Self, JnvmError>
+    where
+        Self: PObject,
+    {
+        Self::with_mode(rt, CacheMode::Base)
+    }
+
+    /// Create an empty map with an explicit caching mode.
+    pub fn with_mode(rt: &Jnvm, mode: CacheMode) -> Result<Self, JnvmError>
+    where
+        Self: PObject,
+    {
+        Self::create(rt, rt.registry().id_of::<Self>()?, mode)
+    }
+
+    /// Allocate a fresh persistent map with the class id `class_id`.
+    fn create(rt: &Jnvm, class_id: u16, mode: CacheMode) -> Result<Self, JnvmError> {
         let array = PRefArray::new(rt, INITIAL_CAPACITY)?;
-        let master = Proxy::try_alloc(rt, master_class_id, 8)?;
+        let master = Proxy::try_alloc(rt, class_id, 8)?;
         master.write_ref(OFF_ARRAY, Some(array.addr()));
         master.pwb();
         master.validate();
         rt.pfence();
-        let inner = Inner {
+        let built = Cells::build(INITIAL_CAPACITY, |_| None);
+        Ok(PMapCore::from_parts(
+            rt,
+            master,
+            mode,
             array,
-            index: I::build(INITIAL_CAPACITY, |_| None),
-            cache: HashMap::new(),
-            _k: PhantomData,
-        };
-        Ok(PMapCore::from_inner(rt, master, mode, inner))
+            built,
+            HashMap::new(),
+        ))
     }
 
-    fn from_inner(rt: &Jnvm, master: Proxy, mode: CacheMode, inner: Inner<K, I>) -> Self {
+    fn from_parts(
+        rt: &Jnvm,
+        master: Proxy,
+        mode: CacheMode,
+        array: PRefArray,
+        (cells, index): (Cells, I),
+        cache: HashMap<u32, Proxy>,
+    ) -> Self {
+        let inner = Inner {
+            array,
+            cells,
+            index,
+            cache,
+            _k: PhantomData,
+        };
         PMapCore {
             rt: rt.clone(),
             master,
@@ -819,31 +777,26 @@ impl<K: PKey, I: Index<K>> PMapCore<K, I> {
         }
     }
 
-    /// Resurrect an existing map: rebuild the volatile index (and, in
-    /// [`CacheMode::Eager`], the proxy cache) from the entries a scan of
-    /// the persistent array reads (§4.3.2). Recovery has run: a value
-    /// reference its GC nullified reads 0 here.
-    pub fn resurrect(rt: &Jnvm, addr: u64, mode: CacheMode) -> Self {
+    /// Resurrect the map at `addr` with an explicit caching mode (the
+    /// plain [`PObject::resurrect`] uses Base): rebuild the volatile state
+    /// (and, in [`CacheMode::Eager`], the proxy cache) from the entries a
+    /// scan of the persistent array reads (§4.3.2). Recovery has run: a
+    /// value reference its GC nullified reads 0 here.
+    pub fn open_with_mode(rt: &Jnvm, addr: u64, mode: CacheMode) -> Self {
         let master = Proxy::open(rt, addr);
         let arr_addr = master.read_ref(OFF_ARRAY).expect("map always has storage");
         let array = PRefArray::resurrect(rt, arr_addr);
         let mut cache = HashMap::new();
-        let index = I::build(array.len(), |cell| {
+        let built = Cells::build(array.len(), |cell| {
             let e = Proxy::open(rt, array.get_ref(cell)?);
             let key = K::read_key(&e, MapEntry::<K>::KEY_OFF);
             let value = e.read_ref(MapEntry::<K>::VALUE_OFF).unwrap_or(0);
             if value != 0 && mode == CacheMode::Eager {
-                cache.insert(cell, Proxy::open(rt, value & REF_ADDR_MASK));
+                cache.insert(cell as u32, Proxy::open(rt, value & REF_ADDR_MASK));
             }
             Some((key, value))
         });
-        let inner = Inner {
-            array,
-            index,
-            cache,
-            _k: PhantomData,
-        };
-        PMapCore::from_inner(rt, master, mode, inner)
+        PMapCore::from_parts(rt, master, mode, array, built, cache)
     }
 
     /// The map's persistent address.
@@ -859,11 +812,6 @@ impl<K: PKey, I: Index<K>> PMapCore<K, I> {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The caching mode.
-    pub fn mode(&self) -> CacheMode {
-        self.mode
     }
 
     /// Inside a failure-atomic block, have an abort of the block run `undo`
@@ -887,25 +835,28 @@ impl<K: PKey, I: Index<K>> PMapCore<K, I> {
 
     /// The entry cell `cell` references: the one device read of a
     /// replace or a remove.
-    fn entry_at(&self, cell: u64, array: &PRefArray) -> Proxy {
-        let addr = array.get_ref(cell).expect("index cell holds an entry");
+    fn entry_at(&self, cell: u32, array: &PRefArray) -> Proxy {
+        let addr = array
+            .get_ref(u64::from(cell))
+            .expect("index cell holds an entry");
         Proxy::open(&self.rt, addr)
     }
 
     /// Double the cell array in place ([`PRefArray::grow`]): the index
     /// hashes or orders keys, so no cell moves and the master's reference
-    /// never changes. An abort puts back the DRAM length and the index's
+    /// never changes. Returns the first new cell, the free cell the next
+    /// insert takes. An abort puts back the DRAM length and the free
     /// cells; the blocks the growth linked stay in the chain for the next
     /// one.
-    fn grow(&self, inner: &mut Inner<K, I>) -> Result<(), JnvmError> {
+    fn grow(&self, inner: &mut Inner<K, I>) -> Result<u32, JnvmError> {
         let old_cap = inner.array.len();
         inner.array.grow(old_cap * 2)?;
-        inner.index.grow(old_cap * 2);
+        inner.cells.grow(old_cap * 2);
         self.on_abort(move |inner| {
             inner.array.len = old_cap;
-            inner.index.shrink(old_cap);
+            inner.cells.shrink(old_cap);
         });
-        Ok(())
+        Ok(old_cap as u32)
     }
 
     /// Insert or update: associate `key` with the persistent object
@@ -914,72 +865,79 @@ impl<K: PKey, I: Index<K>> PMapCore<K, I> {
     /// deletion is explicit in J-NVM).
     pub fn put(&self, key: K, value: u64) -> Result<Option<u64>, JnvmError> {
         let mut inner = self.inner.lock();
-        if let Some(cell) = inner.index.get(key.query()) {
-            let e = self.entry_at(cell, &inner.array);
-            // Atomic update: validate new value, fence, store, flush.
-            self.rt.set_valid_addr(value & REF_ADDR_MASK, true);
-            self.rt.pfence();
-            e.write_ref(MapEntry::<K>::VALUE_OFF, Some(value));
-            let old = inner.index.set_value(cell, value);
-            e.pwb_field(MapEntry::<K>::VALUE_OFF, 8);
-            self.rt.pfence();
-            e.ordering_point("pmap-publish", MapEntry::<K>::VALUE_OFF, 8);
-            if self.mode != CacheMode::Base {
-                inner
-                    .cache
-                    .insert(cell, Proxy::open(&self.rt, value & REF_ADDR_MASK));
-            }
-            self.on_abort(move |inner| {
-                inner.index.set_value(cell, old);
-                inner.cache.remove(&cell);
-            });
-            return Ok((old != 0).then_some(old));
-        }
-        if inner.index.free_cell().is_none() {
-            self.grow(&mut inner)?;
-        }
-        let e = self.new_entry(&key)?;
-        e.write_ref(MapEntry::<K>::VALUE_OFF, Some(value));
-        e.pwb();
+        let Some(cell) = inner.index.get(&inner.cells, key.query()) else {
+            self.put_new(&mut inner, key, Some(value))?;
+            return Ok(None);
+        };
+        let e = self.entry_at(cell, &inner.array);
+        // Atomic update: validate new value, fence, store, flush.
         self.rt.set_valid_addr(value & REF_ADDR_MASK, true);
-        e.validate();
         self.rt.pfence();
-        self.publish(&mut inner, key, e, value);
-        Ok(None)
-    }
-
-    /// Publish the fresh, validated entry `e` of `key` → `value` in a free
-    /// cell: one write, fenced.
-    fn publish(&self, inner: &mut Inner<K, I>, key: K, e: Proxy, value: u64) {
-        let cell = inner
-            .index
-            .free_cell()
-            .expect("grow guarantees a free cell");
-        inner.array.set_ref(cell, Some(e.addr()));
-        inner.array.pwb_cell(cell);
+        e.write_ref(MapEntry::<K>::VALUE_OFF, Some(value));
+        let old = inner.cells.set_value(cell, value);
+        e.pwb_field(MapEntry::<K>::VALUE_OFF, 8);
         self.rt.pfence();
-        inner
-            .array
-            .proxy()
-            .ordering_point("pmap-publish", 8 + cell * 8, 8);
+        e.ordering_point("pmap-publish", MapEntry::<K>::VALUE_OFF, 8);
         if self.mode != CacheMode::Base {
             inner
                 .cache
                 .insert(cell, Proxy::open(&self.rt, value & REF_ADDR_MASK));
         }
-        let displaced = inner.index.insert(key, cell, value);
-        debug_assert!(displaced.is_none(), "a published key is new");
         self.on_abort(move |inner| {
-            inner.index.remove_cell(cell);
+            inner.cells.set_value(cell, old);
             inner.cache.remove(&cell);
         });
+        Ok((old != 0).then_some(old))
+    }
+
+    /// Publish a fresh entry of the new key `key` in a free cell, growing
+    /// the array when none is: the entry's value reference is `value`, or
+    /// the entry itself for a set's. One reference write, fenced.
+    fn put_new(
+        &self,
+        inner: &mut Inner<K, I>,
+        key: K,
+        value: Option<u64>,
+    ) -> Result<(), JnvmError> {
+        let cell = match inner.cells.free_cell() {
+            Some(cell) => cell,
+            None => self.grow(inner)?,
+        };
+        let e = self.new_entry(&key)?;
+        let reference = value.unwrap_or(e.addr());
+        e.write_ref(MapEntry::<K>::VALUE_OFF, Some(reference));
+        e.pwb();
+        if let Some(v) = value {
+            self.rt.set_valid_addr(v & REF_ADDR_MASK, true);
+        }
+        e.validate();
+        self.rt.pfence();
+        inner.array.set_ref(u64::from(cell), Some(e.addr()));
+        inner.array.pwb_cell(u64::from(cell));
+        self.rt.pfence();
+        inner
+            .array
+            .proxy()
+            .ordering_point("pmap-publish", 8 + u64::from(cell) * 8, 8);
+        if self.mode != CacheMode::Base {
+            inner
+                .cache
+                .insert(cell, Proxy::open(&self.rt, reference & REF_ADDR_MASK));
+        }
+        let displaced = inner.cells.insert(&mut inner.index, key, cell, reference);
+        debug_assert!(displaced.is_none(), "a published key is new");
+        self.on_abort(move |inner| {
+            inner.cells.remove_cell(&mut inner.index, cell);
+            inner.cache.remove(&cell);
+        });
+        Ok(())
     }
 
     /// The value reference associated with `key`, tag and all: from DRAM,
     /// no device read.
     pub fn get(&self, key: &K::Query) -> Option<u64> {
         let inner = self.inner.lock();
-        inner.value(inner.index.get(key)?)
+        inner.cells.value(inner.index.get(&inner.cells, key)?)
     }
 
     /// Value proxy for `key`, honouring the caching mode: `Base`
@@ -987,13 +945,13 @@ impl<K: PKey, I: Index<K>> PMapCore<K, I> {
     /// `Eager` normally hits the resurrection-time cache.
     pub fn get_value(&self, key: &K::Query) -> Option<Proxy> {
         let mut inner = self.inner.lock();
-        let cell = inner.index.get(key)?;
+        let cell = inner.index.get(&inner.cells, key)?;
         if self.mode != CacheMode::Base {
             if let Some(p) = inner.cache.get(&cell) {
                 return Some(p.clone());
             }
         }
-        let value = Proxy::open(&self.rt, inner.value(cell)? & REF_ADDR_MASK);
+        let value = Proxy::open(&self.rt, inner.cells.value(cell)? & REF_ADDR_MASK);
         if self.mode != CacheMode::Base {
             inner.cache.insert(cell, value.clone());
         }
@@ -1002,25 +960,27 @@ impl<K: PKey, I: Index<K>> PMapCore<K, I> {
 
     /// Whether `key` is present.
     pub fn contains(&self, key: &K::Query) -> bool {
-        self.inner.lock().index.get(key).is_some()
+        let inner = self.inner.lock();
+        inner.index.get(&inner.cells, key).is_some()
     }
 
     /// Remove `key`. Returns the value reference (ownership passes to the
     /// caller); the entry, which holds the key, is freed.
     pub fn remove(&self, key: &K::Query) -> Option<u64> {
-        let mut inner = self.inner.lock();
-        let (cell, value) = inner.index.remove(key)?;
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let (cell, value) = inner.cells.remove(&mut inner.index, key)?;
         let e = self.entry_at(cell, &inner.array);
         // One write unpublishes the entry; fence before reclaiming.
-        inner.array.set_ref(cell, None);
-        inner.array.pwb_cell(cell);
+        inner.array.set_ref(u64::from(cell), None);
+        inner.array.pwb_cell(u64::from(cell));
         self.rt.pfence();
         self.rt.free_addr(e.addr());
         inner.cache.remove(&cell);
         if self.rt.in_fa() {
             let key = key.to_owned();
             self.on_abort(move |inner| {
-                inner.index.insert(key, cell, value);
+                inner.cells.insert(&mut inner.index, key, cell, value);
             });
         }
         (value != 0).then_some(value)
@@ -1029,8 +989,8 @@ impl<K: PKey, I: Index<K>> PMapCore<K, I> {
     /// Iterate `(key, value reference)` in index order.
     pub fn for_each(&self, mut f: impl FnMut(&K::Query, u64)) {
         let inner = self.inner.lock();
-        inner.index.for_each(&mut |k, cell| {
-            if let Some(v) = inner.value(cell) {
+        inner.index.for_each(&inner.cells, &mut |k, cell| {
+            if let Some(v) = inner.cells.value(cell) {
                 f(k, v);
             }
         });
@@ -1040,7 +1000,7 @@ impl<K: PKey, I: Index<K>> PMapCore<K, I> {
     pub fn keys(&self, limit: usize) -> Vec<K> {
         let inner = self.inner.lock();
         let mut out = Vec::new();
-        inner.index.for_each(&mut |k, _| {
+        inner.index.for_each(&inner.cells, &mut |k, _| {
             if out.len() < limit {
                 out.push(k.to_owned());
             }
@@ -1053,106 +1013,22 @@ impl<K: PKey, I: Index<K>> PMapCore<K, I> {
     /// Returns true if the key was newly inserted.
     pub fn insert_self(&self, key: K) -> Result<bool, JnvmError> {
         let mut inner = self.inner.lock();
-        if inner.index.get(key.query()).is_some() {
+        if inner.index.get(&inner.cells, key.query()).is_some() {
             return Ok(false);
         }
-        if inner.index.free_cell().is_none() {
-            self.grow(&mut inner)?;
-        }
-        let e = self.new_entry(&key)?;
-        e.write_ref(MapEntry::<K>::VALUE_OFF, Some(e.addr()));
-        e.pwb();
-        e.validate();
-        self.rt.pfence();
-        let value = e.addr();
-        self.publish(&mut inner, key, e, value);
+        self.put_new(&mut inner, key, None)?;
         Ok(true)
     }
 }
 
 // ----------------------------------------------------------------------
-// Concrete named maps (each a persistent class of its own).
+// Named maps and sets (each a persistent class of its own).
 // ----------------------------------------------------------------------
 
-macro_rules! define_pmap {
-    ($(#[$meta:meta])* $name:ident, $key:ty, $index:ty, $class:literal) => {
+macro_rules! define_pmaps {
+    ($($(#[$meta:meta])* $name:ident = $key:ty, $index:ty, $class:literal;)*) => {$(
         $(#[$meta])*
-        pub struct $name {
-            core: PMapCore<$key, $index>,
-        }
-
-        impl $name {
-            /// Create an empty map (Base caching mode).
-            pub fn new(rt: &Jnvm) -> Result<$name, JnvmError> {
-                Self::with_mode(rt, CacheMode::Base)
-            }
-
-            /// Create an empty map with an explicit caching mode.
-            pub fn with_mode(rt: &Jnvm, mode: CacheMode) -> Result<$name, JnvmError> {
-                let id = rt.registry().id_of::<$name>()?;
-                Ok($name {
-                    core: PMapCore::create(rt, id, mode)?,
-                })
-            }
-
-            /// Resurrect with an explicit caching mode (the plain
-            /// [`jnvm::PObject::resurrect`] uses Base).
-            pub fn open_with_mode(rt: &Jnvm, addr: u64, mode: CacheMode) -> $name {
-                $name {
-                    core: PMapCore::resurrect(rt, addr, mode),
-                }
-            }
-
-            /// The generic map core.
-            pub fn core(&self) -> &PMapCore<$key, $index> {
-                &self.core
-            }
-
-            /// See [`PMapCore::put`].
-            pub fn put(&self, key: $key, value: u64) -> Result<Option<u64>, JnvmError> {
-                self.core.put(key, value)
-            }
-
-            /// See [`PMapCore::get`].
-            pub fn get(&self, key: &<$key as PKey>::Query) -> Option<u64> {
-                self.core.get(key)
-            }
-
-            /// See [`PMapCore::get_value`].
-            pub fn get_value(&self, key: &<$key as PKey>::Query) -> Option<Proxy> {
-                self.core.get_value(key)
-            }
-
-            /// See [`PMapCore::remove`].
-            pub fn remove(&self, key: &<$key as PKey>::Query) -> Option<u64> {
-                self.core.remove(key)
-            }
-
-            /// See [`PMapCore::contains`].
-            pub fn contains(&self, key: &<$key as PKey>::Query) -> bool {
-                self.core.contains(key)
-            }
-
-            /// Number of keys.
-            pub fn len(&self) -> usize {
-                self.core.len()
-            }
-
-            /// True when empty.
-            pub fn is_empty(&self) -> bool {
-                self.core.is_empty()
-            }
-
-            /// See [`PMapCore::for_each`].
-            pub fn for_each(&self, f: impl FnMut(&<$key as PKey>::Query, u64)) {
-                self.core.for_each(f)
-            }
-
-            /// See [`PMapCore::keys`].
-            pub fn keys(&self, limit: usize) -> Vec<$key> {
-                self.core.keys(limit)
-            }
-        }
+        pub type $name = PMapCore<$key, $index>;
 
         impl PObject for $name {
             const CLASS_NAME: &'static str = $class;
@@ -1163,146 +1039,95 @@ macro_rules! define_pmap {
             }
 
             fn addr(&self) -> u64 {
-                self.core.addr()
+                self.master.addr()
             }
         }
-    };
+    )*};
 }
 
-define_pmap!(
+define_pmaps! {
     /// Persistent hash map keyed by strings (the drop-in for
     /// `java.util.HashMap` in Figure 12).
-    PStringHashMap,
-    String,
-    HashIndex<String>,
-    "jnvm_jpdt.PStringHashMap"
-);
-
-define_pmap!(
-    /// Persistent ordered map keyed by strings (red-black mirror, the
+    PStringHashMap = String, HashIndex<String>, "jnvm_jpdt.PStringHashMap";
+    /// Persistent ordered map keyed by strings (red-black index, the
     /// `java.util.TreeMap` drop-in).
-    PStringTreeMap,
-    String,
-    Ordered<String, TreeMirror<String>>,
-    "jnvm_jpdt.PStringTreeMap"
-);
-
-define_pmap!(
+    PStringTreeMap = String, BTreeMap<String, u32>, "jnvm_jpdt.PStringTreeMap";
     /// Persistent skip-list map keyed by strings (the
     /// `ConcurrentSkipListMap` drop-in).
-    PStringSkipMap,
-    String,
-    Ordered<String, SkipMirror<String>>,
-    "jnvm_jpdt.PStringSkipMap"
-);
-
-define_pmap!(
+    PStringSkipMap = String, SkipListMap<String, u32>, "jnvm_jpdt.PStringSkipMap";
     /// Persistent hash map keyed by `i64`.
-    PI64HashMap,
-    i64,
-    HashIndex<i64>,
-    "jnvm_jpdt.PI64HashMap"
-);
-
-define_pmap!(
+    PI64HashMap = i64, HashIndex<i64>, "jnvm_jpdt.PI64HashMap";
     /// Persistent ordered map keyed by `i64`.
-    PI64TreeMap,
-    i64,
-    Ordered<i64, TreeMirror<i64>>,
-    "jnvm_jpdt.PI64TreeMap"
-);
-
-define_pmap!(
+    PI64TreeMap = i64, BTreeMap<i64, u32>, "jnvm_jpdt.PI64TreeMap";
     /// Persistent skip-list map keyed by `i64`.
-    PI64SkipMap,
-    i64,
-    Ordered<i64, SkipMirror<i64>>,
-    "jnvm_jpdt.PI64SkipMap"
-);
-
-// ----------------------------------------------------------------------
-// Sets.
-// ----------------------------------------------------------------------
-
-macro_rules! define_pset {
-    ($(#[$meta:meta])* $name:ident, $key:ty, $map:ident, $class:literal) => {
-        $(#[$meta])*
-        pub struct $name {
-            core: PMapCore<$key, HashIndex<$key>>,
-        }
-
-        impl $name {
-            /// Create an empty set.
-            pub fn new(rt: &Jnvm) -> Result<$name, JnvmError> {
-                let id = rt.registry().id_of::<$name>()?;
-                Ok($name {
-                    core: PMapCore::create(rt, id, CacheMode::Base)?,
-                })
-            }
-
-            /// Insert `key`; returns true if newly inserted.
-            pub fn insert(&self, key: $key) -> Result<bool, JnvmError> {
-                self.core.insert_self(key)
-            }
-
-            /// Whether `key` is present.
-            pub fn contains(&self, key: &<$key as PKey>::Query) -> bool {
-                self.core.contains(key)
-            }
-
-            /// Remove `key`; returns true if it was present.
-            pub fn remove(&self, key: &<$key as PKey>::Query) -> bool {
-                self.core.remove(key).is_some()
-            }
-
-            /// Number of keys.
-            pub fn len(&self) -> usize {
-                self.core.len()
-            }
-
-            /// True when empty.
-            pub fn is_empty(&self) -> bool {
-                self.core.is_empty()
-            }
-
-            /// Keys (up to `limit`).
-            pub fn keys(&self, limit: usize) -> Vec<$key> {
-                self.core.keys(limit)
-            }
-        }
-
-        impl PObject for $name {
-            const CLASS_NAME: &'static str = $class;
-            const REF_OFFSETS: &'static [u64] = &[0];
-
-            fn resurrect(rt: &Jnvm, addr: u64) -> Self {
-                $name {
-                    core: PMapCore::resurrect(rt, addr, CacheMode::Base),
-                }
-            }
-
-            fn addr(&self) -> u64 {
-                self.core.addr()
-            }
-        }
-    };
+    PI64SkipMap = i64, SkipListMap<i64, u32>, "jnvm_jpdt.PI64SkipMap";
 }
 
-define_pset!(
-    /// Persistent set of strings.
-    PStringSet,
-    String,
-    PStringHashMap,
-    "jnvm_jpdt.PStringSet"
-);
+/// A persistent set: a hash map that associates each key with its entry
+/// ("a persistent map that associates each key with itself", §4.3.2),
+/// under a class of its own and with a set's narrower API.
+pub struct PSet<K: PKey> {
+    core: PMapCore<K, HashIndex<K>>,
+}
 
-define_pset!(
-    /// Persistent set of `i64`.
-    PI64Set,
-    i64,
-    PI64HashMap,
-    "jnvm_jpdt.PI64Set"
-);
+/// Persistent set of strings.
+pub type PStringSet = PSet<String>;
+
+/// Persistent set of `i64`.
+pub type PI64Set = PSet<i64>;
+
+impl<K: PKey> PSet<K> {
+    /// Create an empty set.
+    pub fn new(rt: &Jnvm) -> Result<Self, JnvmError> {
+        let core = PMapCore::create(rt, rt.registry().id_of::<Self>()?, CacheMode::Base)?;
+        Ok(PSet { core })
+    }
+
+    /// Insert `key`; returns true if newly inserted.
+    pub fn insert(&self, key: K) -> Result<bool, JnvmError> {
+        self.core.insert_self(key)
+    }
+
+    /// Whether `key` is present.
+    pub fn contains(&self, key: &K::Query) -> bool {
+        self.core.contains(key)
+    }
+
+    /// Remove `key`; returns true if it was present.
+    pub fn remove(&self, key: &K::Query) -> bool {
+        self.core.remove(key).is_some()
+    }
+
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.core.len()
+    }
+
+    /// True when empty.
+    pub fn is_empty(&self) -> bool {
+        self.core.is_empty()
+    }
+
+    /// Keys (up to `limit`).
+    pub fn keys(&self, limit: usize) -> Vec<K> {
+        self.core.keys(limit)
+    }
+}
+
+impl<K: PKey> PObject for PSet<K> {
+    const CLASS_NAME: &'static str = K::SET_CLASS_NAME;
+    const REF_OFFSETS: &'static [u64] = &[0];
+
+    fn resurrect(rt: &Jnvm, addr: u64) -> Self {
+        PSet {
+            core: PMapCore::open_with_mode(rt, addr, CacheMode::Base),
+        }
+    }
+
+    fn addr(&self) -> u64 {
+        self.core.addr()
+    }
+}
 
 #[cfg(test)]
 pub(crate) mod tests {
@@ -1399,7 +1224,7 @@ pub(crate) mod tests {
         let rt = fresh();
         // 63 keys: one free cell left, so the second insert grows the map.
         let m = filled(&rt, 63);
-        let before = dram_view(m.core());
+        let before = dram_view(&m);
         let blocks: [(&str, &dyn Fn()); 4] = [
             ("insert", &|| {
                 m.put("new".into(), blob(&rt, "new")).unwrap();
@@ -1424,8 +1249,8 @@ pub(crate) mod tests {
         ];
         for (what, block) in blocks {
             drop(rt.fa_stage(block));
-            assert_eq!(dram_view(m.core()), before, "{what}, StagedTx dropped");
-            assert_dram_matches_media(m.core());
+            assert_eq!(dram_view(&m), before, "{what}, StagedTx dropped");
+            assert_dram_matches_media(&m);
             let _hush = jnvm_pmem::hush_panics();
             let unwound = catch_unwind(AssertUnwindSafe(|| {
                 rt.fa(|| {
@@ -1434,8 +1259,8 @@ pub(crate) mod tests {
                 })
             }));
             assert!(unwound.is_err());
-            assert_eq!(dram_view(m.core()), before, "{what}, closure unwound");
-            assert_dram_matches_media(m.core());
+            assert_eq!(dram_view(&m), before, "{what}, closure unwound");
+            assert_dram_matches_media(&m);
         }
         // The map still grows, and commits, after all of that.
         rt.fa(|| {
@@ -1443,7 +1268,7 @@ pub(crate) mod tests {
             m.put("newer".into(), blob(&rt, "newer")).unwrap();
         });
         assert_eq!(m.len(), 65);
-        assert_dram_matches_media(m.core());
+        assert_dram_matches_media(&m);
     }
 
     /// Regression: a group commit took its blocks' undo lists out before
@@ -1495,7 +1320,7 @@ pub(crate) mod tests {
         let rt = fresh();
         let m = filled(&rt, 64);
         rt.root_put("map", &m).unwrap();
-        let array = || m.core().inner.lock().array.clone();
+        let array = || m.inner.lock().array.clone();
         let blocks = array().proxy().block_count();
         drop(rt.fa_stage(|| {
             m.put("new".into(), blob(&rt, "new")).unwrap();
@@ -1503,7 +1328,7 @@ pub(crate) mod tests {
         let spare = array();
         assert_eq!(spare.len(), 64, "the aborted growth's length");
         assert!(spare.proxy().block_count() > blocks, "it linked blocks");
-        assert_dram_matches_media(m.core());
+        assert_dram_matches_media(&m);
         let chain = spare.proxy().chain();
         chain.write_bytes(rt.pmem(), 8 + 64 * 8, &[0xAB; 64 * 8]);
         rt.fa(|| {
@@ -1512,16 +1337,19 @@ pub(crate) mod tests {
         let grown = array();
         assert_eq!(grown.len(), 128);
         assert_eq!(grown.proxy().block_count(), spare.proxy().block_count());
-        let used = m.core().inner.lock().index.get("new").unwrap();
+        let used = {
+            let inner = m.inner.lock();
+            u64::from(inner.index.get(&inner.cells, "new").unwrap())
+        };
         assert!((64..128).all(|i| i == used || grown.get_ref(i).is_none()));
-        assert_dram_matches_media(m.core());
+        assert_dram_matches_media(&m);
         let pmem = Arc::clone(rt.pmem());
         let addr = m.addr();
         drop((m, rt));
         pmem.crash(&jnvm_pmem::CrashPolicy::strict()).unwrap();
         let (rt, _) = register_jpdt(JnvmBuilder::new()).open(pmem).unwrap();
         let m = PStringHashMap::open_with_mode(&rt, addr, CacheMode::Cached);
-        assert_eq!((m.len(), m.core().inner.lock().array.len()), (65, 128));
-        assert_dram_matches_media(m.core());
+        assert_eq!((m.len(), m.inner.lock().array.len()), (65, 128));
+        assert_dram_matches_media(&m);
     }
 }

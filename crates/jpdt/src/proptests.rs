@@ -14,9 +14,8 @@ use jnvm_pmem::{CrashPolicy, Pmem, PmemConfig};
 
 use crate::pmap::tests::{assert_dram_matches_media, dram_view};
 use crate::{
-    register_jpdt, CacheMode, HashIndex, Index, Ordered, PBytes, PI64HashMap, PI64SkipMap,
-    PI64TreeMap, PKey, PMapCore, PRefVec, PStringHashMap, PStringSkipMap, PStringTreeMap,
-    SkipMirror, TreeMirror,
+    register_jpdt, CacheMode, Cells, HashIndex, Index, PBytes, PKey, PMapCore, PRefVec,
+    PStringHashMap, SkipListMap,
 };
 
 #[derive(Debug, Clone)]
@@ -216,19 +215,17 @@ fn run_op<K: PKey + Debug, I: Index<K>>(
     assert_eq!(dram_view(map), (model.len(), want));
 }
 
-/// Drive a fresh map of the named class `N` through `steps`: after every
-/// op — direct, or inside a staged block, through the block's overlay —
-/// and after every commit or abort, each DRAM answer equals the media
-/// walk's and the model's; and a resurrection of the map rebuilds the same
-/// answers.
-fn drive_map<N: PObject, K: PKey + Debug, I: Index<K>>(
-    steps: &[Step],
-    mode: CacheMode,
-    key: fn(u16) -> K,
-) {
+/// Drive a fresh map of the named class `PMapCore<K, I>` through `steps`:
+/// after every op — direct, or inside a staged block, through the block's
+/// overlay — and after every commit or abort, each DRAM answer equals the
+/// media walk's and the model's; and a resurrection of the map rebuilds
+/// the same answers.
+fn drive_map<K: PKey + Debug, I: Index<K>>(steps: &[Step], mode: CacheMode, key: fn(u16) -> K)
+where
+    PMapCore<K, I>: PObject,
+{
     let (_pmem, rt) = fresh();
-    let id = rt.registry().id_of::<N>().unwrap();
-    let map = PMapCore::<K, I>::create(&rt, id, mode).unwrap();
+    let map = PMapCore::<K, I>::with_mode(&rt, mode).unwrap();
     let mut model = BTreeMap::new();
     for step in steps {
         match step {
@@ -252,7 +249,7 @@ fn drive_map<N: PObject, K: PKey + Debug, I: Index<K>>(
             }
         }
     }
-    let reopened = PMapCore::<K, I>::resurrect(&rt, map.addr(), mode);
+    let reopened = PMapCore::<K, I>::open_with_mode(&rt, map.addr(), mode);
     assert_eq!(dram_view(&reopened), dram_view(&map), "resurrected");
     assert_dram_matches_media(&reopened);
 }
@@ -267,16 +264,12 @@ fn i64_key(n: u16) -> i64 {
 
 /// Every named map type.
 fn drive_every_map(steps: &[Step], mode: CacheMode) {
-    drive_map::<PStringHashMap, String, HashIndex<String>>(steps, mode, string_key);
-    drive_map::<PStringTreeMap, String, Ordered<String, TreeMirror<String>>>(
-        steps, mode, string_key,
-    );
-    drive_map::<PStringSkipMap, String, Ordered<String, SkipMirror<String>>>(
-        steps, mode, string_key,
-    );
-    drive_map::<PI64HashMap, i64, HashIndex<i64>>(steps, mode, i64_key);
-    drive_map::<PI64TreeMap, i64, Ordered<i64, TreeMirror<i64>>>(steps, mode, i64_key);
-    drive_map::<PI64SkipMap, i64, Ordered<i64, SkipMirror<i64>>>(steps, mode, i64_key);
+    drive_map::<String, HashIndex<String>>(steps, mode, string_key);
+    drive_map::<String, BTreeMap<String, u32>>(steps, mode, string_key);
+    drive_map::<String, SkipListMap<String, u32>>(steps, mode, string_key);
+    drive_map::<i64, HashIndex<i64>>(steps, mode, i64_key);
+    drive_map::<i64, BTreeMap<i64, u32>>(steps, mode, i64_key);
+    drive_map::<i64, SkipListMap<i64, u32>>(steps, mode, i64_key);
 }
 
 proptest! {
@@ -303,11 +296,11 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// The hash index alone, against `std::collections::HashMap`.
+// The cells and each index, against `std::collections::HashMap`.
 // ----------------------------------------------------------------------
 
-/// One op on a [`HashIndex`] and its model, on key number `k` of
-/// [`index_keys`].
+/// One op on [`Cells`] with an [`Index`] and on their model, on key number
+/// `k` of [`index_keys`].
 #[derive(Debug, Clone)]
 enum IndexOp {
     /// Map `k` to the value in the free cell `nth` from the top of the
@@ -376,50 +369,62 @@ fn index_keys() -> Vec<String> {
 /// cells as a stack whose top is taken next.
 #[derive(Default)]
 struct IndexModel {
-    cells: HashMap<String, u64>,
+    cells: HashMap<String, u32>,
     values: Vec<u64>,
-    free: Vec<u64>,
+    free: Vec<u32>,
 }
 
 impl IndexModel {
-    /// Double the cells of `ix` and of the model.
-    fn grow(&mut self, ix: &mut HashIndex<String, Crowd>) {
-        let cells = self.values.len() as u64;
-        ix.grow(cells * 2);
-        self.free.extend((cells..cells * 2).rev());
-        self.values.resize(cells as usize * 2, 0);
+    /// Double `cells` and the model's cells.
+    fn grow(&mut self, cells: &mut Cells) {
+        let n = self.values.len() as u32;
+        cells.grow(u64::from(n) * 2);
+        self.free.extend((n..n * 2).rev());
+        self.values.resize(n as usize * 2, 0);
     }
 
-    fn release(&mut self, cell: u64) -> (u64, u64) {
+    fn release(&mut self, cell: u32) -> (u32, u64) {
         self.free.push(cell);
         (cell, std::mem::take(&mut self.values[cell as usize]))
     }
 }
 
-/// Every answer of `ix` — length, next free cell, `get` and `value` of
-/// every key, `for_each` — against the model.
-fn assert_index_matches(ix: &HashIndex<String, Crowd>, keys: &[String], model: &IndexModel) {
+/// Every answer of `cells` and `ix` — length, next free cell, `get` and
+/// value of every key, `for_each` — against the model.
+fn assert_index_matches<I: Index<String>>(
+    cells: &Cells,
+    ix: &I,
+    keys: &[String],
+    model: &IndexModel,
+) {
     assert_eq!(ix.len(), model.cells.len(), "len");
-    assert_eq!(ix.free_cell(), model.free.last().copied(), "free cell");
+    assert_eq!(cells.free_cell(), model.free.last().copied(), "free cell");
     for k in keys {
-        let cell = ix.get(k);
+        let cell = ix.get(cells, k);
         assert_eq!(cell, model.cells.get(k).copied(), "get {k:.12}");
         if let Some(c) = cell {
-            assert_eq!(ix.value(c), model.values[c as usize], "value {k:.12}");
+            assert_eq!(
+                cells.value(c),
+                Some(model.values[c as usize]),
+                "value {k:.12}"
+            );
         }
     }
     let mut seen = Vec::new();
-    ix.for_each(&mut |k, c| seen.push((k.to_owned(), c)));
+    ix.for_each(cells, &mut |k, c| seen.push((k.to_owned(), c)));
     seen.sort();
-    let mut want: Vec<(String, u64)> = model.cells.iter().map(|(k, c)| (k.clone(), *c)).collect();
+    let mut want: Vec<(String, u32)> = model.cells.iter().map(|(k, c)| (k.clone(), *c)).collect();
     want.sort();
     assert_eq!(seen, want, "for_each");
 }
 
-fn drive_index(ops: &[IndexOp]) {
+/// Run `ops` on [`Cells`] with the index `I`, then insert and remove every
+/// long key; `slab_len`, for an index with a key slab, reads its length,
+/// and the slab must compact on the way.
+fn drive_index<I: Index<String>>(ops: &[IndexOp], slab_len: Option<fn(&I) -> usize>) {
     let keys = index_keys();
     let key = |k: u8| &keys[k as usize % keys.len()];
-    let mut ix = HashIndex::<String, Crowd>::build(4, |_| None);
+    let (mut cells, mut ix) = Cells::build::<String, I>(4, |_| None);
     let mut model = IndexModel {
         values: vec![0; 4],
         free: (0..4).rev().collect(),
@@ -429,11 +434,11 @@ fn drive_index(ops: &[IndexOp]) {
         match *op {
             IndexOp::Insert(k, value, nth) => {
                 if model.free.is_empty() {
-                    model.grow(&mut ix);
+                    model.grow(&mut cells);
                 }
                 let at = model.free.len() - 1 - nth as usize % model.free.len();
                 let cell = model.free.remove(at);
-                let displaced = ix.insert(key(k).clone(), cell, value);
+                let displaced = cells.insert(&mut ix, key(k).clone(), cell, value);
                 model.values[cell as usize] = value;
                 let old = model.cells.insert(key(k).clone(), cell);
                 if let Some(c) = old {
@@ -443,38 +448,38 @@ fn drive_index(ops: &[IndexOp]) {
             }
             IndexOp::Remove(k) => {
                 let want = model.cells.remove(key(k)).map(|c| model.release(c));
-                assert_eq!(ix.remove(key(k)), want, "{op:?}");
+                assert_eq!(cells.remove(&mut ix, key(k)), want, "{op:?}");
             }
             IndexOp::RemoveCell(k) => {
                 if let Some(cell) = model.cells.remove(key(k)) {
                     model.release(cell);
-                    ix.remove_cell(cell);
+                    cells.remove_cell(&mut ix, cell);
                 }
             }
             IndexOp::SetValue(k, value) => {
                 if let Some(&cell) = model.cells.get(key(k)) {
                     let old = std::mem::replace(&mut model.values[cell as usize], value);
-                    assert_eq!(ix.set_value(cell, value), old, "{op:?}");
+                    assert_eq!(cells.set_value(cell, value), old, "{op:?}");
                 }
             }
             IndexOp::GrowShrink => {
-                let cells = model.values.len() as u64;
-                ix.grow(cells * 2);
-                assert_eq!(ix.free_cell(), Some(cells), "grown");
-                ix.shrink(cells);
+                let n = model.values.len() as u64;
+                cells.grow(n * 2);
+                assert_eq!(cells.free_cell(), Some(n as u32), "grown");
+                cells.shrink(n);
             }
         }
-        assert_index_matches(&ix, &keys, &model);
+        assert_index_matches(&cells, &ix, &keys, &model);
     }
     // Insert every long key, then remove them: over 1 KiB of garbage,
-    // most of the slab, so it compacts (and shrinks) on the way.
+    // most of a slab, so it compacts (and shrinks) on the way.
     for k in &keys[34..38] {
         if !model.cells.contains_key(k) {
             if model.free.is_empty() {
-                model.grow(&mut ix);
+                model.grow(&mut cells);
             }
             let cell = model.free.pop().unwrap();
-            ix.insert(k.clone(), cell, 1);
+            cells.insert(&mut ix, k.clone(), cell, 1);
             model.values[cell as usize] = 1;
             model.cells.insert(k.clone(), cell);
         }
@@ -482,23 +487,26 @@ fn drive_index(ops: &[IndexOp]) {
     let mut compacted = false;
     for k in &keys[34..38] {
         let cell = model.cells.remove(k).unwrap();
-        let before = ix.slab_len();
-        assert_eq!(ix.remove(k), Some(model.release(cell)));
-        compacted |= ix.slab_len() < before;
-        assert_index_matches(&ix, &keys, &model);
+        let before = slab_len.map(|len| len(&ix));
+        assert_eq!(cells.remove(&mut ix, k), Some(model.release(cell)));
+        compacted |= slab_len.map(|len| len(&ix)) < before;
+        assert_index_matches(&cells, &ix, &keys, &model);
     }
-    assert!(compacted, "the slab compacted");
+    assert_eq!(compacted, slab_len.is_some(), "the slab compacted");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The hash index agrees with a `HashMap` model on inserts (into the
-    /// free list's head or deeper), replaces, removes by key and by cell,
-    /// value updates and undone growths, over keys whose hashes crowd a
-    /// small table and share tags; and its slab compacts.
+    /// The cells with each index agree with a `HashMap` model on inserts
+    /// (into the free list's head or deeper), replaces, removes by key and
+    /// by cell, value updates and undone growths; the hash index over keys
+    /// whose hashes crowd a small table and share tags, and its slab
+    /// compacts.
     #[test]
-    fn hash_index_matches_a_hashmap(ops in index_ops()) {
-        drive_index(&ops);
+    fn every_index_matches_a_hashmap(ops in index_ops()) {
+        drive_index::<HashIndex<String, Crowd>>(&ops, Some(HashIndex::slab_len));
+        drive_index::<BTreeMap<String, u32>>(&ops, None);
+        drive_index::<SkipListMap<String, u32>>(&ops, None);
     }
 }

@@ -1,6 +1,6 @@
 //! A volatile skip-list map.
 //!
-//! Used (a) as the mirror of the persistent skip-list map and (b) as the
+//! Used (a) as the key index of the persistent skip-list map and (b) as the
 //! volatile `ConcurrentSkipListMap` stand-in of Figure 12. Arena-based
 //! (indices instead of pointers) so it stays entirely in safe Rust.
 

@@ -134,14 +134,6 @@ impl NullFsBackend {
             costs: CostModel::default_model(),
         }
     }
-
-    /// Create with an explicit cost model.
-    pub fn with_costs(costs: CostModel) -> NullFsBackend {
-        NullFsBackend {
-            count: Default::default(),
-            costs,
-        }
-    }
 }
 
 impl Backend for NullFsBackend {

@@ -32,7 +32,7 @@ pub struct Record {
 ///
 /// Each value sits behind its `u32` length word, back to back, so finding
 /// field `i` walks `i` length words. Names are not stored while every one
-/// is its position's [`ycsb_field_name`]; from the first other name on,
+/// is its position's `ycsb_field_name`; from the first other name on,
 /// `names` holds every field's name in the same framing. That keeps one
 /// representation per content, so equality is the buffers'.
 #[derive(Clone, Default, PartialEq, Eq)]

@@ -11,7 +11,7 @@
 //!    client thread (each client owns its event vector; the only shared
 //!    state is one atomic counter whose `fetch_add` stamps define a total
 //!    order consistent with real time).
-//! 2. **Checking** ([`check`]): a Wing–Gong linearizability search with
+//! 2. **Checking** ([`check()`]): a Wing–Gong linearizability search with
 //!    P-compositionality — the history is partitioned per key and each
 //!    partition is checked independently against the KV sequential
 //!    specification. Single-key operations make a KV history linearizable

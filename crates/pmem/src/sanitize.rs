@@ -104,7 +104,7 @@ impl SanViolationKind {
     }
 }
 
-/// One recorded violation (`Log` mode keeps up to [`MAX_RECORDED`]).
+/// One recorded violation (`Log` mode keeps up to `MAX_RECORDED`).
 #[derive(Debug, Clone)]
 pub struct SanViolation {
     /// What rule the line broke.

@@ -130,7 +130,7 @@ pub struct LoadReport {
     /// The captured op history: one interval-stamped event per sent
     /// request, `Indeterminate` where the reply never arrived. The kill
     /// tortures mark the crash and append post-recovery observations,
-    /// then feed this to [`jnvm_lincheck::check`].
+    /// then feed this to [`jnvm_lincheck::check()`].
     pub history: History,
 }
 

@@ -36,11 +36,6 @@ pub fn record_key(num: u64) -> String {
     format!("user{num:012}")
 }
 
-/// Field name `i` ("field0", "field1"...).
-pub fn field_name(i: usize) -> String {
-    format!("field{i}")
-}
-
 /// Deterministically generate a field value of `len` bytes.
 pub fn field_value(rng: &mut impl rand::RngExt, len: usize) -> Vec<u8> {
     let mut v = vec![0u8; len];
