@@ -127,7 +127,7 @@ impl LogHandle {
         let need = heap.blocks_for(LOG_ENTRIES + words * 8);
         if need > have {
             let tail = heap.block_of_addr(*self.chain.blocks.last().expect("a log has a master"));
-            let added = heap.extend_chain(tail, need - have)?;
+            let added = heap.extend_chain(tail, have == 1, need - have)?;
             self.chain
                 .blocks
                 .extend(added.into_iter().map(|(b, _)| heap.block_addr(b)));
@@ -699,8 +699,17 @@ fn decode_log(
             (KIND_ALLOC, _, Some(class)) => entries.push(Entry::Alloc { addr, class }),
             (KIND_FREE, 0, _) => entries.push(Entry::Free(addr)),
             (KIND_WRITE | KIND_LINK, 1.., _) => {
-                let off = addr - heap.block_addr(heap.block_of_addr(addr));
-                if off < HEADER_BYTES || n * 8 > heap.block_size() - off {
+                // A block's payload follows its header; a span's slots, its
+                // master and meta words.
+                let (base, head_bytes, bytes) = if rt.pools().is_pooled_addr(addr) {
+                    let base = heap.span_addr(heap.span_of_addr(addr));
+                    (base, 2 * HEADER_BYTES, heap.span_bytes())
+                } else {
+                    let base = heap.block_addr(heap.block_of_addr(addr));
+                    (base, HEADER_BYTES, heap.block_size())
+                };
+                let off = addr - base;
+                if off < head_bytes || n * 8 > bytes - off {
                     return corrupt(head, "write range leaves its block's payload");
                 }
                 if let Some(class) = class {
@@ -877,9 +886,8 @@ impl JnvmRuntime {
     /// DRAM: staging touches no log. What it writes to NVMM is the
     /// allocator's: the objects `f` allocates, stored in place with their
     /// write-back left to the commit (but a chain grown inside the block
-    /// writes back its new links), and the pool blocks it carves — a carve
-    /// stores and `pwb`s the pool header, and a carve of a recycled block
-    /// also clears its slots' mini-headers, writes them back and fences.
+    /// writes back its new links), and the spans it carves — a carve stores
+    /// and `pwb`s the span's master and meta words.
     /// Those write-backs sit in the staging thread's queue, and only that
     /// thread's fences order them: hence [`JnvmRuntime::fa_commit_group`]
     /// must run on it.
@@ -1584,7 +1592,7 @@ mod tests {
                 p.write_u64(c.phys(entry(1)), write(0, a[0] + 8));
                 p.write_u64(c.phys(LOG_LEN), 2)
             }),
-            // An ALLOC's high bits are a class id: 0, the pool blocks' 1 and
+            // An ALLOC's high bits are a class id: 0, the spans' 1 and
             // an id nothing was registered under are no object's class.
             ("allocation of an unregistered class", |p, c, a| {
                 p.write_u64(c.phys(entry(0)), a[1] | KIND_ALLOC)

@@ -287,8 +287,9 @@ impl Proxy {
     }
 
     /// Grow the object by `extra_blocks`, appended at the tail of the
-    /// cached block array: one header read, the tail's, and no fence after
-    /// the tail's link (see [`BlockHeap::extend_chain`]) — §4.1.6 relies on
+    /// cached block array: one header read, the tail's, if the object is a
+    /// single block (none past it), and no fence after the tail's link
+    /// (see [`BlockHeap::extend_chain`]) — §4.1.6 relies on
     /// this for extensible arrays. Returns the byte addresses of the added
     /// blocks that came from the bump cursor: they read all zero.
     ///
@@ -304,7 +305,7 @@ impl Proxy {
             return Err(HeapError::ObjectTooLargeForPool(asked).into());
         }
         let tail = heap.block_of_addr(*self.chain.blocks.last().expect("a chain has a master"));
-        let added = heap.extend_chain(tail, extra_blocks)?;
+        let added = heap.extend_chain(tail, self.chain.blocks.len() == 1, extra_blocks)?;
         let addrs: Vec<u64> = added.iter().map(|&(b, _)| heap.block_addr(b)).collect();
         fa::note_extend(self.addr(), &addrs);
         self.chain.blocks.extend(addrs);

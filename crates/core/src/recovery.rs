@@ -44,9 +44,10 @@
 //!    and `recover`-hooked by exactly one worker; every reference slot is
 //!    yielded by exactly one parent's single trace, hence nullifications
 //!    never race.
-//! 3. **Sweep** — pool-slot and free-queue rebuilds partition the block
-//!    range per worker (see the `jnvm-heap` crate), reading liveness from
-//!    the two bitmaps.
+//! 3. **Sweep** — the pool rebuild partitions the span region per worker,
+//!    span by span, and the free-queue rebuild the chain blocks below it
+//!    (see the `jnvm-heap` crate), reading liveness from the slot and the
+//!    block bitmap respectively.
 //!
 //! Every worker that writes ends with a `pfence` of its own persistence
 //! domain; the caller closes recovery with `psync`.
@@ -54,7 +55,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use jnvm_heap::{LiveBitmap, CLASS_ID_POOL, REF_ADDR_MASK};
+use jnvm_heap::{LiveBitmap, REF_ADDR_MASK};
 use parking_lot::Mutex;
 
 use crate::error::JnvmError;
@@ -120,7 +121,8 @@ pub struct RecoveryReport {
     /// Live objects: the pool slots marked live plus the masters kept
     /// (visited in Full mode, valid in HeaderScan).
     pub live_objects: u64,
-    /// Blocks found live.
+    /// Blocks found live: the chain blocks and the blocks of every span
+    /// holding a live slot.
     pub live_blocks: u64,
     /// Blocks reclaimed into the free queue.
     pub freed_blocks: u64,
@@ -130,8 +132,8 @@ pub struct RecoveryReport {
     /// Device reads of the mark/traversal phase (the header passes in
     /// HeaderScan): a delta of the device's read count, so it counts any
     /// other traffic on the device while recovery runs. Exact at one
-    /// thread; more workers may each read a pool block's meta word when
-    /// they first touch the block at once.
+    /// thread; more workers may each read a span's meta word when they
+    /// first touch the span at once.
     pub mark_reads: u64,
     /// Device reads of log replay, counted as [`RecoveryReport::mark_reads`].
     pub replay_reads: u64,
@@ -205,9 +207,10 @@ pub(crate) fn run(rt: &Jnvm, opts: RecoveryOptions) -> Result<RecoveryReport, Jn
 
 /// The class id of the object the reference `addr` (a masked reference
 /// word) names, if it is a valid one: a valid master block of the data
-/// area, or a valid slot of a pool block. Anything else — past the device,
-/// inside a chain block, off a slot boundary — is dangling (`None`), and
-/// its reference is nullified. One header read.
+/// area below the span region, at its first byte, or a valid slot of a
+/// span. Anything else — past the device, inside a chain block, off a slot
+/// boundary — is dangling (`None`), and its reference is nullified. One
+/// header read.
 fn valid_class(rt: &Jnvm, addr: u64) -> Option<u16> {
     let pools = rt.pools();
     if pools.is_pooled_addr(addr) {
@@ -219,7 +222,7 @@ fn valid_class(rt: &Jnvm, addr: u64) -> Option<u16> {
     } else {
         let heap = rt.heap();
         let idx = heap.block_of_addr(addr);
-        if idx < heap.data_start() || idx >= heap.nblocks() {
+        if addr != heap.block_addr(idx) || idx < heap.data_start() || idx >= heap.nblocks() {
             return None;
         }
         let head = heap.read_header(idx);
@@ -256,9 +259,9 @@ struct MarkShared<'a> {
 }
 
 impl MarkShared<'_> {
-    /// Mark the object at `addr` live: a pooled one's slot bit, then its
-    /// block's bit; a master's bit, then its chain's. `false` if another
-    /// visit claimed it first.
+    /// Mark the object at `addr` live: a pooled one's slot bit (its span
+    /// is live while one of its bits is); a master's bit, then its chain's.
+    /// `false` if another visit claimed it first.
     fn claim(&self, addr: u64) -> bool {
         let heap = self.rt.heap();
         let pools = self.rt.pools();
@@ -267,7 +270,6 @@ impl MarkShared<'_> {
             if !self.slot_bitmap.mark(bit) {
                 return false;
             }
-            self.bitmap.mark(heap.block_of_addr(addr));
         } else {
             let idx = heap.block_of_addr(addr);
             if !self.bitmap.mark(idx) {
@@ -506,23 +508,26 @@ fn header_scan(rt: &Jnvm, threads: usize, report: &mut RecoveryReport) {
     let bitmap = heap.new_bitmap();
     let slot_bitmap = pools.new_slot_bitmap();
 
-    // Pass 1 (read-only, partitioned — no pfence needed): mark live pool
-    // slots, and the pool blocks holding one; collect valid masters.
-    let chunks = jnvm_heap::par::partition_range(heap.data_start(), heap.scan_end(), threads);
-    let scanned = jnvm_heap::par::run_workers_timed(chunks, |(lo, hi)| {
-        let mut masters: Vec<u64> = Vec::new();
-        for idx in lo..hi {
-            let h = heap.read_header(idx);
-            if h.id == CLASS_ID_POOL {
-                pools.scan_block_slots(idx, |slot, mini| {
-                    if mini.id != 0 && mini.valid {
-                        slot_bitmap.mark(pools.slot_bit(slot).expect("a scanned slot"));
-                        bitmap.mark(idx);
-                    }
-                });
-            } else if h.is_valid_master() {
-                masters.push(idx);
-            }
+    // Pass 1 (read-only, partitioned — no pfence needed): collect valid
+    // masters below the bump, and mark live slots span by span above the
+    // floor. Worker `i` takes the `i`-th share of either range.
+    let blocks = jnvm_heap::par::partition_range(heap.data_start(), heap.scan_end(), threads);
+    let spans = jnvm_heap::par::partition_range(0, heap.span_count(), threads);
+    let shares = (0..blocks.len().max(spans.len()))
+        .map(|i| (blocks.get(i).copied(), spans.get(i).copied()))
+        .collect();
+    let scanned = jnvm_heap::par::run_workers_timed(shares, |(blocks, spans)| {
+        let (lo, hi) = blocks.unwrap_or_default();
+        let masters: Vec<u64> = (lo..hi)
+            .filter(|idx| heap.read_header(*idx).is_valid_master())
+            .collect();
+        let (lo, hi) = spans.unwrap_or_default();
+        for span in lo..hi {
+            pools.scan_span(span, |slot, mini| {
+                if mini.id != 0 && mini.valid {
+                    slot_bitmap.mark(pools.slot_bit(slot).expect("a scanned slot"));
+                }
+            });
         }
         masters
     });
@@ -556,8 +561,9 @@ fn slowest(times: &[Duration]) -> Duration {
     times.iter().max().copied().unwrap_or_default()
 }
 
-/// The sweep both modes end with: rebuild the pool-slot queues and the free
-/// queue from the block `bitmap` and the `slot_bitmap`.
+/// The sweep both modes end with: rebuild the pool-slot and free-span
+/// queues from the `slot_bitmap`, and the free queue from the block
+/// `bitmap`.
 fn sweep(
     rt: &Jnvm,
     bitmap: &LiveBitmap,
@@ -567,8 +573,9 @@ fn sweep(
 ) {
     let t_sweep = Instant::now();
     let reads_before = rt.pmem().stats().reads;
-    let pool_device = rt.pools().rebuild(bitmap, slot_bitmap, threads);
+    let (live_spans, pool_device) = rt.pools().rebuild(slot_bitmap, threads);
     let (freed, queue_device) = rt.heap().rebuild_free_queue(bitmap, threads);
+    report.live_blocks += live_spans * rt.heap().span_blocks();
     report.freed_blocks = freed;
     report.sweep_reads = rt.pmem().stats().reads - reads_before;
     report.modeled_sweep_time = slowest(&pool_device) + slowest(&queue_device);

@@ -192,7 +192,7 @@ impl JnvmRuntime {
     /// `blocks`, back to the allocator. Touches no NVMM.
     pub(crate) fn release_addr(&self, addr: u64, blocks: Vec<u64>) {
         if self.pools.is_pooled_addr(addr) {
-            // A corrupt pool block makes the slot unfreeable; leak it rather
+            // A corrupt span makes the slot unfreeable; leak it rather
             // than abort — recovery-time GC reclaims whatever stays
             // unreachable.
             let _ = self.pools.release(addr);

@@ -858,20 +858,19 @@ fn large_object_spans_blocks() {
 /// list of nodes, one in a slot of every class, recovers under both modes
 /// — the mark traces each node's reference through its slot's chain — and
 /// after either reopen the pools' DRAM slot-class table holds what every
-/// pool block's meta word does.
+/// span's meta word does.
 #[test]
 fn pooled_list_recovers_and_fills_the_slot_class_table() {
     let (pmem, rt) = fresh(1 << 20);
     let id = rt.registry().id_of::<Node>().unwrap();
     let list: Vec<u64> = rt.fa(|| {
-        let node = |(i, payload): (usize, &u64)| {
-            let proxy = crate::Proxy::try_alloc_small(&rt, id, *payload).unwrap();
+        let node = |(i, payload): (usize, u64)| {
+            let proxy = crate::Proxy::try_alloc_small(&rt, id, payload).unwrap();
             let n = Node::resurrect(&rt, proxy.addr());
             n.set_value(i as i64);
             n
         };
-        let nodes: Vec<Node> = jnvm_heap::POOL_SLOT_CLASSES
-            .iter()
+        let nodes: Vec<Node> = jnvm_heap::pool_slot_classes()
             .enumerate()
             .map(node)
             .collect();
@@ -897,19 +896,21 @@ fn pooled_list_recovers_and_fills_the_slot_class_table() {
             node = n.next();
         }
         assert!(node.is_none());
-        let mut pool_blocks = 0;
-        rt.heap().for_each_header(|idx, h| {
-            if h.id == jnvm_heap::CLASS_ID_POOL {
-                pool_blocks += 1;
-                let meta = rt.pmem().read_u32(rt.heap().block_addr(idx) + 8) as u64;
+        let mut spans = 0;
+        for span in 0..rt.heap().span_count() {
+            let base = rt.heap().span_addr(span);
+            let master = jnvm_heap::BlockHeader::decode(rt.pmem().read_u64(base));
+            if master.id == jnvm_heap::CLASS_ID_POOL {
+                spans += 1;
+                let meta = rt.pmem().read_u32(base + 8) as u64;
                 // From the DRAM table: no device read.
                 let before = rt.pmem().stats();
-                let payload = rt.pools().slot_payload(rt.heap().block_addr(idx) + 8);
+                let payload = rt.pools().slot_payload(base + 16);
                 let reads = rt.pmem().stats().delta(&before).reads;
                 assert_eq!((payload.unwrap(), reads), (meta, 0), "{mode:?}");
             }
-        });
-        assert_eq!(pool_blocks, jnvm_heap::POOL_SLOT_CLASSES.len(), "{mode:?}");
+        }
+        assert_eq!(spans, jnvm_heap::pool_slot_classes().count(), "{mode:?}");
     }
 }
 
@@ -920,7 +921,7 @@ fn pooled_list_recovers_and_fills_the_slot_class_table() {
 fn a_pooled_pwb_covers_its_slot_and_no_further() {
     let (pmem, rt) = fresh(1 << 20);
     let id = rt.registry().id_of::<Node>().unwrap();
-    for &payload in jnvm_heap::POOL_SLOT_CLASSES {
+    for payload in jnvm_heap::pool_slot_classes() {
         let p = crate::Proxy::try_alloc_small(&rt, id, payload).unwrap();
         assert_eq!(p.capacity(), payload);
         let (first, last) = (p.addr() / 64, (p.addr() + 8 + payload - 1) / 64);
@@ -936,34 +937,54 @@ fn a_pooled_pwb_covers_its_slot_and_no_further() {
 
 /// Regression: a pool block carved from a freed chain kept, on media, its
 /// previous life's bytes at the slot mini-header offsets — the carve
-/// cleared them with stores nothing wrote back. Here the chain's payload is
-/// words that decode as valid `Node` headers; a failure-atomic block carves
-/// the block for a 16-B slot and commits it, and the power fails. A
+/// cleared them with stores nothing wrote back. Pooled slots now come from
+/// spans, and a span is recycled only once a recovery found it empty: here
+/// all 16 of one span's 232-B slots held words that decode as valid `Node` headers,
+/// were freed, and a reopen freed the span; a failure-atomic block carves
+/// it for a 16-B slot and commits it, and the power fails. A
 /// `HeaderScanOnly` reopen keeps exactly one object more than the same pool
-/// without that block: the slot it committed (it kept 8 more, 7 stale
-/// words past the block's first line read as live objects, when the carve
-/// wrote back only the line of its header).
+/// without that carve: the slot it committed.
 #[test]
 fn a_recycled_carve_leaves_no_stale_mini_header_for_a_header_scan() {
+    let open = |pmem: &Arc<Pmem>, mode| {
+        JnvmBuilder::new()
+            .register::<Simple>()
+            .register::<Node>()
+            .open_with_options(Arc::clone(pmem), RecoveryOptions::with_mode(mode))
+            .unwrap()
+    };
     let live_after_crash = |commit: bool| {
         let (pmem, rt) = fresh(1 << 20);
         let id = rt.registry().id_of::<Node>().unwrap();
         rt.fa(|| rt.root_put("warm", &Simple::alloc_uninit(&rt)).unwrap());
-        let old = crate::Proxy::alloc(&rt, id, 248);
         let valid = jnvm_heap::BlockHeader {
             id,
             valid: true,
             next: 0,
         }
         .encode();
-        for off in (0..248).step_by(8) {
-            old.write_u64(off, valid);
-        }
-        old.pwb();
-        old.validate();
+        // A span holds 16 slots of 232 B.
+        let old: Vec<u64> = (0..16)
+            .map(|_| {
+                let p = crate::Proxy::try_alloc_small(&rt, id, 232).unwrap();
+                for off in (0..232).step_by(8) {
+                    p.write_u64(off, valid);
+                }
+                p.pwb();
+                p.validate();
+                p.addr()
+            })
+            .collect();
+        let heap = rt.heap();
+        assert!(old
+            .iter()
+            .all(|a| heap.span_of_addr(*a) == heap.span_of_addr(old[0])));
         pmem.pfence();
-        rt.free_addr(old.addr());
+        old.iter().for_each(|a| rt.free_addr(*a));
         pmem.pfence();
+        drop(rt);
+        pmem.crash(&CrashPolicy::strict()).unwrap();
+        let (rt, _) = open(&pmem, RecoveryMode::Full);
         if commit {
             let slot = rt.fa(|| {
                 let p = crate::Proxy::try_alloc_small(&rt, id, 16).unwrap();
@@ -971,19 +992,11 @@ fn a_recycled_carve_leaves_no_stale_mini_header_for_a_header_scan() {
                 p.addr()
             });
             let heap = rt.heap();
-            assert_eq!(heap.block_of_addr(slot), heap.block_of_addr(old.addr()));
+            assert_eq!(heap.span_of_addr(slot), heap.span_of_addr(old[0]));
         }
-        drop((old, rt));
+        drop(rt);
         pmem.crash(&CrashPolicy::strict()).unwrap();
-        let (_, report) = JnvmBuilder::new()
-            .register::<Simple>()
-            .register::<Node>()
-            .open_with_options(
-                Arc::clone(&pmem),
-                RecoveryOptions::with_mode(RecoveryMode::HeaderScanOnly),
-            )
-            .unwrap();
-        report.live_objects
+        open(&pmem, RecoveryMode::HeaderScanOnly).1.live_objects
     };
     assert_eq!(live_after_crash(true), live_after_crash(false) + 1);
 }

@@ -13,8 +13,8 @@ use parking_lot::Mutex;
 use crate::error::HeapError;
 use crate::layout::{
     BlockHeader, HEADER_BYTES, HEAP_MAGIC, HEAP_VERSION, NULL_BLOCK, ROOT_SLOT_COUNT,
-    SB_BLOCK_SIZE, SB_BUMP, SB_DATA_START, SB_MAGIC, SB_NBLOCKS, SB_ROOT_SLOTS, SB_VERSION,
-    SUPERBLOCK_BYTES,
+    SB_BLOCK_SIZE, SB_BUMP, SB_DATA_START, SB_MAGIC, SB_NBLOCKS, SB_ROOT_SLOTS, SB_SPAN_FLOOR,
+    SB_VERSION, SPAN_BYTES, SUPERBLOCK_BYTES,
 };
 use crate::par::partition_range;
 use crate::scan::LiveBitmap;
@@ -37,10 +37,29 @@ impl Default for HeapConfig {
 /// sweeps everything below the persisted bump into the free queue, so the
 /// part of a stride a crash leaves unreached is ordinary free space.
 ///
-/// Invariant (kept where [`BlockHeap::alloc_block`] writes `SB_BUMP`): a
+/// Invariant (kept where `BlockHeap::reserve` writes `SB_BUMP`): a
 /// reservation is fenced before any of its blocks is handed out, so the
 /// *persisted* bump is above every block any thread ever held.
 const BUMP_STRIDE: u64 = 1024;
+
+/// Fresh spans the persistent span floor moves down by at a time, under
+/// the same invariant as [`BUMP_STRIDE`]: the persisted floor is below
+/// every span any thread ever held.
+const SPAN_STRIDE: u64 = 64;
+
+/// The never-allocated blocks reserved from the two persistent cursors and
+/// not yet handed out. Chain blocks grow upward from `data_start` and spans
+/// downward from the top of the heap; the reservations never overlap, and
+/// `SB_BUMP` and `SB_SPAN_FLOOR` always hold `blocks.end` and
+/// `spans.start`.
+#[derive(Debug)]
+struct Fresh {
+    /// Blocks from `start` (the next one handed out) to the bump.
+    blocks: Range<u64>,
+    /// Blocks from the span floor to `end`, the master block of the last
+    /// span handed out: the next span is the one just below `end`.
+    spans: Range<u64>,
+}
 
 /// An object's chain as its allocation wrote it or one walk read it: the
 /// master header and the block indexes, master first.
@@ -77,11 +96,18 @@ pub struct BlockHeap {
     block_size: u64,
     nblocks: u64,
     data_start: u64,
+    /// log2 of the blocks a span holds.
+    span_shift: u32,
     free: Mutex<VecDeque<u64>>,
-    /// Never-allocated blocks already reserved from the persistent bump
-    /// pointer: `start` is the next one to hand out, `end` what `SB_BUMP`
-    /// holds. Taken only when the free queue is empty.
-    fresh: Mutex<Range<u64>>,
+    /// Spans recovery found empty, by number; reused before fresh ones.
+    free_spans: Mutex<VecDeque<u64>>,
+    /// Never-allocated blocks already reserved from the persistent cursors.
+    /// Taken only when the matching free queue is empty.
+    fresh: Mutex<Fresh>,
+    /// `fresh.spans.start`, for [`BlockHeap::is_span_addr`] to read without
+    /// the lock. Every span handed out lies above it, and every chain block
+    /// below it.
+    span_floor: AtomicU64,
     allocated: AtomicU64,
     freed: AtomicU64,
 }
@@ -89,8 +115,8 @@ pub struct BlockHeap {
 impl BlockHeap {
     /// Format a fresh heap over `pmem`, erasing any previous content of the
     /// superblock region. The rest of the device must read zero, as
-    /// [`Pmem::new`] makes it: a pool block carved from the bump cursor
-    /// takes its zero slot mini-headers as already cleared.
+    /// [`Pmem::new`] makes it: a span carved from the span cursor takes
+    /// its zero slot mini-headers as already cleared.
     pub fn format(pmem: Arc<Pmem>, cfg: HeapConfig) -> Result<Arc<BlockHeap>, HeapError> {
         if !cfg.block_size.is_power_of_two() || cfg.block_size < 64 {
             return Err(HeapError::BadSuperblock(format!(
@@ -113,19 +139,44 @@ impl BlockHeap {
         pmem.write_u32(SB_BLOCK_SIZE, cfg.block_size as u32);
         pmem.write_u64(SB_NBLOCKS, nblocks);
         pmem.write_u64(SB_BUMP, data_start);
+        pmem.write_u64(SB_SPAN_FLOOR, nblocks);
         pmem.write_u64(SB_DATA_START, data_start);
         pmem.pwb_range(0, SUPERBLOCK_BYTES);
         pmem.psync();
-        Ok(Arc::new(BlockHeap {
+        Ok(BlockHeap::view(
             pmem,
-            block_size: cfg.block_size,
+            cfg.block_size,
             nblocks,
             data_start,
+            data_start,
+            nblocks,
+        ))
+    }
+
+    fn view(
+        pmem: Arc<Pmem>,
+        block_size: u64,
+        nblocks: u64,
+        data_start: u64,
+        bump: u64,
+        floor: u64,
+    ) -> Arc<BlockHeap> {
+        Arc::new(BlockHeap {
+            pmem,
+            block_size,
+            nblocks,
+            data_start,
+            span_shift: SPAN_BYTES.div_ceil(block_size).trailing_zeros(),
             free: Mutex::new(VecDeque::new()),
-            fresh: Mutex::new(data_start..data_start),
+            free_spans: Mutex::new(VecDeque::new()),
+            fresh: Mutex::new(Fresh {
+                blocks: bump..bump,
+                spans: floor..floor,
+            }),
+            span_floor: AtomicU64::new(floor),
             allocated: AtomicU64::new(0),
             freed: AtomicU64::new(0),
-        }))
+        })
     }
 
     /// Attach to an existing heap. The free queue starts empty — run the
@@ -158,18 +209,18 @@ impl BlockHeap {
         }
         let data_start = pmem.read_u64(SB_DATA_START);
         // Whatever an earlier view had reserved and not handed out lies
-        // below the persisted bump: recovery's sweep finds it.
+        // below the persisted bump or above the persisted floor: recovery's
+        // sweeps find it.
         let bump = pmem.read_u64(SB_BUMP).min(nblocks);
-        Ok(Arc::new(BlockHeap {
-            pmem,
-            block_size,
-            nblocks,
-            data_start,
-            free: Mutex::new(VecDeque::new()),
-            fresh: Mutex::new(bump..bump),
-            allocated: AtomicU64::new(0),
-            freed: AtomicU64::new(0),
-        }))
+        let floor = pmem.read_u64(SB_SPAN_FLOOR);
+        let heap = BlockHeap::view(pmem, block_size, nblocks, data_start, bump, floor);
+        if floor < bump || floor > nblocks || !(nblocks - floor).is_multiple_of(heap.span_blocks())
+        {
+            return Err(HeapError::BadSuperblock(format!(
+                "span floor {floor} off the span grid above bump {bump}"
+            )));
+        }
+        Ok(heap)
     }
 
     /// The underlying device.
@@ -213,12 +264,58 @@ impl BlockHeap {
         addr >> self.block_size.trailing_zeros()
     }
 
+    /// Blocks in a span: [`SPAN_BYTES`] of them, at least one.
+    pub fn span_blocks(&self) -> u64 {
+        1 << self.span_shift
+    }
+
+    /// Bytes in a span.
+    pub fn span_bytes(&self) -> u64 {
+        self.block_size << self.span_shift
+    }
+
+    /// Block index of the master block of span `span`. Spans are numbered
+    /// from the top of the heap down: span 0 ends at the last block.
+    pub fn span_master(&self, span: u64) -> u64 {
+        self.nblocks - ((span + 1) << self.span_shift)
+    }
+
+    /// Byte address of the master word of span `span`.
+    pub fn span_addr(&self, span: u64) -> u64 {
+        self.block_addr(self.span_master(span))
+    }
+
+    /// The number of the span holding byte address `addr`, which must lie
+    /// in the heap's span region ([`BlockHeap::is_span_addr`]).
+    pub fn span_of_addr(&self, addr: u64) -> u64 {
+        (self.nblocks - 1 - self.block_of_addr(addr)) >> self.span_shift
+    }
+
+    /// Whether `addr` lies in the span region, above the span floor — where
+    /// only pooled objects live; every chain block lies below it.
+    pub fn is_span_addr(&self, addr: u64) -> bool {
+        addr >= self.span_floor.load(Ordering::Relaxed) * self.block_size
+    }
+
+    /// Spans the heap could ever hold: the bound of a span number.
+    pub fn max_spans(&self) -> u64 {
+        (self.nblocks - self.data_start) >> self.span_shift
+    }
+
+    /// Spans a scan must visit: those above the persisted span floor, the
+    /// span region's counterpart of [`BlockHeap::scan_end`]. No span below
+    /// it was ever written.
+    pub fn span_count(&self) -> u64 {
+        let floor = self.pmem.read_u64(SB_SPAN_FLOOR).min(self.nblocks);
+        (self.nblocks - floor) >> self.span_shift
+    }
+
     /// Current occupancy counters.
     pub fn stats(&self) -> HeapStats {
         HeapStats {
             blocks_allocated: self.allocated.load(Ordering::Relaxed),
             blocks_freed: self.freed.load(Ordering::Relaxed),
-            bump: self.fresh.lock().start,
+            bump: self.fresh.lock().blocks.start,
             free_queue_len: self.free.lock().len() as u64,
             capacity_blocks: self.nblocks - self.data_start,
         }
@@ -273,34 +370,191 @@ impl BlockHeap {
     /// `BUMP_STRIDE`), and [`BlockHeap::format`] leaves the data region as
     /// the device holds it.
     pub(crate) fn take_block(&self) -> Result<(u64, bool), HeapError> {
-        let recycled = self.free.lock().pop_front();
-        let (idx, from_bump) = match recycled {
-            Some(idx) => (idx, false),
-            None => {
-                let mut fresh = self.fresh.lock();
-                if fresh.is_empty() {
-                    // Clamped: the bump never passes the end of the pool.
-                    let stride = BUMP_STRIDE.min(self.nblocks - fresh.end);
-                    if stride == 0 {
-                        return Err(HeapError::OutOfMemory { requested: 1 });
-                    }
-                    // The reservation is durable before any block of the
-                    // stride leaves this lock. A fence drains only its own
-                    // thread's write-backs, so without one here another
-                    // thread could take a block, commit into it and fence
-                    // while SB_BUMP is still pending in this thread's
-                    // domain — and a crash would leave acked data above
-                    // `scan_end`, where no header scan looks.
-                    fresh.end += stride;
-                    self.pmem.write_u64(SB_BUMP, fresh.end);
-                    self.pmem.pwb(SB_BUMP);
-                    self.pmem.pfence();
-                }
-                (fresh.next().expect("a stride was just reserved"), true)
+        let taken = loop {
+            let recycled = self.free.lock().pop_front();
+            if let Some(idx) = recycled {
+                break (idx, false);
             }
+            let mut fresh = self.fresh.lock();
+            if let Some(idx) = fresh.blocks.next() {
+                break (idx, true);
+            }
+            self.reserve(&mut fresh, false)?;
         };
         self.allocated.fetch_add(1, Ordering::Relaxed);
-        Ok((idx, from_bump))
+        Ok(taken)
+    }
+
+    /// Take an empty span for a pool to carve, by number, also telling
+    /// whether it came from the span cursor (`true`) and so reads all zero:
+    /// nothing is ever stored below the persisted span floor. A span from
+    /// the free-span queue — one recovery found empty, or free blocks the
+    /// span region took over — holds its previous life's bytes. Counts as
+    /// [`BlockHeap::span_blocks`] blocks allocated.
+    pub(crate) fn take_span(&self) -> Result<(u64, bool), HeapError> {
+        let n = self.span_blocks();
+        let taken = loop {
+            let recycled = self.free_spans.lock().pop_front();
+            if let Some(span) = recycled {
+                break (span, false);
+            }
+            let mut fresh = self.fresh.lock();
+            if !fresh.spans.is_empty() {
+                fresh.spans.end -= n;
+                break ((self.nblocks - fresh.spans.end) / n - 1, true);
+            }
+            self.reserve(&mut fresh, true)?;
+        };
+        self.allocated.fetch_add(n, Ordering::Relaxed);
+        Ok(taken)
+    }
+
+    /// Move the span floor down a stride (`spans`) or the bump up one,
+    /// clamped where the two reservations meet, and make the move durable
+    /// before anything it reserved leaves the `fresh` lock. A fence drains
+    /// only its own thread's write-backs, so without one here another
+    /// thread could take a block, commit into it and fence while the cursor
+    /// is still pending in this thread's domain — and a crash would leave
+    /// acked data outside `scan_end` or `span_count`, where no header scan
+    /// looks.
+    ///
+    /// With no room left, the other cursor's unused reservation is handed
+    /// back first. With still none, the free space of the other region
+    /// where the two meet changes sides ([`BlockHeap::spans_from_blocks`],
+    /// [`BlockHeap::blocks_from_spans`]) into this region's free queue.
+    /// Free space away from the boundary stays on its side: a heap whose
+    /// free space is all inside the other region fails with
+    /// [`HeapError::OutOfMemory`].
+    fn reserve(&self, fresh: &mut Fresh, spans: bool) -> Result<(), HeapError> {
+        let room = |f: &Fresh| {
+            let gap = f.spans.start - f.blocks.end;
+            if spans {
+                SPAN_STRIDE.min(gap >> self.span_shift) << self.span_shift
+            } else {
+                BUMP_STRIDE.min(gap)
+            }
+        };
+        let before = (fresh.blocks.end, fresh.spans.start);
+        let mut blocks = room(fresh);
+        if blocks == 0 {
+            fresh.blocks.end = fresh.blocks.start;
+            fresh.spans.start = fresh.spans.end;
+            blocks = room(fresh);
+        }
+        if blocks == 0 {
+            let moved = if spans {
+                self.spans_from_blocks(fresh)
+            } else {
+                self.blocks_from_spans(fresh)
+            };
+            if !moved {
+                (fresh.blocks.end, fresh.spans.start) = before;
+                let requested = if spans { self.span_blocks() } else { 1 };
+                return Err(HeapError::OutOfMemory { requested });
+            }
+            return Ok(());
+        }
+        if spans {
+            fresh.spans.start -= blocks;
+        } else {
+            fresh.blocks.end += blocks;
+        }
+        self.store_cursors(fresh);
+        Ok(())
+    }
+
+    /// Persist `SB_BUMP` and `SB_SPAN_FLOOR` from `fresh` — one store, one
+    /// line, so an image holds both or neither — and fence.
+    fn store_cursors(&self, fresh: &Fresh) {
+        let mut both = [0u8; 16];
+        both[..8].copy_from_slice(&fresh.blocks.end.to_le_bytes());
+        both[8..].copy_from_slice(&fresh.spans.start.to_le_bytes());
+        self.pmem.write_bytes(SB_BUMP, &both);
+        self.pmem.pwb(SB_BUMP);
+        self.pmem.pfence();
+        self.span_floor.store(fresh.spans.start, Ordering::Relaxed);
+    }
+
+    /// With the gap between the cursors narrower than a span and nothing
+    /// reserved: move the span floor down over up to a stride of spans
+    /// whose blocks are all free chain blocks or gap, taking them out of
+    /// the block free queue into the free-span queue. Returns whether a
+    /// span moved.
+    ///
+    /// Each new span's master word is cleared and fenced before the floor
+    /// moves: a header scan skips a span whose master word is zero, and a
+    /// chain block's old header must not pass for a span's. The rest of the
+    /// span keeps its chain life's bytes, which a carve of a span from the
+    /// queue clears where its slots' mini-headers go.
+    fn spans_from_blocks(&self, fresh: &mut Fresh) -> bool {
+        let (n, bump, floor) = (self.span_blocks(), fresh.blocks.start, fresh.spans.start);
+        let most = SPAN_STRIDE.min((floor - self.data_start) / n);
+        let low = floor - most * n;
+        let mut queue = self.free.lock();
+        let mut free = vec![false; (bump.max(low) - low) as usize];
+        for &idx in queue.iter().filter(|idx| (low..bump).contains(*idx)) {
+            free[(idx - low) as usize] = true;
+        }
+        let spans = (1..=most)
+            .take_while(|k| {
+                (floor - k * n..bump.min(floor - (k - 1) * n)).all(|b| free[(b - low) as usize])
+            })
+            .count() as u64;
+        if spans == 0 {
+            return false;
+        }
+        let new_floor = floor - spans * n;
+        queue.retain(|idx| !(new_floor..bump).contains(idx));
+        drop(queue);
+        for k in 0..spans {
+            self.write_header_pwb(new_floor + k * n, BlockHeader::FREE);
+        }
+        self.pmem.pfence();
+        *fresh = Fresh {
+            blocks: new_floor..new_floor,
+            spans: new_floor..new_floor,
+        };
+        self.store_cursors(fresh);
+        let top = (self.nblocks - new_floor) / n - 1;
+        self.free_spans.lock().extend(top + 1 - spans..=top);
+        true
+    }
+
+    /// With the cursors met and nothing reserved: move the span floor (and
+    /// the bump with it) up over up to a stride's worth of free spans just
+    /// above it, taking them out of the free-span queue into the block free
+    /// queue. Returns whether a span moved.
+    ///
+    /// Each of their blocks' headers is cleared and fenced before the floor
+    /// moves: the chain scan reads every block's first word as a header,
+    /// and inside a span that word is a previous life's slot bytes.
+    fn blocks_from_spans(&self, fresh: &mut Fresh) -> bool {
+        let (n, floor) = (self.span_blocks(), fresh.spans.start);
+        let top = ((self.nblocks - floor) >> self.span_shift).wrapping_sub(1);
+        let most = (BUMP_STRIDE >> self.span_shift).min(top.wrapping_add(1));
+        let mut queue = self.free_spans.lock();
+        let mut free = vec![false; most as usize];
+        for &span in queue.iter().filter(|s| top.wrapping_sub(**s) < most) {
+            free[(top - span) as usize] = true;
+        }
+        let spans = free.iter().take_while(|f| **f).count() as u64;
+        if spans == 0 {
+            return false;
+        }
+        queue.retain(|s| top.wrapping_sub(*s) >= spans);
+        drop(queue);
+        let new_floor = floor + spans * n;
+        for idx in floor..new_floor {
+            self.write_header_pwb(idx, BlockHeader::FREE);
+        }
+        self.pmem.pfence();
+        *fresh = Fresh {
+            blocks: new_floor..new_floor,
+            spans: new_floor..new_floor,
+        };
+        self.store_cursors(fresh);
+        self.free.lock().extend(floor..new_floor);
+        true
     }
 
     /// Number of blocks needed for an object with `payload_bytes` of fields.
@@ -386,7 +640,10 @@ impl BlockHeap {
     /// Grow the chain whose last block is `tail` (the caller holds its
     /// chain's blocks) by `extra` blocks, returning each new block's index
     /// and whether it came from the bump cursor, where it reads all zero
-    /// (see `take_block`). Reads one header, the tail's. On heap
+    /// (see `take_block`). Reads one header, the tail's, if the tail is the
+    /// chain's `master` — its class and valid bit stay — and none
+    /// otherwise: a slave tail's header is `slave(NULL)`, as every
+    /// allocation and extension leaves a chain's last block. On heap
     /// exhaustion the chain is left as it was.
     ///
     /// The new blocks' headers are written back, and fenced if one of the
@@ -396,7 +653,12 @@ impl BlockHeap {
     /// that kept the link but not the header would send the chain walk
     /// into foreign blocks. A fresh block's media header is already
     /// `slave(NULL)`, which at worst ends the chain early.
-    pub fn extend_chain(&self, tail: u64, extra: u64) -> Result<Vec<(u64, bool)>, HeapError> {
+    pub fn extend_chain(
+        &self,
+        tail: u64,
+        master: bool,
+        extra: u64,
+    ) -> Result<Vec<(u64, bool)>, HeapError> {
         let mut added = Vec::with_capacity(extra as usize);
         for _ in 0..extra {
             match self.take_block() {
@@ -417,7 +679,11 @@ impl BlockHeap {
         if added.iter().any(|&(_, from_bump)| !from_bump) {
             self.pmem.pfence();
         }
-        let mut head = self.read_header(tail);
+        let mut head = if master {
+            self.read_header(tail)
+        } else {
+            BlockHeader::slave(NULL_BLOCK)
+        };
         head.next = first;
         self.write_header_pwb(tail, head);
         self.pmem.publish_point(
@@ -510,7 +776,10 @@ impl BlockHeap {
     /// device time.
     pub fn rebuild_free_queue(&self, live: &LiveBitmap, threads: usize) -> (u64, Vec<Duration>) {
         let persisted_bump = self.scan_end();
-        let effective_bump = persisted_bump.max(live.highest_marked().map_or(0, |b| b + 1));
+        let floor = self.span_floor.load(Ordering::Relaxed);
+        let effective_bump = persisted_bump
+            .max(live.highest_marked().map_or(0, |b| b + 1))
+            .min(floor);
         let chunks = partition_range(self.data_start, effective_bump, threads);
         let swept = crate::par::run_workers_timed(chunks, |(lo, hi)| {
             let mut freed = Vec::new();
@@ -532,13 +801,28 @@ impl BlockHeap {
         self.free.lock().extend(freed_lists.into_iter().flatten());
         // Every block below the bump is now live or queued: nothing is
         // left reserved.
-        *self.fresh.lock() = effective_bump..effective_bump;
+        self.fresh.lock().blocks = effective_bump..effective_bump;
         if effective_bump != persisted_bump {
             self.pmem.write_u64(SB_BUMP, effective_bump);
             self.pmem.pwb(SB_BUMP);
         }
         self.pmem.psync();
         (freed, worker_times)
+    }
+
+    /// Queue `spans`, the spans a recovery sweep found empty, as the only
+    /// free ones: every span above the floor is now live or queued, and
+    /// nothing is left reserved.
+    pub(crate) fn reset_spans(&self, spans: impl IntoIterator<Item = u64>) {
+        let mut fresh = self.fresh.lock();
+        fresh.spans.end = fresh.spans.start;
+        drop(fresh);
+        *self.free_spans.lock() = spans.into_iter().collect();
+    }
+
+    /// Spans in the free-span queue.
+    pub fn free_span_count(&self) -> u64 {
+        self.free_spans.lock().len() as u64
     }
 
     /// Create a liveness bitmap sized for this heap.
@@ -556,7 +840,8 @@ impl BlockHeap {
     }
 
     /// One past the last block a header scan must visit: the persisted
-    /// bump, clamped to `nblocks`. No header above it was ever written,
+    /// bump, clamped to `nblocks` (spans, above it, are scanned span by
+    /// span — see [`BlockHeap::span_count`]). No header above it was ever written,
     /// because a stride's reservation is durable before its first block is
     /// handed out (see `BUMP_STRIDE`) — the pool rebuild and the
     /// header-only recovery scan both rely on that. Parallel recovery
@@ -744,14 +1029,16 @@ mod tests {
     fn extend_chain_appends() {
         let h = heap(1 << 20);
         let master = h.alloc_chain(7, 100).unwrap();
-        let added = h.extend_chain(master, 2).unwrap();
+        let added = h.extend_chain(master, true, 2).unwrap();
         assert_eq!(added.len(), 2);
         assert!(added.iter().all(|&(_, from_bump)| from_bump));
         let chain = h.chain_blocks(master);
         assert_eq!(chain.len(), 3);
         assert_eq!(chain[1..], [added[0].0, added[1].0]);
-        // Growing from the new tail reads its header alone and links past it.
-        let more = h.extend_chain(chain[2], 1).unwrap();
+        // Growing from a slave tail reads no header and links past it.
+        let before = h.pmem().stats().reads;
+        let more = h.extend_chain(chain[2], false, 1).unwrap();
+        assert_eq!(h.pmem().stats().reads, before, "a slave tail's header");
         assert_eq!(h.chain_blocks(master)[3], more[0].0);
         assert_eq!(h.read_header(master).id, 7, "the master keeps its class");
     }
@@ -786,7 +1073,7 @@ mod tests {
             let master = h.alloc_chain(9, 10).unwrap();
             h.write_header_pwb(master, h.read_header(master));
             pmem.pfence();
-            let added = h.extend_chain(master, 1).unwrap();
+            let added = h.extend_chain(master, true, 1).unwrap();
             assert_eq!(added.len(), 1);
             assert!(!added[0].1, "the added block is recycled");
             pmem.crash(&CrashPolicy::keep(mask)).unwrap();
@@ -968,6 +1255,44 @@ mod tests {
         // No recovery sweep ran (the header-only variant runs none): fresh
         // allocation must still stay clear of everything handed out before.
         assert!(h2.alloc_block().unwrap() > master);
+    }
+
+    /// The chain blocks' bump and the spans' floor meet anywhere: each
+    /// cursor hands the other its unused reservation when it runs out, so
+    /// taking blocks and spans in turn on a small heap hands out every
+    /// block exactly once — a span as its 16 — before both run dry. The
+    /// persisted bump never passes the persisted floor, and each
+    /// reservation is fenced.
+    #[test]
+    fn the_two_cursors_hand_each_other_what_they_do_not_use() {
+        let pmem = Pmem::new(PmemConfig::crash_sim(64 << 10));
+        let h = BlockHeap::format(Arc::clone(&pmem), HeapConfig::default()).unwrap();
+        let n = h.span_blocks();
+        let mut held = std::collections::HashSet::new();
+        let (mut blocks, mut spans) = (true, true);
+        while blocks || spans {
+            for _ in 0..3 {
+                match h.take_block() {
+                    Ok((b, fresh)) => assert!(fresh && held.insert(b), "block {b}"),
+                    Err(_) => blocks = false,
+                }
+            }
+            match h.take_span() {
+                Ok((span, _)) => {
+                    let first = h.span_master(span);
+                    assert!((first..first + n).all(|b| held.insert(b)), "span {span}");
+                }
+                Err(_) => spans = false,
+            }
+            let (bump, floor) = (pmem.read_u64(SB_BUMP), pmem.read_u64(SB_SPAN_FLOOR));
+            assert!(bump <= floor, "bump {bump} past floor {floor}");
+        }
+        assert_eq!(held.len() as u64, h.stats().capacity_blocks);
+        assert!(held
+            .iter()
+            .all(|b| (h.data_start()..h.nblocks()).contains(b)));
+        pmem.crash(&CrashPolicy::strict()).unwrap();
+        BlockHeap::open(pmem).expect("the cursors' line is consistent");
     }
 
     #[test]

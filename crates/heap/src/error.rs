@@ -18,13 +18,12 @@ pub enum HeapError {
     BadClassId(u16),
     /// Requested pooled-object size exceeds every pool slot class.
     ObjectTooLargeForPool(u64),
-    /// A pool block's meta word names a slot class the allocator was not
-    /// configured with — the block (or the address used to reach it) is
-    /// corrupt. Reported instead of aborting so a reopen on a damaged pool
+    /// A pool span's meta word names no slot class of the ladder — the
+    /// span (or the address used to reach it) is corrupt. Reported instead of aborting so a reopen on a damaged pool
     /// can surface the failure to its operator.
     UnknownPoolClass {
-        /// Index of the offending pool block.
-        block: u64,
+        /// Number of the offending span.
+        span: u64,
         /// The unrecognized slot-payload size found in its meta word.
         payload: u64,
     },
@@ -45,8 +44,8 @@ impl fmt::Display for HeapError {
             HeapError::ObjectTooLargeForPool(sz) => {
                 write!(f, "object of {sz} bytes too large for pool allocation")
             }
-            HeapError::UnknownPoolClass { block, payload } => {
-                write!(f, "pool block {block} has unknown class {payload}")
+            HeapError::UnknownPoolClass { span, payload } => {
+                write!(f, "pool span {span} has unknown class {payload}")
             }
         }
     }

@@ -16,23 +16,30 @@ pub const NULL_BLOCK: u64 = 0;
 /// Maximum class id representable in the 15-bit header field.
 pub const CLASS_ID_MAX: u16 = (1 << 15) - 1;
 
-/// Reserved class id marking a pool block (§4.4 small-object pools). Pool
-/// blocks are not ordinary masters: recovery treats them specially,
-/// reclaiming individual slots.
+/// Reserved class id marking a pool span (§4.4 small-object pools) in its
+/// master word. A span is not an ordinary master: recovery treats it
+/// specially, reclaiming individual slots.
 pub const CLASS_ID_POOL: u16 = 1;
 
 /// First class id handed out to user classes by the `jnvm` registry.
 /// Ids below this are reserved for the heap/runtime.
 pub const FIRST_USER_CLASS_ID: u16 = 16;
 
-// Superblock field offsets (bytes from pool start).
+/// Bytes of a pool span (§4.4 small-object pools): the run of blocks one
+/// pool header and one meta word cover, at least one block. Spans fill
+/// their own region at the top of the heap (see `BlockHeap::take_span`).
+pub const SPAN_BYTES: u64 = 4096;
+
+// Superblock field offsets (bytes from pool start). The two cursors share
+// the first cache line, so one line's image holds both.
 pub(crate) const SB_MAGIC: u64 = 0;
 pub(crate) const SB_VERSION: u64 = 8;
 pub(crate) const SB_BLOCK_SIZE: u64 = 12;
 pub(crate) const SB_NBLOCKS: u64 = 16;
 pub(crate) const SB_BUMP: u64 = 24;
-pub(crate) const SB_DATA_START: u64 = 32;
-pub(crate) const SB_ROOT_SLOTS: u64 = 40;
+pub(crate) const SB_SPAN_FLOOR: u64 = 32;
+pub(crate) const SB_DATA_START: u64 = 40;
+pub(crate) const SB_ROOT_SLOTS: u64 = 48;
 pub(crate) const ROOT_SLOT_COUNT: u64 = 8;
 
 pub(crate) const HEAP_MAGIC: u64 = 0x4a4e564d48454150; // "JNVMHEAP"
@@ -57,8 +64,13 @@ pub(crate) const HEAP_MAGIC: u64 = 0x4a4e564d48454150; // "JNVMHEAP"
 /// a version-6 build would read a field reference as the count; 8 (log
 /// format 5) adds the LINK entry and makes the log's first word its
 /// length, nonzero while committed — a version-7 build would read that
-/// length as its committed flag and refuse a LINK as an unknown kind.
-pub(crate) const HEAP_VERSION: u32 = 8;
+/// length as its committed flag and refuse a LINK as an unknown kind; 9
+/// moves pool slots out of single pool blocks into 4-KiB spans of their
+/// own region at the top of the heap, on an 8-byte class ladder, adds the
+/// span floor to the superblock, and takes a key's map shard from the high
+/// half of its hash — a version-8 build would read a span's interior as
+/// block headers and look keys up in the wrong map.
+pub(crate) const HEAP_VERSION: u32 = 9;
 
 /// The address bits of a persistent reference word. Every heap address is
 /// below 2^48 (the redo log's entry heads and a header's `next` field rely

@@ -18,8 +18,9 @@
 //! Allocation uses a **volatile free queue** plus a **persistent bump
 //! pointer** (§4.1.2): the allocator touches NVMM only when bumping. Small
 //! objects that never grow avoid internal fragmentation through
-//! per-size-class pool allocators ([`PoolManager`]) that pack several
-//! objects per block (§4.4).
+//! per-size-class pool allocators ([`PoolManager`]) that pack many objects
+//! into 4-KiB spans, which fill their own region at the top of the heap
+//! (§4.4).
 //!
 //! The recovery procedure of §4.1.3 is split between this crate (header
 //! scanning, the live bitmap, free-queue reconstruction) and the `jnvm`
@@ -38,7 +39,7 @@ pub use alloc::{BlockHeap, Chain, HeapConfig, HeapStats};
 pub use error::HeapError;
 pub use layout::{
     BlockHeader, CLASS_ID_MAX, CLASS_ID_POOL, FIRST_USER_CLASS_ID, HEADER_BYTES, NULL_BLOCK,
-    REF_ADDR_MASK, SUPERBLOCK_BYTES,
+    REF_ADDR_MASK, SPAN_BYTES, SUPERBLOCK_BYTES,
 };
-pub use pool::{PoolManager, POOL_SLOT_CLASSES};
+pub use pool::{pool_slot_classes, PoolManager};
 pub use scan::LiveBitmap;

@@ -2,14 +2,14 @@
 //! never double-allocate, chains stay intact, and recovery reconstruction
 //! agrees with ground truth.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use crate::{BlockHeap, HeapConfig, LiveBitmap, PoolManager};
-use jnvm_pmem::{Pmem, PmemConfig};
+use crate::{BlockHeader, BlockHeap, HeapConfig, LiveBitmap, PoolManager};
+use jnvm_pmem::{CrashPolicy, Pmem, PmemConfig};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -238,5 +238,164 @@ proptest! {
         for &i in &stream {
             prop_assert!(conc.is_marked(i));
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The pool allocator against a model of its live slots.
+// ----------------------------------------------------------------------
+
+/// One step of [`drive_pools`].
+#[derive(Debug, Clone)]
+enum PoolOp {
+    /// Allocate a slot of this payload and store a valid mini-header.
+    Alloc(u64),
+    /// Free the i-th (mod len) live slot.
+    Free(usize),
+    /// Strict power failure, then recovery: the full mode's sweep (keeping
+    /// the model's live slots, as its mark would) or the header scan's,
+    /// on this many sweep workers.
+    Recover { header_scan: bool, threads: usize },
+}
+
+fn pool_ops(len: usize) -> impl Strategy<Value = Vec<PoolOp>> {
+    // Payloads of a few classes, so that spans fill, empty and get reused.
+    let payload = prop_oneof![
+        Just(8u64),
+        Just(24),
+        Just(64),
+        Just(100),
+        Just(232),
+        1u64..=232
+    ];
+    proptest::collection::vec(
+        prop_oneof![
+            6 => payload.prop_map(PoolOp::Alloc),
+            4 => any::<usize>().prop_map(PoolOp::Free),
+            1 => (any::<bool>(), 1usize..4)
+                .prop_map(|(header_scan, threads)| PoolOp::Recover { header_scan, threads }),
+        ],
+        1..len,
+    )
+}
+
+/// Run `ops` over one pool and check it against a model of its live slots
+/// (address → payload), each slot's payload words valid headers: a new
+/// slot overlaps no live one and reads invalid; a recovery keeps
+/// exactly the live slots valid and queues every other slot of a kept span
+/// as free, in both modes; and a carve takes a span recovery freed before
+/// it moves the span cursor.
+fn drive_pools(ops: &[PoolOp]) -> Result<(), TestCaseError> {
+    let pmem = Pmem::new(PmemConfig::crash_sim(1 << 20));
+    let mut heap = BlockHeap::format(Arc::clone(&pmem), HeapConfig::default()).unwrap();
+    let mut pools = PoolManager::new(Arc::clone(&heap));
+    let mut live: BTreeMap<u64, u64> = BTreeMap::new();
+    let valid = BlockHeader {
+        id: 43,
+        valid: true,
+        next: 0,
+    };
+    for op in ops {
+        match *op {
+            PoolOp::Alloc(payload) => {
+                let (spans, free_spans) = (heap.span_count(), heap.free_span_count());
+                let a = pools.alloc(payload).unwrap();
+                let end = a + 8 + pools.slot_payload(a).unwrap();
+                prop_assert!(pools.slot_payload(a).unwrap() >= payload);
+                prop_assert_eq!(pools.read_mini(a), BlockHeader::FREE, "a fresh slot's word");
+                let before = live.range(..end).next_back();
+                if let Some((&at, &len)) = before {
+                    prop_assert!(at + 8 + len <= a, "{:#x} overlaps the live {:#x}", a, at);
+                }
+                if free_spans > 0 {
+                    prop_assert_eq!(heap.span_count(), spans, "a free span was skipped");
+                }
+                // A payload of words that read as valid headers: what a
+                // later class's slot boundaries must never find.
+                let words = pools.slot_payload(a).unwrap() / 8;
+                let fill: Vec<u8> = (0..words)
+                    .flat_map(|_| valid.encode().to_le_bytes())
+                    .collect();
+                pmem.write_bytes(a + 8, &fill);
+                pools.write_mini(a, valid);
+                pmem.pwb_range(a, end - a);
+                live.insert(a, pools.slot_payload(a).unwrap());
+            }
+            PoolOp::Free(i) => {
+                if let Some(&a) = live.keys().nth(i % live.len().max(1)) {
+                    pools.free(a).unwrap();
+                    live.remove(&a);
+                }
+            }
+            PoolOp::Recover {
+                header_scan,
+                threads,
+            } => {
+                pmem.pfence();
+                pmem.crash(&CrashPolicy::strict()).unwrap();
+                heap = BlockHeap::open(Arc::clone(&pmem)).unwrap();
+                pools = PoolManager::new(Arc::clone(&heap));
+                let bits = pools.new_slot_bitmap();
+                if header_scan {
+                    for span in 0..heap.span_count() {
+                        pools.scan_span(span, |slot, mini| {
+                            if mini.valid {
+                                bits.mark(pools.slot_bit(slot).unwrap());
+                            }
+                        });
+                    }
+                } else {
+                    for a in live.keys() {
+                        prop_assert!(pools.is_slot_addr(*a));
+                        bits.mark(pools.slot_bit(*a).unwrap());
+                    }
+                }
+                prop_assert_eq!(bits.marked_count(), live.len() as u64, "slots kept");
+                pools.rebuild(&bits, threads);
+                // Every slot of every span: valid exactly where live, the
+                // rest queued free; a span without a live slot is free.
+                let mut valid_slots = 0;
+                let mut slots = 0;
+                for span in 0..heap.span_count() {
+                    pools.scan_span(span, |slot, mini| {
+                        slots += 1;
+                        if mini.valid {
+                            valid_slots += 1;
+                            assert!(live.contains_key(&slot), "phantom slot {slot:#x}");
+                        }
+                    });
+                }
+                prop_assert_eq!(valid_slots, live.len());
+                prop_assert_eq!(slots - valid_slots, pools.free_slots() as usize);
+                let kept: HashSet<u64> = live.keys().map(|a| heap.span_of_addr(*a)).collect();
+                prop_assert_eq!(
+                    heap.free_span_count(),
+                    heap.span_count() - kept.len() as u64
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The pool allocator against a model of its live slots, over random
+    /// allocations, frees and crash-recoveries.
+    #[test]
+    fn pool_alloc_free_recover_matches_its_model(ops in pool_ops(160)) {
+        drive_pools(&ops)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The wide form (CI's torture job, `--release`).
+    #[test]
+    #[ignore = "wide proptest; run with --release -- --ignored"]
+    fn pool_alloc_free_recover_matches_its_model_wide(ops in pool_ops(400)) {
+        drive_pools(&ops)?;
     }
 }

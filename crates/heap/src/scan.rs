@@ -72,6 +72,22 @@ impl LiveBitmap {
         self.bits[(idx / 64) as usize].load(Ordering::Relaxed) & (1 << (idx % 64)) != 0
     }
 
+    /// Whether any bit in `[lo, hi)` is marked: a word at a time.
+    pub fn any_marked(&self, lo: u64, hi: u64) -> bool {
+        assert!(hi <= self.nblocks, "bits {lo}..{hi} out of bitmap range");
+        let mut at = lo;
+        while at < hi {
+            let (w, b) = ((at / 64) as usize, at % 64);
+            let n = (64 - b).min(hi - at);
+            let mask = (u64::MAX >> (64 - n)) << b;
+            if self.bits[w].load(Ordering::Relaxed) & mask != 0 {
+                return true;
+            }
+            at += n;
+        }
+        false
+    }
+
     /// Highest marked block index, if any block is marked (stripe merge).
     pub fn highest_marked(&self) -> Option<u64> {
         self.stripes
@@ -120,6 +136,23 @@ mod tests {
         assert!(!bm.is_marked(100));
         assert_eq!(bm.marked_count(), 4);
         assert_eq!(bm.highest_marked(), Some(199));
+    }
+
+    #[test]
+    fn any_marked_sees_exactly_its_range() {
+        let bm = LiveBitmap::new(300);
+        assert!(!bm.any_marked(0, 300));
+        bm.mark(130);
+        for (lo, hi, want) in [
+            (0, 130, false),
+            (0, 131, true),
+            (130, 131, true),
+            (131, 300, false),
+            (64, 192, true),
+            (128, 128, false),
+        ] {
+            assert_eq!(bm.any_marked(lo, hi), want, "{lo}..{hi}");
+        }
     }
 
     #[test]

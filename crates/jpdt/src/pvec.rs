@@ -246,7 +246,7 @@ mod tests {
         let (rt2, _) = crate::register_jpdt(JnvmBuilder::new())
             .open(Arc::clone(&pmem))
             .unwrap();
-        // The pool block hosting only the dead string was reclaimed whole.
+        // The span hosting only the dead string was reclaimed whole.
         assert!(rt2.heap().read_header(s_block).is_free_or_slave());
     }
 }

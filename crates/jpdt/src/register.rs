@@ -269,12 +269,12 @@ mod tests {
         let v = PBytes::new(&rt, b"v").unwrap();
         m.put("some-key".into(), v.addr()).unwrap();
         // The value's slot is of the 16-B class, the entry's (8 + 8 + 8 B)
-        // of the 32-B one: one pool block carved for each.
+        // of the 24-B one: one span of 16 blocks carved for each.
         assert_eq!(
             rt.heap().stats().blocks_allocated - before.blocks_allocated,
-            2
+            2 * 16
         );
-        assert_eq!(rt.pools().free_slots(), 9 + 5);
+        assert_eq!(rt.pools().free_slots(), 169 + 126);
         let reads = pmem.stats().reads;
         let got = m.remove("some-key").unwrap();
         // The map cell alone: no key reference, and the value reference is
@@ -282,12 +282,12 @@ mod tests {
         assert_eq!(pmem.stats().reads - reads, 1, "device reads of a remove");
         rt.free_addr(got);
         let after = rt.heap().stats();
-        // Every slot is freed; the pool blocks are retained for slot reuse.
+        // Every slot is freed; the spans are retained for slot reuse.
         assert_eq!(after.blocks_freed - before.blocks_freed, 0);
         assert_eq!(
             rt.pools().free_slots(),
-            10 + 6,
-            "the blocks' slots, all free"
+            170 + 127,
+            "the spans' slots, all free"
         );
         let key = "k".repeat(300);
         let v = PBytes::new(&rt, b"long").unwrap();

@@ -413,8 +413,20 @@ impl JnvmBackend {
         self.shards.len()
     }
 
+    /// The map shard of `key`: the high half of its hash after a
+    /// finalizer (MurmurHash3's `fmix64`). Pool routing
+    /// ([`crate::shard_for_key`]) reduces the raw hash, whose low bits
+    /// depend only on the key bytes' low bits — the same reduction here
+    /// would leave each of 2 pools only every other map — and FNV-1a's
+    /// high half barely moves with a key's last bytes.
     pub(crate) fn shard_index(&self, key: &str) -> usize {
-        (crate::fnv1a(key) as usize) % self.shards.len()
+        let mut h = crate::fnv1a(key);
+        for k in [0xff51_afd7_ed55_8ccd, 0xc4ce_b9fe_1a85_ec53] {
+            h ^= h >> 33;
+            h = h.wrapping_mul(k);
+        }
+        h ^= h >> 33;
+        ((h >> 32) as usize) % self.shards.len()
     }
 
     fn shard(&self, key: &str) -> &PStringHashMap {
@@ -639,6 +651,27 @@ mod tests {
         }
     }
 
+    /// A key's map shard is decorrelated from its pool route: with 2 and
+    /// 4 pools, each pool's keys reach all 16 map shards. (Reducing the
+    /// whole hash for both gave each of 2 pools only the 8 even or the 8
+    /// odd maps.)
+    #[test]
+    fn each_pools_keys_reach_every_map_shard() {
+        let (_p, rt) = rt(8 << 20);
+        let be = JnvmBackend::create(&rt, 16, true).unwrap();
+        for pools in [2, 4] {
+            let mut reached = vec![[false; 16]; pools];
+            for i in 0..1000 {
+                let key = format!("user{i:012}");
+                reached[crate::shard_for_key(&key, pools)][be.shard_index(&key)] = true;
+            }
+            for (pool, maps) in reached.iter().enumerate() {
+                let n = maps.iter().filter(|m| **m).count();
+                assert_eq!(n, 16, "{pools} pools: pool {pool} reaches {n} maps");
+            }
+        }
+    }
+
     #[test]
     fn backend_insert_read_update_remove() {
         let (_p, rt) = rt(16 << 20);
@@ -696,7 +729,7 @@ mod tests {
     /// storage (a `GET` racing a crash instant can see either), is a panic
     /// the serving path catches — through every sink, naming the address —
     /// not an allocator abort, nor a read of the neighbouring slots. A
-    /// pooled value's capacity is its own slot's (72 B for a 64-B value), a
+    /// pooled value's capacity is its own slot's (64 B for a 64-B value), a
     /// chained one's its chain's (496 B for 300 B); the record of two
     /// fields has a 16-B slot.
     #[test]
@@ -713,7 +746,7 @@ mod tests {
             (
                 "pooled",
                 vec![vec![3u8; 64]; 4],
-                "slack 73 exceeds its storage (72 B)",
+                "slack 65 exceeds its storage (64 B)",
             ),
             (
                 "chained",
@@ -728,7 +761,7 @@ mod tests {
                 .all(|r| matches!(r, Ok(true))));
         }
         retag(&be, "record", 24);
-        for (key, slack) in [("pooled", 73u64), ("chained", 497)] {
+        for (key, slack) in [("pooled", 65u64), ("chained", 497)] {
             let field = be.lookup(key).unwrap().proxy.chain().phys(0);
             let word = pmem.read_u64(field);
             pmem.write_u64(field, slack << 48 | word & REF_ADDR_MASK);
@@ -884,7 +917,7 @@ mod tests {
 
     /// Recovery checks a reference that is not block-aligned as strictly as
     /// a block-aligned one: a word pointing past the device, inside a chain
-    /// block or off a slot boundary of a pool block names no slot, so the
+    /// block or off a slot boundary of a span names no slot, so the
     /// open nullifies it and counts it, and every other key reads back. The
     /// first used to panic the whole open ("pmem access out of bounds");
     /// the other two took a payload word for a mini-header — here one that

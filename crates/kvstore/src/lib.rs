@@ -46,9 +46,10 @@ pub use sharded::{shard_for_key, KvShard, ShardedKv};
 pub use simfs::{FsBackend, SimFs, TmpfsBackend};
 
 /// 64-bit FNV-1a over the key bytes: the one key hash behind pool routing
-/// ([`shard_for_key`]), map-shard choice and lock striping. Its reductions
-/// are **on-media layout** (a reopened image routes by it), so it must
-/// never change — `shard_for_key_golden_values_are_pinned` holds it.
+/// ([`shard_for_key`]), map-shard choice (its finalized high half) and lock
+/// striping. Its reductions are **on-media layout** (a reopened image
+/// routes by it), so it must never change —
+/// `shard_for_key_golden_values_are_pinned` holds it.
 fn fnv1a(key: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in key.bytes() {

@@ -1111,28 +1111,31 @@ fn pooled_records_recover_to_either_image_at_every_crash_point() {
 
 // ---------------------------------------------------------------------------
 // Workload 8: where a committed slot comes from. One group allocates three
-// pooled blobs — into a slot a free recycled, into the first slot of a
-// block carved from the bump cursor (whose mini-headers were never
-// written) and into the first slot of a block carved from a freed chain
-// (whose old bytes the carve clears) — and frees a fourth. None of the
-// three mini-headers is stored before the commit's apply; replay stores
-// them from the ALLOC entries' class ids.
+// pooled blobs — into a slot a free recycled, and into the first two slots
+// of a span carved from the span cursor (whose mini-headers were never
+// written) — and frees a fourth. None of the three mini-headers is stored
+// before the commit's apply; replay stores them from the ALLOC entries'
+// class ids. (A span a recovery freed is workload 10's.)
 // ---------------------------------------------------------------------------
 
-/// Content lengths of the group's blobs, each of its own slot class: 232 B
-/// (one slot to a block — the recycled slot), 16 B (the carve of the freed
-/// chain) and 32 B (the carve from the bump cursor), in allocation order.
-const ORIGIN_LENS: [usize; 3] = [200, 8, 20];
+/// Content lengths of the group's blobs, in allocation order: 224 B (a
+/// slot of the 232-B class, behind the blob's length word, that a free
+/// recycled) and twice 24 B (the carve of a fresh span of 32-B slots).
+const ORIGIN_LENS: [usize; 3] = [224, 24, 24];
+
+/// Slots of 232 B in a span.
+const WIDE_SLOTS: usize = 16;
 
 struct OriginCtx {
     rt: Jnvm,
     cells: PRefArray,
+    /// The slot the group's 224-B blob recycles.
+    recycled: u64,
 }
 
 /// Small fresh pool with a rooted four-cell reference array whose last cell
-/// holds a 40-byte blob, the log created; then a 200-byte blob allocated
-/// and freed (its slot queued for reuse), and a one-block chain whose
-/// payload is non-zero bytes, freed (its block the heap's only free one).
+/// holds a 40-byte blob, the log created; then a span's worth of 224-byte
+/// blobs allocated and freed, the first freed slot first in its queue.
 fn origin_setup() -> (Arc<Pmem>, OriginCtx) {
     let (pmem, rt) = create(jpdt_builder(), PmemConfig::crash_sim(256 << 10));
     let cells = rt.fa(|| {
@@ -1142,17 +1145,20 @@ fn origin_setup() -> (Arc<Pmem>, OriginCtx) {
         rt.root_put("origins", &cells).expect("root");
         cells
     });
-    let recycled = PBytes::new(&rt, &[0; 200]).expect("blob");
-    rt.free_addr(recycled.addr());
-    let chain = rt.alloc_proxy::<PBytes>(248).expect("chain");
-    chain.write_bytes(0, &[0x5A; 248]);
-    chain.pwb();
-    chain.validate();
-    pmem.pfence();
-    rt.free_addr(chain.addr());
-    assert_eq!(rt.heap().stats().free_queue_len, 1);
+    let wide: Vec<u64> = (0..WIDE_SLOTS)
+        .map(|_| PBytes::new(&rt, &[0; 224]).expect("blob").addr())
+        .collect();
+    wide.iter().for_each(|a| rt.free_addr(*a));
     pmem.psync();
-    (pmem, OriginCtx { rt, cells })
+    let recycled = wide[0];
+    (
+        pmem,
+        OriginCtx {
+            rt,
+            cells,
+            recycled,
+        },
+    )
 }
 
 fn origin_run(ctx: &OriginCtx, upto: usize) {
@@ -1214,19 +1220,25 @@ fn origin_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
 #[test]
 fn slots_of_every_origin_recover_to_either_image_at_every_crash_point() {
     let (pmem, ctx) = origin_setup();
-    origin_run(&ctx, 1);
     let heap = ctx.rt.heap();
-    let blocks: Vec<u64> = (0..3)
-        .map(|i| heap.block_of_addr(ctx.cells.get_ref(i).expect("stored")))
+    let spans = heap.span_count();
+    let free_spans = heap.free_span_count();
+    origin_run(&ctx, 1);
+    let slots: Vec<u64> = (0..3)
+        .map(|i| ctx.cells.get_ref(i).expect("stored"))
         .collect();
-    assert!(
-        blocks[0] < blocks[1] && blocks[1] < blocks[2],
-        "slot, recycled carve, bump"
-    );
+    assert_eq!(slots[0], ctx.recycled, "the freed slot");
+    let fresh = heap.span_of_addr(slots[1]);
     assert_eq!(
-        heap.stats().bump,
-        blocks[2] + 1,
-        "the last carve took the bump cursor"
+        (slots[1], heap.span_of_addr(slots[2])),
+        (heap.span_addr(fresh) + 16, fresh),
+        "the first two slots of one span"
+    );
+    assert_eq!(slots[2] - slots[1], 40, "back to back");
+    assert_eq!(
+        (heap.span_count(), heap.free_span_count()),
+        (spans, free_spans),
+        "the carve took the span cursor, within its reservation"
     );
     drop((ctx, pmem));
     let swept = prefix_sweep(
@@ -1243,21 +1255,29 @@ fn slots_of_every_origin_recover_to_either_image_at_every_crash_point() {
 }
 
 // ---------------------------------------------------------------------------
-// Workload 10: a pool block carved from a recycled chain whose every payload
-// word decodes as a valid mini-header of a registered class. The carve
-// clears each slot's mini-header before the pool header can reach media: a
-// header scan must never find the block a pool block with a stale word at a
-// slot boundary.
+// Workload 10: a span a recovery freed, re-carved for another class. Every
+// payload word of its previous life decodes as a valid mini-header of a
+// registered class. The recovery cleared the span's master word and left
+// the rest as it was; the re-carve clears each new slot's mini-header and
+// fences before the span's master word can reach media: a header scan must
+// never find the span carved with a stale word at a slot boundary.
 // ---------------------------------------------------------------------------
 
 struct CarveCtx {
     rt: Jnvm,
     cells: PRefArray,
+    /// The span the 224-B blobs filled.
+    span: u64,
 }
 
+/// Slots of 232 B in a span.
+const CARVE_SLOTS: usize = 16;
+
 /// Small fresh pool with a rooted two-cell reference array, the log
-/// created; then a one-block chain whose payload words are each the header
-/// word of a valid `PBytes`, freed (its block the heap's only free one).
+/// created; then one span filled with 224-byte blobs (232-B slots, their
+/// length word included) whose every word is the
+/// header word of a valid `PBytes`, validated and never rooted; then a
+/// power failure and a reopen, whose recovery frees the span.
 fn carve_setup() -> (Arc<Pmem>, CarveCtx) {
     let (pmem, rt) = create(jpdt_builder(), PmemConfig::crash_sim(256 << 10));
     let cells = rt.fa(|| {
@@ -1272,28 +1292,36 @@ fn carve_setup() -> (Arc<Pmem>, CarveCtx) {
         next: 0,
     }
     .encode();
-    let chain = rt.alloc_proxy::<PBytes>(248).expect("chain");
-    let words: Vec<u8> = (0..248 / 8).flat_map(|_| valid.to_le_bytes()).collect();
-    chain.write_bytes(0, &words);
-    chain.pwb();
-    chain.validate();
-    pmem.pfence();
-    rt.free_addr(chain.addr());
-    assert_eq!(rt.heap().stats().free_queue_len, 1);
+    let words: Vec<u8> = (0..224 / 8).flat_map(|_| valid.to_le_bytes()).collect();
+    let stale: Vec<u64> = (0..CARVE_SLOTS)
+        .map(|_| PBytes::new(&rt, &words).expect("blob").addr())
+        .collect();
+    let span = rt.heap().span_of_addr(stale[0]);
+    assert!(stale.iter().all(|a| rt.heap().span_of_addr(*a) == span));
     pmem.psync();
-    (pmem, CarveCtx { rt, cells })
+    drop((cells, rt));
+    pmem.crash(&CrashPolicy::strict()).expect("crash");
+    let (rt, _) = open(jpdt_builder(), &pmem, RecoveryMode::Full);
+    let cells = rt.root_get_as::<PRefArray>("carved");
+    let cells = cells.expect("typed").expect("rooted");
+    pmem.psync();
+    (pmem, CarveCtx { rt, cells, span })
 }
 
-/// One failure-atomic block: an 8-byte blob (a slot of the 16-B class,
-/// whose pool block the allocation carves from the recycled chain) stored
-/// in cell 0.
+/// The length of the blob the carve's first slot holds: a class no object
+/// of the reopened pool holds, so its allocation carves a span.
+const CARVED_LEN: usize = 48;
+
+/// One failure-atomic block: a 48-byte blob (the first slot of a span of
+/// 56-B slots, which the allocation carves from the span the recovery
+/// freed) stored in cell 0.
 fn carve_run(ctx: &CarveCtx, upto: usize) {
     if upto == 0 {
         return;
     }
     let rt = &ctx.rt;
     rt.fa(|| {
-        let blob = PBytes::new(rt, &[0xC5; 8]).expect("blob");
+        let blob = PBytes::new(rt, &[0xC5; CARVED_LEN]).expect("blob");
         ctx.cells.set_ref(0, Some(blob.addr()));
     });
 }
@@ -1304,7 +1332,7 @@ fn carve_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
     let cells = cells.expect("typed").expect("rooted");
     let step = match cells.get_ref(0) {
         None => Some(0),
-        Some(a) => (PBytes::resurrect(&rt, a).to_vec() == [0xC5; 8]).then_some(1),
+        Some(a) => (PBytes::resurrect(&rt, a).to_vec() == [0xC5; CARVED_LEN]).then_some(1),
     };
     (step, report.live_objects, report.replayed_logs)
 }
@@ -1317,15 +1345,15 @@ fn carve_observe(pmem: &Arc<Pmem>, mode: RecoveryMode) -> Observed {
 #[test]
 fn a_recycled_carve_recovers_an_exact_live_count_at_every_crash_point() {
     let (pmem, ctx) = carve_setup();
-    let freed = ctx.rt.heap().stats().bump;
     carve_run(&ctx, 1);
     let blob = ctx.cells.get_ref(0).expect("stored");
-    assert_eq!(
-        ctx.rt.heap().stats().bump,
-        freed,
-        "the carve recycled the chain's block"
-    );
+    let heap = ctx.rt.heap();
     assert!(ctx.rt.pools().is_pooled_addr(blob));
+    assert_eq!(
+        (heap.span_of_addr(blob), blob),
+        (ctx.span, heap.span_addr(ctx.span) + 16),
+        "the carve recycled the freed span"
+    );
     drop((ctx, pmem));
     let swept = prefix_sweep(
         carve_setup,
@@ -1337,6 +1365,142 @@ fn a_recycled_carve_recovers_an_exact_live_count_at_every_crash_point() {
     );
     for (mode, Swept { live, .. }) in BOTH.iter().zip(swept) {
         assert_eq!(live[1], live[0] + 1, "{mode:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Workload 12: a span's first life cut short. One failure-atomic block
+// carves a span from the span cursor — its master word stored and written
+// back, never fenced before the commit — and fills three slots, past the
+// span's first line, with blobs whose every word decodes as a valid header.
+// An image can keep those lines and lose line 0: recovery then finds the
+// span's master word zero and frees the span with the blobs' bytes in it.
+// The next carve of the span, for another class, must not let one of them
+// count as a live object at its slot boundaries.
+// ---------------------------------------------------------------------------
+
+/// The blobs the block allocates: 48 B each, 56-B slots that no object of
+/// the set-up pool holds, so the first one carves a span.
+const FIRST_LIFE: usize = 3;
+
+struct FirstLifeCtx {
+    rt: Jnvm,
+    cells: PRefArray,
+}
+
+/// Small fresh pool with a rooted four-cell reference array, the log
+/// created.
+fn first_life_setup() -> (Arc<Pmem>, FirstLifeCtx) {
+    let (pmem, rt) = create(jpdt_builder(), PmemConfig::crash_sim(256 << 10));
+    let cells = rt.fa(|| {
+        let cells = PRefArray::new(&rt, 4).expect("array");
+        rt.root_put("first-life", &cells).expect("root");
+        cells
+    });
+    pmem.psync();
+    (pmem, FirstLifeCtx { rt, cells })
+}
+
+/// Every word of a 48-byte blob: the header word of a valid `PBytes`.
+fn header_words(rt: &Jnvm) -> Vec<u8> {
+    let id = rt.registry().id_of::<PBytes>().expect("registered");
+    let valid = BlockHeader {
+        id,
+        valid: true,
+        next: 0,
+    }
+    .encode();
+    (0..CARVED_LEN / 8)
+        .flat_map(|_| valid.to_le_bytes())
+        .collect()
+}
+
+/// One failure-atomic block: [`FIRST_LIFE`] blobs of [`header_words`] in
+/// cells 0, 1 and 2.
+fn first_life_run(ctx: &FirstLifeCtx, upto: usize) {
+    if upto == 0 {
+        return;
+    }
+    let rt = &ctx.rt;
+    let words = header_words(rt);
+    rt.fa(|| {
+        for i in 0..FIRST_LIFE {
+            let blob = PBytes::new(rt, &words).expect("blob");
+            ctx.cells.set_ref(i as u64, Some(blob.addr()));
+        }
+    });
+}
+
+/// Reopen under `mode`: no blob (0) or all three (1). Then carve a span
+/// for 16-byte blobs — `span`, the one the block carved, when the image
+/// lost the block — root one blob in cell 3, fail the power once more and
+/// recover by header scan alone: its live count is the result.
+fn first_life_observe(pmem: &Arc<Pmem>, mode: RecoveryMode, span: u64) -> Observed {
+    let (rt, report) = open(jpdt_builder(), pmem, mode);
+    let cells = rt.root_get_as::<PRefArray>("first-life");
+    let cells = cells.expect("typed").expect("rooted");
+    let words = header_words(&rt);
+    let held: Vec<Option<Vec<u8>>> = (0..FIRST_LIFE as u64)
+        .map(|i| cells.get_ref(i).map(|a| PBytes::resurrect(&rt, a).to_vec()))
+        .collect();
+    let step = if held.iter().all(Option::is_none) {
+        Some(0)
+    } else {
+        held.iter()
+            .all(|b| b.as_deref() == Some(&words[..]))
+            .then_some(1)
+    };
+    let blob = rt.fa(|| {
+        let blob = PBytes::new(&rt, &[0x5A; 16]).expect("blob");
+        cells.set_ref(3, Some(blob.addr()));
+        blob.addr()
+    });
+    if step == Some(0) {
+        assert_eq!(rt.heap().span_of_addr(blob), span, "{mode:?}: re-carved");
+    }
+    pmem.psync();
+    drop((cells, rt));
+    pmem.crash(&CrashPolicy::strict()).expect("crash");
+    let (_, rescanned) = open(jpdt_builder(), pmem, RecoveryMode::HeaderScanOnly);
+    (step, rescanned.live_objects, report.replayed_logs)
+}
+
+/// [`prefix_sweep`] over [`first_life_run`], every crash image, under both
+/// recovery modes, each image's recovery followed by a re-carve and a
+/// header-scan recovery. Regression: a carve of a span recovery had freed
+/// cleared nothing, so after an image that kept the blobs' lines without
+/// the master's, the re-carve's slot boundaries held valid header words
+/// and the header scan counted each as a live object.
+#[test]
+fn a_span_whose_first_life_a_crash_cut_short_recovers_an_exact_live_count() {
+    let (pmem, ctx) = first_life_setup();
+    first_life_run(&ctx, 1);
+    let heap = ctx.rt.heap();
+    let slots: Vec<u64> = (0..FIRST_LIFE as u64)
+        .map(|i| ctx.cells.get_ref(i).expect("stored"))
+        .collect();
+    let span = heap.span_of_addr(slots[0]);
+    assert_eq!(
+        slots[0],
+        heap.span_addr(span) + 16,
+        "a fresh span's first slot"
+    );
+    assert!(slots.iter().all(|s| heap.span_of_addr(*s) == span));
+    assert!(
+        slots[2] >= heap.span_addr(span) + 128,
+        "past the first line"
+    );
+    drop((ctx, pmem));
+    let swept = prefix_sweep(
+        first_life_setup,
+        1,
+        first_life_run,
+        |pmem, mode| first_life_observe(pmem, mode, span),
+        &BOTH,
+        Images::Every,
+    );
+    for (mode, Swept { live, .. }) in BOTH.iter().zip(swept) {
+        assert_eq!(live[1], live[0] + FIRST_LIFE as u64, "{mode:?}");
     }
 }
 

@@ -493,7 +493,10 @@ fn log_mode_sites_per_op_are_pinned() {
     assert_eq!(points, 3 * OPS, "ordering points per rmw");
     assert_eq!(spans - points, 2 * OPS, "begin/end spans per rmw");
     assert_eq!(d.pfences + d.psyncs, 4 * OPS, "fence hooks per rmw");
-    // 7.2 per rmw, unchanged when an rmw's swap became a LINK and a FREE
+    // 7.25 per rmw since slots come from spans (the rmw's 11-byte values
+    // take 24-B slots back to back through a span, which straddle a line
+    // in other places than in a 256-B pool block); 27 733 (7.2) before,
+    // unchanged when an rmw's swap became a LINK and a FREE
     // (24 B, 32 B before) and the commit point one word (two): both still fit
     // the lines they took; 27 689 while a record's first word held its count (the
     // rmw's two-field records took slots of the 32-B class, not the 16-B
@@ -511,7 +514,7 @@ fn log_mode_sites_per_op_are_pinned() {
     // flushed and applied a whole in-flight block copy, the fresh blob was
     // flushed by its constructor *and* by the commit, and the flag and
     // length words of one line were written back separately.
-    assert_eq!(d.pwbs, 27_733, "pwb hooks over {OPS} rmws");
+    assert_eq!(d.pwbs, 27_822, "pwb hooks over {OPS} rmws");
 }
 
 // ---------------------------------------------------------------------------
@@ -591,7 +594,7 @@ fn setf_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     let pool = preloaded_cluster(PmemConfig::crash_sim(32 << 20));
     let shard = pool.kv(0).shard(0);
-    // The first field update may carve a pool block for its blob; from
+    // The first field update may carve a span for its blob; from
     // then on each one recycles the slot the previous one freed.
     assert!(commit_writes(&shard.grid, &shard.be, &[setf(0, 0, 0xA0)]).results[0]);
     const OPS: u64 = 64;
@@ -647,10 +650,15 @@ fn assert_cost(op: &str, d: &StatsSnapshot, pinned: (u64, u64, u64)) {
 }
 
 /// What a `SET` of a new key moves on the device, held like `SETF`'s row:
-/// totals over 64 ops, because a pool block or a map cell carved every few
-/// ops makes the per-op figure fractional. Bump-fed, a 10 × 100 B record
-/// costs 0 B read, ≈1 420 B written and 46.2 `pwb`s, a 4 × 64 B one 0 B,
-/// ≈468 B and 19.7; recycling, 1 329 B and 40.5, 441 B and 18.0. The map
+/// totals over 64 ops, because a span or a map cell carved every few ops
+/// makes the per-op figure fractional. Bump-fed, a 10 × 100 B record costs
+/// 0 B read, ≈1 335 B written and 40.9 `pwb`s, a 4 × 64 B one 0 B, ≈443 B
+/// and 17.6; recycling, 1 329 B and 40.5, 441 B and 17.5. A fresh span's
+/// one 16-B master and meta store replaces the 16-B header store of each
+/// pool block its slots would have filled, and the 24-B entries and 32-B
+/// records pack a span back to back, straddling lines in other places
+/// (≈1 420 B and 46.2, ≈468 B and 19.7; recycling 1 329 B and 40.5, 441 B
+/// and 18.0 while slots came from single 256-B pool blocks). The map
 /// cell that publishes the new entry is one 16-B LINK, not the entry's
 /// ALLOC and a one-word WRITE (24 B), and the commit point stores the
 /// length alone, not a flag beside it: 16 B less (≈1 436 B, ≈484 B; 1 345
@@ -687,18 +695,18 @@ fn set_device_cost_per_op_is_pinned() {
     assert_cost(
         "SET new key (4 x 64 B), bump-fed",
         &fresh,
-        (0, 29_936, 1_259),
+        (0, 28_336, 1_127),
     );
     assert_cost(
         "SET new key (4 x 64 B), recycling",
         &again,
-        (0, 28_224, 1_152),
+        (0, 28_224, 1_120),
     );
     let [fresh, _, again] = structural_costs(10, 100);
     assert_cost(
         "SET new key (10 x 100 B), bump-fed",
         &fresh,
-        (0, 90_848, 2_954),
+        (0, 85_424, 2_615),
     );
     assert_cost(
         "SET new key (10 x 100 B), recycling",
@@ -867,13 +875,15 @@ fn map_device_cost_per_op_is_pinned() {
 /// What one doubling of a map's cell array moves on the device, 64 → 128
 /// cells outside a block: the map doubles by [`PRefArray::grow`], and the
 /// rest of its growth is DRAM. The array grows in place: its 3-block chain
-/// gains 2 blocks and no cell is read or copied. Bump-fed, 8 B read (the
-/// tail's header) and 256 B written — the 2 new headers, the tail's link,
-/// the 224 B of the tail's slack nulled and the length word —, 8 `pwb`s
-/// and 2 fences (behind the nulls, behind the length); the new blocks read
-/// zero, so their cells are not stored. Recycling, the 36 new cells in the
-/// recycled blocks are nulled too (288 B, 5 lines) and the chain's link
-/// waits behind a fence for the recycled headers. It was 7 reads / 544 B
+/// gains 2 blocks and no cell is read or copied. Bump-fed, nothing read —
+/// the tail is a slave, whose header is `slave(NULL)` by construction — and
+/// 256 B written — the 2 new headers, the tail's link, the 224 B of the
+/// tail's slack nulled and the length word —, 8 `pwb`s and 2 fences
+/// (behind the nulls, behind the length); the new blocks read zero, so
+/// their cells are not stored. Recycling, the 36 new cells in the recycled
+/// blocks are nulled too (288 B, 5 lines) and the chain's link waits
+/// behind a fence for the recycled headers. It was 8 B read while the
+/// growth read the tail's header whatever it was; 7 reads / 544 B
 /// read, 1 096 B written, 23 `pwb`s and 2 fences while a doubling copied
 /// the 64 cells into a fresh 128-cell array, swapped the master's
 /// reference and freed the old array; 69 reads / 552 B, 1 616 B written
@@ -884,8 +894,8 @@ fn map_device_cost_per_op_is_pinned() {
 fn map_doubling_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     let rows = [
-        ("bump-fed", false, (8, 256, 8, 2)),
-        ("recycling", true, (8, 544, 13, 3)),
+        ("bump-fed", false, (0, 256, 8, 2)),
+        ("recycling", true, (0, 544, 13, 3)),
     ];
     for (how, recycling, pinned) in rows {
         let op = format!("map doubling 64 -> 128 cells, {how}");
@@ -949,7 +959,7 @@ fn setf_device_cost_per_group_size_is_pinned() {
         let pool = preloaded_cluster(PmemConfig::crash_sim(32 << 20));
         let shard = pool.kv(0).shard(0);
         let ops: Vec<WriteOp> = (0..OPS).map(|i| setf(i % 32, i % 10, i as u8)).collect();
-        // Warm-up, as above: every key's first update may carve a pool block.
+        // Warm-up, as above: every key's first update may carve a span.
         for group in ops.chunks(batch) {
             assert_eq!(commit_writes(&shard.grid, &shard.be, group).groups, 1);
         }
@@ -970,9 +980,15 @@ fn setf_device_cost_per_group_size_is_pinned() {
 /// What a stored record costs in heap blocks: 1 000 `SET`s of new keys,
 /// in groups of 8, on a fresh one-pool cluster, and the blocks the heap
 /// handed out over them, net of those it took back — the record, its
-/// blobs, its map entry, and its share of map-array growth, pool blocks
-/// and the log. `BLOCKS` per 1 000 records of 4 × 64 B and of 10 × 100 B:
-/// 1.71 and 5.70 blocks a record, since the reference to a record carries
+/// blobs, its map entry, and its share of map-array growth, spans (16
+/// blocks each) and the log. `BLOCKS` per 1 000 records of 4 × 64 B and of
+/// 10 × 100 B: 1.48 and 5.56 blocks a record, since slots come from 4-KiB
+/// spans on an 8-B class ladder (a 64-B value takes 73 B of span, not
+/// 85.3 B of a pool block; a 24-B entry 32.3 B, not 42.7 B; a 32-B record
+/// 40.2 B, not 42.7 B; an 80-B record 97.5 B, not 128 B; a 100-B value
+/// still 128 B, since a slot never takes more lines than its size needs
+/// and two such values fill 4 lines); 1.71 and 5.70 since the reference
+/// to a record carries
 /// its field count (a 4 × 64 B record's 32 B of payload take a 32-B slot,
 /// not a 72-B one; a 10 × 100 B record's 80 B stay in a 112-B slot); 1.87
 /// and 5.70 while the record's first word held its count, since the map
@@ -987,7 +1003,7 @@ fn setf_device_cost_per_group_size_is_pinned() {
 fn footprint_device_cost_per_op_is_pinned() {
     let _g = obs_lock(); // device ops feed the process-global obs counters
     const RECORDS: usize = 1_000;
-    const BLOCKS: [(usize, usize, u64); 2] = [(4, 64, 1_705), (10, 100, 5_704)];
+    const BLOCKS: [(usize, usize, u64); 2] = [(4, 64, 1_477), (10, 100, 5_557)];
     for (fields, size, pinned) in BLOCKS {
         let pool = Cluster::create(1, 1, 16, PmemConfig::crash_sim(32 << 20)).expect("pool");
         let shard = pool.kv(0).shard(0);

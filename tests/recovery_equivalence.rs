@@ -21,8 +21,8 @@
 //! 3. two writers frozen between commit point and retire, so two
 //!    committed logs write the same word and the replay order shows;
 //! 4. completed workloads (for the HeaderScanOnly-vs-Full pin and its
-//!    counterexample, recovery's reads per record, and a pool block whose
-//!    slot count is corrupt).
+//!    counterexample, recovery's reads per record, and a span whose slot
+//!    count is corrupt).
 //!
 //! Images are captured once (a byte-for-byte copy of the post-crash
 //! media) and restored into a fresh device per configuration, so every
@@ -31,7 +31,7 @@
 use std::sync::Arc;
 
 use jnvm_repro::faultsim::{strided_points, sweep, torture_point, Devices};
-use jnvm_repro::heap::{HeapConfig, CLASS_ID_POOL, REF_ADDR_MASK};
+use jnvm_repro::heap::{BlockHeader, HeapConfig, CLASS_ID_POOL, REF_ADDR_MASK};
 use jnvm_repro::jnvm::{
     persistent_class, Jnvm, JnvmBuilder, PObject, Proxy, RecoveryMode, RecoveryOptions,
     RecoveryReport,
@@ -662,18 +662,20 @@ fn records_image(records: usize) -> Vec<u8> {
 }
 
 /// The mark's device reads, exactly, at one thread, for 512 and 1 024
-/// records: 16 537 and 31 760, 29.73 per record of the 512 more (a map
+/// records: 13 814 and 26 313, 24.41 per record of the 512 more (a map
 /// whose cell array is exactly full either way). For every reference it
 /// resolves, the mark reads the slot and the target's header, which says
 /// whether the target is valid and names its class: the map cell and the
 /// entry, the entry's value reference and the record, then each of the 10
-/// field references and its value — 24 a record. The rest is each pool
-/// block's meta word, read at its first touch (≈5.7 a record: two 100-B
-/// values to a block). The record's field count comes from the tag of the
-/// entry's reference to it: nothing reads a count. It was 23 196 and
-/// 45 075, 42.73 per record, while the record's first word held its count
+/// field references and its value — 24 a record. The rest is each span's
+/// meta word, read at its first touch (≈0.4 a record: 32 100-B values to
+/// a span); 16 537 and 31 760, 29.73 per record, while each 256-B pool
+/// block's was (≈5.7 a record: two 100-B values to a block). The record's
+/// field count comes from the tag of the entry's reference to it: nothing
+/// reads a count. It was 23 196 and 45 075, 42.73 per record, while the
+/// record's first word held its count
 /// (1 read) and the mark read each claimed object's header a second time
-/// for its class (12). More threads may read a pool block's meta word
+/// for its class (12). More threads may read a span's meta word
 /// twice, when two workers first touch it at once, so only the one-thread
 /// count is exact.
 #[test]
@@ -690,7 +692,7 @@ fn mark_reads_per_record_are_pinned() {
     assert_eq!(large.live_objects - small.live_objects, 512 * 12);
     assert_eq!(
         (small.mark_reads, large.mark_reads),
-        (16_537, 31_760),
+        (13_814, 26_313),
         "mark device reads of 512 and 1 024 records"
     );
 }
@@ -698,11 +700,15 @@ fn mark_reads_per_record_are_pinned() {
 /// Replay's and the sweep's device reads, exactly, at one thread, for the
 /// images of `mark_reads_per_record_are_pinned`. Replay reads the log
 /// directory and its logs' lengths, 69 either way: no log is committed.
-/// The sweep reads the bump pointer twice, the header of each block the
-/// mark kept (3 091 and 6 009) and the word of each dead slot in a kept
-/// pool block: 3 097 and 6 013. It was 9 906 and 17 754 while it read
-/// every block header below the bump pointer, and both halves of each
-/// kept pool block's meta word.
+/// The sweep reads the bump pointer twice, the span floor once, the master
+/// word of each span with no live slot (13 and 28: the unused tail of the
+/// span cursor's reservation) and the word of each dead slot in a kept
+/// span (133 and 123): 149 and 154. Its span liveness is the slot bitmap's,
+/// and the pool rebuild visits no chain block. It was
+/// 3 097 and 6 013 while pool blocks shared the block range and the pool
+/// rebuild read the header of each block the mark kept (3 091 and 6 009);
+/// 9 906 and 17 754 while it read every block header below the bump
+/// pointer, and both halves of each kept pool block's meta word.
 #[test]
 fn replay_and_sweep_reads_are_pinned() {
     let [small, large] = [512, 1024].map(|records| {
@@ -721,7 +727,7 @@ fn replay_and_sweep_reads_are_pinned() {
     );
     assert_eq!(
         (small.sweep_reads, large.sweep_reads),
-        (3_097, 6_013),
+        (149, 154),
         "sweep device reads of 512 and 1 024 records"
     );
 }
@@ -733,8 +739,8 @@ fn replay_and_sweep_reads_are_pinned() {
 /// Regression: the sweep took a kept pool block's slot count from its meta
 /// word, so a block whose class is valid and whose count is not walked the
 /// sweep past its end, clearing words of the objects behind it (a count
-/// past the device panicked the open). Here a block of 120-B value slots,
-/// 2 to a block, claims 100; the count follows from the class, and every
+/// past the device panicked the open). Here a span of 104-B value slots,
+/// 32 to a span, claims 1 000; the count follows from the class, and every
 /// record reads back whole in both modes.
 #[test]
 fn a_corrupt_pool_slot_count_damages_no_other_object() {
@@ -742,14 +748,15 @@ fn a_corrupt_pool_slot_count_damages_no_other_object() {
     let mut image = records_image(RECORDS);
     let (_, rt, _) = open_restored(&image, register_kvstore, RecoveryMode::Full, 1);
     let heap = rt.heap();
-    let meta = (heap.data_start()..heap.scan_end())
-        .find(|idx| {
-            heap.read_header(*idx).id == CLASS_ID_POOL
-                && rt.pmem().read_u32(heap.block_addr(*idx) + 8) == 112
+    let meta = (0..heap.span_count())
+        .map(|span| heap.span_addr(span))
+        .find(|base| {
+            BlockHeader::decode(rt.pmem().read_u64(*base)).id == CLASS_ID_POOL
+                && rt.pmem().read_u32(base + 8) == 104
         })
-        .map(|idx| heap.block_addr(idx) as usize + 8)
-        .expect("a block of value slots");
-    image[meta + 4..meta + 8].copy_from_slice(&100u32.to_le_bytes());
+        .map(|base| base as usize + 8)
+        .expect("a span of value slots");
+    image[meta + 4..meta + 8].copy_from_slice(&1000u32.to_le_bytes());
     let values = vec![vec![7u8; 100]; 10];
     for mode in [RecoveryMode::Full, RecoveryMode::HeaderScanOnly] {
         let (_, rt, _) = open_restored(&image, register_kvstore, mode, 1);
